@@ -6,11 +6,11 @@ leaves the numbers on disk for inspection):
 
 * **Small leg** (always runs; this is what CI's ``kernels-smoke`` job
   executes): a >=500-pattern simulated alignment, one SPR round per
-  variant — from-scratch vs planned reference, plus the blocked and
-  batched backends, serial and thread-sharded.  Asserts are exact:
+  variant — from-scratch vs planned reference, plus the batched
+  backend, serial and thread-sharded.  Asserts are exact:
   bit-identical log-likelihoods everywhere, the planner saves CLV work,
   and every planned backend charges *exactly* the reference op counts
-  (blocking, level-batching, and contribution reuse are wall-clock
+  (level-batching and contribution reuse are wall-clock
   optimisations, never less logical work).
 * **Full leg** (``REPRO_BENCH_FULL=1``): the paper's largest data-set
   shape — 125 taxa x 29,149 characters, ~19.4k patterns — three SPR
@@ -37,7 +37,6 @@ from repro.likelihood.gtr import GTRModel
 from repro.likelihood.kernels import available_kernels
 from repro.search.spr import SPRParams, spr_round
 from repro.threads.pool import VirtualThreadPool
-from repro.threads.threaded_engine import ThreadedLikelihoodEngine
 from repro.tree.random_trees import yule_tree
 from repro.util.rng import RAxMLRandom
 from repro.util.tables import format_table
@@ -98,9 +97,9 @@ def _spr_round(pal, kernel: str, clv_cache: bool, n_threads: int = 1):
     rate_model = RateModel.gamma(0.8, 4)
     ops = OpCounter()
     if n_threads > 1:
-        engine = ThreadedLikelihoodEngine(
-            pal, MODEL, VirtualThreadPool(n_threads), rate_model,
-            ops=ops, kernel=kernel, clv_cache=clv_cache,
+        engine = LikelihoodEngine(
+            pal, MODEL, rate_model, ops=ops, kernel=kernel, clv_cache=clv_cache,
+            pool=VirtualThreadPool(n_threads),
         )
     else:
         engine = LikelihoodEngine(
@@ -119,7 +118,6 @@ def run_microbench():
     variants = {
         "reference-scratch": _spr_round(pal, "reference", clv_cache=False),
         "reference-planned": _spr_round(pal, "reference", clv_cache=True),
-        "blocked-planned": _spr_round(pal, "blocked", clv_cache=True),
         "batched-planned": _spr_round(pal, "batched", clv_cache=True),
         "threaded4-planned": _spr_round(pal, "reference", clv_cache=True, n_threads=4),
         "batched-threaded4": _spr_round(pal, "batched", clv_cache=True, n_threads=4),
@@ -146,7 +144,7 @@ def run_full_bench():
     by its median; steady-state rounds come from the one 3-round child.
     """
     results = {}
-    for kernel in ("reference", "blocked", "batched"):
+    for kernel in ("reference", "batched"):
         res = _full_child(kernel, 3)
         res["cold_samples"] = [res["round_seconds"][0]] + [
             _full_child(kernel, 1)["round_seconds"][0] for _ in range(2)
@@ -221,7 +219,7 @@ def test_kernel_microbench(benchmark, emit):
     assert planned["sumtables"] == scratch["sumtables"]
     assert planned["deriv_evals"] == scratch["deriv_evals"]
     # Every planned backend charges exactly the reference op totals.
-    for name in ("blocked-planned", "batched-planned", "batched-threaded4"):
+    for name in ("batched-planned", "batched-threaded4"):
         assert variants[name][1] == planned, name
 
     rows = [

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.bootstop.table import BipartitionTable
-from repro.likelihood.engine import OpCounter, RateModel
+from repro.likelihood.engine import LikelihoodEngine, OpCounter, RateModel
 from repro.likelihood.gtr import GTRModel
 from repro.likelihood.model_opt import empirical_frequencies
 from repro.mpi.comm import SimComm
@@ -33,7 +33,6 @@ from repro.search.starting_tree import parsimony_starting_tree, random_starting_
 from repro.seq.bootstrap import bootstrap_pattern_weights
 from repro.seq.patterns import PatternAlignment
 from repro.threads.pool import VirtualThreadPool
-from repro.threads.threaded_engine import ThreadedLikelihoodEngine
 from repro.tree.newick import parse_newick, write_newick
 from repro.tree.topology import Tree
 from repro.util.rng import RAxMLRandom, rank_seed, spawn_stream
@@ -84,8 +83,8 @@ def _make_rank_engine_factory(machine_name, n_threads, comm, spu):
     )
 
     def factory(pal, model, rate_model, weights, ops):
-        return ThreadedLikelihoodEngine(
-            pal, model, pool, rate_model, weights=weights, ops=ops
+        return LikelihoodEngine(
+            pal, model, rate_model, weights=weights, ops=ops, pool=pool
         )
 
     return factory

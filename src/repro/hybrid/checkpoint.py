@@ -109,6 +109,64 @@ def payload_to_results(payload, taxa) -> list[SearchResult]:
     ]
 
 
+def write_durable(path: Path, doc: dict) -> None:
+    """Replace ``path`` with ``doc`` as JSON, atomically and durably.
+
+    fsync the temp file before the rename (else a crash can leave a
+    fully-renamed but empty/truncated file) and fsync the directory
+    after it (else the rename itself may not survive).  Readers see old
+    or new, never half.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="ascii") as fh:
+        fh.write(json.dumps(doc))
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    try:
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+    except OSError:
+        return  # platform/filesystem without directory fds
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
+def read_checked(path: Path, what: str, fingerprint: str, expected: str,
+                 **names) -> dict | None:
+    """The ``what`` document at ``path``, or None if absent.
+
+    Raises :class:`CheckpointError` unless the file decodes, carries
+    :data:`FORMAT_VERSION`, names every ``names`` value (worded as
+    ``expected`` in the message) and was written under ``fingerprint`` —
+    resuming against the wrong run must fail loudly, not mix runs.
+    """
+    try:
+        text = path.read_text(encoding="ascii")
+    except FileNotFoundError:
+        return None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"corrupt {what} {path}: {exc}") from exc
+    if doc.get("format") != FORMAT_VERSION:
+        raise CheckpointError(
+            f"{path}: unsupported {what.split()[-1]} format "
+            f"{doc.get('format')!r}"
+        )
+    if any(doc.get(k) != v for k, v in names.items()):
+        named = "/".join(f"{k} {doc.get(k)!r}" for k in names)
+        raise CheckpointError(f"{path}: names {named}, expected {expected}")
+    if doc.get("fingerprint") != fingerprint:
+        raise CheckpointError(
+            f"{path} was written by a different run configuration or "
+            "alignment; refusing to resume from it"
+        )
+    return doc
+
+
 class CheckpointStore:
     """Atomic JSON checkpoints for one logical rank in one directory.
 
@@ -125,60 +183,21 @@ class CheckpointStore:
         return self.directory / f"ckpt-rank{self.rank:04d}-{stage}.json"
 
     def save(self, stage: str, payload: dict) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        doc = {
+        write_durable(self.path(stage), {
             "format": FORMAT_VERSION,
             "rank": self.rank,
             "stage": stage,
             "fingerprint": self.fingerprint,
             "payload": payload,
-        }
-        final = self.path(stage)
-        tmp = final.with_name(final.name + ".tmp")
-        # Durable atomic replace: fsync the temp file before the rename
-        # (else a crash can leave a fully-renamed but empty/truncated
-        # checkpoint) and fsync the directory after it (else the rename
-        # itself may not survive).  Readers see old or new, never half.
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(doc))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
-        try:
-            dir_fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:
-            return  # platform/filesystem without directory fds
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        })
 
     def load(self, stage: str) -> dict | None:
         """The payload checkpointed for ``stage``, or None if absent."""
-        final = self.path(stage)
-        try:
-            text = final.read_text(encoding="ascii")
-        except FileNotFoundError:
-            return None
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"corrupt checkpoint {final}: {exc}") from exc
-        if doc.get("format") != FORMAT_VERSION:
-            raise CheckpointError(
-                f"{final}: unsupported checkpoint format {doc.get('format')!r}"
-            )
-        if doc.get("rank") != self.rank or doc.get("stage") != stage:
-            raise CheckpointError(
-                f"{final}: names rank {doc.get('rank')}/stage "
-                f"{doc.get('stage')!r}, expected rank {self.rank}/{stage!r}"
-            )
-        if doc.get("fingerprint") != self.fingerprint:
-            raise CheckpointError(
-                f"{final} was written by a different run configuration or "
-                "alignment; refusing to resume from it"
-            )
-        return doc["payload"]
+        doc = read_checked(
+            self.path(stage), "checkpoint", self.fingerprint,
+            f"rank {self.rank}/{stage!r}", rank=self.rank, stage=stage,
+        )
+        return None if doc is None else doc["payload"]
 
     def available_stages(self) -> tuple[str, ...]:
         """The contiguous prefix of :data:`STAGE_ORDER` present on disk.

@@ -197,13 +197,13 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
             n_slow=r["n_slow"],
             finish_time=r["finish_time"],
             comm_seconds=r["comm_seconds"],
-            comm_intra_seconds=r.get("comm_intra_seconds", 0.0),
-            comm_inter_seconds=r.get("comm_inter_seconds", 0.0),
-            comm_channels=r.get("comm_channels"),
+            comm_intra_seconds=r["comm_intra_seconds"],
+            comm_inter_seconds=r["comm_inter_seconds"],
+            comm_channels=r["comm_channels"],
             n_retries=r["n_retries"],
             recovered_for=tuple(r["recovered_for"]),
-            backoff_seconds=r.get("backoff_seconds", 0.0),
-            recovery_by_stage=dict(r.get("recovery_seconds_by_stage", {})),
+            backoff_seconds=r["backoff_seconds"],
+            recovery_by_stage=dict(r["recovery_seconds_by_stage"]),
         )
         for r in results
     ]
@@ -231,9 +231,7 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
             },
             "steal_log": board.steal_log(),
             "idle_tail": {
-                str(r["rank"]): r["sched"]["idle_tail"]
-                for r in results
-                if r.get("sched")
+                str(r["rank"]): r["sched"]["idle_tail"] for r in results
             },
             "steal_attempts": sum(
                 d.get("steal_attempts", 0)
@@ -277,7 +275,7 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
     if config.collect_trace or config.collect_metrics:
         per_rank = {str(r["rank"]): r["metrics"] for r in results + joiners}
         recovery_by_rank = [r.recovery_by_stage for r in ranks] + [
-            dict(j.get("recovery_seconds_by_stage", {})) for j in joiners
+            dict(j["recovery_seconds_by_stage"]) for j in joiners
         ]
         metrics = {
             "per_rank": per_rank,
@@ -296,7 +294,7 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
         }
 
     notes = sorted({
-        note for r in results + joiners for note in r.get("notes", ())
+        note for r in results + joiners for note in r["notes"]
     })
 
     return HybridResult(
@@ -318,14 +316,14 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
         sched=sched_doc,
         notes=notes,
         degraded=bool(notes),
-        membership=results[0].get("membership"),
+        membership=results[0]["membership"],
         joiners=[
             {
                 "rank": j["rank"],
-                "join_stage": j.get("join_stage"),
-                "recovered_for": list(j.get("recovered_for", ())),
-                "n_bootstraps": len(j.get("bootstrap_newicks", ())),
-                "finish_time": j.get("finish_time"),
+                "join_stage": j["join_stage"],
+                "recovered_for": list(j["recovered_for"]),
+                "n_bootstraps": len(j["bootstrap_newicks"]),
+                "finish_time": j["finish_time"],
             }
             for j in joiners
         ],

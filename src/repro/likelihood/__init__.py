@@ -10,7 +10,7 @@ This package is the Python equivalent of RAxML's likelihood core:
   CLV caching, and minimal recompute descriptors (RAxML's traversal
   descriptors);
 * :mod:`repro.likelihood.kernels` — pluggable pattern-axis kernel
-  backends (``reference``, ``blocked``) charging the shared op counter;
+  backends (``reference``, ``batched``) charging the shared op counter;
 * :mod:`repro.likelihood.engine` — Felsenstein-pruning conditional
   likelihood vectors, vectorized over alignment patterns (the axis RAxML's
   Pthreads parallelization slices); one engine serves serial and

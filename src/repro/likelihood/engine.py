@@ -8,7 +8,7 @@ mirrors the structure of RAxML's:
   — the analogue of RAxML's traversal descriptor;
 * a **kernel backend** (:mod:`repro.likelihood.kernels`) executes every
   pattern-axis computation over the engine's shard list and charges the
-  :class:`OpCounter`; backends are pluggable (``reference``/``blocked``);
+  :class:`OpCounter`; backends are pluggable (``reference``/``batched``);
 * this module walks plans, multiplies child contributions, rescales,
   and reduces per-pattern results to weighted log-likelihoods.
 

@@ -1,10 +1,10 @@
 """Pluggable likelihood kernel backends.
 
 A backend implements every pattern-axis computation the engine issues
-(see :class:`~repro.likelihood.kernels.base.KernelBackend`).  Three ship
-by default: ``reference`` (the plain per-node NumPy math), ``blocked``
-(cache-tiled spans), and ``batched`` (level-batched tensor contractions
-with contribution memoisation — see
+(see :class:`~repro.likelihood.kernels.base.KernelBackend`).  Two ship
+by default: ``reference`` (the plain per-node NumPy math, the oracle
+every parity test compares against) and ``batched`` (level-batched
+tensor contractions with contribution memoisation — see
 :class:`~repro.likelihood.kernels.batched.BatchedKernel`).  Backends are
 registered by name and selected via ``LikelihoodEngine(kernel=...)`` or
 the ``--kernel`` CLI flag:
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from repro.likelihood.kernels.base import KernelBackend, OpCounter, Partial
 from repro.likelihood.kernels.batched import BatchedKernel
-from repro.likelihood.kernels.blocked import BlockedKernel
 from repro.likelihood.kernels.reference import ReferenceKernel
 
 _REGISTRY: dict[str, type[KernelBackend]] = {}
@@ -55,7 +54,6 @@ def available_kernels() -> list[str]:
 
 
 register_kernel(ReferenceKernel)
-register_kernel(BlockedKernel)
 register_kernel(BatchedKernel)
 
 __all__ = [
@@ -63,7 +61,6 @@ __all__ = [
     "OpCounter",
     "Partial",
     "ReferenceKernel",
-    "BlockedKernel",
     "BatchedKernel",
     "register_kernel",
     "get_kernel",

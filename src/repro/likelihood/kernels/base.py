@@ -156,8 +156,8 @@ class KernelBackend:
     def _spans(self) -> Iterator[tuple[slice, np.ndarray | None]]:
         """Yield ``(pattern_slice, pattern_to_cat_slice)`` work spans.
 
-        The reference backend processes each shard whole; blocked backends
-        subdivide shards further.  CAT slices are taken lazily so the
+        The reference backend processes each shard whole; a subclass may
+        override this to subdivide shards further.  CAT slices are taken lazily so the
         full-axis assignment array is the single source of truth.
         """
         p2c = self.rate_model.pattern_to_cat

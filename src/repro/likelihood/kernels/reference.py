@@ -1,6 +1,6 @@
 """The reference NumPy kernel backend.
 
-This is the baseline the blocked backend (and any future compiled
+This is the baseline the batched backend (and any future compiled
 backend) must match bit-for-bit: each shard is processed whole with the
 einsum formulations inherited from the original monolithic engine.
 """

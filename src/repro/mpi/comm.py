@@ -47,6 +47,7 @@ import threading
 import time
 from dataclasses import dataclass
 from math import ceil, log2
+from typing import ClassVar
 
 from repro.mpi.faults import FaultPlan, RankKilledError
 from repro.mpi.membership import MembershipLedger, MembershipView
@@ -154,6 +155,9 @@ class CommTiming:
     latency: float = 5e-6  # per point-to-point message
     byte_time: float = 1e-9  # per payload byte (~1 GB/s interconnect)
     barrier_base: float = 1e-5  # per barrier, times ceil(log2(p))
+    #: The flat model prices no node topology (the hierarchical model's
+    #: ``topology`` field is what :class:`SimComm` tells the two apart by).
+    topology: ClassVar[None] = None
 
     def message_seconds(self, n_bytes: int) -> float:
         return self.latency + self.byte_time * n_bytes
@@ -398,12 +402,11 @@ class SimComm:
         self.backoff_seconds = 0.0
         #: Per-rank record of every communication operation.
         self.trace: list[CommEvent] = []
-        #: True when the world's timing model carries a node topology
-        #: (duck-typed: it offers ``collective_phases``).  Flat worlds
-        #: must stay byte-identical, so every topology-only behaviour —
-        #: split recording, per-hop send costs, re-election charges —
-        #: is gated on this flag.
-        self._topology_aware = hasattr(world.timing, "collective_phases")
+        #: True when the world's timing model carries a node topology.
+        #: Flat worlds must stay byte-identical, so every topology-only
+        #: behaviour — split recording, per-hop send costs, re-election
+        #: charges — is gated on this flag.
+        self._topology_aware = world.timing.topology is not None
 
     def _record(self, op: str, started_at: float, payload: int,
                 intra: float = 0.0, inter: float = 0.0) -> None:
@@ -471,7 +474,7 @@ class SimComm:
         :attr:`known_alive` on every call — this *is* the deterministic
         re-election rule: a dead leader is replaced by the next alive
         rank of its node the instant the death set is agreed."""
-        topo = getattr(self._world.timing, "topology", None)
+        topo = self._world.timing.topology
         if topo is None or topo.is_trivial:
             return {}
         return topo.leaders(self.known_alive)

@@ -128,12 +128,12 @@ def _tree_rounds(n: int) -> int:
 class HierarchicalCommTiming:
     """Two-tier communication costs over a :class:`Topology`.
 
-    Duck-type superset of :class:`~repro.mpi.comm.CommTiming`:
+    Superset of :class:`~repro.mpi.comm.CommTiming`:
     ``message_seconds``/``barrier_seconds``/``collective_seconds`` keep
     working (as totals), and :meth:`collective_phases` exposes the
     intra/inter split that :class:`~repro.mpi.comm.SimComm` records.
-    ``SimComm`` detects the hierarchical model by the presence of
-    ``collective_phases`` — no import in either direction.
+    ``SimComm`` tells the two models apart by ``topology`` — ``None`` on
+    the flat one.
 
     Per-collective model (``r_max`` = ranks on the fullest node among
     the members, ``k`` = nodes represented, ``b`` = payload bytes):

@@ -20,16 +20,12 @@ from repro.mpi.comm import CommTiming, DistributedStateError, RankFailure
 from repro.obs.recorder import Recorder, recording
 from repro.search.schedule import make_schedule
 from repro.tree.newick import write_newick
-from repro.hybrid.checkpoint import (
-    STAGE_ORDER,
-    CheckpointError,
-    config_fingerprint,
-)
+from repro.hybrid.checkpoint import CheckpointError, config_fingerprint
 from repro.sched.checkpoint import open_journal
 from repro.sched.placement import initial_assignment
 from repro.sched.queue import StealBoard
 from repro.sched.stealing import run_rank_pool
-from repro.sched.tasks import TaskContext, build_dag, execute_task, task_id
+from repro.sched.tasks import build_dag, execute_task, task_id
 from repro.runtime.context import RankContext
 from repro.runtime.middleware import (
     CheckpointMiddleware,
@@ -97,6 +93,65 @@ def run_rank(comm, pal, config, board=None) -> dict:
     return out
 
 
+def _until_agreed(collective, on_failure=lambda: None):
+    """Run ``collective`` until it completes over the surviving membership.
+
+    A :class:`RankFailure` means a peer died in the exchange.  Every
+    survivor sees it with the same frozen death set, handles it the same
+    way — ``on_failure``: the static backend replays the dead share,
+    work stealing does nothing (the board already re-enqueued the dead
+    rank's work) — and re-enters, so the survivors leave in lockstep.
+    """
+    while True:
+        try:
+            return collective()
+        except RankFailure:
+            on_failure()
+
+
+def _stages_from_entry(comm, config) -> tuple[Stage, ...]:
+    """The stages ``comm.rank`` takes part in: the whole pipeline, or —
+    for an elastic joiner — everything from its join boundary on (whose
+    ``advance_epoch`` is a no-op for it: that exchange already happened,
+    it produced this rank)."""
+    stages = comprehensive_pipeline().stages
+    if comm.is_joiner:
+        join_stage = config.fault_plan.join_stage_of(comm.rank)
+        stages = stages[[s.name for s in stages].index(join_stage):]
+    return stages
+
+
+def _rank_report(ctx: RankContext, **own) -> dict:
+    """The rank report: the accounting every backend reads off
+    ``ctx``/``ctx.comm`` the same way, plus the backend's ``own`` fields
+    (local/winner results, ``bootstrap_newicks``, ``n_fast``/``n_slow``,
+    ``recovered_for``, work-steal's ``sched``).  Elastic joiners are
+    tagged with their join stage."""
+    comm = ctx.comm
+    report = {
+        "rank": comm.rank,
+        "stage_seconds": {**ctx.stage_seconds, "recovery": ctx.recovery_seconds},
+        "stage_ops": ctx.stage_ops,
+        "finish_time": comm.clock.now,
+        "comm_seconds": comm.comm_seconds(),
+        "comm_intra_seconds": comm.comm_intra_seconds(),
+        "comm_inter_seconds": comm.comm_inter_seconds(),
+        "comm_channels": ctx.channels.as_doc() if ctx.channels is not None else None,
+        "pattern_ops": ctx.ops.pattern_ops,
+        "n_retries": comm.n_retries,
+        "backoff_seconds": comm.backoff_seconds,
+        "failed_ranks": comm.known_dead,
+        "recovery_seconds_by_stage": dict(ctx.recovery_by_stage),
+        "notes": list(ctx.state.get("__notes__", [])),
+        "membership": comm.membership_view().as_doc(),
+        **own,
+    }
+    if comm.is_joiner:
+        report["joiner"] = True
+        report["join_stage"] = ctx.config.fault_plan.join_stage_of(comm.rank)
+    return report
+
+
 @register_backend
 class StaticBackend:
     """The paper's fixed Table 2 partition, stage by stage.
@@ -104,6 +159,15 @@ class StaticBackend:
     Every pipeline stage runs (or checkpoint-loads) in order on every
     rank; recovery from rank deaths replays the dead rank's pipeline on
     a communicator-less context via :class:`RecoveryMiddleware`.
+
+    An elastic joiner (hot spare) drives the same stages from its epoch
+    boundary on, with no Table 2 share of its own — growing the share
+    partition mid-run would change every rank's replicate streams and
+    break bit-identity with the static world.  Instead it rebalances the
+    *membership*: it takes part in every collective, counts as a
+    survivor in the deterministic adoption rule (so it replays dead
+    ranks' shares like any original survivor), and submits its adoptees'
+    candidates to the final selection.
     """
 
     name = "static"
@@ -114,27 +178,27 @@ class StaticBackend:
         return None
 
     def run(self, comm, pal, config, board=None) -> dict:
-        if comm.is_joiner:
-            return self._run_joiner(comm, pal, config)
-        pipeline = comprehensive_pipeline()
-        cfg = config.comprehensive
         rank = comm.rank
-        sched = make_schedule(cfg.n_bootstraps, config.n_processes)
-
-        ckpt = open_store(pal, config, rank)
+        ckpt = None
         resume_through = -1
-        if ckpt is not None and config.resume:
-            # Negotiate a common resume point: every rank must skip the same
-            # collectives, so resume through the *minimum* contiguous stage
-            # prefix available across ranks.  Cost-free exchange: a resumed
-            # run must stay bit-identical to an uninterrupted one.
-            counts = comm._plain_allgather(
-                len(ckpt.available_stages()), op="resume-negotiation"
-            )
-            resume_through = min(c for c in counts if c is not None) - 1
-        # Late joiners cannot take part in the negotiation (they do not
-        # exist yet); the blackboard hands them the agreed prefix.
-        comm.publish("resume_through", resume_through)
+        if comm.is_joiner:
+            # Late joiners cannot take part in the resume negotiation
+            # (they do not exist yet); the blackboard hands them the
+            # agreed prefix.
+            resume_through = comm.lookup("resume_through", -1)
+        else:
+            ckpt = open_store(pal, config, rank)
+            if ckpt is not None and config.resume:
+                # Negotiate a common resume point: every rank must skip
+                # the same collectives, so resume through the *minimum*
+                # contiguous stage prefix available across ranks.
+                # Cost-free exchange: a resumed run must stay
+                # bit-identical to an uninterrupted one.
+                counts = comm._plain_allgather(
+                    len(ckpt.available_stages()), op="resume-negotiation"
+                )
+                resume_through = min(c for c in counts if c is not None) - 1
+            comm.publish("resume_through", resume_through)
 
         recovery = RecoveryMiddleware(
             comm, lambda dead: self._replay(comm, pal, config, dead)
@@ -148,93 +212,89 @@ class StaticBackend:
                 recovery,
             ),
         )
-        ctx.state["schedule"] = sched
-        ctx.state["adopted"] = recovery.adopted
+        adopted = ctx.state["adopted"] = recovery.adopted
         ctx.recover = lambda upto: recovery.recover(ctx, upto)
+        if comm.is_joiner:
+            # The empty share its task stages leave untouched.
+            ctx.state.update(
+                local_bs_trees=[], fast_results=[], slow_results=[],
+                thorough=None, wc_trace=[], shard=None,
+            )
 
-        for stage in pipeline:
+        for stage in _stages_from_entry(comm, config):
             self._exec_stage(ctx, stage)
 
-        adopted = recovery.adopted
         thorough = ctx.state["thorough"]
-        return {
-            "rank": rank,
-            "stage_seconds": {**ctx.stage_seconds, "recovery": ctx.recovery_seconds},
-            "stage_ops": ctx.stage_ops,
-            "local_lnl": thorough.lnl,
-            "local_newick": ctx.state["local_newick"],
-            "winner_rank": ctx.state["winner_rank"],
-            "winner_lnl": ctx.state["winner_lnl"],
-            "best_newick": ctx.state["best_newick"],
-            "bootstrap_newicks": [
+        return _rank_report(
+            ctx,
+            local_lnl=thorough.lnl if thorough is not None else None,
+            local_newick=ctx.state["local_newick"],
+            winner_rank=ctx.state["winner_rank"],
+            winner_lnl=ctx.state["winner_lnl"],
+            best_newick=ctx.state["best_newick"],
+            bootstrap_newicks=[
                 write_newick(t) for t in ctx.state["local_bs_trees"]
             ] + [n for d in sorted(adopted) for n in adopted[d]["bootstrap_newicks"]],
-            "wc_trace": ctx.state["wc_trace"],
-            "shard": ctx.state["shard"],
-            "n_fast": len(ctx.state["fast_results"]),
-            "n_slow": len(ctx.state["slow_results"]),
-            "finish_time": comm.clock.now,
-            "comm_seconds": comm.comm_seconds(),
-            "comm_intra_seconds": comm.comm_intra_seconds(),
-            "comm_inter_seconds": comm.comm_inter_seconds(),
-            "comm_channels": (
-                ctx.channels.as_doc() if ctx.channels is not None else None
-            ),
-            "pattern_ops": ctx.ops.pattern_ops,
-            "n_retries": comm.n_retries,
-            "backoff_seconds": comm.backoff_seconds,
-            "recovered_for": sorted(adopted),
-            "failed_ranks": comm.known_dead,
-            "recovery_seconds_by_stage": dict(ctx.recovery_by_stage),
-            "notes": list(ctx.state.get("__notes__", [])),
-            "membership": comm.membership_view().as_doc(),
-        }
+            wc_trace=ctx.state["wc_trace"],
+            shard=ctx.state["shard"],
+            n_fast=len(ctx.state["fast_results"]),
+            n_slow=len(ctx.state["slow_results"]),
+            recovered_for=sorted(adopted),
+        )
 
     def _exec_stage(self, ctx: RankContext, stage: Stage) -> None:
-        """Drive one stage: epoch boundary, kill hook, then load-or-run
-        (with the paper's barrier and its recovery retry where declared),
-        then fuse."""
-        ctx.current_stage = stage.name
-        if ctx.comm is not None:
+        """The stage boundary, for live ranks, joiners and replays alike:
+        epoch advance, adoption claims, kill hook, load-or-run, the
+        paper's barrier (with its recovery retry), accounting, fuse."""
+        comm, name = ctx.comm, stage.name
+        ctx.current_stage = name
+
+        def recover():
+            ctx.recover(name)
+
+        if comm is not None:
             # The membership epoch boundary comes first: a joiner declared
             # at this stage enters the world before any same-boundary kill
             # fires, and a death noticed at the boundary exchange is
             # recovered exactly like one noticed at the barrier.
-            while True:
-                try:
-                    ctx.comm.advance_epoch(stage.name)
-                    break
-                except RankFailure:
-                    ctx.recover(stage.name)
-        ctx.emit("on_stage_start", stage.name)
+            _until_agreed(lambda: comm.advance_epoch(name), recover)
+            if comm.is_joiner and comm.known_dead:
+                # A joiner services adoption claims at every boundary,
+                # not only after a failed collective of its own: the
+                # deterministic candidate rule counts it as a survivor,
+                # so a claim may elect it for a death that surfaced in an
+                # exchange it was not part of — most directly the very
+                # boundary that activated it (the activation record
+                # already carries that death set).
+                recover()
+        ctx.emit("on_stage_start", name)
         ckpt = ctx.middleware(CheckpointMiddleware)
-        if stage.checkpointed and ckpt is not None and ckpt.will_load(stage.name):
-            # For the bootstrap, the post-stage barrier already happened in
-            # the checkpointed timeline (its cost is inside the restored
-            # clock); every rank resumes past it symmetrically, so it is
-            # skipped, not replayed.
-            data = ckpt.load_stage(ctx, stage.name)
-            stage.load(ctx, data)
+        # A restored stage's post-stage barrier already happened in the
+        # checkpointed timeline (its cost is inside the restored clock);
+        # every rank resumes past it symmetrically, so it is skipped, not
+        # replayed.  A replay never communicates.
+        resumed = stage.checkpointed and ckpt.resumed(name)
+        barrier = stage.barrier_after and comm is not None and not resumed
+        if comm is not None and comm.is_joiner and stage.task_kind is not None:
+            # No Table 2 share: nothing to run, account or fuse — the
+            # joiner only keeps the live ranks' barrier.
+            if barrier:
+                _until_agreed(comm.barrier, recover)
+            return
+        if resumed:
+            stage.load(ctx, ckpt.load_stage(ctx, name))
         else:
             ctx.begin_stage()
             stage.run(ctx)
-            if stage.barrier_after and ctx.comm is not None:
+            if barrier:
                 # The one noteworthy barrier of the MPI code (paper
                 # Section 2.1) — retried after recovery so survivors leave
                 # it in lockstep.
-                while True:
-                    try:
-                        ctx.comm.barrier()
-                        break
-                    except RankFailure:
-                        ctx.recover(stage.name)
-            saving = (
-                stage.checkpointed and ckpt is not None
-                and ckpt.store is not None and ctx.save_checkpoints
-            )
-            payload = stage.payload(ctx) if stage.payload and saving else None
-            ctx.end_stage(stage.name, payload=payload, save=stage.checkpointed)
-        if stage.fuse is not None and ctx.comm is not None:
+                _until_agreed(comm.barrier, recover)
+            saving = stage.payload is not None and ckpt.will_save(ctx)
+            payload = stage.payload(ctx) if saving else None
+            ctx.end_stage(name, payload=payload, save=stage.checkpointed)
+        if stage.fuse is not None:
             stage.fuse(ctx)
 
     def _replay(self, comm, pal, config, dead_rank: int) -> dict:
@@ -254,7 +314,6 @@ class StaticBackend:
         sees the same candidate set as a failure-free run and the result
         stays bit-identical.
         """
-        pipeline = comprehensive_pipeline()
         ckpt = open_store(pal, config, dead_rank)
         resume_through = len(ckpt.available_stages()) - 1 if ckpt is not None else -1
         ctx = RankContext(
@@ -262,123 +321,13 @@ class StaticBackend:
             middlewares=(ObsMiddleware(), CheckpointMiddleware(ckpt, resume_through)),
             save_checkpoints=False,
         )
-        self._exec_stage(ctx, pipeline["setup"])
-        self._exec_stage(ctx, pipeline["bootstrap"])
+        for stage in comprehensive_pipeline().task_stages:
+            self._exec_stage(ctx, stage)
         trees = [r.tree for r in ctx.state["bs_results"]]
-        out = {
+        return {
             "bootstrap_trees": trees,
             "bootstrap_newicks": [write_newick(t) for t in trees],
-            "thorough": None,
-        }
-        sched = make_schedule(config.comprehensive.n_bootstraps, config.n_processes)
-        ctx.state.update(
-            pool_trees=trees,
-            n_fast_share=sched.fast_per_process,
-            n_slow_share=sched.slow_per_process,
-        )
-        for name in ("fast", "slow", "thorough"):
-            self._exec_stage(ctx, pipeline[name])
-        out["thorough"] = ctx.state["thorough"]
-        return out
-
-    def _run_joiner(self, comm, pal, config) -> dict:
-        """The rank body of an elastic joiner (hot spare).
-
-        A joiner enters at its epoch boundary with no Table 2 share of
-        its own — growing the share partition mid-run would change every
-        rank's replicate streams and break bit-identity with the static
-        world.  Instead it rebalances the *membership*: from its boundary
-        on it takes part in every collective, counts as a survivor in the
-        deterministic adoption rule (so it replays dead ranks' shares
-        like any original survivor), and submits its adoptees' candidates
-        to the final selection.
-        """
-        pipeline = comprehensive_pipeline()
-        rank = comm.rank
-        recovery = RecoveryMiddleware(
-            comm, lambda dead: self._replay(comm, pal, config, dead)
-        )
-        ctx = RankContext(
-            pal, config, rank, comm.clock, comm=comm,
-            middlewares=(
-                FaultMiddleware(config.fault_plan), ObsMiddleware(), recovery,
-            ),
-            save_checkpoints=False,
-        )
-        ctx.state["adopted"] = recovery.adopted
-        ctx.recover = lambda upto: recovery.recover(ctx, upto)
-        join_stage = config.fault_plan.join_stage_of(rank)
-        names = [s.name for s in pipeline]
-        start = names.index(join_stage)
-        resume_through = comm.lookup("resume_through", -1)
-        for stage in pipeline.stages[start:]:
-            ctx.current_stage = stage.name
-            if stage.name != join_stage:
-                # Later epoch boundaries (this joiner's own boundary
-                # exchange already happened — it produced this rank).
-                while True:
-                    try:
-                        comm.advance_epoch(stage.name)
-                        break
-                    except RankFailure:
-                        ctx.recover(stage.name)
-            if comm.known_dead:
-                # Service adoption claims at every boundary, not only
-                # after a failed collective of our own: the deterministic
-                # candidate rule counts this joiner as a survivor, so a
-                # claim may elect it for a death that surfaced in an
-                # exchange it was not part of — most directly the very
-                # boundary that activated it (the activation record
-                # already carries that death set).
-                ctx.recover(stage.name)
-            ctx.emit("on_stage_start", stage.name)
-            if stage.name == "finalize":
-                ctx.begin_stage()
-                stage.run(ctx)
-                ctx.end_stage(stage.name, save=False)
-            elif stage.barrier_after and STAGE_ORDER.index(stage.name) > resume_through:
-                # The paper's post-bootstrap barrier; skipped when the
-                # live ranks resumed past it (same rule as will_load).
-                while True:
-                    try:
-                        comm.barrier()
-                        break
-                    except RankFailure:
-                        ctx.recover(stage.name)
-        adopted = recovery.adopted
-        return {
-            "rank": rank,
-            "joiner": True,
-            "join_stage": join_stage,
-            "stage_seconds": {**ctx.stage_seconds, "recovery": ctx.recovery_seconds},
-            "stage_ops": ctx.stage_ops,
-            "local_lnl": None,
-            "local_newick": None,
-            "winner_rank": ctx.state.get("winner_rank"),
-            "winner_lnl": ctx.state.get("winner_lnl"),
-            "best_newick": ctx.state.get("best_newick"),
-            "bootstrap_newicks": [
-                n for d in sorted(adopted) for n in adopted[d]["bootstrap_newicks"]
-            ],
-            "wc_trace": [],
-            "shard": None,
-            "n_fast": 0,
-            "n_slow": 0,
-            "finish_time": comm.clock.now,
-            "comm_seconds": comm.comm_seconds(),
-            "comm_intra_seconds": comm.comm_intra_seconds(),
-            "comm_inter_seconds": comm.comm_inter_seconds(),
-            "comm_channels": (
-                ctx.channels.as_doc() if ctx.channels is not None else None
-            ),
-            "pattern_ops": ctx.ops.pattern_ops,
-            "n_retries": comm.n_retries,
-            "backoff_seconds": comm.backoff_seconds,
-            "recovered_for": sorted(adopted),
-            "failed_ranks": comm.known_dead,
-            "recovery_seconds_by_stage": dict(ctx.recovery_by_stage),
-            "notes": list(ctx.state.get("__notes__", [])),
-            "membership": comm.membership_view().as_doc(),
+            "thorough": ctx.state["thorough"],
         }
 
 
@@ -407,7 +356,7 @@ class WorkStealBackend:
     @staticmethod
     def make_shared(config):
         timing = config.comm_timing()
-        if hasattr(timing, "collective_phases"):
+        if timing.topology is not None:
             # Topology-aware: a steal crossing nodes pays the
             # interconnect round-trip, an on-node steal the
             # shared-memory one.  The victim is fixed at commit time,
@@ -426,23 +375,16 @@ class WorkStealBackend:
         )
 
     def run(self, comm, pal, config, board: StealBoard) -> dict:
-        pipeline = comprehensive_pipeline()
         cfg = config.comprehensive
         rank = comm.rank
         n_procs = config.n_processes
         sched = make_schedule(cfg.n_bootstraps, n_procs)
         dag = build_dag(sched, cfg, n_procs)
-        n_draws = int(pal.weights.sum())
-        join_stage = (
-            config.fault_plan.join_stage_of(rank) if comm.is_joiner else None
-        )
 
         ctx = RankContext(
             pal, config, rank, comm.clock, comm=comm,
             middlewares=(FaultMiddleware(config.fault_plan), ObsMiddleware()),
-            save_checkpoints=False,
         )
-        task_ctx = TaskContext(pal, cfg, sched, ctx.engine_factory, ctx.ops, n_draws)
 
         journal = None
         restored: dict = {}
@@ -477,29 +419,15 @@ class WorkStealBackend:
 
         status_of = comm._world.status_of
         outcomes: dict[str, object] = {}
-        stage_names = [s.name for s in pipeline.task_stages]
-        if join_stage is None:
-            start = 0
-        elif join_stage in stage_names:
-            start = stage_names.index(join_stage)
-        else:
-            # join_stage == "finalize": the joiner enters after every task
-            # stage completed; it only takes part in the final selection.
-            start = len(stage_names)
-        for stage in pipeline.task_stages[start:]:
+        for stage in _stages_from_entry(comm, config):
+            if stage.task_kind is None:
+                continue  # the final selection, below
             ctx.current_stage = stage.name
-            if stage.name != join_stage:
-                # Membership epoch boundary: joiners declared here enter
-                # before assignment, so the queues rebalance over the
-                # current membership (a joiner's own boundary already
-                # happened — it produced this rank).
-                while True:
-                    try:
-                        comm.advance_epoch(stage.name)
-                        break
-                    except RankFailure:
-                        continue
-            if getattr(config, "quorum", 0.0) > 0.0:
+            # Membership epoch boundary: joiners declared here enter
+            # before assignment, so the queues rebalance over the current
+            # membership.
+            _until_agreed(lambda: comm.advance_epoch(stage.name))
+            if config.quorum > 0.0:
                 # Graceful degradation needs *agreed* membership at every
                 # boundary.  Static mode gets it from its per-stage
                 # collectives; under work stealing deaths otherwise
@@ -507,12 +435,7 @@ class WorkStealBackend:
                 # known_alive), so quorum runs add a heartbeat barrier.
                 # Joiners run it too — their own epoch exchange happened
                 # at activation, before this point.
-                while True:
-                    try:
-                        comm.barrier()
-                        break
-                    except RankFailure:
-                        continue
+                _until_agreed(comm.barrier)
             ctx.emit("on_stage_start", stage.name)
             members = tuple(comm.alive_ranks())
             tasks = dag[stage.name]
@@ -560,9 +483,9 @@ class WorkStealBackend:
 
             out = run_rank_pool(
                 board, rank, comm.clock,
-                lambda task: execute_task(task, task_ctx, board.result),
+                lambda task: execute_task(task, ctx, board.result),
                 status_of=status_of,
-                journal=journal if stage.name != "setup" else None,
+                journal=journal,
                 on_start=on_start,
             )
             ctx.end_stage(stage.name, save=False)
@@ -587,12 +510,7 @@ class WorkStealBackend:
                 # the pool drain already synchronised the survivors'
                 # clocks, but the barrier's modelled cost (and its death
                 # detection) stays.
-                while True:
-                    try:
-                        comm.barrier()
-                        break
-                    except RankFailure:
-                        continue
+                _until_agreed(comm.barrier)
 
         # ---- Final selection: every origin's thorough result is on the
         # board (whoever executed it), so the winner rule — static's
@@ -600,42 +518,29 @@ class WorkStealBackend:
         # of scores.  Below quorum, dropped origins simply have no entry
         # (partial result, tagged in the notes).
         ctx.current_stage = "finalize"
-        if join_stage != "finalize":
-            while True:
-                try:
-                    comm.advance_epoch("finalize")
-                    break
-                except RankFailure:
-                    continue
+        _until_agreed(lambda: comm.advance_epoch("finalize"))
         ctx.begin_stage()
         ctx.emit("on_stage_start", "finalize")
-        entries = []
-        for o in range(n_procs):
-            tid = task_id("thorough", o, 0)
-            if board.has_result(tid):
-                lnl = board.result(tid).lnl
-                entries.append((round(lnl, 6), -o, lnl))
-        if entries:
-            _, neg_o, winner_lnl = max(entries)
-            winner_rank = -neg_o
-            best_newick = write_newick(
-                board.result(task_id("thorough", winner_rank, 0)).tree
+        finals = {
+            o: board.result(task_id("thorough", o, 0))
+            for o in range(n_procs)
+            if board.has_result(task_id("thorough", o, 0))
+        }
+        if finals:
+            _, neg_o, winner_lnl = max(
+                (round(r.lnl, 6), -o, r.lnl) for o, r in finals.items()
             )
+            winner_rank = -neg_o
+            best_newick = write_newick(finals[winner_rank].tree)
         else:
             winner_rank, winner_lnl, best_newick = None, None, None
         vote = (
             winner_rank,
             None if winner_lnl is None else round(winner_lnl, 6),
         )
-        while True:
-            try:
-                # Cross-check the local decisions and charge the final
-                # exchange's modelled cost, exactly like static's
-                # gather+bcast.
-                votes = comm.allgather(vote)
-                break
-            except RankFailure:
-                continue
+        # Cross-check the local decisions and charge the final exchange's
+        # modelled cost, exactly like static's gather+bcast.
+        votes = _until_agreed(lambda: comm.allgather(vote))
         if any(v is not None and v != vote for v in votes):
             raise DistributedStateError(
                 f"rank {rank}: winner vote mismatch {votes} — the shared board "
@@ -647,28 +552,20 @@ class WorkStealBackend:
         # (elastic joiners included) carries its own origin plus dead
         # origins per the adoption rule.
         survivors = comm.alive_ranks()
-        dead_origins = [o for o in range(n_procs) if o not in survivors]
         carried = ([rank] if rank < n_procs else []) + [
-            d for d in sorted(dead_origins) if survivors[d % len(survivors)] == rank
+            o for o in range(n_procs)
+            if o not in survivors and survivors[o % len(survivors)] == rank
         ]
-        n_boot = {o: 0 for o in range(n_procs)}
-        for t in dag["bootstrap"]:
-            n_boot[t.origin] += 1
         bootstrap_newicks = [
             write_newick(board.result(task_id("bootstrap", o, b)).tree)
             for o in carried
-            for b in range(n_boot[o])
+            for b in range(sched.bootstraps_per_process)
             if board.has_result(task_id("bootstrap", o, b))
         ]
-        tid_self = task_id("thorough", rank, 0)
-        thorough = (
-            board.result(tid_self)
-            if rank < n_procs and board.has_result(tid_self) else None
-        )
+        thorough = finals.get(rank)
 
-        stage_stats = board.stage_stats()
         my_stats = {
-            s: per.get(rank, {}) for s, per in stage_stats.items()
+            s: per.get(rank, {}) for s, per in board.stage_stats().items()
         }
         idle_tail = {
             s: outcomes[s].finish_time - outcomes[s].last_busy_time
@@ -676,46 +573,26 @@ class WorkStealBackend:
         }
         ctx.emit("on_sched_summary", idle_tail=idle_tail, stats=my_stats)
 
-        report = {
-            "rank": rank,
-            "stage_seconds": {**ctx.stage_seconds, "recovery": 0.0},
-            "stage_ops": ctx.stage_ops,
-            "local_lnl": thorough.lnl if thorough is not None else None,
-            "local_newick": (
+        return _rank_report(
+            ctx,
+            local_lnl=thorough.lnl if thorough is not None else None,
+            local_newick=(
                 write_newick(thorough.tree) if thorough is not None else None
             ),
-            "winner_rank": winner_rank,
-            "winner_lnl": winner_lnl,
-            "best_newick": best_newick,
-            "bootstrap_newicks": bootstrap_newicks,
-            "wc_trace": [],
-            "shard": None,
-            "n_fast": len(outcomes["fast"].executed) if "fast" in outcomes else 0,
-            "n_slow": len(outcomes["slow"].executed) if "slow" in outcomes else 0,
-            "finish_time": comm.clock.now,
-            "comm_seconds": comm.comm_seconds(),
-            "comm_intra_seconds": comm.comm_intra_seconds(),
-            "comm_inter_seconds": comm.comm_inter_seconds(),
-            "comm_channels": (
-                ctx.channels.as_doc() if ctx.channels is not None else None
-            ),
-            "pattern_ops": ctx.ops.pattern_ops,
-            "n_retries": comm.n_retries,
-            "backoff_seconds": comm.backoff_seconds,
-            "recovered_for": sorted(set(carried) - {rank}),
-            "failed_ranks": comm.known_dead,
-            "recovery_seconds_by_stage": dict(ctx.recovery_by_stage),
-            "notes": list(ctx.state.get("__notes__", [])),
-            "membership": comm.membership_view().as_doc(),
-            "sched": {
+            winner_rank=winner_rank,
+            winner_lnl=winner_lnl,
+            best_newick=best_newick,
+            bootstrap_newicks=bootstrap_newicks,
+            wc_trace=[],
+            shard=None,
+            n_fast=len(outcomes["fast"].executed) if "fast" in outcomes else 0,
+            n_slow=len(outcomes["slow"].executed) if "slow" in outcomes else 0,
+            recovered_for=sorted(set(carried) - {rank}),
+            sched={
                 "mode": "work-steal",
                 "executed": {s: list(outcomes[s].executed) for s in outcomes},
                 "stolen": {s: list(outcomes[s].stolen) for s in outcomes},
                 "idle_tail": idle_tail,
                 "stats": my_stats,
             },
-        }
-        if comm.is_joiner:
-            report["joiner"] = True
-            report["join_stage"] = join_stage
-        return report
+        )

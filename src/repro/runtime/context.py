@@ -17,12 +17,11 @@ and task boundaries.
 
 from __future__ import annotations
 
-from repro.likelihood.engine import OpCounter
+from repro.likelihood.engine import LikelihoodEngine, OpCounter
 from repro.mpi.vci import ChannelSet
 from repro.perfmodel.finegrain import MachineRegionTiming
 from repro.perfmodel.machines import machine_by_name
 from repro.threads.pool import VirtualThreadPool
-from repro.threads.threaded_engine import ThreadedLikelihoodEngine
 from repro.util.rng import RAxMLRandom, rank_seed
 from repro.util.timing import VirtualClock
 
@@ -102,9 +101,10 @@ class RankContext:
         self._r0 = 0.0
 
     def engine_factory(self, pal_, model_, rate_model_, weights_, ops_):
-        return ThreadedLikelihoodEngine(
-            pal_, model_, self.pool, rate_model_, weights=weights_, ops=ops_,
+        return LikelihoodEngine(
+            pal_, model_, rate_model_, weights=weights_, ops=ops_,
             kernel=self.config.kernel, clv_cache=self.config.clv_cache,
+            pool=self.pool,
         )
 
     # -- middleware dispatch -------------------------------------------------

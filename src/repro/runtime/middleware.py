@@ -151,8 +151,10 @@ class CheckpointMiddleware(RunMiddleware):
     """Per-stage checkpoint save/restore (:mod:`repro.hybrid.checkpoint`).
 
     ``resume_through`` is the index of the last :data:`STAGE_ORDER` stage
-    to restore instead of run — negotiated collectively for live ranks,
-    taken from the dead rank's own contiguous prefix for replays.
+    to restore instead of run — negotiated collectively for live ranks
+    (and handed to elastic joiners, which have no ``store``: they only
+    need to know which barriers the live ranks resumed past), taken from
+    the dead rank's own contiguous prefix for replays.
     """
 
     def __init__(self, store: CheckpointStore | None,
@@ -160,8 +162,11 @@ class CheckpointMiddleware(RunMiddleware):
         self.store = store
         self.resume_through = resume_through
 
-    def will_load(self, stage: str) -> bool:
-        return self.store is not None and STAGE_ORDER.index(stage) <= self.resume_through
+    def resumed(self, stage: str) -> bool:
+        return STAGE_ORDER.index(stage) <= self.resume_through
+
+    def will_save(self, ctx) -> bool:
+        return self.store is not None and ctx.save_checkpoints
 
     def load_stage(self, ctx, stage: str) -> dict:
         """Restore accounting and the rank timeline, then announce the
@@ -197,7 +202,7 @@ class CheckpointMiddleware(RunMiddleware):
 
     def on_stage_end(self, ctx, stage: str, *, t0, recovered, payload,
                      save) -> None:
-        if not save or self.store is None or not ctx.save_checkpoints:
+        if not save or not self.will_save(ctx):
             return
         doc = dict(payload or {})
         doc["stage_seconds"] = ctx.stage_seconds[stage]

@@ -8,18 +8,15 @@ Each :class:`Stage` names one paper stage and carries its hooks:
 * ``load(ctx, data)`` — rebuild the stage's artefacts from a checkpoint
   payload instead of running;
 * ``payload(ctx)`` — the checkpoint payload schema (what ``load`` reads);
-* ``fuse(ctx)`` — post-stage cross-rank bookkeeping on live ranks only
-  (survivor shares, adopted trees);
-* ``rng_streams`` — the task-identity → stream-key derivation, shared
-  with :mod:`repro.sched.tasks` so static, work-steal and replayed
-  executions all draw the same numbers.
+* ``fuse(ctx)`` — post-stage share bookkeeping (survivor shares,
+  adopted trees).
 
 The :func:`comprehensive_pipeline` below is the *only* place the
 setup → bootstrap → fast → slow → thorough → finalize sequence is
 defined; execution backends (:mod:`repro.runtime.backends`) decide how
 its stages are driven, and replays reuse the same stages with
-``ctx.comm is None`` (collectives and fuses are skipped — a replay never
-communicates).
+``ctx.comm is None`` (collectives are skipped and fuses keep the
+original share — a replay never communicates).
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from repro.search.comprehensive import (
 )
 from repro.search.hillclimb import SearchResult
 from repro.search.schedule import make_schedule
-from repro.sched.tasks import TASK_KINDS, Task, task_streams
+from repro.sched.tasks import TASK_KINDS
 from repro.tree.newick import parse_newick, write_newick
 from repro.util.rng import RAxMLRandom
 from repro.util.timing import VirtualClock
@@ -56,7 +53,7 @@ from repro.runtime.context import RankContext
 
 @dataclass(frozen=True)
 class Stage:
-    """One declarative pipeline stage (name, RNG derivation, hooks)."""
+    """One declarative pipeline stage (name, hooks, scheduling facts)."""
 
     name: str
     run: Callable[[RankContext], None]
@@ -71,13 +68,6 @@ class Stage:
     #: The paper's one noteworthy barrier sits after this stage.
     barrier_after: bool = False
 
-    def rng_streams(self, cfg, origin: int, index: int, n_draws: int):
-        """Stream keys of this stage's ``index``-th unit of ``origin``'s
-        share — the derivation that makes execution order irrelevant."""
-        if self.task_kind is None:
-            return None
-        return task_streams(Task(self.task_kind, origin, index), cfg, n_draws)
-
 
 class StagePipeline:
     """An ordered, name-unique sequence of stages."""
@@ -87,13 +77,9 @@ class StagePipeline:
         names = [s.name for s in self.stages]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate stage names: {names}")
-        self._by_name = {s.name: s for s in self.stages}
 
     def __iter__(self):
         return iter(self.stages)
-
-    def __getitem__(self, name: str) -> Stage:
-        return self._by_name[name]
 
     @property
     def checkpointed_names(self) -> tuple[str, ...]:
@@ -121,39 +107,29 @@ def _load_setup(ctx: RankContext, data: dict) -> None:
     # Setup artefacts (frequencies, CAT rates, parsimony tree) are cheap
     # deterministic preparation; recomputing them on a throwaway clock
     # avoids serialising models entirely.  p_rng is only forked (never
-    # advanced) by setup, so reusing it keeps the live and resumed
-    # streams identical.  The recorder is masked: throwaway-clock
-    # timestamps would corrupt the spliced timeline (the resumed-stage
-    # span already covers this window).
+    # advanced) by setup, so the shadow context's own copy keeps the live
+    # and resumed streams identical.  The recorder is masked:
+    # throwaway-clock timestamps would corrupt the spliced timeline (the
+    # resumed-stage span already covers this window).
     with recording(None):
         shadow = RankContext(ctx.pal, ctx.config, ctx.rank, VirtualClock())
-        out = prepare_model_and_rates(
-            ctx.pal, ctx.cfg, ctx.p_rng, shadow.engine_factory, shadow.ops
-        )
-    ctx.state["model"], ctx.state["search_rm"], ctx.state["gamma_rm"], \
-        ctx.state["init_tree"] = out
-
-
-def _compute_bootstrap(ctx: RankContext):
-    """The standard (non-bootstopping) bootstrap share: ceil(N/p)
-    replicates from this logical rank's streams."""
-    sched = make_schedule(ctx.cfg.n_bootstraps, ctx.config.n_processes)
-    return bootstrap_stage(
-        ctx.pal, ctx.state["model"], ctx.state["search_rm"],
-        sched.bootstraps_per_process, ctx.x_rng, ctx.p_rng,
-        ctx.engine_factory, ctx.ops, ctx.cfg, ctx.state["init_tree"],
-        on_replicate=ctx.fire_replicate,
-    )
+        _run_setup(shadow)
+    ctx.state.update(shadow.state)
 
 
 def _run_bootstrap(ctx: RankContext) -> None:
     if ctx.comm is not None and ctx.config.bootstopping:
-        bs_results, wc_trace, shard, all_newicks = _bootstrap_with_bootstopping(
-            ctx.comm, ctx, ctx.state["model"], ctx.state["search_rm"],
-            ctx.state["init_tree"],
-        )
+        bs_results, wc_trace, shard, all_newicks = _bootstrap_with_bootstopping(ctx)
     else:
-        bs_results = _compute_bootstrap(ctx)
+        # The standard share: ceil(N/p) replicates from this logical
+        # rank's streams.
+        sched = make_schedule(ctx.cfg.n_bootstraps, ctx.config.n_processes)
+        bs_results = bootstrap_stage(
+            ctx.pal, ctx.state["model"], ctx.state["search_rm"],
+            sched.bootstraps_per_process, ctx.x_rng, ctx.p_rng,
+            ctx.engine_factory, ctx.ops, ctx.cfg, ctx.state["init_tree"],
+            on_replicate=ctx.fire_replicate,
+        )
         wc_trace, shard, all_newicks = [], None, None
     ctx.state.update(
         bs_results=bs_results, wc_trace=wc_trace, shard=shard,
@@ -195,10 +171,10 @@ def _fuse_bootstrap(ctx: RankContext) -> None:
     """Post-bootstrap shares (Section 2.2): Table 2 counts over the
     surviving world, local trees pooled with adopted replays."""
     comm, config = ctx.comm, ctx.config
-    sched = ctx.state["schedule"]
-    adopted = ctx.state["adopted"]
+    sched = make_schedule(ctx.cfg.n_bootstraps, config.n_processes)
     local_bs_trees = [r.tree for r in ctx.state["bs_results"]]
-    if config.bootstopping:
+    if comm is not None and config.bootstopping:
+        adopted = ctx.state["adopted"]
         # Bootstopping is convergence-driven, not share-driven: deaths
         # shrink the Table 2 counts over the survivors and the adopted
         # replays join the pool the next rounds draw from.
@@ -216,7 +192,8 @@ def _fuse_bootstrap(ctx: RankContext) -> None:
         # Fixed-N runs keep every rank's original Table 2 share and seed
         # the fast starts from the rank's *own* replicates only — deaths
         # never re-partition.  A dead rank's share is replayed whole by
-        # its adopter (origin-pure streams), so the final candidate set
+        # its adopter (origin-pure streams, on a ``comm``-less context
+        # that lands here whatever the mode), so the final candidate set
         # — and hence the selected tree — is bit-identical to a
         # fault-free run no matter when the death happened.
         n_fast, n_slow = sched.fast_per_process, sched.slow_per_process
@@ -380,8 +357,7 @@ if tuple(s.name for s in _PIPELINE.task_stages) != tuple(TASK_KINDS):
 # ---------------------------------------------------------------------------
 
 
-def _bootstrap_with_bootstopping(comm, ctx: RankContext, model, search_rm,
-                                 init_tree):
+def _bootstrap_with_bootstopping(ctx: RankContext):
     """Bootstraps in rounds with a cross-rank WC convergence test.
 
     Every round each rank runs ``bootstop_step / p`` (at least 1)
@@ -393,7 +369,7 @@ def _bootstrap_with_bootstopping(comm, ctx: RankContext, model, search_rm,
     or at the cap.  A rank death mid-loop shrinks the per-round share;
     replicates the dead rank already shared stay in the global set.
     """
-    config, cfg, pal = ctx.config, ctx.cfg, ctx.pal
+    comm, config, cfg, pal = ctx.comm, ctx.config, ctx.cfg, ctx.pal
     cap = config.bootstop_max or cfg.n_bootstraps * 4
     per_round = max(1, config.bootstop_step // len(comm.alive_ranks()))
     results = []
@@ -404,11 +380,12 @@ def _bootstrap_with_bootstopping(comm, ctx: RankContext, model, search_rm,
     # splits whose hash maps to its rank, over *all* replicates seen.
     shard = BipartitionTable(pal.n_taxa, shard=comm.rank, n_shards=comm.size)
     wc_rng = RAxMLRandom(cfg.seed_x + 777)  # identical on every rank
-    current_init = init_tree
+    current_init = ctx.state["init_tree"]
     round_no = 0
     while True:
         chunk = bootstrap_stage(
-            pal, model, search_rm, per_round, ctx.x_rng, ctx.p_rng,
+            pal, ctx.state["model"], ctx.state["search_rm"], per_round,
+            ctx.x_rng, ctx.p_rng,
             ctx.engine_factory, ctx.ops, cfg, current_init,
             on_replicate=ctx.fire_replicate,
         )

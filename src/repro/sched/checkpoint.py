@@ -16,11 +16,9 @@ JSON-serialisable; a resumed rank recomputes them.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
-from repro.hybrid.checkpoint import CheckpointError, FORMAT_VERSION
+from repro.hybrid.checkpoint import FORMAT_VERSION, read_checked, write_durable
 from repro.search.hillclimb import SearchResult
 from repro.tree.newick import parse_newick, write_newick
 from repro.sched.tasks import Task
@@ -73,8 +71,7 @@ class SchedJournal:
         self._write()
 
     def _write(self) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        doc = {
+        write_durable(self.path, {
             "format": FORMAT_VERSION,
             "rank": self.rank,
             "fingerprint": self.fingerprint,
@@ -82,23 +79,7 @@ class SchedJournal:
             "stage_seconds": self._stage_seconds,
             "stage_clock": self._stage_clock,
             "tasks": self._tasks,
-        }
-        final = self.path
-        tmp = final.with_name(final.name + ".tmp")
-        # Same durable atomic-replace discipline as CheckpointStore.save.
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(doc))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
-        try:
-            dir_fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        })
 
 
 def load_journal(directory: str | Path, rank: int, fingerprint: str) -> dict | None:
@@ -108,29 +89,10 @@ def load_journal(directory: str | Path, rank: int, fingerprint: str) -> dict | N
     files or fingerprint mismatch — resuming against the wrong
     configuration must fail loudly, not mix runs.
     """
-    path = Path(directory) / f"sched-rank{rank:04d}.json"
-    try:
-        text = path.read_text(encoding="ascii")
-    except FileNotFoundError:
-        return None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"corrupt sched journal {path}: {exc}") from exc
-    if doc.get("format") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported journal format {doc.get('format')!r}"
-        )
-    if doc.get("rank") != rank:
-        raise CheckpointError(
-            f"{path}: names rank {doc.get('rank')}, expected {rank}"
-        )
-    if doc.get("fingerprint") != fingerprint:
-        raise CheckpointError(
-            f"{path} was written by a different run configuration or "
-            "alignment; refusing to resume from it"
-        )
-    return doc
+    return read_checked(
+        SchedJournal(directory, rank, fingerprint).path, "sched journal",
+        fingerprint, f"{rank}", rank=rank,
+    )
 
 
 def load_union(

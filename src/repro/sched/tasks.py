@@ -20,8 +20,9 @@ derivable in closed form from its global identity:
   ``lcg_jump(rank_seed(seed_x, o), b · n_sites)`` — a jump-ahead of the
   48-bit LCG, no replay needed;
 * every search stream is ``spawn_stream(p_rng(o), label)`` where the
-  labels (0, 1000+b, 2000+b, 3000+i, 4000+i, 5000) depend only on the
-  task identity and ``spawn_stream`` reads the parent's original seed.
+  labels (the ``LABEL_*`` table of :mod:`repro.search.comprehensive`)
+  depend only on the task identity and ``spawn_stream`` reads the
+  parent's original seed.
 
 A stolen task therefore draws exactly the numbers it would have drawn on
 its origin rank: executor-independence is by construction, and
@@ -35,40 +36,27 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from repro.likelihood.engine import OpCounter, subset_rate_model
 from repro.search.comprehensive import (
     FAST_FRACTION,
+    LABEL_FAST,
+    LABEL_REFRESH,
+    LABEL_REPLICATE,
+    LABEL_SLOW,
+    LABEL_THOROUGH,
     ComprehensiveConfig,
-    EngineFactory,
+    bootstrap_replicate,
     prepare_model_and_rates,
     select_best,
 )
 from repro.search.schedule import WorkSchedule
-from repro.search.searches import (
-    bootstrap_replicate_search,
-    fast_search,
-    slow_search,
-    thorough_search,
-)
-from repro.search.starting_tree import parsimony_starting_tree
-from repro.seq.patterns import PatternAlignment
+from repro.search.searches import fast_search, slow_search, thorough_search
 from repro.util.rng import RAxMLRandom, rank_seed, spawn_stream
 
 #: Task kinds in pipeline-stage order (one scheduling pool per kind).
 TASK_KINDS = ("setup", "bootstrap", "fast", "slow", "thorough")
-
-#: spawn_stream label bases, exactly as the static stage functions use
-#: them (see :mod:`repro.search.comprehensive`).
-LABEL_REFRESH = 1000  # + b: parsimony refresh before replicate b
-LABEL_REPLICATE = 2000  # + b: bootstrap replicate search
-LABEL_FAST = 3000  # + i: fast search i
-LABEL_SLOW = 4000  # + i: slow search i
-LABEL_THOROUGH = 5000  # the final thorough search
 
 
 def lcg_jump(state: int, k: int) -> int:
@@ -177,12 +165,6 @@ def replicate_x_state(cfg: ComprehensiveConfig, origin: int, b: int, n_draws: in
     return lcg_jump(base, b * n_draws)
 
 
-def origin_p_rng(cfg: ComprehensiveConfig, origin: int) -> RAxMLRandom:
-    """The origin's ``-p`` parent stream.  Never advanced by the pipeline
-    (searches fork labelled children), so a fresh instance is exact."""
-    return RAxMLRandom(rank_seed(cfg.seed_p, origin))
-
-
 def task_streams(
     task: Task, cfg: ComprehensiveConfig, n_draws: int
 ) -> dict[str, int]:
@@ -235,51 +217,14 @@ def rng_stream_fingerprint(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TaskContext:
-    """Executor-side resources a task runs with.
+def execute_task(task: Task, ctx, get: Callable[[str], object]):
+    """Run one task on ``ctx``, the executing rank's context; ``get``
+    resolves completed dependency results.
 
     The *streams* come from the task's origin; the *engines, thread pool
-    and op counter* come from the executor — which is exactly why results
-    are executor-independent but virtual time is charged to whoever runs
-    the task.
-    """
-
-    pal: PatternAlignment
-    cfg: ComprehensiveConfig
-    schedule: WorkSchedule
-    engine_factory: EngineFactory
-    ops: OpCounter
-    n_draws: int = field(default=0)
-
-    def __post_init__(self) -> None:
-        if self.n_draws <= 0:
-            self.n_draws = int(self.pal.weights.sum())
-
-
-def _replicate_engine(ctx: TaskContext, model, rate_model, weights):
-    """Engine for one bootstrap replicate (same compression as the static
-    :func:`~repro.search.comprehensive.bootstrap_stage`)."""
-    if ctx.cfg.compress_bootstrap_patterns:
-        active = np.flatnonzero(weights > 0)
-        sub_pal = PatternAlignment(
-            ctx.pal.taxa,
-            ctx.pal.patterns[:, active],
-            weights[active],
-            np.empty(0, dtype=np.intp),
-        )
-        return ctx.engine_factory(
-            sub_pal,
-            model,
-            subset_rate_model(rate_model, active),
-            weights[active].astype(np.float64),
-            ctx.ops,
-        )
-    return ctx.engine_factory(ctx.pal, model, rate_model, weights, ctx.ops)
-
-
-def execute_task(task: Task, ctx: TaskContext, get: Callable[[str], object]):
-    """Run one task; ``get`` resolves completed dependency results.
+    and op counter* (``ctx.engine_factory``, ``ctx.ops``) come from the
+    executor — which is exactly why results are executor-independent but
+    virtual time is charged to whoever runs the task.
 
     Returns the setup artefact tuple for ``setup`` tasks and a
     :class:`~repro.search.hillclimb.SearchResult` for everything else —
@@ -288,7 +233,9 @@ def execute_task(task: Task, ctx: TaskContext, get: Callable[[str], object]):
     """
     cfg = ctx.cfg
     o = task.origin
-    p_rng = origin_p_rng(cfg, o)
+    # The origin's ``-p`` parent stream: never advanced by the pipeline
+    # (searches fork labelled children), so a fresh instance is exact.
+    p_rng = RAxMLRandom(rank_seed(cfg.seed_p, o))
     if task.kind == "setup":
         return prepare_model_and_rates(
             ctx.pal, cfg, p_rng, ctx.engine_factory, ctx.ops
@@ -296,20 +243,14 @@ def execute_task(task: Task, ctx: TaskContext, get: Callable[[str], object]):
     model, search_rm, gamma_rm, init_tree = get(task_id("setup", o, 0))
     if task.kind == "bootstrap":
         b = task.index
-        x_rng = RAxMLRandom.from_state(replicate_x_state(cfg, o, b, ctx.n_draws))
-        weights = x_rng.weighted_multinomial_counts(ctx.n_draws, ctx.pal.weights)
-        engine = _replicate_engine(ctx, model, search_rm, weights)
-        if b == 0:
-            start = init_tree
-        elif b % cfg.parsimony_refresh_every == 0:
-            start = parsimony_starting_tree(
-                ctx.pal, spawn_stream(p_rng, LABEL_REFRESH + b), weights=weights
-            )
-        else:
-            start = get(task_id("bootstrap", o, b - 1)).tree
-        return bootstrap_replicate_search(
-            engine, start, spawn_stream(p_rng, LABEL_REPLICATE + b),
-            cfg.stage_params,
+        n_draws = int(ctx.pal.weights.sum())
+        x_rng = RAxMLRandom.from_state(replicate_x_state(cfg, o, b, n_draws))
+        # The DAG chains a replicate to its predecessor except where the
+        # recipe refreshes the start from the replicate's own weights.
+        prev = get(task.deps[1]).tree if len(task.deps) > 1 else init_tree
+        return bootstrap_replicate(
+            ctx.pal, model, search_rm, b, x_rng, p_rng, ctx.engine_factory,
+            ctx.ops, cfg, prev,
         )
     if task.kind == "fast":
         i = task.index

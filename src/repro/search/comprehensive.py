@@ -49,6 +49,15 @@ FAST_FRACTION = 5  # one fast search per 5 bootstraps
 SLOW_FRACTION = 2  # one slow search per 2 fast searches
 MAX_SLOW = 10  # at most 10 slow searches
 
+#: ``spawn_stream`` label bases of the per-rank ``-p`` stream (0 is the
+#: setup parsimony tree); :mod:`repro.sched.tasks` derives task streams
+#: from the same table.
+LABEL_REFRESH = 1000  # + b: parsimony refresh before replicate b
+LABEL_REPLICATE = 2000  # + b: bootstrap replicate search
+LABEL_FAST = 3000  # + i: fast search i
+LABEL_SLOW = 4000  # + i: slow search i
+LABEL_THOROUGH = 5000  # the final thorough search
+
 EngineFactory = Callable[..., object]
 
 
@@ -151,6 +160,57 @@ def prepare_model_and_rates(
     return model, search_rm, gamma_rm, init_tree
 
 
+def bootstrap_replicate(
+    pal: PatternAlignment,
+    model: GTRModel,
+    rate_model: RateModel,
+    b: int,
+    x_rng: RAxMLRandom,
+    p_rng: RAxMLRandom,
+    engine_factory: EngineFactory,
+    ops: OpCounter,
+    config: ComprehensiveConfig,
+    prev_tree: Tree,
+) -> SearchResult:
+    """Rapid-bootstrap replicate ``b`` of one rank's share.
+
+    The weights are the next draw of ``x_rng`` (the paper's per-rank
+    ``-x`` stream, positioned at the replicate's start); the search
+    starts from ``prev_tree`` (the previous replicate's tree, or the
+    rank's initial tree), refreshed with a new parsimony tree on the
+    replicate's own weights every ``config.parsimony_refresh_every``
+    replicates.
+    """
+    weights = bootstrap_pattern_weights(pal, x_rng)
+    if config.compress_bootstrap_patterns:
+        # Replicates draw ~63 % of the patterns; dropping the rest is
+        # exact (zero weight = zero contribution) and saves kernel work.
+        active = np.flatnonzero(weights > 0)
+        sub_pal = PatternAlignment(
+            pal.taxa,
+            pal.patterns[:, active],
+            weights[active],
+            np.empty(0, dtype=np.intp),
+        )
+        engine = engine_factory(
+            sub_pal,
+            model,
+            subset_rate_model(rate_model, active),
+            weights[active].astype(np.float64),
+            ops,
+        )
+    else:
+        engine = engine_factory(pal, model, rate_model, weights, ops)
+    if b % config.parsimony_refresh_every == 0 and b > 0:
+        prev_tree = parsimony_starting_tree(
+            pal, spawn_stream(p_rng, LABEL_REFRESH + b), weights=weights
+        )
+    return bootstrap_replicate_search(
+        engine, prev_tree, spawn_stream(p_rng, LABEL_REPLICATE + b),
+        config.stage_params,
+    )
+
+
 def bootstrap_stage(
     pal: PatternAlignment,
     model: GTRModel,
@@ -164,46 +224,20 @@ def bootstrap_stage(
     init_tree: Tree,
     on_replicate: Callable[[int], None] | None = None,
 ) -> list[SearchResult]:
-    """Run ``n_replicates`` rapid-bootstrap searches.
+    """Run ``n_replicates`` rapid-bootstrap searches, each chained from
+    the one before (:func:`bootstrap_replicate`).
 
-    Replicate weights are drawn sequentially from ``x_rng`` (the paper's
-    per-rank ``-x`` stream); starting trees chain from the previous
-    replicate, refreshed with a new parsimony tree every
-    ``config.parsimony_refresh_every`` replicates.  ``on_replicate`` is
-    called with the local replicate index before each replicate (the
-    hybrid driver's fault-injection point).
+    ``on_replicate`` is called with the local replicate index before
+    each replicate (the hybrid driver's fault-injection point).
     """
     results: list[SearchResult] = []
     current_start = init_tree
     for b in range(n_replicates):
         if on_replicate is not None:
             on_replicate(b)
-        weights = bootstrap_pattern_weights(pal, x_rng)
-        if config.compress_bootstrap_patterns:
-            # Replicates draw ~63 % of the patterns; dropping the rest is
-            # exact (zero weight = zero contribution) and saves kernel work.
-            active = np.flatnonzero(weights > 0)
-            sub_pal = PatternAlignment(
-                pal.taxa,
-                pal.patterns[:, active],
-                weights[active],
-                np.empty(0, dtype=np.intp),
-            )
-            engine = engine_factory(
-                sub_pal,
-                model,
-                subset_rate_model(rate_model, active),
-                weights[active].astype(np.float64),
-                ops,
-            )
-        else:
-            engine = engine_factory(pal, model, rate_model, weights, ops)
-        if b % config.parsimony_refresh_every == 0 and b > 0:
-            current_start = parsimony_starting_tree(
-                pal, spawn_stream(p_rng, 1000 + b), weights=weights
-            )
-        res = bootstrap_replicate_search(
-            engine, current_start, spawn_stream(p_rng, 2000 + b), config.stage_params
+        res = bootstrap_replicate(
+            pal, model, rate_model, b, x_rng, p_rng, engine_factory, ops,
+            config, current_start,
         )
         results.append(res)
         current_start = res.tree
@@ -223,7 +257,7 @@ def fast_stage(
     """Fast ML searches on the original alignment from the given starts."""
     engine = engine_factory(pal, model, rate_model, None, ops)
     return [
-        fast_search(engine, t, spawn_stream(p_rng, 3000 + i), config.stage_params)
+        fast_search(engine, t, spawn_stream(p_rng, LABEL_FAST + i), config.stage_params)
         for i, t in enumerate(start_trees)
     ]
 
@@ -241,7 +275,7 @@ def slow_stage(
     """Slow ML searches continuing the best fast-search trees."""
     engine = engine_factory(pal, model, rate_model, None, ops)
     return [
-        slow_search(engine, t, spawn_stream(p_rng, 4000 + i), config.stage_params)
+        slow_search(engine, t, spawn_stream(p_rng, LABEL_SLOW + i), config.stage_params)
         for i, t in enumerate(start_trees)
     ]
 
@@ -260,7 +294,7 @@ def thorough_stage(
     re-optimised model."""
     engine = engine_factory(pal, model, gamma_rm, None, ops)
     result, engine = thorough_search(
-        engine, start_tree, spawn_stream(p_rng, 5000), config.stage_params
+        engine, start_tree, spawn_stream(p_rng, LABEL_THOROUGH), config.stage_params
     )
     return result, engine.model
 

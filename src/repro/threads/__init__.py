@@ -23,7 +23,6 @@ from repro.threads.partition import (
 )
 from repro.threads.timing import RegionTiming, ZeroTiming, LinearRegionTiming
 from repro.threads.pool import VirtualThreadPool
-from repro.threads.threaded_engine import ThreadedLikelihoodEngine
 
 __all__ = [
     "active_chunks",
@@ -36,5 +35,4 @@ __all__ = [
     "ZeroTiming",
     "LinearRegionTiming",
     "VirtualThreadPool",
-    "ThreadedLikelihoodEngine",
 ]

@@ -28,7 +28,6 @@ from repro.likelihood.plan import CLVCache, plan_traversal
 from repro.likelihood.brlen import optimize_branch_lengths
 from repro.search.spr import SPRParams, spr_round
 from repro.threads.pool import VirtualThreadPool
-from repro.threads.threaded_engine import ThreadedLikelihoodEngine
 from repro.tree.random_trees import yule_tree
 from repro.util.rng import RAxMLRandom
 
@@ -142,8 +141,8 @@ class TestBatchedParity:
                 LikelihoodEngine(_PAL, _MODEL, rm, kernel="batched"), tree
             ),
             "threaded": self._trace(
-                ThreadedLikelihoodEngine(
-                    _PAL, _MODEL, VirtualThreadPool(3), rm, kernel="batched"
+                LikelihoodEngine(
+                    _PAL, _MODEL, rm, kernel="batched", pool=VirtualThreadPool(3),
                 ),
                 tree,
             ),
@@ -177,8 +176,8 @@ class TestBatchedParity:
         )
         self._assert_equal_traces(ref, fused)
         fused_threaded = self._trace(
-            ThreadedLikelihoodEngine(
-                _PAL, _MODEL, VirtualThreadPool(4), rm, kernel="batched"
+            LikelihoodEngine(
+                _PAL, _MODEL, rm, kernel="batched", pool=VirtualThreadPool(4),
             ),
             tree,
         )
@@ -188,8 +187,8 @@ class TestBatchedParity:
         pal, _ = _make_dataset(n_taxa=4, n_sites=3, seed=77)
         tree = yule_tree(pal.taxa, RAxMLRandom(3))
         expected = LikelihoodEngine(pal, _MODEL).loglikelihood(tree)
-        threaded = ThreadedLikelihoodEngine(
-            pal, _MODEL, VirtualThreadPool(8), kernel="batched"
+        threaded = LikelihoodEngine(
+            pal, _MODEL, kernel="batched", pool=VirtualThreadPool(8),
         )
         assert threaded.loglikelihood(tree) == expected
 
@@ -213,7 +212,7 @@ class TestBatchedParity:
             assert np.array_equal(via_matmul, per_node)
 
     def test_registry_lists_batched(self):
-        assert set(available_kernels()) >= {"reference", "blocked", "batched"}
+        assert set(available_kernels()) >= {"reference", "batched"}
         assert get_kernel("batched") is BatchedKernel
         assert BatchedKernel.uses_clv_cache  # --clv-cache stays valid
 
@@ -264,25 +263,3 @@ class TestCLVCacheHardening:
             probes += 1
         stats = cache.stats()
         assert stats["hits"] + stats["misses"] == probes
-
-
-class TestBlockedHeuristic:
-    def test_below_break_even_runs_whole_shards(self):
-        """Small shards must tile exactly like the reference (no cuts) —
-        the fix for the fixed-256 tiling regression."""
-        engine = LikelihoodEngine(_PAL, _MODEL, kernel="blocked")
-        spans = [sl for sl, _ in engine.kernel._spans()]
-        assert spans == engine.kernel.shards
-
-    def test_above_break_even_bounds_tile_count(self):
-        engine = LikelihoodEngine(_PAL, _MODEL, kernel="blocked")
-        kern = engine.kernel
-        kern.min_blocked_patterns = 32
-        kern.block_size = 8
-        kern.max_blocks = 4
-        spans = [sl for sl, _ in kern._spans()]
-        assert len(spans) <= kern.max_blocks
-        # Tiles partition the shard exactly.
-        assert spans[0].start == 0 and spans[-1].stop == _PAL.n_patterns
-        for a, b in zip(spans, spans[1:]):
-            assert a.stop == b.start

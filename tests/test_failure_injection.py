@@ -12,7 +12,6 @@ from repro.likelihood.gtr import GTRModel
 from repro.mpi.comm import SPMDError
 from repro.mpi.launcher import run_spmd
 from repro.threads.pool import VirtualThreadPool
-from repro.threads.threaded_engine import ThreadedLikelihoodEngine
 
 
 class TestSPMDViolations:
@@ -96,9 +95,7 @@ class TestDegenerateEngineInputs:
 
         tree = yule_tree(handmade_pal.taxa, RAxMLRandom(3))
         serial = LikelihoodEngine(handmade_pal, gtr_model)
-        threaded = ThreadedLikelihoodEngine(
-            handmade_pal, gtr_model, VirtualThreadPool(64)
-        )
+        threaded = LikelihoodEngine(handmade_pal, gtr_model, pool=VirtualThreadPool(64))
         assert threaded.loglikelihood(tree) == pytest.approx(
             serial.loglikelihood(tree), abs=1e-9
         )

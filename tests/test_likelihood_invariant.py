@@ -125,12 +125,11 @@ class TestPlusILikelihood:
 
     def test_threaded_engine_plusi_matches_serial(self, setup):
         from repro.threads.pool import VirtualThreadPool
-        from repro.threads.threaded_engine import ThreadedLikelihoodEngine
 
         pal, model, tree = setup
         rm = RateModel.gamma(0.8, 4, p_invariant=0.2)
         serial = LikelihoodEngine(pal, model, rm)
-        threaded = ThreadedLikelihoodEngine(pal, model, VirtualThreadPool(3), rm)
+        threaded = LikelihoodEngine(pal, model, rm, pool=VirtualThreadPool(3))
         assert threaded.loglikelihood(tree) == pytest.approx(
             serial.loglikelihood(tree), abs=1e-9
         )

@@ -92,14 +92,13 @@ class TestSubtreePartials:
         """The sharded engine returns the same unified partial map as the
         serial engine, and subtree partials are bit-identical."""
         from repro.threads.pool import VirtualThreadPool
-        from repro.threads.threaded_engine import ThreadedLikelihoodEngine
         from repro.tree.random_trees import yule_tree
         from repro.util.rng import RAxMLRandom
 
         tree = yule_tree(small_pal.taxa, RAxMLRandom(23))
         serial = LikelihoodEngine(small_pal, gtr_model, RateModel.gamma(0.8, 4))
-        threaded = ThreadedLikelihoodEngine(
-            small_pal, gtr_model, VirtualThreadPool(3), RateModel.gamma(0.8, 4)
+        threaded = LikelihoodEngine(
+            small_pal, gtr_model, RateModel.gamma(0.8, 4), pool=VirtualThreadPool(3),
         )
         target = tree.internal_edges()[0]
         sub_s = serial.compute_down_partials(tree, subtree=target)

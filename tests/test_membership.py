@@ -189,6 +189,55 @@ class TestEpochs:
 
 
 # ---------------------------------------------------------------------------
+# The rank report has one schema
+# ---------------------------------------------------------------------------
+
+
+class _NoDefaults(dict):
+    """A rank report that refuses defaulted reads of anything but the
+    documented extras."""
+
+    EXTRAS = {"sched", "joiner", "join_stage"}
+
+    def get(self, key, default=None):
+        assert key in self.EXTRAS, f"defaulted read of common key {key!r}"
+        return super().get(key, default)
+
+
+class TestRankReportSchema:
+    def test_static_worksteal_and_joiner_reports_share_one_schema(
+        self, pal, quick_cc
+    ):
+        from repro.hybrid.results import assemble_hybrid_result
+        from repro.runtime.backends import BACKENDS, run_rank
+
+        plan = FaultPlan(joins=(JoinSpec(rank=2, stage="bootstrap"),))
+        common = None
+        for schedule in ("static", "work-steal"):
+            config = hybrid_config(quick_cc, schedule=schedule, fault_plan=plan)
+            board = BACKENDS[schedule].make_shared(config)
+            raw = run_spmd(
+                lambda comm: run_rank(comm, pal, config, board),
+                config.n_processes, fault_plan=plan,
+                timeout_policy=config.timeout_policy,
+            )
+            assert [bool(r.get("joiner")) for r in raw] == [False, False, True]
+            assert raw[2]["join_stage"] == "bootstrap"
+            for r in raw:
+                extras = {"joiner", "join_stage"} if r.get("joiner") else set()
+                if schedule == "work-steal":
+                    extras.add("sched")
+                assert set(r) & _NoDefaults.EXTRAS == extras
+                keys = set(r) - _NoDefaults.EXTRAS
+                common = common or keys
+                assert keys == common
+            result = assemble_hybrid_result(
+                pal, config, [_NoDefaults(r) for r in raw], board
+            )
+            assert [j["rank"] for j in result.joiners] == [2]
+
+
+# ---------------------------------------------------------------------------
 # Checkpoint membership stamps (--resume guard)
 # ---------------------------------------------------------------------------
 

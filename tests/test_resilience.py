@@ -397,6 +397,29 @@ class TestRankDeathRecovery:
         assert bootstrap_newick_multiset(result) == \
             bootstrap_newick_multiset(baseline)
 
+    @pytest.mark.parametrize("bootstopping", [False, True])
+    def test_replayed_share_is_the_dead_ranks_own(self, pal, quick_cc,
+                                                  baseline, bootstopping):
+        """A replay runs the dead rank's stages on a communicator-less
+        context, where the post-bootstrap fuse keeps the original Table 2
+        share whatever the mode — so the replayed rank 1 is the baseline's
+        rank 1, replicate for replicate."""
+        from repro.runtime.backends import StaticBackend
+
+        config = hybrid_config(
+            quick_cc, bootstopping=bootstopping, bootstop_max=8,
+        )
+        (replayed,) = run_spmd(
+            lambda comm: StaticBackend()._replay(comm, pal, config, 1), 1
+        )
+        own = slice(baseline.ranks[0].n_bootstraps, None)
+        assert replayed["bootstrap_newicks"] == [
+            write_newick(t) for t in baseline.bootstrap_trees[own]
+        ]
+        assert replayed["thorough"].lnl == baseline.ranks[1].local_best_lnl
+        assert write_newick(replayed["thorough"].tree) == \
+            baseline.ranks[1].local_best_newick
+
     def test_recovery_reuses_dead_ranks_checkpoints(self, pal, quick_cc,
                                                     baseline, tmp_path):
         plan = FaultPlan(kills=(KillSpec(rank=1, stage="thorough"),))

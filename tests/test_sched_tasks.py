@@ -5,13 +5,15 @@ fingerprint."""
 import numpy as np
 import pytest
 
-from repro.search.comprehensive import ComprehensiveConfig
-from repro.search.schedule import make_schedule
-from repro.sched.tasks import (
+from repro.search.comprehensive import (
     LABEL_FAST,
     LABEL_REPLICATE,
     LABEL_SLOW,
     LABEL_THOROUGH,
+    ComprehensiveConfig,
+)
+from repro.search.schedule import make_schedule
+from repro.sched.tasks import (
     TASK_KINDS,
     Task,
     build_dag,

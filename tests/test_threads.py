@@ -15,7 +15,6 @@ from repro.threads.partition import (
     weighted_chunks,
 )
 from repro.threads.pool import VirtualThreadPool
-from repro.threads.threaded_engine import ThreadedLikelihoodEngine
 from repro.threads.timing import LinearRegionTiming, ZeroTiming
 
 
@@ -176,8 +175,8 @@ class TestThreadedEngineEquivalence:
 
         tree = yule_tree(small_pal.taxa, RAxMLRandom(12))
         pool = VirtualThreadPool(n_threads)
-        threaded = ThreadedLikelihoodEngine(
-            small_pal, gtr_model, pool, RateModel.gamma(0.8, 4)
+        threaded = LikelihoodEngine(
+            small_pal, gtr_model, RateModel.gamma(0.8, 4), pool=pool,
         )
         assert threaded.loglikelihood(tree) == pytest.approx(
             serial.loglikelihood(tree), abs=1e-9
@@ -189,8 +188,8 @@ class TestThreadedEngineEquivalence:
 
         tree = yule_tree(small_pal.taxa, RAxMLRandom(12))
         pool = VirtualThreadPool(4)
-        threaded = ThreadedLikelihoodEngine(
-            small_pal, gtr_model, pool, RateModel.gamma(0.8, 4)
+        threaded = LikelihoodEngine(
+            small_pal, gtr_model, RateModel.gamma(0.8, 4), pool=pool,
         )
         assert np.allclose(
             threaded.site_loglikelihoods(tree), serial.site_loglikelihoods(tree)
@@ -203,8 +202,8 @@ class TestThreadedEngineEquivalence:
         t1 = yule_tree(small_pal.taxa, RAxMLRandom(12))
         t2 = t1.copy()
         pool = VirtualThreadPool(4)
-        threaded = ThreadedLikelihoodEngine(
-            small_pal, gtr_model, pool, RateModel.gamma(0.8, 4)
+        threaded = LikelihoodEngine(
+            small_pal, gtr_model, RateModel.gamma(0.8, 4), pool=pool,
         )
         l_serial = optimize_branch_lengths(serial, t1, passes=2)
         l_threaded = optimize_branch_lengths(threaded, t2, passes=2)
@@ -218,9 +217,7 @@ class TestThreadedEngineEquivalence:
         p2c = np.arange(small_pal.n_patterns) % 3
         rm = RateModel.cat(np.array([0.3, 1.0, 2.0]), p2c)
         serial = LikelihoodEngine(small_pal, gtr_model, rm)
-        threaded = ThreadedLikelihoodEngine(
-            small_pal, gtr_model, VirtualThreadPool(5), rm
-        )
+        threaded = LikelihoodEngine(small_pal, gtr_model, rm, pool=VirtualThreadPool(5))
         assert threaded.loglikelihood(tree) == pytest.approx(
             serial.loglikelihood(tree), abs=1e-9
         )
@@ -231,8 +228,8 @@ class TestThreadedEngineEquivalence:
 
         tree = yule_tree(small_pal.taxa, RAxMLRandom(12))
         pool = VirtualThreadPool(3)
-        threaded = ThreadedLikelihoodEngine(
-            small_pal, gtr_model, pool, RateModel.gamma(0.8, 4)
+        threaded = LikelihoodEngine(
+            small_pal, gtr_model, RateModel.gamma(0.8, 4), pool=pool,
         )
         leaf = tree.find_leaf(small_pal.taxa[0])
         other = tree.find_leaf(small_pal.taxa[3])
@@ -259,8 +256,8 @@ class TestThreadedEngineEquivalence:
 
         tree = yule_tree(small_pal.taxa, RAxMLRandom(12))
         pool = VirtualThreadPool(2, LinearRegionTiming())
-        threaded = ThreadedLikelihoodEngine(
-            small_pal, gtr_model, pool, RateModel.gamma(0.8, 4)
+        threaded = LikelihoodEngine(
+            small_pal, gtr_model, RateModel.gamma(0.8, 4), pool=pool,
         )
         threaded.loglikelihood(tree)
         n_internal = sum(1 for n in tree.postorder() if not n.is_leaf)
@@ -276,8 +273,8 @@ class TestThreadedEngineEquivalence:
         times = {}
         for t in (1, 2, 16):
             pool = VirtualThreadPool(t, LinearRegionTiming(1e-6, 2e-6))
-            engine = ThreadedLikelihoodEngine(
-                small_pal, gtr_model, pool, RateModel.gamma(0.8, 4)
+            engine = LikelihoodEngine(
+                small_pal, gtr_model, RateModel.gamma(0.8, 4), pool=pool,
             )
             engine.loglikelihood(tree)
             times[t] = pool.virtual_time

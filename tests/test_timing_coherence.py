@@ -10,12 +10,11 @@ real-mode results claim to describe the same machine.
 
 import pytest
 
-from repro.likelihood.engine import RateModel
+from repro.likelihood.engine import LikelihoodEngine, RateModel
 from repro.likelihood.gtr import GTRModel
 from repro.perfmodel.finegrain import MachineRegionTiming, finegrain_speedup
 from repro.perfmodel.machines import MACHINES
 from repro.threads.pool import VirtualThreadPool
-from repro.threads.threaded_engine import ThreadedLikelihoodEngine
 from repro.tree.random_trees import yule_tree
 from repro.util.rng import RAxMLRandom
 
@@ -28,9 +27,7 @@ def test_pool_speedup_matches_analytic_model(small_pal, gtr_model, machine_key, 
     times = {}
     for t in (1, n_threads):
         pool = VirtualThreadPool(t, MachineRegionTiming(machine))
-        engine = ThreadedLikelihoodEngine(
-            small_pal, gtr_model, pool, RateModel.single()
-        )
+        engine = LikelihoodEngine(small_pal, gtr_model, RateModel.single(), pool=pool)
         engine.loglikelihood(tree)
         times[t] = pool.virtual_time
     measured = times[1] / times[n_threads]
@@ -48,8 +45,8 @@ def test_gamma_workload_also_coheres(small_pal, gtr_model):
     times = {}
     for t in (1, 8):
         pool = VirtualThreadPool(t, MachineRegionTiming(machine))
-        engine = ThreadedLikelihoodEngine(
-            small_pal, gtr_model, pool, RateModel.gamma(0.8, 4)
+        engine = LikelihoodEngine(
+            small_pal, gtr_model, RateModel.gamma(0.8, 4), pool=pool,
         )
         engine.loglikelihood(tree)
         times[t] = pool.virtual_time

@@ -1,10 +1,13 @@
 """Tests for the traversal-plan likelihood core.
 
 Covers the three layers of the refactor: the planner (signatures, dirty
-tracking, CLV cache), the pluggable kernel backends (reference/blocked
-bit-identity, registration), and the unified engine (serial == threaded
-bit-identity, op-count parity, degenerate chunks).
+tracking, CLV cache), the pluggable kernel backends (span-tiling
+bit-identity through the ``_spans`` hook, registration), and the unified
+engine (serial == threaded bit-identity, op-count parity, degenerate
+chunks).
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -20,8 +23,8 @@ from repro.likelihood.engine import (
 )
 from repro.likelihood.gtr import GTRModel
 from repro.likelihood.kernels import (
+    _REGISTRY,
     BatchedKernel,
-    BlockedKernel,
     ReferenceKernel,
     available_kernels,
     get_kernel,
@@ -34,13 +37,36 @@ from repro.likelihood.plan import (
 )
 from repro.threads.partition import active_chunks, contiguous_chunks
 from repro.threads.pool import VirtualThreadPool
-from repro.threads.threaded_engine import ThreadedLikelihoodEngine
 from repro.tree.random_trees import yule_tree
 from repro.util.rng import RAxMLRandom
 
 # Module-level data so hypothesis tests avoid function-scoped fixtures.
 _PAL, _ = _make_dataset(n_taxa=8, n_sites=150, seed=202)
 _MODEL = GTRModel(rates=(1.2, 2.5, 0.8, 1.1, 3.0, 1.0), freqs=(0.3, 0.2, 0.2, 0.3))
+
+
+class TinyBlocked(ReferenceKernel):
+    """A registry extension that cuts every shard into 7-pattern tiles
+    through the ``KernelBackend._spans`` hook."""
+
+    name = "tiny-blocked-test"
+    block_size = 7
+
+    def _spans(self):
+        p2c = self.rate_model.pattern_to_cat
+        for sl in self.shards:
+            for lo in range(sl.start, sl.stop, self.block_size):
+                blk = slice(lo, min(lo + self.block_size, sl.stop))
+                yield blk, (p2c[blk] if self.is_cat else None)
+
+
+@contextmanager
+def _tiny_blocked_registered():
+    register_kernel(TinyBlocked)
+    try:
+        yield TinyBlocked.name
+    finally:
+        _REGISTRY.pop(TinyBlocked.name, None)
 
 
 def _rate_models(m: int) -> dict[str, RateModel]:
@@ -203,37 +229,32 @@ class TestCLVCache:
 
 class TestKernelBackends:
     def test_registry(self):
-        assert set(available_kernels()) >= {"reference", "blocked", "batched"}
+        assert set(available_kernels()) == {"reference", "batched"}
         assert get_kernel("reference") is ReferenceKernel
-        assert get_kernel("blocked") is BlockedKernel
         assert get_kernel("batched") is BatchedKernel
         with pytest.raises(ValueError):
             get_kernel("no-such-backend")
 
     def test_register_custom_backend(self):
-        class TinyBlocked(BlockedKernel):
-            name = "tiny-blocked-test"
-            block_size = 7
-
-        register_kernel(TinyBlocked)
-        try:
+        with _tiny_blocked_registered() as name:
+            assert get_kernel(name) is TinyBlocked
             tree = yule_tree(_PAL.taxa, RAxMLRandom(5))
             ref = LikelihoodEngine(_PAL, _MODEL, RateModel.gamma(0.8, 4))
             tiny = LikelihoodEngine(
-                _PAL, _MODEL, RateModel.gamma(0.8, 4), kernel="tiny-blocked-test"
+                _PAL, _MODEL, RateModel.gamma(0.8, 4), kernel=name
             )
+            spans = [sl for sl, _ in tiny.kernel._spans()]
+            assert len(spans) == -(-_PAL.n_patterns // TinyBlocked.block_size)
             assert tiny.loglikelihood(tree) == ref.loglikelihood(tree)
-        finally:
-            from repro.likelihood.kernels import _REGISTRY
-
-            _REGISTRY.pop("tiny-blocked-test", None)
+        assert "tiny-blocked-test" not in available_kernels()
 
     @pytest.mark.parametrize("rm_name", ["gamma", "gamma+I", "cat"])
     def test_blocked_bit_identical(self, rm_name):
         rm = _rate_models(_PAL.n_patterns)[rm_name]
         tree = yule_tree(_PAL.taxa, RAxMLRandom(5))
         ref = LikelihoodEngine(_PAL, _MODEL, rm)
-        blk = LikelihoodEngine(_PAL, _MODEL, rm, kernel="blocked")
+        with _tiny_blocked_registered() as name:
+            blk = LikelihoodEngine(_PAL, _MODEL, rm, kernel=name)
         assert blk.loglikelihood(tree) == ref.loglikelihood(tree)
         assert np.array_equal(
             blk.site_loglikelihoods(tree), ref.site_loglikelihoods(tree)
@@ -276,14 +297,15 @@ class TestOpCountParity:
         tree = yule_tree(_PAL.taxa, RAxMLRandom(29))
         serial = self._exercise(LikelihoodEngine(_PAL, _MODEL, rm), tree)
         threaded = self._exercise(
-            ThreadedLikelihoodEngine(_PAL, _MODEL, VirtualThreadPool(4), rm), tree
+            LikelihoodEngine(_PAL, _MODEL, rm, pool=VirtualThreadPool(4)), tree
         )
         cached_cold = self._exercise(
             LikelihoodEngine(_PAL, _MODEL, rm, clv_cache=True), tree
         )
-        blocked = self._exercise(
-            LikelihoodEngine(_PAL, _MODEL, rm, kernel="blocked"), tree
-        )
+        with _tiny_blocked_registered() as name:
+            blocked = self._exercise(
+                LikelihoodEngine(_PAL, _MODEL, rm, kernel=name), tree
+            )
         assert serial == threaded
         assert serial == blocked
         # A cold cache charges full work on first touch; the later calls
@@ -346,13 +368,14 @@ class TestBitIdentityProperty:
         for rm in _rate_models(_PAL.n_patterns).values():
             serial = LikelihoodEngine(_PAL, _MODEL, rm)
             expected = serial.loglikelihood(tree)
-            threaded = ThreadedLikelihoodEngine(
-                _PAL, _MODEL, VirtualThreadPool(n_threads), rm
+            threaded = LikelihoodEngine(
+                _PAL, _MODEL, rm, pool=VirtualThreadPool(n_threads),
             )
-            blocked = ThreadedLikelihoodEngine(
-                _PAL, _MODEL, VirtualThreadPool(n_threads), rm,
-                kernel="blocked", clv_cache=True,
-            )
+            with _tiny_blocked_registered() as name:
+                blocked = LikelihoodEngine(
+                    _PAL, _MODEL, rm, kernel=name, clv_cache=True,
+                    pool=VirtualThreadPool(n_threads),
+                )
             assert threaded.loglikelihood(tree) == expected
             assert blocked.loglikelihood(tree) == expected
 
@@ -392,8 +415,8 @@ class TestDegenerateChunks:
         rm = rms[rm_name]
         tree = yule_tree(pal.taxa, RAxMLRandom(9))
         serial = LikelihoodEngine(pal, _MODEL, rm)
-        threaded = ThreadedLikelihoodEngine(
-            pal, _MODEL, VirtualThreadPool(pal.n_patterns + 5), rm
+        threaded = LikelihoodEngine(
+            pal, _MODEL, rm, pool=VirtualThreadPool(pal.n_patterns + 5),
         )
         assert all(s.stop > s.start for s in threaded.kernel.shards)
         assert len(threaded.kernel.shards) == pal.n_patterns
@@ -416,7 +439,7 @@ class TestDegenerateChunks:
         ))
         tree = yule_tree(pal.taxa, RAxMLRandom(9))
         pool = VirtualThreadPool(pal.n_patterns + 3)
-        engine = ThreadedLikelihoodEngine(pal, _MODEL, pool, RateModel.gamma(0.8, 4))
+        engine = LikelihoodEngine(pal, _MODEL, RateModel.gamma(0.8, 4), pool=pool)
         engine.loglikelihood(tree)
         n_internal = sum(1 for n in tree.postorder() if not n.is_leaf)
         assert pool.regions_executed == n_internal + 1
