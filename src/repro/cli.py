@@ -142,14 +142,6 @@ def validate_args(args) -> None:
             "-t is only consumed by -f e (evaluate a fixed topology); "
             f"-f {args.algorithm} would silently ignore the input tree"
         )
-    if args.clv_cache:
-        from repro.likelihood.kernels import get_kernel
-
-        if not get_kernel(args.kernel).uses_clv_cache:
-            raise SystemExit(
-                f"--clv-cache has no effect with --kernel {args.kernel}: "
-                "that backend bypasses the engine's CLV bookkeeping"
-            )
     if args.bootstopping and args.schedule != "static":
         raise SystemExit(
             "--bootstopping requires --schedule static: the replicate set "

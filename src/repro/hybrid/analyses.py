@@ -99,81 +99,22 @@ def _collect(comm: SimComm, local: list[tuple[str, float]], t0: float):
     return gathered, times, max(finish)
 
 
-def run_multiple_ml_searches(
+def _run_searches(
     pal: PatternAlignment,
     config: MultiSearchConfig,
-    n_processes: int = 1,
-    n_threads: int = 1,
-    machine: str = "dash",
-    seconds_per_pattern_unit: float = 1e-7,
+    n_processes: int,
+    n_threads: int,
+    machine: str,
+    seconds_per_pattern_unit: float,
+    recipe,
 ) -> MultiSearchResult:
-    """Analysis type 1: N ML searches from different starting trees.
+    """The SPMD body and result fold both analyses share.
 
-    Rank ``r`` seeds its search stream with ``seed_p + 10000·r`` and runs
-    ``ceil(N/p)`` slow-search-effort ML searches under GTRGAMMA; the best
-    tree over all searches is the analysis result.
-    """
-    mach = machine_by_name(machine)
-    if n_threads > mach.cores_per_node:
-        raise ValueError(f"{mach.name} supports at most {mach.cores_per_node} threads")
-
-    def rank_main(comm: SimComm):
-        p_rng = RAxMLRandom(rank_seed(config.seed_p, comm.rank))
-        factory = _make_rank_engine_factory(
-            machine, n_threads, comm, seconds_per_pattern_unit
-        )
-        ops = OpCounter()
-        gamma_rm = RateModel.gamma(1.0, config.gamma_categories)
-        model = GTRModel.default()
-        probe = factory(pal, model, gamma_rm, None, ops)
-        model = model.with_freqs(empirical_frequencies(probe))
-        engine = factory(pal, model, gamma_rm, None, ops)
-
-        t0 = comm.clock.now
-        local: list[tuple[str, float]] = []
-        for k in range(searches_per_rank(config.n_searches, comm.size)):
-            rng = spawn_stream(p_rng, 100 + k)
-            if config.random_starts:
-                start = random_starting_tree(pal, rng)
-            else:
-                start = parsimony_starting_tree(pal, rng)
-            res = slow_search(engine, start, spawn_stream(p_rng, 200 + k),
-                              config.stage_params)
-            local.append((write_newick(res.tree), res.lnl))
-        gathered, times, finish = _collect(comm, local, t0)
-        return gathered, times, finish
-
-    results = run_spmd(rank_main, n_processes)
-    gathered, times, finish = results[0]
-    flat = [item for rank_list in gathered for item in rank_list]
-    trees = [parse_newick(nwk, taxa=pal.taxa) for nwk, _ in flat]
-    lnls = [lnl for _, lnl in flat]
-    best_idx = max(range(len(lnls)), key=lambda i: (round(lnls[i], 6), -i))
-    return MultiSearchResult(
-        trees=trees,
-        lnls=lnls,
-        best_tree=trees[best_idx],
-        best_lnl=lnls[best_idx],
-        per_rank_counts=[len(r) for r in gathered],
-        total_seconds=finish,
-        stage_seconds_per_rank=times,
-    )
-
-
-def run_standard_bootstrap(
-    pal: PatternAlignment,
-    config: MultiSearchConfig,
-    n_processes: int = 1,
-    n_threads: int = 1,
-    machine: str = "dash",
-    seconds_per_pattern_unit: float = 1e-7,
-) -> MultiSearchResult:
-    """Analysis type 2: N standard bootstrap searches (RAxML ``-b``).
-
-    Unlike the *rapid* bootstraps of the comprehensive analysis, each
-    replicate here is a full ML search on the resampled data set, starting
-    from a fresh parsimony tree built on the replicate's weights.  The
-    result carries a merged bipartition support table.
+    Rank ``r`` seeds its streams with ``seed + 10000·r`` and runs
+    ``ceil(N/p)`` slow-search-effort ML searches under GTRGAMMA.
+    ``recipe(k, p_rng, b_rng)`` is what differs per analysis: it returns
+    search ``k``'s ``(pattern weights or None, starting tree, search
+    stream)``.
     """
     mach = machine_by_name(machine)
     if n_threads > mach.cores_per_node:
@@ -194,23 +135,16 @@ def run_standard_bootstrap(
         t0 = comm.clock.now
         local: list[tuple[str, float]] = []
         for k in range(searches_per_rank(config.n_searches, comm.size)):
-            weights = bootstrap_pattern_weights(pal, b_rng)
+            weights, start, search_rng = recipe(k, p_rng, b_rng)
             engine = factory(pal, model, gamma_rm, weights, ops)
-            rng = spawn_stream(p_rng, 300 + k)
-            start = parsimony_starting_tree(pal, rng, weights=weights)
-            res = slow_search(engine, start, spawn_stream(p_rng, 400 + k),
-                              config.stage_params)
+            res = slow_search(engine, start, search_rng, config.stage_params)
             local.append((write_newick(res.tree), res.lnl))
-        gathered, times, finish = _collect(comm, local, t0)
-        return gathered, times, finish
+        return _collect(comm, local, t0)
 
-    results = run_spmd(rank_main, n_processes)
-    gathered, times, finish = results[0]
+    gathered, times, finish = run_spmd(rank_main, n_processes)[0]
     flat = [item for rank_list in gathered for item in rank_list]
     trees = [parse_newick(nwk, taxa=pal.taxa) for nwk, _ in flat]
     lnls = [lnl for _, lnl in flat]
-    table = BipartitionTable(pal.n_taxa)
-    table.add_trees(trees)
     best_idx = max(range(len(lnls)), key=lambda i: (round(lnls[i], 6), -i))
     return MultiSearchResult(
         trees=trees,
@@ -220,5 +154,63 @@ def run_standard_bootstrap(
         per_rank_counts=[len(r) for r in gathered],
         total_seconds=finish,
         stage_seconds_per_rank=times,
-        support_table=table,
     )
+
+
+def run_multiple_ml_searches(
+    pal: PatternAlignment,
+    config: MultiSearchConfig,
+    n_processes: int = 1,
+    n_threads: int = 1,
+    machine: str = "dash",
+    seconds_per_pattern_unit: float = 1e-7,
+) -> MultiSearchResult:
+    """Analysis type 1: N ML searches from different starting trees.
+
+    Every search runs on the original alignment from its own randomised
+    parsimony (or random) starting tree; the best tree over all searches
+    is the analysis result.
+    """
+    make_start = (
+        random_starting_tree if config.random_starts else parsimony_starting_tree
+    )
+
+    def recipe(k, p_rng, b_rng):
+        start = make_start(pal, spawn_stream(p_rng, 100 + k))
+        return None, start, spawn_stream(p_rng, 200 + k)
+
+    return _run_searches(
+        pal, config, n_processes, n_threads, machine, seconds_per_pattern_unit,
+        recipe,
+    )
+
+
+def run_standard_bootstrap(
+    pal: PatternAlignment,
+    config: MultiSearchConfig,
+    n_processes: int = 1,
+    n_threads: int = 1,
+    machine: str = "dash",
+    seconds_per_pattern_unit: float = 1e-7,
+) -> MultiSearchResult:
+    """Analysis type 2: N standard bootstrap searches (RAxML ``-b``).
+
+    Unlike the *rapid* bootstraps of the comprehensive analysis, each
+    replicate here is a full ML search on the resampled data set, starting
+    from a fresh parsimony tree built on the replicate's weights.  The
+    result carries a merged bipartition support table.
+    """
+    def recipe(k, p_rng, b_rng):
+        weights = bootstrap_pattern_weights(pal, b_rng)
+        start = parsimony_starting_tree(
+            pal, spawn_stream(p_rng, 300 + k), weights=weights
+        )
+        return weights, start, spawn_stream(p_rng, 400 + k)
+
+    result = _run_searches(
+        pal, config, n_processes, n_threads, machine, seconds_per_pattern_unit,
+        recipe,
+    )
+    result.support_table = BipartitionTable(pal.n_taxa)
+    result.support_table.add_trees(result.trees)
+    return result

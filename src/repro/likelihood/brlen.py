@@ -90,7 +90,7 @@ def optimize_edge(
         up = engine.compute_up_partials(tree, down)
     t0 = min(max(edge_child.length, MIN_BRANCH_LENGTH), MAX_BRANCH_LENGTH)
     coef, exps, logscale, first = engine.edge_coefficients_and_derivatives(
-        engine.partial_for(down, edge_child), engine.partial_for(up, edge_child), t0
+        down[id(edge_child)], up[id(edge_child)], t0
     )
     t_opt, _ = newton_branch_length(
         engine, coef, exps, logscale, t0, first_eval=first
@@ -123,8 +123,8 @@ def optimize_branch_lengths(
         for edge_child in tree.edges():
             t0 = min(max(edge_child.length, MIN_BRANCH_LENGTH), MAX_BRANCH_LENGTH)
             coef, exps, logscale, first = engine.edge_coefficients_and_derivatives(
-                engine.partial_for(down, edge_child),
-                engine.partial_for(up, edge_child),
+                down[id(edge_child)],
+                up[id(edge_child)],
                 t0,
             )
             t_opt, _ = newton_branch_length(

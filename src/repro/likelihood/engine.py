@@ -9,8 +9,9 @@ mirrors the structure of RAxML's:
 * a **kernel backend** (:mod:`repro.likelihood.kernels`) executes every
   pattern-axis computation over the engine's shard list and charges the
   :class:`OpCounter`; backends are pluggable (``reference``/``batched``);
-* this module walks plans, multiplies child contributions, rescales,
-  and reduces per-pattern results to weighted log-likelihoods.
+* this module walks plans level by level — one executor for every
+  backend — resolves CLV-cache hits, hands the rest to the kernel, and
+  reduces per-pattern results to weighted log-likelihoods.
 
 Threaded execution is not a separate class: passing a
 :class:`~repro.threads.pool.VirtualThreadPool` shards the pattern axis
@@ -37,24 +38,13 @@ import numpy as np
 
 from repro.likelihood.gtr import GTRModel
 from repro.likelihood.kernels import get_kernel
-from repro.likelihood.kernels.base import OpCounter, Partial
-from repro.likelihood.plan import (
-    CLVCache,
-    plan_traversal,
-    subtree_postorder,
-    subtree_signatures,
-)
+from repro.likelihood.kernels.base import _TINY, LevelSpec, OpCounter, Partial
+from repro.likelihood.plan import CLVCache, plan_traversal, subtree_signatures
 from repro.likelihood.rates import RateModel, subset_rate_model
 from repro.obs.recorder import current as _obs_current
 from repro.seq.encoding import state_likelihood_rows
 from repro.seq.patterns import PatternAlignment
 from repro.tree.topology import Node, Tree
-
-#: Smallest value a scaler may take (guards log(0) for impossible patterns).
-_TINY = 1e-300
-
-#: Backwards-compatible name: partials predate the kernel split.
-_Partial = Partial
 
 __all__ = [
     "LikelihoodEngine",
@@ -138,9 +128,8 @@ class LikelihoodEngine:
         else:
             self.clv_cache = CLVCache() if clv_cache else None
         self._tip_rows = state_likelihood_rows()
-        # Level-batched backends reuse tip partials across traversals (a
-        # tip's down partial depends only on its alignment row); the
-        # shared zero log-scaler is what the reference path also produces.
+        # Tip partials are reused across traversals (a tip's down partial
+        # depends only on its alignment row) and share one zero log-scaler.
         self._tip_parts: dict[int, Partial] = {}
         self._zero_logscale = np.zeros(pal.n_patterns)
         self._zero_logscale.setflags(write=False)
@@ -167,29 +156,35 @@ class LikelihoodEngine:
     def is_cat(self) -> bool:
         return self.rate_model.kind == "cat"
 
-    def with_model(self, model: GTRModel) -> "LikelihoodEngine":
-        """New model parameters invalidate every CLV: fresh cache."""
+    def _with(self, *, fresh_cache: bool, **changed) -> "LikelihoodEngine":
+        """A sibling engine differing in the ``changed`` constructor
+        arguments, over this engine's CLV cache or (``fresh_cache``) an
+        empty one of the same capacity."""
+        cache: bool | CLVCache = False
+        if self.clv_cache is not None:
+            cache = (
+                CLVCache(self.clv_cache.max_entries) if fresh_cache
+                else self.clv_cache
+            )
+        kwargs = dict(
+            model=self.model, rate_model=self.rate_model, weights=self.weights
+        )
+        kwargs.update(changed)
         return LikelihoodEngine(
-            self.pal, model, self.rate_model, self.weights, self.ops,
-            kernel=self.kernel_name, clv_cache=self.clv_cache is not None,
-            pool=self.pool,
+            self.pal, ops=self.ops, kernel=self.kernel_name, clv_cache=cache,
+            pool=self.pool, **kwargs,
         )
 
+    def with_model(self, model: GTRModel) -> "LikelihoodEngine":
+        """New model parameters invalidate every CLV: fresh cache."""
+        return self._with(fresh_cache=True, model=model)
+
     def with_rate_model(self, rate_model: RateModel) -> "LikelihoodEngine":
-        return LikelihoodEngine(
-            self.pal, self.model, rate_model, self.weights, self.ops,
-            kernel=self.kernel_name, clv_cache=self.clv_cache is not None,
-            pool=self.pool,
-        )
+        return self._with(fresh_cache=True, rate_model=rate_model)
 
     def with_weights(self, weights: np.ndarray) -> "LikelihoodEngine":
         """CLVs are weight-independent, so the cache is shared."""
-        return LikelihoodEngine(
-            self.pal, self.model, self.rate_model, weights, self.ops,
-            kernel=self.kernel_name,
-            clv_cache=self.clv_cache if self.clv_cache is not None else False,
-            pool=self.pool,
-        )
+        return self._with(fresh_cache=False, weights=weights)
 
     # -- region accounting ---------------------------------------------------
 
@@ -208,38 +203,6 @@ class LikelihoodEngine:
             masks = masks[patterns]
         return self._tip_rows[masks]
 
-    def _pmatrices(self, t: float) -> np.ndarray:
-        """P(t·r_c) for all categories; shape (k, 4, 4).
-
-        Backends that memoise transition matrices (the level-batched
-        kernel keys them by the exact bits of ``t``) serve them here, so
-        every engine entry point shares the memo.
-        """
-        memo = getattr(self.kernel, "pmatrices", None)
-        if memo is not None:
-            return memo(t)
-        return self.model.transition_matrices(t, self.rate_model.rates)
-
-    def _propagate_tip(self, pmats: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """Uncharged single-span tip propagation (kept for direct kernel
-        tests; plan execution goes through the kernel backend)."""
-        table = np.einsum("kab,sb->ksa", pmats, self._tip_rows, optimize=True)
-        p2c = None
-        if self.is_cat:
-            p2c = self.rate_model.pattern_to_cat[: masks.shape[0]]
-        return self.kernel._tip_gather_span(table, masks, p2c)
-
-    def _propagate(self, pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
-        """Uncharged single-span propagation (see :meth:`_propagate_tip`).
-
-        ``clv`` may be a tip CLV of shape (m, 4) (category-independent) or
-        an internal CLV of shape (m, k, 4) [gamma] / (m, 4) [cat].
-        """
-        p2c = None
-        if self.is_cat:
-            p2c = self.rate_model.pattern_to_cat[: clv.shape[0]]
-        return self.kernel._propagate_span(pmats, clv, p2c)
-
     def _as_full(self, clv: np.ndarray) -> np.ndarray:
         """Expand a tip CLV (m, 4) to the engine's full CLV shape.
 
@@ -252,37 +215,34 @@ class LikelihoodEngine:
             return np.broadcast_to(clv[:, None, :], (m, self.n_categories, 4))
         return clv
 
-    def _rescale(
-        self, clv: np.ndarray, logscale: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Divide each pattern's CLV by its max entry, accumulating logs."""
-        axes = tuple(range(1, clv.ndim))
-        mx = np.maximum(clv.max(axis=axes), _TINY)
-        shape = (clv.shape[0],) + (1,) * (clv.ndim - 1)
-        clv = clv / mx.reshape(shape)
-        return clv, logscale + np.log(mx)
+    def _tip_partial(self, leaf_index: int) -> Partial:
+        part = self._tip_parts.get(leaf_index)
+        if part is None:
+            clv = self.tip_clv(leaf_index)
+            clv.setflags(write=False)
+            part = Partial(clv, self._zero_logscale)
+            self._tip_parts[leaf_index] = part
+        return part
 
-    # -- down partials (postorder, plan-driven) -------------------------------
-
-    def _inner_partial(self, node: Node, down: dict[int, Partial]) -> Partial:
-        """Combine child contributions into one inner-node down partial."""
-        m = self.n_patterns
-        acc = None
-        logscale = np.zeros(m)
+    def _child_specs(
+        self, node: Node, sigs: dict[int, int], down: dict[int, Partial]
+    ) -> tuple[list[LevelSpec], list[np.ndarray | None]]:
+        """What the kernel needs of ``node``'s children, in child order:
+        the edge specs (a leaf's payload is its pattern-mask row, an inner
+        child's its down CLV) and the down log-scalers (``None`` for
+        leaves, whose scalers are exact zeros)."""
+        specs, logscales = [], []
         for child in node.children:
-            pmats = self._pmatrices(child.length)
             if child.is_leaf:
-                # Tip-specialised kernel: gather from a 16-entry table.
-                contrib = self.kernel.propagate_tip(
-                    pmats, self.pal.patterns[child.leaf_index]
-                )
+                payload, ls = self.pal.patterns[child.leaf_index], None
             else:
                 part = down[id(child)]
-                contrib = self.kernel.propagate(pmats, part.clv)
-                logscale = logscale + part.logscale
-            acc = contrib if acc is None else acc * contrib
-        acc, logscale = self._rescale(acc, logscale)
-        return Partial(acc, logscale)
+                payload, ls = part.clv, part.logscale
+            specs.append((sigs[id(child)], child.length, payload))
+            logscales.append(ls)
+        return specs, logscales
+
+    # -- down partials (postorder levels, plan-driven) -------------------------
 
     def compute_down_partials(
         self, tree: Tree, subtree: Node | None = None
@@ -304,10 +264,7 @@ class LikelihoodEngine:
             rec.count("clv.plan_tips", plan.n_tip)
             rec.count("clv.cache_hits", plan.n_cached)
             rec.count("clv.cache_misses", plan.n_inner)
-        if self.kernel.supports_levels:
-            down, executed = self._execute_plan_leveled(plan)
-        else:
-            down, executed = self._execute_plan(plan)
+        down, executed = self._execute_plan(plan)
         # One simulated region per executed inner-node CLV update (at least
         # one: even an all-cached traversal synchronises the workers once).
         if rec is not None:
@@ -316,50 +273,15 @@ class LikelihoodEngine:
         return down
 
     def _execute_plan(self, plan) -> tuple[dict[int, Partial], int]:
-        """Reference op-by-op plan execution (postorder)."""
-        down: dict[int, Partial] = {}
-        m = self.n_patterns
-        executed = 0
-        for op in plan.ops:
-            node = op.node
-            if op.kind == "tip":
-                down[id(node)] = Partial(self.tip_clv(node.leaf_index), np.zeros(m))
-                continue
-            part: Partial | None = None
-            if op.kind == "cached":
-                part = self.clv_cache.get(op.signature, planned=True)
-            if part is None:  # "inner", or a hit evicted since planning
-                part = self._inner_partial(node, down)
-                executed += 1
-                if self.clv_cache is not None:
-                    self.clv_cache.put(op.signature, part)
-            down[id(node)] = part
-        return down, executed
-
-    def _tip_partial(self, leaf_index: int) -> Partial:
-        part = self._tip_parts.get(leaf_index)
-        if part is None:
-            clv = self.tip_clv(leaf_index)
-            clv.setflags(write=False)
-            part = Partial(clv, self._zero_logscale)
-            self._tip_parts[leaf_index] = part
-        return part
-
-    def _leaf_spec(self, sigs: dict[int, int], child: Node):
-        return (sigs[id(child)], child.length, self.pal.patterns[child.leaf_index])
-
-    def _execute_plan_leveled(self, plan) -> tuple[dict[int, Partial], int]:
-        """Level-wise plan execution for ``supports_levels`` backends.
+        """Level-wise plan execution — the only executor, for every backend.
 
         Each dependency level resolves cache hits first, then hands every
-        remaining op — its child edge specs plus inner-child log-scalers
-        — to the kernel in one ``level_partials`` batch (the kernel picks
-        the stacked-contraction or fused-block regime).  Cache semantics
-        match the reference executor: planned hits are re-fetched (and
-        recomputed if evicted since planning) and every computed partial
-        is put back.
+        remaining op to the kernel in one ``level_partials`` batch.  Planned
+        hits are re-fetched (and recomputed if evicted since planning) and
+        every computed partial is put back, in level order — so CLV-cache
+        traffic, and with it op totals under eviction, cannot depend on the
+        backend.
         """
-        kern = self.kernel
         cache = self.clv_cache
         sigs = plan.signatures
         down: dict[int, Partial] = {}
@@ -378,31 +300,17 @@ class LikelihoodEngine:
                 pending.append(op)
             if not pending:
                 continue
-            node_specs = []
-            for op in pending:
-                specs = [
-                    self._leaf_spec(sigs, child) if child.is_leaf
-                    else (sigs[id(child)], child.length, down[id(child)].clv)
-                    for child in op.node.children
-                ]
-                inner_ls = [
-                    down[id(c)].logscale
-                    for c in op.node.children
-                    if not c.is_leaf
-                ]
-                node_specs.append((specs, inner_ls))
-            for op, part in zip(pending, kern.level_partials(node_specs)):
+            parts = self.kernel.level_partials(
+                [self._child_specs(op.node, sigs, down) for op in pending]
+            )
+            for op, part in zip(pending, parts):
                 executed += 1
                 if cache is not None:
                     cache.put(op.signature, part)
                 down[id(op.node)] = part
         return down, executed
 
-    @staticmethod
-    def _subtree_postorder(node: Node):
-        return subtree_postorder(node)
-
-    # -- up partials (preorder) ------------------------------------------------
+    # -- up partials (preorder levels) ------------------------------------------
 
     def compute_up_partials(
         self, tree: Tree, down: dict[int, Partial]
@@ -412,106 +320,31 @@ class LikelihoodEngine:
 
         Together with ``down[v]`` this evaluates the likelihood of the edge
         above ``v`` in O(1) kernel calls (RAxML's "makenewz" setting).
-        """
-        if self.kernel.supports_levels:
-            up = self._up_partials_leveled(tree, down)
-            self._charge_regions(
-                sum(len(n.children) for n in tree.postorder() if not n.is_leaf)
-            )
-            return up
-        m = self.n_patterns
-        up: dict[int, Partial] = {}
-        for node in tree.preorder():
-            if node.is_leaf:
-                continue
-            if node is tree.root:
-                above: Partial | None = None
-            else:
-                above_raw = up[id(node)]
-                # Transport the parent-side partial across this node's edge.
-                moved = self.kernel.propagate(
-                    self._pmatrices(node.length), above_raw.clv
-                )
-                above = Partial(moved, above_raw.logscale)
-            # Sibling contributions at this node, for each child.
-            contribs = []
-            for child in node.children:
-                pmats = self._pmatrices(child.length)
-                if child.is_leaf:
-                    contrib = self.kernel.propagate_tip(
-                        pmats, self.pal.patterns[child.leaf_index]
-                    )
-                    logscale_c = np.zeros(m)
-                else:
-                    part = down[id(child)]
-                    contrib = self.kernel.propagate(pmats, part.clv)
-                    logscale_c = part.logscale
-                contribs.append(Partial(contrib, logscale_c))
-            for i, child in enumerate(node.children):
-                acc = None
-                logscale = np.zeros(m)
-                for j, sib in enumerate(contribs):
-                    if i == j:
-                        continue
-                    acc = sib.clv if acc is None else acc * sib.clv
-                    logscale = logscale + sib.logscale
-                if above is not None:
-                    acc = acc * above.clv if acc is not None else above.clv
-                    logscale = logscale + above.logscale
-                acc, logscale = self._rescale(acc, logscale)
-                up[id(child)] = Partial(acc, logscale)
-        self._charge_regions(
-            sum(len(n.children) for n in tree.postorder() if not n.is_leaf)
-        )
-        return up
-
-    def _up_partials_leveled(
-        self, tree: Tree, down: dict[int, Partial]
-    ) -> dict[int, Partial]:
-        """Level-wise up-partial sweep for ``supports_levels`` backends.
 
         Internal nodes are grouped by depth (parents strictly before
         children, so each node's own up partial exists when its level
-        runs) and each level is handed to the kernel in one
-        ``up_level_partials`` batch: every node's parent-side partial
-        (for the kernel to transport across the node's own edge), its
-        child edge specs, and the children's down log-scalers, all in
-        child order.  The kernel picks the stacked-contribution or
-        fused-block regime; products and rescales follow the reference
-        order exactly — siblings in child order, the transported
-        parent-side partial last.
+        runs) and each level is one ``up_level_partials`` kernel batch:
+        per node, the parent-side partial to transport across the node's
+        own edge plus the child specs of :meth:`_child_specs`.
         """
-        kern = self.kernel
         sigs = subtree_signatures(tree.postorder())
         up: dict[int, Partial] = {}
-        levels: list[list[Node]] = []
-        frontier = [tree.root]
-        while frontier:
-            levels.append(frontier)
-            frontier = [
-                ch for node in frontier for ch in node.children if not ch.is_leaf
-            ]
-        for level in levels:
+        n_edges = 0
+        level = [tree.root]
+        while level:
             node_specs = []
             for node in level:
-                if node is tree.root:
-                    above = None
-                else:
+                above = None
+                if node is not tree.root:
                     raw = up[id(node)]
                     above = (node.length, raw.clv, raw.logscale)
-                specs = [
-                    self._leaf_spec(sigs, child) if child.is_leaf
-                    else (sigs[id(child)], child.length, down[id(child)].clv)
-                    for child in node.children
-                ]
-                inner_ls = [
-                    None if child.is_leaf else down[id(child)].logscale
-                    for child in node.children
-                ]
-                node_specs.append((above, specs, inner_ls))
-            for node, parts in zip(level, kern.up_level_partials(node_specs)):
+                node_specs.append((above, *self._child_specs(node, sigs, down)))
+            for node, parts in zip(level, self.kernel.up_level_partials(node_specs)):
+                n_edges += len(node.children)
                 for child, part in zip(node.children, parts):
                     up[id(child)] = part
+            level = [ch for node in level for ch in node.children if not ch.is_leaf]
+        self._charge_regions(n_edges)
         return up
 
     # -- likelihood ---------------------------------------------------------------
@@ -561,17 +394,11 @@ class LikelihoodEngine:
         :meth:`compute_up_partials`).
         """
         site = self.kernel.edge_site(
-            self._as_full(up_v.clv), self._pmatrices(t), self._as_full(down_v.clv)
+            self._as_full(up_v.clv), self.kernel.pmatrices(t), self._as_full(down_v.clv)
         )
         self._charge_regions(1)
         logl = self._site_logl(site, down_v.logscale + up_v.logscale)
         return float(self.weights @ logl)
-
-    def partial_for(self, partials: dict[int, Partial], node: Node) -> Partial:
-        """Partial lookup in a map returned by the compute methods (kept as
-        a method so historical call sites survive; the threaded engine once
-        returned chunked lists needing a real indirection here)."""
-        return partials[id(node)]
 
     def insertion_loglikelihood(
         self,
@@ -594,8 +421,8 @@ class LikelihoodEngine:
             self._as_full(down_v.clv),
             self._as_full(up_v.clv),
             self._as_full(down_s.clv),
-            self._pmatrices(half),
-            self._pmatrices(t_sub),
+            self.kernel.pmatrices(half),
+            self.kernel.pmatrices(t_sub),
         )
         self._charge_regions(1)
         logl = self._site_logl(
@@ -627,19 +454,12 @@ class LikelihoodEngine:
     def edge_coefficients_and_derivatives(self, down_v: Partial, up_v: Partial, t: float):
         """Sumtable build plus the Newton evaluation at ``t`` in one call.
 
-        Returns ``(coef, exps, logscale, (lnl, g, h))``.  Backends that
-        provide a fused ``sumtable_with_derivatives`` evaluate each
-        coefficient span while it is cache-hot; others fall back to the
-        separate :meth:`edge_coefficients` + :meth:`edge_lnl_and_derivatives`
-        calls.  Results, op charges, and region charges are identical
-        either way.
+        Returns ``(coef, exps, logscale, (lnl, g, h))`` — what separate
+        :meth:`edge_coefficients` + :meth:`edge_lnl_and_derivatives` calls
+        give, with the same op and region charges; a backend may evaluate
+        each coefficient span while it is cache-hot.
         """
-        fused = getattr(self.kernel, "sumtable_with_derivatives", None)
-        if fused is None:
-            coef, exps, logscale = self.edge_coefficients(down_v, up_v)
-            first = self.edge_lnl_and_derivatives(coef, exps, logscale, t)
-            return coef, exps, logscale, first
-        coef, exps, site, d1, d2 = fused(
+        coef, exps, site, d1, d2 = self.kernel.sumtable_with_derivatives(
             self._as_full(up_v.clv), self._as_full(down_v.clv), t
         )
         self._charge_regions(2)  # the sumtable sweep + the derivative sweep

@@ -9,7 +9,7 @@ gamma function — the same scheme RAxML uses (k = 4 by default).
 from __future__ import annotations
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 #: RAxML clamps alpha into a sane range during optimisation.
 MIN_ALPHA = 0.02
@@ -36,9 +36,11 @@ def discrete_gamma_rates(alpha: float, n_categories: int = 4) -> np.ndarray:
         return np.ones(1)
 
     k = n_categories
-    # Quantile boundaries of Gamma(alpha, scale=1/alpha).
+    # Quantile boundaries of Gamma(alpha, scale=1/alpha): the unit-scale
+    # quantile times the scale (as a reciprocal multiply — dividing by
+    # alpha is not guaranteed to round the same way).
     probs = np.arange(1, k) / k
-    cut = stats.gamma.ppf(probs, a=alpha, scale=1.0 / alpha)
+    cut = special.gammaincinv(alpha, probs) * (1.0 / alpha)
     bounds = np.concatenate(([0.0], cut, [np.inf]))
     # Mean of the distribution over [a, b], via the incomplete gamma
     # identity: E[X; X in (a,b)] = (P(alpha+1, b*alpha) - P(alpha+1, a*alpha)) / alpha

@@ -1,11 +1,12 @@
 """The kernel-backend interface of the likelihood core.
 
 A :class:`KernelBackend` owns every pattern-axis computation the engine
-issues: CLV propagation (tip-specialised and generic), per-edge site
+issues: CLV propagation (tip-specialised and generic), the product and
+rescale that turn a level's contributions into partials, per-edge site
 likelihoods, lazy-SPR insertion scores, the Newton sumtable, and the
 derivative evaluations.  The engine decides *what* to compute (traversal
-plans, reductions, rescaling); backends decide *how* each pattern slice
-is computed.
+plans, CLV-cache lookups, reductions); backends decide *how* each
+pattern slice is computed.
 
 Sharding.  A backend is constructed with a list of pattern *shards* (the
 slices the virtual thread pool assigns to its workers).  Every public
@@ -29,14 +30,59 @@ paths by operand shape, which would make results depend on shard sizes.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.likelihood.gtr import GTRModel
 from repro.likelihood.rates import RateModel
 from repro.seq.encoding import state_likelihood_rows
+
+#: Smallest value a scaler may take (guards log(0) for impossible patterns).
+_TINY = 1e-300
+
+#: One child edge of a traversal level: ``(subtree signature, branch
+#: length, payload)`` where the payload is a leaf's pattern-mask row
+#: (1-D) or the child's down CLV.
+LevelSpec = tuple[int, float, np.ndarray]
+
+
+def length_bits(t: float) -> int:
+    """The exact float64 bit pattern of a branch length — two lengths that
+    differ in the last ulp produce different CLVs, so this is the key of
+    both the planner's subtree signatures and the kernels' memos."""
+    return int(np.float64(t).view(np.uint64))
+
+
+class ArrayLRU:
+    """A bounded LRU of read-only arrays (P-matrices, tip tables, child
+    contributions); entries are frozen on insert because every hit hands
+    out the same array."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._store: OrderedDict = OrderedDict()
+
+    def get(
+        self, key, build: Callable[[], np.ndarray] | None = None
+    ) -> np.ndarray | None:
+        """The entry for ``key`` (refreshed); on a miss, ``build()`` is
+        stored and returned — or ``None`` without a builder."""
+        value = self._store.get(key)
+        if value is not None:
+            self._store.move_to_end(key)
+        elif build is not None:
+            value = self.put(key, build())
+        return value
+
+    def put(self, key, value: np.ndarray) -> np.ndarray:
+        value.setflags(write=False)
+        self._store[key] = value
+        if len(self._store) > self.capacity:
+            self._store.popitem(last=False)
+        return value
 
 
 @dataclass
@@ -100,37 +146,30 @@ class Partial:
 
 
 class KernelBackend:
-    """Base class: shard iteration, op charging, and the reference math.
+    """Base class: the kernel protocol with its naive per-node defaults.
+
+    The engine drives every backend through the same calls: memoised
+    transition matrices (:meth:`pmatrices`), whole traversal levels
+    (:meth:`level_partials` down, :meth:`up_level_partials` up), and the
+    per-edge kernels (:meth:`edge_site`, :meth:`insertion_site`,
+    :meth:`sumtable`, :meth:`derivatives`,
+    :meth:`sumtable_with_derivatives`).  The defaults here are the
+    reference math — one ``propagate`` per child edge, product, rescale
+    — and results of any override must stay bit-identical to them.
 
     Subclasses customise execution by overriding :meth:`_spans` (how each
-    shard is further subdivided, e.g. cache blocking) or the ``_*_span``
-    primitives.  Registering a subclass makes it selectable by name via
-    the engine's ``kernel=`` parameter (see
+    shard is further subdivided, e.g. cache blocking), the ``_*_span``
+    primitives, or whole protocol methods.  Registering a subclass makes
+    it selectable by name via the engine's ``kernel=`` parameter (see
     :func:`repro.likelihood.kernels.register_kernel`).
     """
 
     #: Registry name; subclasses must override.
     name = ""
-    #: Whether the engine's signature-keyed CLV cache (``clv_cache=True``)
-    #: is honoured when this backend computes partials.  Backends that
-    #: bypass the engine's partial bookkeeping set this False so the CLI
-    #: can reject a ``--clv-cache`` request that would silently do nothing.
-    uses_clv_cache = True
-    #: Level-batched execution contract.  A backend that sets this True
-    #: must additionally provide ``pmatrices(t)`` (memoised transition
-    #: matrices), ``level_partials(nodes)`` (down partials for a whole
-    #: traversal level, charging one CLV update per child edge),
-    #: ``level_contribs(specs)`` (propagate one traversal level's child
-    #: contributions in a batch, charging one CLV update per spec),
-    #: ``combine(contribs, logscales)`` (product + rescale into a
-    #: :class:`Partial`), and ``up_level_partials(nodes)`` (one preorder
-    #: level of up partials — per node: transport the parent-side
-    #: partial across the node's edge, then one combined partial per
-    #: child — charging one CLV update per child edge plus one per
-    #: transported partial).  The engine then dispatches
-    #: ``compute_down_partials``/``compute_up_partials`` level-wise
-    #: instead of op-by-op; results must stay bit-identical.
-    supports_levels = False
+    #: LRU capacity for transition matrices (and any per-branch-length
+    #: table a backend derives from them); entries are a few hundred
+    #: bytes each.
+    pmat_entries = 512
 
     def __init__(
         self,
@@ -150,6 +189,15 @@ class KernelBackend:
         #: are dropped here so no kernel ever runs on zero patterns.
         self.shards = [s for s in shards if s.stop > s.start]
         self.tip_rows = state_likelihood_rows()
+        self._pmat_lru = ArrayLRU(self.pmat_entries)
+
+    def pmatrices(self, t: float) -> np.ndarray:
+        """P(t·r_c) for all categories, shape (k, 4, 4), memoised by the
+        bits of ``t`` — Newton and SPR re-ask for the same lengths."""
+        return self._pmat_lru.get(
+            length_bits(t),
+            lambda: self.model.transition_matrices(t, self.rate_model.rates),
+        )
 
     # -- shard/block iteration ------------------------------------------------
 
@@ -230,17 +278,21 @@ class KernelBackend:
     def _derivatives_span(
         self, coef: np.ndarray, e: np.ndarray, exps: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-pattern (site, d1, d2) for one span of the sumtable."""
+        """Per-pattern (site, d1, d2) for one span of the sumtable; the
+        shared ``term·exps`` factor is squared in place, which evaluates
+        the left-to-right product ``(term·exps)·exps``."""
         if self.is_cat:
+            axes: int | tuple[int, int] = 1
             term = coef * e  # (m, 4)
-            site = term.sum(axis=1)
-            d1 = (term * exps).sum(axis=1)
-            d2 = (term * exps * exps).sum(axis=1)
         else:
+            axes = (1, 2)
             term = coef * e[None, :, :]  # (m, k, 4)
-            site = term.sum(axis=(1, 2))
-            d1 = (term * exps[None]).sum(axis=(1, 2))
-            d2 = (term * exps[None] * exps[None]).sum(axis=(1, 2))
+            exps = exps[None]
+        site = term.sum(axis=axes)
+        np.multiply(term, exps, out=term)
+        d1 = term.sum(axis=axes)
+        np.multiply(term, exps, out=term)
+        d2 = term.sum(axis=axes)
         return site, d1, d2
 
     # -- public kernels (full-pattern arrays; charge once per invocation) ----
@@ -268,6 +320,98 @@ class KernelBackend:
             out[sl] = self._tip_gather_span(table, masks[sl], p2c)
         self.ops.charge_clv(self.n_patterns, self.n_categories)
         return out
+
+    # -- traversal levels (the reference math, one node at a time) -----------
+
+    def level_contribs(self, specs: list[LevelSpec]) -> list[np.ndarray]:
+        """Propagated child contributions for one traversal level, one
+        per child edge spec, charging one CLV update each."""
+        return [
+            self.propagate_tip(self.pmatrices(t), payload)
+            if payload.ndim == 1
+            else self.propagate(self.pmatrices(t), payload)
+            for _, t, payload in specs
+        ]
+
+    def combine(
+        self, contribs: list[np.ndarray], logscales: list[np.ndarray]
+    ) -> Partial:
+        """Product of contributions in list order, each pattern divided
+        by its max entry, the logs accumulated onto ``logscales`` (tip
+        children contribute exact zeros and are omitted)."""
+        acc = contribs[0]
+        for extra in contribs[1:]:
+            acc = acc * extra
+        mx = np.maximum(acc.max(axis=tuple(range(1, acc.ndim))), _TINY)
+        logscale = np.zeros(self.n_patterns)
+        for ls in logscales:
+            logscale = logscale + ls
+        clv = acc / mx.reshape((-1,) + (1,) * (acc.ndim - 1))
+        return Partial(clv, logscale + np.log(mx))
+
+    def _contribs_by_node(
+        self, spec_lists: list[list[LevelSpec]]
+    ) -> list[list[np.ndarray]]:
+        """One :meth:`level_contribs` batch for a whole level, regrouped
+        per node."""
+        flat = iter(self.level_contribs([s for specs in spec_lists for s in specs]))
+        return [[next(flat) for _ in specs] for specs in spec_lists]
+
+    def level_partials(
+        self, nodes: list[tuple[list[LevelSpec], list[np.ndarray | None]]]
+    ) -> list[Partial]:
+        """Down partials for every pending inner node of one level.
+
+        Each entry is one node's child edge specs and the children's down
+        log-scalers (``None`` for leaves), both in child order.  Charges
+        one CLV update per child edge.
+        """
+        contribs = self._contribs_by_node([specs for specs, _ in nodes])
+        return [
+            self.combine(cs, [ls for ls in lss if ls is not None])
+            for cs, (_, lss) in zip(contribs, nodes)
+        ]
+
+    def up_level_partials(
+        self,
+        nodes: list[
+            tuple[
+                tuple[float, np.ndarray, np.ndarray] | None,
+                list[LevelSpec],
+                list[np.ndarray | None],
+            ]
+        ],
+    ) -> list[list[Partial]]:
+        """Up partials for every internal node of one preorder level.
+
+        Each entry is the parent-side partial to transport across the
+        node's own edge (``(t, clv, logscale)``, ``None`` at the root)
+        plus what :meth:`level_partials` takes.  Returns one partial per
+        child per node — the rest of the tree at the node, seen from that
+        child: the siblings' contributions in child order, the
+        transported partial last.  Charges one CLV update per child edge
+        plus one per transported partial.
+        """
+        moved = [
+            None if above is None
+            else self.propagate(self.pmatrices(above[0]), above[1])
+            for above, _, _ in nodes
+        ]
+        contribs = self._contribs_by_node([specs for _, specs, _ in nodes])
+        out = []
+        for (above, specs, lss), mv, cs in zip(nodes, moved, contribs):
+            if above is not None:
+                cs, lss = cs + [mv], lss + [above[2]]
+            out.append([
+                self.combine(
+                    [c for j, c in enumerate(cs) if j != i],
+                    [ls for j, ls in enumerate(lss) if j != i and ls is not None],
+                )
+                for i in range(len(specs))
+            ])
+        return out
+
+    # -- per-edge kernels -----------------------------------------------------
 
     def root_site(self, clv: np.ndarray) -> np.ndarray:
         """Per-pattern site likelihoods of a root CLV (uncharged: the
@@ -302,16 +446,27 @@ class KernelBackend:
         transport rides inside the edge job), matching RAxML's lazy-SPR
         kernel structure.
         """
+        c3 = self._insertion_transport(sclv, pmats_sub)
         out = np.empty(self.n_patterns)
         for sl, p2c in self._spans():
             c1 = self._propagate_span(pmats_half, dclv[sl], p2c)
             c2 = self._propagate_span(pmats_half, uclv[sl], p2c)
-            c3 = self._propagate_span(pmats_sub, sclv[sl], p2c)
-            out[sl] = self._root_site_span(c1 * c2 * c3)
-        self.ops.charge_clv(self.n_patterns, self.n_categories)
-        self.ops.charge_clv(self.n_patterns, self.n_categories)
+            np.multiply(c1, c2, out=c1)
+            np.multiply(c1, c3[sl], out=c1)
+            out[sl] = self._root_site_span(c1)
+        self.ops.charge_clv(self.n_patterns, self.n_categories, n=2)
         self.ops.charge_edge(self.n_patterns, self.n_categories)
         return out
+
+    def _insertion_transport(
+        self, sclv: np.ndarray, pmats_sub: np.ndarray
+    ) -> np.ndarray:
+        """The pruned subtree's CLV moved across its attachment branch
+        (uncharged: it rides inside :meth:`insertion_site`'s edge job)."""
+        c3 = self._clv_out()
+        for sl, p2c in self._spans():
+            c3[sl] = self._propagate_span(pmats_sub, sclv[sl], p2c)
+        return c3
 
     def sumtable(
         self, uclv: np.ndarray, dclv: np.ndarray
@@ -349,3 +504,11 @@ class KernelBackend:
             site[sl], d1[sl], d2[sl] = self._derivatives_span(coef[sl], e, x)
         self.ops.charge_deriv(self.n_patterns, self.n_categories)
         return site, d1, d2
+
+    def sumtable_with_derivatives(
+        self, uclv: np.ndarray, dclv: np.ndarray, t: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Sumtable build plus the first Newton evaluation at ``t``:
+        ``(coef, exps, site, d1, d2)``, charged as one of each."""
+        coef, exps = self.sumtable(uclv, dclv)
+        return (coef, exps, *self.derivatives(coef, exps, t))

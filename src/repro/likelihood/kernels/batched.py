@@ -21,8 +21,13 @@ contribution a level needs is requested in one
   intermediate stays L2-resident instead of streaming full-pattern
   temporaries through memory three times — the likelihood loops are
   bandwidth-bound there, and this roughly halves the traffic;
-* memoises transition matrices and propagated tip tables by the exact
-  float64 bit pattern of the branch length.
+* memoises propagated tip tables by the exact float64 bit pattern of
+  the branch length, next to the base class's transition-matrix memo.
+
+Everything else — the per-level flow over ``level_contribs`` and
+``combine``, the up-sweep's leave-one-out products, insertion scoring —
+is the base class's; this backend overrides only the steps it executes
+differently.
 
 Bit-identity with the reference backend is preserved the same way the
 thread sharding argument works: every reused array was produced by the
@@ -35,42 +40,45 @@ the same operations in the same order with preallocated outputs.  Op accounting
 is *charge-neutral*: a contribution served from the LRU still charges a
 CLV update — reuse is a wall-clock optimisation, not less logical work —
 so :class:`~repro.likelihood.kernels.base.OpCounter` snapshots are
-exactly equal to the reference backend's on any call sequence.
+exactly equal to the reference backend's on any call sequence (the
+engine runs both through one executor, so CLV-cache traffic is equal
+too).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 from repro.likelihood.gtr import GTRModel
-from repro.likelihood.kernels.base import KernelBackend, OpCounter, Partial
+from repro.likelihood.kernels.base import (
+    _TINY,
+    ArrayLRU,
+    KernelBackend,
+    LevelSpec,
+    OpCounter,
+    Partial,
+    length_bits,
+)
 from repro.likelihood.rates import RateModel
 
-#: Smallest rescale divisor (mirrors the engine's underflow guard).
-_TINY = 1e-300
-
-#: One level spec: ``(subtree signature, branch length, payload)`` where
-#: the payload is a leaf's pattern-mask row (1-D) or a child CLV.
-LevelSpec = tuple[int, float, np.ndarray]
+#: One fused-pipeline input: ``("ready", contribution, None)``,
+#: ``("tip", category-major tip table, masks)`` or
+#: ``("edge", transposed P-matrices, CLV)``.
+FusedInput = tuple[str, np.ndarray, np.ndarray | None]
 
 
-def _bits(t: float) -> int:
-    """The exact float64 bit pattern of a branch length — the same key
-    the traversal planner hashes, so cache granularity matches plans."""
-    return int(np.float64(t).view(np.uint64))
+def _contrib_key(spec: LevelSpec) -> tuple[int, int]:
+    """Contribution-LRU key of a child edge: the planner's subtree
+    signature plus the branch-length bits, so cache granularity matches
+    plans."""
+    return spec[0], length_bits(spec[1])
 
 
 class BatchedKernel(KernelBackend):
-    """Level-batched backend with contribution/P-matrix memoisation."""
+    """Level-batched backend with contribution/tip-table memoisation."""
 
     name = "batched"
-    supports_levels = True
 
-    #: LRU capacity for transition matrices and tip tables (per branch
-    #: length); entries are a few hundred bytes each.
-    pmat_entries = 512
     #: Byte budget for the contribution LRU.  Entries are full-pattern
     #: CLVs (``m·k·4`` float64), so the capacity adapts to the pattern
     #: count; the floor keeps small test alignments from thrashing.
@@ -100,30 +108,15 @@ class BatchedKernel(KernelBackend):
         n_patterns: int,
     ) -> None:
         super().__init__(model, rate_model, shards, ops, n_patterns)
-        self._pmat_lru: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._tip_lru: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._tip_cats_lru: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._contrib_lru: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        self._tip_lru = ArrayLRU(self.pmat_entries)
+        self._tip_cats_lru = ArrayLRU(self.pmat_entries)
         entry = n_patterns * (4 if self.is_cat else self.n_categories * 4) * 8
         self.contrib_entries = max(16, self.contrib_budget_bytes // max(entry, 1))
+        self._contrib_lru = ArrayLRU(self.contrib_entries)
         self._ins_memo: tuple | None = None
         self._buffers: dict[tuple, np.ndarray] = {}
 
     # -- memoised per-branch tables -------------------------------------------
-
-    def pmatrices(self, t: float) -> np.ndarray:
-        """P(t·r_c) for all categories, memoised by the bits of ``t``."""
-        key = _bits(t)
-        pm = self._pmat_lru.get(key)
-        if pm is None:
-            pm = self.model.transition_matrices(t, self.rate_model.rates)
-            pm.setflags(write=False)
-            self._pmat_lru[key] = pm
-            if len(self._pmat_lru) > self.pmat_entries:
-                self._pmat_lru.popitem(last=False)
-        else:
-            self._pmat_lru.move_to_end(key)
-        return pm
 
     def _tip_table(self, t: float) -> np.ndarray:
         """The propagated CLV of each of the 16 IUPAC masks for ``t``.
@@ -133,41 +126,25 @@ class BatchedKernel(KernelBackend):
         (hence the same bits) as the reference's transpose-and-copy
         gather.  CAT mode keeps the reference ``(k, 16, 4)`` layout.
         """
-        key = _bits(t)
-        table = self._tip_lru.get(key)
-        if table is None:
+        def build() -> np.ndarray:
             raw = np.einsum(
                 "kab,sb->ksa", self.pmatrices(t), self.tip_rows, optimize=True
             )
-            table = raw if self.is_cat else np.ascontiguousarray(
-                raw.transpose(1, 0, 2)
-            )
-            table.setflags(write=False)
-            self._tip_lru[key] = table
-            if len(self._tip_lru) > self.pmat_entries:
-                self._tip_lru.popitem(last=False)
-        else:
-            self._tip_lru.move_to_end(key)
-        return table
+            if self.is_cat:
+                return raw
+            return np.ascontiguousarray(raw.transpose(1, 0, 2))
+
+        return self._tip_lru.get(length_bits(t), build)
 
     def _tip_table_cats(self, t: float) -> np.ndarray:
         """The gamma tip table in category-major ``(k, 16, 4)`` layout,
         so the fused pipeline can gather each category's rows into a
         contiguous block with :func:`np.take` (a strided gather view as
         a multiply operand costs ~6x a contiguous one)."""
-        key = _bits(t)
-        table = self._tip_cats_lru.get(key)
-        if table is None:
-            table = np.ascontiguousarray(
-                self._tip_table(t).transpose(1, 0, 2)
-            )
-            table.setflags(write=False)
-            self._tip_cats_lru[key] = table
-            if len(self._tip_cats_lru) > self.pmat_entries:
-                self._tip_cats_lru.popitem(last=False)
-        else:
-            self._tip_cats_lru.move_to_end(key)
-        return table
+        return self._tip_cats_lru.get(
+            length_bits(t),
+            lambda: np.ascontiguousarray(self._tip_table(t).transpose(1, 0, 2)),
+        )
 
     # -- scratch management ---------------------------------------------------
 
@@ -184,40 +161,28 @@ class BatchedKernel(KernelBackend):
             self._buffers[key] = buf
         return buf
 
-    def _remember(self, key: tuple[int, int], contrib: np.ndarray) -> np.ndarray:
-        contrib.setflags(write=False)
-        self._contrib_lru[key] = contrib
-        if len(self._contrib_lru) > self.contrib_entries:
-            self._contrib_lru.popitem(last=False)
-        return contrib
-
     # -- level execution ------------------------------------------------------
 
     def level_contribs(self, specs: list[LevelSpec]) -> list[np.ndarray]:
         """Propagated child contributions for one traversal level.
 
-        Each spec is one child edge: the child's subtree signature, the
-        branch length, and either the leaf's pattern masks or the
-        child's down CLV.  Repeats are served from the contribution LRU;
-        the rest run batched (see the module docstring).  Charges one
-        CLV update per spec *regardless of cache hits* — accounted work
-        must match what the reference backend would do.
+        Repeats are served from the contribution LRU; the rest run
+        batched (see the module docstring).  Charges one CLV update per
+        spec *regardless of cache hits* — accounted work must match what
+        the reference backend would do.
         """
         out: list[np.ndarray | None] = [None] * len(specs)
         tips: list[int] = []
         inner: list[int] = []
-        for i, (sig, t, payload) in enumerate(specs):
-            hit = self._contrib_lru.get((sig, _bits(t)))
-            if hit is not None:
-                self._contrib_lru.move_to_end((sig, _bits(t)))
-                out[i] = hit
-            elif payload.ndim == 1:
-                tips.append(i)
-            else:
-                inner.append(i)
+        for i, spec in enumerate(specs):
+            out[i] = self._contrib_lru.get(_contrib_key(spec))
+            if out[i] is None:
+                (tips if spec[2].ndim == 1 else inner).append(i)
         for i in tips:
-            sig, t, masks = specs[i]
-            out[i] = self._remember((sig, _bits(t)), self._tip_contrib(t, masks))
+            _, t, masks = specs[i]
+            out[i] = self._contrib_lru.put(
+                _contrib_key(specs[i]), self._tip_contrib(t, masks)
+            )
         if inner:
             self._inner_contribs(specs, inner, out)
         self.ops.charge_clv(self.n_patterns, self.n_categories, n=len(specs))
@@ -238,13 +203,13 @@ class BatchedKernel(KernelBackend):
         stacked = 2 * q * m * k * 4 * 8
         if self.is_cat or q < 2 or stacked > self.stack_budget_bytes:
             for i in idxs:
-                sig, t, clv = specs[i]
+                _, t, clv = specs[i]
                 contrib = self._clv_out()
                 for sl, p2c in self._spans():
                     contrib[sl] = self._propagate_span(
                         self.pmatrices(t), clv[sl], p2c
                     )
-                out[i] = self._remember((sig, _bits(t)), contrib)
+                out[i] = self._contrib_lru.put(_contrib_key(specs[i]), contrib)
             return
         # One (nodes, patterns, rates, states) contraction per shard.
         # The batched einsum dispatches to the same per-matrix BLAS
@@ -258,393 +223,210 @@ class BatchedKernel(KernelBackend):
                 "qkab,qmkb->qmka", pstack, cstack[:, sl], optimize=True
             )
         for j, i in enumerate(idxs):
-            sig, t, _ = specs[i]
-            out[i] = self._remember((sig, _bits(t)), res[j])
+            out[i] = self._contrib_lru.put(_contrib_key(specs[i]), res[j])
+
+    @property
+    def _fused(self) -> bool:
+        """Large gamma alignments run the fused block pipeline; small
+        ones (and CAT mode) the inherited per-level flow over
+        :meth:`level_contribs` and :meth:`combine`."""
+        return not self.is_cat and self.n_patterns >= self.fuse_min_patterns
 
     def level_partials(
-        self, nodes: list[tuple[list[LevelSpec], list[np.ndarray]]]
+        self, nodes: list[tuple[list[LevelSpec], list[np.ndarray | None]]]
     ) -> list[Partial]:
-        """Down partials for every pending op of one traversal level.
+        """Down partials of one level; see the base class for the contract.
 
-        Each entry is ``(child edge specs, inner-child log-scalers)`` for
-        one inner node.  Two regimes, chosen by pattern count:
-
-        * small alignments (or CAT mode) route through
-          :meth:`level_contribs` — the stacked level contraction — and
-          :meth:`combine`, exactly as before;
-        * large gamma alignments run the fused block pipeline
-          (:meth:`_fused_partial`): per 512-pattern block, propagate
-          each child (``matmul`` on the category-major view — the same
-          BLAS products the reference einsum dispatches to), multiply,
-          rescale, and write out, so no full-pattern temporary is ever
-          materialised.  Contribution-LRU hits are folded in as ready
-          arrays; fresh propagations are not memoised here, since
-          materialising them would re-spend the memory traffic the
-          fusion exists to avoid.
-
-        Charges one CLV update per child edge either way — identical
-        totals to the reference backend's per-child ``propagate`` calls.
+        In the fused regime each node runs :meth:`_fused_node`: per
+        pattern block, propagate each child, multiply, rescale, and write
+        out, so no full-pattern temporary is ever materialised.
+        Contribution-LRU hits are folded in as ready arrays; fresh
+        propagations are not memoised there, since materialising them
+        would re-spend the memory traffic the fusion exists to avoid.
+        Charges are the inherited flow's.
         """
-        if self.is_cat or self.n_patterns < self.fuse_min_patterns:
-            flat = [s for specs, _ in nodes for s in specs]
-            contribs = self.level_contribs(flat)
-            out: list[Partial] = []
-            pos = 0
-            for specs, inner_ls in nodes:
-                cs = contribs[pos:pos + len(specs)]
-                pos += len(specs)
-                out.append(self.combine(cs, inner_ls))
-            return out
-        parts = [self._fused_partial(specs, ls) for specs, ls in nodes]
+        if not self._fused:
+            return super().level_partials(nodes)
+        parts = [self._fused_node(specs, lss)[0] for specs, lss in nodes]
         self.ops.charge_clv(
             self.n_patterns, self.n_categories,
             n=sum(len(specs) for specs, _ in nodes),
         )
         return parts
 
-    def _fused_partial(
-        self, specs: list[LevelSpec], inner_logscales: list[np.ndarray]
-    ) -> Partial:
-        """One node's down partial via the fused block pipeline (gamma).
+    def up_level_partials(self, nodes) -> list[list[Partial]]:
+        """Up partials of one preorder level; see the base class.
+
+        In the fused regime, per pattern block, a node transports the
+        parent-side partial and every child's down CLV once, then forms
+        *all* children's products and rescales from those same resident
+        blocks — the transported block is read from cache for every
+        child instead of streaming a full-pattern temporary per node.
+        Charges are the inherited flow's.
+        """
+        if not self._fused:
+            return super().up_level_partials(nodes)
+        out = [
+            self._fused_node(specs, lss, above, leave_one_out=True)
+            for above, specs, lss in nodes
+        ]
+        self.ops.charge_clv(
+            self.n_patterns, self.n_categories,
+            n=sum(len(specs) + (above is not None) for above, specs, _ in nodes),
+        )
+        return out
+
+    def _fused_node(
+        self,
+        specs: list[LevelSpec],
+        logscales: list[np.ndarray | None],
+        above: tuple[float, np.ndarray, np.ndarray] | None = None,
+        leave_one_out: bool = False,
+    ) -> list[Partial]:
+        """One node's partials via the fused block pipeline (gamma).
+
+        The inputs are the child edges plus, last, the parent-side
+        partial to transport (``above``).  A down partial is one output
+        over all inputs; an up node (``leave_one_out``) has one output
+        per child, over every input but that child.
 
         Bit-identity: ``matmul`` on the ``(k, n, 4)`` transposed views
         issues the same per-category BLAS products as the reference
-        einsum; the product multiplies in child order per element; the
+        einsum; each product multiplies in input order per element; the
         per-pattern max is exact under any reduction order; divide and
         log are the same ufuncs on the same values.  Blocking the
         pattern axis is invisible to all of them.
         """
         m, k = self.n_patterns, self.n_categories
-        B = self.fuse_block
-        inputs: list[tuple[str, np.ndarray, np.ndarray | None]] = []
-        for sig, t, payload in specs:
-            key = (sig, _bits(t))
-            hit = self._contrib_lru.get(key)
-            if hit is not None:
-                self._contrib_lru.move_to_end(key)
-                inputs.append(("ready", hit, None))
-            elif payload.ndim == 1:
-                inputs.append(("tip", self._tip_table_cats(t), payload))
-            else:
-                pmt = np.ascontiguousarray(self.pmatrices(t).transpose(0, 2, 1))
-                inputs.append(("edge", pmt, payload))
-        clv = np.empty((m, k, 4))
-        logmx = np.empty(m)
-        s4 = self._buffer((B, 4), "fuse")
-        s2 = self._buffer((B, 2), "fuse")
-        mxb = self._buffer((B,), "fuse")
-        for sl, _ in self._spans():
-            for lo in range(sl.start, sl.stop, B):
-                hi = min(lo + B, sl.stop)
-                n = hi - lo
-                blks = self._input_blocks(inputs, lo, hi)
-                acc = self._buffer((k, B, 4), "fuse-acc")[:, :n]
-                if len(blks) == 1:
-                    np.copyto(acc, blks[0])
-                else:
-                    np.multiply(blks[0], blks[1], out=acc)
-                    for extra in blks[2:]:
-                        np.multiply(acc, extra, out=acc)
-                mx = mxb[:n]
-                np.fmax.reduce(acc, axis=0, out=s4[:n])
-                np.fmax(s4[:n, :2], s4[:n, 2:], out=s2[:n])
-                np.fmax(s2[:n, 0], s2[:n, 1], out=mx)
-                np.maximum(mx, _TINY, out=mx)
-                # The divide reads the L2-resident accumulator through a
-                # transposed view and writes the cold output contiguously
-                # (pattern-major): same quotients, and each output cache
-                # line is touched exactly once instead of once per
-                # category.
-                np.divide(
-                    acc.transpose(1, 0, 2), mx[:, None, None], out=clv[lo:hi]
-                )
-                np.log(mx, out=logmx[lo:hi])
-        if inner_logscales:
-            logscale = inner_logscales[0].copy()
-            for extra in inner_logscales[1:]:
-                logscale += extra
-            logscale += logmx
+        inputs = [self._fused_input(spec) for spec in specs]
+        if above is not None:
+            t_up, aclv, als = above
+            inputs.append(self._edge_input(t_up, aclv))
+            logscales = logscales + [als]
+        everything = range(len(inputs))
+        if leave_one_out:
+            picks = [[j for j in everything if j != i] for i in range(len(specs))]
         else:
-            logscale = logmx
-        return Partial(clv, logscale)
+            picks = [list(everything)]
+        clvs = [np.empty((m, k, 4)) for _ in picks]
+        logmxs = [np.empty(m) for _ in picks]
+        for sl, _ in self._spans():
+            for lo in range(sl.start, sl.stop, self.fuse_block):
+                hi = min(lo + self.fuse_block, sl.stop)
+                blks = self._input_blocks(inputs, lo, hi)
+                for pick, clv, logmx in zip(picks, clvs, logmxs):
+                    self._product_rescale_block(
+                        [blks[j] for j in pick], clv[lo:hi], logmx[lo:hi]
+                    )
+        return [
+            Partial(
+                clv,
+                self._sum_logscales(
+                    [logscales[j] for j in pick if logscales[j] is not None],
+                    logmx,
+                ),
+            )
+            for pick, clv, logmx in zip(picks, clvs, logmxs)
+        ]
+
+    def _edge_input(self, t: float, clv: np.ndarray) -> FusedInput:
+        return "edge", np.ascontiguousarray(self.pmatrices(t).transpose(0, 2, 1)), clv
+
+    def _fused_input(self, spec: LevelSpec) -> FusedInput:
+        hit = self._contrib_lru.get(_contrib_key(spec))
+        if hit is not None:
+            return "ready", hit, None
+        _, t, payload = spec
+        if payload.ndim == 1:
+            return "tip", self._tip_table_cats(t), payload
+        return self._edge_input(t, payload)
 
     def _input_blocks(
-        self,
-        inputs: list[tuple[str, np.ndarray, np.ndarray | None]],
-        lo: int,
-        hi: int,
+        self, inputs: list[FusedInput], lo: int, hi: int
     ) -> list[np.ndarray]:
-        """One pattern block of every fused-pipeline input, in child
+        """One pattern block of every fused-pipeline input, in input
         order: memoised contributions as transposed views, tip gathers
         and edge propagations into contiguous ``(k, n, 4)`` scratch (a
         strided view as a multiply operand costs several times a
         contiguous block; ``matmul`` on the transposed view issues the
         reference einsum's per-category BLAS products)."""
         k = self.n_categories
-        B = self.fuse_block
         n = hi - lo
         blks: list[np.ndarray] = []
         for i, (kind, table, payload) in enumerate(inputs):
             if kind == "ready":
                 blks.append(table[lo:hi].transpose(1, 0, 2))
-            elif kind == "tip":
-                buf = self._buffer((k, B, 4), f"fuse-edge{i}")[:, :n]
+                continue
+            buf = self._buffer((k, self.fuse_block, 4), f"fuse-edge{i}")[:, :n]
+            if kind == "tip":
                 idx = payload[lo:hi]
                 for j in range(k):
                     np.take(table[j], idx, axis=0, out=buf[j])
-                blks.append(buf)
             else:
-                buf = self._buffer((k, B, 4), f"fuse-edge{i}")[:, :n]
                 np.matmul(payload[lo:hi].transpose(1, 0, 2), table, out=buf)
-                blks.append(buf)
+            blks.append(buf)
         return blks
 
-    def up_level_partials(
-        self,
-        nodes: list[
-            tuple[
-                tuple[float, np.ndarray, np.ndarray] | None,
-                list[LevelSpec],
-                list[np.ndarray | None],
-            ]
-        ],
-    ) -> list[list[Partial]]:
-        """Up partials for every node of one preorder level.
+    def _product_rescale_block(
+        self, parts: list[np.ndarray], clv_out: np.ndarray, logmx_out: np.ndarray
+    ) -> None:
+        """Product of category-major ``(k, n, 4)`` blocks, rescaled into
+        one pattern-major block of the output CLV and its log divisors."""
+        k, B = self.n_categories, self.fuse_block
+        n = clv_out.shape[0]
+        acc = self._product(parts, self._buffer((k, B, 4), "fuse-acc")[:, :n])
+        s4 = self._buffer((B, 4), "fuse")[:n]
+        s2 = self._buffer((B, 2), "fuse")[:n]
+        mx = self._buffer((B,), "fuse")[:n]
+        np.fmax.reduce(acc, axis=0, out=s4)
+        np.fmax(s4[:, :2], s4[:, 2:], out=s2)
+        np.fmax(s2[:, 0], s2[:, 1], out=mx)
+        np.maximum(mx, _TINY, out=mx)
+        # The divide reads the L2-resident accumulator through a
+        # transposed view and writes the cold output contiguously
+        # (pattern-major): same quotients, and each output cache line is
+        # touched exactly once instead of once per category.
+        np.divide(acc.transpose(1, 0, 2), mx[:, None, None], out=clv_out)
+        np.log(mx, out=logmx_out)
 
-        Each entry describes one internal node: the parent-side partial
-        to transport across the node's own edge (``(t, clv, logscale)``,
-        or ``None`` at the root), the node's child edge specs, and the
-        children's down log-scalers (``None`` for leaves), all in child
-        order.  Returns one :class:`Partial` per child per node — the
-        rest-of-tree partial at the node, seen from that child.
+    @staticmethod
+    def _product(parts: list[np.ndarray], buf: np.ndarray) -> np.ndarray:
+        """Elementwise product in list order, accumulated in ``buf``
+        (memoised contributions are read-only).  A lone part is returned
+        as is: callers only read the result."""
+        if len(parts) == 1:
+            return parts[0]
+        np.multiply(parts[0], parts[1], out=buf)
+        for extra in parts[2:]:
+            np.multiply(buf, extra, out=buf)
+        return buf
 
-        Small alignments (and CAT mode) replay the engine's former
-        sequence exactly: transported partials via :meth:`propagate`,
-        one :meth:`level_contribs` batch for the level, then
-        :meth:`combine` per child.  Large gamma alignments run
-        :meth:`_fused_up_node` instead: per pattern block, the node
-        transports the parent-side partial and every child's down CLV
-        once, then forms *all* children's products and rescales from
-        those same resident blocks — the transported block is read from
-        cache for every child instead of streaming a full-pattern
-        ``moved`` temporary per node, and no contribution temporaries
-        are materialised at all.  Charges one CLV update per child edge
-        plus one per transported partial — identical totals to the
-        reference sweep.
-        """
-        if self.is_cat or self.n_patterns < self.fuse_min_patterns:
-            return self._up_level_stacked(nodes)
-        out = [
-            self._fused_up_node(above, specs, inner_ls)
-            for above, specs, inner_ls in nodes
-        ]
-        n = sum(len(specs) for _, specs, _ in nodes)
-        n += sum(1 for above, _, _ in nodes if above is not None)
-        self.ops.charge_clv(self.n_patterns, self.n_categories, n=n)
-        return out
-
-    def _up_level_stacked(self, nodes) -> list[list[Partial]]:
-        aboves: list[tuple[np.ndarray, np.ndarray] | None] = []
-        for above, _, _ in nodes:
-            if above is None:
-                aboves.append(None)
-            else:
-                t, clv, ls = above
-                aboves.append((self.propagate(self.pmatrices(t), clv), ls))
-        flat = [s for _, specs, _ in nodes for s in specs]
-        contribs = self.level_contribs(flat)
-        out: list[list[Partial]] = []
-        pos = 0
-        for (above, specs, inner_ls), moved in zip(nodes, aboves):
-            cs = contribs[pos:pos + len(specs)]
-            pos += len(specs)
-            node_out = []
-            for i in range(len(specs)):
-                parts = [cs[j] for j in range(len(specs)) if j != i]
-                lss = [
-                    inner_ls[j]
-                    for j in range(len(specs))
-                    if j != i and inner_ls[j] is not None
-                ]
-                if moved is not None:
-                    parts.append(moved[0])
-                    lss.append(moved[1])
-                node_out.append(self.combine(parts, lss))
-            out.append(node_out)
-        return out
-
-    def _fused_up_node(
-        self,
-        above: tuple[float, np.ndarray, np.ndarray] | None,
-        specs: list[LevelSpec],
-        inner_ls: list[np.ndarray | None],
-    ) -> list[Partial]:
-        """All of one node's child up-partials in one fused block sweep.
-
-        The bit-identity argument is :meth:`_fused_partial`'s — the
-        transported partial's blocked ``matmul`` issues the reference
-        einsum's per-category BLAS products, each child's product
-        multiplies siblings in child order with the transported partial
-        last, and max/divide/log are order-exact — applied per child
-        from the same resident blocks.
-        """
-        m, k = self.n_patterns, self.n_categories
-        B = self.fuse_block
-        inputs: list[tuple[str, np.ndarray, np.ndarray | None]] = []
-        for sig, t, payload in specs:
-            key = (sig, _bits(t))
-            hit = self._contrib_lru.get(key)
-            if hit is not None:
-                self._contrib_lru.move_to_end(key)
-                inputs.append(("ready", hit, None))
-            elif payload.ndim == 1:
-                inputs.append(("tip", self._tip_table_cats(t), payload))
-            else:
-                pmt = np.ascontiguousarray(self.pmatrices(t).transpose(0, 2, 1))
-                inputs.append(("edge", pmt, payload))
-        if above is not None:
-            t_up, aclv, als = above
-            apmt = np.ascontiguousarray(self.pmatrices(t_up).transpose(0, 2, 1))
-        nc = len(specs)
-        clvs = [np.empty((m, k, 4)) for _ in range(nc)]
-        logmxs = [np.empty(m) for _ in range(nc)]
-        s4 = self._buffer((B, 4), "fuse")
-        s2 = self._buffer((B, 2), "fuse")
-        mxb = self._buffer((B,), "fuse")
-        for sl, _ in self._spans():
-            for lo in range(sl.start, sl.stop, B):
-                hi = min(lo + B, sl.stop)
-                n = hi - lo
-                blks = self._input_blocks(inputs, lo, hi)
-                if above is not None:
-                    mv = self._buffer((k, B, 4), "fuse-mv")[:, :n]
-                    np.matmul(aclv[lo:hi].transpose(1, 0, 2), apmt, out=mv)
-                acc = self._buffer((k, B, 4), "fuse-acc")[:, :n]
-                mx = mxb[:n]
-                for i in range(nc):
-                    parts = [blks[j] for j in range(nc) if j != i]
-                    if above is not None:
-                        parts.append(mv)
-                    if len(parts) == 1:
-                        np.copyto(acc, parts[0])
-                    else:
-                        np.multiply(parts[0], parts[1], out=acc)
-                        for extra in parts[2:]:
-                            np.multiply(acc, extra, out=acc)
-                    np.fmax.reduce(acc, axis=0, out=s4[:n])
-                    np.fmax(s4[:n, :2], s4[:n, 2:], out=s2[:n])
-                    np.fmax(s2[:n, 0], s2[:n, 1], out=mx)
-                    np.maximum(mx, _TINY, out=mx)
-                    np.divide(
-                        acc.transpose(1, 0, 2),
-                        mx[:, None, None],
-                        out=clvs[i][lo:hi],
-                    )
-                    np.log(mx, out=logmxs[i][lo:hi])
-        out: list[Partial] = []
-        for i in range(nc):
-            lss = [
-                inner_ls[j]
-                for j in range(nc)
-                if j != i and inner_ls[j] is not None
-            ]
-            if above is not None:
-                lss.append(als)
-            if lss:
-                logscale = lss[0].copy()
-                for extra in lss[1:]:
-                    logscale += extra
-                logscale += logmxs[i]
-            else:
-                logscale = logmxs[i]
-            out.append(Partial(clvs[i], logscale))
-        return out
+    @staticmethod
+    def _sum_logscales(logscales: list[np.ndarray], logmx: np.ndarray) -> np.ndarray:
+        """``logscales`` summed in list order, then ``logmx`` — the
+        reference order; ``logmx`` must be the caller's to give away."""
+        if not logscales:
+            return logmx
+        total = logscales[0].copy()
+        for extra in logscales[1:]:
+            total += extra
+        total += logmx
+        return total
 
     def combine(
         self, contribs: list[np.ndarray], logscales: list[np.ndarray]
     ) -> Partial:
-        """Product of child contributions, rescaled into a fresh partial.
-
-        Replicates the engine's reference arithmetic bit-for-bit: the
-        product multiplies in list order (into scratch, since cached
-        contributions are read-only), the per-pattern max is exact under
-        any reduction order, and the divide/log/add steps are the same
-        ufuncs in the same order.  ``logscales`` carries the inner-child
-        (and up-pass parent) log-scalers in reference order; tip
-        children contribute exact zeros and are omitted.
-
-        Above :attr:`fuse_min_patterns` the product and rescale run
-        block-by-block (same elementwise operations, same order, so the
-        same bits) to keep the accumulator cache-resident instead of
-        streaming three full-pattern temporaries through memory.
-        """
+        """The reference product + rescale without its temporaries: the
+        product accumulates in scratch, the per-pattern max (exact under
+        any reduction order) folds by halves, and the divide/log/add
+        steps are the same ufuncs in the same order."""
         m = contribs[0].shape[0]
-        if m >= self.fuse_min_patterns and contribs[0].ndim == 3:
-            clv, mx = self._product_rescale_blocked(contribs)
-        else:
-            acc = contribs[0]
-            if len(contribs) > 1:
-                buf = self._buffer(acc.shape)
-                np.multiply(contribs[0], contribs[1], out=buf)
-                for extra in contribs[2:]:
-                    np.multiply(buf, extra, out=buf)
-                acc = buf
-            mx = self._row_max(acc.reshape(m, -1))
-            np.maximum(mx, _TINY, out=mx)
-            clv = np.empty_like(acc)
-            np.divide(acc, mx.reshape((m,) + (1,) * (acc.ndim - 1)), out=clv)
-        if logscales:
-            logscale = logscales[0].copy()
-            for extra in logscales[1:]:
-                logscale += extra
-            np.log(mx, out=mx)
-            logscale += mx
-        else:
-            logscale = np.log(mx)
-        return Partial(clv, logscale)
-
-    def _product_rescale_blocked(
-        self, contribs: list[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Blocked product + rescale over materialised contributions.
-
-        Same per-element multiply order, max, and divide as the in-core
-        path — blocking the pattern axis cannot change any bits — but
-        each block's intermediates stay in L2.  Returns ``(clv, mx)``
-        with the per-pattern divisors *not yet logged* (the caller
-        shares the logscale arithmetic between both paths).
-        """
-        m, k = contribs[0].shape[0], contribs[0].shape[1]
-        B = self.fuse_block
-        clv = np.empty_like(contribs[0])
-        mxs = np.empty(m)
-        for sl, _ in self._spans():
-            for lo in range(sl.start, sl.stop, B):
-                hi = min(lo + B, sl.stop)
-                n = hi - lo
-                acc = self._buffer((B, k, 4), "fuse-prod")[:n]
-                if len(contribs) == 1:
-                    np.copyto(acc, contribs[0][lo:hi])
-                else:
-                    np.multiply(contribs[0][lo:hi], contribs[1][lo:hi], out=acc)
-                    for extra in contribs[2:]:
-                        np.multiply(acc, extra[lo:hi], out=acc)
-                flat = acc.reshape(n, -1)
-                w = flat.shape[1]
-                cur = flat
-                while w > 1 and w % 2 == 0:
-                    half = w // 2
-                    buf = self._buffer((B, half), "fuse-fold")[:n]
-                    np.fmax(cur[:, :half], cur[:, half:w], out=buf)
-                    cur, w = buf, half
-                mx = mxs[lo:hi]
-                if w > 1:
-                    np.fmax.reduce(cur[:, :w], axis=1, out=mx)
-                else:
-                    mx[:] = cur[:, 0]
-                np.maximum(mx, _TINY, out=mx)
-                np.divide(acc, mx[:, None, None], out=clv[lo:hi])
-        return clv, mxs
+        acc = self._product(contribs, self._buffer(contribs[0].shape))
+        mx = self._row_max(acc.reshape(m, -1))
+        np.maximum(mx, _TINY, out=mx)
+        clv = np.empty_like(acc)
+        np.divide(acc, mx.reshape((m,) + (1,) * (acc.ndim - 1)), out=clv)
+        return Partial(clv, self._sum_logscales(logscales, np.log(mx)))
 
     def _row_max(self, flat: np.ndarray) -> np.ndarray:
         """Per-row max of a 2-D view by halving folds (exact, and ~40%
@@ -662,34 +444,13 @@ class BatchedKernel(KernelBackend):
 
     # -- lazy-SPR insertion ---------------------------------------------------
 
-    def insertion_site(
-        self,
-        dclv: np.ndarray,
-        uclv: np.ndarray,
-        sclv: np.ndarray,
-        pmats_half: np.ndarray,
-        pmats_sub: np.ndarray,
-    ) -> np.ndarray:
-        """Reference insertion scoring with one memo: the pruned subtree's
-        transport ``P(t_sub)·sclv`` is identical for every candidate edge
-        of one SPR step, so it is computed once per ``(sclv, pmats_sub)``
-        pair and reused while the engine scans candidates.  Charges are
-        unchanged (two CLV updates plus one edge evaluation per call)."""
-        c3 = self._insertion_transport(sclv, pmats_sub)
-        out = np.empty(self.n_patterns)
-        for sl, p2c in self._spans():
-            c1 = self._propagate_span(pmats_half, dclv[sl], p2c)
-            c2 = self._propagate_span(pmats_half, uclv[sl], p2c)
-            np.multiply(c1, c2, out=c1)
-            np.multiply(c1, c3[sl], out=c1)
-            out[sl] = self._root_site_span(c1)
-        self.ops.charge_clv(self.n_patterns, self.n_categories, n=2)
-        self.ops.charge_edge(self.n_patterns, self.n_categories)
-        return out
-
     def _insertion_transport(
         self, sclv: np.ndarray, pmats_sub: np.ndarray
     ) -> np.ndarray:
+        """One memo on the reference transport: ``P(t_sub)·sclv`` is
+        identical for every candidate edge of one SPR step, so it is
+        computed once per ``(sclv, pmats_sub)`` pair and reused while the
+        engine scans candidates."""
         # Identity is judged by data pointer + shape; the memo holds
         # strong references to both operands, so neither address can be
         # recycled by a different array while the memo is alive (the
@@ -703,9 +464,7 @@ class BatchedKernel(KernelBackend):
         memo = self._ins_memo
         if memo is not None and memo[0] == key:
             return memo[2]
-        c3 = self._clv_out()
-        for sl, p2c in self._spans():
-            c3[sl] = self._propagate_span(pmats_sub, sclv[sl], p2c)
+        c3 = super()._insertion_transport(sclv, pmats_sub)
         self._ins_memo = (key, (sclv, pmats_sub), c3)
         return c3
 
@@ -747,25 +506,3 @@ class BatchedKernel(KernelBackend):
         self.ops.charge_sumtable(m, self.n_categories)
         self.ops.charge_deriv(m, self.n_categories)
         return coef, exps, site, d1, d2
-
-    def _derivatives_span(
-        self, coef: np.ndarray, e: np.ndarray, exps: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reference derivative math with the shared ``term·exps`` factor
-        squared in place: ``(term·exps)·exps`` is the same left-to-right
-        product the reference evaluates, minus two temporaries."""
-        if self.is_cat:
-            term = coef * e
-            site = term.sum(axis=1)
-            np.multiply(term, exps, out=term)
-            d1 = term.sum(axis=1)
-            np.multiply(term, exps, out=term)
-            d2 = term.sum(axis=1)
-        else:
-            term = coef * e[None, :, :]
-            site = term.sum(axis=(1, 2))
-            np.multiply(term, exps[None], out=term)
-            d1 = term.sum(axis=(1, 2))
-            np.multiply(term, exps[None], out=term)
-            d2 = term.sum(axis=(1, 2))
-        return site, d1, d2

@@ -1,8 +1,9 @@
 """The reference NumPy kernel backend.
 
 This is the baseline the batched backend (and any future compiled
-backend) must match bit-for-bit: each shard is processed whole with the
-einsum formulations inherited from the original monolithic engine.
+backend) must match bit-for-bit: the :class:`KernelBackend` protocol
+defaults, unmodified — each shard processed whole, one ``propagate``
+einsum per child edge, the naive product and rescale.
 """
 
 from __future__ import annotations
@@ -11,6 +12,6 @@ from repro.likelihood.kernels.base import KernelBackend
 
 
 class ReferenceKernel(KernelBackend):
-    """One span per shard; the inherited span primitives verbatim."""
+    """One span per shard; the inherited defaults and span primitives verbatim."""
 
     name = "reference"

@@ -30,9 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
-
-from repro.likelihood.kernels.base import Partial
+from repro.likelihood.kernels.base import Partial, length_bits
 from repro.tree.topology import Node, Tree
 
 _MASK = (1 << 64) - 1
@@ -50,12 +48,6 @@ def _splitmix64(x: int) -> int:
 
 def _mix(h: int, v: int) -> int:
     return _splitmix64(h ^ _splitmix64(v & _MASK))
-
-
-def _length_bits(t: float) -> int:
-    """Branch lengths enter the hash by their exact float64 bit pattern —
-    two lengths that differ in the last ulp produce different CLVs."""
-    return int(np.float64(t).view(np.uint64))
 
 
 def subtree_postorder(node: Node) -> Iterator[Node]:
@@ -87,7 +79,7 @@ def subtree_signatures(nodes: Iterator[Node]) -> dict[int, int]:
             s = _INNER_TAG
             for ch in node.children:
                 s = _mix(s, sigs[id(ch)])
-                s = _mix(s, _length_bits(ch.length))
+                s = _mix(s, length_bits(ch.length))
             sigs[id(node)] = s
     return sigs
 

@@ -9,10 +9,7 @@ the final best solution (Section 2.1).  This package provides:
   barrier/gather/allgather/allreduce) backed by in-process mailboxes, with
   a per-rank :class:`~repro.util.timing.VirtualClock` that collectives
   synchronise exactly as real barriers synchronise wall clocks;
-* :func:`run_spmd` — launch one SPMD function across ``p`` rank threads;
-* :mod:`repro.mpi.mp_backend` — a *real* ``multiprocessing`` backend for
-  the embarrassingly-parallel rank work (functional demonstration; the
-  virtual-clock runtime is what the benchmarks time).
+* :func:`run_spmd` — launch one SPMD function across ``p`` rank threads.
 """
 
 from repro.mpi.comm import (
@@ -35,7 +32,6 @@ from repro.mpi.faults import (
 )
 from repro.mpi.launcher import run_spmd
 from repro.mpi.membership import MembershipLedger, MembershipView
-from repro.mpi.mp_backend import run_coarse_multiprocessing
 from repro.mpi.policy import RetryPolicy, TimeoutPolicy
 from repro.util.rng import rank_seed
 
@@ -59,6 +55,5 @@ __all__ = [
     "RetryPolicy",
     "TimeoutPolicy",
     "run_spmd",
-    "run_coarse_multiprocessing",
     "rank_seed",
 ]

@@ -87,7 +87,7 @@ def try_spr(
     # Subtree partial (valid after pruning: the subtree is untouched, so
     # only the nodes under the prune point need computing).
     down_sub = engine.compute_down_partials(work, subtree=target)
-    d_s = engine.partial_for(down_sub, target)
+    d_s = down_sub[id(target)]
     t_sub = target.length
 
     parent = target.parent
@@ -114,8 +114,8 @@ def try_spr(
     best_score = -float("inf")
     for v in candidates:
         score = engine.insertion_loglikelihood(
-            engine.partial_for(down, v),
-            engine.partial_for(up, v),
+            down[id(v)],
+            up[id(v)],
             d_s,
             v.length,
             t_sub,

@@ -105,7 +105,7 @@ class TestBatchedParity:
         down = engine.compute_down_partials(tree)
         up = engine.compute_up_partials(tree, down)
         edge = tree.internal_edges()[0]
-        d, u = engine.partial_for(down, edge), engine.partial_for(up, edge)
+        d, u = down[id(edge)], up[id(edge)]
         coef, exps, logscale = engine.edge_coefficients(d, u)
         out.extend(engine.edge_lnl_and_derivatives(coef, exps, logscale, 0.17))
         coef2, exps2, ls2, first = engine.edge_coefficients_and_derivatives(
@@ -162,6 +162,31 @@ class TestBatchedParity:
         )
         self._assert_equal_traces(ref_cached, bat_cached)
 
+    @pytest.mark.parametrize("max_entries", [5, 8])
+    def test_op_totals_kernel_independent_under_eviction(self, max_entries):
+        """One executor means one LRU put/get order: with a cache small
+        enough to evict, CLV-cache traffic — and so op totals and virtual
+        time — must not depend on the backend."""
+        pal, _ = _make_dataset(n_taxa=10, n_sites=200, seed=7)
+        tree = yule_tree(pal.taxa, RAxMLRandom(31))
+        seen = []
+        for kernel in ("reference", "batched"):
+            engine = LikelihoodEngine(
+                pal, _MODEL, kernel=kernel,
+                clv_cache=CLVCache(max_entries=max_entries),
+            )
+            work = tree.copy()
+            lnl = optimize_branch_lengths(engine, work, passes=2)
+            _, spr_lnl, _ = spr_round(
+                tree=work, engine=engine,
+                params=SPRParams(radius=3, min_improvement=0.01),
+            )
+            assert engine.clv_cache.evictions > 0
+            seen.append(
+                (lnl, spr_lnl, engine.ops.snapshot(), engine.clv_cache.stats())
+            )
+        assert seen[0] == seen[1]
+
     @pytest.mark.parametrize("rm_name", ["gamma", "gamma+I"])
     def test_fused_block_regime_bit_identical(self, rm_name, monkeypatch):
         """Force the fused block pipeline onto the small alignment (odd
@@ -214,7 +239,6 @@ class TestBatchedParity:
     def test_registry_lists_batched(self):
         assert set(available_kernels()) >= {"reference", "batched"}
         assert get_kernel("batched") is BatchedKernel
-        assert BatchedKernel.uses_clv_cache  # --clv-cache stays valid
 
 
 class TestCLVCacheHardening:

@@ -1,7 +1,12 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, load_alignment, main
 from repro.datasets import test_dataset as make_test_dataset
 from repro.seq.io_phylip import write_phylip
@@ -31,6 +36,22 @@ class TestParser:
     def test_bad_algorithm_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["-f", "z"])
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        """``scipy.stats`` is about half of the CLI's interpreter start;
+        nothing on the import path needs it."""
+        src = Path(repro.__file__).resolve().parents[1]
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import repro.cli; "
+            "sys.exit('scipy.stats' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestLoadAlignment:
@@ -175,19 +196,6 @@ class TestValidateArgs:
 
         with pytest.raises(SystemExit, match="-t"):
             validate_args(self._args(["-f", "e"]))
-
-    def test_clv_cache_kernel_capability(self, monkeypatch):
-        from repro.cli import validate_args
-        from repro.likelihood.kernels import get_kernel
-
-        # Every bundled kernel honours the engine-level cache today; the
-        # sweep guards future backends that bypass it.
-        validate_args(self._args(["--clv-cache"]))
-        monkeypatch.setattr(
-            get_kernel("reference"), "uses_clv_cache", False
-        )
-        with pytest.raises(SystemExit, match="clv-cache"):
-            validate_args(self._args(["--clv-cache"]))
 
     def test_bootstopping_needs_static_schedule(self):
         from repro.cli import validate_args

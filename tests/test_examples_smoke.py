@@ -1,7 +1,7 @@
 """Smoke tests: the model-based examples must run end to end.
 
 The search-heavy examples (quickstart, comprehensive_analysis,
-bootstopping_study, analysis_types, multiprocessing_backend) take minutes
+bootstopping_study, analysis_types) take minutes
 and are exercised by the integration tests at smaller scale; here we run
 the fast, model-based ones as real subprocesses.
 """

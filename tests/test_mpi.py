@@ -4,7 +4,6 @@ import pytest
 
 from repro.mpi.comm import CommTiming, SPMDError
 from repro.mpi.launcher import run_spmd
-from repro.mpi.mp_backend import run_coarse_multiprocessing
 from repro.util.timing import VirtualClock
 
 
@@ -220,19 +219,3 @@ class TestLauncher:
             run_spmd(lambda c: None, 0)
         with pytest.raises(ValueError):
             run_spmd(lambda c: None, 2, clocks=[VirtualClock()])
-
-
-def _square(rank: int, size: int) -> int:
-    return rank * rank
-
-
-class TestMultiprocessingBackend:
-    def test_results_in_rank_order(self):
-        assert run_coarse_multiprocessing(_square, 4) == [0, 1, 4, 9]
-
-    def test_single_rank_inline(self):
-        assert run_coarse_multiprocessing(_square, 1) == [0]
-
-    def test_bad_ranks(self):
-        with pytest.raises(ValueError):
-            run_coarse_multiprocessing(_square, 0)

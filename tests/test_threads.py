@@ -242,9 +242,9 @@ class TestThreadedEngineEquivalence:
         td = threaded.compute_down_partials(tree)
         tu = threaded.compute_up_partials(tree, td)
         got = threaded.insertion_loglikelihood(
-            threaded.partial_for(td, other),
-            threaded.partial_for(tu, other),
-            threaded.partial_for(td, leaf),
+            td[id(other)],
+            tu[id(other)],
+            td[id(leaf)],
             other.length,
             leaf.length,
         )

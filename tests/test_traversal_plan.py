@@ -220,6 +220,21 @@ class TestCLVCache:
         assert remodelled.clv_cache is not None
         assert remodelled.clv_cache is not engine.clv_cache
 
+    @pytest.mark.parametrize("max_entries", [0, 5])
+    def test_fresh_cache_keeps_capacity(self, max_entries):
+        """A caller's budget (0 = disabled) must survive the engine swap
+        ``optimize_model`` performs, or op totals drift after it."""
+        engine = LikelihoodEngine(
+            _PAL, _MODEL, clv_cache=CLVCache(max_entries=max_entries)
+        )
+        for derived in (
+            engine.with_model(GTRModel.default()),
+            engine.with_rate_model(RateModel.gamma(0.5, 4)),
+        ):
+            assert derived.clv_cache is not engine.clv_cache
+            assert len(derived.clv_cache) == 0
+            assert derived.clv_cache.max_entries == max_entries
+
     def test_stats_shape(self):
         cache = CLVCache()
         assert cache.stats() == {
@@ -280,14 +295,14 @@ class TestOpCountParity:
         down = engine.compute_down_partials(tree)
         up = engine.compute_up_partials(tree, down)
         edge = tree.internal_edges()[0]
-        d, u = engine.partial_for(down, edge), engine.partial_for(up, edge)
+        d, u = down[id(edge)], up[id(edge)]
         engine.edge_loglikelihood(edge, edge.length, d, u)
         coef, exps, logscale = engine.edge_coefficients(d, u)
         engine.edge_lnl_and_derivatives(coef, exps, logscale, 0.17)
         leaf_edge = [n for n in tree.postorder() if n.parent is not None][0]
         sub = engine.compute_down_partials(tree, subtree=leaf_edge)
         engine.insertion_loglikelihood(
-            d, u, engine.partial_for(sub, leaf_edge), edge.length, 0.1
+            d, u, sub[id(leaf_edge)], edge.length, 0.1
         )
         return engine.ops.snapshot()
 
