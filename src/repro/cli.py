@@ -151,9 +151,17 @@ def validate_args(args) -> None:
         # Only the comprehensive analysis consumes these; anything else
         # would run fine but silently drop the request.
         mode = "-b" if args.seed_b is not None else f"-f {args.algorithm}"
-        ignored = [
-            flag
-            for flag, on in (
+
+        def reject(flags, consumers: str) -> None:
+            ignored = [flag for flag, on in flags if on]
+            if ignored:
+                raise SystemExit(
+                    f"{', '.join(ignored)}: only {consumers} this; "
+                    f"{mode} would silently ignore it"
+                )
+
+        reject(
+            (
                 ("--bootstopping", args.bootstopping),
                 ("--checkpoint-dir", args.checkpoint_dir is not None),
                 ("--resume", args.resume),
@@ -163,13 +171,17 @@ def validate_args(args) -> None:
                 ("--schedule", args.schedule != "static"),
                 ("--ranks-per-node", args.ranks_per_node is not None),
                 ("--comm-channels", args.comm_channels is not None),
-            )
-            if on
-        ]
-        if ignored:
-            raise SystemExit(
-                f"{', '.join(ignored)}: only the comprehensive analysis "
-                f"(-f a) supports this; {mode} would silently ignore it"
+            ),
+            "the comprehensive analysis (-f a) supports",
+        )
+        if args.algorithm != "e":
+            reject(
+                (
+                    ("--kernel", args.kernel != "reference"),
+                    ("--clv-cache", args.clv_cache),
+                ),
+                "the comprehensive analysis (-f a) and tree evaluation "
+                "(-f e) support",
             )
 
 

@@ -25,12 +25,9 @@ import os
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
+from repro.search.comprehensive import STAGE_ORDER
 from repro.search.hillclimb import SearchResult
 from repro.tree.newick import parse_newick, write_newick
-
-#: Checkpointable stages, in pipeline order.  A rank's usable checkpoints
-#: are the contiguous prefix of this sequence present on disk.
-STAGE_ORDER = ("setup", "bootstrap", "fast", "slow", "thorough")
 
 FORMAT_VERSION = 1
 

@@ -115,15 +115,6 @@ DEAD_RANK = _DeadRankSentinel()
 RUNNING, EXITED, FAILED, DEAD = "running", "exited", "failed", "dead"
 DORMANT = "dormant"
 
-#: First backoff (virtual seconds) before retrying a failed collective;
-#: doubles on every subsequent attempt.  Kept as the historical default
-#: of :class:`repro.mpi.policy.RetryPolicy`.
-RETRY_BACKOFF = 1e-3
-
-#: Maximum retries of one transiently-failing collective call (default
-#: of :class:`repro.mpi.policy.RetryPolicy`).
-MAX_RETRIES = 8
-
 
 @dataclass(frozen=True)
 class CommTiming:
@@ -211,24 +202,11 @@ class _World:
         self,
         size: int,
         timing: CommTiming,
-        timeout: float | None = None,
+        retry_policy: RetryPolicy,
+        timeout_policy: TimeoutPolicy,
         fault_plan: FaultPlan | None = None,
-        max_retries: int | None = None,
-        retry_policy: RetryPolicy | None = None,
-        timeout_policy: TimeoutPolicy | None = None,
         dormant: tuple[int, ...] = (),
     ) -> None:
-        # Policy resolution: explicit policy objects win; the legacy
-        # ``timeout`` / ``max_retries`` floats are folded into policies
-        # so every consumer reads one place.
-        if retry_policy is None:
-            retry_policy = RetryPolicy(
-                max_retries=MAX_RETRIES if max_retries is None else max_retries
-            )
-        if timeout_policy is None:
-            timeout_policy = TimeoutPolicy.from_timeout(
-                600.0 if timeout is None else timeout
-            )
         self.size = size
         self.timing = timing
         self.retry_policy = retry_policy

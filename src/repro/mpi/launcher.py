@@ -107,6 +107,8 @@ def run_spmd(
     if n_ranks < 1:
         raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
     timing = comm_timing if comm_timing is not None else CommTiming()
+    if retry_policy is None:
+        retry_policy = RetryPolicy()
     if timeout_policy is None:
         timeout_policy = TimeoutPolicy.from_timeout(timeout)
     joiners = _joiner_ranks(n_ranks, fault_plan)
@@ -114,9 +116,8 @@ def run_spmd(
     if clocks is not None and len(clocks) not in (n_ranks, total):
         raise ValueError("clocks must have one entry per rank")
     world = _World(
-        total, timing, fault_plan=fault_plan,
-        retry_policy=retry_policy, timeout_policy=timeout_policy,
-        dormant=joiners,
+        total, timing, retry_policy, timeout_policy,
+        fault_plan=fault_plan, dormant=joiners,
     )
     results: list = [None] * total
     errors: list = [None] * total

@@ -1,12 +1,11 @@
 """Unified retry/timeout/backoff policy for the communication layer.
 
-Before this module every resilience knob lived as a loose constant:
-``MAX_RETRIES`` and ``RETRY_BACKOFF`` in :mod:`repro.mpi.comm`, the
-``timeout=`` keyword of :func:`repro.mpi.launcher.run_spmd`, the
-``spmd_timeout`` field of :class:`repro.hybrid.driver.HybridConfig`,
-and the steal-board deadline in the work-steal backend.  The two frozen
-dataclasses here consolidate them so each middleware/layer is handed
-one policy object instead of threading individual floats around.
+The two frozen dataclasses here hold every resilience knob — the retry
+budget and backoff of a failing collective, the ``timeout=`` keyword of
+:func:`repro.mpi.launcher.run_spmd`, the ``spmd_timeout`` field of
+:class:`repro.hybrid.driver.HybridConfig`, the steal-board deadline in
+the work-steal backend — so each layer is handed one policy object
+instead of threading individual floats around.
 
 Both policies are *deterministic*: backoff is charged to the virtual
 clock (never slept), and timeouts are expressed in the same simulated
@@ -19,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Historical defaults, re-exported for callers that predate the policy
-#: objects (``comm.MAX_RETRIES`` / ``comm.RETRY_BACKOFF`` alias these).
+#: The :class:`RetryPolicy` defaults.
 DEFAULT_MAX_RETRIES = 8
 DEFAULT_BACKOFF = 1e-3
 

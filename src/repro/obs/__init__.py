@@ -10,8 +10,8 @@ The instrumentation contract: call sites fetch the thread-local active
 recorder with :func:`current`; ``None`` means tracing is off and the
 call site must do nothing else.  The runtime layer installs one
 recorder per rank (:func:`repro.runtime.backends.run_rank`; see
-``docs/ARCHITECTURE.md`` §8) and its :class:`~repro.runtime.middleware.ObsMiddleware`
-emits the stage-boundary spans.
+``docs/ARCHITECTURE.md`` §8) and records the stage-boundary spans
+(:meth:`repro.runtime.context.RankContext.end_stage`).
 """
 
 from repro.obs.metrics import Histogram, MetricsRegistry, aggregate

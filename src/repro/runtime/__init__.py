@@ -1,6 +1,6 @@
 """The composable runtime layer behind the hybrid driver.
 
-Three layers (see ``docs/ARCHITECTURE.md`` §11):
+Three modules (see ``docs/ARCHITECTURE.md`` §11):
 
 * :mod:`repro.runtime.pipeline` — the *one* declarative definition of
   the comprehensive analysis as :class:`Stage` objects in a
@@ -8,24 +8,19 @@ Three layers (see ``docs/ARCHITECTURE.md`` §11):
 * :mod:`repro.runtime.backends` — pluggable :class:`ExecutionBackend`
   implementations (static Table 2 partition, work stealing) selected by
   ``HybridConfig.schedule``;
-* :mod:`repro.runtime.middleware` — checkpoint/resume, fault injection,
-  recovery and obs instrumentation as ordered :class:`RunMiddleware`
-  hooks around stage and task boundaries.
+* :mod:`repro.runtime.middleware` — the stage boundary's collaborators,
+  called directly by the backends: per-stage checkpoint save/restore
+  (:class:`CheckpointMiddleware`) and dead-rank adoption
+  (:class:`RecoveryMiddleware`).
 
 The :class:`~repro.runtime.context.RankContext` ties them together: one
-logical rank's seed streams, virtual thread pool and accounting, shared
-by live execution and dead-rank replay.
+logical rank's seed streams, virtual thread pool, accounting, fault plan
+and checkpointer, shared by live execution and dead-rank replay.
 """
 
 from repro.runtime.context import RankContext
 from repro.runtime.pipeline import Stage, StagePipeline, comprehensive_pipeline
-from repro.runtime.middleware import (
-    CheckpointMiddleware,
-    FaultMiddleware,
-    ObsMiddleware,
-    RecoveryMiddleware,
-    RunMiddleware,
-)
+from repro.runtime.middleware import CheckpointMiddleware, RecoveryMiddleware
 from repro.runtime.backends import (
     BACKENDS,
     ExecutionBackend,
@@ -42,9 +37,6 @@ __all__ = [
     "Stage",
     "StagePipeline",
     "comprehensive_pipeline",
-    "RunMiddleware",
-    "FaultMiddleware",
-    "ObsMiddleware",
     "CheckpointMiddleware",
     "RecoveryMiddleware",
     "ExecutionBackend",

@@ -13,11 +13,12 @@ origin identity) guarantees bit-identical results.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from typing import Protocol
 
 from repro.mpi.comm import CommTiming, DistributedStateError, RankFailure
-from repro.obs.recorder import Recorder, recording
+from repro.obs.recorder import Recorder, current as _obs_current, recording
 from repro.search.schedule import make_schedule
 from repro.tree.newick import write_newick
 from repro.hybrid.checkpoint import CheckpointError, config_fingerprint
@@ -29,8 +30,6 @@ from repro.sched.tasks import build_dag, execute_task, task_id
 from repro.runtime.context import RankContext
 from repro.runtime.middleware import (
     CheckpointMiddleware,
-    FaultMiddleware,
-    ObsMiddleware,
     RecoveryMiddleware,
     export_rank_observability,
     open_store,
@@ -77,7 +76,7 @@ def run_rank(comm, pal, config, board=None) -> dict:
 
     One :class:`~repro.obs.recorder.Recorder` per rank, on the rank's own
     virtual clock, installed thread-locally so every instrumented layer
-    (pool, engine, search, collectives, middleware) finds it via
+    (pool, engine, search, collectives, stage boundaries) finds it via
     ``obs.current()``.  With both collect flags off no recorder exists
     and instrumentation reduces to a thread-local read per call site.
     """
@@ -205,12 +204,7 @@ class StaticBackend:
         )
         ctx = RankContext(
             pal, config, rank, comm.clock, comm=comm,
-            middlewares=(
-                FaultMiddleware(config.fault_plan),
-                ObsMiddleware(),
-                CheckpointMiddleware(ckpt, resume_through),
-                recovery,
-            ),
+            checkpointer=CheckpointMiddleware(ckpt, resume_through),
         )
         adopted = ctx.state["adopted"] = recovery.adopted
         ctx.recover = lambda upto: recovery.recover(ctx, upto)
@@ -267,22 +261,21 @@ class StaticBackend:
                 # boundary that activated it (the activation record
                 # already carries that death set).
                 recover()
-        ctx.emit("on_stage_start", name)
-        ckpt = ctx.middleware(CheckpointMiddleware)
+        ctx.kill_at_stage(name)
         # A restored stage's post-stage barrier already happened in the
         # checkpointed timeline (its cost is inside the restored clock);
         # every rank resumes past it symmetrically, so it is skipped, not
         # replayed.  A replay never communicates.
-        resumed = stage.checkpointed and ckpt.resumed(name)
+        resumed = stage.is_task and ctx.checkpointer.resumed(name)
         barrier = stage.barrier_after and comm is not None and not resumed
-        if comm is not None and comm.is_joiner and stage.task_kind is not None:
+        if comm is not None and comm.is_joiner and stage.is_task:
             # No Table 2 share: nothing to run, account or fuse — the
             # joiner only keeps the live ranks' barrier.
             if barrier:
                 _until_agreed(comm.barrier, recover)
             return
         if resumed:
-            stage.load(ctx, ckpt.load_stage(ctx, name))
+            stage.load(ctx, ctx.checkpointer.load_stage(ctx, name))
         else:
             ctx.begin_stage()
             stage.run(ctx)
@@ -291,9 +284,7 @@ class StaticBackend:
                 # Section 2.1) — retried after recovery so survivors leave
                 # it in lockstep.
                 _until_agreed(comm.barrier, recover)
-            saving = stage.payload is not None and ckpt.will_save(ctx)
-            payload = stage.payload(ctx) if saving else None
-            ctx.end_stage(name, payload=payload, save=stage.checkpointed)
+            ctx.end_stage(name, payload=stage.payload, save=stage.is_task)
         if stage.fuse is not None:
             stage.fuse(ctx)
 
@@ -318,7 +309,7 @@ class StaticBackend:
         resume_through = len(ckpt.available_stages()) - 1 if ckpt is not None else -1
         ctx = RankContext(
             pal, config, dead_rank, comm.clock, comm=None,
-            middlewares=(ObsMiddleware(), CheckpointMiddleware(ckpt, resume_through)),
+            checkpointer=CheckpointMiddleware(ckpt, resume_through),
             save_checkpoints=False,
         )
         for stage in comprehensive_pipeline().task_stages:
@@ -381,10 +372,8 @@ class WorkStealBackend:
         sched = make_schedule(cfg.n_bootstraps, n_procs)
         dag = build_dag(sched, cfg, n_procs)
 
-        ctx = RankContext(
-            pal, config, rank, comm.clock, comm=comm,
-            middlewares=(FaultMiddleware(config.fault_plan), ObsMiddleware()),
-        )
+        ctx = RankContext(pal, config, rank, comm.clock, comm=comm)
+        started_bootstraps = itertools.count()
 
         journal = None
         restored: dict = {}
@@ -420,7 +409,7 @@ class WorkStealBackend:
         status_of = comm._world.status_of
         outcomes: dict[str, object] = {}
         for stage in _stages_from_entry(comm, config):
-            if stage.task_kind is None:
+            if not stage.is_task:
                 continue  # the final selection, below
             ctx.current_stage = stage.name
             # Membership epoch boundary: joiners declared here enter
@@ -436,7 +425,7 @@ class WorkStealBackend:
                 # Joiners run it too — their own epoch exchange happened
                 # at activation, before this point.
                 _until_agreed(comm.barrier)
-            ctx.emit("on_stage_start", stage.name)
+            ctx.kill_at_stage(stage.name)
             members = tuple(comm.alive_ranks())
             tasks = dag[stage.name]
             if quorum_lost(ctx, len(members)):
@@ -472,7 +461,10 @@ class WorkStealBackend:
             ctx.begin_stage()
 
             def on_start(task, action):
-                ctx.emit("on_task_start", task, action)
+                if task.kind == "bootstrap":
+                    # Same fault-injection point as the static stage loop:
+                    # the b-th replicate *this rank* starts (mid-queue kill).
+                    ctx.kill_at_replicate(next(started_bootstraps))
                 if action.kind == "steal" and ctx.channels is not None:
                     # The steal's cost was charged by the board's commit
                     # rule; the dedicated steal channel records the
@@ -520,7 +512,7 @@ class WorkStealBackend:
         ctx.current_stage = "finalize"
         _until_agreed(lambda: comm.advance_epoch("finalize"))
         ctx.begin_stage()
-        ctx.emit("on_stage_start", "finalize")
+        ctx.kill_at_stage("finalize")
         finals = {
             o: board.result(task_id("thorough", o, 0))
             for o in range(n_procs)
@@ -571,7 +563,15 @@ class WorkStealBackend:
             s: outcomes[s].finish_time - outcomes[s].last_busy_time
             for s in outcomes
         }
-        ctx.emit("on_sched_summary", idle_tail=idle_tail, stats=my_stats)
+        rec = _obs_current()
+        if rec is not None:
+            for s, tail in idle_tail.items():
+                rec.gauge(f"sched.idle_tail.{s}", tail)
+            for s, st in my_stats.items():
+                rec.gauge(f"sched.queue_depth.{s}", st.get("max_queue_depth", 0))
+            for counter in ("steal_attempts", "steal_grants"):
+                total = sum(st.get(counter, 0) for st in my_stats.values())
+                rec.gauge(f"sched.{counter}", total)
 
         return _rank_report(
             ctx,

@@ -9,16 +9,18 @@ for a *live* rank body (collectives, bootstopping); a recovery replay of
 a dead rank runs the same stages on a context with ``comm=None``, which
 is exactly what makes the pipeline reusable for replay.
 
-Cross-cutting concerns (checkpointing, fault injection, observability,
-recovery) are not implemented here: the context only *dispatches* to its
-ordered :class:`~repro.runtime.middleware.RunMiddleware` chain at stage
-and task boundaries.
+A live rank body's context also carries the stage boundary's
+collaborators as plain attributes — the fault plan, the stage
+checkpointer, ``recover`` — and calls them directly; a replay context
+has no fault plan (kills are not re-armed for an adopter) and never
+recovers.
 """
 
 from __future__ import annotations
 
 from repro.likelihood.engine import LikelihoodEngine, OpCounter
 from repro.mpi.vci import ChannelSet
+from repro.obs.recorder import current as _obs_current
 from repro.perfmodel.finegrain import MachineRegionTiming
 from repro.perfmodel.machines import machine_by_name
 from repro.threads.pool import VirtualThreadPool
@@ -43,7 +45,7 @@ class RankContext:
         clock: VirtualClock,
         *,
         comm=None,
-        middlewares=(),
+        checkpointer=None,
         save_checkpoints: bool = True,
     ) -> None:
         self.pal = pal
@@ -59,7 +61,7 @@ class RankContext:
         #: ``--comm-channels``: lane posts are intra-node hops priced by
         #: the machine's shared-memory constants.  ``None`` charges no
         #: post cost at all (the historical, parity-pinned behaviour).
-        n_channels = getattr(config, "comm_channels", None)
+        n_channels = config.comm_channels
         self.channels = (
             ChannelSet(
                 n_channels,
@@ -79,7 +81,15 @@ class RankContext:
         self.ops = OpCounter()
         self.stage_seconds: dict[str, float] = {}
         self.stage_ops: dict[str, int] = {}
-        self.middlewares = tuple(middlewares)
+        #: Deterministic fault injection (:mod:`repro.mpi.faults`), armed
+        #: at stage entry and at bootstrap-replicate starts of live rank
+        #: bodies only: a replay runs on the adopter, a different node —
+        #: the fault already happened.
+        self.fault_plan = config.fault_plan if comm is not None else None
+        #: Per-stage checkpoint save/restore
+        #: (:class:`~repro.runtime.middleware.CheckpointMiddleware`; the
+        #: work-steal backend journals per task instead and has none).
+        self.checkpointer = checkpointer
         self.save_checkpoints = save_checkpoints
         #: Inter-stage artefacts (model, rate models, per-stage results);
         #: stage run/load/fuse hooks communicate exclusively through this.
@@ -107,23 +117,17 @@ class RankContext:
             pool=self.pool,
         )
 
-    # -- middleware dispatch -------------------------------------------------
+    # -- fault injection -----------------------------------------------------
 
-    def emit(self, hook: str, *args, **kwargs) -> None:
-        """Invoke ``hook`` on every middleware, in registration order."""
-        for mw in self.middlewares:
-            getattr(mw, hook)(self, *args, **kwargs)
+    def kill_at_stage(self, stage: str) -> None:
+        if self.fault_plan is not None:
+            self.fault_plan.kill_at_stage(self.rank, stage)
 
-    def middleware(self, cls):
-        """The first registered middleware of type ``cls``, or None."""
-        for mw in self.middlewares:
-            if isinstance(mw, cls):
-                return mw
-        return None
-
-    def fire_replicate(self, b: int) -> None:
-        """Replicate-boundary hook (fault injection's mid-stage kills)."""
-        self.emit("on_replicate", b)
+    def kill_at_replicate(self, b: int) -> None:
+        """The rank is about to start its b-th bootstrap replicate (the
+        mid-stage kill point)."""
+        if self.fault_plan is not None:
+            self.fault_plan.kill_at_replicate(self.rank, b)
 
     # -- stage accounting ----------------------------------------------------
 
@@ -132,18 +136,25 @@ class RankContext:
         self._o0 = self.ops.pattern_ops
         self._r0 = self.recovery_seconds
 
-    def end_stage(self, stage: str, payload: dict | None = None,
-                  save: bool = True) -> None:
+    def end_stage(self, stage: str, payload=None, save: bool = True) -> None:
         """Close the stage window: account seconds/ops (recovery time is
-        charged elsewhere), then hand the boundary to the middleware
-        chain (obs span first, checkpoint save second — chain order)."""
+        charged elsewhere), record the stage span, then write the stage
+        checkpoint (``payload(ctx)`` is the stage's part of the document)
+        — in that order."""
         recovered = self.recovery_seconds - self._r0
         self.stage_seconds[stage] = (self.clock.now - self._t0) - recovered
         self.stage_ops[stage] = self.ops.pattern_ops - self._o0
-        self.emit(
-            "on_stage_end", stage,
-            t0=self._t0, recovered=recovered, payload=payload, save=save,
-        )
+        rec = _obs_current()
+        if rec is not None:
+            # The span covers the wall window (incl. recovery time charged
+            # elsewhere); args carry the stage-only accounting.
+            rec.span(stage, "stage", self._t0, args={
+                "stage_seconds": self.stage_seconds[stage],
+                "pattern_ops": self.stage_ops[stage],
+                "recovery_seconds": recovered,
+            })
+        if save and self.checkpointer is not None:
+            self.checkpointer.save_stage(self, stage, payload)
 
     def add_recovery(self, dt: float) -> None:
         self.recovery_seconds += dt

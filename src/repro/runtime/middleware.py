@@ -1,14 +1,11 @@
-"""Cross-cutting concerns as ordered middleware around stage boundaries.
+"""The stage boundary's collaborators: checkpoint/resume and rank-death
+recovery, plus the rank report's observability export.
 
-Checkpoint/resume, fault injection, rank-death recovery, and obs
-instrumentation used to be interleaved by hand into both driver bodies;
-here each is one :class:`RunMiddleware` with no-op defaults, attached to
-a :class:`~repro.runtime.context.RankContext` in a fixed order.  Hook
-order *is* behaviour: the chain ``(fault, obs, checkpoint, recovery)``
-reproduces the historical boundary sequence exactly — the stage span is
-recorded before the checkpoint file is written, the resumed-stage span
-after the clock restore, the recovery span after the replay time is
-charged.
+A :class:`~repro.runtime.context.RankContext` holds them as plain
+attributes and the backends call them directly.  Call order *is*
+behaviour (the trace digests pin it): a stage span is recorded before
+the checkpoint file is written, a resumed-stage span after the clock
+restore, a recovery span after the replay time is charged.
 """
 
 from __future__ import annotations
@@ -26,128 +23,7 @@ from repro.mpi.comm import DistributedStateError
 from repro.obs.recorder import current as _obs_current
 
 
-class RunMiddleware:
-    """Base middleware: every hook is a no-op.
-
-    Hooks receive the dispatching :class:`RankContext` first; keyword
-    payloads carry the boundary's facts (stage window, checkpoint doc,
-    replayed ranks).  Subclasses override only what they care about.
-    """
-
-    def on_stage_start(self, ctx, stage: str) -> None:
-        """Entering a stage, before any load/run decision."""
-
-    def on_stage_end(self, ctx, stage: str, *, t0: float, recovered: float,
-                     payload: dict | None, save: bool) -> None:
-        """A stage window just closed (accounting already recorded)."""
-
-    def on_stage_loaded(self, ctx, stage: str, *, t0: float, data: dict) -> None:
-        """A stage was restored from checkpoint (clock already advanced)."""
-
-    def on_replicate(self, ctx, b: int) -> None:
-        """The rank is about to start its b-th bootstrap replicate."""
-
-    def on_task_start(self, ctx, task, action) -> None:
-        """A work-steal pool is about to execute ``task``."""
-
-    def on_recovery(self, ctx, *, t0: float, replayed: list[int],
-                    upto: str) -> None:
-        """Dead-rank recovery completed (replay time already charged)."""
-
-    def on_sched_summary(self, ctx, *, idle_tail: dict, stats: dict) -> None:
-        """A work-steal body finished; per-stage scheduler stats are in."""
-
-
-class FaultMiddleware(RunMiddleware):
-    """Deterministic fault injection (:mod:`repro.mpi.faults`).
-
-    Arms the plan's kill specs at the same points the hand-written bodies
-    did: stage entry, the static bootstrap loop's replicate boundary, and
-    the b-th bootstrap task a rank *starts* under work stealing (the
-    mid-queue kill).  Replay contexts get no FaultMiddleware at all —
-    kill specs are not re-armed for an adopter.
-    """
-
-    def __init__(self, plan) -> None:
-        self.plan = plan
-        self._started_bootstraps = 0
-
-    def on_stage_start(self, ctx, stage: str) -> None:
-        if self.plan is not None:
-            self.plan.kill_at_stage(ctx.rank, stage)
-
-    def on_replicate(self, ctx, b: int) -> None:
-        if self.plan is not None:
-            self.plan.kill_at_replicate(ctx.rank, b)
-
-    def on_task_start(self, ctx, task, action) -> None:
-        if task.kind != "bootstrap":
-            return
-        b = self._started_bootstraps
-        self._started_bootstraps += 1
-        # Same fault-injection point as the static stage loop: the b-th
-        # replicate *this rank* starts (mid-queue kill).
-        if self.plan is not None:
-            self.plan.kill_at_replicate(ctx.rank, b)
-
-
-class ObsMiddleware(RunMiddleware):
-    """Span/metric instrumentation (:mod:`repro.obs`).
-
-    Reads the thread-locally installed recorder at each boundary; with no
-    recorder installed every hook reduces to one thread-local read.
-    """
-
-    def on_stage_end(self, ctx, stage: str, *, t0, recovered, payload,
-                     save) -> None:
-        rec = _obs_current()
-        if rec is not None:
-            # The span covers the wall window (incl. recovery time charged
-            # elsewhere); args carry the stage-only accounting.
-            rec.span(stage, "stage", t0, args={
-                "stage_seconds": ctx.stage_seconds[stage],
-                "pattern_ops": ctx.stage_ops[stage],
-                "recovery_seconds": recovered,
-            })
-
-    def on_stage_loaded(self, ctx, stage: str, *, t0, data) -> None:
-        rec = _obs_current()
-        if rec is not None:
-            # Resumed stages splice into the trace as one span covering the
-            # restored window, flagged so timelines read unambiguously.
-            rec.span(stage, "stage", t0, ctx.clock.now, args={
-                "resumed": True,
-                "stage_seconds": ctx.stage_seconds[stage],
-                "pattern_ops": ctx.stage_ops[stage],
-            })
-
-    def on_recovery(self, ctx, *, t0, replayed, upto) -> None:
-        rec = _obs_current()
-        if rec is not None and replayed:
-            rec.count("recovery.replays", len(replayed))
-            rec.span("recovery", "recovery", t0, args={
-                "adopted": replayed, "upto": upto,
-            })
-
-    def on_sched_summary(self, ctx, *, idle_tail, stats) -> None:
-        rec = _obs_current()
-        if rec is None:
-            return
-        for s, tail in idle_tail.items():
-            rec.gauge(f"sched.idle_tail.{s}", tail)
-        for s, st in stats.items():
-            rec.gauge(f"sched.queue_depth.{s}", st.get("max_queue_depth", 0))
-        rec.gauge(
-            "sched.steal_attempts",
-            sum(st.get("steal_attempts", 0) for st in stats.values()),
-        )
-        rec.gauge(
-            "sched.steal_grants",
-            sum(st.get("steal_grants", 0) for st in stats.values()),
-        )
-
-
-class CheckpointMiddleware(RunMiddleware):
+class CheckpointMiddleware:
     """Per-stage checkpoint save/restore (:mod:`repro.hybrid.checkpoint`).
 
     ``resume_through`` is the index of the last :data:`STAGE_ORDER` stage
@@ -165,12 +41,9 @@ class CheckpointMiddleware(RunMiddleware):
     def resumed(self, stage: str) -> bool:
         return STAGE_ORDER.index(stage) <= self.resume_through
 
-    def will_save(self, ctx) -> bool:
-        return self.store is not None and ctx.save_checkpoints
-
     def load_stage(self, ctx, stage: str) -> dict:
-        """Restore accounting and the rank timeline, then announce the
-        splice point to the rest of the chain."""
+        """Restore accounting and the rank timeline, then record the
+        splice point."""
         data = self.store.load(stage)
         if data is None:
             raise CheckpointError(
@@ -197,14 +70,23 @@ class CheckpointMiddleware(RunMiddleware):
         # Restore the rank's timeline (synchronize only moves forward, and
         # a fresh run starts at 0, so this is an exact restore).
         ctx.clock.synchronize(data["clock"])
-        ctx.emit("on_stage_loaded", stage, t0=t0, data=data)
+        rec = _obs_current()
+        if rec is not None:
+            # Resumed stages splice into the trace as one span covering the
+            # restored window, flagged so timelines read unambiguously.
+            rec.span(stage, "stage", t0, ctx.clock.now, args={
+                "resumed": True,
+                "stage_seconds": ctx.stage_seconds[stage],
+                "pattern_ops": ctx.stage_ops[stage],
+            })
         return data
 
-    def on_stage_end(self, ctx, stage: str, *, t0, recovered, payload,
-                     save) -> None:
-        if not save or not self.will_save(ctx):
+    def save_stage(self, ctx, stage: str, payload) -> None:
+        """Write ``stage``'s checkpoint: the stage's own ``payload(ctx)``
+        (if it has one) plus accounting, clock and membership stamp."""
+        if self.store is None or not ctx.save_checkpoints:
             return
-        doc = dict(payload or {})
+        doc = payload(ctx) if payload is not None else {}
         doc["stage_seconds"] = ctx.stage_seconds[stage]
         doc["stage_ops"] = ctx.stage_ops[stage]
         doc["clock"] = ctx.clock.now
@@ -220,7 +102,7 @@ class CheckpointMiddleware(RunMiddleware):
         self.store.save(stage, doc)
 
 
-class RecoveryMiddleware(RunMiddleware):
+class RecoveryMiddleware:
     """Dead-rank adoption (the §2.4 seed discipline makes replays exact).
 
     The candidate adopter is a pure function of the consistent
@@ -246,7 +128,6 @@ class RecoveryMiddleware(RunMiddleware):
             # Graceful degradation: below quorum the survivors stop
             # adopting dead peers' work — the run completes with partial
             # results, tagged instead of raising.
-            ctx.emit("on_recovery", t0=t_r, replayed=[], upto=upto)
             return
         for d in self.comm.known_dead:
             if ctx.config.bootstopping:
@@ -283,7 +164,12 @@ class RecoveryMiddleware(RunMiddleware):
                 self.adopted[d] = self._replay(d)
                 replayed_now.append(d)
         ctx.add_recovery(self.comm.clock.now - t_r)
-        ctx.emit("on_recovery", t0=t_r, replayed=replayed_now, upto=upto)
+        rec = _obs_current()
+        if rec is not None and replayed_now:
+            rec.count("recovery.replays", len(replayed_now))
+            rec.span("recovery", "recovery", t_r, args={
+                "adopted": replayed_now, "upto": upto,
+            })
 
 
 def quorum_lost(ctx, n_survivors: int) -> bool:
@@ -293,7 +179,7 @@ def quorum_lost(ctx, n_survivors: int) -> bool:
     ``quorum`` is a fraction of ``n_processes``; 0.0 (the default)
     disables degradation and preserves full replay-recovery semantics.
     """
-    quorum = getattr(ctx.config, "quorum", 0.0)
+    quorum = ctx.config.quorum
     if quorum <= 0.0:
         return False
     needed = math.ceil(quorum * ctx.config.n_processes)

@@ -12,8 +12,8 @@ Each :class:`Stage` names one paper stage and carries its hooks:
   adopted trees).
 
 The :func:`comprehensive_pipeline` below is the *only* place the
-setup → bootstrap → fast → slow → thorough → finalize sequence is
-defined; execution backends (:mod:`repro.runtime.backends`) decide how
+setup → bootstrap → fast → slow → thorough → finalize sequence gets its
+hooks; execution backends (:mod:`repro.runtime.backends`) decide how
 its stages are driven, and replays reuse the same stages with
 ``ctx.comm is None`` (collectives are skipped and fuses keep the
 original share — a replay never communicates).
@@ -22,6 +22,7 @@ original share — a replay never communicates).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.bootstop.table import BipartitionTable
@@ -29,25 +30,19 @@ from repro.bootstop.wc_test import wc_converged
 from repro.mpi.comm import DistributedStateError, RankFailure
 from repro.obs.recorder import recording
 from repro.search.comprehensive import (
+    STAGE_ORDER,
     bootstrap_stage,
-    fast_stage,
     prepare_model_and_rates,
+    search_unit,
     select_best,
     select_fast_starts,
-    slow_stage,
-    thorough_stage,
 )
 from repro.search.hillclimb import SearchResult
 from repro.search.schedule import make_schedule
-from repro.sched.tasks import TASK_KINDS
 from repro.tree.newick import parse_newick, write_newick
 from repro.util.rng import RAxMLRandom
 from repro.util.timing import VirtualClock
-from repro.hybrid.checkpoint import (
-    STAGE_ORDER,
-    payload_to_results,
-    results_to_payload,
-)
+from repro.hybrid.checkpoint import payload_to_results, results_to_payload
 from repro.runtime.context import RankContext
 
 
@@ -60,13 +55,16 @@ class Stage:
     load: Callable[[RankContext, dict], None] | None = None
     payload: Callable[[RankContext], dict] | None = None
     fuse: Callable[[RankContext], None] | None = None
-    #: The :data:`~repro.sched.tasks.TASK_KINDS` pool this stage maps to
-    #: under a task-based backend (None: not schedulable as tasks).
-    task_kind: str | None = None
-    #: Whether the stage writes/restores a per-rank checkpoint.
-    checkpointed: bool = False
     #: The paper's one noteworthy barrier sits after this stage.
     barrier_after: bool = False
+
+    @property
+    def is_task(self) -> bool:
+        """Whether this is a :data:`STAGE_ORDER` stage: a rank's share of
+        search units, which a task-based backend schedules as the pool of
+        the same name and the static backend checkpoints per rank.  False
+        for ``finalize`` only."""
+        return self.name in STAGE_ORDER
 
 
 class StagePipeline:
@@ -82,12 +80,8 @@ class StagePipeline:
         return iter(self.stages)
 
     @property
-    def checkpointed_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.stages if s.checkpointed)
-
-    @property
     def task_stages(self) -> tuple[Stage, ...]:
-        return tuple(s for s in self.stages if s.task_kind is not None)
+        return tuple(s for s in self.stages if s.is_task)
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +90,9 @@ class StagePipeline:
 
 
 def _run_setup(ctx: RankContext) -> None:
-    out = prepare_model_and_rates(
+    ctx.state["setup"] = prepare_model_and_rates(
         ctx.pal, ctx.cfg, ctx.p_rng, ctx.engine_factory, ctx.ops
     )
-    ctx.state["model"], ctx.state["search_rm"], ctx.state["gamma_rm"], \
-        ctx.state["init_tree"] = out
 
 
 def _load_setup(ctx: RankContext, data: dict) -> None:
@@ -124,11 +116,11 @@ def _run_bootstrap(ctx: RankContext) -> None:
         # The standard share: ceil(N/p) replicates from this logical
         # rank's streams.
         sched = make_schedule(ctx.cfg.n_bootstraps, ctx.config.n_processes)
+        model, search_rm, _gamma_rm, init_tree = ctx.state["setup"]
         bs_results = bootstrap_stage(
-            ctx.pal, ctx.state["model"], ctx.state["search_rm"],
-            sched.bootstraps_per_process, ctx.x_rng, ctx.p_rng,
-            ctx.engine_factory, ctx.ops, ctx.cfg, ctx.state["init_tree"],
-            on_replicate=ctx.fire_replicate,
+            ctx.pal, model, search_rm, sched.bootstraps_per_process,
+            ctx.x_rng, ctx.p_rng, ctx.engine_factory, ctx.ops, ctx.cfg,
+            init_tree, on_replicate=ctx.kill_at_replicate,
         )
         wc_trace, shard, all_newicks = [], None, None
     ctx.state.update(
@@ -204,54 +196,45 @@ def _fuse_bootstrap(ctx: RankContext) -> None:
     )
 
 
+def _run_units(ctx: RankContext, kind: str, starts) -> list[SearchResult]:
+    """One :func:`search_unit` per start tree, on this logical rank's
+    streams and the executing rank's engines."""
+    return [
+        search_unit(
+            kind, i, start, ctx.state["setup"], ctx.pal, ctx.p_rng,
+            ctx.engine_factory, ctx.ops, ctx.cfg,
+        )[0]
+        for i, start in enumerate(starts)
+    ]
+
+
 def _run_fast(ctx: RankContext) -> None:
     pool_trees = ctx.state["pool_trees"]
     starts = select_fast_starts(
         pool_trees, min(ctx.state["n_fast_share"], len(pool_trees))
     )
-    ctx.state["fast_results"] = fast_stage(
-        ctx.pal, ctx.state["model"], ctx.state["search_rm"], starts,
-        ctx.p_rng, ctx.engine_factory, ctx.ops, ctx.cfg,
-    )
-
-
-def _payload_fast(ctx: RankContext) -> dict:
-    return {"results": results_to_payload(ctx.state["fast_results"])}
-
-
-def _load_fast(ctx: RankContext, data: dict) -> None:
-    ctx.state["fast_results"] = payload_to_results(data["results"], ctx.pal.taxa)
+    ctx.state["fast_results"] = _run_units(ctx, "fast", starts)
 
 
 def _run_slow(ctx: RankContext) -> None:
     fast_results = ctx.state["fast_results"]
-    starts = [
-        r.tree
-        for r in select_best(
-            fast_results, min(ctx.state["n_slow_share"], len(fast_results))
-        )
-    ]
-    ctx.state["slow_results"] = slow_stage(
-        ctx.pal, ctx.state["model"], ctx.state["search_rm"], starts,
-        ctx.p_rng, ctx.engine_factory, ctx.ops, ctx.cfg,
+    best = select_best(
+        fast_results, min(ctx.state["n_slow_share"], len(fast_results))
     )
-
-
-def _payload_slow(ctx: RankContext) -> dict:
-    return {"results": results_to_payload(ctx.state["slow_results"])}
-
-
-def _load_slow(ctx: RankContext, data: dict) -> None:
-    ctx.state["slow_results"] = payload_to_results(data["results"], ctx.pal.taxa)
+    ctx.state["slow_results"] = _run_units(ctx, "slow", [r.tree for r in best])
 
 
 def _run_thorough(ctx: RankContext) -> None:
     best_slow = select_best(ctx.state["slow_results"], 1)[0]
-    thorough, _final_model = thorough_stage(
-        ctx.pal, ctx.state["model"], ctx.state["gamma_rm"], best_slow.tree,
-        ctx.p_rng, ctx.engine_factory, ctx.ops, ctx.cfg,
-    )
-    ctx.state["thorough"] = thorough
+    [ctx.state["thorough"]] = _run_units(ctx, "thorough", [best_slow.tree])
+
+
+def _payload_results(key: str, ctx: RankContext) -> dict:
+    return {"results": results_to_payload(ctx.state[key])}
+
+
+def _load_results(key: str, ctx: RankContext, data: dict) -> None:
+    ctx.state[key] = payload_to_results(data["results"], ctx.pal.taxa)
 
 
 def _payload_thorough(ctx: RankContext) -> dict:
@@ -325,31 +308,17 @@ def comprehensive_pipeline() -> StagePipeline:
 
 
 _PIPELINE = StagePipeline((
-    Stage("setup", run=_run_setup, load=_load_setup,
-          task_kind="setup", checkpointed=True),
+    Stage("setup", run=_run_setup, load=_load_setup),
     Stage("bootstrap", run=_run_bootstrap, load=_load_bootstrap,
-          payload=_payload_bootstrap, fuse=_fuse_bootstrap,
-          task_kind="bootstrap", checkpointed=True, barrier_after=True),
-    Stage("fast", run=_run_fast, load=_load_fast, payload=_payload_fast,
-          task_kind="fast", checkpointed=True),
-    Stage("slow", run=_run_slow, load=_load_slow, payload=_payload_slow,
-          task_kind="slow", checkpointed=True),
+          payload=_payload_bootstrap, fuse=_fuse_bootstrap, barrier_after=True),
+    Stage("fast", run=_run_fast, load=partial(_load_results, "fast_results"),
+          payload=partial(_payload_results, "fast_results")),
+    Stage("slow", run=_run_slow, load=partial(_load_results, "slow_results"),
+          payload=partial(_payload_results, "slow_results")),
     Stage("thorough", run=_run_thorough, load=_load_thorough,
-          payload=_payload_thorough, task_kind="thorough", checkpointed=True),
+          payload=_payload_thorough),
     Stage("finalize", run=_run_finalize),
 ))
-
-# The pipeline must agree with the checkpoint format and the task model;
-# real exceptions (not asserts) so the invariants hold under python -O.
-if _PIPELINE.checkpointed_names != tuple(STAGE_ORDER):
-    raise ImportError(
-        f"pipeline checkpoint stages {_PIPELINE.checkpointed_names} != "
-        f"checkpoint STAGE_ORDER {tuple(STAGE_ORDER)}"
-    )
-if tuple(s.name for s in _PIPELINE.task_stages) != tuple(TASK_KINDS):
-    raise ImportError(
-        f"pipeline task stages != sched TASK_KINDS {tuple(TASK_KINDS)}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +349,13 @@ def _bootstrap_with_bootstopping(ctx: RankContext):
     # splits whose hash maps to its rank, over *all* replicates seen.
     shard = BipartitionTable(pal.n_taxa, shard=comm.rank, n_shards=comm.size)
     wc_rng = RAxMLRandom(cfg.seed_x + 777)  # identical on every rank
-    current_init = ctx.state["init_tree"]
+    model, search_rm, _gamma_rm, current_init = ctx.state["setup"]
     round_no = 0
     while True:
         chunk = bootstrap_stage(
-            pal, ctx.state["model"], ctx.state["search_rm"], per_round,
-            ctx.x_rng, ctx.p_rng,
+            pal, model, search_rm, per_round, ctx.x_rng, ctx.p_rng,
             ctx.engine_factory, ctx.ops, cfg, current_init,
-            on_replicate=ctx.fire_replicate,
+            on_replicate=ctx.kill_at_replicate,
         )
         round_no += 1
         results.extend(chunk)

@@ -18,8 +18,8 @@ Modules:
 * :mod:`repro.sched.stealing` — the per-rank pool loop used by the
   work-steal runtime backend and a sequential discrete-event simulator
   sharing the same decision core (benchmarks, advisor, parity tests);
-* :mod:`repro.sched.placement` — cost-aware initial assignment hinted
-  by :mod:`repro.perfmodel`;
+* :mod:`repro.sched.placement` — the initial assignment (the static
+  partition) and the advisor's :mod:`repro.perfmodel` cost query;
 * :mod:`repro.sched.checkpoint` — per-rank task journals backing
   ``--resume`` for work-steal runs.
 """

@@ -1,24 +1,16 @@
-"""Cost-aware initial placement of tasks onto rank queues.
+"""Initial placement of tasks onto rank queues, and per-task cost hints.
 
-The default placement reproduces the paper's static partition exactly:
-origin ``o``'s tasks land on member ``o``'s queue in index order, so a
-work-steal run that never steals is the static run.  When per-task cost
-hints are available (from :mod:`repro.perfmodel`), groups of tasks that
-must stay together (one origin's chain of bootstrap replicates) are
-placed LPT-style onto the least-loaded queue — the classic greedy
-longest-processing-time heuristic, made deterministic by sorting groups
-on ``(-cost, origin)`` and breaking load ties toward the lowest member.
+The placement reproduces the paper's static partition exactly: origin
+``o``'s tasks land on member ``o``'s queue in index order, so a
+work-steal run that never steals is the static run.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.perfmodel.coarse import (
     STAGE_CATEGORIES,
     _machine_scale,
     _stage_speedup,
-    imbalance_factor,
 )
 from repro.perfmodel.machines import MachineSpec
 from repro.perfmodel.profiles import StageProfile
@@ -26,18 +18,15 @@ from repro.sched.tasks import Task
 
 
 def initial_assignment(
-    tasks: list[Task],
-    members: tuple[int, ...],
-    costs: dict[str, float] | None = None,
+    tasks: list[Task], members: tuple[int, ...]
 ) -> dict[int, list[str]]:
     """Map each member rank to an ordered list of task ids.
 
     Tasks are grouped by origin (a bootstrap chain shares intermediate
     trees, so splitting an origin across queues would force cross-rank
-    result traffic for every replicate).  Without ``costs``, origin ``o``
-    goes to ``members[o % len(members)]`` — for the usual case of one
-    origin per member this *is* the static assignment.  With ``costs``,
-    groups are placed greedily onto the least-loaded queue.
+    result traffic for every replicate).  Origin ``o`` goes to
+    ``members[o % len(members)]`` — for the usual case of one origin per
+    member this *is* the static assignment.
     """
     if not members:
         raise ValueError("members must be non-empty")
@@ -47,29 +36,10 @@ def initial_assignment(
     for g in groups.values():
         g.sort(key=lambda t: t.index)
     assignment: dict[int, list[str]] = {r: [] for r in members}
-    if costs is None:
-        for origin in sorted(groups):
-            r = members[origin % len(members)]
-            assignment[r].extend(t.id for t in groups[origin])
-        return assignment
-    sized = sorted(
-        groups.items(),
-        key=lambda kv: (-sum(costs.get(t.id, 1.0) for t in kv[1]), kv[0]),
-    )
-    load = {r: 0.0 for r in members}
-    for origin, group in sized:
-        r = min(members, key=lambda m: (load[m], m))
-        assignment[r].extend(t.id for t in group)
-        load[r] += sum(costs.get(t.id, 1.0) for t in group)
+    for origin in sorted(groups):
+        r = members[origin % len(members)]
+        assignment[r].extend(t.id for t in groups[origin])
     return assignment
-
-
-@dataclass(frozen=True)
-class StageCostHint:
-    """Modelled per-search seconds for one stage on one machine."""
-
-    stage: str
-    seconds_per_task: float
 
 
 def stage_cost_hints(
@@ -94,13 +64,3 @@ def stage_cost_hints(
         / _stage_speedup(machine, m, n_threads, stage)
         for stage in STAGE_CATEGORIES
     }
-
-
-def predicted_idle_tail_fraction(
-    n_processes: int, items_per_process: int, cv: float
-) -> float:
-    """Fraction of a stage the average rank spends idle at the barrier
-    under *static* scheduling: the slowest rank runs
-    ``imbalance_factor`` above the mean, everyone else waits for it."""
-    f = imbalance_factor(n_processes, max(items_per_process, 1), cv)
-    return (f - 1.0) / f

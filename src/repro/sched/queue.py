@@ -276,13 +276,6 @@ class StealBoard:
         with self._cond:
             return tid in self._results
 
-    def preload(self, tid: str, result: object) -> None:
-        """Install a result computed outside any pool (resume shadow
-        recompute).  First value wins; peers recompute identical values,
-        so the winner is irrelevant to results."""
-        with self._cond:
-            self._results.setdefault(tid, result)
-
     def steal_cost(self, thief: int, victim: int | None) -> float:
         """The modelled round-trip of one steal attempt (hop-aware when
         ``steal_seconds`` is a callable)."""

@@ -40,23 +40,21 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.search.comprehensive import (
-    FAST_FRACTION,
-    LABEL_FAST,
     LABEL_REFRESH,
-    LABEL_REPLICATE,
-    LABEL_SLOW,
-    LABEL_THOROUGH,
+    STAGE_LABEL,
+    STAGE_ORDER,
     ComprehensiveConfig,
     bootstrap_replicate,
+    fast_start_index,
     prepare_model_and_rates,
+    search_unit,
     select_best,
 )
 from repro.search.schedule import WorkSchedule
-from repro.search.searches import fast_search, slow_search, thorough_search
-from repro.util.rng import RAxMLRandom, rank_seed, spawn_stream
+from repro.util.rng import RAxMLRandom, rank_seed
 
 #: Task kinds in pipeline-stage order (one scheduling pool per kind).
-TASK_KINDS = ("setup", "bootstrap", "fast", "slow", "thorough")
+TASK_KINDS = STAGE_ORDER
 
 
 def lcg_jump(state: int, k: int) -> int:
@@ -138,7 +136,7 @@ def build_dag(
                 deps.append(task_id("bootstrap", o, b - 1))
             dag["bootstrap"].append(Task("bootstrap", o, b, tuple(deps)))
         for i in range(nf):
-            start = task_id("bootstrap", o, (i * FAST_FRACTION) % nb)
+            start = task_id("bootstrap", o, fast_start_index(i, nb))
             dag["fast"].append(Task("fast", o, i, (setup, start)))
         fast_ids = tuple(task_id("fast", o, i) for i in range(nf))
         for i in range(ns):
@@ -169,25 +167,15 @@ def task_streams(
     task: Task, cfg: ComprehensiveConfig, n_draws: int
 ) -> dict[str, int]:
     """The derived stream keys of one task (the fingerprint material)."""
-    p_seed = rank_seed(cfg.seed_p, task.origin)
-    if task.kind == "setup":
-        return {"p_seed": p_seed, "label": 0}
+    doc = {
+        "p_seed": rank_seed(cfg.seed_p, task.origin),
+        "label": STAGE_LABEL[task.kind] + task.index,
+    }
     if task.kind == "bootstrap":
-        doc = {
-            "p_seed": p_seed,
-            "x_state": replicate_x_state(cfg, task.origin, task.index, n_draws),
-            "label": LABEL_REPLICATE + task.index,
-        }
+        doc["x_state"] = replicate_x_state(cfg, task.origin, task.index, n_draws)
         if task.index > 0 and task.index % cfg.parsimony_refresh_every == 0:
             doc["refresh_label"] = LABEL_REFRESH + task.index
-        return doc
-    if task.kind == "fast":
-        return {"p_seed": p_seed, "label": LABEL_FAST + task.index}
-    if task.kind == "slow":
-        return {"p_seed": p_seed, "label": LABEL_SLOW + task.index}
-    if task.kind == "thorough":
-        return {"p_seed": p_seed, "label": LABEL_THOROUGH}
-    raise ValueError(f"unknown task kind {task.kind!r}")
+    return doc
 
 
 def rng_stream_fingerprint(
@@ -240,8 +228,9 @@ def execute_task(task: Task, ctx, get: Callable[[str], object]):
         return prepare_model_and_rates(
             ctx.pal, cfg, p_rng, ctx.engine_factory, ctx.ops
         )
-    model, search_rm, gamma_rm, init_tree = get(task_id("setup", o, 0))
+    setup = get(task_id("setup", o, 0))
     if task.kind == "bootstrap":
+        model, search_rm, _gamma_rm, init_tree = setup
         b = task.index
         n_draws = int(ctx.pal.weights.sum())
         x_rng = RAxMLRandom.from_state(replicate_x_state(cfg, o, b, n_draws))
@@ -252,31 +241,17 @@ def execute_task(task: Task, ctx, get: Callable[[str], object]):
             ctx.pal, model, search_rm, b, x_rng, p_rng, ctx.engine_factory,
             ctx.ops, cfg, prev,
         )
+    pool = [get(d) for d in task.deps[1:]]
     if task.kind == "fast":
-        i = task.index
-        start = get(task.deps[1]).tree
-        engine = ctx.engine_factory(ctx.pal, model, search_rm, None, ctx.ops)
-        return fast_search(
-            engine, start, spawn_stream(p_rng, LABEL_FAST + i), cfg.stage_params
-        )
-    if task.kind == "slow":
-        i = task.index
-        fast_results = [get(d) for d in task.deps[1:]]
-        # Static parity: run_slow ranks the origin's whole fast pool (the
-        # stable rounded sort of select_best) and starts slow search i
-        # from the i-th best tree.
-        start = select_best(fast_results, len(fast_results))[i].tree
-        engine = ctx.engine_factory(ctx.pal, model, search_rm, None, ctx.ops)
-        return slow_search(
-            engine, start, spawn_stream(p_rng, LABEL_SLOW + i), cfg.stage_params
-        )
-    if task.kind == "thorough":
-        slow_results = [get(d) for d in task.deps[1:]]
-        best_slow = select_best(slow_results, 1)[0]
-        engine = ctx.engine_factory(ctx.pal, model, gamma_rm, None, ctx.ops)
-        result, _engine = thorough_search(
-            engine, best_slow.tree, spawn_stream(p_rng, LABEL_THOROUGH),
-            cfg.stage_params,
-        )
-        return result
-    raise ValueError(f"unknown task kind {task.kind!r}")
+        start = pool[0].tree  # its one bootstrap tree
+    else:
+        # Static parity: the slow stage ranks the origin's whole fast pool
+        # (the stable rounded sort of select_best) and starts slow search
+        # i from the i-th best tree; the thorough search starts from the
+        # best slow tree.
+        start = select_best(pool, len(pool))[task.index].tree
+    result, _model = search_unit(
+        task.kind, task.index, start, setup, ctx.pal, p_rng,
+        ctx.engine_factory, ctx.ops, cfg,
+    )
+    return result

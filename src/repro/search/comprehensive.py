@@ -5,9 +5,10 @@
     searches, and one final thorough ML search ... The latter three
     stages comprise the full ML search."  — paper, Section 2
 
-The stage functions are shared with the hybrid driver
-(:mod:`repro.hybrid.driver`), which composes them with the per-rank counts
-of Table 2 instead of the serial counts used here.
+The work units (:func:`bootstrap_replicate`, :func:`search_unit`) are
+shared with the hybrid runtime (:mod:`repro.runtime`, :mod:`repro.sched`),
+which runs them the per-rank Table 2 number of times instead of the
+serial counts used here.
 """
 
 from __future__ import annotations
@@ -29,14 +30,9 @@ from repro.likelihood.gtr import GTRModel
 from repro.likelihood.model_opt import empirical_frequencies
 from repro.seq.bootstrap import bootstrap_pattern_weights
 from repro.seq.patterns import PatternAlignment
+from repro.search import searches
 from repro.search.hillclimb import SearchResult
-from repro.search.searches import (
-    StageParams,
-    bootstrap_replicate_search,
-    fast_search,
-    slow_search,
-    thorough_search,
-)
+from repro.search.searches import StageParams, bootstrap_replicate_search
 from repro.search.starting_tree import parsimony_starting_tree
 from repro.util.validation import check_min, check_positive
 from repro.tree.topology import Tree
@@ -49,6 +45,10 @@ FAST_FRACTION = 5  # one fast search per 5 bootstraps
 SLOW_FRACTION = 2  # one slow search per 2 fast searches
 MAX_SLOW = 10  # at most 10 slow searches
 
+#: The stages in pipeline order: the task kinds of :mod:`repro.sched.tasks`
+#: and the per-rank checkpoints of :mod:`repro.hybrid.checkpoint`.
+STAGE_ORDER = ("setup", "bootstrap", "fast", "slow", "thorough")
+
 #: ``spawn_stream`` label bases of the per-rank ``-p`` stream (0 is the
 #: setup parsimony tree); :mod:`repro.sched.tasks` derives task streams
 #: from the same table.
@@ -57,6 +57,12 @@ LABEL_REPLICATE = 2000  # + b: bootstrap replicate search
 LABEL_FAST = 3000  # + i: fast search i
 LABEL_SLOW = 4000  # + i: slow search i
 LABEL_THOROUGH = 5000  # the final thorough search
+
+#: Stage -> label base of its units' search streams (unit ``i`` of a stage
+#: forks ``spawn_stream(p_rng, STAGE_LABEL[stage] + i)``).
+STAGE_LABEL = dict(zip(
+    STAGE_ORDER, (0, LABEL_REPLICATE, LABEL_FAST, LABEL_SLOW, LABEL_THOROUGH)
+))
 
 EngineFactory = Callable[..., object]
 
@@ -129,7 +135,7 @@ class ComprehensiveResult:
 
 
 # ---------------------------------------------------------------------------
-# Stage functions (shared with the hybrid driver)
+# Work units (shared with the hybrid runtime)
 # ---------------------------------------------------------------------------
 
 
@@ -244,66 +250,55 @@ def bootstrap_stage(
     return results
 
 
-def fast_stage(
-    pal: PatternAlignment,
-    model: GTRModel,
-    rate_model: RateModel,
-    start_trees: list[Tree],
-    p_rng: RAxMLRandom,
-    engine_factory: EngineFactory,
-    ops: OpCounter,
-    config: ComprehensiveConfig,
-) -> list[SearchResult]:
-    """Fast ML searches on the original alignment from the given starts."""
-    engine = engine_factory(pal, model, rate_model, None, ops)
-    return [
-        fast_search(engine, t, spawn_stream(p_rng, LABEL_FAST + i), config.stage_params)
-        for i, t in enumerate(start_trees)
-    ]
-
-
-def slow_stage(
-    pal: PatternAlignment,
-    model: GTRModel,
-    rate_model: RateModel,
-    start_trees: list[Tree],
-    p_rng: RAxMLRandom,
-    engine_factory: EngineFactory,
-    ops: OpCounter,
-    config: ComprehensiveConfig,
-) -> list[SearchResult]:
-    """Slow ML searches continuing the best fast-search trees."""
-    engine = engine_factory(pal, model, rate_model, None, ops)
-    return [
-        slow_search(engine, t, spawn_stream(p_rng, LABEL_SLOW + i), config.stage_params)
-        for i, t in enumerate(start_trees)
-    ]
-
-
-def thorough_stage(
-    pal: PatternAlignment,
-    model: GTRModel,
-    gamma_rm: RateModel,
+def search_unit(
+    kind: str,
+    index: int,
     start_tree: Tree,
+    setup: tuple[GTRModel, RateModel, RateModel, Tree],
+    pal: PatternAlignment,
     p_rng: RAxMLRandom,
     engine_factory: EngineFactory,
     ops: OpCounter,
     config: ComprehensiveConfig,
 ) -> tuple[SearchResult, GTRModel]:
-    """The final thorough GAMMA search; returns the result and the
-    re-optimised model."""
-    engine = engine_factory(pal, model, gamma_rm, None, ops)
-    result, engine = thorough_search(
-        engine, start_tree, spawn_stream(p_rng, LABEL_THOROUGH), config.stage_params
+    """The ``index``-th ``kind`` (fast / slow / thorough) ML search of one
+    rank's share, on the original alignment from ``start_tree``.
+
+    ``setup`` is what :func:`prepare_model_and_rates` returned: the
+    thorough search runs under GAMMA, fast and slow searches under the
+    search rate model.  Every unit builds its own engine, so its op
+    charge does not depend on which other units ran before it or on
+    which rank runs it.  Returns the result and the model the search
+    ended on (re-optimised by the thorough search, ``setup``'s otherwise).
+    """
+    model, search_rm, gamma_rm, _init_tree = setup
+    engine = engine_factory(
+        pal, model, gamma_rm if kind == "thorough" else search_rm, None, ops
     )
-    return result, engine.model
+    # Looked up on the module at call time, so whatever is installed
+    # there (a tracing wrapper) is what runs.
+    out = getattr(searches, f"{kind}_search")(
+        engine, start_tree, spawn_stream(p_rng, STAGE_LABEL[kind] + index),
+        config.stage_params,
+    )
+    if kind == "thorough":
+        result, engine = out
+        return result, engine.model
+    return out, model
+
+
+def fast_start_index(i: int, n_bootstraps: int) -> int:
+    """Fast search ``i`` starts from every ``FAST_FRACTION``-th of the
+    ``n_bootstraps`` bootstrap trees (wrapping around)."""
+    return (i * FAST_FRACTION) % n_bootstraps
 
 
 def select_fast_starts(bootstrap_trees: list[Tree], n_fast: int) -> list[Tree]:
     """Every ``FAST_FRACTION``-th bootstrap tree seeds a fast search."""
     if n_fast > len(bootstrap_trees):
         raise ValueError("cannot select more fast starts than bootstrap trees")
-    return [bootstrap_trees[(i * FAST_FRACTION) % len(bootstrap_trees)] for i in range(n_fast)]
+    n = len(bootstrap_trees)
+    return [bootstrap_trees[fast_start_index(i, n)] for i in range(n_fast)]
 
 
 def select_best(results: list[SearchResult], k: int) -> list[SearchResult]:
@@ -340,9 +335,8 @@ def run_comprehensive(
     p_rng = RAxMLRandom(config.seed_p)
     x_rng = RAxMLRandom(config.seed_x)
 
-    model, search_rm, gamma_rm, init_tree = prepare_model_and_rates(
-        pal, config, p_rng, engine_factory, ops
-    )
+    setup = prepare_model_and_rates(pal, config, p_rng, engine_factory, ops)
+    model, search_rm, _gamma_rm, init_tree = setup
     mark = ops.pattern_ops
     stage_ops["setup"] = mark
 
@@ -353,27 +347,30 @@ def run_comprehensive(
     stage_ops["bootstrap"] = ops.pattern_ops - mark
     mark = ops.pattern_ops
 
+    def unit(kind: str, i: int, start: Tree) -> tuple[SearchResult, GTRModel]:
+        return search_unit(
+            kind, i, start, setup, pal, p_rng, engine_factory, ops, config
+        )
+
     bootstrap_trees = [r.tree for r in bs_results]
     n_fast = fast_count(config.n_bootstraps)
-    fast_results = fast_stage(
-        pal, model, search_rm, select_fast_starts(bootstrap_trees, n_fast),
-        p_rng, engine_factory, ops, config,
-    )
+    fast_results = [
+        unit("fast", i, t)[0]
+        for i, t in enumerate(select_fast_starts(bootstrap_trees, n_fast))
+    ]
     stage_ops["fast"] = ops.pattern_ops - mark
     mark = ops.pattern_ops
 
     n_slow = slow_count(n_fast)
-    slow_starts = [r.tree for r in select_best(fast_results, n_slow)]
-    slow_results = slow_stage(
-        pal, model, search_rm, slow_starts, p_rng, engine_factory, ops, config
-    )
+    slow_results = [
+        unit("slow", i, r.tree)[0]
+        for i, r in enumerate(select_best(fast_results, n_slow))
+    ]
     stage_ops["slow"] = ops.pattern_ops - mark
     mark = ops.pattern_ops
 
     best_slow = select_best(slow_results, 1)[0]
-    thorough, final_model = thorough_stage(
-        pal, model, gamma_rm, best_slow.tree, p_rng, engine_factory, ops, config
-    )
+    thorough, final_model = unit("thorough", 0, best_slow.tree)
     stage_ops["thorough"] = ops.pattern_ops - mark
 
     return ComprehensiveResult(

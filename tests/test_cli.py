@@ -215,8 +215,14 @@ class TestValidateArgs:
             ["-f", "e", "-t", "x.nwk", "--metrics-out", "m.json"],
             ["-b", "777", "-J", "MR"],
             ["-b", "777", "--schedule", "work-steal"],
+            ["-f", "d", "--kernel", "batched"],
+            ["-b", "777", "--clv-cache"],
         ):
             with pytest.raises(SystemExit, match="comprehensive"):
                 validate_args(self._args(extra))
         # The same flags are fine for the comprehensive analysis.
         validate_args(self._args(["--schedule", "work-steal", "-J", "MR"]))
+        # -f e consumes the kernel options.
+        validate_args(self._args(
+            ["-f", "e", "-t", "x.nwk", "--kernel", "batched", "--clv-cache"]
+        ))

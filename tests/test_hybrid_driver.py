@@ -119,7 +119,10 @@ class TestQuality:
             pal, HybridConfig(n_processes=1, n_threads=2, comprehensive=quick_cc)
         )
         assert write_newick(hybrid.best_tree) == write_newick(serial.best_tree)
-        assert hybrid.best_lnl == pytest.approx(serial.best_lnl, abs=1e-9)
+        assert hybrid.best_lnl == serial.best_lnl
+        assert {
+            s: hybrid.ranks[0].stage_ops[s] for s in serial.stage_ops
+        } == serial.stage_ops
 
 
 class TestTiming:

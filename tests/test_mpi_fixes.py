@@ -13,6 +13,7 @@ from repro.mpi.comm import (
 )
 from repro.mpi.faults import FaultPlan, KillSpec
 from repro.mpi.launcher import run_spmd
+from repro.mpi.policy import RetryPolicy, TimeoutPolicy
 
 
 class TestAllreduceNonePayloads:
@@ -42,7 +43,10 @@ class TestAllreduceNonePayloads:
 class TestAllreduceAllDead:
     def _lone_comm(self, monkeypatch, resilient: bool) -> SimComm:
         plan = FaultPlan(kills=[KillSpec(rank=99, collective=0)]) if resilient else None
-        world = _World(2, CommTiming(), timeout=1.0, fault_plan=plan)
+        world = _World(
+            2, CommTiming(), RetryPolicy(), TimeoutPolicy.from_timeout(1.0),
+            fault_plan=plan,
+        )
         comm = SimComm(world, 0)
         # Simulate every participant dead: the exchange yields an empty
         # board (nobody contributed, not even this rank's own entry).
@@ -87,7 +91,7 @@ class TestBcastDeadRoot:
         assert results[2] == ("bcast", (0,))
 
     def test_non_resilient_dead_root_is_spmd_error(self, monkeypatch):
-        world = _World(2, CommTiming(), timeout=1.0)
+        world = _World(2, CommTiming(), RetryPolicy(), TimeoutPolicy.from_timeout(1.0))
         comm = SimComm(world, 1)
         monkeypatch.setattr(
             comm, "_exchange", lambda value, op=None: {1: (None, 0.0)}

@@ -27,11 +27,11 @@ from repro.mpi.comm import (
     AllRanksDeadError,
     RankFailure,
     RetryExhaustedError,
-    RETRY_BACKOFF,
     SPMDError,
 )
 from repro.mpi.faults import CollectiveGlitch, FaultPlan, KillSpec, RankKilledError
 from repro.mpi.launcher import run_spmd
+from repro.mpi.policy import RetryPolicy
 from repro.search.comprehensive import ComprehensiveConfig
 from repro.search.searches import StageParams
 from repro.tree.newick import write_newick
@@ -131,9 +131,9 @@ class TestCollectiveFaults:
         out = run_spmd(body, 2, fault_plan=plan, timeout=10.0)
         (r0, t0), (r1, t1) = out
         assert r0 == 3 and r1 == 0
-        # Backoff doubles per attempt: 1 + 2 + 4 units of RETRY_BACKOFF,
+        # Backoff doubles per attempt: 1 + 2 + 4 units of base_backoff,
         # and the barrier synchronises rank 1 up to rank 0's delayed entry.
-        assert t0 >= RETRY_BACKOFF * 7
+        assert t0 >= RetryPolicy().base_backoff * 7
         assert t1 == t0
 
     def test_retry_budget_exhaustion_is_fatal(self):

@@ -8,7 +8,7 @@ import pytest
 from repro.datasets import test_dataset as make_test_dataset
 from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
 from repro.mpi.faults import FaultPlan, KillSpec
-from repro.search.comprehensive import ComprehensiveConfig
+from repro.search.comprehensive import ComprehensiveConfig, run_comprehensive
 from repro.search.searches import StageParams
 from repro.tree.newick import write_newick
 
@@ -84,6 +84,26 @@ class TestModeParity:
         serial = run(pal, quick_cc, n_processes=1, n_threads=1, schedule="static")
         ws = run(pal, quick_cc, n_processes=1, n_threads=1, schedule="work-steal")
         assert_bit_identical(serial, ws)
+
+    @pytest.mark.parametrize("clv_cache", [False, True])
+    def test_op_totals_schedule_independent(self, pal, clv_cache):
+        """A rank that owns two fast searches charges the same ops and
+        virtual seconds in both modes — with the CLV cache on too (one
+        engine per search unit, not one per static stage)."""
+        cc = ComprehensiveConfig(
+            n_bootstraps=10, cat_categories=3, stage_params=QUICK
+        )
+        kw = dict(n_processes=1, n_threads=2, clv_cache=clv_cache)
+        static = run(pal, cc, schedule="static", **kw)
+        ws = run(pal, cc, schedule="work-steal", **kw)
+        assert static.ranks[0].n_fast == ws.ranks[0].n_fast == 2
+        assert_bit_identical(static, ws)
+        stages = ("setup", "bootstrap", "fast", "slow", "thorough")
+        static_ops = {s: static.ranks[0].stage_ops[s] for s in stages}
+        assert static_ops == {s: ws.ranks[0].stage_ops[s] for s in stages}
+        assert static.total_seconds == ws.total_seconds
+        if not clv_cache:
+            assert run_comprehensive(pal, cc).stage_ops == static_ops
 
     def test_sched_doc_in_report(self, ws_result):
         rep = ws_result.to_report()
