@@ -82,18 +82,6 @@ class ScenarioSpec:
         }
 
 
-def _classify(schedule: str, kills, glitches) -> str:
-    """Equality oracle for a plan (see :class:`ScenarioSpec`).
-
-    Work-steal task streams are origin-pure — every task's RNG streams
-    derive from its origin rank, not its executor — and static recovery
-    replays a dead rank's whole original share without re-partitioning
-    the survivors' streams, so every recoverable plan must reproduce
-    the fault-free baseline bit for bit.
-    """
-    return "full"
-
-
 def generate_scenario(
     index: int,
     seed: int,
@@ -167,7 +155,7 @@ def generate_scenario(
         schedule=schedule,
         n_processes=p,
         plan=plan,
-        equality=_classify(schedule, plan.kills, plan.glitches),
+        equality="full",
         deaths=tuple(sorted(doomed)),
         ranks_per_node=ranks_per_node,
     )

@@ -33,6 +33,7 @@ from typing import ClassVar
 from repro.mpi.faults import FaultPlan
 from repro.mpi.launcher import run_spmd
 from repro.mpi.policy import RetryPolicy, TimeoutPolicy
+from repro.mpi.topology import HierarchicalCommTiming, Topology
 from repro.perfmodel.machines import machine_by_name
 from repro.search.comprehensive import ComprehensiveConfig
 from repro.seq.patterns import PatternAlignment
@@ -179,28 +180,14 @@ class HybridConfig:
         """The run's node topology, or ``None`` for the flat world."""
         if self.ranks_per_node is None:
             return None
-        from repro.mpi.topology import Topology
-
         return Topology(self.n_processes, self.ranks_per_node)
 
     def comm_timing(self):
-        """The communication cost model this config asks for.
-
-        ``None`` ranks-per-node returns the pinned flat
-        :class:`~repro.mpi.comm.CommTiming` — byte-for-byte the
-        historical costs.  Otherwise the machine's two-tier model over
-        the node topology (which itself degenerates to flat constants
-        when the topology is trivial).
-        """
-        topo = self.topology()
-        if topo is None:
-            from repro.mpi.comm import CommTiming
-
-            return CommTiming()
-        from repro.mpi.topology import HierarchicalCommTiming
-
+        """The communication cost model this config asks for: the
+        machine's, under :meth:`topology` (flat — byte-for-byte the
+        historical costs — without ``ranks_per_node``)."""
         return HierarchicalCommTiming.for_machine(
-            machine_by_name(self.machine), topo
+            machine_by_name(self.machine), self.topology()
         )
 
 

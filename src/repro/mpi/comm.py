@@ -7,16 +7,18 @@ collectives in the same order (the standard SPMD contract — violations
 raise :class:`SPMDError` via generation mismatches or broken exchanges).
 
 Virtual time: each rank owns a clock; a collective advances every
-participant to ``max(entry clocks) + cost(p, payload)``.  The cost model
-(:class:`CommTiming`) defaults to realistic-but-small cluster constants —
-the paper stresses that "a fast and expensive interconnect is not
-required" because communication is negligible.  Attach a
-:class:`~repro.mpi.topology.HierarchicalCommTiming` instead and costs
-become topology-aware: collectives are priced as two-phase operations
-(node-local at shared-memory cost, one leader per node over the
-network), sends are priced per hop, and the intra/inter split is
-recorded — while the data plane (exchange, reduction order, death
-sets, epochs) is untouched, keeping results bit-identical to flat.
+participant to ``max(entry clocks) + price``.  Every price is asked of
+the world's cost model through the one protocol of
+:mod:`repro.mpi.topology` and comes back carrying its own intra/inter
+split, which is recorded as is.  The default flat
+:class:`~repro.mpi.topology.CommTiming` has realistic-but-small cluster
+constants — the paper stresses that "a fast and expensive interconnect
+is not required" because communication is negligible — and no split;
+attach a :class:`~repro.mpi.topology.HierarchicalCommTiming` and
+collectives are priced as two-phase operations (node-local at
+shared-memory cost, one leader per node over the network) and sends per
+hop.  The data plane (exchange, reduction order, death sets, epochs)
+never looks at the model, keeping results bit-identical across models.
 
 Fault tolerance: when a :class:`~repro.mpi.faults.FaultPlan` is attached
 the world runs in *resilient* mode.  Every collective carries a per-call
@@ -46,12 +48,11 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
-from math import ceil, log2
-from typing import ClassVar
 
 from repro.mpi.faults import FaultPlan, RankKilledError
 from repro.mpi.membership import MembershipLedger, MembershipView
 from repro.mpi.policy import RetryPolicy, TimeoutPolicy
+from repro.mpi.topology import CommCostModel, CommPhases, CommTiming  # noqa: F401
 from repro.obs.recorder import current as _obs_current
 from repro.util.timing import VirtualClock
 
@@ -116,58 +117,6 @@ RUNNING, EXITED, FAILED, DEAD = "running", "exited", "failed", "dead"
 DORMANT = "dormant"
 
 
-@dataclass(frozen=True)
-class CommTiming:
-    """Virtual-time costs of communication operations (seconds).
-
-    This is the *flat* model: every hop costs the same, regardless of
-    where the two ranks live.  Costs scale with a **log tree**, not
-    linearly — a collective over ``p`` ranks is modelled as a binomial
-    tree of ``ceil(log2(p))`` rounds, each round shipping the full
-    payload once, never as ``p`` sequential messages.
-
-    Hand-trace (defaults: latency 5e-6 s, byte_time 1e-9 s/B,
-    barrier_base 1e-5 s)::
-
-        message_seconds(1000)       = 5e-6 + 1000*1e-9     = 6.0e-6
-        collective_seconds(8, 1000) = ceil(log2(8)) * 6e-6 = 1.8e-5
-        collective_seconds(9, 1000) = ceil(log2(9)) * 6e-6 = 2.4e-5
-        barrier_seconds(8)          = 1e-5 * 3             = 3.0e-5
-        barrier_seconds(1)          = 0.0   (nobody to sync with)
-
-    Doubling ``p`` therefore adds *one round* (+6e-6 above), where a
-    linear model would double the cost — the distinction the scaling
-    curves past 32 ranks hinge on.  These numbers are pinned
-    byte-for-byte by the regression tests; the topology-aware model
-    (:class:`repro.mpi.topology.HierarchicalCommTiming`) must reproduce
-    them exactly whenever the topology is trivial.
-    """
-
-    latency: float = 5e-6  # per point-to-point message
-    byte_time: float = 1e-9  # per payload byte (~1 GB/s interconnect)
-    barrier_base: float = 1e-5  # per barrier, times ceil(log2(p))
-    #: The flat model prices no node topology (the hierarchical model's
-    #: ``topology`` field is what :class:`SimComm` tells the two apart by).
-    topology: ClassVar[None] = None
-
-    def message_seconds(self, n_bytes: int) -> float:
-        return self.latency + self.byte_time * n_bytes
-
-    def barrier_seconds(self, size: int) -> float:
-        """Tree barrier: ``barrier_base`` per round, ``ceil(log2(p))``
-        rounds; 0.0 for a single rank (log-tree, not linear-in-p)."""
-        if size <= 1:
-            return 0.0
-        return self.barrier_base * ceil(log2(size))
-
-    def collective_seconds(self, size: int, n_bytes: int) -> float:
-        """Tree-structured collective: ``ceil(log2(p))`` full-payload
-        message rounds; 0.0 for a single rank (log-tree, not linear)."""
-        if size <= 1:
-            return 0.0
-        return ceil(log2(size)) * self.message_seconds(n_bytes)
-
-
 def _payload_bytes(obj) -> int:
     """Approximate wire size of a Python object (pickle length)."""
     try:
@@ -180,10 +129,10 @@ def _payload_bytes(obj) -> int:
 class CommEvent:
     """One recorded communication operation (for the per-rank trace).
 
-    ``intra_seconds``/``inter_seconds`` split the *modelled transfer
-    cost* by tier when the world runs a topology-aware timing model;
-    both stay 0.0 under the flat model.  ``seconds`` additionally
-    includes straggler wait, so ``intra + inter <= seconds``.
+    ``intra_seconds``/``inter_seconds`` are the tier split the cost
+    model put on the *modelled transfer cost* — 0.0 under the flat
+    model, which has no tiers.  ``seconds`` additionally includes
+    straggler wait, so ``intra + inter <= seconds``.
     """
 
     op: str
@@ -201,7 +150,7 @@ class _World:
     def __init__(
         self,
         size: int,
-        timing: CommTiming,
+        timing: CommCostModel,
         retry_policy: RetryPolicy,
         timeout_policy: TimeoutPolicy,
         fault_plan: FaultPlan | None = None,
@@ -272,7 +221,6 @@ class _World:
         epoch: int,
         live: tuple[int, ...],
         dead: tuple[int, ...],
-        glitched: tuple[int, ...] = (),
     ) -> dict:
         """Activate the joiners of one epoch boundary (idempotent).
 
@@ -334,10 +282,6 @@ class _World:
         with self.cond:
             return self.status[rank]
 
-    def dead_ranks(self) -> list[int]:
-        with self.cond:
-            return sorted(r for r in range(self.size) if self.status[r] == DEAD)
-
 
 class SimComm:
     """Per-rank communicator handle (mpi4py-flavoured lowercase API)."""
@@ -380,14 +324,11 @@ class SimComm:
         self.backoff_seconds = 0.0
         #: Per-rank record of every communication operation.
         self.trace: list[CommEvent] = []
-        #: True when the world's timing model carries a node topology.
-        #: Flat worlds must stay byte-identical, so every topology-only
-        #: behaviour — split recording, per-hop send costs, re-election
-        #: charges — is gated on this flag.
-        self._topology_aware = world.timing.topology is not None
 
     def _record(self, op: str, started_at: float, payload: int,
-                intra: float = 0.0, inter: float = 0.0) -> None:
+                phases: CommPhases = CommPhases()) -> None:
+        """Trace one finished operation; ``phases`` is its modelled
+        price, whose tier split is recorded as the model gave it."""
         seconds = self.clock.now - started_at
         self.trace.append(
             CommEvent(
@@ -396,8 +337,8 @@ class SimComm:
                 seconds=seconds,
                 payload_bytes=payload,
                 started_at=started_at,
-                intra_seconds=intra,
-                inter_seconds=inter,
+                intra_seconds=phases.intra,
+                inter_seconds=phases.inter,
             )
         )
         rec = _obs_current()
@@ -410,25 +351,12 @@ class SimComm:
             rec.count(f"comm.bytes.{op}", payload)
             rec.count(f"comm.seconds.{op}", seconds)
             rec.observe("comm.payload_bytes", payload)
-            if self._topology_aware:
-                rec.count("comm.seconds.intra", intra)
-                rec.count("comm.seconds.inter", inter)
-
-    def _collective_cost(self, op: str, payload: int) -> tuple[float, float, float]:
-        """Modelled transfer cost of one collective: (total, intra, inter).
-
-        Topology-aware worlds split the cost over the two phases of the
-        hierarchical design (node-local at shared-memory cost, leaders
-        over the network) and price the *alive member set*; the flat
-        path keeps the historical size-based formulas byte-for-byte.
-        """
-        timing = self._world.timing
-        if self._topology_aware:
-            phases = timing.collective_phases(op, self.known_alive, payload)
-            return phases.total, phases.intra, phases.inter
-        if op == "barrier":
-            return timing.barrier_seconds(self.size), 0.0, 0.0
-        return timing.collective_seconds(self.size, payload), 0.0, 0.0
+            # Value-gated like the report rows: a flat run, whose prices
+            # carry no split, emits neither counter.
+            if phases.intra:
+                rec.count("comm.seconds.intra", phases.intra)
+            if phases.inter:
+                rec.count("comm.seconds.inter", phases.inter)
 
     def comm_seconds(self) -> float:
         """Total virtual time this rank spent communicating (including
@@ -449,13 +377,10 @@ class SimComm:
         """Current node → leader map (smallest alive rank per node).
 
         Empty for flat or trivial-topology worlds.  Recomputed from
-        :attr:`known_alive` on every call — this *is* the deterministic
+        the membership view on every call — this *is* the deterministic
         re-election rule: a dead leader is replaced by the next alive
         rank of its node the instant the death set is agreed."""
-        topo = self._world.timing.topology
-        if topo is None or topo.is_trivial:
-            return {}
-        return topo.leaders(self.known_alive)
+        return self.membership_view().node_leaders(self._world.timing.topology)
 
     def alive_ranks(self) -> list[int]:
         """Ranks this communicator believes alive (sorted)."""
@@ -494,13 +419,18 @@ class SimComm:
             rec.count("membership.epochs")
             rec.instant("membership-epoch", "fault", args=args)
 
-    # -- mpi4py-style accessors ------------------------------------------
-
-    def Get_rank(self) -> int:
-        return self.rank
-
-    def Get_size(self) -> int:
-        return self.size
+    def _note_deaths(self, dead: list[int], op: str) -> None:
+        """Chronicle deaths already removed from :attr:`known_alive`:
+        epoch bump, world ledger, and the rank-failure obs report."""
+        self._bump_epoch(dead=dead)
+        self._world.ledger.record_deaths(tuple(dead), self.clock.now)
+        rec = _obs_current()
+        if rec is not None:
+            rec.count("comm.rank_failures")
+            rec.instant(
+                "rank-failure", "fault",
+                args={"op": op, "dead": dead, "known_dead": self.known_dead},
+            )
 
     # -- point-to-point -----------------------------------------------------
 
@@ -511,17 +441,10 @@ class SimComm:
             raise ValueError("send to self would deadlock a blocking recv")
         t0 = self.clock.now
         payload = _payload_bytes(obj)
-        timing = self._world.timing
-        if self._topology_aware:
-            cost = timing.message_seconds(payload, src=self.rank, dst=dest)
-            intra_hop = timing.topology.same_node(self.rank, dest)
-            intra, inter = (cost, 0.0) if intra_hop else (0.0, cost)
-        else:
-            cost = timing.message_seconds(payload)
-            intra = inter = 0.0
-        self.clock.advance(cost)
+        phases = self._world.timing.hop_phases(payload, self.rank, dest)
+        self.clock.advance(phases.total)
         self._world.mailbox(self.rank, dest, tag).put((obj, self.clock.now))
-        self._record("send", t0, payload, intra=intra, inter=inter)
+        self._record("send", t0, payload, phases)
 
     def recv(self, source: int, tag: int = 0):
         if not (0 <= source < self.size):
@@ -537,16 +460,7 @@ class SimComm:
                 status = world.status_of(source)
                 if status == DEAD:
                     self.known_alive.discard(source)
-                    self._bump_epoch(dead=(source,))
-                    world.ledger.record_deaths((source,), self.clock.now)
-                    rec = _obs_current()
-                    if rec is not None:
-                        rec.count("comm.rank_failures")
-                        rec.instant(
-                            "rank-failure", "fault",
-                            args={"op": f"recv(tag={tag})", "dead": [source],
-                                  "known_dead": self.known_dead},
-                        )
+                    self._note_deaths([source], op=f"recv(tag={tag})")
                     raise RankFailure((source,), op=f"recv(tag={tag})") from None
                 if status in (EXITED, FAILED):
                     raise SPMDError(
@@ -741,16 +655,8 @@ class SimComm:
             self.known_alive.difference_update(newly_dead)
             # The failure detector's round-trip cost (0.0 by default).
             self.clock.advance(world.timeout_policy.suspicion_charge_seconds)
-            self._bump_epoch(dead=newly_dead)
-            world.ledger.record_deaths(tuple(newly_dead), self.clock.now)
+            self._note_deaths(newly_dead, op)
             rec = _obs_current()
-            if rec is not None:
-                rec.count("comm.rank_failures")
-                rec.instant(
-                    "rank-failure", "fault",
-                    args={"op": op, "dead": newly_dead,
-                          "known_dead": self.known_dead},
-                )
             dead_set = set(newly_dead)
             dead_leaders = sorted(
                 r for r in old_leaders.values() if r in dead_set
@@ -869,65 +775,67 @@ class SimComm:
         self._joined_seen = set(info["ranks"])
         self._joined_points.add(info["point"])
 
-    def _sync_clocks(self, board: dict[int, tuple], extra: float) -> None:
-        entry_max = max(t for _, t in board.values())
-        self.clock.synchronize(entry_max)
-        self.clock.advance(extra)
+    def _collective(self, op: str, contribution, carried=None, absent=None) -> list:
+        """The one modelled collective: exchange, price, synchronise, record.
+
+        Every rank deposits ``contribution``; ranks that died before
+        contributing read as ``absent``.  ``carried(values)`` picks the
+        values that travel (the largest pickle is the payload the cost
+        model prices) and raises if the collective cannot complete;
+        by default every slot travels.  All participants leave at
+        ``max(entry clocks) + price``.  Returns what ``carried`` picked.
+        """
+        t0 = self.clock.now
+        board = self._exchange(contribution, op=op)
+        values = [board[r][0] if r in board else absent for r in range(self.size)]
+        if carried is not None:
+            values = carried(values)
+        payload = max((_payload_bytes(v) for v in values), default=0)
+        phases = self._world.timing.collective_phases(
+            op, self.known_alive, payload, world_size=self.size
+        )
+        self.clock.synchronize(max(t for _, t in board.values()))
+        self.clock.advance(phases.total)
+        self._record(op, t0, payload, phases)
+        return values
 
     def barrier(self) -> None:
         """Synchronise all ranks (the paper's post-bootstrap barrier)."""
-        t0 = self.clock.now
-        board = self._exchange(None, op="barrier")
-        total, intra, inter = self._collective_cost("barrier", 0)
-        self._sync_clocks(board, total)
-        self._record("barrier", t0, 0, intra=intra, inter=inter)
+        self._collective("barrier", None, carried=lambda values: ())
 
     def bcast(self, obj, root: int = 0):
         """Broadcast from ``root`` (the paper's final best-solution bcast)."""
         if not (0 <= root < self.size):
             raise ValueError(f"invalid root rank {root}")
-        t0 = self.clock.now
-        board = self._exchange(obj if self.rank == root else None, op="bcast")
-        if root not in board:
-            # The root died in an *earlier* collective, so this exchange
-            # completes over the survivors without raising.  Survivors
-            # must still see a RankFailure (with the frozen death set) —
-            # a generic SPMDError here would leave them unable to run
-            # recovery in lockstep.
-            if self._world.resilient:
-                raise RankFailure(self.known_dead, op="bcast")
-            raise SPMDError(f"bcast root {root} is dead")
-        value = board[root][0]
-        payload = _payload_bytes(value)
-        total, intra, inter = self._collective_cost("bcast", payload)
-        self._sync_clocks(board, total)
-        self._record("bcast", t0, payload, intra=intra, inter=inter)
-        return value
+
+        def root_value(values):
+            if values[root] is DEAD_RANK:
+                # The root died in an *earlier* collective, so this exchange
+                # completes over the survivors without raising.  Survivors
+                # must still see a RankFailure (with the frozen death set) —
+                # a generic SPMDError here would leave them unable to run
+                # recovery in lockstep.
+                if self._world.resilient:
+                    raise RankFailure(self.known_dead, op="bcast")
+                raise SPMDError(f"bcast root {root} is dead")
+            return [values[root]]
+
+        return self._collective(
+            "bcast", obj if self.rank == root else None, root_value,
+            absent=DEAD_RANK,
+        )[0]
 
     def gather(self, obj, root: int = 0):
         if not (0 <= root < self.size):
             raise ValueError(f"invalid root rank {root}")
-        t0 = self.clock.now
-        board = self._exchange(obj, op="gather")
-        values = [board[r][0] if r in board else None for r in range(self.size)]
-        payload = max(_payload_bytes(v) for v in values)
-        total, intra, inter = self._collective_cost("gather", payload)
-        self._sync_clocks(board, total)
-        self._record("gather", t0, payload, intra=intra, inter=inter)
+        values = self._collective("gather", obj)
         return values if self.rank == root else None
 
     def allgather(self, obj) -> list:
         """Gather everyone's value on every rank.  Ranks that died before
         contributing appear as ``None`` entries (resilient mode only —
         otherwise a death raises before any entry can be missing)."""
-        t0 = self.clock.now
-        board = self._exchange(obj, op="allgather")
-        values = [board[r][0] if r in board else None for r in range(self.size)]
-        payload = max(_payload_bytes(v) for v in values)
-        total, intra, inter = self._collective_cost("allgather", payload)
-        self._sync_clocks(board, total)
-        self._record("allgather", t0, payload, intra=intra, inter=inter)
-        return values
+        return self._collective("allgather", obj)
 
     def allreduce(self, obj, op=None):
         """Reduce with ``op`` (a 2-ary callable; default: sum).
@@ -938,21 +846,16 @@ class SimComm:
         reduction.  If no contribution survives at all, the reduction is
         undefined and :class:`AllRanksDeadError` is raised.
         """
-        t0 = self.clock.now
-        board = self._exchange(obj, op="allreduce")
-        values = [
-            board[r][0] if r in board else DEAD_RANK for r in range(self.size)
-        ]
-        alive = [v for v in values if v is not DEAD_RANK]
-        if not alive:
-            raise AllRanksDeadError(
-                f"allreduce at rank {self.rank}: no rank contributed a "
-                "value (every participant is dead); nothing to reduce"
-            )
-        payload = max(_payload_bytes(v) for v in alive)
-        total, intra, inter = self._collective_cost("allreduce", payload)
-        self._sync_clocks(board, total)
-        self._record("allreduce", t0, payload, intra=intra, inter=inter)
+        def contributed(values):
+            alive = [v for v in values if v is not DEAD_RANK]
+            if not alive:
+                raise AllRanksDeadError(
+                    f"allreduce at rank {self.rank}: no rank contributed a "
+                    "value (every participant is dead); nothing to reduce"
+                )
+            return alive
+
+        alive = self._collective("allreduce", obj, contributed, absent=DEAD_RANK)
         acc = alive[0]
         for v in alive[1:]:
             acc = acc + v if op is None else op(acc, v)

@@ -1,9 +1,10 @@
 """SPMD launcher: run one function across p simulated MPI ranks.
 
-``comm_timing`` accepts either the flat :class:`~repro.mpi.comm.CommTiming`
-or a topology-aware :class:`~repro.mpi.topology.HierarchicalCommTiming` —
-the world and communicator duck-type on it, so hierarchical collectives
-need no launcher changes beyond passing the richer timing object.
+``comm_timing`` is any :class:`~repro.mpi.topology.CommCostModel` — the
+flat :class:`~repro.mpi.topology.CommTiming` (the default) or a
+:class:`~repro.mpi.topology.HierarchicalCommTiming`.  The launcher only
+hands it to the world; the communicator asks it for every price through
+the one protocol, so neither knows which model it holds.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from repro.mpi.comm import (
     EXITED,
     FAILED,
     AllRanksDeadError,
-    CommTiming,
     SimComm,
     SPMDError,
     _World,
 )
 from repro.mpi.faults import FaultPlan, RankKilledError
 from repro.mpi.policy import RetryPolicy, TimeoutPolicy
+from repro.mpi.topology import CommCostModel, CommTiming
 from repro.util.timing import VirtualClock
 
 
@@ -71,7 +72,7 @@ def _joiner_ranks(n_ranks: int, fault_plan: FaultPlan | None) -> tuple[int, ...]
 def run_spmd(
     fn: Callable[[SimComm], object],
     n_ranks: int,
-    comm_timing: CommTiming | None = None,
+    comm_timing: CommCostModel | None = None,
     clocks: Sequence[VirtualClock] | None = None,
     timeout: float = 600.0,
     fault_plan: FaultPlan | None = None,

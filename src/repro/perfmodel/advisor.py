@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.mpi.topology import HierarchicalCommTiming, Topology
 from repro.perfmodel.coarse import analysis_time, serial_time
 from repro.perfmodel.machines import MachineSpec
 from repro.perfmodel.memory import max_processes_per_node, process_memory
@@ -69,10 +70,11 @@ def predict_schedule_modes(
     ``imbalance_factor`` summarises analytically.  Both modes see
     identical costs, so the difference is purely scheduling.
 
-    ``topology`` (a :class:`~repro.mpi.topology.Topology`) prices steals
-    per hop — an on-node steal as a shared-memory round-trip, a
-    cross-node one at interconnect cost — via the machine's two-tier
-    model, matching the work-steal backend's charging rule.
+    Steals are charged the cost model's steal price — the work-steal
+    backend's charging rule.  With a ``topology`` (a
+    :class:`~repro.mpi.topology.Topology`) that is per hop: an on-node
+    steal is a shared-memory round-trip, a cross-node one pays the
+    interconnect.
 
     Returns ``{"static": {...}, "work-steal": {...}}`` where each entry
     has ``makespan`` (summed stage makespans, seconds), ``idle_tail``
@@ -90,15 +92,7 @@ def predict_schedule_modes(
     dag = build_dag(sched, cfg, n_processes)
     hints = stage_cost_hints(profile, machine, n_threads)
     members = tuple(range(n_processes))
-    steal_seconds = 1.05e-5
-    if topology is not None and not topology.is_trivial:
-        from repro.mpi.topology import HierarchicalCommTiming
-
-        timing = HierarchicalCommTiming.for_machine(machine, topology)
-
-        def steal_seconds(thief, victim):  # noqa: F811 - hop-aware override
-            return 2.0 * timing.message_seconds(256, src=thief, dst=victim)
-
+    timing = HierarchicalCommTiming.for_machine(machine, topology)
     out = {m: {"makespan": 0.0, "idle_tail": 0.0, "steal_grants": 0.0}
            for m in ("static", "work-steal")}
     for si, stage in enumerate(("bootstrap", "fast", "slow", "thorough")):
@@ -114,7 +108,7 @@ def predict_schedule_modes(
         for mode in ("static", "work-steal"):
             res = simulate(
                 tasks, assignment, costs, members, mode=mode,
-                steal_seed=seed, steal_seconds=steal_seconds,
+                steal_seed=seed, steal_seconds=timing.steal_seconds,
                 pre_completed=pre,
             )
             out[mode]["makespan"] += res["makespan"]
@@ -150,8 +144,6 @@ def compare_layouts(
     the DES schedule-mode predictions; ``best`` is the entry with the
     smallest ``predicted_seconds``.
     """
-    from repro.mpi.topology import Topology
-
     entries = []
     for p, t in layouts:
         if t > machine.cores_per_node:

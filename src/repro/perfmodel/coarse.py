@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.mpi.comm import CommTiming
+from repro.mpi.topology import HierarchicalCommTiming
 from repro.perfmodel.finegrain import region_pattern_units, serial_pattern_cost
 from repro.perfmodel.machines import MACHINES, MachineSpec, machine_by_name
 from repro.perfmodel.profiles import StageProfile
@@ -116,15 +116,14 @@ def analysis_time(
     n_bootstraps: int,
     n_processes: int,
     n_threads: int,
-    comm_timing: CommTiming | None = None,
     topology=None,
 ) -> StageTimes:
     """Modelled stage times of one hybrid run (p processes × T threads).
 
-    ``topology`` (a :class:`~repro.mpi.topology.Topology`) switches the
-    communication term to the machine's two-tier hierarchical model —
-    compute terms are unchanged, exactly as in the simulator.  An
-    explicit ``comm_timing`` wins over ``topology``.
+    The communication term is priced by the machine's cost model under
+    ``topology`` (a :class:`~repro.mpi.topology.Topology`; ``None`` is
+    the flat world) — compute terms are unchanged, exactly as in the
+    simulator.
 
     Raises if ``n_threads`` exceeds the machine's cores per node (the
     paper: threads are "limited to the number of cores per node").
@@ -134,10 +133,6 @@ def analysis_time(
             f"{machine.name} has {machine.cores_per_node} cores/node; "
             f"T={n_threads} is impossible"
         )
-    if comm_timing is None and topology is not None:
-        from repro.mpi.topology import HierarchicalCommTiming
-
-        comm_timing = HierarchicalCommTiming.for_machine(machine, topology)
     if n_processes == 1 and n_threads == 1:
         # The serial code path (no MPI/Pthreads overhead), as benchmarked.
         scale0 = _machine_scale(profile, machine)
@@ -161,7 +156,7 @@ def analysis_time(
 
     comm = 0.0
     if p > 1:
-        timing = comm_timing if comm_timing is not None else CommTiming()
+        timing = HierarchicalCommTiming.for_machine(machine, topology)
         # One barrier after the bootstraps, one bcast of the best tree
         # (a Newick string: ~30 bytes per taxon).
         comm = timing.barrier_seconds(p) + timing.collective_seconds(

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.mpi.topology import intra_node_timing
 from repro.perfmodel.machines import MachineSpec
 
 
@@ -72,29 +73,6 @@ def finegrain_speedup(machine: MachineSpec, n_patterns: int, n_threads: int) -> 
         )
     return region_pattern_units(machine, n_patterns, 1) / region_pattern_units(
         machine, n_patterns, n_threads
-    )
-
-
-def traversal_pattern_units(
-    machine: MachineSpec,
-    plan,
-    n_patterns: int,
-    n_threads: int,
-    n_categories: int = 1,
-) -> float:
-    """Cost of executing one traversal plan, in pattern-units.
-
-    ``plan`` is a :class:`repro.likelihood.plan.TraversalPlan`: only its
-    ``n_inner`` ops cost parallel regions (tips are gathers folded into
-    their parent's update; cached ops are dictionary fetches), plus one
-    region for the evaluate/reduction sweep.  This is the analytic twin of
-    the engine's region charging, so planned (incremental) traversals can
-    be priced without running them — the quantity the kernel
-    microbenchmark compares against measured virtual time.
-    """
-    regions = max(plan.n_inner, 1) + 1
-    return regions * region_pattern_units(
-        machine, n_patterns, n_threads, n_categories
     )
 
 
@@ -145,5 +123,5 @@ def lane_post_seconds(
         return 0.0
     if n_channels < 1:
         raise ValueError(f"n_channels must be >= 1, got {n_channels}")
-    per_post = machine.intra_node_latency + machine.intra_node_byte_time * n_bytes
+    per_post = intra_node_timing(machine).message_seconds(n_bytes)
     return math.ceil(n_threads / n_channels) * per_post

@@ -17,7 +17,8 @@ import itertools
 import json
 from typing import Protocol
 
-from repro.mpi.comm import CommTiming, DistributedStateError, RankFailure
+from repro.mpi.comm import DistributedStateError, RankFailure
+from repro.mpi.topology import STEAL_BYTES
 from repro.obs.recorder import Recorder, current as _obs_current, recording
 from repro.search.schedule import make_schedule
 from repro.tree.newick import write_newick
@@ -346,22 +347,10 @@ class WorkStealBackend:
 
     @staticmethod
     def make_shared(config):
-        timing = config.comm_timing()
-        if timing.topology is not None:
-            # Topology-aware: a steal crossing nodes pays the
-            # interconnect round-trip, an on-node steal the
-            # shared-memory one.  The victim is fixed at commit time,
-            # so the per-hop cost is deterministic.
-            def steal_seconds(thief, victim):
-                return 2 * timing.message_seconds(256, src=thief, dst=victim)
-        else:
-            # A steal is one request/grant message pair over the virtual
-            # interconnect, charged to the thief.
-            steal_seconds = 2 * CommTiming().message_seconds(256)
         return StealBoard(
             config.n_processes,
             steal_seed=config.comprehensive.seed_p,
-            steal_seconds=steal_seconds,
+            steal_seconds=config.comm_timing().steal_seconds,
             timeout=config.spmd_timeout,
         )
 
@@ -470,7 +459,7 @@ class WorkStealBackend:
                     # rule; the dedicated steal channel records the
                     # traffic for the per-channel observability split.
                     ctx.channels.note_steal(
-                        256, board.steal_cost(rank, action.victim)
+                        STEAL_BYTES, board.steal_cost(rank, action.victim)
                     )
 
             out = run_rank_pool(

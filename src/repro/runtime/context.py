@@ -19,6 +19,7 @@ recovers.
 from __future__ import annotations
 
 from repro.likelihood.engine import LikelihoodEngine, OpCounter
+from repro.mpi.topology import intra_node_timing
 from repro.mpi.vci import ChannelSet
 from repro.obs.recorder import current as _obs_current
 from repro.perfmodel.finegrain import MachineRegionTiming
@@ -59,17 +60,11 @@ class RankContext:
         machine = machine_by_name(config.machine)
         #: Per-lane virtual channels (VCIs), opt-in via
         #: ``--comm-channels``: lane posts are intra-node hops priced by
-        #: the machine's shared-memory constants.  ``None`` charges no
-        #: post cost at all (the historical, parity-pinned behaviour).
+        #: the machine's shared-memory tier.  ``None`` charges no post
+        #: cost at all (the historical, parity-pinned behaviour).
         n_channels = config.comm_channels
         self.channels = (
-            ChannelSet(
-                n_channels,
-                post_seconds=lambda b: (
-                    machine.intra_node_latency
-                    + machine.intra_node_byte_time * b
-                ),
-            )
+            ChannelSet(n_channels, intra_node_timing(machine).message_seconds)
             if n_channels is not None else None
         )
         self.pool = VirtualThreadPool(

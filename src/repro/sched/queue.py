@@ -215,6 +215,18 @@ class Action:
     victim: int | None = None
 
 
+def steal_price(steal_seconds):
+    """The modelled round-trip of one steal as ``(thief, victim) ->
+    seconds``.  Callers give either that (a cost model's hop-aware
+    ``steal_seconds``: an on-node steal is cheaper than one crossing the
+    interconnect) or one flat float for every pair."""
+    if callable(steal_seconds):
+        return steal_seconds
+    if steal_seconds < 0:
+        raise ValueError("steal_seconds must be non-negative")
+    return lambda thief, victim: steal_seconds
+
+
 @dataclass
 class _Intent:
     time: float
@@ -238,19 +250,16 @@ class StealBoard:
         steal_seconds,
         timeout: float = 600.0,
     ) -> None:
-        """``steal_seconds`` is the modelled round-trip of one steal:
-        either a flat float or, for topology-aware runs, a callable
-        ``(thief, victim) -> float`` so an on-node steal is cheaper than
-        one crossing the interconnect.  The victim is fixed at commit
-        time (the deterministic ``(time, rank)`` frontier), so a per-hop
-        cost never perturbs the commit order's determinism."""
+        """``steal_seconds`` is the modelled round-trip of one steal
+        (see :func:`steal_price`).  The victim is fixed at commit time
+        (the deterministic ``(time, rank)`` frontier), so a per-hop cost
+        never perturbs the commit order's determinism."""
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
-        if not callable(steal_seconds) and steal_seconds < 0:
-            raise ValueError("steal_seconds must be non-negative")
         self.n_ranks = n_ranks
         self.steal_seed = steal_seed
-        self.steal_seconds = steal_seconds
+        #: ``steal_cost(thief, victim)``: one steal attempt's round-trip.
+        self.steal_cost = steal_price(steal_seconds)
         self.timeout = timeout
         self._cond = threading.Condition()
         self._stage: str | None = None
@@ -275,13 +284,6 @@ class StealBoard:
     def has_result(self, tid: str) -> bool:
         with self._cond:
             return tid in self._results
-
-    def steal_cost(self, thief: int, victim: int | None) -> float:
-        """The modelled round-trip of one steal attempt (hop-aware when
-        ``steal_seconds`` is a callable)."""
-        if callable(self.steal_seconds):
-            return self.steal_seconds(thief, victim)
-        return self.steal_seconds
 
     def steal_log(self) -> list[dict]:
         with self._cond:

@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from repro.obs.recorder import current as _obs_current
-from repro.sched.queue import Action, SchedState, SchedulerError, StealBoard
+from repro.sched.queue import SchedState, SchedulerError, StealBoard, steal_price
 from repro.sched.tasks import Task
 from repro.util.timing import VirtualClock
 
@@ -139,9 +139,10 @@ def simulate(
     the doomed task is abandoned at half its cost and re-enqueued.
 
     ``steal_seconds`` is either a flat float or a callable
-    ``(thief, victim) -> float`` — the topology-aware advisor passes the
-    latter so an on-node steal is priced as a shared-memory hop and a
-    cross-node steal as an interconnect round-trip.
+    ``(thief, victim) -> float`` (:func:`~repro.sched.queue.steal_price`)
+    — the advisor passes the cost model's steal price, so an on-node
+    steal is a shared-memory hop and a cross-node one an interconnect
+    round-trip.
 
     Returns makespan, per-rank busy/finish times, idle fractions and
     steal counters — the quantities ``BENCH_sched.json`` and the
@@ -153,6 +154,7 @@ def simulate(
         if costs.get(t.id, 0.0) <= 0.0:
             raise ValueError(f"task {t.id} needs a positive cost")
     allow_steal = mode == "work-steal"
+    steal_cost = steal_price(steal_seconds)
     state = SchedState(
         tasks, assignment, members, steal_seed,
         completed={tid: None for tid in (pre_completed or ())},
@@ -197,12 +199,7 @@ def simulate(
         elif d.kind == "done":
             finish[r] = t
         else:
-            if d.kind == "steal":
-                charge = (steal_seconds(r, d.victim)
-                          if callable(steal_seconds) else steal_seconds)
-            else:
-                charge = 0.0
-            t_go = t + charge
+            t_go = t + (steal_cost(r, d.victim) if d.kind == "steal" else 0.0)
             cost = costs[d.task_id]
             doomed = starts[r] == kill_after.get(r, -1)
             starts[r] += 1

@@ -445,3 +445,159 @@ class TestPerfmodelTopology:
         for entry in verdict["layouts"]:
             assert entry["schedule_modes"] is not None
             assert entry["predicted_seconds"] > 0
+
+
+class TestOneCostProtocol:
+    """Both models answer the same pricing protocol, and every consumer
+    — communicator, steal board, advisor, lane channels — asks it."""
+
+    OPS = ("barrier", "bcast", "gather", "allgather", "allreduce")
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_flat_phases_are_the_hand_traced_log_tree(self, op):
+        t = CommTiming()
+        n_bytes = 1000
+        for p in range(1, 66):
+            rounds = math.ceil(math.log2(p)) if p > 1 else 0
+            phases = t.collective_phases(op, range(p), n_bytes)
+            if op == "barrier":
+                assert phases.total == t.barrier_seconds(p) == rounds * 1e-5
+            else:
+                assert phases.total == t.collective_seconds(p, n_bytes)
+                assert phases.total == rounds * (5e-6 + n_bytes * 1e-9)
+            # The flat model has no tiers: the whole price is untiered.
+            assert (phases.intra, phases.inter) == (0.0, 0.0)
+            # Handed a world size, the flat model prices it, not the members.
+            assert t.collective_phases(op, [0], n_bytes, world_size=p) == phases
+
+    def test_flat_hop_ignores_endpoints(self):
+        t = CommTiming()
+        assert t.message_seconds(1000, src=0, dst=5) == t.message_seconds(1000)
+        assert t.hop_phases(1000, 0, 5) == CommPhases(untiered=6.0e-6)
+
+    def test_two_tier_ignores_world_size(self):
+        timing = HierarchicalCommTiming.for_machine(
+            machine_by_name("dash"), Topology(8, ranks_per_node=4))
+        assert timing.collective_phases(
+            "bcast", range(4), 64, world_size=8
+        ) == timing.collective_phases("bcast", range(4), 64)
+
+    @pytest.mark.parametrize("ranks_per_node", [None, 2])
+    def test_dead_rank_pricing_rule(self, ranks_per_node):
+        # One death in a 2-rank world: the flat log tree still prices the
+        # world size, the two-tier model the alive set (one rank: free).
+        topo = None if ranks_per_node is None else Topology(2, ranks_per_node)
+        timing = HierarchicalCommTiming.for_machine(machine_by_name("dash"), topo)
+        plan = FaultPlan(kills=(KillSpec(rank=1, collective=0),))
+
+        def body(comm):
+            with pytest.raises(RankFailure):
+                comm.barrier()
+            t0 = comm.clock.now
+            comm.barrier()
+            return comm.clock.now, t0, comm.trace[-1]
+
+        now, t0, event = run_spmd(body, 2, comm_timing=timing, fault_plan=plan)[0]
+        if ranks_per_node is None:
+            assert now == t0 + CommTiming().barrier_seconds(2) > t0
+        else:
+            assert timing.collective_phases("barrier", [0], 0).total == 0.0
+            assert timing.barrier_seconds(2) > 0.0
+            assert now == t0
+        assert (event.intra_seconds, event.inter_seconds) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("ranks_per_node", [None, 2])
+    def test_split_is_what_the_phases_carry(self, ranks_per_node):
+        from repro.obs.recorder import Recorder, recording
+
+        topo = None if ranks_per_node is None else Topology(4, ranks_per_node)
+        timing = HierarchicalCommTiming.for_machine(machine_by_name("dash"), topo)
+
+        def body(comm):
+            rec = Recorder(rank=comm.rank, clock=comm.clock)
+            with recording(rec):
+                comm.allreduce(1.0)
+                comm.barrier()
+                if comm.rank == 0:
+                    comm.send("x", 1)
+                    comm.send("x", 3)
+                elif comm.rank in (1, 3):
+                    comm.recv(0)
+            return comm.trace, rec.metrics.counters
+
+        for rank, (trace, counters) in enumerate(
+            run_spmd(body, 4, comm_timing=timing)
+        ):
+            split = [(e.intra_seconds, e.inter_seconds) for e in trace]
+            if ranks_per_node is None:
+                assert all(s == (0.0, 0.0) for s in split)
+                assert "comm.seconds.intra" not in counters
+                assert "comm.seconds.inter" not in counters
+                continue
+            assert counters["comm.seconds.intra"] == sum(s[0] for s in split)
+            assert counters["comm.seconds.inter"] == sum(s[1] for s in split)
+            assert all(i > 0.0 and x > 0.0 for i, x in split[:2])
+            if rank == 0:
+                # 0 → 1 stays on node 0; 0 → 3 crosses to node 1.
+                on_node, cross = trace[2], trace[3]
+                assert on_node.intra_seconds > 0.0 == on_node.inter_seconds
+                assert cross.inter_seconds > 0.0 == cross.intra_seconds
+
+    def test_one_intra_hop_formula(self):
+        from repro.hybrid.driver import HybridConfig
+        from repro.perfmodel.finegrain import lane_post_seconds
+        from repro.runtime.context import RankContext
+        from repro.util.timing import VirtualClock
+
+        for name, machine in MACHINES.items():
+            tier = HierarchicalCommTiming.for_machine(
+                machine, Topology(4, ranks_per_node=2)).intra
+            config = HybridConfig(n_processes=2, n_threads=2, machine=name,
+                                  comm_channels=2)
+            ctx = RankContext(None, config, 0, VirtualClock())
+            for n_bytes in (0, 8, 256, 1 << 20):
+                want = (machine.intra_node_latency
+                        + machine.intra_node_byte_time * n_bytes)
+                assert tier.message_seconds(n_bytes) == want
+                assert ctx.channels.post_seconds(n_bytes) == want
+                assert lane_post_seconds(machine, 2, 2, n_bytes) == want
+
+    @pytest.mark.parametrize("ranks_per_node", [None, 2])
+    def test_board_and_advisor_charge_the_same_steal(self, ranks_per_node,
+                                                     monkeypatch):
+        # The work-steal backend's board and the advisor's DES read one
+        # steal price (they used to disagree on the flat value:
+        # 1.0512e-5 charged vs 1.05e-5 predicted).
+        import repro.sched.stealing as stealing
+        from repro.hybrid.driver import HybridConfig
+        from repro.perfmodel.advisor import predict_schedule_modes
+        from repro.perfmodel.profiles import PROFILES
+        from repro.runtime.backends import WorkStealBackend
+
+        config = HybridConfig(n_processes=4, n_threads=2,
+                              schedule="work-steal",
+                              ranks_per_node=ranks_per_node)
+        board = WorkStealBackend.make_shared(config)
+        handed = []
+        real = stealing.simulate
+
+        def spy(*args, steal_seconds, **kw):
+            handed.append(steal_seconds if callable(steal_seconds)
+                          else lambda thief, victim: steal_seconds)
+            return real(*args, steal_seconds=steal_seconds, **kw)
+
+        monkeypatch.setattr(stealing, "simulate", spy)
+        predict_schedule_modes(
+            next(iter(PROFILES.values())), machine_by_name(config.machine),
+            20, 4, 2, topology=config.topology(),
+        )
+        assert handed
+        for thief, victim in ((0, 1), (1, 0), (0, 2), (3, 0)):
+            charged = board.steal_cost(thief, victim)
+            assert charged > 0.0
+            assert all(price(thief, victim) == charged for price in handed)
+        on_node, cross = board.steal_cost(0, 1), board.steal_cost(0, 2)
+        if ranks_per_node is None:
+            assert on_node == cross == 2 * CommTiming().message_seconds(256)
+        else:
+            assert on_node < cross
