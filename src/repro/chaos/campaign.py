@@ -38,7 +38,6 @@ from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
 from repro.mpi.policy import TimeoutPolicy
 from repro.search.comprehensive import ComprehensiveConfig
 from repro.search.searches import StageParams
-from repro.tree.newick import write_newick
 
 #: Both execution backends are swept, alternately.
 SCHEDULES = ("static", "work-steal")
@@ -71,27 +70,11 @@ def _make_inputs():
 
 
 def _capture(result) -> dict:
-    """The fields equality is asserted over (results, not timings)."""
-    return {
-        "best_lnl": result.best_lnl,
-        "best_newick": (
-            write_newick(result.best_tree, digits=None)
-            if result.best_tree is not None else None
-        ),
-        "bootstrap_newicks": sorted(
-            write_newick(t, digits=None) for t in result.bootstrap_trees
-        ),
-        "n_bootstraps_done": result.n_bootstraps_done,
-    }
-
-
-def _capture_replay(result) -> dict:
-    """Replay determinism is the strongest check: timings included."""
-    doc = _capture(result)
-    doc["total_seconds"] = result.total_seconds
-    doc["finish_times"] = [r.finish_time for r in result.ranks]
-    doc["failed_ranks"] = sorted(result.failed_ranks)
-    doc["stage_seconds"] = dict(result.stage_seconds)
+    """The fields equality with the fault-free baseline is asserted
+    over: :meth:`HybridResult.identity`'s results view, minus the
+    per-rank list (a dead rank files no report)."""
+    doc = result.identity()
+    del doc["rank_lnls"]
     return doc
 
 
@@ -135,9 +118,8 @@ def run_scenario(pal, cc, spec: ScenarioSpec, baseline: dict,
 
     got = _capture(result)
     record["checks"].append("equality-full")
-    for key in ("best_lnl", "best_newick", "bootstrap_newicks",
-                "n_bootstraps_done"):
-        if got[key] != baseline[key]:
+    for key, want in baseline.items():
+        if got[key] != want:
             violations.append(f"determinism: {key} differs from baseline")
 
     if spec.index % REPEAT_EVERY == 0 and not violations:
@@ -148,7 +130,8 @@ def run_scenario(pal, cc, spec: ScenarioSpec, baseline: dict,
         # replay (into its own directory).
         again = _run(pal, cc, spec,
                      checkpoint_dir=str(ckpt) + "-replay" if ckpt else None)
-        if _capture_replay(again) != _capture_replay(result):
+        # Replay determinism is the strongest check: timings included.
+        if again.identity(timings=True) != result.identity(timings=True):
             violations.append("determinism: replaying the same plan diverged")
 
     if check_resume and not violations:

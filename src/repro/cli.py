@@ -289,30 +289,35 @@ def main(argv: list[str] | None = None) -> int:
         return _run_evaluate(args, pal)
     if args.algorithm == "d" or args.seed_b is not None:
         return _run_multisearch(args, pal, stage_params)
-    ccfg = ComprehensiveConfig(
-        n_bootstraps=args.bootstraps,
-        seed_p=args.seed_p,
-        seed_x=args.seed_x,
-        use_cat=(args.model == "GTRCAT"),
-        stage_params=stage_params,
-    )
-    config = HybridConfig(
-        n_processes=args.processes,
-        n_threads=args.threads,
-        comprehensive=ccfg,
-        machine=args.machine,
-        bootstopping=args.bootstopping,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-        quorum=args.quorum,
-        schedule=args.schedule,
-        kernel=args.kernel,
-        clv_cache=args.clv_cache,
-        collect_trace=args.trace is not None,
-        collect_metrics=args.metrics_out is not None,
-        ranks_per_node=args.ranks_per_node,
-        comm_channels=args.comm_channels,
-    )
+    try:
+        ccfg = ComprehensiveConfig(
+            n_bootstraps=args.bootstraps,
+            seed_p=args.seed_p,
+            seed_x=args.seed_x,
+            use_cat=(args.model == "GTRCAT"),
+            stage_params=stage_params,
+        )
+        config = HybridConfig(
+            n_processes=args.processes,
+            n_threads=args.threads,
+            comprehensive=ccfg,
+            machine=args.machine,
+            bootstopping=args.bootstopping,
+            checkpoint_dir=args.checkpoint_dir,
+            resume=args.resume,
+            quorum=args.quorum,
+            schedule=args.schedule,
+            kernel=args.kernel,
+            clv_cache=args.clv_cache,
+            collect_trace=args.trace is not None,
+            collect_metrics=args.metrics_out is not None,
+            ranks_per_node=args.ranks_per_node,
+            comm_channels=args.comm_channels,
+        )
+    except ValueError as exc:
+        # A value the configs reject (--quorum 1.5, --comm-channels 0, ...)
+        # is a usage error like any other: one line, no traceback.
+        raise SystemExit(str(exc)) from None
 
     print(f"repro-raxml: {pal.n_taxa} taxa, {pal.n_sites} sites, "
           f"{pal.n_patterns} patterns")

@@ -29,7 +29,10 @@ from repro.search.comprehensive import STAGE_ORDER
 from repro.search.hillclimb import SearchResult
 from repro.tree.newick import parse_newick, write_newick
 
-FORMAT_VERSION = 1
+#: Version 2: one fingerprint rule (every ``fingerprint_fields`` entry is
+#: in the document, unset ones as ``null``) and stage documents in the
+#: task journals.  Version-1 files are rejected loudly, not migrated.
+FORMAT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -53,22 +56,14 @@ def fingerprint_doc(obj) -> dict:
     :class:`~repro.hybrid.driver.HybridConfig` and
     :class:`~repro.search.comprehensive.ComprehensiveConfig`): each named
     field becomes one document entry, nested dataclass values (e.g.
-    ``stage_params``) as plain dicts.  Adding a result-affecting knob to
-    a config means adding its name to that tuple — nothing here changes.
-
-    Fields named in an optional ``fingerprint_optional_fields`` tuple
-    enter the document only when set (not ``None``): their default means
-    "legacy behaviour", and legacy checkpoints must keep the fingerprint
-    they were written with.
+    ``stage_params``) as plain dicts, unset ones as ``null``.  Adding a
+    result-affecting knob to a config means adding its name to that
+    tuple — nothing here changes.
     """
     doc = {}
     for name in obj.fingerprint_fields:
         value = getattr(obj, name)
         doc[name] = asdict(value) if is_dataclass(value) else value
-    for name in getattr(obj, "fingerprint_optional_fields", ()):
-        value = getattr(obj, name)
-        if value is not None:
-            doc[name] = asdict(value) if is_dataclass(value) else value
     return doc
 
 

@@ -114,22 +114,17 @@ class HybridConfig:
     #: mode is part of the run's identity — static checkpoints and
     #: work-steal journals describe different units of progress.  Kernel
     #: and cache settings are included because timings and op counts
-    #: depend on them even though likelihood values do not.
-    #: Resilience-only knobs (``fault_plan``, ``checkpoint_dir``,
-    #: ``resume``) are deliberately excluded: a resumed run and its
-    #: killed predecessor share a fingerprint by construction.
+    #: depend on them even though likelihood values do not, and the
+    #: topology knobs because they change every virtual timestamp (comm
+    #: costs).  Resilience-only knobs (``fault_plan``,
+    #: ``checkpoint_dir``, ``resume``) are deliberately excluded: a
+    #: resumed run and its killed predecessor share a fingerprint by
+    #: construction.
     fingerprint_fields: ClassVar[tuple[str, ...]] = (
         "schedule", "n_processes", "n_threads", "machine",
         "seconds_per_pattern_unit", "bootstopping", "bootstop_step",
-        "bootstop_max", "kernel", "clv_cache",
-    )
-    #: Topology knobs enter the fingerprint only when set: they change
-    #: every virtual timestamp (comm costs), so checkpoints from
-    #: different topologies must not mix — but their ``None`` defaults
-    #: mean "legacy flat world", and legacy checkpoints must keep their
-    #: historical fingerprints byte-for-byte.
-    fingerprint_optional_fields: ClassVar[tuple[str, ...]] = (
-        "ranks_per_node", "comm_channels",
+        "bootstop_max", "kernel", "clv_cache", "ranks_per_node",
+        "comm_channels",
     )
 
     def __post_init__(self) -> None:

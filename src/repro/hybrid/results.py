@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.bootstop.support import map_support
@@ -12,7 +13,7 @@ from repro.obs.trace import chrome_trace
 from repro.search.comprehensive import STAGE_ORDER
 from repro.search.schedule import WorkSchedule, make_schedule
 from repro.sched.tasks import rng_stream_fingerprint
-from repro.tree.newick import parse_newick
+from repro.tree.newick import parse_newick, write_newick
 from repro.tree.topology import Tree
 
 
@@ -98,10 +99,51 @@ class HybridResult:
         """Per-rank thorough-search likelihoods (Table 6's comparison)."""
         return [r.local_best_lnl for r in self.ranks]
 
+    def identity(self, timings: bool = False) -> dict:
+        """The one definition of *bit-identical* (serial = threaded =
+        batched = work-steal = resumed = recovered), as a JSON-exact dict
+        two runs are compared by.
+
+        The results view is what every such pair must agree on: the
+        winner, all trees at full float precision, the replicate set and
+        the RNG stream keys.  (``rank_lnls`` lists reporting ranks only —
+        compare it only between runs with the same deaths.)
+        ``timings=True`` adds what two runs of the same schedule, fault
+        plan and machine must also agree on: virtual seconds, per-stage
+        op totals and the death set.
+        """
+        def newick(tree, **kw):
+            return write_newick(tree, **kw) if tree is not None else None
+
+        doc = {
+            "best_lnl": self.best_lnl,
+            "winner_rank": self.winner_rank,
+            "best_newick": newick(self.best_tree, digits=None),
+            "support_newick": newick(self.support_tree, support=True),
+            "bootstrap_newicks": sorted(
+                write_newick(t, digits=None) for t in self.bootstrap_trees
+            ),
+            "n_bootstraps_done": self.n_bootstraps_done,
+            "rng_fingerprint": self.rng_fingerprint,
+            "rank_lnls": self.rank_lnls(),
+            "wc_trace": [list(t) for t in self.wc_trace],
+        }
+        if timings:
+            stage_ops: Counter = Counter()
+            for r in self.ranks:
+                stage_ops.update(r.stage_ops)
+            doc.update(
+                stage_seconds=dict(self.stage_seconds),
+                total_seconds=self.total_seconds,
+                finish_times=[r.finish_time for r in self.ranks],
+                comm_seconds=[r.comm_seconds for r in self.ranks],
+                stage_ops=dict(stage_ops),
+                failed_ranks=list(self.failed_ranks),
+            )
+        return doc
+
     def to_report(self) -> dict:
         """A JSON-serialisable run report (the CLI's info file)."""
-        from repro.tree.newick import write_newick
-
         return {
             "best_lnl": self.best_lnl,
             "winner_rank": self.winner_rank,

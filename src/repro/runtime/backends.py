@@ -1,38 +1,40 @@
-"""Execution backends: how the one stage pipeline is driven per rank.
+"""Execution backends: a pipeline handed to the one stage driver.
 
-An :class:`ExecutionBackend` turns the declarative
-:func:`~repro.runtime.pipeline.comprehensive_pipeline` into a rank body.
-Two implementations exist — the paper's static Table 2 partition and the
-work-stealing task scheduler (:mod:`repro.sched`) — and ``--schedule``
-selects one from the registry.  Adding a backend is one new class (see
-``docs/ARCHITECTURE.md`` §11): register it, drive the stages, and the
-determinism discipline (every stage unit derives its streams from its
-origin identity) guarantees bit-identical results.
+An :class:`ExecutionBackend` builds a rank's context and hands
+:func:`~repro.runtime.pipeline.comprehensive_pipeline` — as is, or with
+some stage hooks replaced — to :func:`_exec_stage`, the only place a
+stage boundary is sequenced.  Two implementations exist — the paper's
+static Table 2 partition and the work-stealing task scheduler
+(:mod:`repro.sched`) — and ``--schedule`` selects one from the registry.
+Adding a backend is one new class (see ``docs/ARCHITECTURE.md`` §11):
+register it, supply the hooks, and the determinism discipline (every
+stage unit derives its streams from its origin identity) guarantees
+bit-identical results.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
+from dataclasses import replace
+from functools import partial
 from typing import Protocol
 
-from repro.mpi.comm import DistributedStateError, RankFailure
+from repro.mpi.comm import RankFailure
 from repro.mpi.topology import STEAL_BYTES
 from repro.obs.recorder import Recorder, current as _obs_current, recording
 from repro.search.schedule import make_schedule
 from repro.tree.newick import write_newick
-from repro.hybrid.checkpoint import CheckpointError, config_fingerprint
-from repro.sched.checkpoint import open_journal
 from repro.sched.placement import initial_assignment
 from repro.sched.queue import StealBoard
 from repro.sched.stealing import run_rank_pool
-from repro.sched.tasks import build_dag, execute_task, task_id
+from repro.sched.tasks import build_dag, execute_task
 from repro.runtime.context import RankContext
 from repro.runtime.middleware import (
     CheckpointMiddleware,
     RecoveryMiddleware,
     export_rank_observability,
+    negotiate_resume,
+    open_journal_store,
     open_store,
     quorum_lost,
 )
@@ -93,14 +95,13 @@ def run_rank(comm, pal, config, board=None) -> dict:
     return out
 
 
-def _until_agreed(collective, on_failure=lambda: None):
+def _until_agreed(collective, on_failure):
     """Run ``collective`` until it completes over the surviving membership.
 
     A :class:`RankFailure` means a peer died in the exchange.  Every
     survivor sees it with the same frozen death set, handles it the same
-    way — ``on_failure``: the static backend replays the dead share,
-    work stealing does nothing (the board already re-enqueued the dead
-    rank's work) — and re-enters, so the survivors leave in lockstep.
+    way — ``on_failure``, the context's ``recover`` — and re-enters, so
+    the survivors leave in lockstep.
     """
     while True:
         try:
@@ -109,12 +110,72 @@ def _until_agreed(collective, on_failure=lambda: None):
             on_failure()
 
 
-def _stages_from_entry(comm, config) -> tuple[Stage, ...]:
-    """The stages ``comm.rank`` takes part in: the whole pipeline, or —
-    for an elastic joiner — everything from its join boundary on (whose
+def _exec_stage(ctx: RankContext, stage: Stage) -> None:
+    """The stage boundary — for both backends, live ranks, joiners and
+    replays alike: epoch advance, adoption claims, kill hook,
+    restore-or-run, the paper's barrier (with its recovery retry) inside
+    the stage window, accounting, persist, fuse.
+
+    It branches on what the context and the stage carry — no
+    communicator (a replay), no ``run`` hook (no share of this stage),
+    no ``load`` hook (never restored) — never on which backend built
+    them.
+    """
+    comm, name = ctx.comm, stage.name
+    ctx.current_stage = name
+
+    def recover():
+        ctx.recover(name)
+
+    if comm is not None:
+        # The membership epoch boundary comes first: a joiner declared
+        # at this stage enters the world before any same-boundary kill
+        # fires, and a death noticed at the boundary exchange is
+        # recovered exactly like one noticed at the barrier.
+        _until_agreed(lambda: comm.advance_epoch(name), recover)
+        if comm.is_joiner and comm.known_dead:
+            # A joiner services adoption claims at every boundary,
+            # not only after a failed collective of its own: the
+            # deterministic candidate rule counts it as a survivor,
+            # so a claim may elect it for a death that surfaced in an
+            # exchange it was not part of — most directly the very
+            # boundary that activated it (the activation record
+            # already carries that death set).
+            recover()
+    ctx.kill_at_stage(name)
+    # A restored stage's barrier already happened in the checkpointed
+    # timeline (its cost is inside the restored clock); every rank
+    # resumes past it symmetrically (the restored prefix is negotiated),
+    # so it is skipped, not replayed.  A replay never communicates.
+    restore = stage.load is not None and ctx.checkpointer.resumed(name)
+    barrier = stage.barrier_after and comm is not None and not restore
+    if stage.run is None:
+        # No share: nothing to run, account or fuse — the rank only
+        # keeps the live ranks' barrier.
+        if barrier:
+            _until_agreed(comm.barrier, recover)
+        return
+    if restore:
+        stage.load(ctx, ctx.checkpointer.load_stage(ctx, name))
+    else:
+        ctx.begin_stage()
+        stage.run(ctx)
+        if barrier:
+            # The one noteworthy barrier of the MPI code (paper
+            # Section 2.1) — retried after recovery so survivors leave
+            # it in lockstep.
+            _until_agreed(comm.barrier, recover)
+        ctx.end_stage(name, payload=stage.payload, save=stage.is_task)
+    if stage.fuse is not None:
+        stage.fuse(ctx)
+
+
+def _stages_from_entry(comm, config, stages) -> tuple[Stage, ...]:
+    """The ``stages`` ``comm.rank`` takes part in: all of them, or — for
+    an elastic joiner — everything from its join boundary on (whose
     ``advance_epoch`` is a no-op for it: that exchange already happened,
     it produced this rank)."""
-    stages = comprehensive_pipeline().stages
+    stages = tuple(stages)
     if comm.is_joiner:
         join_stage = config.fault_plan.join_stage_of(comm.rank)
         stages = stages[[s.name for s in stages].index(join_stage):]
@@ -122,12 +183,13 @@ def _stages_from_entry(comm, config) -> tuple[Stage, ...]:
 
 
 def _rank_report(ctx: RankContext, **own) -> dict:
-    """The rank report: the accounting every backend reads off
-    ``ctx``/``ctx.comm`` the same way, plus the backend's ``own`` fields
-    (local/winner results, ``bootstrap_newicks``, ``n_fast``/``n_slow``,
-    ``recovered_for``, work-steal's ``sched``).  Elastic joiners are
-    tagged with their join stage."""
-    comm = ctx.comm
+    """The rank report: accounting off ``ctx``/``ctx.comm`` and the
+    rank's share — its own results plus the dead ranks it adopted — off
+    ``ctx.state``, the same way for every backend, plus the backend's
+    ``own`` fields (work-steal's ``sched``).  Elastic joiners are tagged
+    with their join stage."""
+    comm, state = ctx.comm, ctx.state
+    adopted, thorough = state["adopted"], state["thorough"]
     report = {
         "rank": comm.rank,
         "stage_seconds": {**ctx.stage_seconds, "recovery": ctx.recovery_seconds},
@@ -142,8 +204,20 @@ def _rank_report(ctx: RankContext, **own) -> dict:
         "backoff_seconds": comm.backoff_seconds,
         "failed_ranks": comm.known_dead,
         "recovery_seconds_by_stage": dict(ctx.recovery_by_stage),
-        "notes": list(ctx.state.get("__notes__", [])),
+        "notes": list(state.get("__notes__", [])),
         "membership": comm.membership_view().as_doc(),
+        "local_lnl": thorough.lnl if thorough is not None else None,
+        "local_newick": state["local_newick"],
+        "winner_rank": state["winner_rank"],
+        "winner_lnl": state["winner_lnl"],
+        "best_newick": state["best_newick"],
+        "bootstrap_newicks": [write_newick(t) for t in state["local_bs_trees"]]
+        + [n for d in sorted(adopted) for n in adopted[d]["bootstrap_newicks"]],
+        "wc_trace": state["wc_trace"],
+        "shard": state["shard"],
+        "n_fast": len(state["fast_results"]),
+        "n_slow": len(state["slow_results"]),
+        "recovered_for": sorted(adopted),
         **own,
     }
     if comm.is_joiner:
@@ -152,22 +226,32 @@ def _rank_report(ctx: RankContext, **own) -> dict:
     return report
 
 
+def _empty_share() -> dict:
+    """The share a rank without a Table 2 share reports."""
+    return dict(
+        local_bs_trees=[], fast_results=[], slow_results=[], thorough=None,
+        wc_trace=[], shard=None,
+    )
+
+
 @register_backend
 class StaticBackend:
-    """The paper's fixed Table 2 partition, stage by stage.
+    """The paper's fixed Table 2 partition: the comprehensive pipeline
+    as is.
 
     Every pipeline stage runs (or checkpoint-loads) in order on every
     rank; recovery from rank deaths replays the dead rank's pipeline on
     a communicator-less context via :class:`RecoveryMiddleware`.
 
     An elastic joiner (hot spare) drives the same stages from its epoch
-    boundary on, with no Table 2 share of its own — growing the share
-    partition mid-run would change every rank's replicate streams and
-    break bit-identity with the static world.  Instead it rebalances the
-    *membership*: it takes part in every collective, counts as a
-    survivor in the deterministic adoption rule (so it replays dead
-    ranks' shares like any original survivor), and submits its adoptees'
-    candidates to the final selection.
+    boundary on, with no Table 2 share of its own (its task stages have
+    no ``run`` hook) — growing the share partition mid-run would change
+    every rank's replicate streams and break bit-identity with the
+    static world.  Instead it rebalances the *membership*: it takes part
+    in every collective, counts as a survivor in the deterministic
+    adoption rule (so it replays dead ranks' shares like any original
+    survivor), and submits its adoptees' candidates to the final
+    selection.
     """
 
     name = "static"
@@ -179,115 +263,25 @@ class StaticBackend:
 
     def run(self, comm, pal, config, board=None) -> dict:
         rank = comm.rank
-        ckpt = None
-        resume_through = -1
-        if comm.is_joiner:
-            # Late joiners cannot take part in the resume negotiation
-            # (they do not exist yet); the blackboard hands them the
-            # agreed prefix.
-            resume_through = comm.lookup("resume_through", -1)
-        else:
-            ckpt = open_store(pal, config, rank)
-            if ckpt is not None and config.resume:
-                # Negotiate a common resume point: every rank must skip
-                # the same collectives, so resume through the *minimum*
-                # contiguous stage prefix available across ranks.
-                # Cost-free exchange: a resumed run must stay
-                # bit-identical to an uninterrupted one.
-                counts = comm._plain_allgather(
-                    len(ckpt.available_stages()), op="resume-negotiation"
-                )
-                resume_through = min(c for c in counts if c is not None) - 1
-            comm.publish("resume_through", resume_through)
-
+        ckpt = None if comm.is_joiner else open_store(pal, config, rank)
         recovery = RecoveryMiddleware(
             comm, lambda dead: self._replay(comm, pal, config, dead)
         )
         ctx = RankContext(
             pal, config, rank, comm.clock, comm=comm,
-            checkpointer=CheckpointMiddleware(ckpt, resume_through),
+            checkpointer=CheckpointMiddleware(
+                ckpt, negotiate_resume(comm, ckpt, config.resume)
+            ),
         )
-        adopted = ctx.state["adopted"] = recovery.adopted
+        ctx.state["adopted"] = recovery.adopted
         ctx.recover = lambda upto: recovery.recover(ctx, upto)
+        stages = _stages_from_entry(comm, config, comprehensive_pipeline())
         if comm.is_joiner:
-            # The empty share its task stages leave untouched.
-            ctx.state.update(
-                local_bs_trees=[], fast_results=[], slow_results=[],
-                thorough=None, wc_trace=[], shard=None,
-            )
-
-        for stage in _stages_from_entry(comm, config):
-            self._exec_stage(ctx, stage)
-
-        thorough = ctx.state["thorough"]
-        return _rank_report(
-            ctx,
-            local_lnl=thorough.lnl if thorough is not None else None,
-            local_newick=ctx.state["local_newick"],
-            winner_rank=ctx.state["winner_rank"],
-            winner_lnl=ctx.state["winner_lnl"],
-            best_newick=ctx.state["best_newick"],
-            bootstrap_newicks=[
-                write_newick(t) for t in ctx.state["local_bs_trees"]
-            ] + [n for d in sorted(adopted) for n in adopted[d]["bootstrap_newicks"]],
-            wc_trace=ctx.state["wc_trace"],
-            shard=ctx.state["shard"],
-            n_fast=len(ctx.state["fast_results"]),
-            n_slow=len(ctx.state["slow_results"]),
-            recovered_for=sorted(adopted),
-        )
-
-    def _exec_stage(self, ctx: RankContext, stage: Stage) -> None:
-        """The stage boundary, for live ranks, joiners and replays alike:
-        epoch advance, adoption claims, kill hook, load-or-run, the
-        paper's barrier (with its recovery retry), accounting, fuse."""
-        comm, name = ctx.comm, stage.name
-        ctx.current_stage = name
-
-        def recover():
-            ctx.recover(name)
-
-        if comm is not None:
-            # The membership epoch boundary comes first: a joiner declared
-            # at this stage enters the world before any same-boundary kill
-            # fires, and a death noticed at the boundary exchange is
-            # recovered exactly like one noticed at the barrier.
-            _until_agreed(lambda: comm.advance_epoch(name), recover)
-            if comm.is_joiner and comm.known_dead:
-                # A joiner services adoption claims at every boundary,
-                # not only after a failed collective of its own: the
-                # deterministic candidate rule counts it as a survivor,
-                # so a claim may elect it for a death that surfaced in an
-                # exchange it was not part of — most directly the very
-                # boundary that activated it (the activation record
-                # already carries that death set).
-                recover()
-        ctx.kill_at_stage(name)
-        # A restored stage's post-stage barrier already happened in the
-        # checkpointed timeline (its cost is inside the restored clock);
-        # every rank resumes past it symmetrically, so it is skipped, not
-        # replayed.  A replay never communicates.
-        resumed = stage.is_task and ctx.checkpointer.resumed(name)
-        barrier = stage.barrier_after and comm is not None and not resumed
-        if comm is not None and comm.is_joiner and stage.is_task:
-            # No Table 2 share: nothing to run, account or fuse — the
-            # joiner only keeps the live ranks' barrier.
-            if barrier:
-                _until_agreed(comm.barrier, recover)
-            return
-        if resumed:
-            stage.load(ctx, ctx.checkpointer.load_stage(ctx, name))
-        else:
-            ctx.begin_stage()
-            stage.run(ctx)
-            if barrier:
-                # The one noteworthy barrier of the MPI code (paper
-                # Section 2.1) — retried after recovery so survivors leave
-                # it in lockstep.
-                _until_agreed(comm.barrier, recover)
-            ctx.end_stage(name, payload=stage.payload, save=stage.is_task)
-        if stage.fuse is not None:
-            stage.fuse(ctx)
+            ctx.state.update(_empty_share())
+            stages = [replace(s, run=None) if s.is_task else s for s in stages]
+        for stage in stages:
+            _exec_stage(ctx, stage)
+        return _rank_report(ctx)
 
     def _replay(self, comm, pal, config, dead_rank: int) -> dict:
         """Re-derive a dead rank's *whole* work share on this rank's
@@ -314,7 +308,7 @@ class StaticBackend:
             save_checkpoints=False,
         )
         for stage in comprehensive_pipeline().task_stages:
-            self._exec_stage(ctx, stage)
+            _exec_stage(ctx, stage)
         trees = [r.tree for r in ctx.state["bs_results"]]
         return {
             "bootstrap_trees": trees,
@@ -325,21 +319,26 @@ class StaticBackend:
 
 @register_backend
 class WorkStealBackend:
-    """The task-DAG scheduler (:mod:`repro.sched`) behind the pipeline.
+    """The task-DAG scheduler (:mod:`repro.sched`): the comprehensive
+    pipeline with its task stages' hooks replaced.
 
-    Each task-mapped stage becomes a pool over per-rank deques drained
-    through the shared :class:`~repro.sched.queue.StealBoard`.  Every
-    task derives its random streams from its *origin* (the logical rank
-    whose Table 2 share it belongs to), so wherever a task runs it
-    produces the trees the static backend would — this backend changes
-    only *when* and *where* work happens, never *what* it computes.
+    Each task stage's ``run`` drains the pool of the same name over
+    per-rank deques through the shared
+    :class:`~repro.sched.queue.StealBoard`; persist/restore is the task
+    journal (:mod:`repro.sched.checkpoint`: each completion is
+    journalled, ``--resume`` preloads the union of all ranks' journals
+    and restores the stages some rank noted finished); ``finalize`` is the
+    pipeline's own, fed from the board.  Every task derives its random
+    streams from its *origin* (the logical rank whose Table 2 share it
+    belongs to), so wherever a task runs it produces the trees the
+    static backend would — this backend changes only *when* and *where*
+    work happens, never *what* it computes or what a stage boundary is.
 
     A rank killed mid-task abandons it back to the board (re-enqueued at
     its death's virtual time) and its remaining queue is stolen by the
     survivors — recovery re-runs only the unfinished tasks, not the dead
-    rank's whole share.  With a checkpoint directory, each completion is
-    journalled (:mod:`repro.sched.checkpoint`) and ``--resume`` preloads
-    the union of all ranks' journals.
+    rank's whole share, so ``recover`` only re-derives which survivor
+    reports which dead origin.
     """
 
     name = "work-steal"
@@ -358,65 +357,58 @@ class WorkStealBackend:
         cfg = config.comprehensive
         rank = comm.rank
         n_procs = config.n_processes
-        sched = make_schedule(cfg.n_bootstraps, n_procs)
-        dag = build_dag(sched, cfg, n_procs)
+        dag = build_dag(make_schedule(cfg.n_bootstraps, n_procs), cfg, n_procs)
 
-        ctx = RankContext(pal, config, rank, comm.clock, comm=comm)
-        started_bootstraps = itertools.count()
-
-        journal = None
-        restored: dict = {}
-        restored_stage_seconds: dict[str, float] = {}
-        restored_stage_clock: dict[str, float] = {}
-        if config.checkpoint_dir is not None:
-            # Union journals over every rank that can have written one —
-            # including elastic joiners of a previous (interrupted) run.
-            n_journal = n_procs + (
-                len(config.fault_plan.joins) if config.fault_plan else 0
-            )
-            journal, restored, restored_stage_seconds, restored_stage_clock = (
-                open_journal(
-                    config.checkpoint_dir, rank, n_journal,
-                    config_fingerprint(pal, config), pal.taxa,
-                    resume=config.resume,
-                )
-            )
-            if config.resume and not comm.is_joiner:
-                # Every rank reads the same directory; verify before any
-                # rank writes — divergent views would desynchronise the
-                # pools.  (Joiners read the same union after activation;
-                # they cannot take part in the pre-run exchange.)
-                digest = hashlib.sha256(
-                    json.dumps(sorted(restored)).encode("ascii")
-                ).hexdigest()
-                digests = comm._plain_allgather(digest, op="sched-resume")
-                if any(d is not None and d != digest for d in digests):
-                    raise CheckpointError(
-                        "ranks loaded divergent sched journals; refusing to resume"
-                    )
-
+        journal, restored = open_journal_store(comm, pal, config, dag)
+        # A resumed run's journalled results, published once: a restored
+        # stage has nothing else to rebuild, a re-run one schedules only
+        # what is missing.
+        board.preload(restored)
+        ctx = RankContext(
+            pal, config, rank, comm.clock, comm=comm,
+            checkpointer=CheckpointMiddleware(
+                journal, negotiate_resume(comm, journal, config.resume)
+            ),
+        )
+        adopted = ctx.state["adopted"] = {}
         status_of = comm._world.status_of
+        started_bootstraps = itertools.count()
         outcomes: dict[str, object] = {}
-        for stage in _stages_from_entry(comm, config):
-            if not stage.is_task:
-                continue  # the final selection, below
-            ctx.current_stage = stage.name
-            # Membership epoch boundary: joiners declared here enter
-            # before assignment, so the queues rebalance over the current
-            # membership.
-            _until_agreed(lambda: comm.advance_epoch(stage.name))
-            if config.quorum > 0.0:
-                # Graceful degradation needs *agreed* membership at every
-                # boundary.  Static mode gets it from its per-stage
-                # collectives; under work stealing deaths otherwise
-                # surface only on the board (which never updates
-                # known_alive), so quorum runs add a heartbeat barrier.
-                # Joiners run it too — their own epoch exchange happened
-                # at activation, before this point.
-                _until_agreed(comm.barrier)
-            ctx.kill_at_stage(stage.name)
+
+        def share(origin: int) -> dict[str, list]:
+            """What the board holds of ``origin``'s Table 2 share,
+            whoever executed it (nothing for a joiner's rank; below
+            quorum, dropped tasks simply have no entry)."""
+            return {
+                kind: [
+                    board.result(t.id) for t in tasks
+                    if t.origin == origin and board.has_result(t.id)
+                ]
+                for kind, tasks in dag.items() if kind != "setup"
+            }
+
+        def recover(upto=None):
+            # The board already re-enqueued a dead rank's work; what is
+            # left of recovery is reporting.  Each survivor (elastic
+            # joiners included) carries the dead origins the adoption
+            # rule — a pure function of the agreed membership — gives it.
+            survivors = comm.alive_ranks()
+            adopted.clear()
+            for o in range(n_procs):
+                if o not in survivors and survivors[o % len(survivors)] == rank:
+                    got = share(o)
+                    adopted[o] = {
+                        "bootstrap_newicks": [
+                            write_newick(r.tree) for r in got["bootstrap"]
+                        ],
+                        "thorough": next(iter(got["thorough"]), None),
+                    }
+
+        ctx.recover = recover
+
+        def drain(name: str, ctx: RankContext) -> None:
             members = tuple(comm.alive_ranks())
-            tasks = dag[stage.name]
+            tasks = dag[name]
             if quorum_lost(ctx, len(members)):
                 # Graceful degradation: below quorum the dead origins'
                 # remaining tasks are dropped (every rank computes the
@@ -434,20 +426,15 @@ class WorkStealBackend:
                 kept = {t.id for t in tasks}
                 viable = [
                     t for t in tasks
-                    if all(
-                        d in kept or d in restored or board.has_result(d)
-                        for d in t.deps
-                    )
+                    if all(d in kept or board.has_result(d) for d in t.deps)
                 ]
                 if len(viable) == len(tasks):
                     break
                 tasks = viable
-            pre = {t.id: restored[t.id] for t in tasks if t.id in restored}
             board.begin_stage(
-                stage.name, tasks, initial_assignment(tasks, members), members,
-                pre_completed=pre, status_of=status_of, epoch=comm.epoch,
+                name, tasks, initial_assignment(tasks, members), members,
+                status_of=status_of, epoch=comm.epoch,
             )
-            ctx.begin_stage()
 
             def on_start(task, action):
                 if task.kind == "bootstrap":
@@ -462,95 +449,47 @@ class WorkStealBackend:
                         STEAL_BYTES, board.steal_cost(rank, action.victim)
                     )
 
-            out = run_rank_pool(
+            outcomes[name] = run_rank_pool(
                 board, rank, comm.clock,
                 lambda task: execute_task(task, ctx, board.result),
-                status_of=status_of,
-                journal=journal,
-                on_start=on_start,
+                status_of=status_of, journal=journal, on_start=on_start,
             )
-            ctx.end_stage(stage.name, save=False)
-            if not out.executed and stage.name in restored_stage_seconds:
-                # Fully-restored stage: its pool drained instantly; keep the
-                # original run's accounting instead of the ~0 drain time,
-                # and re-anchor the clock at the journalled stage-end so
-                # stages that do re-execute run from bit-identical clock
-                # bases (synchronize only moves forward — the drain time is
-                # bounded by the journalled boundary, which includes the
-                # real work).
-                ctx.stage_seconds[stage.name] = restored_stage_seconds[stage.name]
-                if stage.name in restored_stage_clock:
-                    comm.clock.synchronize(restored_stage_clock[stage.name])
-            outcomes[stage.name] = out
-            if journal is not None:
-                journal.note_stage(
-                    stage.name, ctx.stage_seconds[stage.name], comm.clock.now
-                )
-            if stage.barrier_after:
-                # The paper's one noteworthy barrier.  Under work stealing
-                # the pool drain already synchronised the survivors'
-                # clocks, but the barrier's modelled cost (and its death
-                # detection) stays.
-                _until_agreed(comm.barrier)
 
-        # ---- Final selection: every origin's thorough result is on the
-        # board (whoever executed it), so the winner rule — static's
-        # rounded argmax with ties to the lowest origin — needs no gather
-        # of scores.  Below quorum, dropped origins simply have no entry
-        # (partial result, tagged in the notes).
-        ctx.current_stage = "finalize"
-        _until_agreed(lambda: comm.advance_epoch("finalize"))
-        ctx.begin_stage()
-        ctx.kill_at_stage("finalize")
-        finals = {
-            o: board.result(task_id("thorough", o, 0))
-            for o in range(n_procs)
-            if board.has_result(task_id("thorough", o, 0))
-        }
-        if finals:
-            _, neg_o, winner_lnl = max(
-                (round(r.lnl, 6), -o, r.lnl) for o, r in finals.items()
+        def finalize(select, ctx: RankContext) -> None:
+            own = share(rank)
+            ctx.state.update(
+                _empty_share(),
+                local_bs_trees=[r.tree for r in own["bootstrap"]],
+                fast_results=own["fast"], slow_results=own["slow"],
+                thorough=next(iter(own["thorough"]), None),
             )
-            winner_rank = -neg_o
-            best_newick = write_newick(finals[winner_rank].tree)
-        else:
-            winner_rank, winner_lnl, best_newick = None, None, None
-        vote = (
-            winner_rank,
-            None if winner_lnl is None else round(winner_lnl, 6),
-        )
-        # Cross-check the local decisions and charge the final exchange's
-        # modelled cost, exactly like static's gather+bcast.
-        votes = _until_agreed(lambda: comm.allgather(vote))
-        if any(v is not None and v != vote for v in votes):
-            raise DistributedStateError(
-                f"rank {rank}: winner vote mismatch {votes} — the shared board "
-                "diverged across ranks"
-            )
-        ctx.end_stage("finalize", save=False)
+            recover()
+            select(ctx)
 
-        # Report origins the way static reports adoption: each survivor
-        # (elastic joiners included) carries its own origin plus dead
-        # origins per the adoption rule.
-        survivors = comm.alive_ranks()
-        carried = ([rank] if rank < n_procs else []) + [
-            o for o in range(n_procs)
-            if o not in survivors and survivors[o % len(survivors)] == rank
+        # Graceful degradation needs *agreed* membership at every
+        # boundary.  Static mode gets it from recovery at its
+        # collectives; under work stealing deaths otherwise surface only
+        # on the board (which never updates known_alive), so quorum runs
+        # close every task stage with the barrier — the heartbeat.
+        # Setup is recomputed, never restored: its artefacts are
+        # engine-bound, not journalled.  The other stages' artefacts are
+        # on the board already, so their ``load`` rebuilds nothing.
+        stages = [
+            replace(
+                s, run=partial(drain, s.name), payload=None, fuse=None,
+                load=None if s.name == "setup" else lambda ctx, data: None,
+                barrier_after=s.barrier_after or config.quorum > 0.0,
+            ) if s.is_task else replace(s, run=partial(finalize, s.run))
+            for s in comprehensive_pipeline()
         ]
-        bootstrap_newicks = [
-            write_newick(board.result(task_id("bootstrap", o, b)).tree)
-            for o in carried
-            for b in range(sched.bootstraps_per_process)
-            if board.has_result(task_id("bootstrap", o, b))
-        ]
-        thorough = finals.get(rank)
+        for stage in _stages_from_entry(comm, config, stages):
+            _exec_stage(ctx, stage)
 
         my_stats = {
             s: per.get(rank, {}) for s, per in board.stage_stats().items()
         }
         idle_tail = {
-            s: outcomes[s].finish_time - outcomes[s].last_busy_time
-            for s in outcomes
+            s: out.finish_time - out.last_busy_time for s, out in outcomes.items()
         }
         rec = _obs_current()
         if rec is not None:
@@ -561,27 +500,10 @@ class WorkStealBackend:
             for counter in ("steal_attempts", "steal_grants"):
                 total = sum(st.get(counter, 0) for st in my_stats.values())
                 rec.gauge(f"sched.{counter}", total)
-
-        return _rank_report(
-            ctx,
-            local_lnl=thorough.lnl if thorough is not None else None,
-            local_newick=(
-                write_newick(thorough.tree) if thorough is not None else None
-            ),
-            winner_rank=winner_rank,
-            winner_lnl=winner_lnl,
-            best_newick=best_newick,
-            bootstrap_newicks=bootstrap_newicks,
-            wc_trace=[],
-            shard=None,
-            n_fast=len(outcomes["fast"].executed) if "fast" in outcomes else 0,
-            n_slow=len(outcomes["slow"].executed) if "slow" in outcomes else 0,
-            recovered_for=sorted(set(carried) - {rank}),
-            sched={
-                "mode": "work-steal",
-                "executed": {s: list(outcomes[s].executed) for s in outcomes},
-                "stolen": {s: list(outcomes[s].stolen) for s in outcomes},
-                "idle_tail": idle_tail,
-                "stats": my_stats,
-            },
-        )
+        return _rank_report(ctx, sched={
+            "mode": "work-steal",
+            "executed": {s: list(out.executed) for s, out in outcomes.items()},
+            "stolen": {s: list(out.stolen) for s, out in outcomes.items()},
+            "idle_tail": idle_tail,
+            "stats": my_stats,
+        })

@@ -81,9 +81,9 @@ class RankContext:
         #: bodies only: a replay runs on the adopter, a different node —
         #: the fault already happened.
         self.fault_plan = config.fault_plan if comm is not None else None
-        #: Per-stage checkpoint save/restore
-        #: (:class:`~repro.runtime.middleware.CheckpointMiddleware`; the
-        #: work-steal backend journals per task instead and has none).
+        #: Stage save/restore
+        #: (:class:`~repro.runtime.middleware.CheckpointMiddleware` over
+        #: the backend's store: per-stage files or the task journal).
         self.checkpointer = checkpointer
         self.save_checkpoints = save_checkpoints
         #: Inter-stage artefacts (model, rate models, per-stage results);

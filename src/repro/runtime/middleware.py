@@ -10,6 +10,8 @@ restore, a recovery span after the replay time is charged.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -21,20 +23,28 @@ from repro.hybrid.checkpoint import (
 )
 from repro.mpi.comm import DistributedStateError
 from repro.obs.recorder import current as _obs_current
+from repro.sched.checkpoint import open_journal
 
 
 class CheckpointMiddleware:
-    """Per-stage checkpoint save/restore (:mod:`repro.hybrid.checkpoint`).
+    """Save and restore finished stages — the one implementation, for
+    both granularities of ``store``: a per-stage
+    :class:`~repro.hybrid.checkpoint.CheckpointStore` (static: the stage
+    document carries the stage's results) or a
+    :class:`~repro.sched.checkpoint.SchedJournal` (work-steal: results
+    are journalled per task, the stage document is accounting only).
+    Both speak ``save(stage, doc)`` / ``load(stage)`` /
+    ``available_stages()``.
 
     ``resume_through`` is the index of the last :data:`STAGE_ORDER` stage
     to restore instead of run — negotiated collectively for live ranks
-    (and handed to elastic joiners, which have no ``store``: they only
-    need to know which barriers the live ranks resumed past), taken from
-    the dead rank's own contiguous prefix for replays.
+    (and handed to elastic joiners, which did not exist yet; a static
+    joiner has no ``store`` and only needs to know which barriers the
+    live ranks resumed past), taken from the dead rank's own contiguous
+    prefix for replays.
     """
 
-    def __init__(self, store: CheckpointStore | None,
-                 resume_through: int = -1) -> None:
+    def __init__(self, store, resume_through: int = -1) -> None:
         self.store = store
         self.resume_through = resume_through
 
@@ -82,7 +92,7 @@ class CheckpointMiddleware:
         return data
 
     def save_stage(self, ctx, stage: str, payload) -> None:
-        """Write ``stage``'s checkpoint: the stage's own ``payload(ctx)``
+        """Write ``stage``'s document: the stage's own ``payload(ctx)``
         (if it has one) plus accounting, clock and membership stamp."""
         if self.store is None or not ctx.save_checkpoints:
             return
@@ -193,12 +203,70 @@ def quorum_lost(ctx, n_survivors: int) -> bool:
     return True
 
 
+def negotiate_resume(comm, store, resume: bool) -> int:
+    """The index of the last stage every rank restores instead of runs.
+
+    Every rank must skip the same collectives, so a resumed run restores
+    the *minimum* contiguous stage prefix available across ranks (-1:
+    nothing; a task journal offers what any rank noted, so there the
+    counts agree).  The exchange is cost-free: a resumed run must stay
+    bit-identical to an uninterrupted one.  Elastic joiners cannot take
+    part (they do not exist yet); the blackboard hands them the agreed
+    prefix.
+    """
+    if comm.is_joiner:
+        return comm.lookup("resume_through", -1)
+    through = -1
+    if store is not None and resume:
+        counts = comm._plain_allgather(
+            len(store.available_stages()), op="resume-negotiation"
+        )
+        through = min(c for c in counts if c is not None) - 1
+    return comm.publish("resume_through", through)
+
+
 def open_store(pal, config, logical_rank: int) -> CheckpointStore | None:
     if config.checkpoint_dir is None:
         return None
     return CheckpointStore(
         Path(config.checkpoint_dir), logical_rank, config_fingerprint(pal, config)
     )
+
+
+def open_journal_store(comm, pal, config, dag):
+    """``(journal, restored)`` for a work-steal rank: its task journal
+    (None without a checkpoint directory) and, on resume, the union of
+    every rank's journalled task results for the stage pools ``dag``."""
+    if config.checkpoint_dir is None:
+        return None, {}
+    # Union journals over every rank that can have written one —
+    # including elastic joiners of a previous (interrupted) run.
+    n_journal = config.n_processes + (
+        len(config.fault_plan.joins) if config.fault_plan else 0
+    )
+    journal, restored = open_journal(
+        config.checkpoint_dir, comm.rank, n_journal,
+        config_fingerprint(pal, config), pal.taxa, resume=config.resume,
+    )
+    if config.resume and not comm.is_joiner:
+        # Every rank reads the same directory; verify before any rank
+        # writes — divergent views would desynchronise the pools.
+        # (Joiners read the same union after activation; they cannot
+        # take part in the pre-run exchange.)
+        digest = hashlib.sha256(
+            json.dumps(sorted(restored)).encode("ascii")
+        ).hexdigest()
+        digests = comm._plain_allgather(digest, op="sched-resume")
+        if any(d is not None and d != digest for d in digests):
+            raise CheckpointError(
+                "ranks loaded divergent sched journals; refusing to resume"
+            )
+    for stage, tasks in dag.items():
+        # A stage noted below quorum finished with its dead origins'
+        # tasks dropped; it is re-run for what is missing, not restored.
+        if stage != "setup" and not all(t.id in restored for t in tasks):
+            journal.forget(stage)
+    return journal, restored
 
 
 def export_rank_observability(rec, out: dict, collect_trace: bool) -> None:

@@ -4,19 +4,23 @@ analysis.
 Each :class:`Stage` names one paper stage and carries its hooks:
 
 * ``run(ctx)`` — compute the stage from ``ctx.state`` (and communicate,
-  for stages that own a collective);
+  for stages that own a collective); ``None``: this rank has no share of
+  the stage and only keeps its barrier;
 * ``load(ctx, data)`` — rebuild the stage's artefacts from a checkpoint
-  payload instead of running;
-* ``payload(ctx)`` — the checkpoint payload schema (what ``load`` reads);
+  document instead of running; ``None``: the stage is never restored,
+  always run;
+* ``payload(ctx)`` — the stage's part of the checkpoint document (what
+  ``load`` reads);
 * ``fuse(ctx)`` — post-stage share bookkeeping (survivor shares,
   adopted trees).
 
 The :func:`comprehensive_pipeline` below is the *only* place the
-setup → bootstrap → fast → slow → thorough → finalize sequence gets its
-hooks; execution backends (:mod:`repro.runtime.backends`) decide how
-its stages are driven, and replays reuse the same stages with
-``ctx.comm is None`` (collectives are skipped and fuses keep the
-original share — a replay never communicates).
+setup → bootstrap → fast → slow → thorough → finalize sequence is
+defined.  An execution backend (:mod:`repro.runtime.backends`) hands it
+— or a copy with some hooks replaced — to the one stage driver, and
+replays reuse the same stages with ``ctx.comm is None`` (collectives are
+skipped and fuses keep the original share — a replay never
+communicates).
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ class Stage:
     """One declarative pipeline stage (name, hooks, scheduling facts)."""
 
     name: str
-    run: Callable[[RankContext], None]
+    run: Callable[[RankContext], None] | None
     load: Callable[[RankContext, dict], None] | None = None
     payload: Callable[[RankContext], dict] | None = None
     fuse: Callable[[RankContext], None] | None = None
@@ -238,19 +242,11 @@ def _load_results(key: str, ctx: RankContext, data: dict) -> None:
 
 
 def _payload_thorough(ctx: RankContext) -> dict:
-    thorough = ctx.state["thorough"]
-    return {
-        "newick": write_newick(thorough.tree, digits=None),
-        "lnl": float(thorough.lnl),
-        "rounds": int(thorough.rounds),
-    }
+    return {"results": results_to_payload([ctx.state["thorough"]])}
 
 
 def _load_thorough(ctx: RankContext, data: dict) -> None:
-    ctx.state["thorough"] = SearchResult(
-        parse_newick(data["newick"], taxa=ctx.pal.taxa),
-        data["lnl"], data["rounds"],
-    )
+    [ctx.state["thorough"]] = payload_to_results(data["results"], ctx.pal.taxa)
 
 
 def _run_finalize(ctx: RankContext) -> None:
@@ -258,8 +254,10 @@ def _run_finalize(ctx: RankContext) -> None:
 
     Scores are rounded to 1e-6 for the argmax (ties break to the lowest
     logical rank) so the winner is independent of thread-count float
-    noise.  Each physical rank also submits entries for fully-replayed
-    adoptees; a death here triggers a full replay and a retry.
+    noise.  Each physical rank also submits entries for the dead ranks
+    it adopted; a death here triggers recovery and a retry.  Below
+    quorum every candidate may have been dropped: the run then reports
+    no winner (a partial result, tagged in the notes).
     """
     comm, rank = ctx.comm, ctx.rank
     # Elastic joiners (hot spares) have no thorough result of their own:
@@ -283,6 +281,9 @@ def _run_finalize(ctx: RankContext) -> None:
                 if lst is not None
                 for entry in lst
             ]
+            if not flat:
+                winner_rank = winner_lnl = best_newick = None
+                break
             (_, neg_rank, winner_lnl), carrier = max(flat)
             winner_rank = -neg_rank
             if comm.rank == carrier:

@@ -10,22 +10,39 @@ executed a task, its result is the same by the determinism discipline —
 seeds the scheduler board, and only tasks missing from the union are
 re-run.
 
+The journal is also the rank's *stage* store: it speaks the
+``save(stage, doc)`` / ``load(stage)`` / ``available_stages()`` protocol
+of :class:`~repro.hybrid.checkpoint.CheckpointStore`, so the stage
+boundary restores a finished stage's accounting and clock the same way
+for both granularities
+(:class:`~repro.runtime.middleware.CheckpointMiddleware`).  What differs
+is whose note makes a stage restorable: a stage's results are the
+union's, so *any* rank's does — a rank that was dead when its peers
+finished the stage restores no accounting, only their stage-end clock.
+
 Setup tasks are never journalled: they are cheap, engine-bound and not
 JSON-serialisable; a resumed rank recomputes them.
 """
 
 from __future__ import annotations
 
+from itertools import takewhile
 from pathlib import Path
 
-from repro.hybrid.checkpoint import FORMAT_VERSION, read_checked, write_durable
+from repro.hybrid.checkpoint import (
+    FORMAT_VERSION,
+    payload_to_results,
+    read_checked,
+    results_to_payload,
+    write_durable,
+)
+from repro.search.comprehensive import STAGE_ORDER
 from repro.search.hillclimb import SearchResult
-from repro.tree.newick import parse_newick, write_newick
 from repro.sched.tasks import Task
 
 
 class SchedJournal:
-    """Append-style journal of one rank's completed tasks.
+    """Append-style journal of one rank's completed tasks and stages.
 
     The file is a single JSON document rewritten atomically per
     completion (task results are small — a Newick string and two
@@ -38,9 +55,8 @@ class SchedJournal:
         self.rank = rank
         self.fingerprint = fingerprint
         self._tasks: dict[str, list] = {}
+        self._stages: dict[str, dict] = {}
         self._clock = 0.0
-        self._stage_seconds: dict[str, float] = {}
-        self._stage_clock: dict[str, float] = {}
 
     @property
     def path(self) -> Path:
@@ -50,25 +66,33 @@ class SchedJournal:
         """Persist one completed task *before* it is published to the board."""
         if task.kind == "setup":
             raise ValueError("setup tasks are recomputed, never journalled")
-        self._tasks[task.id] = [
-            write_newick(result.tree, digits=None),
-            float(result.lnl),
-            int(result.rounds),
-        ]
+        self._tasks[task.id] = results_to_payload([result])[0]
         self._clock = float(clock_now)
         self._write()
 
-    def note_stage(self, stage: str, seconds: float, clock_now: float) -> None:
-        """Record a finished stage's accounting (for resumed stage reports).
-
-        The absolute stage-end clock lets a resumed run re-anchor its
-        timeline at each fully-restored stage boundary, so stages it does
-        re-execute run from bit-identical clock bases.
-        """
-        self._stage_seconds[stage] = float(seconds)
-        self._stage_clock[stage] = float(clock_now)
-        self._clock = float(clock_now)
+    def save(self, stage: str, doc: dict) -> None:
+        """Note a finished stage: its accounting document (seconds, ops,
+        stage-end clock), restored by a resumed run.  The membership
+        stamp is not kept: task results are origin-pure, so a journal
+        restores under whatever membership resumes it."""
+        self._stages[stage] = {k: v for k, v in doc.items() if k != "membership"}
+        self._clock = doc["clock"]
         self._write()
+
+    def load(self, stage: str) -> dict | None:
+        """The document for ``stage``, or None if never noted."""
+        return self._stages.get(stage)
+
+    def forget(self, stage: str) -> None:
+        """Un-note ``stage`` (it was noted with tasks missing): a resumed
+        run re-runs it instead of restoring it."""
+        self._stages.pop(stage, None)
+
+    def available_stages(self) -> tuple[str, ...]:
+        """The contiguous :data:`STAGE_ORDER` prefix noted.  A note is
+        written after the stage's pool drained, i.e. after every task of
+        it was journalled by whoever executed it."""
+        return tuple(takewhile(self._stages.__contains__, STAGE_ORDER))
 
     def _write(self) -> None:
         write_durable(self.path, {
@@ -76,8 +100,7 @@ class SchedJournal:
             "rank": self.rank,
             "fingerprint": self.fingerprint,
             "clock": self._clock,
-            "stage_seconds": self._stage_seconds,
-            "stage_clock": self._stage_clock,
+            "stages": self._stages,
             "tasks": self._tasks,
         })
 
@@ -97,72 +120,47 @@ def load_journal(directory: str | Path, rank: int, fingerprint: str) -> dict | N
 
 def load_union(
     directory: str | Path, n_ranks: int, fingerprint: str, taxa
-) -> tuple[
-    dict[str, SearchResult],
-    dict[int, dict[str, float]],
-    dict[int, dict[str, float]],
-]:
-    """The union of all ranks' journals for one run.
-
-    Returns ``(results, stage_seconds, stage_clock)``: every journalled
-    task id mapped to its parsed :class:`SearchResult` (duplicates across
-    journals are value-identical by determinism — first writer wins),
-    plus each journalled rank's per-stage seconds and absolute stage-end
-    clocks.  Absent journals simply contribute nothing.
-    """
+) -> dict[str, SearchResult]:
+    """The union of all ranks' journalled tasks for one run: every task
+    id mapped to its parsed :class:`SearchResult` (duplicates across
+    journals are value-identical by determinism — first writer wins).
+    Absent journals simply contribute nothing."""
     results: dict[str, SearchResult] = {}
-    stage_seconds: dict[int, dict[str, float]] = {}
-    stage_clock: dict[int, dict[str, float]] = {}
     for rank in range(n_ranks):
         doc = load_journal(directory, rank, fingerprint)
-        if doc is None:
-            continue
-        stage_seconds[rank] = {
-            k: float(v) for k, v in doc.get("stage_seconds", {}).items()
-        }
-        stage_clock[rank] = {
-            k: float(v) for k, v in doc.get("stage_clock", {}).items()
-        }
-        for tid, (newick, lnl, rounds) in doc.get("tasks", {}).items():
-            results.setdefault(
-                tid, SearchResult(parse_newick(newick, taxa=taxa), lnl, rounds)
-            )
-    return results, stage_seconds, stage_clock
+        if doc is not None:
+            tasks = doc["tasks"]
+            for tid, res in zip(tasks, payload_to_results(tasks.values(), taxa)):
+                results.setdefault(tid, res)
+    return results
 
 
 def open_journal(
     directory: str | Path, rank: int, n_ranks: int, fingerprint: str, taxa,
     resume: bool = False,
-) -> tuple[
-    SchedJournal,
-    dict[str, SearchResult],
-    dict[str, float],
-    dict[str, float],
-]:
+) -> tuple[SchedJournal, dict[str, SearchResult]]:
     """One rank's journal, primed for a (possibly resumed) run.
 
-    Returns ``(journal, restored, stage_seconds, stage_clock)``.  Without
-    ``resume`` the journal is fresh and the rest is empty.  With
-    ``resume``, ``restored`` is the :func:`load_union` of every rank's
-    journal (whoever executed a task, its result is the same), the two
-    stage maps are *this* rank's journalled accounting, and the rank's
-    own journal content is carried forward so the resumed run's file
-    stays the complete record of everything it executed.
+    Returns ``(journal, restored)``.  Without ``resume`` the journal is
+    fresh and ``restored`` empty.  With ``resume``, ``restored`` is the
+    :func:`load_union` of every rank's journal and the rank's own
+    journal content (tasks and stage documents) is carried forward, so
+    the resumed run's file stays the complete record of its timeline.
+    A stage only its peers noted (the rank was dead) enters that record
+    with no accounting and the latest stage-end clock they noted.
     """
     journal = SchedJournal(directory, rank, fingerprint)
     if not resume:
-        return journal, {}, {}, {}
-    restored, stage_seconds, stage_clock = load_union(
-        directory, n_ranks, fingerprint, taxa
-    )
-    own = load_journal(directory, rank, fingerprint)
-    if own is not None:
-        journal._tasks = dict(own.get("tasks", {}))
-        journal._stage_seconds = dict(own.get("stage_seconds", {}))
-        journal._clock = float(own.get("clock", 0.0))
-    return (
-        journal,
-        restored,
-        dict(stage_seconds.get(rank, {})),
-        dict(stage_clock.get(rank, {})),
-    )
+        return journal, {}
+    docs = [load_journal(directory, r, fingerprint) for r in range(n_ranks)]
+    for doc in filter(None, docs):
+        for stage, note in doc["stages"].items():
+            seen = journal._stages.setdefault(
+                stage, {"stage_seconds": 0.0, "stage_ops": 0, "clock": 0.0}
+            )
+            seen["clock"] = max(seen["clock"], note["clock"])
+    if docs[rank] is not None:
+        journal._tasks = docs[rank]["tasks"]
+        journal._stages.update(docs[rank]["stages"])
+        journal._clock = docs[rank]["clock"]
+    return journal, load_union(directory, n_ranks, fingerprint, taxa)

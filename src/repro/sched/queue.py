@@ -285,6 +285,14 @@ class StealBoard:
         with self._cond:
             return tid in self._results
 
+    def preload(self, results: dict[str, object]) -> None:
+        """Publish already-known results (a resumed run's journalled
+        tasks): the stages they belong to schedule only what is missing.
+        Every rank preloads the same values, so it is idempotent."""
+        with self._cond:
+            for tid, res in results.items():
+                self._results.setdefault(tid, res)
+
     def steal_log(self) -> list[dict]:
         with self._cond:
             return list(self._steals)
@@ -308,7 +316,6 @@ class StealBoard:
         tasks: list[Task],
         assignment: dict[int, list[str]],
         members: tuple[int, ...],
-        pre_completed: dict[str, object] | None = None,
         status_of=None,
         epoch: int = 0,
     ) -> None:
@@ -346,7 +353,7 @@ class StealBoard:
                 self._cond.wait(0.05)
             if self._stage != stage:
                 self._archive_stage()
-                live = [t for t in tasks if t.id not in (pre_completed or {})]
+                live = [t for t in tasks if t.id not in self._results]
                 live_ids = {t.id for t in live}
                 trimmed = {
                     r: [tid for tid in q if tid in live_ids]
@@ -357,8 +364,6 @@ class StealBoard:
                     completed=self._results, epoch=epoch,
                 )
                 state.completed = self._results  # shared, persists stages
-                for tid, res in (pre_completed or {}).items():
-                    self._results.setdefault(tid, res)
                 self._stage = stage
                 self._state = state
                 self._members = tuple(members)

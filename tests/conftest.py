@@ -6,6 +6,11 @@ read-only (copy trees before mutating).
 
 from __future__ import annotations
 
+import json
+import os
+import platform
+import time
+
 import pytest
 
 from repro.datasets import test_dataset
@@ -14,6 +19,41 @@ from repro.search import ComprehensiveConfig, StageParams
 from repro.seq import Alignment, compress_alignment
 from repro.tree import parse_newick, yule_tree
 from repro.util import RAxMLRandom
+
+
+def pytest_sessionstart(session):
+    session.config._tier1_t0 = time.perf_counter()
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """``REPRO_TIER1_OUT=benchmarks/output/TIER1.json python -m pytest -q``
+    records tier-1's size and wall time (ROADMAP 5f) in a tracked file,
+    so a regression of either shows in review."""
+    out = os.environ.get("REPRO_TIER1_OUT")
+    if out:
+        doc = {
+            "tests": session.testscollected,
+            "failed": session.testsfailed,
+            "exit_status": int(exitstatus),
+            "wall_seconds": round(time.perf_counter() - session.config._tier1_t0, 1),
+            "python": platform.python_version(),
+            "cpus": os.cpu_count(),
+        }
+        with open(out, "w", encoding="ascii") as fh:
+            fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
+def assert_bit_identical(a, b, *, timings=False, ignore=(), context=""):
+    """``a`` and ``b`` are bit-identical :class:`HybridResult`s, by the
+    one definition (:meth:`HybridResult.identity`).  ``timings`` adds
+    virtual seconds, op totals and the death set; ``ignore`` names
+    fields a comparison legitimately skips (``rank_lnls`` when a rank
+    died: it files no report); ``context`` says which run of a sweep
+    this is, in the failure message."""
+    want, got = a.identity(timings), b.identity(timings)
+    for key in want:
+        if key not in ignore:
+            assert got[key] == want[key], f"{context}{key} differs"
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from repro.chaos.campaign import (
 )
 from repro.chaos.plans import ScenarioSpec, generate_scenario
 from repro.mpi.faults import FaultPlan, JoinSpec, KillSpec
+from tests.conftest import assert_bit_identical
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,7 @@ def flat_baselines(inputs):
         for p in (2, 4):
             spec = ScenarioSpec(index=-1, schedule=schedule, n_processes=p,
                                 plan=None, equality="baseline", deaths=())
-            out[(schedule, p)] = _capture(_run(pal, cc, spec, plan=None))
+            out[(schedule, p)] = _run(pal, cc, spec, plan=None)
     return out
 
 
@@ -73,7 +74,7 @@ class TestJoinOnNewNode:
             equality="full", deaths=(), ranks_per_node=2,
         )
         result = _run(pal, cc, spec)
-        assert _capture(result) == flat_baselines[(schedule, 2)]
+        assert_bit_identical(flat_baselines[(schedule, 2)], result)
 
     def test_join_plus_leader_death_with_resume(self, inputs, flat_baselines):
         # The hard composition: node 0's leader dies while a joiner
@@ -92,11 +93,11 @@ class TestJoinOnNewNode:
         with tempfile.TemporaryDirectory() as tmp:
             ckpt = str(Path(tmp) / "ckpt")
             first = _run(pal, cc, spec, checkpoint_dir=ckpt)
-            assert _capture(first) == baseline
+            assert_bit_identical(baseline, first, ignore=("rank_lnls",))
             resumed = _run(pal, cc, spec,
                            plan=FaultPlan(joins=spec.plan.joins),
                            checkpoint_dir=ckpt, resume=True)
-            assert _capture(resumed) == baseline
+            assert_bit_identical(baseline, resumed)
 
 
 class TestHierarchicalScenarioSweep:
@@ -113,8 +114,9 @@ class TestHierarchicalScenarioSweep:
         spec = generate_scenario(index, 20260808, schedule, 2,
                                  ranks_per_node=2)
         assert spec.ranks_per_node == 2
-        record = run_scenario(pal, cc, spec, flat_baselines[(schedule, 2)],
-                              None)
+        record = run_scenario(
+            pal, cc, spec, _capture(flat_baselines[(schedule, 2)]), None
+        )
         assert record["violations"] == [], record
         assert record["ranks_per_node"] == 2
 

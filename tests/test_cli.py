@@ -205,6 +205,17 @@ class TestValidateArgs:
                 self._args(["--bootstopping", "--schedule", "work-steal"])
             )
 
+    @pytest.mark.parametrize("extra, match", [
+        (["--quorum", "1.5"], "quorum"),
+        (["--comm-channels", "0"], "comm_channels"),
+        (["--ranks-per-node", "0"], "ranks_per_node"),
+    ])
+    def test_config_errors_are_cli_errors(self, extra, match):
+        """A value HybridConfig rejects exits with its one-line message,
+        not a ValueError traceback."""
+        with pytest.raises(SystemExit, match=match):
+            main(["--simulate", "5", "50", "--quick"] + extra)
+
     def test_comprehensive_only_flags_rejected_elsewhere(self):
         from repro.cli import validate_args
 

@@ -378,17 +378,21 @@ class TestHybridConfigTopology:
         with pytest.raises(ValueError):
             self._config(comm_channels=0)
 
-    def test_fingerprint_backward_compatible(self):
+    def test_fingerprint_has_one_rule(self):
+        """Topology knobs are fingerprint fields like any other: always in
+        the document, unset ones as ``null``."""
         from repro.hybrid.checkpoint import fingerprint_doc
 
-        legacy = fingerprint_doc(self._config())
-        assert "ranks_per_node" not in legacy
-        assert "comm_channels" not in legacy
+        flat = fingerprint_doc(self._config())
+        assert flat["ranks_per_node"] is None
+        assert flat["comm_channels"] is None
         rich = fingerprint_doc(self._config(ranks_per_node=2, comm_channels=2))
         assert rich["ranks_per_node"] == 2
         assert rich["comm_channels"] == 2
-        assert {k: v for k, v in rich.items()
-                if k not in ("ranks_per_node", "comm_channels")} == legacy
+        assert set(rich) == set(flat)
+        assert {k: v for k, v in rich.items() if v != flat[k]} == {
+            "ranks_per_node": 2, "comm_channels": 2,
+        }
 
 
 class TestMembershipLeaders:

@@ -14,9 +14,10 @@ participates in is covered.
 
 import pytest
 
-from repro.chaos.campaign import _capture, _make_inputs, _run
+from repro.chaos.campaign import _make_inputs, _run
 from repro.chaos.plans import ScenarioSpec
 from repro.mpi.faults import FaultPlan, KillSpec
+from tests.conftest import assert_bit_identical
 
 #: Safety stop only — the toy analysis has well under this many
 #: collectives per rank; reaching it would itself be a bug.
@@ -37,7 +38,7 @@ def _spec(schedule, plan=None, deaths=()):
 @pytest.mark.parametrize("victim", [0, 1])
 def test_any_collective_kill_is_bit_identical(inputs, schedule, victim):
     pal, cc = inputs
-    baseline = _capture(_run(pal, cc, _spec(schedule), plan=None))
+    baseline = _run(pal, cc, _spec(schedule), plan=None)
 
     index = 0
     while index < MAX_COLLECTIVES:
@@ -47,12 +48,10 @@ def test_any_collective_kill_is_bit_identical(inputs, schedule, victim):
             # The kill never fired: the index walked past the victim's
             # last collective — the sweep is complete.
             break
-        got = _capture(result)
-        for key, want in baseline.items():
-            assert got[key] == want, (
-                f"{schedule}: killing rank {victim} at collective {index} "
-                f"changed {key}"
-            )
+        assert_bit_identical(
+            baseline, result, ignore=("rank_lnls",),
+            context=f"{schedule}: killing rank {victim} at collective {index}: ",
+        )
         index += 1
     else:
         pytest.fail(f"sweep did not terminate within {MAX_COLLECTIVES} indices")
@@ -63,11 +62,12 @@ def test_any_collective_kill_is_bit_identical(inputs, schedule, victim):
 def test_any_stage_kill_is_bit_identical(inputs, schedule):
     """Companion sweep over the coarser stage-boundary kill points."""
     pal, cc = inputs
-    baseline = _capture(_run(pal, cc, _spec(schedule), plan=None))
+    baseline = _run(pal, cc, _spec(schedule), plan=None)
     for stage in ("setup", "bootstrap", "fast", "slow", "thorough"):
         plan = FaultPlan(kills=(KillSpec(rank=1, stage=stage),))
         result = _run(pal, cc, _spec(schedule, plan, deaths=(1,)))
         assert result.failed_ranks == [1]
-        assert _capture(result) == baseline, (
-            f"{schedule}: killing rank 1 at stage {stage!r} changed the result"
+        assert_bit_identical(
+            baseline, result, ignore=("rank_lnls",),
+            context=f"{schedule}: killing rank 1 at stage {stage!r}: ",
         )

@@ -24,7 +24,7 @@ from repro.mpi.membership import MembershipLedger, MembershipView
 from repro.mpi.policy import RetryPolicy, TimeoutPolicy
 from repro.search.comprehensive import ComprehensiveConfig
 from repro.search.searches import StageParams
-from repro.tree.newick import write_newick
+from tests.conftest import assert_bit_identical
 
 
 @pytest.fixture(scope="module")
@@ -52,16 +52,6 @@ def hybrid_config(quick_cc, **kw):
     kw.setdefault("timeout_policy",
                   TimeoutPolicy(collective_seconds=2.0, world_seconds=600.0))
     return HybridConfig(**kw)
-
-
-def capture(result):
-    return {
-        "best_lnl": result.best_lnl,
-        "best_newick": write_newick(result.best_tree, digits=None),
-        "bootstraps": sorted(
-            write_newick(t, digits=None) for t in result.bootstrap_trees
-        ),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +164,7 @@ class TestEpochs:
             pal, hybrid_config(quick_cc, schedule=schedule, fault_plan=plan)
         )
         # The elastic-join acceptance scenario: same final trees/lnl.
-        assert capture(joined) == capture(baseline)
+        assert_bit_identical(baseline, joined, ignore=("rank_lnls",))
         assert joined.membership["epoch"] >= 1
         assert 2 in joined.membership["live"]
         assert [j["rank"] for j in joined.joiners] == [2]
@@ -275,7 +265,7 @@ class TestCheckpointMembershipGuard:
         resumed = run_hybrid_analysis(
             pal, hybrid_config(quick_cc, checkpoint_dir=str(ck), resume=True)
         )
-        assert capture(resumed) == capture(baseline)
+        assert_bit_identical(baseline, resumed, ignore=("rank_lnls",))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +301,7 @@ class TestQuorumDegradation:
             pal, hybrid_config(quick_cc, n_processes=3, fault_plan=plan)
         )
         assert not result.degraded and not result.notes
-        assert capture(result) == capture(baseline)
+        assert_bit_identical(baseline, result, ignore=("rank_lnls",))
 
     def test_quorum_validation(self, quick_cc):
         with pytest.raises(ValueError, match="quorum"):
@@ -341,7 +331,7 @@ class TestAdoptionClaim:
             pal, hybrid_config(quick_cc, n_processes=3, fault_plan=plan)
         )
         assert sorted(result.failed_ranks) == [1, 2]
-        assert capture(result) == capture(baseline)
+        assert_bit_identical(baseline, result, ignore=("rank_lnls",))
         # Each dead rank was adopted exactly once across ranks + joiners.
         adopters = [r.recovered_for for r in result.ranks] + [
             tuple(j["recovered_for"]) for j in result.joiners
@@ -368,7 +358,7 @@ class TestAdoptionClaim:
             pal, hybrid_config(quick_cc, n_processes=3, fault_plan=plan)
         )
         assert sorted(result.failed_ranks) == [2]
-        assert capture(result) == capture(baseline)
+        assert_bit_identical(baseline, result, ignore=("rank_lnls",))
         adopters = [list(r.recovered_for) for r in result.ranks] + [
             list(j["recovered_for"]) for j in result.joiners
         ]
@@ -393,7 +383,7 @@ class TestAdoptionClaim:
             pal, hybrid_config(quick_cc, n_processes=3, fault_plan=plan)
         )
         assert sorted(result.failed_ranks) == [1, 2]
-        assert capture(result) == capture(baseline)
+        assert_bit_identical(baseline, result, ignore=("rank_lnls",))
         assert sorted(result.ranks[0].recovered_for) == [1, 2]
 
 
@@ -437,7 +427,7 @@ class TestRankKilledErrorAudit:
             pal, hybrid_config(quick_cc, schedule="work-steal", fault_plan=plan)
         )
         assert result.failed_ranks == [1]
-        assert capture(result) == capture(baseline)
+        assert_bit_identical(baseline, result, ignore=("rank_lnls",))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""Golden cross-mode parity suite for the `repro.runtime` refactor.
+"""Golden cross-mode parity suite for `repro.runtime`.
 
 The fixture (``tests/data/runtime_golden.json``) was generated by running
-this module as a script against the *pre-refactor* driver (the one with
-hand-duplicated ``_rank_body`` / ``_rank_body_worksteal`` pipelines).
-Every scenario here re-runs the same toy analysis through the current
-code and asserts the outputs are bit-identical: ``best_lnl``, trees,
-RNG fingerprints, per-stage virtual seconds, checkpoint file digests,
-and the full trace/metrics documents (as canonical-JSON SHA-256).
+this module as a script (last regenerated by ISSUE 16's deliberate,
+differ-reviewed break: one stage boundary for both schedules).  Every
+scenario here re-runs the same toy analysis through the current code and
+asserts the outputs are bit-identical: ``best_lnl``, trees, RNG
+fingerprints, per-stage virtual seconds, checkpoint file digests, and
+the full trace/metrics documents (as canonical-JSON SHA-256).
 
 Scenarios cover both ``--schedule`` modes, with and without fault
 injection, with and without checkpoint/``--resume``, plus the
@@ -42,7 +42,6 @@ from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
 from repro.mpi.faults import FaultPlan, KillSpec
 from repro.search.comprehensive import ComprehensiveConfig
 from repro.search.searches import StageParams
-from repro.tree.newick import write_newick
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "runtime_golden.json"
 
@@ -109,12 +108,7 @@ def _readable(result) -> dict:
     for e in sorted(spans, key=lambda e: (e["pid"], e["ts"])):
         if e["cat"] == "stage":
             stage_spans.setdefault(str(e["pid"]), []).append([e["name"], e["args"]])
-    stage_ops: dict[str, int] = {}
-    for r in result.ranks:
-        for stage, ops in r.stage_ops.items():
-            stage_ops[stage] = stage_ops.get(stage, 0) + ops
     return {
-        "stage_ops": stage_ops,
         "ranks": {
             str(r.rank): {
                 "stage_seconds": dict(r.stage_seconds),
@@ -134,31 +128,15 @@ def _readable(result) -> dict:
 
 
 def capture(result) -> dict:
-    """Everything 'bit-identical' promises, as a JSON-round-trippable dict.
+    """Everything 'bit-identical' promises — the one definition,
+    :meth:`HybridResult.identity` with timings — plus the trace/metrics
+    documents, as a JSON-round-trippable dict.
 
     JSON round-trips python floats exactly (shortest-repr), so float
     equality against the loaded fixture is bit-level.
     """
     return {
-        "best_lnl": result.best_lnl,
-        "winner_rank": result.winner_rank,
-        "best_newick": write_newick(result.best_tree, digits=None),
-        "support_newick": (
-            write_newick(result.support_tree, support=True)
-            if result.support_tree is not None else None
-        ),
-        "bootstrap_newicks": sorted(
-            write_newick(t, digits=None) for t in result.bootstrap_trees
-        ),
-        "rng_fingerprint": result.rng_fingerprint,
-        "rank_lnls": result.rank_lnls(),
-        "stage_seconds": dict(result.stage_seconds),
-        "total_seconds": result.total_seconds,
-        "finish_times": [r.finish_time for r in result.ranks],
-        "comm_seconds": [r.comm_seconds for r in result.ranks],
-        "n_bootstraps_done": result.n_bootstraps_done,
-        "failed_ranks": list(result.failed_ranks),
-        "wc_trace": [list(t) for t in result.wc_trace],
+        **result.identity(timings=True),
         "schedule_mode": result.schedule_mode,
         "trace_digest": _doc_digest(result.trace) if result.trace else None,
         "metrics_digest": _doc_digest(result.metrics) if result.metrics else None,
@@ -204,11 +182,9 @@ def run_scenario(spec: dict, workdir: Path) -> dict:
 
 def _assert_same(expected, actual, path: str) -> None:
     if isinstance(expected, dict) and isinstance(actual, dict):
-        # Every pinned key must be reproduced; a captured field the
-        # fixture does not pin yet is the differ's business (it lists it
-        # as added), not a parity failure.
-        missing = sorted(set(expected) - set(actual))
-        assert not missing, f"{path}: pinned keys missing: {missing}"
+        assert sorted(expected) == sorted(actual), (
+            f"{path}: keys differ: {sorted(expected)} vs {sorted(actual)}"
+        )
         for k in expected:
             _assert_same(expected[k], actual[k], f"{path}.{k}")
         return
@@ -273,10 +249,6 @@ ALLOWED_MOVES: tuple[tuple[str, str], ...] = (
     (r"work-steal[^.]*\.resumed\.(ranks\.\d+\.)?stage_ops\.",
      "work-steal resume: a restored stage reports its journalled ops "
      "(was 0)"),
-    (r"work-steal-fault-resume\.resumed\.(ranks\.\d+\.)?stage_seconds\.",
-     "work-steal resume is negotiated like static (minimum common stage "
-     "prefix): rank 1 died before noting bootstrap, so no rank restores "
-     "it"),
 )
 
 

@@ -11,6 +11,7 @@ from repro.mpi.faults import FaultPlan, KillSpec
 from repro.search.comprehensive import ComprehensiveConfig, run_comprehensive
 from repro.search.searches import StageParams
 from repro.tree.newick import write_newick
+from tests.conftest import assert_bit_identical
 
 QUICK = StageParams(
     bootstrap_rounds=1, fast_rounds=1, slow_max_rounds=1,
@@ -47,23 +48,6 @@ def ws_result(pal, quick_cc):
     return run(pal, quick_cc, schedule="work-steal")
 
 
-def assert_bit_identical(a, b, support=True, ranks=True):
-    assert a.best_lnl == b.best_lnl
-    assert a.winner_rank == b.winner_rank
-    assert write_newick(a.best_tree, digits=None) == write_newick(
-        b.best_tree, digits=None
-    )
-    assert sorted(write_newick(t, digits=None) for t in a.bootstrap_trees) == sorted(
-        write_newick(t, digits=None) for t in b.bootstrap_trees
-    )
-    if support:
-        assert write_newick(a.support_tree, support=True) == write_newick(
-            b.support_tree, support=True
-        )
-    if ranks:
-        assert a.rank_lnls() == b.rank_lnls()
-
-
 class TestModeParity:
     def test_bit_identical_results(self, static_result, ws_result):
         """The acceptance criterion: best tree, likelihood and bootstrap
@@ -83,7 +67,16 @@ class TestModeParity:
     def test_single_process_worksteal(self, pal, quick_cc):
         serial = run(pal, quick_cc, n_processes=1, n_threads=1, schedule="static")
         ws = run(pal, quick_cc, n_processes=1, n_threads=1, schedule="work-steal")
-        assert_bit_identical(serial, ws)
+        # One rank, one stage boundary: not only the results but every
+        # virtual second agrees — the barrier sits in the bootstrap window
+        # and finalize is gather + bcast under both schedules.
+        assert_bit_identical(serial, ws, timings=True)
+        assert serial.ranks[0].stage_seconds == ws.ranks[0].stage_seconds
+
+    def test_stage_seconds_keys_match(self, static_result, ws_result):
+        for st, ws in zip(static_result.ranks, ws_result.ranks):
+            assert set(st.stage_seconds) == set(ws.stage_seconds)
+            assert set(st.stage_ops) == set(ws.stage_ops)
 
     @pytest.mark.parametrize("clv_cache", [False, True])
     def test_op_totals_schedule_independent(self, pal, clv_cache):
@@ -139,7 +132,7 @@ class TestDeathTransparency:
         assert killed.failed_ranks == [1]
         # The dead rank files no report, so compare everything but the
         # per-rank list; the survivor's thorough lnL must still match.
-        assert_bit_identical(killed, ws_result, ranks=False)
+        assert_bit_identical(killed, ws_result, ignore=("rank_lnls",))
         assert killed.rank_lnls() == [ws_result.rank_lnls()[0]]
 
     def test_replicates_completed_exactly_once(self, pal, quick_cc, ws_result):
@@ -158,10 +151,7 @@ class TestDeathTransparency:
         plan = FaultPlan(kills=(KillSpec(rank=1, stage="fast"),))
         killed = run(pal, quick_cc, schedule="work-steal", fault_plan=plan)
         assert killed.failed_ranks == [1]
-        assert killed.best_lnl == ws_result.best_lnl
-        assert write_newick(killed.support_tree, support=True) == write_newick(
-            ws_result.support_tree, support=True
-        )
+        assert_bit_identical(killed, ws_result, ignore=("rank_lnls",))
 
 
 class TestResume:
