@@ -1,6 +1,6 @@
-"""Communication microbenchmark: flat vs hierarchical vs VCI.
+"""Communication microbenchmark: flat vs hierarchical.
 
-Three legs, all deterministic, all written to ``output/BENCH_comm.json``:
+Two legs, both deterministic, both written to ``output/BENCH_comm.json``:
 
 * **Modeled collectives** — flat log-tree vs two-phase hierarchical
   costs for allreduce and bcast, swept over 8–128 ranks at 8 ranks/node
@@ -10,8 +10,6 @@ Three legs, all deterministic, all written to ``output/BENCH_comm.json``:
   fixed collective sequence under both cost models (and the two-tier
   intra/inter attribution of the hierarchical one); the data plane is
   identical, so the payloads returned are asserted bit-equal.
-* **Virtual channels** — the per-lane post makespan at 8 lanes across
-  channel counts, the serialisation VCIs remove.
 
 Acceptance claims asserted here:
 
@@ -19,9 +17,7 @@ Acceptance claims asserted here:
   64 ranks (8 per node, 1 MiB payload) on both machines, and the
   advantage improves monotonically past 32 ranks;
 * end-to-end hierarchical comm_seconds beat flat at every swept size
-  with bit-identical collective results;
-* more channels never increase the modeled lane-post makespan, and
-  ``C = lanes`` removes the serialisation entirely.
+  with bit-identical collective results.
 """
 
 import json
@@ -29,8 +25,6 @@ import json
 from repro.mpi.comm import CommTiming
 from repro.mpi.launcher import run_spmd
 from repro.mpi.topology import HierarchicalCommTiming, Topology
-from repro.mpi.vci import ChannelSet
-from repro.perfmodel.finegrain import lane_post_seconds
 from repro.perfmodel.machines import machine_by_name
 from repro.util.tables import format_table
 
@@ -46,10 +40,6 @@ CLAIM_PAYLOAD = 1 << 20
 E2E_SIZES = (8, 16, 32, 64)
 E2E_PAYLOAD = 4096
 E2E_ROUNDS = 3
-
-VCI_LANES = 8
-VCI_CHANNELS = (1, 2, 4, 8)
-VCI_REGIONS = 1000
 
 
 def modeled_sweep():
@@ -91,8 +81,8 @@ def end_to_end_sweep():
             total += comm.allreduce(float(comm.rank))
             comm.bcast(blob if comm.rank == 0 else None, root=0)
             comm.barrier()
-        return (total, comm.comm_seconds(), comm.comm_intra_seconds(),
-                comm.comm_inter_seconds())
+        return (total, comm.account.seconds, comm.account.intra_seconds,
+                comm.account.inter_seconds)
 
     rows = []
     for p in E2E_SIZES:
@@ -115,34 +105,10 @@ def end_to_end_sweep():
     return rows
 
 
-def vci_sweep():
-    """Lane-post makespans per channel count (modeled + ChannelSet)."""
-    machine = machine_by_name("dash")
-    rows = []
-    for c in VCI_CHANNELS:
-        modeled = lane_post_seconds(machine, VCI_LANES, c) * VCI_REGIONS
-        cs = ChannelSet(
-            c,
-            post_seconds=lambda b: machine.intra_node_latency
-            + machine.intra_node_byte_time * b,
-        )
-        makespan = cs.lane_post_makespan(VCI_LANES, 8, repeats=VCI_REGIONS)
-        assert makespan == modeled  # the two layers share one formula
-        rows.append({
-            "channels": c,
-            "lanes": VCI_LANES,
-            "regions": VCI_REGIONS,
-            "makespan_seconds": makespan,
-            "seconds_by_channel": cs.seconds_by_channel(),
-        })
-    return rows
-
-
 def run_all():
     return {
         "modeled": modeled_sweep(),
         "end_to_end": end_to_end_sweep(),
-        "vci": vci_sweep(),
     }
 
 
@@ -167,11 +133,6 @@ def test_comm_microbench(benchmark, emit):
     by_ranks = {r["ranks"]: r for r in out["end_to_end"]}
     assert by_ranks[8]["hier_inter_seconds"] == 0.0  # one node: no network
 
-    # -- VCI claims ---------------------------------------------------------
-    spans = [r["makespan_seconds"] for r in out["vci"]]
-    assert all(a >= b for a, b in zip(spans, spans[1:]))
-    assert spans[-1] * VCI_LANES == spans[0]  # C = lanes: fully parallel
-
     doc = {
         "config": {
             "machines": list(MACHINES),
@@ -181,8 +142,6 @@ def test_comm_microbench(benchmark, emit):
             "claim_payload_bytes": CLAIM_PAYLOAD,
             "e2e_sizes": list(E2E_SIZES),
             "e2e_rounds": E2E_ROUNDS,
-            "vci_lanes": VCI_LANES,
-            "vci_channels": list(VCI_CHANNELS),
         },
         **out,
     }

@@ -27,6 +27,10 @@ from repro.seq.patterns import compress_alignment
 from repro.tree.newick import write_newick
 
 
+#: Generator seed of ``--simulate`` alignments.
+SIMULATE_SEED = 4242
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-raxml",
@@ -72,11 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "interconnect) topology model; results are "
                              "bit-identical to the default flat model — only "
                              "modelled communication time changes")
-    parser.add_argument("--comm-channels", dest="comm_channels", type=int,
-                        default=None, metavar="C",
-                        help="per-rank virtual communication channels for "
-                             "thread-lane reduction posts (default: lane "
-                             "posts are free, the historical model)")
     from repro.likelihood.kernels import available_kernels
 
     parser.add_argument("--kernel", default="reference",
@@ -109,9 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "finish with partial results tagged in the run "
                              "report (0.0 disables; default 0.0)")
     parser.add_argument("--simulate", nargs=2, type=int, metavar=("TAXA", "SITES"),
-                        help="simulate an alignment instead of reading one")
-    parser.add_argument("--simulate-seed", type=int, default=4242,
-                        help="seed for --simulate")
+                        help="simulate an alignment (generator seed "
+                             f"{SIMULATE_SEED}) instead of reading one")
     parser.add_argument("--trace", dest="trace", metavar="OUT.json", default=None,
                         help="write a Chrome-trace-event timeline of the run "
                              "(open in https://ui.perfetto.dev): one process "
@@ -170,7 +168,6 @@ def validate_args(args) -> None:
                 ("-J", args.consensus is not None),
                 ("--schedule", args.schedule != "static"),
                 ("--ranks-per-node", args.ranks_per_node is not None),
-                ("--comm-channels", args.comm_channels is not None),
             ),
             "the comprehensive analysis (-f a) supports",
         )
@@ -189,7 +186,7 @@ def load_alignment(args) -> "PatternAlignment":
     if args.simulate is not None:
         n_taxa, n_sites = args.simulate
         aln, _ = simulate_alignment(
-            SimulationParams(n_taxa=n_taxa, n_sites=n_sites, seed=args.simulate_seed)
+            SimulationParams(n_taxa=n_taxa, n_sites=n_sites, seed=SIMULATE_SEED)
         )
         return compress_alignment(aln)
     if not args.alignment:
@@ -312,10 +309,9 @@ def main(argv: list[str] | None = None) -> int:
             collect_trace=args.trace is not None,
             collect_metrics=args.metrics_out is not None,
             ranks_per_node=args.ranks_per_node,
-            comm_channels=args.comm_channels,
         )
     except ValueError as exc:
-        # A value the configs reject (--quorum 1.5, --comm-channels 0, ...)
+        # A value the configs reject (--quorum 1.5, --ranks-per-node 0, ...)
         # is a usage error like any other: one line, no traceback.
         raise SystemExit(str(exc)) from None
 

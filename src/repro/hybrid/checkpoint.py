@@ -6,8 +6,8 @@ checkpoint/restart possible: everything a stage produces is a pure
 function of the configuration and the rank's seed streams, so a
 checkpoint only has to record the stage *outputs* (Newick trees at full
 float precision, log-likelihoods, RNG stream state) plus the rank's
-virtual-clock time and stage accounting.  A run killed mid-pipeline and
-resumed from these files yields a bit-identical
+virtual-clock time, stage accounting and comm account.  A run killed
+mid-pipeline and resumed from these files yields a bit-identical
 :class:`~repro.hybrid.results.HybridResult`.
 
 Format: one JSON document per (rank, stage), written atomically
@@ -29,10 +29,9 @@ from repro.search.comprehensive import STAGE_ORDER
 from repro.search.hillclimb import SearchResult
 from repro.tree.newick import parse_newick, write_newick
 
-#: Version 2: one fingerprint rule (every ``fingerprint_fields`` entry is
-#: in the document, unset ones as ``null``) and stage documents in the
-#: task journals.  Version-1 files are rejected loudly, not migrated.
-FORMAT_VERSION = 2
+#: Version 3: every stage document carries the rank's cumulative comm
+#: account.  Older files are rejected loudly, not migrated.
+FORMAT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):

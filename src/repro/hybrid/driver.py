@@ -53,7 +53,6 @@ class HybridConfig:
     comprehensive: ComprehensiveConfig = field(default_factory=ComprehensiveConfig)
     machine: str = "dash"
     seconds_per_pattern_unit: float = 1e-7
-    map_bootstrap_support: bool = True
     #: Wall-clock limit for the SPMD rank threads (they run real searches;
     #: large inputs need hours, not the runtime's defensive default).
     spmd_timeout: float = 3600.0
@@ -74,7 +73,7 @@ class HybridConfig:
     #: grinding through replays (or dying).  0.0 disables degradation.
     quorum: float = 0.0
     #: Unified retry/backoff policy for the communication layer (None:
-    #: the historical defaults).  Excluded from the checkpoint
+    #: :class:`RetryPolicy`'s defaults).  Excluded from the checkpoint
     #: fingerprint — how patiently a run retried does not change what it
     #: computed.
     retry_policy: RetryPolicy | None = None
@@ -99,15 +98,10 @@ class HybridConfig:
     schedule: str = "static"
     #: Ranks packed per node (``--ranks-per-node``): switches the
     #: communication model to the topology-aware two-phase collectives
-    #: of :mod:`repro.mpi.topology`.  ``None`` keeps the historical flat
-    #: model byte-for-byte.  Results are bit-identical either way — only
-    #: modelled communication time changes.
+    #: of :mod:`repro.mpi.topology`; ``None`` is the flat model.  Results
+    #: are bit-identical either way — only modelled communication time
+    #: changes.
     ranks_per_node: int | None = None
-    #: Per-lane virtual channels (``--comm-channels``): each rank's
-    #: vthread lanes post region reductions over this many independent
-    #: channels (:mod:`repro.mpi.vci`) instead of one implicit endpoint.
-    #: ``None`` charges no lane-post cost at all (historical behaviour).
-    comm_channels: int | None = None
 
     #: Fields that enter the checkpoint fingerprint (see
     #: :func:`repro.hybrid.checkpoint.fingerprint_doc`).  The schedule
@@ -124,7 +118,6 @@ class HybridConfig:
         "schedule", "n_processes", "n_threads", "machine",
         "seconds_per_pattern_unit", "bootstopping", "bootstop_step",
         "bootstop_max", "kernel", "clv_cache", "ranks_per_node",
-        "comm_channels",
     )
 
     def __post_init__(self) -> None:
@@ -157,8 +150,6 @@ class HybridConfig:
                     f"node; {self.ranks_per_node} ranks x {self.n_threads} "
                     "threads cannot be packed onto one node"
                 )
-        if self.comm_channels is not None:
-            check_min("comm_channels", self.comm_channels, 1)
         if (
             self.bootstopping
             and self.fault_plan is not None
@@ -179,8 +170,8 @@ class HybridConfig:
 
     def comm_timing(self):
         """The communication cost model this config asks for: the
-        machine's, under :meth:`topology` (flat — byte-for-byte the
-        historical costs — without ``ranks_per_node``)."""
+        machine's, under :meth:`topology` (flat without
+        ``ranks_per_node``)."""
         return HierarchicalCommTiming.for_machine(
             machine_by_name(self.machine), self.topology()
         )

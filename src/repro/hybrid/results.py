@@ -35,8 +35,6 @@ class RankReport:
     #: both 0.0 under the flat communication model.
     comm_intra_seconds: float = 0.0
     comm_inter_seconds: float = 0.0
-    #: Per-channel VCI traffic document, or None without --comm-channels.
-    comm_channels: dict | None = None
     n_retries: int = 0  # transiently-failed collectives retried (with backoff)
     recovered_for: tuple[int, ...] = ()  # dead ranks whose work this rank replayed
     backoff_seconds: float = 0.0  # virtual time charged to retry backoff
@@ -180,7 +178,7 @@ class HybridResult:
 
     @staticmethod
     def _rank_row(r: RankReport) -> dict:
-        row = {
+        return {
             "rank": r.rank,
             "stage_seconds": dict(r.stage_seconds),
             "stage_pattern_ops": dict(r.stage_ops),
@@ -191,17 +189,10 @@ class HybridResult:
             "finish_time": r.finish_time,
             "n_retries": r.n_retries,
             "recovered_for": list(r.recovered_for),
+            "comm_seconds": r.comm_seconds,
+            "comm_intra_seconds": r.comm_intra_seconds,
+            "comm_inter_seconds": r.comm_inter_seconds,
         }
-        # Comm attribution is emitted only under the topology-aware model.
-        # Flat rows stay exactly what they always were: the raw comm
-        # counter is not checkpointed, so it is not resume-stable and must
-        # not enter reports that pin fresh == resumed byte-for-byte.
-        if r.comm_intra_seconds or r.comm_inter_seconds or r.comm_channels:
-            row["comm_seconds"] = r.comm_seconds
-            row["comm_intra_seconds"] = r.comm_intra_seconds
-            row["comm_inter_seconds"] = r.comm_inter_seconds
-            row["comm_channels"] = r.comm_channels
-        return row
 
 
 def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
@@ -242,7 +233,6 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
             comm_seconds=r["comm_seconds"],
             comm_intra_seconds=r["comm_intra_seconds"],
             comm_inter_seconds=r["comm_inter_seconds"],
-            comm_channels=r["comm_channels"],
             n_retries=r["n_retries"],
             recovered_for=tuple(r["recovered_for"]),
             backoff_seconds=r["backoff_seconds"],
@@ -293,7 +283,7 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
         for n in r["bootstrap_newicks"]
     ]
     support_tree = None
-    if config.map_bootstrap_support and len(pal.taxa) >= 4 and best_tree is not None:
+    if len(pal.taxa) >= 4 and best_tree is not None:
         shards = [r["shard"] for r in results]
         if len(results) == config.n_processes and all(s is not None for s in shards):
             # Bootstopping runs kept a rank-sharded distributed table;
@@ -327,7 +317,6 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
                 comm_seconds=[r.comm_seconds for r in ranks],
                 comm_intra_seconds=[r.comm_intra_seconds for r in ranks],
                 comm_inter_seconds=[r.comm_inter_seconds for r in ranks],
-                comm_channel_seconds=[r.comm_channels for r in ranks],
                 n_processes=config.n_processes,
                 n_threads=config.n_threads,
                 sched=sched_doc,

@@ -144,6 +144,20 @@ class CommEvent:
     inter_seconds: float = 0.0  # modelled inter-node share
 
 
+@dataclass
+class CommAccount:
+    """One rank's cumulative communication totals: everything its report
+    says about communication.  A stage quantity like the clock — every
+    stage document carries it and a restored stage puts it back, so a
+    resumed run's totals continue where the uninterrupted run's were."""
+
+    seconds: float = 0.0  # incl. barrier wait, i.e. time attributable to sync
+    intra_seconds: float = 0.0  # modelled intra-node share (0.0 when flat)
+    inter_seconds: float = 0.0  # modelled inter-node share (0.0 when flat)
+    n_retries: int = 0  # transient-collective retries performed
+    backoff_seconds: float = 0.0  # virtual seconds spent in retry backoff
+
+
 class _World:
     """Shared state of one SPMD run."""
 
@@ -318,17 +332,16 @@ class SimComm:
         #: the SPMD body uses this to start from its join point instead
         #: of replaying the collectives that happened before it existed.
         self.is_joiner = False
-        #: Transient-collective retries performed by this rank.
-        self.n_retries = 0
-        #: Virtual seconds this rank spent in retry backoff.
-        self.backoff_seconds = 0.0
+        #: Running totals of this rank's communication (the report's view).
+        self.account = CommAccount()
         #: Per-rank record of every communication operation.
         self.trace: list[CommEvent] = []
 
     def _record(self, op: str, started_at: float, payload: int,
                 phases: CommPhases = CommPhases()) -> None:
-        """Trace one finished operation; ``phases`` is its modelled
-        price, whose tier split is recorded as the model gave it."""
+        """Trace one finished operation and add it to the account;
+        ``phases`` is its modelled price, whose tier split is recorded
+        as the model gave it."""
         seconds = self.clock.now - started_at
         self.trace.append(
             CommEvent(
@@ -341,6 +354,9 @@ class SimComm:
                 inter_seconds=phases.inter,
             )
         )
+        self.account.seconds += seconds
+        self.account.intra_seconds += phases.intra
+        self.account.inter_seconds += phases.inter
         rec = _obs_current()
         if rec is not None:
             # The CommEvent trace generalised into the span model: one
@@ -351,27 +367,12 @@ class SimComm:
             rec.count(f"comm.bytes.{op}", payload)
             rec.count(f"comm.seconds.{op}", seconds)
             rec.observe("comm.payload_bytes", payload)
-            # Value-gated like the report rows: a flat run, whose prices
-            # carry no split, emits neither counter.
+            # Counters stay sparse (they are not a schema): a flat run,
+            # whose prices carry no split, emits neither.
             if phases.intra:
                 rec.count("comm.seconds.intra", phases.intra)
             if phases.inter:
                 rec.count("comm.seconds.inter", phases.inter)
-
-    def comm_seconds(self) -> float:
-        """Total virtual time this rank spent communicating (including
-        barrier wait — i.e. time attributable to synchronisation)."""
-        return sum(e.seconds for e in self.trace)
-
-    def comm_intra_seconds(self) -> float:
-        """Modelled intra-node share of this rank's communication time
-        (0.0 in a flat world)."""
-        return sum(e.intra_seconds for e in self.trace)
-
-    def comm_inter_seconds(self) -> float:
-        """Modelled inter-node share of this rank's communication time
-        (0.0 in a flat world)."""
-        return sum(e.inter_seconds for e in self.trace)
 
     def node_leaders(self) -> dict[int, int]:
         """Current node → leader map (smallest alive rank per node).
@@ -508,8 +509,8 @@ class SimComm:
             rec = _obs_current()
             for attempt in range(attempts):
                 backoff = policy.backoff_seconds(attempt)
-                self.n_retries += 1
-                self.backoff_seconds += backoff
+                self.account.n_retries += 1
+                self.account.backoff_seconds += backoff
                 self.clock.advance(backoff)
                 if rec is not None:
                     rec.count("comm.retries")
@@ -653,8 +654,6 @@ class SimComm:
             # re-election (the map is a pure function of the alive set).
             old_leaders = self.node_leaders()
             self.known_alive.difference_update(newly_dead)
-            # The failure detector's round-trip cost (0.0 by default).
-            self.clock.advance(world.timeout_policy.suspicion_charge_seconds)
             self._note_deaths(newly_dead, op)
             rec = _obs_current()
             dead_set = set(newly_dead)

@@ -63,13 +63,8 @@ class TimeoutPolicy:
     ``world_seconds`` — harness deadline for the whole SPMD region;
     trips only when the simulation itself wedges.
 
-    ``suspicion_charge_seconds`` — virtual-clock cost every survivor
-    pays when it declares a peer dead (models the failure-detector
-    round-trip).  Defaults to 0.0, which preserves the historical
-    timing behaviour exactly.
-
-    ``reelection_charge_seconds`` — additional virtual-clock cost per
-    *node leader* among the newly dead, paid by every survivor of a
+    ``reelection_charge_seconds`` — virtual-clock cost per *node
+    leader* among the newly dead, paid by every survivor of a
     topology-aware run (the leader hand-off: the successor must learn
     the in-flight leader state).  Leaders are recomputed from the alive
     set, so re-election itself needs no protocol — this charge is its
@@ -78,7 +73,6 @@ class TimeoutPolicy:
 
     collective_seconds: float = 600.0
     world_seconds: float = 600.0
-    suspicion_charge_seconds: float = 0.0
     reelection_charge_seconds: float = 0.0
 
     def __post_init__(self) -> None:
@@ -88,11 +82,6 @@ class TimeoutPolicy:
             )
         if self.world_seconds <= 0:
             raise ValueError(f"world_seconds must be > 0, got {self.world_seconds}")
-        if self.suspicion_charge_seconds < 0:
-            raise ValueError(
-                "suspicion_charge_seconds must be >= 0, "
-                f"got {self.suspicion_charge_seconds}"
-            )
         if self.reelection_charge_seconds < 0:
             raise ValueError(
                 "reelection_charge_seconds must be >= 0, "

@@ -3,9 +3,9 @@
 The paper's whole premise is that a hybrid MPI/Pthreads code must treat
 intra-node and inter-node communication differently: threads inside one
 node share memory, ranks across nodes cross the interconnect.  Every
-modelled price — a collective, a hop, a steal round-trip, a lane post —
-is asked of one protocol (:class:`CommCostModel`) with two models behind
-it: the flat :class:`CommTiming` prices every hop identically, and
+modelled price — a collective, a hop, a steal round-trip — is asked of
+one protocol (:class:`CommCostModel`) with two models behind it: the
+flat :class:`CommTiming` prices every hop identically, and
 :class:`HierarchicalCommTiming` follows the two-stage collective design
 of "MPI Collectives for Multi-core Clusters": an *intra-node phase*
 among the ranks of each node (at shared-memory cost) and an *inter-node
@@ -220,11 +220,10 @@ class CommTiming(CommCostModel):
 
 
 def intra_node_timing(machine) -> CommTiming:
-    """The machine's shared-memory tier: what a hop inside one node
-    costs — between two of its ranks, or between a rank's vthread lanes
-    (a lane post is always intra-node).  The barrier base scales with
-    the tier's latency so that the intra arrive/release rounds stay
-    proportionally cheaper."""
+    """The machine's shared-memory tier: what a hop between two ranks
+    of one node costs.  The barrier base scales with the tier's latency
+    so that the intra arrive/release rounds stay proportionally
+    cheaper."""
     return CommTiming(
         latency=machine.intra_node_latency,
         byte_time=machine.intra_node_byte_time,

@@ -83,10 +83,9 @@ def format_stage_report(rows: Sequence[Mapping], title: str | None = None) -> st
 
 def run_report(
     per_rank: Sequence[Mapping[str, float]],
-    comm_seconds: Sequence[float] | None = None,
-    comm_intra_seconds: Sequence[float] | None = None,
-    comm_inter_seconds: Sequence[float] | None = None,
-    comm_channel_seconds: Sequence[Mapping | None] | None = None,
+    comm_seconds: Sequence[float],
+    comm_intra_seconds: Sequence[float],
+    comm_inter_seconds: Sequence[float],
     n_processes: int | None = None,
     n_threads: int | None = None,
     sched: Mapping | None = None,
@@ -95,20 +94,15 @@ def run_report(
     """The complete JSON report block written by ``--metrics-out``.
 
     Contains the Fig. 3–4 buckets, the per-stage statistics table, total
-    time (slowest rank, summed over stages), and — when ``comm_seconds``
-    is given — the communication share of total time per rank.  For
-    work-steal runs, ``sched`` (the driver's scheduling document: steal
-    attempts/grants, per-stage queue stats, per-rank idle tails) is
-    embedded verbatim under ``"sched"`` so the Fig. 3–4 stage report
-    carries the idle-tail deltas dynamic scheduling achieved.
-
-    Under the topology-aware communication model the per-rank
-    intra-node/inter-node shares (and, with virtual channels enabled,
-    each rank's per-channel traffic) arrive through
-    ``comm_intra_seconds``/``comm_inter_seconds``/``comm_channel_seconds``
-    and are emitted as a ``"comm_split"`` block.  The block is omitted
-    whenever every value is zero/None — flat-model reports stay
-    byte-for-byte what they always were.
+    time (slowest rank, summed over stages), each rank's communication
+    seconds and their share of its total, and the ``"comm_split"`` block
+    of per-rank intra-node/inter-node shares — one schema under every
+    communication model; the flat model, which has no tiers, reports
+    zeros.  For work-steal runs, ``sched`` (the driver's scheduling
+    document: steal attempts/grants, per-stage queue stats, per-rank
+    idle tails) is embedded verbatim under ``"sched"`` so the Fig. 3–4
+    stage report carries the idle-tail deltas dynamic scheduling
+    achieved.
 
     ``recovery`` is each rank's replay time bucketed by the pipeline
     stage whose boundary triggered it; when any rank recovered, the
@@ -126,27 +120,17 @@ def run_report(
             max(totals) * len(totals) / sum(totals)
             if totals and sum(totals) > 0 else 1.0
         ),
-    }
-    if comm_seconds is not None:
-        doc["comm_seconds"] = list(comm_seconds)
-        doc["comm_fraction"] = [
+        "comm_seconds": list(comm_seconds),
+        "comm_fraction": [
             (c / t) if t > 0 else 0.0 for c, t in zip(comm_seconds, totals)
-        ]
-    split_live = any(comm_intra_seconds or ()) or any(comm_inter_seconds or ())
-    channels_live = any(c for c in (comm_channel_seconds or ()))
-    if split_live or channels_live:
-        split: dict = {
-            "intra_seconds": [float(v) for v in (comm_intra_seconds or ())],
-            "inter_seconds": [float(v) for v in (comm_inter_seconds or ())],
-            "intra_max": max(comm_intra_seconds or (0.0,)),
-            "inter_max": max(comm_inter_seconds or (0.0,)),
-        }
-        if channels_live:
-            split["channels"] = [
-                dict(c) if c is not None else None
-                for c in comm_channel_seconds
-            ]
-        doc["comm_split"] = split
+        ],
+        "comm_split": {
+            "intra_seconds": [float(v) for v in comm_intra_seconds],
+            "inter_seconds": [float(v) for v in comm_inter_seconds],
+            "intra_max": max(comm_intra_seconds),
+            "inter_max": max(comm_inter_seconds),
+        },
+    }
     if sched is not None:
         doc["sched"] = dict(sched)
     if recovery is not None and any(recovery):

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.mpi.topology import intra_node_timing
 from repro.perfmodel.machines import MachineSpec
 
 
@@ -105,23 +104,3 @@ class MachineRegionTiming:
         )
         return (compute + sync) * self.seconds_per_pattern_unit / self.machine.core_speed
 
-
-def lane_post_seconds(
-    machine: MachineSpec,
-    n_threads: int,
-    n_channels: int,
-    n_bytes: int = 8,
-) -> float:
-    """Modelled lane-post drain of one region under ``n_channels`` VCIs.
-
-    The analytic twin of :meth:`repro.mpi.vci.ChannelSet.lane_post_makespan`:
-    ``T`` simultaneous per-lane posts (one ``n_bytes`` partial each),
-    round-robined over the channels, each post priced as an intra-node
-    hop.  A single lane reduces in place and posts nothing.
-    """
-    if n_threads <= 1:
-        return 0.0
-    if n_channels < 1:
-        raise ValueError(f"n_channels must be >= 1, got {n_channels}")
-    per_post = intra_node_timing(machine).message_seconds(n_bytes)
-    return math.ceil(n_threads / n_channels) * per_post

@@ -20,7 +20,6 @@ from functools import partial
 from typing import Protocol
 
 from repro.mpi.comm import RankFailure
-from repro.mpi.topology import STEAL_BYTES
 from repro.obs.recorder import Recorder, current as _obs_current, recording
 from repro.search.schedule import make_schedule
 from repro.tree.newick import write_newick
@@ -195,13 +194,12 @@ def _rank_report(ctx: RankContext, **own) -> dict:
         "stage_seconds": {**ctx.stage_seconds, "recovery": ctx.recovery_seconds},
         "stage_ops": ctx.stage_ops,
         "finish_time": comm.clock.now,
-        "comm_seconds": comm.comm_seconds(),
-        "comm_intra_seconds": comm.comm_intra_seconds(),
-        "comm_inter_seconds": comm.comm_inter_seconds(),
-        "comm_channels": ctx.channels.as_doc() if ctx.channels is not None else None,
+        "comm_seconds": comm.account.seconds,
+        "comm_intra_seconds": comm.account.intra_seconds,
+        "comm_inter_seconds": comm.account.inter_seconds,
         "pattern_ops": ctx.ops.pattern_ops,
-        "n_retries": comm.n_retries,
-        "backoff_seconds": comm.backoff_seconds,
+        "n_retries": comm.account.n_retries,
+        "backoff_seconds": comm.account.backoff_seconds,
         "failed_ranks": comm.known_dead,
         "recovery_seconds_by_stage": dict(ctx.recovery_by_stage),
         "notes": list(state.get("__notes__", [])),
@@ -436,18 +434,11 @@ class WorkStealBackend:
                 status_of=status_of, epoch=comm.epoch,
             )
 
-            def on_start(task, action):
+            def on_start(task):
                 if task.kind == "bootstrap":
                     # Same fault-injection point as the static stage loop:
                     # the b-th replicate *this rank* starts (mid-queue kill).
                     ctx.kill_at_replicate(next(started_bootstraps))
-                if action.kind == "steal" and ctx.channels is not None:
-                    # The steal's cost was charged by the board's commit
-                    # rule; the dedicated steal channel records the
-                    # traffic for the per-channel observability split.
-                    ctx.channels.note_steal(
-                        STEAL_BYTES, board.steal_cost(rank, action.victim)
-                    )
 
             outcomes[name] = run_rank_pool(
                 board, rank, comm.clock,

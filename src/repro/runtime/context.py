@@ -19,8 +19,6 @@ recovers.
 from __future__ import annotations
 
 from repro.likelihood.engine import LikelihoodEngine, OpCounter
-from repro.mpi.topology import intra_node_timing
-from repro.mpi.vci import ChannelSet
 from repro.obs.recorder import current as _obs_current
 from repro.perfmodel.finegrain import MachineRegionTiming
 from repro.perfmodel.machines import machine_by_name
@@ -58,20 +56,10 @@ class RankContext:
         self.p_rng = RAxMLRandom(rank_seed(self.cfg.seed_p, logical_rank))
         self.x_rng = RAxMLRandom(rank_seed(self.cfg.seed_x, logical_rank))
         machine = machine_by_name(config.machine)
-        #: Per-lane virtual channels (VCIs), opt-in via
-        #: ``--comm-channels``: lane posts are intra-node hops priced by
-        #: the machine's shared-memory tier.  ``None`` charges no post
-        #: cost at all (the historical, parity-pinned behaviour).
-        n_channels = config.comm_channels
-        self.channels = (
-            ChannelSet(n_channels, intra_node_timing(machine).message_seconds)
-            if n_channels is not None else None
-        )
         self.pool = VirtualThreadPool(
             config.n_threads,
             MachineRegionTiming(machine, config.seconds_per_pattern_unit),
             clock=clock,
-            channels=self.channels,
         )
         self.ops = OpCounter()
         self.stage_seconds: dict[str, float] = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 from repro.hybrid.checkpoint import (
@@ -21,7 +22,7 @@ from repro.hybrid.checkpoint import (
     CheckpointStore,
     config_fingerprint,
 )
-from repro.mpi.comm import DistributedStateError
+from repro.mpi.comm import CommAccount, DistributedStateError
 from repro.obs.recorder import current as _obs_current
 from repro.sched.checkpoint import open_journal
 
@@ -52,8 +53,8 @@ class CheckpointMiddleware:
         return STAGE_ORDER.index(stage) <= self.resume_through
 
     def load_stage(self, ctx, stage: str) -> dict:
-        """Restore accounting and the rank timeline, then record the
-        splice point."""
+        """Restore accounting, the comm account and the rank timeline,
+        then record the splice point."""
         data = self.store.load(stage)
         if data is None:
             raise CheckpointError(
@@ -76,6 +77,10 @@ class CheckpointMiddleware:
                 )
         ctx.stage_seconds[stage] = data["stage_seconds"]
         ctx.stage_ops[stage] = data["stage_ops"]
+        if ctx.comm is not None and "comm" in data:
+            # A replay has no communicator; a work-steal rank that filed
+            # no document for the stage keeps the account it has.
+            ctx.comm.account = CommAccount(**data["comm"])
         t0 = ctx.clock.now
         # Restore the rank's timeline (synchronize only moves forward, and
         # a fresh run starts at 0, so this is an exact restore).
@@ -93,7 +98,8 @@ class CheckpointMiddleware:
 
     def save_stage(self, ctx, stage: str, payload) -> None:
         """Write ``stage``'s document: the stage's own ``payload(ctx)``
-        (if it has one) plus accounting, clock and membership stamp."""
+        (if it has one) plus accounting, clock, comm account and
+        membership stamp."""
         if self.store is None or not ctx.save_checkpoints:
             return
         doc = payload(ctx) if payload is not None else {}
@@ -101,6 +107,7 @@ class CheckpointMiddleware:
         doc["stage_ops"] = ctx.stage_ops[stage]
         doc["clock"] = ctx.clock.now
         if ctx.comm is not None:
+            doc["comm"] = asdict(ctx.comm.account)
             # Stamp the membership the stage completed under; resume
             # rejects checkpoints from a different epoch/live set.
             view = ctx.comm.membership_view()

@@ -72,7 +72,7 @@ class SchedJournal:
 
     def save(self, stage: str, doc: dict) -> None:
         """Note a finished stage: its accounting document (seconds, ops,
-        stage-end clock), restored by a resumed run.  The membership
+        stage-end clock, comm account), restored by a resumed run.  The membership
         stamp is not kept: task results are origin-pure, so a journal
         restores under whatever membership resumes it."""
         self._stages[stage] = {k: v for k, v in doc.items() if k != "membership"}
@@ -147,7 +147,8 @@ def open_journal(
     journal content (tasks and stage documents) is carried forward, so
     the resumed run's file stays the complete record of its timeline.
     A stage only its peers noted (the rank was dead) enters that record
-    with no accounting and the latest stage-end clock they noted.
+    with no accounting, no comm account and the latest stage-end clock
+    they noted.
     """
     journal = SchedJournal(directory, rank, fingerprint)
     if not resume:

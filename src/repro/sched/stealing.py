@@ -54,7 +54,7 @@ def run_rank_pool(
     ``execute(task)`` runs the task on this rank's engines (advancing
     ``clock``); ``journal.record`` (if given) persists each completion
     *before* it is published to the board, so a crash between the two
-    re-runs the task instead of losing it; ``on_start(task, action)`` is
+    re-runs the task instead of losing it; ``on_start(task)`` is
     the fault-injection hook.  Any exception — including
     :class:`~repro.mpi.faults.RankKilledError` — abandons the in-flight
     task back to the board (embargoed at the death's virtual time) and
@@ -90,7 +90,7 @@ def run_rank_pool(
                     "task": task.id, "victim": action.victim,
                 })
             if on_start is not None:
-                on_start(task, action)
+                on_start(task)
             t0 = clock.now
             if rec is not None:
                 result = execute(task)

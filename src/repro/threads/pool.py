@@ -17,14 +17,9 @@ class VirtualThreadPool:
     broadcasts a job, each worker processes its pattern chunk, a barrier
     ends the region.  ``run_region`` really executes the kernel once per
     chunk (so functional results are exact) and advances the virtual clock
-    by the modelled region time.
-
-    With a :class:`~repro.mpi.vci.ChannelSet` attached, each region
-    additionally charges the lane-post drain: the ``T`` per-lane partial
-    results posted at the region barrier are round-robined over the
-    channels (``ceil(T/C)`` serialized rounds) instead of funnelling
-    through one implicit endpoint.  Without channels no post cost is
-    charged — the historical behaviour, pinned by the parity suite.
+    by the modelled region time — which includes the region's
+    reduction: worker threads never call MPI, the barrier is shared
+    memory, and the timing model's synchronisation term prices it.
     """
 
     def __init__(
@@ -32,33 +27,13 @@ class VirtualThreadPool:
         n_threads: int,
         timing: RegionTiming | None = None,
         clock: VirtualClock | None = None,
-        channels=None,
     ) -> None:
         if n_threads < 1:
             raise ValueError(f"n_threads must be >= 1, got {n_threads}")
         self.n_threads = n_threads
         self.timing = timing if timing is not None else ZeroTiming()
         self.clock = clock if clock is not None else VirtualClock()
-        self.channels = channels
         self.regions_executed = 0
-
-    def _charge_lane_posts(self, n_categories: int, n_regions: int) -> float:
-        """Post the per-lane partial results of ``n_regions`` regions.
-
-        A single lane reduces in place — only multi-lane ranks post.
-        Each post ships one partial likelihood per category (8 bytes
-        each); the makespan comes from the channel round-robin.
-        """
-        if self.channels is None or self.n_threads <= 1 or n_regions <= 0:
-            return 0.0
-        extra = self.channels.lane_post_makespan(
-            self.n_threads, 8 * max(1, n_categories), repeats=n_regions
-        )
-        self.clock.advance(extra)
-        rec = _obs_current()
-        if rec is not None and extra > 0.0:
-            rec.count("comm.seconds.lane_post", extra)
-        return extra
 
     # -- execution --------------------------------------------------------
 
@@ -91,7 +66,7 @@ class VirtualThreadPool:
         rec = _obs_current()
         if rec is not None:
             self._record_regions(rec, t0, dt, chunk_patterns, 1)
-        return dt + self._charge_lane_posts(n_categories, 1)
+        return dt
 
     def charge_regions(self, n_regions: int, n_patterns: int, n_categories: int) -> float:
         """Charge ``n_regions`` identical balanced regions at once."""
@@ -107,7 +82,7 @@ class VirtualThreadPool:
         rec = _obs_current()
         if rec is not None and n_regions > 0:
             self._record_regions(rec, t0, dt, sizes, n_regions)
-        return dt + self._charge_lane_posts(n_categories, n_regions)
+        return dt
 
     def _record_regions(
         self,

@@ -207,7 +207,7 @@ class TestValidateArgs:
 
     @pytest.mark.parametrize("extra, match", [
         (["--quorum", "1.5"], "quorum"),
-        (["--comm-channels", "0"], "comm_channels"),
+        (["-T", "0"], "n_threads"),
         (["--ranks-per-node", "0"], "ranks_per_node"),
     ])
     def test_config_errors_are_cli_errors(self, extra, match):
@@ -215,6 +215,15 @@ class TestValidateArgs:
         not a ValueError traceback."""
         with pytest.raises(SystemExit, match=match):
             main(["--simulate", "5", "50", "--quick"] + extra)
+
+    @pytest.mark.parametrize("gone", [
+        ["--comm-channels", "2"], ["--simulate-seed", "1"],
+    ])
+    def test_removed_flags_are_usage_errors(self, gone, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--simulate", "5", "50", "--quick"] + gone)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_comprehensive_only_flags_rejected_elsewhere(self):
         from repro.cli import validate_args

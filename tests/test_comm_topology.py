@@ -1,6 +1,7 @@
 """Tests for the topology-aware communication substrate.
 
-Three layers are covered here:
+Two layers are covered here (plus their wiring through
+:class:`~repro.hybrid.driver.HybridConfig`):
 
 * the :class:`~repro.mpi.topology.Topology` model and the two-tier
   :class:`~repro.mpi.topology.HierarchicalCommTiming` cost split,
@@ -8,9 +9,7 @@ Three layers are covered here:
   byte-for-byte what they always were;
 * :class:`~repro.mpi.comm.SimComm` running hierarchical collectives:
   identical payload semantics, intra/inter attribution, deterministic
-  node-leader re-election when a leader dies mid-collective;
-* the per-lane virtual channels (:mod:`repro.mpi.vci`) and their wiring
-  through :class:`~repro.hybrid.driver.HybridConfig`.
+  node-leader re-election when a leader dies mid-collective.
 """
 
 import math
@@ -27,7 +26,6 @@ from repro.mpi.topology import (
     HierarchicalCommTiming,
     Topology,
 )
-from repro.mpi.vci import ChannelSet, channel_rounds
 from repro.perfmodel.machines import MACHINES, machine_by_name
 
 
@@ -224,8 +222,8 @@ class TestSimCommHierarchical:
         def body(comm):
             comm.allreduce(1.0)
             comm.barrier()
-            return (comm.comm_seconds(), comm.comm_intra_seconds(),
-                    comm.comm_inter_seconds())
+            return (comm.account.seconds, comm.account.intra_seconds,
+                    comm.account.inter_seconds)
 
         from repro.mpi.comm import _payload_bytes
 
@@ -245,7 +243,7 @@ class TestSimCommHierarchical:
     def test_flat_world_records_no_split(self):
         def body(comm):
             comm.allreduce(1.0)
-            return comm.comm_intra_seconds(), comm.comm_inter_seconds()
+            return comm.account.intra_seconds, comm.account.inter_seconds
 
         assert run_spmd(body, 4) == [(0.0, 0.0)] * 4
 
@@ -316,45 +314,6 @@ class TestSimCommHierarchical:
             assert now < 100.0  # the charge never fired
 
 
-class TestVirtualChannels:
-    def test_channel_rounds(self):
-        assert channel_rounds(8, 1) == 8
-        assert channel_rounds(8, 4) == 2
-        assert channel_rounds(8, 8) == 1
-        assert channel_rounds(8, 16) == 1
-        assert channel_rounds(0, 4) == 0
-        with pytest.raises(ValueError):
-            channel_rounds(8, 0)
-
-    def test_makespan_scales_with_channels(self):
-        per_post = 1e-6
-        one = ChannelSet(1, post_seconds=lambda b: per_post)
-        four = ChannelSet(4, post_seconds=lambda b: per_post)
-        assert one.lane_post_makespan(8, 64) == 8 * per_post
-        assert four.lane_post_makespan(8, 64) == 2 * per_post
-
-    def test_round_robin_accounting(self):
-        cs = ChannelSet(3, post_seconds=lambda b: 1e-6)
-        cs.lane_post_makespan(4, 8, repeats=2)
-        doc = cs.as_doc()
-        # Posts 0..3 land on channels 0,1,2,0 — channel 0 carries two
-        # posts per repeat.
-        assert [lane["posts"] for lane in doc["lanes"]] == [4, 2, 2]
-        assert doc["steal"]["posts"] == 0
-
-    def test_steal_channel_is_dedicated(self):
-        cs = ChannelSet(2, post_seconds=lambda b: 1e-6)
-        cs.note_steal(256, 2.1e-5)
-        by = cs.seconds_by_channel()
-        assert by["steal"] == 2.1e-5
-        assert by["lane0"] == by["lane1"] == 0.0
-
-    def test_zero_posts_free(self):
-        cs = ChannelSet(2, post_seconds=lambda b: 1e-6)
-        assert cs.lane_post_makespan(0, 8) == 0.0
-        assert cs.lane_post_makespan(4, 8, repeats=0) == 0.0
-
-
 class TestHybridConfigTopology:
     def _config(self, **kw):
         from repro.hybrid.driver import HybridConfig
@@ -375,8 +334,6 @@ class TestHybridConfigTopology:
         self._config(ranks_per_node=4)
         with pytest.raises(ValueError):
             self._config(ranks_per_node=8)
-        with pytest.raises(ValueError):
-            self._config(comm_channels=0)
 
     def test_fingerprint_has_one_rule(self):
         """Topology knobs are fingerprint fields like any other: always in
@@ -385,13 +342,11 @@ class TestHybridConfigTopology:
 
         flat = fingerprint_doc(self._config())
         assert flat["ranks_per_node"] is None
-        assert flat["comm_channels"] is None
-        rich = fingerprint_doc(self._config(ranks_per_node=2, comm_channels=2))
+        rich = fingerprint_doc(self._config(ranks_per_node=2))
         assert rich["ranks_per_node"] == 2
-        assert rich["comm_channels"] == 2
         assert set(rich) == set(flat)
         assert {k: v for k, v in rich.items() if v != flat[k]} == {
-            "ranks_per_node": 2, "comm_channels": 2,
+            "ranks_per_node": 2,
         }
 
 
@@ -405,17 +360,6 @@ class TestMembershipLeaders:
 
 
 class TestPerfmodelTopology:
-    def test_lane_post_seconds(self):
-        from repro.perfmodel.finegrain import lane_post_seconds
-
-        machine = machine_by_name("dash")
-        per_post = machine.intra_node_latency + 8 * machine.intra_node_byte_time
-        assert lane_post_seconds(machine, 8, 1) == 8 * per_post
-        assert lane_post_seconds(machine, 8, 4) == 2 * per_post
-        assert lane_post_seconds(machine, 1, 4) == 0.0
-        with pytest.raises(ValueError):
-            lane_post_seconds(machine, 8, 0)
-
     def test_analysis_time_topology_changes_only_comm(self):
         from repro.perfmodel.coarse import analysis_time
         from repro.perfmodel.profiles import PROFILES
@@ -453,7 +397,7 @@ class TestPerfmodelTopology:
 
 class TestOneCostProtocol:
     """Both models answer the same pricing protocol, and every consumer
-    — communicator, steal board, advisor, lane channels — asks it."""
+    — communicator, steal board, advisor — asks it."""
 
     OPS = ("barrier", "bcast", "gather", "allgather", "allreduce")
 
@@ -548,23 +492,13 @@ class TestOneCostProtocol:
                 assert cross.inter_seconds > 0.0 == cross.intra_seconds
 
     def test_one_intra_hop_formula(self):
-        from repro.hybrid.driver import HybridConfig
-        from repro.perfmodel.finegrain import lane_post_seconds
-        from repro.runtime.context import RankContext
-        from repro.util.timing import VirtualClock
-
-        for name, machine in MACHINES.items():
+        for machine in MACHINES.values():
             tier = HierarchicalCommTiming.for_machine(
                 machine, Topology(4, ranks_per_node=2)).intra
-            config = HybridConfig(n_processes=2, n_threads=2, machine=name,
-                                  comm_channels=2)
-            ctx = RankContext(None, config, 0, VirtualClock())
             for n_bytes in (0, 8, 256, 1 << 20):
                 want = (machine.intra_node_latency
                         + machine.intra_node_byte_time * n_bytes)
                 assert tier.message_seconds(n_bytes) == want
-                assert ctx.channels.post_seconds(n_bytes) == want
-                assert lane_post_seconds(machine, 2, 2, n_bytes) == want
 
     @pytest.mark.parametrize("ranks_per_node", [None, 2])
     def test_board_and_advisor_charge_the_same_steal(self, ranks_per_node,

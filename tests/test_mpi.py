@@ -146,7 +146,7 @@ class TestCommTrace:
                 comm.send("hello", dest=1)
             elif comm.rank == 1:
                 comm.recv(source=0)
-            return [e.op for e in comm.trace], comm.comm_seconds()
+            return [e.op for e in comm.trace], comm.account.seconds
 
         results = run_spmd(fn, 2)
         ops0, secs0 = results[0]
@@ -162,7 +162,7 @@ class TestCommTrace:
             if comm.rank == 1:
                 comm.clock.advance(10.0)  # straggler
             comm.barrier()
-            return comm.comm_seconds()
+            return comm.account.seconds
 
         fast, straggler = run_spmd(fn, 2)
         assert fast >= 10.0  # waited for the straggler

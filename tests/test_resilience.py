@@ -127,7 +127,7 @@ class TestCollectiveFaults:
 
         def body(comm):
             comm.barrier()
-            return comm.n_retries, comm.clock.now
+            return comm.account.n_retries, comm.clock.now
 
         out = run_spmd(body, 2, fault_plan=plan, timeout=10.0)
         (r0, t0), (r1, t1) = out
@@ -285,15 +285,20 @@ class TestCheckpointStore:
             CheckpointStore(tmp_path, 0, "run-B").load("setup")
 
     def test_older_format_refused_loudly(self, tmp_path):
-        """Format 2 changed the fingerprint rule and the journal layout;
-        a format-1 file is rejected, not migrated or silently re-run."""
+        """Format 2 changed the fingerprint rule and the journal layout,
+        format 3 put the comm account into every stage document; an older
+        file is rejected, not migrated or silently re-run."""
         store = CheckpointStore(tmp_path, 0, "fp")
         store.save("setup", {})
         doc = json.loads(store.path("setup").read_text(encoding="ascii"))
-        doc["format"] = 1
-        store.path("setup").write_text(json.dumps(doc), encoding="ascii")
-        with pytest.raises(CheckpointError, match="unsupported checkpoint format 1"):
-            store.load("setup")
+        assert doc["format"] == 3
+        for older in (1, 2):
+            doc["format"] = older
+            store.path("setup").write_text(json.dumps(doc), encoding="ascii")
+            with pytest.raises(
+                CheckpointError, match=f"unsupported checkpoint format {older}"
+            ):
+                store.load("setup")
 
     def test_journal_speaks_the_store_protocol(self, tmp_path):
         """The task journal is a stage store too: stage documents
@@ -359,10 +364,9 @@ class TestResumeDeterminism:
         resumed = run_hybrid_analysis(pal, hybrid_config(
             quick_cc, checkpoint_dir=str(tmp_path), resume=True,
         ))
-        # Virtual timings restore exactly, not approximately — all but
-        # the raw comm counter, which is not checkpointed.
-        assert_bit_identical(baseline, resumed, timings=True,
-                             ignore=("comm_seconds",))
+        # Virtual timings restore exactly, not approximately — the comm
+        # account included: it is a stage quantity like the clock.
+        assert_bit_identical(baseline, resumed, timings=True)
         for res_rank, base_rank in zip(resumed.ranks, baseline.ranks):
             assert res_rank.stage_ops == base_rank.stage_ops
 

@@ -1,8 +1,9 @@
 """Golden cross-mode parity suite for `repro.runtime`.
 
 The fixture (``tests/data/runtime_golden.json``) was generated by running
-this module as a script (last regenerated by ISSUE 16's deliberate,
-differ-reviewed break: one stage boundary for both schedules).  Every
+this module as a script (last regenerated by ISSUE 17's deliberate,
+differ-reviewed break: the comm account is a stage quantity, one report
+schema).  Every
 scenario here re-runs the same toy analysis through the current code and
 asserts the outputs are bit-identical: ``best_lnl``, trees, RNG
 fingerprints, per-stage virtual seconds, checkpoint file digests, and
@@ -14,7 +15,8 @@ bootstopping stage variant.
 
 The digests are opaque, so every record also carries the readable
 content behind them (per-rank stage seconds/ops, span names and stage-span
-args, metrics counters, checkpoint documents minus their fingerprint): a
+args, metrics counters, the run report minus its ``sched`` document,
+checkpoint documents minus their fingerprint): a
 deliberate golden move is reviewed field by field with the differ below,
 against :data:`ALLOWED_MOVES`, before the fixture is regenerated::
 
@@ -124,6 +126,9 @@ def _readable(result) -> dict:
             rank: doc["counters"]
             for rank, doc in sorted(result.metrics["per_rank"].items())
         },
+        "report": {
+            k: v for k, v in result.metrics["report"].items() if k != "sched"
+        },
     }
 
 
@@ -215,6 +220,38 @@ def test_golden_parity(name, golden, tmp_path):
     _assert_same(expected, actual, name)
 
 
+#: Record fields that are one process's trace/metrics documents: a
+#: resumed run splices its restored stages in as single spans and counts
+#: only the collectives it made itself, so these differ by design.
+_PER_PROCESS = ("trace_digest", "metrics_digest", "span_names",
+                "stage_spans", "counters")
+
+
+def resumed_vs_first(doc: dict) -> dict[str, list[str] | None]:
+    """Per resume scenario, the record fields its resumed run does not
+    share with its first run — resumed = fresh says none, communication
+    included.  ``None`` where the first run lost a rank: the resumed
+    world has it back, so the two are not the same run."""
+    verdict: dict[str, list[str] | None] = {}
+    for name, record in sorted(doc["scenarios"].items()):
+        if "resumed" not in record:
+            continue
+        first, resumed = record["first"], record["resumed"]
+        verdict[name] = None if first["failed_ranks"] else [
+            k for k in sorted(first)
+            if k not in _PER_PROCESS and first[k] != resumed[k]
+        ]
+    return verdict
+
+
+def test_resumed_records_equal_first(golden):
+    """Resumed = fresh in the fixture itself: results, every virtual
+    time, op totals, comm seconds and the run report."""
+    verdict = resumed_vs_first(golden)
+    assert verdict["work-steal-fault-resume"] is None
+    assert verdict["static-resume"] == verdict["work-steal-resume"] == []
+
+
 def test_cross_mode_first_records_match(golden):
     """The fixture itself is cross-mode consistent: static and work-steal
     goldens agree on every mode-independent output."""
@@ -231,24 +268,19 @@ def test_cross_mode_first_records_match(golden):
 #: Intended moves of the current deliberate golden break, as
 #: ``(path regex, why)``; a path is ``scenario.record.field...``.  Anything
 #: that moves outside this list fails ``--diff``.  ``--check`` (CI) allows
-#: nothing.  This list describes ISSUE 16 (one stage boundary): edit it
-#: with the next deliberate break, never to make an accident pass.
-_WS = r"work-steal[^.]*\.(first|resumed)\."
+#: nothing.  This list describes ISSUE 17 (the comm account is a stage
+#: quantity; one ungated report schema): edit it with the next deliberate
+#: break, never to make an accident pass.
 ALLOWED_MOVES: tuple[tuple[str, str], ...] = (
-    (_WS + r"(ranks\.\d+\.)?stage_seconds\.(bootstrap|finalize)$",
-     "work-steal: the paper's barrier is inside the bootstrap window; "
-     "finalize is gather+bcast, not one allgather"),
-    (_WS + r"(total_seconds|finish_times\[\d+\]|comm_seconds\[\d+\])$",
-     "work-steal: follows from the bootstrap/finalize seconds"),
-    (_WS + r"(trace_digest|metrics_digest|span_names\.|stage_spans\.|counters\.)",
-     "work-steal trace/metrics documents: span order and timestamps, "
-     "resumed spans, the bcast"),
     (r"[^.]+\.checkpoint(s|_docs)(_after_resume)?\.",
-     "checkpoint file bytes: format 2, one fingerprint rule, journal "
-     "stage documents"),
-    (r"work-steal[^.]*\.resumed\.(ranks\.\d+\.)?stage_ops\.",
-     "work-steal resume: a restored stage reports its journalled ops "
-     "(was 0)"),
+     "checkpoint file bytes: the comm account in every stage/journal "
+     "document, format 3, fingerprints without comm_channels"),
+    (r"[^.]+\.resumed\.(comm_seconds|report\.comm_(seconds|fraction))\[\d+\]$",
+     "resumed comm totals continue from the restored account (the defect "
+     "fix: they were the finalize collectives only)"),
+    (r"[^.]+\.(first|resumed)\.(metrics_digest$|report\.comm_split\.)",
+     "report documents: flat runs gain comm_split with zeros (and the "
+     "resumed rank.comm_seconds gauge follows the account)"),
 )
 
 
@@ -296,7 +328,14 @@ def diff_captures(old: dict, new: dict, allowed=ALLOWED_MOVES) -> int:
     scenarios = sorted(new["scenarios"])
     clean = [s for s in scenarios if not any(p.startswith(s + ".") for p in moved)]
     print(f"scenarios without any move: {', '.join(clean) or 'none'}")
-    return len(outside)
+    unequal = 0
+    for name, fields in resumed_vs_first(new).items():
+        unequal += len(fields or ())
+        print(f"{name}: resumed vs first (comm_seconds included): " + (
+            "not comparable, the first run lost a rank" if fields is None
+            else f"differ in {fields}" if fields else "equal"
+        ))
+    return len(outside) + unequal
 
 
 def test_differ_separates_allowed_from_unintended_moves(capsys):
@@ -308,11 +347,15 @@ def test_differ_separates_allowed_from_unintended_moves(capsys):
             "best_lnl": lnl, "finish_times": [seconds + 1.0],
         }}}}
 
-    assert diff_captures(doc(2.0, -5.0), doc(2.5, -5.0)) == 0
+    allowed = (
+        (r"work-steal\.first\.(stage_seconds\.bootstrap|finish_times\[\d+\])$",
+         "the bootstrap window moved"),
+    )
+    assert diff_captures(doc(2.0, -5.0), doc(2.5, -5.0), allowed) == 0
     out = capsys.readouterr().out
     assert "work-steal.first.stage_seconds.bootstrap: 2.0 -> 2.5" in out
     assert "2 of 4 fields moved; 0 outside the allow-list" in out
-    assert diff_captures(doc(2.0, -5.0), doc(2.5, -5.5)) == 1
+    assert diff_captures(doc(2.0, -5.0), doc(2.5, -5.5), allowed) == 1
     assert "!! work-steal.first.best_lnl: -5.0 -> -5.5" in capsys.readouterr().out
     # --check allows nothing.
     assert diff_captures(doc(2.0, -5.0), doc(2.5, -5.0), allowed=()) == 2

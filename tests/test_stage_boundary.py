@@ -1,7 +1,8 @@
 """The one stage boundary (``repro.runtime.backends._exec_stage``): both
 backends restore a finished stage the same way, a resumed run reports
-what the fresh run reported, and no backend sequences a boundary of its
-own."""
+what the fresh run reported — communication included, under every comm
+model, in one report schema — and no backend sequences a boundary of
+its own."""
 
 import ast
 import json
@@ -24,16 +25,26 @@ QUICK = StageParams(
 )
 
 
-@pytest.mark.parametrize("schedule", ["static", "work-steal"])
-def test_fresh_and_resumed_reports_equal(schedule, tmp_path, capsys):
+TWO_TIER = ["--ranks-per-node", "2"]
+
+
+@pytest.mark.parametrize("schedule, comm_model", [
+    pytest.param("static", [], id="static"),
+    pytest.param("work-steal", [], id="work-steal"),
+    pytest.param("static", TWO_TIER, id="static-two-tier"),
+    pytest.param("work-steal", TWO_TIER, id="work-steal-two-tier"),
+])
+def test_fresh_and_resumed_reports_equal(schedule, comm_model, tmp_path, capsys):
     """The info file of a checkpointed run equals its ``--resume``
     continuation: restored stages report their journalled seconds *and*
-    ops, and the share fields are read off the same state.  (Work-steal's
+    ops, the comm account continues from the last restored boundary (the
+    barrier a resumed run skips is still in its ``comm_seconds``), and
+    the share fields are read off the same state.  (Work-steal's
     ``sched`` counters describe what this process scheduled, per run.)"""
     argv = [
         "--simulate", "6", "90", "-N", "4", "-np", "2", "-T", "1", "--quick",
         "--schedule", schedule, "--checkpoint-dir", str(tmp_path / "ck"),
-        "-w", str(tmp_path), "-n", "run",
+        "-w", str(tmp_path), "-n", "run", *comm_model,
     ]
     info = tmp_path / "RAxML_info.run.json"
     assert main(argv) == 0
@@ -44,8 +55,39 @@ def test_fresh_and_resumed_reports_equal(schedule, tmp_path, capsys):
         assert info.read_bytes() == fresh
     fresh, resumed = json.loads(fresh), json.loads(info.read_bytes())
     assert fresh["ranks"][0]["stage_pattern_ops"]["bootstrap"] > 0
+    assert all(row["comm_seconds"] > 0.0 for row in fresh["ranks"])
     fresh.pop("sched"), resumed.pop("sched")
     assert resumed == fresh
+
+
+def test_one_report_schema_under_every_comm_model():
+    """Rank rows and the run report carry the same keys under the flat
+    and the two-tier model; the flat model, which has no tiers, reports
+    exact zeros."""
+    pal, _ = make_test_dataset(n_taxa=6, n_sites=90, seed=301)
+    kw = dict(
+        n_processes=2, n_threads=1, collect_metrics=True,
+        comprehensive=ComprehensiveConfig(
+            n_bootstraps=4, cat_categories=3, stage_params=QUICK
+        ),
+    )
+    flat = run_hybrid_analysis(pal, HybridConfig(**kw))
+    tiered = run_hybrid_analysis(pal, HybridConfig(ranks_per_node=2, **kw))
+    assert_bit_identical(flat, tiered)
+    rows = [r.to_report()["ranks"] for r in (flat, tiered)]
+    assert {frozenset(row) for row in rows[0]} == {frozenset(row) for row in rows[1]}
+    reports = [r.metrics["report"] for r in (flat, tiered)]
+    assert reports[0].keys() == reports[1].keys()
+    assert reports[0]["comm_split"].keys() == reports[1]["comm_split"].keys()
+    for row in rows[0]:
+        assert row["comm_seconds"] > 0.0
+        assert row["comm_intra_seconds"] == row["comm_inter_seconds"] == 0.0
+    assert reports[0]["comm_split"] == {
+        "intra_seconds": [0.0, 0.0], "inter_seconds": [0.0, 0.0],
+        "intra_max": 0.0, "inter_max": 0.0,
+    }
+    assert all(row["comm_intra_seconds"] > 0.0 for row in rows[1])
+    assert reports[1]["comm_split"]["intra_max"] > 0.0
 
 
 def test_worksteal_resume_mid_fast_restores_stages_and_reruns_missing_tasks(

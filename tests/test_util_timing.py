@@ -112,7 +112,7 @@ class TestCommSecondsHandComputed:
             comm.clock.advance(1.0 if comm.rank == 0 else 3.0)
             comm.barrier()
             comm.bcast(b"x" if comm.rank == 0 else None, root=0)
-            return comm.comm_seconds(), comm.clock.now
+            return comm.account.seconds, comm.clock.now
 
         (secs0, end0), (secs1, end1) = run_spmd(fn, 2, comm_timing=timing)
         # Barrier: everyone leaves at max(1.0, 3.0) + 1e-2*ceil(log2 2).
@@ -131,7 +131,7 @@ class TestCommSecondsHandComputed:
         def fn(comm):
             for _ in range(3):
                 comm.barrier()
-            return [e.seconds for e in comm.trace], comm.comm_seconds()
+            return [e.seconds for e in comm.trace], comm.account.seconds
 
         for per_event, total in run_spmd(fn, 4, comm_timing=timing):
             assert total == pytest.approx(sum(per_event))
