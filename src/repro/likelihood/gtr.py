@@ -26,6 +26,28 @@ RATE_ORDER = ("AC", "AG", "AT", "CG", "CT", "GT")
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
+def _spectral_products(
+    u: np.ndarray, e: np.ndarray, u_inv: np.ndarray, pairs: np.ndarray
+) -> np.ndarray:
+    """``ij,kj,jl->kil``: ``U diag(e_k) U⁻¹`` for every row of ``e``,
+    shape ``(k, 4, 4)``; ``pairs`` is :meth:`GTRModel._decompose`'s
+    ``(4, 16)`` table ``pairs[j, 4i + l] = U[i, j] · U⁻¹[j, l]``.
+
+    The one contraction whose association order depends on a shape.
+    ``np.einsum(..., optimize=True)``, which this replaces bit for bit,
+    scaled ``U`` by each ``e_k`` and multiplied by ``U⁻¹`` for up to four
+    rate multipliers (Γ's categories, a single rate), and from five on
+    (the CAT searches' categories, the simulator's rate grid) contracted
+    ``e`` against the ``U``/``U⁻¹`` pair products.  The two orders differ
+    in the last ulp, and every pinned result holds one of them, so the
+    switch stays where it was: keyed by the number of multipliers.
+    """
+    k = e.shape[0]
+    if k <= 4:
+        return (u[None] * e[:, None, :]) @ u_inv
+    return (e @ pairs).reshape(k, 4, 4)
+
+
 @dataclass(frozen=True)
 class GTRModel:
     """An immutable GTR model instance with cached spectral decomposition.
@@ -91,7 +113,9 @@ class GTRModel:
         eigvals, v = np.linalg.eigh(b)
         u = v / sq[:, None]  # U = diag(1/sqrt(pi)) V
         u_inv = v.T * sq[None, :]  # U^-1 = V^T diag(sqrt(pi))
-        return eigvals, u, u_inv, q
+        # pairs[j, 4i + l] = U[i, j] U^-1[j, l], see _spectral_products.
+        pairs = (u[:, :, None] * u_inv[None]).transpose(1, 0, 2).reshape(4, 16)
+        return eigvals, u, u_inv, q, pairs
 
     @property
     def q_matrix(self) -> np.ndarray:
@@ -115,7 +139,7 @@ class GTRModel:
         """
         if t < 0:
             raise ValueError(f"branch length must be non-negative, got {t}")
-        lam, u, u_inv, _ = self._spectral
+        lam, u, u_inv, _, pairs = self._spectral
         r = np.atleast_1d(np.asarray(rates, dtype=np.float64))
         if np.any(r < 0):
             raise ValueError("rate multipliers must be non-negative")
@@ -130,7 +154,7 @@ class GTRModel:
         """dP/dt at ``t`` for each rate multiplier; shape ``(k, 4, 4)``."""
         if t < 0:
             raise ValueError(f"branch length must be non-negative, got {t}")
-        lam, u, u_inv, _ = self._spectral
+        lam, u, u_inv, _, pairs = self._spectral
         r = np.atleast_1d(np.asarray(rates, dtype=np.float64))
         e = np.exp(np.outer(r * t, lam)) * (r[:, None] * lam[None, :])
         return np.einsum("ij,kj,jl->kil", u, e, u_inv, optimize=True)

@@ -56,6 +56,67 @@ def length_bits(t: float) -> int:
     return int(np.float64(t).view(np.uint64))
 
 
+# -- contractions ---------------------------------------------------------------
+#
+# One helper per contraction the kernels perform, each spelled as the
+# explicit two-operand product ``np.einsum(..., optimize=True)`` lowers it
+# to — the same BLAS calls on the same operands, hence the same bits
+# (``tests/test_kernel_contractions.py`` holds every helper to that,
+# bit for bit) — without re-planning a contraction path on every call.
+# Reductions over the state axis stay ``matmul`` products: a ``sum``-based
+# spelling accumulates in another order.  ``np.vecdot`` would say
+# ``_site_dot`` more directly but needs NumPy >= 2.0; ``matmul`` of a row
+# by a column is bit-equal and keeps the declared ``numpy>=1.24`` floor.
+
+
+def _propagate_inner(pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
+    """``kab,mkb->mka``: per-category ``P_k`` applied to an inner CLV
+    ``(m, k, 4)`` — one ``(m, 4) @ (4, 4)`` product per category."""
+    return np.matmul(clv.transpose(1, 0, 2), pmats.transpose(0, 2, 1)).transpose(1, 0, 2)
+
+
+def _propagate_tip(pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
+    """``kab,mb->mka``: every category's ``P_k`` applied to a tip CLV
+    ``(m, 4)`` — one ``(m, 4) @ (4, 4k)`` product."""
+    k = pmats.shape[0]
+    return (clv @ pmats.reshape(4 * k, 4).T).reshape(-1, k, 4)
+
+
+def _propagate_cat(pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
+    """``pab,pb->pa``: one gathered ``P`` per pattern (CAT).  A genuine
+    per-pattern contraction with no BLAS form; the un-optimised ``einsum``
+    is what ``optimize=True`` ran for it anyway."""
+    return np.einsum("pab,pb->pa", pmats, clv)
+
+
+def _propagate_stacked(pstack: np.ndarray, cstack: np.ndarray) -> np.ndarray:
+    """``qkab,qmkb->qmka``: :func:`_propagate_inner` for ``q`` stacked
+    edges — the same per-(edge, category) products in one call."""
+    return np.matmul(
+        cstack.transpose(0, 2, 1, 3), pstack.transpose(0, 1, 3, 2)
+    ).transpose(0, 2, 1, 3)
+
+
+def _mask_table(pmats: np.ndarray, tip_rows: np.ndarray) -> np.ndarray:
+    """``kab,sb->ksa``: the propagated CLV of each of the 16 IUPAC mask
+    rows under every category, shape ``(k, 16, 4)``."""
+    return tip_rows @ pmats.transpose(0, 2, 1)
+
+
+def _site_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``mka,mka->m`` / ``pa,pa->p``: per-pattern dot product over every
+    trailing axis — each pattern's flattened row times its column."""
+    m = a.shape[0]
+    return np.matmul(a.reshape(m, 1, -1), b.reshape(m, -1, 1)).reshape(m)
+
+
+def _to_eigenbasis(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``mka,aj->mkj`` with ``basis = U``, ``mkb,jb->mkj`` with ``basis =
+    U⁻¹ᵀ``: the state axis of a gamma CLV times a 4x4 matrix, as one
+    ``(m·k, 4) @ (4, 4)`` product."""
+    return (x.reshape(-1, 4) @ basis).reshape(x.shape)
+
+
 class ArrayLRU:
     """A bounded LRU of read-only arrays (P-matrices, tip tables, child
     contributions); entries are frozen on insert because every hit hands
@@ -264,7 +325,7 @@ class KernelBackend:
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """One span of RAxML's sumtable; returns ``(coef, exps_or_None)``
         (the exponent table is pattern-dependent only in CAT mode)."""
-        lam, u, u_inv, _ = self.model._spectral
+        lam, u, u_inv = self.model._spectral[:3]
         pi = self.model.pi
         rates = self.rate_model.rates
         if self.is_cat:

@@ -1,0 +1,227 @@
+"""Every kernel contraction helper equals the ``np.einsum(...,
+optimize=True)`` call it replaced, **bit for bit**.
+
+The helpers (``repro.likelihood.kernels.base``, ``repro.likelihood.gtr``)
+spell each contraction as the explicit ``matmul``/``reshape`` product
+``optimize=True`` lowered it to, so no golden may move.  The oracle here
+is the old call itself, on the operand layouts the engine really hands
+to kernels: pattern-axis slices of a larger array (thread shards),
+stride-0 broadcasts of tip CLVs, the transposed views one helper feeds
+the next, and the Fortran-ordered ``U⁻¹`` that ``GTRModel._decompose``
+holds.  If a site is not bit-equal on some NumPy/BLAS build, this file
+names it; the fix is never to regenerate goldens.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.likelihood.gtr import GTRModel, _spectral_products
+from repro.likelihood.kernels.base import (
+    _mask_table,
+    _propagate_cat,
+    _propagate_inner,
+    _propagate_stacked,
+    _propagate_tip,
+    _site_dot,
+    _to_eigenbasis,
+)
+from repro.seq.encoding import state_likelihood_rows
+
+#: Γ's 4 and the single rate; the CAT searches' 5/8/25 categories; the
+#: simulator's 256-point rate grid.  4 -> 5 is where ``optimize=True``
+#: changes the association order of the spectral product.
+CATEGORY_COUNTS = (1, 4, 5, 8, 25, 256)
+#: Cap on ``m * k`` per example so k = 256 stays a few MB per operand.
+MAX_CELLS = 40_000
+
+seeds = st.integers(0, 2**32 - 1)
+#: Pattern counts 1...5,000, half of them at the toy sizes tier-1 runs on.
+patterns = st.one_of(st.integers(1, 64), st.integers(1, 5000))
+offsets = st.integers(0, 7)
+#: Decimal exponent of an operand's magnitude: 1e-300 ... 1e100.
+exponents = st.integers(-300, 100)
+
+per_k = pytest.mark.parametrize("k", CATEGORY_COUNTS)
+examples = settings(max_examples=25, deadline=None)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype == np.float64
+    got_bits = np.ascontiguousarray(got).view(np.uint64)
+    want_bits = np.ascontiguousarray(want).view(np.uint64)
+    assert np.array_equal(got_bits, want_bits), (
+        f"{np.count_nonzero(got_bits != want_bits)} of {want_bits.size} "
+        "entries differ from einsum(optimize=True)"
+    )
+
+
+def _shard(rng, m: int, off: int, tail: tuple[int, ...], exp: int) -> np.ndarray:
+    """``m`` rows starting at ``off`` of a larger array: the view a
+    worker's pattern slice is.  Entries are ``[0.5, 1.5) · 10**exp``."""
+    full = (0.5 + rng.random((m + 8, *tail))) * 10.0**exp
+    return full[off : off + m]
+
+
+def _rows(m: int, k: int) -> int:
+    return max(1, min(m, MAX_CELLS // k))
+
+
+def _pmats(rng, k: int) -> np.ndarray:
+    p = rng.random((k, 4, 4))
+    return p / p.sum(axis=2, keepdims=True)
+
+
+@per_k
+class TestPropagate:
+    @examples
+    @given(seeds, patterns, offsets, exponents)
+    def test_inner(self, k, seed, m, off, exp):
+        rng = np.random.default_rng(seed)
+        m = _rows(m, k)
+        pm, clv = _pmats(rng, k), _shard(rng, m, off, (k, 4), exp)
+        want = np.einsum("kab,mkb->mka", pm, clv, optimize=True)
+        assert_same_bits(_propagate_inner(pm, clv), want)
+
+    @examples
+    @given(seeds, patterns, offsets)
+    def test_inner_on_a_broadcast_tip(self, k, seed, m, off):
+        """``LikelihoodEngine._as_full`` hands a tip to the edge kernels
+        as a stride-0 broadcast over categories."""
+        rng = np.random.default_rng(seed)
+        m = _rows(m, k)
+        masks = rng.integers(1, 16, size=m + 8)[off : off + m]
+        tip = state_likelihood_rows()[masks]
+        clv = np.broadcast_to(tip[:, None, :], (m, k, 4))
+        pm = _pmats(rng, k)
+        want = np.einsum("kab,mkb->mka", pm, clv, optimize=True)
+        assert_same_bits(_propagate_inner(pm, clv), want)
+
+    @examples
+    @given(seeds, patterns, offsets, exponents)
+    def test_tip(self, k, seed, m, off, exp):
+        rng = np.random.default_rng(seed)
+        m = _rows(m, k)
+        pm, clv = _pmats(rng, k), _shard(rng, m, off, (4,), exp)
+        want = np.einsum("kab,mb->mka", pm, clv, optimize=True)
+        assert_same_bits(_propagate_tip(pm, clv), want)
+
+    @examples
+    @given(seeds, patterns, offsets, exponents)
+    def test_cat(self, k, seed, m, off, exp):
+        rng = np.random.default_rng(seed)
+        p2c = rng.integers(0, k, size=m + 8)[off : off + m]
+        pm, clv = _pmats(rng, k), _shard(rng, m, off, (4,), exp)
+        want = np.einsum("pab,pb->pa", pm[p2c], clv, optimize=True)
+        assert_same_bits(_propagate_cat(pm[p2c], clv), want)
+
+    @examples
+    @given(seeds, patterns, offsets, exponents, st.integers(2, 5))
+    def test_stacked(self, k, seed, m, off, exp, q):
+        rng = np.random.default_rng(seed)
+        m = _rows(m, k * q)
+        pstack = np.stack([_pmats(rng, k) for _ in range(q)])
+        cstack = (0.5 + rng.random((q, m + 8, k, 4))) * 10.0**exp
+        shard = cstack[:, off : off + m]
+        want = np.einsum("qkab,qmkb->qmka", pstack, shard, optimize=True)
+        assert_same_bits(_propagate_stacked(pstack, shard), want)
+        for j in range(q):  # ... and each edge equals the per-node form
+            assert_same_bits(want[j], _propagate_inner(pstack[j], shard[j]))
+
+    def test_mask_table(self, k):
+        rows = state_likelihood_rows()
+        for seed in range(20):
+            pm = _pmats(np.random.default_rng(seed), k)
+            want = np.einsum("kab,sb->ksa", pm, rows, optimize=True)
+            assert_same_bits(_mask_table(pm, rows), want)
+
+
+@per_k
+class TestSiteDot:
+    @examples
+    @given(seeds, patterns, offsets, exponents, exponents)
+    def test_gamma(self, k, seed, m, off, exp_u, exp_d):
+        """The second operand is what ``_edge_site_span`` passes: the
+        transposed view ``_propagate_inner`` returns."""
+        rng = np.random.default_rng(seed)
+        m = _rows(m, k)
+        pi = rng.dirichlet(np.ones(4))
+        scaled = _shard(rng, m, off, (k, 4), exp_u) * pi
+        moved = _propagate_inner(_pmats(rng, k), _shard(rng, m, off, (k, 4), exp_d))
+        want = np.einsum("mka,mka->m", scaled, moved, optimize=True)
+        assert_same_bits(_site_dot(scaled, moved), want)
+
+    @examples
+    @given(seeds, patterns, offsets, exponents)
+    def test_cat(self, k, seed, m, off, exp):
+        rng = np.random.default_rng(seed)
+        p2c = rng.integers(0, k, size=m)
+        scaled = _shard(rng, m, off, (4,), exp) * rng.dirichlet(np.ones(4))
+        moved = _propagate_cat(_pmats(rng, k)[p2c], _shard(rng, m, off, (4,), 0))
+        want = np.einsum("pa,pa->p", scaled, moved, optimize=True)
+        assert_same_bits(_site_dot(scaled, moved), want)
+
+
+def _random_model(rng) -> GTRModel:
+    return GTRModel(
+        rates=tuple(0.2 + 4.0 * rng.random(6)), freqs=tuple(rng.dirichlet(5 * np.ones(4)))
+    )
+
+
+@per_k
+class TestEigenbasis:
+    @examples
+    @given(seeds, patterns, offsets, exponents)
+    def test_sumtable_operands(self, k, seed, m, off, exp):
+        rng = np.random.default_rng(seed)
+        m = _rows(m, k)
+        model = _random_model(rng)
+        u, u_inv = model._spectral[1:3]
+        assert u_inv.strides == (8, 32)  # Fortran order, as the kernels get it
+        uclv = _shard(rng, m, off, (k, 4), exp) * model.pi
+        dclv = _shard(rng, m, off, (k, 4), exp)
+        tip = np.broadcast_to(_shard(rng, m, off, (4,), 0)[:, None, :], (m, k, 4))
+        assert_same_bits(
+            _to_eigenbasis(uclv, u), np.einsum("mka,aj->mkj", uclv, u, optimize=True)
+        )
+        for clv in (dclv, tip):
+            want = np.einsum("mkb,jb->mkj", clv, u_inv, optimize=True)
+            assert_same_bits(_to_eigenbasis(clv, u_inv.T), want)
+
+
+@per_k
+class TestSpectralProducts:
+    """``GTRModel.transition_matrices`` and its derivative against the
+    three-operand einsum they used to be — on both sides of the k = 4 -> 5
+    path switch (delete the ``k >= 5`` branch and k = 5, 8, 25, 256 fail)."""
+
+    @examples
+    @given(seeds, st.floats(0.0, 10.0), st.floats(1e-8, 1e-2))
+    def test_transition_matrices(self, k, seed, t, tiny_t):
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng)
+        lam, u, u_inv = model._spectral[:3]
+        r = 4.0 * rng.random(k)
+        for length in (t, tiny_t):
+            e = np.exp(np.outer(r * length, lam))
+            want = np.einsum("ij,kj,jl->kil", u, e, u_inv, optimize=True)
+            assert_same_bits(_spectral_products(u, e, u_inv, model._spectral[4]), want)
+            assert_same_bits(model.transition_matrices(length, r), np.maximum(want, 0.0))
+            de = e * (r[:, None] * lam[None, :])
+            want = np.einsum("ij,kj,jl->kil", u, de, u_inv, optimize=True)
+            assert_same_bits(model.transition_matrix_derivatives(length, r), want)
+
+
+def test_the_two_spectral_orders_really_differ():
+    """Why ``_spectral_products`` keeps a branch: written one way for every
+    k, some pinned result moves in the last ulp."""
+    rng = np.random.default_rng(7)
+    model = _random_model(rng)
+    lam, u, u_inv, _, pairs = model._spectral
+    e = np.exp(np.outer(rng.random(8), lam))
+    scaled = (u[None] * e[:, None, :]) @ u_inv
+    paired = (e @ pairs).reshape(8, 4, 4)
+    assert np.allclose(scaled, paired, rtol=1e-14, atol=0.0)
+    assert not np.array_equal(scaled.view(np.uint64), paired.view(np.uint64))
