@@ -34,7 +34,7 @@ def _spectral_products(
     ``(4, 16)`` table ``pairs[j, 4i + l] = U[i, j] · U⁻¹[j, l]``.
 
     The one contraction whose association order depends on a shape.
-    ``np.einsum(..., optimize=True)``, which this replaces bit for bit,
+    The path-optimised three-operand ``einsum`` this replaces bit for bit
     scaled ``U`` by each ``e_k`` and multiplied by ``U⁻¹`` for up to four
     rate multipliers (Γ's categories, a single rate), and from five on
     (the CAT searches' categories, the simulator's rate grid) contracted
@@ -145,7 +145,7 @@ class GTRModel:
             raise ValueError("rate multipliers must be non-negative")
         # exp(lam * t * r): shape (k, 4)
         e = np.exp(np.outer(r * t, lam))
-        p = np.einsum("ij,kj,jl->kil", u, e, u_inv, optimize=True)
+        p = _spectral_products(u, e, u_inv, pairs)
         # Clamp tiny negative values from roundoff.
         np.maximum(p, 0.0, out=p)
         return p
@@ -157,7 +157,7 @@ class GTRModel:
         lam, u, u_inv, _, pairs = self._spectral
         r = np.atleast_1d(np.asarray(rates, dtype=np.float64))
         e = np.exp(np.outer(r * t, lam)) * (r[:, None] * lam[None, :])
-        return np.einsum("ij,kj,jl->kil", u, e, u_inv, optimize=True)
+        return _spectral_products(u, e, u_inv, pairs)
 
     def with_rates(self, rates) -> "GTRModel":
         return GTRModel(tuple(rates), self.freqs)

@@ -23,13 +23,28 @@ never triggers a zero-length kernel call.
 Accounting.  Kernels, not the engine, charge the shared
 :class:`OpCounter` — exactly once per *logical* invocation with the full
 pattern count, so op totals are identical for serial, threaded, and
-(cold-)cached runs.  Multi-operand ``einsum`` contractions are avoided in
-favour of fixed two-operand steps: ``optimize=True`` picks contraction
-paths by operand shape, which would make results depend on shard sizes.
+(cold-)cached runs.
+
+Contractions.  Every contraction is an explicit two-operand
+``matmul``/``reshape`` product (the helpers below), never an ``einsum``
+that plans a path per call: a planned path is chosen from operand
+*shapes*, so results could depend on how the pattern axis is sharded,
+and planning costs more than the product itself at a few hundred
+patterns.  The spellings are the ones the path-optimised ``einsum`` calls
+they replaced lowered to, so results are bit-identical to those.  Exactly
+one product in the code base does change its association order with a
+shape — ``U diag(e) U⁻¹`` over k rate multipliers, at k = 5; it is keyed
+by k, which is a property of the rate model and not of a shard, in
+:func:`repro.likelihood.gtr._spectral_products`.  Two plain ``einsum``
+calls remain (``pab,pb->pa`` for CAT's per-pattern matrices,
+``mka,a->m`` at the root): single contractions with no path to plan,
+already bit-equal to what they were — and ``bench/``'s self-test expects
+its smoke trace to show ``numpy.einsum`` being called.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -43,6 +58,9 @@ from repro.seq.encoding import state_likelihood_rows
 #: Smallest value a scaler may take (guards log(0) for impossible patterns).
 _TINY = 1e-300
 
+_pack_f64 = struct.Struct("<d").pack
+_unpack_u64 = struct.Struct("<Q").unpack
+
 #: One child edge of a traversal level: ``(subtree signature, branch
 #: length, payload)`` where the payload is a leaf's pattern-mask row
 #: (1-D) or the child's down CLV.
@@ -53,16 +71,15 @@ def length_bits(t: float) -> int:
     """The exact float64 bit pattern of a branch length — two lengths that
     differ in the last ulp produce different CLVs, so this is the key of
     both the planner's subtree signatures and the kernels' memos."""
-    return int(np.float64(t).view(np.uint64))
+    return _unpack_u64(_pack_f64(t))[0]
 
 
 # -- contractions ---------------------------------------------------------------
 #
-# One helper per contraction the kernels perform, each spelled as the
-# explicit two-operand product ``np.einsum(..., optimize=True)`` lowers it
-# to — the same BLAS calls on the same operands, hence the same bits
-# (``tests/test_kernel_contractions.py`` holds every helper to that,
-# bit for bit) — without re-planning a contraction path on every call.
+# One helper per contraction, named in the subscripts of the path-optimised
+# ``einsum`` it replaced and spelled as the product that call lowered to —
+# the same BLAS calls on the same operands, hence the same bits
+# (``tests/test_kernel_contractions.py`` holds each helper to that).
 # Reductions over the state axis stay ``matmul`` products: a ``sum``-based
 # spelling accumulates in another order.  ``np.vecdot`` would say
 # ``_site_dot`` more directly but needs NumPy >= 2.0; ``matmul`` of a row
@@ -83,9 +100,9 @@ def _propagate_tip(pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
 
 
 def _propagate_cat(pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
-    """``pab,pb->pa``: one gathered ``P`` per pattern (CAT).  A genuine
-    per-pattern contraction with no BLAS form; the un-optimised ``einsum``
-    is what ``optimize=True`` ran for it anyway."""
+    """``pab,pb->pa``: one gathered ``P`` per pattern (CAT).  A single
+    per-pattern contraction with no BLAS form, so plain ``einsum`` — which
+    is all the path-optimised call ever ran for it."""
     return np.einsum("pab,pb->pa", pmats, clv)
 
 
@@ -251,14 +268,22 @@ class KernelBackend:
         self.shards = [s for s in shards if s.stop > s.start]
         self.tip_rows = state_likelihood_rows()
         self._pmat_lru = ArrayLRU(self.pmat_entries)
+        #: The sumtable's exponents ``rate_c · λ_j``, shape (k, 4): fixed
+        #: for the backend's lifetime and handed out by every
+        #: :meth:`sumtable`, hence read-only.
+        self._exps = np.outer(rate_model.rates, model._spectral[0])
+        self._exps.setflags(write=False)
 
     def pmatrices(self, t: float) -> np.ndarray:
         """P(t·r_c) for all categories, shape (k, 4, 4), memoised by the
         bits of ``t`` — Newton and SPR re-ask for the same lengths."""
-        return self._pmat_lru.get(
-            length_bits(t),
-            lambda: self.model.transition_matrices(t, self.rate_model.rates),
-        )
+        key = length_bits(t)
+        pmats = self._pmat_lru.get(key)
+        if pmats is None:
+            pmats = self._pmat_lru.put(
+                key, self.model.transition_matrices(t, self.rate_model.rates)
+            )
+        return pmats
 
     # -- shard/block iteration ------------------------------------------------
 
@@ -287,10 +312,10 @@ class KernelBackend:
     ) -> np.ndarray:
         """Apply per-category transition matrices to one span of a CLV."""
         if self.is_cat:
-            return np.einsum("pab,pb->pa", pmats[p2c], clv, optimize=True)
+            return _propagate_cat(pmats[p2c], clv)
         if clv.ndim == 2:  # tip: broadcast over categories
-            return np.einsum("kab,mb->mka", pmats, clv, optimize=True)
-        return np.einsum("kab,mkb->mka", pmats, clv, optimize=True)
+            return _propagate_tip(pmats, clv)
+        return _propagate_inner(pmats, clv)
 
     def _tip_gather_span(
         self, table: np.ndarray, masks: np.ndarray, p2c: np.ndarray | None
@@ -315,25 +340,22 @@ class KernelBackend:
     ) -> np.ndarray:
         moved = self._propagate_span(pmats, dclv, p2c)
         pi = self.model.pi
-        if self.is_cat:
-            return np.einsum("pa,pa->p", uclv * pi, moved, optimize=True)
-        site = np.einsum("mka,mka->m", uclv * pi, moved, optimize=True)
-        return site / self.n_categories
+        site = _site_dot(uclv * pi, moved)
+        return site if self.is_cat else site / self.n_categories
 
     def _sumtable_span(
         self, uclv: np.ndarray, dclv: np.ndarray, p2c: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """One span of RAxML's sumtable; returns ``(coef, exps_or_None)``
         (the exponent table is pattern-dependent only in CAT mode)."""
-        lam, u, u_inv = self.model._spectral[:3]
+        u, u_inv = self.model._spectral[1:3]
         pi = self.model.pi
-        rates = self.rate_model.rates
         if self.is_cat:
             x = (uclv * pi[None, :]) @ u  # (m, 4)
             y = dclv @ u_inv.T  # (m, 4)
-            return x * y, np.outer(rates, lam)[p2c]
-        x = np.einsum("mka,aj->mkj", uclv * pi, u, optimize=True)
-        y = np.einsum("mkb,jb->mkj", dclv, u_inv, optimize=True)
+            return x * y, self._exps[p2c]
+        x = _to_eigenbasis(uclv * pi, u)
+        y = _to_eigenbasis(dclv, u_inv.T)
         return x * y / self.n_categories, None
 
     def _derivatives_span(
@@ -375,7 +397,7 @@ class KernelBackend:
         gather.  O(16·k) arithmetic instead of O(m·k).
         """
         # (k, 16, 4): for each category, the propagated CLV of each mask.
-        table = np.einsum("kab,sb->ksa", pmats, self.tip_rows, optimize=True)
+        table = _mask_table(pmats, self.tip_rows)
         out = self._clv_out()
         for sl, p2c in self._spans():
             out[sl] = self._tip_gather_span(table, masks[sl], p2c)
@@ -537,8 +559,6 @@ class KernelBackend:
         Returns ``(coef, exps)``; see
         :meth:`repro.likelihood.engine.LikelihoodEngine.edge_coefficients`.
         """
-        lam = self.model._spectral[0]
-        rates = self.rate_model.rates
         if self.is_cat:
             coef = np.empty((self.n_patterns, 4))
             exps = np.empty((self.n_patterns, 4))
@@ -548,7 +568,7 @@ class KernelBackend:
             coef = np.empty((self.n_patterns, self.n_categories, 4))
             for sl, p2c in self._spans():
                 coef[sl], _ = self._sumtable_span(uclv[sl], dclv[sl], p2c)
-            exps = np.outer(rates, lam)  # (k, 4)
+            exps = self._exps
         self.ops.charge_sumtable(self.n_patterns, self.n_categories)
         return coef, exps
 

@@ -12,7 +12,7 @@ contribution a level needs is requested in one
   their propagated contributions are literally the same float64 arrays
   and are reused instead of recomputed;
 * stacks the remaining propagations of a level into a single
-  ``(nodes, patterns, rates, states)`` einsum when the stacked operands
+  ``(nodes, patterns, rates, states)`` ``matmul`` when the stacked operands
   stay cache-resident (small pattern counts, where per-call dispatch
   overhead dominates);
 * switches to a **fused block pipeline** at large pattern counts
@@ -33,7 +33,7 @@ Bit-identity with the reference backend is preserved the same way the
 thread sharding argument works: every reused array was produced by the
 reference arithmetic for identical operands, the stacked contraction and
 the block-wise ``matmul`` both dispatch to the same per-matrix BLAS
-products as the per-node einsum (property-tested), blocking the pattern
+products as the per-node form (property-tested), blocking the pattern
 axis cannot change any bits because every per-pattern value depends only
 on that pattern's operands, and the fused product/rescale paths perform
 the same operations in the same order with preallocated outputs.  Op accounting
@@ -57,6 +57,8 @@ from repro.likelihood.kernels.base import (
     LevelSpec,
     OpCounter,
     Partial,
+    _mask_table,
+    _propagate_stacked,
     length_bits,
 )
 from repro.likelihood.rates import RateModel
@@ -127,9 +129,7 @@ class BatchedKernel(KernelBackend):
         gather.  CAT mode keeps the reference ``(k, 16, 4)`` layout.
         """
         def build() -> np.ndarray:
-            raw = np.einsum(
-                "kab,sb->ksa", self.pmatrices(t), self.tip_rows, optimize=True
-            )
+            raw = _mask_table(self.pmatrices(t), self.tip_rows)
             if self.is_cat:
                 return raw
             return np.ascontiguousarray(raw.transpose(1, 0, 2))
@@ -171,20 +171,18 @@ class BatchedKernel(KernelBackend):
         spec *regardless of cache hits* — accounted work must match what
         the reference backend would do.
         """
-        out: list[np.ndarray | None] = [None] * len(specs)
-        tips: list[int] = []
+        keys = [_contrib_key(spec) for spec in specs]
+        out = [self._contrib_lru.get(key) for key in keys]
         inner: list[int] = []
-        for i, spec in enumerate(specs):
-            out[i] = self._contrib_lru.get(_contrib_key(spec))
-            if out[i] is None:
-                (tips if spec[2].ndim == 1 else inner).append(i)
-        for i in tips:
-            _, t, masks = specs[i]
-            out[i] = self._contrib_lru.put(
-                _contrib_key(specs[i]), self._tip_contrib(t, masks)
-            )
+        for i, (_, t, payload) in enumerate(specs):
+            if out[i] is not None:
+                continue
+            if payload.ndim == 1:
+                out[i] = self._contrib_lru.put(keys[i], self._tip_contrib(t, payload))
+            else:
+                inner.append(i)
         if inner:
-            self._inner_contribs(specs, inner, out)
+            self._inner_contribs(specs, keys, inner, out)
         self.ops.charge_clv(self.n_patterns, self.n_categories, n=len(specs))
         return out
 
@@ -196,7 +194,8 @@ class BatchedKernel(KernelBackend):
         return out
 
     def _inner_contribs(
-        self, specs: list[LevelSpec], idxs: list[int], out: list
+        self, specs: list[LevelSpec], keys: list[tuple[int, int]],
+        idxs: list[int], out: list,
     ) -> None:
         m, k = self.n_patterns, self.n_categories
         q = len(idxs)
@@ -209,21 +208,19 @@ class BatchedKernel(KernelBackend):
                     contrib[sl] = self._propagate_span(
                         self.pmatrices(t), clv[sl], p2c
                     )
-                out[i] = self._contrib_lru.put(_contrib_key(specs[i]), contrib)
+                out[i] = self._contrib_lru.put(keys[i], contrib)
             return
         # One (nodes, patterns, rates, states) contraction per shard.
-        # The batched einsum dispatches to the same per-matrix BLAS
+        # The stacked matmul dispatches to the same per-matrix BLAS
         # products as the per-node form, so the result bits are equal
-        # (property-tested in the parity suite).
+        # (property-tested in tests/test_kernel_contractions.py).
         pstack = np.stack([self.pmatrices(specs[i][1]) for i in idxs])
         cstack = np.stack([specs[i][2] for i in idxs])
         res = np.empty((q, m, k, 4))
         for sl, _ in self._spans():
-            res[:, sl] = np.einsum(
-                "qkab,qmkb->qmka", pstack, cstack[:, sl], optimize=True
-            )
+            res[:, sl] = _propagate_stacked(pstack, cstack[:, sl])
         for j, i in enumerate(idxs):
-            out[i] = self._contrib_lru.put(_contrib_key(specs[i]), res[j])
+            out[i] = self._contrib_lru.put(keys[i], res[j])
 
     @property
     def _fused(self) -> bool:
@@ -292,7 +289,8 @@ class BatchedKernel(KernelBackend):
 
         Bit-identity: ``matmul`` on the ``(k, n, 4)`` transposed views
         issues the same per-category BLAS products as the reference
-        einsum; each product multiplies in input order per element; the
+        ``_propagate_inner``; each product multiplies in input order per
+        element; the
         per-pattern max is exact under any reduction order; divide and
         log are the same ufuncs on the same values.  Blocking the
         pattern axis is invisible to all of them.
@@ -349,7 +347,7 @@ class BatchedKernel(KernelBackend):
         and edge propagations into contiguous ``(k, n, 4)`` scratch (a
         strided view as a multiply operand costs several times a
         contiguous block; ``matmul`` on the transposed view issues the
-        reference einsum's per-category BLAS products)."""
+        reference propagation's per-category BLAS products)."""
         k = self.n_categories
         n = hi - lo
         blks: list[np.ndarray] = []
@@ -496,7 +494,7 @@ class BatchedKernel(KernelBackend):
                 )
         else:
             coef = np.empty((m, k, 4))
-            exps = np.outer(self.rate_model.rates, self.model._spectral[0])
+            exps = self._exps
             e_gamma = np.exp(exps * t)
             for sl, p2c in self._spans():
                 coef[sl], _ = self._sumtable_span(uclv[sl], dclv[sl], p2c)

@@ -3,7 +3,7 @@
 This is the baseline the batched backend (and any future compiled
 backend) must match bit-for-bit: the :class:`KernelBackend` protocol
 defaults, unmodified — each shard processed whole, one ``propagate``
-einsum per child edge, the naive product and rescale.
+product per child edge, the naive product and rescale.
 """
 
 from __future__ import annotations

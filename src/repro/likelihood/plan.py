@@ -36,18 +36,20 @@ from repro.tree.topology import Node, Tree
 _MASK = (1 << 64) - 1
 _LEAF_TAG = 0xA5A5_5A5A_0F0F_F0F0
 _INNER_TAG = 0x3C3C_C3C3_6996_9669
-
-
-def _splitmix64(x: int) -> int:
-    """Finalizer of the splitmix64 generator; a strong 64-bit mixer."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-    return x ^ (x >> 31)
+_GAMMA, _MUL1, _MUL2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def _mix(h: int, v: int) -> int:
-    return _splitmix64(h ^ _splitmix64(v & _MASK))
+    """``splitmix64(h ^ splitmix64(v))``, where ``splitmix64`` is the
+    finalizer of that generator — a strong 64-bit mixer.  Both rounds are
+    written out: this runs twice per child edge of every plan."""
+    v = (v + _GAMMA) & _MASK
+    v = ((v ^ (v >> 30)) * _MUL1) & _MASK
+    v = ((v ^ (v >> 27)) * _MUL2) & _MASK
+    h = ((h ^ v ^ (v >> 31)) + _GAMMA) & _MASK
+    h = ((h ^ (h >> 30)) * _MUL1) & _MASK
+    h = ((h ^ (h >> 27)) * _MUL2) & _MASK
+    return h ^ (h >> 31)
 
 
 def subtree_postorder(node: Node) -> Iterator[Node]:
