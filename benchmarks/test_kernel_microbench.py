@@ -1,8 +1,15 @@
 """Kernel-layer microbenchmark: the backend matrix on real SPR rounds.
 
-Two legs, both recorded to ``output/BENCH_kernels.json`` (the record is
+Three legs, all recorded to ``output/BENCH_kernels.json`` (the record is
 written *before* any claim is asserted, so a failed assertion still
 leaves the numbers on disk for inspection):
+
+* **Contraction table** (always runs): µs per call of every kernel
+  contraction, the path-optimised ``einsum`` it used to be against the
+  explicit-product helper it is now, at 57 / 230 / 4,600 patterns (the
+  tier-1 toys, ``small_1x4`` and ``wide_1x1`` of ``bench/``).  Asserts
+  only what holds on any host: at 57 patterns, where a call is all
+  dispatch, no helper loses to the einsum it replaced.
 
 * **Small leg** (always runs; this is what CI's ``kernels-smoke`` job
   executes): a >=500-pattern simulated alignment, one SPR round per
@@ -30,12 +37,17 @@ import os
 import subprocess
 import sys
 import time
+import timeit
+
+import numpy as np
 
 from repro.datasets import test_dataset as make_test_dataset
 from repro.likelihood.engine import LikelihoodEngine, OpCounter, RateModel
-from repro.likelihood.gtr import GTRModel
+from repro.likelihood.gtr import GTRModel, _spectral_products
 from repro.likelihood.kernels import available_kernels
+from repro.likelihood.kernels import base as kb
 from repro.search.spr import SPRParams, spr_round
+from repro.seq.encoding import state_likelihood_rows
 from repro.threads.pool import VirtualThreadPool
 from repro.tree.random_trees import yule_tree
 from repro.util.rng import RAxMLRandom
@@ -90,6 +102,67 @@ print(json.dumps({
     "round_seconds": rounds, "lnls": lnls, "ops": ops.snapshot(),
 }))
 """
+
+
+#: Pattern counts of the contraction table: the 6 x 60 tier-1 toys, and
+#: ``small_1x4`` / ``wide_1x1`` of ``bench/``.
+CONTRACTION_SIZES = (57, 230, 4600)
+
+
+def _contractions(m: int):
+    """``(subscripts, operands, helper)`` per kernel contraction at ``m``
+    patterns (Γ with k = 4; CAT with 8 categories; 3 stacked edges)."""
+    rng = np.random.default_rng(m)
+    pm, pm8 = rng.random((4, 4, 4)), rng.random((8, 4, 4))
+    clv, other = rng.random((m, 4, 4)), rng.random((m, 4, 4))
+    tip, tip2 = rng.random((m, 4)), rng.random((m, 4))
+    per_pattern = pm8[rng.integers(0, 8, size=m)]
+    u, u_inv = MODEL._spectral[1:3]
+    cases = [
+        ("kab,mkb->mka", (pm, clv), kb._propagate_inner),
+        ("kab,mb->mka", (pm, tip), kb._propagate_tip),
+        ("pab,pb->pa", (per_pattern, tip), kb._propagate_cat),
+        ("mka,mka->m", (clv, other), kb._site_dot),
+        ("pa,pa->p", (tip, tip2), kb._site_dot),
+        ("mka,aj->mkj", (clv, u), kb._to_eigenbasis),
+        ("mkb,jb->mkj", (clv, u_inv), lambda x, ui: kb._to_eigenbasis(x, ui.T)),
+        ("kab,sb->ksa", (pm, state_likelihood_rows()), kb._mask_table),
+    ]
+    if 2 * 3 * m * 4 * 4 * 8 <= 1 << 22:  # BatchedKernel.stack_budget_bytes
+        stacked = (rng.random((3, 4, 4, 4)), rng.random((3, m, 4, 4)))
+        cases.append(("qkab,qmkb->qmka", stacked, kb._propagate_stacked))
+    return cases
+
+
+def _us_per_call(fn) -> float:
+    """Best of five batches, each sized to about 5 ms."""
+    timer = timeit.Timer(fn)
+    number = max(1, int(5e-3 / max(timer.timeit(3) / 3, 1e-7)))
+    return 1e6 * min(timer.repeat(repeat=5, number=number)) / number
+
+
+def run_contraction_bench() -> dict:
+    """``{subscripts: {m: {"einsum_us", "helper_us"}}}``; the spectral
+    product, which has no pattern axis, is keyed by its k instead."""
+    table: dict[str, dict[str, dict[str, float]]] = {}
+    for m in CONTRACTION_SIZES:
+        for subs, operands, helper in _contractions(m):
+            table.setdefault(subs, {})[str(m)] = {
+                "einsum_us": _us_per_call(
+                    lambda: np.einsum(subs, *operands, optimize=True)
+                ),
+                "helper_us": _us_per_call(lambda: helper(*operands)),
+            }
+    lam, u, u_inv, _, pairs = MODEL._spectral
+    for k in (4, 8):
+        e = np.exp(np.outer(np.linspace(0.2, 2.0, k) * 0.1, lam))
+        table.setdefault("ij,kj,jl->kil", {})[f"k={k}"] = {
+            "einsum_us": _us_per_call(
+                lambda: np.einsum("ij,kj,jl->kil", u, e, u_inv, optimize=True)
+            ),
+            "helper_us": _us_per_call(lambda: _spectral_products(u, e, u_inv, pairs)),
+        }
+    return table
 
 
 def _spr_round(pal, kernel: str, clv_cache: bool, n_threads: int = 1):
@@ -160,6 +233,7 @@ def _median3(xs):
 def test_kernel_microbench(benchmark, emit):
     n_patterns, variants = benchmark.pedantic(run_microbench, rounds=1, iterations=1)
     full = run_full_bench() if os.environ.get("REPRO_BENCH_FULL") == "1" else None
+    contractions = run_contraction_bench()
 
     # -- record first, assert second ---------------------------------------
     lnls = {name: lnl for name, (lnl, _, _) in variants.items()}
@@ -171,6 +245,7 @@ def test_kernel_microbench(benchmark, emit):
         "loglikelihood": lnls["reference-scratch"],
         "clv_update_savings": 1.0 - planned["clv_updates"] / scratch["clv_updates"],
         "kernels": sorted(available_kernels()),
+        "contractions_us_per_call": contractions,
         "variants": {
             name: {"lnl": lnl, "wall_seconds": secs, **snapshot}
             for name, (lnl, snapshot, secs) in variants.items()
@@ -207,6 +282,26 @@ def test_kernel_microbench(benchmark, emit):
             pass
     OUTPUT_DIR.mkdir(exist_ok=True)
     out_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+    # -- contraction table: dispatch-bound calls got cheaper ----------------
+    emit(
+        "kernel_contractions",
+        format_table(
+            ["Contraction", *(f"m={m}" for m in CONTRACTION_SIZES)],
+            [
+                (subs, *[
+                    f"{cell['einsum_us']:.1f} -> {cell['helper_us']:.1f}"
+                    for cell in row.values()
+                ], *[""] * (len(CONTRACTION_SIZES) - len(row)))
+                for subs, row in contractions.items()
+            ],
+            title="CONTRACTIONS, us/call: einsum(optimize=True) -> explicit product "
+                  "(last row: k=4, k=8)",
+        ),
+    )
+    for subs, row in contractions.items():
+        smallest = next(iter(row.values()))
+        assert smallest["helper_us"] < smallest["einsum_us"], (subs, smallest)
 
     # -- small leg: exact claims -------------------------------------------
     # Bit-identical log-likelihoods across cache, backend, and sharding.

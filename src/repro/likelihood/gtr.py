@@ -39,8 +39,8 @@ def _spectral_products(
     rate multipliers (Γ's categories, a single rate), and from five on
     (the CAT searches' categories, the simulator's rate grid) contracted
     ``e`` against the ``U``/``U⁻¹`` pair products.  The two orders differ
-    in the last ulp, and every pinned result holds one of them, so the
-    switch stays where it was: keyed by the number of multipliers.
+    by rounding (~1e-16), and every pinned result holds one of them, so
+    the switch stays where it was: keyed by the number of multipliers.
     """
     k = e.shape[0]
     if k <= 4:

@@ -290,10 +290,9 @@ class BatchedKernel(KernelBackend):
         Bit-identity: ``matmul`` on the ``(k, n, 4)`` transposed views
         issues the same per-category BLAS products as the reference
         ``_propagate_inner``; each product multiplies in input order per
-        element; the
-        per-pattern max is exact under any reduction order; divide and
-        log are the same ufuncs on the same values.  Blocking the
-        pattern axis is invisible to all of them.
+        element; the per-pattern max is exact under any reduction order;
+        divide and log are the same ufuncs on the same values.  Blocking
+        the pattern axis is invisible to all of them.
         """
         m, k = self.n_patterns, self.n_categories
         inputs = [self._fused_input(spec) for spec in specs]

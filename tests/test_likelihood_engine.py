@@ -5,15 +5,19 @@ consistency of the edge-likelihood machinery with the plain evaluation,
 correct scaling behaviour on long chains, and CAT/gamma mode coherence.
 """
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.likelihood.engine import LikelihoodEngine, OpCounter, RateModel
 from repro.likelihood.gtr import GTRModel
+from repro.likelihood.kernels import available_kernels
 from repro.seq.alignment import Alignment
-from repro.seq.encoding import state_likelihood_rows
 from repro.seq.patterns import compress_alignment
 from repro.tree.newick import parse_newick
+from tests import oracle
 
 
 @pytest.fixture()
@@ -26,51 +30,59 @@ def quartet():
     return pal, tree
 
 
-def brute_force_lnl(pal, tree_lengths, model, rates):
-    """Enumerate internal states of the quartet topology ((A,B),C,D)."""
-    rows = state_likelihood_rows()
-    pi = model.pi
-    ta, tb, ti, tc, td = tree_lengths
-    total = 0.0
-    for p in range(pal.n_patterns):
-        tips = {
-            name: rows[pal.patterns[pal.taxon_index(name), p]]
-            for name in "ABCD"
-        }
-        site = 0.0
-        for r in rates:
-            P = lambda t: model.transition_matrices(t, r)[0]
-            Pa, Pb, Pi, Pc, Pd = P(ta), P(tb), P(ti), P(tc), P(td)
-            s = 0.0
-            for x in range(4):
-                for y in range(4):
-                    s += (
-                        pi[x]
-                        * Pi[x, y]
-                        * (Pa[y] @ tips["A"])
-                        * (Pb[y] @ tips["B"])
-                        * (Pc[x] @ tips["C"])
-                        * (Pd[x] @ tips["D"])
-                    )
-            site += s / len(rates)
-        total += np.log(site) * pal.weights[p]
-    return total
+QUARTET_LENGTHS = (0.12, 0.3, 0.08, 0.25, 0.4)  # A, B, inner, C, D
+
+
+def oracle_lnl(pal, model, rates, pattern_to_cat=None):
+    """The quartet fixture's log-likelihood by ``tests/oracle.py``, which
+    gets the model only as its six exchangeabilities and frequencies."""
+    masks = [pal.patterns[pal.taxon_index(name)] for name in "ABCD"]
+    return oracle.quartet_lnl(
+        masks, pal.weights, QUARTET_LENGTHS, model.rates, model.freqs,
+        rates, pattern_to_cat,
+    )
+
+
+def test_oracle_imports_nothing_it_checks():
+    """The reference stays independent: standard library only."""
+    imported = {
+        node.module if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(ast.parse(inspect.getsource(oracle)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported == {"__future__", "math"}
 
 
 class TestExactness:
+    """Every registered kernel against the independent oracle."""
+
+    @staticmethod
+    def assert_all_kernels(pal, tree, model, rate_model, expected):
+        for kernel in available_kernels():
+            engine = LikelihoodEngine(pal, model, rate_model, kernel=kernel)
+            assert engine.loglikelihood(tree) == pytest.approx(expected, abs=1e-9), kernel
+
     def test_matches_brute_force_gamma(self, quartet, gtr_model):
         pal, tree = quartet
-        engine = LikelihoodEngine(pal, gtr_model, RateModel.gamma(0.7, 4))
-        expected = brute_force_lnl(
-            pal, (0.12, 0.3, 0.08, 0.25, 0.4), gtr_model, engine.rate_model.rates
-        )
-        assert engine.loglikelihood(tree) == pytest.approx(expected, abs=1e-9)
+        rate_model = RateModel.gamma(0.7, 4)
+        expected = oracle_lnl(pal, gtr_model, rate_model.rates)
+        self.assert_all_kernels(pal, tree, gtr_model, rate_model, expected)
 
     def test_matches_brute_force_single_rate(self, quartet, gtr_model):
         pal, tree = quartet
-        engine = LikelihoodEngine(pal, gtr_model, RateModel.single())
-        expected = brute_force_lnl(pal, (0.12, 0.3, 0.08, 0.25, 0.4), gtr_model, [1.0])
-        assert engine.loglikelihood(tree) == pytest.approx(expected, abs=1e-9)
+        expected = oracle_lnl(pal, gtr_model, [1.0])
+        self.assert_all_kernels(pal, tree, gtr_model, RateModel.single(), expected)
+
+    @pytest.mark.parametrize("n_cats", [3, 8])
+    def test_matches_brute_force_cat(self, quartet, gtr_model, n_cats):
+        """CAT: each pattern at its own category's rate alone; 8
+        categories is past the k = 5 switch of the spectral product."""
+        pal, tree = quartet
+        rates = np.geomspace(0.1, 4.0, n_cats)
+        p2c = np.arange(pal.n_patterns) % n_cats
+        expected = oracle_lnl(pal, gtr_model, rates, p2c)
+        self.assert_all_kernels(pal, tree, gtr_model, RateModel.cat(rates, p2c), expected)
 
     def test_jc_uniform_site(self):
         """A fully undetermined column has likelihood 1 (lnL 0)."""

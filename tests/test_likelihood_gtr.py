@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.likelihood.gtr import GTRModel
+from tests import oracle
 
 rate_st = st.floats(0.05, 20.0)
 freq_part = st.floats(0.05, 1.0)
@@ -119,6 +120,38 @@ class TestTransitionMatrices:
         p = m.transition_matrices(t)[0]
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-8)
         assert np.all(p >= -1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 4, 5, 8, 256])
+class TestAgainstOracle:
+    """P and dP/dt against ``tests/oracle.py`` — its own Q and its own
+    scaling-and-squaring ``exp``, no eigendecomposition — on both sides of
+    the k = 4 -> 5 switch in ``_spectral_products``."""
+
+    EXCH = (1.2, 2.5, 0.8, 1.1, 3.0, 1.0)
+    FREQS = (0.3, 0.2, 0.2, 0.3)
+    LENGTHS = (0.0, 1e-6, 0.05, 0.37, 2.5)
+
+    @staticmethod
+    def multipliers(k):
+        return np.array([1.0]) if k == 1 else np.geomspace(0.02, 6.0, k)
+
+    def test_transition_matrices(self, k):
+        model, rates = GTRModel(self.EXCH, self.FREQS), self.multipliers(k)
+        for t in self.LENGTHS:
+            got = model.transition_matrices(t, rates)
+            want = [oracle.transition_matrix(self.EXCH, self.FREQS, t * r) for r in rates]
+            assert np.abs(got - np.array(want)).max() < 1e-10
+
+    def test_transition_matrix_derivatives(self, k):
+        model, rates = GTRModel(self.EXCH, self.FREQS), self.multipliers(k)
+        for t in self.LENGTHS[::2]:
+            got = model.transition_matrix_derivatives(t, rates)
+            want = [
+                oracle.transition_matrix_derivative(self.EXCH, self.FREQS, t, r)
+                for r in rates
+            ]
+            assert np.abs(got - np.array(want)).max() < 1e-10
 
 
 class TestWithers:
