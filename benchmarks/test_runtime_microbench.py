@@ -1,0 +1,243 @@
+"""Thread-world microbenchmark: consecutive in-process multi-rank analyses.
+
+Recorded to ``output/BENCH_runtime.json``.  One fresh interpreter runs
+the wall-clock benchmark's multi-rank shape (6 taxa x 300 sites, N = 8,
+4 ranks x 2 threads, work-steal, batched kernel, BLAS pinned to one
+thread) :data:`REPS` times in a row, ``gc.collect()`` between, and
+records per repetition wall, user and system seconds and the voluntary /
+involuntary context switches of the process, plus the run token's own
+counters (hand-offs, expired slices, seconds each rank queued for it).
+
+Why consecutive repetitions: with free-running rank threads (the parent
+of the run token, :data:`PARENT_ROWS`) the *first* analysis of a process was
+the cheap one and every later one paid ~1.6x the wall time and ~4x the
+context switches — four threads handing the interpreter lock across two
+cores at every ~87-pattern NumPy call — while the same process pinned
+to one CPU ran every repetition at the one-core cost.  With one runnable
+rank at a time the repetitions are flat and the one-CPU control buys
+nothing more.
+
+* **Smoke leg** (always; CI's ``test`` job): :data:`SMOKE_REPS`
+  repetitions, records, and asserts what holds on any host — identical
+  results across repetitions and a token that was handed over.
+* **Full leg** (``REPRO_BENCH_FULL=1``, a quiet host): :data:`REPS`
+  repetitions plus the one-CPU control, and the two claims — first and
+  later repetitions within 15 %, voluntary context switches per analysis
+  at least 10x below the parent's.
+
+Run as a script it prints the measurement of whatever ``repro`` is on
+the path, which is how :data:`PARENT_ROWS` was taken
+(``PYTHONPATH=<parent>/src python benchmarks/test_runtime_microbench.py``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+REPS = 5
+SMOKE_REPS = 2
+SHAPE = {"n_taxa": 6, "n_sites": 300, "seed": 4242, "n_bootstraps": 8,
+         "n_processes": 4, "n_threads": 2, "kernel": "batched",
+         "schedule": "work-steal"}
+PINNED = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: The parent commit (c143faf, free-running rank threads) measured with
+#: this script on the 2-CPU host of ISSUE 22, the same day as ``change``
+#: in the committed BENCH_runtime.json: per repetition (wall s, user s,
+#: sys s, voluntary, involuntary context switches), on both CPUs and
+#: pinned to one.
+PARENT_ROWS = {
+    "parent": [
+        (2.920, 2.472, 0.665, 56677, 9414),
+        (4.530, 3.304, 1.759, 137484, 22018),
+        (4.474, 3.375, 1.608, 134919, 21389),
+        (4.550, 3.483, 1.597, 137816, 22052),
+        (4.418, 3.349, 1.517, 135339, 21607),
+    ],
+    "parent_one_cpu": [
+        (2.214, 2.203, 0.000, 1836, 1552),
+        (2.004, 1.990, 0.004, 1626, 1358),
+        (1.936, 1.928, 0.000, 1573, 1325),
+        (2.151, 2.128, 0.012, 1764, 1459),
+        (1.726, 1.719, 0.000, 1488, 1235),
+    ],
+}
+ROW_KEYS = ("wall_s", "user_s", "sys_s", "nvcsw", "nivcsw")
+
+
+def _usage() -> tuple[float, float, int, int]:
+    u = resource.getrusage(resource.RUSAGE_SELF)
+    return u.ru_utime, u.ru_stime, u.ru_nvcsw, u.ru_nivcsw
+
+
+def measure(reps: int) -> dict:
+    """``reps`` consecutive analyses of :data:`SHAPE` in this process."""
+    import repro.hybrid.driver as driver
+    from repro.datasets.generator import SimulationParams, simulate_alignment
+    from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
+    from repro.search.comprehensive import ComprehensiveConfig
+    from repro.search.searches import StageParams
+    from repro.seq.patterns import compress_alignment
+
+    def config(n_processes, n_bootstraps):
+        return HybridConfig(
+            n_processes=n_processes, n_threads=SHAPE["n_threads"],
+            kernel=SHAPE["kernel"], schedule=SHAPE["schedule"],
+            comprehensive=ComprehensiveConfig(
+                n_bootstraps=n_bootstraps, seed_p=12345, seed_x=12345,
+                stage_params=StageParams(slow_max_rounds=2, thorough_max_rounds=3),
+            ),
+        )
+
+    def pal_of(n_taxa, n_sites, seed):
+        aln, _ = simulate_alignment(
+            SimulationParams(n_taxa=n_taxa, n_sites=n_sites, seed=seed)
+        )
+        return compress_alignment(aln)
+
+    # The world is out of reach of run_hybrid_analysis's caller on
+    # purpose (no report carries token counters); look over run_rank's
+    # shoulder instead.
+    worlds = []
+    run_rank = driver.run_rank
+
+    def spy(comm, *args):
+        if comm.rank == 0:
+            worlds.append(comm._world)
+        return run_rank(comm, *args)
+
+    driver.run_rank = spy
+    try:
+        # Warm-up as bench/worker.py does it: the smoke shape on one rank.
+        run_hybrid_analysis(pal_of(6, 60, 4242), config(1, 2))
+        pal = pal_of(SHAPE["n_taxa"], SHAPE["n_sites"], SHAPE["seed"])
+        cfg = config(SHAPE["n_processes"], SHAPE["n_bootstraps"])
+        rows, identities = [], []
+        for _ in range(reps):
+            gc.collect()
+            del worlds[:]
+            before, t0 = _usage(), time.perf_counter()
+            result = run_hybrid_analysis(pal, cfg)
+            wall, after = time.perf_counter() - t0, _usage()
+            token = getattr(worlds[0], "token", None)  # the parent has none
+            rows.append({
+                **dict(zip(ROW_KEYS, (wall, *(a - b for a, b in zip(after, before))))),
+                "token": None if token is None else token.stats(),
+            })
+            identities.append(result.identity(timings=True))
+    finally:
+        driver.run_rank = run_rank
+    return {
+        "cpus": sorted(os.sched_getaffinity(0)),
+        "reps": rows,
+        "identical": all(i == identities[0] for i in identities),
+        "best_lnl": identities[0]["best_lnl"],
+    }
+
+
+def summary(record: dict) -> dict:
+    """First against later repetitions, the numbers the claims read."""
+    rows = record["reps"]
+    later = rows[1:]
+    return {
+        "first_wall_s": rows[0]["wall_s"],
+        "later_wall_s_median": statistics.median(r["wall_s"] for r in later),
+        "later_over_first": statistics.median(r["wall_s"] for r in later)
+        / rows[0]["wall_s"],
+        "nvcsw_median": statistics.median(r["nvcsw"] for r in rows),
+    }
+
+
+def in_fresh_interpreter(reps: int, one_cpu: bool = False) -> dict:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, **{name: "1" for name in PINNED})
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    argv = [sys.executable, __file__, "--reps", str(reps)]
+    if one_cpu:
+        argv.append("--one-cpu")
+    proc = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_runtime_microbench(benchmark, emit):
+    from conftest import OUTPUT_DIR
+
+    from repro.util.tables import format_table
+
+    full = os.environ.get("REPRO_BENCH_FULL") == "1"
+    out_path = OUTPUT_DIR / "BENCH_runtime.json"
+    try:
+        doc = json.loads(out_path.read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        doc = {}
+    doc.update(shape=SHAPE, pinned=list(PINNED))
+    for name, rows in PARENT_ROWS.items():
+        reps = [dict(zip(ROW_KEYS, row), token=None) for row in rows]
+        doc[name] = {"reps": reps, "summary": summary({"reps": reps})}
+    record = benchmark.pedantic(
+        in_fresh_interpreter, args=(REPS if full else SMOKE_REPS,),
+        rounds=1, iterations=1,
+    )
+    # Smoke mode refreshes only its own section: the full record is taken
+    # on a quiet host and must survive intervening smoke runs.
+    doc["change" if full else "smoke"] = {**record, "summary": summary(record)}
+    if full:
+        control = in_fresh_interpreter(REPS, one_cpu=True)
+        doc["change_one_cpu"] = {**control, "summary": summary(control)}
+    OUTPUT_DIR.mkdir(exist_ok=True)
+    out_path.write_text(json.dumps(doc, indent=1) + "\n", encoding="ascii")
+
+    # -- what holds on any host ---------------------------------------------
+    assert record["identical"], "repetitions disagree on identity(timings=True)"
+    for row in record["reps"]:
+        assert row["token"]["handoffs"] > 0
+        assert len(row["token"]["waited_seconds"]) == SHAPE["n_processes"]
+
+    # -- the claims, on a quiet host ------------------------------------------
+    if full:
+        s = doc["change"]["summary"]
+        assert abs(s["later_over_first"] - 1.0) < 0.15, s
+        assert s["nvcsw_median"] * 10 <= doc["parent"]["summary"]["nvcsw_median"], s
+
+    sections = [k for k in ("parent", "parent_one_cpu", "change",
+                            "change_one_cpu", "smoke") if doc.get(k)]
+    emit(
+        "runtime_microbench",
+        format_table(
+            ["Run", "Rep", "wall s", "user s", "sys s", "nvcsw", "nivcsw",
+             "hand-offs", "expired"],
+            [
+                [name, i + 1, r["wall_s"], r["user_s"], r["sys_s"], r["nvcsw"],
+                 r["nivcsw"],
+                 r["token"]["handoffs"] if r.get("token") else "-",
+                 r["token"]["expired_slices"] if r.get("token") else "-"]
+                for name in sections
+                for i, r in enumerate(doc[name]["reps"])
+            ],
+            formats=[None, None, ".2f", ".2f", ".2f", None, None, None, None],
+            title="THREAD WORLD: consecutive in-process 4x2 analyses "
+                  "(6 x 300, N = 8, work-steal)",
+        ),
+    )
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--reps", type=int, default=REPS)
+    ap.add_argument("--one-cpu", action="store_true",
+                    help="pin the process to one CPU first (the control)")
+    args = ap.parse_args()
+    if args.one_cpu:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    print(json.dumps(measure(args.reps)))

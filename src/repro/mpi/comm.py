@@ -54,6 +54,7 @@ from repro.mpi.membership import MembershipLedger, MembershipView
 from repro.mpi.policy import RetryPolicy, TimeoutPolicy
 from repro.mpi.topology import CommCostModel, CommPhases, CommTiming  # noqa: F401
 from repro.obs.recorder import current as _obs_current
+from repro.util.runtoken import RunToken, idle
 from repro.util.timing import VirtualClock
 
 
@@ -216,6 +217,9 @@ class _World:
         #: is frozen — so suspicion reads clock *progress*, never wall
         #: time alone (which would suspect slow-but-healthy peers).
         self.clocks: dict[int, VirtualClock] = {}
+        #: One runnable rank thread at a time (:mod:`repro.util.runtoken`).
+        #: A lone rank has nobody to contend with and takes no token.
+        self.token: RunToken | None = RunToken() if size > 1 else None
 
     @property
     def timeout(self) -> float:
@@ -263,7 +267,7 @@ class _World:
         down before the boundary was reached (the joiner then exits
         without ever having been a member).
         """
-        with self.cond:
+        with idle(), self.cond:
             while self.status[rank] == DORMANT and not self.release.is_set():
                 self.cond.wait(0.05)
             if self.status[rank] != RUNNING:
@@ -453,26 +457,27 @@ class SimComm:
         world = self._world
         mailbox = world.mailbox(source, self.rank, tag)
         deadline = time.monotonic() + world.timeout
-        while True:
-            try:
-                obj, sent_at = mailbox.get(timeout=0.05)
-                break
-            except queue.Empty:
-                status = world.status_of(source)
-                if status == DEAD:
-                    self.known_alive.discard(source)
-                    self._note_deaths([source], op=f"recv(tag={tag})")
-                    raise RankFailure((source,), op=f"recv(tag={tag})") from None
-                if status in (EXITED, FAILED):
-                    raise SPMDError(
-                        f"rank {self.rank} cannot receive from rank {source}: "
-                        f"it {status} without sending (tag {tag})"
-                    ) from None
-                if time.monotonic() >= deadline:
-                    raise SPMDError(
-                        f"rank {self.rank} timed out receiving from rank "
-                        f"{source} (tag {tag})"
-                    ) from None
+        with idle():
+            while True:
+                try:
+                    obj, sent_at = mailbox.get(timeout=0.05)
+                    break
+                except queue.Empty:
+                    status = world.status_of(source)
+                    if status == DEAD:
+                        self.known_alive.discard(source)
+                        self._note_deaths([source], op=f"recv(tag={tag})")
+                        raise RankFailure((source,), op=f"recv(tag={tag})") from None
+                    if status in (EXITED, FAILED):
+                        raise SPMDError(
+                            f"rank {self.rank} cannot receive from rank {source}: "
+                            f"it {status} without sending (tag {tag})"
+                        ) from None
+                    if time.monotonic() >= deadline:
+                        raise SPMDError(
+                            f"rank {self.rank} timed out receiving from rank "
+                            f"{source} (tag {tag})"
+                        ) from None
         # A blocking receive cannot complete before the message exists.
         t0 = self.clock.now
         self.clock.synchronize(sent_at)
@@ -499,7 +504,8 @@ class SimComm:
             # The rank wedges inside the collective; peers declare it dead
             # via their deadlines, and the launcher releases the thread at
             # teardown so it can die cleanly.
-            world.release.wait()
+            with idle():
+                world.release.wait()
             raise RankKilledError(
                 f"rank {self.rank} hung in collective call {index}"
             )
@@ -549,7 +555,7 @@ class SimComm:
         #: Heartbeat observations per straggler: (virtual clock, wall
         #: time it was last seen advancing).
         progress: dict[int, tuple[float | None, float]] = {}
-        with world.cond:
+        with idle(), world.cond:
             expected = world.scratch_ops.setdefault(gen, op)
             if expected != op:
                 raise SPMDError(

@@ -26,6 +26,7 @@ from repro.mpi.comm import (
 from repro.mpi.faults import FaultPlan, RankKilledError
 from repro.mpi.policy import RetryPolicy, TimeoutPolicy
 from repro.mpi.topology import CommCostModel, CommTiming
+from repro.util.runtoken import holding, idle
 from repro.util.timing import VirtualClock
 
 
@@ -69,6 +70,38 @@ def _joiner_ranks(n_ranks: int, fault_plan: FaultPlan | None) -> tuple[int, ...]
     return joiners
 
 
+def _run_threads(world: _World, threads: list, world_seconds: float) -> list[str]:
+    """Start the rank threads and wait for them; names of the stuck ones."""
+    for t in threads:
+        t.start()
+    # One *shared* deadline for the whole world (a per-thread timeout would
+    # make the worst-case wait n_ranks x timeout).  Ranks already declared
+    # dead are not waited for: their threads are released below.  Dormant
+    # joiners are only waited for while someone is left to activate them.
+    deadline = time.monotonic() + world_seconds
+    for rank, t in enumerate(threads):
+        while t.is_alive():
+            status = world.status_of(rank)
+            if status == DEAD:
+                break
+            if status == DORMANT and not world.any_running():
+                break  # nobody left alive to reach this joiner's boundary
+            remaining = deadline - time.monotonic()
+            if remaining <= 0.0:
+                break
+            t.join(min(remaining, 0.1))
+    # Wake any rank wedged inside an injected hang (or a joiner that will
+    # never be activated) so its thread can exit.
+    world.release.set()
+    stuck = []
+    for rank, t in enumerate(threads):
+        if t.is_alive():
+            t.join(0.5)
+        if t.is_alive() and world.status_of(rank) not in (DEAD, DORMANT):
+            stuck.append(t.name)
+    return stuck
+
+
 def run_spmd(
     fn: Callable[[SimComm], object],
     n_ranks: int,
@@ -81,11 +114,22 @@ def run_spmd(
 ) -> list:
     """Execute ``fn(comm)`` on every rank of a simulated world.
 
-    Ranks run as daemon threads (the GIL serialises the Python work — this
-    runtime provides *semantics and virtual timing*, not wall-clock
-    speedup).  Returns the per-rank return values in rank order.  The
-    primary rank exception, if any, is re-raised in the caller with the
-    other ranks' errors attached as ``__notes__``.
+    Ranks run as daemon threads — this runtime provides *semantics and
+    virtual timing*, not wall-clock speedup — and in a world of more
+    than one rank exactly one of them is runnable at a time: each takes
+    the world's run token (:mod:`repro.util.runtoken`) before its body
+    runs, gives it up wherever it waits for other ranks and after every
+    ~20 ms slice of work, and releases it however the body ends.  Ranks
+    under one interpreter lock cannot compute in parallel anyway; left
+    free-running they spend more than half the wall time handing that
+    lock to each other.  Results and virtual clocks never depended on
+    the real interleaving and do not now.  A one-rank world takes no
+    token; a caller that is itself a rank thread of another world gives
+    that world's token up while it waits here and has it back on return.
+
+    Returns the per-rank return values in rank order.  The primary rank
+    exception, if any, is re-raised in the caller with the other ranks'
+    errors attached as ``__notes__``.
 
     ``clocks`` optionally supplies pre-created per-rank virtual clocks so
     the caller can inspect final rank times.  ``fault_plan`` switches the
@@ -129,7 +173,7 @@ def run_spmd(
             return None
         return clocks[rank]
 
-    def target(rank: int) -> None:
+    def rank_main(rank: int) -> None:
         comm = SimComm(world, rank, rank_clock(rank))
         if rank in joiners:
             point = fault_plan.join_stage_of(rank)
@@ -151,37 +195,20 @@ def run_spmd(
             return
         world.mark(rank, EXITED)
 
+    def target(rank: int) -> None:
+        # Released however rank_main ends: body raised, rank killed,
+        # joiner never activated.
+        with holding(world.token, rank):
+            rank_main(rank)
+
     threads = [
         threading.Thread(target=target, args=(r,), name=f"simmpi-rank-{r}", daemon=True)
         for r in range(total)
     ]
-    for t in threads:
-        t.start()
-    # One *shared* deadline for the whole world (a per-thread timeout would
-    # make the worst-case wait n_ranks x timeout).  Ranks already declared
-    # dead are not waited for: their threads are released below.  Dormant
-    # joiners are only waited for while someone is left to activate them.
-    deadline = time.monotonic() + timeout_policy.world_seconds
-    for rank, t in enumerate(threads):
-        while t.is_alive():
-            status = world.status_of(rank)
-            if status == DEAD:
-                break
-            if status == DORMANT and not world.any_running():
-                break  # nobody left alive to reach this joiner's boundary
-            remaining = deadline - time.monotonic()
-            if remaining <= 0.0:
-                break
-            t.join(min(remaining, 0.1))
-    # Wake any rank wedged inside an injected hang (or a joiner that will
-    # never be activated) so its thread can exit.
-    world.release.set()
-    stuck = []
-    for rank, t in enumerate(threads):
-        if t.is_alive():
-            t.join(0.5)
-        if t.is_alive() and world.status_of(rank) not in (DEAD, DORMANT):
-            stuck.append(t.name)
+    # A caller that is itself a rank thread of an outer world only waits
+    # from here on: it gives that world's token up and has it back on exit.
+    with idle():
+        stuck = _run_threads(world, threads, timeout_policy.world_seconds)
     if stuck:
         raise SPMDError(
             f"{', '.join(stuck)} did not finish within the shared "

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 from repro.sched.tasks import Task
 from repro.util.rng import RAxMLRandom, rank_seed
+from repro.util.runtoken import idle
 
 #: Seed offset for the per-rank victim-permutation streams (mixed with
 #: the run's ``-p`` seed so different runs steal differently but the
@@ -240,7 +241,9 @@ class StealBoard:
     earlier stages' trees); queues, membership and statistics are
     per-stage.  All methods are thread-safe; :meth:`next_action`
     implements the conservative ``(time, rank)`` frontier described in
-    the module docstring.
+    the module docstring.  It and :meth:`begin_stage` wait for other
+    ranks, so they run without the caller's run token
+    (:func:`repro.util.runtoken.idle`).
     """
 
     def __init__(
@@ -333,7 +336,7 @@ class StealBoard:
         after their own "done", so the wait is bounded.
         """
         deadline = _wall.monotonic() + self.timeout
-        with self._cond:
+        with idle(), self._cond:
             while (
                 self._stage is not None
                 and self._stage != stage
@@ -456,7 +459,7 @@ class StealBoard:
         sequential simulator).
         """
         deadline = _wall.monotonic() + self.timeout
-        with self._cond:
+        with idle(), self._cond:
             st = self._state
             if st is None or rank not in self._members:
                 raise SchedulerError(f"rank {rank} has no active stage")

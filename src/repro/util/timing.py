@@ -16,6 +16,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.util.runtoken import heartbeat
+
 
 class VirtualClock:
     """A monotonically advancing simulated clock (seconds, float)."""
@@ -30,10 +32,16 @@ class VirtualClock:
         return self._now
 
     def advance(self, dt: float) -> float:
-        """Advance the clock by ``dt`` seconds and return the new time."""
+        """Advance the clock by ``dt`` seconds and return the new time.
+
+        Modelled work was just done, so this is also where a rank thread
+        checks its run-token slice (:mod:`repro.util.runtoken`; nothing
+        happens on a thread that holds no token).
+        """
         if dt < 0:
             raise ValueError(f"cannot advance a clock by a negative dt ({dt})")
         self._now += dt
+        heartbeat()
         return self._now
 
     def synchronize(self, t: float) -> float:
