@@ -10,7 +10,7 @@ counters (hand-offs, expired slices, seconds each rank queued for it).
 
 Why consecutive repetitions: with free-running rank threads (the parent
 of the run token, :data:`PARENT_ROWS`) the *first* analysis of a process was
-the cheap one and every later one paid ~1.6x the wall time and ~4x the
+the cheap one and every later one paid ~1.6x the wall time and ~2x the
 context switches — four threads handing the interpreter lock across two
 cores at every ~87-pattern NumPy call — while the same process pinned
 to one CPU ran every repetition at the one-core cost.  With one runnable
@@ -57,18 +57,18 @@ PINNED = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 #: pinned to one.
 PARENT_ROWS = {
     "parent": [
-        (2.920, 2.472, 0.665, 56677, 9414),
-        (4.530, 3.304, 1.759, 137484, 22018),
-        (4.474, 3.375, 1.608, 134919, 21389),
-        (4.550, 3.483, 1.597, 137816, 22052),
-        (4.418, 3.349, 1.517, 135339, 21607),
+        (2.835, 2.408, 0.648, 62740, 9462),
+        (4.173, 3.298, 1.367, 131662, 21574),
+        (4.528, 3.443, 1.586, 136944, 22369),
+        (4.456, 3.428, 1.551, 136128, 21758),
+        (4.451, 3.447, 1.521, 138769, 22783),
     ],
     "parent_one_cpu": [
-        (2.214, 2.203, 0.000, 1836, 1552),
-        (2.004, 1.990, 0.004, 1626, 1358),
-        (1.936, 1.928, 0.000, 1573, 1325),
-        (2.151, 2.128, 0.012, 1764, 1459),
-        (1.726, 1.719, 0.000, 1488, 1235),
+        (1.879, 1.871, 0.000, 1604, 1342),
+        (1.841, 1.824, 0.008, 1563, 1280),
+        (1.574, 1.563, 0.004, 1320, 1083),
+        (1.584, 1.578, 0.000, 1354, 1128),
+        (1.886, 1.878, 0.000, 1610, 1367),
     ],
 }
 ROW_KEYS = ("wall_s", "user_s", "sys_s", "nvcsw", "nivcsw")
@@ -147,12 +147,12 @@ def measure(reps: int) -> dict:
 def summary(record: dict) -> dict:
     """First against later repetitions, the numbers the claims read."""
     rows = record["reps"]
-    later = rows[1:]
+    first = rows[0]["wall_s"]
+    later = statistics.median(r["wall_s"] for r in rows[1:])
     return {
-        "first_wall_s": rows[0]["wall_s"],
-        "later_wall_s_median": statistics.median(r["wall_s"] for r in later),
-        "later_over_first": statistics.median(r["wall_s"] for r in later)
-        / rows[0]["wall_s"],
+        "first_wall_s": first,
+        "later_wall_s_median": later,
+        "later_over_first": later / first,
         "nvcsw_median": statistics.median(r["nvcsw"] for r in rows),
     }
 

@@ -4,6 +4,7 @@ rank waits for other ranks gives the token up; slow-but-healthy ranks
 are not suspected; results do not depend on it."""
 
 import json
+import sys
 import threading
 import time
 from pathlib import Path
@@ -143,12 +144,17 @@ class TestWorldToken:
     def test_one_rank_world_creates_no_token(self):
         assert run_spmd(lambda comm: comm._world.token, 1) == [None]
 
-    def test_exactly_one_rank_thread_runs_at_a_time(self):
+    def test_exactly_one_rank_thread_runs_at_a_time(self, monkeypatch):
+        """Stress: more ranks than cores, slices and interpreter switch
+        interval shortened so that hand-offs land everywhere; a second
+        rank inside the marked region would be a broken token."""
+        monkeypatch.setattr(runtoken, "SLICE_SECONDS", 0.0005)
         running = []
         overlaps = []
 
         def body(comm):
-            for _ in range(200):
+            end = time.perf_counter() + 0.3
+            while time.perf_counter() < end:
                 running.append(comm.rank)
                 if len(running) > 1:
                     overlaps.append(tuple(running))
@@ -158,9 +164,14 @@ class TestWorldToken:
             comm.barrier()
             return comm._world.token.stats()
 
-        stats = run_spmd(body, 4, timeout=DEADLINE)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            stats = run_spmd(body, 6, timeout=DEADLINE)
+        finally:
+            sys.setswitchinterval(interval)
         assert overlaps == []
-        assert stats[-1]["handoffs"] > 0
+        assert stats[-1]["expired_slices"] > 50
 
     def test_slices_interleave_compute_bound_ranks(self):
         """No rank waits for a whole peer: every one of them gets slices
