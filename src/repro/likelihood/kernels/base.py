@@ -134,6 +134,17 @@ def _to_eigenbasis(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, 4) @ basis).reshape(x.shape)
 
 
+def _sum_states(x: np.ndarray) -> np.ndarray:
+    """``pa->p``: the 4 states of a CAT table ``(m, 4)`` added left to
+    right — the order ``x.sum(axis=1)`` takes below 8 elements, hence its
+    bits, as three whole-column adds instead of a reduction loop per row
+    (88 -> 10 µs at 4,610 patterns)."""
+    total = x[:, 0] + x[:, 1]
+    total += x[:, 2]
+    total += x[:, 3]
+    return total
+
+
 class ArrayLRU:
     """A bounded LRU of read-only arrays (P-matrices, tip tables, child
     contributions); entries are frozen on insert because every hit hands

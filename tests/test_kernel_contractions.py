@@ -10,6 +10,11 @@ stride-0 broadcasts of tip CLVs, the transposed views one helper feeds
 the next, and the Fortran-ordered ``U⁻¹`` that ``GTRModel._decompose``
 holds.  If a site is not bit-equal on some NumPy/BLAS build, this file
 names it; the fix is never to regenerate goldens.
+
+The slice legs are also what lets ``BatchedKernel.fuse_block`` cut the
+pattern axis: the engine hands kernels the whole axis whatever the
+thread count, and only the fused pipeline still blocks it.  One helper
+here replaced a ``sum`` rather than an ``einsum`` (``_sum_states``).
 """
 
 import numpy as np
@@ -25,6 +30,7 @@ from repro.likelihood.kernels.base import (
     _propagate_stacked,
     _propagate_tip,
     _site_dot,
+    _sum_states,
     _to_eigenbasis,
 )
 from repro.seq.encoding import state_likelihood_rows
@@ -54,7 +60,7 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     want_bits = np.ascontiguousarray(want).view(np.uint64)
     assert np.array_equal(got_bits, want_bits), (
         f"{np.count_nonzero(got_bits != want_bits)} of {want_bits.size} "
-        "entries differ from einsum(optimize=True)"
+        "entries differ from the call the helper replaced"
     )
 
 
@@ -162,6 +168,36 @@ class TestSiteDot:
         moved = _propagate_cat(_pmats(rng, k)[p2c], _shard(rng, m, off, (4,), 0))
         want = np.einsum("pa,pa->p", scaled, moved, optimize=True)
         assert_same_bits(_site_dot(scaled, moved), want)
+
+
+class TestStateSum:
+    """``_sum_states`` against the ``sum(axis=1)`` it replaced in the CAT
+    derivative sums.  This one is not an einsum: what it pins is the
+    order NumPy adds fewer than 8 elements in (left to right, no
+    pairwise split) — NumPy's business, like the einsum paths."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeds, patterns, offsets, st.integers(-300, 300), st.booleans())
+    def test_equals_sum_over_axis_1(self, seed, m, off, exp, sliced):
+        """Contiguous tables and pattern-axis slices of a larger one;
+        every entry its own sign and its own magnitude within 8 decades
+        of ``10**exp``, so adds round, cancel and go subnormal."""
+        rng = np.random.default_rng(seed)
+        rows = m + 8 if sliced else m
+        spread = np.clip(exp + rng.integers(-8, 1, size=(rows, 4)), -300, 300)
+        full = (0.5 + rng.random((rows, 4))) * 10.0**spread
+        full *= rng.choice([-1.0, 1.0], size=(rows, 4))
+        table = full[off : off + m] if sliced else full
+        assert_same_bits(_sum_states(table), table.sum(axis=1))
+
+    def test_the_order_is_left_to_right(self):
+        """The pairwise order ``(a + b) + (c + d)`` rounds differently."""
+        x = np.array([[1.0, 2.0**-53, 2.0**-53, 2.0**-52]])
+        left = ((x[:, 0] + x[:, 1]) + x[:, 2]) + x[:, 3]
+        pairwise = (x[:, 0] + x[:, 1]) + (x[:, 2] + x[:, 3])
+        assert left != pairwise
+        assert_same_bits(_sum_states(x), left)
+        assert_same_bits(x.sum(axis=1), left)
 
 
 def _random_model(rng) -> GTRModel:
