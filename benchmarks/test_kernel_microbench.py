@@ -14,7 +14,8 @@ leaves the numbers on disk for inspection):
 * **Small leg** (always runs; this is what CI's ``kernels-smoke`` job
   executes): a >=500-pattern simulated alignment, one SPR round per
   variant — from-scratch vs planned reference, plus the batched
-  backend, serial and thread-sharded.  Asserts are exact:
+  backend, serial and under a 4-thread virtual pool (which prices the
+  thread chunks and makes serial's kernel calls).  Asserts are exact:
   bit-identical log-likelihoods everywhere, the planner saves CLV work,
   and every planned backend charges *exactly* the reference op counts
   (level-batching and contribution reuse are wall-clock
@@ -304,7 +305,7 @@ def test_kernel_microbench(benchmark, emit):
         assert smallest["helper_us"] < smallest["einsum_us"], (subs, smallest)
 
     # -- small leg: exact claims -------------------------------------------
-    # Bit-identical log-likelihoods across cache, backend, and sharding.
+    # Bit-identical log-likelihoods across cache, backend, and thread count.
     assert len(set(lnls.values())) == 1, lnls
     # The planner must save CLV work on a real search round.
     assert planned["clv_updates"] < scratch["clv_updates"]

@@ -7,19 +7,22 @@ mirrors the structure of RAxML's:
   state against a CLV cache and emits an ordered list of CLV operations
   — the analogue of RAxML's traversal descriptor;
 * a **kernel backend** (:mod:`repro.likelihood.kernels`) executes every
-  pattern-axis computation over the engine's shard list and charges the
-  :class:`OpCounter`; backends are pluggable (``reference``/``batched``);
+  pattern-axis computation, each as one sweep over the whole axis, and
+  charges the :class:`OpCounter`; backends are pluggable
+  (``reference``/``batched``);
 * this module walks plans level by level — one executor for every
   backend — resolves CLV-cache hits, hands the rest to the kernel, and
   reduces per-pattern results to weighted log-likelihoods.
 
-Threaded execution is not a separate class: passing a
-:class:`~repro.threads.pool.VirtualThreadPool` shards the pattern axis
-into one slice per worker and charges one parallel region of simulated
-time per kernel sweep.  Because kernels write per-shard slices of the
-same full-pattern arrays and all reductions run once over the full axis,
-serial and threaded results are **bit-identical by construction**, for
-any thread count and either kernel backend.
+Threaded execution is not a separate class, nor a separate code path:
+the pool's workers are virtual, so a
+:class:`~repro.threads.pool.VirtualThreadPool` only *prices* each kernel
+sweep — one parallel region of simulated time, from the per-worker
+pattern counts — and the kernel computes the same whole-axis arrays it
+computes without a pool.  Serial and threaded results are
+**bit-identical by construction**, for any thread count and either
+kernel backend; that really slicing the axis per worker would not move
+a bit either is what the tiling kernels of the test suites prove.
 
 Other structural features retained from the original engine:
 
@@ -44,6 +47,7 @@ from repro.likelihood.rates import RateModel, subset_rate_model
 from repro.obs.recorder import current as _obs_current
 from repro.seq.encoding import state_likelihood_rows
 from repro.seq.patterns import PatternAlignment
+from repro.threads.partition import chunk_sizes
 from repro.tree.topology import Node, Tree
 
 __all__ = [
@@ -79,8 +83,9 @@ class LikelihoodEngine:
         which callers measuring op counts must opt into.
     pool:
         Optional :class:`~repro.threads.pool.VirtualThreadPool`.  When set,
-        kernels run once per worker's pattern slice and each kernel sweep
-        charges one region of simulated parallel time.
+        each kernel sweep charges one region of simulated parallel time,
+        priced from the workers' pattern counts; what the kernels execute
+        does not depend on it.
     """
 
     def __init__(
@@ -112,16 +117,12 @@ class LikelihoodEngine:
         self.ops = ops if ops is not None else OpCounter()
         self.pool = pool
         self.kernel_name = kernel
-        if pool is None:
-            self._chunk_sizes = [pal.n_patterns]
-            shards = [slice(0, pal.n_patterns)]
-        else:
-            from repro.threads.partition import contiguous_chunks
-
-            shards = contiguous_chunks(pal.n_patterns, pool.n_threads)
-            self._chunk_sizes = [c.stop - c.start for c in shards]
+        # Patterns per (virtual) worker: what a region is priced from.
+        self._chunk_sizes = chunk_sizes(
+            pal.n_patterns, 1 if pool is None else pool.n_threads
+        )
         self.kernel = get_kernel(kernel)(
-            model, self.rate_model, shards, self.ops, pal.n_patterns
+            model, self.rate_model, self.ops, pal.n_patterns
         )
         if isinstance(clv_cache, CLVCache):
             self.clv_cache: CLVCache | None = clv_cache
@@ -374,9 +375,9 @@ class LikelihoodEngine:
     def loglikelihood(self, tree: Tree) -> float:
         """The weighted log-likelihood of ``tree`` under this engine.
 
-        The per-pattern vector is reduced once over the full pattern axis
-        regardless of sharding, so the value is bit-identical for serial
-        and threaded execution.
+        Kernels and this reduction both run once over the full pattern
+        axis whatever the thread count, so the value is bit-identical for
+        serial and threaded execution.
         """
         return float(self.weights @ self.site_loglikelihoods(tree))
 
@@ -456,8 +457,8 @@ class LikelihoodEngine:
 
         Returns ``(coef, exps, logscale, (lnl, g, h))`` — what separate
         :meth:`edge_coefficients` + :meth:`edge_lnl_and_derivatives` calls
-        give, with the same op and region charges; a backend may evaluate
-        each coefficient span while it is cache-hot.
+        give, with the same op and region charges; a backend may build
+        and evaluate in one sweep.
         """
         coef, exps, site, d1, d2 = self.kernel.sumtable_with_derivatives(
             self._as_full(up_v.clv), self._as_full(down_v.clv), t

@@ -8,17 +8,18 @@ derivative evaluations.  The engine decides *what* to compute (traversal
 plans, CLV-cache lookups, reductions); backends decide *how* each
 pattern slice is computed.
 
-Sharding.  A backend is constructed with a list of pattern *shards* (the
-slices the virtual thread pool assigns to its workers).  Every public
-kernel runs once per shard — genuinely exercising RAxML's master/worker
-decomposition — and writes its slice of a shared full-pattern output
-array.  Because every per-pattern value is computed by the same
-arithmetic regardless of how the axis is sliced, serial (one shard) and
-threaded (many shards) execution produce **bit-identical** arrays; the
-engine's reductions then run once over the full pattern axis, so final
-log-likelihoods are bit-identical by construction too.  Empty shards are
-dropped at construction: a surplus worker (``n_threads > n_patterns``)
-never triggers a zero-length kernel call.
+Sharding.  There is none here.  Every public kernel makes **one sweep
+over the whole pattern axis** — one call of its ``_*_span`` primitive on
+the full arrays — whatever the thread count: the workers of RAxML's
+master/worker decomposition are virtual, so the engine prices their
+pattern slices (``VirtualThreadPool.charge_region``) and never hands
+them to a kernel.  Serial and threaded runs are therefore one code path
+and **bit-identical** by construction.  That the paper's decomposition
+would give the same bits is still proved, not assumed: every per-pattern
+value depends on that pattern's operands only, every sweep goes through
+one hook (:meth:`KernelBackend._sweep`), and the test suites register
+kernels that tile the axis there — by thread-sized chunks, by 7-pattern
+blocks — and hold them to the whole-axis result bit for bit.
 
 Accounting.  Kernels, not the engine, charge the shared
 :class:`OpCounter` — exactly once per *logical* invocation with the full
@@ -28,13 +29,13 @@ pattern count, so op totals are identical for serial, threaded, and
 Contractions.  Every contraction is an explicit two-operand
 ``matmul``/``reshape`` product (the helpers below), never an ``einsum``
 that plans a path per call: a planned path is chosen from operand
-*shapes*, so results could depend on how the pattern axis is sharded,
-and planning costs more than the product itself at a few hundred
-patterns.  The spellings are the ones the path-optimised ``einsum`` calls
+*shapes*, so results could depend on how the pattern axis is blocked
+(``BatchedKernel.fuse_block`` still cuts it), and planning costs more
+than the product itself at a few hundred patterns.  The spellings are the ones the path-optimised ``einsum`` calls
 they replaced lowered to, so results are bit-identical to those.  Exactly
 one product in the code base does change its association order with a
 shape — ``U diag(e) U⁻¹`` over k rate multipliers, at k = 5; it is keyed
-by k, which is a property of the rate model and not of a shard, in
+by k, which is a property of the rate model and not of a block, in
 :func:`repro.likelihood.gtr._spectral_products`.  Two plain ``einsum``
 calls remain (``pab,pb->pa`` for CAT's per-pattern matrices,
 ``mka,a->m`` at the root): single contractions with no path to plan,
@@ -47,7 +48,7 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -88,8 +89,13 @@ def length_bits(t: float) -> int:
 
 def _propagate_inner(pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
     """``kab,mkb->mka``: per-category ``P_k`` applied to an inner CLV
-    ``(m, k, 4)`` — one ``(m, 4) @ (4, 4)`` product per category."""
-    return np.matmul(clv.transpose(1, 0, 2), pmats.transpose(0, 2, 1)).transpose(1, 0, 2)
+    ``(m, k, 4)`` — one ``(m, 4) @ (4, 4)`` product per category, each
+    written straight into its column of the pattern-major result (a
+    category-major result handed on as a view makes every later product
+    a strided read, 3-5x a contiguous one)."""
+    out = np.empty(clv.shape)
+    np.matmul(clv.transpose(1, 0, 2), pmats.transpose(0, 2, 1), out=out.transpose(1, 0, 2))
+    return out
 
 
 def _propagate_tip(pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
@@ -109,9 +115,12 @@ def _propagate_cat(pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
 def _propagate_stacked(pstack: np.ndarray, cstack: np.ndarray) -> np.ndarray:
     """``qkab,qmkb->qmka``: :func:`_propagate_inner` for ``q`` stacked
     edges — the same per-(edge, category) products in one call."""
-    return np.matmul(
-        cstack.transpose(0, 2, 1, 3), pstack.transpose(0, 1, 3, 2)
-    ).transpose(0, 2, 1, 3)
+    out = np.empty(cstack.shape)
+    np.matmul(
+        cstack.transpose(0, 2, 1, 3), pstack.transpose(0, 1, 3, 2),
+        out=out.transpose(0, 2, 1, 3),
+    )
+    return out
 
 
 def _mask_table(pmats: np.ndarray, tip_rows: np.ndarray) -> np.ndarray:
@@ -143,6 +152,14 @@ def _sum_states(x: np.ndarray) -> np.ndarray:
     total += x[:, 2]
     total += x[:, 3]
     return total
+
+
+def _sum_rates_and_states(x: np.ndarray) -> np.ndarray:
+    """``mka->m``: a Γ table summed over categories and states.  NumPy's
+    own reduction: its pairwise order over the 16 contiguous values can be
+    spelled as folds too, bit for bit, but not faster (EXPERIMENTS.md,
+    "What executing virtual shards cost")."""
+    return x.sum(axis=(1, 2))
 
 
 class ArrayLRU:
@@ -191,7 +208,7 @@ class OpCounter:
     ``n`` batches a charge: a kernel that executes a whole traversal
     level as one tensor contraction charges ``n`` logical operations in
     one call, so op totals stay *exactly* equal to the per-node reference
-    — batching (like sharding) is an execution detail, not less work.
+    — batching is an execution detail, not less work.
     """
 
     pattern_ops: int = 0
@@ -246,8 +263,8 @@ class KernelBackend:
     reference math — one ``propagate`` per child edge, product, rescale
     — and results of any override must stay bit-identical to them.
 
-    Subclasses customise execution by overriding :meth:`_spans` (how each
-    shard is further subdivided, e.g. cache blocking), the ``_*_span``
+    Subclasses customise execution by overriding :meth:`_sweep` (how the
+    pattern axis is cut into spans, e.g. cache blocking), the ``_*_span``
     primitives, or whole protocol methods.  Registering a subclass makes
     it selectable by name via the engine's ``kernel=`` parameter (see
     :func:`repro.likelihood.kernels.register_kernel`).
@@ -264,7 +281,6 @@ class KernelBackend:
         self,
         model: GTRModel,
         rate_model: RateModel,
-        shards: list[slice],
         ops: OpCounter,
         n_patterns: int,
     ) -> None:
@@ -274,9 +290,9 @@ class KernelBackend:
         self.n_patterns = n_patterns
         self.n_categories = rate_model.n_categories
         self.is_cat = rate_model.kind == "cat"
-        #: Degenerate-chunk guard: surplus workers own empty slices; they
-        #: are dropped here so no kernel ever runs on zero patterns.
-        self.shards = [s for s in shards if s.stop > s.start]
+        #: CAT's category of each pattern (``None`` under Γ): a pattern-axis
+        #: operand of the span primitives like any CLV.
+        self._p2c = rate_model.pattern_to_cat
         self.tip_rows = state_likelihood_rows()
         self._pmat_lru = ArrayLRU(self.pmat_entries)
         #: The sumtable's exponents ``rate_c · λ_j``, shape (k, 4): fixed
@@ -296,30 +312,25 @@ class KernelBackend:
             )
         return pmats
 
-    # -- shard/block iteration ------------------------------------------------
+    # -- the pattern-axis sweep ------------------------------------------------
 
-    def _spans(self) -> Iterator[tuple[slice, np.ndarray | None]]:
-        """Yield ``(pattern_slice, pattern_to_cat_slice)`` work spans.
+    def _sweep(self, span: Callable, *operands, **fixed):
+        """Evaluate one span primitive over the pattern axis.
 
-        The reference backend processes each shard whole; a subclass may
-        override this to subdivide shards further.  CAT slices are taken lazily so the
-        full-axis assignment array is the single source of truth.
+        ``operands`` (positional) are indexed by pattern on their first
+        axis, or ``None``; ``fixed`` (keyword) operands are not.  Here the
+        span is the whole axis: one call.  This is the only place the axis
+        may be cut — an override calls ``span`` on matching slices of every
+        operand and concatenates what it returns (arrays, or tuples of
+        arrays and ``None``), which cannot change a bit because every
+        per-pattern value depends on that pattern's operands only.
         """
-        p2c = self.rate_model.pattern_to_cat
-        for sl in self.shards:
-            yield sl, (p2c[sl] if self.is_cat else None)
-
-    # -- output allocation ----------------------------------------------------
-
-    def _clv_out(self) -> np.ndarray:
-        m, k = self.n_patterns, self.n_categories
-        shape = (m, 4) if self.is_cat else (m, k, 4)
-        return np.empty(shape)
+        return span(*operands, **fixed)
 
     # -- span primitives (the reference math) --------------------------------
 
     def _propagate_span(
-        self, pmats: np.ndarray, clv: np.ndarray, p2c: np.ndarray | None
+        self, clv: np.ndarray, p2c: np.ndarray | None, pmats: np.ndarray
     ) -> np.ndarray:
         """Apply per-category transition matrices to one span of a CLV."""
         if self.is_cat:
@@ -329,7 +340,7 @@ class KernelBackend:
         return _propagate_inner(pmats, clv)
 
     def _tip_gather_span(
-        self, table: np.ndarray, masks: np.ndarray, p2c: np.ndarray | None
+        self, masks: np.ndarray, p2c: np.ndarray | None, table: np.ndarray
     ) -> np.ndarray:
         """Gather one span of propagated tip CLVs from the 16-mask table."""
         if self.is_cat:
@@ -345,14 +356,29 @@ class KernelBackend:
     def _edge_site_span(
         self,
         uclv: np.ndarray,
-        pmats: np.ndarray,
         dclv: np.ndarray,
         p2c: np.ndarray | None,
+        pmats: np.ndarray,
     ) -> np.ndarray:
-        moved = self._propagate_span(pmats, dclv, p2c)
+        moved = self._propagate_span(dclv, p2c, pmats)
         pi = self.model.pi
         site = _site_dot(uclv * pi, moved)
         return site if self.is_cat else site / self.n_categories
+
+    def _insertion_span(
+        self,
+        dclv: np.ndarray,
+        uclv: np.ndarray,
+        moved_sub: np.ndarray,
+        p2c: np.ndarray | None,
+        pmats: np.ndarray,
+    ) -> np.ndarray:
+        """Both halves of the split edge propagated to the insertion node
+        and multiplied, in this order, with the transported subtree."""
+        acc = self._propagate_span(dclv, p2c, pmats)
+        np.multiply(acc, self._propagate_span(uclv, p2c, pmats), out=acc)
+        np.multiply(acc, moved_sub, out=acc)
+        return self._root_site_span(acc)
 
     def _sumtable_span(
         self, uclv: np.ndarray, dclv: np.ndarray, p2c: np.ndarray | None
@@ -370,34 +396,28 @@ class KernelBackend:
         return x * y / self.n_categories, None
 
     def _derivatives_span(
-        self, coef: np.ndarray, e: np.ndarray, exps: np.ndarray
+        self, coef: np.ndarray, exps: np.ndarray, t: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-pattern (site, d1, d2) for one span of the sumtable; the
-        shared ``term·exps`` factor is squared in place, which evaluates
-        the left-to-right product ``(term·exps)·exps``."""
-        if self.is_cat:
-            axes: int | tuple[int, int] = 1
-            term = coef * e  # (m, 4)
-        else:
-            axes = (1, 2)
-            term = coef * e[None, :, :]  # (m, k, 4)
-            exps = exps[None]
-        site = term.sum(axis=axes)
+        """Per-pattern (site, d1, d2) at ``t`` for one span of the
+        sumtable; ``exps`` is per pattern under CAT and the one ``(k, 4)``
+        table under Γ.  The shared ``term·exps`` factor is squared in
+        place, which evaluates the left-to-right product
+        ``(term·exps)·exps``."""
+        term = coef * np.exp(exps * t)  # cat: (m, 4); gamma: (m, k, 4)
+        total = _sum_states if self.is_cat else _sum_rates_and_states
+        site = total(term)
         np.multiply(term, exps, out=term)
-        d1 = term.sum(axis=axes)
+        d1 = total(term)
         np.multiply(term, exps, out=term)
-        d2 = term.sum(axis=axes)
+        d2 = total(term)
         return site, d1, d2
 
     # -- public kernels (full-pattern arrays; charge once per invocation) ----
 
     def propagate(self, pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
         """Parent-side contribution of a child CLV across its edge."""
-        out = self._clv_out()
-        for sl, p2c in self._spans():
-            out[sl] = self._propagate_span(pmats, clv[sl], p2c)
         self.ops.charge_clv(self.n_patterns, self.n_categories)
-        return out
+        return self._sweep(self._propagate_span, clv, self._p2c, pmats=pmats)
 
     def propagate_tip(self, pmats: np.ndarray, masks: np.ndarray) -> np.ndarray:
         """Tip-specialised propagation (RAxML's tip-case kernels).
@@ -409,11 +429,8 @@ class KernelBackend:
         """
         # (k, 16, 4): for each category, the propagated CLV of each mask.
         table = _mask_table(pmats, self.tip_rows)
-        out = self._clv_out()
-        for sl, p2c in self._spans():
-            out[sl] = self._tip_gather_span(table, masks[sl], p2c)
         self.ops.charge_clv(self.n_patterns, self.n_categories)
-        return out
+        return self._sweep(self._tip_gather_span, masks, self._p2c, table=table)
 
     # -- traversal levels (the reference math, one node at a time) -----------
 
@@ -510,20 +527,14 @@ class KernelBackend:
     def root_site(self, clv: np.ndarray) -> np.ndarray:
         """Per-pattern site likelihoods of a root CLV (uncharged: the
         engine charges the enclosing reduction, as RAxML's evaluate job)."""
-        out = np.empty(self.n_patterns)
-        for sl, _ in self._spans():
-            out[sl] = self._root_site_span(clv[sl])
-        return out
+        return self._sweep(self._root_site_span, clv)
 
     def edge_site(
         self, uclv: np.ndarray, pmats: np.ndarray, dclv: np.ndarray
     ) -> np.ndarray:
         """Per-pattern site likelihoods across one edge."""
-        out = np.empty(self.n_patterns)
-        for sl, p2c in self._spans():
-            out[sl] = self._edge_site_span(uclv[sl], pmats, dclv[sl], p2c)
         self.ops.charge_edge(self.n_patterns, self.n_categories)
-        return out
+        return self._sweep(self._edge_site_span, uclv, dclv, self._p2c, pmats=pmats)
 
     def insertion_site(
         self,
@@ -540,27 +551,19 @@ class KernelBackend:
         transport rides inside the edge job), matching RAxML's lazy-SPR
         kernel structure.
         """
-        c3 = self._insertion_transport(sclv, pmats_sub)
-        out = np.empty(self.n_patterns)
-        for sl, p2c in self._spans():
-            c1 = self._propagate_span(pmats_half, dclv[sl], p2c)
-            c2 = self._propagate_span(pmats_half, uclv[sl], p2c)
-            np.multiply(c1, c2, out=c1)
-            np.multiply(c1, c3[sl], out=c1)
-            out[sl] = self._root_site_span(c1)
+        moved_sub = self._insertion_transport(sclv, pmats_sub)
         self.ops.charge_clv(self.n_patterns, self.n_categories, n=2)
         self.ops.charge_edge(self.n_patterns, self.n_categories)
-        return out
+        return self._sweep(
+            self._insertion_span, dclv, uclv, moved_sub, self._p2c, pmats=pmats_half
+        )
 
     def _insertion_transport(
         self, sclv: np.ndarray, pmats_sub: np.ndarray
     ) -> np.ndarray:
         """The pruned subtree's CLV moved across its attachment branch
         (uncharged: it rides inside :meth:`insertion_site`'s edge job)."""
-        c3 = self._clv_out()
-        for sl, p2c in self._spans():
-            c3[sl] = self._propagate_span(pmats_sub, sclv[sl], p2c)
-        return c3
+        return self._sweep(self._propagate_span, sclv, self._p2c, pmats=pmats_sub)
 
     def sumtable(
         self, uclv: np.ndarray, dclv: np.ndarray
@@ -570,32 +573,18 @@ class KernelBackend:
         Returns ``(coef, exps)``; see
         :meth:`repro.likelihood.engine.LikelihoodEngine.edge_coefficients`.
         """
-        if self.is_cat:
-            coef = np.empty((self.n_patterns, 4))
-            exps = np.empty((self.n_patterns, 4))
-            for sl, p2c in self._spans():
-                coef[sl], exps[sl] = self._sumtable_span(uclv[sl], dclv[sl], p2c)
-        else:
-            coef = np.empty((self.n_patterns, self.n_categories, 4))
-            for sl, p2c in self._spans():
-                coef[sl], _ = self._sumtable_span(uclv[sl], dclv[sl], p2c)
-            exps = self._exps
+        coef, exps = self._sweep(self._sumtable_span, uclv, dclv, self._p2c)
         self.ops.charge_sumtable(self.n_patterns, self.n_categories)
-        return coef, exps
+        return coef, self._exps if exps is None else exps
 
     def derivatives(
         self, coef: np.ndarray, exps: np.ndarray, t: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-pattern (site, dsite/dt, d²site/dt²) of the edge function."""
-        m = self.n_patterns
-        site, d1, d2 = np.empty(m), np.empty(m), np.empty(m)
-        e_gamma = None if self.is_cat else np.exp(exps * t)
-        for sl, _ in self._spans():
-            x = exps[sl] if self.is_cat else exps
-            e = np.exp(x * t) if self.is_cat else e_gamma
-            site[sl], d1[sl], d2[sl] = self._derivatives_span(coef[sl], e, x)
         self.ops.charge_deriv(self.n_patterns, self.n_categories)
-        return site, d1, d2
+        if self.is_cat:  # one exponent row per pattern: an operand of the sweep
+            return self._sweep(self._derivatives_span, coef, exps, t=t)
+        return self._sweep(self._derivatives_span, coef, exps=exps, t=t)
 
     def sumtable_with_derivatives(
         self, uclv: np.ndarray, dclv: np.ndarray, t: float

@@ -29,9 +29,8 @@ Everything else — the per-level flow over ``level_contribs`` and
 is the base class's; this backend overrides only the steps it executes
 differently.
 
-Bit-identity with the reference backend is preserved the same way the
-thread sharding argument works: every reused array was produced by the
-reference arithmetic for identical operands, the stacked contraction and
+Bit-identity with the reference backend is preserved operation by
+operation: every reused array was produced by the reference arithmetic for identical operands, the stacked contraction and
 the block-wise ``matmul`` both dispatch to the same per-matrix BLAS
 products as the per-node form (property-tested), blocking the pattern
 axis cannot change any bits because every per-pattern value depends only
@@ -105,11 +104,10 @@ class BatchedKernel(KernelBackend):
         self,
         model: GTRModel,
         rate_model: RateModel,
-        shards: list[slice],
         ops: OpCounter,
         n_patterns: int,
     ) -> None:
-        super().__init__(model, rate_model, shards, ops, n_patterns)
+        super().__init__(model, rate_model, ops, n_patterns)
         self._tip_lru = ArrayLRU(self.pmat_entries)
         self._tip_cats_lru = ArrayLRU(self.pmat_entries)
         entry = n_patterns * (4 if self.is_cat else self.n_categories * 4) * 8
@@ -187,11 +185,23 @@ class BatchedKernel(KernelBackend):
         return out
 
     def _tip_contrib(self, t: float, masks: np.ndarray) -> np.ndarray:
-        table = self._tip_table(t)
-        out = self._clv_out()
-        for sl, p2c in self._spans():
-            out[sl] = table[p2c, masks[sl]] if self.is_cat else table[masks[sl]]
-        return out
+        return self._sweep(
+            self._tip_rows_span, masks, self._p2c, table=self._tip_table(t)
+        )
+
+    def _tip_rows_span(
+        self, masks: np.ndarray, p2c: np.ndarray | None, table: np.ndarray
+    ) -> np.ndarray:
+        """One span of tip contributions: rows of :meth:`_tip_table`."""
+        return table[p2c, masks] if self.is_cat else table[masks]
+
+    def _stacked_span(self, cstack: np.ndarray, pstack: np.ndarray) -> np.ndarray:
+        """:func:`_propagate_stacked` for one span of ``q`` stacked edges,
+        pattern axis first on the way in and out (``(n, q, k, 4)`` views),
+        as :meth:`_sweep` cuts it."""
+        return _propagate_stacked(
+            pstack, cstack.transpose(1, 0, 2, 3)
+        ).transpose(1, 0, 2, 3)
 
     def _inner_contribs(
         self, specs: list[LevelSpec], keys: list[tuple[int, int]],
@@ -203,22 +213,19 @@ class BatchedKernel(KernelBackend):
         if self.is_cat or q < 2 or stacked > self.stack_budget_bytes:
             for i in idxs:
                 _, t, clv = specs[i]
-                contrib = self._clv_out()
-                for sl, p2c in self._spans():
-                    contrib[sl] = self._propagate_span(
-                        self.pmatrices(t), clv[sl], p2c
-                    )
-                out[i] = self._contrib_lru.put(keys[i], contrib)
+                out[i] = self._contrib_lru.put(keys[i], self._sweep(
+                    self._propagate_span, clv, self._p2c, pmats=self.pmatrices(t)
+                ))
             return
-        # One (nodes, patterns, rates, states) contraction per shard.
-        # The stacked matmul dispatches to the same per-matrix BLAS
-        # products as the per-node form, so the result bits are equal
-        # (property-tested in tests/test_kernel_contractions.py).
+        # One (nodes, patterns, rates, states) contraction.  The stacked
+        # matmul dispatches to the same per-matrix BLAS products as the
+        # per-node form, so the result bits are equal (property-tested in
+        # tests/test_kernel_contractions.py).
         pstack = np.stack([self.pmatrices(specs[i][1]) for i in idxs])
         cstack = np.stack([specs[i][2] for i in idxs])
-        res = np.empty((q, m, k, 4))
-        for sl, _ in self._spans():
-            res[:, sl] = _propagate_stacked(pstack, cstack[:, sl])
+        res = self._sweep(
+            self._stacked_span, cstack.transpose(1, 0, 2, 3), pstack=pstack
+        ).transpose(1, 0, 2, 3)
         for j, i in enumerate(idxs):
             out[i] = self._contrib_lru.put(keys[i], res[j])
 
@@ -307,14 +314,13 @@ class BatchedKernel(KernelBackend):
             picks = [list(everything)]
         clvs = [np.empty((m, k, 4)) for _ in picks]
         logmxs = [np.empty(m) for _ in picks]
-        for sl, _ in self._spans():
-            for lo in range(sl.start, sl.stop, self.fuse_block):
-                hi = min(lo + self.fuse_block, sl.stop)
-                blks = self._input_blocks(inputs, lo, hi)
-                for pick, clv, logmx in zip(picks, clvs, logmxs):
-                    self._product_rescale_block(
-                        [blks[j] for j in pick], clv[lo:hi], logmx[lo:hi]
-                    )
+        for lo in range(0, m, self.fuse_block):
+            hi = min(lo + self.fuse_block, m)
+            blks = self._input_blocks(inputs, lo, hi)
+            for pick, clv, logmx in zip(picks, clvs, logmxs):
+                self._product_rescale_block(
+                    [blks[j] for j in pick], clv[lo:hi], logmx[lo:hi]
+                )
         return [
             Partial(
                 clv,
@@ -470,36 +476,23 @@ class BatchedKernel(KernelBackend):
     def sumtable_with_derivatives(
         self, uclv: np.ndarray, dclv: np.ndarray, t: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Fused sumtable build + the first Newton evaluation at ``t``.
-
-        The reference flow builds the coefficient table, returns to the
-        engine, and re-reads the whole table for the derivative sweep at
-        the starting branch length; fusing evaluates each span while its
-        coefficients are cache-hot.  Returns
-        ``(coef, exps, site, d1, d2)`` — the same arrays the separate
-        :meth:`sumtable` and :meth:`derivatives` calls produce, charged
-        as one sumtable plus one derivative evaluation.
+        """Sumtable build + the first Newton evaluation at ``t`` as one
+        sweep: each span's derivatives are evaluated on the coefficients
+        it has just built.  Returns ``(coef, exps, site, d1, d2)`` — the
+        same arrays the separate :meth:`sumtable` and :meth:`derivatives`
+        calls produce, charged as one sumtable plus one derivative
+        evaluation.
         """
-        m, k = self.n_patterns, self.n_categories
-        site, d1, d2 = np.empty(m), np.empty(m), np.empty(m)
-        if self.is_cat:
-            coef = np.empty((m, 4))
-            exps = np.empty((m, 4))
-            for sl, p2c in self._spans():
-                coef[sl], exps[sl] = self._sumtable_span(uclv[sl], dclv[sl], p2c)
-                e = np.exp(exps[sl] * t)
-                site[sl], d1[sl], d2[sl] = self._derivatives_span(
-                    coef[sl], e, exps[sl]
-                )
-        else:
-            coef = np.empty((m, k, 4))
-            exps = self._exps
-            e_gamma = np.exp(exps * t)
-            for sl, p2c in self._spans():
-                coef[sl], _ = self._sumtable_span(uclv[sl], dclv[sl], p2c)
-                site[sl], d1[sl], d2[sl] = self._derivatives_span(
-                    coef[sl], e_gamma, exps
-                )
-        self.ops.charge_sumtable(m, self.n_categories)
-        self.ops.charge_deriv(m, self.n_categories)
-        return coef, exps, site, d1, d2
+        coef, exps, site, d1, d2 = self._sweep(
+            self._newton_span, uclv, dclv, self._p2c, t=t
+        )
+        self.ops.charge_sumtable(self.n_patterns, self.n_categories)
+        self.ops.charge_deriv(self.n_patterns, self.n_categories)
+        return coef, self._exps if exps is None else exps, site, d1, d2
+
+    def _newton_span(
+        self, uclv: np.ndarray, dclv: np.ndarray, p2c: np.ndarray | None, t: float
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
+        coef, exps = self._sumtable_span(uclv, dclv, p2c)
+        table = self._exps if exps is None else exps
+        return (coef, exps, *self._derivatives_span(coef, table, t))

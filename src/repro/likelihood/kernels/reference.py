@@ -2,8 +2,9 @@
 
 This is the baseline the batched backend (and any future compiled
 backend) must match bit-for-bit: the :class:`KernelBackend` protocol
-defaults, unmodified — each shard processed whole, one ``propagate``
-product per child edge, the naive product and rescale.
+defaults, unmodified — every kernel one sweep over the whole pattern
+axis, one ``propagate`` product per child edge, the naive product and
+rescale.
 """
 
 from __future__ import annotations
@@ -12,6 +13,6 @@ from repro.likelihood.kernels.base import KernelBackend
 
 
 class ReferenceKernel(KernelBackend):
-    """One span per shard; the inherited defaults and span primitives verbatim."""
+    """One span per sweep; the inherited defaults and span primitives verbatim."""
 
     name = "reference"

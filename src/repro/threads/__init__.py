@@ -6,15 +6,17 @@ of patterns, computes its share of each CLV update / likelihood reduction,
 and the master combines per-thread partial sums (paper Section 2).
 
 Real Python threads cannot speed up this arithmetic (GIL), so the layer is
-*virtual*: the kernels are executed per-slice for real (bit-for-bit the
-same results as one-shot evaluation, proving the decomposition), while a
-pluggable :class:`RegionTiming` model charges simulated time — the maximum
-over the per-thread chunk costs plus a synchronisation term, exactly the
-quantity a busy-wait barrier implementation pays per parallel region.
+*virtual*: a pluggable :class:`RegionTiming` model charges simulated time
+per parallel region — the maximum over the per-thread chunk costs plus a
+synchronisation term, exactly the quantity a busy-wait barrier
+implementation pays — from the chunk *sizes* alone.  The likelihood
+kernels compute each region in one sweep over the whole pattern axis;
+executing it slice by slice gives bit-for-bit the same arrays, which the
+test suites prove (``tests/test_kernel_sweeps.py``) so that no run has to
+pay for it T times.
 """
 
 from repro.threads.partition import (
-    active_chunks,
     contiguous_chunks,
     cyclic_assignment,
     chunk_sizes,
@@ -25,7 +27,6 @@ from repro.threads.timing import RegionTiming, ZeroTiming, LinearRegionTiming
 from repro.threads.pool import VirtualThreadPool
 
 __all__ = [
-    "active_chunks",
     "contiguous_chunks",
     "cyclic_assignment",
     "chunk_sizes",

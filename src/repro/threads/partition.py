@@ -1,4 +1,11 @@
-"""Partitioning of the pattern axis across worker threads."""
+"""Partitioning of the pattern axis across worker threads.
+
+The likelihood engine uses :func:`chunk_sizes` only: the workers are
+virtual, so their chunks are priced by the region timing model and never
+handed to a kernel.  The slice-returning partitioners serve
+``VirtualThreadPool.run_region``, the partition ablations and the tests
+that execute the decomposition to prove it changes no bit.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +15,8 @@ import numpy as np
 def chunk_sizes(n_items: int, n_threads: int) -> list[int]:
     """Balanced chunk sizes: the first ``n_items % n_threads`` chunks get
     one extra item.  Sizes sum to ``n_items``; threads beyond ``n_items``
-    get empty chunks (RAxML simply leaves surplus workers idle).
+    get empty chunks (RAxML simply leaves surplus workers idle — they
+    still wait at the barrier, so region timing charges the full list).
     """
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
@@ -27,18 +35,6 @@ def contiguous_chunks(n_items: int, n_threads: int) -> list[slice]:
         out.append(slice(start, start + s))
         start += s
     return out
-
-
-def active_chunks(n_items: int, n_threads: int) -> list[slice]:
-    """Contiguous balanced slices with surplus workers' empty slices
-    dropped — the degenerate-chunk guard for ``n_threads > n_items``.
-
-    Kernel backends consume this shape: every returned slice is non-empty,
-    so no kernel ever runs on zero patterns, while region *timing* still
-    charges the full per-thread chunk list (idle workers wait at the
-    barrier; see :func:`chunk_sizes`).
-    """
-    return [c for c in contiguous_chunks(n_items, n_threads) if c.stop > c.start]
 
 
 def cyclic_assignment(n_items: int, n_threads: int) -> list[np.ndarray]:

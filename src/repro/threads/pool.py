@@ -1,4 +1,12 @@
-"""The virtual thread pool: master/worker execution over pattern chunks."""
+"""The virtual thread pool: master/worker regions over pattern chunks,
+priced on a virtual clock.
+
+The likelihood engine computes every region in one whole-axis kernel
+sweep and calls :meth:`VirtualThreadPool.charge_region` with the
+per-worker chunk sizes; nothing in a run executes chunk by chunk.
+:meth:`~VirtualThreadPool.run_region` does, for callers (and tests) that
+want the decomposition itself.
+"""
 
 from __future__ import annotations
 
@@ -11,15 +19,17 @@ from repro.util.timing import VirtualClock
 
 
 class VirtualThreadPool:
-    """Executes pattern-sliced kernels and accounts simulated region time.
+    """Accounts simulated region time; can execute pattern-sliced kernels.
 
     The pool mirrors RAxML's Pthreads master/worker design: the master
     broadcasts a job, each worker processes its pattern chunk, a barrier
-    ends the region.  ``run_region`` really executes the kernel once per
-    chunk (so functional results are exact) and advances the virtual clock
-    by the modelled region time — which includes the region's
-    reduction: worker threads never call MPI, the barrier is shared
-    memory, and the timing model's synchronisation term prices it.
+    ends the region.  What a region costs depends on the chunk sizes
+    only, so ``charge_region`` advances the virtual clock by the modelled
+    region time without executing anything — that time includes the
+    region's reduction: worker threads never call MPI, the barrier is
+    shared memory, and the timing model's synchronisation term prices
+    it.  ``run_region`` also runs a kernel once per chunk, for a caller
+    that wants per-chunk results.
     """
 
     def __init__(
@@ -54,10 +64,10 @@ class VirtualThreadPool:
         return results
 
     def charge_region(self, chunk_patterns: Sequence[int], n_categories: int) -> float:
-        """Advance the clock for one region without executing anything.
-
-        Used when the caller has already computed full-vector results and
-        only needs the timing (the arithmetic is identical either way).
+        """Advance the clock for one region without executing anything:
+        the caller computes the region's full-vector results itself (the
+        arithmetic is identical either way) — the likelihood engine's
+        only use of the pool.
         """
         t0 = self.clock.now
         dt = self.timing.region_seconds(chunk_patterns, n_categories)
@@ -104,8 +114,8 @@ class VirtualThreadPool:
         busy = [
             dt * (c / biggest) if biggest > 0 else dt for c in chunk_patterns
         ]
-        # Surplus workers (empty chunk list entries dropped upstream)
-        # still own a lane; pad so every declared track gets a span.
+        # A caller may pass fewer chunks than workers; every declared
+        # track still gets a span.
         busy += [0.0] * (self.n_threads - len(busy))
         rec.thread_regions(t0, t0 + dt, busy, count=n_regions)
 

@@ -2,12 +2,10 @@
 
 Covers the three layers of the refactor: the planner (signatures, dirty
 tracking, CLV cache), the pluggable kernel backends (span-tiling
-bit-identity through the ``_spans`` hook, registration), and the unified
+bit-identity through the ``_sweep`` hook, registration), and the unified
 engine (serial == threaded bit-identity, op-count parity, degenerate
 chunks).
 """
-
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,61 +21,41 @@ from repro.likelihood.engine import (
 )
 from repro.likelihood.gtr import GTRModel
 from repro.likelihood.kernels import (
-    _REGISTRY,
     BatchedKernel,
     ReferenceKernel,
     available_kernels,
     get_kernel,
-    register_kernel,
 )
 from repro.likelihood.plan import (
     CLVCache,
     plan_traversal,
     subtree_signatures,
 )
-from repro.threads.partition import active_chunks, contiguous_chunks
 from repro.threads.pool import VirtualThreadPool
+from repro.threads.timing import LinearRegionTiming
 from repro.tree.random_trees import yule_tree
 from repro.util.rng import RAxMLRandom
+from tests.test_kernel_sweeps import Tiled, rate_models as _rate_models, registered
 
 # Module-level data so hypothesis tests avoid function-scoped fixtures.
 _PAL, _ = _make_dataset(n_taxa=8, n_sites=150, seed=202)
 _MODEL = GTRModel(rates=(1.2, 2.5, 0.8, 1.1, 3.0, 1.0), freqs=(0.3, 0.2, 0.2, 0.3))
 
 
-class TinyBlocked(ReferenceKernel):
-    """A registry extension that cuts every shard into 7-pattern tiles
-    through the ``KernelBackend._spans`` hook."""
+class TinyBlocked(Tiled, ReferenceKernel):
+    """A registry extension that cuts the pattern axis into 7-pattern
+    tiles through the ``KernelBackend._sweep`` hook."""
 
     name = "tiny-blocked-test"
     block_size = 7
 
-    def _spans(self):
-        p2c = self.rate_model.pattern_to_cat
-        for sl in self.shards:
-            for lo in range(sl.start, sl.stop, self.block_size):
-                blk = slice(lo, min(lo + self.block_size, sl.stop))
-                yield blk, (p2c[blk] if self.is_cat else None)
+    def _tiles(self) -> list[slice]:
+        m, b = self.n_patterns, self.block_size
+        return [slice(lo, min(lo + b, m)) for lo in range(0, m, b)]
 
 
-@contextmanager
 def _tiny_blocked_registered():
-    register_kernel(TinyBlocked)
-    try:
-        yield TinyBlocked.name
-    finally:
-        _REGISTRY.pop(TinyBlocked.name, None)
-
-
-def _rate_models(m: int) -> dict[str, RateModel]:
-    """One representative of each rate-heterogeneity family."""
-    return {
-        "gamma": RateModel.gamma(0.8, 4),
-        "gamma+I": RateModel.gamma(0.8, 4, p_invariant=0.2),
-        "cat": RateModel.cat(
-            np.array([0.4, 1.0, 2.1]), np.arange(m) % 3
-        ),
-    }
+    return registered(TinyBlocked)
 
 
 def _random_moves(tree, rng: RAxMLRandom, n_moves: int) -> None:
@@ -258,9 +236,9 @@ class TestKernelBackends:
             tiny = LikelihoodEngine(
                 _PAL, _MODEL, RateModel.gamma(0.8, 4), kernel=name
             )
-            spans = [sl for sl, _ in tiny.kernel._spans()]
-            assert len(spans) == -(-_PAL.n_patterns // TinyBlocked.block_size)
             assert tiny.loglikelihood(tree) == ref.loglikelihood(tree)
+            blocks = -(-_PAL.n_patterns // TinyBlocked.block_size)
+            assert tiny.kernel.spans == tiny.kernel.sweeps * blocks > 0
         assert "tiny-blocked-test" not in available_kernels()
 
     @pytest.mark.parametrize("rm_name", ["gamma", "gamma+I", "cat"])
@@ -395,18 +373,19 @@ class TestBitIdentityProperty:
             assert blocked.loglikelihood(tree) == expected
 
 
-class TestDegenerateChunks:
-    """Satellite: more threads than patterns must not produce zero-length
-    kernel calls anywhere."""
+def _handmade_pal(*rows: str):
+    """A 4-taxon hand alignment with very few patterns."""
+    from repro.seq.alignment import Alignment
+    from repro.seq.patterns import compress_alignment
 
-    def test_active_chunks_drops_empties(self):
-        chunks = active_chunks(3, 8)
-        assert len(chunks) == 3
-        assert all(c.stop > c.start for c in chunks)
-        # Coverage is unchanged: active ∪ dropped == contiguous.
-        full = contiguous_chunks(3, 8)
-        assert [c for c in full if c.stop > c.start] == chunks
-        assert active_chunks(0, 4) == []
+    return compress_alignment(Alignment.from_sequences(list(zip("abcd", rows))))
+
+
+class TestDegenerateChunks:
+    """Satellite: more threads than patterns.  The surplus workers are
+    priced (they wait at every barrier) and nothing else: the kernels
+    sweep the whole axis once, so results and op totals are serial's and
+    no kernel call can land on zero patterns."""
 
     def test_subset_rate_model_empty_subset(self):
         rm = RateModel.cat(np.array([0.5, 1.5]), np.array([0, 1, 1, 0]))
@@ -418,40 +397,66 @@ class TestDegenerateChunks:
         assert subset_rate_model(gamma, slice(0, 0)) is gamma
 
     @pytest.mark.parametrize("rm_name", ["gamma", "cat", "gamma+I"])
-    def test_more_threads_than_patterns(self, rm_name):
-        # A 4-taxon hand alignment with very few patterns.
-        from repro.seq.alignment import Alignment
-        from repro.seq.patterns import compress_alignment
-
-        pal = compress_alignment(Alignment.from_sequences(
-            [("a", "ACGTAC"), ("b", "ACGTAA"), ("c", "AGGTAG"), ("d", "ACTTAC")]
-        ))
-        rms = _rate_models(pal.n_patterns)
-        rm = rms[rm_name]
+    def test_more_threads_than_patterns(self, rm_name, monkeypatch):
+        pal = _handmade_pal("ACGTAC", "ACGTAA", "AGGTAG", "ACTTAC")
+        m = pal.n_patterns
+        rm = _rate_models(m)[rm_name]
         tree = yule_tree(pal.taxa, RAxMLRandom(9))
-        serial = LikelihoodEngine(pal, _MODEL, rm)
-        threaded = LikelihoodEngine(
-            pal, _MODEL, rm, pool=VirtualThreadPool(pal.n_patterns + 5),
-        )
-        assert all(s.stop > s.start for s in threaded.kernel.shards)
-        assert len(threaded.kernel.shards) == pal.n_patterns
-        assert threaded.loglikelihood(tree) == serial.loglikelihood(tree)
-        down = threaded.compute_down_partials(tree)
-        up = threaded.compute_up_partials(tree, down)
-        edge = tree.internal_edges()[0]
-        coef, exps, logscale = threaded.edge_coefficients(
-            down[id(edge)], up[id(edge)]
-        )
-        lnl, g, h = threaded.edge_lnl_and_derivatives(coef, exps, logscale, 0.2)
-        assert np.isfinite([lnl, g, h]).all()
+        span_sizes = []
+        propagate_span = ReferenceKernel._propagate_span
+
+        def watched(self, clv, p2c, pmats):
+            span_sizes.append(len(clv))
+            return propagate_span(self, clv, p2c, pmats)
+
+        monkeypatch.setattr(ReferenceKernel, "_propagate_span", watched)
+
+        def exercise(pool):
+            engine = LikelihoodEngine(pal, _MODEL, rm, pool=pool)
+            lnl = engine.loglikelihood(tree)
+            down = engine.compute_down_partials(tree)
+            up = engine.compute_up_partials(tree, down)
+            edge = tree.internal_edges()[0]
+            coef, exps, logscale = engine.edge_coefficients(
+                down[id(edge)], up[id(edge)]
+            )
+            triple = engine.edge_lnl_and_derivatives(coef, exps, logscale, 0.2)
+            assert np.isfinite(triple).all()
+            return lnl, triple, engine.ops.snapshot()
+
+        def pool(n_threads):
+            return VirtualThreadPool(n_threads, LinearRegionTiming())
+
+        serial = exercise(None)
+        one_each, surplus = pool(m), pool(m + 5)
+        assert exercise(one_each) == serial  # lnl and derivatives: bitwise
+        assert exercise(surplus) == serial
+        # Every kernel call swept all m patterns, none an empty slice ...
+        assert span_sizes and set(span_sizes) == {m}
+        # ... while the m + 5 lanes were charged: same regions, same
+        # one-pattern bottleneck chunk, a dearer barrier.
+        assert surplus.regions_executed == one_each.regions_executed > 0
+        assert surplus.virtual_time > one_each.virtual_time
+
+    @pytest.mark.parametrize("kernel", ["reference", "batched"])
+    def test_one_pattern_chunks_cannot_move_a_bit(self, kernel):
+        """When thread counts this high still executed their chunks, a
+        one-pattern chunk went through BLAS's matrix-vector routines and
+        13 of these 89 site log-likelihoods came out an ulp off serial's
+        (``tests/test_kernel_sweeps.py`` keeps that on record)."""
+        tree = yule_tree(_PAL.taxa, RAxMLRandom(5))
+        for rm in _rate_models(_PAL.n_patterns).values():
+            serial = LikelihoodEngine(_PAL, _MODEL, rm, kernel=kernel)
+            want = serial.site_loglikelihoods(tree)
+            for n_threads in (60, _PAL.n_patterns, _PAL.n_patterns + 5):
+                threaded = LikelihoodEngine(
+                    _PAL, _MODEL, rm, kernel=kernel, pool=VirtualThreadPool(n_threads)
+                )
+                got = threaded.site_loglikelihoods(tree)
+                assert got.tobytes() == want.tobytes(), n_threads
 
     def test_surplus_threads_still_charge_region_time(self):
-        from repro.seq.alignment import Alignment
-        from repro.seq.patterns import compress_alignment
-
-        pal = compress_alignment(Alignment.from_sequences(
-            [("a", "ACGT"), ("b", "ACGA"), ("c", "AGGT"), ("d", "ACTT")]
-        ))
+        pal = _handmade_pal("ACGT", "ACGA", "AGGT", "ACTT")
         tree = yule_tree(pal.taxa, RAxMLRandom(9))
         pool = VirtualThreadPool(pal.n_patterns + 3)
         engine = LikelihoodEngine(pal, _MODEL, RateModel.gamma(0.8, 4), pool=pool)
