@@ -31,8 +31,9 @@ Contractions.  Every contraction is an explicit two-operand
 that plans a path per call: a planned path is chosen from operand
 *shapes*, so results could depend on how the pattern axis is blocked
 (``BatchedKernel.fuse_block`` still cuts it), and planning costs more
-than the product itself at a few hundred patterns.  The spellings are the ones the path-optimised ``einsum`` calls
-they replaced lowered to, so results are bit-identical to those.  Exactly
+than the product itself at a few hundred patterns.  The spellings are
+the ones the path-optimised ``einsum`` calls they replaced lowered to,
+so results are bit-identical to those.  Exactly
 one product in the code base does change its association order with a
 shape — ``U diag(e) U⁻¹`` over k rate multipliers, at k = 5; it is keyed
 by k, which is a property of the rate model and not of a block, in

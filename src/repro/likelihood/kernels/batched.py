@@ -30,12 +30,13 @@ is the base class's; this backend overrides only the steps it executes
 differently.
 
 Bit-identity with the reference backend is preserved operation by
-operation: every reused array was produced by the reference arithmetic for identical operands, the stacked contraction and
-the block-wise ``matmul`` both dispatch to the same per-matrix BLAS
-products as the per-node form (property-tested), blocking the pattern
-axis cannot change any bits because every per-pattern value depends only
-on that pattern's operands, and the fused product/rescale paths perform
-the same operations in the same order with preallocated outputs.  Op accounting
+operation: every reused array was produced by the reference arithmetic
+for identical operands, the stacked contraction and the block-wise
+``matmul`` both dispatch to the same per-matrix BLAS products as the
+per-node form (property-tested), blocking the pattern axis cannot change
+any bits because every per-pattern value depends only on that pattern's
+operands, and the fused product/rescale paths perform the same
+operations in the same order with preallocated outputs.  Op accounting
 is *charge-neutral*: a contribution served from the LRU still charges a
 CLV update — reuse is a wall-clock optimisation, not less logical work —
 so :class:`~repro.likelihood.kernels.base.OpCounter` snapshots are
