@@ -1,10 +1,8 @@
 """Partitioning of the pattern axis across worker threads.
 
-The likelihood engine uses :func:`chunk_sizes` only: the workers are
-virtual, so their chunks are priced by the region timing model and never
-handed to a kernel.  The slice-returning partitioners serve
-``VirtualThreadPool.run_region``, the partition ablations and the tests
-that execute the decomposition to prove it changes no bit.
+The likelihood engine uses :func:`chunk_sizes` only: virtual workers'
+chunks are priced, never handed to a kernel.  The slice partitioners
+serve ``VirtualThreadPool.run_region``, the ablations and the tests.
 """
 
 from __future__ import annotations

@@ -4,8 +4,6 @@ priced on a virtual clock.
 The likelihood engine computes every region in one whole-axis kernel
 sweep and calls :meth:`VirtualThreadPool.charge_region` with the
 per-worker chunk sizes; nothing in a run executes chunk by chunk.
-:meth:`~VirtualThreadPool.run_region` does, for callers (and tests) that
-want the decomposition itself.
 """
 
 from __future__ import annotations
