@@ -261,3 +261,73 @@ def test_the_two_spectral_orders_really_differ():
     paired = (e @ pairs).reshape(8, 4, 4)
     assert np.allclose(scaled, paired, rtol=1e-14, atol=0.0)
     assert not np.array_equal(scaled.view(np.uint64), paired.view(np.uint64))
+
+
+@pytest.mark.parametrize("k", (1, 4, 8))
+class TestFusedBlocks:
+    """The pattern-major block forms of ``BatchedKernel``'s fused pipeline
+    against the category-major ``(k, n, 4)`` blocks it used to build: a
+    tip block as one ``np.take`` on the ``(16, k·4)`` view of the Γ tip
+    table, an edge block as ``_propagate_inner``'s ``matmul`` written
+    through ``out=buf.transpose(1, 0, 2)`` on a ``[lo:hi]`` slice.  Block
+    widths 2, 7 and 4,096, each with a ragged last block — never a
+    one-pattern block (BLAS matrix-vector routines, EXPERIMENTS.md)."""
+
+    WIDTHS = (2, 7, 4096)
+
+    @staticmethod
+    def _blocks(m: int, width: int):
+        for lo in range(0, m, width):
+            yield lo, min(lo + width, m)
+
+    @staticmethod
+    def _ragged(width: int) -> int:
+        """Two full blocks and a last one of 2...width - 1 patterns (one
+        full block and a half at 4,096, to keep k = 8 small)."""
+        return width + width // 2 + 1 if width > 100 else 2 * width + max(2, width - 2)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_tip_block_is_one_take_on_the_flat_table(self, k, width):
+        rng = np.random.default_rng(width * 31 + k)
+        m = self._ragged(width)
+        pm = _pmats(rng, k)
+        by_cat = _mask_table(pm, state_likelihood_rows())  # (k, 16, 4)
+        by_mask = np.ascontiguousarray(by_cat.transpose(1, 0, 2))  # (16, k, 4)
+        masks = rng.integers(1, 16, size=m)
+        for lo, hi in self._blocks(m, width):
+            n = hi - lo
+            assert n >= 2
+            want = np.empty((k, n, 4))
+            for j in range(k):
+                np.take(by_cat[j], masks[lo:hi], axis=0, out=want[j])
+            got = np.empty((n, k, 4))
+            np.take(
+                by_mask.reshape(16, k * 4), masks[lo:hi], axis=0,
+                out=got.reshape(n, k * 4),
+            )
+            assert_same_bits(got, want.transpose(1, 0, 2))
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("exp", (-300, 0, 100))
+    def test_edge_block_is_propagate_inner_on_a_slice(self, k, width, exp):
+        rng = np.random.default_rng(width * 37 + k)
+        m = self._ragged(width)
+        pm = _pmats(rng, k)
+        clv = _shard(rng, m, 3, (k, 4), exp)
+        whole = _propagate_inner(pm, clv)
+        scratch = np.empty((width, k, 4))
+        for lo, hi in self._blocks(m, width):
+            n = hi - lo
+            want = np.empty((k, n, 4))
+            np.matmul(
+                clv[lo:hi].transpose(1, 0, 2),
+                np.ascontiguousarray(pm.transpose(0, 2, 1)),
+                out=want,
+            )
+            got = scratch[:n]
+            np.matmul(
+                clv[lo:hi].transpose(1, 0, 2), pm.transpose(0, 2, 1),
+                out=got.transpose(1, 0, 2),
+            )
+            assert_same_bits(got, want.transpose(1, 0, 2))
+            assert_same_bits(got, whole[lo:hi])
