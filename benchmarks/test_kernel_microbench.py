@@ -112,14 +112,14 @@ CONTRACTION_SIZES = (57, 230, 4600)
 
 def _contractions(m: int):
     """``(subscripts, operands, helper)`` per kernel contraction at ``m``
-    patterns (Γ with k = 4; CAT with 8 categories; 3 stacked edges)."""
+    patterns (Γ with k = 4; CAT with 8 categories)."""
     rng = np.random.default_rng(m)
     pm, pm8 = rng.random((4, 4, 4)), rng.random((8, 4, 4))
     clv, other = rng.random((m, 4, 4)), rng.random((m, 4, 4))
     tip, tip2 = rng.random((m, 4)), rng.random((m, 4))
     per_pattern = pm8[rng.integers(0, 8, size=m)]
     u, u_inv = MODEL._spectral[1:3]
-    cases = [
+    return [
         ("kab,mkb->mka", (pm, clv), kb._propagate_inner),
         ("kab,mb->mka", (pm, tip), kb._propagate_tip),
         ("pab,pb->pa", (per_pattern, tip), kb._propagate_cat),
@@ -129,10 +129,6 @@ def _contractions(m: int):
         ("mkb,jb->mkj", (clv, u_inv), lambda x, ui: kb._to_eigenbasis(x, ui.T)),
         ("kab,sb->ksa", (pm, state_likelihood_rows()), kb._mask_table),
     ]
-    if 2 * 3 * m * 4 * 4 * 8 <= 1 << 22:  # BatchedKernel.stack_budget_bytes
-        stacked = (rng.random((3, 4, 4, 4)), rng.random((3, m, 4, 4)))
-        cases.append(("qkab,qmkb->qmka", stacked, kb._propagate_stacked))
-    return cases
 
 
 def _us_per_call(fn) -> float:

@@ -457,12 +457,12 @@ class LikelihoodEngine:
 
         Returns ``(coef, exps, logscale, (lnl, g, h))`` — what separate
         :meth:`edge_coefficients` + :meth:`edge_lnl_and_derivatives` calls
-        give, with the same op and region charges; a backend may build
-        and evaluate in one sweep.
+        give, with the same op charges, and both regions in one charge.
         """
-        coef, exps, site, d1, d2 = self.kernel.sumtable_with_derivatives(
-            self._as_full(up_v.clv), self._as_full(down_v.clv), t
+        coef, exps = self.kernel.sumtable(
+            self._as_full(up_v.clv), self._as_full(down_v.clv)
         )
+        site, d1, d2 = self.kernel.derivatives(coef, exps, t)
         self._charge_regions(2)  # the sumtable sweep + the derivative sweep
         logscale = down_v.logscale + up_v.logscale
         return coef, exps, logscale, self._finish_derivatives(site, d1, d2, logscale)

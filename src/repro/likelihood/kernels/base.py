@@ -113,17 +113,6 @@ def _propagate_cat(pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
     return np.einsum("pab,pb->pa", pmats, clv)
 
 
-def _propagate_stacked(pstack: np.ndarray, cstack: np.ndarray) -> np.ndarray:
-    """``qkab,qmkb->qmka``: :func:`_propagate_inner` for ``q`` stacked
-    edges — the same per-(edge, category) products in one call."""
-    out = np.empty(cstack.shape)
-    np.matmul(
-        cstack.transpose(0, 2, 1, 3), pstack.transpose(0, 1, 3, 2),
-        out=out.transpose(0, 2, 1, 3),
-    )
-    return out
-
-
 def _mask_table(pmats: np.ndarray, tip_rows: np.ndarray) -> np.ndarray:
     """``kab,sb->ksa``: the propagated CLV of each of the 16 IUPAC mask
     rows under every category, shape ``(k, 16, 4)``."""
@@ -259,8 +248,7 @@ class KernelBackend:
     transition matrices (:meth:`pmatrices`), whole traversal levels
     (:meth:`level_partials` down, :meth:`up_level_partials` up), and the
     per-edge kernels (:meth:`edge_site`, :meth:`insertion_site`,
-    :meth:`sumtable`, :meth:`derivatives`,
-    :meth:`sumtable_with_derivatives`).  The defaults here are the
+    :meth:`sumtable`, :meth:`derivatives`).  The defaults here are the
     reference math — one ``propagate`` per child edge, product, rescale
     — and results of any override must stay bit-identical to them.
 
@@ -586,11 +574,3 @@ class KernelBackend:
         if self.is_cat:  # one exponent row per pattern: an operand of the sweep
             return self._sweep(self._derivatives_span, coef, exps, t=t)
         return self._sweep(self._derivatives_span, coef, exps=exps, t=t)
-
-    def sumtable_with_derivatives(
-        self, uclv: np.ndarray, dclv: np.ndarray, t: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Sumtable build plus the first Newton evaluation at ``t``:
-        ``(coef, exps, site, d1, d2)``, charged as one of each."""
-        coef, exps = self.sumtable(uclv, dclv)
-        return (coef, exps, *self.derivatives(coef, exps, t))

@@ -2,40 +2,38 @@
 
 Where the reference backend answers one ``propagate`` call per child
 edge, this backend executes whole *traversal levels*
-(:meth:`repro.likelihood.plan.TraversalPlan.levels`): every child
-contribution a level needs is requested in one
-:meth:`~BatchedKernel.level_contribs` call, which
+(:meth:`repro.likelihood.plan.TraversalPlan.levels`) and overrides only
+the steps it executes differently:
 
-* serves repeated subtrees from a **contribution LRU** keyed by
-  ``(subtree signature, branch-length bits)`` — across the repeated
-  up-partial sweeps of an SPR round most child edges are unchanged, so
-  their propagated contributions are literally the same float64 arrays
-  and are reused instead of recomputed;
-* stacks the remaining propagations of a level into a single
-  ``(nodes, patterns, rates, states)`` ``matmul`` when the stacked operands
-  stay cache-resident (small pattern counts, where per-call dispatch
-  overhead dominates);
-* switches to a **fused block pipeline** at large pattern counts
-  (:meth:`~BatchedKernel.level_partials`): each node's child
-  propagations, product, and rescale run block-by-block so every
-  intermediate stays L2-resident instead of streaming full-pattern
-  temporaries through memory three times — the likelihood loops are
-  bandwidth-bound there, and this roughly halves the traffic;
-* memoises propagated tip tables by the exact float64 bit pattern of
-  the branch length, next to the base class's transition-matrix memo.
-
-Everything else — the per-level flow over ``level_contribs`` and
-``combine``, the up-sweep's leave-one-out products, insertion scoring —
-is the base class's; this backend overrides only the steps it executes
-differently.
+* :meth:`~BatchedKernel.level_contribs` serves repeated subtrees from a
+  **contribution LRU** keyed by ``(subtree signature, branch-length
+  bits)`` — across the repeated up-partial sweeps of an SPR round most
+  child edges are unchanged, so their propagated contributions are
+  literally the same float64 arrays and are reused instead of
+  recomputed — and gathers tips from tip tables memoised by the exact
+  bit pattern of the branch length, next to the base class's
+  transition-matrix memo;
+* product → max → divide → log exists once
+  (:meth:`~BatchedKernel._product_rescale`), without the reference's
+  temporaries; :meth:`~BatchedKernel.combine` calls it on the whole axis;
+* at large pattern counts :meth:`~BatchedKernel.level_partials` and
+  :meth:`~BatchedKernel.up_level_partials` switch to a **fused block
+  pipeline**: each node's child propagations, product and rescale run
+  block by block over the pattern axis, so every intermediate stays
+  L2-resident and no full-pattern temporary is materialised — the
+  likelihood loops are bandwidth-bound there.  Blocks are pattern-major
+  like every other array of the engine: a block of a memoised
+  contribution is a ``[lo:hi]`` slice, a tip block one gather from the
+  tip table, an edge block the reference propagation into scratch;
+* lazy-SPR insertion scoring transports the pruned subtree once per SPR
+  step (:meth:`~BatchedKernel._insertion_transport`).
 
 Bit-identity with the reference backend is preserved operation by
 operation: every reused array was produced by the reference arithmetic
-for identical operands, the stacked contraction and the block-wise
-``matmul`` both dispatch to the same per-matrix BLAS products as the
-per-node form (property-tested), blocking the pattern axis cannot change
-any bits because every per-pattern value depends only on that pattern's
-operands, and the fused product/rescale paths perform the same
+for identical operands, the block-wise ``matmul`` is the reference
+propagation on a pattern slice (property-tested), blocking the pattern
+axis cannot change any bits because every per-pattern value depends only
+on that pattern's operands, and the product/rescale performs the same
 operations in the same order with preallocated outputs.  Op accounting
 is *charge-neutral*: a contribution served from the LRU still charges a
 CLV update — reuse is a wall-clock optimisation, not less logical work —
@@ -58,13 +56,12 @@ from repro.likelihood.kernels.base import (
     OpCounter,
     Partial,
     _mask_table,
-    _propagate_stacked,
     length_bits,
 )
 from repro.likelihood.rates import RateModel
 
 #: One fused-pipeline input: ``("ready", contribution, None)``,
-#: ``("tip", category-major tip table, masks)`` or
+#: ``("tip", the (16, k·4) view of the tip table, masks)`` or
 #: ``("edge", transposed P-matrices, CLV)``.
 FusedInput = tuple[str, np.ndarray, np.ndarray | None]
 
@@ -85,20 +82,15 @@ class BatchedKernel(KernelBackend):
     #: CLVs (``m·k·4`` float64), so the capacity adapts to the pattern
     #: count; the floor keeps small test alignments from thrashing.
     contrib_budget_bytes = 1 << 30
-    #: Stack a level's propagations into one tensor contraction only
-    #: while operands + output fit in cache; beyond this the per-node
-    #: BLAS batches win and the stack copy is pure overhead.
-    stack_budget_bytes = 1 << 22
     #: Pattern-block length of the fused per-node pipeline: the
     #: propagated child blocks plus the accumulator (3 · B·k·4 doubles ≈
     #: 1.5 MiB at B=4096, k=4) stay cache-resident across the whole
     #: propagate→product→rescale chain.  Profiled best at 4096 on the
-    #: 19.4k-pattern up-sweep (~10% over 2048 — fewer ufunc dispatches
-    #: per sweep; 8192+ starts spilling the accumulator out of L2).
+    #: 19.4k-pattern up-sweep (~10% over 2048; 8192+ spills out of L2).
     fuse_block = 4096
     #: Run the fused pipeline only above this many patterns (gamma
-    #: mode); smaller alignments fit in cache anyway and the stacked
-    #: level contraction amortises dispatch overhead better.
+    #: mode); smaller alignments fit in cache anyway, and there the
+    #: contribution LRU saves more than the blocks would.
     fuse_min_patterns = 4096
 
     def __init__(
@@ -110,7 +102,6 @@ class BatchedKernel(KernelBackend):
     ) -> None:
         super().__init__(model, rate_model, ops, n_patterns)
         self._tip_lru = ArrayLRU(self.pmat_entries)
-        self._tip_cats_lru = ArrayLRU(self.pmat_entries)
         entry = n_patterns * (4 if self.is_cat else self.n_categories * 4) * 8
         self.contrib_entries = max(16, self.contrib_budget_bytes // max(entry, 1))
         self._contrib_lru = ArrayLRU(self.contrib_entries)
@@ -135,24 +126,12 @@ class BatchedKernel(KernelBackend):
 
         return self._tip_lru.get(length_bits(t), build)
 
-    def _tip_table_cats(self, t: float) -> np.ndarray:
-        """The gamma tip table in category-major ``(k, 16, 4)`` layout,
-        so the fused pipeline can gather each category's rows into a
-        contiguous block with :func:`np.take` (a strided gather view as
-        a multiply operand costs ~6x a contiguous one)."""
-        return self._tip_cats_lru.get(
-            length_bits(t),
-            lambda: np.ascontiguousarray(self._tip_table(t).transpose(1, 0, 2)),
-        )
-
     # -- scratch management ---------------------------------------------------
 
     def _buffer(self, shape: tuple[int, ...], tag: str = "") -> np.ndarray:
         """A reusable scratch array; never escapes a public call.
-
         ``tag`` distinguishes buffers that must coexist within one call
-        despite sharing a shape (e.g. the fused pipeline's per-child
-        propagation blocks)."""
+        despite sharing a shape (the fused pipeline's per-child blocks)."""
         key = (tag, *shape)
         buf = self._buffers.get(key)
         if buf is None:
@@ -165,29 +144,25 @@ class BatchedKernel(KernelBackend):
     def level_contribs(self, specs: list[LevelSpec]) -> list[np.ndarray]:
         """Propagated child contributions for one traversal level.
 
-        Repeats are served from the contribution LRU; the rest run
-        batched (see the module docstring).  Charges one CLV update per
-        spec *regardless of cache hits* — accounted work must match what
-        the reference backend would do.
+        Repeats are served from the contribution LRU; the rest are the
+        reference propagations, tips as rows of :meth:`_tip_table`.
+        Charges one CLV update per spec *regardless of cache hits* —
+        accounted work must match what the reference backend would do.
         """
-        keys = [_contrib_key(spec) for spec in specs]
-        out = [self._contrib_lru.get(key) for key in keys]
-        inner: list[int] = []
-        for i, (_, t, payload) in enumerate(specs):
-            if out[i] is not None:
-                continue
-            if payload.ndim == 1:
-                out[i] = self._contrib_lru.put(keys[i], self._tip_contrib(t, payload))
-            else:
-                inner.append(i)
-        if inner:
-            self._inner_contribs(specs, keys, inner, out)
+        out = [
+            self._contrib_lru.get(_contrib_key(spec), lambda: self._contrib(*spec[1:]))
+            for spec in specs
+        ]
         self.ops.charge_clv(self.n_patterns, self.n_categories, n=len(specs))
         return out
 
-    def _tip_contrib(self, t: float, masks: np.ndarray) -> np.ndarray:
+    def _contrib(self, t: float, payload: np.ndarray) -> np.ndarray:
+        if payload.ndim == 1:
+            return self._sweep(
+                self._tip_rows_span, payload, self._p2c, table=self._tip_table(t)
+            )
         return self._sweep(
-            self._tip_rows_span, masks, self._p2c, table=self._tip_table(t)
+            self._propagate_span, payload, self._p2c, pmats=self.pmatrices(t)
         )
 
     def _tip_rows_span(
@@ -195,40 +170,6 @@ class BatchedKernel(KernelBackend):
     ) -> np.ndarray:
         """One span of tip contributions: rows of :meth:`_tip_table`."""
         return table[p2c, masks] if self.is_cat else table[masks]
-
-    def _stacked_span(self, cstack: np.ndarray, pstack: np.ndarray) -> np.ndarray:
-        """:func:`_propagate_stacked` for one span of ``q`` stacked edges,
-        pattern axis first on the way in and out (``(n, q, k, 4)`` views),
-        as :meth:`_sweep` cuts it."""
-        return _propagate_stacked(
-            pstack, cstack.transpose(1, 0, 2, 3)
-        ).transpose(1, 0, 2, 3)
-
-    def _inner_contribs(
-        self, specs: list[LevelSpec], keys: list[tuple[int, int]],
-        idxs: list[int], out: list,
-    ) -> None:
-        m, k = self.n_patterns, self.n_categories
-        q = len(idxs)
-        stacked = 2 * q * m * k * 4 * 8
-        if self.is_cat or q < 2 or stacked > self.stack_budget_bytes:
-            for i in idxs:
-                _, t, clv = specs[i]
-                out[i] = self._contrib_lru.put(keys[i], self._sweep(
-                    self._propagate_span, clv, self._p2c, pmats=self.pmatrices(t)
-                ))
-            return
-        # One (nodes, patterns, rates, states) contraction.  The stacked
-        # matmul dispatches to the same per-matrix BLAS products as the
-        # per-node form, so the result bits are equal (property-tested in
-        # tests/test_kernel_contractions.py).
-        pstack = np.stack([self.pmatrices(specs[i][1]) for i in idxs])
-        cstack = np.stack([specs[i][2] for i in idxs])
-        res = self._sweep(
-            self._stacked_span, cstack.transpose(1, 0, 2, 3), pstack=pstack
-        ).transpose(1, 0, 2, 3)
-        for j, i in enumerate(idxs):
-            out[i] = self._contrib_lru.put(keys[i], res[j])
 
     @property
     def _fused(self) -> bool:
@@ -295,18 +236,17 @@ class BatchedKernel(KernelBackend):
         over all inputs; an up node (``leave_one_out``) has one output
         per child, over every input but that child.
 
-        Bit-identity: ``matmul`` on the ``(k, n, 4)`` transposed views
-        issues the same per-category BLAS products as the reference
-        ``_propagate_inner``; each product multiplies in input order per
-        element; the per-pattern max is exact under any reduction order;
-        divide and log are the same ufuncs on the same values.  Blocking
-        the pattern axis is invisible to all of them.
+        Bit-identity: an edge block is ``_propagate_inner`` on a pattern
+        slice; each product multiplies in input order per element; the
+        per-pattern max is exact under any reduction order; divide and
+        log are the same ufuncs on the same values.  Blocking the pattern
+        axis is invisible to all of them.
         """
         m, k = self.n_patterns, self.n_categories
         inputs = [self._fused_input(spec) for spec in specs]
         if above is not None:
             t_up, aclv, als = above
-            inputs.append(self._edge_input(t_up, aclv))
+            inputs.append(("edge", self.pmatrices(t_up).transpose(0, 2, 1), aclv))
             logscales = logscales + [als]
         everything = range(len(inputs))
         if leave_one_out:
@@ -315,11 +255,13 @@ class BatchedKernel(KernelBackend):
             picks = [list(everything)]
         clvs = [np.empty((m, k, 4)) for _ in picks]
         logmxs = [np.empty(m) for _ in picks]
-        for lo in range(0, m, self.fuse_block):
-            hi = min(lo + self.fuse_block, m)
+        # A one-pattern last block would take BLAS's matrix-vector
+        # routines, which round differently: it joins the block before it.
+        cuts = [*range(0, m - 1, self.fuse_block), m]
+        for lo, hi in zip(cuts, cuts[1:]):
             blks = self._input_blocks(inputs, lo, hi)
             for pick, clv, logmx in zip(picks, clvs, logmxs):
-                self._product_rescale_block(
+                self._product_rescale(
                     [blks[j] for j in pick], clv[lo:hi], logmx[lo:hi]
                 )
         return [
@@ -333,64 +275,63 @@ class BatchedKernel(KernelBackend):
             for pick, clv, logmx in zip(picks, clvs, logmxs)
         ]
 
-    def _edge_input(self, t: float, clv: np.ndarray) -> FusedInput:
-        return "edge", np.ascontiguousarray(self.pmatrices(t).transpose(0, 2, 1)), clv
-
     def _fused_input(self, spec: LevelSpec) -> FusedInput:
         hit = self._contrib_lru.get(_contrib_key(spec))
         if hit is not None:
             return "ready", hit, None
         _, t, payload = spec
         if payload.ndim == 1:
-            return "tip", self._tip_table_cats(t), payload
-        return self._edge_input(t, payload)
+            return "tip", self._tip_table(t).reshape(16, -1), payload
+        return "edge", self.pmatrices(t).transpose(0, 2, 1), payload
 
     def _input_blocks(
         self, inputs: list[FusedInput], lo: int, hi: int
     ) -> list[np.ndarray]:
-        """One pattern block of every fused-pipeline input, in input
-        order: memoised contributions as transposed views, tip gathers
-        and edge propagations into contiguous ``(k, n, 4)`` scratch (a
-        strided view as a multiply operand costs several times a
-        contiguous block; ``matmul`` on the transposed view issues the
-        reference propagation's per-category BLAS products)."""
+        """Patterns ``lo:hi`` of every fused-pipeline input, in input
+        order, each ``(n, k, 4)``: memoised contributions as slices, tip
+        gathers and edge propagations into scratch (the ``matmul`` is
+        ``_propagate_inner``'s, on a slice)."""
         k = self.n_categories
         n = hi - lo
         blks: list[np.ndarray] = []
         for i, (kind, table, payload) in enumerate(inputs):
             if kind == "ready":
-                blks.append(table[lo:hi].transpose(1, 0, 2))
+                blks.append(table[lo:hi])
                 continue
-            buf = self._buffer((k, self.fuse_block, 4), f"fuse-edge{i}")[:, :n]
+            buf = self._buffer((n, k, 4), f"fuse-edge{i}")
             if kind == "tip":
-                idx = payload[lo:hi]
-                for j in range(k):
-                    np.take(table[j], idx, axis=0, out=buf[j])
+                np.take(table, payload[lo:hi], axis=0, out=buf.reshape(n, k * 4))
             else:
-                np.matmul(payload[lo:hi].transpose(1, 0, 2), table, out=buf)
+                np.matmul(
+                    payload[lo:hi].transpose(1, 0, 2), table,
+                    out=buf.transpose(1, 0, 2),
+                )
             blks.append(buf)
         return blks
 
-    def _product_rescale_block(
+    def combine(
+        self, contribs: list[np.ndarray], logscales: list[np.ndarray]
+    ) -> Partial:
+        """The reference product + rescale without its temporaries."""
+        clv = np.empty(contribs[0].shape)
+        logmx = np.empty(clv.shape[0])
+        self._product_rescale(contribs, clv, logmx)
+        return Partial(clv, self._sum_logscales(logscales, logmx))
+
+    def _product_rescale(
         self, parts: list[np.ndarray], clv_out: np.ndarray, logmx_out: np.ndarray
     ) -> None:
-        """Product of category-major ``(k, n, 4)`` blocks, rescaled into
-        one pattern-major block of the output CLV and its log divisors."""
-        k, B = self.n_categories, self.fuse_block
+        """Product of ``parts`` in list order, each pattern divided by its
+        max entry into ``clv_out``, the log of the divisors into
+        ``logmx_out`` — the whole axis or one block of it.  The product
+        accumulates in scratch, the per-pattern max (exact under any
+        reduction order) folds by halves, and divide and log are the
+        reference's ufuncs on the same values."""
         n = clv_out.shape[0]
-        acc = self._product(parts, self._buffer((k, B, 4), "fuse-acc")[:, :n])
-        s4 = self._buffer((B, 4), "fuse")[:n]
-        s2 = self._buffer((B, 2), "fuse")[:n]
-        mx = self._buffer((B,), "fuse")[:n]
-        np.fmax.reduce(acc, axis=0, out=s4)
-        np.fmax(s4[:, :2], s4[:, 2:], out=s2)
-        np.fmax(s2[:, 0], s2[:, 1], out=mx)
+        acc = self._product(parts, self._buffer(clv_out.shape, "acc"))
+        mx = self._row_max(acc.reshape(n, -1))
         np.maximum(mx, _TINY, out=mx)
-        # The divide reads the L2-resident accumulator through a
-        # transposed view and writes the cold output contiguously
-        # (pattern-major): same quotients, and each output cache line is
-        # touched exactly once instead of once per category.
-        np.divide(acc.transpose(1, 0, 2), mx[:, None, None], out=clv_out)
+        np.divide(acc.reshape(n, -1), mx[:, None], out=clv_out.reshape(n, -1))
         np.log(mx, out=logmx_out)
 
     @staticmethod
@@ -416,21 +357,6 @@ class BatchedKernel(KernelBackend):
             total += extra
         total += logmx
         return total
-
-    def combine(
-        self, contribs: list[np.ndarray], logscales: list[np.ndarray]
-    ) -> Partial:
-        """The reference product + rescale without its temporaries: the
-        product accumulates in scratch, the per-pattern max (exact under
-        any reduction order) folds by halves, and the divide/log/add
-        steps are the same ufuncs in the same order."""
-        m = contribs[0].shape[0]
-        acc = self._product(contribs, self._buffer(contribs[0].shape))
-        mx = self._row_max(acc.reshape(m, -1))
-        np.maximum(mx, _TINY, out=mx)
-        clv = np.empty_like(acc)
-        np.divide(acc, mx.reshape((m,) + (1,) * (acc.ndim - 1)), out=clv)
-        return Partial(clv, self._sum_logscales(logscales, np.log(mx)))
 
     def _row_max(self, flat: np.ndarray) -> np.ndarray:
         """Per-row max of a 2-D view by halving folds (exact, and ~40%
@@ -471,29 +397,3 @@ class BatchedKernel(KernelBackend):
         c3 = super()._insertion_transport(sclv, pmats_sub)
         self._ins_memo = (key, (sclv, pmats_sub), c3)
         return c3
-
-    # -- Newton machinery -----------------------------------------------------
-
-    def sumtable_with_derivatives(
-        self, uclv: np.ndarray, dclv: np.ndarray, t: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Sumtable build + the first Newton evaluation at ``t`` as one
-        sweep: each span's derivatives are evaluated on the coefficients
-        it has just built.  Returns ``(coef, exps, site, d1, d2)`` — the
-        same arrays the separate :meth:`sumtable` and :meth:`derivatives`
-        calls produce, charged as one sumtable plus one derivative
-        evaluation.
-        """
-        coef, exps, site, d1, d2 = self._sweep(
-            self._newton_span, uclv, dclv, self._p2c, t=t
-        )
-        self.ops.charge_sumtable(self.n_patterns, self.n_categories)
-        self.ops.charge_deriv(self.n_patterns, self.n_categories)
-        return coef, self._exps if exps is None else exps, site, d1, d2
-
-    def _newton_span(
-        self, uclv: np.ndarray, dclv: np.ndarray, p2c: np.ndarray | None, t: float
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
-        coef, exps = self._sumtable_span(uclv, dclv, p2c)
-        table = self._exps if exps is None else exps
-        return (coef, exps, *self._derivatives_span(coef, table, t))

@@ -20,15 +20,15 @@ class NNIParams:
     """Tuning knobs of one NNI round."""
 
     min_improvement: float = 0.01
-    local_brlen: bool = True
 
     def __post_init__(self) -> None:
         if self.min_improvement < 0:
             raise ValueError("min_improvement must be non-negative")
 
 
-def try_nni(engine, tree: Tree, edge_index: int, variant: int,
-            params: NNIParams = NNIParams()) -> tuple[Tree, float] | None:
+def try_nni(
+    engine, tree: Tree, edge_index: int, variant: int
+) -> tuple[Tree, float] | None:
     """Apply one NNI on a copy; returns ``(tree, lnl)`` or ``None`` if the
     indexed edge is not an internal edge."""
     work = tree.copy()
@@ -37,14 +37,13 @@ def try_nni(engine, tree: Tree, edge_index: int, variant: int,
         return None
     edge = internal[edge_index]
     work.nni(edge, variant)
-    if params.local_brlen:
-        # With the engine's CLV cache on, only partials whose subtree
-        # signature changed by the interchange are recomputed here.
-        down = engine.compute_down_partials(work)
-        up = engine.compute_up_partials(work, down)
-        for e in [edge] + edge.children:
-            if e.parent is not None:
-                optimize_edge(engine, work, e, down=down, up=up)
+    # With the engine's CLV cache on, only partials whose subtree
+    # signature changed by the interchange are recomputed here.
+    down = engine.compute_down_partials(work)
+    up = engine.compute_up_partials(work, down)
+    for e in [edge] + edge.children:
+        if e.parent is not None:
+            optimize_edge(engine, work, e, down=down, up=up)
     return work, engine.loglikelihood(work)
 
 
@@ -65,7 +64,7 @@ def nni_round(engine, tree: Tree, params: NNIParams = NNIParams(),
     while idx < len(current.internal_edges()):
         best_alt = None
         for variant in (0, 1):
-            result = try_nni(engine, current, idx, variant, params)
+            result = try_nni(engine, current, idx, variant)
             if result is None:
                 break
             tried += 1

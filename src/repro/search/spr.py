@@ -29,7 +29,6 @@ class SPRParams:
 
     radius: int = 5
     min_improvement: float = 0.01
-    local_brlen: bool = True
     max_prune_candidates: int | None = None  # optionally subsample prune points
 
     def __post_init__(self) -> None:
@@ -125,15 +124,14 @@ def try_spr(
             best_edge = v
 
     joint = work.regraft(pruned, best_edge, length=t_sub)
-    if params.local_brlen:
-        # Optimise the three branches around the insertion point against
-        # one shared set of partials (Jacobi-style, like the smoothing
-        # passes) — recomputing partials per edge would triple the cost.
-        down_new = engine.compute_down_partials(work)
-        up_new = engine.compute_up_partials(work, down_new)
-        for edge_child in [joint] + joint.children:
-            if edge_child.parent is not None:
-                optimize_edge(engine, work, edge_child, down=down_new, up=up_new)
+    # Optimise the three branches around the insertion point against
+    # one shared set of partials (Jacobi-style, like the smoothing
+    # passes) — recomputing partials per edge would triple the cost.
+    down_new = engine.compute_down_partials(work)
+    up_new = engine.compute_up_partials(work, down_new)
+    for edge_child in [joint] + joint.children:
+        if edge_child.parent is not None:
+            optimize_edge(engine, work, edge_child, down=down_new, up=up_new)
     lnl = engine.loglikelihood(work)
     return work, lnl
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.obs.recorder import current as _obs_current
-from repro.threads.partition import contiguous_chunks
+from repro.threads.partition import chunk_sizes, contiguous_chunks
 from repro.threads.timing import RegionTiming, ZeroTiming
 from repro.util.timing import VirtualClock
 
 
 class VirtualThreadPool:
-    """Accounts simulated region time; can execute pattern-sliced kernels.
+    """Accounts simulated region time on a virtual clock.
 
     The pool mirrors RAxML's Pthreads master/worker design: the master
     broadcasts a job, each worker processes its pattern chunk, a barrier
@@ -26,8 +26,9 @@ class VirtualThreadPool:
     region time without executing anything — that time includes the
     region's reduction: worker threads never call MPI, the barrier is
     shared memory, and the timing model's synchronisation term prices
-    it.  ``run_region`` also runs a kernel once per chunk, for a caller
-    that wants per-chunk results.
+    it.  ``run_region`` charges the same time and does call a kernel
+    once per chunk, for a caller that wants per-chunk results; no
+    analysis uses it.
     """
 
     def __init__(
@@ -80,8 +81,6 @@ class VirtualThreadPool:
         """Charge ``n_regions`` identical balanced regions at once."""
         if n_regions < 0:
             raise ValueError("n_regions must be >= 0")
-        from repro.threads.partition import chunk_sizes
-
         sizes = chunk_sizes(n_patterns, self.n_threads)
         t0 = self.clock.now
         dt = self.timing.region_seconds(sizes, n_categories) * n_regions

@@ -6,8 +6,8 @@ Three concerns, matching the three pieces the backend adds:
   (children strictly before parents, union of levels == plan ops);
 * ``BatchedKernel`` is bit-identical to ``ReferenceKernel`` across the
   full execution matrix — serial, virtual-threaded, CLV-cached, every
-  rate-model family, both the stacked-contraction and fused-block
-  regimes — including derivatives and exact ``OpCounter`` parity;
+  rate-model family, both the per-level and fused-block regimes —
+  including derivatives and exact ``OpCounter`` parity;
 * the degenerate-input hardening of :class:`CLVCache` and the planner.
 """
 
@@ -208,6 +208,27 @@ class TestBatchedParity:
         )
         self._assert_equal_traces(ref, fused_threaded)
 
+    def test_fused_one_pattern_tail_joins_the_block_before_it(self, monkeypatch):
+        """``n_patterns % fuse_block == 1``: a one-pattern last block would
+        take BLAS's matrix-vector routines, which round differently from
+        the matrix-matrix ones the reference's whole-axis product gets."""
+        monkeypatch.setattr(BatchedKernel, "fuse_min_patterns", 1)
+        rm = RateModel.gamma(0.8, 4)
+        monkeypatch.setattr(BatchedKernel, "fuse_block", _PAL.n_patterns - 1)
+        for seed in (1, 2, 3):
+            tree = yule_tree(_PAL.taxa, RAxMLRandom(seed))
+            partials = []
+            for kernel in ("reference", "batched"):
+                engine = LikelihoodEngine(_PAL, _MODEL, rm, kernel=kernel)
+                down = engine.compute_down_partials(tree)
+                up = engine.compute_up_partials(tree, down)
+                partials.append({**down, **{-key: part for key, part in up.items()}})
+            ref, fused = partials
+            assert ref.keys() == fused.keys()
+            for key in ref:
+                assert ref[key].clv.tobytes() == fused[key].clv.tobytes()
+                assert ref[key].logscale.tobytes() == fused[key].logscale.tobytes()
+
     def test_more_threads_than_patterns(self):
         pal, _ = _make_dataset(n_taxa=4, n_sites=3, seed=77)
         tree = yule_tree(pal.taxa, RAxMLRandom(3))
@@ -216,25 +237,6 @@ class TestBatchedParity:
             pal, _MODEL, kernel="batched", pool=VirtualThreadPool(8),
         )
         assert threaded.loglikelihood(tree) == expected
-
-    def test_stacked_contraction_matches_per_node_einsum(self):
-        """The (nodes, patterns, rates, states) contraction and the
-        block-wise matmul both dispatch to the per-matrix BLAS products
-        of the reference einsum — bit-for-bit."""
-        rng = np.random.default_rng(11)
-        q, m, k = 3, 257, 4
-        pstack = rng.random((q, k, 4, 4))
-        cstack = rng.random((q, m, k, 4))
-        stacked = np.einsum("qkab,qmkb->qmka", pstack, cstack, optimize=True)
-        for j in range(q):
-            per_node = np.einsum(
-                "kab,mkb->mka", pstack[j], cstack[j], optimize=True
-            )
-            assert np.array_equal(stacked[j], per_node)
-            via_matmul = np.matmul(
-                cstack[j].transpose(1, 0, 2), pstack[j].transpose(0, 2, 1)
-            ).transpose(1, 0, 2)
-            assert np.array_equal(via_matmul, per_node)
 
     def test_registry_lists_batched(self):
         assert set(available_kernels()) >= {"reference", "batched"}

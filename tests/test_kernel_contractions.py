@@ -27,7 +27,6 @@ from repro.likelihood.kernels.base import (
     _mask_table,
     _propagate_cat,
     _propagate_inner,
-    _propagate_stacked,
     _propagate_tip,
     _site_dot,
     _sum_states,
@@ -126,15 +125,17 @@ class TestPropagate:
     @examples
     @given(seeds, patterns, offsets, exponents, st.integers(2, 5))
     def test_stacked(self, k, seed, m, off, exp, q):
+        """``qkab,qmkb->qmka``, one contraction for ``q`` edges of a
+        level, is gone from ``BatchedKernel.level_contribs``: the per-edge
+        loop that replaced it gives each edge the same bits."""
         rng = np.random.default_rng(seed)
         m = _rows(m, k * q)
         pstack = np.stack([_pmats(rng, k) for _ in range(q)])
         cstack = (0.5 + rng.random((q, m + 8, k, 4))) * 10.0**exp
         shard = cstack[:, off : off + m]
         want = np.einsum("qkab,qmkb->qmka", pstack, shard, optimize=True)
-        assert_same_bits(_propagate_stacked(pstack, shard), want)
-        for j in range(q):  # ... and each edge equals the per-node form
-            assert_same_bits(want[j], _propagate_inner(pstack[j], shard[j]))
+        for j in range(q):
+            assert_same_bits(_propagate_inner(pstack[j], shard[j]), want[j])
 
     def test_mask_table(self, k):
         rows = state_likelihood_rows()
