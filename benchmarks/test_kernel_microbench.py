@@ -1,6 +1,6 @@
 """Kernel-layer microbenchmark: the backend matrix on real SPR rounds.
 
-Three legs, all recorded to ``output/BENCH_kernels.json`` (the record is
+Four legs, all recorded to ``output/BENCH_kernels.json`` (the record is
 written *before* any claim is asserted, so a failed assertion still
 leaves the numbers on disk for inspection):
 
@@ -10,7 +10,12 @@ leaves the numbers on disk for inspection):
   tier-1 toys, ``small_1x4`` and ``wide_1x1`` of ``bench/``).  Asserts
   only what holds on any host: at 57 patterns, where a call is all
   dispatch, no helper loses to the einsum it replaced.
-
+* **Override audit** (always runs): for every protocol method
+  ``BatchedKernel`` overrides, µs per call of the inherited default and
+  of the override on the same kernel and operands, at 87 / 230 / 4,610
+  patterns (the three batched ``bench/`` workloads), Γ and CAT.  Asserts
+  that the table has exactly one entry per override, so a new override
+  arrives with its number or fails by name.
 * **Small leg** (always runs; this is what CI's ``kernels-smoke`` job
   executes): a >=500-pattern simulated alignment, one SPR round per
   variant — from-scratch vs planned reference, plus the batched
@@ -33,6 +38,7 @@ leaves the numbers on disk for inspection):
   lose to the reference at steady state beyond a noise tolerance.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -45,7 +51,7 @@ import numpy as np
 from repro.datasets import test_dataset as make_test_dataset
 from repro.likelihood.engine import LikelihoodEngine, OpCounter, RateModel
 from repro.likelihood.gtr import GTRModel, _spectral_products
-from repro.likelihood.kernels import available_kernels
+from repro.likelihood.kernels import BatchedKernel, available_kernels
 from repro.likelihood.kernels import base as kb
 from repro.search.spr import SPRParams, spr_round
 from repro.seq.encoding import state_likelihood_rows
@@ -162,6 +168,99 @@ def run_contraction_bench() -> dict:
     return table
 
 
+#: Pattern counts of the override audit: ``ranks_4x2_steal``,
+#: ``small_1x4`` and ``wide_1x1`` of ``bench/`` (the last one is past
+#: ``BatchedKernel.fuse_min_patterns``).
+AUDIT_SIZES = (87, 230, 4610)
+
+
+def batched_overrides() -> set[str]:
+    """The protocol methods ``BatchedKernel`` defines over its base."""
+    return {
+        name for name, value in vars(BatchedKernel).items()
+        if callable(value) and not name.startswith("__") and hasattr(kb.KernelBackend, name)
+    }
+
+
+def _audit_cases(m: int, rate_model: RateModel):
+    """``{override: {variant: thunk}}`` on one ``BatchedKernel`` of ``m``
+    patterns: ``default`` is the base-class method on that same kernel
+    and operands, ``override`` the kernel's own.  A level is two nodes,
+    (tip, inner) and (inner, inner); the up level adds a parent-side
+    partial to each.  Level signatures are fresh on every call, as on a
+    tree whose branch lengths just moved; ``level_contribs`` is timed
+    both ways (``override``: every spec an LRU hit, ``override_miss``:
+    none), the insertion memo on its hit."""
+    rng = np.random.default_rng(m)
+    kernel = BatchedKernel(MODEL, rate_model, OpCounter(), m)
+    kernel._contrib_lru.capacity = 16  # fresh signatures must not pile up
+    clv_shape = (m, 4) if kernel.is_cat else (m, kernel.n_categories, 4)
+    clvs = [0.5 + rng.random(clv_shape) for _ in range(4)]
+    masks = rng.integers(1, 16, size=m)
+    logscale = -rng.random(m)
+    lengths = (0.05, 0.11, 0.17, 0.23)
+    fresh = itertools.count(1)
+
+    def level(signatures):
+        sig = iter(signatures)
+        return [
+            ([(next(sig), lengths[0], masks), (next(sig), lengths[1], clvs[0])],
+             [None, logscale]),
+            ([(next(sig), lengths[2], clvs[1]), (next(sig), lengths[3], clvs[2])],
+             [logscale, logscale]),
+        ]
+
+    def up_level(signatures):
+        return [((0.3, clvs[3], logscale), specs, lss) for specs, lss in level(signatures)]
+
+    warm = [spec for specs, _ in level(range(-4, 0)) for spec in specs]
+    contribs = kernel.level_contribs(warm)
+    pmats = kernel.pmatrices(0.07)
+    base = kb.KernelBackend
+    return {
+        "level_contribs": {
+            "default": lambda: base.level_contribs(kernel, warm),
+            "override": lambda: kernel.level_contribs(warm),
+            "override_miss": lambda: kernel.level_contribs(
+                [s for specs, _ in level(fresh) for s in specs]
+            ),
+        },
+        "combine": {
+            "default": lambda: base.combine(kernel, contribs[:3], [logscale, logscale]),
+            "override": lambda: kernel.combine(contribs[:3], [logscale, logscale]),
+        },
+        "_insertion_transport": {
+            "default": lambda: base._insertion_transport(kernel, clvs[0], pmats),
+            "override": lambda: kernel._insertion_transport(clvs[0], pmats),
+        },
+        "level_partials": {
+            "default": lambda: base.level_partials(kernel, level(fresh)),
+            "override": lambda: kernel.level_partials(level(fresh)),
+        },
+        "up_level_partials": {
+            "default": lambda: base.up_level_partials(kernel, up_level(fresh)),
+            "override": lambda: kernel.up_level_partials(up_level(fresh)),
+        },
+    }
+
+
+def run_override_audit() -> dict:
+    """``{override: {m: {"gamma" | "cat": {variant + "_us": µs}}}}``."""
+    table: dict[str, dict[str, dict[str, dict[str, float]]]] = {}
+    for m in AUDIT_SIZES:
+        rate_models = {
+            "gamma": RateModel.gamma(0.8, 4),
+            "cat": RateModel.cat(np.geomspace(0.1, 4.0, 8), np.arange(m) % 8),
+        }
+        for rm_name, rate_model in rate_models.items():
+            for override, variants in _audit_cases(m, rate_model).items():
+                table.setdefault(override, {}).setdefault(str(m), {})[rm_name] = {
+                    f"{variant}_us": _us_per_call(thunk)
+                    for variant, thunk in variants.items()
+                }
+    return table
+
+
 def _spr_round(pal, kernel: str, clv_cache: bool, n_threads: int = 1):
     """One SPR round from a fresh Yule start tree; returns (lnl, ops, secs)."""
     rate_model = RateModel.gamma(0.8, 4)
@@ -231,6 +330,7 @@ def test_kernel_microbench(benchmark, emit):
     n_patterns, variants = benchmark.pedantic(run_microbench, rounds=1, iterations=1)
     full = run_full_bench() if os.environ.get("REPRO_BENCH_FULL") == "1" else None
     contractions = run_contraction_bench()
+    audit = run_override_audit()
 
     # -- record first, assert second ---------------------------------------
     lnls = {name: lnl for name, (lnl, _, _) in variants.items()}
@@ -243,6 +343,7 @@ def test_kernel_microbench(benchmark, emit):
         "clv_update_savings": 1.0 - planned["clv_updates"] / scratch["clv_updates"],
         "kernels": sorted(available_kernels()),
         "contractions_us_per_call": contractions,
+        "override_audit": audit,
         "variants": {
             name: {"lnl": lnl, "wall_seconds": secs, **snapshot}
             for name, (lnl, snapshot, secs) in variants.items()
@@ -299,6 +400,25 @@ def test_kernel_microbench(benchmark, emit):
     for subs, row in contractions.items():
         smallest = next(iter(row.values()))
         assert smallest["helper_us"] < smallest["einsum_us"], (subs, smallest)
+
+    # -- override audit: one entry per override, named --------------------
+    emit(
+        "kernel_override_audit",
+        format_table(
+            ["Override", "rates", *(f"m={m}" for m in AUDIT_SIZES)],
+            [
+                (override, rm_name, *[
+                    " / ".join(f"{us:.1f}" for us in by_m[rm_name].values())
+                    for by_m in row.values()
+                ])
+                for override, row in audit.items()
+                for rm_name in ("gamma", "cat")
+            ],
+            title="BATCHED OVERRIDES, us/call: inherited default / override "
+                  "(level_contribs: / override on LRU misses)",
+        ),
+    )
+    assert set(audit) == batched_overrides(), set(audit) ^ batched_overrides()
 
     # -- small leg: exact claims -------------------------------------------
     # Bit-identical log-likelihoods across cache, backend, and thread count.

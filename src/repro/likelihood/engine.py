@@ -457,14 +457,13 @@ class LikelihoodEngine:
 
         Returns ``(coef, exps, logscale, (lnl, g, h))`` — what separate
         :meth:`edge_coefficients` + :meth:`edge_lnl_and_derivatives` calls
-        give, with the same op charges, and both regions in one charge.
+        give, with the same op and region charges.
         """
-        coef, exps = self.kernel.sumtable(
-            self._as_full(up_v.clv), self._as_full(down_v.clv)
-        )
+        coef, exps, logscale = self.edge_coefficients(down_v, up_v)
+        # Not via edge_lnl_and_derivatives: bench/ reads that method's
+        # call count as the Newton evaluations after this first one.
         site, d1, d2 = self.kernel.derivatives(coef, exps, t)
-        self._charge_regions(2)  # the sumtable sweep + the derivative sweep
-        logscale = down_v.logscale + up_v.logscale
+        self._charge_regions(1)
         return coef, exps, logscale, self._finish_derivatives(site, d1, d2, logscale)
 
     def edge_lnl_and_derivatives(self, coef, exps, logscale, t: float):

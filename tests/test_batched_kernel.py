@@ -217,17 +217,16 @@ class TestBatchedParity:
         monkeypatch.setattr(BatchedKernel, "fuse_block", _PAL.n_patterns - 1)
         for seed in (1, 2, 3):
             tree = yule_tree(_PAL.taxa, RAxMLRandom(seed))
-            partials = []
+            sweeps = []  # per kernel: (down partials, up partials)
             for kernel in ("reference", "batched"):
                 engine = LikelihoodEngine(_PAL, _MODEL, rm, kernel=kernel)
                 down = engine.compute_down_partials(tree)
-                up = engine.compute_up_partials(tree, down)
-                partials.append({**down, **{-key: part for key, part in up.items()}})
-            ref, fused = partials
-            assert ref.keys() == fused.keys()
-            for key in ref:
-                assert ref[key].clv.tobytes() == fused[key].clv.tobytes()
-                assert ref[key].logscale.tobytes() == fused[key].logscale.tobytes()
+                sweeps.append((down, engine.compute_up_partials(tree, down)))
+            for ref, fused in zip(*sweeps):
+                assert ref.keys() == fused.keys()
+                for key in ref:
+                    assert ref[key].clv.tobytes() == fused[key].clv.tobytes()
+                    assert ref[key].logscale.tobytes() == fused[key].logscale.tobytes()
 
     def test_more_threads_than_patterns(self):
         pal, _ = _make_dataset(n_taxa=4, n_sites=3, seed=77)

@@ -271,26 +271,21 @@ class TestFusedBlocks:
     tip block as one ``np.take`` on the ``(16, k·4)`` view of the Γ tip
     table, an edge block as ``_propagate_inner``'s ``matmul`` written
     through ``out=buf.transpose(1, 0, 2)`` on a ``[lo:hi]`` slice.  Block
-    widths 2, 7 and 4,096, each with a ragged last block — never a
-    one-pattern block (BLAS matrix-vector routines, EXPERIMENTS.md)."""
+    widths 2, 7 and 4,096, the wider two with a ragged last block — never
+    a one-pattern block (BLAS matrix-vector routines, EXPERIMENTS.md)."""
 
-    WIDTHS = (2, 7, 4096)
+    #: (block width, patterns): full blocks, then a ragged last one of
+    #: 5 and of 2,049 patterns (three full blocks at width 2).
+    SHAPES = ((2, 6), (7, 19), (4096, 6145))
 
     @staticmethod
     def _blocks(m: int, width: int):
         for lo in range(0, m, width):
             yield lo, min(lo + width, m)
 
-    @staticmethod
-    def _ragged(width: int) -> int:
-        """Two full blocks and a last one of 2...width - 1 patterns (one
-        full block and a half at 4,096, to keep k = 8 small)."""
-        return width + width // 2 + 1 if width > 100 else 2 * width + max(2, width - 2)
-
-    @pytest.mark.parametrize("width", WIDTHS)
-    def test_tip_block_is_one_take_on_the_flat_table(self, k, width):
+    @pytest.mark.parametrize("width,m", SHAPES)
+    def test_tip_block_is_one_take_on_the_flat_table(self, k, width, m):
         rng = np.random.default_rng(width * 31 + k)
-        m = self._ragged(width)
         pm = _pmats(rng, k)
         by_cat = _mask_table(pm, state_likelihood_rows())  # (k, 16, 4)
         by_mask = np.ascontiguousarray(by_cat.transpose(1, 0, 2))  # (16, k, 4)
@@ -308,11 +303,10 @@ class TestFusedBlocks:
             )
             assert_same_bits(got, want.transpose(1, 0, 2))
 
-    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("width,m", SHAPES)
     @pytest.mark.parametrize("exp", (-300, 0, 100))
-    def test_edge_block_is_propagate_inner_on_a_slice(self, k, width, exp):
+    def test_edge_block_is_propagate_inner_on_a_slice(self, k, width, m, exp):
         rng = np.random.default_rng(width * 37 + k)
-        m = self._ragged(width)
         pm = _pmats(rng, k)
         clv = _shard(rng, m, 3, (k, 4), exp)
         whole = _propagate_inner(pm, clv)

@@ -104,6 +104,80 @@ class TestExactness:
         assert engine.loglikelihood(tree) == pytest.approx(expected, abs=1e-12)
 
 
+#: Index into ``QUARTET_LENGTHS`` of the edge above each node of the
+#: quartet fixture's tree (its one internal edge has no name).
+ORACLE_EDGE = {"A": 0, "B": 1, None: 2, "C": 3, "D": 4}
+
+
+def oracle_rate_models(n_patterns):
+    """Γ and CAT on both sides of the spectral product's k = 5 switch."""
+    models = {"gamma": RateModel.gamma(0.7, 4)}
+    for n_cats in (3, 8):
+        rates = np.geomspace(0.1, 4.0, n_cats)
+        models[f"cat{n_cats}"] = RateModel.cat(rates, np.arange(n_patterns) % n_cats)
+    return models
+
+
+@pytest.mark.parametrize("rate_name", ["gamma", "cat3", "cat8"])
+class TestEdgeKernelsAgainstTheOracle:
+    """The Newton path (``sumtable`` → ``derivatives``) and the lazy-SPR
+    insertion score of every registered kernel against ``tests/oracle.py``,
+    which shares no step with them, to ``rel <= 1e-9``."""
+
+    def test_edge_derivatives(self, quartet, gtr_model, rate_name):
+        pal, tree = quartet
+        rate_model = oracle_rate_models(pal.n_patterns)[rate_name]
+        masks = [pal.patterns[pal.taxon_index(name)] for name in "ABCD"]
+
+        def expected(edge: int, t: float):
+            lengths = list(QUARTET_LENGTHS)
+            lengths[edge] = t
+            return oracle.quartet_edge_derivatives(
+                masks, pal.weights, lengths, edge, gtr_model.rates, gtr_model.freqs,
+                rate_model.rates, rate_model.pattern_to_cat,
+            )
+
+        for kernel in available_kernels():
+            engine = LikelihoodEngine(pal, gtr_model, rate_model, kernel=kernel)
+            down = engine.compute_down_partials(tree)
+            up = engine.compute_up_partials(tree, down)
+            for e in tree.edges():
+                edge = ORACLE_EDGE[e.name]
+                coef, exps, logscale, first = engine.edge_coefficients_and_derivatives(
+                    down[id(e)], up[id(e)], 0.05
+                )
+                assert first == pytest.approx(expected(edge, 0.05), rel=1e-9), (kernel, edge)
+                again = engine.edge_lnl_and_derivatives(coef, exps, logscale, 0.6)
+                assert again == pytest.approx(expected(edge, 0.6), rel=1e-9), (kernel, edge)
+
+    def test_insertion_score(self, gtr_model, rate_name):
+        aln = Alignment.from_sequences([
+            ("A", "ACGTTAC"), ("B", "ACGTAAC"), ("C", "AGGATCC"), ("D", "ATGTTCA"),
+            ("E", "ACGATNC"),
+        ])
+        pal = compress_alignment(aln)
+        rate_model = oracle_rate_models(pal.n_patterns)[rate_name]
+        tree = parse_newick("((A:0.12,B:0.3):0.08,C:0.25,D:0.4);", taxa=pal.taxa)
+        pruned = parse_newick("(A:0.1,B:0.1,E:0.1);", taxa=pal.taxa).find_leaf("E")
+        masks = [pal.patterns[pal.taxon_index(name)] for name in "ABCDE"]
+        for kernel in available_kernels():
+            engine = LikelihoodEngine(pal, gtr_model, rate_model, kernel=kernel)
+            down = engine.compute_down_partials(tree)
+            up = engine.compute_up_partials(tree, down)
+            sub = engine.compute_down_partials(tree, subtree=pruned)[id(pruned)]
+            for e in tree.edges():
+                for t_sub in (0.07, 0.9):
+                    score = engine.insertion_loglikelihood(
+                        down[id(e)], up[id(e)], sub, e.length, t_sub
+                    )
+                    expected = oracle.insertion_lnl(
+                        masks, pal.weights, QUARTET_LENGTHS, ORACLE_EDGE[e.name], t_sub,
+                        gtr_model.rates, gtr_model.freqs,
+                        rate_model.rates, rate_model.pattern_to_cat,
+                    )
+                    assert score == pytest.approx(expected, rel=1e-9), (kernel, e.name)
+
+
 class TestEdgeMachinery:
     def test_edge_loglikelihood_consistent_all_edges(self, quartet, gtr_model):
         pal, tree = quartet
