@@ -88,14 +88,25 @@ def length_bits(t: float) -> int:
 # by a column is bit-equal and keeps the declared ``numpy>=1.24`` floor.
 
 
-def _propagate_inner(pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
+def _propagate_inner(
+    pmats: np.ndarray, clv: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """``kab,mkb->mka``: per-category ``P_k`` applied to an inner CLV
     ``(m, k, 4)`` — one ``(m, 4) @ (4, 4)`` product per category, each
     written straight into its column of the pattern-major result (a
     category-major result handed on as a view makes every later product
-    a strided read, 3-5x a contiguous one)."""
-    out = np.empty(clv.shape)
-    np.matmul(clv.transpose(1, 0, 2), pmats.transpose(0, 2, 1), out=out.transpose(1, 0, 2))
+    a strided read, 3-5x a contiguous one).  The transposed matrices are
+    copied contiguous first — 16 k doubles, against a ``matmul`` that is
+    1.4-2.4x slower on the strided view from 57 to 4,610 patterns
+    (EXPERIMENTS.md, "Which batched overrides still pay") — except for a
+    single pattern, where the layout picks BLAS's matrix-vector routine
+    and with it the rounding."""
+    if out is None:
+        out = np.empty(clv.shape)
+    pt = pmats.transpose(0, 2, 1)
+    if clv.shape[0] > 1:
+        pt = np.ascontiguousarray(pt)
+    np.matmul(clv.transpose(1, 0, 2), pt, out=out.transpose(1, 0, 2))
     return out
 
 

