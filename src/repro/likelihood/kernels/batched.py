@@ -300,8 +300,8 @@ class BatchedKernel(KernelBackend):
                 continue
             buf = self._buffer((n, k, 4), f"fuse-edge{i}")
             if kind == "tip":
-                # Masks are 4-bit by construction; "clip" lets take write
-                # straight into ``out`` (the default mode buffers it).
+                # Masks are 4-bit (``PatternAlignment`` checks); "clip" lets
+                # take write straight into ``out``, which "raise" buffers.
                 np.take(
                     table, payload[lo:hi], axis=0, out=buf.reshape(n, k * 4), mode="clip"
                 )

@@ -51,6 +51,8 @@ class PatternAlignment:
         s2p = np.asarray(self.site_to_pattern, dtype=np.intp)
         if pats.ndim != 2:
             raise ValueError("patterns must be 2-D")
+        if pats.size and pats.max() > 15:
+            raise ValueError("patterns must hold 4-bit state masks (0...15)")
         if w.shape != (pats.shape[1],):
             raise ValueError("weights length must equal the number of patterns")
         if np.any(w < 0):

@@ -100,6 +100,17 @@ class TestPatternAlignment:
                 np.array([999]),
             )
 
+    def test_masks_beyond_four_bits_rejected(self, handmade_pal):
+        """Kernels gather from 16-row tables by mask, some without a
+        bounds check: a mask is checked once, here."""
+        bad = handmade_pal.patterns.copy()
+        bad[0, 0] = 16
+        with pytest.raises(ValueError, match="4-bit"):
+            PatternAlignment(
+                handmade_pal.taxa, bad, handmade_pal.weights,
+                handmade_pal.site_to_pattern,
+            )
+
     def test_immutability(self, handmade_pal):
         with pytest.raises((ValueError, RuntimeError)):
             handmade_pal.weights[0] = 42
