@@ -112,9 +112,14 @@ def _propagate_inner(
 
 def _propagate_tip(pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
     """``kab,mb->mka``: every category's ``P_k`` applied to a tip CLV
-    ``(m, 4)`` — one ``(m, 4) @ (4, 4k)`` product."""
+    ``(m, 4)`` — one ``(m, 4) @ (4, 4k)`` product, the transposed
+    matrices copied contiguous first as in :func:`_propagate_inner` (38 ->
+    15 µs at 4,610 patterns), a single pattern again excepted."""
     k = pmats.shape[0]
-    return (clv @ pmats.reshape(4 * k, 4).T).reshape(-1, k, 4)
+    pt = pmats.reshape(4 * k, 4).T
+    if clv.shape[0] > 1:
+        pt = np.ascontiguousarray(pt)
+    return (clv @ pt).reshape(-1, k, 4)
 
 
 def _propagate_cat(pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
@@ -140,7 +145,10 @@ def _site_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _to_eigenbasis(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """``mka,aj->mkj`` with ``basis = U``, ``mkb,jb->mkj`` with ``basis =
     U⁻¹ᵀ``: the state axis of a gamma CLV times a 4x4 matrix, as one
-    ``(m·k, 4) @ (4, 4)`` product."""
+    ``(m·k, 4) @ (4, 4)`` product.  ``U⁻¹ᵀ`` needs no contiguous copy:
+    :class:`GTRModel` holds ``U⁻¹`` in Fortran order, so its transpose
+    already is one (a C-ordered ``U⁻¹`` would cost 85 against 30 µs at
+    4,610 patterns)."""
     return (x.reshape(-1, 4) @ basis).reshape(x.shape)
 
 

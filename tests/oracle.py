@@ -1,5 +1,5 @@
-"""An independent likelihood reference: GTR + rate heterogeneity on four
-and five taxa by brute force, in pure Python.
+"""An independent likelihood reference: GTR + rate heterogeneity on four,
+five and six taxa by brute force, in pure Python.
 
 Nothing here imports ``repro.likelihood.gtr`` or
 ``repro.likelihood.kernels`` — the code under test.  The rate matrix is
@@ -14,6 +14,16 @@ that branch's ``P`` replaced by ``dP/dt = rQP`` and ``d²P/dt² = r²QQP``:
 the likelihood is linear in each branch's matrix.  The engine, its
 kernels and ``GTRModel`` share none of these steps, so agreement is not
 the code agreeing with itself.
+
+Any other tree (:func:`tree_site_lnls`, :func:`tree_edge_derivatives`;
+six taxa is 256 joint states of four internal nodes) is read from its own
+Newick and summed in log space: every joint assignment's product is a sum
+of logs, shifted by the pattern's largest before it is exponentiated.
+That is per-site rescaling with no threshold — site likelihoods far below
+anything a float's exponent holds come out exact — and it shares nothing
+with the engine's per-node divide-by-max either.  "+I" mixes in each
+pattern's invariant-site likelihood: ``Σ π_x`` over the states ``x``
+that every taxon's mask allows.
 """
 
 from __future__ import annotations
@@ -254,3 +264,152 @@ def insertion_lnl(
     return quintet_lnl(
         order, weights, shape, exchangeabilities, freqs, rates, pattern_to_cat
     )
+
+
+# -- any tree, in log space ---------------------------------------------------------
+
+
+def parse_newick(text: str) -> tuple[list[tuple], int]:
+    """``(edges, n_inner)`` of a Newick string with branch lengths.
+
+    Internal nodes are numbered in preorder from 0 (the root); each edge
+    is ``(parent, child, length, clade)`` with ``child`` an internal
+    node's number or a taxon name and ``clade`` the frozenset of taxa
+    below the edge, which names it independently of any node object."""
+    text = "".join(text.split())
+    edges: list[tuple] = []
+    pos = n_inner = 0
+
+    def node(parent):
+        nonlocal pos, n_inner
+        if text[pos] == "(":
+            child, n_inner = n_inner, n_inner + 1
+            clade: frozenset = frozenset()
+            while text[pos] in "(,":
+                pos += 1
+                clade |= node(child)
+            pos += 1  # ")"
+        else:
+            start = pos
+            while text[pos] not in ",):;":
+                pos += 1
+            child = text[start:pos]
+            clade = frozenset([child])
+        length = 0.0
+        if text[pos] == ":":
+            start = pos = pos + 1
+            while text[pos] not in ",);":
+                pos += 1
+            length = float(text[start:pos])
+        if parent is not None:
+            edges.append((parent, child, length, clade))
+        return clade
+
+    node(None)
+    return edges, n_inner
+
+
+def _edge_factor(matrix: Matrix, child, tips: dict) -> Matrix:
+    """An edge's factor of a joint assignment, ``[parent state][child
+    state]``: the matrix itself towards an internal node, ``matrix · tip``
+    (whatever the child state index) towards a taxon."""
+    if isinstance(child, int):
+        return matrix
+    return [[x] * 4 for x in _across(matrix, tips[child])]
+
+
+def _joint_states(n: int) -> list[tuple[int, ...]]:
+    states: list[tuple[int, ...]] = [()]
+    for _ in range(n):
+        states = [head + (s,) for head in states for s in range(4)]
+    return states
+
+
+def _tree_patterns(
+    newick, masks, exchangeabilities, freqs, rates, pattern_to_cat, p_invariant,
+    clade=None, t=None,
+):
+    """Per pattern ``(ln site, site' / site, site'' / site)``, the
+    derivatives in the length of the edge above ``clade`` (evaluated at
+    ``t``; the Newick's first edge at its own length when no clade is
+    given).  ``masks`` maps each taxon to its per-pattern state masks."""
+    edges, n_inner = parse_newick(newick)
+    pick = 0 if clade is None else [e[3] for e in edges].index(frozenset(clade))
+    parent_d, child_d, length_d, _ = edges[pick]
+    length_d = length_d if t is None else t
+    child_of = [c if isinstance(c, int) else 0 for _, c, _, _ in edges]
+    joint = _joint_states(n_inner)
+    per_rate = [
+        (
+            [transition_matrix(exchangeabilities, freqs, e[2] * r) for e in edges],
+            transition_matrix_and_derivatives(exchangeabilities, freqs, length_d, r),
+        )
+        for r in rates
+    ]
+    log_freqs = [math.log(f) for f in freqs]
+    n_patterns = len(next(iter(masks.values())))
+    for p in range(n_patterns):
+        tips = {name: tip_vector(int(row[p])) for name, row in masks.items()}
+        mix = range(len(rates)) if pattern_to_cat is None else [int(pattern_to_cat[p])]
+        terms = []  # (log of every factor but the picked edge's, its three factors)
+        for cat in mix:
+            mats, triple = per_rate[cat]
+            logs = [
+                [[math.log(x) for x in row] for row in _edge_factor(m, e[1], tips)]
+                for m, e in zip(mats, edges)
+            ]
+            picked = [_edge_factor(m, child_d, tips) for m in triple]
+            for states in joint:
+                log_rest = log_freqs[states[0]] + math.fsum(
+                    logs[j][states[par]][states[child_of[j]]]
+                    for j, (par, _, _, _) in enumerate(edges)
+                    if j != pick
+                )
+                x, y = states[parent_d], states[child_of[pick]]
+                terms.append((log_rest, [f[x][y] for f in picked]))
+        shift = max(log_rest for log_rest, _ in terms)
+        site, d1, d2 = (
+            math.fsum(math.exp(log_rest - shift) * f[order] for log_rest, f in terms)
+            / len(mix)
+            for order in range(3)
+        )
+        if p_invariant:
+            invariant = math.fsum(
+                freqs[x] * math.prod(tip[x] for tip in tips.values()) for x in range(4)
+            )
+            mixed = (1.0 - p_invariant) * site + p_invariant * invariant * math.exp(-shift)
+            scale = (1.0 - p_invariant) / mixed
+        else:
+            mixed, scale = site, 1.0 / site
+        yield shift + math.log(mixed), d1 * scale, d2 * scale
+
+
+def tree_site_lnls(
+    newick, masks, exchangeabilities, freqs, rates, pattern_to_cat=None,
+    p_invariant=0.0,
+) -> list[float]:
+    """Per-pattern log-likelihoods on any tree: Γ (or a single rate) as
+    the uniform mixture over ``rates``, CAT with ``pattern_to_cat``, "+I"
+    with ``p_invariant``; ``masks`` maps each taxon to its state masks."""
+    return [
+        lnl for lnl, _, _ in _tree_patterns(
+            newick, masks, exchangeabilities, freqs, rates, pattern_to_cat, p_invariant
+        )
+    ]
+
+
+def tree_edge_derivatives(
+    newick, masks, weights, clade, t: float, exchangeabilities, freqs, rates,
+    pattern_to_cat=None, p_invariant=0.0,
+) -> tuple[float, float, float]:
+    """``(lnL, dlnL/dt, d²lnL/dt²)`` of the tree with the edge above the
+    taxa ``clade`` at length ``t``, in that length."""
+    lnl, d1, d2 = [], [], []
+    for weight, (site, g, h) in zip(weights, _tree_patterns(
+        newick, masks, exchangeabilities, freqs, rates, pattern_to_cat, p_invariant,
+        clade, t,
+    )):
+        lnl.append(weight * site)
+        d1.append(weight * g)
+        d2.append(weight * (h - g * g))
+    return math.fsum(lnl), math.fsum(d1), math.fsum(d2)

@@ -264,6 +264,74 @@ def test_the_two_spectral_orders_really_differ():
     assert not np.array_equal(scaled.view(np.uint64), paired.view(np.uint64))
 
 
+#: Tile widths of a random tiling: every tile >= 2 patterns, as any
+#: cut of the pattern axis must be (one pattern takes BLAS's
+#: matrix-vector routines); the widths repeat until the axis is covered.
+tile_widths = st.lists(st.integers(2, 300), min_size=1, max_size=8)
+
+
+def _tiles(m: int, widths: list[int]) -> list[slice]:
+    """``widths`` repeated over ``m`` patterns, the last tile ragged — and
+    folded into the one before it if it would be one pattern wide."""
+    cuts, i = [0], 0
+    while cuts[-1] < m:
+        cuts.append(min(cuts[-1] + widths[i % len(widths)], m))
+        i += 1
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+@pytest.mark.parametrize("k", (1, 4))
+class TestTilingInvariantForms:
+    """The Γ Newton triple as one ``(3, 4k) @ (4k, m)`` product — rows
+    ``exp(λ t)`` times 1, λ and λ² against the flattened sumtable — and the
+    Γ site sum as one ``(1, 4k) @ (4k, 1)`` product per pattern: cut the
+    pattern axis into any tiles of two or more patterns, ragged last tile
+    included, and each tile's result is the whole axis's, bit for bit.
+    ``k`` is what the engine builds, Γ's 4 and a single rate; with this
+    OpenBLAS the Newton product keeps that up to k = 7 (EXPERIMENTS.md,
+    "Newton as one product")."""
+
+    @staticmethod
+    def _newton(coef: np.ndarray, exps: np.ndarray, t: float) -> np.ndarray:
+        lam = exps.reshape(-1)
+        w = np.empty((3, lam.size))
+        np.exp(lam * t, out=w[0])
+        np.multiply(w[0], lam, out=w[1])
+        np.multiply(w[1], lam, out=w[2])
+        return w @ coef.reshape(coef.shape[0], -1).T
+
+    @staticmethod
+    def _site_sum(clv: np.ndarray, pi: np.ndarray) -> np.ndarray:
+        m, k = clv.shape[:2]
+        return np.matmul(clv.reshape(m, 1, -1), np.tile(pi, k).reshape(-1, 1)).reshape(m)
+
+    @examples
+    @given(seeds, st.integers(2, 5000), tile_widths, exponents, st.floats(0.0, 10.0))
+    def test_newton_triple(self, k, seed, m, widths, exp, t):
+        rng = np.random.default_rng(seed)
+        m = _rows(m, k)
+        coef = rng.standard_normal((m, k, 4)) * 10.0**exp
+        exps = np.outer(rng.random(k) * 4.0, -rng.random(4) * 2.0)
+        whole = self._newton(coef, exps, t)
+        tiled = np.concatenate(
+            [self._newton(coef[sl], exps, t) for sl in _tiles(m, widths)], axis=1
+        )
+        assert_same_bits(tiled, whole)
+
+    @examples
+    @given(seeds, st.integers(2, 5000), tile_widths, exponents)
+    def test_site_sum(self, k, seed, m, widths, exp):
+        rng = np.random.default_rng(seed)
+        m = _rows(m, k)
+        clv = _shard(rng, m, 3, (k, 4), exp)
+        pi = rng.dirichlet(np.ones(4))
+        whole = self._site_sum(clv, pi)
+        tiled = np.concatenate([self._site_sum(clv[sl], pi) for sl in _tiles(m, widths)])
+        assert_same_bits(tiled, whole)
+
+
 @pytest.mark.parametrize("k", (1, 4, 8))
 class TestFusedBlocks:
     """The pattern-major block forms of ``BatchedKernel``'s fused pipeline

@@ -178,6 +178,87 @@ class TestEdgeKernelsAgainstTheOracle:
                     assert score == pytest.approx(expected, rel=1e-9), (kernel, e.name)
 
 
+SIX_TAXA = [
+    ("A", "ACGTTACGAAGTC"), ("B", "ACGTAACTRAGCC"), ("C", "AGGATCCGAAGTA"),
+    ("D", "ATGTTCAGCA-TG"), ("E", "ACCTTAGGAAGTT"), ("F", "GCGATACGTAGYC"),
+]
+#: The two shapes of an unrooted six-taxon tree: three cherries round the
+#: root, and the caterpillar on branches short enough (1e-5 to 4e-5) that
+#: the root scalers of every variable pattern carry e^-10 or less, and of
+#: the most divergent one e^-30: per-site rescaling, not the CLV entries,
+#: holds the magnitude of the answer.
+SIX_TAXA_TREES = {
+    "cherries": "((A:0.12,B:0.3):0.08,(C:0.25,D:0.05):0.15,(E:0.2,F:0.4):0.1);",
+    "rescaled": "(((A:2e-5,B:1e-5):3e-5,C:2e-5):1e-5,D:4e-5,(E:1e-5,F:3e-5):2e-5);",
+}
+
+
+@pytest.mark.parametrize("tree_name", sorted(SIX_TAXA_TREES))
+@pytest.mark.parametrize("rate_name", ["gamma", "gamma+I", "cat"])
+class TestSixTaxaAgainstTheOracle:
+    """``loglikelihood`` and ``edge_lnl_and_derivatives`` of every
+    registered kernel against ``tests/oracle.py``'s log-space brute force
+    over all 256 joint internal states, to ``rel <= 1e-9``: Γ, Γ+I and
+    CAT, on both six-taxon shapes."""
+
+    @staticmethod
+    def setup(gtr_model, tree_name, rate_name):
+        pal = compress_alignment(Alignment.from_sequences(SIX_TAXA))
+        rate_model = {
+            "gamma": RateModel.gamma(0.7, 4),
+            "gamma+I": RateModel.gamma(0.7, 4, p_invariant=0.25),
+            "cat": RateModel.cat(np.geomspace(0.1, 4.0, 3), np.arange(pal.n_patterns) % 3),
+        }[rate_name]
+        newick = SIX_TAXA_TREES[tree_name]
+
+        def expected(fn, *args):
+            return fn(
+                newick, {name: pal.patterns[pal.taxon_index(name)] for name, _ in SIX_TAXA},
+                *args, gtr_model.rates, gtr_model.freqs, rate_model.rates,
+                rate_model.pattern_to_cat, rate_model.p_invariant,
+            )
+
+        return pal, rate_model, parse_newick(newick, taxa=pal.taxa), expected
+
+    def test_site_loglikelihoods(self, gtr_model, tree_name, rate_name):
+        pal, rate_model, tree, expected = self.setup(gtr_model, tree_name, rate_name)
+        want = expected(oracle.tree_site_lnls)
+        for kernel in available_kernels():
+            engine = LikelihoodEngine(pal, gtr_model, rate_model, kernel=kernel)
+            assert list(engine.site_loglikelihoods(tree)) == pytest.approx(want, rel=1e-9)
+            assert engine.loglikelihood(tree) == pytest.approx(
+                float(pal.weights @ want), rel=1e-9
+            ), kernel
+        if tree_name == "rescaled":
+            logscale = engine.compute_down_partials(tree)[id(tree.root)].logscale
+            variable = np.bitwise_and.reduce(pal.patterns, axis=0) == 0
+            assert logscale[variable].max() < -10.0
+            assert logscale.min() < -30.0
+
+    def test_edge_lnl_and_derivatives(self, gtr_model, tree_name, rate_name):
+        pal, rate_model, tree, expected = self.setup(gtr_model, tree_name, rate_name)
+        clades = {
+            id(e): frozenset(leaf.name for leaf in tree.subtree_leaves(e))
+            for e in tree.edges()
+        }
+        ts = (0.05, 0.6) if tree_name == "cherries" else (3e-5, 0.05)
+        want = {
+            (key, t): expected(oracle.tree_edge_derivatives, pal.weights, clade, t)
+            for key, clade in clades.items() for t in ts
+        }
+        for kernel in available_kernels():
+            engine = LikelihoodEngine(pal, gtr_model, rate_model, kernel=kernel)
+            down = engine.compute_down_partials(tree)
+            up = engine.compute_up_partials(tree, down)
+            for e in tree.edges():
+                coef, exps, logscale = engine.edge_coefficients(down[id(e)], up[id(e)])
+                for t in ts:
+                    got = engine.edge_lnl_and_derivatives(coef, exps, logscale, t)
+                    assert got == pytest.approx(want[id(e), t], rel=1e-9), (
+                        kernel, sorted(clades[id(e)]), t,
+                    )
+
+
 class TestEdgeMachinery:
     def test_edge_loglikelihood_consistent_all_edges(self, quartet, gtr_model):
         pal, tree = quartet
