@@ -31,16 +31,17 @@ Contractions.  Every contraction is an explicit two-operand
 that plans a path per call: a planned path is chosen from operand
 *shapes*, so results could depend on how the pattern axis is blocked
 (``BatchedKernel.fuse_block`` still cuts it), and planning costs more
-than the product itself at a few hundred patterns.  The spellings are
+than the product itself at a few hundred patterns.  Most spellings are
 the ones the path-optimised ``einsum`` calls they replaced lowered to,
-so results are bit-identical to those.  Exactly
+so results are bit-identical to those; the Γ Newton sums and the Γ site
+sum (:func:`_newton_rows`, :func:`_site_sum`) are new products, chosen
+so that no pattern's bits depend on how the axis is cut.  Exactly
 one product in the code base does change its association order with a
 shape — ``U diag(e) U⁻¹`` over k rate multipliers, at k = 5; it is keyed
 by k, which is a property of the rate model and not of a block, in
-:func:`repro.likelihood.gtr._spectral_products`.  Two plain ``einsum``
-calls remain (``pab,pb->pa`` for CAT's per-pattern matrices,
-``mka,a->m`` at the root): single contractions with no path to plan,
-already bit-equal to what they were — and ``bench/``'s self-test expects
+:func:`repro.likelihood.gtr._spectral_products`.  One plain ``einsum``
+remains, ``pab,pb->pa`` for CAT's per-pattern matrices: a single
+contraction with no path to plan — and ``bench/``'s self-test expects
 its smoke trace to show ``numpy.einsum`` being called.
 """
 
@@ -81,7 +82,8 @@ def length_bits(t: float) -> int:
 # One helper per contraction, named in the subscripts of the path-optimised
 # ``einsum`` it replaced and spelled as the product that call lowered to —
 # the same BLAS calls on the same operands, hence the same bits
-# (``tests/test_kernel_contractions.py`` holds each helper to that).
+# (``tests/test_kernel_contractions.py`` holds each helper to that, and
+# the two Γ sums that are new products to their tiling invariance).
 # Reductions over the state axis stay ``matmul`` products: a ``sum``-based
 # spelling accumulates in another order.  ``np.vecdot`` would say
 # ``_site_dot`` more directly but needs NumPy >= 2.0; ``matmul`` of a row
@@ -163,12 +165,32 @@ def _sum_states(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _sum_rates_and_states(x: np.ndarray) -> np.ndarray:
-    """``mka->m``: a Γ table summed over categories and states.  NumPy's
-    own reduction: its pairwise order over the 16 contiguous values can be
-    spelled as folds too, bit for bit, but not faster (EXPERIMENTS.md,
-    "What executing virtual shards cost")."""
-    return x.sum(axis=(1, 2))
+def _newton_rows(coef: np.ndarray, exps: np.ndarray, t: float) -> np.ndarray:
+    """``mka,ka->m`` three times: a Γ sumtable ``(m, k, 4)`` against
+    ``e = exp(exps·t)``, ``e·λ`` and ``e·λ²`` (``λ = exps``), as one
+    ``(3, 4k) @ (4k, m)`` product whose rows are site, d1 and d2 — 491 ->
+    37 µs at 4,610 patterns against three full temporaries and three
+    reductions.  This orientation is the one whose columns do not depend
+    on how many patterns share the call (any tile of two or more, k <= 7
+    on OpenBLAS); the row-major ``(m, 4k) @ (4k, 3)`` rounds by tile size
+    (EXPERIMENTS.md, "Newton as one product")."""
+    lam = exps.reshape(-1)
+    w = np.empty((3, lam.size))
+    np.exp(lam * t, out=w[0])
+    np.multiply(w[0], lam, out=w[1])
+    np.multiply(w[1], lam, out=w[2])
+    return w @ coef.reshape(coef.shape[0], -1).T
+
+
+def _site_sum(clv: np.ndarray, pi_column: np.ndarray) -> np.ndarray:
+    """``mka,a->m``: a Γ CLV weighted by the base frequencies and summed
+    over categories and states, as :func:`_site_dot` does it — one
+    ``(1, 4k) @ (4k, 1)`` product per pattern against ``pi_column``, the
+    frequencies tiled over the k categories, so no pattern's bits depend
+    on its neighbours (4 -> 2 µs at 87 patterns, 97 -> 39 at 4,610,
+    against the plain ``einsum``)."""
+    m = clv.shape[0]
+    return np.matmul(clv.reshape(m, 1, -1), pi_column).reshape(m)
 
 
 class ArrayLRU:
@@ -308,6 +330,10 @@ class KernelBackend:
         #: :meth:`sumtable`, hence read-only.
         self._exps = np.outer(rate_model.rates, model._spectral[0])
         self._exps.setflags(write=False)
+        #: The base frequencies tiled over the categories, ``(4k, 1)``:
+        #: :func:`_site_sum`'s column, built once (``np.tile`` costs more
+        #: than the product at a hundred patterns).
+        self._pi_column = np.tile(model.pi, self.n_categories).reshape(-1, 1)
 
     def pmatrices(self, t: float) -> np.ndarray:
         """P(t·r_c) for all categories, shape (k, 4, 4), memoised by the
@@ -356,10 +382,9 @@ class KernelBackend:
         return np.ascontiguousarray(table[:, masks, :].transpose(1, 0, 2))
 
     def _root_site_span(self, clv: np.ndarray) -> np.ndarray:
-        pi = self.model.pi
         if self.is_cat:
-            return clv @ pi
-        return np.einsum("mka,a->m", clv, pi) / self.n_categories
+            return clv @ self.model.pi
+        return _site_sum(clv, self._pi_column) / self.n_categories
 
     def _edge_site_span(
         self,
@@ -408,17 +433,19 @@ class KernelBackend:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-pattern (site, d1, d2) at ``t`` for one span of the
         sumtable; ``exps`` is per pattern under CAT and the one ``(k, 4)``
-        table under Γ.  The shared ``term·exps`` factor is squared in
-        place, which evaluates the left-to-right product
-        ``(term·exps)·exps``."""
-        term = coef * np.exp(exps * t)  # cat: (m, 4); gamma: (m, k, 4)
-        total = _sum_states if self.is_cat else _sum_rates_and_states
-        site = total(term)
+        table under Γ, where the three sums are one product
+        (:func:`_newton_rows`).  CAT multiplies its ``(m, 4)`` term by
+        ``exps`` in place between column sums, which evaluates the
+        left-to-right product ``(term·exps)·exps``."""
+        if not self.is_cat:
+            site, d1, d2 = _newton_rows(coef, exps, t)
+            return site, d1, d2
+        term = coef * np.exp(exps * t)
+        site = _sum_states(term)
         np.multiply(term, exps, out=term)
-        d1 = total(term)
+        d1 = _sum_states(term)
         np.multiply(term, exps, out=term)
-        d2 = total(term)
-        return site, d1, d2
+        return site, d1, _sum_states(term)
 
     # -- public kernels (full-pattern arrays; charge once per invocation) ----
 

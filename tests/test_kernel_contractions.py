@@ -15,6 +15,9 @@ The slice legs are also what lets ``BatchedKernel.fuse_block`` cut the
 pattern axis: the engine hands kernels the whole axis whatever the
 thread count, and only the fused pipeline still blocks it.  One helper
 here replaced a ``sum`` rather than an ``einsum`` (``_sum_states``).
+Two are new products with no call to equal (``_newton_rows``,
+``_site_sum``: the Γ Newton and site sums, which moved the goldens once
+on purpose); they are held to their own whole-axis bits on any tiling.
 """
 
 import numpy as np
@@ -25,10 +28,12 @@ from hypothesis import strategies as st
 from repro.likelihood.gtr import GTRModel, _spectral_products
 from repro.likelihood.kernels.base import (
     _mask_table,
+    _newton_rows,
     _propagate_cat,
     _propagate_inner,
     _propagate_tip,
     _site_dot,
+    _site_sum,
     _sum_states,
     _to_eigenbasis,
 )
@@ -284,28 +289,15 @@ def _tiles(m: int, widths: list[int]) -> list[slice]:
 
 @pytest.mark.parametrize("k", (1, 4))
 class TestTilingInvariantForms:
-    """The Γ Newton triple as one ``(3, 4k) @ (4k, m)`` product — rows
-    ``exp(λ t)`` times 1, λ and λ² against the flattened sumtable — and the
-    Γ site sum as one ``(1, 4k) @ (4k, 1)`` product per pattern: cut the
-    pattern axis into any tiles of two or more patterns, ragged last tile
-    included, and each tile's result is the whole axis's, bit for bit.
+    """The two Γ sums that are new products rather than spellings of an
+    einsum — the Newton triple as one ``(3, 4k) @ (4k, m)`` product
+    (``_newton_rows``) and the site sum as one ``(1, 4k) @ (4k, 1)``
+    product per pattern (``_site_sum``): cut the pattern axis into any
+    tiles of two or more patterns, ragged last tile included, and each
+    tile's result is the whole axis's, bit for bit.
     ``k`` is what the engine builds, Γ's 4 and a single rate; with this
     OpenBLAS the Newton product keeps that up to k = 7 (EXPERIMENTS.md,
     "Newton as one product")."""
-
-    @staticmethod
-    def _newton(coef: np.ndarray, exps: np.ndarray, t: float) -> np.ndarray:
-        lam = exps.reshape(-1)
-        w = np.empty((3, lam.size))
-        np.exp(lam * t, out=w[0])
-        np.multiply(w[0], lam, out=w[1])
-        np.multiply(w[1], lam, out=w[2])
-        return w @ coef.reshape(coef.shape[0], -1).T
-
-    @staticmethod
-    def _site_sum(clv: np.ndarray, pi: np.ndarray) -> np.ndarray:
-        m, k = clv.shape[:2]
-        return np.matmul(clv.reshape(m, 1, -1), np.tile(pi, k).reshape(-1, 1)).reshape(m)
 
     @examples
     @given(seeds, st.integers(2, 5000), tile_widths, exponents, st.floats(0.0, 10.0))
@@ -314,9 +306,9 @@ class TestTilingInvariantForms:
         m = _rows(m, k)
         coef = rng.standard_normal((m, k, 4)) * 10.0**exp
         exps = np.outer(rng.random(k) * 4.0, -rng.random(4) * 2.0)
-        whole = self._newton(coef, exps, t)
+        whole = _newton_rows(coef, exps, t)
         tiled = np.concatenate(
-            [self._newton(coef[sl], exps, t) for sl in _tiles(m, widths)], axis=1
+            [_newton_rows(coef[sl], exps, t) for sl in _tiles(m, widths)], axis=1
         )
         assert_same_bits(tiled, whole)
 
@@ -326,9 +318,9 @@ class TestTilingInvariantForms:
         rng = np.random.default_rng(seed)
         m = _rows(m, k)
         clv = _shard(rng, m, 3, (k, 4), exp)
-        pi = rng.dirichlet(np.ones(4))
-        whole = self._site_sum(clv, pi)
-        tiled = np.concatenate([self._site_sum(clv[sl], pi) for sl in _tiles(m, widths)])
+        column = np.tile(rng.dirichlet(np.ones(4)), k).reshape(-1, 1)
+        whole = _site_sum(clv, column)
+        tiled = np.concatenate([_site_sum(clv[sl], column) for sl in _tiles(m, widths)])
         assert_same_bits(tiled, whole)
 
 
