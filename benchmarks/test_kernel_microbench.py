@@ -9,7 +9,11 @@ leaves the numbers on disk for inspection):
   explicit-product helper it is now, at 57 / 230 / 4,600 patterns (the
   tier-1 toys, ``small_1x4`` and ``wide_1x1`` of ``bench/``).  Asserts
   only what holds on any host: at 57 patterns, where a call is all
-  dispatch, no helper loses to the einsum it replaced.
+  dispatch, no helper loses to the einsum it replaced.  A second table
+  times the products that replaced *no* einsum — the Γ Newton triple and
+  the Γ site sum (old reduction vs new product) and the two transposed
+  operands (strided view vs contiguous copy) — at 87 / 230 / 4,610
+  patterns; it asserts the Newton product wins at 4,610.
 * **Override audit** (always runs): for every protocol method
   ``BatchedKernel`` overrides, µs per call of the inherited default and
   of the override on the same kernel and operands, at 87 / 230 / 4,610
@@ -165,6 +169,61 @@ def run_contraction_bench() -> dict:
             ),
             "helper_us": _us_per_call(lambda: _spectral_products(u, e, u_inv, pairs)),
         }
+    return table
+
+
+def _newton_by_reductions(coef, exps, t):
+    """The Γ Newton sums as they were before ``_newton_rows``: three full
+    ``(m, k, 4)`` products and three ``sum(axis=(1, 2))`` reductions."""
+    term = coef * np.exp(exps * t)
+    site = term.sum(axis=(1, 2))
+    np.multiply(term, exps, out=term)
+    d1 = term.sum(axis=(1, 2))
+    np.multiply(term, exps, out=term)
+    return site, d1, term.sum(axis=(1, 2))
+
+
+def _rewrites(m: int):
+    """``{row: (old, new)}`` at ``m`` patterns, Γ with k = 4: the two Γ
+    sums as the reductions they were and the products they are, and the
+    two transposed 4-column operands as strided views and as contiguous
+    copies — ``U⁻¹ᵀ`` is already contiguous as ``GTRModel`` holds it, so
+    its "old" is a C-ordered ``U⁻¹``."""
+    rng = np.random.default_rng(m)
+    coef, clv = rng.standard_normal((m, 4, 4)), rng.random((m, 4, 4))
+    tip, pm = rng.random((m, 4)), rng.random((4, 4, 4))
+    exps = np.outer(RateModel.gamma(0.8, 4).rates, MODEL._spectral[0])
+    u_inv = MODEL._spectral[2]
+    u_inv_c = np.ascontiguousarray(u_inv)
+    pi_column = np.tile(MODEL.pi, 4).reshape(-1, 1)  # built once per kernel
+    return {
+        "newton_triple": (
+            lambda: _newton_by_reductions(coef, exps, 0.1),
+            lambda: kb._newton_rows(coef, exps, 0.1),
+        ),
+        "gamma_site_sum": (
+            lambda: np.einsum("mka,a->m", clv, MODEL.pi),
+            lambda: kb._site_sum(clv, pi_column),
+        ),
+        "tip_pmats_T": (
+            lambda: tip @ pm.reshape(16, 4).T,
+            lambda: kb._propagate_tip(pm, tip),
+        ),
+        "u_inv_T": (
+            lambda: kb._to_eigenbasis(clv, u_inv_c.T),
+            lambda: kb._to_eigenbasis(clv, u_inv.T),
+        ),
+    }
+
+
+def run_rewrite_bench() -> dict:
+    """``{row: {m: {"old_us", "new_us"}}}`` at the override audit's sizes."""
+    table: dict[str, dict[str, dict[str, float]]] = {}
+    for m in AUDIT_SIZES:
+        for row, (old, new) in _rewrites(m).items():
+            table.setdefault(row, {})[str(m)] = {
+                "old_us": _us_per_call(old), "new_us": _us_per_call(new),
+            }
     return table
 
 
@@ -330,6 +389,7 @@ def test_kernel_microbench(benchmark, emit):
     n_patterns, variants = benchmark.pedantic(run_microbench, rounds=1, iterations=1)
     full = run_full_bench() if os.environ.get("REPRO_BENCH_FULL") == "1" else None
     contractions = run_contraction_bench()
+    rewrites = run_rewrite_bench()
     audit = run_override_audit()
 
     # -- record first, assert second ---------------------------------------
@@ -343,6 +403,7 @@ def test_kernel_microbench(benchmark, emit):
         "clv_update_savings": 1.0 - planned["clv_updates"] / scratch["clv_updates"],
         "kernels": sorted(available_kernels()),
         "contractions_us_per_call": contractions,
+        "rewrites_us_per_call": rewrites,
         "override_audit": audit,
         "variants": {
             name: {"lnl": lnl, "wall_seconds": secs, **snapshot}
@@ -400,6 +461,19 @@ def test_kernel_microbench(benchmark, emit):
     for subs, row in contractions.items():
         smallest = next(iter(row.values()))
         assert smallest["helper_us"] < smallest["einsum_us"], (subs, smallest)
+    emit(
+        "kernel_rewrites",
+        format_table(
+            ["Rewrite", *(f"m={m}" for m in AUDIT_SIZES)],
+            [
+                (name, *[f"{c['old_us']:.1f} -> {c['new_us']:.1f}" for c in row.values()])
+                for name, row in rewrites.items()
+            ],
+            title="REWRITES, us/call: reduction or strided view -> product or copy",
+        ),
+    )
+    widest = rewrites["newton_triple"][str(AUDIT_SIZES[-1])]
+    assert widest["new_us"] < widest["old_us"], widest
 
     # -- override audit: one entry per override, named --------------------
     emit(

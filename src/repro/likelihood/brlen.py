@@ -88,15 +88,20 @@ def optimize_edge(
         down = engine.compute_down_partials(tree)
     if up is None:
         up = engine.compute_up_partials(tree, down)
+    return _newton_edge(engine, edge_child, down, up)
+
+
+def _newton_edge(engine: LikelihoodEngine, edge_child: Node, down, up) -> float:
+    """Newton on one edge against the given partials, from its clamped
+    length; sets and returns the optimum."""
     t0 = min(max(edge_child.length, MIN_BRANCH_LENGTH), MAX_BRANCH_LENGTH)
     coef, exps, logscale, first = engine.edge_coefficients_and_derivatives(
         down[id(edge_child)], up[id(edge_child)], t0
     )
-    t_opt, _ = newton_branch_length(
+    edge_child.length, _ = newton_branch_length(
         engine, coef, exps, logscale, t0, first_eval=first
     )
-    edge_child.length = t_opt
-    return t_opt
+    return edge_child.length
 
 
 def optimize_branch_lengths(
@@ -121,16 +126,7 @@ def optimize_branch_lengths(
         down = engine.compute_down_partials(tree)
         up = engine.compute_up_partials(tree, down)
         for edge_child in tree.edges():
-            t0 = min(max(edge_child.length, MIN_BRANCH_LENGTH), MAX_BRANCH_LENGTH)
-            coef, exps, logscale, first = engine.edge_coefficients_and_derivatives(
-                down[id(edge_child)],
-                up[id(edge_child)],
-                t0,
-            )
-            t_opt, _ = newton_branch_length(
-                engine, coef, exps, logscale, t0, first_eval=first
-            )
-            edge_child.length = t_opt
+            _newton_edge(engine, edge_child, down, up)
         lnl = engine.loglikelihood(tree)
         if lnl < best_lnl - 1e-9:
             # Stale-partials pass overshot: roll back and stop.

@@ -31,18 +31,11 @@ Contractions.  Every contraction is an explicit two-operand
 that plans a path per call: a planned path is chosen from operand
 *shapes*, so results could depend on how the pattern axis is blocked
 (``BatchedKernel.fuse_block`` still cuts it), and planning costs more
-than the product itself at a few hundred patterns.  Most spellings are
-the ones the path-optimised ``einsum`` calls they replaced lowered to,
-so results are bit-identical to those; the Γ Newton sums and the Γ site
-sum (:func:`_newton_rows`, :func:`_site_sum`) are new products, chosen
-so that no pattern's bits depend on how the axis is cut.  Exactly
-one product in the code base does change its association order with a
-shape — ``U diag(e) U⁻¹`` over k rate multipliers, at k = 5; it is keyed
-by k, which is a property of the rate model and not of a block, in
-:func:`repro.likelihood.gtr._spectral_products`.  One plain ``einsum``
-remains, ``pab,pb->pa`` for CAT's per-pattern matrices: a single
-contraction with no path to plan — and ``bench/``'s self-test expects
-its smoke trace to show ``numpy.einsum`` being called.
+than the product itself at a few hundred patterns.  Only ``U diag(e)
+U⁻¹`` changes its association order with a shape, at k = 5 rate
+multipliers, keyed by k in :func:`repro.likelihood.gtr._spectral_products`.
+One plain ``einsum`` remains, CAT's ``pab,pb->pa``: a single contraction
+with no path to plan, which ``bench/``'s smoke trace expects to see.
 """
 
 from __future__ import annotations
@@ -80,14 +73,13 @@ def length_bits(t: float) -> int:
 # -- contractions ---------------------------------------------------------------
 #
 # One helper per contraction, named in the subscripts of the path-optimised
-# ``einsum`` it replaced and spelled as the product that call lowered to —
-# the same BLAS calls on the same operands, hence the same bits
-# (``tests/test_kernel_contractions.py`` holds each helper to that, and
-# the two Γ sums that are new products to their tiling invariance).
-# Reductions over the state axis stay ``matmul`` products: a ``sum``-based
-# spelling accumulates in another order.  ``np.vecdot`` would say
-# ``_site_dot`` more directly but needs NumPy >= 2.0; ``matmul`` of a row
-# by a column is bit-equal and keeps the declared ``numpy>=1.24`` floor.
+# ``einsum`` it replaced and spelled as the product that call lowered to,
+# hence the same bits — but for the Γ Newton and site sums (the last two),
+# new products oriented so that no pattern's bits depend on how the axis
+# is cut (``tests/test_kernel_contractions.py`` holds each to its claim).
+# State-axis reductions stay ``matmul`` products: a ``sum`` accumulates in
+# another order.  ``np.vecdot`` would say ``_site_dot`` more directly but
+# needs NumPy >= 2.0, above the declared ``numpy>=1.24`` floor.
 
 
 def _propagate_inner(
@@ -114,9 +106,7 @@ def _propagate_inner(
 
 def _propagate_tip(pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
     """``kab,mb->mka``: every category's ``P_k`` applied to a tip CLV
-    ``(m, 4)`` — one ``(m, 4) @ (4, 4k)`` product, the transposed
-    matrices copied contiguous first as in :func:`_propagate_inner` (38 ->
-    15 µs at 4,610 patterns), a single pattern again excepted."""
+    ``(m, 4)`` — one ``(m, 4) @ (4, 4k)`` product, copied as above."""
     k = pmats.shape[0]
     pt = pmats.reshape(4 * k, 4).T
     if clv.shape[0] > 1:
@@ -146,11 +136,9 @@ def _site_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _to_eigenbasis(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """``mka,aj->mkj`` with ``basis = U``, ``mkb,jb->mkj`` with ``basis =
-    U⁻¹ᵀ``: the state axis of a gamma CLV times a 4x4 matrix, as one
-    ``(m·k, 4) @ (4, 4)`` product.  ``U⁻¹ᵀ`` needs no contiguous copy:
-    :class:`GTRModel` holds ``U⁻¹`` in Fortran order, so its transpose
-    already is one (a C-ordered ``U⁻¹`` would cost 85 against 30 µs at
-    4,610 patterns)."""
+    U⁻¹ᵀ`` (contiguous: ``GTRModel`` holds ``U⁻¹`` in Fortran order): the
+    state axis of a CLV times a 4x4 matrix, as one ``(m·k, 4) @ (4, 4)``
+    product."""
     return (x.reshape(-1, 4) @ basis).reshape(x.shape)
 
 
@@ -166,31 +154,21 @@ def _sum_states(x: np.ndarray) -> np.ndarray:
 
 
 def _newton_rows(coef: np.ndarray, exps: np.ndarray, t: float) -> np.ndarray:
-    """``mka,ka->m`` three times: a Γ sumtable ``(m, k, 4)`` against
-    ``e = exp(exps·t)``, ``e·λ`` and ``e·λ²`` (``λ = exps``), as one
-    ``(3, 4k) @ (4k, m)`` product whose rows are site, d1 and d2 — 491 ->
-    37 µs at 4,610 patterns against three full temporaries and three
-    reductions.  This orientation is the one whose columns do not depend
-    on how many patterns share the call (any tile of two or more, k <= 7
-    on OpenBLAS); the row-major ``(m, 4k) @ (4k, 3)`` rounds by tile size
-    (EXPERIMENTS.md, "Newton as one product")."""
+    """``mka,ka->m`` thrice: a Γ sumtable against ``e = exp(λt)``, ``e·λ``
+    and ``e·λ²`` (``λ = exps``) as one ``(3, 4k) @ (4k, m)`` product whose
+    rows are site, d1 and d2 (472 -> 37 µs at 4,610 patterns).  Up to k = 7
+    no column rounds by how many patterns share the call; the row-major
+    product does from k = 4 (EXPERIMENTS.md, "Newton as one product")."""
     lam = exps.reshape(-1)
-    w = np.empty((3, lam.size))
-    np.exp(lam * t, out=w[0])
-    np.multiply(w[0], lam, out=w[1])
-    np.multiply(w[1], lam, out=w[2])
-    return w @ coef.reshape(coef.shape[0], -1).T
+    e = np.exp(lam * t)
+    return np.array([e, e * lam, e * lam * lam]) @ coef.reshape(len(coef), -1).T
 
 
 def _site_sum(clv: np.ndarray, pi_column: np.ndarray) -> np.ndarray:
-    """``mka,a->m``: a Γ CLV weighted by the base frequencies and summed
-    over categories and states, as :func:`_site_dot` does it — one
-    ``(1, 4k) @ (4k, 1)`` product per pattern against ``pi_column``, the
-    frequencies tiled over the k categories, so no pattern's bits depend
-    on its neighbours (4 -> 2 µs at 87 patterns, 97 -> 39 at 4,610,
-    against the plain ``einsum``)."""
-    m = clv.shape[0]
-    return np.matmul(clv.reshape(m, 1, -1), pi_column).reshape(m)
+    """``mka,a->m``: a Γ CLV against the frequencies tiled over the
+    categories (``(4k, 1)``), one product per pattern like :func:`_site_dot`
+    (97 -> 39 µs at 4,610 patterns against the plain ``einsum``)."""
+    return np.matmul(clv.reshape(len(clv), 1, -1), pi_column).reshape(-1)
 
 
 class ArrayLRU:
@@ -330,9 +308,7 @@ class KernelBackend:
         #: :meth:`sumtable`, hence read-only.
         self._exps = np.outer(rate_model.rates, model._spectral[0])
         self._exps.setflags(write=False)
-        #: The base frequencies tiled over the categories, ``(4k, 1)``:
-        #: :func:`_site_sum`'s column, built once (``np.tile`` costs more
-        #: than the product at a hundred patterns).
+        #: :func:`_site_sum`'s frequency column (``np.tile`` is 3 µs a call).
         self._pi_column = np.tile(model.pi, self.n_categories).reshape(-1, 1)
 
     def pmatrices(self, t: float) -> np.ndarray:
@@ -419,13 +395,10 @@ class KernelBackend:
         """One span of RAxML's sumtable; returns ``(coef, exps_or_None)``
         (the exponent table is pattern-dependent only in CAT mode)."""
         u, u_inv = self.model._spectral[1:3]
-        pi = self.model.pi
-        if self.is_cat:
-            x = (uclv * pi[None, :]) @ u  # (m, 4)
-            y = dclv @ u_inv.T  # (m, 4)
-            return x * y, self._exps[p2c]
-        x = _to_eigenbasis(uclv * pi, u)
+        x = _to_eigenbasis(uclv * self.model.pi, u)
         y = _to_eigenbasis(dclv, u_inv.T)
+        if self.is_cat:
+            return x * y, self._exps[p2c]
         return x * y / self.n_categories, None
 
     def _derivatives_span(
@@ -433,13 +406,9 @@ class KernelBackend:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-pattern (site, d1, d2) at ``t`` for one span of the
         sumtable; ``exps`` is per pattern under CAT and the one ``(k, 4)``
-        table under Γ, where the three sums are one product
-        (:func:`_newton_rows`).  CAT multiplies its ``(m, 4)`` term by
-        ``exps`` in place between column sums, which evaluates the
-        left-to-right product ``(term·exps)·exps``."""
+        table under Γ.  CAT's in-place products evaluate ``(term·exps)·exps``."""
         if not self.is_cat:
-            site, d1, d2 = _newton_rows(coef, exps, t)
-            return site, d1, d2
+            return tuple(_newton_rows(coef, exps, t))
         term = coef * np.exp(exps * t)
         site = _sum_states(term)
         np.multiply(term, exps, out=term)
