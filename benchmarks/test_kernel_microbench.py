@@ -172,6 +172,12 @@ def run_contraction_bench() -> dict:
     return table
 
 
+#: Pattern counts of the rewrites table and the override audit:
+#: ``ranks_4x2_steal``, ``small_1x4`` and ``wide_1x1`` of ``bench/`` (the
+#: last one is past ``BatchedKernel.fuse_min_patterns``).
+AUDIT_SIZES = (87, 230, 4610)
+
+
 def _newton_by_reductions(coef, exps, t):
     """The Γ Newton sums as they were before ``_newton_rows``: three full
     ``(m, k, 4)`` products and three ``sum(axis=(1, 2))`` reductions."""
@@ -225,12 +231,6 @@ def run_rewrite_bench() -> dict:
                 "old_us": _us_per_call(old), "new_us": _us_per_call(new),
             }
     return table
-
-
-#: Pattern counts of the override audit: ``ranks_4x2_steal``,
-#: ``small_1x4`` and ``wide_1x1`` of ``bench/`` (the last one is past
-#: ``BatchedKernel.fuse_min_patterns``).
-AUDIT_SIZES = (87, 230, 4610)
 
 
 def batched_overrides() -> set[str]:

@@ -1,25 +1,24 @@
-"""An independent likelihood reference: GTR + rate heterogeneity on four,
-five and six taxa by brute force, in pure Python.
+"""An independent likelihood reference: GTR + rate heterogeneity on any
+small tree by brute force, in pure Python.
 
 Nothing here imports ``repro.likelihood.gtr`` or
 ``repro.likelihood.kernels`` — the code under test.  The rate matrix is
 built from the six exchangeabilities and the base frequencies, the
 transition matrices come from a scaling-and-squaring ``exp(Qt)`` on nested
 lists (no eigendecomposition, no NumPy, no BLAS), tip vectors are read off
-the 4-bit state masks, and the likelihood is the explicit sum over both
-internal states of the unrooted quartet ``((A,B),C,D)`` — over all three
-of the five-taxon tree a lazy-SPR insertion forms.  The derivatives of
-the quartet's likelihood in one branch length come from the same sum with
-that branch's ``P`` replaced by ``dP/dt = rQP`` and ``d²P/dt² = r²QQP``:
-the likelihood is linear in each branch's matrix.  The engine, its
-kernels and ``GTRModel`` share none of these steps, so agreement is not
-the code agreeing with itself.
+the 4-bit state masks, the tree is read from its own Newick, and the
+likelihood is the explicit sum over every joint assignment of states to
+the internal nodes (a quartet: 16; six taxa: 256).  The derivatives in
+one branch length come from the same sum with that branch's ``P``
+replaced by ``dP/dt = rQP`` and ``d²P/dt² = r²QQP``: the likelihood is
+linear in each branch's matrix.  A lazy-SPR insertion score is the same
+sum on the tree the insertion forms.  The engine, its kernels and
+``GTRModel`` share none of these steps, so agreement is not the code
+agreeing with itself.
 
-Any other tree (:func:`tree_site_lnls`, :func:`tree_edge_derivatives`;
-six taxa is 256 joint states of four internal nodes) is read from its own
-Newick and summed in log space: every joint assignment's product is a sum
-of logs, shifted by the pattern's largest before it is exponentiated.
-That is per-site rescaling with no threshold — site likelihoods far below
+The sum runs in log space: every joint assignment's product is a sum of
+logs, shifted by the pattern's largest before it is exponentiated.  That
+is per-site rescaling with no threshold — site likelihoods far below
 anything a float's exponent holds come out exact — and it shares nothing
 with the engine's per-node divide-by-max either.  "+I" mixes in each
 pattern's invariant-site likelihood: ``Σ π_x`` over the states ``x``
@@ -127,146 +126,7 @@ def _across(p: Matrix, tip: list[float]) -> list[float]:
     return [math.fsum(p[i][s] * tip[s] for s in range(4)) for i in range(4)]
 
 
-def _quartet_site(freqs, mats, tips) -> float:
-    """One pattern's likelihood on ``((A,B),C,D)`` at one rate: ``mats``
-    and ``tips`` in A, B, inner, C, D / A, B, C, D order.  x is the state
-    at the node joining C and D, y at the one joining A and B."""
-    pa, pb, pi_, pc, pd = mats
-    a, b, c, d = (_across(p, tip) for p, tip in zip((pa, pb, pc, pd), tips))
-    return math.fsum(
-        freqs[x] * pi_[x][y] * a[y] * b[y] * c[x] * d[x]
-        for x in range(4)
-        for y in range(4)
-    )
-
-
-def _pattern_sites(masks, weights, rates, pattern_to_cat, site):
-    """``(weight, likelihood)`` of every pattern: ``site(cat, tips)``
-    averaged over all categories (Γ) or taken at the pattern's own (CAT,
-    ``pattern_to_cat`` given).  ``masks[x][p]`` is taxon ``x``'s state
-    mask at pattern ``p``, ``weights[p]`` the pattern's multiplicity."""
-    for p, weight in enumerate(weights):
-        tips = [tip_vector(int(row[p])) for row in masks]
-        mix = range(len(rates)) if pattern_to_cat is None else [int(pattern_to_cat[p])]
-        yield float(weight), math.fsum(site(cat, tips) for cat in mix) / len(mix)
-
-
-def quartet_lnl(
-    masks, weights, lengths, exchangeabilities, freqs, rates, pattern_to_cat=None
-) -> float:
-    """Log-likelihood of the quartet ``((A:ta, B:tb):ti, C:tc, D:td)``.
-
-    ``masks`` holds the taxa in A, B, C, D order and ``lengths`` is
-    ``(ta, tb, ti, tc, td)``.  Without ``pattern_to_cat`` every pattern is
-    the uniform mixture over ``rates`` (Γ); with it, pattern ``p`` evolves
-    at ``rates[pattern_to_cat[p]]`` alone (CAT).
-    """
-    per_rate = [
-        [transition_matrix(exchangeabilities, freqs, t * r) for t in lengths]
-        for r in rates
-    ]
-    return math.fsum(
-        weight * math.log(site)
-        for weight, site in _pattern_sites(
-            masks, weights, rates, pattern_to_cat,
-            lambda cat, tips: _quartet_site(freqs, per_rate[cat], tips),
-        )
-    )
-
-
-def quartet_edge_derivatives(
-    masks, weights, lengths, edge: int, exchangeabilities, freqs, rates,
-    pattern_to_cat=None,
-) -> tuple[float, float, float]:
-    """``(lnL, dlnL/dt, d²lnL/dt²)`` of :func:`quartet_lnl` in the branch
-    ``lengths[edge]`` (0...4: A, B, inner, C, D), at that length."""
-    per_rate = []  # [cat][order of differentiation] -> the five matrices
-    for r in rates:
-        mats = [transition_matrix(exchangeabilities, freqs, t * r) for t in lengths]
-        per_rate.append([
-            mats[:edge] + [moved] + mats[edge + 1 :]
-            for moved in transition_matrix_and_derivatives(
-                exchangeabilities, freqs, lengths[edge], r
-            )
-        ])
-    by_order = [
-        _pattern_sites(
-            masks, weights, rates, pattern_to_cat,
-            lambda cat, tips, order=order: _quartet_site(freqs, per_rate[cat][order], tips),
-        )
-        for order in range(3)
-    ]
-    lnl = d1 = d2 = 0.0
-    for (weight, site), (_, dsite), (_, ddsite) in zip(*by_order):
-        lnl += weight * math.log(site)
-        d1 += weight * dsite / site
-        d2 += weight * (ddsite * site - dsite * dsite) / (site * site)
-    return lnl, d1, d2
-
-
-def _quintet_site(freqs, mats, tips) -> float:
-    """One pattern's likelihood on ``((T0,T1),T2,(T3,T4))`` at one rate,
-    summed over the states x, z, w at its three internal nodes, left to
-    right; ``mats`` in ``l0...l6`` order of :func:`quintet_lnl`."""
-    p0, p1, p2, p3, p4, p5, p6 = mats
-    t0, t1, t2, t3, t4 = (_across(pm, tip) for pm, tip in zip((p0, p1, p3, p4, p5), tips))
-    return math.fsum(
-        freqs[z] * t2[z] * p2[z][x] * t0[x] * t1[x] * p6[z][w] * t3[w] * t4[w]
-        for x in range(4)
-        for z in range(4)
-        for w in range(4)
-    )
-
-
-def quintet_lnl(
-    masks, weights, lengths, exchangeabilities, freqs, rates, pattern_to_cat=None
-) -> float:
-    """Log-likelihood of ``((T0:l0, T1:l1):l2, T2:l3, (T3:l4, T4:l5):l6)``
-    — every unrooted five-taxon tree has this shape.  ``masks`` in
-    T0...T4 order, ``lengths`` ``(l0, ..., l6)``."""
-    per_rate = [
-        [transition_matrix(exchangeabilities, freqs, t * r) for t in lengths]
-        for r in rates
-    ]
-    return math.fsum(
-        weight * math.log(site)
-        for weight, site in _pattern_sites(
-            masks, weights, rates, pattern_to_cat,
-            lambda cat, tips: _quintet_site(freqs, per_rate[cat], tips),
-        )
-    )
-
-
-def insertion_lnl(
-    masks, weights, lengths, edge: int, t_sub: float, exchangeabilities, freqs,
-    rates, pattern_to_cat=None,
-) -> float:
-    """The lazy-SPR insertion score: log-likelihood of the five-taxon tree
-    that attaching taxon E by a branch of length ``t_sub`` to the midpoint
-    of branch ``edge`` (0...4: A, B, inner, C, D) of the quartet
-    ``((A:ta, B:tb):ti, C:tc, D:td)`` forms.  ``masks`` in A, B, C, D, E
-    order; ``lengths`` is the quartet's ``(ta, tb, ti, tc, td)``."""
-    ta, tb, ti, tc, td = lengths
-    a, b, c, d, e = masks
-    if edge == 2:  # ((A,B):ti/2, E, (C,D):ti/2)
-        order, shape = (a, b, e, c, d), (ta, tb, ti / 2, t_sub, tc, td, ti / 2)
-    else:
-        # The split leaf and E form one cherry, the leaf's old sibling is
-        # the middle taxon, the other pair keeps its cherry across ti.
-        (split, t_split), (sibling, t_sibling), far = {
-            0: ((a, ta), (b, tb), (c, tc, d, td)),
-            1: ((b, tb), (a, ta), (c, tc, d, td)),
-            3: ((c, tc), (d, td), (a, ta, b, tb)),
-            4: ((d, td), (c, tc), (a, ta, b, tb)),
-        }[edge]
-        order = (split, e, sibling, far[0], far[2])
-        shape = (t_split / 2, t_sub, t_split / 2, t_sibling, far[1], far[3], ti)
-    return quintet_lnl(
-        order, weights, shape, exchangeabilities, freqs, rates, pattern_to_cat
-    )
-
-
-# -- any tree, in log space ---------------------------------------------------------
+# -- the brute force, in log space ---------------------------------------------------
 
 
 def parse_newick(text: str) -> tuple[list[tuple], int]:
@@ -326,14 +186,15 @@ def _joint_states(n: int) -> list[tuple[int, ...]]:
 
 
 def _tree_patterns(
-    newick, masks, exchangeabilities, freqs, rates, pattern_to_cat, p_invariant,
+    tree, masks, exchangeabilities, freqs, rates, pattern_to_cat, p_invariant,
     clade=None, t=None,
 ):
-    """Per pattern ``(ln site, site' / site, site'' / site)``, the
-    derivatives in the length of the edge above ``clade`` (evaluated at
-    ``t``; the Newick's first edge at its own length when no clade is
-    given).  ``masks`` maps each taxon to its per-pattern state masks."""
-    edges, n_inner = parse_newick(newick)
+    """Per pattern ``(ln site, site' / site, site'' / site)`` on ``tree``
+    (:func:`parse_newick`'s pair), the derivatives in the length of the
+    edge above ``clade`` (evaluated at ``t``; the first edge at its own
+    length when no clade is given).  ``masks`` maps each taxon to its
+    per-pattern state masks."""
+    edges, n_inner = tree
     pick = 0 if clade is None else [e[3] for e in edges].index(frozenset(clade))
     parent_d, child_d, length_d, _ = edges[pick]
     length_d = length_d if t is None else t
@@ -393,7 +254,8 @@ def tree_site_lnls(
     with ``p_invariant``; ``masks`` maps each taxon to its state masks."""
     return [
         lnl for lnl, _, _ in _tree_patterns(
-            newick, masks, exchangeabilities, freqs, rates, pattern_to_cat, p_invariant
+            parse_newick(newick), masks, exchangeabilities, freqs, rates,
+            pattern_to_cat, p_invariant,
         )
     ]
 
@@ -406,10 +268,34 @@ def tree_edge_derivatives(
     taxa ``clade`` at length ``t``, in that length."""
     lnl, d1, d2 = [], [], []
     for weight, (site, g, h) in zip(weights, _tree_patterns(
-        newick, masks, exchangeabilities, freqs, rates, pattern_to_cat, p_invariant,
-        clade, t,
+        parse_newick(newick), masks, exchangeabilities, freqs, rates,
+        pattern_to_cat, p_invariant, clade, t,
     )):
         lnl.append(weight * site)
         d1.append(weight * g)
         d2.append(weight * (h - g * g))
     return math.fsum(lnl), math.fsum(d1), math.fsum(d2)
+
+
+def insertion_lnl(
+    newick, masks, weights, clade, taxon: str, t_sub: float, exchangeabilities,
+    freqs, rates, pattern_to_cat=None,
+) -> float:
+    """The lazy-SPR insertion score: log-likelihood of the tree ``newick``
+    with ``taxon`` attached by a branch of length ``t_sub`` to the
+    midpoint of the edge above ``clade``."""
+    edges, n_inner = parse_newick(newick)
+    pick = [e[3] for e in edges].index(frozenset(clade))
+    parent, child, length, below = edges[pick]
+    edges[pick : pick + 1] = [
+        (parent, n_inner, length / 2, below | {taxon}),
+        (n_inner, child, length / 2, below),
+        (n_inner, taxon, t_sub, frozenset([taxon])),
+    ]
+    return math.fsum(
+        weight * lnl
+        for weight, (lnl, _, _) in zip(weights, _tree_patterns(
+            (edges, n_inner + 1), masks, exchangeabilities, freqs, rates,
+            pattern_to_cat, 0.0,
+        ))
+    )

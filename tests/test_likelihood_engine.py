@@ -20,27 +20,34 @@ from repro.tree.newick import parse_newick
 from tests import oracle
 
 
+QUARTET = "((A:0.12,B:0.3):0.08,C:0.25,D:0.4);"
+
+
 @pytest.fixture()
 def quartet():
     aln = Alignment.from_sequences(
         [("A", "ACGTT"), ("B", "ACGTA"), ("C", "AGGAT"), ("D", "ATGTT")]
     )
     pal = compress_alignment(aln)
-    tree = parse_newick("((A:0.12,B:0.3):0.08,C:0.25,D:0.4);", taxa=pal.taxa)
-    return pal, tree
+    return pal, parse_newick(QUARTET, taxa=pal.taxa)
 
 
-QUARTET_LENGTHS = (0.12, 0.3, 0.08, 0.25, 0.4)  # A, B, inner, C, D
+def masks_of(pal) -> dict:
+    """Each taxon's per-pattern state masks, as ``tests/oracle.py`` reads them."""
+    return {name: pal.patterns[pal.taxon_index(name)] for name in pal.taxa}
+
+
+def clade_of(tree, edge_child) -> frozenset:
+    """The taxa below an edge: how the oracle names it."""
+    return frozenset(leaf.name for leaf in tree.subtree_leaves(edge_child))
 
 
 def oracle_lnl(pal, model, rates, pattern_to_cat=None):
-    """The quartet fixture's log-likelihood by ``tests/oracle.py``, which
-    gets the model only as its six exchangeabilities and frequencies."""
-    masks = [pal.patterns[pal.taxon_index(name)] for name in "ABCD"]
-    return oracle.quartet_lnl(
-        masks, pal.weights, QUARTET_LENGTHS, model.rates, model.freqs,
-        rates, pattern_to_cat,
-    )
+    """The quartet's log-likelihood by ``tests/oracle.py``, which gets the
+    model only as its six exchangeabilities and frequencies."""
+    return float(pal.weights @ oracle.tree_site_lnls(
+        QUARTET, masks_of(pal), model.rates, model.freqs, rates, pattern_to_cat,
+    ))
 
 
 def test_oracle_imports_nothing_it_checks():
@@ -104,11 +111,6 @@ class TestExactness:
         assert engine.loglikelihood(tree) == pytest.approx(expected, abs=1e-12)
 
 
-#: Index into ``QUARTET_LENGTHS`` of the edge above each node of the
-#: quartet fixture's tree (its one internal edge has no name).
-ORACLE_EDGE = {"A": 0, "B": 1, None: 2, "C": 3, "D": 4}
-
-
 def oracle_rate_models(n_patterns):
     """Γ and CAT on both sides of the spectral product's k = 5 switch."""
     models = {"gamma": RateModel.gamma(0.7, 4)}
@@ -127,13 +129,11 @@ class TestEdgeKernelsAgainstTheOracle:
     def test_edge_derivatives(self, quartet, gtr_model, rate_name):
         pal, tree = quartet
         rate_model = oracle_rate_models(pal.n_patterns)[rate_name]
-        masks = [pal.patterns[pal.taxon_index(name)] for name in "ABCD"]
 
-        def expected(edge: int, t: float):
-            lengths = list(QUARTET_LENGTHS)
-            lengths[edge] = t
-            return oracle.quartet_edge_derivatives(
-                masks, pal.weights, lengths, edge, gtr_model.rates, gtr_model.freqs,
+        def expected(edge, t: float):
+            return oracle.tree_edge_derivatives(
+                QUARTET, masks_of(pal), pal.weights, clade_of(tree, edge), t,
+                gtr_model.rates, gtr_model.freqs,
                 rate_model.rates, rate_model.pattern_to_cat,
             )
 
@@ -142,13 +142,12 @@ class TestEdgeKernelsAgainstTheOracle:
             down = engine.compute_down_partials(tree)
             up = engine.compute_up_partials(tree, down)
             for e in tree.edges():
-                edge = ORACLE_EDGE[e.name]
                 coef, exps, logscale, first = engine.edge_coefficients_and_derivatives(
                     down[id(e)], up[id(e)], 0.05
                 )
-                assert first == pytest.approx(expected(edge, 0.05), rel=1e-9), (kernel, edge)
+                assert first == pytest.approx(expected(e, 0.05), rel=1e-9), (kernel, e.name)
                 again = engine.edge_lnl_and_derivatives(coef, exps, logscale, 0.6)
-                assert again == pytest.approx(expected(edge, 0.6), rel=1e-9), (kernel, edge)
+                assert again == pytest.approx(expected(e, 0.6), rel=1e-9), (kernel, e.name)
 
     def test_insertion_score(self, gtr_model, rate_name):
         aln = Alignment.from_sequences([
@@ -157,9 +156,8 @@ class TestEdgeKernelsAgainstTheOracle:
         ])
         pal = compress_alignment(aln)
         rate_model = oracle_rate_models(pal.n_patterns)[rate_name]
-        tree = parse_newick("((A:0.12,B:0.3):0.08,C:0.25,D:0.4);", taxa=pal.taxa)
+        tree = parse_newick(QUARTET, taxa=pal.taxa)
         pruned = parse_newick("(A:0.1,B:0.1,E:0.1);", taxa=pal.taxa).find_leaf("E")
-        masks = [pal.patterns[pal.taxon_index(name)] for name in "ABCDE"]
         for kernel in available_kernels():
             engine = LikelihoodEngine(pal, gtr_model, rate_model, kernel=kernel)
             down = engine.compute_down_partials(tree)
@@ -171,8 +169,8 @@ class TestEdgeKernelsAgainstTheOracle:
                         down[id(e)], up[id(e)], sub, e.length, t_sub
                     )
                     expected = oracle.insertion_lnl(
-                        masks, pal.weights, QUARTET_LENGTHS, ORACLE_EDGE[e.name], t_sub,
-                        gtr_model.rates, gtr_model.freqs,
+                        QUARTET, masks_of(pal), pal.weights, clade_of(tree, e), "E",
+                        t_sub, gtr_model.rates, gtr_model.freqs,
                         rate_model.rates, rate_model.pattern_to_cat,
                     )
                     assert score == pytest.approx(expected, rel=1e-9), (kernel, e.name)
@@ -213,9 +211,8 @@ class TestSixTaxaAgainstTheOracle:
 
         def expected(fn, *args):
             return fn(
-                newick, {name: pal.patterns[pal.taxon_index(name)] for name, _ in SIX_TAXA},
-                *args, gtr_model.rates, gtr_model.freqs, rate_model.rates,
-                rate_model.pattern_to_cat, rate_model.p_invariant,
+                newick, masks_of(pal), *args, gtr_model.rates, gtr_model.freqs,
+                rate_model.rates, rate_model.pattern_to_cat, rate_model.p_invariant,
             )
 
         return pal, rate_model, parse_newick(newick, taxa=pal.taxa), expected
@@ -237,10 +234,7 @@ class TestSixTaxaAgainstTheOracle:
 
     def test_edge_lnl_and_derivatives(self, gtr_model, tree_name, rate_name):
         pal, rate_model, tree, expected = self.setup(gtr_model, tree_name, rate_name)
-        clades = {
-            id(e): frozenset(leaf.name for leaf in tree.subtree_leaves(e))
-            for e in tree.edges()
-        }
+        clades = {id(e): clade_of(tree, e) for e in tree.edges()}
         ts = (0.05, 0.6) if tree_name == "cherries" else (3e-5, 0.05)
         want = {
             (key, t): expected(oracle.tree_edge_derivatives, pal.weights, clade, t)
