@@ -22,9 +22,8 @@ Acceptance claims asserted here:
 
 import json
 
-from repro.mpi.comm import CommTiming
 from repro.mpi.launcher import run_spmd
-from repro.mpi.topology import HierarchicalCommTiming, Topology
+from repro.mpi.topology import CommTiming, HierarchicalCommTiming, Topology
 from repro.perfmodel.machines import machine_by_name
 from repro.util.tables import format_table
 

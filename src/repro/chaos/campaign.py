@@ -51,9 +51,10 @@ RESUME_EVERY = 3
 #: Scenario indices divisible by this are run twice (replay determinism).
 REPEAT_EVERY = 25
 
-#: Snappy suspicion deadline (virtual seconds): the toy analysis's real
-#: collective waits are under ~0.1 virtual seconds, so 2.0 never falsely
-#: suspects a live rank but converts a hung one into a death quickly.
+#: Snappy suspicion deadline (harness seconds a peer's virtual clock may
+#: stand still): a computing rank's clock moves every run-token slice, so
+#: 2.0 never falsely suspects a live rank but converts a hung one into a
+#: death quickly.  The one deadline besides the default that any run sets.
 CHAOS_TIMEOUTS = TimeoutPolicy(collective_seconds=2.0, world_seconds=600.0)
 
 #: The pinned toy analysis (same dataset family as the parity goldens).
@@ -95,66 +96,86 @@ def _run(pal, cc, spec: ScenarioSpec, *, plan=None, checkpoint_dir=None,
     return run_hybrid_analysis(pal, config)
 
 
-def run_scenario(pal, cc, spec: ScenarioSpec, baseline: dict,
-                 workdir: Path | None) -> dict:
-    """Run one scenario; returns its record (with a ``violations`` list)."""
+def _differences(result, baseline: dict) -> list[str]:
+    """What a recoverable run got wrong: the captured fields that differ
+    from the fault-free baseline."""
+    got = _capture(result)
+    return [f"{key} differs from baseline"
+            for key, want in baseline.items() if got[key] != want]
+
+
+def _check(pal, cc, spec: ScenarioSpec, check: str, expect, *,
+           ckpt: Path | None = None, repeat: bool = False,
+           quorum: float = 0.0) -> dict:
+    """The one run → compare → resume routine behind every record.
+
+    Runs ``spec`` (checkpointed into ``ckpt`` when given) and records
+    what ``expect(result)`` finds wrong with it, or the crash — a hang
+    surfaces as one, through the world's own deadlines.  ``repeat``
+    re-runs the same plan, which must reproduce the first run timings
+    included.  A checkpointed run that passed is then resumed with its
+    kills and glitches stripped, and ``expect`` judges the resumed run
+    too.  Returns the scenario's record with its ``violations`` list.
+    """
     record = spec.as_doc()
-    record["checks"] = []
+    record["checks"] = [check]
     violations: list[str] = []
     t0 = time.perf_counter()
 
-    check_resume = workdir is not None and spec.index % RESUME_EVERY == 0
-    ckpt = None
-    if check_resume:
-        ckpt = workdir / f"ckpt-{spec.schedule}-{spec.index}"
+    def attempt(label: str, **kw):
+        try:
+            result = _run(pal, cc, spec, quorum=quorum, **kw)
+        except BaseException as exc:  # RankKilledError is a BaseException
+            violations.append(f"{label}: {type(exc).__name__}: {exc}")
+            return None
+        violations.extend(f"{label}: {v}" for v in expect(result))
+        return result
 
-    try:
-        result = _run(pal, cc, spec, checkpoint_dir=str(ckpt) if ckpt else None)
-    except BaseException as exc:  # RankKilledError is a BaseException
-        violations.append(f"hang-or-crash: {type(exc).__name__}: {exc}")
-        record["violations"] = violations
-        record["elapsed_seconds"] = round(time.perf_counter() - t0, 3)
-        return record
-
-    got = _capture(result)
-    record["checks"].append("equality-full")
-    for key, want in baseline.items():
-        if got[key] != want:
-            violations.append(f"determinism: {key} differs from baseline")
-
-    if spec.index % REPEAT_EVERY == 0 and not violations:
+    ckdir = None if ckpt is None else str(ckpt)
+    result = attempt(check, checkpoint_dir=ckdir)
+    if repeat and not violations:
         record["checks"].append("replay")
         # Config-identical re-run: checkpointing shifts collective call
         # indices (the resume negotiation is itself a collective), so a
         # checkpointed first run is only comparable to a checkpointed
         # replay (into its own directory).
-        again = _run(pal, cc, spec,
-                     checkpoint_dir=str(ckpt) + "-replay" if ckpt else None)
+        again = attempt(check, checkpoint_dir=ckdir and ckdir + "-replay")
         # Replay determinism is the strongest check: timings included.
-        if again.identity(timings=True) != result.identity(timings=True):
-            violations.append("determinism: replaying the same plan diverged")
-
-    if check_resume and not violations:
+        if again is not None and (
+            again.identity(timings=True) != result.identity(timings=True)
+        ):
+            violations.append(f"{check}: replaying the same plan diverged")
+    if ckdir is not None and not violations:
         record["checks"].append("resume")
-        try:
-            resumed = _run(
-                pal, cc, spec, plan=strip_for_resume(spec.plan),
-                checkpoint_dir=str(ckpt), resume=True,
-            )
-        except BaseException as exc:
-            violations.append(
-                f"resume: hang-or-crash: {type(exc).__name__}: {exc}"
-            )
-        else:
-            # A resumed continuation is fault-free (the faults already
-            # happened), so it must reproduce the fault-free baseline.
-            for key, want in baseline.items():
-                if _capture(resumed)[key] != want:
-                    violations.append(f"resume: {key} differs from baseline")
-
+        # A resumed continuation is fault-free (the faults already
+        # happened), so it must reproduce the fault-free baseline.
+        attempt(f"{check} resume", plan=strip_for_resume(spec.plan),
+                checkpoint_dir=ckdir, resume=True)
     record["violations"] = violations
     record["elapsed_seconds"] = round(time.perf_counter() - t0, 3)
     return record
+
+
+def run_scenario(pal, cc, spec: ScenarioSpec, baseline: dict,
+                 workdir: Path | None) -> dict:
+    """Run one scenario; returns its record (with a ``violations`` list)."""
+    ckpt = None
+    if workdir is not None and spec.index % RESUME_EVERY == 0:
+        ckpt = workdir / f"ckpt-{spec.schedule}-{spec.index}"
+    return _check(pal, cc, spec, "equality-full",
+                  lambda result: _differences(result, baseline),
+                  ckpt=ckpt, repeat=spec.index % REPEAT_EVERY == 0)
+
+
+def _degraded(result) -> list[str]:
+    """What a below-quorum probe got wrong: it must finish tagged partial,
+    with exactly the two killed ranks failed."""
+    wrong = []
+    if not result.degraded or not result.notes:
+        wrong.append("below-quorum run not tagged as partial")
+    if sorted(result.failed_ranks) != [1, 2]:
+        wrong.append(f"failed_ranks {result.failed_ranks} != [1, 2]")
+    return wrong
 
 
 def run_degradation_probes(pal, cc) -> list[dict]:
@@ -166,35 +187,15 @@ def run_degradation_probes(pal, cc) -> list[dict]:
     """
     from repro.mpi.faults import FaultPlan, KillSpec
 
-    probes = []
-    for schedule in SCHEDULES:
-        spec = ScenarioSpec(
-            index=-1, schedule=schedule, n_processes=3,
-            plan=FaultPlan(kills=(KillSpec(rank=1, stage="fast"),
-                                  KillSpec(rank=2, stage="slow"))),
-            equality="degraded", deaths=(1, 2),
-        )
-        record = spec.as_doc()
-        record["checks"] = ["degradation"]
-        violations = []
-        t0 = time.perf_counter()
-        try:
-            result = _run(pal, cc, spec, quorum=0.9)
-        except BaseException as exc:
-            violations.append(f"degradation: {type(exc).__name__}: {exc}")
-        else:
-            if not result.degraded or not result.notes:
-                violations.append(
-                    "degradation: below-quorum run not tagged as partial"
-                )
-            if sorted(result.failed_ranks) != [1, 2]:
-                violations.append(
-                    f"degradation: failed_ranks {result.failed_ranks} != [1, 2]"
-                )
-        record["violations"] = violations
-        record["elapsed_seconds"] = round(time.perf_counter() - t0, 3)
-        probes.append(record)
-    return probes
+    plan = FaultPlan(kills=(KillSpec(rank=1, stage="fast"),
+                            KillSpec(rank=2, stage="slow")))
+    return [
+        _check(pal, cc, ScenarioSpec(index=-1, schedule=schedule,
+                                     n_processes=3, plan=plan,
+                                     equality="degraded", deaths=(1, 2)),
+               "degradation", _degraded, quorum=0.9)
+        for schedule in SCHEDULES
+    ]
 
 
 def run_leader_death_probes(pal, cc, workdir: Path | None = None) -> list[dict]:
@@ -232,49 +233,13 @@ def run_leader_death_probes(pal, cc, workdir: Path | None = None) -> list[dict]:
                 deaths=tuple(sorted(k.rank for k in plan.kills)),
                 ranks_per_node=2,
             )
-            record = spec.as_doc()
+            ckpt = None
+            if workdir is not None and name == "both-leaders-collective":
+                ckpt = Path(workdir) / f"ckpt-leader-{schedule}"
+            record = _check(pal, cc, spec, "leader-death",
+                            lambda result: _differences(result, baseline),
+                            ckpt=ckpt)
             record["probe"] = name
-            record["checks"] = ["leader-death"]
-            violations: list[str] = []
-            t0 = time.perf_counter()
-            check_resume = (
-                workdir is not None and name == "both-leaders-collective"
-            )
-            ckpt = (
-                Path(workdir) / f"ckpt-leader-{schedule}"
-                if check_resume else None
-            )
-            try:
-                result = _run(pal, cc, spec,
-                              checkpoint_dir=str(ckpt) if ckpt else None)
-            except BaseException as exc:
-                violations.append(
-                    f"leader-death: {type(exc).__name__}: {exc}")
-            else:
-                got = _capture(result)
-                for key, want in baseline.items():
-                    if got[key] != want:
-                        violations.append(
-                            f"leader-death: {key} differs from flat baseline")
-                if check_resume and not violations:
-                    record["checks"].append("resume")
-                    try:
-                        resumed = _run(
-                            pal, cc, spec, plan=strip_for_resume(spec.plan),
-                            checkpoint_dir=str(ckpt), resume=True,
-                        )
-                    except BaseException as exc:
-                        violations.append(
-                            f"leader-death resume: {type(exc).__name__}: {exc}")
-                    else:
-                        got = _capture(resumed)
-                        for key, want in baseline.items():
-                            if got[key] != want:
-                                violations.append(
-                                    f"leader-death resume: {key} differs "
-                                    "from flat baseline")
-            record["violations"] = violations
-            record["elapsed_seconds"] = round(time.perf_counter() - t0, 3)
             probes.append(record)
     return probes
 

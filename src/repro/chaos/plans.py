@@ -27,7 +27,7 @@ from repro.mpi.faults import (
 )
 
 #: Transient ``fail`` glitches are retried with exponential backoff up
-#: to the policy's ``max_retries`` (default 8); staying well below keeps
+#: to :data:`repro.mpi.membership.MAX_RETRIES` (8); staying well below keeps
 #: every generated glitch survivable.
 MAX_GLITCH_FAILURES = 3
 

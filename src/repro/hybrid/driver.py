@@ -32,7 +32,7 @@ from typing import ClassVar
 
 from repro.mpi.faults import FaultPlan
 from repro.mpi.launcher import run_spmd
-from repro.mpi.policy import RetryPolicy, TimeoutPolicy
+from repro.mpi.policy import TimeoutPolicy
 from repro.mpi.topology import HierarchicalCommTiming, Topology
 from repro.perfmodel.machines import machine_by_name
 from repro.search.comprehensive import ComprehensiveConfig
@@ -53,9 +53,6 @@ class HybridConfig:
     comprehensive: ComprehensiveConfig = field(default_factory=ComprehensiveConfig)
     machine: str = "dash"
     seconds_per_pattern_unit: float = 1e-7
-    #: Wall-clock limit for the SPMD rank threads (they run real searches;
-    #: large inputs need hours, not the runtime's defensive default).
-    spmd_timeout: float = 3600.0
     bootstopping: bool = False
     bootstop_step: int = 4  # check WC every this-many *global* replicates
     bootstop_max: int | None = None  # cap when bootstopping (default: 4x requested)
@@ -72,13 +69,12 @@ class HybridConfig:
     #: with partial results tagged in the result's ``notes`` instead of
     #: grinding through replays (or dying).  0.0 disables degradation.
     quorum: float = 0.0
-    #: Unified retry/backoff policy for the communication layer (None:
-    #: :class:`RetryPolicy`'s defaults).  Excluded from the checkpoint
-    #: fingerprint — how patiently a run retried does not change what it
-    #: computed.
-    retry_policy: RetryPolicy | None = None
-    #: Unified deadline policy (None: derived from ``spmd_timeout``).
-    timeout_policy: TimeoutPolicy | None = None
+    #: Every deadline of the run: the suspicion deadline of a wait on a
+    #: peer and the wall-clock limit of the SPMD rank threads (they run
+    #: real searches; large inputs need hours).  Excluded from the
+    #: checkpoint fingerprint — how patiently a run waited does not change
+    #: what it computed.
+    timeout_policy: TimeoutPolicy = TimeoutPolicy()
     #: Likelihood kernel backend used by every rank's engines.
     kernel: str = "reference"
     #: Enable signature-keyed CLV caching in every rank's engines (the
@@ -191,9 +187,7 @@ def run_hybrid_analysis(pal: PatternAlignment, config: HybridConfig) -> HybridRe
         lambda comm: run_rank(comm, pal, config, board),
         config.n_processes,
         comm_timing=config.comm_timing(),
-        timeout=config.spmd_timeout,
         fault_plan=config.fault_plan,
-        retry_policy=config.retry_policy,
         timeout_policy=config.timeout_policy,
     )
     return assemble_hybrid_result(pal, config, raw, board)

@@ -10,19 +10,17 @@ the final best solution (Section 2.1).  This package provides:
   a per-rank :class:`~repro.util.timing.VirtualClock` that collectives
   synchronise exactly as real barriers synchronise wall clocks;
 * :func:`run_spmd` — launch one SPMD function across ``p`` rank threads.
+
+It is built as two planes.  The data plane (:mod:`repro.mpi.comm`, priced
+by :mod:`repro.mpi.topology`) moves values and never reads a fault plan.
+The fault/epoch plane (:mod:`repro.mpi.membership`, driven by a
+:class:`FaultPlan` and one :class:`TimeoutPolicy`) owns rank statuses,
+the one stall detector every wait on a peer goes through, death
+agreement, epochs and joins, and the faults injected at a collective's
+entry.
 """
 
-from repro.mpi.comm import (
-    DEAD_RANK,
-    AllRanksDeadError,
-    CommEvent,
-    CommTiming,
-    DistributedStateError,
-    RankFailure,
-    RetryExhaustedError,
-    SimComm,
-    SPMDError,
-)
+from repro.mpi.comm import DEAD_RANK, CommEvent, SimComm
 from repro.mpi.faults import (
     CollectiveGlitch,
     FaultPlan,
@@ -31,8 +29,16 @@ from repro.mpi.faults import (
     RankKilledError,
 )
 from repro.mpi.launcher import run_spmd
-from repro.mpi.membership import MembershipLedger, MembershipView
-from repro.mpi.policy import RetryPolicy, TimeoutPolicy
+from repro.mpi.membership import (
+    AllRanksDeadError,
+    DistributedStateError,
+    MembershipView,
+    RankFailure,
+    RetryExhaustedError,
+    SPMDError,
+)
+from repro.mpi.policy import TimeoutPolicy
+from repro.mpi.topology import CommTiming
 from repro.util.rng import rank_seed
 
 __all__ = [
@@ -51,8 +57,6 @@ __all__ = [
     "JoinSpec",
     "RankKilledError",
     "MembershipView",
-    "MembershipLedger",
-    "RetryPolicy",
     "TimeoutPolicy",
     "run_spmd",
     "rank_seed",

@@ -148,7 +148,7 @@ class FaultPlan:
 
     Passing any plan (even an empty one) to :func:`repro.mpi.run_spmd`
     switches the world into *resilient* mode: peer deaths are tolerated
-    and surfaced as :class:`repro.mpi.comm.RankFailure` instead of
+    and surfaced as :class:`repro.mpi.membership.RankFailure` instead of
     aborting the run.
     """
 

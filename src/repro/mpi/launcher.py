@@ -1,5 +1,11 @@
 """SPMD launcher: run one function across p simulated MPI ranks.
 
+The launcher is where the two planes of a world meet: it builds the
+fault/epoch plane (:class:`~repro.mpi.membership.FaultPlane`: statuses,
+the fault plan, the deadlines) and hands it to the data plane
+(:class:`~repro.mpi.comm._World`: exchange slots, mailboxes,
+blackboard, run token), then marks each rank's status as its body ends.
+
 ``comm_timing`` is any :class:`~repro.mpi.topology.CommCostModel` — the
 flat :class:`~repro.mpi.topology.CommTiming` (the default) or a
 :class:`~repro.mpi.topology.HierarchicalCommTiming`.  The launcher only
@@ -13,18 +19,18 @@ import threading
 import time
 from typing import Callable, Sequence
 
-from repro.mpi.comm import (
+from repro.mpi.comm import SimComm, _World
+from repro.mpi.faults import FaultPlan, RankKilledError
+from repro.mpi.membership import (
     DEAD,
     DORMANT,
     EXITED,
     FAILED,
     AllRanksDeadError,
-    SimComm,
+    FaultPlane,
     SPMDError,
-    _World,
 )
-from repro.mpi.faults import FaultPlan, RankKilledError
-from repro.mpi.policy import RetryPolicy, TimeoutPolicy
+from repro.mpi.policy import TimeoutPolicy
 from repro.mpi.topology import CommCostModel, CommTiming
 from repro.util.runtoken import holding, idle
 from repro.util.timing import VirtualClock
@@ -70,7 +76,7 @@ def _joiner_ranks(n_ranks: int, fault_plan: FaultPlan | None) -> tuple[int, ...]
     return joiners
 
 
-def _run_threads(world: _World, threads: list, world_seconds: float) -> list[str]:
+def _run_threads(faults: FaultPlane, threads: list) -> list[str]:
     """Start the rank threads and wait for them; names of the stuck ones."""
     for t in threads:
         t.start()
@@ -78,13 +84,13 @@ def _run_threads(world: _World, threads: list, world_seconds: float) -> list[str
     # make the worst-case wait n_ranks x timeout).  Ranks already declared
     # dead are not waited for: their threads are released below.  Dormant
     # joiners are only waited for while someone is left to activate them.
-    deadline = time.monotonic() + world_seconds
+    deadline = time.monotonic() + faults.policy.world_seconds
     for rank, t in enumerate(threads):
         while t.is_alive():
-            status = world.status_of(rank)
+            status = faults.status_of(rank)
             if status == DEAD:
                 break
-            if status == DORMANT and not world.any_running():
+            if status == DORMANT and not faults.any_running():
                 break  # nobody left alive to reach this joiner's boundary
             remaining = deadline - time.monotonic()
             if remaining <= 0.0:
@@ -92,12 +98,12 @@ def _run_threads(world: _World, threads: list, world_seconds: float) -> list[str
             t.join(min(remaining, 0.1))
     # Wake any rank wedged inside an injected hang (or a joiner that will
     # never be activated) so its thread can exit.
-    world.release.set()
+    faults.release.set()
     stuck = []
     for rank, t in enumerate(threads):
         if t.is_alive():
             t.join(0.5)
-        if t.is_alive() and world.status_of(rank) not in (DEAD, DORMANT):
+        if t.is_alive() and faults.status_of(rank) not in (DEAD, DORMANT):
             stuck.append(t.name)
     return stuck
 
@@ -107,10 +113,8 @@ def run_spmd(
     n_ranks: int,
     comm_timing: CommCostModel | None = None,
     clocks: Sequence[VirtualClock] | None = None,
-    timeout: float = 600.0,
     fault_plan: FaultPlan | None = None,
-    retry_policy: RetryPolicy | None = None,
-    timeout_policy: TimeoutPolicy | None = None,
+    timeout_policy: TimeoutPolicy = TimeoutPolicy(),
 ) -> list:
     """Execute ``fn(comm)`` on every rank of a simulated world.
 
@@ -144,26 +148,19 @@ def run_spmd(
     deterministic activation record.  The result list covers initial and
     joiner ranks; joiners that were never activated return ``None``.
 
-    ``retry_policy`` / ``timeout_policy`` consolidate the resilience
-    knobs; the legacy ``timeout`` float is honoured when no
-    ``timeout_policy`` is given (it governs both the per-collective
-    suspicion deadline and the shared world deadline).
+    ``timeout_policy`` holds both deadlines: the suspicion deadline of
+    every wait on a peer (a peer whose virtual clock stands still that
+    long is given up on) and the shared world deadline.
     """
     if n_ranks < 1:
         raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
     timing = comm_timing if comm_timing is not None else CommTiming()
-    if retry_policy is None:
-        retry_policy = RetryPolicy()
-    if timeout_policy is None:
-        timeout_policy = TimeoutPolicy.from_timeout(timeout)
     joiners = _joiner_ranks(n_ranks, fault_plan)
     total = n_ranks + len(joiners)
     if clocks is not None and len(clocks) not in (n_ranks, total):
         raise ValueError("clocks must have one entry per rank")
-    world = _World(
-        total, timing, retry_policy, timeout_policy,
-        fault_plan=fault_plan, dormant=joiners,
-    )
+    faults = FaultPlane(total, timeout_policy, fault_plan, dormant=joiners)
+    world = _World(faults, timing)
     results: list = [None] * total
     errors: list = [None] * total
     deaths: list = [None] * total
@@ -177,7 +174,7 @@ def run_spmd(
         comm = SimComm(world, rank, rank_clock(rank))
         if rank in joiners:
             point = fault_plan.join_stage_of(rank)
-            info = world.await_activation(rank, point)
+            info = faults.await_activation(rank, point)
             if info is None:
                 # World tore down before the boundary: the joiner never
                 # became a member; it exits still dormant.
@@ -187,13 +184,13 @@ def run_spmd(
             results[rank] = fn(comm)
         except RankKilledError as exc:
             deaths[rank] = exc
-            world.mark(rank, DEAD)
+            faults.mark(rank, DEAD)
             return
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             errors[rank] = exc
-            world.mark(rank, FAILED)
+            faults.mark(rank, FAILED)
             return
-        world.mark(rank, EXITED)
+        faults.mark(rank, EXITED)
 
     def target(rank: int) -> None:
         # Released however rank_main ends: body raised, rank killed,
@@ -208,7 +205,7 @@ def run_spmd(
     # A caller that is itself a rank thread of an outer world only waits
     # from here on: it gives that world's token up and has it back on exit.
     with idle():
-        stuck = _run_threads(world, threads, timeout_policy.world_seconds)
+        stuck = _run_threads(faults, threads)
     if stuck:
         raise SPMDError(
             f"{', '.join(stuck)} did not finish within the shared "
@@ -223,8 +220,8 @@ def run_spmd(
                 raise death
     else:
         member_statuses = [
-            world.status_of(r) for r in range(total)
-            if world.status_of(r) != DORMANT
+            faults.status_of(r) for r in range(total)
+            if faults.status_of(r) != DORMANT
         ]
         if member_statuses and all(s == DEAD for s in member_statuses):
             raise AllRanksDeadError(

@@ -1,18 +1,19 @@
-"""Epoch-based rank membership.
+"""The fault/epoch plane: rank statuses, the one stall detector, death
+agreement, epochs and joins, and the faults injected at a collective's
+entry (kills, glitches, retry backoff).  :mod:`repro.mpi.comm`, the
+data plane, never reads a fault plan; it calls in here instead.
 
 Each rank holds a versioned :class:`MembershipView` — the epoch number,
 the live set, and the deltas (ranks that joined, ranks that died) that
 produced it.  Views advance deterministically: deaths are discovered by
-the resilient collectives' suspicion deadline on virtual clocks (the
-collective arrival *is* the heartbeat; missing the deadline is the
+the stall detector on virtual clocks (:meth:`FaultPlane.wait_for`: the
+collective arrival *is* the heartbeat, a clock that stops moving is the
 suspicion), and joins happen only at declared epoch boundaries via
-:meth:`repro.mpi.comm.SimComm.advance_epoch`.  Because both kinds of
-delta surface exclusively at deterministic collective points, every
-rank walks the same sequence of views for a given fault plan — there
-is no gossip round and no wall-clock sensitivity.
+:meth:`RankMembership.advance_epoch`.  Because both kinds of delta
+surface exclusively at deterministic collective points, every rank
+walks the same sequence of views for a given fault plan — there is no
+gossip round and no wall-clock sensitivity.
 
-The :class:`MembershipLedger` is the world-level chronicle of those
-transitions; it exists for the launcher and for post-run reporting.
 The per-rank view (``SimComm.membership_view()``) is the authority a
 rank acts on, because a rank must never act on membership information
 it has not yet deterministically observed.
@@ -23,7 +24,67 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
+from typing import Callable
+
+from repro.mpi.faults import FaultPlan, RankKilledError
+from repro.mpi.policy import TimeoutPolicy
+from repro.obs.recorder import current as _obs_current
+from repro.util.runtoken import idle
+
+
+class SPMDError(RuntimeError):
+    """Raised when ranks violate the SPMD collective-ordering contract."""
+
+
+class RankFailure(SPMDError):
+    """One or more peers died (fail-stop) during a communication call.
+
+    Raised only in resilient mode, on every survivor, at the same
+    collective generation, with the same ``dead`` tuple — so survivors
+    can run recovery in lockstep.
+    """
+
+    def __init__(self, dead, op: str = "collective") -> None:
+        self.dead = tuple(dead)
+        self.op = op
+        super().__init__(
+            f"rank(s) {list(self.dead)} died during {op!r}; "
+            "surviving ranks must recover their work"
+        )
+
+
+class DistributedStateError(SPMDError):
+    """Replicated or sharded state diverged across ranks (a bug, not a
+    recoverable failure) — e.g. a bipartition-table shard that missed
+    trees its peers saw."""
+
+
+class RetryExhaustedError(SPMDError):
+    """A transiently-failing collective exceeded the retry budget."""
+
+
+class AllRanksDeadError(SPMDError):
+    """Every rank of a resilient world died; there is nobody to recover."""
+
+
+#: Rank lifecycle states tracked by :class:`FaultPlane`.  ``DORMANT``
+#: ranks are allocated joiners that have not entered the world yet:
+#: invisible to collectives, suspicion and schedules until activated.
+RUNNING, EXITED, FAILED, DEAD = "running", "exited", "failed", "dead"
+DORMANT = "dormant"
+
+#: Retry budget of a transiently failing collective.  Retry ``attempt``
+#: (0-based) is preceded by ``BASE_BACKOFF * 2**attempt`` virtual seconds
+#: of backoff.  Neither is a knob: no run ever set another value.
+MAX_RETRIES = 8
+BASE_BACKOFF = 1e-3
+
+#: How often a rank waiting for peers re-reads their clocks (harness
+#: seconds): a frozen peer is given up on at most one poll after its
+#: deadline.
+POLL_SECONDS = 0.25
 
 
 @dataclass(frozen=True)
@@ -86,46 +147,405 @@ class MembershipView:
         }
 
 
-@dataclass
-class MembershipLedger:
-    """World-level chronicle of membership transitions.
+class FaultPlane:
+    """The world half of the plane: rank statuses, the clocks read as
+    heartbeats, the stall detector and join activation.
 
-    Thread-safe append-only record kept by ``_World`` for post-run
-    reporting.  Ranks do *not* read the ledger to make decisions —
-    they act on their own deterministic :class:`MembershipView`.
+    ``cond`` guards the statuses and is shared with the data plane's
+    exchange slots, mailboxes and blackboard, so a status change wakes
+    every wait on a peer.
     """
 
-    initial_live: tuple[int, ...]
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    events: list[dict] = field(default_factory=list)
+    def __init__(self, size: int, policy: TimeoutPolicy = TimeoutPolicy(),
+                 fault_plan: FaultPlan | None = None, dormant=()) -> None:
+        self.size = size
+        self.policy = policy
+        self.fault_plan = fault_plan
+        #: Resilient worlds tolerate fail-stop deaths instead of aborting.
+        self.resilient = fault_plan is not None
+        self.cond = threading.Condition()
+        self.status: dict[int, str] = {
+            r: (DORMANT if r in dormant else RUNNING) for r in range(size)
+        }
+        #: Ranks alive at t=0 (dormant joiners excluded).
+        self.initial_live: tuple[int, ...] = tuple(
+            r for r in range(size) if r not in dormant
+        )
+        #: Deterministic activation records per join point, installed by
+        #: the first live rank to process the epoch boundary.
+        self.join_info: dict[str, dict] = {}
+        #: Set at teardown to release ranks wedged by an injected hang.
+        self.release = threading.Event()
+        #: Per-rank virtual clocks, registered at communicator creation:
+        #: the heartbeats :meth:`wait_for` reads.
+        self.clocks: dict = {}
 
-    def record_join(self, point: str, ranks: tuple[int, ...], epoch: int,
-                    time: float) -> None:
-        with self._lock:
-            key = ("join", point, ranks)
-            if any(e["_key"] == key for e in self.events):
-                return  # every live rank reports the same activation once
-            self.events.append({
-                "_key": key, "kind": "join", "point": point,
-                "ranks": list(ranks), "epoch": epoch, "time": time,
-            })
+    def running(self) -> list[int]:
+        """Ranks still executing (caller must hold ``cond``)."""
+        return [r for r in range(self.size) if self.status[r] == RUNNING]
 
-    def record_deaths(self, ranks: tuple[int, ...], time: float) -> None:
-        with self._lock:
-            key = ("death", ranks)
-            if any(e["_key"] == key for e in self.events):
-                return  # survivors all observe the same death batch
-            self.events.append({
-                "_key": key, "kind": "death", "ranks": list(ranks),
-                "time": time,
-            })
+    def any_running(self) -> bool:
+        with self.cond:
+            return any(s == RUNNING for s in self.status.values())
 
-    def as_doc(self) -> dict:
-        with self._lock:
-            return {
-                "initial_live": list(self.initial_live),
-                "events": [
-                    {k: v for k, v in e.items() if k != "_key"}
-                    for e in self.events
-                ],
-            }
+    def mark(self, rank: int, status: str) -> None:
+        with self.cond:
+            if self.status[rank] == RUNNING:
+                self.status[rank] = status
+            self.cond.notify_all()
+
+    def status_of(self, rank: int) -> str:
+        with self.cond:
+            return self.status[rank]
+
+    def wait_for(self, rank: int, pending: Callable[[], list[int]],
+                 what: str) -> list[int]:
+        """The one stall detector, for every wait on a peer: block until
+        no rank in ``pending()`` (re-read at every wake-up) is running, or
+        some have left — those are returned.  The caller holds ``cond``
+        token-free (``with idle(), cond:``).  A peer whose virtual clock
+        stood still for ``collective_seconds`` is given up on — declared
+        dead in a resilient world, an :class:`SPMDError` in a plain one; a
+        peer that computes is waited for, up to ``world_seconds``.
+        """
+        policy = self.policy
+        start = time.monotonic()
+        #: Heartbeat observations per peer: (virtual clock, harness time
+        #: it was last seen moving).
+        seen: dict[int, tuple[float | None, float]] = {}
+        while True:
+            peers = sorted(pending())
+            left = [r for r in peers if self.status[r] in (EXITED, FAILED)]
+            running = [r for r in peers if self.status[r] == RUNNING]
+            if left or not running:
+                return left
+            now = time.monotonic()
+            stalled = []
+            for r in running:
+                clock = self.clocks.get(r)
+                beat = clock.now if clock is not None else None
+                last = seen.get(r)
+                if last is None or last[0] != beat:
+                    seen[r] = (beat, now)
+                elif now - last[1] >= policy.collective_seconds:
+                    stalled.append(r)
+            if stalled:
+                if not self.resilient:
+                    raise SPMDError(
+                        f"rank {rank} gave up {what}: the clock(s) of rank(s) "
+                        f"{stalled} stood still for "
+                        f"{policy.collective_seconds:.1f}s"
+                    )
+                for r in stalled:
+                    self.status[r] = DEAD
+                self.cond.notify_all()
+                continue
+            if now - start >= policy.world_seconds:
+                raise SPMDError(
+                    f"rank {rank} exceeded the world deadline "
+                    f"({policy.world_seconds:.1f}s) {what}, waiting for "
+                    f"live rank(s) {running}"
+                )
+            self.cond.wait(POLL_SECONDS)
+
+    def install_join(self, info: dict) -> None:
+        """Activate the joiners of one epoch boundary (idempotent).
+
+        Every live participant of the boundary exchange calls this with
+        an identical activation record (generation and entry time come
+        from the frozen exchange board; epoch and live set from the
+        deterministic delta history), so ``setdefault`` makes the first
+        caller the installer and the rest witnesses.
+        """
+        with self.cond:
+            info = self.join_info.setdefault(info["point"], info)
+            for r in info["ranks"]:
+                if self.status[r] == DORMANT:
+                    self.status[r] = RUNNING
+            self.cond.notify_all()
+
+    def await_activation(self, rank: int, point: str) -> dict | None:
+        """Block a dormant joiner until its epoch boundary (or teardown).
+
+        Returns the activation record, or ``None`` when the world tore
+        down before the boundary was reached (the joiner then exits
+        without ever having been a member).
+        """
+        with idle(), self.cond:
+            while self.status[rank] == DORMANT and not self.release.is_set():
+                self.cond.wait(0.05)
+            if self.status[rank] != RUNNING:
+                return None
+            return self.join_info.get(point)
+
+
+class RankMembership:
+    """The rank half of the plane, inherited by
+    :class:`~repro.mpi.comm.SimComm`: what this rank has observed of the
+    membership, and the hooks the data plane calls around a collective —
+    :meth:`_enter_collective` before its exchange, :meth:`_agree` after.
+
+    The host sets ``rank``, ``clock``, ``account`` and ``_generation``
+    before calling ``__init__``, and provides the ``_exchange`` an epoch
+    boundary runs.
+    """
+
+    def __init__(self, faults: FaultPlane, topology) -> None:
+        #: The world's fault plane (public: runtime code polls statuses).
+        self.faults = faults
+        faults.clocks[self.rank] = self.clock
+        self._topology = topology
+        self._collective_calls = 0
+        #: Ranks this communicator believes alive; shrinks only at exchange
+        #: completion, so all survivors agree on it after each collective.
+        self.known_alive: set[int] = set(faults.initial_live)
+        #: Every rank this communicator has ever seen as a member
+        #: (initial live set plus observed joiners) — the base set that
+        #: :attr:`known_dead` is computed against.
+        self._ever_alive: set[int] = set(faults.initial_live)
+        #: Membership epoch: bumped once per observed delta batch
+        #: (deaths noticed at one collective, or one join boundary).
+        self.epoch = 0
+        #: Joiner ranks this communicator has observed entering.
+        self._joined_seen: set[int] = set()
+        #: Epoch-boundary points already processed (each join point is
+        #: handled exactly once, even across collective retries).
+        self._joined_points: set[str] = set()
+        #: Entry-time maximum of the most recent completed exchange —
+        #: the deterministic activation instant handed to joiners.
+        self._last_entry_max = 0.0
+        #: True for a rank that entered the world via an elastic join;
+        #: the SPMD body uses this to start from its join point instead
+        #: of replaying the collectives that happened before it existed.
+        self.is_joiner = False
+
+    def node_leaders(self) -> dict[int, int]:
+        """Current node → leader map (smallest alive rank per node).
+
+        Empty for flat or trivial-topology worlds.  Recomputed from
+        the membership view on every call — this *is* the deterministic
+        re-election rule: a dead leader is replaced by the next alive
+        rank of its node the instant the death set is agreed."""
+        return self.membership_view().node_leaders(self._topology)
+
+    def alive_ranks(self) -> list[int]:
+        """Ranks this communicator believes alive (sorted)."""
+        return sorted(self.known_alive)
+
+    @property
+    def known_dead(self) -> list[int]:
+        """Ranks this communicator has observed dying (sorted).
+
+        Computed against the set of ranks that were ever members —
+        dormant joiners that have not entered yet are neither alive nor
+        dead."""
+        return sorted(self._ever_alive - self.known_alive)
+
+    def membership_view(self) -> MembershipView:
+        """This rank's current versioned membership picture."""
+        return MembershipView(
+            epoch=self.epoch,
+            live=tuple(sorted(self.known_alive)),
+            joined=tuple(sorted(self._joined_seen)),
+            dead=tuple(self.known_dead),
+        )
+
+    def _bump_epoch(self, *, joined=(), dead=(), point: str | None = None) -> None:
+        """Advance the membership epoch by one observed delta batch."""
+        self.epoch += 1
+        rec = _obs_current()
+        if rec is not None:
+            args = {"epoch": self.epoch, "live": sorted(self.known_alive)}
+            if joined:
+                args["joined"] = sorted(joined)
+            if dead:
+                args["dead"] = sorted(dead)
+            if point is not None:
+                args["point"] = point
+            rec.count("membership.epochs")
+            rec.instant("membership-epoch", "fault", args=args)
+
+    def _note_deaths(self, dead: list[int], op: str) -> None:
+        """Chronicle deaths already removed from :attr:`known_alive`:
+        epoch bump and the rank-failure obs report."""
+        self._bump_epoch(dead=dead)
+        rec = _obs_current()
+        if rec is not None:
+            rec.count("comm.rank_failures")
+            rec.instant(
+                "rank-failure", "fault",
+                args={"op": op, "dead": dead, "known_dead": self.known_dead},
+            )
+
+    # -- the data plane's hooks ----------------------------------------------
+
+    def _enter_collective(self, op: str) -> None:
+        """Evaluate the fault plan at the entry of one collective call."""
+        index = self._collective_calls
+        self._collective_calls += 1
+        plan = self.faults.fault_plan
+        if plan is None:
+            return
+        plan.kill_at_collective(self.rank, index)
+        glitch = plan.glitch_at(self.rank, index)
+        if glitch is None:
+            return
+        if glitch.kind == "delay":
+            self.clock.advance(glitch.delay_seconds)
+        elif glitch.kind == "hang":
+            # The rank wedges inside the collective; peers declare it dead
+            # via their deadlines, and the launcher releases the thread at
+            # teardown so it can die cleanly.
+            with idle():
+                self.faults.release.wait()
+            raise RankKilledError(
+                f"rank {self.rank} hung in collective call {index}"
+            )
+        elif glitch.kind == "fail":
+            rec = _obs_current()
+            for attempt in range(min(glitch.failures, MAX_RETRIES)):
+                backoff = BASE_BACKOFF * 2.0 ** attempt
+                self.account.n_retries += 1
+                self.account.backoff_seconds += backoff
+                self.clock.advance(backoff)
+                if rec is not None:
+                    rec.count("comm.retries")
+                    rec.count("comm.backoff_seconds", backoff)
+                    rec.instant(
+                        "retry", "comm",
+                        args={"op": op, "call": index, "attempt": attempt + 1},
+                    )
+            if glitch.failures > MAX_RETRIES:
+                if rec is not None:
+                    rec.instant(
+                        "retry-exhausted", "comm", args={"op": op, "call": index}
+                    )
+                raise RetryExhaustedError(
+                    f"rank {self.rank}: collective {op!r} (call {index}) "
+                    f"still failing after {MAX_RETRIES} retries"
+                )
+
+    def _agree(self, board: dict[int, tuple], outcome: frozenset[int],
+               op: str) -> None:
+        """Apply the participant set frozen for one completed exchange.
+
+        ``outcome`` is the same on every survivor, so each one removes
+        the same newly dead ranks here and raises the same
+        :class:`RankFailure`."""
+        # Deterministic instant of this exchange (max of the frozen entry
+        # clocks) — the activation time handed to joiners at a boundary.
+        self._last_entry_max = max(t for _, t in board.values())
+        newly_dead = sorted(self.known_alive - outcome)
+        if not newly_dead:
+            return
+        # Leader set *before* the deaths are applied: any of these
+        # leaders in the death set triggers deterministic re-election
+        # (the map is a pure function of the alive set).
+        old_leaders = self.node_leaders()
+        self.known_alive.difference_update(newly_dead)
+        self._note_deaths(newly_dead, op)
+        rec = _obs_current()
+        dead_leaders = sorted(
+            r for r in old_leaders.values() if r in newly_dead
+        )
+        if dead_leaders and rec is not None:
+            # Leader hand-off: the successor (next alive rank of the node)
+            # inherits mid-collective, at no modelled cost.
+            rec.count("comm.leader_reelections", len(dead_leaders))
+            rec.instant(
+                "leader-reelection", "fault",
+                args={
+                    "op": op,
+                    "dead_leaders": dead_leaders,
+                    "leaders": {
+                        str(n): r for n, r in sorted(self.node_leaders().items())
+                    },
+                },
+            )
+        raise RankFailure(newly_dead, op=op)
+
+    def _lost(self, peer: int, op: str) -> SPMDError:
+        """The error of a receive whose wait ended without ``peer``'s
+        message: a :class:`RankFailure` (the death noted) when the peer
+        died, an :class:`SPMDError` when it left without sending."""
+        status = self.faults.status_of(peer)
+        if status == DEAD:
+            self.known_alive.discard(peer)
+            self._note_deaths([peer], op=op)
+            return RankFailure((peer,), op=op)
+        return SPMDError(
+            f"rank {self.rank} cannot receive from rank {peer}: "
+            f"it {status} without sending ({op})"
+        )
+
+    def _dead_root(self, root: int) -> SPMDError:
+        """The error of a bcast whose root died in an *earlier*
+        collective, so this exchange completed over the survivors without
+        raising.  Resilient survivors must still see a
+        :class:`RankFailure` (with the frozen death set) — a generic
+        SPMDError here would leave them unable to run recovery in
+        lockstep."""
+        if self.faults.resilient:
+            return RankFailure(self.known_dead, op="bcast")
+        return SPMDError(f"bcast root {root} is dead")
+
+    # -- membership epochs ---------------------------------------------------
+
+    def advance_epoch(self, point: str) -> None:
+        """Process the membership epoch boundary at pipeline ``point``.
+
+        A no-op unless the fault plan declares joiners at this point.
+        Otherwise the live ranks run one internal coordination exchange
+        (so the activation instant — generation, entry clock, live set —
+        is identical everywhere) and activate the dormant joiners.  Each
+        point is processed at most once per rank, so backend retry loops
+        can safely call this again after handling a :class:`RankFailure`.
+
+        Peer deaths noticed *at* the boundary exchange still raise
+        :class:`RankFailure`, but only after the join has been applied —
+        the joiner is then part of the surviving membership that runs
+        recovery.
+        """
+        plan = self.faults.fault_plan
+        if plan is None:
+            return
+        joining = plan.joins_at(point)
+        if not joining or point in self._joined_points:
+            return
+        self._joined_points.add(point)
+        try:
+            self._exchange(None, op=f"epoch:{point}")
+        except RankFailure:
+            self._activate(point, joining)
+            raise
+        self._activate(point, joining)
+
+    def _activate(self, point: str, joining: tuple[int, ...]) -> None:
+        """Apply one join delta locally and install the activation record."""
+        self.known_alive.update(joining)
+        self._ever_alive.update(joining)
+        self._joined_seen.update(joining)
+        self._bump_epoch(joined=joining, point=point)
+        self.faults.install_join({
+            "point": point, "ranks": tuple(joining),
+            "generation": self._generation, "entry": self._last_entry_max,
+            "epoch": self.epoch, "live": tuple(sorted(self.known_alive)),
+            "dead": tuple(self.known_dead),
+        })
+
+    def _adopt_join_state(self, info: dict) -> None:
+        """Initialise a freshly-activated joiner from its activation record.
+
+        The record was computed identically by every live participant of
+        the boundary exchange, so the joiner enters with a deterministic
+        generation, clock, epoch and membership view.
+        """
+        self.is_joiner = True
+        self._generation = info["generation"]
+        self.clock.synchronize(info["entry"])
+        self._last_entry_max = info["entry"]
+        self.known_alive = set(info["live"])
+        self._ever_alive = set(info["live"]) | set(info["dead"])
+        self.epoch = info["epoch"]
+        self._joined_seen = set(info["ranks"])
+        self._joined_points.add(info["point"])

@@ -12,18 +12,17 @@ among the ranks of each node (at shared-memory cost) and an *inter-node
 phase* among one elected leader per node (at network cost).
 
 Only **costs and attribution** differ between the models.  The data
-plane — the scratch-board exchange in :class:`~repro.mpi.comm.SimComm`,
-its reduction order, death sets, epochs and retries — is untouched,
-which is what keeps hierarchical runs bit-identical to flat runs in
-every analysis output.
+plane — the slot exchange in :class:`~repro.mpi.comm.SimComm` and its
+reduction order — and the fault/epoch plane — death sets, epochs,
+retries — are untouched, which is what keeps hierarchical runs
+bit-identical to flat runs in every analysis output.
 
 Leaders are not state: the leader of a node is *defined* as the smallest
 alive rank mapped to it, recomputed from the survivor set at every
 collective.  When a leader dies mid-collective the next collective's
 leader set is therefore already re-elected, deterministically and
 identically on every survivor — no election protocol, no extra
-messages (an optional re-election charge can be modelled via
-:class:`~repro.mpi.policy.TimeoutPolicy.reelection_charge_seconds`).
+messages, and no modelled cost.
 """
 
 from __future__ import annotations
@@ -90,14 +89,6 @@ class Topology:
         for r in sorted(alive):
             out.setdefault(self.node_of(r), r)
         return out
-
-    def leader_of(self, rank: int, alive: Iterable[int]) -> int:
-        """The current leader of ``rank``'s node."""
-        node = self.node_of(rank)
-        members = self.node_members(node, among=alive)
-        if not members:
-            raise ValueError(f"node {node} has no alive ranks")
-        return members[0]
 
 
 @dataclass(frozen=True)

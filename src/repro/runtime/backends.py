@@ -19,7 +19,7 @@ from dataclasses import replace
 from functools import partial
 from typing import Protocol
 
-from repro.mpi.comm import RankFailure
+from repro.mpi.membership import RankFailure
 from repro.obs.recorder import Recorder, current as _obs_current, recording
 from repro.search.schedule import make_schedule
 from repro.tree.newick import write_newick
@@ -348,7 +348,7 @@ class WorkStealBackend:
             config.n_processes,
             steal_seed=config.comprehensive.seed_p,
             steal_seconds=config.comm_timing().steal_seconds,
-            timeout=config.spmd_timeout,
+            timeout=config.timeout_policy.world_seconds,
         )
 
     def run(self, comm, pal, config, board: StealBoard) -> dict:
@@ -369,7 +369,7 @@ class WorkStealBackend:
             ),
         )
         adopted = ctx.state["adopted"] = {}
-        status_of = comm._world.status_of
+        status_of = comm.faults.status_of
         started_bootstraps = itertools.count()
         outcomes: dict[str, object] = {}
 

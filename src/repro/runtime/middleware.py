@@ -22,7 +22,8 @@ from repro.hybrid.checkpoint import (
     CheckpointStore,
     config_fingerprint,
 )
-from repro.mpi.comm import CommAccount, DistributedStateError
+from repro.mpi.comm import CommAccount
+from repro.mpi.membership import DistributedStateError
 from repro.obs.recorder import current as _obs_current
 from repro.sched.checkpoint import open_journal
 
@@ -225,7 +226,7 @@ def negotiate_resume(comm, store, resume: bool) -> int:
         return comm.lookup("resume_through", -1)
     through = -1
     if store is not None and resume:
-        counts = comm._plain_allgather(
+        counts = comm.coordinate(
             len(store.available_stages()), op="resume-negotiation"
         )
         through = min(c for c in counts if c is not None) - 1
@@ -263,7 +264,7 @@ def open_journal_store(comm, pal, config, dag):
         digest = hashlib.sha256(
             json.dumps(sorted(restored)).encode("ascii")
         ).hexdigest()
-        digests = comm._plain_allgather(digest, op="sched-resume")
+        digests = comm.coordinate(digest, op="sched-resume")
         if any(d is not None and d != digest for d in digests):
             raise CheckpointError(
                 "ranks loaded divergent sched journals; refusing to resume"

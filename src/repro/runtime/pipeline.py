@@ -31,7 +31,7 @@ from typing import Callable
 
 from repro.bootstop.table import BipartitionTable
 from repro.bootstop.wc_test import wc_converged
-from repro.mpi.comm import DistributedStateError, RankFailure
+from repro.mpi.membership import DistributedStateError, RankFailure
 from repro.obs.recorder import recording
 from repro.search.comprehensive import (
     STAGE_ORDER,

@@ -9,8 +9,9 @@ import pytest
 
 from repro.likelihood.engine import LikelihoodEngine, RateModel
 from repro.likelihood.gtr import GTRModel
-from repro.mpi.comm import SPMDError
 from repro.mpi.launcher import run_spmd
+from repro.mpi.membership import SPMDError
+from repro.mpi.policy import TimeoutPolicy
 from repro.threads.pool import VirtualThreadPool
 
 
@@ -26,7 +27,7 @@ class TestSPMDViolations:
                 comm.allgather(1)
 
         with pytest.raises(SPMDError, match="mismatch|broken"):
-            run_spmd(fn, 2, timeout=5.0)
+            run_spmd(fn, 2, timeout_policy=TimeoutPolicy(5.0, 5.0))
 
     def test_missing_collective_detected(self):
         """One rank skips a collective entirely -> broken barrier."""
@@ -39,7 +40,7 @@ class TestSPMDViolations:
                 comm.barrier()
 
         with pytest.raises(SPMDError):
-            run_spmd(fn, 2, timeout=2.0)
+            run_spmd(fn, 2, timeout_policy=TimeoutPolicy(2.0, 2.0))
 
     def test_one_rank_crashes_others_released(self):
         """A crash on one rank must not hang peers blocked in collectives."""
@@ -50,7 +51,7 @@ class TestSPMDViolations:
             comm.barrier()
 
         with pytest.raises(ValueError, match="injected failure"):
-            run_spmd(fn, 3, timeout=10.0)
+            run_spmd(fn, 3, timeout_policy=TimeoutPolicy(10.0, 10.0))
 
     def test_extra_collective_call_detected(self):
         def fn(comm):
@@ -59,7 +60,7 @@ class TestSPMDViolations:
                 comm.allgather(1)  # peers already finished
 
         with pytest.raises(SPMDError):
-            run_spmd(fn, 2, timeout=2.0)
+            run_spmd(fn, 2, timeout_policy=TimeoutPolicy(2.0, 2.0))
 
 
 class TestDegenerateEngineInputs:

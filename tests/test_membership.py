@@ -1,7 +1,7 @@
 """Tests for the epoch-based membership layer and the unified policies.
 
 Covers the membership data model (:mod:`repro.mpi.membership`), the
-consolidated :class:`RetryPolicy`/:class:`TimeoutPolicy` pair
+retry backoff and the one :class:`TimeoutPolicy`
 (:mod:`repro.mpi.policy`), the membership stamps checkpoints carry (a
 resume under different membership must fail loudly), quorum-based
 graceful degradation on both backends, the world-shared adoption claim
@@ -17,11 +17,20 @@ import pytest
 
 from repro.datasets import test_dataset as make_test_dataset
 from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
-from repro.mpi.comm import DistributedStateError
-from repro.mpi.faults import FaultPlan, JoinSpec, KillSpec, RankKilledError
+from repro.mpi.faults import (
+    CollectiveGlitch,
+    FaultPlan,
+    JoinSpec,
+    KillSpec,
+    RankKilledError,
+)
 from repro.mpi.launcher import run_spmd
-from repro.mpi.membership import MembershipLedger, MembershipView
-from repro.mpi.policy import RetryPolicy, TimeoutPolicy
+from repro.mpi.membership import (
+    BASE_BACKOFF,
+    DistributedStateError,
+    MembershipView,
+)
+from repro.mpi.policy import TimeoutPolicy
 from repro.search.comprehensive import ComprehensiveConfig
 from repro.search.searches import StageParams
 from tests.conftest import assert_bit_identical
@@ -55,7 +64,7 @@ def hybrid_config(quick_cc, **kw):
 
 
 # ---------------------------------------------------------------------------
-# MembershipView / MembershipLedger data model
+# MembershipView data model
 # ---------------------------------------------------------------------------
 
 
@@ -86,56 +95,37 @@ class TestMembershipView:
         assert doc["fingerprint"] == view.fingerprint()
 
 
-class TestMembershipLedger:
-    def test_deduplicates_repeated_observations(self):
-        ledger = MembershipLedger(initial_live=(0, 1, 2))
-        for _ in range(3):  # every survivor reports the same batch
-            ledger.record_deaths((2,), time=1.0)
-            ledger.record_join("bootstrap", (3,), epoch=2, time=2.0)
-        doc = ledger.as_doc()
-        assert doc["initial_live"] == [0, 1, 2]
-        assert len(doc["events"]) == 2
-        kinds = [e["kind"] for e in doc["events"]]
-        assert kinds == ["death", "join"]
-        assert all("_key" not in e for e in doc["events"])
-
-
 # ---------------------------------------------------------------------------
-# RetryPolicy / TimeoutPolicy
+# Retry backoff / TimeoutPolicy
 # ---------------------------------------------------------------------------
 
 
 class TestPolicies:
     def test_backoff_is_exponential(self):
-        p = RetryPolicy(max_retries=4, base_backoff=0.001, multiplier=2.0)
-        assert p.backoff_seconds(0) == pytest.approx(0.001)
-        assert p.backoff_seconds(3) == pytest.approx(0.008)
+        plan = FaultPlan(glitches=(
+            CollectiveGlitch(rank=0, call_index=0, kind="fail", failures=4),
+        ))
 
-    def test_retry_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_backoff=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
+        def body(comm):
+            comm.barrier()
+            return comm.account.n_retries, comm.account.backoff_seconds
+
+        (retries, backoff), _ = run_spmd(body, 2, fault_plan=plan)
+        assert retries == 4
+        assert backoff == pytest.approx(BASE_BACKOFF * (1 + 2 + 4 + 8))
 
     def test_timeout_validation_and_backcompat(self):
         with pytest.raises(ValueError):
             TimeoutPolicy(collective_seconds=0.0)
         with pytest.raises(ValueError):
             TimeoutPolicy(world_seconds=-1.0)
-        legacy = TimeoutPolicy.from_timeout(42.0)
-        assert legacy.collective_seconds == 42.0
-        assert legacy.world_seconds == 42.0
 
     def test_policies_not_in_checkpoint_fingerprint(self, pal, quick_cc):
         from repro.hybrid.checkpoint import config_fingerprint
 
         a = hybrid_config(quick_cc)
         b = hybrid_config(
-            quick_cc,
-            retry_policy=RetryPolicy(max_retries=2, base_backoff=0.5),
-            timeout_policy=TimeoutPolicy(collective_seconds=1.0),
+            quick_cc, timeout_policy=TimeoutPolicy(collective_seconds=1.0),
         )
         assert config_fingerprint(pal, a) == config_fingerprint(pal, b)
 

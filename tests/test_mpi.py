@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.mpi.comm import CommTiming, SPMDError
 from repro.mpi.launcher import run_spmd
+from repro.mpi.membership import SPMDError
+from repro.mpi.policy import TimeoutPolicy
+from repro.mpi.topology import CommTiming
 from repro.util.timing import VirtualClock
 
 
@@ -55,7 +57,7 @@ class TestPointToPoint:
             return None
 
         with pytest.raises(SPMDError):
-            run_spmd(fn, 2, timeout=0.5)
+            run_spmd(fn, 2, timeout_policy=TimeoutPolicy(0.5, 0.5))
 
 
 class TestCollectives:
@@ -202,7 +204,7 @@ class TestLauncher:
             comm.barrier()
 
         with pytest.raises(RuntimeError, match="boom"):
-            run_spmd(fn, 3, timeout=5.0)
+            run_spmd(fn, 3, timeout_policy=TimeoutPolicy(5.0, 5.0))
 
     def test_custom_clocks_used(self):
         clocks = [VirtualClock(100.0 * r) for r in range(3)]

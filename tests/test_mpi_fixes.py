@@ -2,18 +2,17 @@
 
 import pytest
 
-from repro.mpi.comm import (
-    DEAD_RANK,
-    AllRanksDeadError,
-    CommTiming,
-    RankFailure,
-    SimComm,
-    SPMDError,
-    _World,
-)
+from repro.mpi.comm import DEAD_RANK, SimComm, _World
 from repro.mpi.faults import FaultPlan, KillSpec
 from repro.mpi.launcher import run_spmd
-from repro.mpi.policy import RetryPolicy, TimeoutPolicy
+from repro.mpi.membership import (
+    AllRanksDeadError,
+    FaultPlane,
+    RankFailure,
+    SPMDError,
+)
+from repro.mpi.policy import TimeoutPolicy
+from repro.mpi.topology import CommTiming
 
 
 class TestAllreduceNonePayloads:
@@ -43,10 +42,7 @@ class TestAllreduceNonePayloads:
 class TestAllreduceAllDead:
     def _lone_comm(self, monkeypatch, resilient: bool) -> SimComm:
         plan = FaultPlan(kills=[KillSpec(rank=99, collective=0)]) if resilient else None
-        world = _World(
-            2, CommTiming(), RetryPolicy(), TimeoutPolicy.from_timeout(1.0),
-            fault_plan=plan,
-        )
+        world = _World(FaultPlane(2, TimeoutPolicy(1.0, 1.0), plan), CommTiming())
         comm = SimComm(world, 0)
         # Simulate every participant dead: the exchange yields an empty
         # board (nobody contributed, not even this rank's own entry).
@@ -91,7 +87,7 @@ class TestBcastDeadRoot:
         assert results[2] == ("bcast", (0,))
 
     def test_non_resilient_dead_root_is_spmd_error(self, monkeypatch):
-        world = _World(2, CommTiming(), RetryPolicy(), TimeoutPolicy.from_timeout(1.0))
+        world = _World(FaultPlane(2, TimeoutPolicy(1.0, 1.0)), CommTiming())
         comm = SimComm(world, 1)
         monkeypatch.setattr(
             comm, "_exchange", lambda value, op=None: {1: (None, 0.0)}

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.mpi.launcher import run_spmd
+from repro.mpi.policy import TimeoutPolicy
 from repro.util.rng import RAxMLRandom
 
 
@@ -25,7 +26,7 @@ class TestManyRanks:
                 acc += sum(values)
             return acc
 
-        results = run_spmd(fn, 32, timeout=120.0)
+        results = run_spmd(fn, 32, timeout_policy=TimeoutPolicy(120.0, 120.0))
         assert len(set(results)) == 1
 
     def test_ring_point_to_point(self):
@@ -42,7 +43,7 @@ class TestManyRanks:
             comm.send(token + 1, dest=nxt)
             return token
 
-        results = run_spmd(fn, 16, timeout=60.0)
+        results = run_spmd(fn, 16, timeout_policy=TimeoutPolicy(60.0, 60.0))
         assert results[0] == 16  # made the full loop
 
     def test_clock_monotone_across_collectives(self):
@@ -55,7 +56,7 @@ class TestManyRanks:
                 times.append(comm.clock.now)
             return times
 
-        for times in run_spmd(fn, 8, timeout=60.0):
+        for times in run_spmd(fn, 8, timeout_policy=TimeoutPolicy(60.0, 60.0)):
             assert times == sorted(times)
 
     def test_final_barrier_equalises_after_chaos(self):
@@ -66,7 +67,7 @@ class TestManyRanks:
                 comm.barrier()
             return comm.clock.now
 
-        times = run_spmd(fn, 12, timeout=60.0)
+        times = run_spmd(fn, 12, timeout_policy=TimeoutPolicy(60.0, 60.0))
         assert len({round(t, 9) for t in times}) == 1
 
 

@@ -23,15 +23,16 @@ from repro.hybrid.checkpoint import (
     config_fingerprint,
 )
 from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
-from repro.mpi.comm import (
+from repro.mpi.faults import CollectiveGlitch, FaultPlan, KillSpec, RankKilledError
+from repro.mpi.launcher import run_spmd
+from repro.mpi.membership import (
+    BASE_BACKOFF,
     AllRanksDeadError,
     RankFailure,
     RetryExhaustedError,
     SPMDError,
 )
-from repro.mpi.faults import CollectiveGlitch, FaultPlan, KillSpec, RankKilledError
-from repro.mpi.launcher import run_spmd
-from repro.mpi.policy import RetryPolicy
+from repro.mpi.policy import TimeoutPolicy
 from repro.search.comprehensive import ComprehensiveConfig
 from repro.search.searches import StageParams
 from repro.tree.newick import write_newick
@@ -129,12 +130,12 @@ class TestCollectiveFaults:
             comm.barrier()
             return comm.account.n_retries, comm.clock.now
 
-        out = run_spmd(body, 2, fault_plan=plan, timeout=10.0)
+        out = run_spmd(body, 2, fault_plan=plan, timeout_policy=TimeoutPolicy(10.0, 10.0))
         (r0, t0), (r1, t1) = out
         assert r0 == 3 and r1 == 0
         # Backoff doubles per attempt: 1 + 2 + 4 units of base_backoff,
         # and the barrier synchronises rank 1 up to rank 0's delayed entry.
-        assert t0 >= RetryPolicy().base_backoff * 7
+        assert t0 >= BASE_BACKOFF * 7
         assert t1 == t0
 
     def test_retry_budget_exhaustion_is_fatal(self):
@@ -142,7 +143,8 @@ class TestCollectiveFaults:
             CollectiveGlitch(rank=0, call_index=0, kind="fail", failures=99),
         ))
         with pytest.raises(RetryExhaustedError, match="still failing"):
-            run_spmd(lambda comm: comm.barrier(), 2, fault_plan=plan, timeout=5.0)
+            run_spmd(lambda comm: comm.barrier(), 2, fault_plan=plan,
+                     timeout_policy=TimeoutPolicy(5.0, 5.0))
 
     def test_delay_glitch_charges_virtual_time(self):
         plan = FaultPlan(glitches=(
@@ -153,7 +155,7 @@ class TestCollectiveFaults:
             comm.barrier()
             return comm.clock.now
 
-        times = run_spmd(body, 2, fault_plan=plan, timeout=10.0)
+        times = run_spmd(body, 2, fault_plan=plan, timeout_policy=TimeoutPolicy(10.0, 10.0))
         assert min(times) >= 2.5  # everyone waits for the delayed rank
 
     def test_kill_inside_collective_raises_rankfailure_on_survivors(self):
@@ -168,7 +170,7 @@ class TestCollectiveFaults:
                 return rf.dead, gathered
             return "no failure seen"
 
-        out = run_spmd(body, 3, fault_plan=plan, timeout=10.0)
+        out = run_spmd(body, 3, fault_plan=plan, timeout_policy=TimeoutPolicy(10.0, 10.0))
         assert out[1] is None  # the killed rank produced no result
         for res in (out[0], out[2]):
             dead, gathered = res
@@ -187,7 +189,7 @@ class TestCollectiveFaults:
                     seen.append(rf.dead)
             return seen
 
-        out = run_spmd(body, 4, fault_plan=plan, timeout=10.0)
+        out = run_spmd(body, 4, fault_plan=plan, timeout_policy=TimeoutPolicy(10.0, 10.0))
         survivors = [out[r] for r in (0, 1, 3)]
         assert survivors[0] == survivors[1] == survivors[2] == [(2,)]
 
@@ -204,7 +206,7 @@ class TestCollectiveFaults:
             return "no failure seen"
 
         started = time.monotonic()
-        out = run_spmd(body, 2, fault_plan=plan, timeout=1.0)
+        out = run_spmd(body, 2, fault_plan=plan, timeout_policy=TimeoutPolicy(1.0, 1.0))
         elapsed = time.monotonic() - started
         assert out == [(1,), None]
         assert elapsed < 10.0  # deadline-bounded, not wedged forever
@@ -212,7 +214,8 @@ class TestCollectiveFaults:
     def test_all_ranks_dead_is_reported(self):
         plan = FaultPlan(kills=(KillSpec(rank=None, collective=0),))
         with pytest.raises(AllRanksDeadError):
-            run_spmd(lambda comm: comm.barrier(), 2, fault_plan=plan, timeout=5.0)
+            run_spmd(lambda comm: comm.barrier(), 2, fault_plan=plan,
+                     timeout_policy=TimeoutPolicy(5.0, 5.0))
 
     def test_non_resilient_worlds_still_abort_on_kill(self):
         """Without a fault plan a RankKilledError is a bug and surfaces."""
@@ -223,7 +226,7 @@ class TestCollectiveFaults:
             return "ok"
 
         with pytest.raises((RankKilledError, SPMDError)):
-            run_spmd(body, 2, timeout=2.0)
+            run_spmd(body, 2, timeout_policy=TimeoutPolicy(2.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +243,7 @@ class TestLauncher:
 
         started = time.monotonic()
         with pytest.raises(SPMDError, match="shared"):
-            run_spmd(body, 4, timeout=1.0)
+            run_spmd(body, 4, timeout_policy=TimeoutPolicy(1.0, 1.0))
         assert time.monotonic() - started < 10.0
 
     def test_secondary_rank_errors_attached_as_notes(self):
@@ -248,7 +251,7 @@ class TestLauncher:
             raise ValueError(f"boom on rank {comm.rank}")
 
         with pytest.raises(ValueError, match="boom on rank 0") as info:
-            run_spmd(body, 3, timeout=5.0)
+            run_spmd(body, 3, timeout_policy=TimeoutPolicy(5.0, 5.0))
         notes = "\n".join(getattr(info.value, "__notes__", []))
         assert "rank 1" in notes and "rank 2" in notes
 
@@ -259,7 +262,7 @@ class TestLauncher:
             comm.barrier()  # rank 1 never joins: collateral SPMDError
 
         with pytest.raises(KeyError, match="the real bug"):
-            run_spmd(body, 2, timeout=5.0)
+            run_spmd(body, 2, timeout_policy=TimeoutPolicy(5.0, 5.0))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +362,7 @@ class TestResumeDeterminism:
         with pytest.raises(SPMDError):
             run_hybrid_analysis(pal, hybrid_config(
                 quick_cc, checkpoint_dir=str(tmp_path),
-                fault_plan=plan, spmd_timeout=60.0,
+                fault_plan=plan, timeout_policy=TimeoutPolicy(60.0, 60.0),
             ))
         resumed = run_hybrid_analysis(pal, hybrid_config(
             quick_cc, checkpoint_dir=str(tmp_path), resume=True,
@@ -379,7 +382,7 @@ class TestResumeDeterminism:
         with pytest.raises(SPMDError):
             run_hybrid_analysis(pal, hybrid_config(
                 quick_cc, checkpoint_dir=str(tmp_path),
-                fault_plan=plan, spmd_timeout=60.0,
+                fault_plan=plan, timeout_policy=TimeoutPolicy(60.0, 60.0),
             ))
         other_cc = ComprehensiveConfig(
             n_bootstraps=4, cat_categories=3, seed_p=999,
@@ -401,7 +404,7 @@ class TestRankDeathRecovery:
                                                             baseline):
         plan = FaultPlan(kills=(KillSpec(rank=1, replicate=1),))
         result = run_hybrid_analysis(pal, hybrid_config(
-            quick_cc, fault_plan=plan, spmd_timeout=60.0,
+            quick_cc, fault_plan=plan, timeout_policy=TimeoutPolicy(60.0, 60.0),
         ))
         assert result.failed_ranks == [1]
         assert len(result.ranks) == 1  # only the survivor reports
@@ -421,7 +424,7 @@ class TestRankDeathRecovery:
         shares), so the final selection sees the same candidate set."""
         plan = FaultPlan(kills=(KillSpec(rank=1, stage="slow"),))
         result = run_hybrid_analysis(pal, hybrid_config(
-            quick_cc, fault_plan=plan, spmd_timeout=60.0,
+            quick_cc, fault_plan=plan, timeout_policy=TimeoutPolicy(60.0, 60.0),
         ))
         assert result.failed_ranks == [1]
         assert_bit_identical(baseline, result, ignore=("rank_lnls",))
@@ -454,7 +457,7 @@ class TestRankDeathRecovery:
         plan = FaultPlan(kills=(KillSpec(rank=1, stage="thorough"),))
         result = run_hybrid_analysis(pal, hybrid_config(
             quick_cc, checkpoint_dir=str(tmp_path),
-            fault_plan=plan, spmd_timeout=60.0,
+            fault_plan=plan, timeout_policy=TimeoutPolicy(60.0, 60.0),
         ))
         assert result.failed_ranks == [1]
         # Rank 1 checkpointed setup..slow before dying; the survivor's
@@ -473,7 +476,7 @@ class TestRankDeathRecovery:
             CollectiveGlitch(rank=0, call_index=0, kind="fail", failures=2),
         ))
         result = run_hybrid_analysis(pal, hybrid_config(
-            quick_cc, fault_plan=plan, spmd_timeout=60.0,
+            quick_cc, fault_plan=plan, timeout_policy=TimeoutPolicy(60.0, 60.0),
         ))
         assert result.ranks[0].n_retries == 2
         assert result.ranks[1].n_retries == 0
@@ -485,7 +488,7 @@ class TestRankDeathRecovery:
         plan = FaultPlan(kills=(KillSpec(rank=1, stage="fast"),))
         result = run_hybrid_analysis(pal, hybrid_config(
             quick_cc, bootstopping=True, bootstop_max=8,
-            fault_plan=plan, spmd_timeout=60.0,
+            fault_plan=plan, timeout_policy=TimeoutPolicy(60.0, 60.0),
         ))
         assert result.failed_ranks == [1]
         assert result.best_lnl < 0.0

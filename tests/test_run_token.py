@@ -167,7 +167,7 @@ class TestWorldToken:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            stats = run_spmd(body, 6, timeout=DEADLINE)
+            stats = run_spmd(body, 6, timeout_policy=TimeoutPolicy(DEADLINE, DEADLINE))
         finally:
             sys.setswitchinterval(interval)
         assert overlaps == []
@@ -183,7 +183,7 @@ class TestWorldToken:
             compute(comm, 0.2)
             return time.perf_counter()
 
-        ends = run_spmd(body, 4, timeout=DEADLINE)
+        ends = run_spmd(body, 4, timeout_policy=TimeoutPolicy(DEADLINE, DEADLINE))
         assert max(first_slice.values()) < min(ends)
 
     @pytest.mark.parametrize("how", ["raises", "killed"])
@@ -198,9 +198,10 @@ class TestWorldToken:
 
         if how == "raises":
             with pytest.raises(KeyError):
-                run_spmd(body, 4, timeout=DEADLINE)
+                run_spmd(body, 4, timeout_policy=TimeoutPolicy(DEADLINE, DEADLINE))
         else:
-            out = run_spmd(body, 4, timeout=DEADLINE, fault_plan=FaultPlan())
+            out = run_spmd(body, 4, timeout_policy=TimeoutPolicy(DEADLINE, DEADLINE),
+                           fault_plan=FaultPlan())
             assert out == [None, 1, 2, 3]
 
     def test_nested_world_restores_the_outer_token(self):
@@ -213,15 +214,17 @@ class TestWorldToken:
             seat = runtoken._tls.seat
             assert seat == (token, comm.rank)
             if comm.rank == 0:
-                assert run_spmd(inner, 2, timeout=DEADLINE) == [2, 2]
+                policy = TimeoutPolicy(DEADLINE, DEADLINE)
+                assert run_spmd(inner, 2, timeout_policy=policy) == [2, 2]
                 with pytest.raises(SPMDError):
-                    run_spmd(lambda c: c.recv(1 - c.rank), 2, timeout=0.3)
+                    run_spmd(lambda c: c.recv(1 - c.rank), 2,
+                             timeout_policy=TimeoutPolicy(0.3, 0.3))
             # Back on the outer token, after a clean and a failed inner run.
             assert runtoken._tls.seat == seat and token._held
             compute(comm, 0.02)
             return comm.allreduce(comm.rank)
 
-        assert run_spmd(outer, 3, timeout=DEADLINE) == [3, 3, 3]
+        assert run_spmd(outer, 3, timeout_policy=TimeoutPolicy(DEADLINE, DEADLINE)) == [3, 3, 3]
 
 
 class TestWaitSitesRunTokenFree:
@@ -230,7 +233,7 @@ class TestWaitSitesRunTokenFree:
 
     def run(self, body, n_ranks=4, **kw):
         t0 = time.monotonic()
-        out = run_spmd(body, n_ranks, **{"timeout": DEADLINE, **kw})
+        out = run_spmd(body, n_ranks, **{"timeout_policy": TimeoutPolicy(DEADLINE, DEADLINE), **kw})
         assert time.monotonic() - t0 < DEADLINE / 2
         return out
 

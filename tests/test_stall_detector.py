@@ -95,3 +95,34 @@ def test_frozen_peer_is_given_up_on_at_the_deadline(fault_plan):
     (seconds,) = waited
     assert POLICY.collective_seconds <= seconds
     assert seconds < POLICY.collective_seconds + POLL_SLACK
+
+
+@WORLDS
+def test_frozen_sender_is_given_up_on_at_the_deadline(fault_plan):
+    """The receive waits in the same detector as the collective: a
+    resilient receiver declares its frozen source dead."""
+    waited = []
+
+    def body(comm):
+        if comm.rank == 1:
+            freeze(2.0)
+            return None
+        t0 = time.monotonic()
+        try:
+            return comm.recv(1)
+        except SPMDError as exc:
+            waited.append(time.monotonic() - t0)
+            if fault_plan is None:
+                raise
+            assert isinstance(exc, RankFailure) and exc.dead == (1,)
+            return comm.known_dead
+
+    if fault_plan is None:
+        with pytest.raises(SPMDError):
+            run_spmd(body, 2, timeout_policy=POLICY)
+    else:
+        out = run_spmd(body, 2, fault_plan=fault_plan, timeout_policy=POLICY)
+        assert out == [[1], None]
+    (seconds,) = waited
+    assert POLICY.collective_seconds <= seconds
+    assert seconds < POLICY.collective_seconds + POLL_SLACK
