@@ -46,7 +46,7 @@ class MachineSpec:
     (:mod:`repro.mpi.topology`): latency/per-byte cost of a hop inside a
     node (shared memory) vs across the interconnect.  The inter-node
     defaults equal the historical flat
-    :class:`~repro.mpi.comm.CommTiming` numbers, so a trivial topology
+    :class:`~repro.mpi.topology.CommTiming` numbers, so a trivial topology
     reproduces today's costs exactly.
     """
 
