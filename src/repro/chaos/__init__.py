@@ -2,7 +2,7 @@
 
 Sweeps seeded randomized :class:`~repro.mpi.faults.FaultPlan`\\ s — rank
 kills at every kind of injection point, transient collective glitches,
-elastic joins, and combinations — over a pinned comprehensive analysis
+and combinations — over a pinned comprehensive analysis
 on both execution backends, asserting the three invariants a resilient
 SPMD runtime owes its users: no hangs, bit-identical results whenever
 recovery succeeds, and checkpoint→resume equivalence mid-fault.
@@ -18,12 +18,11 @@ with :func:`repro.chaos.campaign.replay_scenario`.
 """
 
 from repro.chaos.campaign import replay_scenario, run_campaign, run_scenario
-from repro.chaos.plans import ScenarioSpec, generate_scenario, strip_for_resume
+from repro.chaos.plans import ScenarioSpec, generate_scenario
 
 __all__ = [
     "ScenarioSpec",
     "generate_scenario",
-    "strip_for_resume",
     "run_campaign",
     "run_scenario",
     "replay_scenario",

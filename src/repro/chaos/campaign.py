@@ -16,10 +16,9 @@ the golden parity suite pins) under a generated
    sample of scenarios is additionally run twice to confirm the fault
    path itself is replayable bit-for-bit, timings included.
 3. **Checkpoint → resume equivalence** — a sample of scenarios runs
-   checkpointed and is then resumed with the kills/glitches stripped
-   (they already happened) and the joins kept (they are membership, and
-   keep the checkpoints' membership fingerprints valid); the resumed
-   run must reproduce the fault-free baseline.
+   checkpointed and is then resumed with no fault plan (its faults
+   already happened); the resumed run must reproduce the fault-free
+   baseline.
 
 The campaign is a pure function of ``(seed, n_scenarios)``: the report
 names every scenario's plan, so any violation can be replayed in
@@ -32,7 +31,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.chaos.plans import ScenarioSpec, generate_scenario, strip_for_resume
+from repro.chaos.plans import ScenarioSpec, generate_scenario
 from repro.datasets import test_dataset as make_test_dataset
 from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
 from repro.mpi.policy import TimeoutPolicy
@@ -79,14 +78,16 @@ def _capture(result) -> dict:
     return doc
 
 
-def _run(pal, cc, spec: ScenarioSpec, *, plan=None, checkpoint_dir=None,
-         resume=False, quorum=0.0):
+def _run(pal, cc, spec: ScenarioSpec, *, checkpoint_dir=None, resume=False,
+         quorum=0.0):
+    """Run ``spec``'s analysis; a ``resume`` continuation runs with no
+    fault plan (the faults already happened)."""
     config = HybridConfig(
         n_processes=spec.n_processes,
         n_threads=1,
         comprehensive=cc,
         schedule=spec.schedule,
-        fault_plan=spec.plan if plan is None and not resume else plan,
+        fault_plan=None if resume else spec.plan,
         checkpoint_dir=checkpoint_dir,
         resume=resume,
         quorum=quorum,
@@ -113,9 +114,8 @@ def _check(pal, cc, spec: ScenarioSpec, check: str, expect, *,
     what ``expect(result)`` finds wrong with it, or the crash — a hang
     surfaces as one, through the world's own deadlines.  ``repeat``
     re-runs the same plan, which must reproduce the first run timings
-    included.  A checkpointed run that passed is then resumed with its
-    kills and glitches stripped, and ``expect`` judges the resumed run
-    too.  Returns the scenario's record with its ``violations`` list.
+    included.  A checkpointed run that passed is then resumed with no
+    fault plan, and ``expect`` judges the resumed run too.  Returns the scenario's record with its ``violations`` list.
     """
     record = spec.as_doc()
     record["checks"] = [check]
@@ -149,8 +149,7 @@ def _check(pal, cc, spec: ScenarioSpec, check: str, expect, *,
         record["checks"].append("resume")
         # A resumed continuation is fault-free (the faults already
         # happened), so it must reproduce the fault-free baseline.
-        attempt(f"{check} resume", plan=strip_for_resume(spec.plan),
-                checkpoint_dir=ckdir, resume=True)
+        attempt(f"{check} resume", checkpoint_dir=ckdir, resume=True)
     record["violations"] = violations
     record["elapsed_seconds"] = round(time.perf_counter() - t0, 3)
     return record
@@ -214,7 +213,7 @@ def run_leader_death_probes(pal, cc, workdir: Path | None = None) -> list[dict]:
 
     flat_base = ScenarioSpec(index=-1, schedule="static", n_processes=4,
                              plan=None, equality="baseline", deaths=())
-    baseline = _capture(_run(pal, cc, flat_base, plan=None))
+    baseline = _capture(_run(pal, cc, flat_base))
     plans = {
         "leader-node0-collective": FaultPlan(
             kills=(KillSpec(rank=0, collective=1),)),
@@ -259,7 +258,7 @@ def run_campaign(n_scenarios: int = 200, seed: int = 20260808,
     ``ranks_per_node`` sweeps every generated scenario under the
     hierarchical communication model while the cached baselines stay
     *flat* — so the whole campaign doubles as a cross-model bit-identity
-    check: faults, joins and leader deaths under two-phase collectives
+    check: faults and leader deaths under two-phase collectives
     must reproduce exactly what the flat world computes.
     """
     import tempfile
@@ -281,7 +280,7 @@ def run_campaign(n_scenarios: int = 200, seed: int = 20260808,
                     index=-1, schedule=schedule, n_processes=p,
                     plan=None, equality="baseline", deaths=(),
                 )
-                baselines[key] = _capture(_run(pal, cc, base_spec, plan=None))
+                baselines[key] = _capture(_run(pal, cc, base_spec))
             spec = generate_scenario(i, seed, schedule, p,
                                      ranks_per_node=ranks_per_node)
             record = run_scenario(pal, cc, spec, baselines[key], root)
@@ -341,7 +340,7 @@ def replay_scenario(index: int, seed: int, schedule: str,
     base_spec = ScenarioSpec(index=-1, schedule=schedule,
                              n_processes=n_processes, plan=None,
                              equality="baseline", deaths=())
-    baseline = _capture(_run(pal, cc, base_spec, plan=None))
+    baseline = _capture(_run(pal, cc, base_spec))
     spec = generate_scenario(index, seed, schedule, n_processes,
                              ranks_per_node=ranks_per_node)
     return run_scenario(pal, cc, spec, baseline, None)

@@ -2,10 +2,9 @@
 
 A chaos campaign needs fault schedules that are *adversarial but legal*:
 random enough to explore the failure-mode space (kills at every kind of
-point, transient glitches, elastic joins, and combinations), yet bounded
-so every scenario is recoverable by construction — at least one original
-rank survives, transient failures stay within the retry budget, and
-joiner ranks are never targeted before they exist.
+point, transient glitches, and combinations), yet bounded so every
+scenario is recoverable by construction — at least one rank survives and
+transient failures stay within the retry budget.
 
 Generation is a pure function of ``(seed, schedule, index)`` via
 :class:`random.Random` seeded with a string key, so a campaign can be
@@ -22,7 +21,6 @@ from repro.mpi.faults import (
     STAGE_POINTS,
     CollectiveGlitch,
     FaultPlan,
-    JoinSpec,
     KillSpec,
 )
 
@@ -42,8 +40,8 @@ class ScenarioSpec:
     the baseline — static recovery replays a dead rank's whole original
     share (never re-partitioning the survivors' streams) and work-steal
     task streams are origin-pure, so kills at any stage, replicate or
-    collective index, with glitches and elastic joins on top, must all
-    reproduce the fault-free result exactly.
+    collective index, with glitches on top, must all reproduce the
+    fault-free result exactly.
     """
 
     index: int
@@ -76,9 +74,6 @@ class ScenarioSpec:
                  "failures": g.failures, "delay_seconds": g.delay_seconds}
                 for g in self.plan.glitches
             ],
-            "joins": [
-                {"rank": j.rank, "stage": j.stage} for j in self.plan.joins
-            ],
         }
 
 
@@ -95,8 +90,7 @@ def generate_scenario(
     The plan always remains recoverable: the set of ranks doomed to die
     (fail-stop kills plus ``hang`` glitches, which peers convert into
     deaths via their collective deadline) never exceeds
-    ``n_processes - 1``, and kills/glitches only target original ranks —
-    joiners enter clean.  ``ranks_per_node`` is carried through to the
+    ``n_processes - 1``.  ``ranks_per_node`` is carried through to the
     spec verbatim; it does not participate in plan generation, so the
     same (seed, schedule, index) yields the same faults under either
     communication model.
@@ -144,12 +138,7 @@ def generate_scenario(
                 delay_seconds=round(rng.uniform(0.005, 0.2), 6)))
         used.add((rank, call_index))
 
-    joins = tuple(
-        JoinSpec(rank=p + i, stage=rng.choice(STAGE_POINTS))
-        for i in range(rng.choice((0, 1, 1, 2)))
-    )
-
-    plan = FaultPlan(kills=tuple(kills), glitches=tuple(glitches), joins=joins)
+    plan = FaultPlan(kills=tuple(kills), glitches=tuple(glitches))
     return ScenarioSpec(
         index=index,
         schedule=schedule,
@@ -160,18 +149,3 @@ def generate_scenario(
         ranks_per_node=ranks_per_node,
     )
 
-
-def strip_for_resume(plan: FaultPlan) -> FaultPlan | None:
-    """The fault plan a ``--resume`` continuation of ``plan`` should use.
-
-    Kills and glitches already happened in the first run — re-injecting
-    them would fault the continuation, and a killed rank resumes alive.
-    Elastic joins are *membership*, not faults: the joiner ranks exist
-    again in the resumed world and re-enter at the same epoch
-    boundaries, which is exactly what keeps the membership fingerprints
-    of the loaded checkpoints valid.  Returns None when nothing remains
-    (so the continuation runs fault-free in non-resilient mode).
-    """
-    if not plan.joins:
-        return None
-    return FaultPlan(joins=plan.joins)

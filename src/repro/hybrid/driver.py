@@ -90,7 +90,9 @@ class HybridConfig:
     #: "static" is the paper's fixed Table 2 partition; "work-steal" runs
     #: the same shares as a task DAG over per-rank deques with
     #: deterministic cross-rank stealing (:mod:`repro.sched`) —
-    #: bit-identical results, smaller idle tails.
+    #: bit-identical results.  On the paper's equal ``ceil(N/p)`` shares
+    #: no steal fires and it is never faster (EXPERIMENTS.md, "Work
+    #: stealing on equal shares"); steals happen only after a rank death.
     schedule: str = "static"
     #: Ranks packed per node (``--ranks-per-node``): switches the
     #: communication model to the topology-aware two-phase collectives
@@ -146,17 +148,6 @@ class HybridConfig:
                     f"node; {self.ranks_per_node} ranks x {self.n_threads} "
                     "threads cannot be packed onto one node"
                 )
-        if (
-            self.bootstopping
-            and self.fault_plan is not None
-            and self.fault_plan.joins
-        ):
-            raise ValueError(
-                "elastic joins are epoch-boundary events of the stage "
-                "pipeline; bootstopping's round-synchronised bootstrap "
-                "does not define those boundaries — use joins without "
-                "bootstopping"
-            )
 
     def topology(self):
         """The run's node topology, or ``None`` for the flat world."""

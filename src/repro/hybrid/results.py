@@ -81,17 +81,12 @@ class HybridResult:
     #: Final membership picture (epoch, live set, deltas, fingerprint)
     #: as observed by the lowest surviving rank.
     membership: dict | None = None
-    #: Elastic joiners' summaries (rank, join stage, adoptions).
-    joiners: list[dict] = field(default_factory=list)
 
     @property
     def n_bootstraps_done(self) -> int:
         """Replicates in the global bootstrap set, whoever computed them
-        — original ranks' shares plus replicates adopted by joiners."""
-        return (
-            sum(r.n_bootstraps for r in self.ranks)
-            + sum(j.get("n_bootstraps", 0) for j in self.joiners)
-        )
+        — reporting ranks' own shares plus the ones they adopted."""
+        return sum(r.n_bootstraps for r in self.ranks)
 
     def rank_lnls(self) -> list[float]:
         """Per-rank thorough-search likelihoods (Table 6's comparison)."""
@@ -169,7 +164,6 @@ class HybridResult:
             "notes": list(self.notes),
             "degraded": self.degraded,
             "membership": self.membership,
-            "joiners": list(self.joiners),
             "stage_seconds": dict(self.stage_seconds),
             "total_seconds": self.total_seconds,
             "wc_trace": [list(t) for t in self.wc_trace],
@@ -207,17 +201,6 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
     """
     results = [r for r in raw if r is not None]
     results.sort(key=lambda r: r["rank"])
-    # Elastic joiners (hot spares) are folded in separately: they have no
-    # Table 2 share of their own, so they do not appear as RankReports —
-    # but the trees they adopted from dead ranks are part of the global
-    # bootstrap set, and their timing/metrics join the documents.
-    joiners = [r for r in results if r.get("joiner")]
-    results = [r for r in results if not r.get("joiner")]
-    if not results:
-        # Pathological survival: every original rank died but a joiner
-        # finished.  Fold the joiners in as the reporting ranks so the
-        # run still returns a (degraded) result instead of crashing.
-        results, joiners = joiners, []
 
     ranks = [
         RankReport(
@@ -279,7 +262,7 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
 
     bootstrap_trees = [
         parse_newick(n, taxa=pal.taxa)
-        for r in results + joiners
+        for r in results
         for n in r["bootstrap_newicks"]
     ]
     support_tree = None
@@ -296,19 +279,16 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
 
     trace = None
     if config.collect_trace:
-        events = [e for r in results + joiners for e in (r["trace_events"] or [])]
+        events = [e for r in results for e in (r["trace_events"] or [])]
         trace = chrome_trace(events, n_threads=config.n_threads, meta={
             "n_processes": config.n_processes,
             "n_threads": config.n_threads,
             "machine": config.machine,
-            "dropped_events": sum(r["trace_dropped"] for r in results + joiners),
+            "dropped_events": sum(r["trace_dropped"] for r in results),
         })
     metrics = None
     if config.collect_trace or config.collect_metrics:
-        per_rank = {str(r["rank"]): r["metrics"] for r in results + joiners}
-        recovery_by_rank = [r.recovery_by_stage for r in ranks] + [
-            dict(j["recovery_seconds_by_stage"]) for j in joiners
-        ]
+        per_rank = {str(r["rank"]): r["metrics"] for r in results}
         metrics = {
             "per_rank": per_rank,
             "aggregate": aggregate(list(per_rank.values())),
@@ -320,13 +300,11 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
                 n_processes=config.n_processes,
                 n_threads=config.n_threads,
                 sched=sched_doc,
-                recovery=recovery_by_rank,
+                recovery=[r.recovery_by_stage for r in ranks],
             ),
         }
 
-    notes = sorted({
-        note for r in results + joiners for note in r["notes"]
-    })
+    notes = sorted({note for r in results for note in r["notes"]})
 
     return HybridResult(
         best_tree=best_tree,
@@ -348,14 +326,4 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
         notes=notes,
         degraded=bool(notes),
         membership=results[0]["membership"],
-        joiners=[
-            {
-                "rank": j["rank"],
-                "join_stage": j["join_stage"],
-                "recovered_for": list(j["recovered_for"]),
-                "n_bootstraps": len(j["bootstrap_newicks"]),
-                "finish_time": j["finish_time"],
-            }
-            for j in joiners
-        ],
     )

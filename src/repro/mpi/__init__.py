@@ -16,15 +16,15 @@ by :mod:`repro.mpi.topology`) moves values and never reads a fault plan.
 The fault/epoch plane (:mod:`repro.mpi.membership`, driven by a
 :class:`FaultPlan` and one :class:`TimeoutPolicy`) owns rank statuses,
 the one stall detector every wait on a peer goes through, death
-agreement, epochs and joins, and the faults injected at a collective's
-entry.
+agreement, epochs, and the faults injected at a collective's entry.
+The world is fixed: its p ranks start together and only ever leave, and
+the exchange slots and mailboxes are all they share.
 """
 
 from repro.mpi.comm import DEAD_RANK, CommEvent, SimComm
 from repro.mpi.faults import (
     CollectiveGlitch,
     FaultPlan,
-    JoinSpec,
     KillSpec,
     RankKilledError,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "FaultPlan",
     "KillSpec",
     "CollectiveGlitch",
-    "JoinSpec",
     "RankKilledError",
     "MembershipView",
     "TimeoutPolicy",

@@ -20,6 +20,8 @@ collectives are priced as two-phase operations (node-local at
 shared-memory cost, one leader per node over the network) and sends per
 hop.  The data plane (exchange, reduction order, death sets, epochs)
 never looks at the model, keeping results bit-identical across models.
+Exchange slots and mailboxes are the only state ranks share: there is
+no blackboard beside the messages.
 
 Failures and membership live in the fault/epoch plane
 (:mod:`repro.mpi.membership`), whose rank half :class:`SimComm`
@@ -29,8 +31,7 @@ stall detector while waiting for any peer, the agreed death set after
 (with a fault plan attached, a peer that dies or stalls is declared
 dead, the exchange completes over the survivors,
 and each survivor raises a :class:`~repro.mpi.membership.RankFailure`
-with the same death set), and the epoch boundaries at which dormant
-joiners enter (:meth:`SimComm.advance_epoch`).
+with the same death set).
 """
 
 from __future__ import annotations
@@ -115,9 +116,8 @@ class _Slot:
     """One collective generation on the exchange board."""
 
     op: str
-    #: Participant set, frozen by the first rank to arrive.  Membership
-    #: changes mid-generation (a joiner activated by a faster rank) must
-    #: not alter who an in-flight collective waits for.
+    #: Participant set, frozen by the first rank to arrive: the ranks
+    #: running then.
     expected: frozenset[int]
     #: rank -> (contribution, entry clock).
     board: dict[int, tuple] = field(default_factory=dict)
@@ -144,10 +144,6 @@ class _World:
         self.slots: dict[int, _Slot] = {}
         #: (src, dst, tag) -> messages sent and not yet received.
         self.mailboxes: defaultdict[tuple[int, int, int], deque] = defaultdict(deque)
-        #: Cross-rank blackboard for values every rank computes
-        #: identically (e.g. the negotiated resume prefix) that late
-        #: joiners need at activation.
-        self.shared: dict[str, object] = {}
         #: One runnable rank thread at a time (:mod:`repro.util.runtoken`).
         #: A lone rank has nobody to contend with and takes no token.
         self.token: RunToken | None = RunToken() if self.size > 1 else None
@@ -265,9 +261,7 @@ class SimComm(RankMembership):
             slot = world.slots.get(gen)
             if slot is None:
                 # The first arriver freezes who participates in this
-                # generation: the ranks running *now*.  A joiner activated
-                # while the collective is in flight enters at the next
-                # generation — nobody must wait for it here.
+                # generation: the ranks running *now*.
                 slot = world.slots[gen] = _Slot(
                     op, frozenset(faults.running()) | {self.rank}
                 )
@@ -304,7 +298,7 @@ class SimComm(RankMembership):
             slot.left.add(self.rank)
             if outcome <= slot.left:
                 world.slots.pop(gen, None)
-        self._agree(result, outcome, op)
+        self._agree(outcome, op)
         return result
 
     def coordinate(self, obj, op: str = "coordination") -> list:
@@ -314,21 +308,6 @@ class SimComm(RankMembership):
         to uninterrupted ones."""
         board = self._exchange(obj, op=op)
         return [board[r][0] if r in board else None for r in range(self.size)]
-
-    def publish(self, key: str, value):
-        """Deposit a coordination value on the world blackboard.
-
-        First writer wins (every rank must compute the value
-        identically); late joiners read it with :meth:`lookup` after
-        activation.  Cost-free — publication is runtime coordination,
-        not modelled communication."""
-        with self._world.cond:
-            return self._world.shared.setdefault(key, value)
-
-    def lookup(self, key: str, default=None):
-        """Read a value previously :meth:`publish`-ed by any rank."""
-        with self._world.cond:
-            return self._world.shared.get(key, default)
 
     def _collective(self, op: str, contribution, carried=None, absent=None) -> list:
         """The one modelled collective: exchange, price, synchronise, record.

@@ -16,9 +16,6 @@ time and deterministically*, which simulated rank fails where:
   failures that the communicator retries with exponential backoff
   (``fail``), or an indefinite hang that peers must detect via their
   per-call deadlines (``hang``).
-* :class:`JoinSpec` — the elastic counterpart of a kill: an extra rank
-  that starts *dormant* and enters the world at a named stage boundary
-  (an epoch boundary of the membership layer).
 
 Plans are immutable and evaluated with pure arithmetic, so the same plan
 injected into the same run produces the same failure every time — the
@@ -119,30 +116,6 @@ class CollectiveGlitch:
 
 
 @dataclass(frozen=True)
-class JoinSpec:
-    """Rank ``rank`` joins the world at the ``stage`` epoch boundary.
-
-    Joining ranks are allocated up front by the launcher but start
-    *dormant* — invisible to collectives, schedules and suspicion — and
-    are activated when the live ranks reach ``stage``'s boundary (via
-    ``SimComm.advance_epoch``).  Joiner ranks must be numbered directly
-    above the initial world (``n_ranks``, ``n_ranks + 1``, ...); the
-    launcher validates the numbering.
-    """
-
-    rank: int
-    stage: str
-
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError("rank must be >= 0")
-        if self.stage not in STAGE_POINTS:
-            raise ValueError(
-                f"unknown stage {self.stage!r}; expected one of {STAGE_POINTS}"
-            )
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """The complete, deterministic fault schedule of one SPMD run.
 
@@ -154,7 +127,6 @@ class FaultPlan:
 
     kills: tuple[KillSpec, ...] = ()
     glitches: tuple[CollectiveGlitch, ...] = ()
-    joins: tuple[JoinSpec, ...] = ()
 
     def __post_init__(self) -> None:
         seen = set()
@@ -166,11 +138,6 @@ class FaultPlan:
                     f"{g.call_index}"
                 )
             seen.add(key)
-        joiners = set()
-        for j in self.joins:
-            if j.rank in joiners:
-                raise ValueError(f"multiple joins for rank {j.rank}")
-            joiners.add(j.rank)
 
     # -- kill points --------------------------------------------------------
 
@@ -201,16 +168,4 @@ class FaultPlan:
         for g in self.glitches:
             if g.rank == rank and g.call_index == call_index:
                 return g
-        return None
-
-    # -- elastic joins -------------------------------------------------------
-
-    def joins_at(self, stage: str) -> tuple[int, ...]:
-        """Joiner ranks entering at the ``stage`` epoch boundary, sorted."""
-        return tuple(sorted(j.rank for j in self.joins if j.stage == stage))
-
-    def join_stage_of(self, rank: int) -> str | None:
-        for j in self.joins:
-            if j.rank == rank:
-                return j.stage
         return None

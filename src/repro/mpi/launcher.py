@@ -3,8 +3,8 @@
 The launcher is where the two planes of a world meet: it builds the
 fault/epoch plane (:class:`~repro.mpi.membership.FaultPlane`: statuses,
 the fault plan, the deadlines) and hands it to the data plane
-(:class:`~repro.mpi.comm._World`: exchange slots, mailboxes,
-blackboard, run token), then marks each rank's status as its body ends.
+(:class:`~repro.mpi.comm._World`: exchange slots, mailboxes, run
+token), then marks each rank's status as its body ends.
 
 ``comm_timing`` is any :class:`~repro.mpi.topology.CommCostModel` — the
 flat :class:`~repro.mpi.topology.CommTiming` (the default) or a
@@ -23,7 +23,6 @@ from repro.mpi.comm import SimComm, _World
 from repro.mpi.faults import FaultPlan, RankKilledError
 from repro.mpi.membership import (
     DEAD,
-    DORMANT,
     EXITED,
     FAILED,
     AllRanksDeadError,
@@ -61,49 +60,29 @@ def _raise_rank_errors(errors: list) -> None:
     raise exc
 
 
-def _joiner_ranks(n_ranks: int, fault_plan: FaultPlan | None) -> tuple[int, ...]:
-    """Validate and return the plan's joiner ranks (sorted)."""
-    if fault_plan is None or not fault_plan.joins:
-        return ()
-    joiners = tuple(sorted(j.rank for j in fault_plan.joins))
-    expected = tuple(range(n_ranks, n_ranks + len(joiners)))
-    if joiners != expected:
-        raise ValueError(
-            f"joiner ranks must be numbered directly above the initial "
-            f"world of {n_ranks}: expected {list(expected)}, got "
-            f"{list(joiners)}"
-        )
-    return joiners
-
-
 def _run_threads(faults: FaultPlane, threads: list) -> list[str]:
     """Start the rank threads and wait for them; names of the stuck ones."""
     for t in threads:
         t.start()
     # One *shared* deadline for the whole world (a per-thread timeout would
     # make the worst-case wait n_ranks x timeout).  Ranks already declared
-    # dead are not waited for: their threads are released below.  Dormant
-    # joiners are only waited for while someone is left to activate them.
+    # dead are not waited for: their threads are released below.
     deadline = time.monotonic() + faults.policy.world_seconds
     for rank, t in enumerate(threads):
         while t.is_alive():
-            status = faults.status_of(rank)
-            if status == DEAD:
+            if faults.status_of(rank) == DEAD:
                 break
-            if status == DORMANT and not faults.any_running():
-                break  # nobody left alive to reach this joiner's boundary
             remaining = deadline - time.monotonic()
             if remaining <= 0.0:
                 break
             t.join(min(remaining, 0.1))
-    # Wake any rank wedged inside an injected hang (or a joiner that will
-    # never be activated) so its thread can exit.
+    # Wake any rank wedged inside an injected hang so its thread can exit.
     faults.release.set()
     stuck = []
     for rank, t in enumerate(threads):
         if t.is_alive():
             t.join(0.5)
-        if t.is_alive() and faults.status_of(rank) not in (DEAD, DORMANT):
+        if t.is_alive() and faults.status_of(rank) != DEAD:
             stuck.append(t.name)
     return stuck
 
@@ -141,13 +120,6 @@ def run_spmd(
     by the plan return ``None`` in the result list (their peers are
     expected to recover their work).
 
-    A plan with :class:`~repro.mpi.faults.JoinSpec` entries allocates the
-    joiner ranks up front as *dormant* threads: they block until the live
-    ranks reach the declared epoch boundary (``comm.advance_epoch``),
-    then run ``fn`` with a communicator initialised from the boundary's
-    deterministic activation record.  The result list covers initial and
-    joiner ranks; joiners that were never activated return ``None``.
-
     ``timeout_policy`` holds both deadlines: the suspicion deadline of
     every wait on a peer (a peer whose virtual clock stands still that
     long is given up on) and the shared world deadline.
@@ -155,31 +127,16 @@ def run_spmd(
     if n_ranks < 1:
         raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
     timing = comm_timing if comm_timing is not None else CommTiming()
-    joiners = _joiner_ranks(n_ranks, fault_plan)
-    total = n_ranks + len(joiners)
-    if clocks is not None and len(clocks) not in (n_ranks, total):
+    if clocks is not None and len(clocks) != n_ranks:
         raise ValueError("clocks must have one entry per rank")
-    faults = FaultPlane(total, timeout_policy, fault_plan, dormant=joiners)
+    faults = FaultPlane(n_ranks, timeout_policy, fault_plan)
     world = _World(faults, timing)
-    results: list = [None] * total
-    errors: list = [None] * total
-    deaths: list = [None] * total
-
-    def rank_clock(rank: int) -> VirtualClock | None:
-        if clocks is None or rank >= len(clocks):
-            return None
-        return clocks[rank]
+    results: list = [None] * n_ranks
+    errors: list = [None] * n_ranks
+    deaths: list = [None] * n_ranks
 
     def rank_main(rank: int) -> None:
-        comm = SimComm(world, rank, rank_clock(rank))
-        if rank in joiners:
-            point = fault_plan.join_stage_of(rank)
-            info = faults.await_activation(rank, point)
-            if info is None:
-                # World tore down before the boundary: the joiner never
-                # became a member; it exits still dormant.
-                return
-            comm._adopt_join_state(info)
+        comm = SimComm(world, rank, clocks[rank] if clocks is not None else None)
         try:
             results[rank] = fn(comm)
         except RankKilledError as exc:
@@ -193,14 +150,14 @@ def run_spmd(
         faults.mark(rank, EXITED)
 
     def target(rank: int) -> None:
-        # Released however rank_main ends: body raised, rank killed,
-        # joiner never activated.
+        # Released however rank_main ends: body returned, raised or
+        # rank killed.
         with holding(world.token, rank):
             rank_main(rank)
 
     threads = [
         threading.Thread(target=target, args=(r,), name=f"simmpi-rank-{r}", daemon=True)
-        for r in range(total)
+        for r in range(n_ranks)
     ]
     # A caller that is itself a rank thread of an outer world only waits
     # from here on: it gives that world's token up and has it back on exit.
@@ -218,14 +175,9 @@ def run_spmd(
                 # A RankKilledError outside a fault plan is a bug, not a
                 # simulated failure — surface it.
                 raise death
-    else:
-        member_statuses = [
-            faults.status_of(r) for r in range(total)
-            if faults.status_of(r) != DORMANT
-        ]
-        if member_statuses and all(s == DEAD for s in member_statuses):
-            raise AllRanksDeadError(
-                f"all {len(member_statuses)} member ranks died before "
-                "completing; nothing to recover"
-            )
+    elif all(faults.status_of(r) == DEAD for r in range(n_ranks)):
+        raise AllRanksDeadError(
+            f"all {n_ranks} member ranks died before completing; nothing "
+            "to recover"
+        )
     return results

@@ -1,18 +1,18 @@
 """The fault/epoch plane: rank statuses, the one stall detector, death
-agreement, epochs and joins, and the faults injected at a collective's
-entry (kills, glitches, retry backoff).  :mod:`repro.mpi.comm`, the
-data plane, never reads a fault plan; it calls in here instead.
+agreement, epochs, and the faults injected at a collective's entry
+(kills, glitches, retry backoff).  :mod:`repro.mpi.comm`, the data
+plane, never reads a fault plan; it calls in here instead.
 
+The world is fixed: its ranks all start together and only ever leave.
 Each rank holds a versioned :class:`MembershipView` — the epoch number,
-the live set, and the deltas (ranks that joined, ranks that died) that
-produced it.  Views advance deterministically: deaths are discovered by
-the stall detector on virtual clocks (:meth:`FaultPlane.wait_for`: the
-collective arrival *is* the heartbeat, a clock that stops moving is the
-suspicion), and joins happen only at declared epoch boundaries via
-:meth:`RankMembership.advance_epoch`.  Because both kinds of delta
-surface exclusively at deterministic collective points, every rank
-walks the same sequence of views for a given fault plan — there is no
-gossip round and no wall-clock sensitivity.
+the live set and the ranks that died.  Views advance deterministically:
+deaths are discovered by the stall detector on virtual clocks
+(:meth:`FaultPlane.wait_for`: the collective arrival *is* the
+heartbeat, a clock that stops moving is the suspicion) and agreed at
+collective completion, one epoch per batch.  Because deaths surface
+exclusively at deterministic collective points, every rank walks the
+same sequence of views for a given fault plan — there is no gossip
+round and no wall-clock sensitivity.
 
 The per-rank view (``SimComm.membership_view()``) is the authority a
 rank acts on, because a rank must never act on membership information
@@ -69,11 +69,8 @@ class AllRanksDeadError(SPMDError):
     """Every rank of a resilient world died; there is nobody to recover."""
 
 
-#: Rank lifecycle states tracked by :class:`FaultPlane`.  ``DORMANT``
-#: ranks are allocated joiners that have not entered the world yet:
-#: invisible to collectives, suspicion and schedules until activated.
+#: Rank lifecycle states tracked by :class:`FaultPlane`.
 RUNNING, EXITED, FAILED, DEAD = "running", "exited", "failed", "dead"
-DORMANT = "dormant"
 
 #: Retry budget of a transiently failing collective.  Retry ``attempt``
 #: (0-based) is preceded by ``BASE_BACKOFF * 2**attempt`` virtual seconds
@@ -92,15 +89,12 @@ class MembershipView:
     """One rank's versioned picture of who is in the world.
 
     ``epoch`` increments by one for every observed membership change
-    (a batch of deaths noticed at one collective, or a join boundary).
-    ``live`` is the full membership after the change; ``joined`` and
-    ``dead`` are the deltas that produced this view from its
-    predecessor.
+    (a batch of deaths noticed at one collective).  ``live`` is the
+    full membership after the change; ``dead`` the ranks that left it.
     """
 
     epoch: int
     live: tuple[int, ...]
-    joined: tuple[int, ...] = ()
     dead: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -141,7 +135,6 @@ class MembershipView:
         return {
             "epoch": self.epoch,
             "live": list(self.live),
-            "joined": list(self.joined),
             "dead": list(self.dead),
             "fingerprint": self.fingerprint(),
         }
@@ -149,31 +142,22 @@ class MembershipView:
 
 class FaultPlane:
     """The world half of the plane: rank statuses, the clocks read as
-    heartbeats, the stall detector and join activation.
+    heartbeats, and the stall detector.
 
     ``cond`` guards the statuses and is shared with the data plane's
-    exchange slots, mailboxes and blackboard, so a status change wakes
-    every wait on a peer.
+    exchange slots and mailboxes, so a status change wakes every wait on
+    a peer.
     """
 
     def __init__(self, size: int, policy: TimeoutPolicy = TimeoutPolicy(),
-                 fault_plan: FaultPlan | None = None, dormant=()) -> None:
+                 fault_plan: FaultPlan | None = None) -> None:
         self.size = size
         self.policy = policy
         self.fault_plan = fault_plan
         #: Resilient worlds tolerate fail-stop deaths instead of aborting.
         self.resilient = fault_plan is not None
         self.cond = threading.Condition()
-        self.status: dict[int, str] = {
-            r: (DORMANT if r in dormant else RUNNING) for r in range(size)
-        }
-        #: Ranks alive at t=0 (dormant joiners excluded).
-        self.initial_live: tuple[int, ...] = tuple(
-            r for r in range(size) if r not in dormant
-        )
-        #: Deterministic activation records per join point, installed by
-        #: the first live rank to process the epoch boundary.
-        self.join_info: dict[str, dict] = {}
+        self.status: dict[int, str] = dict.fromkeys(range(size), RUNNING)
         #: Set at teardown to release ranks wedged by an injected hang.
         self.release = threading.Event()
         #: Per-rank virtual clocks, registered at communicator creation:
@@ -183,10 +167,6 @@ class FaultPlane:
     def running(self) -> list[int]:
         """Ranks still executing (caller must hold ``cond``)."""
         return [r for r in range(self.size) if self.status[r] == RUNNING]
-
-    def any_running(self) -> bool:
-        with self.cond:
-            return any(s == RUNNING for s in self.status.values())
 
     def mark(self, rank: int, status: str) -> None:
         with self.cond:
@@ -248,36 +228,6 @@ class FaultPlane:
                 )
             self.cond.wait(POLL_SECONDS)
 
-    def install_join(self, info: dict) -> None:
-        """Activate the joiners of one epoch boundary (idempotent).
-
-        Every live participant of the boundary exchange calls this with
-        an identical activation record (generation and entry time come
-        from the frozen exchange board; epoch and live set from the
-        deterministic delta history), so ``setdefault`` makes the first
-        caller the installer and the rest witnesses.
-        """
-        with self.cond:
-            info = self.join_info.setdefault(info["point"], info)
-            for r in info["ranks"]:
-                if self.status[r] == DORMANT:
-                    self.status[r] = RUNNING
-            self.cond.notify_all()
-
-    def await_activation(self, rank: int, point: str) -> dict | None:
-        """Block a dormant joiner until its epoch boundary (or teardown).
-
-        Returns the activation record, or ``None`` when the world tore
-        down before the boundary was reached (the joiner then exits
-        without ever having been a member).
-        """
-        with idle(), self.cond:
-            while self.status[rank] == DORMANT and not self.release.is_set():
-                self.cond.wait(0.05)
-            if self.status[rank] != RUNNING:
-                return None
-            return self.join_info.get(point)
-
 
 class RankMembership:
     """The rank half of the plane, inherited by
@@ -285,9 +235,8 @@ class RankMembership:
     membership, and the hooks the data plane calls around a collective —
     :meth:`_enter_collective` before its exchange, :meth:`_agree` after.
 
-    The host sets ``rank``, ``clock``, ``account`` and ``_generation``
-    before calling ``__init__``, and provides the ``_exchange`` an epoch
-    boundary runs.
+    The host sets ``rank``, ``clock`` and ``account`` before calling
+    ``__init__``.
     """
 
     def __init__(self, faults: FaultPlane, topology) -> None:
@@ -298,26 +247,9 @@ class RankMembership:
         self._collective_calls = 0
         #: Ranks this communicator believes alive; shrinks only at exchange
         #: completion, so all survivors agree on it after each collective.
-        self.known_alive: set[int] = set(faults.initial_live)
-        #: Every rank this communicator has ever seen as a member
-        #: (initial live set plus observed joiners) — the base set that
-        #: :attr:`known_dead` is computed against.
-        self._ever_alive: set[int] = set(faults.initial_live)
-        #: Membership epoch: bumped once per observed delta batch
-        #: (deaths noticed at one collective, or one join boundary).
+        self.known_alive: set[int] = set(range(faults.size))
+        #: Membership epoch: bumped once per observed batch of deaths.
         self.epoch = 0
-        #: Joiner ranks this communicator has observed entering.
-        self._joined_seen: set[int] = set()
-        #: Epoch-boundary points already processed (each join point is
-        #: handled exactly once, even across collective retries).
-        self._joined_points: set[str] = set()
-        #: Entry-time maximum of the most recent completed exchange —
-        #: the deterministic activation instant handed to joiners.
-        self._last_entry_max = 0.0
-        #: True for a rank that entered the world via an elastic join;
-        #: the SPMD body uses this to start from its join point instead
-        #: of replaying the collectives that happened before it existed.
-        self.is_joiner = False
 
     def node_leaders(self) -> dict[int, int]:
         """Current node → leader map (smallest alive rank per node).
@@ -334,43 +266,28 @@ class RankMembership:
 
     @property
     def known_dead(self) -> list[int]:
-        """Ranks this communicator has observed dying (sorted).
-
-        Computed against the set of ranks that were ever members —
-        dormant joiners that have not entered yet are neither alive nor
-        dead."""
-        return sorted(self._ever_alive - self.known_alive)
+        """Ranks this communicator has observed dying (sorted)."""
+        return sorted(set(range(self.faults.size)) - self.known_alive)
 
     def membership_view(self) -> MembershipView:
         """This rank's current versioned membership picture."""
         return MembershipView(
             epoch=self.epoch,
             live=tuple(sorted(self.known_alive)),
-            joined=tuple(sorted(self._joined_seen)),
             dead=tuple(self.known_dead),
         )
-
-    def _bump_epoch(self, *, joined=(), dead=(), point: str | None = None) -> None:
-        """Advance the membership epoch by one observed delta batch."""
-        self.epoch += 1
-        rec = _obs_current()
-        if rec is not None:
-            args = {"epoch": self.epoch, "live": sorted(self.known_alive)}
-            if joined:
-                args["joined"] = sorted(joined)
-            if dead:
-                args["dead"] = sorted(dead)
-            if point is not None:
-                args["point"] = point
-            rec.count("membership.epochs")
-            rec.instant("membership-epoch", "fault", args=args)
 
     def _note_deaths(self, dead: list[int], op: str) -> None:
         """Chronicle deaths already removed from :attr:`known_alive`:
         epoch bump and the rank-failure obs report."""
-        self._bump_epoch(dead=dead)
+        self.epoch += 1
         rec = _obs_current()
         if rec is not None:
+            rec.count("membership.epochs")
+            rec.instant("membership-epoch", "fault", args={
+                "epoch": self.epoch, "live": sorted(self.known_alive),
+                "dead": sorted(dead),
+            })
             rec.count("comm.rank_failures")
             rec.instant(
                 "rank-failure", "fault",
@@ -425,16 +342,12 @@ class RankMembership:
                     f"still failing after {MAX_RETRIES} retries"
                 )
 
-    def _agree(self, board: dict[int, tuple], outcome: frozenset[int],
-               op: str) -> None:
+    def _agree(self, outcome: frozenset[int], op: str) -> None:
         """Apply the participant set frozen for one completed exchange.
 
         ``outcome`` is the same on every survivor, so each one removes
         the same newly dead ranks here and raises the same
         :class:`RankFailure`."""
-        # Deterministic instant of this exchange (max of the frozen entry
-        # clocks) — the activation time handed to joiners at a boundary.
-        self._last_entry_max = max(t for _, t in board.values())
         newly_dead = sorted(self.known_alive - outcome)
         if not newly_dead:
             return
@@ -488,64 +401,3 @@ class RankMembership:
         if self.faults.resilient:
             return RankFailure(self.known_dead, op="bcast")
         return SPMDError(f"bcast root {root} is dead")
-
-    # -- membership epochs ---------------------------------------------------
-
-    def advance_epoch(self, point: str) -> None:
-        """Process the membership epoch boundary at pipeline ``point``.
-
-        A no-op unless the fault plan declares joiners at this point.
-        Otherwise the live ranks run one internal coordination exchange
-        (so the activation instant — generation, entry clock, live set —
-        is identical everywhere) and activate the dormant joiners.  Each
-        point is processed at most once per rank, so backend retry loops
-        can safely call this again after handling a :class:`RankFailure`.
-
-        Peer deaths noticed *at* the boundary exchange still raise
-        :class:`RankFailure`, but only after the join has been applied —
-        the joiner is then part of the surviving membership that runs
-        recovery.
-        """
-        plan = self.faults.fault_plan
-        if plan is None:
-            return
-        joining = plan.joins_at(point)
-        if not joining or point in self._joined_points:
-            return
-        self._joined_points.add(point)
-        try:
-            self._exchange(None, op=f"epoch:{point}")
-        except RankFailure:
-            self._activate(point, joining)
-            raise
-        self._activate(point, joining)
-
-    def _activate(self, point: str, joining: tuple[int, ...]) -> None:
-        """Apply one join delta locally and install the activation record."""
-        self.known_alive.update(joining)
-        self._ever_alive.update(joining)
-        self._joined_seen.update(joining)
-        self._bump_epoch(joined=joining, point=point)
-        self.faults.install_join({
-            "point": point, "ranks": tuple(joining),
-            "generation": self._generation, "entry": self._last_entry_max,
-            "epoch": self.epoch, "live": tuple(sorted(self.known_alive)),
-            "dead": tuple(self.known_dead),
-        })
-
-    def _adopt_join_state(self, info: dict) -> None:
-        """Initialise a freshly-activated joiner from its activation record.
-
-        The record was computed identically by every live participant of
-        the boundary exchange, so the joiner enters with a deterministic
-        generation, clock, epoch and membership view.
-        """
-        self.is_joiner = True
-        self._generation = info["generation"]
-        self.clock.synchronize(info["entry"])
-        self._last_entry_max = info["entry"]
-        self.known_alive = set(info["live"])
-        self._ever_alive = set(info["live"]) | set(info["dead"])
-        self.epoch = info["epoch"]
-        self._joined_seen = set(info["ranks"])
-        self._joined_points.add(info["point"])

@@ -37,10 +37,8 @@ from typing import ClassVar, Collection, Iterable
 class Topology:
     """Rank→node map of a run: ``ranks_per_node`` consecutive ranks per node.
 
-    ``size`` is the number of ranks the run *starts* with; elastic
-    joiners get ranks above it and are mapped by the same rule
-    (``rank // ranks_per_node``), so membership growth never reshuffles
-    the placement of existing ranks.
+    ``size`` is the number of ranks of the run; a rank's node is
+    ``rank // ranks_per_node``.
     """
 
     size: int
@@ -56,7 +54,7 @@ class Topology:
 
     @property
     def n_nodes(self) -> int:
-        """Nodes occupied by the initial ``size`` ranks."""
+        """Nodes occupied by the ``size`` ranks."""
         return ceil(self.size / self.ranks_per_node)
 
     @property
@@ -65,7 +63,7 @@ class Topology:
         return self.ranks_per_node == 1
 
     def node_of(self, rank: int) -> int:
-        """The node hosting ``rank`` (joiner ranks >= size included)."""
+        """The node hosting ``rank``."""
         if rank < 0:
             raise ValueError(f"invalid rank {rank}")
         return rank // self.ranks_per_node
@@ -291,7 +289,7 @@ class HierarchicalCommTiming(CommCostModel):
         """Intra/inter cost split of one collective over ``members``.
 
         ``members`` is the alive set the collective runs over (possibly
-        shrunk by deaths or grown by joins); the split is a pure function
+        shrunk by deaths); the split is a pure function
         of it, so every survivor charges identical virtual time.
         """
         if len(members) <= 1:

@@ -17,7 +17,7 @@ Instrumented call sites obtain the active recorder with
 because every simulated rank runs on its own Python thread (and its
 virtual threads are simulated *inside* that thread).  With no recorder
 installed, :func:`current` returns ``None`` and every instrumentation
-point reduces to one attribute lookup and a falsy check; tracing off is
+point reduces to one attribute read and a falsy check; tracing off is
 therefore free to within noise (the <5% microbench budget).
 
 Kernel-region events are *coalesced*: consecutive regions that abut in

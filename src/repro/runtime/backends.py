@@ -110,10 +110,9 @@ def _until_agreed(collective, on_failure):
 
 
 def _exec_stage(ctx: RankContext, stage: Stage) -> None:
-    """The stage boundary — for both backends, live ranks, joiners and
-    replays alike: epoch advance, adoption claims, kill hook,
-    restore-or-run, the paper's barrier (with its recovery retry) inside
-    the stage window, accounting, persist, fuse.
+    """The stage boundary — for both backends, live ranks and replays
+    alike: kill hook, restore-or-run, the paper's barrier (with its
+    recovery retry) inside the stage window, accounting, persist, fuse.
 
     It branches on what the context and the stage carry — no
     communicator (a replay), no ``run`` hook (no share of this stage),
@@ -126,21 +125,6 @@ def _exec_stage(ctx: RankContext, stage: Stage) -> None:
     def recover():
         ctx.recover(name)
 
-    if comm is not None:
-        # The membership epoch boundary comes first: a joiner declared
-        # at this stage enters the world before any same-boundary kill
-        # fires, and a death noticed at the boundary exchange is
-        # recovered exactly like one noticed at the barrier.
-        _until_agreed(lambda: comm.advance_epoch(name), recover)
-        if comm.is_joiner and comm.known_dead:
-            # A joiner services adoption claims at every boundary,
-            # not only after a failed collective of its own: the
-            # deterministic candidate rule counts it as a survivor,
-            # so a claim may elect it for a death that surfaced in an
-            # exchange it was not part of — most directly the very
-            # boundary that activated it (the activation record
-            # already carries that death set).
-            recover()
     ctx.kill_at_stage(name)
     # A restored stage's barrier already happened in the checkpointed
     # timeline (its cost is inside the restored clock); every rank
@@ -169,27 +153,14 @@ def _exec_stage(ctx: RankContext, stage: Stage) -> None:
         stage.fuse(ctx)
 
 
-def _stages_from_entry(comm, config, stages) -> tuple[Stage, ...]:
-    """The ``stages`` ``comm.rank`` takes part in: all of them, or — for
-    an elastic joiner — everything from its join boundary on (whose
-    ``advance_epoch`` is a no-op for it: that exchange already happened,
-    it produced this rank)."""
-    stages = tuple(stages)
-    if comm.is_joiner:
-        join_stage = config.fault_plan.join_stage_of(comm.rank)
-        stages = stages[[s.name for s in stages].index(join_stage):]
-    return stages
-
-
 def _rank_report(ctx: RankContext, **own) -> dict:
     """The rank report: accounting off ``ctx``/``ctx.comm`` and the
     rank's share — its own results plus the dead ranks it adopted — off
     ``ctx.state``, the same way for every backend, plus the backend's
-    ``own`` fields (work-steal's ``sched``).  Elastic joiners are tagged
-    with their join stage."""
+    ``own`` fields (work-steal's ``sched``)."""
     comm, state = ctx.comm, ctx.state
     adopted, thorough = state["adopted"], state["thorough"]
-    report = {
+    return {
         "rank": comm.rank,
         "stage_seconds": {**ctx.stage_seconds, "recovery": ctx.recovery_seconds},
         "stage_ops": ctx.stage_ops,
@@ -218,10 +189,6 @@ def _rank_report(ctx: RankContext, **own) -> dict:
         "recovered_for": sorted(adopted),
         **own,
     }
-    if comm.is_joiner:
-        report["joiner"] = True
-        report["join_stage"] = ctx.config.fault_plan.join_stage_of(comm.rank)
-    return report
 
 
 def _empty_share() -> dict:
@@ -240,16 +207,6 @@ class StaticBackend:
     Every pipeline stage runs (or checkpoint-loads) in order on every
     rank; recovery from rank deaths replays the dead rank's pipeline on
     a communicator-less context via :class:`RecoveryMiddleware`.
-
-    An elastic joiner (hot spare) drives the same stages from its epoch
-    boundary on, with no Table 2 share of its own (its task stages have
-    no ``run`` hook) — growing the share partition mid-run would change
-    every rank's replicate streams and break bit-identity with the
-    static world.  Instead it rebalances the *membership*: it takes part
-    in every collective, counts as a survivor in the deterministic
-    adoption rule (so it replays dead ranks' shares like any original
-    survivor), and submits its adoptees' candidates to the final
-    selection.
     """
 
     name = "static"
@@ -261,7 +218,7 @@ class StaticBackend:
 
     def run(self, comm, pal, config, board=None) -> dict:
         rank = comm.rank
-        ckpt = None if comm.is_joiner else open_store(pal, config, rank)
+        ckpt = open_store(pal, config, rank)
         recovery = RecoveryMiddleware(
             comm, lambda dead: self._replay(comm, pal, config, dead)
         )
@@ -273,11 +230,7 @@ class StaticBackend:
         )
         ctx.state["adopted"] = recovery.adopted
         ctx.recover = lambda upto: recovery.recover(ctx, upto)
-        stages = _stages_from_entry(comm, config, comprehensive_pipeline())
-        if comm.is_joiner:
-            ctx.state.update(_empty_share())
-            stages = [replace(s, run=None) if s.is_task else s for s in stages]
-        for stage in stages:
+        for stage in comprehensive_pipeline():
             _exec_stage(ctx, stage)
         return _rank_report(ctx)
 
@@ -375,8 +328,8 @@ class WorkStealBackend:
 
         def share(origin: int) -> dict[str, list]:
             """What the board holds of ``origin``'s Table 2 share,
-            whoever executed it (nothing for a joiner's rank; below
-            quorum, dropped tasks simply have no entry)."""
+            whoever executed it (below quorum, dropped tasks simply
+            have no entry)."""
             return {
                 kind: [
                     board.result(t.id) for t in tasks
@@ -387,9 +340,9 @@ class WorkStealBackend:
 
         def recover(upto=None):
             # The board already re-enqueued a dead rank's work; what is
-            # left of recovery is reporting.  Each survivor (elastic
-            # joiners included) carries the dead origins the adoption
-            # rule — a pure function of the agreed membership — gives it.
+            # left of recovery is reporting.  Each survivor carries the
+            # dead origins the adoption rule — a pure function of the
+            # agreed membership — gives it.
             survivors = comm.alive_ranks()
             adopted.clear()
             for o in range(n_procs):
@@ -418,8 +371,7 @@ class WorkStealBackend:
             # Drop tasks whose upstream can no longer complete (their
             # origin was dropped at an earlier, below-quorum stage).  At
             # a boundary every prior-stage completion is on the board, so
-            # this fixpoint is identical on every member, joiners
-            # included.
+            # this fixpoint is identical on every member.
             while True:
                 kept = {t.id for t in tasks}
                 viable = [
@@ -473,7 +425,7 @@ class WorkStealBackend:
             ) if s.is_task else replace(s, run=partial(finalize, s.run))
             for s in comprehensive_pipeline()
         ]
-        for stage in _stages_from_entry(comm, config, stages):
+        for stage in stages:
             _exec_stage(ctx, stage)
 
         my_stats = {

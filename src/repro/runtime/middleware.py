@@ -39,11 +39,8 @@ class CheckpointMiddleware:
     ``available_stages()``.
 
     ``resume_through`` is the index of the last :data:`STAGE_ORDER` stage
-    to restore instead of run — negotiated collectively for live ranks
-    (and handed to elastic joiners, which did not exist yet; a static
-    joiner has no ``store`` and only needs to know which barriers the
-    live ranks resumed past), taken from the dead rank's own contiguous
-    prefix for replays.
+    to restore instead of run — negotiated collectively for live ranks,
+    taken from the dead rank's own contiguous prefix for replays.
     """
 
     def __init__(self, store, resume_through: int = -1) -> None:
@@ -125,11 +122,10 @@ class RecoveryMiddleware:
 
     The candidate adopter is a pure function of the consistent
     death/survivor sets (``dead % n_survivors``) at the recovery where
-    the death first surfaced, and the winning claim is pinned on the
-    world blackboard — so later deaths or elastic joins (which change
-    the survivor list) never re-assign a share that was already
-    replayed.  The actual replay is injected by the backend (it owns
-    pipeline execution).
+    the death first surfaced, and the claim is pinned in :attr:`claims`
+    — so later deaths (which shrink the survivor list) never re-assign
+    a share that was already replayed.  The actual replay is injected by
+    the backend (it owns pipeline execution).
     """
 
     def __init__(self, comm, replay) -> None:
@@ -137,6 +133,10 @@ class RecoveryMiddleware:
         self._replay = replay
         #: Dead logical ranks this physical rank replayed: rank -> replay dict.
         self.adopted: dict[int, dict] = {}
+        #: Pinned adoption claims: (dead rank, version) -> owner.  Every
+        #: survivor recovers in lockstep from the same frozen death set,
+        #: so every survivor fills the same map.
+        self.claims: dict[tuple[int, int], int] = {}
 
     def recover(self, ctx, upto: str) -> None:
         survivors = self.comm.alive_ranks()
@@ -154,24 +154,23 @@ class RecoveryMiddleware:
                 # survivor; the round loop just continues with a smaller
                 # world (degraded, but convergence-driven).
                 continue
-            # Adoption is a world-shared, versioned claim.  Every rank
-            # computes the same version-0 candidate (ranks recovering
-            # from the same failed collective agree on the survivor
-            # list) and the first claim sticks: recomputing from the
-            # *current* survivors at every recovery would re-assign an
-            # already-adopted rank when a later death or join changes
-            # the list, and the new adopter would replay a share a
-            # previous one already submitted.  The one claim that MUST
-            # move is a claim pinned to an adopter that itself died —
-            # its local replay died with it — so each rank walks the
-            # version chain until the pinned owner is alive in its own
-            # view; a version only ever advances past a dead owner, so
-            # the chain is monotone and every rank converges on the
-            # same final owner.
+            # Adoption is a versioned claim.  Every rank computes the
+            # same version-0 candidate (ranks recovering from the same
+            # failed collective agree on the survivor list) and the
+            # first claim sticks: recomputing from the *current*
+            # survivors at every recovery would re-assign an
+            # already-adopted rank when a later death changes the list,
+            # and the new adopter would replay a share a previous one
+            # already submitted.  The one claim that MUST move is a
+            # claim pinned to an adopter that itself died — its local
+            # replay died with it — so each rank walks the version chain
+            # until the pinned owner is alive in its own view; a version
+            # only ever advances past a dead owner, so the chain is
+            # monotone and every rank converges on the same final owner.
             v = 0
             while True:
-                owner = self.comm.publish(
-                    f"adopter:{d}:{v}", survivors[(d + v) % len(survivors)]
+                owner = self.claims.setdefault(
+                    (d, v), survivors[(d + v) % len(survivors)]
                 )
                 if owner not in self.comm.known_dead:
                     break
@@ -218,19 +217,14 @@ def negotiate_resume(comm, store, resume: bool) -> int:
     the *minimum* contiguous stage prefix available across ranks (-1:
     nothing; a task journal offers what any rank noted, so there the
     counts agree).  The exchange is cost-free: a resumed run must stay
-    bit-identical to an uninterrupted one.  Elastic joiners cannot take
-    part (they do not exist yet); the blackboard hands them the agreed
-    prefix.
+    bit-identical to an uninterrupted one.
     """
-    if comm.is_joiner:
-        return comm.lookup("resume_through", -1)
-    through = -1
-    if store is not None and resume:
-        counts = comm.coordinate(
-            len(store.available_stages()), op="resume-negotiation"
-        )
-        through = min(c for c in counts if c is not None) - 1
-    return comm.publish("resume_through", through)
+    if store is None or not resume:
+        return -1
+    counts = comm.coordinate(
+        len(store.available_stages()), op="resume-negotiation"
+    )
+    return min(c for c in counts if c is not None) - 1
 
 
 def open_store(pal, config, logical_rank: int) -> CheckpointStore | None:
@@ -247,20 +241,13 @@ def open_journal_store(comm, pal, config, dag):
     every rank's journalled task results for the stage pools ``dag``."""
     if config.checkpoint_dir is None:
         return None, {}
-    # Union journals over every rank that can have written one —
-    # including elastic joiners of a previous (interrupted) run.
-    n_journal = config.n_processes + (
-        len(config.fault_plan.joins) if config.fault_plan else 0
-    )
     journal, restored = open_journal(
-        config.checkpoint_dir, comm.rank, n_journal,
+        config.checkpoint_dir, comm.rank, config.n_processes,
         config_fingerprint(pal, config), pal.taxa, resume=config.resume,
     )
-    if config.resume and not comm.is_joiner:
+    if config.resume:
         # Every rank reads the same directory; verify before any rank
         # writes — divergent views would desynchronise the pools.
-        # (Joiners read the same union after activation; they cannot
-        # take part in the pre-run exchange.)
         digest = hashlib.sha256(
             json.dumps(sorted(restored)).encode("ascii")
         ).hexdigest()

@@ -260,9 +260,7 @@ def _run_finalize(ctx: RankContext) -> None:
     no winner (a partial result, tagged in the notes).
     """
     comm, rank = ctx.comm, ctx.rank
-    # Elastic joiners (hot spares) have no thorough result of their own:
-    # they submit entries only for adoptees they fully replayed.
-    thorough = ctx.state.get("thorough")
+    thorough = ctx.state["thorough"]
     adopted = ctx.state["adopted"]
     local_newick = write_newick(thorough.tree) if thorough is not None else None
     while True:

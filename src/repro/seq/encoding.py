@@ -64,7 +64,7 @@ _MASK_TO_CHAR = {
     UNDETERMINED: "-",
 }
 
-# Build a 256-entry lookup table for fast vectorized encoding.
+# Build a 256-entry translation table for fast vectorized encoding.
 _ENCODE_LUT = np.zeros(256, dtype=np.uint8)
 for ch, mask in IUPAC_TO_MASK.items():
     _ENCODE_LUT[ord(ch)] = mask

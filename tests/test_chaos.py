@@ -15,12 +15,7 @@ from repro.chaos.campaign import (
     run_campaign,
     run_scenario,
 )
-from repro.chaos.plans import (
-    MAX_GLITCH_FAILURES,
-    generate_scenario,
-    strip_for_resume,
-)
-from repro.mpi.faults import STAGE_POINTS, FaultPlan, JoinSpec, KillSpec
+from repro.chaos.plans import MAX_GLITCH_FAILURES, generate_scenario
 
 SEED = 20260808
 
@@ -49,11 +44,6 @@ class TestGenerator:
                 assert 0 <= g.rank < p
                 if g.kind == "fail":
                     assert 1 <= g.failures <= MAX_GLITCH_FAILURES
-            # Joiners are numbered contiguously above the initial world.
-            join_ranks = [j.rank for j in spec.plan.joins]
-            assert join_ranks == list(range(p, p + len(join_ranks)))
-            for j in spec.plan.joins:
-                assert j.stage in STAGE_POINTS
             # Glitch injection points are unique per (rank, call).
             points = [(g.rank, g.call_index) for g in spec.plan.glitches]
             assert len(points) == len(set(points))
@@ -67,22 +57,6 @@ class TestGenerator:
             assert set(spec.deaths) == doomed
 
 
-class TestStripForResume:
-    def test_kills_and_glitches_dropped_joins_kept(self):
-        plan = FaultPlan(
-            kills=(KillSpec(rank=1, stage="fast"),),
-            glitches=(),
-            joins=(JoinSpec(rank=2, stage="bootstrap"),),
-        )
-        resumed = strip_for_resume(plan)
-        assert resumed.kills == ()
-        assert resumed.joins == plan.joins
-
-    def test_none_when_nothing_remains(self):
-        plan = FaultPlan(kills=(KillSpec(rank=1, stage="fast"),))
-        assert strip_for_resume(plan) is None
-
-
 class TestScenarioDocs:
     def test_as_doc_roundtrips_to_json(self):
         spec = generate_scenario(6, SEED, "static", 3)
@@ -91,7 +65,7 @@ class TestScenarioDocs:
         assert doc["schedule"] == "static"
         assert doc["n_processes"] == 3
         assert len(doc["kills"]) == len(spec.plan.kills)
-        assert len(doc["joins"]) == len(spec.plan.joins)
+        assert len(doc["glitches"]) == len(spec.plan.glitches)
 
 
 class TestCampaign:

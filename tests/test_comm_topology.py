@@ -43,8 +43,8 @@ class TestTopology:
         assert topo.node_members(2) == [8, 9]
 
     def test_joiner_ranks_map_beyond_size(self):
-        # Elastic joiners get ranks above the initial size; the same
-        # rank // ranks_per_node rule places them without reshuffling.
+        # node_of is the rank // ranks_per_node rule for any rank, and
+        # leaders() is a pure function of whatever rank set it is given.
         topo = Topology(4, ranks_per_node=2)
         assert topo.node_of(5) == 2
         assert topo.leaders([0, 1, 2, 3, 4, 5]) == {0: 0, 1: 2, 2: 4}

@@ -38,7 +38,7 @@ def _spec(schedule, plan=None, deaths=()):
 @pytest.mark.parametrize("victim", [0, 1])
 def test_any_collective_kill_is_bit_identical(inputs, schedule, victim):
     pal, cc = inputs
-    baseline = _run(pal, cc, _spec(schedule), plan=None)
+    baseline = _run(pal, cc, _spec(schedule))
 
     index = 0
     while index < MAX_COLLECTIVES:
@@ -62,7 +62,7 @@ def test_any_collective_kill_is_bit_identical(inputs, schedule, victim):
 def test_any_stage_kill_is_bit_identical(inputs, schedule):
     """Companion sweep over the coarser stage-boundary kill points."""
     pal, cc = inputs
-    baseline = _run(pal, cc, _spec(schedule), plan=None)
+    baseline = _run(pal, cc, _spec(schedule))
     for stage in ("setup", "bootstrap", "fast", "slow", "thorough"):
         plan = FaultPlan(kills=(KillSpec(rank=1, stage=stage),))
         result = _run(pal, cc, _spec(schedule, plan, deaths=(1,)))

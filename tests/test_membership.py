@@ -4,9 +4,9 @@ Covers the membership data model (:mod:`repro.mpi.membership`), the
 retry backoff and the one :class:`TimeoutPolicy`
 (:mod:`repro.mpi.policy`), the membership stamps checkpoints carry (a
 resume under different membership must fail loudly), quorum-based
-graceful degradation on both backends, the world-shared adoption claim
-(a dead rank's share is replayed exactly once even when later deaths or
-joins reshuffle the survivor list), and the audit guarantee that
+graceful degradation on both backends, the pinned adoption claim (a
+dead rank's share is replayed exactly once even when later deaths
+reshuffle the survivor list), and the audit guarantee that
 ``RankKilledError`` — a ``BaseException`` — is never swallowed by a
 broad ``except Exception`` on the way out of a dying rank.
 """
@@ -20,7 +20,6 @@ from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
 from repro.mpi.faults import (
     CollectiveGlitch,
     FaultPlan,
-    JoinSpec,
     KillSpec,
     RankKilledError,
 )
@@ -70,8 +69,8 @@ def hybrid_config(quick_cc, **kw):
 
 class TestMembershipView:
     def test_fingerprint_depends_only_on_epoch_and_live(self):
-        a = MembershipView(epoch=3, live=(0, 2), joined=(), dead=(1,))
-        b = MembershipView(epoch=3, live=(0, 2), joined=(2,), dead=())
+        a = MembershipView(epoch=3, live=(0, 2), dead=(1,))
+        b = MembershipView(epoch=3, live=(0, 2), dead=())
         assert a.fingerprint() == b.fingerprint()
 
     def test_fingerprint_changes_with_epoch_or_live(self):
@@ -86,11 +85,10 @@ class TestMembershipView:
             MembershipView(epoch=0, live=(1, 0))
 
     def test_as_doc_roundtrips_to_json(self):
-        view = MembershipView(epoch=2, live=(0, 1, 3), joined=(3,), dead=(2,))
+        view = MembershipView(epoch=2, live=(0, 1, 3), dead=(2,))
         doc = json.loads(json.dumps(view.as_doc()))
         assert doc["epoch"] == 2
         assert doc["live"] == [0, 1, 3]
-        assert doc["joined"] == [3]
         assert doc["dead"] == [2]
         assert doc["fingerprint"] == view.fingerprint()
 
@@ -140,25 +138,6 @@ class TestEpochs:
         result = run_hybrid_analysis(pal, hybrid_config(quick_cc))
         assert result.membership["epoch"] == 0
         assert result.membership["live"] == [0, 1]
-        assert result.joiners == []
-
-    @pytest.mark.parametrize("schedule", ["static", "work-steal"])
-    def test_join_bumps_epoch_and_preserves_results(
-        self, pal, quick_cc, schedule
-    ):
-        baseline = run_hybrid_analysis(
-            pal, hybrid_config(quick_cc, schedule=schedule)
-        )
-        plan = FaultPlan(joins=(JoinSpec(rank=2, stage="bootstrap"),))
-        joined = run_hybrid_analysis(
-            pal, hybrid_config(quick_cc, schedule=schedule, fault_plan=plan)
-        )
-        # The elastic-join acceptance scenario: same final trees/lnl.
-        assert_bit_identical(baseline, joined, ignore=("rank_lnls",))
-        assert joined.membership["epoch"] >= 1
-        assert 2 in joined.membership["live"]
-        assert [j["rank"] for j in joined.joiners] == [2]
-        assert joined.joiners[0]["join_stage"] == "bootstrap"
 
     def test_death_bumps_epoch(self, pal, quick_cc):
         plan = FaultPlan(kills=(KillSpec(rank=1, stage="fast"),))
@@ -177,7 +156,7 @@ class _NoDefaults(dict):
     """A rank report that refuses defaulted reads of anything but the
     documented extras."""
 
-    EXTRAS = {"sched", "joiner", "join_stage"}
+    EXTRAS = {"sched"}
 
     def get(self, key, default=None):
         assert key in self.EXTRAS, f"defaulted read of common key {key!r}"
@@ -185,28 +164,22 @@ class _NoDefaults(dict):
 
 
 class TestRankReportSchema:
-    def test_static_worksteal_and_joiner_reports_share_one_schema(
+    def test_static_and_worksteal_reports_share_one_schema(
         self, pal, quick_cc
     ):
         from repro.hybrid.results import assemble_hybrid_result
         from repro.runtime.backends import BACKENDS, run_rank
 
-        plan = FaultPlan(joins=(JoinSpec(rank=2, stage="bootstrap"),))
         common = None
         for schedule in ("static", "work-steal"):
-            config = hybrid_config(quick_cc, schedule=schedule, fault_plan=plan)
+            config = hybrid_config(quick_cc, schedule=schedule)
             board = BACKENDS[schedule].make_shared(config)
             raw = run_spmd(
                 lambda comm: run_rank(comm, pal, config, board),
-                config.n_processes, fault_plan=plan,
-                timeout_policy=config.timeout_policy,
+                config.n_processes, timeout_policy=config.timeout_policy,
             )
-            assert [bool(r.get("joiner")) for r in raw] == [False, False, True]
-            assert raw[2]["join_stage"] == "bootstrap"
             for r in raw:
-                extras = {"joiner", "join_stage"} if r.get("joiner") else set()
-                if schedule == "work-steal":
-                    extras.add("sched")
+                extras = {"sched"} if schedule == "work-steal" else set()
                 assert set(r) & _NoDefaults.EXTRAS == extras
                 keys = set(r) - _NoDefaults.EXTRAS
                 common = common or keys
@@ -214,7 +187,7 @@ class TestRankReportSchema:
             result = assemble_hybrid_result(
                 pal, config, [_NoDefaults(r) for r in raw], board
             )
-            assert [j["rank"] for j in result.joiners] == [2]
+            assert [r.rank for r in result.ranks] == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +272,7 @@ class TestQuorumDegradation:
 
 
 # ---------------------------------------------------------------------------
-# Adoption is a world-shared claim (no double replay)
+# Adoption is a pinned claim (no double replay)
 # ---------------------------------------------------------------------------
 
 
@@ -328,32 +301,6 @@ class TestAdoptionClaim:
         assert recovered == {1: (0,), 3: (2,)}
         flat = [d for adopted in recovered.values() for d in adopted]
         assert sorted(flat) == [0, 2]
-
-    def test_claim_elected_joiner_services_it(self, pal, quick_cc):
-        """A death surfacing at the very boundary that activates a joiner
-        can elect that joiner as adopter; the joiner must notice the
-        claim from its activation record (it was not part of the failed
-        exchange) and replay the share."""
-        baseline = run_hybrid_analysis(
-            pal, hybrid_config(quick_cc, n_processes=3)
-        )
-        # Rank 2 dies at 'fast'; the death surfaces at the 'slow'
-        # boundary where rank 3 joins, so the survivor list is [0, 1, 3]
-        # and the deterministic candidate for dead rank 2 is rank 3.
-        plan = FaultPlan(
-            kills=(KillSpec(rank=2, stage="fast"),),
-            joins=(JoinSpec(rank=3, stage="slow"),),
-        )
-        result = run_hybrid_analysis(
-            pal, hybrid_config(quick_cc, n_processes=3, fault_plan=plan)
-        )
-        assert sorted(result.failed_ranks) == [2]
-        assert_bit_identical(baseline, result, ignore=("rank_lnls",))
-        adopters = [list(r.recovered_for) for r in result.ranks] + [
-            list(j["recovered_for"]) for j in result.joiners
-        ]
-        flat = [d for recovered in adopters for d in recovered]
-        assert flat == [2]
 
     def test_claim_moves_when_the_adopter_itself_dies(self, pal, quick_cc):
         """An adopter's local replay dies with it: the versioned claim

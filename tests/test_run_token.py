@@ -16,7 +16,6 @@ from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
 from repro.mpi import (
     CollectiveGlitch,
     FaultPlan,
-    JoinSpec,
     RankFailure,
     SPMDError,
     TimeoutPolicy,
@@ -255,26 +254,6 @@ class TestWaitSitesRunTokenFree:
             return comm.rank
 
         assert self.run(body) == ["late", 1, 2, 3]
-
-    def test_dormant_joiner_activated_late(self):
-        plan = FaultPlan(joins=(JoinSpec(rank=3, stage="fast"),))
-
-        def body(comm):
-            if not comm.is_joiner:
-                compute(comm)
-                comm.advance_epoch("fast")
-            return comm.allreduce(1)
-
-        assert self.run(body, 3, fault_plan=plan) == [4, 4, 4, 4]
-
-    def test_dormant_joiner_never_activated(self):
-        plan = FaultPlan(joins=(JoinSpec(rank=3, stage="fast"),))
-
-        def body(comm):
-            compute(comm)
-            return comm.allreduce(1)
-
-        assert self.run(body, 3, fault_plan=plan) == [3, 3, 3, None]
 
     def test_injected_hang(self):
         plan = FaultPlan(glitches=(

@@ -201,10 +201,10 @@ def test_worksteal_resume_reruns_a_stage_noted_below_quorum(tmp_path):
 
 def test_boundary_calls_only_in_exec_stage():
     """``WorkStealBackend.run`` (or any backend) no longer sequences a
-    boundary: the five boundary calls occur in ``_exec_stage`` only."""
+    boundary: the four boundary calls occur in ``_exec_stage`` only."""
     boundary = {
-        ("comm", "advance_epoch"), ("ctx", "kill_at_stage"),
-        ("ctx", "begin_stage"), ("ctx", "end_stage"), ("comm", "barrier"),
+        ("ctx", "kill_at_stage"), ("ctx", "begin_stage"),
+        ("ctx", "end_stage"), ("comm", "barrier"),
     }
     tree = ast.parse(Path(backends.__file__).read_text(encoding="utf-8"))
     found: dict[tuple, set] = {}
