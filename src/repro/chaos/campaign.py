@@ -115,7 +115,8 @@ def _check(pal, cc, spec: ScenarioSpec, check: str, expect, *,
     surfaces as one, through the world's own deadlines.  ``repeat``
     re-runs the same plan, which must reproduce the first run timings
     included.  A checkpointed run that passed is then resumed with no
-    fault plan, and ``expect`` judges the resumed run too.  Returns the scenario's record with its ``violations`` list.
+    fault plan, and ``expect`` judges the resumed run too.  Returns the
+    scenario's record with its ``violations`` list.
     """
     record = spec.as_doc()
     record["checks"] = [check]

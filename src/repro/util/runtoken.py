@@ -9,8 +9,9 @@ runs only while it holds it, so the interpreter lock is never contended.
 A rank gives the token up in two places only:
 
 * :func:`idle` — around every wait for *other ranks* (a collective's
-  exchange, a blocking receive, an injected hang, the steal board).  The wait loops and their polls run
-  token-free.  The lock-order rule is stated there.
+  exchange, a blocking receive, an injected hang, the steal board).  The
+  wait loops and their polls run token-free.  The lock-order rule is
+  stated there.
 * :func:`heartbeat` — called where a :class:`~repro.util.timing.
   VirtualClock` advances (every likelihood op charges one): after
   :data:`SLICE_SECONDS` the holder goes to the back of the queue.  The
