@@ -485,39 +485,21 @@ class TestOneCostProtocol:
                 assert tier.message_seconds(n_bytes) == want
 
     @pytest.mark.parametrize("ranks_per_node", [None, 2])
-    def test_board_and_advisor_charge_the_same_steal(self, ranks_per_node,
-                                                     monkeypatch):
-        # The work-steal backend's board and the advisor's DES read one
-        # steal price (they used to disagree on the flat value:
-        # 1.0512e-5 charged vs 1.05e-5 predicted).
-        import repro.sched.stealing as stealing
+    def test_board_charges_the_cost_models_steal(self, ranks_per_node):
+        # The work-steal backend's board charges the configured cost
+        # model's steal price, per (thief, victim) hop.
         from repro.hybrid.driver import HybridConfig
-        from repro.perfmodel.advisor import predict_schedule_modes
-        from repro.perfmodel.profiles import PROFILES
         from repro.runtime.backends import WorkStealBackend
 
         config = HybridConfig(n_processes=4, n_threads=2,
                               schedule="work-steal",
                               ranks_per_node=ranks_per_node)
         board = WorkStealBackend.make_shared(config)
-        handed = []
-        real = stealing.simulate
-
-        def spy(*args, steal_seconds, **kw):
-            handed.append(steal_seconds if callable(steal_seconds)
-                          else lambda thief, victim: steal_seconds)
-            return real(*args, steal_seconds=steal_seconds, **kw)
-
-        monkeypatch.setattr(stealing, "simulate", spy)
-        predict_schedule_modes(
-            next(iter(PROFILES.values())), machine_by_name(config.machine),
-            20, 4, 2, topology=config.topology(),
-        )
-        assert handed
+        timing = config.comm_timing()
         for thief, victim in ((0, 1), (1, 0), (0, 2), (3, 0)):
             charged = board.steal_cost(thief, victim)
             assert charged > 0.0
-            assert all(price(thief, victim) == charged for price in handed)
+            assert charged == timing.steal_seconds(thief, victim)
         on_node, cross = board.steal_cost(0, 1), board.steal_cost(0, 2)
         if ranks_per_node is None:
             assert on_node == cross == 2 * CommTiming().message_seconds(256)

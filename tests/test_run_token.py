@@ -273,7 +273,9 @@ class TestWaitSitesRunTokenFree:
         assert out == [3, None, 3, 3]
 
     def board(self):
-        return StealBoard(4, steal_seed=1, steal_seconds=1e-5, timeout=DEADLINE)
+        return StealBoard(4, steal_seed=1,
+                          steal_seconds=lambda thief, victim: 1e-5,
+                          timeout=DEADLINE)
 
     def test_steal_board_park(self):
         """Four tasks, one of them blocked on another: whoever is left
