@@ -19,6 +19,7 @@ from pathlib import Path
 
 from repro.datasets.generator import SimulationParams, simulate_alignment
 from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
+from repro.perfmodel.machines import machine_by_name
 from repro.search.comprehensive import ComprehensiveConfig
 from repro.search.searches import StageParams
 from repro.seq.io_fasta import read_fasta
@@ -129,8 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def validate_args(args) -> None:
-    """Reject flag combinations that would otherwise be silently ignored
-    or die deep inside the run with an unhelpful traceback."""
+    """Reject flag combinations and values that would otherwise be
+    silently ignored or die deep inside the run with an unhelpful
+    traceback."""
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
     if args.algorithm == "e" and not args.tree:
@@ -179,6 +181,23 @@ def validate_args(args) -> None:
                 ),
                 "the comprehensive analysis (-f a) and tree evaluation "
                 "(-f e) support",
+            )
+    if args.algorithm == "e":
+        return
+    try:
+        machine = machine_by_name(args.machine)
+    except KeyError as exc:
+        raise SystemExit(exc.args[0]) from None
+    if args.algorithm == "d" or args.seed_b is not None:
+        # -f d and -b hand -np and -T to the launcher with no config
+        # in between to vet them.
+        if args.processes < 1:
+            raise SystemExit(f"-np {args.processes}: at least one process "
+                             "is needed")
+        if not 1 <= args.threads <= machine.cores_per_node:
+            raise SystemExit(
+                f"-T {args.threads}: {machine.name} runs 1 to "
+                f"{machine.cores_per_node} threads per process"
             )
 
 

@@ -9,7 +9,7 @@ stage, one result exchange at the end ("That and a call to MPI_Barrier
 after the bootstrap stage are the only noteworthy MPI communications").
 
 The execution machinery lives in :mod:`repro.runtime` (see
-``docs/ARCHITECTURE.md`` §11): the analysis itself is the declarative
+``docs/ARCHITECTURE.md`` §10): the analysis itself is the declarative
 :func:`~repro.runtime.pipeline.comprehensive_pipeline`, ``schedule``
 selects an :class:`~repro.runtime.backends.ExecutionBackend` from the
 registry, and checkpoint/resume, fault recovery and obs instrumentation

@@ -8,9 +8,8 @@ from dataclasses import dataclass, field
 from repro.bootstop.support import map_support
 from repro.bootstop.table import BipartitionTable, merge_tables
 from repro.obs.metrics import aggregate
-from repro.obs.report import run_report
+from repro.obs.report import ALL_STAGES, run_report
 from repro.obs.trace import chrome_trace
-from repro.search.comprehensive import STAGE_ORDER
 from repro.search.schedule import WorkSchedule, make_schedule
 from repro.sched.tasks import rng_stream_fingerprint
 from repro.tree.newick import parse_newick, write_newick
@@ -223,9 +222,8 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
         )
         for r in results
     ]
-    stages = STAGE_ORDER + ("finalize", "recovery")
     stage_seconds = {
-        s: max(r.stage_seconds.get(s, 0.0) for r in ranks) for s in stages
+        s: max(r.stage_seconds.get(s, 0.0) for r in ranks) for s in ALL_STAGES
     }
     best_newick = results[0]["best_newick"]
     best_tree = (

@@ -1,6 +1,6 @@
 """The composable runtime layer behind the hybrid driver.
 
-Three modules (see ``docs/ARCHITECTURE.md`` §11):
+Three modules (see ``docs/ARCHITECTURE.md`` §10):
 
 * :mod:`repro.runtime.pipeline` — the *one* declarative definition of
   the comprehensive analysis as :class:`Stage` objects in a

@@ -6,7 +6,7 @@ some stage hooks replaced — to :func:`_exec_stage`, the only place a
 stage boundary is sequenced.  Two implementations exist — the paper's
 static Table 2 partition and the work-stealing task scheduler
 (:mod:`repro.sched`) — and ``--schedule`` selects one from the registry.
-Adding a backend is one new class (see ``docs/ARCHITECTURE.md`` §11):
+Adding a backend is one new class (see ``docs/ARCHITECTURE.md`` §10):
 register it, supply the hooks, and the determinism discipline (every
 stage unit derives its streams from its origin identity) guarantees
 bit-identical results.

@@ -16,17 +16,16 @@ Modules:
 * :mod:`repro.sched.queue` — per-rank deques plus the conservative
   virtual-time protocol that makes concurrent stealing reproducible;
 * :mod:`repro.sched.stealing` — the per-rank pool loop used by the
-  work-steal runtime backend and a sequential discrete-event simulator
-  sharing the same decision core (benchmarks, advisor, parity tests);
+  work-steal runtime backend;
 * :mod:`repro.sched.placement` — the initial assignment (the static
-  partition) and the advisor's :mod:`repro.perfmodel` cost query;
+  partition);
 * :mod:`repro.sched.checkpoint` — per-rank task journals backing
   ``--resume`` for work-steal runs.
 """
 
 from repro.sched.tasks import Task, build_dag, rng_stream_fingerprint
 from repro.sched.queue import StealBoard
-from repro.sched.stealing import run_rank_pool, simulate
+from repro.sched.stealing import run_rank_pool
 
 __all__ = [
     "Task",
@@ -34,5 +33,4 @@ __all__ = [
     "rng_stream_fingerprint",
     "StealBoard",
     "run_rank_pool",
-    "simulate",
 ]

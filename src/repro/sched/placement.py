@@ -1,4 +1,4 @@
-"""Initial placement of tasks onto rank queues, and per-task cost hints.
+"""Initial placement of tasks onto rank queues.
 
 The placement reproduces the paper's static partition exactly: origin
 ``o``'s tasks land on member ``o``'s queue in index order, so a
@@ -7,13 +7,6 @@ work-steal run that never steals is the static run.
 
 from __future__ import annotations
 
-from repro.perfmodel.coarse import (
-    STAGE_CATEGORIES,
-    _machine_scale,
-    _stage_speedup,
-)
-from repro.perfmodel.machines import MachineSpec
-from repro.perfmodel.profiles import StageProfile
 from repro.sched.tasks import Task
 
 
@@ -40,27 +33,3 @@ def initial_assignment(
         r = members[origin % len(members)]
         assignment[r].extend(t.id for t in groups[origin])
     return assignment
-
-
-def stage_cost_hints(
-    profile: StageProfile,
-    machine: MachineSpec,
-    n_threads: int,
-) -> dict[str, float]:
-    """Per-task modelled seconds for every stage, on ``machine`` with
-    ``n_threads`` Pthreads — the placement/advisor cost query against
-    :mod:`repro.perfmodel`."""
-    scale = _machine_scale(profile, machine)
-    m = profile.dataset.patterns
-    per_search = {
-        "bootstrap": profile.bootstrap_search_seconds,
-        "fast": profile.fast_search_seconds,
-        "slow": profile.slow_search_seconds,
-        "thorough": profile.thorough_search_seconds,
-    }
-    return {
-        stage: per_search[stage]
-        * scale
-        / _stage_speedup(machine, m, n_threads, stage)
-        for stage in STAGE_CATEGORIES
-    }

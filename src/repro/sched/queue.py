@@ -4,11 +4,9 @@ Two layers live here:
 
 * :class:`SchedState` — the pure queue/DAG state plus the *decision
   rule* (pop own head, else steal from a seeded-permutation victim's
-  tail, else finish or park).  It is deliberately free of threads and
-  clocks so the threaded board and the sequential discrete-event
-  simulator (:func:`repro.sched.stealing.simulate`) share one decision
-  core — whatever the execution substrate, the same state and the same
-  ``(virtual time, rank)`` produce the same decision.
+  tail, else finish or park).  It is free of threads and clocks: the
+  same state and the same ``(virtual time, rank)`` produce the same
+  decision.
 
 * :class:`StealBoard` — the shared, lock-guarded board rank threads
   coordinate through.  Wall-clock thread interleaving is arbitrary, so
@@ -20,10 +18,9 @@ Two layers live here:
   either parked (transparent), or holds a later-stamped intent, or is
   busy with its last commit at a time ≥ ours (task costs are strictly
   positive, so its next operation is strictly later).  Otherwise we
-  wait.  The resulting commit sequence is sorted by ``(time, rank)`` —
-  i.e. exactly the event order of a sequential simulation — which makes
-  queue contents, victim choices and steal outcomes independent of
-  thread scheduling.
+  wait.  The resulting commit sequence is sorted by ``(time, rank)``,
+  which makes queue contents, victim choices and steal outcomes
+  independent of thread scheduling.
 
 Steal costs are charged to the thief (a request/grant message pair over
 the virtual interconnect); victims lose queue entries but no time,
@@ -45,11 +42,11 @@ from repro.util.runtoken import idle
 #: same run always steals identically).
 VICTIM_SEED_OFFSET = 4099
 
-#: Stride mixing the membership epoch into the victim seeds: an elastic
-#: join (or a death) re-seeds every member's permutation stream
-#: deterministically at the next stage, so thieves spread over the *new*
-#: membership instead of replaying a permutation drawn for the old one.
-#: Epoch 0 reproduces the historical seeds exactly.
+#: Stride mixing the membership epoch into the victim seeds: an agreed
+#: death re-seeds every survivor's permutation stream deterministically
+#: at the next stage, so thieves spread over the *surviving* members
+#: instead of replaying a permutation drawn for the old world.  Epoch 0
+#: reproduces the historical seeds exactly.
 EPOCH_SEED_STRIDE = 7919
 
 
@@ -162,8 +159,8 @@ class SchedState:
             self.embargo[tid] = now
         return tid
 
-    def decide(self, rank: int, now: float, allow_steal: bool = True) -> Decision:
-        """The shared decision rule at one committed ``(now, rank)``."""
+    def decide(self, rank: int, now: float) -> Decision:
+        """The decision rule at one committed ``(now, rank)``."""
         stats = self.stats[rank]
         own = self.queues[rank]
         for pos, tid in enumerate(own):
@@ -173,9 +170,7 @@ class SchedState:
                 self.in_flight[rank] = tid
                 stats.executed += 1
                 return Decision("run", tid)
-        if allow_steal and any(
-            self.queues[v] for v in self.members if v != rank
-        ):
+        if any(self.queues[v] for v in self.members if v != rank):
             perm = self._victim_rngs[rank].permutation(len(self.members))
             for vi in perm:
                 victim = self.members[vi]
@@ -216,18 +211,6 @@ class Action:
     victim: int | None = None
 
 
-def steal_price(steal_seconds):
-    """The modelled round-trip of one steal as ``(thief, victim) ->
-    seconds``.  Callers give either that (a cost model's hop-aware
-    ``steal_seconds``: an on-node steal is cheaper than one crossing the
-    interconnect) or one flat float for every pair."""
-    if callable(steal_seconds):
-        return steal_seconds
-    if steal_seconds < 0:
-        raise ValueError("steal_seconds must be non-negative")
-    return lambda thief, victim: steal_seconds
-
-
 @dataclass
 class _Intent:
     time: float
@@ -253,16 +236,17 @@ class StealBoard:
         steal_seconds,
         timeout: float = 600.0,
     ) -> None:
-        """``steal_seconds`` is the modelled round-trip of one steal
-        (see :func:`steal_price`).  The victim is fixed at commit time
-        (the deterministic ``(time, rank)`` frontier), so a per-hop cost
-        never perturbs the commit order's determinism."""
+        """``steal_seconds(thief, victim)`` is the modelled round-trip of
+        one steal: the cost model's hop-aware price, so an on-node steal
+        is cheaper than one crossing the interconnect.  The victim is
+        fixed at commit time (the deterministic ``(time, rank)``
+        frontier), so a per-hop cost never perturbs the commit order's
+        determinism."""
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
         self.n_ranks = n_ranks
         self.steal_seed = steal_seed
-        #: ``steal_cost(thief, victim)``: one steal attempt's round-trip.
-        self.steal_cost = steal_price(steal_seconds)
+        self.steal_cost = steal_seconds
         self.timeout = timeout
         self._cond = threading.Condition()
         self._stage: str | None = None
@@ -376,7 +360,7 @@ class StealBoard:
             else:
                 if tuple(members) != self._members:
                     raise SchedulerError(
-                        f"stage {stage!r}: rank joined with members "
+                        f"stage {stage!r}: rank entered with members "
                         f"{tuple(members)} but the stage was installed with "
                         f"{self._members} — inconsistent alive sets"
                     )
@@ -455,8 +439,7 @@ class StealBoard:
 
         If ``finished`` names the task the rank just executed, the
         completion commits first (same timestamp — completion and the
-        follow-up queue operation are one atomic event, exactly as in the
-        sequential simulator).
+        follow-up queue operation are one atomic event).
         """
         deadline = _wall.monotonic() + self.timeout
         with idle(), self._cond:

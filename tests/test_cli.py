@@ -209,12 +209,26 @@ class TestValidateArgs:
         (["--quorum", "1.5"], "quorum"),
         (["-T", "0"], "n_threads"),
         (["--ranks-per-node", "0"], "ranks_per_node"),
+        (["--machine", "bogus"], "unknown machine 'bogus'"),
+        (["-f", "d", "-N", "1", "--machine", "bogus"], "unknown machine 'bogus'"),
+        (["-b", "7", "-N", "1", "--machine", "bogus"], "unknown machine 'bogus'"),
+        (["-f", "d", "-N", "1", "-T", "100"], "-T 100"),
+        (["-b", "7", "-N", "1", "-np", "0"], "-np 0"),
     ])
     def test_config_errors_are_cli_errors(self, extra, match):
-        """A value HybridConfig rejects exits with its one-line message,
-        not a ValueError traceback."""
+        """A value the configs, the machine table or the launcher reject
+        exits with a one-line message naming it, not a traceback."""
         with pytest.raises(SystemExit, match=match):
             main(["--simulate", "5", "50", "--quick"] + extra)
+
+    @pytest.mark.parametrize("extra", [
+        ["--machine", "Dash"],
+        ["-f", "d", "--machine", "Triton PDAF", "-T", "32"],
+    ])
+    def test_machine_names_are_case_insensitive(self, extra):
+        from repro.cli import validate_args
+
+        validate_args(self._args(extra))
 
     @pytest.mark.parametrize("gone", [
         ["--comm-channels", "2"], ["--simulate-seed", "1"],

@@ -10,6 +10,8 @@ from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
 from repro.obs.metrics import Histogram, MetricsRegistry, aggregate
 from repro.obs.recorder import MAIN_TRACK, Recorder, current, recording
 from repro.obs.report import (
+    ALL_STAGES,
+    PAPER_STAGES,
     fig34_decomposition,
     format_stage_report,
     run_report,
@@ -22,7 +24,7 @@ from repro.obs.trace import (
     validate_trace_file,
     write_chrome_trace,
 )
-from repro.search.comprehensive import ComprehensiveConfig
+from repro.search.comprehensive import STAGE_ORDER, ComprehensiveConfig
 from repro.search.searches import StageParams
 from repro.seq.patterns import compress_alignment
 from repro.util.timing import VirtualClock
@@ -226,6 +228,10 @@ class TestStageReport:
         {"bootstrap": 4.0, "fast": 2.0, "slow": 1.0, "thorough": 3.0},
         {"bootstrap": 2.0, "fast": 4.0, "slow": 1.0, "thorough": 5.0},
     ]
+
+    def test_stage_lists_agree_with_the_pipeline(self):
+        assert ALL_STAGES == STAGE_ORDER + ("finalize", "recovery")
+        assert PAPER_STAGES == STAGE_ORDER[1:]
 
     def test_fig34_takes_last_process_to_finish(self):
         assert fig34_decomposition(self.PER_RANK) == {

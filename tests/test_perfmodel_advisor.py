@@ -64,46 +64,6 @@ class TestRecommendLayout:
             recommend_layout(profile_for(1846), MACHINES["dash"], 100, 0)
 
 
-class TestScheduleModeAdvice:
-    def test_recommendation_carries_schedule_fields(self):
-        rec = recommend_layout(profile_for(1846), MACHINES["dash"], 100, 80)
-        assert rec.schedule_mode in ("static", "work-steal")
-        assert rec.predicted_static_seconds > 0
-        assert rec.predicted_worksteal_seconds > 0
-        assert rec.predicted_idle_tail_static >= 0
-        assert rec.predicted_idle_tail_worksteal >= 0
-
-    def test_predictions_deterministic(self):
-        from repro.perfmodel.advisor import predict_schedule_modes
-
-        a = predict_schedule_modes(profile_for(348), MACHINES["dash"], 100, 8, 4)
-        b = predict_schedule_modes(profile_for(348), MACHINES["dash"], 100, 8, 4)
-        assert a == b
-
-    def test_balanced_load_stays_static(self):
-        """With the calibrated mild jitter and one short chain per rank,
-        stealing has nothing to take — the advisor must not recommend it."""
-        rec = recommend_layout(profile_for(348), MACHINES["dash"], 100, 16)
-        assert rec.schedule_mode == "static"
-
-    def test_skewed_load_recommends_worksteal(self):
-        """Many chain-break points (large N) plus heavy per-search jitter:
-        the DES predicts a real makespan cut, so the advisor switches."""
-        import dataclasses
-
-        from repro.perfmodel.advisor import predict_schedule_modes
-
-        prof = dataclasses.replace(profile_for(348), jitter_cv=0.6)
-        modes = predict_schedule_modes(prof, MACHINES["dash"], 1000, 16, 4)
-        s, w = modes["static"], modes["work-steal"]
-        assert w["steal_grants"] > 0
-        assert w["makespan"] < s["makespan"]
-        assert w["idle_tail"] < s["idle_tail"]
-        rec = recommend_layout(prof, MACHINES["dash"], 1000, 64)
-        if rec.n_processes > 1:
-            assert rec.predicted_worksteal_seconds <= rec.predicted_static_seconds
-
-
 class TestRunReport:
     @pytest.fixture(scope="class")
     def result(self):

@@ -1,14 +1,14 @@
 """Tests for the work-steal scheduler core (repro.sched.queue /
-repro.sched.stealing / repro.sched.placement): the DES simulator, the
-threaded board, and their bit-for-bit agreement."""
+repro.sched.stealing / repro.sched.placement): the threaded board,
+held to hand-traced numbers and to itself across interleavings."""
 
 import threading
 
 import pytest
 
 from repro.sched.placement import initial_assignment
-from repro.sched.queue import SchedulerError, StealBoard
-from repro.sched.stealing import run_rank_pool, simulate
+from repro.sched.queue import StealBoard
+from repro.sched.stealing import run_rank_pool
 from repro.sched.tasks import Task, task_id
 from repro.util.rng import RAxMLRandom
 from repro.util.timing import VirtualClock
@@ -27,77 +27,6 @@ def skewed_pool(n_ranks=4, per_rank=6, seed=4242, chain=False):
             costs[t.id] = scale * rng.lognormal(1.0, 0.6)
     members = tuple(range(n_ranks))
     return tasks, initial_assignment(tasks, members), costs, members
-
-
-class TestSimulate:
-    def test_deterministic(self):
-        pool = skewed_pool()
-        a = simulate(*pool)
-        b = simulate(*pool)
-        assert a == b
-
-    def test_worksteal_beats_static_on_skew(self):
-        tasks, asn, costs, members = skewed_pool()
-        st = simulate(tasks, asn, costs, members, mode="static")
-        ws = simulate(tasks, asn, costs, members, mode="work-steal")
-        assert ws["steal_grants"] > 0
-        assert ws["makespan"] < st["makespan"]
-        assert ws["idle_fraction"] < st["idle_fraction"]
-        # Both modes complete exactly the same task multiset, exactly once.
-        assert sorted(st["completed"]) == sorted(t.id for t in tasks)
-        assert sorted(ws["completed"]) == sorted(t.id for t in tasks)
-
-    def test_static_mode_never_steals(self):
-        tasks, asn, costs, members = skewed_pool()
-        st = simulate(tasks, asn, costs, members, mode="static")
-        assert st["steal_attempts"] == 0 and st["steal_grants"] == 0
-
-    def test_chains_serialise_per_origin(self):
-        """A fully chained origin cannot be stolen mid-chain: the chain's
-        critical path lower-bounds the makespan in both modes."""
-        tasks, asn, costs, members = skewed_pool(chain=True)
-        chain_time = max(
-            sum(costs[t.id] for t in tasks if t.origin == o)
-            for o in range(len(members))
-        )
-        for mode in ("static", "work-steal"):
-            res = simulate(tasks, asn, costs, members, mode=mode)
-            assert res["makespan"] >= chain_time - 1e-9
-
-    def test_kill_mid_queue_completes_everything_exactly_once(self):
-        tasks, asn, costs, members = skewed_pool()
-        res = simulate(
-            tasks, asn, costs, members, mode="work-steal",
-            kill_after={members[-1]: 2},
-        )
-        assert not res["incomplete"]
-        assert sorted(res["completed"]) == sorted(t.id for t in tasks)
-        assert len(res["completed"]) == len(set(res["completed"]))
-        assert res["stats"][members[-1]]["tasks_lost"] >= 1
-
-    def test_kill_under_static_strands_work(self):
-        """Without stealing, a dead rank's queue has no taker — the gap
-        work stealing closes for recovery."""
-        tasks, asn, costs, members = skewed_pool()
-        res = simulate(
-            tasks, asn, costs, members, mode="static",
-            kill_after={members[0]: 1},
-        )
-        assert res["incomplete"]
-
-    def test_rejects_bad_input(self):
-        tasks, asn, costs, members = skewed_pool()
-        with pytest.raises(ValueError):
-            simulate(tasks, asn, costs, members, mode="round-robin")
-        bad = dict(costs)
-        bad[tasks[0].id] = 0.0
-        with pytest.raises(ValueError):
-            simulate(tasks, asn, bad, members)
-
-    def test_unsatisfiable_deps_raise(self):
-        t = Task("fast", 0, 0, ("bootstrap:0:0",))
-        with pytest.raises(SchedulerError):
-            simulate([t], {0: [t.id]}, {t.id: 1.0}, (0,))
 
 
 def flat_steal(seconds):
@@ -233,25 +162,3 @@ class TestBoardDeterminism:
         executed = sorted(t for o in outcomes.values() for t in o.executed)
         assert executed == sorted(t.id for t in tasks)
 
-
-class TestBoardMatchesSimulator:
-    @pytest.mark.parametrize("trial", range(4))
-    def test_parity_across_interleavings(self, trial):
-        """The threaded board commits the exact event order the sequential
-        DES produces: finish times, steal counters and executed sets are
-        bit-identical regardless of wall-clock interleaving."""
-        tasks, asn, costs, members = skewed_pool(seed=100 + trial)
-        ref = simulate(tasks, asn, costs, members, mode="work-steal",
-                       steal_seed=4242)
-        _, outcomes = run_board(tasks, asn, costs, members, stagger=trial)
-        for r in members:
-            assert outcomes[r].finish_time == pytest.approx(
-                ref["makespan"], abs=1e-12
-            )
-        executed = sorted(tid for o in outcomes.values() for tid in o.executed)
-        assert executed == sorted(ref["completed"])
-        board_stolen = {r: len(outcomes[r].stolen) for r in members}
-        des_stolen = {
-            r: ref["stats"][r]["executed_stolen"] for r in members
-        }
-        assert board_stolen == des_stolen
