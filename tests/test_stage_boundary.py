@@ -14,8 +14,11 @@ import repro.runtime.backends as backends
 from repro.cli import main
 from repro.datasets import test_dataset as make_test_dataset
 from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
+from repro.mpi.comm import SimComm
 from repro.mpi.faults import FaultPlan, KillSpec
+from repro.sched.tasks import build_dag
 from repro.search.comprehensive import ComprehensiveConfig
+from repro.search.schedule import make_schedule
 from repro.search.searches import StageParams
 from tests.conftest import assert_bit_identical
 
@@ -173,6 +176,63 @@ def test_worksteal_resume_after_rank_death_keeps_the_survivors_accounting(
         assert revived.stage_seconds[stage] == 0.0 and revived.stage_ops[stage] == 0
     assert revived.finish_time == survivor.finish_time
     assert resumed.stage_seconds["thorough"] == first.stage_seconds["thorough"]
+
+
+def test_worksteal_noted_stages_are_complete_under_deaths(tmp_path):
+    """A journal notes a stage only after the stage's pool drained, and
+    recovery never drops a task: under deaths too, every task of every
+    noted stage is in the journal union, so a resume restores them all
+    and reproduces the fault-free run."""
+    pal, _ = make_test_dataset(n_taxa=6, n_sites=90, seed=301)
+    kw = _worksteal_kw(tmp_path, n_processes=3)
+    baseline = run_hybrid_analysis(
+        pal, HybridConfig(**{**kw, "checkpoint_dir": None})
+    )
+    plan = FaultPlan(kills=(KillSpec(rank=2, stage="fast"),
+                            KillSpec(rank=1, stage="slow")))
+    first = run_hybrid_analysis(pal, HybridConfig(fault_plan=plan, **kw))
+    assert sorted(first.failed_ranks) == [1, 2]
+
+    cc = kw["comprehensive"]
+    dag = build_dag(make_schedule(cc.n_bootstraps, 3), cc, 3)
+    docs = [json.loads(p.read_text())
+            for p in sorted(tmp_path.glob("sched-rank*.json"))]
+    assert len(docs) == 3
+    union = set().union(*(doc["tasks"] for doc in docs))
+    noted = set()
+    for doc in docs:
+        for stage in set(doc["stages"]) - {"setup"}:
+            assert {t.id for t in dag[stage]} <= union, (doc["rank"], stage)
+            noted.add(stage)
+    assert noted == set(TASK_STAGES)
+
+    resumed = run_hybrid_analysis(pal, HybridConfig(resume=True, **kw))
+    assert_bit_identical(baseline, resumed)
+
+
+def test_worksteal_keeps_the_papers_barriers(monkeypatch):
+    """The paper's program has one noteworthy barrier, after the
+    bootstrap stage.  A fault-free work-steal run issues exactly the
+    static run's ``SimComm.barrier`` calls on every rank."""
+    pal, _ = make_test_dataset(n_taxa=6, n_sites=90, seed=301)
+    calls: dict[str, dict[int, int]] = {}
+    barrier = SimComm.barrier
+
+    def counted(self):
+        per_rank = calls[schedule]
+        per_rank[self.rank] = per_rank.get(self.rank, 0) + 1
+        barrier(self)
+
+    monkeypatch.setattr(SimComm, "barrier", counted)
+    for schedule in ("static", "work-steal"):
+        calls[schedule] = {}
+        run_hybrid_analysis(pal, HybridConfig(
+            n_processes=2, n_threads=1, schedule=schedule,
+            comprehensive=ComprehensiveConfig(
+                n_bootstraps=4, cat_categories=3, stage_params=QUICK
+            ),
+        ))
+    assert calls["work-steal"] == calls["static"] == {0: 1, 1: 1}
 
 
 def test_worksteal_resume_reruns_a_stage_noted_below_quorum(tmp_path):
