@@ -16,7 +16,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--scenarios", type=int, default=200,
                         help="number of generated fault scenarios "
-                             "(default 200; degradation probes ride on top)")
+                             "(default 200; leader-death probes ride on top)")
     parser.add_argument("--seed", type=int, default=20260808,
                         help="campaign seed (every scenario is a pure "
                              "function of seed/schedule/index)")

@@ -78,8 +78,7 @@ def _capture(result) -> dict:
     return doc
 
 
-def _run(pal, cc, spec: ScenarioSpec, *, checkpoint_dir=None, resume=False,
-         quorum=0.0):
+def _run(pal, cc, spec: ScenarioSpec, *, checkpoint_dir=None, resume=False):
     """Run ``spec``'s analysis; a ``resume`` continuation runs with no
     fault plan (the faults already happened)."""
     config = HybridConfig(
@@ -90,7 +89,6 @@ def _run(pal, cc, spec: ScenarioSpec, *, checkpoint_dir=None, resume=False,
         fault_plan=None if resume else spec.plan,
         checkpoint_dir=checkpoint_dir,
         resume=resume,
-        quorum=quorum,
         timeout_policy=CHAOS_TIMEOUTS,
         ranks_per_node=spec.ranks_per_node,
     )
@@ -106,8 +104,7 @@ def _differences(result, baseline: dict) -> list[str]:
 
 
 def _check(pal, cc, spec: ScenarioSpec, check: str, expect, *,
-           ckpt: Path | None = None, repeat: bool = False,
-           quorum: float = 0.0) -> dict:
+           ckpt: Path | None = None, repeat: bool = False) -> dict:
     """The one run → compare → resume routine behind every record.
 
     Runs ``spec`` (checkpointed into ``ckpt`` when given) and records
@@ -125,7 +122,7 @@ def _check(pal, cc, spec: ScenarioSpec, check: str, expect, *,
 
     def attempt(label: str, **kw):
         try:
-            result = _run(pal, cc, spec, quorum=quorum, **kw)
+            result = _run(pal, cc, spec, **kw)
         except BaseException as exc:  # RankKilledError is a BaseException
             violations.append(f"{label}: {type(exc).__name__}: {exc}")
             return None
@@ -165,37 +162,6 @@ def run_scenario(pal, cc, spec: ScenarioSpec, baseline: dict,
     return _check(pal, cc, spec, "equality-full",
                   lambda result: _differences(result, baseline),
                   ckpt=ckpt, repeat=spec.index % REPEAT_EVERY == 0)
-
-
-def _degraded(result) -> list[str]:
-    """What a below-quorum probe got wrong: it must finish tagged partial,
-    with exactly the two killed ranks failed."""
-    wrong = []
-    if not result.degraded or not result.notes:
-        wrong.append("below-quorum run not tagged as partial")
-    if sorted(result.failed_ranks) != [1, 2]:
-        wrong.append(f"failed_ranks {result.failed_ranks} != [1, 2]")
-    return wrong
-
-
-def run_degradation_probes(pal, cc) -> list[dict]:
-    """Below-quorum scenarios: the run must *complete*, tagged partial.
-
-    Kills all but one rank of a p=3 world with ``quorum=0.9``: survivors
-    are under quorum, so instead of replaying the dead ranks' shares the
-    run finishes with partial results and machine-readable notes.
-    """
-    from repro.mpi.faults import FaultPlan, KillSpec
-
-    plan = FaultPlan(kills=(KillSpec(rank=1, stage="fast"),
-                            KillSpec(rank=2, stage="slow")))
-    return [
-        _check(pal, cc, ScenarioSpec(index=-1, schedule=schedule,
-                                     n_processes=3, plan=plan,
-                                     equality="degraded", deaths=(1, 2)),
-               "degradation", _degraded, quorum=0.9)
-        for schedule in SCHEDULES
-    ]
 
 
 def run_leader_death_probes(pal, cc, workdir: Path | None = None) -> list[dict]:
@@ -250,8 +216,8 @@ def run_campaign(n_scenarios: int = 200, seed: int = 20260808,
                  progress=None, ranks_per_node: int | None = None) -> dict:
     """Run the full campaign and return (and optionally write) its report.
 
-    ``n_scenarios`` counts generated fault scenarios; the degradation and
-    leader-death probes and the cached fault-free baselines ride on top.
+    ``n_scenarios`` counts generated fault scenarios; the leader-death
+    probes and the cached fault-free baselines ride on top.
     ``workdir`` holds the checkpoint directories of the resume checks (a
     temporary directory when None).  ``progress`` is an optional callable
     invoked with each finished scenario record.
@@ -288,7 +254,6 @@ def run_campaign(n_scenarios: int = 200, seed: int = 20260808,
             records.append(record)
             if progress is not None:
                 progress(record)
-        records.extend(run_degradation_probes(pal, cc))
         records.extend(run_leader_death_probes(pal, cc, workdir=root))
 
     violations = [

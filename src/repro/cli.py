@@ -102,12 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--resume", action="store_true",
                         help="resume a killed run from --checkpoint-dir "
                              "(bit-identical to an uninterrupted run)")
-    parser.add_argument("--quorum", type=float, default=0.0,
-                        help="graceful-degradation threshold as a fraction of "
-                             "-np: when fewer than ceil(QUORUM*np) ranks "
-                             "survive, stop adopting dead ranks' work and "
-                             "finish with partial results tagged in the run "
-                             "report (0.0 disables; default 0.0)")
     parser.add_argument("--simulate", nargs=2, type=int, metavar=("TAXA", "SITES"),
                         help="simulate an alignment (generator seed "
                              f"{SIMULATE_SEED}) instead of reading one")
@@ -182,6 +176,17 @@ def validate_args(args) -> None:
                 "the comprehensive analysis (-f a) and tree evaluation "
                 "(-f e) support",
             )
+        else:
+            reject(
+                (
+                    ("-np", args.processes != 1),
+                    ("-T", args.threads != 1),
+                    ("--machine", args.machine.lower() != "dash"),
+                    ("-N", args.bootstraps != 100),
+                    ("--quick", args.quick),
+                ),
+                "the comprehensive analysis (-f a), -f d and -b support",
+            )
     if args.algorithm == "e":
         return
     try:
@@ -202,22 +207,30 @@ def validate_args(args) -> None:
 
 
 def load_alignment(args) -> "PatternAlignment":
+    """The input alignment, pattern-compressed; an input the simulator or
+    the readers reject exits with one line naming it."""
     if args.simulate is not None:
         n_taxa, n_sites = args.simulate
-        aln, _ = simulate_alignment(
-            SimulationParams(n_taxa=n_taxa, n_sites=n_sites, seed=SIMULATE_SEED)
-        )
+        try:
+            aln, _ = simulate_alignment(SimulationParams(
+                n_taxa=n_taxa, n_sites=n_sites, seed=SIMULATE_SEED
+            ))
+        except ValueError as exc:
+            raise SystemExit(f"--simulate {n_taxa} {n_sites}: {exc}") from None
         return compress_alignment(aln)
     if not args.alignment:
         raise SystemExit("either -s <alignment> or --simulate TAXA SITES is required")
     path = Path(args.alignment)
     if not path.exists():
         raise SystemExit(f"alignment file not found: {path}")
-    text = path.read_text(encoding="ascii")
-    if text.lstrip().startswith(">"):
-        aln = read_fasta(path)
-    else:
-        aln = read_phylip(path)
+    try:
+        text = path.read_text(encoding="ascii")
+        if text.lstrip().startswith(">"):
+            aln = read_fasta(path)
+        else:
+            aln = read_phylip(path)
+    except ValueError as exc:
+        raise SystemExit(f"{path}: {exc}") from None
     return compress_alignment(aln)
 
 
@@ -229,7 +242,10 @@ def _run_evaluate(args, pal) -> int:
     tree_path = Path(args.tree)
     if not tree_path.exists():
         raise SystemExit(f"tree file not found: {tree_path}")
-    tree = parse_newick(tree_path.read_text(encoding="ascii"), taxa=pal.taxa)
+    try:
+        tree = parse_newick(tree_path.read_text(encoding="ascii"), taxa=pal.taxa)
+    except ValueError as exc:
+        raise SystemExit(f"{tree_path}: {exc}") from None
     result = evaluate_tree(
         pal, tree, plus_invariant=(args.model == "GTRGAMMAI"),
         kernel=args.kernel, clv_cache=args.clv_cache,
@@ -321,7 +337,6 @@ def main(argv: list[str] | None = None) -> int:
             bootstopping=args.bootstopping,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
-            quorum=args.quorum,
             schedule=args.schedule,
             kernel=args.kernel,
             clv_cache=args.clv_cache,
@@ -330,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
             ranks_per_node=args.ranks_per_node,
         )
     except ValueError as exc:
-        # A value the configs reject (--quorum 1.5, --ranks-per-node 0, ...)
+        # A value the configs reject (-T 0, --ranks-per-node 0, ...)
         # is a usage error like any other: one line, no traceback.
         raise SystemExit(str(exc)) from None
 

@@ -63,12 +63,6 @@ class HybridConfig:
     #: Deterministic fault schedule; also switches the simulated world
     #: into resilient mode (rank deaths are survived, not fatal).
     fault_plan: FaultPlan | None = None
-    #: Graceful-degradation threshold, as a fraction of ``n_processes``:
-    #: when the surviving membership falls below ``ceil(quorum * p)``,
-    #: survivors stop adopting dead ranks' work and the run completes
-    #: with partial results tagged in the result's ``notes`` instead of
-    #: grinding through replays (or dying).  0.0 disables degradation.
-    quorum: float = 0.0
     #: Every deadline of the run: the suspicion deadline of a wait on a
     #: peer and the wall-clock limit of the SPMD rank threads (they run
     #: real searches; large inputs need hours).  Excluded from the
@@ -138,8 +132,6 @@ class HybridConfig:
                 "bootstopping grows the replicate set dynamically and is "
                 "round-synchronised; it requires schedule='static'"
             )
-        if not (0.0 <= self.quorum <= 1.0):
-            raise ValueError(f"quorum must be in [0, 1], got {self.quorum}")
         if self.ranks_per_node is not None:
             check_min("ranks_per_node", self.ranks_per_node, 1)
             if self.ranks_per_node * self.n_threads > machine.cores_per_node:

@@ -72,11 +72,6 @@ class HybridResult:
     #: Work-steal scheduling statistics (per-stage, per-rank counters,
     #: steal log, idle tails); None for static runs.
     sched: dict | None = None
-    #: Degradation notes (quorum loss, partial results).  Non-empty
-    #: ``notes`` means ``degraded`` — the run completed but some dead
-    #: ranks' work was not recovered.
-    notes: list[str] = field(default_factory=list)
-    degraded: bool = False
     #: Final membership picture (epoch, live set, deltas, fingerprint)
     #: as observed by the lowest surviving rank.
     membership: dict | None = None
@@ -139,10 +134,7 @@ class HybridResult:
         return {
             "best_lnl": self.best_lnl,
             "winner_rank": self.winner_rank,
-            "best_tree": (
-                write_newick(self.best_tree)
-                if self.best_tree is not None else None
-            ),
+            "best_tree": write_newick(self.best_tree),
             "support_tree": (
                 write_newick(self.support_tree, support=True)
                 if self.support_tree is not None
@@ -160,8 +152,6 @@ class HybridResult:
             "rng_fingerprint": self.rng_fingerprint,
             "sched": self.sched,
             "failed_ranks": list(self.failed_ranks),
-            "notes": list(self.notes),
-            "degraded": self.degraded,
             "membership": self.membership,
             "stage_seconds": dict(self.stage_seconds),
             "total_seconds": self.total_seconds,
@@ -225,11 +215,7 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
     stage_seconds = {
         s: max(r.stage_seconds.get(s, 0.0) for r in ranks) for s in ALL_STAGES
     }
-    best_newick = results[0]["best_newick"]
-    best_tree = (
-        parse_newick(best_newick, taxa=pal.taxa)
-        if best_newick is not None else None
-    )
+    best_tree = parse_newick(results[0]["best_newick"], taxa=pal.taxa)
     schedule = make_schedule(config.comprehensive.n_bootstraps, config.n_processes)
     rng_fp = rng_stream_fingerprint(
         schedule, config.comprehensive, int(pal.weights.sum()), config.n_processes
@@ -264,7 +250,7 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
         for n in r["bootstrap_newicks"]
     ]
     support_tree = None
-    if len(pal.taxa) >= 4 and best_tree is not None:
+    if len(pal.taxa) >= 4:
         shards = [r["shard"] for r in results]
         if len(results) == config.n_processes and all(s is not None for s in shards):
             # Bootstopping runs kept a rank-sharded distributed table;
@@ -302,8 +288,6 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
             ),
         }
 
-    notes = sorted({note for r in results for note in r["notes"]})
-
     return HybridResult(
         best_tree=best_tree,
         best_lnl=results[0]["winner_lnl"],
@@ -321,7 +305,5 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
         schedule_mode=config.schedule,
         rng_fingerprint=rng_fp,
         sched=sched_doc,
-        notes=notes,
-        degraded=bool(notes),
         membership=results[0]["membership"],
     )

@@ -35,7 +35,6 @@ from repro.runtime.middleware import (
     negotiate_resume,
     open_journal_store,
     open_store,
-    quorum_lost,
 )
 from repro.runtime.pipeline import Stage, comprehensive_pipeline
 
@@ -173,9 +172,8 @@ def _rank_report(ctx: RankContext, **own) -> dict:
         "backoff_seconds": comm.account.backoff_seconds,
         "failed_ranks": comm.known_dead,
         "recovery_seconds_by_stage": dict(ctx.recovery_by_stage),
-        "notes": list(state.get("__notes__", [])),
         "membership": comm.membership_view().as_doc(),
-        "local_lnl": thorough.lnl if thorough is not None else None,
+        "local_lnl": thorough.lnl,
         "local_newick": state["local_newick"],
         "winner_rank": state["winner_rank"],
         "winner_lnl": state["winner_lnl"],
@@ -189,14 +187,6 @@ def _rank_report(ctx: RankContext, **own) -> dict:
         "recovered_for": sorted(adopted),
         **own,
     }
-
-
-def _empty_share() -> dict:
-    """The share a rank without a Table 2 share reports."""
-    return dict(
-        local_bs_trees=[], fast_results=[], slow_results=[], thorough=None,
-        wc_trace=[], shard=None,
-    )
 
 
 @register_backend
@@ -310,7 +300,7 @@ class WorkStealBackend:
         n_procs = config.n_processes
         dag = build_dag(make_schedule(cfg.n_bootstraps, n_procs), cfg, n_procs)
 
-        journal, restored = open_journal_store(comm, pal, config, dag)
+        journal, restored = open_journal_store(comm, pal, config)
         # A resumed run's journalled results, published once: a restored
         # stage has nothing else to rebuild, a re-run one schedules only
         # what is missing.
@@ -328,8 +318,8 @@ class WorkStealBackend:
 
         def share(origin: int) -> dict[str, list]:
             """What the board holds of ``origin``'s Table 2 share,
-            whoever executed it (below quorum, dropped tasks simply
-            have no entry)."""
+            whoever executed it (mid-run, later stages have no entry
+            yet)."""
             return {
                 kind: [
                     board.result(t.id) for t in tasks
@@ -360,27 +350,6 @@ class WorkStealBackend:
         def drain(name: str, ctx: RankContext) -> None:
             members = tuple(comm.alive_ranks())
             tasks = dag[name]
-            if quorum_lost(ctx, len(members)):
-                # Graceful degradation: below quorum the dead origins'
-                # remaining tasks are dropped (every rank computes the
-                # same membership, hence the same drop).  Task streams
-                # are origin-pure, so the surviving origins' results are
-                # unaffected; the run completes partial, not dead.
-                live = set(members)
-                tasks = [t for t in tasks if t.origin in live]
-            # Drop tasks whose upstream can no longer complete (their
-            # origin was dropped at an earlier, below-quorum stage).  At
-            # a boundary every prior-stage completion is on the board, so
-            # this fixpoint is identical on every member.
-            while True:
-                kept = {t.id for t in tasks}
-                viable = [
-                    t for t in tasks
-                    if all(d in kept or board.has_result(d) for d in t.deps)
-                ]
-                if len(viable) == len(tasks):
-                    break
-                tasks = viable
             board.begin_stage(
                 name, tasks, initial_assignment(tasks, members), members,
                 status_of=status_of, epoch=comm.epoch,
@@ -401,19 +370,13 @@ class WorkStealBackend:
         def finalize(select, ctx: RankContext) -> None:
             own = share(rank)
             ctx.state.update(
-                _empty_share(),
                 local_bs_trees=[r.tree for r in own["bootstrap"]],
                 fast_results=own["fast"], slow_results=own["slow"],
-                thorough=next(iter(own["thorough"]), None),
+                thorough=own["thorough"][0], wc_trace=[], shard=None,
             )
             recover()
             select(ctx)
 
-        # Graceful degradation needs *agreed* membership at every
-        # boundary.  Static mode gets it from recovery at its
-        # collectives; under work stealing deaths otherwise surface only
-        # on the board (which never updates known_alive), so quorum runs
-        # close every task stage with the barrier — the heartbeat.
         # Setup is recomputed, never restored: its artefacts are
         # engine-bound, not journalled.  The other stages' artefacts are
         # on the board already, so their ``load`` rebuilds nothing.
@@ -421,7 +384,6 @@ class WorkStealBackend:
             replace(
                 s, run=partial(drain, s.name), payload=None, fuse=None,
                 load=None if s.name == "setup" else lambda ctx, data: None,
-                barrier_after=s.barrier_after or config.quorum > 0.0,
             ) if s.is_task else replace(s, run=partial(finalize, s.run))
             for s in comprehensive_pipeline()
         ]

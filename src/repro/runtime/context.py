@@ -87,7 +87,7 @@ class RankContext:
         #: it (drives the per-stage recovery-overhead report).
         self.recovery_by_stage: dict[str, float] = {}
         #: The stage currently executing (set by the backend at each
-        #: boundary); attributes recovery time and quorum notes.
+        #: boundary); attributes recovery time.
         self.current_stage: str | None = None
         self._t0 = 0.0
         self._o0 = 0
@@ -146,10 +146,3 @@ class RankContext:
             self.recovery_by_stage[stage] = (
                 self.recovery_by_stage.get(stage, 0.0) + dt
             )
-
-    def add_note(self, note: str) -> None:
-        """Record a degradation note (quorum loss, partial results);
-        surfaced in the rank report and the assembled ``HybridResult``."""
-        notes = self.state.setdefault("__notes__", [])
-        if note not in notes:
-            notes.append(note)

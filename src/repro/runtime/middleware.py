@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -142,11 +141,6 @@ class RecoveryMiddleware:
         survivors = self.comm.alive_ranks()
         t_r = self.comm.clock.now
         replayed_now: list[int] = []
-        if quorum_lost(ctx, len(survivors)):
-            # Graceful degradation: below quorum the survivors stop
-            # adopting dead peers' work — the run completes with partial
-            # results, tagged instead of raising.
-            return
         for d in self.comm.known_dead:
             if ctx.config.bootstopping:
                 # Bootstopping gathers replicates every round, so the dead
@@ -189,27 +183,6 @@ class RecoveryMiddleware:
             })
 
 
-def quorum_lost(ctx, n_survivors: int) -> bool:
-    """True when survivors fell below ``config.quorum`` of the initial
-    world — the degradation threshold.  Records the note on first loss.
-
-    ``quorum`` is a fraction of ``n_processes``; 0.0 (the default)
-    disables degradation and preserves full replay-recovery semantics.
-    """
-    quorum = ctx.config.quorum
-    if quorum <= 0.0:
-        return False
-    needed = math.ceil(quorum * ctx.config.n_processes)
-    if n_survivors >= needed:
-        return False
-    ctx.add_note(
-        f"quorum lost: {n_survivors} survivors < {needed} required "
-        f"(quorum={quorum} of {ctx.config.n_processes}); dead ranks' "
-        "work not recovered, results are partial"
-    )
-    return True
-
-
 def negotiate_resume(comm, store, resume: bool) -> int:
     """The index of the last stage every rank restores instead of runs.
 
@@ -235,10 +208,10 @@ def open_store(pal, config, logical_rank: int) -> CheckpointStore | None:
     )
 
 
-def open_journal_store(comm, pal, config, dag):
+def open_journal_store(comm, pal, config):
     """``(journal, restored)`` for a work-steal rank: its task journal
     (None without a checkpoint directory) and, on resume, the union of
-    every rank's journalled task results for the stage pools ``dag``."""
+    every rank's journalled task results."""
     if config.checkpoint_dir is None:
         return None, {}
     journal, restored = open_journal(
@@ -256,11 +229,6 @@ def open_journal_store(comm, pal, config, dag):
             raise CheckpointError(
                 "ranks loaded divergent sched journals; refusing to resume"
             )
-    for stage, tasks in dag.items():
-        # A stage noted below quorum finished with its dead origins'
-        # tasks dropped; it is re-run for what is missing, not restored.
-        if stage != "setup" and not all(t.id in restored for t in tasks):
-            journal.forget(stage)
     return journal, restored
 
 

@@ -255,22 +255,17 @@ def _run_finalize(ctx: RankContext) -> None:
     Scores are rounded to 1e-6 for the argmax (ties break to the lowest
     logical rank) so the winner is independent of thread-count float
     noise.  Each physical rank also submits entries for the dead ranks
-    it adopted; a death here triggers recovery and a retry.  Below
-    quorum every candidate may have been dropped: the run then reports
-    no winner (a partial result, tagged in the notes).
+    it adopted; a death here triggers recovery and a retry.
     """
     comm, rank = ctx.comm, ctx.rank
     thorough = ctx.state["thorough"]
     adopted = ctx.state["adopted"]
-    local_newick = write_newick(thorough.tree) if thorough is not None else None
+    local_newick = write_newick(thorough.tree)
     while True:
-        entries = []
-        if thorough is not None:
-            entries.append((round(thorough.lnl, 6), -rank, thorough.lnl))
+        entries = [(round(thorough.lnl, 6), -rank, thorough.lnl)]
         for d in sorted(adopted):
             replayed = adopted[d]["thorough"]
-            if replayed is not None:
-                entries.append((round(replayed.lnl, 6), -d, replayed.lnl))
+            entries.append((round(replayed.lnl, 6), -d, replayed.lnl))
         try:
             boards = comm.allgather(entries)
             flat = [
@@ -279,9 +274,6 @@ def _run_finalize(ctx: RankContext) -> None:
                 if lst is not None
                 for entry in lst
             ]
-            if not flat:
-                winner_rank = winner_lnl = best_newick = None
-                break
             (_, neg_rank, winner_lnl), carrier = max(flat)
             winner_rank = -neg_rank
             if comm.rank == carrier:

@@ -83,11 +83,6 @@ class SchedJournal:
         """The document for ``stage``, or None if never noted."""
         return self._stages.get(stage)
 
-    def forget(self, stage: str) -> None:
-        """Un-note ``stage`` (it was noted with tasks missing): a resumed
-        run re-runs it instead of restoring it."""
-        self._stages.pop(stage, None)
-
     def available_stages(self) -> tuple[str, ...]:
         """The contiguous :data:`STAGE_ORDER` prefix noted.  A note is
         written after the stage's pool drained, i.e. after every task of

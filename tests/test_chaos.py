@@ -78,8 +78,8 @@ class TestCampaign:
                               out=tmp_path / "BENCH_chaos.json",
                               workdir=tmp_path / "work")
         assert report["n_violations"] == 0, report["violations"]
-        # 4 scenarios + 2 degradation probes + 6 leader-death probes.
-        assert report["n_records"] == 12
+        # 4 scenarios + 6 leader-death probes.
+        assert report["n_records"] == 10
         assert (tmp_path / "BENCH_chaos.json").exists()
         on_disk = json.loads((tmp_path / "BENCH_chaos.json").read_text())
         assert on_disk["n_records"] == report["n_records"]

@@ -1,5 +1,6 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +88,40 @@ class TestLoadAlignment:
         write_fasta(pal.expand(), path)
         args = build_parser().parse_args(["-s", str(path)])
         assert load_alignment(args).n_taxa == 5
+
+    @pytest.mark.parametrize("files, argv, message", [
+        pytest.param({}, ["--simulate", "3", "20"],
+                     "--simulate 3 20: need at least 4 taxa", id="few-taxa"),
+        pytest.param({}, ["--simulate", "5", "0"],
+                     "--simulate 5 0: need at least 1 site", id="no-sites"),
+        pytest.param({"in.phy": "garbage\nA ACGT\n"}, ["-s", "in.phy"],
+                     "in.phy: bad PHYLIP header: 'garbage'", id="phylip-header"),
+        pytest.param({"in.phy": "3 10\nA ACGTACGTAC\nB ACGTAC\nC ACGTACGTAC\n"},
+                     ["-s", "in.phy"],
+                     "in.phy: taxon 'B' has 6 characters, header says 10",
+                     id="phylip-short"),
+        pytest.param({"t.nwk": "((A,B),(C,"},
+                     ["-f", "e", "-s", "ok.phy", "-t", "t.nwk"],
+                     "t.nwk: unexpected end of Newick string",
+                     id="newick-truncated"),
+        pytest.param({"t.nwk": "((A,B),(C,X));"},
+                     ["-f", "e", "-s", "ok.phy", "-t", "t.nwk"],
+                     "t.nwk: leaf 'X' not in the given taxon set",
+                     id="newick-foreign-taxon"),
+    ])
+    def test_malformed_inputs_are_one_line_errors(
+        self, files, argv, message, tmp_path, monkeypatch
+    ):
+        """An input the simulator or a reader rejects exits with one line
+        naming the file (or the ``--simulate`` values) and the reason."""
+        monkeypatch.chdir(tmp_path)
+        files = {"ok.phy": "4 8\nA ACGTACGT\nB ACGTACGA\nC ACGAACGT\n"
+                           "D ACTTACGT\n", **files}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        with pytest.raises(SystemExit, match=re.escape(message)) as exc:
+            main(argv + ["-w", str(tmp_path)])
+        assert "\n" not in exc.value.code
 
 
 class TestOtherAlgorithms:
@@ -206,7 +241,7 @@ class TestValidateArgs:
             )
 
     @pytest.mark.parametrize("extra, match", [
-        (["--quorum", "1.5"], "quorum"),
+        (["-np", "0"], "n_processes"),
         (["-T", "0"], "n_threads"),
         (["--ranks-per-node", "0"], "ranks_per_node"),
         (["--machine", "bogus"], "unknown machine 'bogus'"),
@@ -224,6 +259,7 @@ class TestValidateArgs:
     @pytest.mark.parametrize("extra", [
         ["--machine", "Dash"],
         ["-f", "d", "--machine", "Triton PDAF", "-T", "32"],
+        ["-f", "e", "-t", "x.nwk", "--machine", "DASH"],
     ])
     def test_machine_names_are_case_insensitive(self, extra):
         from repro.cli import validate_args
@@ -232,12 +268,26 @@ class TestValidateArgs:
 
     @pytest.mark.parametrize("gone", [
         ["--comm-channels", "2"], ["--simulate-seed", "1"],
+        ["--quorum", "0.5"],
     ])
     def test_removed_flags_are_usage_errors(self, gone, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--simulate", "5", "50", "--quick"] + gone)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        ["-np", "4"], ["-T", "64"], ["--machine", "bogus"], ["-N", "7"],
+        ["--quick"],
+    ], ids=lambda extra: extra[0].lstrip("-"))
+    def test_evaluate_rejects_search_flags(self, extra):
+        """-f e scores one tree in one process: a flag only the searches
+        consume is refused, not silently dropped."""
+        from repro.cli import validate_args
+
+        with pytest.raises(SystemExit,
+                           match=re.escape(extra[0]) + ": only .* -f e would"):
+            validate_args(self._args(["-f", "e", "-t", "x.nwk"] + extra))
 
     def test_comprehensive_only_flags_rejected_elsewhere(self):
         from repro.cli import validate_args

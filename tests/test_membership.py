@@ -3,8 +3,8 @@
 Covers the membership data model (:mod:`repro.mpi.membership`), the
 retry backoff and the one :class:`TimeoutPolicy`
 (:mod:`repro.mpi.policy`), the membership stamps checkpoints carry (a
-resume under different membership must fail loudly), quorum-based
-graceful degradation on both backends, the pinned adoption claim (a
+resume under different membership must fail loudly), full recovery
+from two deaths in a three-rank world, the pinned adoption claim (a
 dead rank's share is replayed exactly once even when later deaths
 reshuffle the survivor list), and the audit guarantee that
 ``RankKilledError`` — a ``BaseException`` — is never swallowed by a
@@ -232,28 +232,11 @@ class TestCheckpointMembershipGuard:
 
 
 # ---------------------------------------------------------------------------
-# Quorum-based graceful degradation
+# Every death is replayed
 # ---------------------------------------------------------------------------
 
 
-class TestQuorumDegradation:
-    @pytest.mark.parametrize("schedule", ["static", "work-steal"])
-    def test_below_quorum_completes_partial_and_tagged(
-        self, pal, quick_cc, schedule
-    ):
-        plan = FaultPlan(kills=(KillSpec(rank=1, stage="fast"),
-                                KillSpec(rank=2, stage="slow")))
-        config = hybrid_config(
-            quick_cc, n_processes=3, schedule=schedule,
-            fault_plan=plan, quorum=0.9,
-        )
-        result = run_hybrid_analysis(pal, config)
-        assert result.degraded
-        assert any("quorum lost" in n for n in result.notes)
-        assert sorted(result.failed_ranks) == [1, 2]
-        # The run still selected a tree from the surviving candidates.
-        assert result.best_tree is not None
-
+class TestReplayRecovery:
     def test_two_of_three_dead_recover_fully(self, pal, quick_cc):
         baseline = run_hybrid_analysis(
             pal, hybrid_config(quick_cc, n_processes=3)
@@ -264,10 +247,6 @@ class TestQuorumDegradation:
             pal, hybrid_config(quick_cc, n_processes=3, fault_plan=plan)
         )
         assert_bit_identical(baseline, result, ignore=("rank_lnls",))
-
-    def test_quorum_validation(self, quick_cc):
-        with pytest.raises(ValueError, match="quorum"):
-            hybrid_config(quick_cc, quorum=1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -395,7 +395,7 @@ class TestResumeDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# Rank-death recovery: degraded completion with the same replicate set
+# Rank-death recovery: completion with the same replicate set
 # ---------------------------------------------------------------------------
 
 

@@ -235,30 +235,6 @@ def test_worksteal_keeps_the_papers_barriers(monkeypatch):
     assert calls["work-steal"] == calls["static"] == {0: 1, 1: 1}
 
 
-def test_worksteal_resume_reruns_a_stage_noted_below_quorum(tmp_path):
-    """Below quorum a stage is noted finished with its dead origins'
-    tasks dropped.  The resumed run (whole membership again) does not
-    restore such a stage: it runs what is missing and completes."""
-    pal, _ = make_test_dataset(n_taxa=6, n_sites=90, seed=301)
-    kw = _worksteal_kw(tmp_path, n_processes=3, quorum=0.9)
-    baseline = run_hybrid_analysis(
-        pal, HybridConfig(**{**kw, "checkpoint_dir": None})
-    )
-    plan = FaultPlan(kills=(KillSpec(rank=2, stage="fast"),))
-    first = run_hybrid_analysis(pal, HybridConfig(fault_plan=plan, **kw))
-    assert first.degraded
-
-    resumed = run_hybrid_analysis(pal, HybridConfig(resume=True, **kw))
-    assert not resumed.degraded
-    assert_bit_identical(baseline, resumed)
-    # The survivors stole the dead rank's fast search before the
-    # stage-end heartbeat noticed the death: bootstrap and fast are
-    # complete and restored, slow and thorough lack origin 2's task.
-    executed = {s: sum(d["executed"] for d in per.values())
-                for s, per in resumed.sched["stage_stats"].items()}
-    assert executed == {"setup": 3, "slow": 1, "thorough": 1}
-
-
 def test_boundary_calls_only_in_exec_stage():
     """``WorkStealBackend.run`` (or any backend) no longer sequences a
     boundary: the four boundary calls occur in ``_exec_stage`` only."""
