@@ -1,14 +1,18 @@
 """Model-parameter optimisation (Γ shape, GTR exchangeabilities, frequencies).
 
 RAxML optimises model parameters with Brent's method one coordinate at a
-time, interleaved with branch-length smoothing.  We use
-``scipy.optimize.minimize_scalar`` (Brent, bounded) per coordinate.
+time, interleaved with branch-length smoothing.  We do the same with
+:func:`_minimize_bounded`, a line-for-line port of SciPy's bounded Brent
+method (``minimize_scalar(method="bounded")``): the same steps, tolerances
+and evaluation count, so the same ``x``, ``fun`` and ``nfev`` to the bit,
+without importing SciPy on the analysis path.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import optimize
 
 from repro.likelihood.engine import LikelihoodEngine, RateModel
 from repro.likelihood.gamma import MAX_ALPHA, MIN_ALPHA
@@ -16,6 +20,65 @@ from repro.tree.topology import Tree
 
 #: Bounds for individual GTR exchangeabilities during optimisation.
 _RATE_LO, _RATE_HI = 1e-3, 100.0
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _minimize_bounded(func, lo: float, hi: float, xatol: float,
+                      maxiter: int = 500) -> tuple[float, float, int]:
+    """Minimise ``func`` on ``[lo, hi]``; returns ``(x, fun, nfev)``.
+
+    Brent's golden-section/parabolic search as SciPy's
+    ``_minimize_scalar_bounded`` does it, step for step.
+    """
+    a, b = lo, hi
+    xf = nfc = fulc = a + _GOLDEN_MEAN * (b - a)
+    fx = ffulc = fnfc = func(xf)
+    rat = e = 0.0
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN_MEAN * e
+        # rat is never -0.0, so copysign is SciPy's sign(rat) + (rat == 0).
+        x = xf + math.copysign(max(abs(rat), tol1), rat)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf, fx, num
 
 
 def empirical_frequencies(engine: LikelihoodEngine) -> np.ndarray:
@@ -66,15 +129,11 @@ def optimize_alpha(
         e = engine.with_rate_model(RateModel.gamma(alpha, k, p_invariant=p_inv))
         return -e.loglikelihood(tree)
 
-    res = optimize.minimize_scalar(
-        neg_lnl, bounds=(lo, min(hi, MAX_ALPHA)), method="bounded",
-        options={"xatol": xtol},
-    )
-    best_alpha = float(res.x)
+    best_alpha, fun, _ = _minimize_bounded(neg_lnl, lo, min(hi, MAX_ALPHA), xtol)
     new_engine = engine.with_rate_model(
         RateModel.gamma(best_alpha, k, p_invariant=p_inv)
     )
-    return new_engine, -float(res.fun)
+    return new_engine, -fun
 
 
 def optimize_p_invariant(
@@ -89,14 +148,11 @@ def optimize_p_invariant(
         e = engine.with_rate_model(engine.rate_model.with_p_invariant(p))
         return -e.loglikelihood(tree)
 
-    res = optimize.minimize_scalar(
-        neg_lnl, bounds=(0.0, hi), method="bounded", options={"xatol": xtol}
-    )
-    best_p = float(res.x)
+    best_p, fun, _ = _minimize_bounded(neg_lnl, 0.0, hi, xtol)
     new_engine = engine.with_rate_model(
         engine.rate_model.with_p_invariant(best_p)
     )
-    return new_engine, -float(res.fun)
+    return new_engine, -fun
 
 
 def optimize_rates(
@@ -115,13 +171,10 @@ def optimize_rates(
             e = engine.with_model(model.with_rates(trial))
             return -e.loglikelihood(tree)
 
-        res = optimize.minimize_scalar(
-            neg_lnl, bounds=(_RATE_LO, _RATE_HI), method="bounded",
-            options={"xatol": xtol},
-        )
-        if -res.fun > best:
-            rates[i] = float(res.x)
-            best = -float(res.fun)
+        r, fun, _ = _minimize_bounded(neg_lnl, _RATE_LO, _RATE_HI, xtol)
+        if -fun > best:
+            rates[i] = r
+            best = -fun
             model = model.with_rates(rates)
     return engine.with_model(model), best
 

@@ -1,11 +1,19 @@
 """Tests for model optimisation (repro.likelihood.model_opt)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.likelihood.engine import LikelihoodEngine, RateModel
+from repro.likelihood.gamma import MIN_ALPHA
 from repro.likelihood.gtr import GTRModel
 from repro.likelihood.model_opt import (
+    _RATE_HI,
+    _RATE_LO,
+    _minimize_bounded,
     empirical_frequencies,
     optimize_alpha,
     optimize_model,
@@ -37,6 +45,56 @@ class TestEmpiricalFrequencies:
         engine = LikelihoodEngine(compress_alignment(aln), GTRModel.jc69())
         f = empirical_frequencies(engine)
         assert f[0] > 0.5  # A dominates
+
+
+#: ``(lo, hi)`` of the three call sites: Γ shape, +I proportion, GTR rates.
+CALL_SITE_BOUNDS = [(MIN_ALPHA, 20.0), (0.0, 0.9), (_RATE_LO, _RATE_HI)]
+
+
+def _smooth(kind, c, w, lo, hi):
+    """A smooth test function on ``[lo, hi]``: unimodal (``bowl``, ``log``)
+    or multimodal (``wave``), minimum near ``lo + c * (hi - lo)``."""
+    x0 = lo + c * (hi - lo)
+    span = hi - lo
+    if kind == "bowl":
+        return lambda x: ((x - x0) / span) ** 2 + 0.1 * ((x - x0) / span) ** 4
+    if kind == "log":
+        return lambda x: x / (x0 + 1e-3) - math.log(x + 1e-3)
+    return lambda x: math.sin(w * (x - x0) / span) + 0.5 * ((x - x0) / span) ** 2
+
+
+class TestBoundedBrent:
+    """``_minimize_bounded`` is SciPy's bounded Brent, step for step."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["bowl", "log", "wave"]),
+        st.floats(0.0, 1.0),
+        st.floats(1.0, 40.0),
+        st.one_of(
+            st.sampled_from(CALL_SITE_BOUNDS),
+            st.tuples(st.floats(-50.0, 50.0), st.floats(1e-3, 100.0)).map(
+                lambda t: (t[0], t[0] + t[1])),
+        ),
+        st.one_of(st.just(1e-3), st.floats(1e-8, 1e-1)),
+    )
+    def test_bounded_brent_matches_scipy(self, kind, c, w, bounds, xatol):
+        optimize = pytest.importorskip("scipy.optimize")
+        lo, hi = bounds
+        if kind == "log" and lo < 0.0:
+            lo, hi = 0.0, hi - lo
+        f = _smooth(kind, c, w, lo, hi)
+        ref = optimize.minimize_scalar(
+            f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+        x, fun, nfev = _minimize_bounded(f, lo, hi, xatol)
+        assert (x, fun, nfev) == (float(ref.x), float(ref.fun), ref.nfev)
+
+    def test_maxiter_caps_evaluations(self):
+        calls = []
+        _, _, nfev = _minimize_bounded(
+            lambda x: calls.append(x) or math.sin(40.0 * x), 0.0, 1.0, 1e-12,
+            maxiter=5)
+        assert nfev == len(calls) == 5
 
 
 class TestOptimizeAlpha:
