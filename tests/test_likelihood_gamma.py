@@ -1,11 +1,20 @@
 """Tests for discrete-Γ rates (repro.likelihood.gamma)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.likelihood.gamma import MAX_ALPHA, MIN_ALPHA, discrete_gamma_rates
+import repro.likelihood.gamma as gamma_mod
+from repro.likelihood.gamma import (
+    MAX_ALPHA,
+    MIN_ALPHA,
+    discrete_gamma_rates,
+    gammainc,
+    gammaincinv,
+)
 
 
 class TestDiscreteGamma:
@@ -53,10 +62,62 @@ class TestDiscreteGamma:
         with pytest.raises(ValueError):
             discrete_gamma_rates(1.0, 0)
 
-    @settings(max_examples=30)
-    @given(st.floats(0.05, 50.0), st.integers(2, 12))
+    @settings(max_examples=60)
+    @given(st.floats(MIN_ALPHA, MAX_ALPHA), st.integers(2, 12))
     def test_mean_one_property(self, alpha, k):
         rates = discrete_gamma_rates(alpha, k)
         assert rates.shape == (k,)
         assert rates.mean() == pytest.approx(1.0, abs=1e-9)
         assert np.all(np.diff(rates) >= 0)
+
+
+class TestIncompleteGamma:
+    """The standard-library P(a, x) and P⁻¹ against ``scipy.special``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(MIN_ALPHA, MAX_ALPHA + 1.0))
+    def test_gamma_quantiles_match_scipy(self, a):
+        special = pytest.importorskip("scipy.special")
+        for k in range(2, 17):
+            for j in range(1, k):
+                p = j / k
+                ref = float(special.gammaincinv(a, p))
+                assert gammaincinv(a, p) == pytest.approx(ref, rel=1e-12, abs=0)
+                # P at the quantile, and at the a + 1 point discrete_gamma_rates asks for
+                for aa, x in ((a, ref), (a + 1.0, ref * a)):
+                    want = float(special.gammainc(aa, x))
+                    assert gammainc(aa, x) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_endpoints(self):
+        assert gammainc(2.0, 0.0) == 0.0
+        assert gammainc(2.0, math.inf) == 1.0
+        assert gammaincinv(2.0, 0.0) == 0.0
+        assert gammaincinv(2.0, 1.0) == math.inf
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
+    def test_nonpositive_shape_rejected(self, a):
+        with pytest.raises(ValueError, match="a > 0"):
+            gammainc(a, 1.0)
+        with pytest.raises(ValueError, match="a > 0"):
+            gammaincinv(a, 0.5)
+
+    @pytest.mark.parametrize("x", [-1e-300, -1.0, math.nan])
+    def test_negative_x_rejected(self, x):
+        with pytest.raises(ValueError, match="x >= 0"):
+            gammainc(1.0, x)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.0 + 1e-15, math.nan])
+    def test_probability_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="0 <= p <= 1"):
+            gammaincinv(1.0, p)
+
+    @pytest.mark.parametrize("x", [0.5, 5.0], ids=["series", "continued-fraction"])
+    def test_unconverged_gammainc_raises(self, monkeypatch, x):
+        monkeypatch.setattr(gamma_mod, "_SERIES_MAX", 2)
+        with pytest.raises(ArithmeticError, match=f"a=1.5, x={x}"):
+            gammainc(1.5, x)
+
+    def test_unconverged_gammaincinv_raises(self, monkeypatch):
+        monkeypatch.setattr(gamma_mod, "_HALLEY_MAX", 1)
+        with pytest.raises(ArithmeticError, match="a=0.5, p=0.3"):
+            gammaincinv(0.5, 0.3)

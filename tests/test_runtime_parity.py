@@ -268,21 +268,23 @@ def test_cross_mode_first_records_match(golden):
 #: Intended moves of the current deliberate golden break, as
 #: ``(path regex, why)``; a path is ``scenario.record.field...``.  Anything
 #: that moves outside this list fails ``--diff``.  ``--check`` (CI) allows
-#: nothing.  This list describes the Γ Newton triple and the Γ site sum
-#: becoming new products (``kernels/base.py``: ``_newton_rows``,
-#: ``_site_sum``), which round differently; trees, ``rng_fingerprint``, op
-#: totals, virtual clocks and ``n_bootstraps_done`` stay.  Edit it with
+#: nothing.  This list describes the Γ rate quantiles moving from
+#: ``scipy.special`` to the standard-library ``gammainc`` / ``gammaincinv``
+#: of ``likelihood/gamma.py``, which round differently; trees,
+#: ``rng_fingerprint``, op totals, virtual clocks and
+#: ``n_bootstraps_done`` stay.  Edit it with
 #: the next deliberate break, never to make an accident pass.
 ALLOWED_MOVES: tuple[tuple[str, str], ...] = (
     (r"[^.]+\.(first|resumed)\.(best_lnl|rank_lnls\[\d+\])$",
-     "lnl digits: the Γ Newton and site sums round differently"),
+     "lnl digits: the Γ rate quantiles round differently"),
     (r"[^.]+\.checkpoint_docs(_after_resume)?\.[\w-]+\.json\."
      r"(payload\.results|tasks\.thorough:\d+:\d+)(\[\d+\])+$",
-     "checkpointed thorough results: lnl and Newick branch-length digits"),
+     "checkpointed thorough results: lnl and Newick branch-length digits "
+     "under the Γ rate quantiles' rounding"),
     (r"[^.]+\.checkpoints(_after_resume)?\.[\w-]+\.json$",
      "checkpoint file bytes: the thorough results they hold"),
     (r"[^.]+\.first\.trace_digest$",
-     "trace documents: the spans carry the lnls"),
+     "trace documents: the spans carry the lnls the Γ rate quantiles move"),
 )
 
 
