@@ -206,7 +206,9 @@ class FaultPlane:
                 beat = clock.now if clock is not None else None
                 last = seen.get(r)
                 if last is None or last[0] != beat:
-                    seen[r] = (beat, now)
+                    # A clock that only now appears (the rank started) has
+                    # not moved: it stands still since the wait began.
+                    seen[r] = (beat, start if last is None or last[0] is None else now)
                 elif now - last[1] >= policy.collective_seconds:
                     stalled.append(r)
             if stalled:
