@@ -50,18 +50,14 @@ def gammainc(a: float, x: float) -> float:
         tiny = 1e-300
         b = x + 1.0 - a
         c = 1.0 / tiny
-        d = 1.0 / b
-        h = d
+        d = h = 1.0 / b
         for i in range(1, _SERIES_MAX + 1):
             an = -i * (i - a)
             b += 2.0
             d = an * d + b
-            if abs(d) < tiny:
-                d = tiny
+            d = 1.0 / (tiny if abs(d) < tiny else d)
             c = b + an / c
-            if abs(c) < tiny:
-                c = tiny
-            d = 1.0 / d
+            c = tiny if abs(c) < tiny else c
             delta = d * c
             h *= delta
             if abs(delta - 1.0) < _EPS:

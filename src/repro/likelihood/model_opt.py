@@ -23,10 +23,11 @@ _RATE_LO, _RATE_HI = 1e-3, 100.0
 
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+#: SciPy's default cap on function evaluations.
+_MAXITER = 500
 
 
-def _minimize_bounded(func, lo: float, hi: float, xatol: float,
-                      maxiter: int = 500) -> tuple[float, float, int]:
+def _minimize_bounded(func, lo: float, hi: float, xatol: float) -> tuple[float, float, int]:
     """Minimise ``func`` on ``[lo, hi]``; returns ``(x, fun, nfev)``.
 
     Brent's golden-section/parabolic search as SciPy's
@@ -76,7 +77,7 @@ def _minimize_bounded(func, lo: float, hi: float, xatol: float,
         xm = 0.5 * (a + b)
         tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
-        if num >= maxiter:
+        if num >= _MAXITER:
             break
     return xf, fx, num
 

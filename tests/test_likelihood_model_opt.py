@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.likelihood.model_opt as model_opt
 from repro.likelihood.engine import LikelihoodEngine, RateModel
 from repro.likelihood.gamma import MIN_ALPHA
 from repro.likelihood.gtr import GTRModel
@@ -89,11 +90,11 @@ class TestBoundedBrent:
         x, fun, nfev = _minimize_bounded(f, lo, hi, xatol)
         assert (x, fun, nfev) == (float(ref.x), float(ref.fun), ref.nfev)
 
-    def test_maxiter_caps_evaluations(self):
+    def test_maxiter_caps_evaluations(self, monkeypatch):
+        monkeypatch.setattr(model_opt, "_MAXITER", 5)
         calls = []
         _, _, nfev = _minimize_bounded(
-            lambda x: calls.append(x) or math.sin(40.0 * x), 0.0, 1.0, 1e-12,
-            maxiter=5)
+            lambda x: calls.append(x) or math.sin(40.0 * x), 0.0, 1.0, 1e-12)
         assert nfev == len(calls) == 5
 
 
