@@ -97,7 +97,7 @@ def gammaincinv(a: float, p: float) -> float:
         if x <= 0.0:
             return 0.0
         err = gammainc(a, x) - p
-        if a > 1.0:  # the density x^(a-1) e^-x / Γ(a), scaled at its mode
+        if a > 1.0:  # the density x^(a-1) e^-x / Γ(a), factored at its mode
             t = afac * math.exp(-(x - a1) + a1 * (math.log(x) - lna1))
         else:
             t = math.exp(-x + a1 * math.log(x) - gln)
