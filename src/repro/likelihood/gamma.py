@@ -7,7 +7,7 @@ gamma function — the same scheme RAxML uses (k = 4 by default).
 
 :func:`gammainc` and :func:`gammaincinv` are Numerical Recipes' ``gammp`` /
 ``invgammp`` on the standard library (no SciPy on the analysis path); they
-agree with ``scipy.special`` to about 1e-13 relative.
+agree with SciPy's ``gammainc`` / ``gammaincinv`` to about 1e-13 relative.
 """
 
 from __future__ import annotations
