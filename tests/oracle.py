@@ -1,5 +1,5 @@
 """An independent likelihood reference: GTR + rate heterogeneity on any
-small tree by brute force, in pure Python.
+small tree by brute force, and on deep ones by pruning, in pure Python.
 
 Nothing here imports ``repro.likelihood.gtr`` or
 ``repro.likelihood.kernels`` — the code under test.  The rate matrix is
@@ -23,6 +23,12 @@ anything a float's exponent holds come out exact — and it shares nothing
 with the engine's per-node divide-by-max either.  "+I" mixes in each
 pattern's invariant-site likelihood: ``Σ π_x`` over the states ``x``
 that every taxon's mask allows.
+
+Past six taxa the same likelihoods come from Felsenstein pruning, also in
+log space: every partial is four logs, and an edge is ``log Σ_j P_ij ·
+exp(l_j)`` evaluated about the largest ``l_j``.  It is linear in the
+taxa, so it reaches trees of hundreds, whose site likelihoods lie past
+anything a float's exponent holds.
 """
 
 from __future__ import annotations
@@ -277,6 +283,34 @@ def tree_edge_derivatives(
     return math.fsum(lnl), math.fsum(d1), math.fsum(d2)
 
 
+def _graft(tree, clade, subtree: str, t_sub: float):
+    """``tree`` with the Newick ``subtree`` (a bare taxon name or a rooted
+    clade) attached by a branch of length ``t_sub`` to a new node at the
+    midpoint of the edge above ``clade`` — the tree a lazy-SPR insertion
+    forms.  The new node takes the next internal number, the subtree's
+    internal nodes the ones after it."""
+    edges, n_inner = tree
+    pick = [e[3] for e in edges].index(frozenset(clade))
+    parent, child, length, below = edges[pick]
+    sub_edges, sub_inner = parse_newick(subtree if subtree.endswith(";") else subtree + ";")
+    if sub_inner:
+        top = n_inner + 1
+        moved = frozenset().union(*(e[3] for e in sub_edges if e[0] == 0))
+    else:
+        top, moved = subtree.rstrip(";"), frozenset([subtree.rstrip(";")])
+    edges = list(edges)
+    edges[pick : pick + 1] = [
+        (parent, n_inner, length / 2, below | moved),
+        (n_inner, child, length / 2, below),
+        (n_inner, top, t_sub, moved),
+    ]
+    edges += [
+        (p + top, c + top if isinstance(c, int) else c, t, cl)
+        for p, c, t, cl in sub_edges
+    ]
+    return edges, n_inner + 1 + sub_inner
+
+
 def insertion_lnl(
     newick, masks, weights, clade, taxon: str, t_sub: float, exchangeabilities,
     freqs, rates, pattern_to_cat=None,
@@ -284,18 +318,119 @@ def insertion_lnl(
     """The lazy-SPR insertion score: log-likelihood of the tree ``newick``
     with ``taxon`` attached by a branch of length ``t_sub`` to the
     midpoint of the edge above ``clade``."""
-    edges, n_inner = parse_newick(newick)
-    pick = [e[3] for e in edges].index(frozenset(clade))
-    parent, child, length, below = edges[pick]
-    edges[pick : pick + 1] = [
-        (parent, n_inner, length / 2, below | {taxon}),
-        (n_inner, child, length / 2, below),
-        (n_inner, taxon, t_sub, frozenset([taxon])),
-    ]
     return math.fsum(
         weight * lnl
         for weight, (lnl, _, _) in zip(weights, _tree_patterns(
-            (edges, n_inner + 1), masks, exchangeabilities, freqs, rates,
-            pattern_to_cat, 0.0,
+            _graft(parse_newick(newick), clade, taxon, t_sub), masks,
+            exchangeabilities, freqs, rates, pattern_to_cat, 0.0,
+        ))
+    )
+
+
+# -- Felsenstein pruning, in log space -----------------------------------------------
+
+
+def _postorder(edges: list[tuple]) -> list[tuple]:
+    """``edges`` with every edge below a node before the edge above it."""
+    below: dict = {}
+    for edge in edges:
+        below.setdefault(edge[0], []).append(edge)
+    order, stack = [], [0]
+    while stack:
+        for edge in below.get(stack.pop(), ()):
+            order.append(edge)
+            if isinstance(edge[1], int):
+                stack.append(edge[1])
+    return order[::-1]
+
+
+#: :func:`transition_matrix` by ``(exchangeabilities, freqs, t · rate)``:
+#: pruning asks for one per edge and rate on every call, and its callers
+#: ask again for the same tree under another rate model or insertion.
+_TRANSITIONS: dict = {}
+
+
+def _transition(exchangeabilities, freqs, s: float) -> Matrix:
+    key = (tuple(exchangeabilities), tuple(freqs), s)
+    if key not in _TRANSITIONS:
+        _TRANSITIONS[key] = transition_matrix(exchangeabilities, freqs, s)
+    return _TRANSITIONS[key]
+
+
+def _log_sum_exp(logs: list[float]) -> float:
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
+
+
+def _pruned_site_lnls(
+    tree, masks, exchangeabilities, freqs, rates, pattern_to_cat, p_invariant,
+):
+    """Per-pattern log-likelihoods on ``tree`` by Felsenstein pruning with
+    every partial held as four logs.  Across an edge, ``log Σ_j P_ij ·
+    exp(l_j)`` is taken as ``top + log Σ_j P_ij · exp(l_j − top)`` with
+    ``top`` the largest ``l_j``; a node adds its children's results.  No
+    value is ever below ``exp(top)`` by more than a transition
+    probability, so depth costs nothing in range."""
+    edges, n_inner = tree
+    order = _postorder(edges)
+    mats = [
+        {t: _transition(exchangeabilities, freqs, t * r) for _, _, t, _ in edges}
+        for r in rates
+    ]
+    log_freqs = [math.log(f) for f in freqs]
+    n_patterns = len(next(iter(masks.values())))
+    for p in range(n_patterns):
+        tips = {name: tip_vector(int(row[p])) for name, row in masks.items()}
+        mix = range(len(rates)) if pattern_to_cat is None else [int(pattern_to_cat[p])]
+        per_cat = []
+        for cat in mix:
+            clv = [[0.0] * 4 for _ in range(n_inner)]
+            for parent, child, t, _ in order:
+                if isinstance(child, int):
+                    top = max(clv[child])
+                    w0, w1, w2, w3 = (math.exp(x - top) for x in clv[child])
+                else:  # a tip vector is its own linear form, with top = log 1
+                    top, (w0, w1, w2, w3) = 0.0, tips[child]
+                row = clv[parent]
+                for i, (a0, a1, a2, a3) in enumerate(mats[cat][t]):
+                    row[i] += top + math.log(a0 * w0 + a1 * w1 + a2 * w2 + a3 * w3)
+            root = [f + x for f, x in zip(log_freqs, clv[0])]
+            per_cat.append(_log_sum_exp(root))
+        lnl = _log_sum_exp(per_cat) - math.log(len(per_cat))
+        if p_invariant:
+            invariant = math.fsum(
+                freqs[x] * math.prod(tip[x] for tip in tips.values()) for x in range(4)
+            )
+            lnl += math.log(1.0 - p_invariant)
+            if invariant:
+                lnl = _log_sum_exp([lnl, math.log(p_invariant * invariant)])
+        yield lnl
+
+
+def pruning_site_lnls(
+    newick, masks, exchangeabilities, freqs, rates, pattern_to_cat=None,
+    p_invariant=0.0,
+) -> list[float]:
+    """:func:`tree_site_lnls` by log-space pruning instead of the sum over
+    joint states: linear in the number of taxa, so for trees far past the
+    brute force's reach, where a site likelihood lies hundreds of binary
+    orders of magnitude below one."""
+    return list(_pruned_site_lnls(
+        parse_newick(newick), masks, exchangeabilities, freqs, rates,
+        pattern_to_cat, p_invariant,
+    ))
+
+
+def pruning_insertion_lnl(
+    newick, subtree: str, masks, weights, clade, t_sub: float, exchangeabilities,
+    freqs, rates, pattern_to_cat=None, p_invariant=0.0,
+) -> float:
+    """:func:`insertion_lnl` by log-space pruning, for any ``subtree`` —
+    the Newick of a rooted clade, attached by its root — and with "+I"."""
+    return math.fsum(
+        weight * lnl
+        for weight, lnl in zip(weights, _pruned_site_lnls(
+            _graft(parse_newick(newick), clade, subtree, t_sub), masks,
+            exchangeabilities, freqs, rates, pattern_to_cat, p_invariant,
         ))
     )
