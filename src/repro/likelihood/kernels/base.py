@@ -2,7 +2,7 @@
 
 A :class:`KernelBackend` owns every pattern-axis computation the engine
 issues: CLV propagation (tip-specialised and generic), the product and
-rescale that turn a level's contributions into partials, per-edge site
+scaling that turn a level's contributions into partials, per-edge site
 likelihoods, lazy-SPR insertion scores, the Newton sumtable, and the
 derivative evaluations.  The engine decides *what* to compute (traversal
 plans, CLV-cache lookups, reductions); backends decide *how* each
@@ -20,6 +20,15 @@ value depends on that pattern's operands only, every sweep goes through
 one hook (:meth:`KernelBackend._sweep`), and the test suites register
 kernels that tile the axis there — by thread-sized chunks, by 7-pattern
 blocks — and hold them to the whole-axis result bit for bit.
+
+Scaling.  As in RAxML's ``newview``, a partial is rescaled only on
+underflow: a pattern whose entries all fall below :data:`SCALE_MIN`
+(``minlikelihood``, 2⁻²⁵⁶) is multiplied by exactly 2²⁵⁶ and its
+log-scaler gains ``−256 ln 2``; every other pattern is left as the
+product made it (:func:`_product_rescale`).  Powers of two round
+nothing.  A pattern's largest entry so stays near or above 2⁻²⁵⁶ in
+every partial, and the three partials an insertion multiplies stay near
+or above 2⁻⁷⁶⁸: normal doubles, far above ``_TINY`` ≈ 2⁻⁹⁹⁷.
 
 Accounting.  Kernels, not the engine, charge the shared
 :class:`OpCounter` — exactly once per *logical* invocation with the full
@@ -40,6 +49,7 @@ with no path to plan, which ``bench/``'s smoke trace expects to see.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -51,8 +61,12 @@ from repro.likelihood.gtr import GTRModel
 from repro.likelihood.rates import RateModel
 from repro.seq.encoding import state_likelihood_rows
 
-#: Smallest value a scaler may take (guards log(0) for impossible patterns).
+#: Smallest site likelihood the engine takes a log of (guards log(0) for
+#: impossible patterns).
 _TINY = 1e-300
+#: RAxML's ``minlikelihood``: a pattern whose CLV entries all lie below it
+#: is scaled by ``1 / SCALE_MIN`` (see :func:`_product_rescale`).
+SCALE_MIN = 2.0**-256
 
 _pack_f64 = struct.Struct("<d").pack
 _unpack_u64 = struct.Struct("<Q").unpack
@@ -171,6 +185,55 @@ def _site_sum(clv: np.ndarray, pi_column: np.ndarray) -> np.ndarray:
     return np.matmul(clv.reshape(len(clv), 1, -1), pi_column).reshape(-1)
 
 
+def _row_max(flat: np.ndarray) -> np.ndarray:
+    """Per-row max of a 2-D array (exact under any order): neighbours of
+    the flattened rows fold pairwise while the width is even, a fraction
+    of the time of ``ufunc.reduce`` along a short axis."""
+    n, w = flat.shape
+    cur = flat.reshape(-1)
+    while w % 2 == 0:
+        w //= 2
+        cur = np.fmax(cur[0::2], cur[1::2])
+    return cur if w == 1 else np.fmax.reduce(cur.reshape(n, w), axis=1)
+
+
+def _product_rescale(
+    parts: list[np.ndarray], clv_out: np.ndarray, scale_out: np.ndarray
+) -> None:
+    """Product of ``parts`` in list order, written into ``clv_out``, then
+    threshold scaling — the whole axis or one block of it: a pattern whose
+    entries all lie below :data:`SCALE_MIN` is multiplied by exactly
+    ``1 / SCALE_MIN`` and gets ``log(SCALE_MIN)`` in ``scale_out``, every
+    other pattern 0.  One ``min`` settles the usual case, where no pattern
+    scales; the row max is taken only when one does.  Each pattern's bits
+    depend on its own operands only."""
+    if len(parts) == 1:
+        np.copyto(clv_out, parts[0])
+    else:
+        np.multiply(parts[0], parts[1], out=clv_out)
+    for extra in parts[2:]:
+        np.multiply(clv_out, extra, out=clv_out)
+    scale_out.fill(0.0)
+    flat = clv_out.reshape(len(clv_out), -1)
+    if flat.min() >= SCALE_MIN:
+        return
+    low = _row_max(flat) < SCALE_MIN
+    flat[low] *= 1.0 / SCALE_MIN
+    scale_out[low] = math.log(SCALE_MIN)
+
+
+def _sum_logscales(logscales: list[np.ndarray], scale: np.ndarray) -> np.ndarray:
+    """``logscales`` summed in list order, then ``scale`` — which must be
+    the caller's to give away."""
+    if not logscales:
+        return scale
+    total = logscales[0].copy()
+    for extra in logscales[1:]:
+        total += extra
+    total += scale
+    return total
+
+
 class ArrayLRU:
     """A bounded LRU of read-only arrays (P-matrices, tip tables, child
     contributions); entries are frozen on insert because every hit hands
@@ -268,7 +331,7 @@ class KernelBackend:
     (:meth:`level_partials` down, :meth:`up_level_partials` up), and the
     per-edge kernels (:meth:`edge_site`, :meth:`insertion_site`,
     :meth:`sumtable`, :meth:`derivatives`).  The defaults here are the
-    reference math — one ``propagate`` per child edge, product, rescale
+    reference math — one ``propagate`` per child edge, product, scaling
     — and results of any override must stay bit-identical to them.
 
     Subclasses customise execution by overriding :meth:`_sweep` (how the
@@ -451,18 +514,14 @@ class KernelBackend:
     def combine(
         self, contribs: list[np.ndarray], logscales: list[np.ndarray]
     ) -> Partial:
-        """Product of contributions in list order, each pattern divided
-        by its max entry, the logs accumulated onto ``logscales`` (tip
-        children contribute exact zeros and are omitted)."""
-        acc = contribs[0]
-        for extra in contribs[1:]:
-            acc = acc * extra
-        mx = np.maximum(acc.max(axis=tuple(range(1, acc.ndim))), _TINY)
-        logscale = np.zeros(self.n_patterns)
-        for ls in logscales:
-            logscale = logscale + ls
-        clv = acc / mx.reshape((-1,) + (1,) * (acc.ndim - 1))
-        return Partial(clv, logscale + np.log(mx))
+        """Product of contributions in list order under threshold
+        scaling (:func:`_product_rescale`), its scalings added onto the
+        sum of ``logscales`` (tip children contribute exact zeros and
+        are omitted)."""
+        clv = np.empty(contribs[0].shape)
+        scale = np.empty(len(clv))
+        _product_rescale(contribs, clv, scale)
+        return Partial(clv, _sum_logscales(logscales, scale))
 
     def _contribs_by_node(
         self, spec_lists: list[list[LevelSpec]]

@@ -13,12 +13,9 @@ the steps it executes differently:
   recomputed — and gathers tips from tip tables memoised by the exact
   bit pattern of the branch length, next to the base class's
   transition-matrix memo;
-* product → max → divide → log exists once
-  (:meth:`~BatchedKernel._product_rescale`), without the reference's
-  temporaries; :meth:`~BatchedKernel.combine` calls it on the whole axis;
 * at large pattern counts :meth:`~BatchedKernel.level_partials` and
   :meth:`~BatchedKernel.up_level_partials` switch to a **fused block
-  pipeline**: each node's child propagations, product and rescale run
+  pipeline**: each node's child propagations, product and scaling run
   block by block over the pattern axis, so every intermediate stays
   L2-resident and no full-pattern temporary is materialised — the
   likelihood loops are bandwidth-bound there.  Blocks are pattern-major
@@ -33,8 +30,10 @@ operation: every reused array was produced by the reference arithmetic
 for identical operands, the block-wise ``matmul`` is the reference
 propagation on a pattern slice (property-tested), blocking the pattern
 axis cannot change any bits because every per-pattern value depends only
-on that pattern's operands, and the product/rescale performs the same
-operations in the same order with preallocated outputs.  Op accounting
+on that pattern's operands, and product and threshold scaling are the
+reference's own function
+(:func:`~repro.likelihood.kernels.base._product_rescale`), applied to a
+block.  Op accounting
 is *charge-neutral*: a contribution served from the LRU still charges a
 CLV update — reuse is a wall-clock optimisation, not less logical work —
 so :class:`~repro.likelihood.kernels.base.OpCounter` snapshots are
@@ -49,14 +48,15 @@ import numpy as np
 
 from repro.likelihood.gtr import GTRModel
 from repro.likelihood.kernels.base import (
-    _TINY,
     ArrayLRU,
     KernelBackend,
     LevelSpec,
     OpCounter,
     Partial,
     _mask_table,
+    _product_rescale,
     _propagate_inner,
+    _sum_logscales,
     length_bits,
 )
 from repro.likelihood.rates import RateModel
@@ -84,9 +84,10 @@ class BatchedKernel(KernelBackend):
     #: count; the floor keeps small test alignments from thrashing.
     contrib_budget_bytes = 1 << 30
     #: Pattern-block length of the fused per-node pipeline: the
-    #: propagated child blocks plus the accumulator (3 · B·k·4 doubles ≈
-    #: 1.5 MiB at B=4096, k=4) stay cache-resident across the whole
-    #: propagate→product→rescale chain.  Profiled best at 4096 on the
+    #: propagated child blocks (2 · B·k·4 doubles ≈ 1 MiB at B=4096, k=4
+    #: for two children), multiplied straight into the output's rows,
+    #: stay cache-resident across the whole propagate→product→scale
+    #: chain.  Profiled best at 4096 on the
     #: 19.4k-pattern up-sweep (~10% over 2048; 8192+ spills out of L2).
     fuse_block = 4096
     #: Run the fused pipeline only above this many patterns (gamma
@@ -185,8 +186,8 @@ class BatchedKernel(KernelBackend):
         """Down partials of one level; see the base class for the contract.
 
         In the fused regime each node runs :meth:`_fused_node`: per
-        pattern block, propagate each child, multiply, rescale, and write
-        out, so no full-pattern temporary is ever materialised.
+        pattern block, propagate each child, multiply into the output and
+        scale it, so no full-pattern temporary is ever materialised.
         Contribution-LRU hits are folded in as ready arrays; fresh
         propagations are not memoised there, since materialising them
         would re-spend the memory traffic the fusion exists to avoid.
@@ -206,7 +207,7 @@ class BatchedKernel(KernelBackend):
 
         In the fused regime, per pattern block, a node transports the
         parent-side partial and every child's down CLV once, then forms
-        *all* children's products and rescales from those same resident
+        *all* children's products and scalings from those same resident
         blocks — the transported block is read from cache for every
         child instead of streaming a full-pattern temporary per node.
         Charges are the inherited flow's.
@@ -238,10 +239,10 @@ class BatchedKernel(KernelBackend):
         per child, over every input but that child.
 
         Bit-identity: an edge block is ``_propagate_inner`` on a pattern
-        slice; each product multiplies in input order per element; the
-        per-pattern max is exact under any reduction order; divide and
-        log are the same ufuncs on the same values.  Blocking the pattern
-        axis is invisible to all of them.
+        slice, and product and scaling are ``combine``'s own
+        ``_product_rescale`` on a block, which decides each pattern's
+        scaling from that pattern alone.  Blocking the pattern axis is
+        invisible to both.
         """
         m, k = self.n_patterns, self.n_categories
         inputs = [self._fused_input(spec) for spec in specs]
@@ -255,25 +256,22 @@ class BatchedKernel(KernelBackend):
         else:
             picks = [list(everything)]
         clvs = [np.empty((m, k, 4)) for _ in picks]
-        logmxs = [np.empty(m) for _ in picks]
+        scales = [np.empty(m) for _ in picks]
         # A one-pattern last block would take BLAS's matrix-vector
         # routines, which round differently: it joins the block before it.
         cuts = [*range(0, m - 1, self.fuse_block), m]
         for lo, hi in zip(cuts, cuts[1:]):
             blks = self._input_blocks(inputs, lo, hi)
-            for pick, clv, logmx in zip(picks, clvs, logmxs):
-                self._product_rescale(
-                    [blks[j] for j in pick], clv[lo:hi], logmx[lo:hi]
-                )
+            for pick, clv, scale in zip(picks, clvs, scales):
+                _product_rescale([blks[j] for j in pick], clv[lo:hi], scale[lo:hi])
         return [
             Partial(
                 clv,
-                self._sum_logscales(
-                    [logscales[j] for j in pick if logscales[j] is not None],
-                    logmx,
+                _sum_logscales(
+                    [logscales[j] for j in pick if logscales[j] is not None], scale
                 ),
             )
-            for pick, clv, logmx in zip(picks, clvs, logmxs)
+            for pick, clv, scale in zip(picks, clvs, scales)
         ]
 
     def _fused_input(self, spec: LevelSpec) -> FusedInput:
@@ -309,69 +307,6 @@ class BatchedKernel(KernelBackend):
                 _propagate_inner(table, payload[lo:hi], out=buf)
             blks.append(buf)
         return blks
-
-    def combine(
-        self, contribs: list[np.ndarray], logscales: list[np.ndarray]
-    ) -> Partial:
-        """The reference product + rescale without its temporaries."""
-        clv = np.empty(contribs[0].shape)
-        logmx = np.empty(clv.shape[0])
-        self._product_rescale(contribs, clv, logmx)
-        return Partial(clv, self._sum_logscales(logscales, logmx))
-
-    def _product_rescale(
-        self, parts: list[np.ndarray], clv_out: np.ndarray, logmx_out: np.ndarray
-    ) -> None:
-        """Product of ``parts`` in list order, each pattern divided by its
-        max entry into ``clv_out``, the log of the divisors into
-        ``logmx_out`` — the whole axis or one block of it.  The product
-        accumulates in scratch, the per-pattern max (exact under any
-        reduction order) folds by halves, and divide and log are the
-        reference's ufuncs on the same values."""
-        n = clv_out.shape[0]
-        acc = self._product(parts, self._buffer(clv_out.shape, "acc"))
-        mx = self._row_max(acc.reshape(n, -1))
-        np.maximum(mx, _TINY, out=mx)
-        np.divide(acc.reshape(n, -1), mx[:, None], out=clv_out.reshape(n, -1))
-        np.log(mx, out=logmx_out)
-
-    @staticmethod
-    def _product(parts: list[np.ndarray], buf: np.ndarray) -> np.ndarray:
-        """Elementwise product in list order, accumulated in ``buf``
-        (memoised contributions are read-only).  A lone part is returned
-        as is: callers only read the result."""
-        if len(parts) == 1:
-            return parts[0]
-        np.multiply(parts[0], parts[1], out=buf)
-        for extra in parts[2:]:
-            np.multiply(buf, extra, out=buf)
-        return buf
-
-    @staticmethod
-    def _sum_logscales(logscales: list[np.ndarray], logmx: np.ndarray) -> np.ndarray:
-        """``logscales`` summed in list order, then ``logmx`` — the
-        reference order; ``logmx`` must be the caller's to give away."""
-        if not logscales:
-            return logmx
-        total = logscales[0].copy()
-        for extra in logscales[1:]:
-            total += extra
-        total += logmx
-        return total
-
-    def _row_max(self, flat: np.ndarray) -> np.ndarray:
-        """Per-row max of a 2-D array (exact under any order): neighbours
-        of the flattened rows fold pairwise while the width is even — at
-        4,096 x 16 a fifth of the time of halving each row, a sixth of
-        ``ufunc.reduce`` along the short axis."""
-        n, w = flat.shape
-        cur = flat.reshape(-1)
-        while w % 2 == 0:
-            w //= 2
-            buf = self._buffer((n * w,))
-            np.fmax(cur[0::2], cur[1::2], out=buf)
-            cur = buf
-        return cur if w == 1 else np.fmax.reduce(cur.reshape(n, w), axis=1)
 
     # -- lazy-SPR insertion ---------------------------------------------------
 

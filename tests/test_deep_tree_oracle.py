@@ -4,13 +4,16 @@
 Its Felsenstein pruning — every partial held as four logs, the file's
 own ``exp(Qt)``, no NumPy — checks trees far past that: 200 taxa on
 branches of scale 1.0 and 400 on scale 0.25, 60 simulated sites each,
-whose site likelihoods reach e^-277 and e^-447, past 2^-256 once and
-twice.  Every registered kernel's site log-likelihoods and
-``loglikelihood`` must agree to ``rel <= 1e-9`` under Γ, Γ+I and CAT,
+whose site likelihoods reach e^-277 and e^-447, past the kernels'
+scaling threshold 2^-256 once and twice: the deepest root scalers hold
+at least one and two scalings.  Every registered kernel's site
+log-likelihoods and ``loglikelihood`` must agree to ``rel <= 1e-9``
+under Γ, Γ+I and CAT,
 and so must a lazy-SPR ``insertion_loglikelihood`` on the 400-taxon
 tree: a third of the taxa pruned as one clade and inserted on the edge
-that halves the rest, three deep partials multiplied with no rescale in
-between.
+that halves the rest, so three partials of a hundred-odd taxa each,
+mostly unscaled, are multiplied with no rescale in between — the lowest
+values the kernels form.
 """
 
 import functools
@@ -22,6 +25,7 @@ from repro.datasets.generator import SimulationParams, simulate_alignment
 from repro.likelihood.engine import LikelihoodEngine, RateModel
 from repro.likelihood.gtr import GTRModel
 from repro.likelihood.kernels import available_kernels
+from repro.likelihood.kernels.base import SCALE_MIN
 from repro.seq.patterns import compress_alignment
 from repro.tree.newick import parse_newick, write_newick
 from repro.tree.topology import Tree
@@ -30,15 +34,16 @@ from tests.test_likelihood_engine import clade_of, masks_of
 
 #: conftest's ``gtr_model``, at module scope for the cached inputs.
 MODEL = GTRModel(rates=(1.2, 2.5, 0.8, 1.1, 3.0, 1.0), freqs=(0.3, 0.2, 0.2, 0.3))
-#: name -> (taxa, branch scale) of a ``simulate_alignment`` run, 60 sites.
-DEEP_TREES = {"200taxa": (200, 1.0), "400taxa": (400, 0.25)}
+#: name -> (taxa, branch scale) of a ``simulate_alignment`` run, 60 sites,
+#: and the scalings the deepest root scaler holds at the least.
+DEEP_TREES = {"200taxa": (200, 1.0, 1), "400taxa": (400, 0.25, 2)}
 RATE_NAMES = ("gamma", "gamma+I", "cat")
 
 
 @functools.cache
 def deep(name: str):
     """``(pal, exact Newick of the true tree)`` of one deep tree."""
-    n_taxa, scale = DEEP_TREES[name]
+    n_taxa, scale, _ = DEEP_TREES[name]
     aln, tree = simulate_alignment(
         SimulationParams(n_taxa=n_taxa, n_sites=60, branch_scale=scale)
     )
@@ -66,7 +71,8 @@ def test_loglikelihood(tree_name, rate_name):
     pal, newick = deep(tree_name)
     rm = rate_model(rate_name, pal.n_patterns)
     want = oracle.pruning_site_lnls(newick, masks_of(pal), **model_args(rm))
-    assert min(want) < {"200taxa": -256, "400taxa": -512}[tree_name] * np.log(2)
+    depth = DEEP_TREES[tree_name][2]
+    assert min(want) < depth * np.log(SCALE_MIN)
     tree = parse_newick(newick, taxa=pal.taxa)
     for kernel in available_kernels():
         engine = LikelihoodEngine(pal, MODEL, rm, kernel=kernel)
@@ -74,6 +80,10 @@ def test_loglikelihood(tree_name, rate_name):
         assert engine.loglikelihood(tree) == pytest.approx(
             float(pal.weights @ want), rel=1e-9
         ), kernel
+        root = engine.compute_down_partials(tree)[id(tree.root)]
+        scalings = root.logscale / np.log(SCALE_MIN)
+        assert scalings == pytest.approx(np.round(scalings), abs=1e-9)
+        assert round(scalings.max()) >= depth
 
 
 @pytest.mark.parametrize("rate_name", RATE_NAMES)

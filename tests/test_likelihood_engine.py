@@ -14,6 +14,7 @@ import pytest
 from repro.likelihood.engine import LikelihoodEngine, OpCounter, RateModel
 from repro.likelihood.gtr import GTRModel
 from repro.likelihood.kernels import available_kernels
+from repro.likelihood.kernels import base as kernel_base
 from repro.seq.alignment import Alignment
 from repro.seq.patterns import compress_alignment
 from repro.tree.newick import parse_newick
@@ -182,9 +183,8 @@ SIX_TAXA = [
 ]
 #: The two shapes of an unrooted six-taxon tree: three cherries round the
 #: root, and the caterpillar on branches short enough (1e-5 to 4e-5) that
-#: the root scalers of every variable pattern carry e^-10 or less, and of
-#: the most divergent one e^-30: per-site rescaling, not the CLV entries,
-#: holds the magnitude of the answer.
+#: a scaling threshold patched up to 2^-4 scales every inner node, and
+#: the root scalers of every variable pattern hold part of the answer.
 SIX_TAXA_TREES = {
     "cherries": "((A:0.12,B:0.3):0.08,(C:0.25,D:0.05):0.15,(E:0.2,F:0.4):0.1);",
     "rescaled": "(((A:2e-5,B:1e-5):3e-5,C:2e-5):1e-5,D:4e-5,(E:1e-5,F:3e-5):2e-5);",
@@ -217,9 +217,12 @@ class TestSixTaxaAgainstTheOracle:
 
         return pal, rate_model, parse_newick(newick, taxa=pal.taxa), expected
 
-    def test_site_loglikelihoods(self, gtr_model, tree_name, rate_name):
+    def test_site_loglikelihoods(self, gtr_model, tree_name, rate_name, monkeypatch):
         pal, rate_model, tree, expected = self.setup(gtr_model, tree_name, rate_name)
         want = expected(oracle.tree_site_lnls)
+        step = 2.0**-4
+        if tree_name == "rescaled":
+            monkeypatch.setattr(kernel_base, "SCALE_MIN", step)
         for kernel in available_kernels():
             engine = LikelihoodEngine(pal, gtr_model, rate_model, kernel=kernel)
             assert list(engine.site_loglikelihoods(tree)) == pytest.approx(want, rel=1e-9)
@@ -227,10 +230,12 @@ class TestSixTaxaAgainstTheOracle:
                 float(pal.weights @ want), rel=1e-9
             ), kernel
         if tree_name == "rescaled":
-            logscale = engine.compute_down_partials(tree)[id(tree.root)].logscale
+            down = engine.compute_down_partials(tree)
+            assert all(down[id(v)].logscale.min() < 0.0 for v in tree.internal_nodes())
+            scalings = down[id(tree.root)].logscale / np.log(step)
+            assert scalings == pytest.approx(np.round(scalings), abs=1e-9)
             variable = np.bitwise_and.reduce(pal.patterns, axis=0) == 0
-            assert logscale[variable].max() < -10.0
-            assert logscale.min() < -30.0
+            assert np.round(scalings[variable]).min() >= 1
 
     def test_edge_lnl_and_derivatives(self, gtr_model, tree_name, rate_name):
         pal, rate_model, tree, expected = self.setup(gtr_model, tree_name, rate_name)

@@ -268,23 +268,24 @@ def test_cross_mode_first_records_match(golden):
 #: Intended moves of the current deliberate golden break, as
 #: ``(path regex, why)``; a path is ``scenario.record.field...``.  Anything
 #: that moves outside this list fails ``--diff``.  ``--check`` (CI) allows
-#: nothing.  This list describes the Γ rate quantiles moving from
-#: ``scipy.special`` to the standard-library ``gammainc`` / ``gammaincinv``
-#: of ``likelihood/gamma.py``, which round differently; trees,
+#: nothing.  This list describes the kernels' CLV scaling moving from
+#: dividing every pattern by its max entry at every node to RAxML's
+#: threshold scaling (a pattern is multiplied by 2^256 only when all its
+#: entries fall below 2^-256), which rounds differently; trees,
 #: ``rng_fingerprint``, op totals, virtual clocks and
 #: ``n_bootstraps_done`` stay.  Edit it with
 #: the next deliberate break, never to make an accident pass.
 ALLOWED_MOVES: tuple[tuple[str, str], ...] = (
     (r"[^.]+\.(first|resumed)\.(best_lnl|rank_lnls\[\d+\])$",
-     "lnl digits: the Γ rate quantiles round differently"),
+     "lnl digits: CLVs scaled only on underflow round differently"),
     (r"[^.]+\.checkpoint_docs(_after_resume)?\.[\w-]+\.json\."
-     r"(payload\.results|tasks\.thorough:\d+:\d+)(\[\d+\])+$",
-     "checkpointed thorough results: lnl and Newick branch-length digits "
-     "under the Γ rate quantiles' rounding"),
+     r"(payload\.results|tasks\.(bootstrap|fast|slow|thorough):\d+:\d+)(\[\d+\])+$",
+     "checkpointed stage results: lnl and Newick branch-length digits "
+     "under threshold scaling's rounding"),
     (r"[^.]+\.checkpoints(_after_resume)?\.[\w-]+\.json$",
-     "checkpoint file bytes: the thorough results they hold"),
+     "checkpoint file bytes: the stage results they hold"),
     (r"[^.]+\.first\.trace_digest$",
-     "trace documents: the spans carry the lnls the Γ rate quantiles move"),
+     "trace documents: the spans carry the lnls threshold scaling moves"),
 )
 
 
