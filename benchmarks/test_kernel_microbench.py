@@ -12,8 +12,9 @@ leaves the numbers on disk for inspection):
   dispatch, no helper loses to the einsum it replaced.  A second table
   times the products that replaced *no* einsum — the Γ Newton triple and
   the Γ site sum (old reduction vs new product) and the two transposed
-  operands (strided view vs contiguous copy) — at 87 / 230 / 4,610
-  patterns; it asserts the Newton product wins at 4,610.
+  operands (strided view vs contiguous copy) — and the product step's
+  scaling (divide-by-max vs threshold) at 87 / 230 / 4,610 patterns; it
+  asserts the Newton product and the threshold step win at 4,610.
 * **Override audit** (always runs): for every protocol method
   ``BatchedKernel`` overrides, µs per call of the inherited default and
   of the override on the same kernel and operands, at 87 / 230 / 4,610
@@ -189,12 +190,27 @@ def _newton_by_reductions(coef, exps, t):
     return site, d1, term.sum(axis=(1, 2))
 
 
+def _divide_by_max(parts, clv_out, logmx_out, acc):
+    """The product step before threshold scaling: the product in scratch,
+    every pattern divided by its max entry into ``clv_out``, the log of
+    the divisors into ``logmx_out``."""
+    n = len(clv_out)
+    np.multiply(parts[0], parts[1], out=acc)
+    for extra in parts[2:]:
+        np.multiply(acc, extra, out=acc)
+    mx = kb._row_max(acc.reshape(n, -1))
+    np.maximum(mx, kb._TINY, out=mx)
+    np.divide(acc.reshape(n, -1), mx[:, None], out=clv_out.reshape(n, -1))
+    np.log(mx, out=logmx_out)
+
+
 def _rewrites(m: int):
     """``{row: (old, new)}`` at ``m`` patterns, Γ with k = 4: the two Γ
-    sums as the reductions they were and the products they are, and the
-    two transposed 4-column operands as strided views and as contiguous
+    sums as the reductions they were and the products they are, the two
+    transposed 4-column operands as strided views and as contiguous
     copies — ``U⁻¹ᵀ`` is already contiguous as ``GTRModel`` holds it, so
-    its "old" is a C-ordered ``U⁻¹``."""
+    its "old" is a C-ordered ``U⁻¹`` — and a two-child product step
+    scaled by divide-by-max and by threshold (nothing underflows)."""
     rng = np.random.default_rng(m)
     coef, clv = rng.standard_normal((m, 4, 4)), rng.random((m, 4, 4))
     tip, pm = rng.random((m, 4)), rng.random((4, 4, 4))
@@ -202,6 +218,8 @@ def _rewrites(m: int):
     u_inv = MODEL._spectral[2]
     u_inv_c = np.ascontiguousarray(u_inv)
     pi_column = np.tile(MODEL.pi, 4).reshape(-1, 1)  # built once per kernel
+    parts = [rng.random((m, 4, 4)), rng.random((m, 4, 4))]
+    out, scale, acc = np.empty((m, 4, 4)), np.empty(m), np.empty((m, 4, 4))
     return {
         "newton_triple": (
             lambda: _newton_by_reductions(coef, exps, 0.1),
@@ -218,6 +236,10 @@ def _rewrites(m: int):
         "u_inv_T": (
             lambda: kb._to_eigenbasis(clv, u_inv_c.T),
             lambda: kb._to_eigenbasis(clv, u_inv.T),
+        ),
+        "product_rescale": (
+            lambda: _divide_by_max(parts, out, scale, acc),
+            lambda: kb._product_rescale(parts, out, scale),
         ),
     }
 
@@ -273,7 +295,7 @@ def _audit_cases(m: int, rate_model: RateModel):
         return [((0.3, clvs[3], logscale), specs, lss) for specs, lss in level(signatures)]
 
     warm = [spec for specs, _ in level(range(-4, 0)) for spec in specs]
-    contribs = kernel.level_contribs(warm)
+    kernel.level_contribs(warm)  # every spec an LRU hit from here on
     pmats = kernel.pmatrices(0.07)
     base = kb.KernelBackend
     return {
@@ -283,10 +305,6 @@ def _audit_cases(m: int, rate_model: RateModel):
             "override_miss": lambda: kernel.level_contribs(
                 [s for specs, _ in level(fresh) for s in specs]
             ),
-        },
-        "combine": {
-            "default": lambda: base.combine(kernel, contribs[:3], [logscale, logscale]),
-            "override": lambda: kernel.combine(contribs[:3], [logscale, logscale]),
         },
         "_insertion_transport": {
             "default": lambda: base._insertion_transport(kernel, clvs[0], pmats),
@@ -469,11 +487,13 @@ def test_kernel_microbench(benchmark, emit):
                 (name, *[f"{c['old_us']:.1f} -> {c['new_us']:.1f}" for c in row.values()])
                 for name, row in rewrites.items()
             ],
-            title="REWRITES, us/call: reduction or strided view -> product or copy",
+            title="REWRITES, us/call: reduction, strided view or divide-by-max "
+                  "-> product, copy or threshold scaling",
         ),
     )
-    widest = rewrites["newton_triple"][str(AUDIT_SIZES[-1])]
-    assert widest["new_us"] < widest["old_us"], widest
+    for name in ("newton_triple", "product_rescale"):
+        widest = rewrites[name][str(AUDIT_SIZES[-1])]
+        assert widest["new_us"] < widest["old_us"], (name, widest)
 
     # -- override audit: one entry per override, named --------------------
     emit(

@@ -32,14 +32,13 @@ propagation on a pattern slice (property-tested), blocking the pattern
 axis cannot change any bits because every per-pattern value depends only
 on that pattern's operands, and product and threshold scaling are the
 reference's own function
-(:func:`~repro.likelihood.kernels.base._product_rescale`), applied to a
-block.  Op accounting
-is *charge-neutral*: a contribution served from the LRU still charges a
-CLV update — reuse is a wall-clock optimisation, not less logical work —
-so :class:`~repro.likelihood.kernels.base.OpCounter` snapshots are
-exactly equal to the reference backend's on any call sequence (the
-engine runs both through one executor, so CLV-cache traffic is equal
-too).
+(:func:`~repro.likelihood.kernels.base._product_rescale`) applied to a
+block.  Op accounting is *charge-neutral*: a contribution served from
+the LRU still charges a CLV update — reuse is a wall-clock optimisation,
+not less logical work — so
+:class:`~repro.likelihood.kernels.base.OpCounter` snapshots are exactly
+equal to the reference backend's on any call sequence (the engine runs
+both through one executor, so CLV-cache traffic is equal too).
 """
 
 from __future__ import annotations
@@ -87,8 +86,8 @@ class BatchedKernel(KernelBackend):
     #: propagated child blocks (2 · B·k·4 doubles ≈ 1 MiB at B=4096, k=4
     #: for two children), multiplied straight into the output's rows,
     #: stay cache-resident across the whole propagate→product→scale
-    #: chain.  Profiled best at 4096 on the
-    #: 19.4k-pattern up-sweep (~10% over 2048; 8192+ spills out of L2).
+    #: chain.  Profiled best at 4096 on the 19.4k-pattern up-sweep (~10%
+    #: over 2048; 8192+ spills out of L2).
     fuse_block = 4096
     #: Run the fused pipeline only above this many patterns (gamma
     #: mode); smaller alignments fit in cache anyway, and there the
