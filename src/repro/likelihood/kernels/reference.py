@@ -3,8 +3,8 @@
 This is the baseline the batched backend (and any future compiled
 backend) must match bit-for-bit: the :class:`KernelBackend` protocol
 defaults, unmodified — every kernel one sweep over the whole pattern
-axis, one ``propagate`` product per child edge, the naive product and
-rescale.
+axis, one ``propagate`` product per child edge, the product and its
+threshold scaling.
 """
 
 from __future__ import annotations

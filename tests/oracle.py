@@ -20,7 +20,8 @@ The sum runs in log space: every joint assignment's product is a sum of
 logs, shifted by the pattern's largest before it is exponentiated.  That
 is per-site rescaling with no threshold — site likelihoods far below
 anything a float's exponent holds come out exact — and it shares nothing
-with the engine's per-node divide-by-max either.  "+I" mixes in each
+with the kernels' threshold scaling (multiply by 2^256 when a pattern's
+entries all fall below 2^-256) either.  "+I" mixes in each
 pattern's invariant-site likelihood: ``Σ π_x`` over the states ``x``
 that every taxon's mask allows.
 
@@ -292,12 +293,13 @@ def _graft(tree, clade, subtree: str, t_sub: float):
     edges, n_inner = tree
     pick = [e[3] for e in edges].index(frozenset(clade))
     parent, child, length, below = edges[pick]
-    sub_edges, sub_inner = parse_newick(subtree if subtree.endswith(";") else subtree + ";")
+    text = subtree.rstrip(";")
+    sub_edges, sub_inner = parse_newick(text + ";")
     if sub_inner:
         top = n_inner + 1
         moved = frozenset().union(*(e[3] for e in sub_edges if e[0] == 0))
     else:
-        top, moved = subtree.rstrip(";"), frozenset([subtree.rstrip(";")])
+        top, moved = text, frozenset([text])
     edges = list(edges)
     edges[pick : pick + 1] = [
         (parent, n_inner, length / 2, below | moved),
@@ -368,9 +370,9 @@ def _pruned_site_lnls(
     """Per-pattern log-likelihoods on ``tree`` by Felsenstein pruning with
     every partial held as four logs.  Across an edge, ``log Σ_j P_ij ·
     exp(l_j)`` is taken as ``top + log Σ_j P_ij · exp(l_j − top)`` with
-    ``top`` the largest ``l_j``; a node adds its children's results.  No
-    value is ever below ``exp(top)`` by more than a transition
-    probability, so depth costs nothing in range."""
+    ``top`` the largest ``l_j``; a node adds its children's results.  The
+    shifted sum is at least one transition probability, so depth costs
+    nothing in range."""
     edges, n_inner = tree
     order = _postorder(edges)
     mats = [

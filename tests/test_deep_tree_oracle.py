@@ -8,12 +8,12 @@ whose site likelihoods reach e^-277 and e^-447, past the kernels'
 scaling threshold 2^-256 once and twice: the deepest root scalers hold
 at least one and two scalings.  Every registered kernel's site
 log-likelihoods and ``loglikelihood`` must agree to ``rel <= 1e-9``
-under Γ, Γ+I and CAT,
-and so must a lazy-SPR ``insertion_loglikelihood`` on the 400-taxon
-tree: a third of the taxa pruned as one clade and inserted on the edge
-that halves the rest, so three partials of a hundred-odd taxa each,
-mostly unscaled, are multiplied with no rescale in between — the lowest
-values the kernels form.
+under Γ, Γ+I and CAT, and so must a lazy-SPR
+``insertion_loglikelihood`` on the 400-taxon tree: about a third of the
+taxa pruned as one clade and inserted on the edge nearest to halving
+the rest, so three partials of a hundred-odd taxa each, mostly
+unscaled, are multiplied with no rescale in between — the lowest values
+the kernels form.
 """
 
 import functools
