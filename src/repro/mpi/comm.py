@@ -132,7 +132,8 @@ class _World:
     """Shared data-plane state of one SPMD run.
 
     Everything here is guarded by the fault plane's ``cond``, so a rank
-    status change wakes every wait on a peer.
+    status change wakes every wait on a peer.  A communicator touches it
+    only through :meth:`exchange`, :meth:`post` and :meth:`take`.
     """
 
     def __init__(self, faults: FaultPlane, timing: CommCostModel) -> None:
@@ -147,6 +148,76 @@ class _World:
         #: One runnable rank thread at a time (:mod:`repro.util.runtoken`).
         #: A lone rank has nobody to contend with and takes no token.
         self.token: RunToken | None = RunToken() if self.size > 1 else None
+
+    # The three bodies that touch shared state.  Ranks reach them only
+    # through these calls, so the launcher can serve them to ranks that
+    # live in other processes.  Each waits token-free (``idle``).
+
+    def exchange(self, rank: int, gen: int, op: str, value, now: float):
+        """Deposit ``rank``'s ``(value, now)`` in collective generation
+        ``gen`` and wait for the other participants.  Returns the frozen
+        participant view and every participant's ``(value, entry
+        clock)``."""
+        faults = self.faults
+        with idle(), self.cond:
+            slot = self.slots.get(gen)
+            if slot is None:
+                # The first arriver freezes who participates in this
+                # generation: the ranks running *now*.
+                slot = self.slots[gen] = _Slot(
+                    op, frozenset(faults.running()) | {rank}
+                )
+            if slot.op != op:
+                raise SPMDError(
+                    f"collective mismatch at generation {gen}: rank "
+                    f"{rank} called {op!r} but another rank called "
+                    f"{slot.op!r}"
+                )
+            if rank in slot.board:
+                raise SPMDError(
+                    f"rank {rank} re-entered collective generation {gen}"
+                )
+            slot.board[rank] = (value, now)
+            self.cond.notify_all()
+
+            def missing():
+                return [r for r in slot.expected if r not in slot.board]
+
+            defectors = faults.wait_for(
+                rank, missing, f"in collective {op!r} (generation {gen})"
+            )
+            if defectors:
+                raise SPMDError(
+                    f"collective {op!r} (generation {gen}) broken: "
+                    f"rank(s) {defectors} left the computation without "
+                    "joining it (mismatched collective ordering?)"
+                )
+            # The first rank to complete freezes the participant view so
+            # every survivor observes the *same* death set for this call.
+            if slot.outcome is None:
+                slot.outcome = slot.expected & frozenset(faults.running())
+            outcome, result = slot.outcome, dict(slot.board)
+            slot.left.add(rank)
+            if outcome <= slot.left:
+                self.slots.pop(gen, None)
+        return outcome, result
+
+    def post(self, src: int, dst: int, tag: int, obj, t: float) -> None:
+        """Queue a message sent at virtual time ``t``."""
+        with self.cond:
+            self.mailboxes[src, dst, tag].append((obj, t))
+            self.cond.notify_all()
+
+    def take(self, src: int, dst: int, tag: int):
+        """Wait for the oldest ``(obj, sent_at)`` from ``src``; ``None``
+        when ``src`` left without sending."""
+        with idle(), self.cond:
+            box = self.mailboxes[src, dst, tag]
+            self.faults.wait_for(
+                dst, lambda: [] if box else [src],
+                f"receiving from rank {src} (tag {tag})",
+            )
+            return box.popleft() if box else None
 
 
 class SimComm(RankMembership):
@@ -214,23 +285,13 @@ class SimComm(RankMembership):
         payload = _payload_bytes(obj)
         phases = self._world.timing.hop_phases(payload, self.rank, dest)
         self.clock.advance(phases.total)
-        world = self._world
-        with world.cond:
-            world.mailboxes[self.rank, dest, tag].append((obj, self.clock.now))
-            world.cond.notify_all()
+        self._world.post(self.rank, dest, tag, obj, self.clock.now)
         self._record("send", t0, payload, phases)
 
     def recv(self, source: int, tag: int = 0):
         if not (0 <= source < self.size):
             raise ValueError(f"invalid source rank {source}")
-        world = self._world
-        with idle(), world.cond:
-            box = world.mailboxes[source, self.rank, tag]
-            world.faults.wait_for(
-                self.rank, lambda: [] if box else [source],
-                f"receiving from rank {source} (tag {tag})",
-            )
-            message = box.popleft() if box else None
+        message = self._world.take(source, self.rank, tag)
         if message is None:
             raise self._lost(source, f"recv(tag={tag})")
         obj, sent_at = message
@@ -253,51 +314,11 @@ class SimComm(RankMembership):
         death set, :meth:`_agree`).  Runtime-coordination steps call this
         directly: no fault hooks, no price.
         """
-        world = self._world
-        faults = world.faults
         gen = self._generation
         self._generation += 1
-        with idle(), world.cond:
-            slot = world.slots.get(gen)
-            if slot is None:
-                # The first arriver freezes who participates in this
-                # generation: the ranks running *now*.
-                slot = world.slots[gen] = _Slot(
-                    op, frozenset(faults.running()) | {self.rank}
-                )
-            if slot.op != op:
-                raise SPMDError(
-                    f"collective mismatch at generation {gen}: rank "
-                    f"{self.rank} called {op!r} but another rank called "
-                    f"{slot.op!r}"
-                )
-            if self.rank in slot.board:
-                raise SPMDError(
-                    f"rank {self.rank} re-entered collective generation {gen}"
-                )
-            slot.board[self.rank] = (value, self.clock.now)
-            world.cond.notify_all()
-
-            def missing():
-                return [r for r in slot.expected if r not in slot.board]
-
-            defectors = faults.wait_for(
-                self.rank, missing, f"in collective {op!r} (generation {gen})"
-            )
-            if defectors:
-                raise SPMDError(
-                    f"collective {op!r} (generation {gen}) broken: "
-                    f"rank(s) {defectors} left the computation without "
-                    "joining it (mismatched collective ordering?)"
-                )
-            # The first rank to complete freezes the participant view so
-            # every survivor observes the *same* death set for this call.
-            if slot.outcome is None:
-                slot.outcome = slot.expected & frozenset(faults.running())
-            outcome, result = slot.outcome, dict(slot.board)
-            slot.left.add(self.rank)
-            if outcome <= slot.left:
-                world.slots.pop(gen, None)
+        outcome, result = self._world.exchange(
+            self.rank, gen, op, value, self.clock.now
+        )
         self._agree(outcome, op)
         return result
 
