@@ -1,12 +1,20 @@
-"""Thread-world microbenchmark: consecutive in-process multi-rank analyses.
+"""Rank-world microbenchmark: consecutive in-process multi-rank analyses.
 
 Recorded to ``output/BENCH_runtime.json``.  One fresh interpreter runs
 the wall-clock benchmark's multi-rank shape (6 taxa x 300 sites, N = 8,
 4 ranks x 2 threads, work-steal, batched kernel, BLAS pinned to one
 thread) :data:`REPS` times in a row, ``gc.collect()`` between, and
-records per repetition wall, user and system seconds and the voluntary /
-involuntary context switches of the process, plus the run token's own
-counters (hand-offs, expired slices, seconds each rank queued for it).
+records per repetition wall, user and system seconds of the process
+(``RUSAGE_SELF``) and of its reaped children (``RUSAGE_CHILDREN``: the
+forked rank processes), and the voluntary / involuntary context
+switches of both together.  ``run_hybrid_analysis`` runs its ranks in
+the process world (one forked child per rank), so the launcher's own
+CPU is only its hub threads; the rank work is the children's.
+
+One more repetition is forced onto the thread world (rank threads under
+the run token): it must give the process world's bits, and it carries
+the run token's own counters (hand-offs, expired slices, seconds each
+rank queued for it).
 
 Why consecutive repetitions: with free-running rank threads (the parent
 of the run token, :data:`PARENT_ROWS`) the *first* analysis of a process was
@@ -14,12 +22,13 @@ the cheap one and every later one paid ~1.6x the wall time and ~2x the
 context switches — four threads handing the interpreter lock across two
 cores at every ~87-pattern NumPy call — while the same process pinned
 to one CPU ran every repetition at the one-core cost.  With one runnable
-rank at a time the repetitions are flat and the one-CPU control buys
-nothing more.
+rank at a time, and now with one process per rank, the repetitions are
+flat.
 
 * **Smoke leg** (always; CI's ``test`` job): :data:`SMOKE_REPS`
   repetitions, records, and asserts what holds on any host — identical
-  results across repetitions and a token that was handed over.
+  results across repetitions and across the two worlds, and a thread
+  world whose token was handed over.
 * **Full leg** (``REPRO_BENCH_FULL=1``, a quiet host): :data:`REPS`
   repetitions plus the one-CPU control, and the two claims — first and
   later repetitions within 15 %, voluntary context switches per analysis
@@ -74,9 +83,13 @@ PARENT_ROWS = {
 ROW_KEYS = ("wall_s", "user_s", "sys_s", "nvcsw", "nivcsw")
 
 
-def _usage() -> tuple[float, float, int, int]:
+def _usage() -> tuple:
+    """User and system seconds of this process and of its reaped
+    children, and the context switches of both together."""
     u = resource.getrusage(resource.RUSAGE_SELF)
-    return u.ru_utime, u.ru_stime, u.ru_nvcsw, u.ru_nivcsw
+    c = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return (u.ru_utime, u.ru_stime, c.ru_utime, c.ru_stime,
+            u.ru_nvcsw + c.ru_nvcsw, u.ru_nivcsw + c.ru_nivcsw)
 
 
 def measure(reps: int) -> dict:
@@ -105,41 +118,56 @@ def measure(reps: int) -> dict:
         return compress_alignment(aln)
 
     # The world is out of reach of run_hybrid_analysis's caller on
-    # purpose (no report carries token counters); look over run_rank's
-    # shoulder instead.
+    # purpose (no report carries token counters); on the forced
+    # thread-world repetition look over run_rank's shoulder instead.
     worlds = []
-    run_rank = driver.run_rank
+    run_rank, run_spmd = driver.run_rank, driver.run_spmd
 
     def spy(comm, *args):
         if comm.rank == 0:
             worlds.append(comm._world)
         return run_rank(comm, *args)
 
-    driver.run_rank = spy
+    def thread_world(*args, **kwargs):
+        return run_spmd(*args, **{**kwargs, "world": "thread"})
+
+    def repetition() -> tuple[dict, dict]:
+        gc.collect()
+        del worlds[:]
+        before, t0 = _usage(), time.perf_counter()
+        result = run_hybrid_analysis(pal, cfg)
+        wall, after = time.perf_counter() - t0, _usage()
+        self_user, self_sys, child_user, child_sys, nvcsw, nivcsw = (
+            a - b for a, b in zip(after, before)
+        )
+        token = getattr(worlds[0], "token", None) if worlds else None
+        return {
+            "wall_s": wall, "user_s": self_user, "sys_s": self_sys,
+            "child_user_s": child_user, "child_sys_s": child_sys,
+            "nvcsw": nvcsw, "nivcsw": nivcsw,
+            "token": None if token is None else token.stats(),
+        }, result.identity(timings=True)
+
+    # Warm-up as bench/worker.py does it: the smoke shape on one rank.
+    run_hybrid_analysis(pal_of(6, 60, 4242), config(1, 2))
+    pal = pal_of(SHAPE["n_taxa"], SHAPE["n_sites"], SHAPE["seed"])
+    cfg = config(SHAPE["n_processes"], SHAPE["n_bootstraps"])
+    rows, identities = [], []
+    for _ in range(reps):
+        row, identity = repetition()
+        rows.append(row)
+        identities.append(identity)
+    driver.run_rank, driver.run_spmd = spy, thread_world
     try:
-        # Warm-up as bench/worker.py does it: the smoke shape on one rank.
-        run_hybrid_analysis(pal_of(6, 60, 4242), config(1, 2))
-        pal = pal_of(SHAPE["n_taxa"], SHAPE["n_sites"], SHAPE["seed"])
-        cfg = config(SHAPE["n_processes"], SHAPE["n_bootstraps"])
-        rows, identities = [], []
-        for _ in range(reps):
-            gc.collect()
-            del worlds[:]
-            before, t0 = _usage(), time.perf_counter()
-            result = run_hybrid_analysis(pal, cfg)
-            wall, after = time.perf_counter() - t0, _usage()
-            token = getattr(worlds[0], "token", None)  # the parent has none
-            rows.append({
-                **dict(zip(ROW_KEYS, (wall, *(a - b for a, b in zip(after, before))))),
-                "token": None if token is None else token.stats(),
-            })
-            identities.append(result.identity(timings=True))
+        thread_row, thread_identity = repetition()
     finally:
-        driver.run_rank = run_rank
+        driver.run_rank, driver.run_spmd = run_rank, run_spmd
     return {
         "cpus": sorted(os.sched_getaffinity(0)),
         "reps": rows,
+        "thread": thread_row,
         "identical": all(i == identities[0] for i in identities),
+        "worlds_identical": thread_identity == identities[0],
         "best_lnl": identities[0]["best_lnl"],
     }
 
@@ -200,9 +228,10 @@ def test_runtime_microbench(benchmark, emit):
 
     # -- what holds on any host ---------------------------------------------
     assert record["identical"], "repetitions disagree on identity(timings=True)"
-    for row in record["reps"]:
-        assert row["token"]["handoffs"] > 0
-        assert len(row["token"]["waited_seconds"]) == SHAPE["n_processes"]
+    assert record["worlds_identical"], "process world != thread world"
+    token = record["thread"]["token"]
+    assert token["handoffs"] > 0
+    assert len(token["waited_seconds"]) == SHAPE["n_processes"]
 
     # -- the claims, on a quiet host ------------------------------------------
     if full:
@@ -215,19 +244,26 @@ def test_runtime_microbench(benchmark, emit):
     emit(
         "runtime_microbench",
         format_table(
-            ["Run", "Rep", "wall s", "user s", "sys s", "nvcsw", "nivcsw",
-             "hand-offs", "expired"],
+            ["Run", "Rep", "wall s", "user s", "sys s", "child user s",
+             "child sys s", "nvcsw", "nivcsw", "hand-offs", "expired"],
             [
-                [name, i + 1, r["wall_s"], r["user_s"], r["sys_s"], r["nvcsw"],
-                 r["nivcsw"],
+                [name, rep, r["wall_s"], r["user_s"], r["sys_s"],
+                 r.get("child_user_s", 0.0), r.get("child_sys_s", 0.0),
+                 r["nvcsw"], r["nivcsw"],
                  r["token"]["handoffs"] if r.get("token") else "-",
                  r["token"]["expired_slices"] if r.get("token") else "-"]
                 for name in sections
-                for i, r in enumerate(doc[name]["reps"])
+                for rep, r in [
+                    *enumerate(doc[name]["reps"], 1),
+                    *([("thread", doc[name]["thread"])]
+                      if doc[name].get("thread") else []),
+                ]
             ],
-            formats=[None, None, ".2f", ".2f", ".2f", None, None, None, None],
-            title="THREAD WORLD: consecutive in-process 4x2 analyses "
-                  "(6 x 300, N = 8, work-steal)",
+            formats=[None, None, ".2f", ".2f", ".2f", ".2f", ".2f", None,
+                     None, None, None],
+            title="RANK WORLDS: consecutive in-process 4x2 analyses "
+                  "(6 x 300, N = 8, work-steal); process world, then one "
+                  "thread-world repetition",
         ),
     )
 

@@ -141,7 +141,7 @@ def _run_searches(
             local.append((write_newick(res.tree), res.lnl))
         return _collect(comm, local, t0)
 
-    gathered, times, finish = run_spmd(rank_main, n_processes)[0]
+    gathered, times, finish = run_spmd(rank_main, n_processes, world="process")[0]
     flat = [item for rank_list in gathered for item in rank_list]
     trees = [parse_newick(nwk, taxa=pal.taxa) for nwk, _ in flat]
     lnls = [lnl for _, lnl in flat]

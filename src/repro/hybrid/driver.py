@@ -167,10 +167,12 @@ def run_hybrid_analysis(pal: PatternAlignment, config: HybridConfig) -> HybridRe
     """
     board = BACKENDS[config.schedule].make_shared(config)
     raw = run_spmd(
-        lambda comm: run_rank(comm, pal, config, board),
+        lambda comm, board=None: run_rank(comm, pal, config, board),
         config.n_processes,
         comm_timing=config.comm_timing(),
         fault_plan=config.fault_plan,
         timeout_policy=config.timeout_policy,
+        world="process",
+        shared=board,
     )
     return assemble_hybrid_result(pal, config, raw, board)

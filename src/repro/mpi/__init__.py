@@ -1,4 +1,4 @@
-"""Simulated MPI substrate (SPMD over rank threads, virtual clocks).
+"""Simulated MPI substrate (SPMD over rank threads or processes, virtual clocks).
 
 The paper's MPI usage is deliberately minimal: each rank parses its own
 input, works independently, and the only noteworthy communications are an
@@ -6,10 +6,12 @@ input, works independently, and the only noteworthy communications are an
 the final best solution (Section 2.1).  This package provides:
 
 * :class:`SimComm` — an mpi4py-style communicator (send/recv/bcast/
-  barrier/gather/allgather/allreduce) backed by in-process mailboxes, with
+  barrier/gather/allgather/allreduce) backed by the launcher's mailboxes, with
   a per-rank :class:`~repro.util.timing.VirtualClock` that collectives
   synchronise exactly as real barriers synchronise wall clocks;
-* :func:`run_spmd` — launch one SPMD function across ``p`` rank threads.
+* :func:`run_spmd` — launch one SPMD function across ``p`` ranks: rank
+  threads under one run token, or (``world="process"``) one forked child
+  per rank, with everything the ranks share served from the launcher.
 
 It is built as two planes.  The data plane (:mod:`repro.mpi.comm`, priced
 by :mod:`repro.mpi.topology`) moves values and never reads a fault plan.

@@ -1,8 +1,11 @@
 """The simulated communicator: the data plane.
 
-Ranks execute as cooperating Python threads; messages travel through
-in-memory mailboxes; collectives are built from a shared exchange board
-of generation-tagged slots guarded by a condition variable.  All ranks
+Ranks execute as cooperating Python threads or as forked processes;
+messages travel through in-memory mailboxes; collectives are built from
+a shared exchange board of generation-tagged slots guarded by a
+condition variable.  Mailboxes and board live in one :class:`_World` in
+the launcher's process, which rank processes reach through the
+launcher's pipe proxy (:mod:`repro.mpi.launcher`).  All ranks
 must call collectives in the same order (the standard SPMD contract —
 violations raise :class:`~repro.mpi.membership.SPMDError` via
 generation mismatches or broken exchanges).

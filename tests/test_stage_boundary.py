@@ -14,7 +14,6 @@ import repro.runtime.backends as backends
 from repro.cli import main
 from repro.datasets import test_dataset as make_test_dataset
 from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
-from repro.mpi.comm import SimComm
 from repro.mpi.faults import FaultPlan, KillSpec
 from repro.sched.tasks import build_dag
 from repro.search.comprehensive import ComprehensiveConfig
@@ -210,28 +209,25 @@ def test_worksteal_noted_stages_are_complete_under_deaths(tmp_path):
     assert_bit_identical(baseline, resumed)
 
 
-def test_worksteal_keeps_the_papers_barriers(monkeypatch):
+def test_worksteal_keeps_the_papers_barriers():
     """The paper's program has one noteworthy barrier, after the
     bootstrap stage.  A fault-free work-steal run issues exactly the
-    static run's ``SimComm.barrier`` calls on every rank."""
+    static run's barriers on every rank, as each rank's
+    ``comm.calls.barrier`` metric counts them (the ranks may run in
+    other processes, so the count travels in the report)."""
     pal, _ = make_test_dataset(n_taxa=6, n_sites=90, seed=301)
     calls: dict[str, dict[int, int]] = {}
-    barrier = SimComm.barrier
-
-    def counted(self):
-        per_rank = calls[schedule]
-        per_rank[self.rank] = per_rank.get(self.rank, 0) + 1
-        barrier(self)
-
-    monkeypatch.setattr(SimComm, "barrier", counted)
     for schedule in ("static", "work-steal"):
-        calls[schedule] = {}
-        run_hybrid_analysis(pal, HybridConfig(
-            n_processes=2, n_threads=1, schedule=schedule,
+        result = run_hybrid_analysis(pal, HybridConfig(
+            n_processes=2, n_threads=1, schedule=schedule, collect_metrics=True,
             comprehensive=ComprehensiveConfig(
                 n_bootstraps=4, cat_categories=3, stage_params=QUICK
             ),
         ))
+        calls[schedule] = {
+            int(rank): doc["counters"].get("comm.calls.barrier", 0)
+            for rank, doc in result.metrics["per_rank"].items()
+        }
     assert calls["work-steal"] == calls["static"] == {0: 1, 1: 1}
 
 
