@@ -167,7 +167,7 @@ def run_hybrid_analysis(pal: PatternAlignment, config: HybridConfig) -> HybridRe
     """
     board = BACKENDS[config.schedule].make_shared(config)
     raw = run_spmd(
-        lambda comm, board=None: run_rank(comm, pal, config, board),
+        lambda comm, shared=None: run_rank(comm, pal, config, shared),
         config.n_processes,
         comm_timing=config.comm_timing(),
         fault_plan=config.fault_plan,

@@ -24,14 +24,17 @@ launcher (:func:`_serve`).  Method calls travel; data attributes are
 read from the copy the child was forked with.
 
 **Fork rule: the launcher forks every rank before it starts any hub
-thread**, and it joins the hubs of a world before it returns.  A fork
-never copies a thread that holds a lock, and Python's warning about
-``fork()`` in a multi-threaded process names any world that breaks
-the rule.
+thread**, and it joins the hubs of a world before it returns, so no
+hub can hold one of a world's locks while a child is forked.  Python's
+warning about ``fork()`` in a multi-threaded process names any world
+that breaks the rule.  (One exception to the join: when a child dies
+without reporting, a hub that is waiting inside the ``shared`` object
+for it stays until that object's own deadline.)
 """
 
 from __future__ import annotations
 
+import ctypes
 import io
 import math
 import os
@@ -255,12 +258,34 @@ def _rank_process(rank: int, conn, world: _World, shared, clock, body) -> None:
     conn.send_bytes(blob)
 
 
+#: ``prctl`` option: the signal a process gets when its parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with(launcher: int) -> None:
+    """Have the kernel kill this rank process if the launcher dies
+    (Linux).  Elsewhere an orphaned rank ends at its next call to the
+    launcher, whose end of the pipe is then closed."""
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):
+        return
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong, ctypes.c_ulong,
+                      ctypes.c_ulong, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    if os.getppid() != launcher:  # it died before the request took
+        os._exit(1)
+
+
 def _fork_rank(rank: int, pipes: list, *args) -> int:
+    launcher = os.getpid()
     pid = os.fork()
     if pid:
         return pid
     code = 1
     try:
+        _die_with(launcher)
         _in_rank.active = True
         for i, (launcher_end, rank_end) in enumerate(pipes):
             launcher_end.close()
@@ -271,12 +296,16 @@ def _fork_rank(rank: int, pipes: list, *args) -> int:
     except BaseException:  # noqa: BLE001 - the hub reports the death
         traceback.print_exc()
     finally:
-        for stream in (sys.stdout, sys.stderr):
-            try:
-                stream.flush()
-            except Exception:  # noqa: BLE001
-                pass
+        _flush_stdio()
         os._exit(code)
+
+
+def _flush_stdio() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (OSError, ValueError):  # closed or broken
+            pass
 
 
 def _reap(pid: int, kill: bool) -> int:
@@ -290,18 +319,18 @@ def _reap(pid: int, kill: bool) -> int:
     return os.waitstatus_to_exitcode(status)
 
 
-def _run_processes(world: _World, shared, clocks, body) -> tuple[list, list[str]]:
-    """Run every rank of ``world`` in a forked child; per-rank outcomes
-    ``(result, error, death, tb, clock)`` (``None``: the child died
-    without one) and the names of ranks that outlived the deadline."""
+def _run_processes(world: _World, shared, clocks, body) -> tuple[list, list, list]:
+    """Run every rank of ``world`` in a forked child.  Returns the
+    per-rank outcomes ``(result, error, death, tb, clock)`` (``None``:
+    no report), the ranks whose child ended without reporting, and every
+    child's exit code."""
     faults, n = world.faults, world.size
     targets = {"world": world, "faults": faults, "shared": shared}
     outcomes: list = [None] * n
     pipes = [Pipe() for _ in range(n)]
     pids: list[int] = []
     hubs: list[threading.Thread] = []
-    for stream in (sys.stdout, sys.stderr):
-        stream.flush()  # else the children inherit and repeat the buffers
+    _flush_stdio()  # else the children inherit and repeat the buffers
     try:
         for rank in range(n):
             clock = clocks[rank] if clocks is not None else None
@@ -335,6 +364,9 @@ def _run_processes(world: _World, shared, clocks, body) -> tuple[list, list[str]
             faults.mark(r, FAILED)
         for hub in hubs:
             hub.join(0.5)
+        for launcher_end, rank_end in pipes:
+            launcher_end.close()
+            rank_end.close()
     return outcomes, died, codes
 
 

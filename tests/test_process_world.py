@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +197,34 @@ def test_shared_object_and_clocks_stay_in_the_launcher(forks):
     assert len({c.now for c in clocks}) == 1 and clocks[0].now > 3.0
 
 
+def test_many_ranks_hammer_the_launcher(forks):
+    """More rank processes than cores, each interleaving p2p messages,
+    collectives and calls on one shared object: no update is lost and
+    every message arrives in order."""
+    n, rounds = 6, 60
+    tally = Tally()
+
+    def body(comm, shared):
+        right, left = (comm.rank + 1) % n, (comm.rank - 1) % n
+        got = []
+        for i in range(rounds):
+            shared.add(comm.rank, comm.faults.status_of)
+            comm.send((comm.rank, i), right, tag=7)
+            got.append(comm.recv(left, tag=7))
+        total = comm.allreduce(len(got))
+        return got, total
+
+    out = run_spmd(
+        body, n, world="process", shared=tally,
+        timeout_policy=TimeoutPolicy(world_seconds=120.0),
+    )
+    assert len(forks) == n
+    for rank, (got, total) in enumerate(out):
+        assert got == [((rank - 1) % n, i) for i in range(rounds)]
+        assert total == n * rounds
+    assert len(tally.seen) == n * rounds
+
+
 def test_fault_plans_one_rank_worlds_and_nested_worlds_run_threads(forks):
     def pid(comm):
         return os.getpid()
@@ -209,7 +240,7 @@ def test_fault_plans_one_rank_worlds_and_nested_worlds_run_threads(forks):
 
     outer = run_spmd(nested, 2, world="process")
     assert len(forks) == 2  # the inner worlds ran as threads of the children
-    assert [inner for inner in outer] == [[p, p] for p in forks]
+    assert outer == [[p, p] for p in forks]
 
 
 def test_unknown_world_rejected():
@@ -294,3 +325,50 @@ def test_no_hub_thread_outlives_its_world(forks):
         run_spmd(_raise_on_one, 3, world="process")
     run_spmd(lambda comm: comm.barrier(), 2, world="process")
     assert not [t for t in threading.enumerate() if t.name.startswith("simmpi-")]
+
+
+_ORPHAN_RUN = """
+import os, sys, time
+sys.path.insert(0, {src!r})
+from repro.mpi import run_spmd
+
+def body(comm):
+    tmp = os.path.join({out!r}, "tmp%d" % comm.rank)
+    with open(tmp, "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(tmp, os.path.join({out!r}, "pid%d" % comm.rank))
+    time.sleep(120)
+
+run_spmd(body, 2, world="process")
+"""
+
+
+def _gone(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl")
+def test_rank_processes_die_with_their_launcher(tmp_path):
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    launcher = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_RUN.format(src=src, out=str(tmp_path))]
+    )
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(list(tmp_path.glob("pid*"))) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        pids = [int(p.read_text()) for p in tmp_path.glob("pid*")]
+        assert len(pids) == 2
+    finally:
+        launcher.kill()
+        launcher.wait(30)
+    deadline = time.monotonic() + 10.0
+    while not all(_gone(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert all(_gone(pid) for pid in pids)
