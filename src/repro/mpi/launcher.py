@@ -45,7 +45,6 @@ import threading
 import time
 import traceback
 from dataclasses import replace
-from multiprocessing import Pipe
 from typing import Callable, Sequence
 
 from repro.mpi.comm import SimComm, _World
@@ -324,6 +323,10 @@ def _run_processes(world: _World, shared, clocks, body) -> tuple[list, list, lis
     per-rank outcomes ``(result, error, death, tb, clock)`` (``None``:
     no report), the ranks whose child ended without reporting, and every
     child's exit code."""
+    # Imported here: it loads the socket stack, which thread worlds and
+    # one-rank runs never need.
+    from multiprocessing import Pipe
+
     faults, n = world.faults, world.size
     targets = {"world": world, "faults": faults, "shared": shared}
     outcomes: list = [None] * n
