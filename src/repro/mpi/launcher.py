@@ -247,8 +247,6 @@ def _rank_process(rank: int, conn, world: _World, shared, clock, body) -> None:
         if portable is error:
             tb = "".join(traceback.format_exception(error))
         error = portable
-    if death is not None:
-        death = _portable(death)
     try:
         blob = _ref_dumps(("done", result, error, death, tb, comm.clock.now))
     except Exception as exc:  # noqa: BLE001 - the result cannot travel
