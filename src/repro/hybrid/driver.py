@@ -64,7 +64,7 @@ class HybridConfig:
     #: into resilient mode (rank deaths are survived, not fatal).
     fault_plan: FaultPlan | None = None
     #: Every deadline of the run: the suspicion deadline of a wait on a
-    #: peer and the wall-clock limit of the SPMD rank threads (they run
+    #: peer and the wall-clock limit of the SPMD ranks (they run
     #: real searches; large inputs need hours).  Excluded from the
     #: checkpoint fingerprint — how patiently a run waited does not change
     #: what it computed.

@@ -8,8 +8,10 @@ Two layers live here:
   same state and the same ``(virtual time, rank)`` produce the same
   decision.
 
-* :class:`StealBoard` — the shared, lock-guarded board rank threads
-  coordinate through.  Wall-clock thread interleaving is arbitrary, so
+* :class:`StealBoard` — the shared, lock-guarded board ranks coordinate
+  through (rank threads directly; rank processes through the launcher,
+  where one hub thread per rank calls it).  Wall-clock thread
+  interleaving is arbitrary, so
   reproducibility needs a rule stronger than locking: every queue
   operation is stamped with the acting rank's *virtual* time and commits
   in global ``(time, rank)`` order (a conservative discrete-event
