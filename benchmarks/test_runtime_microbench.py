@@ -22,8 +22,10 @@ the cheap one and every later one paid ~1.6x the wall time and ~2x the
 context switches — four threads handing the interpreter lock across two
 cores at every ~87-pattern NumPy call — while the same process pinned
 to one CPU ran every repetition at the one-core cost.  With one runnable
-rank at a time, and now with one process per rank, the repetitions are
-flat.
+rank at a time the thread world's repetitions were flat.  The process
+world's first repetition is often the slow one on a shared two-core
+host: its ranks do not all get the second core at once (EXPERIMENTS.md,
+"Real ranks"), so the full leg's first-against-later claim fails there.
 
 * **Smoke leg** (always; CI's ``test`` job): :data:`SMOKE_REPS`
   repetitions, records, and asserts what holds on any host — identical
