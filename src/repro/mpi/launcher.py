@@ -44,7 +44,6 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import replace
 from typing import Callable, Sequence
 
 from repro.mpi.comm import SimComm, _World
@@ -90,31 +89,42 @@ def _raise_rank_errors(errors: list) -> None:
     raise exc
 
 
+#: How long past the world deadline a world still takes reports: a rank
+#: hung until the deadline dies then, and its peers need a poll of the
+#: stall detector to see it.
+GRACE_SECONDS = 0.5
+
+
 def _run_threads(faults: FaultPlane, threads: list) -> list[str]:
     """Start the rank threads and wait for them; names of the stuck ones."""
     for t in threads:
         t.start()
     # One *shared* deadline for the whole world (a per-thread timeout would
     # make the worst-case wait n_ranks x timeout).  Ranks already declared
-    # dead are not waited for: their threads are released below.
-    deadline = time.monotonic() + faults.policy.world_seconds
+    # dead are not waited for.
     for rank, t in enumerate(threads):
         while t.is_alive():
             if faults.status_of(rank) == DEAD:
                 break
-            remaining = deadline - time.monotonic()
+            remaining = faults.deadline - time.monotonic()
             if remaining <= 0.0:
                 break
             t.join(min(remaining, 0.1))
-    # Wake any rank wedged inside an injected hang so its thread can exit.
-    faults.release.set()
     stuck = []
     for rank, t in enumerate(threads):
-        if t.is_alive():
-            t.join(0.5)
+        if t.is_alive() and faults.status_of(rank) != DEAD:
+            t.join(GRACE_SECONDS)
         if t.is_alive() and faults.status_of(rank) != DEAD:
             stuck.append(t.name)
     return stuck
+
+
+def _published(world: _World, rank: int, clock: VirtualClock | None) -> VirtualClock:
+    """Rank ``rank``'s clock (a new one if ``None``), publishing to the
+    rank's slot of the world's clock window."""
+    clock = clock if clock is not None else VirtualClock()
+    clock.publish(world.faults.window[rank:rank + 1])
+    return clock
 
 
 #: Set on a thread (or forked process) that runs a rank body: a world
@@ -237,7 +247,10 @@ def _rank_process(rank: int, conn, world: _World, shared, clock, body) -> None:
     report ``(result, error, death, tb, clock)`` to the hub."""
     set_current(None)  # a rank starts without the caller's recorder
     faults = _Remote(conn, "faults", world.faults)
-    comm = SimComm(_Remote(conn, "world", world, faults=faults), rank, clock)
+    comm = SimComm(
+        _Remote(conn, "world", world, faults=faults), rank,
+        _published(world, rank, clock),
+    )
     result, error, death = body(
         comm, None if shared is None else _Remote(conn, "shared", shared)
     )
@@ -248,10 +261,10 @@ def _rank_process(rank: int, conn, world: _World, shared, clock, body) -> None:
             tb = "".join(traceback.format_exception(error))
         error = portable
     try:
-        blob = _ref_dumps(("done", result, error, death, tb, comm.clock.now))
+        blob = _ref_dumps(("done", result, error, death, tb))
     except Exception as exc:  # noqa: BLE001 - the result cannot travel
         error = RuntimeError(f"rank {rank}'s result cannot be pickled: {exc!r}")
-        blob = _ref_dumps(("done", None, error, None, None, comm.clock.now))
+        blob = _ref_dumps(("done", None, error, None, None))
     conn.send_bytes(blob)
 
 
@@ -318,8 +331,8 @@ def _reap(pid: int, kill: bool) -> int:
 
 def _run_processes(world: _World, shared, clocks, body) -> tuple[list, list, list]:
     """Run every rank of ``world`` in a forked child.  Returns the
-    per-rank outcomes ``(result, error, death, tb, clock)`` (``None``:
-    no report), the ranks whose child ended without reporting, and every
+    per-rank outcomes ``(result, error, death, tb)`` (``None``: no
+    report), the ranks whose child ended without reporting, and every
     child's exit code."""
     # Imported here: it loads the socket stack, which thread worlds and
     # one-rank runs never need.
@@ -328,6 +341,7 @@ def _run_processes(world: _World, shared, clocks, body) -> tuple[list, list, lis
     faults, n = world.faults, world.size
     targets = {"world": world, "faults": faults, "shared": shared}
     outcomes: list = [None] * n
+    died: list[int] = []
     pipes = [Pipe() for _ in range(n)]
     pids: list[int] = []
     hubs: list[threading.Thread] = []
@@ -347,17 +361,23 @@ def _run_processes(world: _World, shared, clocks, body) -> tuple[list, list, lis
         ]
         for hub in hubs:
             hub.start()
-        # One shared deadline; a child that died without reporting ends
-        # the wait at once (its peers cannot complete without it).
-        deadline = time.monotonic() + faults.policy.world_seconds
+        # One shared deadline.  A child that ended without reporting is
+        # a death in a resilient world (its peers recover it) and ends
+        # the wait at once in a plain one (its peers cannot complete
+        # without it).  Ranks the plane has declared dead are not waited
+        # for; they are killed below.
         while True:
-            alive = [h for h in hubs if h.is_alive()]
-            died = [r for r, h in enumerate(hubs)
-                    if outcomes[r] is None and not h.is_alive()]
-            remaining = deadline - time.monotonic()
-            if not alive or died or remaining <= 0.0:
+            for r, hub in enumerate(hubs):
+                if outcomes[r] is None and not hub.is_alive() and r not in died:
+                    died.append(r)
+                    if faults.resilient:
+                        faults.mark(r, DEAD)
+            waiting = [h for r, h in enumerate(hubs)
+                       if h.is_alive() and faults.status_of(r) != DEAD]
+            remaining = faults.deadline + GRACE_SECONDS - time.monotonic()
+            if not waiting or (died and not faults.resilient) or remaining <= 0.0:
                 break
-            alive[0].join(min(remaining, 0.1))
+            waiting[0].join(min(remaining, 0.1))
     finally:
         codes = [_reap(pid, kill=outcomes[r] is None) for r, pid in enumerate(pids)]
         # Wake the hubs still waiting on a peer for a rank that is gone.
@@ -424,16 +444,17 @@ def run_spmd(
 
     ``world="process"`` forks one child per rank (module docstring), so
     the ranks compute in parallel on as many cores as there are.  A
-    child returns its result and its final virtual clock; a child that
-    dies without reporting fails the world at once with an
-    :class:`SPMDError` naming the rank, and every child is reaped
-    however the world ends.  The stall detector needs the peers' clocks
-    in shared memory, so the thread world runs instead when a
-    ``fault_plan`` is attached, when ``n_ranks == 1``, where the
+    child returns its result; its clock reaches the launcher through the
+    world's shared clock window, which the stall detector reads too.  A
+    child that ends without reporting fails a plain world at once with
+    an :class:`SPMDError` naming the rank; in a world with a
+    ``fault_plan`` it is a death, like a planned kill, and its peers
+    recover it.  Ranks declared dead are not waited for, and every child
+    is killed if it has not reported and reaped, however the world ends.
+    The thread world runs instead when ``n_ranks == 1``, where the
     platform has no ``os.fork`` and when the caller is itself a rank.
-    A waiting peer is given up on at the world deadline only: a child
-    that died is known at once.  Results and virtual clocks never
-    depend on the world or on the real interleaving.
+    Results and virtual clocks never depend on the world or on the real
+    interleaving.
 
     ``shared`` is an object every rank uses besides the communicator
     (the work-steal board); ``fn`` is then called as ``fn(comm,
@@ -464,14 +485,10 @@ def run_spmd(
     if clocks is not None and len(clocks) != n_ranks:
         raise ValueError("clocks must have one entry per rank")
     forked = (
-        world == "process" and fault_plan is None and n_ranks > 1
+        world == "process" and n_ranks > 1
         and hasattr(os, "fork") and not getattr(_in_rank, "active", False)
     )
-    policy = (
-        replace(timeout_policy, collective_seconds=math.inf) if forked
-        else timeout_policy
-    )
-    faults = FaultPlane(n_ranks, policy, fault_plan)
+    faults = FaultPlane(n_ranks, timeout_policy, fault_plan)
     the_world = _World(faults, timing)
     body = _rank_body(fn, shared)
     outcomes: list = [None] * n_ranks
@@ -482,28 +499,31 @@ def run_spmd(
         done, died, codes = _run_processes(the_world, shared, clocks, body)
         for rank, out in enumerate(done):
             if out is not None:
-                result, error, death, tb, now = out
+                result, error, death, tb = out
                 if tb is not None:
                     error.__cause__ = _RemoteTraceback(tb)
                 outcomes[rank] = (result, error, death)
-                if clocks is not None:
-                    clocks[rank].synchronize(now)
+            elif faults.status_of(rank) == DEAD:
+                pass  # a death: its peers recovered its work
             elif rank in died:
                 errors[rank] = SPMDError(
                     f"rank {rank} ended without a result "
                     f"({_exit_text(codes[rank])})"
                 )
-            elif not died:
+            elif faults.resilient or not died:
                 stuck.append(f"simmpi-rank-{rank}")
+        if clocks is not None:
+            for clock, now in zip(clocks, faults.window):
+                if not math.isnan(now):
+                    clock.synchronize(now)
     else:
         def target(rank: int) -> None:
             _in_rank.active = True
             # Released however the body ends: returned, raised or rank
             # killed.
             with holding(the_world.token, rank):
-                comm = SimComm(
-                    the_world, rank, clocks[rank] if clocks is not None else None
-                )
+                clock = clocks[rank] if clocks is not None else None
+                comm = SimComm(the_world, rank, _published(the_world, rank, clock))
                 outcomes[rank] = body(comm, shared)
 
         threads = [

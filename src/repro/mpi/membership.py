@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import mmap
 import threading
 import time
 from dataclasses import dataclass
@@ -141,12 +143,19 @@ class MembershipView:
 
 
 class FaultPlane:
-    """The world half of the plane: rank statuses, the clocks read as
-    heartbeats, and the stall detector.
+    """The world half of the plane: rank statuses, the clock window read
+    as heartbeats, and the stall detector.
 
     ``cond`` guards the statuses and is shared with the data plane's
     exchange slots and mailboxes, so a status change wakes every wait on
     a peer.
+
+    ``window`` is the world's one piece of shared memory: an anonymous
+    shared ``mmap`` of one double per rank, made with the plane, so a
+    rank process forked after it writes the very slots the launcher
+    reads.  Each rank's :class:`~repro.util.timing.VirtualClock` writes
+    its slot at every change (:meth:`~repro.util.timing.VirtualClock.
+    publish`); NaN means the rank has not started.
     """
 
     def __init__(self, size: int, policy: TimeoutPolicy = TimeoutPolicy(),
@@ -158,11 +167,12 @@ class FaultPlane:
         self.resilient = fault_plan is not None
         self.cond = threading.Condition()
         self.status: dict[int, str] = dict.fromkeys(range(size), RUNNING)
-        #: Set at teardown to release ranks wedged by an injected hang.
-        self.release = threading.Event()
-        #: Per-rank virtual clocks, registered at communicator creation:
-        #: the heartbeats :meth:`wait_for` reads.
-        self.clocks: dict = {}
+        #: The world deadline (``time.monotonic``, the same clock in every
+        #: process of the world).
+        self.deadline = time.monotonic() + policy.world_seconds
+        self.window = memoryview(mmap.mmap(-1, 8 * size)).cast("d")
+        for r in range(size):
+            self.window[r] = math.nan
 
     def running(self) -> list[int]:
         """Ranks still executing (caller must hold ``cond``)."""
@@ -202,8 +212,9 @@ class FaultPlane:
             now = time.monotonic()
             stalled = []
             for r in running:
-                clock = self.clocks.get(r)
-                beat = clock.now if clock is not None else None
+                beat = self.window[r]
+                if math.isnan(beat):
+                    beat = None  # not started
                 last = seen.get(r)
                 if last is None or last[0] != beat:
                     # A clock that only now appears (the rank started) has
@@ -244,7 +255,6 @@ class RankMembership:
     def __init__(self, faults: FaultPlane, topology) -> None:
         #: The world's fault plane (public: runtime code polls statuses).
         self.faults = faults
-        faults.clocks[self.rank] = self.clock
         self._topology = topology
         self._collective_calls = 0
         #: Ranks this communicator believes alive; shrinks only at exchange
@@ -312,11 +322,12 @@ class RankMembership:
         if glitch.kind == "delay":
             self.clock.advance(glitch.delay_seconds)
         elif glitch.kind == "hang":
-            # The rank wedges inside the collective; peers declare it dead
-            # via their deadlines, and the launcher releases the thread at
-            # teardown so it can die cleanly.
+            # The rank wedges inside the collective, its clock frozen:
+            # peers give up on it at their suspicion deadline and the
+            # launcher kills it.  With nobody to do so the hang ends at
+            # the world deadline, as a death.
             with idle():
-                self.faults.release.wait()
+                time.sleep(max(0.0, self.faults.deadline - time.monotonic()))
             raise RankKilledError(
                 f"rank {self.rank} hung in collective call {index}"
             )

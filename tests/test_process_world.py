@@ -27,7 +27,7 @@ import repro.hybrid.driver as driver
 from repro.datasets import test_dataset as make_test_dataset
 from repro.hybrid.analyses import MultiSearchConfig, run_multiple_ml_searches
 from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
-from repro.mpi import FaultPlan, SPMDError, TimeoutPolicy, run_spmd
+from repro.mpi import FaultPlan, KillSpec, SPMDError, TimeoutPolicy, run_spmd
 from repro.search.comprehensive import ComprehensiveConfig
 from repro.search.searches import StageParams
 from repro.tree.newick import write_newick
@@ -164,6 +164,31 @@ def test_multiple_ml_searches_match_the_thread_world(pal, monkeypatch, forks):
     assert process.stage_seconds_per_rank == thread.stage_seconds_per_rank
 
 
+def test_a_killed_rank_process_is_a_death_its_peers_recover(
+    pal, monkeypatch, forks
+):
+    """A rank process SIGKILLed at a planned point is a death the plane
+    agrees on: the survivors replay its share and reach the results of
+    the same point given as a :class:`KillSpec`."""
+    point = KillSpec(rank=1, stage="fast")
+    planned = run_hybrid_analysis(pal, config(3, fault_plan=FaultPlan(kills=(point,))))
+    kill_at_stage = FaultPlan.kill_at_stage
+
+    def sigkill(plan, rank, stage):
+        if (rank, stage) == (point.rank, point.stage):
+            os.kill(os.getpid(), signal.SIGKILL)  # in rank 1's process
+        kill_at_stage(plan, rank, stage)
+
+    monkeypatch.setattr(FaultPlan, "kill_at_stage", sigkill)
+    killed = run_hybrid_analysis(pal, config(3, fault_plan=FaultPlan()))
+    assert len(forks) == 6
+    assert killed.failed_ranks == planned.failed_ranks == [1]
+    assert write_newick(killed.best_tree) == write_newick(planned.best_tree)
+    assert killed.best_lnl == planned.best_lnl
+    assert killed.rng_fingerprint == planned.rng_fingerprint
+    assert_bit_identical(planned, killed)
+
+
 # -- the launcher's side ------------------------------------------------------
 
 
@@ -230,17 +255,15 @@ def test_fault_plans_one_rank_worlds_and_nested_worlds_run_threads(forks):
         return os.getpid()
 
     assert run_spmd(pid, 1, world="process") == [os.getpid()]
-    assert run_spmd(pid, 2, world="process", fault_plan=FaultPlan()) == [
-        os.getpid()
-    ] * 2
     assert forks == []
+    assert run_spmd(pid, 2, world="process", fault_plan=FaultPlan()) == forks
 
     def nested(comm):
         return run_spmd(pid, 2, world="process")
 
     outer = run_spmd(nested, 2, world="process")
-    assert len(forks) == 2  # the inner worlds ran as threads of the children
-    assert outer == [[p, p] for p in forks]
+    assert len(forks) == 4  # the inner worlds ran as threads of the children
+    assert outer == [[p, p] for p in forks[2:]]
 
 
 def test_unknown_world_rejected():

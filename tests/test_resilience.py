@@ -211,6 +211,18 @@ class TestCollectiveFaults:
         assert out == [(1,), None]
         assert elapsed < 10.0  # deadline-bounded, not wedged forever
 
+    def test_hang_in_a_one_rank_world_ends_at_the_world_deadline(self):
+        """A lone rank has no peer to give up on it: its hang lasts until
+        the world deadline and ends as a death, so nobody is left."""
+        plan = FaultPlan(glitches=(
+            CollectiveGlitch(rank=0, call_index=0, kind="hang"),
+        ))
+        started = time.monotonic()
+        with pytest.raises(AllRanksDeadError):
+            run_spmd(lambda comm: comm.barrier(), 1, fault_plan=plan,
+                     timeout_policy=TimeoutPolicy(0.3, 1.0))
+        assert 1.0 <= time.monotonic() - started < 5.0
+
     def test_all_ranks_dead_is_reported(self):
         plan = FaultPlan(kills=(KillSpec(rank=None, collective=0),))
         with pytest.raises(AllRanksDeadError):
