@@ -7,30 +7,24 @@ thread) :data:`REPS` times in a row, ``gc.collect()`` between, and
 records per repetition wall, user and system seconds of the process
 (``RUSAGE_SELF``) and of its reaped children (``RUSAGE_CHILDREN``: the
 forked rank processes), and the voluntary / involuntary context
-switches of both together.  ``run_hybrid_analysis`` runs its ranks in
-the process world (one forked child per rank), so the launcher's own
-CPU is only its hub threads; the rank work is the children's.
+switches of both together.  ``run_hybrid_analysis`` runs each rank in
+a forked child, so the launcher's own CPU is only its hub threads; the
+rank work is the children's.
 
-One more repetition is forced onto the thread world (rank threads under
-the run token): it must give the process world's bits, and it carries
-the run token's own counters (hand-offs, expired slices, seconds each
-rank queued for it).
-
-Why consecutive repetitions: with free-running rank threads (the parent
-of the run token, :data:`PARENT_ROWS`) the *first* analysis of a process was
-the cheap one and every later one paid ~1.6x the wall time and ~2x the
-context switches — four threads handing the interpreter lock across two
-cores at every ~87-pattern NumPy call — while the same process pinned
-to one CPU ran every repetition at the one-core cost.  With one runnable
-rank at a time the thread world's repetitions were flat.  The process
-world's first repetition is often the slow one on a shared two-core
-host: its ranks do not all get the second core at once (EXPERIMENTS.md,
-"Real ranks"), so the full leg's first-against-later claim fails there.
+Why consecutive repetitions: with free-running rank threads (before the
+ranks were processes, :data:`PARENT_ROWS`) the *first* analysis of a
+process was the cheap one and every later one paid ~1.6x the wall time
+and ~2x the context switches — four threads handing the interpreter
+lock across two cores at every ~87-pattern NumPy call — while the same
+process pinned to one CPU ran every repetition at the one-core cost.
+With rank processes the first repetition is often the slow one on a
+shared two-core host: its ranks do not all get the second core at once
+(EXPERIMENTS.md, "Real ranks"), so the full leg's first-against-later
+claim fails there.
 
 * **Smoke leg** (always; CI's ``test`` job): :data:`SMOKE_REPS`
   repetitions, records, and asserts what holds on any host — identical
-  results across repetitions and across the two worlds, and a thread
-  world whose token was handed over.
+  results across repetitions.
 * **Full leg** (``REPRO_BENCH_FULL=1``, a quiet host): :data:`REPS`
   repetitions plus the one-CPU control, and the two claims — first and
   later repetitions within 15 %, voluntary context switches per analysis
@@ -96,7 +90,6 @@ def _usage() -> tuple:
 
 def measure(reps: int) -> dict:
     """``reps`` consecutive analyses of :data:`SHAPE` in this process."""
-    import repro.hybrid.driver as driver
     from repro.datasets.generator import SimulationParams, simulate_alignment
     from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
     from repro.search.comprehensive import ComprehensiveConfig
@@ -119,35 +112,18 @@ def measure(reps: int) -> dict:
         )
         return compress_alignment(aln)
 
-    # The world is out of reach of run_hybrid_analysis's caller on
-    # purpose (no report carries token counters); on the forced
-    # thread-world repetition look over run_rank's shoulder instead.
-    worlds = []
-    run_rank, run_spmd = driver.run_rank, driver.run_spmd
-
-    def spy(comm, *args):
-        if comm.rank == 0:
-            worlds.append(comm._world)
-        return run_rank(comm, *args)
-
-    def thread_world(*args, **kwargs):
-        return run_spmd(*args, **{**kwargs, "world": "thread"})
-
     def repetition() -> tuple[dict, dict]:
         gc.collect()
-        del worlds[:]
         before, t0 = _usage(), time.perf_counter()
         result = run_hybrid_analysis(pal, cfg)
         wall, after = time.perf_counter() - t0, _usage()
         self_user, self_sys, child_user, child_sys, nvcsw, nivcsw = (
             a - b for a, b in zip(after, before)
         )
-        token = getattr(worlds[0], "token", None) if worlds else None
         return {
             "wall_s": wall, "user_s": self_user, "sys_s": self_sys,
             "child_user_s": child_user, "child_sys_s": child_sys,
             "nvcsw": nvcsw, "nivcsw": nivcsw,
-            "token": None if token is None else token.stats(),
         }, result.identity(timings=True)
 
     # Warm-up as bench/worker.py does it: the smoke shape on one rank.
@@ -159,17 +135,10 @@ def measure(reps: int) -> dict:
         row, identity = repetition()
         rows.append(row)
         identities.append(identity)
-    driver.run_rank, driver.run_spmd = spy, thread_world
-    try:
-        thread_row, thread_identity = repetition()
-    finally:
-        driver.run_rank, driver.run_spmd = run_rank, run_spmd
     return {
         "cpus": sorted(os.sched_getaffinity(0)),
         "reps": rows,
-        "thread": thread_row,
         "identical": all(i == identities[0] for i in identities),
-        "worlds_identical": thread_identity == identities[0],
         "best_lnl": identities[0]["best_lnl"],
     }
 
@@ -213,7 +182,7 @@ def test_runtime_microbench(benchmark, emit):
         doc = {}
     doc.update(shape=SHAPE, pinned=list(PINNED))
     for name, rows in PARENT_ROWS.items():
-        reps = [dict(zip(ROW_KEYS, row), token=None) for row in rows]
+        reps = [dict(zip(ROW_KEYS, row)) for row in rows]
         doc[name] = {"reps": reps, "summary": summary({"reps": reps})}
     record = benchmark.pedantic(
         in_fresh_interpreter, args=(REPS if full else SMOKE_REPS,),
@@ -230,10 +199,6 @@ def test_runtime_microbench(benchmark, emit):
 
     # -- what holds on any host ---------------------------------------------
     assert record["identical"], "repetitions disagree on identity(timings=True)"
-    assert record["worlds_identical"], "process world != thread world"
-    token = record["thread"]["token"]
-    assert token["handoffs"] > 0
-    assert len(token["waited_seconds"]) == SHAPE["n_processes"]
 
     # -- the claims, on a quiet host ------------------------------------------
     if full:
@@ -247,25 +212,18 @@ def test_runtime_microbench(benchmark, emit):
         "runtime_microbench",
         format_table(
             ["Run", "Rep", "wall s", "user s", "sys s", "child user s",
-             "child sys s", "nvcsw", "nivcsw", "hand-offs", "expired"],
+             "child sys s", "nvcsw", "nivcsw"],
             [
                 [name, rep, r["wall_s"], r["user_s"], r["sys_s"],
                  r.get("child_user_s", 0.0), r.get("child_sys_s", 0.0),
-                 r["nvcsw"], r["nivcsw"],
-                 r["token"]["handoffs"] if r.get("token") else "-",
-                 r["token"]["expired_slices"] if r.get("token") else "-"]
+                 r["nvcsw"], r["nivcsw"]]
                 for name in sections
-                for rep, r in [
-                    *enumerate(doc[name]["reps"], 1),
-                    *([("thread", doc[name]["thread"])]
-                      if doc[name].get("thread") else []),
-                ]
+                for rep, r in enumerate(doc[name]["reps"], 1)
             ],
             formats=[None, None, ".2f", ".2f", ".2f", ".2f", ".2f", None,
-                     None, None, None],
+                     None],
             title="RANK WORLDS: consecutive in-process 4x2 analyses "
-                  "(6 x 300, N = 8, work-steal); process world, then one "
-                  "thread-world repetition",
+                  "(6 x 300, N = 8, work-steal), ranks in processes",
         ),
     )
 

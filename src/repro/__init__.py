@@ -22,7 +22,7 @@ Subpackages
 ``repro.likelihood`` GTR models, pruning kernels, optimisers, parsimony
 ``repro.search``     starting trees, SPR searches, the comprehensive analysis
 ``repro.bootstop``   bipartition tables, consensus, the WC bootstopping test
-``repro.mpi``        simulated MPI (SPMD rank threads, virtual clocks)
+``repro.mpi``        simulated MPI (SPMD rank processes, virtual clocks)
 ``repro.threads``    virtual Pthreads over the pattern axis
 ``repro.perfmodel``  calibrated analytic model of the paper's clusters
 ``repro.hybrid``     the hybrid comprehensive-analysis driver

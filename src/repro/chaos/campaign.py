@@ -51,9 +51,10 @@ RESUME_EVERY = 3
 REPEAT_EVERY = 25
 
 #: Snappy suspicion deadline (harness seconds a peer's virtual clock may
-#: stand still): a computing rank's clock moves every run-token slice, so
-#: 2.0 never falsely suspects a live rank but converts a hung one into a
-#: death quickly.  The one deadline besides the default that any run sets.
+#: stand still): a computing rank's clock moves with every likelihood
+#: op, so 2.0 never falsely suspects a live rank but converts a hung one
+#: into a death quickly.  The one deadline besides the default that any
+#: run sets.
 CHAOS_TIMEOUTS = TimeoutPolicy(collective_seconds=2.0, world_seconds=600.0)
 
 #: The pinned toy analysis (same dataset family as the parity goldens).

@@ -172,7 +172,6 @@ def run_hybrid_analysis(pal: PatternAlignment, config: HybridConfig) -> HybridRe
         comm_timing=config.comm_timing(),
         fault_plan=config.fault_plan,
         timeout_policy=config.timeout_policy,
-        world="process",
         shared=board,
     )
     return assemble_hybrid_result(pal, config, raw, board)

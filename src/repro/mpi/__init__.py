@@ -1,26 +1,25 @@
-"""Simulated MPI substrate (SPMD over rank threads or processes, virtual clocks).
+"""Simulated MPI substrate (SPMD over rank processes, virtual clocks).
 
 The paper's MPI usage is deliberately minimal: each rank parses its own
 input, works independently, and the only noteworthy communications are an
 ``MPI_Barrier`` after the bootstrap stage and an ``MPI_Bcast`` to select
 the final best solution (Section 2.1).  This package provides:
 
-* :class:`SimComm` — an mpi4py-style communicator (send/recv/bcast/
-  barrier/gather/allgather/allreduce) backed by the launcher's mailboxes, with
-  a per-rank :class:`~repro.util.timing.VirtualClock` that collectives
-  synchronise exactly as real barriers synchronise wall clocks;
-* :func:`run_spmd` — launch one SPMD function across ``p`` ranks: rank
-  threads under one run token, or (``world="process"``) one forked child
-  per rank, with everything the ranks share served from the launcher.
+* :class:`SimComm` — an mpi4py-style communicator whose per-rank
+  :class:`~repro.util.timing.VirtualClock` collectives synchronise as
+  real barriers synchronise wall clocks;
+* :func:`run_spmd` — one SPMD function across ``p`` ranks, one forked
+  process per rank as in the paper, everything they share served from
+  the launcher.
 
-It is built as two planes.  The data plane (:mod:`repro.mpi.comm`, priced
-by :mod:`repro.mpi.topology`) moves values and never reads a fault plan.
+The data plane (:mod:`repro.mpi.comm`, priced by
+:mod:`repro.mpi.topology`) moves values and never reads a fault plan.
 The fault/epoch plane (:mod:`repro.mpi.membership`, driven by a
 :class:`FaultPlan` and one :class:`TimeoutPolicy`) owns rank statuses,
-the one stall detector every wait on a peer goes through, death
-agreement, epochs, and the faults injected at a collective's entry.
-The world is fixed: its p ranks start together and only ever leave, and
-the exchange slots and mailboxes are all they share.
+the one stall detector, death agreement, epochs and injected faults.
+The world is fixed: its p ranks start together and only ever leave.
+Besides messages they share one node-shared window of virtual clocks,
+one slot per rank, which the stall detector reads.
 """
 
 from repro.mpi.comm import DEAD_RANK, CommEvent, SimComm

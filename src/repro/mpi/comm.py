@@ -1,30 +1,23 @@
 """The simulated communicator: the data plane.
 
-Ranks execute as cooperating Python threads or as forked processes;
-messages travel through in-memory mailboxes; collectives are built from
-a shared exchange board of generation-tagged slots guarded by a
-condition variable.  Mailboxes and board live in one :class:`_World` in
-the launcher's process, which rank processes reach through the
-launcher's pipe proxy (:mod:`repro.mpi.launcher`).  All ranks
-must call collectives in the same order (the standard SPMD contract —
-violations raise :class:`~repro.mpi.membership.SPMDError` via
-generation mismatches or broken exchanges).
+Messages travel through mailboxes; collectives are built from an
+exchange board of generation-tagged slots.  Both live in one
+:class:`_World` in the launcher's process, guarded by one condition
+variable; rank processes reach it through the launcher's pipe proxy
+(:mod:`repro.mpi.launcher`), and a rank's wait runs on its hub thread
+there.  All ranks must call collectives in the same order (the SPMD
+contract — violations raise :class:`~repro.mpi.membership.SPMDError`
+via generation mismatches or broken exchanges).
 
 Virtual time: each rank owns a clock; a collective advances every
 participant to ``max(entry clocks) + price``.  Every price is asked of
-the world's cost model through the one protocol of
-:mod:`repro.mpi.topology` and comes back carrying its own intra/inter
-split, which is recorded as is.  The default flat
-:class:`~repro.mpi.topology.CommTiming` has realistic-but-small cluster
-constants — the paper stresses that "a fast and expensive interconnect
-is not required" because communication is negligible — and no split;
-attach a :class:`~repro.mpi.topology.HierarchicalCommTiming` and
-collectives are priced as two-phase operations (node-local at
-shared-memory cost, one leader per node over the network) and sends per
-hop.  The data plane (exchange, reduction order, death sets, epochs)
-never looks at the model, keeping results bit-identical across models.
-Exchange slots and mailboxes are the only state ranks share: there is
-no blackboard beside the messages.
+the world's cost model (:mod:`repro.mpi.topology`) and recorded with
+the intra/inter split it comes with: none under the flat
+:class:`~repro.mpi.topology.CommTiming`, whose constants are small
+because the paper finds communication negligible; node-local and leader
+phases under :class:`~repro.mpi.topology.HierarchicalCommTiming`.  The
+data plane (exchange, reduction order, death sets, epochs) never looks
+at the model, so results are bit-identical across models.
 
 Failures and membership live in the fault/epoch plane
 (:mod:`repro.mpi.membership`), whose rank half :class:`SimComm`
@@ -32,9 +25,9 @@ inherits; this module never reads a fault plan.  It calls the plane at
 fixed points: the collective-entry faults before an exchange, the one
 stall detector while waiting for any peer, the agreed death set after
 (with a fault plan attached, a peer that dies or stalls is declared
-dead, the exchange completes over the survivors,
-and each survivor raises a :class:`~repro.mpi.membership.RankFailure`
-with the same death set).
+dead, the exchange completes over the survivors, and each survivor
+raises a :class:`~repro.mpi.membership.RankFailure` with the same death
+set).
 """
 
 from __future__ import annotations
@@ -51,7 +44,6 @@ from repro.mpi.membership import (
 )
 from repro.mpi.topology import CommCostModel, CommPhases
 from repro.obs.recorder import current as _obs_current
-from repro.util.runtoken import RunToken, idle
 from repro.util.timing import VirtualClock
 
 
@@ -148,13 +140,8 @@ class _World:
         self.slots: dict[int, _Slot] = {}
         #: (src, dst, tag) -> messages sent and not yet received.
         self.mailboxes: defaultdict[tuple[int, int, int], deque] = defaultdict(deque)
-        #: One runnable rank thread at a time (:mod:`repro.util.runtoken`).
-        #: A lone rank has nobody to contend with and takes no token.
-        self.token: RunToken | None = RunToken() if self.size > 1 else None
 
-    # The three bodies that touch shared state.  Ranks reach them only
-    # through these calls, so the launcher can serve them to ranks that
-    # live in other processes.  Each waits token-free (``idle``).
+    # The three bodies that touch shared state, served by the launcher.
 
     def exchange(self, rank: int, gen: int, op: str, value, now: float):
         """Deposit ``rank``'s ``(value, now)`` in collective generation
@@ -162,7 +149,7 @@ class _World:
         participant view and every participant's ``(value, entry
         clock)``."""
         faults = self.faults
-        with idle(), self.cond:
+        with self.cond:
             slot = self.slots.get(gen)
             if slot is None:
                 # The first arriver freezes who participates in this
@@ -214,7 +201,7 @@ class _World:
     def take(self, src: int, dst: int, tag: int):
         """Wait for the oldest ``(obj, sent_at)`` from ``src``; ``None``
         when ``src`` left without sending."""
-        with idle(), self.cond:
+        with self.cond:
             box = self.mailboxes[src, dst, tag]
             self.faults.wait_for(
                 dst, lambda: [] if box else [src],
@@ -233,6 +220,7 @@ class SimComm(RankMembership):
         self.rank = rank
         self.size = world.size
         self.clock = clock if clock is not None else VirtualClock()
+        self.clock.publish(world.faults.window[rank:rank + 1])
         self._generation = 0
         #: Running totals of this rank's communication (the report's view).
         self.account = CommAccount()

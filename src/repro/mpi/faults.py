@@ -1,25 +1,21 @@
 """Deterministic fault injection for the simulated MPI runtime.
 
-Long comprehensive analyses on the paper's clusters (Abe, Ranger, Triton)
-routinely lose nodes mid-run, and Zhou et al. ("Frustrated with
-MPI+Threads?") catalogue the collective-mismatch/hang failure modes a
-hybrid runtime must detect.  A :class:`FaultPlan` describes, *ahead of
-time and deterministically*, which simulated rank fails where:
+Long analyses on the paper's clusters lose nodes mid-run, and Zhou et
+al. ("Frustrated with MPI+Threads?") catalogue the collective-mismatch
+and hang failures a hybrid runtime must detect.  A :class:`FaultPlan`
+says ahead of time, deterministically, which rank fails where:
 
-* :class:`KillSpec` — fail-stop death of a rank at a named point: a stage
-  boundary, the k-th bootstrap replicate, or the n-th collective call.
-  Death is modelled by raising :class:`RankKilledError`, which derives
-  from ``BaseException`` so a stray ``except Exception`` inside the
-  analysis code cannot accidentally resurrect a dead node.
-* :class:`CollectiveGlitch` — a *transient* problem in one rank's n-th
-  collective call: extra latency (``delay``), a bounded number of
-  failures that the communicator retries with exponential backoff
-  (``fail``), or an indefinite hang that peers must detect via their
-  per-call deadlines (``hang``).
+* :class:`KillSpec` — fail-stop death of a rank at a stage boundary, the
+  k-th bootstrap replicate or the n-th collective call, raised as
+  :class:`RankKilledError` (a ``BaseException``, so a stray ``except
+  Exception`` cannot resurrect a dead node);
+* :class:`CollectiveGlitch` — a transient problem in one rank's n-th
+  collective: extra latency (``delay``), failures retried with
+  exponential backoff (``fail``), or a hang its peers must detect
+  (``hang``).
 
-Plans are immutable and evaluated with pure arithmetic, so the same plan
-injected into the same run produces the same failure every time — the
-property that makes recovery *testable*.
+The same plan on the same run produces the same failures every time —
+the property that makes recovery testable.
 """
 
 from __future__ import annotations
@@ -90,8 +86,9 @@ class CollectiveGlitch:
       counts the retries.
     * ``kind="delay"`` — the call costs ``delay_seconds`` extra virtual
       time (a congested or degraded link).
-    * ``kind="hang"`` — the rank wedges inside the call forever; peers
-      must declare it dead via their per-call deadline.
+    * ``kind="hang"`` — the rank wedges inside the call, its clock
+      frozen, until its peers' stall detector declares it dead (or, with
+      no peer left to, until the world deadline).
     """
 
     rank: int

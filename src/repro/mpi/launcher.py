@@ -1,31 +1,26 @@
 """SPMD launcher: run one function across p simulated MPI ranks.
 
-The launcher is where the two planes of a world meet: it builds the
-fault/epoch plane (:class:`~repro.mpi.membership.FaultPlane`: statuses,
-the fault plan, the deadlines) and hands it to the data plane
-(:class:`~repro.mpi.comm._World`: exchange slots, mailboxes, run
-token), then marks each rank's status as its body ends.
+The launcher builds the fault/epoch plane
+(:class:`~repro.mpi.membership.FaultPlane`: statuses, the fault plan,
+the deadline, the clock window) and hands it to the data plane
+(:class:`~repro.mpi.comm._World`: exchange slots and mailboxes, priced
+by any :class:`~repro.mpi.topology.CommCostModel`), then marks each
+rank's status as its body ends.
 
-``comm_timing`` is any :class:`~repro.mpi.topology.CommCostModel` — the
-flat :class:`~repro.mpi.topology.CommTiming` (the default) or a
-:class:`~repro.mpi.topology.HierarchicalCommTiming`.  The launcher only
-hands it to the world; the communicator asks it for every price through
-the one protocol, so neither knows which model it holds.
-
-A world runs its ranks one of two ways.  The *thread* world runs them as
-daemon threads of the caller's process that take turns under the run
-token.  The *process* world forks one child per rank, and each child
-runs the same rank body.  What the ranks share stays in the launcher as
-the very objects the thread world uses: the world's exchange slots and
-mailboxes, the fault plane's statuses and the caller's ``shared``
-object.  A child reaches them through one pipe proxy
-(:class:`_Remote`), which one hub thread per rank serves in the
-launcher (:func:`_serve`).  Method calls travel; data attributes are
-read from the copy the child was forked with.
+Each rank of a multi-rank world is a forked child process, as each MPI
+rank is a process in the paper.  What the ranks share stays in the
+launcher: the world, the fault plane's statuses and the caller's
+``shared`` object.  A child reaches them through one pipe proxy
+(:class:`_Remote`), served by one hub thread per rank (:func:`_serve`):
+method calls travel, data attributes are read from the copy the child
+was forked with.  The one thing a rank writes without a call is its
+virtual clock, into the fault plane's shared clock window, where the
+stall detector reads it.
 
 **Fork rule: the launcher forks every rank before it starts any hub
 thread**, and it joins the hubs of a world before it returns, so no
-hub can hold one of a world's locks while a child is forked.  Python's
+hub can hold one of a world's locks while a child is forked.  A nested
+world forks from its rank process, which has no hub thread.  Python's
 warning about ``fork()`` in a multi-threaded process names any world
 that breaks the rule.  (One exception to the join: when a child dies
 without reporting, a hub that is waiting inside the ``shared`` object
@@ -34,6 +29,7 @@ for it stays until that object's own deadline.)
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import io
 import math
@@ -58,10 +54,8 @@ from repro.mpi.membership import (
 )
 from repro.mpi.policy import TimeoutPolicy
 from repro.mpi.topology import CommCostModel, CommTiming
-from repro.obs.recorder import set_current
-from repro.util.runtoken import holding, idle
+from repro.obs.recorder import recording, set_current
 from repro.util.timing import VirtualClock
-from repro.util.validation import check_choice
 
 
 def _raise_rank_errors(errors: list) -> None:
@@ -75,61 +69,19 @@ def _raise_rank_errors(errors: list) -> None:
     ranked = [(r, e) for r, e in enumerate(errors) if e is not None]
     if not ranked:
         return
-    primary = next(
+    rank, exc = next(
         ((r, e) for r, e in ranked if not isinstance(e, SPMDError)), ranked[0]
     )
-    rank, exc = primary
-    others = [(r, e) for r, e in ranked if r != rank]
-    if others:
-        notes = [
-            f"[simmpi] also failed: rank {r}: {type(e).__name__}: {e}"
-            for r, e in others
-        ]
+    notes = [f"[simmpi] also failed: rank {r}: {type(e).__name__}: {e}"
+             for r, e in ranked if r != rank]
+    if notes:
         exc.__notes__ = [*getattr(exc, "__notes__", []), *notes]
     raise exc
 
 
-#: How long past the world deadline a world still takes reports: a rank
-#: hung until the deadline dies then, and its peers need a poll of the
-#: stall detector to see it.
+#: How long past the world deadline a world still takes reports (a rank
+#: hung until then dies, and its peers need a poll to see it).
 GRACE_SECONDS = 0.5
-
-
-def _run_threads(faults: FaultPlane, threads: list) -> list[str]:
-    """Start the rank threads and wait for them; names of the stuck ones."""
-    for t in threads:
-        t.start()
-    # One *shared* deadline for the whole world (a per-thread timeout would
-    # make the worst-case wait n_ranks x timeout).  Ranks already declared
-    # dead are not waited for.
-    for rank, t in enumerate(threads):
-        while t.is_alive():
-            if faults.status_of(rank) == DEAD:
-                break
-            remaining = faults.deadline - time.monotonic()
-            if remaining <= 0.0:
-                break
-            t.join(min(remaining, 0.1))
-    stuck = []
-    for rank, t in enumerate(threads):
-        if t.is_alive() and faults.status_of(rank) != DEAD:
-            t.join(GRACE_SECONDS)
-        if t.is_alive() and faults.status_of(rank) != DEAD:
-            stuck.append(t.name)
-    return stuck
-
-
-def _published(world: _World, rank: int, clock: VirtualClock | None) -> VirtualClock:
-    """Rank ``rank``'s clock (a new one if ``None``), publishing to the
-    rank's slot of the world's clock window."""
-    clock = clock if clock is not None else VirtualClock()
-    clock.publish(world.faults.window[rank:rank + 1])
-    return clock
-
-
-#: Set on a thread (or forked process) that runs a rank body: a world
-#: launched from there runs its ranks as threads.
-_in_rank = threading.local()
 
 
 def _portable(exc: BaseException) -> BaseException:
@@ -147,9 +99,6 @@ def _portable(exc: BaseException) -> BaseException:
 class _RemoteTraceback(Exception):
     """The formatted traceback of an error raised in a rank process,
     attached as its ``__cause__`` in the launcher."""
-
-    def __str__(self) -> str:
-        return self.args[0]
 
 
 class _RefPickler(pickle.Pickler):
@@ -200,9 +149,9 @@ class _RemoteMethod:
 
 class _Remote:
     """A launcher-side object seen from a rank process: calling a method
-    runs it on the launcher's object (the hub thread waits where a rank
-    thread would), reading a data attribute reads the copy forked with
-    the rank.  ``pinned`` attributes replace the copy's."""
+    runs it on the launcher's object (the hub thread waits on the rank's
+    behalf), reading a data attribute reads the copy forked with the
+    rank.  ``pinned`` attributes replace the copy's."""
 
     def __init__(self, conn, target: str, local, **pinned) -> None:
         self._conn, self._target, self._local = conn, target, local
@@ -244,13 +193,10 @@ def _serve(rank: int, conn, targets: dict, outcomes: list) -> None:
 def _rank_process(rank: int, conn, world: _World, shared, clock, body) -> None:
     """The child side of rank ``rank``: run the body on a communicator
     whose world, fault plane and ``shared`` object are remote, then
-    report ``(result, error, death, tb, clock)`` to the hub."""
+    report ``(result, error, death, tb)`` to the hub."""
     set_current(None)  # a rank starts without the caller's recorder
     faults = _Remote(conn, "faults", world.faults)
-    comm = SimComm(
-        _Remote(conn, "world", world, faults=faults), rank,
-        _published(world, rank, clock),
-    )
+    comm = SimComm(_Remote(conn, "world", world, faults=faults), rank, clock)
     result, error, death = body(
         comm, None if shared is None else _Remote(conn, "shared", shared)
     )
@@ -296,7 +242,6 @@ def _fork_rank(rank: int, pipes: list, *args) -> int:
     code = 1
     try:
         _die_with(launcher)
-        _in_rank.active = True
         for i, (launcher_end, rank_end) in enumerate(pipes):
             launcher_end.close()
             if i != rank:
@@ -318,30 +263,19 @@ def _flush_stdio() -> None:
             pass
 
 
-def _reap(pid: int, kill: bool) -> int:
-    """Wait for child ``pid`` (killed first if ``kill``); its exit code."""
-    if kill:
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-    _, status = os.waitpid(pid, 0)
-    return os.waitstatus_to_exitcode(status)
-
-
-def _run_processes(world: _World, shared, clocks, body) -> tuple[list, list, list]:
-    """Run every rank of ``world`` in a forked child.  Returns the
-    per-rank outcomes ``(result, error, death, tb)`` (``None``: no
-    report), the ranks whose child ended without reporting, and every
-    child's exit code."""
-    # Imported here: it loads the socket stack, which thread worlds and
-    # one-rank runs never need.
+def _run_processes(world: _World, shared, clocks, body) -> list:
+    """Run every rank of ``world`` in a forked child.  Returns each
+    rank's ``(result, error, death)``, ``None`` for a rank that died
+    without reporting; ``clocks`` are moved to the ranks' final
+    readings."""
+    # Imported here: it loads the socket stack, which one-rank runs never
+    # need.
     from multiprocessing import Pipe
 
     faults, n = world.faults, world.size
     targets = {"world": world, "faults": faults, "shared": shared}
-    outcomes: list = [None] * n
-    died: list[int] = []
+    reports: list = [None] * n
+    died: set[int] = set()
     pipes = [Pipe() for _ in range(n)]
     pids: list[int] = []
     hubs: list[threading.Thread] = []
@@ -354,7 +288,7 @@ def _run_processes(world: _World, shared, clocks, body) -> tuple[list, list, lis
             rank_end.close()
         hubs = [
             threading.Thread(
-                target=_serve, args=(r, pipes[r][0], targets, outcomes),
+                target=_serve, args=(r, pipes[r][0], targets, reports),
                 name=f"simmpi-hub-{r}", daemon=True,
             )
             for r in range(n)
@@ -364,22 +298,26 @@ def _run_processes(world: _World, shared, clocks, body) -> tuple[list, list, lis
         # One shared deadline.  A child that ended without reporting is
         # a death in a resilient world (its peers recover it) and ends
         # the wait at once in a plain one (its peers cannot complete
-        # without it).  Ranks the plane has declared dead are not waited
-        # for; they are killed below.
+        # without it).  In a resilient world ranks the plane has
+        # declared dead are not waited for; they are killed below.
         while True:
             for r, hub in enumerate(hubs):
-                if outcomes[r] is None and not hub.is_alive() and r not in died:
-                    died.append(r)
+                if reports[r] is None and not hub.is_alive() and r not in died:
+                    died.add(r)
                     if faults.resilient:
                         faults.mark(r, DEAD)
-            waiting = [h for r, h in enumerate(hubs)
-                       if h.is_alive() and faults.status_of(r) != DEAD]
+            waiting = [h for r, h in enumerate(hubs) if h.is_alive() and not (
+                faults.resilient and faults.status_of(r) == DEAD)]
             remaining = faults.deadline + GRACE_SECONDS - time.monotonic()
             if not waiting or (died and not faults.resilient) or remaining <= 0.0:
                 break
             waiting[0].join(min(remaining, 0.1))
     finally:
-        codes = [_reap(pid, kill=outcomes[r] is None) for r, pid in enumerate(pids)]
+        for pid, report in zip(pids, reports):
+            if report is None:  # killed, as a child that outlived its world
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
         # Wake the hubs still waiting on a peer for a rank that is gone.
         for r in range(n):
             faults.mark(r, FAILED)
@@ -388,12 +326,36 @@ def _run_processes(world: _World, shared, clocks, body) -> tuple[list, list, lis
         for launcher_end, rank_end in pipes:
             launcher_end.close()
             rank_end.close()
-    return outcomes, died, codes
+    outcomes: list = [None] * n
+    stuck = []
+    for r, report in enumerate(reports):
+        if report is not None:
+            result, error, death, tb = report
+            if tb is not None:
+                error.__cause__ = _RemoteTraceback(tb)
+            outcomes[r] = (result, error, death)
+        elif faults.status_of(r) == DEAD:
+            continue  # a death: its peers recovered its work
+        elif r in died:
+            how = (f"killed by {signal.Signals(-codes[r]).name}" if codes[r] < 0
+                   else f"exit code {codes[r]}")
+            outcomes[r] = (None, SPMDError(f"rank {r} ended without a result ({how})"), None)
+        elif faults.resilient or not died:
+            stuck.append(f"simmpi-rank-{r}")
+    if stuck:
+        raise SPMDError(
+            f"{', '.join(stuck)} did not finish within the shared "
+            f"{faults.policy.world_seconds}s deadline"
+        )
+    for clock, now in zip(clocks or (), faults.window):
+        if not math.isnan(now):
+            clock.synchronize(now)
+    return outcomes
 
 
 def _rank_body(fn, shared) -> Callable:
-    """The rank body both worlds run: ``(result, error, death)`` of
-    ``fn`` on one communicator, the rank's status marked as it ends."""
+    """The rank body: ``(result, error, death)`` of ``fn`` on one
+    communicator, the rank's status marked as it ends."""
 
     def body(comm: SimComm, shared_view) -> tuple:
         rank, faults = comm.rank, comm.faults
@@ -411,12 +373,6 @@ def _rank_body(fn, shared) -> Callable:
     return body
 
 
-def _exit_text(code: int) -> str:
-    if code < 0:
-        return f"killed by {signal.Signals(-code).name}"
-    return f"exit code {code}"
-
-
 def run_spmd(
     fn: Callable[..., object],
     n_ranks: int,
@@ -425,138 +381,62 @@ def run_spmd(
     fault_plan: FaultPlan | None = None,
     timeout_policy: TimeoutPolicy = TimeoutPolicy(),
     *,
-    world: str = "thread",
     shared=None,
 ) -> list:
-    """Execute ``fn(comm)`` on every rank of a simulated world.
+    """Execute ``fn(comm)`` on every rank of a simulated world; returns
+    the per-rank return values in rank order.
 
-    ``world="thread"`` runs the ranks as daemon threads of this process,
-    and in a world of more than one rank exactly one of them is runnable
-    at a time: each takes the world's run token
-    (:mod:`repro.util.runtoken`) before its body runs, gives it up
-    wherever it waits for other ranks and after every ~20 ms slice of
-    work, and releases it however the body ends.  Ranks under one
-    interpreter lock cannot compute in parallel anyway; left
-    free-running they spend more than half the wall time handing that
-    lock to each other.  A one-rank world takes no token; a caller that
-    is itself a rank thread of another world gives that world's token up
-    while it waits here and has it back on return.
-
-    ``world="process"`` forks one child per rank (module docstring), so
-    the ranks compute in parallel on as many cores as there are.  A
-    child returns its result; its clock reaches the launcher through the
-    world's shared clock window, which the stall detector reads too.  A
-    child that ends without reporting fails a plain world at once with
-    an :class:`SPMDError` naming the rank; in a world with a
-    ``fault_plan`` it is a death, like a planned kill, and its peers
-    recover it.  Ranks declared dead are not waited for, and every child
-    is killed if it has not reported and reaped, however the world ends.
-    The thread world runs instead when ``n_ranks == 1``, where the
-    platform has no ``os.fork`` and when the caller is itself a rank.
-    Results and virtual clocks never depend on the world or on the real
+    A world of more than one rank forks one child per rank (module
+    docstring; a platform without ``os.fork`` cannot run one).  A
+    one-rank world runs ``fn`` in the caller with no recorder installed,
+    as a fresh rank would.  A rank that calls ``run_spmd`` forks its own
+    world's ranks.  Results and virtual clocks never depend on the real
     interleaving.
 
     ``shared`` is an object every rank uses besides the communicator
     (the work-steal board); ``fn`` is then called as ``fn(comm,
-    shared)``.  A rank process gets a proxy of it: its methods run on
-    the launcher's object, and what they take and return is pickled.
+    shared)``, and a rank process gets a proxy of it.  ``clocks``
+    optionally supplies per-rank virtual clocks, left at the ranks'
+    final readings.
 
-    Returns the per-rank return values in rank order.  The primary rank
-    exception, if any, is re-raised in the caller with the other ranks'
-    errors attached as ``__notes__``; one raised in a rank process comes
-    back pickled, its traceback as ``__cause__``, or as a
-    :class:`RuntimeError` carrying its repr and traceback when it cannot
-    be pickled.
+    ``fault_plan`` makes the world resilient and injects the planned
+    faults.  A rank that dies — killed by the plan, given up on by its
+    peers' stall detector, or a rank process that ended without
+    reporting — returns ``None``, and its peers recover its work.
+    Without a plan, a rank process that ends without reporting fails the
+    world at once with an :class:`SPMDError`.  ``timeout_policy`` holds
+    the stall detector's suspicion deadline and the world deadline.
 
-    ``clocks`` optionally supplies pre-created per-rank virtual clocks so
-    the caller can inspect final rank times.  ``fault_plan`` switches the
-    world into resilient mode and injects the planned faults; ranks killed
-    by the plan return ``None`` in the result list (their peers are
-    expected to recover their work).
-
-    ``timeout_policy`` holds both deadlines: the suspicion deadline of
-    every wait on a peer (a peer whose virtual clock stands still that
-    long is given up on) and the shared world deadline.
+    The primary rank exception is re-raised here with the other ranks'
+    errors as ``__notes__``; one raised in a rank process comes back
+    pickled with its traceback as ``__cause__``, or as a
+    :class:`RuntimeError` carrying its repr and traceback.
     """
     if n_ranks < 1:
         raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
-    check_choice("world", world, ("thread", "process"))
+    if n_ranks > 1 and not hasattr(os, "fork"):
+        raise RuntimeError(f"a world of {n_ranks} ranks needs os.fork")
     timing = comm_timing if comm_timing is not None else CommTiming()
     if clocks is not None and len(clocks) != n_ranks:
         raise ValueError("clocks must have one entry per rank")
-    forked = (
-        world == "process" and n_ranks > 1
-        and hasattr(os, "fork") and not getattr(_in_rank, "active", False)
-    )
     faults = FaultPlane(n_ranks, timeout_policy, fault_plan)
-    the_world = _World(faults, timing)
+    world = _World(faults, timing)
     body = _rank_body(fn, shared)
-    outcomes: list = [None] * n_ranks
-    errors: list = [None] * n_ranks
-    stuck: list[str] = []
-
-    if forked:
-        done, died, codes = _run_processes(the_world, shared, clocks, body)
-        for rank, out in enumerate(done):
-            if out is not None:
-                result, error, death, tb = out
-                if tb is not None:
-                    error.__cause__ = _RemoteTraceback(tb)
-                outcomes[rank] = (result, error, death)
-            elif faults.status_of(rank) == DEAD:
-                pass  # a death: its peers recovered its work
-            elif rank in died:
-                errors[rank] = SPMDError(
-                    f"rank {rank} ended without a result "
-                    f"({_exit_text(codes[rank])})"
-                )
-            elif faults.resilient or not died:
-                stuck.append(f"simmpi-rank-{rank}")
-        if clocks is not None:
-            for clock, now in zip(clocks, faults.window):
-                if not math.isnan(now):
-                    clock.synchronize(now)
+    if n_ranks > 1:
+        outcomes = _run_processes(world, shared, clocks, body)
     else:
-        def target(rank: int) -> None:
-            _in_rank.active = True
-            # Released however the body ends: returned, raised or rank
-            # killed.
-            with holding(the_world.token, rank):
-                clock = clocks[rank] if clocks is not None else None
-                comm = SimComm(the_world, rank, _published(the_world, rank, clock))
-                outcomes[rank] = body(comm, shared)
-
-        threads = [
-            threading.Thread(
-                target=target, args=(r,), name=f"simmpi-rank-{r}", daemon=True
-            )
-            for r in range(n_ranks)
-        ]
-        # A caller that is itself a rank thread of an outer world only
-        # waits from here on: it gives that world's token up and has it
-        # back on exit.
-        with idle():
-            stuck = _run_threads(faults, threads)
-    if stuck:
-        raise SPMDError(
-            f"{', '.join(stuck)} did not finish within the shared "
-            f"{timeout_policy.world_seconds}s deadline"
-        )
-    results = [out[0] if out is not None else None for out in outcomes]
-    for rank, out in enumerate(outcomes):
-        if out is not None and out[1] is not None:
-            errors[rank] = out[1]
-    _raise_rank_errors(errors)
-    deaths = [out[2] for out in outcomes if out is not None]
+        with recording(None):
+            outcomes = [body(SimComm(world, 0, clocks and clocks[0]), shared)]
+    _raise_rank_errors([out[1] if out is not None else None for out in outcomes])
     if fault_plan is None:
-        for death in deaths:
-            if death is not None:
+        for out in outcomes:
+            if out is not None and out[2] is not None:
                 # A RankKilledError outside a fault plan is a bug, not a
                 # simulated failure — surface it.
-                raise death
+                raise out[2]
     elif all(faults.status_of(r) == DEAD for r in range(n_ranks)):
         raise AllRanksDeadError(
             f"all {n_ranks} member ranks died before completing; nothing "
             "to recover"
         )
-    return results
+    return [out[0] if out is not None else None for out in outcomes]

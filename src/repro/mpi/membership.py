@@ -4,19 +4,15 @@ agreement, epochs, and the faults injected at a collective's entry
 plane, never reads a fault plan; it calls in here instead.
 
 The world is fixed: its ranks all start together and only ever leave.
-Each rank holds a versioned :class:`MembershipView` — the epoch number,
-the live set and the ranks that died.  Views advance deterministically:
-deaths are discovered by the stall detector on virtual clocks
-(:meth:`FaultPlane.wait_for`: the collective arrival *is* the
-heartbeat, a clock that stops moving is the suspicion) and agreed at
-collective completion, one epoch per batch.  Because deaths surface
-exclusively at deterministic collective points, every rank walks the
-same sequence of views for a given fault plan — there is no gossip
-round and no wall-clock sensitivity.
-
-The per-rank view (``SimComm.membership_view()``) is the authority a
-rank acts on, because a rank must never act on membership information
-it has not yet deterministically observed.
+Each rank holds a versioned :class:`MembershipView` — the epoch, the
+live set and the ranks that died.  A death is found by the stall
+detector (:meth:`FaultPlane.wait_for`: a peer whose virtual clock stops
+moving is suspected), by the rank itself (a planned kill) or by the
+launcher (a rank process that ended without reporting), and agreed at
+collective completion, one epoch per batch.  Deaths surface only at
+deterministic collective points, so every rank walks the same sequence
+of views for a given fault plan; a rank acts only on its own view
+(``SimComm.membership_view()``), never on what it has not yet observed.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from typing import Callable
 from repro.mpi.faults import FaultPlan, RankKilledError
 from repro.mpi.policy import TimeoutPolicy
 from repro.obs.recorder import current as _obs_current
-from repro.util.runtoken import idle
 
 
 class SPMDError(RuntimeError):
@@ -143,19 +138,15 @@ class MembershipView:
 
 
 class FaultPlane:
-    """The world half of the plane: rank statuses, the clock window read
-    as heartbeats, and the stall detector.
+    """The world half of the plane: rank statuses, the deadline, the
+    clock window, and the stall detector that reads it.
 
-    ``cond`` guards the statuses and is shared with the data plane's
-    exchange slots and mailboxes, so a status change wakes every wait on
-    a peer.
-
-    ``window`` is the world's one piece of shared memory: an anonymous
-    shared ``mmap`` of one double per rank, made with the plane, so a
-    rank process forked after it writes the very slots the launcher
-    reads.  Each rank's :class:`~repro.util.timing.VirtualClock` writes
-    its slot at every change (:meth:`~repro.util.timing.VirtualClock.
-    publish`); NaN means the rank has not started.
+    ``cond`` guards the statuses and is shared with the data plane, so a
+    status change wakes every wait on a peer.  ``window`` is the world's
+    one piece of shared memory: an anonymous shared ``mmap`` of one
+    double per rank, made before the ranks are forked, which each rank's
+    :class:`~repro.util.timing.VirtualClock` writes at every change (NaN:
+    the rank has not started).
     """
 
     def __init__(self, size: int, policy: TimeoutPolicy = TimeoutPolicy(),
@@ -192,16 +183,17 @@ class FaultPlane:
                  what: str) -> list[int]:
         """The one stall detector, for every wait on a peer: block until
         no rank in ``pending()`` (re-read at every wake-up) is running, or
-        some have left — those are returned.  The caller holds ``cond``
-        token-free (``with idle(), cond:``).  A peer whose virtual clock
-        stood still for ``collective_seconds`` is given up on — declared
-        dead in a resilient world, an :class:`SPMDError` in a plain one; a
-        peer that computes is waited for, up to ``world_seconds``.
+        some have left — those are returned.  The caller holds ``cond``;
+        in a multi-rank world it is the waiting rank's hub thread in the
+        launcher, reading the peers' clocks from the shared window.  A
+        peer whose virtual clock stood still for ``collective_seconds``
+        is given up on — declared dead in a resilient world, an
+        :class:`SPMDError` in a plain one; a peer that computes is
+        waited for, up to ``world_seconds``.
         """
         policy = self.policy
         start = time.monotonic()
-        #: Heartbeat observations per peer: (virtual clock, harness time
-        #: it was last seen moving).
+        #: Per peer: (clock reading, harness time it was last seen moving).
         seen: dict[int, tuple[float | None, float]] = {}
         while True:
             peers = sorted(pending())
@@ -264,12 +256,9 @@ class RankMembership:
         self.epoch = 0
 
     def node_leaders(self) -> dict[int, int]:
-        """Current node → leader map (smallest alive rank per node).
-
-        Empty for flat or trivial-topology worlds.  Recomputed from
-        the membership view on every call — this *is* the deterministic
-        re-election rule: a dead leader is replaced by the next alive
-        rank of its node the instant the death set is agreed."""
+        """Current node → leader map (smallest alive rank per node;
+        empty when flat).  Recomputed from the view on every call, which
+        *is* the deterministic re-election rule."""
         return self.membership_view().node_leaders(self._topology)
 
     def alive_ranks(self) -> list[int]:
@@ -326,8 +315,7 @@ class RankMembership:
             # peers give up on it at their suspicion deadline and the
             # launcher kills it.  With nobody to do so the hang ends at
             # the world deadline, as a death.
-            with idle():
-                time.sleep(max(0.0, self.faults.deadline - time.monotonic()))
+            time.sleep(max(0.0, self.faults.deadline - time.monotonic()))
             raise RankKilledError(
                 f"rank {self.rank} hung in collective call {index}"
             )

@@ -9,10 +9,11 @@ It has two real callers with different values: the default run, and the
 chaos campaign's snappy suspicion deadline.
 
 Deadlines are harness seconds measured against the ranks' *virtual*
-clocks: a peer is suspected when its clock stops moving, never because
-its work takes long.  The policy does not participate in the checkpoint
-config fingerprint — how patiently a run waited does not change what it
-computed.
+clocks, read from the world's shared clock window: a peer is suspected
+when its clock stops moving, never because its work takes long.  Both
+deadlines hold in every world, with or without a fault plan.  The
+policy is not part of the checkpoint config fingerprint — how
+patiently a run waited does not change what it computed.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ class TimeoutPolicy:
     peer (a collective's exchange, a blocking receive): a peer whose
     virtual clock has not moved for this many harness seconds is given
     up on — declared dead in a resilient world, an ``SPMDError`` in a
-    plain one.  This is the heartbeat of the membership layer — a moving
-    clock is the heartbeat, a frozen one past the deadline is the
-    suspicion.
+    plain one.
 
     ``world_seconds`` — harness deadline of any one wait and of the
     whole SPMD region; trips only when the simulation itself wedges.

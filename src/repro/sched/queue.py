@@ -9,9 +9,9 @@ Two layers live here:
   decision.
 
 * :class:`StealBoard` — the shared, lock-guarded board ranks coordinate
-  through (rank threads directly; rank processes through the launcher,
-  where one hub thread per rank calls it).  Wall-clock thread
-  interleaving is arbitrary, so
+  through (rank processes reach it through the launcher, where one hub
+  thread per rank calls it).  Wall-clock thread interleaving is
+  arbitrary, so
   reproducibility needs a rule stronger than locking: every queue
   operation is stamped with the acting rank's *virtual* time and commits
   in global ``(time, rank)`` order (a conservative discrete-event
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 from repro.sched.tasks import Task
 from repro.util.rng import RAxMLRandom, rank_seed
-from repro.util.runtoken import idle
 
 #: Seed offset for the per-rank victim-permutation streams (mixed with
 #: the run's ``-p`` seed so different runs steal differently but the
@@ -227,8 +226,8 @@ class StealBoard:
     per-stage.  All methods are thread-safe; :meth:`next_action`
     implements the conservative ``(time, rank)`` frontier described in
     the module docstring.  It and :meth:`begin_stage` wait for other
-    ranks, so they run without the caller's run token
-    (:func:`repro.util.runtoken.idle`).
+    ranks; in a multi-rank world the board stays in the launcher and
+    they wait on the calling rank's hub thread.
     """
 
     def __init__(
@@ -322,7 +321,7 @@ class StealBoard:
         after their own "done", so the wait is bounded.
         """
         deadline = _wall.monotonic() + self.timeout
-        with idle(), self._cond:
+        with self._cond:
             while (
                 self._stage is not None
                 and self._stage != stage
@@ -444,7 +443,7 @@ class StealBoard:
         follow-up queue operation are one atomic event).
         """
         deadline = _wall.monotonic() + self.timeout
-        with idle(), self._cond:
+        with self._cond:
             st = self._state
             if st is None or rank not in self._members:
                 raise SchedulerError(f"rank {rank} has no active stage")

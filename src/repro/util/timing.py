@@ -16,8 +16,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.util.runtoken import heartbeat
-
 class VirtualClock:
     """A monotonically advancing simulated clock (seconds, float).
 
@@ -53,7 +51,6 @@ class VirtualClock:
             raise ValueError(f"cannot advance a clock by a negative dt ({dt})")
         self._now += dt
         self._slot[0] = self._now
-        heartbeat()
         return self._now
 
     def synchronize(self, t: float) -> float:

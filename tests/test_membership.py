@@ -175,8 +175,9 @@ class TestRankReportSchema:
             config = hybrid_config(quick_cc, schedule=schedule)
             board = BACKENDS[schedule].make_shared(config)
             raw = run_spmd(
-                lambda comm: run_rank(comm, pal, config, board),
+                lambda comm, shared=None: run_rank(comm, pal, config, shared),
                 config.n_processes, timeout_policy=config.timeout_policy,
+                shared=board,
             )
             for r in raw:
                 extras = {"sched"} if schedule == "work-steal" else set()
@@ -316,19 +317,17 @@ class TestRankKilledErrorAudit:
         """The exact leak the audit guards against: user-level code with
         a broad ``except Exception`` must not convert a kill into a
         survivable condition."""
-        witnessed = []
-
         def body(comm):
+            witnessed = []
             try:
                 if comm.rank == 1:
                     raise RankKilledError("rank 1 killed at 'fast'")
             except Exception:  # the classic overbroad handler
                 witnessed.append("swallowed")
-            return comm.rank
+            return comm.rank, witnessed
 
         results = run_spmd(body, 2, fault_plan=FaultPlan())
-        assert witnessed == []
-        assert results[0] == 0
+        assert results[0] == (0, [])
         assert results[1] is None  # rank 1 died, not recovered here
 
     def test_pool_releases_board_state_when_rank_dies(self, pal, quick_cc):

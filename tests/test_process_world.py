@@ -1,13 +1,15 @@
-"""The process world of ``run_spmd``: ranks in forked children, the
+"""The rank processes of ``run_spmd``: ranks in forked children, the
 shared world served from the launcher.
 
-The oracle is the thread world.  A hybrid analysis (both schedules,
-checkpoint and resume, trace and metrics) and the multiple-ML-search
-analysis give the same bits in both worlds; the tests force the thread
-world by wrapping the ``run_spmd`` their driver calls.  The failure
+The oracle is a thread world kept here, in the tests: the same rank
+bodies run as threads of this process over one world, with no process,
+pipe or proxy between them.  A hybrid analysis (both schedules,
+checkpoint and resume, trace and metrics), the multiple-ML-search
+analysis and a rank error give the same bits in both.  The failure
 tests pin what a rank process that raises, raises something
-unpicklable, dies, or outlives the deadline does to the launcher — and
-that every child is reaped whichever way the world ends.
+unpicklable, dies, or outlives the deadline does to the launcher, with
+and without a fault plan — and that every child is reaped whichever way
+the world ends.
 """
 
 from __future__ import annotations
@@ -27,7 +29,11 @@ import repro.hybrid.driver as driver
 from repro.datasets import test_dataset as make_test_dataset
 from repro.hybrid.analyses import MultiSearchConfig, run_multiple_ml_searches
 from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
+import repro.mpi.launcher as launcher
 from repro.mpi import FaultPlan, KillSpec, SPMDError, TimeoutPolicy, run_spmd
+from repro.mpi.comm import SimComm, _World
+from repro.mpi.membership import FaultPlane
+from repro.mpi.topology import CommTiming
 from repro.search.comprehensive import ComprehensiveConfig
 from repro.search.searches import StageParams
 from repro.tree.newick import write_newick
@@ -66,13 +72,29 @@ def forks(monkeypatch):
             os.waitpid(pid, os.WNOHANG)  # reaped: no such child any more
 
 
+def run_threads(fn, n_ranks, comm_timing=None, clocks=None, fault_plan=None,
+                timeout_policy=TimeoutPolicy(), *, shared=None):
+    """The oracle: ``run_spmd`` with every rank a thread of this process
+    over one world (fault-free worlds only)."""
+    assert fault_plan is None
+    world = _World(FaultPlane(n_ranks, timeout_policy), comm_timing or CommTiming())
+    body = launcher._rank_body(fn, shared)
+    outcomes = [None] * n_ranks
+
+    def rank(r):
+        outcomes[r] = body(SimComm(world, r, clocks and clocks[r]), shared)
+
+    threads = [threading.Thread(target=rank, args=(r,)) for r in range(n_ranks)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout_policy.world_seconds)
+    launcher._raise_rank_errors([out[1] for out in outcomes])
+    return [out[0] for out in outcomes]
+
+
 def thread_world(module, monkeypatch):
     """Make ``module``'s ``run_spmd`` run the thread world."""
-    real = module.run_spmd
-
-    def run_threads(*args, **kwargs):
-        return real(*args, **{**kwargs, "world": "thread"})
-
     monkeypatch.setattr(module, "run_spmd", run_threads)
 
 
@@ -96,7 +118,7 @@ def both_worlds(pal, cfg, monkeypatch, forks):
     return process, thread
 
 
-# -- the oracle: the thread world -------------------------------------------
+# -- the oracle: a thread world ---------------------------------------------
 
 
 @pytest.mark.parametrize("n_processes", [2, 4])
@@ -215,7 +237,7 @@ def test_shared_object_and_clocks_stay_in_the_launcher(forks):
         comm.barrier()
         return os.getpid()
 
-    pids = run_spmd(body, 3, clocks=clocks, world="process", shared=tally)
+    pids = run_spmd(body, 3, clocks=clocks, shared=tally)
     assert sorted(pids) == sorted(forks) and os.getpid() not in pids
     assert sorted(tally.seen) == [(0, "running"), (1, "running"), (2, "running")]
     # Every rank leaves the barrier at the slowest entry plus its price.
@@ -240,7 +262,7 @@ def test_many_ranks_hammer_the_launcher(forks):
         return got, total
 
     out = run_spmd(
-        body, n, world="process", shared=tally,
+        body, n, shared=tally,
         timeout_policy=TimeoutPolicy(world_seconds=120.0),
     )
     assert len(forks) == n
@@ -250,25 +272,50 @@ def test_many_ranks_hammer_the_launcher(forks):
     assert len(tally.seen) == n * rounds
 
 
-def test_fault_plans_one_rank_worlds_and_nested_worlds_run_threads(forks):
+def test_fault_plans_fork_one_rank_worlds_run_in_the_caller_nested_worlds_fork(
+    forks
+):
+    def here(comm):
+        return os.getpid(), threading.get_ident()
+
     def pid(comm):
         return os.getpid()
 
-    assert run_spmd(pid, 1, world="process") == [os.getpid()]
+    assert run_spmd(here, 1) == [(os.getpid(), threading.get_ident())]
+    assert run_spmd(here, 1, fault_plan=FaultPlan()) == [
+        (os.getpid(), threading.get_ident())
+    ]
     assert forks == []
-    assert run_spmd(pid, 2, world="process", fault_plan=FaultPlan()) == forks
+    assert run_spmd(pid, 2, fault_plan=FaultPlan()) == forks
 
     def nested(comm):
-        return run_spmd(pid, 2, world="process")
+        return os.getpid(), run_spmd(pid, 2)
 
-    outer = run_spmd(nested, 2, world="process")
-    assert len(forks) == 4  # the inner worlds ran as threads of the children
-    assert outer == [[p, p] for p in forks[2:]]
+    outer = run_spmd(nested, 2)
+    assert len(forks) == 4  # the inner worlds forked from the rank processes
+    for rank_pid, inner in outer:
+        assert rank_pid in forks[2:] and len(set(inner)) == 2
+        assert not set(inner) & {os.getpid(), *forks}
 
 
-def test_unknown_world_rejected():
-    with pytest.raises(ValueError, match="world"):
-        run_spmd(lambda comm: None, 2, world="fibre")
+def test_one_rank_world_sees_what_a_fresh_rank_sees():
+    """The body runs in the caller with no recorder installed; the
+    caller's recorder is back afterwards, also when the body raises."""
+    from repro.obs.recorder import Recorder, current, recording
+
+    outer = Recorder(rank=0)
+    with recording(outer):
+        assert run_spmd(lambda comm: current(), 1) == [None]
+        with pytest.raises(KeyError):
+            run_spmd(lambda comm: {}["missing"], 1)
+        assert current() is outer
+
+
+def test_without_fork_a_multi_rank_world_is_refused(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(RuntimeError, match="needs os.fork"):
+        run_spmd(lambda comm: None, 2)
+    assert run_spmd(lambda comm: comm.size, 1) == [1]
 
 
 # -- failure semantics -----------------------------------------------------------
@@ -282,9 +329,9 @@ def _raise_on_one(comm):
 
 def test_rank_error_matches_the_thread_world(forks):
     caught = {}
-    for world in ("thread", "process"):
+    for world, run in (("thread", run_threads), ("process", run_spmd)):
         with pytest.raises(KeyError) as info:
-            run_spmd(_raise_on_one, 3, world=world)
+            run(_raise_on_one, 3)
         caught[world] = info.value
     thread, process = caught["thread"], caught["process"]
     assert str(process) == str(thread)
@@ -306,7 +353,7 @@ def test_unpicklable_error_comes_back_as_runtime_error(forks):
             raise Unpicklable()
 
     with pytest.raises(RuntimeError) as info:
-        run_spmd(body, 2, world="process")
+        run_spmd(body, 2)
     text = str(info.value)
     assert "Unpicklable('holds a lock')" in text
     assert "Traceback" in text and "raise Unpicklable()" in text
@@ -324,7 +371,7 @@ def test_dead_child_fails_the_world_fast(how, forks):
 
     t0 = time.monotonic()
     with pytest.raises(SPMDError, match="rank 1 ended without a result") as info:
-        run_spmd(body, 3, world="process")
+        run_spmd(body, 3)
     assert time.monotonic() - t0 < 10.0
     assert ("exit code 3" if how == "exit" else "SIGKILL") in str(info.value)
 
@@ -336,17 +383,14 @@ def test_world_deadline_kills_and_reaps(forks):
 
     t0 = time.monotonic()
     with pytest.raises(SPMDError, match="simmpi-rank-1 did not finish"):
-        run_spmd(
-            body, 2, world="process",
-            timeout_policy=TimeoutPolicy(world_seconds=1.0),
-        )
+        run_spmd(body, 2, timeout_policy=TimeoutPolicy(world_seconds=1.0))
     assert time.monotonic() - t0 < 10.0
 
 
 def test_no_hub_thread_outlives_its_world(forks):
     with pytest.raises(KeyError):
-        run_spmd(_raise_on_one, 3, world="process")
-    run_spmd(lambda comm: comm.barrier(), 2, world="process")
+        run_spmd(_raise_on_one, 3)
+    run_spmd(lambda comm: comm.barrier(), 2)
     assert not [t for t in threading.enumerate() if t.name.startswith("simmpi-")]
 
 
@@ -362,7 +406,7 @@ def body(comm):
     os.replace(tmp, os.path.join({out!r}, "pid%d" % comm.rank))
     time.sleep(120)
 
-run_spmd(body, 2, world="process")
+run_spmd(body, 2)
 """
 
 

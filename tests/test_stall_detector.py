@@ -6,7 +6,9 @@ up on it only when the peer's virtual clock has stopped moving for
 alike.  A peer that is busy computing (its clock advancing) is waited
 for however long its work takes in wall time; a frozen one is given up
 on: a plain world raises :class:`SPMDError`, a resilient one declares it
-dead and the survivor sees :class:`RankFailure`.
+dead and the survivor sees :class:`RankFailure`.  Every world here runs
+its ranks as processes: the waiting rank's hub thread reads the frozen
+peer's clock from the world's shared clock window.
 """
 
 import time
@@ -14,7 +16,6 @@ import time
 import pytest
 
 from repro.mpi import FaultPlan, RankFailure, SPMDError, TimeoutPolicy, run_spmd
-from repro.util.runtoken import idle
 
 #: A suspicion deadline far shorter than the peer's work below.
 POLICY = TimeoutPolicy(0.3, 30.0)
@@ -35,11 +36,14 @@ def compute(comm, seconds):
         comm.clock.advance(1e-6)
 
 
-def freeze(seconds):
+#: How long a frozen rank stands still: well past the suspicion deadline.
+FREEZE_SECONDS = 2.0
+
+
+def freeze():
     """Hang the way a wedged rank does: wall time passes, the clock does
-    not, and (like an injected hang) the run token is given up."""
-    with idle():
-        time.sleep(seconds)
+    not."""
+    time.sleep(FREEZE_SECONDS)
 
 
 @WORLDS
@@ -67,62 +71,51 @@ def test_slow_sender_completes_a_recv(fault_plan):
     assert out == [("late", []), []]
 
 
-@WORLDS
-def test_frozen_peer_is_given_up_on_at_the_deadline(fault_plan):
-    waited = []
+def give_up_on(fault_plan, wait):
+    """Run rank 0's ``wait(comm)`` on a frozen rank 1.  Returns the
+    seconds rank 0 waited and the world's wall time."""
 
     def body(comm):
         if comm.rank == 1:
-            freeze(2.0)
+            freeze()
             return None
         t0 = time.monotonic()
         try:
-            comm.barrier()
+            wait(comm)
         except SPMDError as exc:
-            waited.append(time.monotonic() - t0)
+            exc.waited = time.monotonic() - t0  # travels with the error
             if fault_plan is None:
                 raise
             assert isinstance(exc, RankFailure) and exc.dead == (1,)
-            return "survived"
-        return "no failure seen"
+            return exc.waited, comm.known_dead
+        return None, "no failure seen"
 
+    t0 = time.monotonic()
     if fault_plan is None:
-        with pytest.raises(SPMDError):
+        with pytest.raises(SPMDError) as info:
             run_spmd(body, 2, timeout_policy=POLICY)
-    else:
-        out = run_spmd(body, 2, fault_plan=fault_plan, timeout_policy=POLICY)
-        assert out == ["survived", None]
-    (seconds,) = waited
+        return info.value.waited, time.monotonic() - t0
+    (seconds, known_dead), dead = run_spmd(
+        body, 2, fault_plan=fault_plan, timeout_policy=POLICY
+    )
+    assert dead is None and known_dead == [1]
+    return seconds, time.monotonic() - t0
+
+
+@WORLDS
+def test_frozen_peer_is_given_up_on_at_the_deadline(fault_plan):
+    seconds, wall = give_up_on(fault_plan, lambda comm: comm.barrier())
     assert POLICY.collective_seconds <= seconds
     assert seconds < POLICY.collective_seconds + POLL_SLACK
+    if fault_plan is not None:
+        # The launcher does not wait for a rank declared dead: it kills it.
+        assert wall < FREEZE_SECONDS
 
 
 @WORLDS
 def test_frozen_sender_is_given_up_on_at_the_deadline(fault_plan):
     """The receive waits in the same detector as the collective: a
     resilient receiver declares its frozen source dead."""
-    waited = []
-
-    def body(comm):
-        if comm.rank == 1:
-            freeze(2.0)
-            return None
-        t0 = time.monotonic()
-        try:
-            return comm.recv(1)
-        except SPMDError as exc:
-            waited.append(time.monotonic() - t0)
-            if fault_plan is None:
-                raise
-            assert isinstance(exc, RankFailure) and exc.dead == (1,)
-            return comm.known_dead
-
-    if fault_plan is None:
-        with pytest.raises(SPMDError):
-            run_spmd(body, 2, timeout_policy=POLICY)
-    else:
-        out = run_spmd(body, 2, fault_plan=fault_plan, timeout_policy=POLICY)
-        assert out == [[1], None]
-    (seconds,) = waited
+    seconds, _ = give_up_on(fault_plan, lambda comm: comm.recv(1))
     assert POLICY.collective_seconds <= seconds
     assert seconds < POLICY.collective_seconds + POLL_SLACK
