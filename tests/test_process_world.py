@@ -26,10 +26,10 @@ import pytest
 
 import repro.hybrid.analyses as analyses
 import repro.hybrid.driver as driver
+import repro.mpi.launcher as launcher
 from repro.datasets import test_dataset as make_test_dataset
 from repro.hybrid.analyses import MultiSearchConfig, run_multiple_ml_searches
 from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
-import repro.mpi.launcher as launcher
 from repro.mpi import FaultPlan, KillSpec, SPMDError, TimeoutPolicy, run_spmd
 from repro.mpi.comm import SimComm, _World
 from repro.mpi.membership import FaultPlane
@@ -89,6 +89,7 @@ def run_threads(fn, n_ranks, comm_timing=None, clocks=None, fault_plan=None,
         t.start()
     for t in threads:
         t.join(timeout_policy.world_seconds)
+    assert not any(t.is_alive() for t in threads)
     launcher._raise_rank_errors([out[1] for out in outcomes])
     return [out[0] for out in outcomes]
 
