@@ -51,8 +51,7 @@ from pathlib import Path
 REPS = 5
 SMOKE_REPS = 2
 SHAPE = {"n_taxa": 6, "n_sites": 300, "seed": 4242, "n_bootstraps": 8,
-         "n_processes": 4, "n_threads": 2, "kernel": "batched",
-         "schedule": "work-steal"}
+         "n_processes": 4, "n_threads": 2, "schedule": "work-steal"}
 PINNED = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: The parent commit (c143faf, free-running rank threads) measured with
@@ -99,7 +98,7 @@ def measure(reps: int) -> dict:
     def config(n_processes, n_bootstraps):
         return HybridConfig(
             n_processes=n_processes, n_threads=SHAPE["n_threads"],
-            kernel=SHAPE["kernel"], schedule=SHAPE["schedule"],
+            schedule=SHAPE["schedule"],
             comprehensive=ComprehensiveConfig(
                 n_bootstraps=n_bootstraps, seed_p=12345, seed_x=12345,
                 stage_params=StageParams(slow_max_rounds=2, thorough_max_rounds=3),

@@ -77,11 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "interconnect) topology model; results are "
                              "bit-identical to the default flat model — only "
                              "modelled communication time changes")
-    from repro.likelihood.kernels import available_kernels
-
-    parser.add_argument("--kernel", default="reference",
-                        choices=available_kernels(),
-                        help="likelihood kernel backend (default: reference)")
     parser.add_argument("--clv-cache", dest="clv_cache", action="store_true",
                         help="cache conditional likelihood vectors by subtree "
                              "signature so searches only recompute partials "
@@ -169,10 +164,7 @@ def validate_args(args) -> None:
         )
         if args.algorithm != "e":
             reject(
-                (
-                    ("--kernel", args.kernel != "reference"),
-                    ("--clv-cache", args.clv_cache),
-                ),
+                (("--clv-cache", args.clv_cache),),
                 "the comprehensive analysis (-f a) and tree evaluation "
                 "(-f e) support",
             )
@@ -248,7 +240,7 @@ def _run_evaluate(args, pal) -> int:
         raise SystemExit(f"{tree_path}: {exc}") from None
     result = evaluate_tree(
         pal, tree, plus_invariant=(args.model == "GTRGAMMAI"),
-        kernel=args.kernel, clv_cache=args.clv_cache,
+        clv_cache=args.clv_cache,
     )
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -338,7 +330,6 @@ def main(argv: list[str] | None = None) -> int:
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
             schedule=args.schedule,
-            kernel=args.kernel,
             clv_cache=args.clv_cache,
             collect_trace=args.trace is not None,
             collect_metrics=args.metrics_out is not None,

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar
 
+from repro.likelihood.kernels import available_kernels
 from repro.mpi.faults import FaultPlan
 from repro.mpi.launcher import run_spmd
 from repro.mpi.policy import TimeoutPolicy
@@ -69,7 +70,8 @@ class HybridConfig:
     #: checkpoint fingerprint — how patiently a run waited does not change
     #: what it computed.
     timeout_policy: TimeoutPolicy = TimeoutPolicy()
-    #: Likelihood kernel backend used by every rank's engines.
+    #: A kernel name ("reference" or "batched", both the one kernel),
+    #: validated and fingerprinted only; it goes with ROADMAP item 1(e).
     kernel: str = "reference"
     #: Enable signature-keyed CLV caching in every rank's engines (the
     #: traversal planner then recomputes only move-invalidated partials).
@@ -98,14 +100,15 @@ class HybridConfig:
     #: Fields that enter the checkpoint fingerprint (see
     #: :func:`repro.hybrid.checkpoint.fingerprint_doc`).  The schedule
     #: mode is part of the run's identity — static checkpoints and
-    #: work-steal journals describe different units of progress.  Kernel
-    #: and cache settings are included because timings and op counts
-    #: depend on them even though likelihood values do not, and the
-    #: topology knobs because they change every virtual timestamp (comm
-    #: costs).  Resilience-only knobs (``fault_plan``,
-    #: ``checkpoint_dir``, ``resume``) are deliberately excluded: a
-    #: resumed run and its killed predecessor share a fingerprint by
-    #: construction.
+    #: work-steal journals describe different units of progress.  The
+    #: cache setting is included because timings and op counts depend on
+    #: it even though likelihood values do not, and the topology knobs
+    #: because they change every virtual timestamp (comm costs).  The
+    #: kernel name changes nothing; it stays until ROADMAP item 1(e),
+    #: since dropping it moves checkpoint bytes.  Resilience-only knobs
+    #: (``fault_plan``, ``checkpoint_dir``, ``resume``) are deliberately
+    #: excluded: a resumed run and its killed predecessor share a
+    #: fingerprint by construction.
     fingerprint_fields: ClassVar[tuple[str, ...]] = (
         "schedule", "n_processes", "n_threads", "machine",
         "seconds_per_pattern_unit", "bootstopping", "bootstop_step",
@@ -127,6 +130,7 @@ class HybridConfig:
         if self.resume and self.checkpoint_dir is None:
             raise ValueError("resume=True requires checkpoint_dir")
         check_choice("schedule", self.schedule, available_schedules())
+        check_choice("kernel", self.kernel, available_kernels())
         if self.bootstopping and not BACKENDS[self.schedule].supports_bootstopping:
             raise ValueError(
                 "bootstopping grows the replicate set dynamically and is "

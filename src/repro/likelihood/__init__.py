@@ -9,8 +9,9 @@ This package is the Python equivalent of RAxML's likelihood core:
 * :mod:`repro.likelihood.plan` — traversal planning: subtree signatures,
   CLV caching, and minimal recompute descriptors (RAxML's traversal
   descriptors);
-* :mod:`repro.likelihood.kernels` — pluggable pattern-axis kernel
-  backends (``reference``, ``batched``) charging the shared op counter;
+* :mod:`repro.likelihood.kernels` — the pattern-axis kernel (level
+  contractions, tip tables, the fused block pipeline) charging the
+  shared op counter;
 * :mod:`repro.likelihood.engine` — Felsenstein-pruning conditional
   likelihood vectors, vectorized over alignment patterns (the axis RAxML's
   Pthreads parallelization slices); one engine serves serial and
@@ -28,7 +29,6 @@ from repro.likelihood.gamma import discrete_gamma_rates
 from repro.likelihood.cat import CATRates, estimate_cat_rates
 from repro.likelihood.engine import LikelihoodEngine, RateModel, OpCounter
 from repro.likelihood.plan import CLVCache, TraversalPlan, plan_traversal
-from repro.likelihood.kernels import available_kernels, get_kernel, register_kernel
 from repro.likelihood.brlen import optimize_branch_lengths, optimize_edge
 from repro.likelihood.model_opt import optimize_model, optimize_alpha, optimize_rates
 from repro.likelihood.parsimony import fitch_score, ParsimonyEngine
@@ -44,9 +44,6 @@ __all__ = [
     "CLVCache",
     "TraversalPlan",
     "plan_traversal",
-    "available_kernels",
-    "get_kernel",
-    "register_kernel",
     "optimize_branch_lengths",
     "optimize_edge",
     "optimize_model",

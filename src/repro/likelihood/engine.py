@@ -6,13 +6,12 @@ mirrors the structure of RAxML's:
 * the **traversal planner** (:mod:`repro.likelihood.plan`) diffs tree
   state against a CLV cache and emits an ordered list of CLV operations
   — the analogue of RAxML's traversal descriptor;
-* a **kernel backend** (:mod:`repro.likelihood.kernels`) executes every
-  pattern-axis computation, each as one sweep over the whole axis, and
-  charges the :class:`OpCounter`; backends are pluggable
-  (``reference``/``batched``);
-* this module walks plans level by level — one executor for every
-  backend — resolves CLV-cache hits, hands the rest to the kernel, and
-  reduces per-pattern results to weighted log-likelihoods.
+* the **kernel** (:class:`~repro.likelihood.kernels.base.KernelBackend`)
+  executes every pattern-axis computation, each as one sweep over the
+  whole axis, and charges the :class:`OpCounter`;
+* this module walks plans level by level, resolves CLV-cache hits, hands
+  the rest to the kernel, and reduces per-pattern results to weighted
+  log-likelihoods.
 
 Threaded execution is not a separate class, nor a separate code path:
 the pool's workers are virtual, so a
@@ -20,8 +19,7 @@ the pool's workers are virtual, so a
 sweep — one parallel region of simulated time, from the per-worker
 pattern counts — and the kernel computes the same whole-axis arrays it
 computes without a pool.  Serial and threaded results are
-**bit-identical by construction**, for any thread count and either
-kernel backend; that really slicing the axis per worker would not move
+**bit-identical by construction**, for any thread count; that really slicing the axis per worker would not move
 a bit either is what the tiling kernels of the test suites prove.
 
 Other structural features retained from the original engine:
@@ -40,8 +38,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.likelihood.gtr import GTRModel
-from repro.likelihood.kernels import get_kernel
-from repro.likelihood.kernels.base import _TINY, LevelSpec, OpCounter, Partial
+from repro.likelihood.kernels.base import (
+    _TINY,
+    KernelBackend,
+    LevelSpec,
+    OpCounter,
+    Partial,
+)
 from repro.likelihood.plan import CLVCache, plan_traversal, subtree_signatures
 from repro.likelihood.rates import RateModel, subset_rate_model
 from repro.obs.recorder import current as _obs_current
@@ -74,8 +77,9 @@ class LikelihoodEngine:
         resampled weights here); defaults to ``pal.weights``.
     ops:
         Optional shared :class:`OpCounter`.
-    kernel:
-        Kernel backend name (see :func:`repro.likelihood.kernels.get_kernel`).
+    kernel_class:
+        The kernel's class: :class:`KernelBackend`, or a subclass that cuts
+        the pattern axis differently (the test suites' tiling kernels).
     clv_cache:
         ``True`` (or a :class:`~repro.likelihood.plan.CLVCache` instance) to
         reuse down partials across evaluations via subtree signatures.  Off
@@ -95,7 +99,7 @@ class LikelihoodEngine:
         rate_model: RateModel | None = None,
         weights: np.ndarray | None = None,
         ops: OpCounter | None = None,
-        kernel: str = "reference",
+        kernel_class: type[KernelBackend] = KernelBackend,
         clv_cache: bool | CLVCache = False,
         pool=None,
     ) -> None:
@@ -116,14 +120,11 @@ class LikelihoodEngine:
         self.weights = np.asarray(w, dtype=np.float64)
         self.ops = ops if ops is not None else OpCounter()
         self.pool = pool
-        self.kernel_name = kernel
         # Patterns per (virtual) worker: what a region is priced from.
         self._chunk_sizes = chunk_sizes(
             pal.n_patterns, 1 if pool is None else pool.n_threads
         )
-        self.kernel = get_kernel(kernel)(
-            model, self.rate_model, self.ops, pal.n_patterns
-        )
+        self.kernel = kernel_class(model, self.rate_model, self.ops, pal.n_patterns)
         if isinstance(clv_cache, CLVCache):
             self.clv_cache: CLVCache | None = clv_cache
         else:
@@ -172,7 +173,7 @@ class LikelihoodEngine:
         )
         kwargs.update(changed)
         return LikelihoodEngine(
-            self.pal, ops=self.ops, kernel=self.kernel_name, clv_cache=cache,
+            self.pal, ops=self.ops, kernel_class=type(self.kernel), clv_cache=cache,
             pool=self.pool, **kwargs,
         )
 
@@ -274,14 +275,14 @@ class LikelihoodEngine:
         return down
 
     def _execute_plan(self, plan) -> tuple[dict[int, Partial], int]:
-        """Level-wise plan execution — the only executor, for every backend.
+        """Level-wise plan execution.
 
         Each dependency level resolves cache hits first, then hands every
         remaining op to the kernel in one ``level_partials`` batch.  Planned
         hits are re-fetched (and recomputed if evicted since planning) and
         every computed partial is put back, in level order — so CLV-cache
-        traffic, and with it op totals under eviction, cannot depend on the
-        backend.
+        traffic, and with it op totals under eviction, cannot depend on how
+        the kernel cuts the pattern axis.
         """
         cache = self.clv_cache
         sigs = plan.signatures

@@ -1,12 +1,14 @@
-"""The kernel-backend interface of the likelihood core.
+"""The likelihood kernel of the engine.
 
-A :class:`KernelBackend` owns every pattern-axis computation the engine
-issues: CLV propagation (tip-specialised and generic), the product and
+:class:`KernelBackend` owns every pattern-axis computation the engine
+issues: CLV propagation (tip tables and generic), the product and
 scaling that turn a level's contributions into partials, per-edge site
 likelihoods, lazy-SPR insertion scores, the Newton sumtable, and the
 derivative evaluations.  The engine decides *what* to compute (traversal
-plans, CLV-cache lookups, reductions); backends decide *how* each
-pattern slice is computed.
+plans, CLV-cache lookups, reductions); the kernel decides *how* each
+pattern slice is computed.  There is one kernel, as RAxML has one set of
+likelihood functions; its answers are held to the independent pure-Python
+reference of ``tests/oracle.py`` and its bits to the runtime goldens.
 
 Sharding.  There is none here.  Every public kernel makes **one sweep
 over the whole pattern axis** — one call of its ``_*_span`` primitive on
@@ -17,9 +19,10 @@ them to a kernel.  Serial and threaded runs are therefore one code path
 and **bit-identical** by construction.  That the paper's decomposition
 would give the same bits is still proved, not assumed: every per-pattern
 value depends on that pattern's operands only, every sweep goes through
-one hook (:meth:`KernelBackend._sweep`), and the test suites register
-kernels that tile the axis there — by thread-sized chunks, by 7-pattern
-blocks — and hold them to the whole-axis result bit for bit.
+one hook (:meth:`KernelBackend._sweep`), and the test suites hand the
+engine kernel subclasses that tile the axis there — by thread-sized
+chunks, by 7-pattern blocks — and hold them to the whole-axis result bit
+for bit.
 
 Scaling.  As in RAxML's ``newview``, a partial is rescaled only on
 underflow: a pattern whose entries all fall below :data:`SCALE_MIN`
@@ -39,7 +42,7 @@ Contractions.  Every contraction is an explicit two-operand
 ``matmul``/``reshape`` product (the helpers below), never an ``einsum``
 that plans a path per call: a planned path is chosen from operand
 *shapes*, so results could depend on how the pattern axis is blocked
-(``BatchedKernel.fuse_block`` still cuts it), and planning costs more
+(``KernelBackend.fuse_block`` still cuts it), and planning costs more
 than the product itself at a few hundred patterns.  Only ``U diag(e)
 U⁻¹`` changes its association order with a shape, at k = 5 rate
 multipliers, keyed by k in :func:`repro.likelihood.gtr._spectral_products`.
@@ -75,6 +78,10 @@ _unpack_u64 = struct.Struct("<Q").unpack
 #: length, payload)`` where the payload is a leaf's pattern-mask row
 #: (1-D) or the child's down CLV.
 LevelSpec = tuple[int, float, np.ndarray]
+#: One fused-pipeline input: ``("ready", contribution, None)``,
+#: ``("tip", the (16, k·4) view of the tip table, masks)`` or
+#: ``("edge", P-matrices, CLV)``.
+FusedInput = tuple[str, np.ndarray, np.ndarray | None]
 
 
 def length_bits(t: float) -> int:
@@ -82,6 +89,13 @@ def length_bits(t: float) -> int:
     differ in the last ulp produce different CLVs, so this is the key of
     both the planner's subtree signatures and the kernels' memos."""
     return _unpack_u64(_pack_f64(t))[0]
+
+
+def _contrib_key(spec: LevelSpec) -> tuple[int, int]:
+    """Contribution-LRU key of a child edge: the planner's subtree
+    signature plus the branch-length bits, so cache granularity matches
+    plans."""
+    return spec[0], length_bits(spec[1])
 
 
 # -- contractions ---------------------------------------------------------------
@@ -324,29 +338,57 @@ class Partial:
 
 
 class KernelBackend:
-    """Base class: the kernel protocol with its naive per-node defaults.
+    """The likelihood kernel: every pattern-axis computation of the engine.
 
-    The engine drives every backend through the same calls: memoised
-    transition matrices (:meth:`pmatrices`), whole traversal levels
-    (:meth:`level_partials` down, :meth:`up_level_partials` up), and the
-    per-edge kernels (:meth:`edge_site`, :meth:`insertion_site`,
-    :meth:`sumtable`, :meth:`derivatives`).  The defaults here are the
-    reference math — one ``propagate`` per child edge, product, scaling
-    — and results of any override must stay bit-identical to them.
+    The engine drives it through memoised transition matrices
+    (:meth:`pmatrices`), whole traversal levels (:meth:`level_partials`
+    down, :meth:`up_level_partials` up), and the per-edge kernels
+    (:meth:`edge_site`, :meth:`insertion_site`, :meth:`sumtable`,
+    :meth:`derivatives`).  A level's child contributions are one
+    ``propagate`` per edge, multiplied and scaled per node
+    (:meth:`combine`); what the kernel adds to that math is reuse and
+    blocking, neither of which moves a bit:
 
-    Subclasses customise execution by overriding :meth:`_sweep` (how the
-    pattern axis is cut into spans, e.g. cache blocking), the ``_*_span``
-    primitives, or whole protocol methods.  Registering a subclass makes
-    it selectable by name via the engine's ``kernel=`` parameter (see
-    :func:`repro.likelihood.kernels.register_kernel`).
+    * :meth:`level_contribs` serves repeated subtrees from a
+      **contribution LRU** keyed by ``(subtree signature, branch-length
+      bits)`` — across the repeated up-partial sweeps of an SPR round most
+      child edges are unchanged, so their propagated contributions are
+      the same float64 arrays — and gathers tips from tip tables memoised
+      by the bits of the branch length;
+    * at :attr:`fuse_min_patterns` Γ patterns and above, the levels run a
+      **fused block pipeline** (:meth:`_fused_node`): each node's child
+      propagations, product and scaling run block by block over the
+      pattern axis, so every intermediate stays L2-resident;
+    * lazy-SPR insertion scoring transports the pruned subtree once per
+      SPR step (:meth:`_insertion_transport`).
+
+    Op accounting is *charge-neutral*: a contribution served from the LRU
+    still charges a CLV update — reuse is a wall-clock optimisation, not
+    less logical work.
+
+    Subclasses (the test suites' tiling kernels) change execution only
+    through :meth:`_sweep`, which decides how the pattern axis is cut;
+    ``LikelihoodEngine(kernel_class=...)`` takes one.
     """
 
-    #: Registry name; subclasses must override.
-    name = ""
-    #: LRU capacity for transition matrices (and any per-branch-length
-    #: table a backend derives from them); entries are a few hundred
-    #: bytes each.
+    #: LRU capacity for transition matrices (and the tip tables derived
+    #: from them); entries are a few hundred bytes each.
     pmat_entries = 512
+    #: Byte budget for the contribution LRU.  Entries are full-pattern
+    #: CLVs (``m·k·4`` float64), so the capacity adapts to the pattern
+    #: count; the floor keeps small test alignments from thrashing.
+    contrib_budget_bytes = 1 << 30
+    #: Pattern-block length of the fused per-node pipeline: the
+    #: propagated child blocks (2 · B·k·4 doubles ≈ 1 MiB at B=4096, k=4
+    #: for two children), multiplied straight into the output's rows,
+    #: stay cache-resident across the whole propagate→product→scale
+    #: chain.  Profiled best at 4096 on the 19.4k-pattern up-sweep (~10%
+    #: over 2048; 8192+ spills out of L2).
+    fuse_block = 4096
+    #: Run the fused pipeline only above this many patterns (Γ mode);
+    #: smaller alignments fit in cache anyway, and there the contribution
+    #: LRU saves more than the blocks would.
+    fuse_min_patterns = 4096
 
     def __init__(
         self,
@@ -366,8 +408,14 @@ class KernelBackend:
         self._p2c = rate_model.pattern_to_cat
         self.tip_rows = state_likelihood_rows()
         self._pmat_lru = ArrayLRU(self.pmat_entries)
+        self._tip_lru = ArrayLRU(self.pmat_entries)
+        entry = n_patterns * (4 if self.is_cat else self.n_categories * 4) * 8
+        self.contrib_entries = max(16, self.contrib_budget_bytes // max(entry, 1))
+        self._contrib_lru = ArrayLRU(self.contrib_entries)
+        self._ins_memo: tuple | None = None
+        self._buffers: dict[tuple, np.ndarray] = {}
         #: The sumtable's exponents ``rate_c · λ_j``, shape (k, 4): fixed
-        #: for the backend's lifetime and handed out by every
+        #: for the kernel's lifetime and handed out by every
         #: :meth:`sumtable`, hence read-only.
         self._exps = np.outer(rate_model.rates, model._spectral[0])
         self._exps.setflags(write=False)
@@ -385,6 +433,33 @@ class KernelBackend:
             )
         return pmats
 
+    def _tip_table(self, t: float) -> np.ndarray:
+        """The propagated CLV of each of the 16 IUPAC masks for ``t``
+        (RAxML's tip-case kernels: O(16·k) arithmetic instead of O(m·k)).
+
+        Stored ``(16, k, 4)`` in Γ mode so the per-pattern gather
+        ``table[masks]`` is one contiguous fancy index; CAT mode keeps the
+        ``(k, 16, 4)`` layout of :func:`_mask_table`.
+        """
+        def build() -> np.ndarray:
+            raw = _mask_table(self.pmatrices(t), self.tip_rows)
+            if self.is_cat:
+                return raw
+            return np.ascontiguousarray(raw.transpose(1, 0, 2))
+
+        return self._tip_lru.get(length_bits(t), build)
+
+    def _buffer(self, shape: tuple[int, ...], tag: str = "") -> np.ndarray:
+        """A reusable scratch array; never escapes a public call.
+        ``tag`` distinguishes buffers that must coexist within one call
+        despite sharing a shape (the fused pipeline's per-child blocks)."""
+        key = (tag, *shape)
+        buf = self._buffers.get(key)
+        if buf is None:
+            buf = np.empty(shape)
+            self._buffers[key] = buf
+        return buf
+
     # -- the pattern-axis sweep ------------------------------------------------
 
     def _sweep(self, span: Callable, *operands, **fixed):
@@ -400,7 +475,7 @@ class KernelBackend:
         """
         return span(*operands, **fixed)
 
-    # -- span primitives (the reference math) --------------------------------
+    # -- span primitives -------------------------------------------------------
 
     def _propagate_span(
         self, clv: np.ndarray, p2c: np.ndarray | None, pmats: np.ndarray
@@ -412,13 +487,11 @@ class KernelBackend:
             return _propagate_tip(pmats, clv)
         return _propagate_inner(pmats, clv)
 
-    def _tip_gather_span(
+    def _tip_rows_span(
         self, masks: np.ndarray, p2c: np.ndarray | None, table: np.ndarray
     ) -> np.ndarray:
-        """Gather one span of propagated tip CLVs from the 16-mask table."""
-        if self.is_cat:
-            return table[p2c, masks]
-        return np.ascontiguousarray(table[:, masks, :].transpose(1, 0, 2))
+        """One span of tip contributions: rows of :meth:`_tip_table`."""
+        return table[p2c, masks] if self.is_cat else table[masks]
 
     def _root_site_span(self, clv: np.ndarray) -> np.ndarray:
         if self.is_cat:
@@ -486,30 +559,31 @@ class KernelBackend:
         self.ops.charge_clv(self.n_patterns, self.n_categories)
         return self._sweep(self._propagate_span, clv, self._p2c, pmats=pmats)
 
-    def propagate_tip(self, pmats: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """Tip-specialised propagation (RAxML's tip-case kernels).
-
-        A tip CLV takes one of only 16 values (the IUPAC masks), so the
-        matrix product is precomputed per mask — ``P @ rows[mask]`` for all
-        16 masks and every category — and the per-pattern result is a pure
-        gather.  O(16·k) arithmetic instead of O(m·k).
-        """
-        # (k, 16, 4): for each category, the propagated CLV of each mask.
-        table = _mask_table(pmats, self.tip_rows)
-        self.ops.charge_clv(self.n_patterns, self.n_categories)
-        return self._sweep(self._tip_gather_span, masks, self._p2c, table=table)
-
-    # -- traversal levels (the reference math, one node at a time) -----------
+    # -- traversal levels ------------------------------------------------------
 
     def level_contribs(self, specs: list[LevelSpec]) -> list[np.ndarray]:
         """Propagated child contributions for one traversal level, one
-        per child edge spec, charging one CLV update each."""
-        return [
-            self.propagate_tip(self.pmatrices(t), payload)
-            if payload.ndim == 1
-            else self.propagate(self.pmatrices(t), payload)
-            for _, t, payload in specs
+        per child edge spec.
+
+        Repeats are served from the contribution LRU; the rest are
+        propagations, tips as rows of :meth:`_tip_table`.  Charges one CLV
+        update per spec *regardless of cache hits*.
+        """
+        out = [
+            self._contrib_lru.get(_contrib_key(spec), lambda: self._contrib(*spec[1:]))
+            for spec in specs
         ]
+        self.ops.charge_clv(self.n_patterns, self.n_categories, n=len(specs))
+        return out
+
+    def _contrib(self, t: float, payload: np.ndarray) -> np.ndarray:
+        if payload.ndim == 1:
+            return self._sweep(
+                self._tip_rows_span, payload, self._p2c, table=self._tip_table(t)
+            )
+        return self._sweep(
+            self._propagate_span, payload, self._p2c, pmats=self.pmatrices(t)
+        )
 
     def combine(
         self, contribs: list[np.ndarray], logscales: list[np.ndarray]
@@ -531,6 +605,13 @@ class KernelBackend:
         flat = iter(self.level_contribs([s for specs in spec_lists for s in specs]))
         return [[next(flat) for _ in specs] for specs in spec_lists]
 
+    @property
+    def _fused(self) -> bool:
+        """Large Γ alignments run the fused block pipeline; small ones
+        (and CAT mode) the per-level flow over :meth:`level_contribs` and
+        :meth:`combine`."""
+        return not self.is_cat and self.n_patterns >= self.fuse_min_patterns
+
     def level_partials(
         self, nodes: list[tuple[list[LevelSpec], list[np.ndarray | None]]]
     ) -> list[Partial]:
@@ -538,8 +619,19 @@ class KernelBackend:
 
         Each entry is one node's child edge specs and the children's down
         log-scalers (``None`` for leaves), both in child order.  Charges
-        one CLV update per child edge.
+        one CLV update per child edge.  In the fused regime each node runs
+        :meth:`_fused_node`; contribution-LRU hits are folded in as ready
+        arrays, and fresh propagations are not memoised there, since
+        materialising them would re-spend the memory traffic the fusion
+        exists to avoid.
         """
+        if self._fused:
+            parts = [self._fused_node(specs, lss)[0] for specs, lss in nodes]
+            self.ops.charge_clv(
+                self.n_patterns, self.n_categories,
+                n=sum(len(specs) for specs, _ in nodes),
+            )
+            return parts
         contribs = self._contribs_by_node([specs for specs, _ in nodes])
         return [
             self.combine(cs, [ls for ls in lss if ls is not None])
@@ -564,8 +656,21 @@ class KernelBackend:
         child per node — the rest of the tree at the node, seen from that
         child: the siblings' contributions in child order, the
         transported partial last.  Charges one CLV update per child edge
-        plus one per transported partial.
+        plus one per transported partial.  In the fused regime a node
+        transports the parent-side partial and every child's down CLV
+        once per pattern block and forms *all* children's products from
+        those resident blocks.
         """
+        if self._fused:
+            out = [
+                self._fused_node(specs, lss, above, leave_one_out=True)
+                for above, specs, lss in nodes
+            ]
+            self.ops.charge_clv(
+                self.n_patterns, self.n_categories,
+                n=sum(len(specs) + (above is not None) for above, specs, _ in nodes),
+            )
+            return out
         moved = [
             None if above is None
             else self.propagate(self.pmatrices(above[0]), above[1])
@@ -584,6 +689,91 @@ class KernelBackend:
                 for i in range(len(specs))
             ])
         return out
+
+    def _fused_node(
+        self,
+        specs: list[LevelSpec],
+        logscales: list[np.ndarray | None],
+        above: tuple[float, np.ndarray, np.ndarray] | None = None,
+        leave_one_out: bool = False,
+    ) -> list[Partial]:
+        """One node's partials via the fused block pipeline (Γ).
+
+        The inputs are the child edges plus, last, the parent-side
+        partial to transport (``above``).  A down partial is one output
+        over all inputs; an up node (``leave_one_out``) has one output
+        per child, over every input but that child.
+
+        Bit-identity with the per-level flow: an edge block is
+        ``_propagate_inner`` on a pattern slice, a tip block one gather
+        from the tip table, and product and scaling are ``combine``'s own
+        :func:`_product_rescale` on a block, which decides each pattern's
+        scaling from that pattern alone.  Blocking the pattern axis is
+        invisible to all three.
+        """
+        m, k = self.n_patterns, self.n_categories
+        inputs = [self._fused_input(spec) for spec in specs]
+        if above is not None:
+            t_up, aclv, als = above
+            inputs.append(("edge", self.pmatrices(t_up), aclv))
+            logscales = logscales + [als]
+        everything = range(len(inputs))
+        if leave_one_out:
+            picks = [[j for j in everything if j != i] for i in range(len(specs))]
+        else:
+            picks = [list(everything)]
+        clvs = [np.empty((m, k, 4)) for _ in picks]
+        scales = [np.empty(m) for _ in picks]
+        # A one-pattern last block would take BLAS's matrix-vector
+        # routines, which round differently: it joins the block before it.
+        cuts = [*range(0, m - 1, self.fuse_block), m]
+        for lo, hi in zip(cuts, cuts[1:]):
+            blks = self._input_blocks(inputs, lo, hi)
+            for pick, clv, scale in zip(picks, clvs, scales):
+                _product_rescale([blks[j] for j in pick], clv[lo:hi], scale[lo:hi])
+        return [
+            Partial(
+                clv,
+                _sum_logscales(
+                    [logscales[j] for j in pick if logscales[j] is not None], scale
+                ),
+            )
+            for pick, clv, scale in zip(picks, clvs, scales)
+        ]
+
+    def _fused_input(self, spec: LevelSpec) -> FusedInput:
+        hit = self._contrib_lru.get(_contrib_key(spec))
+        if hit is not None:
+            return "ready", hit, None
+        _, t, payload = spec
+        if payload.ndim == 1:
+            return "tip", self._tip_table(t).reshape(16, -1), payload
+        return "edge", self.pmatrices(t), payload
+
+    def _input_blocks(
+        self, inputs: list[FusedInput], lo: int, hi: int
+    ) -> list[np.ndarray]:
+        """Patterns ``lo:hi`` of every fused-pipeline input, in input
+        order, each ``(n, k, 4)``: memoised contributions as slices, tip
+        gathers and edge propagations into scratch."""
+        k = self.n_categories
+        n = hi - lo
+        blks: list[np.ndarray] = []
+        for i, (kind, table, payload) in enumerate(inputs):
+            if kind == "ready":
+                blks.append(table[lo:hi])
+                continue
+            buf = self._buffer((n, k, 4), f"fuse-edge{i}")
+            if kind == "tip":
+                # Masks are 4-bit (``PatternAlignment`` checks); "clip" lets
+                # take write straight into ``out``, which "raise" buffers.
+                np.take(
+                    table, payload[lo:hi], axis=0, out=buf.reshape(n, k * 4), mode="clip"
+                )
+            else:
+                _propagate_inner(table, payload[lo:hi], out=buf)
+            blks.append(buf)
+        return blks
 
     # -- per-edge kernels -----------------------------------------------------
 
@@ -625,8 +815,26 @@ class KernelBackend:
         self, sclv: np.ndarray, pmats_sub: np.ndarray
     ) -> np.ndarray:
         """The pruned subtree's CLV moved across its attachment branch
-        (uncharged: it rides inside :meth:`insertion_site`'s edge job)."""
-        return self._sweep(self._propagate_span, sclv, self._p2c, pmats=pmats_sub)
+        (uncharged: it rides inside :meth:`insertion_site`'s edge job).
+        ``P(t_sub)·sclv`` is identical for every candidate edge of one SPR
+        step, so it is computed once per ``(sclv, pmats_sub)`` pair and
+        reused while the engine scans candidates."""
+        # Identity is judged by data pointer + shape; the memo holds
+        # strong references to both operands, so neither address can be
+        # recycled by a different array while the memo is alive (the
+        # engine re-broadcasts the same subtree CLV per candidate, which
+        # changes the view object but not the underlying buffer).
+        key = (
+            sclv.__array_interface__["data"][0],
+            sclv.shape,
+            pmats_sub.__array_interface__["data"][0],
+        )
+        memo = self._ins_memo
+        if memo is not None and memo[0] == key:
+            return memo[2]
+        moved = self._sweep(self._propagate_span, sclv, self._p2c, pmats=pmats_sub)
+        self._ins_memo = (key, (sclv, pmats_sub), moved)
+        return moved
 
     def sumtable(
         self, uclv: np.ndarray, dclv: np.ndarray

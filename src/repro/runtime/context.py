@@ -96,8 +96,7 @@ class RankContext:
     def engine_factory(self, pal_, model_, rate_model_, weights_, ops_):
         return LikelihoodEngine(
             pal_, model_, rate_model_, weights=weights_, ops=ops_,
-            kernel=self.config.kernel, clv_cache=self.config.clv_cache,
-            pool=self.pool,
+            clv_cache=self.config.clv_cache, pool=self.pool,
         )
 
     # -- fault injection -----------------------------------------------------

@@ -19,7 +19,8 @@ Two layers live here:
   still introduce an earlier-stamped operation: every other rank is
   either parked (transparent), or holds a later-stamped intent, or is
   busy with its last commit at a time ≥ ours (task costs are strictly
-  positive, so its next operation is strictly later).  Otherwise we
+  positive, so its next operation is strictly later — all but setup's,
+  which is why a live rank's setup task is never stolen).  Otherwise we
   wait.  The resulting commit sequence is sorted by ``(time, rank)``,
   which makes queue contents, victim choices and steal outcomes
   independent of thread scheduling.
@@ -31,6 +32,7 @@ mirroring one-sided-communication work stealing.
 
 from __future__ import annotations
 
+import os
 import threading
 import time as _wall
 from dataclasses import dataclass, field
@@ -160,6 +162,19 @@ class SchedState:
             self.embargo[tid] = now
         return tid
 
+    def _loot(self, victim: int) -> list[str]:
+        """The tasks of ``victim``'s queue a thief may take, head to tail.
+
+        A live rank's setup task is never stolen.  Setup costs no virtual
+        time, so a rank that finishes its own setup stands at the same
+        instant as a peer that has not yet popped its one: the frontier
+        cannot order the two, and the steal would follow wall-clock
+        arrival.  A dead rank's setup task is taken like any other."""
+        queue = self.queues[victim]
+        if victim in self.dead:
+            return queue
+        return [tid for tid in queue if self.tasks[tid].kind != "setup"]
+
     def decide(self, rank: int, now: float) -> Decision:
         """The decision rule at one committed ``(now, rank)``."""
         stats = self.stats[rank]
@@ -171,21 +186,20 @@ class SchedState:
                 self.in_flight[rank] = tid
                 stats.executed += 1
                 return Decision("run", tid)
-        if any(self.queues[v] for v in self.members if v != rank):
+        if any(self._loot(v) for v in self.members if v != rank):
             perm = self._victim_rngs[rank].permutation(len(self.members))
             for vi in perm:
                 victim = self.members[vi]
                 if victim == rank:
                     continue
-                vq = self.queues[victim]
-                if not vq:
+                loot = self._loot(victim)
+                if not loot:
                     continue
                 stats.steal_attempts += 1
                 # Thieves take from the tail; the owner pops the head.
-                for pos in range(len(vq) - 1, -1, -1):
-                    tid = vq[pos]
+                for tid in reversed(loot):
                     if self.ready(tid, now):
-                        vq.pop(pos)
+                        self.queues[victim].remove(tid)
                         self._pending.discard(tid)
                         self.in_flight[rank] = tid
                         stats.executed += 1
@@ -249,6 +263,9 @@ class StealBoard:
         self.steal_seed = steal_seed
         self.steal_cost = steal_seconds
         self.timeout = timeout
+        #: The process that made the board, the only one whose calls can
+        #: meet the other ranks' (:meth:`_check_process`).
+        self._pid = os.getpid()
         self._cond = threading.Condition()
         self._stage: str | None = None
         self._state: SchedState | None = None
@@ -296,6 +313,18 @@ class StealBoard:
                 }
             return out
 
+    def _check_process(self, call: str) -> None:
+        """A waiting call made in another process reached a private forked
+        copy of the board, where no other rank will ever arrive: fail now
+        instead of waiting out :attr:`timeout`."""
+        if os.getpid() != self._pid:
+            raise SchedulerError(
+                f"StealBoard.{call} called in process {os.getpid()} on a "
+                f"private copy of a board made in process {self._pid}; hand "
+                "the board to the ranks as run_spmd(..., shared=board), not "
+                "through the rank body's closure"
+            )
+
     # -- stage lifecycle ----------------------------------------------------
 
     def begin_stage(
@@ -320,6 +349,7 @@ class StealBoard:
         race the reset.  Ranks reach their next ``begin_stage`` only
         after their own "done", so the wait is bounded.
         """
+        self._check_process("begin_stage")
         deadline = _wall.monotonic() + self.timeout
         with self._cond:
             while (
@@ -442,6 +472,7 @@ class StealBoard:
         completion commits first (same timestamp — completion and the
         follow-up queue operation are one atomic event).
         """
+        self._check_process("next_action")
         deadline = _wall.monotonic() + self.timeout
         with self._cond:
             st = self._state

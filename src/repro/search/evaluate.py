@@ -38,7 +38,6 @@ def evaluate_tree(
     plus_invariant: bool = False,
     engine_factory=None,
     ops: OpCounter | None = None,
-    kernel: str = "reference",
     clv_cache: bool = False,
 ) -> EvaluationResult:
     """Score ``tree`` under GTR+Γ (optionally GTR+I+Γ) with full parameter
@@ -47,10 +46,9 @@ def evaluate_tree(
     Alternates model optimisation and branch-length smoothing (RAxML's
     evaluation loop).  The input tree is not modified.
     ``plus_invariant`` adds the proportion-of-invariant-sites parameter
-    to the optimisation (RAxML's ``GTRGAMMAI``).  ``kernel`` selects the
-    likelihood kernel backend and ``clv_cache`` enables signature-keyed
-    CLV reuse; both are ignored when a custom ``engine_factory`` is given
-    (the factory owns engine construction).
+    to the optimisation (RAxML's ``GTRGAMMAI``).  ``clv_cache`` enables
+    signature-keyed CLV reuse; it is ignored when a custom
+    ``engine_factory`` is given (the factory owns engine construction).
     """
     if tree.taxa != pal.taxa:
         raise ValueError("tree and alignment taxon sets differ")
@@ -59,8 +57,7 @@ def evaluate_tree(
     rm = RateModel.gamma(1.0, gamma_categories)
     if engine_factory is None:
         engine = LikelihoodEngine(
-            pal, GTRModel.default(), rm, ops=ops,
-            kernel=kernel, clv_cache=clv_cache,
+            pal, GTRModel.default(), rm, ops=ops, clv_cache=clv_cache
         )
     else:
         engine = engine_factory(pal, GTRModel.default(), rm, None, ops)

@@ -315,7 +315,7 @@ def _graft(tree, clade, subtree: str, t_sub: float):
 
 def insertion_lnl(
     newick, masks, weights, clade, taxon: str, t_sub: float, exchangeabilities,
-    freqs, rates, pattern_to_cat=None,
+    freqs, rates, pattern_to_cat=None, p_invariant=0.0,
 ) -> float:
     """The lazy-SPR insertion score: log-likelihood of the tree ``newick``
     with ``taxon`` attached by a branch of length ``t_sub`` to the
@@ -324,7 +324,7 @@ def insertion_lnl(
         weight * lnl
         for weight, (lnl, _, _) in zip(weights, _tree_patterns(
             _graft(parse_newick(newick), clade, taxon, t_sub), masks,
-            exchangeabilities, freqs, rates, pattern_to_cat, 0.0,
+            exchangeabilities, freqs, rates, pattern_to_cat, p_invariant,
         ))
     )
 

@@ -1,13 +1,17 @@
-"""Tests for the level-batched kernel backend and its planner support.
+"""Tests for the kernel's level execution and its planner support.
 
-Three concerns, matching the three pieces the backend adds:
+Four concerns:
 
 * the plan's *level decomposition* is a valid topological schedule
   (children strictly before parents, union of levels == plan ops);
-* ``BatchedKernel`` is bit-identical to ``ReferenceKernel`` across the
-  full execution matrix — serial, virtual-threaded, CLV-cached, every
-  rate-model family, both the per-level and fused-block regimes —
-  including derivatives and exact ``OpCounter`` parity;
+* the kernel against ``tests/oracle.py``, which shares no step with it:
+  log-likelihood, both branch derivatives and the lazy-SPR insertion
+  score under Γ, Γ+I and CAT, in the per-level flow and in the fused
+  block regime, to ``rel <= 1e-9``;
+* the kernel's executions against each other, bit for bit: serial,
+  virtual-threaded and CLV-cached; the fused block regime against the
+  per-level flow, on the engine and on a whole analysis; op totals and
+  CLV-cache traffic under eviction whatever cuts the pattern axis;
 * the degenerate-input hardening of :class:`CLVCache` and the planner.
 """
 
@@ -17,19 +21,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import test_dataset as _make_dataset
+from repro.hybrid import HybridConfig, run_hybrid_analysis
 from repro.likelihood.engine import LikelihoodEngine, RateModel
 from repro.likelihood.gtr import GTRModel
 from repro.likelihood.kernels import (
     BatchedKernel,
+    KernelBackend,
     available_kernels,
     get_kernel,
 )
 from repro.likelihood.plan import CLVCache, plan_traversal
 from repro.likelihood.brlen import optimize_branch_lengths
+from repro.search.comprehensive import ComprehensiveConfig
+from repro.search.searches import StageParams
 from repro.search.spr import SPRParams, spr_round
+from repro.seq.alignment import Alignment
+from repro.seq.patterns import compress_alignment
 from repro.threads.pool import VirtualThreadPool
+from repro.tree.newick import parse_newick
 from repro.tree.random_trees import yule_tree
 from repro.util.rng import RAxMLRandom
+from tests import oracle
+from tests.conftest import assert_bit_identical
+from tests.test_kernel_sweeps import Tiled
+from tests.test_likelihood_engine import QUARTET, clade_of, masks_of
 
 _PAL, _ = _make_dataset(n_taxa=9, n_sites=180, seed=404)
 _MODEL = GTRModel(rates=(1.2, 2.5, 0.8, 1.1, 3.0, 1.0), freqs=(0.3, 0.2, 0.2, 0.3))
@@ -41,6 +56,13 @@ def _rate_models(m: int) -> dict[str, RateModel]:
         "gamma+I": RateModel.gamma(0.8, 4, p_invariant=0.2),
         "cat": RateModel.cat(np.array([0.4, 1.0, 2.1]), np.arange(m) % 3),
     }
+
+
+def _force_fused(monkeypatch, block: int) -> None:
+    """Run the fused block pipeline at any Γ pattern count, ``block``
+    patterns a block."""
+    monkeypatch.setattr(KernelBackend, "fuse_min_patterns", 1)
+    monkeypatch.setattr(KernelBackend, "fuse_block", block)
 
 
 class TestLevelSchedule:
@@ -93,8 +115,76 @@ class TestLevelSchedule:
         assert plan.levels() is plan.levels()
 
 
+#: Five taxa: a quartet for the insertion score (E pruned), and the same
+#: taxa on one tree for the log-likelihood and the branch derivatives.
+_ORACLE_ALN = [
+    ("A", "ACGTTACGAAGTC"), ("B", "ACGTAACTRAGCC"), ("C", "AGGATCCGAAGTA"),
+    ("D", "ATGTTCAGCA-TG"), ("E", "ACCTTAGGAAGTT"),
+]
+_FIVE_TAXA = "((A:0.12,B:0.3):0.08,(C:0.25,E:0.2):0.1,D:0.4);"
+
+
+@pytest.mark.parametrize("rm_name,regime", [
+    ("gamma", "flow"), ("gamma", "fused"),
+    ("gamma+I", "flow"), ("gamma+I", "fused"),
+    ("cat", "flow"),
+])
+class TestKernelAgainstTheOracle:
+    """The one kernel against ``tests/oracle.py``, to ``rel <= 1e-9``:
+    in its per-level flow, and with the fused block pipeline forced onto
+    these few patterns (3-pattern blocks, a ragged last one).  CAT runs
+    the flow only."""
+
+    @staticmethod
+    def setup(monkeypatch, rm_name, regime):
+        if regime == "fused":
+            _force_fused(monkeypatch, 3)
+        pal = compress_alignment(Alignment.from_sequences(_ORACLE_ALN))
+        rm = _rate_models(pal.n_patterns)[rm_name]
+        engine = LikelihoodEngine(pal, _MODEL, rm)
+        assert engine.kernel._fused == (regime == "fused")
+        model = (_MODEL.rates, _MODEL.freqs, rm.rates, rm.pattern_to_cat)
+        return pal, rm, engine, model
+
+    def test_lnl_and_derivatives(self, monkeypatch, rm_name, regime):
+        pal, rm, engine, model = self.setup(monkeypatch, rm_name, regime)
+        tree = parse_newick(_FIVE_TAXA, taxa=pal.taxa)
+        want = oracle.tree_site_lnls(_FIVE_TAXA, masks_of(pal), *model, rm.p_invariant)
+        assert list(engine.site_loglikelihoods(tree)) == pytest.approx(want, rel=1e-9)
+        down = engine.compute_down_partials(tree)
+        up = engine.compute_up_partials(tree, down)
+        for e in tree.edges():
+            coef, exps, logscale = engine.edge_coefficients(down[id(e)], up[id(e)])
+            for t in (0.05, 0.6):
+                got = engine.edge_lnl_and_derivatives(coef, exps, logscale, t)
+                expected = oracle.tree_edge_derivatives(
+                    _FIVE_TAXA, masks_of(pal), pal.weights, clade_of(tree, e), t,
+                    *model, rm.p_invariant,
+                )
+                assert got == pytest.approx(expected, rel=1e-9), (e.name, t)
+
+    def test_insertion_score(self, monkeypatch, rm_name, regime):
+        pal, rm, engine, model = self.setup(monkeypatch, rm_name, regime)
+        tree = parse_newick(QUARTET, taxa=pal.taxa)
+        pruned = parse_newick("(A:0.1,B:0.1,E:0.1);", taxa=pal.taxa).find_leaf("E")
+        down = engine.compute_down_partials(tree)
+        up = engine.compute_up_partials(tree, down)
+        sub = engine.compute_down_partials(tree, subtree=pruned)[id(pruned)]
+        for e in tree.edges():
+            for t_sub in (0.07, 0.9):
+                score = engine.insertion_loglikelihood(
+                    down[id(e)], up[id(e)], sub, e.length, t_sub
+                )
+                expected = oracle.insertion_lnl(
+                    QUARTET, masks_of(pal), pal.weights, clade_of(tree, e), "E",
+                    t_sub, *model, rm.p_invariant,
+                )
+                assert score == pytest.approx(expected, rel=1e-9), (e.name, t_sub)
+
+
 class TestBatchedParity:
-    """batched × {serial, threaded, clv-cache} against the reference."""
+    """The kernel's executions against each other, bit for bit: serial,
+    threaded and cached; fused blocks against the per-level flow."""
 
     def _trace(self, engine, tree):
         """A full workout: likelihood, both partial sweeps, edge math,
@@ -133,46 +223,44 @@ class TestBatchedParity:
 
     @pytest.mark.parametrize("rm_name", ["gamma", "gamma+I", "cat"])
     def test_serial_threaded_cached_bit_identical(self, rm_name):
+        """Threads are priced, never executed, so a threaded engine is
+        the serial one; a cached engine is compared with a threaded
+        cached one (the engine-level cache legitimately skips charges)."""
         rm = _rate_models(_PAL.n_patterns)[rm_name]
         tree = yule_tree(_PAL.taxa, RAxMLRandom(31))
-        ref = self._trace(LikelihoodEngine(_PAL, _MODEL, rm), tree)
-        variants = {
-            "serial": self._trace(
-                LikelihoodEngine(_PAL, _MODEL, rm, kernel="batched"), tree
-            ),
-            "threaded": self._trace(
-                LikelihoodEngine(
-                    _PAL, _MODEL, rm, kernel="batched", pool=VirtualThreadPool(3),
-                ),
-                tree,
-            ),
-        }
-        for name, trace in variants.items():
-            self._assert_equal_traces(ref, trace)
-        # With the CLV cache, compare against an equally-cached reference
-        # (the engine-level cache legitimately skips charges on both).
-        ref_cached = self._trace(
-            LikelihoodEngine(_PAL, _MODEL, rm, clv_cache=True), tree
+        serial = self._trace(LikelihoodEngine(_PAL, _MODEL, rm), tree)
+        threaded = self._trace(
+            LikelihoodEngine(_PAL, _MODEL, rm, pool=VirtualThreadPool(3)), tree
         )
-        bat_cached = self._trace(
+        self._assert_equal_traces(serial, threaded)
+        cached = self._trace(LikelihoodEngine(_PAL, _MODEL, rm, clv_cache=True), tree)
+        cached_threaded = self._trace(
             LikelihoodEngine(
-                _PAL, _MODEL, rm, kernel="batched", clv_cache=True
+                _PAL, _MODEL, rm, clv_cache=True, pool=VirtualThreadPool(3)
             ),
             tree,
         )
-        self._assert_equal_traces(ref_cached, bat_cached)
+        self._assert_equal_traces(cached, cached_threaded)
+        # Values do not depend on the cache either; charges do.
+        self._assert_equal_traces(serial[:-1], cached[:-1])
 
     @pytest.mark.parametrize("max_entries", [5, 8])
     def test_op_totals_kernel_independent_under_eviction(self, max_entries):
         """One executor means one LRU put/get order: with a cache small
         enough to evict, CLV-cache traffic — and so op totals and virtual
-        time — must not depend on the backend."""
+        time — must not depend on how the kernel cuts the pattern axis
+        (whole, or a 7-pattern tiling subclass)."""
+
+        class Tiled7(Tiled, KernelBackend):
+            def _tiles(self):
+                return [slice(lo, lo + 7) for lo in range(0, self.n_patterns, 7)]
+
         pal, _ = _make_dataset(n_taxa=10, n_sites=200, seed=7)
         tree = yule_tree(pal.taxa, RAxMLRandom(31))
         seen = []
-        for kernel in ("reference", "batched"):
+        for kernel_class in (KernelBackend, Tiled7):
             engine = LikelihoodEngine(
-                pal, _MODEL, kernel=kernel,
+                pal, _MODEL, kernel_class=kernel_class,
                 clv_cache=CLVCache(max_entries=max_entries),
             )
             work = tree.copy()
@@ -190,56 +278,72 @@ class TestBatchedParity:
     @pytest.mark.parametrize("rm_name", ["gamma", "gamma+I"])
     def test_fused_block_regime_bit_identical(self, rm_name, monkeypatch):
         """Force the fused block pipeline onto the small alignment (odd
-        block length, so partial blocks are exercised too)."""
-        monkeypatch.setattr(BatchedKernel, "fuse_min_patterns", 1)
-        monkeypatch.setattr(BatchedKernel, "fuse_block", 13)
+        block length, so partial blocks are exercised too) and hold it to
+        the per-level flow."""
         rm = _rate_models(_PAL.n_patterns)[rm_name]
         tree = yule_tree(_PAL.taxa, RAxMLRandom(37))
-        ref = self._trace(LikelihoodEngine(_PAL, _MODEL, rm), tree)
-        fused = self._trace(
-            LikelihoodEngine(_PAL, _MODEL, rm, kernel="batched"), tree
-        )
-        self._assert_equal_traces(ref, fused)
+        flow = self._trace(LikelihoodEngine(_PAL, _MODEL, rm), tree)
+        _force_fused(monkeypatch, 13)
+        fused = LikelihoodEngine(_PAL, _MODEL, rm)
+        assert fused.kernel._fused
+        self._assert_equal_traces(flow, self._trace(fused, tree))
         fused_threaded = self._trace(
-            LikelihoodEngine(
-                _PAL, _MODEL, rm, kernel="batched", pool=VirtualThreadPool(4),
-            ),
-            tree,
+            LikelihoodEngine(_PAL, _MODEL, rm, pool=VirtualThreadPool(4)), tree
         )
-        self._assert_equal_traces(ref, fused_threaded)
+        self._assert_equal_traces(flow, fused_threaded)
+
+    def test_fused_block_regime_whole_analysis(self, monkeypatch):
+        """A whole 1 x 2 comprehensive analysis with the fused pipeline
+        forced on equals the default flow's, timings included."""
+        pal, _ = _make_dataset(n_taxa=6, n_sites=90, seed=301)
+        config = HybridConfig(
+            n_processes=1, n_threads=2,
+            comprehensive=ComprehensiveConfig(
+                n_bootstraps=2, use_cat=False,  # CAT never fuses
+                stage_params=StageParams(
+                    bootstrap_rounds=1, fast_rounds=1, slow_max_rounds=1,
+                    thorough_max_rounds=2, brlen_passes=1,
+                ),
+            ),
+        )
+        flow = run_hybrid_analysis(pal, config)
+        _force_fused(monkeypatch, 7)
+        fused = run_hybrid_analysis(pal, config)
+        assert_bit_identical(flow, fused, timings=True)
 
     def test_fused_one_pattern_tail_joins_the_block_before_it(self, monkeypatch):
         """``n_patterns % fuse_block == 1``: a one-pattern last block would
         take BLAS's matrix-vector routines, which round differently from
-        the matrix-matrix ones the reference's whole-axis product gets."""
-        monkeypatch.setattr(BatchedKernel, "fuse_min_patterns", 1)
+        the matrix-matrix ones the per-level flow's whole-axis product
+        gets."""
         rm = RateModel.gamma(0.8, 4)
-        monkeypatch.setattr(BatchedKernel, "fuse_block", _PAL.n_patterns - 1)
         for seed in (1, 2, 3):
             tree = yule_tree(_PAL.taxa, RAxMLRandom(seed))
-            sweeps = []  # per kernel: (down partials, up partials)
-            for kernel in ("reference", "batched"):
-                engine = LikelihoodEngine(_PAL, _MODEL, rm, kernel=kernel)
+            sweeps = []  # per regime: (down partials, up partials)
+            for block in (None, _PAL.n_patterns - 1):
+                if block is not None:
+                    _force_fused(monkeypatch, block)
+                engine = LikelihoodEngine(_PAL, _MODEL, rm)
                 down = engine.compute_down_partials(tree)
                 sweeps.append((down, engine.compute_up_partials(tree, down)))
-            for ref, fused in zip(*sweeps):
-                assert ref.keys() == fused.keys()
-                for key in ref:
-                    assert ref[key].clv.tobytes() == fused[key].clv.tobytes()
-                    assert ref[key].logscale.tobytes() == fused[key].logscale.tobytes()
+            monkeypatch.undo()
+            for flow, fused in zip(*sweeps):
+                assert flow.keys() == fused.keys()
+                for key in flow:
+                    assert flow[key].clv.tobytes() == fused[key].clv.tobytes()
+                    assert flow[key].logscale.tobytes() == fused[key].logscale.tobytes()
 
     def test_more_threads_than_patterns(self):
         pal, _ = _make_dataset(n_taxa=4, n_sites=3, seed=77)
         tree = yule_tree(pal.taxa, RAxMLRandom(3))
         expected = LikelihoodEngine(pal, _MODEL).loglikelihood(tree)
-        threaded = LikelihoodEngine(
-            pal, _MODEL, kernel="batched", pool=VirtualThreadPool(8),
-        )
+        threaded = LikelihoodEngine(pal, _MODEL, pool=VirtualThreadPool(8))
         assert threaded.loglikelihood(tree) == expected
 
     def test_registry_lists_batched(self):
-        assert set(available_kernels()) >= {"reference", "batched"}
-        assert get_kernel("batched") is BatchedKernel
+        """The benchmark harness's two names are the one kernel."""
+        assert set(available_kernels()) == {"reference", "batched"}
+        assert get_kernel("batched") is BatchedKernel is KernelBackend
 
 
 class TestCLVCacheHardening:

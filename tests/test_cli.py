@@ -290,7 +290,7 @@ class TestValidateArgs:
 
     @pytest.mark.parametrize("gone", [
         ["--comm-channels", "2"], ["--simulate-seed", "1"],
-        ["--quorum", "0.5"],
+        ["--quorum", "0.5"], ["--kernel", "batched"],
     ])
     def test_removed_flags_are_usage_errors(self, gone, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -321,14 +321,11 @@ class TestValidateArgs:
             ["-f", "e", "-t", "x.nwk", "--metrics-out", "m.json"],
             ["-b", "777", "-J", "MR"],
             ["-b", "777", "--schedule", "work-steal"],
-            ["-f", "d", "--kernel", "batched"],
             ["-b", "777", "--clv-cache"],
         ):
             with pytest.raises(SystemExit, match="comprehensive"):
                 validate_args(self._args(extra))
         # The same flags are fine for the comprehensive analysis.
         validate_args(self._args(["--schedule", "work-steal", "-J", "MR"]))
-        # -f e consumes the kernel options.
-        validate_args(self._args(
-            ["-f", "e", "-t", "x.nwk", "--kernel", "batched", "--clv-cache"]
-        ))
+        # -f e consumes the CLV-cache option.
+        validate_args(self._args(["-f", "e", "-t", "x.nwk", "--clv-cache"]))

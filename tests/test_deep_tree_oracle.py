@@ -6,7 +6,7 @@ own ``exp(Qt)``, no NumPy — checks trees far past that: 200 taxa on
 branches of scale 1.0 and 400 on scale 0.25, 60 simulated sites each,
 whose site likelihoods reach e^-277 and e^-447, past the kernels'
 scaling threshold 2^-256 once and twice: the deepest root scalers hold
-at least one and two scalings.  Every registered kernel's site
+at least one and two scalings.  The kernel's site
 log-likelihoods and ``loglikelihood`` must agree to ``rel <= 1e-9``
 under Γ, Γ+I and CAT, and so must a lazy-SPR
 ``insertion_loglikelihood`` on the 400-taxon tree: about a third of the
@@ -24,7 +24,6 @@ import pytest
 from repro.datasets.generator import SimulationParams, simulate_alignment
 from repro.likelihood.engine import LikelihoodEngine, RateModel
 from repro.likelihood.gtr import GTRModel
-from repro.likelihood.kernels import available_kernels
 from repro.likelihood.kernels.base import SCALE_MIN
 from repro.seq.patterns import compress_alignment
 from repro.tree.newick import parse_newick, write_newick
@@ -74,16 +73,15 @@ def test_loglikelihood(tree_name, rate_name):
     depth = DEEP_TREES[tree_name][2]
     assert min(want) < depth * np.log(SCALE_MIN)
     tree = parse_newick(newick, taxa=pal.taxa)
-    for kernel in available_kernels():
-        engine = LikelihoodEngine(pal, MODEL, rm, kernel=kernel)
-        assert list(engine.site_loglikelihoods(tree)) == pytest.approx(want, rel=1e-9)
-        assert engine.loglikelihood(tree) == pytest.approx(
-            float(pal.weights @ want), rel=1e-9
-        ), kernel
-        root = engine.compute_down_partials(tree)[id(tree.root)]
-        scalings = root.logscale / np.log(SCALE_MIN)
-        assert scalings == pytest.approx(np.round(scalings), abs=1e-9)
-        assert round(scalings.max()) >= depth
+    engine = LikelihoodEngine(pal, MODEL, rm)
+    assert list(engine.site_loglikelihoods(tree)) == pytest.approx(want, rel=1e-9)
+    assert engine.loglikelihood(tree) == pytest.approx(
+        float(pal.weights @ want), rel=1e-9
+    )
+    root = engine.compute_down_partials(tree)[id(tree.root)]
+    scalings = root.logscale / np.log(SCALE_MIN)
+    assert scalings == pytest.approx(np.round(scalings), abs=1e-9)
+    assert round(scalings.max()) >= depth
 
 
 @pytest.mark.parametrize("rate_name", RATE_NAMES)
@@ -96,23 +94,21 @@ def test_insertion_loglikelihood(rate_name):
         range(len(nodes) - 1),  # the root comes last
         key=lambda i: abs(len(tree.subtree_leaves(nodes[i])) - third),
     )
-    scores = []
-    for kernel in available_kernels():
-        work = tree.copy()
-        pruned = list(work.postorder())[at]
-        engine = LikelihoodEngine(pal, MODEL, rm, kernel=kernel)
-        sub = engine.compute_down_partials(work, subtree=pruned)[id(pruned)]
-        t_sub = pruned.length
-        work.prune(pruned)
-        half = work.n_leaves // 2
-        edge = min(work.edges(), key=lambda v: abs(len(work.subtree_leaves(v)) - half))
-        down = engine.compute_down_partials(work)
-        up = engine.compute_up_partials(work, down)
-        scores.append(engine.insertion_loglikelihood(
-            down[id(edge)], up[id(edge)], sub, edge.length, t_sub
-        ))
+    work = tree.copy()
+    pruned = list(work.postorder())[at]
+    engine = LikelihoodEngine(pal, MODEL, rm)
+    sub = engine.compute_down_partials(work, subtree=pruned)[id(pruned)]
+    t_sub = pruned.length
+    work.prune(pruned)
+    half = work.n_leaves // 2
+    edge = min(work.edges(), key=lambda v: abs(len(work.subtree_leaves(v)) - half))
+    down = engine.compute_down_partials(work)
+    up = engine.compute_up_partials(work, down)
+    score = engine.insertion_loglikelihood(
+        down[id(edge)], up[id(edge)], sub, edge.length, t_sub
+    )
     want = oracle.pruning_insertion_lnl(
         write_newick(work, digits=None), write_newick(Tree(pruned, pal.taxa), digits=None),
         masks_of(pal), pal.weights, clade_of(work, edge), t_sub, **model_args(rm),
     )
-    assert scores == pytest.approx([want] * len(scores), rel=1e-9)
+    assert score == pytest.approx(want, rel=1e-9)

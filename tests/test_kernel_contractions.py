@@ -11,7 +11,7 @@ the next, and the Fortran-ordered ``U⁻¹`` that ``GTRModel._decompose``
 holds.  If a site is not bit-equal on some NumPy/BLAS build, this file
 names it; the fix is never to regenerate goldens.
 
-The slice legs are also what lets ``BatchedKernel.fuse_block`` cut the
+The slice legs are also what lets ``KernelBackend.fuse_block`` cut the
 pattern axis: the engine hands kernels the whole axis whatever the
 thread count, and only the fused pipeline still blocks it.  One helper
 here replaced a ``sum`` rather than an ``einsum`` (``_sum_states``).
@@ -131,7 +131,7 @@ class TestPropagate:
     @given(seeds, patterns, offsets, exponents, st.integers(2, 5))
     def test_stacked(self, k, seed, m, off, exp, q):
         """``qkab,qmkb->qmka``, one contraction for ``q`` edges of a
-        level, is gone from ``BatchedKernel.level_contribs``: the per-edge
+        level, is gone from ``KernelBackend.level_contribs``: the per-edge
         loop that replaced it gives each edge the same bits."""
         rng = np.random.default_rng(seed)
         m = _rows(m, k * q)
@@ -326,7 +326,7 @@ class TestTilingInvariantForms:
 
 @pytest.mark.parametrize("k", (1, 4, 8))
 class TestFusedBlocks:
-    """The pattern-major block forms of ``BatchedKernel``'s fused pipeline
+    """The pattern-major block forms of the kernel's fused pipeline
     against the category-major ``(k, n, 4)`` blocks it used to build: a
     tip block as one ``np.take`` on the ``(16, k·4)`` view of the Γ tip
     table, an edge block as ``_propagate_inner``'s ``matmul`` written

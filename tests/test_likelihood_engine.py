@@ -13,7 +13,6 @@ import pytest
 
 from repro.likelihood.engine import LikelihoodEngine, OpCounter, RateModel
 from repro.likelihood.gtr import GTRModel
-from repro.likelihood.kernels import available_kernels
 from repro.likelihood.kernels import base as kernel_base
 from repro.seq.alignment import Alignment
 from repro.seq.patterns import compress_alignment
@@ -63,24 +62,23 @@ def test_oracle_imports_nothing_it_checks():
 
 
 class TestExactness:
-    """Every registered kernel against the independent oracle."""
+    """The kernel against the independent oracle."""
 
     @staticmethod
-    def assert_all_kernels(pal, tree, model, rate_model, expected):
-        for kernel in available_kernels():
-            engine = LikelihoodEngine(pal, model, rate_model, kernel=kernel)
-            assert engine.loglikelihood(tree) == pytest.approx(expected, abs=1e-9), kernel
+    def assert_kernel(pal, tree, model, rate_model, expected):
+        engine = LikelihoodEngine(pal, model, rate_model)
+        assert engine.loglikelihood(tree) == pytest.approx(expected, abs=1e-9)
 
     def test_matches_brute_force_gamma(self, quartet, gtr_model):
         pal, tree = quartet
         rate_model = RateModel.gamma(0.7, 4)
         expected = oracle_lnl(pal, gtr_model, rate_model.rates)
-        self.assert_all_kernels(pal, tree, gtr_model, rate_model, expected)
+        self.assert_kernel(pal, tree, gtr_model, rate_model, expected)
 
     def test_matches_brute_force_single_rate(self, quartet, gtr_model):
         pal, tree = quartet
         expected = oracle_lnl(pal, gtr_model, [1.0])
-        self.assert_all_kernels(pal, tree, gtr_model, RateModel.single(), expected)
+        self.assert_kernel(pal, tree, gtr_model, RateModel.single(), expected)
 
     @pytest.mark.parametrize("n_cats", [3, 8])
     def test_matches_brute_force_cat(self, quartet, gtr_model, n_cats):
@@ -90,7 +88,7 @@ class TestExactness:
         rates = np.geomspace(0.1, 4.0, n_cats)
         p2c = np.arange(pal.n_patterns) % n_cats
         expected = oracle_lnl(pal, gtr_model, rates, p2c)
-        self.assert_all_kernels(pal, tree, gtr_model, RateModel.cat(rates, p2c), expected)
+        self.assert_kernel(pal, tree, gtr_model, RateModel.cat(rates, p2c), expected)
 
     def test_jc_uniform_site(self):
         """A fully undetermined column has likelihood 1 (lnL 0)."""
@@ -124,7 +122,7 @@ def oracle_rate_models(n_patterns):
 @pytest.mark.parametrize("rate_name", ["gamma", "cat3", "cat8"])
 class TestEdgeKernelsAgainstTheOracle:
     """The Newton path (``sumtable`` → ``derivatives``) and the lazy-SPR
-    insertion score of every registered kernel against ``tests/oracle.py``,
+    insertion score of the kernel against ``tests/oracle.py``,
     which shares no step with them, to ``rel <= 1e-9``."""
 
     def test_edge_derivatives(self, quartet, gtr_model, rate_name):
@@ -138,17 +136,16 @@ class TestEdgeKernelsAgainstTheOracle:
                 rate_model.rates, rate_model.pattern_to_cat,
             )
 
-        for kernel in available_kernels():
-            engine = LikelihoodEngine(pal, gtr_model, rate_model, kernel=kernel)
-            down = engine.compute_down_partials(tree)
-            up = engine.compute_up_partials(tree, down)
-            for e in tree.edges():
-                coef, exps, logscale, first = engine.edge_coefficients_and_derivatives(
-                    down[id(e)], up[id(e)], 0.05
-                )
-                assert first == pytest.approx(expected(e, 0.05), rel=1e-9), (kernel, e.name)
-                again = engine.edge_lnl_and_derivatives(coef, exps, logscale, 0.6)
-                assert again == pytest.approx(expected(e, 0.6), rel=1e-9), (kernel, e.name)
+        engine = LikelihoodEngine(pal, gtr_model, rate_model)
+        down = engine.compute_down_partials(tree)
+        up = engine.compute_up_partials(tree, down)
+        for e in tree.edges():
+            coef, exps, logscale, first = engine.edge_coefficients_and_derivatives(
+                down[id(e)], up[id(e)], 0.05
+            )
+            assert first == pytest.approx(expected(e, 0.05), rel=1e-9), e.name
+            again = engine.edge_lnl_and_derivatives(coef, exps, logscale, 0.6)
+            assert again == pytest.approx(expected(e, 0.6), rel=1e-9), e.name
 
     def test_insertion_score(self, gtr_model, rate_name):
         aln = Alignment.from_sequences([
@@ -159,22 +156,21 @@ class TestEdgeKernelsAgainstTheOracle:
         rate_model = oracle_rate_models(pal.n_patterns)[rate_name]
         tree = parse_newick(QUARTET, taxa=pal.taxa)
         pruned = parse_newick("(A:0.1,B:0.1,E:0.1);", taxa=pal.taxa).find_leaf("E")
-        for kernel in available_kernels():
-            engine = LikelihoodEngine(pal, gtr_model, rate_model, kernel=kernel)
-            down = engine.compute_down_partials(tree)
-            up = engine.compute_up_partials(tree, down)
-            sub = engine.compute_down_partials(tree, subtree=pruned)[id(pruned)]
-            for e in tree.edges():
-                for t_sub in (0.07, 0.9):
-                    score = engine.insertion_loglikelihood(
-                        down[id(e)], up[id(e)], sub, e.length, t_sub
-                    )
-                    expected = oracle.insertion_lnl(
-                        QUARTET, masks_of(pal), pal.weights, clade_of(tree, e), "E",
-                        t_sub, gtr_model.rates, gtr_model.freqs,
-                        rate_model.rates, rate_model.pattern_to_cat,
-                    )
-                    assert score == pytest.approx(expected, rel=1e-9), (kernel, e.name)
+        engine = LikelihoodEngine(pal, gtr_model, rate_model)
+        down = engine.compute_down_partials(tree)
+        up = engine.compute_up_partials(tree, down)
+        sub = engine.compute_down_partials(tree, subtree=pruned)[id(pruned)]
+        for e in tree.edges():
+            for t_sub in (0.07, 0.9):
+                score = engine.insertion_loglikelihood(
+                    down[id(e)], up[id(e)], sub, e.length, t_sub
+                )
+                expected = oracle.insertion_lnl(
+                    QUARTET, masks_of(pal), pal.weights, clade_of(tree, e), "E",
+                    t_sub, gtr_model.rates, gtr_model.freqs,
+                    rate_model.rates, rate_model.pattern_to_cat,
+                )
+                assert score == pytest.approx(expected, rel=1e-9), e.name
 
 
 SIX_TAXA = [
@@ -194,8 +190,8 @@ SIX_TAXA_TREES = {
 @pytest.mark.parametrize("tree_name", sorted(SIX_TAXA_TREES))
 @pytest.mark.parametrize("rate_name", ["gamma", "gamma+I", "cat"])
 class TestSixTaxaAgainstTheOracle:
-    """``loglikelihood`` and ``edge_lnl_and_derivatives`` of every
-    registered kernel against ``tests/oracle.py``'s log-space brute force
+    """``loglikelihood`` and ``edge_lnl_and_derivatives`` of the
+    kernel against ``tests/oracle.py``'s log-space brute force
     over all 256 joint internal states, to ``rel <= 1e-9``: Γ, Γ+I and
     CAT, on both six-taxon shapes."""
 
@@ -223,12 +219,11 @@ class TestSixTaxaAgainstTheOracle:
         step = 2.0**-4
         if tree_name == "rescaled":
             monkeypatch.setattr(kernel_base, "SCALE_MIN", step)
-        for kernel in available_kernels():
-            engine = LikelihoodEngine(pal, gtr_model, rate_model, kernel=kernel)
-            assert list(engine.site_loglikelihoods(tree)) == pytest.approx(want, rel=1e-9)
-            assert engine.loglikelihood(tree) == pytest.approx(
-                float(pal.weights @ want), rel=1e-9
-            ), kernel
+        engine = LikelihoodEngine(pal, gtr_model, rate_model)
+        assert list(engine.site_loglikelihoods(tree)) == pytest.approx(want, rel=1e-9)
+        assert engine.loglikelihood(tree) == pytest.approx(
+            float(pal.weights @ want), rel=1e-9
+        )
         if tree_name == "rescaled":
             down = engine.compute_down_partials(tree)
             assert all(down[id(v)].logscale.min() < 0.0 for v in tree.internal_nodes())
@@ -245,17 +240,16 @@ class TestSixTaxaAgainstTheOracle:
             (key, t): expected(oracle.tree_edge_derivatives, pal.weights, clade, t)
             for key, clade in clades.items() for t in ts
         }
-        for kernel in available_kernels():
-            engine = LikelihoodEngine(pal, gtr_model, rate_model, kernel=kernel)
-            down = engine.compute_down_partials(tree)
-            up = engine.compute_up_partials(tree, down)
-            for e in tree.edges():
-                coef, exps, logscale = engine.edge_coefficients(down[id(e)], up[id(e)])
-                for t in ts:
-                    got = engine.edge_lnl_and_derivatives(coef, exps, logscale, t)
-                    assert got == pytest.approx(want[id(e), t], rel=1e-9), (
-                        kernel, sorted(clades[id(e)]), t,
-                    )
+        engine = LikelihoodEngine(pal, gtr_model, rate_model)
+        down = engine.compute_down_partials(tree)
+        up = engine.compute_up_partials(tree, down)
+        for e in tree.edges():
+            coef, exps, logscale = engine.edge_coefficients(down[id(e)], up[id(e)])
+            for t in ts:
+                got = engine.edge_lnl_and_derivatives(coef, exps, logscale, t)
+                assert got == pytest.approx(want[id(e), t], rel=1e-9), (
+                    sorted(clades[id(e)]), t,
+                )
 
 
 class TestEdgeMachinery:

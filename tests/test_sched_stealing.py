@@ -2,12 +2,16 @@
 repro.sched.stealing / repro.sched.placement): the threaded board,
 held to hand-traced numbers and to itself across interleavings."""
 
+import re
 import threading
+import time
 
 import pytest
 
+from repro.mpi.launcher import run_spmd
+from repro.mpi.policy import TimeoutPolicy
 from repro.sched.placement import initial_assignment
-from repro.sched.queue import StealBoard
+from repro.sched.queue import SchedState, SchedulerError, StealBoard
 from repro.sched.stealing import run_rank_pool
 from repro.sched.tasks import Task, task_id
 from repro.util.rng import RAxMLRandom
@@ -162,3 +166,45 @@ class TestBoardDeterminism:
         executed = sorted(t for o in outcomes.values() for t in o.executed)
         assert executed == sorted(t.id for t in tasks)
 
+
+class TestSetupTasks:
+    """Setup costs no virtual time, so the frontier cannot order a steal
+    of a live rank's setup against the owner's own pop."""
+
+    def state(self):
+        tasks = [Task("setup", o, 0) for o in range(2)]
+        return SchedState(tasks, initial_assignment(tasks, (0, 1)), (0, 1), 4242)
+
+    def test_a_live_ranks_setup_is_never_stolen(self):
+        st = self.state()
+        assert st.decide(0, 0.0).kind == "run"
+        st.complete(0, task_id("setup", 0, 0), None)
+        assert st.decide(0, 0.0).kind == "park"
+        assert st.stats[0].steal_attempts == 0
+
+    def test_a_dead_ranks_setup_is_taken(self):
+        st = self.state()
+        st.abandon(1, 0.0)
+        assert st.decide(0, 0.0).kind == "run"
+        st.complete(0, task_id("setup", 0, 0), None)
+        taken = st.decide(0, 0.0)
+        assert (taken.kind, taken.task_id, taken.victim) == (
+            "steal", task_id("setup", 1, 0), 1,
+        )
+
+
+def test_a_board_in_a_rank_bodys_closure_fails_fast():
+    """Each rank process holds a private forked copy of a board its body
+    captured, where no peer ever arrives: the first waiting call says so
+    instead of waiting out the board's 600 s timeout."""
+    board = StealBoard(2, 4242, flat_steal(1.05e-5))
+    tasks = [Task("setup", o, 0) for o in range(2)]
+
+    def body(comm):
+        board.begin_stage("setup", tasks, initial_assignment(tasks, (0, 1)), (0, 1))
+        return run_rank_pool(board, comm.rank, comm.clock, lambda task: None)
+
+    start = time.monotonic()
+    with pytest.raises(SchedulerError, match=re.escape("run_spmd(..., shared=board)")):
+        run_spmd(body, 2, timeout_policy=TimeoutPolicy(world_seconds=30.0))
+    assert time.monotonic() - start < 10.0

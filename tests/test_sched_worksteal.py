@@ -3,12 +3,15 @@ bit-identical results vs. static, rank-death transparency (satellite:
 recovery + scheduling interplay), resume from per-rank journals, and the
 scheduling metrics surfaced in results and reports."""
 
+import time
+
 import pytest
 
 from repro.datasets import test_dataset as make_test_dataset
 from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
 from repro.mpi.faults import FaultPlan, KillSpec
 from repro.search.comprehensive import ComprehensiveConfig, run_comprehensive
+from repro.sched.queue import StealBoard
 from repro.search.searches import StageParams
 from repro.tree.newick import write_newick
 from tests.conftest import assert_bit_identical
@@ -120,6 +123,50 @@ class TestModeParity:
                 2, 2, comprehensive=quick_cc, schedule="work-steal",
                 bootstopping=True,
             )
+
+
+class TestSetupRace:
+    """Setup costs no virtual time, so a rank that has finished its own
+    setup stands at t = 0 beside a peer that has not yet popped its one.
+    The steal protocol cannot order the two by virtual time, so a setup
+    task is never stolen from a live rank: the run's outcome must not
+    depend on which rank's process reaches the board first."""
+
+    def test_a_late_rank_keeps_its_setup(self, monkeypatch):
+        pal, _ = make_test_dataset(n_taxa=8, n_sites=200, seed=301)
+        config = HybridConfig(
+            n_processes=3, n_threads=2, schedule="work-steal",
+            comprehensive=ComprehensiveConfig(
+                n_bootstraps=4, use_cat=False, stage_params=QUICK,
+            ),
+        )
+        on_time = run_hybrid_analysis(pal, config)
+        # Rank 2 posts its first intent at t = 0 and is then held for
+        # 0.3 s of wall time before it may commit, while ranks 0 and 1
+        # pop and finish their own setups.  (Delaying rank 2's arrival
+        # instead shows nothing: the frontier holds every commit until
+        # each rank has posted.)  The board lives in this process, which
+        # serves the rank processes' calls.
+        may_commit = StealBoard._may_commit
+        held_until = []
+
+        def hold_rank_2(self, rank, t):
+            if rank == 2 and self._stage == "setup":
+                if not held_until:
+                    held_until.append(time.monotonic() + 0.3)
+                if time.monotonic() < held_until[0]:
+                    return False
+            return may_commit(self, rank, t)
+
+        monkeypatch.setattr(StealBoard, "_may_commit", hold_rank_2)
+        late = run_hybrid_analysis(pal, config)
+        assert held_until
+        assert_bit_identical(on_time, late, timings=True)
+        for result in (on_time, late):
+            setup = result.sched["stage_stats"]["setup"]
+            assert sum(d["steal_attempts"] for d in setup.values()) == 0
+            assert [s for s in result.sched["steal_log"] if s["stage"] == "setup"] == []
+            assert all(r.stage_seconds["setup"] == 0.0 for r in result.ranks)
 
 
 class TestDeathTransparency:

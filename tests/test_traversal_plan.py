@@ -1,8 +1,8 @@
 """Tests for the traversal-plan likelihood core.
 
 Covers the three layers of the refactor: the planner (signatures, dirty
-tracking, CLV cache), the pluggable kernel backends (span-tiling
-bit-identity through the ``_sweep`` hook, registration), and the unified
+tracking, CLV cache), the kernel (span-tiling bit-identity through the
+``_sweep`` hook, the two names the benchmark harness passes), and the
 engine (serial == threaded bit-identity, op-count parity, degenerate
 chunks).
 """
@@ -22,7 +22,7 @@ from repro.likelihood.engine import (
 from repro.likelihood.gtr import GTRModel
 from repro.likelihood.kernels import (
     BatchedKernel,
-    ReferenceKernel,
+    KernelBackend,
     available_kernels,
     get_kernel,
 )
@@ -35,27 +35,22 @@ from repro.threads.pool import VirtualThreadPool
 from repro.threads.timing import LinearRegionTiming
 from repro.tree.random_trees import yule_tree
 from repro.util.rng import RAxMLRandom
-from tests.test_kernel_sweeps import Tiled, rate_models as _rate_models, registered
+from tests.test_kernel_sweeps import Tiled, rate_models as _rate_models
 
 # Module-level data so hypothesis tests avoid function-scoped fixtures.
 _PAL, _ = _make_dataset(n_taxa=8, n_sites=150, seed=202)
 _MODEL = GTRModel(rates=(1.2, 2.5, 0.8, 1.1, 3.0, 1.0), freqs=(0.3, 0.2, 0.2, 0.3))
 
 
-class TinyBlocked(Tiled, ReferenceKernel):
-    """A registry extension that cuts the pattern axis into 7-pattern
-    tiles through the ``KernelBackend._sweep`` hook."""
+class TinyBlocked(Tiled, KernelBackend):
+    """A kernel subclass that cuts the pattern axis into 7-pattern tiles
+    through the ``KernelBackend._sweep`` hook."""
 
-    name = "tiny-blocked-test"
     block_size = 7
 
     def _tiles(self) -> list[slice]:
         m, b = self.n_patterns, self.block_size
         return [slice(lo, min(lo + b, m)) for lo in range(0, m, b)]
-
-
-def _tiny_blocked_registered():
-    return registered(TinyBlocked)
 
 
 def _random_moves(tree, rng: RAxMLRandom, n_moves: int) -> None:
@@ -222,32 +217,33 @@ class TestCLVCache:
 
 class TestKernelBackends:
     def test_registry(self):
+        """The two names the benchmark harness passes map to the one
+        kernel (until ROADMAP item 1(e)); any other name is refused."""
         assert set(available_kernels()) == {"reference", "batched"}
-        assert get_kernel("reference") is ReferenceKernel
-        assert get_kernel("batched") is BatchedKernel
+        assert get_kernel("reference") is get_kernel("batched") is KernelBackend
+        assert BatchedKernel is KernelBackend
         with pytest.raises(ValueError):
             get_kernel("no-such-backend")
 
     def test_register_custom_backend(self):
-        with _tiny_blocked_registered() as name:
-            assert get_kernel(name) is TinyBlocked
-            tree = yule_tree(_PAL.taxa, RAxMLRandom(5))
-            ref = LikelihoodEngine(_PAL, _MODEL, RateModel.gamma(0.8, 4))
-            tiny = LikelihoodEngine(
-                _PAL, _MODEL, RateModel.gamma(0.8, 4), kernel=name
-            )
-            assert tiny.loglikelihood(tree) == ref.loglikelihood(tree)
-            blocks = -(-_PAL.n_patterns // TinyBlocked.block_size)
-            assert tiny.kernel.spans == tiny.kernel.sweeps * blocks > 0
-        assert "tiny-blocked-test" not in available_kernels()
+        """A kernel subclass handed to the engine is the one it runs."""
+        tree = yule_tree(_PAL.taxa, RAxMLRandom(5))
+        ref = LikelihoodEngine(_PAL, _MODEL, RateModel.gamma(0.8, 4))
+        tiny = LikelihoodEngine(
+            _PAL, _MODEL, RateModel.gamma(0.8, 4), kernel_class=TinyBlocked
+        )
+        assert type(tiny.kernel) is TinyBlocked
+        assert type(tiny.with_weights(tiny.weights).kernel) is TinyBlocked
+        assert tiny.loglikelihood(tree) == ref.loglikelihood(tree)
+        blocks = -(-_PAL.n_patterns // TinyBlocked.block_size)
+        assert tiny.kernel.spans == tiny.kernel.sweeps * blocks > 0
 
     @pytest.mark.parametrize("rm_name", ["gamma", "gamma+I", "cat"])
     def test_blocked_bit_identical(self, rm_name):
         rm = _rate_models(_PAL.n_patterns)[rm_name]
         tree = yule_tree(_PAL.taxa, RAxMLRandom(5))
         ref = LikelihoodEngine(_PAL, _MODEL, rm)
-        with _tiny_blocked_registered() as name:
-            blk = LikelihoodEngine(_PAL, _MODEL, rm, kernel=name)
+        blk = LikelihoodEngine(_PAL, _MODEL, rm, kernel_class=TinyBlocked)
         assert blk.loglikelihood(tree) == ref.loglikelihood(tree)
         assert np.array_equal(
             blk.site_loglikelihoods(tree), ref.site_loglikelihoods(tree)
@@ -295,10 +291,9 @@ class TestOpCountParity:
         cached_cold = self._exercise(
             LikelihoodEngine(_PAL, _MODEL, rm, clv_cache=True), tree
         )
-        with _tiny_blocked_registered() as name:
-            blocked = self._exercise(
-                LikelihoodEngine(_PAL, _MODEL, rm, kernel=name), tree
-            )
+        blocked = self._exercise(
+            LikelihoodEngine(_PAL, _MODEL, rm, kernel_class=TinyBlocked), tree
+        )
         assert serial == threaded
         assert serial == blocked
         # A cold cache charges full work on first touch; the later calls
@@ -330,7 +325,7 @@ class TestOpCountParity:
 class TestBitIdentityProperty:
     """Satellite: cached/incremental evaluation after random SPR/NNI/brlen
     move sequences is bit-identical to from-scratch, across GAMMA, CAT,
-    and +I — and across thread counts and kernel backends."""
+    and +I — and across thread counts and axis tilings."""
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 10**6), n_moves=st.integers(1, 5))
@@ -364,11 +359,10 @@ class TestBitIdentityProperty:
             threaded = LikelihoodEngine(
                 _PAL, _MODEL, rm, pool=VirtualThreadPool(n_threads),
             )
-            with _tiny_blocked_registered() as name:
-                blocked = LikelihoodEngine(
-                    _PAL, _MODEL, rm, kernel=name, clv_cache=True,
-                    pool=VirtualThreadPool(n_threads),
-                )
+            blocked = LikelihoodEngine(
+                _PAL, _MODEL, rm, kernel_class=TinyBlocked, clv_cache=True,
+                pool=VirtualThreadPool(n_threads),
+            )
             assert threaded.loglikelihood(tree) == expected
             assert blocked.loglikelihood(tree) == expected
 
@@ -403,13 +397,13 @@ class TestDegenerateChunks:
         rm = _rate_models(m)[rm_name]
         tree = yule_tree(pal.taxa, RAxMLRandom(9))
         span_sizes = []
-        propagate_span = ReferenceKernel._propagate_span
+        propagate_span = KernelBackend._propagate_span
 
         def watched(self, clv, p2c, pmats):
             span_sizes.append(len(clv))
             return propagate_span(self, clv, p2c, pmats)
 
-        monkeypatch.setattr(ReferenceKernel, "_propagate_span", watched)
+        monkeypatch.setattr(KernelBackend, "_propagate_span", watched)
 
         def exercise(pool):
             engine = LikelihoodEngine(pal, _MODEL, rm, pool=pool)
@@ -438,19 +432,22 @@ class TestDegenerateChunks:
         assert surplus.regions_executed == one_each.regions_executed > 0
         assert surplus.virtual_time > one_each.virtual_time
 
-    @pytest.mark.parametrize("kernel", ["reference", "batched"])
+    @pytest.mark.parametrize("kernel", available_kernels())
     def test_one_pattern_chunks_cannot_move_a_bit(self, kernel):
         """When thread counts this high still executed their chunks, a
         one-pattern chunk went through BLAS's matrix-vector routines and
         13 of these 89 site log-likelihoods came out an ulp off serial's
-        (``tests/test_kernel_sweeps.py`` keeps that on record)."""
+        (``tests/test_kernel_sweeps.py`` keeps that on record).  Run once
+        per harness kernel name, both the one kernel, until ROADMAP 1(e)."""
         tree = yule_tree(_PAL.taxa, RAxMLRandom(5))
+        cls = get_kernel(kernel)
         for rm in _rate_models(_PAL.n_patterns).values():
-            serial = LikelihoodEngine(_PAL, _MODEL, rm, kernel=kernel)
+            serial = LikelihoodEngine(_PAL, _MODEL, rm, kernel_class=cls)
             want = serial.site_loglikelihoods(tree)
             for n_threads in (60, _PAL.n_patterns, _PAL.n_patterns + 5):
                 threaded = LikelihoodEngine(
-                    _PAL, _MODEL, rm, kernel=kernel, pool=VirtualThreadPool(n_threads)
+                    _PAL, _MODEL, rm, kernel_class=cls,
+                    pool=VirtualThreadPool(n_threads),
                 )
                 got = threaded.site_loglikelihoods(tree)
                 assert got.tobytes() == want.tobytes(), n_threads
