@@ -19,8 +19,9 @@ the pool's workers are virtual, so a
 sweep — one parallel region of simulated time, from the per-worker
 pattern counts — and the kernel computes the same whole-axis arrays it
 computes without a pool.  Serial and threaded results are
-**bit-identical by construction**, for any thread count; that really slicing the axis per worker would not move
-a bit either is what the tiling kernels of the test suites prove.
+**bit-identical by construction**, for any thread count; that really
+slicing the axis per worker would not move a bit either is what the
+tiling kernels of the test suites prove.
 
 Other structural features retained from the original engine:
 

@@ -43,8 +43,8 @@ from repro.tree.random_trees import yule_tree
 from repro.util.rng import RAxMLRandom
 from tests import oracle
 from tests.conftest import assert_bit_identical
-from tests.test_kernel_sweeps import Tiled
 from tests.test_likelihood_engine import QUARTET, clade_of, masks_of
+from tests.test_traversal_plan import TinyBlocked
 
 _PAL, _ = _make_dataset(n_taxa=9, n_sites=180, seed=404)
 _MODEL = GTRModel(rates=(1.2, 2.5, 0.8, 1.1, 3.0, 1.0), freqs=(0.3, 0.2, 0.2, 0.3))
@@ -250,15 +250,10 @@ class TestBatchedParity:
         enough to evict, CLV-cache traffic — and so op totals and virtual
         time — must not depend on how the kernel cuts the pattern axis
         (whole, or a 7-pattern tiling subclass)."""
-
-        class Tiled7(Tiled, KernelBackend):
-            def _tiles(self):
-                return [slice(lo, lo + 7) for lo in range(0, self.n_patterns, 7)]
-
         pal, _ = _make_dataset(n_taxa=10, n_sites=200, seed=7)
         tree = yule_tree(pal.taxa, RAxMLRandom(31))
         seen = []
-        for kernel_class in (KernelBackend, Tiled7):
+        for kernel_class in (KernelBackend, TinyBlocked):
             engine = LikelihoodEngine(
                 pal, _MODEL, kernel_class=kernel_class,
                 clv_cache=CLVCache(max_entries=max_entries),

@@ -10,8 +10,8 @@ import pytest
 from repro.datasets import test_dataset as make_test_dataset
 from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
 from repro.mpi.faults import FaultPlan, KillSpec
-from repro.search.comprehensive import ComprehensiveConfig, run_comprehensive
 from repro.sched.queue import StealBoard
+from repro.search.comprehensive import ComprehensiveConfig, run_comprehensive
 from repro.search.searches import StageParams
 from repro.tree.newick import write_newick
 from tests.conftest import assert_bit_identical
