@@ -70,8 +70,7 @@ class HybridConfig:
     #: checkpoint fingerprint — how patiently a run waited does not change
     #: what it computed.
     timeout_policy: TimeoutPolicy = TimeoutPolicy()
-    #: A kernel name ("reference" or "batched", both the one kernel),
-    #: validated and fingerprinted only; it goes with ROADMAP item 1(e).
+    #: Validated and fingerprinted, reaches nothing; goes with ROADMAP 1(e).
     kernel: str = "reference"
     #: Enable signature-keyed CLV caching in every rank's engines (the
     #: traversal planner then recomputes only move-invalidated partials).

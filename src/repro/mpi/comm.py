@@ -37,6 +37,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from repro.mpi.membership import (
+    DEAD,
     AllRanksDeadError,
     FaultPlane,
     RankMembership,
@@ -153,10 +154,12 @@ class _World:
             slot = self.slots.get(gen)
             if slot is None:
                 # The first arriver freezes who participates in this
-                # generation: the ranks running *now*.
-                slot = self.slots[gen] = _Slot(
-                    op, frozenset(faults.running()) | {rank}
-                )
+                # generation: every rank not dead.  One that already
+                # failed or exited is then a defector, as it is when it
+                # leaves during the wait, whichever arrives first.
+                slot = self.slots[gen] = _Slot(op, frozenset(
+                    r for r in range(self.size) if faults.status[r] != DEAD
+                ) | {rank})
             if slot.op != op:
                 raise SPMDError(
                     f"collective mismatch at generation {gen}: rank "

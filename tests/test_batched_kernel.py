@@ -336,9 +336,14 @@ class TestBatchedParity:
         assert threaded.loglikelihood(tree) == expected
 
     def test_registry_lists_batched(self):
-        """The benchmark harness's two names are the one kernel."""
+        """``HybridConfig.kernel`` takes either name the benchmark harness
+        passes, both the one kernel, and refuses any other."""
         assert set(available_kernels()) == {"reference", "batched"}
         assert get_kernel("batched") is BatchedKernel is KernelBackend
+        for name in available_kernels():
+            assert HybridConfig(1, 1, kernel=name).kernel == name
+        with pytest.raises(ValueError, match="kernel"):
+            HybridConfig(1, 1, kernel="fused")
 
 
 class TestCLVCacheHardening:

@@ -342,6 +342,28 @@ def test_rank_error_matches_the_thread_world(forks):
     assert len(forks) == 3
 
 
+@pytest.mark.parametrize("first", ["the-failure", "the-barrier"])
+def test_a_failed_peer_is_reported_the_same_whoever_comes_first(first):
+    """Rank 1 raises while rank 0 enters a barrier.  Whether rank 1 had
+    already failed when rank 0 opened the collective or failed while rank
+    0 waited in it, rank 0 reports a peer that left without joining."""
+
+    def body(comm):
+        if (comm.rank == 0) == (first == "the-failure"):
+            time.sleep(0.3)
+        if comm.rank == 1:
+            raise KeyError("rank one gives up")
+        comm.barrier()
+
+    with pytest.raises(KeyError) as info:
+        run_spmd(body, 2)
+    assert info.value.__notes__ == [
+        "[simmpi] also failed: rank 0: SPMDError: collective 'barrier' "
+        "(generation 0) broken: rank(s) [1] left the computation without "
+        "joining it (mismatched collective ordering?)"
+    ]
+
+
 class Unpicklable(Exception):
     def __init__(self) -> None:
         super().__init__("holds a lock")
