@@ -26,8 +26,9 @@ leaves the numbers on disk for inspection):
   shape — 125 taxa x 29,149 characters, ~19.4k patterns — three SPR
   rounds in a fresh subprocess, plus two more fresh processes for the
   cold (first) round, whose cost is mostly page commissioning.  It
-  records wall-clock seconds and asserts only that every process made
-  the same search.
+  records wall-clock seconds and the 3-round process's peak resident
+  set (``ru_maxrss``), and asserts only that every process made the
+  same search.
 """
 
 import json
@@ -58,9 +59,10 @@ PARAMS = SPRParams(radius=2, min_improvement=0.01)
 # The full leg's child process: the paper's largest dataset
 # shape (125 taxa, 29,149 characters; the tuned invariant fraction lands
 # the simulation at 19,441 unique patterns vs the real data's 19,436),
-# three SPR rounds from a fixed Yule start tree, reported as JSON.
+# three SPR rounds from a fixed Yule start tree, reported as JSON with the
+# process's peak resident set (Linux reports ``ru_maxrss`` in KiB).
 _FULL_CHILD = r"""
-import json, sys, time
+import json, resource, sys, time
 from repro.datasets.generator import SimulationParams, simulate_alignment
 from repro.seq.patterns import compress_alignment
 from repro.likelihood.engine import LikelihoodEngine, OpCounter, RateModel
@@ -91,6 +93,7 @@ for _ in range(n_rounds):
 print(json.dumps({
     "n_patterns": pal.n_patterns,
     "round_seconds": rounds, "lnls": lnls, "ops": ops.snapshot(),
+    "ru_maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """
 

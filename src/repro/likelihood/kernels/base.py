@@ -248,6 +248,11 @@ def _sum_logscales(logscales: list[np.ndarray], scale: np.ndarray) -> np.ndarray
     return total
 
 
+#: Entry bound of both full-pattern CLV stores (the contribution LRU and
+#: ``CLVCache``): above every reuse distance measured on 8 taxa (≤ 115).
+CLV_ENTRIES = 128
+
+
 class ArrayLRU:
     """A bounded LRU of read-only arrays (P-matrices, tip tables, child
     contributions); entries are frozen on insert because every hit hands
@@ -374,10 +379,6 @@ class KernelBackend:
     #: LRU capacity for transition matrices (and the tip tables derived
     #: from them); entries are a few hundred bytes each.
     pmat_entries = 512
-    #: Byte budget for the contribution LRU.  Entries are full-pattern
-    #: CLVs (``m·k·4`` float64), so the capacity adapts to the pattern
-    #: count; the floor keeps small test alignments from thrashing.
-    contrib_budget_bytes = 1 << 30
     #: Pattern-block length of the fused per-node pipeline: the
     #: propagated child blocks (2 · B·k·4 doubles ≈ 1 MiB at B=4096, k=4
     #: for two children), multiplied straight into the output's rows,
@@ -409,9 +410,7 @@ class KernelBackend:
         self.tip_rows = state_likelihood_rows()
         self._pmat_lru = ArrayLRU(self.pmat_entries)
         self._tip_lru = ArrayLRU(self.pmat_entries)
-        entry = n_patterns * (4 if self.is_cat else self.n_categories * 4) * 8
-        self.contrib_entries = max(16, self.contrib_budget_bytes // max(entry, 1))
-        self._contrib_lru = ArrayLRU(self.contrib_entries)
+        self._contrib_lru = ArrayLRU(CLV_ENTRIES)
         self._ins_memo: tuple | None = None
         self._buffers: dict[tuple, np.ndarray] = {}
         #: The sumtable's exponents ``rate_c · λ_j``, shape (k, 4): fixed

@@ -35,7 +35,7 @@ from __future__ import annotations
 import os
 import threading
 import time as _wall
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sched.tasks import Task
 from repro.util.rng import RAxMLRandom, rank_seed

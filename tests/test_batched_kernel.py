@@ -1,6 +1,6 @@
 """Tests for the kernel's level execution and its planner support.
 
-Four concerns:
+Five concerns:
 
 * the plan's *level decomposition* is a valid topological schedule
   (children strictly before parents, union of levels == plan ops);
@@ -12,7 +12,10 @@ Four concerns:
   virtual-threaded and CLV-cached; the fused block regime against the
   per-level flow, on the engine and on a whole analysis; op totals and
   CLV-cache traffic under eviction whatever cuts the pattern axis;
-* the degenerate-input hardening of :class:`CLVCache` and the planner.
+* the degenerate-input hardening of :class:`CLVCache` and the planner;
+* the one entry bound of both CLV stores, ``CLV_ENTRIES``: the
+  contribution LRU's size moves no bit and no op, and the cache's keeps
+  every hit of a search whose reuse reaches past 64 entries.
 """
 
 import numpy as np
@@ -21,8 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import test_dataset as _make_dataset
+from repro.datasets.generator import SimulationParams, simulate_alignment
 from repro.hybrid import HybridConfig, run_hybrid_analysis
-from repro.likelihood.engine import LikelihoodEngine, RateModel
+from repro.likelihood.engine import LikelihoodEngine, OpCounter, RateModel
 from repro.likelihood.gtr import GTRModel
 from repro.likelihood.kernels import (
     BatchedKernel,
@@ -30,10 +34,12 @@ from repro.likelihood.kernels import (
     available_kernels,
     get_kernel,
 )
+from repro.likelihood.kernels.base import CLV_ENTRIES, ArrayLRU
 from repro.likelihood.plan import CLVCache, plan_traversal
 from repro.likelihood.brlen import optimize_branch_lengths
 from repro.search.comprehensive import ComprehensiveConfig
-from repro.search.searches import StageParams
+from repro.search.hillclimb import hill_climb
+from repro.search.searches import StageParams, slow_search
 from repro.search.spr import SPRParams, spr_round
 from repro.seq.alignment import Alignment
 from repro.seq.patterns import compress_alignment
@@ -56,6 +62,15 @@ def _rate_models(m: int) -> dict[str, RateModel]:
         "gamma+I": RateModel.gamma(0.8, 4, p_invariant=0.2),
         "cat": RateModel.cat(np.array([0.4, 1.0, 2.1]), np.arange(m) % 3),
     }
+
+
+class TwoContribs(KernelBackend):
+    """The kernel with a two-entry contribution LRU: past a level's
+    second child edge, every contribution evicts one."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._contrib_lru = ArrayLRU(2)
 
 
 def _force_fused(monkeypatch, block: int) -> None:
@@ -244,6 +259,30 @@ class TestBatchedParity:
         # Values do not depend on the cache either; charges do.
         self._assert_equal_traces(serial[:-1], cached[:-1])
 
+    @pytest.mark.parametrize("rm_name", ["gamma", "cat"])
+    def test_contribution_lru_size_moves_no_bit(self, rm_name):
+        """Contribution hits are charge-neutral: a two-entry LRU gives the
+        default kernel's lnl, derivatives, insertion scores and op totals
+        in the per-level flow."""
+        rm = _rate_models(_PAL.n_patterns)[rm_name]
+        tree = yule_tree(_PAL.taxa, RAxMLRandom(41))
+        leaf = next(n for n in tree.postorder() if n.is_leaf)
+        traces, held = [], []
+        for kernel_class in (KernelBackend, TwoContribs):
+            engine = LikelihoodEngine(_PAL, _MODEL, rm, kernel_class=kernel_class)
+            assert not engine.kernel._fused
+            down = engine.compute_down_partials(tree)
+            up = engine.compute_up_partials(tree, down)
+            sub = engine.compute_down_partials(tree, subtree=leaf)[id(leaf)]
+            scores = [
+                engine.insertion_loglikelihood(down[id(e)], up[id(e)], sub, e.length, 0.1)
+                for e in tree.edges()
+            ]
+            traces.append([*self._trace(engine, tree), scores, engine.ops.snapshot()])
+            held.append(len(engine.kernel._contrib_lru._store))
+        self._assert_equal_traces(*traces)
+        assert held[1] == 2 < held[0]
+
     @pytest.mark.parametrize("max_entries", [5, 8])
     def test_op_totals_kernel_independent_under_eviction(self, max_entries):
         """One executor means one LRU put/get order: with a cache small
@@ -392,3 +431,46 @@ class TestCLVCacheHardening:
             probes += 1
         stats = cache.stats()
         assert stats["hits"] + stats["misses"] == probes
+
+
+class TestCLVBound:
+    """``CLV_ENTRIES`` bounds both full-pattern CLV stores, whatever the
+    pattern count."""
+
+    @pytest.mark.parametrize("n_patterns", [57, 19_000])
+    @pytest.mark.parametrize("rm_name", ["gamma", "cat"])
+    def test_contribution_lru_capacity(self, n_patterns, rm_name):
+        rm = _rate_models(n_patterns)[rm_name]
+        kernel = KernelBackend(_MODEL, rm, OpCounter(), n_patterns)
+        assert kernel._contrib_lru.capacity == CLV_ENTRIES
+
+    def test_cache_default_is_clv_entries(self):
+        assert CLVCache().max_entries == CLV_ENTRIES
+        engine = LikelihoodEngine(_PAL, _MODEL, clv_cache=True)
+        assert engine.clv_cache.max_entries == CLV_ENTRIES
+
+    @staticmethod
+    def _far_reuse(cache: CLVCache) -> tuple[dict, float]:
+        """A hill climb from a Yule tree, then a slow search from its
+        result, over one cache.  The slow search rejects most moves, so
+        it comes back to the base tree's partials between trials, more
+        than 64 other entries later."""
+        aln, _ = simulate_alignment(SimulationParams(n_taxa=8, n_sites=60, seed=4242))
+        pal = compress_alignment(aln)
+        engine = LikelihoodEngine(pal, _MODEL, RateModel.gamma(0.8, 4), clv_cache=cache)
+        start = hill_climb(
+            engine, yule_tree(pal.taxa, RAxMLRandom(4242)),
+            initial_radius=5, max_radius=5, max_rounds=3, brlen_passes=1,
+        ).tree
+        lnl = slow_search(engine, start, RAxMLRandom(7), StageParams(slow_max_rounds=2)).lnl
+        return engine.ops.snapshot(), lnl
+
+    def test_default_bound_keeps_every_far_hit(self):
+        small_ops, small_lnl = self._far_reuse(CLVCache(64))
+        unbounded_ops, unbounded_lnl = self._far_reuse(CLVCache(10**6))
+        default = CLVCache()
+        default_ops, default_lnl = self._far_reuse(default)
+        assert small_lnl == default_lnl == unbounded_lnl
+        assert small_ops["pattern_ops"] > unbounded_ops["pattern_ops"]
+        assert default_ops == unbounded_ops
+        assert default.evictions > 0
