@@ -21,7 +21,10 @@ leaves the numbers on disk for inspection):
   a 4-thread virtual pool (which prices the thread chunks and makes
   serial's kernel calls).  Asserts are exact: bit-identical
   log-likelihoods everywhere, the planner saves CLV work, and the
-  threaded round charges *exactly* the serial op counts.
+  threaded round charges *exactly* the serial op counts.  One more
+  planned round runs on 150 taxa (the paper's data sets have 125 to 404):
+  under the engine's default CLV-cache bound it must keep every hit of an
+  unbounded cache.
 * **Full leg** (``REPRO_BENCH_FULL=1``): the paper's largest data-set
   shape — 125 taxa x 29,149 characters, ~19.4k patterns — three SPR
   rounds in a fresh subprocess, plus two more fresh processes for the
@@ -41,11 +44,14 @@ import timeit
 import numpy as np
 
 from repro.datasets import test_dataset as make_test_dataset
+from repro.datasets.generator import SimulationParams, simulate_alignment
 from repro.likelihood.engine import LikelihoodEngine, OpCounter, RateModel
 from repro.likelihood.gtr import GTRModel, _spectral_products
 from repro.likelihood.kernels import base as kb
+from repro.likelihood.plan import CLVCache
 from repro.search.spr import SPRParams, spr_round
 from repro.seq.encoding import state_likelihood_rows
+from repro.seq.patterns import compress_alignment
 from repro.threads.pool import VirtualThreadPool
 from repro.tree.random_trees import yule_tree
 from repro.util.rng import RAxMLRandom
@@ -262,6 +268,27 @@ def run_microbench():
     return pal.n_patterns, variants
 
 
+def run_wide_tree_round() -> dict:
+    """One planned SPR round on 150 taxa x 600 sites, over the engine's
+    default CLV cache and over an unbounded one: CLV updates, cache
+    traffic, lnl and seconds of each."""
+    aln, _ = simulate_alignment(SimulationParams(n_taxa=150, n_sites=600, seed=150))
+    pal = compress_alignment(aln)
+    params = SPRParams(radius=2, min_improvement=0.01, max_prune_candidates=16)
+    out: dict = {"n_taxa": pal.n_taxa, "n_patterns": pal.n_patterns}
+    for name, cache in (("default", True), ("unbounded", CLVCache(10**6))):
+        engine = LikelihoodEngine(pal, MODEL, RateModel.gamma(0.8, 4), clv_cache=cache)
+        tree = yule_tree(pal.taxa, RAxMLRandom(4711))
+        start = time.perf_counter()
+        _, lnl, _ = spr_round(engine, tree, params, rng=RAxMLRandom(97))
+        out[name] = {
+            "lnl": lnl, "wall_seconds": time.perf_counter() - start,
+            "max_entries": engine.clv_cache.max_entries,
+            "clv_updates": engine.ops.clv_updates, **engine.clv_cache.stats(),
+        }
+    return out
+
+
 def _full_child(n_rounds: int):
     proc = subprocess.run(
         [sys.executable, "-c", _FULL_CHILD, str(n_rounds)],
@@ -289,6 +316,7 @@ def run_full_bench():
 def test_kernel_microbench(benchmark, emit):
     n_patterns, variants = benchmark.pedantic(run_microbench, rounds=1, iterations=1)
     full = run_full_bench() if os.environ.get("REPRO_BENCH_FULL") == "1" else None
+    wide = run_wide_tree_round()
     contractions = run_contraction_bench()
     rewrites = run_rewrite_bench()
 
@@ -307,6 +335,7 @@ def test_kernel_microbench(benchmark, emit):
             name: {"lnl": lnl, "wall_seconds": secs, **snapshot}
             for name, (lnl, snapshot, secs) in variants.items()
         },
+        "planned_round_150_taxa": wide,
     }
     if full is not None:
         doc["spr_round_19436"] = {
@@ -375,6 +404,10 @@ def test_kernel_microbench(benchmark, emit):
     assert planned["deriv_evals"] == scratch["deriv_evals"]
     # A threaded round charges exactly the serial op totals.
     assert variants["threaded4-planned"][1] == planned
+    # On 150 taxa the default bound keeps every hit of an unbounded cache.
+    assert wide["default"]["lnl"] == wide["unbounded"]["lnl"]
+    assert wide["default"]["hits"] == wide["unbounded"]["hits"], wide
+    assert wide["default"]["clv_updates"] == wide["unbounded"]["clv_updates"], wide
 
     rows = [
         (name, snapshot["clv_updates"], snapshot["edge_evals"],

@@ -45,6 +45,7 @@ from repro.likelihood.kernels.base import (
     LevelSpec,
     OpCounter,
     Partial,
+    clv_entries,
 )
 from repro.likelihood.plan import CLVCache, plan_traversal, subtree_signatures
 from repro.likelihood.rates import RateModel, subset_rate_model
@@ -125,11 +126,11 @@ class LikelihoodEngine:
         self._chunk_sizes = chunk_sizes(
             pal.n_patterns, 1 if pool is None else pool.n_threads
         )
-        self.kernel = kernel_class(model, self.rate_model, self.ops, pal.n_patterns)
+        self.kernel = kernel_class(model, self.rate_model, self.ops, pal.n_patterns, pal.n_taxa)
         if isinstance(clv_cache, CLVCache):
             self.clv_cache: CLVCache | None = clv_cache
         else:
-            self.clv_cache = CLVCache() if clv_cache else None
+            self.clv_cache = CLVCache(clv_entries(pal.n_taxa)) if clv_cache else None
         self._tip_rows = state_likelihood_rows()
         # Tip partials are reused across traversals (a tip's down partial
         # depends only on its alignment row) and share one zero log-scaler.
@@ -161,8 +162,8 @@ class LikelihoodEngine:
 
     def _with(self, *, fresh_cache: bool, **changed) -> "LikelihoodEngine":
         """A sibling engine differing in the ``changed`` constructor
-        arguments, over this engine's CLV cache or (``fresh_cache``) an
-        empty one of the same capacity."""
+        arguments, over this engine's tip partials and its CLV cache or
+        (``fresh_cache``) an empty one of the same capacity."""
         cache: bool | CLVCache = False
         if self.clv_cache is not None:
             cache = (
@@ -173,10 +174,12 @@ class LikelihoodEngine:
             model=self.model, rate_model=self.rate_model, weights=self.weights
         )
         kwargs.update(changed)
-        return LikelihoodEngine(
+        sibling = LikelihoodEngine(
             self.pal, ops=self.ops, kernel_class=type(self.kernel), clv_cache=cache,
             pool=self.pool, **kwargs,
         )
+        sibling._tip_parts = self._tip_parts
+        return sibling
 
     def with_model(self, model: GTRModel) -> "LikelihoodEngine":
         """New model parameters invalidate every CLV: fresh cache."""

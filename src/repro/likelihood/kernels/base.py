@@ -78,9 +78,8 @@ _unpack_u64 = struct.Struct("<Q").unpack
 #: length, payload)`` where the payload is a leaf's pattern-mask row
 #: (1-D) or the child's down CLV.
 LevelSpec = tuple[int, float, np.ndarray]
-#: One fused-pipeline input: ``("ready", contribution, None)``,
-#: ``("tip", the (16, k·4) view of the tip table, masks)`` or
-#: ``("edge", P-matrices, CLV)``.
+#: One fused-pipeline input: ``("tip", the (16, k·4) view of the tip
+#: table, masks)`` or ``("edge", P-matrices, CLV)``.
 FusedInput = tuple[str, np.ndarray, np.ndarray | None]
 
 
@@ -248,9 +247,11 @@ def _sum_logscales(logscales: list[np.ndarray], scale: np.ndarray) -> np.ndarray
     return total
 
 
-#: Entry bound of both full-pattern CLV stores (the contribution LRU and
-#: ``CLVCache``): above every reuse distance measured on 8 taxa (≤ 115).
-CLV_ENTRIES = 128
+def clv_entries(n_taxa: int) -> int:
+    """``CLVCache``'s entry bound on an ``n_taxa`` tree: the n − 2 inner
+    partials a traversal touches in turn, plus one SPR trial's paths.  The
+    contribution LRU (one array per child edge) holds twice as many."""
+    return n_taxa + 32
 
 
 class ArrayLRU:
@@ -397,6 +398,7 @@ class KernelBackend:
         rate_model: RateModel,
         ops: OpCounter,
         n_patterns: int,
+        n_taxa: int,
     ) -> None:
         self.model = model
         self.rate_model = rate_model
@@ -410,7 +412,7 @@ class KernelBackend:
         self.tip_rows = state_likelihood_rows()
         self._pmat_lru = ArrayLRU(self.pmat_entries)
         self._tip_lru = ArrayLRU(self.pmat_entries)
-        self._contrib_lru = ArrayLRU(CLV_ENTRIES)
+        self._contrib_lru = ArrayLRU(2 * clv_entries(n_taxa))
         self._ins_memo: tuple | None = None
         self._buffers: dict[tuple, np.ndarray] = {}
         #: The sumtable's exponents ``rate_c · λ_j``, shape (k, 4): fixed
@@ -619,10 +621,9 @@ class KernelBackend:
         Each entry is one node's child edge specs and the children's down
         log-scalers (``None`` for leaves), both in child order.  Charges
         one CLV update per child edge.  In the fused regime each node runs
-        :meth:`_fused_node`; contribution-LRU hits are folded in as ready
-        arrays, and fresh propagations are not memoised there, since
-        materialising them would re-spend the memory traffic the fusion
-        exists to avoid.
+        :meth:`_fused_node`, which neither reads nor fills the
+        contribution LRU: materialising its propagations would re-spend
+        the memory traffic the fusion exists to avoid.
         """
         if self._fused:
             parts = [self._fused_node(specs, lss)[0] for specs, lss in nodes]
@@ -741,9 +742,6 @@ class KernelBackend:
         ]
 
     def _fused_input(self, spec: LevelSpec) -> FusedInput:
-        hit = self._contrib_lru.get(_contrib_key(spec))
-        if hit is not None:
-            return "ready", hit, None
         _, t, payload = spec
         if payload.ndim == 1:
             return "tip", self._tip_table(t).reshape(16, -1), payload
@@ -753,15 +751,12 @@ class KernelBackend:
         self, inputs: list[FusedInput], lo: int, hi: int
     ) -> list[np.ndarray]:
         """Patterns ``lo:hi`` of every fused-pipeline input, in input
-        order, each ``(n, k, 4)``: memoised contributions as slices, tip
-        gathers and edge propagations into scratch."""
+        order, each ``(n, k, 4)``: tip gathers and edge propagations into
+        scratch."""
         k = self.n_categories
         n = hi - lo
         blks: list[np.ndarray] = []
         for i, (kind, table, payload) in enumerate(inputs):
-            if kind == "ready":
-                blks.append(table[lo:hi])
-                continue
             buf = self._buffer((n, k, 4), f"fuse-edge{i}")
             if kind == "tip":
                 # Masks are 4-bit (``PatternAlignment`` checks); "clip" lets

@@ -30,7 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.likelihood.kernels.base import CLV_ENTRIES, Partial, length_bits
+from repro.likelihood.kernels.base import Partial, length_bits
 from repro.tree.topology import Node, Tree
 
 _MASK = (1 << 64) - 1
@@ -156,13 +156,14 @@ class CLVCache:
 
     Invalidation is implicit: an edit changes the signatures on the path
     to the root, so stale entries are simply never looked up again and
-    age out of the LRU.  ``max_entries`` (default ``CLV_ENTRIES``) bounds
-    memory: each entry holds one full-pattern CLV + log-scaler.  ``max_entries=0``
-    disables the cache — every probe misses and puts are dropped — so a
-    zero budget degrades to from-scratch traversals instead of erroring.
+    age out of the LRU.  ``max_entries`` bounds memory (the engine's is
+    ``clv_entries(n_taxa)``): each entry holds one full-pattern CLV +
+    log-scaler.  ``max_entries=0`` disables the cache — every probe
+    misses and puts are dropped — so a zero budget degrades to
+    from-scratch traversals instead of erroring.
     """
 
-    def __init__(self, max_entries: int = CLV_ENTRIES) -> None:
+    def __init__(self, max_entries: int) -> None:
         if max_entries < 0:
             raise ValueError("max_entries must be non-negative")
         self.max_entries = max_entries

@@ -53,13 +53,14 @@ def hill_climb(
     lnl = optimize_branch_lengths(engine, work, passes=brlen_passes)
     radius = initial_radius
     rounds = 0
+    settled: set[int] = set()  # trials a failed round rejected for good
     while rounds < max_rounds:
         params = SPRParams(
             radius=radius,
             min_improvement=min_improvement,
             max_prune_candidates=max_prune_candidates,
         )
-        work, lnl, improved = spr_round(engine, work, params, current_lnl=lnl, rng=rng)
+        work, lnl, improved = spr_round(engine, work, params, lnl, rng=rng, settled=settled)
         rounds += 1
         if improved:
             lnl = optimize_branch_lengths(engine, work, passes=brlen_passes)

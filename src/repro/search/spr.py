@@ -72,6 +72,13 @@ def try_spr(
     or ``None`` when the position cannot be pruned (root, too-large
     subtree, or no candidate edges).
     """
+    trial = _trial(engine, tree, prune_index, params)
+    return None if trial is None else trial[:2]
+
+
+def _trial(engine, tree: Tree, prune_index: int, params: SPRParams):
+    """:func:`try_spr`, plus whether the radius left every edge of the
+    pruned tree a candidate — then a larger radius repeats the trial."""
     work = tree.copy()
     nodes = list(work.postorder())
     if not (0 <= prune_index < len(nodes)):
@@ -101,6 +108,7 @@ def try_spr(
     down = engine.compute_down_partials(work)
     up = engine.compute_up_partials(work, down)
     candidates = edges_within_radius(work, origin, params.radius)
+    whole = len(candidates) == len(work.edges())
     if not candidates:
         return None
 
@@ -133,7 +141,7 @@ def try_spr(
         if edge_child.parent is not None:
             optimize_edge(engine, work, edge_child, down=down_new, up=up_new)
     lnl = engine.loglikelihood(work)
-    return work, lnl
+    return work, lnl, whole
 
 
 def spr_round(
@@ -142,13 +150,19 @@ def spr_round(
     params: SPRParams,
     current_lnl: float | None = None,
     rng=None,
+    settled: set[int] | None = None,
 ) -> tuple[Tree, float, bool]:
     """One greedy pass over all prune positions.
 
     Accepted moves take effect immediately (RAxML's behaviour); returns
     ``(tree, lnl, improved_any)``.  ``rng`` optionally subsamples prune
     positions down to ``params.max_prune_candidates``.
+    ``settled`` (updated in place, emptied by an accepted move) holds the
+    prune indices rejected on ``tree`` with every edge a candidate: until
+    a move is accepted they count as tried without running, since this
+    radius or a larger one would repeat them bit for bit.
     """
+    settled = set() if settled is None else settled
     current = tree
     lnl = engine.loglikelihood(tree) if current_lnl is None else current_lnl
     improved_any = False
@@ -165,15 +179,21 @@ def spr_round(
     t_round = rec.now if rec is not None else 0.0
     tried = accepted = 0
     for idx in indices:
-        result = try_spr(engine, current, idx, params)
-        if result is None:
+        if idx in settled:
+            tried += 1
+            continue
+        trial = _trial(engine, current, idx, params)
+        if trial is None:
             continue
         tried += 1
-        new_tree, new_lnl = result
+        new_tree, new_lnl, whole = trial
         if new_lnl > lnl + params.min_improvement:
             current, lnl = new_tree, new_lnl
             improved_any = True
             accepted += 1
+            settled.clear()
+        elif whole and not improved_any:
+            settled.add(idx)
     if rec is not None:
         rec.count("search.spr.tried", tried)
         rec.count("search.spr.accepted", accepted)

@@ -79,6 +79,27 @@ class TestEngineWithers:
         part = engine.tip_clv(0, patterns=slice(2, 5))
         assert np.array_equal(part, full[2:5])
 
+    def test_siblings_share_tip_partials(self, engine, tiny_pal, tiny_tree, monkeypatch):
+        """Tip partials depend on the alignment alone: a sibling engine
+        gathers none of them again, for the bits and ops of a fresh one."""
+        engine.loglikelihood(tiny_tree)
+        gathers = []
+        real = LikelihoodEngine.tip_clv
+        monkeypatch.setattr(
+            LikelihoodEngine, "tip_clv",
+            lambda self, *a, **k: gathers.append(a) or real(self, *a, **k),
+        )
+        sibling = engine.with_model(GTRModel.jc69()).with_weights(engine.weights * 2)
+        fresh = LikelihoodEngine(
+            tiny_pal, GTRModel.jc69(), engine.rate_model, weights=engine.weights * 2
+        )
+        before = engine.ops.snapshot()
+        assert sibling.loglikelihood(tiny_tree) == fresh.loglikelihood(tiny_tree)
+        assert sibling._tip_parts is engine._tip_parts
+        assert len(gathers) == tiny_pal.n_taxa  # the fresh engine's only
+        after = engine.ops.snapshot()
+        assert {k: after[k] - before[k] for k in after} == fresh.ops.snapshot()
+
 
 class TestSPRTargeted:
     def test_spr_repairs_known_misplacement(self, small_pal, small_true_tree, gtr_model):

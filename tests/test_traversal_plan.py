@@ -209,7 +209,7 @@ class TestCLVCache:
             assert derived.clv_cache.max_entries == max_entries
 
     def test_stats_shape(self):
-        cache = CLVCache()
+        cache = CLVCache(max_entries=4)
         assert cache.stats() == {
             "entries": 0, "hits": 0, "misses": 0, "evictions": 0,
         }
