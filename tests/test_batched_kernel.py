@@ -13,9 +13,9 @@ Five concerns:
   per-level flow, on the engine and on a whole analysis; op totals and
   CLV-cache traffic under eviction whatever cuts the pattern axis;
 * the degenerate-input hardening of :class:`CLVCache` and the planner;
-* the one entry bound of both CLV stores, ``CLV_ENTRIES``: the
-  contribution LRU's size moves no bit and no op, and the cache's keeps
-  every hit of a search whose reuse reaches past 64 entries.
+* the entry bound of both CLV stores, ``clv_entries(n_taxa)``: the
+  contribution LRU's size moves no bit and no op, and on a 150-taxon
+  tree the cache's keeps every hit of an SPR round.
 """
 
 import numpy as np
@@ -34,12 +34,11 @@ from repro.likelihood.kernels import (
     available_kernels,
     get_kernel,
 )
-from repro.likelihood.kernels.base import CLV_ENTRIES, ArrayLRU
+from repro.likelihood.kernels.base import ArrayLRU, clv_entries
 from repro.likelihood.plan import CLVCache, plan_traversal
 from repro.likelihood.brlen import optimize_branch_lengths
 from repro.search.comprehensive import ComprehensiveConfig
-from repro.search.hillclimb import hill_climb
-from repro.search.searches import StageParams, slow_search
+from repro.search.searches import StageParams
 from repro.search.spr import SPRParams, spr_round
 from repro.seq.alignment import Alignment
 from repro.seq.patterns import compress_alignment
@@ -111,7 +110,7 @@ class TestLevelSchedule:
 
     def test_cached_ops_keep_structural_depth(self):
         tree = yule_tree(_PAL.taxa, RAxMLRandom(5))
-        cache = CLVCache()
+        cache = CLVCache(clv_entries(_PAL.n_taxa))
         engine = LikelihoodEngine(_PAL, _MODEL, clv_cache=cache)
         engine.loglikelihood(tree)  # warm the cache
         plan = plan_traversal(tree, cache)
@@ -434,43 +433,44 @@ class TestCLVCacheHardening:
 
 
 class TestCLVBound:
-    """``CLV_ENTRIES`` bounds both full-pattern CLV stores, whatever the
-    pattern count."""
+    """``clv_entries(n_taxa)`` bounds ``CLVCache``, twice that the
+    contribution LRU, whatever the pattern count."""
 
     @pytest.mark.parametrize("n_patterns", [57, 19_000])
     @pytest.mark.parametrize("rm_name", ["gamma", "cat"])
     def test_contribution_lru_capacity(self, n_patterns, rm_name):
         rm = _rate_models(n_patterns)[rm_name]
-        kernel = KernelBackend(_MODEL, rm, OpCounter(), n_patterns)
-        assert kernel._contrib_lru.capacity == CLV_ENTRIES
+        for n_taxa in (8, 150, 404):
+            kernel = KernelBackend(_MODEL, rm, OpCounter(), n_patterns, n_taxa)
+            assert kernel._contrib_lru.capacity == 2 * clv_entries(n_taxa)
 
     def test_cache_default_is_clv_entries(self):
-        assert CLVCache().max_entries == CLV_ENTRIES
+        assert clv_entries(150) == 182
         engine = LikelihoodEngine(_PAL, _MODEL, clv_cache=True)
-        assert engine.clv_cache.max_entries == CLV_ENTRIES
+        assert engine.clv_cache.max_entries == clv_entries(_PAL.n_taxa)
+        assert engine.kernel._contrib_lru.capacity == 2 * clv_entries(_PAL.n_taxa)
+        derived = engine.with_model(_MODEL)
+        assert derived.clv_cache.max_entries == clv_entries(_PAL.n_taxa)
 
     @staticmethod
-    def _far_reuse(cache: CLVCache) -> tuple[dict, float]:
-        """A hill climb from a Yule tree, then a slow search from its
-        result, over one cache.  The slow search rejects most moves, so
-        it comes back to the base tree's partials between trials, more
-        than 64 other entries later."""
-        aln, _ = simulate_alignment(SimulationParams(n_taxa=8, n_sites=60, seed=4242))
-        pal = compress_alignment(aln)
+    def _planned_round(pal, cache: CLVCache) -> tuple[dict, float]:
         engine = LikelihoodEngine(pal, _MODEL, RateModel.gamma(0.8, 4), clv_cache=cache)
-        start = hill_climb(
-            engine, yule_tree(pal.taxa, RAxMLRandom(4242)),
-            initial_radius=5, max_radius=5, max_rounds=3, brlen_passes=1,
-        ).tree
-        lnl = slow_search(engine, start, RAxMLRandom(7), StageParams(slow_max_rounds=2)).lnl
+        tree = yule_tree(pal.taxa, RAxMLRandom(4242))
+        _, lnl, _ = spr_round(
+            engine, tree, SPRParams(radius=2, max_prune_candidates=12), rng=RAxMLRandom(5)
+        )
         return engine.ops.snapshot(), lnl
 
-    def test_default_bound_keeps_every_far_hit(self):
-        small_ops, small_lnl = self._far_reuse(CLVCache(64))
-        unbounded_ops, unbounded_lnl = self._far_reuse(CLVCache(10**6))
-        default = CLVCache()
-        default_ops, default_lnl = self._far_reuse(default)
-        assert small_lnl == default_lnl == unbounded_lnl
-        assert small_ops["pattern_ops"] > unbounded_ops["pattern_ops"]
+    def test_default_bound_keeps_every_hit_at_150_taxa(self):
+        """A traversal touches every one of the n - 2 inner partials in
+        turn, so a bound below that evicts each before its next use: on
+        150 taxa the default must make the CLV updates of an unbounded
+        cache."""
+        aln, _ = simulate_alignment(SimulationParams(n_taxa=150, n_sites=24, seed=4242))
+        pal = compress_alignment(aln)
+        default = LikelihoodEngine(pal, _MODEL, clv_cache=True).clv_cache
+        default_ops, default_lnl = self._planned_round(pal, default)
+        unbounded_ops, unbounded_lnl = self._planned_round(pal, CLVCache(10**6))
+        assert default_lnl == unbounded_lnl
         assert default_ops == unbounded_ops
-        assert default.evictions > 0
+        assert len(default) > pal.n_taxa - 2
