@@ -59,6 +59,10 @@ def edges_within_radius(tree: Tree, origin: Node, radius: int) -> list[Node]:
     return [n for n in nodes if n.parent is not None]
 
 
+class SPRTrial(tuple):
+    """:func:`try_spr`'s ``(new_tree, lnl)``, plus ``whole`` (see there)."""
+
+
 def try_spr(
     engine,
     tree: Tree,
@@ -70,15 +74,10 @@ def try_spr(
     ``prune_index`` indexes the postorder enumeration of ``tree``.  Works
     on a copy; returns ``(new_tree, lnl)`` for the best insertion found,
     or ``None`` when the position cannot be pruned (root, too-large
-    subtree, or no candidate edges).
+    subtree, or no candidate edges).  The pair's ``whole`` says whether
+    every edge of the pruned tree was a candidate: then a larger radius
+    repeats the trial bit for bit.
     """
-    trial = _trial(engine, tree, prune_index, params)
-    return None if trial is None else trial[:2]
-
-
-def _trial(engine, tree: Tree, prune_index: int, params: SPRParams):
-    """:func:`try_spr`, plus whether the radius left every edge of the
-    pruned tree a candidate — then a larger radius repeats the trial."""
     work = tree.copy()
     nodes = list(work.postorder())
     if not (0 <= prune_index < len(nodes)):
@@ -140,8 +139,9 @@ def _trial(engine, tree: Tree, prune_index: int, params: SPRParams):
     for edge_child in [joint] + joint.children:
         if edge_child.parent is not None:
             optimize_edge(engine, work, edge_child, down=down_new, up=up_new)
-    lnl = engine.loglikelihood(work)
-    return work, lnl, whole
+    trial = SPRTrial((work, engine.loglikelihood(work)))
+    trial.whole = whole
+    return trial
 
 
 def spr_round(
@@ -182,17 +182,17 @@ def spr_round(
         if idx in settled:
             tried += 1
             continue
-        trial = _trial(engine, current, idx, params)
+        trial = try_spr(engine, current, idx, params)
         if trial is None:
             continue
         tried += 1
-        new_tree, new_lnl, whole = trial
+        new_tree, new_lnl = trial
         if new_lnl > lnl + params.min_improvement:
             current, lnl = new_tree, new_lnl
             improved_any = True
             accepted += 1
             settled.clear()
-        elif whole and not improved_any:
+        elif trial.whole and not improved_any:
             settled.add(idx)
     if rec is not None:
         rec.count("search.spr.tried", tried)

@@ -225,9 +225,9 @@ def _counted_analysis(monkeypatch, n_threads: int):
 
     init = KernelBackend.__init__
 
-    def collecting_init(self, model, rate_model, ops, n_patterns):
+    def collecting_init(self, model, rate_model, ops, *shape):
         counters[id(ops)] = ops
-        init(self, model, rate_model, ops, n_patterns)
+        init(self, model, rate_model, ops, *shape)
 
     with monkeypatch.context() as patch:
         for key in ("_propagate_span", "_derivatives_span"):

@@ -102,15 +102,18 @@ class TestSkipIsExact:
 
 @pytest.fixture()
 def trials(monkeypatch):
-    """Every trial ``spr_round`` runs, as ``(prune index, radius)``."""
-    seen: list[tuple[int, int]] = []
-    real = spr._trial
+    """Every trial ``spr_round`` runs, as ``(prune index, radius, whole)``
+    where ``whole`` says whether every edge was a candidate (``None``:
+    the position cannot be pruned)."""
+    seen: list[tuple[int, int, bool | None]] = []
+    real = spr.try_spr
 
     def watched(engine, tree, idx, params):
-        seen.append((idx, params.radius))
-        return real(engine, tree, idx, params)
+        trial = real(engine, tree, idx, params)
+        seen.append((idx, params.radius, None if trial is None else trial.whole))
+        return trial
 
-    monkeypatch.setattr(spr, "_trial", watched)
+    monkeypatch.setattr(spr, "try_spr", watched)
     return seen
 
 
@@ -132,7 +135,7 @@ class TestWhichTrialsRun:
                               current_lnl=lnl, settled=settled)
         )
         assert not improved
-        first = {idx for idx, _ in trials}
+        first = {idx for idx, _, _ in trials}
         assert settled and settled <= first
         trials.clear()
         (_, lnl2, improved), counts = _counted(
@@ -140,7 +143,7 @@ class TestWhichTrialsRun:
                               current_lnl=lnl, settled=settled)
         )
         assert not improved and lnl2 == lnl
-        assert {idx for idx, _ in trials} == first - settled
+        assert {idx for idx, _, _ in trials} == first - settled
         assert counts == first_counts
 
     def test_a_trial_the_radius_cut_runs_again(self, trials):
@@ -148,11 +151,11 @@ class TestWhichTrialsRun:
         lnl = engine.loglikelihood(tree)
         settled: set[int] = set()
         spr_round(engine, tree, SPRParams(radius=1), current_lnl=lnl, settled=settled)
-        cut = {idx for idx, _ in trials} - settled
-        assert cut
+        cut = {idx for idx, _, whole in trials if whole is False}
+        assert cut and not cut & settled
         trials.clear()
         spr_round(engine, tree, SPRParams(radius=2), current_lnl=lnl, settled=settled)
-        assert cut <= {idx for idx, radius in trials if radius == 2}
+        assert cut <= {idx for idx, _, _ in trials}
 
     def test_nothing_is_skipped_after_an_accepted_move(self, trials):
         """Prune indices past the round's first accepted move name other
@@ -163,12 +166,12 @@ class TestWhichTrialsRun:
         params = SPRParams(radius=6)
         reference = spr_round(engine, tree, params, current_lnl=lnl)
         assert reference[2]
-        ran = [idx for idx, _ in trials]
+        ran = [idx for idx, _, _ in trials]
         first_accept = self._first_accept(engine, tree, lnl, params)
         trials.clear()
         settled = set(range(first_accept + 1, max(ran) + 1))
         out = spr_round(engine, tree, params, current_lnl=lnl, settled=settled)
-        assert [idx for idx, _ in trials] == ran
+        assert [idx for idx, _, _ in trials] == ran
         assert out[1] == reference[1] and out[2]
         assert write_newick(out[0], digits=None) == write_newick(reference[0], digits=None)
         assert settled == set()
@@ -176,7 +179,7 @@ class TestWhichTrialsRun:
     @staticmethod
     def _first_accept(engine, tree, lnl, params) -> int:
         for idx in range(len(list(tree.postorder()))):
-            trial = spr._trial(engine, tree, idx, params)
+            trial = spr.try_spr(engine, tree, idx, params)
             if trial is not None and trial[1] > lnl + params.min_improvement:
                 return idx
         raise AssertionError("no move improves the tree")
