@@ -200,6 +200,18 @@ class LikelihoodEngine:
             for _ in range(n_regions):
                 self.pool.charge_region(self._chunk_sizes, self.n_categories)
 
+    def charges(self) -> tuple[int, ...]:
+        """The op counter's fields and the regions charged so far."""
+        return (*self.ops.snapshot().values(), self.pool.regions_executed if self.pool else 0)
+
+    def recharge(self, before: tuple[int, ...], after: tuple[int, ...]) -> None:
+        """Charge what was charged between two :meth:`charges` marks again,
+        without computing: known work costs the simulated run the same."""
+        *ops, regions = (a - b for a, b in zip(after, before))
+        for name, n in zip(self.ops.snapshot(), ops):
+            setattr(self.ops, name, getattr(self.ops, name) + n)
+        self._charge_regions(regions)
+
     # -- CLV primitives ----------------------------------------------------
 
     def tip_clv(self, leaf_index: int, patterns: slice | None = None) -> np.ndarray:

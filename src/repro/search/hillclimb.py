@@ -53,7 +53,7 @@ def hill_climb(
     lnl = optimize_branch_lengths(engine, work, passes=brlen_passes)
     radius = initial_radius
     rounds = 0
-    settled: set[int] = set()  # trials a failed round rejected for good
+    settled: dict[int, tuple] = {}  # trials a failed round rejected for good
     while rounds < max_rounds:
         params = SPRParams(
             radius=radius,

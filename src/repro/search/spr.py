@@ -60,7 +60,15 @@ def edges_within_radius(tree: Tree, origin: Node, radius: int) -> list[Node]:
 
 
 class SPRTrial(tuple):
-    """:func:`try_spr`'s ``(new_tree, lnl)``, plus ``whole`` (see there)."""
+    """:func:`try_spr`'s ``(new_tree, lnl)``; ``whole``: every edge of the
+    pruned tree was a candidate, so a larger radius repeats the trial."""
+
+    whole: bool
+
+    def __new__(cls, tree: Tree, lnl: float, whole: bool) -> "SPRTrial":
+        trial = super().__new__(cls, (tree, lnl))
+        trial.whole = whole
+        return trial
 
 
 def try_spr(
@@ -68,15 +76,13 @@ def try_spr(
     tree: Tree,
     prune_index: int,
     params: SPRParams,
-) -> tuple[Tree, float] | None:
+) -> SPRTrial | None:
     """Attempt the best lazy-SPR move for one prune position.
 
     ``prune_index`` indexes the postorder enumeration of ``tree``.  Works
-    on a copy; returns ``(new_tree, lnl)`` for the best insertion found,
-    or ``None`` when the position cannot be pruned (root, too-large
-    subtree, or no candidate edges).  The pair's ``whole`` says whether
-    every edge of the pruned tree was a candidate: then a larger radius
-    repeats the trial bit for bit.
+    on a copy; returns the :class:`SPRTrial` ``(new_tree, lnl)`` for the
+    best insertion found, or ``None`` when the position cannot be pruned
+    (root, too-large subtree, or no candidate edges).
     """
     work = tree.copy()
     nodes = list(work.postorder())
@@ -139,9 +145,7 @@ def try_spr(
     for edge_child in [joint] + joint.children:
         if edge_child.parent is not None:
             optimize_edge(engine, work, edge_child, down=down_new, up=up_new)
-    trial = SPRTrial((work, engine.loglikelihood(work)))
-    trial.whole = whole
-    return trial
+    return SPRTrial(work, engine.loglikelihood(work), whole)
 
 
 def spr_round(
@@ -150,19 +154,20 @@ def spr_round(
     params: SPRParams,
     current_lnl: float | None = None,
     rng=None,
-    settled: set[int] | None = None,
+    settled: dict[int, tuple] | None = None,
 ) -> tuple[Tree, float, bool]:
     """One greedy pass over all prune positions.
 
     Accepted moves take effect immediately (RAxML's behaviour); returns
     ``(tree, lnl, improved_any)``.  ``rng`` optionally subsamples prune
     positions down to ``params.max_prune_candidates``.
-    ``settled`` (updated in place, emptied by an accepted move) holds the
-    prune indices rejected on ``tree`` with every edge a candidate: until
-    a move is accepted they count as tried without running, since this
-    radius or a larger one would repeat them bit for bit.
+    ``settled`` (updated in place, emptied by an accepted move) maps the
+    prune indices rejected on ``tree`` with every edge a candidate to the
+    engine's ``charges()`` before and after them: this radius or a larger
+    one would repeat them bit for bit, so until a move is accepted they
+    are counted and charged (``recharge``) as tried without running.
     """
-    settled = set() if settled is None else settled
+    settled = {} if settled is None else settled
     current = tree
     lnl = engine.loglikelihood(tree) if current_lnl is None else current_lnl
     improved_any = False
@@ -180,8 +185,10 @@ def spr_round(
     tried = accepted = 0
     for idx in indices:
         if idx in settled:
+            engine.recharge(*settled[idx])
             tried += 1
             continue
+        mark = engine.charges()
         trial = try_spr(engine, current, idx, params)
         if trial is None:
             continue
@@ -193,7 +200,7 @@ def spr_round(
             accepted += 1
             settled.clear()
         elif trial.whole and not improved_any:
-            settled.add(idx)
+            settled[idx] = mark, engine.charges()
     if rec is not None:
         rec.count("search.spr.tried", tried)
         rec.count("search.spr.accepted", accepted)

@@ -3,9 +3,9 @@
 After a round that accepts nothing, :func:`hill_climb` runs the next one
 on the same tree at a larger radius.  A trial that was rejected with
 every edge of the pruned tree a candidate repeats bit for bit there, so
-:func:`spr_round` counts it as tried without running it.  These tests
-hold the climb to a reference loop that re-runs every trial, and watch
-which trials run.
+:func:`spr_round` counts it as tried, and charges its ops and region time
+again, without running it.  These tests hold the climb to a reference
+loop that re-runs every trial, and watch which trials run.
 """
 
 import numpy as np
@@ -19,6 +19,8 @@ from repro.likelihood.gtr import GTRModel
 from repro.obs.recorder import Recorder, recording
 from repro.search.hillclimb import hill_climb
 from repro.search.spr import SPRParams, spr_round
+from repro.threads.pool import VirtualThreadPool
+from repro.threads.timing import LinearRegionTiming
 from repro.tree.newick import write_newick
 from repro.tree.random_trees import yule_tree
 from repro.util.rng import RAxMLRandom
@@ -35,7 +37,8 @@ def _engine(n_taxa: int, rates: str) -> tuple[LikelihoodEngine, object]:
         RateModel.cat(np.array([0.4, 1.0, 2.1]), np.arange(pal.n_patterns) % 3)
         if rates == "cat" else RateModel.gamma(0.8, 4)
     )
-    return LikelihoodEngine(pal, _MODEL, rm), pal
+    pool = VirtualThreadPool(3, LinearRegionTiming())
+    return LikelihoodEngine(pal, _MODEL, rm, pool=pool), pal
 
 
 def _reference_climb(engine, tree, rng, max_prune_candidates, initial_radius,
@@ -59,14 +62,15 @@ def _reference_climb(engine, tree, rng, max_prune_candidates, initial_radius,
     return work, lnl, rounds
 
 
-def _counted(run):
+def _counted(run, planned: bool = False):
     """``run()`` under a recorder: its result and the tried/accepted
-    counters."""
+    counters, and with ``planned`` the traversals the engine planned."""
     rec = Recorder()
     with recording(rec):
         out = run()
     counters = rec.metrics.counters
-    return out, (counters["search.spr.tried"], counters["search.spr.accepted"])
+    counts = (counters["search.spr.tried"], counters["search.spr.accepted"])
+    return out, counts + ((counters["clv.plan_traversals"],) if planned else ())
 
 
 class TestSkipIsExact:
@@ -74,30 +78,33 @@ class TestSkipIsExact:
     @pytest.mark.parametrize("rates", ["gamma", "cat"])
     @pytest.mark.parametrize("n_taxa", [6, 8])
     def test_matches_the_reference_loop(self, n_taxa, rates, subsample):
-        """Same tree, lnl bits, round count, counters and RNG state as a
-        loop that re-runs every trial, for fewer pattern ops."""
+        """Same tree, lnl bits, round count, counters, RNG state, op
+        totals and clock bits as a loop that re-runs every trial, for
+        fewer planned traversals."""
         engine, pal = _engine(n_taxa, rates)
         # Each of these starts ends in failed rounds that settle trials.
         start = yule_tree(pal.taxa, RAxMLRandom(4240 + n_taxa))
 
         ref_rng = RAxMLRandom(11)
-        (ref_tree, ref_lnl, ref_rounds), ref_counts = _counted(
-            lambda: _reference_climb(engine, start, ref_rng, subsample, **_CLIMB)
+        (ref_tree, ref_lnl, ref_rounds), (*ref_counts, ref_planned) = _counted(
+            lambda: _reference_climb(engine, start, ref_rng, subsample, **_CLIMB), True
         )
-        ref_ops = engine.ops.pattern_ops
+        ref_ops, ref_clock = engine.ops.snapshot(), engine.pool.clock.now
 
         engine, _ = _engine(n_taxa, rates)
         rng = RAxMLRandom(11)
-        res, counts = _counted(
+        res, (*counts, planned) = _counted(
             lambda: hill_climb(engine, start, rng=rng, max_prune_candidates=subsample,
-                               **_CLIMB)
+                               **_CLIMB), True
         )
         assert write_newick(res.tree, digits=None) == write_newick(ref_tree, digits=None)
         assert res.lnl == ref_lnl
         assert res.rounds == ref_rounds
         assert counts == ref_counts
         assert rng._state == ref_rng._state
-        assert engine.ops.pattern_ops < ref_ops
+        assert engine.ops.snapshot() == ref_ops
+        assert engine.pool.clock.now == ref_clock
+        assert planned < ref_planned
 
 
 @pytest.fixture()
@@ -129,30 +136,30 @@ class TestWhichTrialsRun:
     def test_a_settled_trial_is_not_run_again(self, trials):
         engine, tree = _converged()
         lnl = engine.loglikelihood(tree)
-        settled: set[int] = set()
+        settled: dict[int, tuple] = {}
         (_, _, improved), first_counts = _counted(
             lambda: spr_round(engine, tree, SPRParams(radius=20),
                               current_lnl=lnl, settled=settled)
         )
         assert not improved
         first = {idx for idx, _, _ in trials}
-        assert settled and settled <= first
+        assert settled and settled.keys() <= first
         trials.clear()
         (_, lnl2, improved), counts = _counted(
             lambda: spr_round(engine, tree, SPRParams(radius=25),
                               current_lnl=lnl, settled=settled)
         )
         assert not improved and lnl2 == lnl
-        assert {idx for idx, _, _ in trials} == first - settled
+        assert {idx for idx, _, _ in trials} == first - settled.keys()
         assert counts == first_counts
 
     def test_a_trial_the_radius_cut_runs_again(self, trials):
         engine, tree = _converged()
         lnl = engine.loglikelihood(tree)
-        settled: set[int] = set()
+        settled: dict[int, tuple] = {}
         spr_round(engine, tree, SPRParams(radius=1), current_lnl=lnl, settled=settled)
         cut = {idx for idx, _, whole in trials if whole is False}
-        assert cut and not cut & settled
+        assert cut and not cut & settled.keys()
         trials.clear()
         spr_round(engine, tree, SPRParams(radius=2), current_lnl=lnl, settled=settled)
         assert cut <= {idx for idx, _, _ in trials}
@@ -169,12 +176,13 @@ class TestWhichTrialsRun:
         ran = [idx for idx, _, _ in trials]
         first_accept = self._first_accept(engine, tree, lnl, params)
         trials.clear()
-        settled = set(range(first_accept + 1, max(ran) + 1))
+        mark = engine.charges()
+        settled = dict.fromkeys(range(first_accept + 1, max(ran) + 1), (mark, mark))
         out = spr_round(engine, tree, params, current_lnl=lnl, settled=settled)
         assert [idx for idx, _, _ in trials] == ran
         assert out[1] == reference[1] and out[2]
         assert write_newick(out[0], digits=None) == write_newick(reference[0], digits=None)
-        assert settled == set()
+        assert settled == {}
 
     @staticmethod
     def _first_accept(engine, tree, lnl, params) -> int:
