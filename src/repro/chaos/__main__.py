@@ -16,7 +16,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--scenarios", type=int, default=200,
                         help="number of generated fault scenarios "
-                             "(default 200; leader-death probes ride on top)")
+                             "(default 200; targeted-death probes ride on top)")
     parser.add_argument("--seed", type=int, default=20260808,
                         help="campaign seed (every scenario is a pure "
                              "function of seed/schedule/index)")
@@ -29,12 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--replay-schedule", default="static",
                         choices=["static", "work-steal"])
     parser.add_argument("--replay-np", type=int, default=2)
-    parser.add_argument("--ranks-per-node", dest="ranks_per_node", type=int,
-                        default=None, metavar="R",
-                        help="sweep every scenario under the hierarchical "
-                             "communication model (R ranks per node) while "
-                             "the baselines stay flat — a cross-model "
-                             "bit-identity check (default: flat)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-scenario progress lines")
     return parser
@@ -44,8 +38,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.replay is not None:
         record = replay_scenario(args.replay, args.seed,
-                                 args.replay_schedule, args.replay_np,
-                                 ranks_per_node=args.ranks_per_node)
+                                 args.replay_schedule, args.replay_np)
         import json
 
         print(json.dumps(record, indent=1, sort_keys=True))
@@ -62,8 +55,7 @@ def main(argv=None) -> int:
             print(f"         violation: {v}", flush=True)
 
     report = run_campaign(n_scenarios=args.scenarios, seed=args.seed,
-                          out=args.out, progress=progress,
-                          ranks_per_node=args.ranks_per_node)
+                          out=args.out, progress=progress)
     print(f"chaos campaign: {report['n_records']} records, "
           f"{report['n_violations']} violations, "
           f"{report['elapsed_seconds']:.1f}s -> {args.out}")

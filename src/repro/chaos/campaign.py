@@ -91,7 +91,6 @@ def _run(pal, cc, spec: ScenarioSpec, *, checkpoint_dir=None, resume=False):
         checkpoint_dir=checkpoint_dir,
         resume=resume,
         timeout_policy=CHAOS_TIMEOUTS,
-        ranks_per_node=spec.ranks_per_node,
     )
     return run_hybrid_analysis(pal, config)
 
@@ -165,29 +164,26 @@ def run_scenario(pal, cc, spec: ScenarioSpec, baseline: dict,
                   ckpt=ckpt, repeat=spec.index % REPEAT_EVERY == 0)
 
 
-def run_leader_death_probes(pal, cc, workdir: Path | None = None) -> list[dict]:
-    """Node-leader deaths mid-collective under the hierarchical model.
+def run_targeted_death_probes(pal, cc, workdir: Path | None = None) -> list[dict]:
+    """Fixed deaths in a p=4 world, beside the generated scenarios.
 
-    A p=4 world packed 2 ranks/node has node leaders {node 0: rank 0,
-    node 1: rank 2}.  Each probe kills one or both leaders (at a
-    collective call index or a stage boundary) under both schedules; the
-    survivors must re-elect deterministically — the new leader is simply
-    the smallest live rank of the node — and reproduce the *flat-model*
-    fault-free baseline bit for bit, so leader death can never leak into
-    analysis results.  The both-leaders probe additionally runs
-    checkpointed and resumed when ``workdir`` is given.
+    Each probe kills rank 0 at collective call 1, rank 2 at the ``fast``
+    stage boundary, or both at collective calls 1 and 2, under both
+    schedules; the survivors must reproduce the fault-free baseline bit
+    for bit.  The two-death probe additionally runs checkpointed and
+    resumed when ``workdir`` is given.
     """
     from repro.mpi.faults import FaultPlan, KillSpec
 
-    flat_base = ScenarioSpec(index=-1, schedule="static", n_processes=4,
+    base_spec = ScenarioSpec(index=-1, schedule="static", n_processes=4,
                              plan=None, equality="baseline", deaths=())
-    baseline = _capture(_run(pal, cc, flat_base))
+    baseline = _capture(_run(pal, cc, base_spec))
     plans = {
-        "leader-node0-collective": FaultPlan(
+        "rank0-collective": FaultPlan(
             kills=(KillSpec(rank=0, collective=1),)),
-        "leader-node1-stage": FaultPlan(
+        "rank2-stage": FaultPlan(
             kills=(KillSpec(rank=2, stage="fast"),)),
-        "both-leaders-collective": FaultPlan(
+        "ranks02-collective": FaultPlan(
             kills=(KillSpec(rank=0, collective=1),
                    KillSpec(rank=2, collective=2))),
     }
@@ -196,14 +192,13 @@ def run_leader_death_probes(pal, cc, workdir: Path | None = None) -> list[dict]:
         for name, plan in plans.items():
             spec = ScenarioSpec(
                 index=-2, schedule=schedule, n_processes=4, plan=plan,
-                equality="leader-death",
+                equality="targeted-death",
                 deaths=tuple(sorted(k.rank for k in plan.kills)),
-                ranks_per_node=2,
             )
             ckpt = None
-            if workdir is not None and name == "both-leaders-collective":
-                ckpt = Path(workdir) / f"ckpt-leader-{schedule}"
-            record = _check(pal, cc, spec, "leader-death",
+            if workdir is not None and name == "ranks02-collective":
+                ckpt = Path(workdir) / f"ckpt-targeted-{schedule}"
+            record = _check(pal, cc, spec, "targeted-death",
                             lambda result: _differences(result, baseline),
                             ckpt=ckpt)
             record["probe"] = name
@@ -214,20 +209,14 @@ def run_leader_death_probes(pal, cc, workdir: Path | None = None) -> list[dict]:
 def run_campaign(n_scenarios: int = 200, seed: int = 20260808,
                  out: str | Path | None = None,
                  workdir: str | Path | None = None,
-                 progress=None, ranks_per_node: int | None = None) -> dict:
+                 progress=None) -> dict:
     """Run the full campaign and return (and optionally write) its report.
 
-    ``n_scenarios`` counts generated fault scenarios; the leader-death
+    ``n_scenarios`` counts generated fault scenarios; the targeted-death
     probes and the cached fault-free baselines ride on top.
     ``workdir`` holds the checkpoint directories of the resume checks (a
     temporary directory when None).  ``progress`` is an optional callable
     invoked with each finished scenario record.
-
-    ``ranks_per_node`` sweeps every generated scenario under the
-    hierarchical communication model while the cached baselines stay
-    *flat* — so the whole campaign doubles as a cross-model bit-identity
-    check: faults and leader deaths under two-phase collectives
-    must reproduce exactly what the flat world computes.
     """
     import tempfile
 
@@ -249,13 +238,12 @@ def run_campaign(n_scenarios: int = 200, seed: int = 20260808,
                     plan=None, equality="baseline", deaths=(),
                 )
                 baselines[key] = _capture(_run(pal, cc, base_spec))
-            spec = generate_scenario(i, seed, schedule, p,
-                                     ranks_per_node=ranks_per_node)
+            spec = generate_scenario(i, seed, schedule, p)
             record = run_scenario(pal, cc, spec, baselines[key], root)
             records.append(record)
             if progress is not None:
                 progress(record)
-        records.extend(run_leader_death_probes(pal, cc, workdir=root))
+        records.extend(run_targeted_death_probes(pal, cc, workdir=root))
 
     violations = [
         {"index": r["index"], "schedule": r["schedule"], "violations": v}
@@ -266,7 +254,6 @@ def run_campaign(n_scenarios: int = 200, seed: int = 20260808,
         "campaign": "repro.chaos",
         "seed": seed,
         "n_scenarios": n_scenarios,
-        "ranks_per_node": ranks_per_node,
         "n_records": len(records),
         "n_violations": len(violations),
         "violations": violations,
@@ -300,14 +287,12 @@ def run_campaign(n_scenarios: int = 200, seed: int = 20260808,
 
 
 def replay_scenario(index: int, seed: int, schedule: str,
-                    n_processes: int,
-                    ranks_per_node: int | None = None) -> dict:
+                    n_processes: int) -> dict:
     """Re-run one scenario from a campaign report, in isolation."""
     pal, cc = _make_inputs()
     base_spec = ScenarioSpec(index=-1, schedule=schedule,
                              n_processes=n_processes, plan=None,
                              equality="baseline", deaths=())
     baseline = _capture(_run(pal, cc, base_spec))
-    spec = generate_scenario(index, seed, schedule, n_processes,
-                             ranks_per_node=ranks_per_node)
+    spec = generate_scenario(index, seed, schedule, n_processes)
     return run_scenario(pal, cc, spec, baseline, None)

@@ -50,10 +50,6 @@ class ScenarioSpec:
     plan: FaultPlan
     equality: str
     deaths: tuple[int, ...]
-    #: Node packing for the run (``None``: the flat communication model).
-    #: Orthogonal to the fault plan — results must be bit-identical either
-    #: way, so any scenario can be swept under either model.
-    ranks_per_node: int | None = None
 
     def as_doc(self) -> dict:
         """JSON-serialisable record (enough to replay the scenario)."""
@@ -61,7 +57,6 @@ class ScenarioSpec:
             "index": self.index,
             "schedule": self.schedule,
             "n_processes": self.n_processes,
-            "ranks_per_node": self.ranks_per_node,
             "equality": self.equality,
             "deaths": list(self.deaths),
             "kills": [
@@ -83,17 +78,13 @@ def generate_scenario(
     schedule: str,
     n_processes: int,
     max_replicate: int = 2,
-    ranks_per_node: int | None = None,
 ) -> ScenarioSpec:
     """Generate the ``index``-th scenario of a campaign, deterministically.
 
     The plan always remains recoverable: the set of ranks doomed to die
     (fail-stop kills plus ``hang`` glitches, which peers convert into
     deaths via their collective deadline) never exceeds
-    ``n_processes - 1``.  ``ranks_per_node`` is carried through to the
-    spec verbatim; it does not participate in plan generation, so the
-    same (seed, schedule, index) yields the same faults under either
-    communication model.
+    ``n_processes - 1``.
     """
     rng = random.Random(f"chaos:{seed}:{schedule}:{index}")
     p = n_processes
@@ -146,6 +137,5 @@ def generate_scenario(
         plan=plan,
         equality="full",
         deaths=tuple(sorted(doomed)),
-        ranks_per_node=ranks_per_node,
     )
 

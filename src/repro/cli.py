@@ -70,13 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of (simulated) MPI processes")
     parser.add_argument("--machine", default="dash",
                         help="machine timing model: abe|dash|ranger|triton")
-    parser.add_argument("--ranks-per-node", dest="ranks_per_node", type=int,
-                        default=None, metavar="R",
-                        help="pack R MPI ranks per node and price collectives "
-                             "with the machine's two-tier (shared-memory vs "
-                             "interconnect) topology model; results are "
-                             "bit-identical to the default flat model — only "
-                             "modelled communication time changes")
     parser.add_argument("--clv-cache", dest="clv_cache", action="store_true",
                         help="cache conditional likelihood vectors by subtree "
                              "signature so searches only recompute partials "
@@ -158,7 +151,6 @@ def validate_args(args) -> None:
                 ("--metrics-out", args.metrics_out is not None),
                 ("-J", args.consensus is not None),
                 ("--schedule", args.schedule != "static"),
-                ("--ranks-per-node", args.ranks_per_node is not None),
             ),
             "the comprehensive analysis (-f a) supports",
         )
@@ -333,10 +325,9 @@ def main(argv: list[str] | None = None) -> int:
             clv_cache=args.clv_cache,
             collect_trace=args.trace is not None,
             collect_metrics=args.metrics_out is not None,
-            ranks_per_node=args.ranks_per_node,
         )
     except ValueError as exc:
-        # A value the configs reject (-T 0, --ranks-per-node 0, ...)
+        # A value the configs reject (-T 0, -np 0, an unknown machine, ...)
         # is a usage error like any other: one line, no traceback.
         raise SystemExit(str(exc)) from None
 
@@ -345,10 +336,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  comprehensive analysis: N={args.bootstraps} bootstraps, "
           f"p={args.processes} processes x T={args.threads} threads "
           f"on {args.machine}")
-    topo = config.topology()
-    if topo is not None:
-        print(f"  topology: {topo.n_nodes} nodes x {topo.ranks_per_node} "
-              "ranks/node (hierarchical collectives)")
     result = run_hybrid_analysis(pal, config)
 
     outdir = Path(args.outdir)
@@ -427,12 +414,6 @@ def main(argv: list[str] | None = None) -> int:
     for stage, seconds in result.stage_seconds.items():
         print(f"  {stage:10s} {seconds:12.4f} s")
     print(f"  {'total':10s} {result.total_seconds:12.4f} s")
-    if topo is not None and result.ranks:
-        comm = max(r.comm_seconds for r in result.ranks)
-        intra = max(r.comm_intra_seconds for r in result.ranks)
-        inter = max(r.comm_inter_seconds for r in result.ranks)
-        print(f"Communication (worst rank): {comm:.6f} s "
-              f"(intra-node {intra:.6f} s, inter-node {inter:.6f} s)")
     if result.sched is not None:
         attempts = result.sched.get("steal_attempts", 0)
         grants = result.sched.get("steal_grants", 0)

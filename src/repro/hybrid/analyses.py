@@ -76,10 +76,10 @@ def searches_per_rank(n_searches: int, n_processes: int) -> int:
     return math.ceil(n_searches / n_processes)
 
 
-def _make_rank_engine_factory(machine_name, n_threads, comm, spu):
+def _make_rank_engine_factory(machine_name, n_threads, comm):
     machine = machine_by_name(machine_name)
     pool = VirtualThreadPool(
-        n_threads, MachineRegionTiming(machine, spu), clock=comm.clock
+        n_threads, MachineRegionTiming(machine), clock=comm.clock
     )
 
     def factory(pal, model, rate_model, weights, ops):
@@ -105,7 +105,6 @@ def _run_searches(
     n_processes: int,
     n_threads: int,
     machine: str,
-    seconds_per_pattern_unit: float,
     recipe,
 ) -> MultiSearchResult:
     """The SPMD body and result fold both analyses share.
@@ -123,9 +122,7 @@ def _run_searches(
     def rank_main(comm: SimComm):
         p_rng = RAxMLRandom(rank_seed(config.seed_p, comm.rank))
         b_rng = RAxMLRandom(rank_seed(config.seed_b, comm.rank))
-        factory = _make_rank_engine_factory(
-            machine, n_threads, comm, seconds_per_pattern_unit
-        )
+        factory = _make_rank_engine_factory(machine, n_threads, comm)
         ops = OpCounter()
         gamma_rm = RateModel.gamma(1.0, config.gamma_categories)
         model = GTRModel.default()
@@ -163,7 +160,6 @@ def run_multiple_ml_searches(
     n_processes: int = 1,
     n_threads: int = 1,
     machine: str = "dash",
-    seconds_per_pattern_unit: float = 1e-7,
 ) -> MultiSearchResult:
     """Analysis type 1: N ML searches from different starting trees.
 
@@ -179,10 +175,7 @@ def run_multiple_ml_searches(
         start = make_start(pal, spawn_stream(p_rng, 100 + k))
         return None, start, spawn_stream(p_rng, 200 + k)
 
-    return _run_searches(
-        pal, config, n_processes, n_threads, machine, seconds_per_pattern_unit,
-        recipe,
-    )
+    return _run_searches(pal, config, n_processes, n_threads, machine, recipe)
 
 
 def run_standard_bootstrap(
@@ -191,7 +184,6 @@ def run_standard_bootstrap(
     n_processes: int = 1,
     n_threads: int = 1,
     machine: str = "dash",
-    seconds_per_pattern_unit: float = 1e-7,
 ) -> MultiSearchResult:
     """Analysis type 2: N standard bootstrap searches (RAxML ``-b``).
 
@@ -207,10 +199,7 @@ def run_standard_bootstrap(
         )
         return weights, start, spawn_stream(p_rng, 400 + k)
 
-    result = _run_searches(
-        pal, config, n_processes, n_threads, machine, seconds_per_pattern_unit,
-        recipe,
-    )
+    result = _run_searches(pal, config, n_processes, n_threads, machine, recipe)
     result.support_table = BipartitionTable(pal.n_taxa)
     result.support_table.add_trees(result.trees)
     return result

@@ -29,9 +29,9 @@ from repro.search.comprehensive import STAGE_ORDER
 from repro.search.hillclimb import SearchResult
 from repro.tree.newick import parse_newick, write_newick
 
-#: Version 3: every stage document carries the rank's cumulative comm
-#: account.  Older files are rejected loudly, not migrated.
-FORMAT_VERSION = 3
+#: Version 4: the comm account in every stage document has no
+#: intra/inter-node split.  Older files are rejected loudly, not migrated.
+FORMAT_VERSION = 4
 
 
 class CheckpointError(RuntimeError):

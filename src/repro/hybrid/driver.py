@@ -34,7 +34,6 @@ from repro.likelihood.kernels import available_kernels
 from repro.mpi.faults import FaultPlan
 from repro.mpi.launcher import run_spmd
 from repro.mpi.policy import TimeoutPolicy
-from repro.mpi.topology import HierarchicalCommTiming, Topology
 from repro.perfmodel.machines import machine_by_name
 from repro.search.comprehensive import ComprehensiveConfig
 from repro.seq.patterns import PatternAlignment
@@ -53,7 +52,6 @@ class HybridConfig:
     n_threads: int
     comprehensive: ComprehensiveConfig = field(default_factory=ComprehensiveConfig)
     machine: str = "dash"
-    seconds_per_pattern_unit: float = 1e-7
     bootstopping: bool = False
     bootstop_step: int = 4  # check WC every this-many *global* replicates
     bootstop_max: int | None = None  # cap when bootstopping (default: 4x requested)
@@ -89,29 +87,22 @@ class HybridConfig:
     #: no steal fires and it is never faster (EXPERIMENTS.md, "Work
     #: stealing on equal shares"); steals happen only after a rank death.
     schedule: str = "static"
-    #: Ranks packed per node (``--ranks-per-node``): switches the
-    #: communication model to the topology-aware two-phase collectives
-    #: of :mod:`repro.mpi.topology`; ``None`` is the flat model.  Results
-    #: are bit-identical either way — only modelled communication time
-    #: changes.
-    ranks_per_node: int | None = None
 
     #: Fields that enter the checkpoint fingerprint (see
     #: :func:`repro.hybrid.checkpoint.fingerprint_doc`).  The schedule
     #: mode is part of the run's identity — static checkpoints and
     #: work-steal journals describe different units of progress.  The
     #: cache setting is included because timings and op counts depend on
-    #: it even though likelihood values do not, and the topology knobs
-    #: because they change every virtual timestamp (comm costs).  The
-    #: kernel name changes nothing; it stays until ROADMAP item 1(e),
-    #: since dropping it moves checkpoint bytes.  Resilience-only knobs
+    #: it even though likelihood values do not.  The kernel name changes
+    #: nothing; it stays until ROADMAP item 1(e), since dropping it moves
+    #: checkpoint bytes.  Resilience-only knobs
     #: (``fault_plan``, ``checkpoint_dir``, ``resume``) are deliberately
     #: excluded: a resumed run and its killed predecessor share a
     #: fingerprint by construction.
     fingerprint_fields: ClassVar[tuple[str, ...]] = (
         "schedule", "n_processes", "n_threads", "machine",
-        "seconds_per_pattern_unit", "bootstopping", "bootstop_step",
-        "bootstop_max", "kernel", "clv_cache", "ranks_per_node",
+        "bootstopping", "bootstop_step", "bootstop_max", "kernel",
+        "clv_cache",
     )
 
     def __post_init__(self) -> None:
@@ -135,28 +126,6 @@ class HybridConfig:
                 "bootstopping grows the replicate set dynamically and is "
                 "round-synchronised; it requires schedule='static'"
             )
-        if self.ranks_per_node is not None:
-            check_min("ranks_per_node", self.ranks_per_node, 1)
-            if self.ranks_per_node * self.n_threads > machine.cores_per_node:
-                raise ValueError(
-                    f"{machine.name} has {machine.cores_per_node} cores per "
-                    f"node; {self.ranks_per_node} ranks x {self.n_threads} "
-                    "threads cannot be packed onto one node"
-                )
-
-    def topology(self):
-        """The run's node topology, or ``None`` for the flat world."""
-        if self.ranks_per_node is None:
-            return None
-        return Topology(self.n_processes, self.ranks_per_node)
-
-    def comm_timing(self):
-        """The communication cost model this config asks for: the
-        machine's, under :meth:`topology` (flat without
-        ``ranks_per_node``)."""
-        return HierarchicalCommTiming.for_machine(
-            machine_by_name(self.machine), self.topology()
-        )
 
 
 def run_hybrid_analysis(pal: PatternAlignment, config: HybridConfig) -> HybridResult:
@@ -172,7 +141,6 @@ def run_hybrid_analysis(pal: PatternAlignment, config: HybridConfig) -> HybridRe
     raw = run_spmd(
         lambda comm, shared=None: run_rank(comm, pal, config, shared),
         config.n_processes,
-        comm_timing=config.comm_timing(),
         fault_plan=config.fault_plan,
         timeout_policy=config.timeout_policy,
         shared=board,

@@ -30,10 +30,6 @@ class RankReport:
     n_slow: int
     finish_time: float  # rank virtual clock at completion
     comm_seconds: float = 0.0  # virtual time spent communicating/waiting
-    #: Modelled intra-node / inter-node shares of ``comm_seconds`` —
-    #: both 0.0 under the flat communication model.
-    comm_intra_seconds: float = 0.0
-    comm_inter_seconds: float = 0.0
     n_retries: int = 0  # transiently-failed collectives retried (with backoff)
     recovered_for: tuple[int, ...] = ()  # dead ranks whose work this rank replayed
     backoff_seconds: float = 0.0  # virtual time charged to retry backoff
@@ -173,8 +169,6 @@ class HybridResult:
             "n_retries": r.n_retries,
             "recovered_for": list(r.recovered_for),
             "comm_seconds": r.comm_seconds,
-            "comm_intra_seconds": r.comm_intra_seconds,
-            "comm_inter_seconds": r.comm_inter_seconds,
         }
 
 
@@ -203,8 +197,6 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
             n_slow=r["n_slow"],
             finish_time=r["finish_time"],
             comm_seconds=r["comm_seconds"],
-            comm_intra_seconds=r["comm_intra_seconds"],
-            comm_inter_seconds=r["comm_inter_seconds"],
             n_retries=r["n_retries"],
             recovered_for=tuple(r["recovered_for"]),
             backoff_seconds=r["backoff_seconds"],
@@ -279,8 +271,6 @@ def assemble_hybrid_result(pal, config, raw, board=None) -> HybridResult:
             "report": run_report(
                 [r.stage_seconds for r in ranks],
                 comm_seconds=[r.comm_seconds for r in ranks],
-                comm_intra_seconds=[r.comm_intra_seconds for r in ranks],
-                comm_inter_seconds=[r.comm_inter_seconds for r in ranks],
                 n_processes=config.n_processes,
                 n_threads=config.n_threads,
                 sched=sched_doc,

@@ -12,8 +12,8 @@ the final best solution (Section 2.1).  This package provides:
   process per rank as in the paper, everything they share served from
   the launcher.
 
-The data plane (:mod:`repro.mpi.comm`, priced by
-:mod:`repro.mpi.topology`) moves values and never reads a fault plan.
+The data plane (:mod:`repro.mpi.comm`, priced by one flat
+:class:`CommTiming`) moves values and never reads a fault plan.
 The fault/epoch plane (:mod:`repro.mpi.membership`, driven by a
 :class:`FaultPlan` and one :class:`TimeoutPolicy`) owns rank statuses,
 the one stall detector, death agreement, epochs and injected faults.
@@ -22,7 +22,7 @@ Besides messages they share one node-shared window of virtual clocks,
 one slot per rank, which the stall detector reads.
 """
 
-from repro.mpi.comm import DEAD_RANK, CommEvent, SimComm
+from repro.mpi.comm import DEAD_RANK, CommEvent, CommTiming, SimComm
 from repro.mpi.faults import (
     CollectiveGlitch,
     FaultPlan,
@@ -39,7 +39,6 @@ from repro.mpi.membership import (
     SPMDError,
 )
 from repro.mpi.policy import TimeoutPolicy
-from repro.mpi.topology import CommTiming
 from repro.util.rng import rank_seed
 
 __all__ = [

@@ -10,14 +10,12 @@ contract — violations raise :class:`~repro.mpi.membership.SPMDError`
 via generation mismatches or broken exchanges).
 
 Virtual time: each rank owns a clock; a collective advances every
-participant to ``max(entry clocks) + price``.  Every price is asked of
-the world's cost model (:mod:`repro.mpi.topology`) and recorded with
-the intra/inter split it comes with: none under the flat
-:class:`~repro.mpi.topology.CommTiming`, whose constants are small
-because the paper finds communication negligible; node-local and leader
-phases under :class:`~repro.mpi.topology.HierarchicalCommTiming`.  The
-data plane (exchange, reduction order, death sets, epochs) never looks
-at the model, so results are bit-identical across models.
+participant to ``max(entry clocks) + price``.  Every price comes from
+one flat model, :class:`CommTiming`: a log tree over the world's ranks,
+every hop at one price.  Its constants are small because the paper
+finds communication negligible.  The data plane (exchange, reduction
+order, death sets, epochs) never looks at the prices, so results do not
+depend on them.
 
 Failures and membership live in the fault/epoch plane
 (:mod:`repro.mpi.membership`), whose rank half :class:`SimComm`
@@ -35,6 +33,7 @@ from __future__ import annotations
 import pickle
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from math import ceil, log2
 
 from repro.mpi.membership import (
     DEAD,
@@ -43,7 +42,6 @@ from repro.mpi.membership import (
     RankMembership,
     SPMDError,
 )
-from repro.mpi.topology import CommCostModel, CommPhases
 from repro.obs.recorder import current as _obs_current
 from repro.util.timing import VirtualClock
 
@@ -66,6 +64,61 @@ class _DeadRankSentinel:
 DEAD_RANK = _DeadRankSentinel()
 
 
+def _tree_rounds(n: int) -> int:
+    """Rounds of a binomial tree over ``n`` participants."""
+    return ceil(log2(n)) if n > 1 else 0
+
+
+#: Wire size of one steal request or grant message.
+STEAL_BYTES = 256
+
+
+@dataclass(frozen=True)
+class CommTiming:
+    """Virtual-time costs of communication operations (seconds).
+
+    Every hop costs the same, wherever the two ranks live.  Costs scale
+    with a **log tree**, not linearly — a collective over ``p`` ranks is
+    modelled as a binomial tree of ``ceil(log2(p))`` rounds, each round
+    shipping the full payload once, never as ``p`` sequential messages.
+
+    Hand-trace (defaults: latency 5e-6 s, byte_time 1e-9 s/B,
+    barrier_base 1e-5 s)::
+
+        message_seconds(1000)       = 5e-6 + 1000*1e-9     = 6.0e-6
+        collective_seconds(8, 1000) = ceil(log2(8)) * 6e-6 = 1.8e-5
+        collective_seconds(9, 1000) = ceil(log2(9)) * 6e-6 = 2.4e-5
+        barrier_seconds(8)          = 1e-5 * 3             = 3.0e-5
+        barrier_seconds(1)          = 0.0   (nobody to sync with)
+
+    Doubling ``p`` therefore adds *one round* (+6e-6 above), where a
+    linear model would double the cost — the distinction the scaling
+    curves past 32 ranks hinge on.  These numbers are pinned
+    byte-for-byte by the regression tests.
+    """
+
+    latency: float = 5e-6  # per point-to-point message
+    byte_time: float = 1e-9  # per payload byte (~1 GB/s interconnect)
+    barrier_base: float = 1e-5  # per barrier, times ceil(log2(p))
+
+    def message_seconds(self, n_bytes: int) -> float:
+        return self.latency + self.byte_time * n_bytes
+
+    def barrier_seconds(self, size: int) -> float:
+        """``ceil(log2(size))`` rounds of ``barrier_base``."""
+        return _tree_rounds(size) * self.barrier_base
+
+    def collective_seconds(self, size: int, n_bytes: int) -> float:
+        """A data collective over ``size`` ranks: one full-payload
+        message per tree round; free for a single rank."""
+        return _tree_rounds(size) * self.message_seconds(n_bytes)
+
+    def steal_seconds(self, thief: int, victim: int | None) -> float:
+        """Round-trip of one steal: a request/grant message pair,
+        charged to the thief, whichever rank the victim is."""
+        return 2 * self.message_seconds(STEAL_BYTES)
+
+
 def _payload_bytes(obj) -> int:
     """Approximate wire size of a Python object (pickle length)."""
     try:
@@ -78,10 +131,7 @@ def _payload_bytes(obj) -> int:
 class CommEvent:
     """One recorded communication operation (for the per-rank trace).
 
-    ``intra_seconds``/``inter_seconds`` are the tier split the cost
-    model put on the *modelled transfer cost* — 0.0 under the flat
-    model, which has no tiers.  ``seconds`` additionally includes
-    straggler wait, so ``intra + inter <= seconds``.
+    ``seconds`` is the modelled price plus any straggler wait.
     """
 
     op: str
@@ -89,8 +139,6 @@ class CommEvent:
     seconds: float  # virtual time spent in the operation
     payload_bytes: int
     started_at: float
-    intra_seconds: float = 0.0  # modelled intra-node share
-    inter_seconds: float = 0.0  # modelled inter-node share
 
 
 @dataclass
@@ -101,8 +149,6 @@ class CommAccount:
     resumed run's totals continue where the uninterrupted run's were."""
 
     seconds: float = 0.0  # incl. barrier wait, i.e. time attributable to sync
-    intra_seconds: float = 0.0  # modelled intra-node share (0.0 when flat)
-    inter_seconds: float = 0.0  # modelled inter-node share (0.0 when flat)
     n_retries: int = 0  # transient-collective retries performed
     backoff_seconds: float = 0.0  # virtual seconds spent in retry backoff
 
@@ -132,7 +178,7 @@ class _World:
     only through :meth:`exchange`, :meth:`post` and :meth:`take`.
     """
 
-    def __init__(self, faults: FaultPlane, timing: CommCostModel) -> None:
+    def __init__(self, faults: FaultPlane, timing: CommTiming) -> None:
         self.size = faults.size
         self.timing = timing
         self.faults = faults
@@ -229,13 +275,10 @@ class SimComm(RankMembership):
         self.account = CommAccount()
         #: Per-rank record of every communication operation.
         self.trace: list[CommEvent] = []
-        super().__init__(world.faults, world.timing.topology)
+        super().__init__(world.faults)
 
-    def _record(self, op: str, started_at: float, payload: int,
-                phases: CommPhases = CommPhases()) -> None:
-        """Trace one finished operation and add it to the account;
-        ``phases`` is its modelled price, whose tier split is recorded
-        as the model gave it."""
+    def _record(self, op: str, started_at: float, payload: int) -> None:
+        """Trace one finished operation and add it to the account."""
         seconds = self.clock.now - started_at
         self.trace.append(
             CommEvent(
@@ -244,13 +287,9 @@ class SimComm(RankMembership):
                 seconds=seconds,
                 payload_bytes=payload,
                 started_at=started_at,
-                intra_seconds=phases.intra,
-                inter_seconds=phases.inter,
             )
         )
         self.account.seconds += seconds
-        self.account.intra_seconds += phases.intra
-        self.account.inter_seconds += phases.inter
         rec = _obs_current()
         if rec is not None:
             # The CommEvent trace generalised into the span model: one
@@ -261,12 +300,6 @@ class SimComm(RankMembership):
             rec.count(f"comm.bytes.{op}", payload)
             rec.count(f"comm.seconds.{op}", seconds)
             rec.observe("comm.payload_bytes", payload)
-            # Counters stay sparse (they are not a schema): a flat run,
-            # whose prices carry no split, emits neither.
-            if phases.intra:
-                rec.count("comm.seconds.intra", phases.intra)
-            if phases.inter:
-                rec.count("comm.seconds.inter", phases.inter)
 
     # -- point-to-point -----------------------------------------------------
 
@@ -277,10 +310,9 @@ class SimComm(RankMembership):
             raise ValueError("send to self would deadlock a blocking recv")
         t0 = self.clock.now
         payload = _payload_bytes(obj)
-        phases = self._world.timing.hop_phases(payload, self.rank, dest)
-        self.clock.advance(phases.total)
+        self.clock.advance(self._world.timing.message_seconds(payload))
         self._world.post(self.rank, dest, tag, obj, self.clock.now)
-        self._record("send", t0, payload, phases)
+        self._record("send", t0, payload)
 
     def recv(self, source: int, tag: int = 0):
         if not (0 <= source < self.size):
@@ -329,10 +361,11 @@ class SimComm(RankMembership):
 
         Every rank deposits ``contribution``; ranks that died before
         contributing read as ``absent``.  ``carried(values)`` picks the
-        values that travel (the largest pickle is the payload the cost
-        model prices) and raises if the collective cannot complete;
-        by default every slot travels.  All participants leave at
-        ``max(entry clocks) + price``.  Returns what ``carried`` picked.
+        values that travel (the largest pickle is the payload priced)
+        and raises if the collective cannot complete; by default every
+        slot travels.  All participants leave at ``max(entry clocks) +
+        price``, the log tree over the world size — deaths do not shrink
+        it.  Returns what ``carried`` picked.
         """
         t0 = self.clock.now
         self._enter_collective(op)
@@ -341,12 +374,14 @@ class SimComm(RankMembership):
         if carried is not None:
             values = carried(values)
         payload = max((_payload_bytes(v) for v in values), default=0)
-        phases = self._world.timing.collective_phases(
-            op, self.known_alive, payload, world_size=self.size
+        timing = self._world.timing
+        price = (
+            timing.barrier_seconds(self.size) if op == "barrier"
+            else timing.collective_seconds(self.size, payload)
         )
         self.clock.synchronize(max(t for _, t in board.values()))
-        self.clock.advance(phases.total)
-        self._record(op, t0, payload, phases)
+        self.clock.advance(price)
+        self._record(op, t0, payload)
         return values
 
     def barrier(self) -> None:

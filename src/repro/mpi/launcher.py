@@ -4,7 +4,7 @@ The launcher builds the fault/epoch plane
 (:class:`~repro.mpi.membership.FaultPlane`: statuses, the fault plan,
 the deadline, the clock window) and hands it to the data plane
 (:class:`~repro.mpi.comm._World`: exchange slots and mailboxes, priced
-by any :class:`~repro.mpi.topology.CommCostModel`), then marks each
+by a :class:`~repro.mpi.comm.CommTiming`), then marks each
 rank's status as its body ends.
 
 Each rank of a multi-rank world is a forked child process, as each MPI
@@ -42,7 +42,7 @@ import time
 import traceback
 from typing import Callable, Sequence
 
-from repro.mpi.comm import SimComm, _World
+from repro.mpi.comm import CommTiming, SimComm, _World
 from repro.mpi.faults import FaultPlan, RankKilledError
 from repro.mpi.membership import (
     DEAD,
@@ -53,7 +53,6 @@ from repro.mpi.membership import (
     SPMDError,
 )
 from repro.mpi.policy import TimeoutPolicy
-from repro.mpi.topology import CommCostModel, CommTiming
 from repro.obs.recorder import recording, set_current
 from repro.util.timing import VirtualClock
 
@@ -376,7 +375,7 @@ def _rank_body(fn, shared) -> Callable:
 def run_spmd(
     fn: Callable[..., object],
     n_ranks: int,
-    comm_timing: CommCostModel | None = None,
+    comm_timing: CommTiming | None = None,
     clocks: Sequence[VirtualClock] | None = None,
     fault_plan: FaultPlan | None = None,
     timeout_policy: TimeoutPolicy = TimeoutPolicy(),

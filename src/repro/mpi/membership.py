@@ -115,19 +115,6 @@ class MembershipView:
         blob = json.dumps(doc, sort_keys=True).encode("ascii")
         return hashlib.sha256(blob).hexdigest()[:16]
 
-    def node_leaders(self, topology) -> dict[int, int]:
-        """Node → leader rank among this view's live set.
-
-        The leader of a node is the smallest live rank mapped to it by
-        ``topology`` (see :meth:`repro.mpi.topology.Topology.leaders`) —
-        re-election after a leader death is therefore a pure function of
-        the view, needing no extra protocol.  Empty for a trivial (or
-        ``None``) topology: the flat world has no leaders.
-        """
-        if topology is None or topology.is_trivial:
-            return {}
-        return topology.leaders(self.live)
-
     def as_doc(self) -> dict:
         return {
             "epoch": self.epoch,
@@ -244,22 +231,15 @@ class RankMembership:
     ``__init__``.
     """
 
-    def __init__(self, faults: FaultPlane, topology) -> None:
+    def __init__(self, faults: FaultPlane) -> None:
         #: The world's fault plane (public: runtime code polls statuses).
         self.faults = faults
-        self._topology = topology
         self._collective_calls = 0
         #: Ranks this communicator believes alive; shrinks only at exchange
         #: completion, so all survivors agree on it after each collective.
         self.known_alive: set[int] = set(range(faults.size))
         #: Membership epoch: bumped once per observed batch of deaths.
         self.epoch = 0
-
-    def node_leaders(self) -> dict[int, int]:
-        """Current node → leader map (smallest alive rank per node;
-        empty when flat).  Recomputed from the view on every call, which
-        *is* the deterministic re-election rule."""
-        return self.membership_view().node_leaders(self._topology)
 
     def alive_ranks(self) -> list[int]:
         """Ranks this communicator believes alive (sorted)."""
@@ -352,30 +332,8 @@ class RankMembership:
         newly_dead = sorted(self.known_alive - outcome)
         if not newly_dead:
             return
-        # Leader set *before* the deaths are applied: any of these
-        # leaders in the death set triggers deterministic re-election
-        # (the map is a pure function of the alive set).
-        old_leaders = self.node_leaders()
         self.known_alive.difference_update(newly_dead)
         self._note_deaths(newly_dead, op)
-        rec = _obs_current()
-        dead_leaders = sorted(
-            r for r in old_leaders.values() if r in newly_dead
-        )
-        if dead_leaders and rec is not None:
-            # Leader hand-off: the successor (next alive rank of the node)
-            # inherits mid-collective, at no modelled cost.
-            rec.count("comm.leader_reelections", len(dead_leaders))
-            rec.instant(
-                "leader-reelection", "fault",
-                args={
-                    "op": op,
-                    "dead_leaders": dead_leaders,
-                    "leaders": {
-                        str(n): r for n, r in sorted(self.node_leaders().items())
-                    },
-                },
-            )
         raise RankFailure(newly_dead, op=op)
 
     def _lost(self, peer: int, op: str) -> SPMDError:

@@ -84,8 +84,6 @@ def format_stage_report(rows: Sequence[Mapping], title: str | None = None) -> st
 def run_report(
     per_rank: Sequence[Mapping[str, float]],
     comm_seconds: Sequence[float],
-    comm_intra_seconds: Sequence[float],
-    comm_inter_seconds: Sequence[float],
     n_processes: int | None = None,
     n_threads: int | None = None,
     sched: Mapping | None = None,
@@ -94,15 +92,12 @@ def run_report(
     """The complete JSON report block written by ``--metrics-out``.
 
     Contains the Fig. 3–4 buckets, the per-stage statistics table, total
-    time (slowest rank, summed over stages), each rank's communication
-    seconds and their share of its total, and the ``"comm_split"`` block
-    of per-rank intra-node/inter-node shares — one schema under every
-    communication model; the flat model, which has no tiers, reports
-    zeros.  For work-steal runs, ``sched`` (the driver's scheduling
-    document: steal attempts/grants, per-stage queue stats, per-rank
-    idle tails) is embedded verbatim under ``"sched"`` so the Fig. 3–4
-    stage report carries the idle-tail deltas dynamic scheduling
-    achieved.
+    time (slowest rank, summed over stages), and each rank's
+    communication seconds and their share of its total.  For work-steal
+    runs, ``sched`` (the driver's scheduling document: steal
+    attempts/grants, per-stage queue stats, per-rank idle tails) is
+    embedded verbatim under ``"sched"`` so the Fig. 3–4 stage report
+    carries the idle-tail deltas dynamic scheduling achieved.
 
     ``recovery`` is each rank's replay time bucketed by the pipeline
     stage whose boundary triggered it; when any rank recovered, the
@@ -124,12 +119,6 @@ def run_report(
         "comm_fraction": [
             (c / t) if t > 0 else 0.0 for c, t in zip(comm_seconds, totals)
         ],
-        "comm_split": {
-            "intra_seconds": [float(v) for v in comm_intra_seconds],
-            "inter_seconds": [float(v) for v in comm_inter_seconds],
-            "intra_max": max(comm_intra_seconds),
-            "inter_max": max(comm_inter_seconds),
-        },
     }
     if sched is not None:
         doc["sched"] = dict(sched)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mpi.topology import Topology
 from repro.perfmodel.coarse import analysis_time, serial_time
 from repro.perfmodel.machines import MachineSpec
 from repro.perfmodel.memory import max_processes_per_node, process_memory
@@ -32,57 +31,6 @@ class LayoutRecommendation:
     predicted_speedup: float
     memory_per_process_gb: float
     alternatives: tuple[tuple[int, int, float], ...]  # (p, T, seconds)
-
-
-def compare_layouts(
-    profile: StageProfile,
-    machine: MachineSpec,
-    n_bootstraps: int,
-    layouts,
-) -> dict:
-    """Answer "8×4 or 4×8?" with the topology-aware model.
-
-    ``layouts`` is a sequence of ``(n_processes, n_threads)`` pairs using
-    the same core budget (they need not — each is modelled on its own).
-    For each layout the node packing is implied by the machine:
-    ``ranks_per_node = cores_per_node // n_threads`` (at least 1), so a
-    thread-heavy layout spreads ranks across more nodes and pays
-    interconnect prices for more of its collectives, while a
-    process-heavy layout keeps collectives on shared memory but spends
-    more time in imbalanced stage tails.  The verdict is the coarse
-    analytic model (compute + hierarchical communication).
-
-    Returns ``{"layouts": [...], "best": {...}}`` where each layout entry
-    carries ``n_processes``/``n_threads``/``ranks_per_node``/``n_nodes``
-    and the coarse stage times (``predicted_seconds``, ``comm_seconds``);
-    ``best`` is the entry with the smallest ``predicted_seconds``.
-    """
-    entries = []
-    for p, t in layouts:
-        if t > machine.cores_per_node:
-            raise ValueError(
-                f"{machine.name} has {machine.cores_per_node} cores/node; "
-                f"T={t} is impossible"
-            )
-        rpn = max(1, machine.cores_per_node // t)
-        topo = Topology(p, rpn)
-        times = analysis_time(
-            profile, machine, n_bootstraps, p, t, topology=topo
-        )
-        entries.append({
-            "n_processes": p,
-            "n_threads": t,
-            "cores": p * t,
-            "ranks_per_node": rpn,
-            "n_nodes": topo.n_nodes,
-            "predicted_seconds": times.total,
-            "comm_seconds": times.comm,
-            "stage_seconds": times.as_dict(),
-        })
-    if not entries:
-        raise ValueError("compare_layouts needs at least one layout")
-    best = min(entries, key=lambda e: e["predicted_seconds"])
-    return {"layouts": entries, "best": best}
 
 
 def recommend_layout(

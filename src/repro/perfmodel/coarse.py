@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.mpi.topology import HierarchicalCommTiming
+from repro.mpi.comm import CommTiming
 from repro.perfmodel.finegrain import region_pattern_units, serial_pattern_cost
 from repro.perfmodel.machines import MACHINES, MachineSpec, machine_by_name
 from repro.perfmodel.profiles import StageProfile
@@ -116,14 +116,11 @@ def analysis_time(
     n_bootstraps: int,
     n_processes: int,
     n_threads: int,
-    topology=None,
 ) -> StageTimes:
     """Modelled stage times of one hybrid run (p processes × T threads).
 
-    The communication term is priced by the machine's cost model under
-    ``topology`` (a :class:`~repro.mpi.topology.Topology`; ``None`` is
-    the flat world) — compute terms are unchanged, exactly as in the
-    simulator.
+    The communication term is priced by the flat
+    :class:`~repro.mpi.comm.CommTiming`, exactly as in the simulator.
 
     Raises if ``n_threads`` exceeds the machine's cores per node (the
     paper: threads are "limited to the number of cores per node").
@@ -156,7 +153,7 @@ def analysis_time(
 
     comm = 0.0
     if p > 1:
-        timing = HierarchicalCommTiming.for_machine(machine, topology)
+        timing = CommTiming()
         # One barrier after the bootstraps, one bcast of the best tree
         # (a Newick string: ~30 bytes per taxon).
         comm = timing.barrier_seconds(p) + timing.collective_seconds(

@@ -41,13 +41,9 @@ class MachineSpec:
     a busy-wait flat barrier (cache-line traffic ∝ T²), exponent 1 a
     tree/hierarchical barrier.
 
-    The ``intra_node_*`` / ``inter_node_*`` pairs are the two-tier
-    communication constants used by the topology-aware collectives
-    (:mod:`repro.mpi.topology`): latency/per-byte cost of a hop inside a
-    node (shared memory) vs across the interconnect.  The inter-node
-    defaults equal the historical flat
-    :class:`~repro.mpi.topology.CommTiming` numbers, so a trivial topology
-    reproduces today's costs exactly.
+    Communication carries no machine constants: every run prices its
+    messages with the flat :class:`~repro.mpi.comm.CommTiming` defaults,
+    whatever the machine (the paper finds communication negligible).
     """
 
     name: str
@@ -63,12 +59,6 @@ class MachineSpec:
     sync_pattern_units: float
     sync_exponent: float = 2.0
     memory_per_node_gb: float = 32.0
-    #: Two-tier communication constants (seconds / seconds-per-byte).
-    #: Inter-node defaults match the flat CommTiming constants.
-    intra_node_latency: float = 5e-7
-    intra_node_byte_time: float = 4e-11
-    inter_node_latency: float = 5e-6
-    inter_node_byte_time: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.cores_per_node < 1:
@@ -87,18 +77,6 @@ class MachineSpec:
             raise ValueError("sync_exponent must be >= 0.5")
         if self.memory_per_node_gb <= 0:
             raise ValueError("memory_per_node_gb must be positive")
-        if self.intra_node_latency <= 0 or self.inter_node_latency <= 0:
-            raise ValueError("node latencies must be positive")
-        if self.intra_node_byte_time <= 0 or self.inter_node_byte_time <= 0:
-            raise ValueError("node byte times must be positive")
-        if self.intra_node_latency > self.inter_node_latency:
-            raise ValueError(
-                "intra-node latency must not exceed inter-node latency"
-            )
-        if self.intra_node_byte_time > self.inter_node_byte_time:
-            raise ValueError(
-                "intra-node byte time must not exceed inter-node byte time"
-            )
 
     def max_threads(self) -> int:
         """Threads are "limited to the number of cores per node" (paper)."""
@@ -120,9 +98,6 @@ MACHINES: dict[str, MachineSpec] = {
         bandwidth_penalty=1.0,
         sync_pattern_units=3.0,
         memory_per_node_gb=8.0,
-        # Bus-based memory subsystem: the slowest intra-node tier.
-        intra_node_latency=8e-7,
-        intra_node_byte_time=1e-10,
     ),
     "dash": MachineSpec(
         name="Dash",
@@ -137,9 +112,6 @@ MACHINES: dict[str, MachineSpec] = {
         bandwidth_penalty=0.1,
         sync_pattern_units=1.75,
         memory_per_node_gb=48.0,
-        # Nehalem QPI: fast on-node fabric (~40 GB/s effective).
-        intra_node_latency=4e-7,
-        intra_node_byte_time=2.5e-11,
     ),
     "ranger": MachineSpec(
         name="Ranger",
@@ -154,8 +126,6 @@ MACHINES: dict[str, MachineSpec] = {
         bandwidth_penalty=0.5,
         sync_pattern_units=2.0,
         memory_per_node_gb=32.0,
-        intra_node_latency=6e-7,
-        intra_node_byte_time=5e-11,
     ),
     "triton": MachineSpec(
         name="Triton PDAF",
@@ -171,8 +141,6 @@ MACHINES: dict[str, MachineSpec] = {
         sync_pattern_units=12.395,
         sync_exponent=1.0,
         memory_per_node_gb=256.0,
-        intra_node_latency=5e-7,
-        intra_node_byte_time=4e-11,
     ),
 }
 

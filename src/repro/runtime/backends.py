@@ -19,6 +19,7 @@ from dataclasses import replace
 from functools import partial
 from typing import Protocol
 
+from repro.mpi.comm import CommTiming
 from repro.mpi.membership import RankFailure
 from repro.obs.recorder import Recorder, current as _obs_current, recording
 from repro.search.schedule import make_schedule
@@ -165,8 +166,6 @@ def _rank_report(ctx: RankContext, **own) -> dict:
         "stage_ops": ctx.stage_ops,
         "finish_time": comm.clock.now,
         "comm_seconds": comm.account.seconds,
-        "comm_intra_seconds": comm.account.intra_seconds,
-        "comm_inter_seconds": comm.account.inter_seconds,
         "pattern_ops": ctx.ops.pattern_ops,
         "n_retries": comm.account.n_retries,
         "backoff_seconds": comm.account.backoff_seconds,
@@ -290,7 +289,7 @@ class WorkStealBackend:
         return StealBoard(
             config.n_processes,
             steal_seed=config.comprehensive.seed_p,
-            steal_seconds=config.comm_timing().steal_seconds,
+            steal_seconds=CommTiming().steal_seconds,
             timeout=config.timeout_policy.world_seconds,
         )
 

@@ -58,7 +58,7 @@ class RankContext:
         machine = machine_by_name(config.machine)
         self.pool = VirtualThreadPool(
             config.n_threads,
-            MachineRegionTiming(machine, config.seconds_per_pattern_unit),
+            MachineRegionTiming(machine),
             clock=clock,
         )
         self.ops = OpCounter()

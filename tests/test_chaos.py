@@ -78,8 +78,15 @@ class TestCampaign:
                               out=tmp_path / "BENCH_chaos.json",
                               workdir=tmp_path / "work")
         assert report["n_violations"] == 0, report["violations"]
-        # 4 scenarios + 6 leader-death probes.
+        # 4 scenarios + 6 targeted-death probes.
         assert report["n_records"] == 10
+        probes = [r for r in report["scenarios"] if "probe" in r]
+        assert len(probes) == 6  # 3 plans x 2 schedules
+        assert {r["probe"] for r in probes} == {
+            "rank0-collective", "rank2-stage", "ranks02-collective"}
+        # The two-death probe's checkpoint -> resume leg ran for both
+        # schedules.
+        assert sum("resume" in r["checks"] for r in probes) == 2
         assert (tmp_path / "BENCH_chaos.json").exists()
         on_disk = json.loads((tmp_path / "BENCH_chaos.json").read_text())
         assert on_disk["n_records"] == report["n_records"]

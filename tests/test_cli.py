@@ -265,7 +265,7 @@ class TestValidateArgs:
     @pytest.mark.parametrize("extra, match", [
         (["-np", "0"], "n_processes"),
         (["-T", "0"], "n_threads"),
-        (["--ranks-per-node", "0"], "ranks_per_node"),
+        (["-T", "9"], "T=9 is impossible"),
         (["--machine", "bogus"], "unknown machine 'bogus'"),
         (["-f", "d", "-N", "1", "--machine", "bogus"], "unknown machine 'bogus'"),
         (["-b", "7", "-N", "1", "--machine", "bogus"], "unknown machine 'bogus'"),

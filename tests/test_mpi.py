@@ -1,11 +1,15 @@
 """Tests for the simulated MPI runtime (repro.mpi)."""
 
+import math
+
 import pytest
 
+from repro.mpi import CommTiming
+from repro.mpi.comm import _payload_bytes
+from repro.mpi.faults import FaultPlan, KillSpec
 from repro.mpi.launcher import run_spmd
-from repro.mpi.membership import SPMDError
+from repro.mpi.membership import RankFailure, SPMDError
 from repro.mpi.policy import TimeoutPolicy
-from repro.mpi.topology import CommTiming
 from repro.util.timing import VirtualClock
 
 
@@ -191,6 +195,103 @@ class TestCommTiming:
 
     def test_collective_single_rank_free(self):
         assert CommTiming().collective_seconds(1, 100) == 0.0
+
+
+class TestFlatCostRegression:
+    """Pin the flat model byte-for-byte (the docstring's hand-trace) and
+    the prices every consumer of it charges."""
+
+    OPS = ("barrier", "bcast", "gather", "allgather", "allreduce")
+
+    def test_message_seconds(self):
+        t = CommTiming()
+        assert t.message_seconds(1000) == 5e-6 + 1000 * 1e-9
+        assert t.message_seconds(0) == 5e-6
+
+    def test_collective_is_log_tree_not_linear(self):
+        t = CommTiming()
+        m = t.message_seconds(1000)
+        assert t.collective_seconds(8, 1000) == 3 * m  # ceil(log2 8) = 3
+        assert t.collective_seconds(9, 1000) == 4 * m  # ceil(log2 9) = 4
+        assert t.collective_seconds(64, 1000) == 6 * m
+        # Linear would be 63 * m at p=64 — an order of magnitude off.
+        assert t.collective_seconds(64, 1000) < 63 * m / 5
+
+    def test_barrier_seconds(self):
+        t = CommTiming()
+        assert t.barrier_seconds(8) == 3 * 1e-5
+        assert t.barrier_seconds(2) == 1e-5
+
+    def test_size_one_is_free(self):
+        t = CommTiming()
+        assert t.barrier_seconds(1) == 0.0
+        assert t.collective_seconds(1, 10_000) == 0.0
+
+    def test_hand_traced_log_tree(self):
+        t = CommTiming()
+        n_bytes = 1000
+        for p in range(1, 66):
+            rounds = math.ceil(math.log2(p)) if p > 1 else 0
+            assert t.barrier_seconds(p) == rounds * 1e-5
+            assert t.collective_seconds(p, n_bytes) == (
+                rounds * (5e-6 + n_bytes * 1e-9)
+            )
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_every_collective_charges_the_log_tree(self, op):
+        """On synchronised clocks a collective over 3 ranks costs two
+        tree rounds: ``barrier_base`` each for a barrier, one message of
+        the largest carried payload each otherwise."""
+        def fn(comm):
+            getattr(comm, op)(*(() if op == "barrier" else (comm.rank,)))
+            return comm.clock.now, comm.trace[-1].payload_bytes
+
+        t = CommTiming()
+        for now, payload in run_spmd(fn, 3):
+            if op == "barrier":
+                assert now == 2 * t.barrier_base
+            else:
+                assert now == t.collective_seconds(3, payload)
+                assert now == 2 * t.message_seconds(payload)
+
+    def test_flat_hop_ignores_endpoints(self):
+        def fn(comm):
+            if comm.rank == 0:
+                comm.send("x", 1)
+                comm.send("x", 2)
+                return [e.seconds for e in comm.trace]
+            comm.recv(0)
+            return None
+
+        near, far = run_spmd(fn, 3)[0]
+        assert near == far == CommTiming().message_seconds(_payload_bytes("x"))
+
+    def test_dead_rank_pricing_rule(self):
+        # One death in a 2-rank world: the log tree still prices the
+        # world size, not the one survivor.
+        plan = FaultPlan(kills=(KillSpec(rank=1, collective=0),))
+
+        def body(comm):
+            with pytest.raises(RankFailure):
+                comm.barrier()
+            t0 = comm.clock.now
+            comm.barrier()
+            return comm.clock.now, t0
+
+        now, t0 = run_spmd(body, 2, fault_plan=plan)[0]
+        assert now == t0 + CommTiming().barrier_seconds(2) > t0
+
+    def test_board_charges_the_steal_price(self):
+        # The work-steal backend's board charges one request/grant
+        # message pair per steal, whichever ranks it joins.
+        from repro.hybrid.driver import HybridConfig
+        from repro.runtime.backends import WorkStealBackend
+
+        config = HybridConfig(n_processes=4, n_threads=2, schedule="work-steal")
+        board = WorkStealBackend.make_shared(config)
+        for thief, victim in ((0, 1), (1, 0), (0, 2), (3, 0)):
+            charged = board.steal_cost(thief, victim)
+            assert charged == 2 * CommTiming().message_seconds(256) > 0.0
 
 
 class TestLauncher:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mpi.comm import DEAD_RANK, SimComm, _World
+from repro.mpi.comm import DEAD_RANK, CommTiming, SimComm, _World
 from repro.mpi.faults import FaultPlan, KillSpec
 from repro.mpi.launcher import run_spmd
 from repro.mpi.membership import (
@@ -12,7 +12,6 @@ from repro.mpi.membership import (
     SPMDError,
 )
 from repro.mpi.policy import TimeoutPolicy
-from repro.mpi.topology import CommTiming
 
 
 class TestAllreduceNonePayloads:

@@ -250,17 +250,13 @@ class TestStageReport:
 
     def test_run_report_totals_and_comm_fraction(self):
         doc = run_report(self.PER_RANK, comm_seconds=[1.0, 3.0],
-                         comm_intra_seconds=[0.0, 0.5],
-                         comm_inter_seconds=[0.0, 0.0],
                          n_processes=2, n_threads=4)
         assert doc["total_seconds"] == 12.0  # slowest rank: 2+4+1+5
         assert doc["total_imbalance"] == pytest.approx(12.0 * 2 / 22.0)
         assert doc["comm_fraction"] == [pytest.approx(0.1), pytest.approx(0.25)]
         assert doc["layout"] == {"n_processes": 2, "n_threads": 4}
-        assert doc["comm_split"] == {
-            "intra_seconds": [0.0, 0.5], "inter_seconds": [0.0, 0.0],
-            "intra_max": 0.5, "inter_max": 0.0,
-        }
+        assert doc["comm_seconds"] == [1.0, 3.0]
+        assert "comm_split" not in doc
 
     def test_format_stage_report_renders_all_rows(self):
         text = format_stage_report(stage_decomposition(self.PER_RANK))

@@ -30,10 +30,9 @@ import repro.mpi.launcher as launcher
 from repro.datasets import test_dataset as make_test_dataset
 from repro.hybrid.analyses import MultiSearchConfig, run_multiple_ml_searches
 from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
-from repro.mpi import FaultPlan, KillSpec, SPMDError, TimeoutPolicy, run_spmd
+from repro.mpi import CommTiming, FaultPlan, KillSpec, SPMDError, TimeoutPolicy, run_spmd
 from repro.mpi.comm import SimComm, _World
 from repro.mpi.membership import FaultPlane
-from repro.mpi.topology import CommTiming
 from repro.search.comprehensive import ComprehensiveConfig
 from repro.search.searches import StageParams
 from repro.tree.newick import write_newick

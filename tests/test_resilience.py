@@ -301,12 +301,13 @@ class TestCheckpointStore:
 
     def test_older_format_refused_loudly(self, tmp_path):
         """Format 2 changed the fingerprint rule and the journal layout,
-        format 3 put the comm account into every stage document; an older
-        file is rejected, not migrated or silently re-run."""
+        format 3 put the comm account into every stage document, format 4
+        dropped its intra/inter-node split; an older file is rejected, not
+        migrated or silently re-run."""
         store = CheckpointStore(tmp_path, 0, "fp")
         store.save("setup", {})
         doc = json.loads(store.path("setup").read_text(encoding="ascii"))
-        assert doc["format"] == 3
+        assert doc["format"] == 4
         for older in (1, 2):
             doc["format"] = older
             store.path("setup").write_text(json.dumps(doc), encoding="ascii")
@@ -314,6 +315,17 @@ class TestCheckpointStore:
                 CheckpointError, match=f"unsupported checkpoint format {older}"
             ):
                 store.load("setup")
+        # A format-3 stage document: its comm account still carries the
+        # split, which CommAccount no longer takes.  The format check
+        # refuses it before the account is rebuilt from it.
+        doc["format"] = 3
+        doc["payload"] = {"clock": 0.5, "stage_seconds": 0.5, "stage_ops": 7,
+                          "comm": {"seconds": 0.0, "intra_seconds": 0.0,
+                                   "inter_seconds": 0.0, "n_retries": 0,
+                                   "backoff_seconds": 0.0}}
+        store.path("setup").write_text(json.dumps(doc), encoding="ascii")
+        with pytest.raises(CheckpointError, match="unsupported checkpoint format 3"):
+            store.load("setup")
 
     def test_journal_speaks_the_store_protocol(self, tmp_path):
         """The task journal is a stage store too: stage documents

@@ -1,9 +1,9 @@
 """Golden cross-mode parity suite for `repro.runtime`.
 
 The fixture (``tests/data/runtime_golden.json``) was generated by running
-this module as a script (last regenerated by ISSUE 17's deliberate,
-differ-reviewed break: the comm account is a stage quantity, one report
-schema).  Every
+this module as a script (last regenerated by a deliberate,
+differ-reviewed break: the two-tier communication model and its
+intra/inter-node split are gone).  Every
 scenario here re-runs the same toy analysis through the current code and
 asserts the outputs are bit-identical: ``best_lnl``, trees, RNG
 fingerprints, per-stage virtual seconds, checkpoint file digests, and
@@ -268,24 +268,28 @@ def test_cross_mode_first_records_match(golden):
 #: Intended moves of the current deliberate golden break, as
 #: ``(path regex, why)``; a path is ``scenario.record.field...``.  Anything
 #: that moves outside this list fails ``--diff``.  ``--check`` (CI) allows
-#: nothing.  This list describes the kernels' CLV scaling moving from
-#: dividing every pattern by its max entry at every node to RAxML's
-#: threshold scaling (a pattern is multiplied by 2^256 only when all its
-#: entries fall below 2^-256), which rounds differently; trees,
-#: ``rng_fingerprint``, op totals, virtual clocks and
-#: ``n_bootstraps_done`` stay.  Edit it with
-#: the next deliberate break, never to make an accident pass.
+#: nothing.  This list describes the removal of the two-tier
+#: communication model: the comm account and the run report lose their
+#: intra/inter-node split (0.0 everywhere under the flat model) and the
+#: checkpoint format goes 3 -> 4; lnls, trees, ``rng_fingerprint``,
+#: stage seconds, finish times, ``comm_seconds``, op totals, counters,
+#: stage spans and ``trace_digest`` stay.  Edit it with the next
+#: deliberate break, never to make an accident pass.
 ALLOWED_MOVES: tuple[tuple[str, str], ...] = (
-    (r"[^.]+\.(first|resumed)\.(best_lnl|rank_lnls\[\d+\])$",
-     "lnl digits: CLVs scaled only on underflow round differently"),
+    (r"[^.]+\.(first|resumed)\.report\.comm_split\."
+     r"(intra|inter)_(max|seconds\[\d+\])$",
+     "the run report's comm_split block is gone (all 0.0 when flat)"),
     (r"[^.]+\.checkpoint_docs(_after_resume)?\.[\w-]+\.json\."
-     r"(payload\.results|tasks\.(bootstrap|fast|slow|thorough):\d+:\d+)(\[\d+\])+$",
-     "checkpointed stage results: lnl and Newick branch-length digits "
-     "under threshold scaling's rounding"),
+     r"(payload|stages\.(setup|bootstrap|fast|slow|thorough))\.comm\."
+     r"(intra|inter)_seconds$",
+     "stage documents' comm account has no intra/inter split (all 0.0 "
+     "when flat)"),
+    (r"[^.]+\.checkpoint_docs(_after_resume)?\.[\w-]+\.json\.format$",
+     "checkpoint format 3 -> 4: the comm account lost two keys"),
     (r"[^.]+\.checkpoints(_after_resume)?\.[\w-]+\.json$",
-     "checkpoint file bytes: the stage results they hold"),
-    (r"[^.]+\.first\.trace_digest$",
-     "trace documents: the spans carry the lnls threshold scaling moves"),
+     "checkpoint file bytes: format, fingerprint and comm account"),
+    (r"[^.]+\.(first|resumed)\.metrics_digest$",
+     "metrics documents: the report lost its comm_split block"),
 )
 
 

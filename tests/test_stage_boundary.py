@@ -1,8 +1,7 @@
 """The one stage boundary (``repro.runtime.backends._exec_stage``): both
 backends restore a finished stage the same way, a resumed run reports
-what the fresh run reported — communication included, under every comm
-model, in one report schema — and no backend sequences a boundary of
-its own."""
+what the fresh run reported — communication included — and no backend
+sequences a boundary of its own."""
 
 import ast
 import json
@@ -27,16 +26,8 @@ QUICK = StageParams(
 )
 
 
-TWO_TIER = ["--ranks-per-node", "2"]
-
-
-@pytest.mark.parametrize("schedule, comm_model", [
-    pytest.param("static", [], id="static"),
-    pytest.param("work-steal", [], id="work-steal"),
-    pytest.param("static", TWO_TIER, id="static-two-tier"),
-    pytest.param("work-steal", TWO_TIER, id="work-steal-two-tier"),
-])
-def test_fresh_and_resumed_reports_equal(schedule, comm_model, tmp_path, capsys):
+@pytest.mark.parametrize("schedule", ["static", "work-steal"])
+def test_fresh_and_resumed_reports_equal(schedule, tmp_path, capsys):
     """The info file of a checkpointed run equals its ``--resume``
     continuation: restored stages report their journalled seconds *and*
     ops, the comm account continues from the last restored boundary (the
@@ -46,7 +37,7 @@ def test_fresh_and_resumed_reports_equal(schedule, comm_model, tmp_path, capsys)
     argv = [
         "--simulate", "6", "90", "-N", "4", "-np", "2", "-T", "1", "--quick",
         "--schedule", schedule, "--checkpoint-dir", str(tmp_path / "ck"),
-        "-w", str(tmp_path), "-n", "run", *comm_model,
+        "-w", str(tmp_path), "-n", "run",
     ]
     info = tmp_path / "RAxML_info.run.json"
     assert main(argv) == 0
@@ -60,36 +51,6 @@ def test_fresh_and_resumed_reports_equal(schedule, comm_model, tmp_path, capsys)
     assert all(row["comm_seconds"] > 0.0 for row in fresh["ranks"])
     fresh.pop("sched"), resumed.pop("sched")
     assert resumed == fresh
-
-
-def test_one_report_schema_under_every_comm_model():
-    """Rank rows and the run report carry the same keys under the flat
-    and the two-tier model; the flat model, which has no tiers, reports
-    exact zeros."""
-    pal, _ = make_test_dataset(n_taxa=6, n_sites=90, seed=301)
-    kw = dict(
-        n_processes=2, n_threads=1, collect_metrics=True,
-        comprehensive=ComprehensiveConfig(
-            n_bootstraps=4, cat_categories=3, stage_params=QUICK
-        ),
-    )
-    flat = run_hybrid_analysis(pal, HybridConfig(**kw))
-    tiered = run_hybrid_analysis(pal, HybridConfig(ranks_per_node=2, **kw))
-    assert_bit_identical(flat, tiered)
-    rows = [r.to_report()["ranks"] for r in (flat, tiered)]
-    assert {frozenset(row) for row in rows[0]} == {frozenset(row) for row in rows[1]}
-    reports = [r.metrics["report"] for r in (flat, tiered)]
-    assert reports[0].keys() == reports[1].keys()
-    assert reports[0]["comm_split"].keys() == reports[1]["comm_split"].keys()
-    for row in rows[0]:
-        assert row["comm_seconds"] > 0.0
-        assert row["comm_intra_seconds"] == row["comm_inter_seconds"] == 0.0
-    assert reports[0]["comm_split"] == {
-        "intra_seconds": [0.0, 0.0], "inter_seconds": [0.0, 0.0],
-        "intra_max": 0.0, "inter_max": 0.0,
-    }
-    assert all(row["comm_intra_seconds"] > 0.0 for row in rows[1])
-    assert reports[1]["comm_split"]["intra_max"] > 0.0
 
 
 def test_worksteal_resume_mid_fast_restores_stages_and_reruns_missing_tasks(

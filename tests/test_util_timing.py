@@ -103,7 +103,7 @@ class TestCommSecondsHandComputed:
     """comm_seconds against a fully hand-computed two-rank trace."""
 
     def test_barrier_then_bcast_exact_costs(self):
-        from repro.mpi.topology import CommTiming
+        from repro.mpi import CommTiming
         from repro.mpi.launcher import run_spmd
 
         timing = CommTiming(latency=1e-3, byte_time=0.0, barrier_base=1e-2)
@@ -123,7 +123,7 @@ class TestCommSecondsHandComputed:
         assert secs1 == pytest.approx(1e-2 + 1e-3)
 
     def test_comm_seconds_sums_per_event_trace(self):
-        from repro.mpi.topology import CommTiming
+        from repro.mpi import CommTiming
         from repro.mpi.launcher import run_spmd
 
         timing = CommTiming(latency=2e-3, byte_time=0.0, barrier_base=5e-3)
