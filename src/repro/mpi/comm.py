@@ -113,9 +113,8 @@ class CommTiming:
         message per tree round; free for a single rank."""
         return _tree_rounds(size) * self.message_seconds(n_bytes)
 
-    def steal_seconds(self, thief: int, victim: int | None) -> float:
-        """Round-trip of one steal: a request/grant message pair,
-        charged to the thief, whichever rank the victim is."""
+    def steal_seconds(self) -> float:
+        """Round-trip of one steal: a request/grant message pair."""
         return 2 * self.message_seconds(STEAL_BYTES)
 
 

@@ -289,7 +289,7 @@ class WorkStealBackend:
         return StealBoard(
             config.n_processes,
             steal_seed=config.comprehensive.seed_p,
-            steal_seconds=CommTiming().steal_seconds,
+            steal_seconds=CommTiming().steal_seconds(),
             timeout=config.timeout_policy.world_seconds,
         )
 

@@ -248,20 +248,16 @@ class StealBoard:
         self,
         n_ranks: int,
         steal_seed: int,
-        steal_seconds,
+        steal_seconds: float,
         timeout: float = 600.0,
     ) -> None:
-        """``steal_seconds(thief, victim)`` is the modelled round-trip of
-        one steal: the cost model's hop-aware price, so an on-node steal
-        is cheaper than one crossing the interconnect.  The victim is
-        fixed at commit time (the deterministic ``(time, rank)``
-        frontier), so a per-hop cost never perturbs the commit order's
-        determinism."""
+        """``steal_seconds`` is the modelled round-trip of one steal,
+        charged to the thief at commit time."""
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
         self.n_ranks = n_ranks
         self.steal_seed = steal_seed
-        self.steal_cost = steal_seconds
+        self.steal_seconds = steal_seconds
         self.timeout = timeout
         #: The process that made the board, the only one whose calls can
         #: meet the other ranks' (:meth:`_check_process`).
@@ -496,8 +492,7 @@ class StealBoard:
                         self._cond.notify_all()
                     else:
                         t_commit = now + (
-                            self.steal_cost(rank, decision.victim)
-                            if decision.kind == "steal" else 0.0
+                            self.steal_seconds if decision.kind == "steal" else 0.0
                         )
                         self._published[rank] = t_commit
                         del self._intents[rank]

@@ -289,9 +289,8 @@ class TestFlatCostRegression:
 
         config = HybridConfig(n_processes=4, n_threads=2, schedule="work-steal")
         board = WorkStealBackend.make_shared(config)
-        for thief, victim in ((0, 1), (1, 0), (0, 2), (3, 0)):
-            charged = board.steal_cost(thief, victim)
-            assert charged == 2 * CommTiming().message_seconds(256) > 0.0
+        assert board.steal_seconds == CommTiming().steal_seconds()
+        assert board.steal_seconds == 2 * CommTiming().message_seconds(256) > 0.0
 
 
 class TestLauncher:

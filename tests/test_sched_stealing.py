@@ -33,13 +33,8 @@ def skewed_pool(n_ranks=4, per_rank=6, seed=4242, chain=False):
     return tasks, initial_assignment(tasks, members), costs, members
 
 
-def flat_steal(seconds):
-    """One steal price for every (thief, victim) pair."""
-    return lambda thief, victim: seconds
-
-
 def run_board(tasks, assignment, costs, members, steal_seed=4242,
-              steal_seconds=flat_steal(1.05e-5), stagger=None):
+              steal_seconds=1.05e-5, stagger=None):
     """Drain one pool on the threaded board; returns the board and the
     per-rank outcomes."""
     board = StealBoard(len(members), steal_seed, steal_seconds, timeout=60)
@@ -126,7 +121,7 @@ class TestBoardDeterminism:
         members = (0, 1)
         board, out = run_board(
             tasks, initial_assignment(tasks, members), costs, members,
-            steal_seconds=flat_steal(0.25),
+            steal_seconds=0.25,
         )
         assert board.steal_log() == [
             {"stage": "bootstrap", "thief": 0, "victim": 1,
@@ -197,7 +192,7 @@ def test_a_board_in_a_rank_bodys_closure_fails_fast():
     """Each rank process holds a private forked copy of a board its body
     captured, where no peer ever arrives: the first waiting call says so
     instead of waiting out the board's 600 s timeout."""
-    board = StealBoard(2, 4242, flat_steal(1.05e-5))
+    board = StealBoard(2, 4242, 1.05e-5)
     tasks = [Task("setup", o, 0) for o in range(2)]
 
     def body(comm):
