@@ -192,8 +192,6 @@ class TestCommTiming:
     def test_message_cost_includes_bytes(self):
         t = CommTiming()
         assert t.message_seconds(10**6) > t.message_seconds(10)
-        assert t.message_seconds(1000) == 5e-6 + 1000 * 1e-9
-        assert t.message_seconds(0) == 5e-6
 
     def test_collective_single_rank_free(self):
         assert CommTiming().collective_seconds(1, 100) == 0.0
