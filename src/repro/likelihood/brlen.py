@@ -9,6 +9,8 @@ A *smoothing pass* walks all edges once; several passes (RAxML uses up to
 
 from __future__ import annotations
 
+import math
+
 from repro.likelihood.engine import LikelihoodEngine
 from repro.tree.topology import MAX_BRANCH_LENGTH, MIN_BRANCH_LENGTH, Node, Tree
 
@@ -34,6 +36,7 @@ def newton_branch_length(
     the (clamped) starting length — callers using the engine's fused
     sumtable-plus-derivatives path obtain it together with the
     coefficient table and skip the separate initial evaluation here.
+    A first evaluation that is not finite raises ``ValueError``.
     """
     lo, hi = MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH
     t = min(max(t0, lo), hi)
@@ -41,6 +44,8 @@ def newton_branch_length(
         lnl, g, h = engine.edge_lnl_and_derivatives(coef, exps, logscale, t)
     else:
         lnl, g, h = first_eval
+    if not all(map(math.isfinite, (lnl, g, h))):
+        raise ValueError(f"edge likelihood not finite at t={t}: lnl={lnl}, g={g}, h={h}")
     for _ in range(max_iter):
         if h < 0:
             step = -g / h
@@ -87,7 +92,7 @@ def optimize_edge(
     if down is None:
         down = engine.compute_down_partials(tree)
     if up is None:
-        up = engine.compute_up_partials(tree, down)
+        up = engine.compute_up_partials(tree, down, [edge_child])
     return _newton_edge(engine, edge_child, down, up)
 
 

@@ -30,7 +30,8 @@ Other structural features retained from the original engine:
   assigned to exactly one rate category, GTRCAT);
 * per-pattern log-scalers avoid underflow on large trees;
 * "down" partials (postorder, subtree below each node) and "up" partials
-  (preorder, rest-of-tree seen from above) support O(1)-per-edge
+  (preorder, rest-of-tree seen from above; only on the root paths of the
+  edges a caller reads, charged as the full sweep) support O(1)-per-edge
   likelihood evaluation for branch optimisation and lazy SPR scoring.
 """
 
@@ -47,12 +48,11 @@ from repro.likelihood.kernels.base import (
     Partial,
     clv_entries,
 )
-from repro.likelihood.plan import CLVCache, plan_traversal, subtree_signatures
+from repro.likelihood.plan import CLVCache, plan_traversal
 from repro.likelihood.rates import RateModel, subset_rate_model
 from repro.obs.recorder import current as _obs_current
 from repro.seq.encoding import state_likelihood_rows
 from repro.seq.patterns import PatternAlignment
-from repro.threads.partition import chunk_sizes
 from repro.tree.topology import Node, Tree
 
 __all__ = [
@@ -61,6 +61,12 @@ __all__ = [
     "RateModel",
     "subset_rate_model",
 ]
+
+
+class DownPartials(dict):
+    """Down partials by ``id(node)``; ``signatures``: their plan's."""
+
+    signatures: dict[int, int]
 
 
 class LikelihoodEngine:
@@ -122,16 +128,13 @@ class LikelihoodEngine:
         self.weights = np.asarray(w, dtype=np.float64)
         self.ops = ops if ops is not None else OpCounter()
         self.pool = pool
-        # Patterns per (virtual) worker: what a region is priced from.
-        self._chunk_sizes = chunk_sizes(
-            pal.n_patterns, 1 if pool is None else pool.n_threads
-        )
         self.kernel = kernel_class(model, self.rate_model, self.ops, pal.n_patterns, pal.n_taxa)
         if isinstance(clv_cache, CLVCache):
             self.clv_cache: CLVCache | None = clv_cache
         else:
             self.clv_cache = CLVCache(clv_entries(pal.n_taxa)) if clv_cache else None
         self._tip_rows = state_likelihood_rows()
+        self._sig_memo: dict = {}  # subtree_signatures' store, bounded below
         # Tip partials are reused across traversals (a tip's down partial
         # depends only on its alignment row) and share one zero log-scaler.
         self._tip_parts: dict[int, Partial] = {}
@@ -179,6 +182,7 @@ class LikelihoodEngine:
             pool=self.pool, **kwargs,
         )
         sibling._tip_parts = self._tip_parts
+        sibling._sig_memo = self._sig_memo
         return sibling
 
     def with_model(self, model: GTRModel) -> "LikelihoodEngine":
@@ -197,8 +201,7 @@ class LikelihoodEngine:
     def _charge_regions(self, n_regions: int) -> None:
         """Charge simulated parallel-region time (threaded mode only)."""
         if self.pool is not None:
-            for _ in range(n_regions):
-                self.pool.charge_region(self._chunk_sizes, self.n_categories)
+            self.pool.charge_regions(n_regions, self.n_patterns, self.n_categories)
 
     def charges(self) -> tuple[int, ...]:
         """The op counter's fields and the regions charged so far."""
@@ -265,7 +268,8 @@ class LikelihoodEngine:
     def compute_down_partials(
         self, tree: Tree, subtree: Node | None = None
     ) -> dict[int, Partial]:
-        """CLV of the subtree below every node, keyed by ``id(node)``.
+        """CLV of the subtree below every node, keyed by ``id(node)``; the
+        map's ``signatures`` are the plan's, which the up sweep reuses.
 
         Plans the traversal first: with the CLV cache enabled, inner nodes
         whose subtree signature is cached are fetched instead of recomputed
@@ -275,7 +279,9 @@ class LikelihoodEngine:
         including) one node — used by lazy SPR, where the pruned subtree's
         partial is independent of the rest of the tree.
         """
-        plan = plan_traversal(tree, self.clv_cache, subtree)
+        if len(self._sig_memo) > 8 * clv_entries(self.pal.n_taxa):
+            self._sig_memo.clear()
+        plan = plan_traversal(tree, self.clv_cache, subtree, self._sig_memo)
         rec = _obs_current()
         if rec is not None:
             rec.count("clv.plan_traversals")
@@ -290,7 +296,7 @@ class LikelihoodEngine:
         self._charge_regions(max(executed, 1))
         return down
 
-    def _execute_plan(self, plan) -> tuple[dict[int, Partial], int]:
+    def _execute_plan(self, plan) -> tuple[DownPartials, int]:
         """Level-wise plan execution.
 
         Each dependency level resolves cache hits first, then hands every
@@ -302,7 +308,8 @@ class LikelihoodEngine:
         """
         cache = self.clv_cache
         sigs = plan.signatures
-        down: dict[int, Partial] = {}
+        down = DownPartials()
+        down.signatures = sigs
         executed = 0
         for level in plan.levels():
             pending = []
@@ -331,7 +338,7 @@ class LikelihoodEngine:
     # -- up partials (preorder levels) ------------------------------------------
 
     def compute_up_partials(
-        self, tree: Tree, down: dict[int, Partial]
+        self, tree: Tree, down: DownPartials, needed: list[Node] | None = None
     ) -> dict[int, Partial]:
         """For each non-root node ``v``: the partial *at v's parent* of the
         entire tree minus ``v``'s subtree, keyed by ``id(v)``.
@@ -344,24 +351,39 @@ class LikelihoodEngine:
         runs) and each level is one ``up_level_partials`` kernel batch:
         per node, the parent-side partial to transport across the node's
         own edge plus the child specs of :meth:`_child_specs`.
+
+        ``needed`` (nodes) restricts the sweep to their root paths: only
+        their ancestors are expanded, each whole, so what it returns is
+        the full sweep's to the bit and any other node is a ``KeyError``.
+        Ops and regions are still charged for the full sweep.
         """
-        sigs = subtree_signatures(tree.postorder())
+        sigs = down.signatures
+        expand = None if needed is None else set()
+        for v in needed or ():
+            while v.parent is not None and id(v.parent) not in expand:
+                v = v.parent
+                expand.add(id(v))
         up: dict[int, Partial] = {}
-        n_edges = 0
+        n_edges = n_skipped = 0
         level = [tree.root]
         while level:
-            node_specs = []
+            run, node_specs = [], []
             for node in level:
+                n_edges += len(node.children)
+                if expand is not None and id(node) not in expand:
+                    n_skipped += len(node.children) + (node is not tree.root)
+                    continue
                 above = None
                 if node is not tree.root:
                     raw = up[id(node)]
                     above = (node.length, raw.clv, raw.logscale)
+                run.append(node)
                 node_specs.append((above, *self._child_specs(node, sigs, down)))
-            for node, parts in zip(level, self.kernel.up_level_partials(node_specs)):
-                n_edges += len(node.children)
+            for node, parts in zip(run, self.kernel.up_level_partials(node_specs)):
                 for child, part in zip(node.children, parts):
                     up[id(child)] = part
             level = [ch for node in level for ch in node.children if not ch.is_leaf]
+        self.ops.charge_clv(self.n_patterns, self.n_categories, n=n_skipped)
         self._charge_regions(n_edges)
         return up
 

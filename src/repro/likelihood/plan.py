@@ -42,7 +42,7 @@ _GAMMA, _MUL1, _MUL2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111E
 def _mix(h: int, v: int) -> int:
     """``splitmix64(h ^ splitmix64(v))``, where ``splitmix64`` is the
     finalizer of that generator — a strong 64-bit mixer.  Both rounds are
-    written out: this runs twice per child edge of every plan."""
+    written out: this runs twice per child edge of every node hashed."""
     v = (v + _GAMMA) & _MASK
     v = ((v ^ (v >> 30)) * _MUL1) & _MASK
     v = ((v ^ (v >> 27)) * _MUL2) & _MASK
@@ -65,24 +65,34 @@ def subtree_postorder(node: Node) -> Iterator[Node]:
                 stack.append((ch, False))
 
 
-def subtree_signatures(nodes: Iterator[Node]) -> dict[int, int]:
+def subtree_signatures(nodes: Iterator[Node], memo: dict | None = None) -> dict[int, int]:
     """Signature of every node in a postorder sequence, keyed by ``id``.
 
     A leaf's signature depends only on its taxon; an inner node's folds in
     each child's signature and the bit pattern of the branch leading to
     that child, in child order.  A node's own parent branch is *not*
     included — the down partial below a node does not depend on it.
+
+    ``memo`` maps what a signature hashes (``(taxon index,)`` or
+    ``(child signature, length bits, ...)``) to the signature, so a node
+    an edit left alone costs one lookup; its owner bounds it.
     """
+    memo = {} if memo is None else memo
     sigs: dict[int, int] = {}
     for node in nodes:
         if node.is_leaf:
-            sigs[id(node)] = _mix(_LEAF_TAG, node.leaf_index)
+            key = (node.leaf_index,)
         else:
-            s = _INNER_TAG
+            key = ()
             for ch in node.children:
-                s = _mix(s, sigs[id(ch)])
-                s = _mix(s, length_bits(ch.length))
-            sigs[id(node)] = s
+                key += (sigs[id(ch)], length_bits(ch.length))
+        s = memo.get(key)
+        if s is None:
+            s = _LEAF_TAG if node.is_leaf else _INNER_TAG
+            for v in key:
+                s = _mix(s, v)
+            memo[key] = s
+        sigs[id(node)] = s
     return sigs
 
 
@@ -226,6 +236,7 @@ def plan_traversal(
     tree: Tree,
     cache: CLVCache | None = None,
     subtree: Node | None = None,
+    memo: dict | None = None,
 ) -> TraversalPlan:
     """Diff tree state against the cache and emit the minimal CLV recipe.
 
@@ -233,12 +244,13 @@ def plan_traversal(
     from-scratch traversal.  With a cache, inner nodes whose subtree
     signature is cached become ``"cached"`` ops; after a local move
     (SPR/NNI/branch change) only the root path misses, so the executed
-    kernel work shrinks from O(n) CLV updates to O(depth).
+    kernel work shrinks from O(n) CLV updates to O(depth).  ``memo`` is
+    :func:`subtree_signatures`' store.
     """
     root = tree.root if subtree is None else subtree
     nodes = tree.postorder() if subtree is None else subtree_postorder(subtree)
     order = list(nodes)
-    sigs = subtree_signatures(iter(order))
+    sigs = subtree_signatures(iter(order), memo)
     ops: list[CLVOp] = []
     n_tip = n_inner = n_cached = 0
     for node in order:

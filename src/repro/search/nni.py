@@ -39,11 +39,11 @@ def try_nni(
     work.nni(edge, variant)
     # With the engine's CLV cache on, only partials whose subtree
     # signature changed by the interchange are recomputed here.
+    edges = [e for e in [edge] + edge.children if e.parent is not None]
     down = engine.compute_down_partials(work)
-    up = engine.compute_up_partials(work, down)
-    for e in [edge] + edge.children:
-        if e.parent is not None:
-            optimize_edge(engine, work, e, down=down, up=up)
+    up = engine.compute_up_partials(work, down, edges)
+    for e in edges:
+        optimize_edge(engine, work, e, down=down, up=up)
     return work, engine.loglikelihood(work)
 
 

@@ -110,10 +110,11 @@ def try_spr(
     # traversal planner serves every subtree signature untouched by the
     # prune from cache, so only the path from the pruning point to the
     # root costs kernel work; without a cache this is a full traversal.
-    down = engine.compute_down_partials(work)
-    up = engine.compute_up_partials(work, down)
+    # Up partials are computed only on the candidates' root paths.
     candidates = edges_within_radius(work, origin, params.radius)
     whole = len(candidates) == len(work.edges())
+    down = engine.compute_down_partials(work)
+    up = engine.compute_up_partials(work, down, candidates)
     if not candidates:
         return None
 
@@ -140,11 +141,11 @@ def try_spr(
     # Optimise the three branches around the insertion point against
     # one shared set of partials (Jacobi-style, like the smoothing
     # passes) — recomputing partials per edge would triple the cost.
+    edges = [e for e in [joint] + joint.children if e.parent is not None]
     down_new = engine.compute_down_partials(work)
-    up_new = engine.compute_up_partials(work, down_new)
-    for edge_child in [joint] + joint.children:
-        if edge_child.parent is not None:
-            optimize_edge(engine, work, edge_child, down=down_new, up=up_new)
+    up_new = engine.compute_up_partials(work, down_new, edges)
+    for edge_child in edges:
+        optimize_edge(engine, work, edge_child, down=down_new, up=up_new)
     return SPRTrial(work, engine.loglikelihood(work), whole)
 
 

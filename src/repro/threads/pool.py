@@ -2,8 +2,9 @@
 priced on a virtual clock.
 
 The likelihood engine computes every region in one whole-axis kernel
-sweep and calls :meth:`VirtualThreadPool.charge_region` with the
-per-worker chunk sizes; nothing in a run executes chunk by chunk.
+sweep and calls :meth:`VirtualThreadPool.charge_regions` with the pattern
+count, which the pool prices once from the per-worker chunk sizes;
+nothing in a run executes chunk by chunk.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class VirtualThreadPool:
     The pool mirrors RAxML's Pthreads master/worker design: the master
     broadcasts a job, each worker processes its pattern chunk, a barrier
     ends the region.  What a region costs depends on the chunk sizes
-    only, so ``charge_region`` advances the virtual clock by the modelled
+    only, so ``charge_region(s)`` advance the virtual clock by the modelled
     region time without executing anything — that time includes the
     region's reduction: worker threads never call MPI, the barrier is
     shared memory, and the timing model's synchronisation term prices
@@ -43,6 +44,7 @@ class VirtualThreadPool:
         self.timing = timing if timing is not None else ZeroTiming()
         self.clock = clock if clock is not None else VirtualClock()
         self.regions_executed = 0
+        self._prices: dict[tuple[int, int], tuple[list[int], float]] = {}
 
     # -- execution --------------------------------------------------------
 
@@ -65,48 +67,46 @@ class VirtualThreadPool:
     def charge_region(self, chunk_patterns: Sequence[int], n_categories: int) -> float:
         """Advance the clock for one region without executing anything:
         the caller computes the region's full-vector results itself (the
-        arithmetic is identical either way) — the likelihood engine's
-        only use of the pool.
+        arithmetic is identical either way).
         """
-        t0 = self.clock.now
         dt = self.timing.region_seconds(chunk_patterns, n_categories)
-        self.clock.advance(dt)
-        self.regions_executed += 1
-        rec = _obs_current()
-        if rec is not None:
-            self._record_regions(rec, t0, dt, chunk_patterns, 1)
+        self._advance(dt, chunk_patterns)
         return dt
 
     def charge_regions(self, n_regions: int, n_patterns: int, n_categories: int) -> float:
-        """Charge ``n_regions`` identical balanced regions at once."""
+        """Charge ``n_regions`` balanced regions over ``n_patterns`` — the
+        likelihood engine's only use of the pool.  One region's price is
+        computed once per ``(n_patterns, n_categories)``, then added once
+        per region: the clock takes the float sums of as many
+        :meth:`charge_region` calls (``dt * n`` rounds differently)."""
         if n_regions < 0:
             raise ValueError("n_regions must be >= 0")
-        sizes = chunk_sizes(n_patterns, self.n_threads)
-        t0 = self.clock.now
-        dt = self.timing.region_seconds(sizes, n_categories) * n_regions
-        self.clock.advance(dt)
-        self.regions_executed += n_regions
-        rec = _obs_current()
-        if rec is not None and n_regions > 0:
-            self._record_regions(rec, t0, dt, sizes, n_regions)
-        return dt
+        key = (n_patterns, n_categories)
+        if key not in self._prices:
+            sizes = chunk_sizes(n_patterns, self.n_threads)
+            self._prices[key] = sizes, self.timing.region_seconds(sizes, n_categories)
+        sizes, dt = self._prices[key]
+        start = self.clock.now
+        for _ in range(n_regions):
+            self._advance(dt, sizes)
+        return self.clock.now - start
 
-    def _record_regions(
-        self,
-        rec,
-        t0: float,
-        dt: float,
-        chunk_patterns: Sequence[int],
-        n_regions: int,
-    ) -> None:
-        """Feed one region charge into the recorder's per-thread lanes.
+    def _advance(self, dt: float, chunk_patterns: Sequence[int]) -> None:
+        """One region on the clock and, as its own span, on the recorder's
+        per-thread lanes.
 
         The bottleneck chunk is busy for the whole compute window; every
         other thread's busy share scales with its chunk size — the rest
         of its lane is barrier wait, which is exactly the fine-grained
         load-imbalance picture the paper's Section 5.1 discusses.
         """
-        rec.count("threads.regions", n_regions)
+        t0 = self.clock.now
+        self.clock.advance(dt)
+        self.regions_executed += 1
+        rec = _obs_current()
+        if rec is None:
+            return
+        rec.count("threads.regions", 1)
         biggest = max(chunk_patterns) if chunk_patterns else 0
         busy = [
             dt * (c / biggest) if biggest > 0 else dt for c in chunk_patterns
@@ -114,7 +114,7 @@ class VirtualThreadPool:
         # A caller may pass fewer chunks than workers; every declared
         # track still gets a span.
         busy += [0.0] * (self.n_threads - len(busy))
-        rec.thread_regions(t0, t0 + dt, busy, count=n_regions)
+        rec.thread_regions(t0, t0 + dt, busy)
 
     @property
     def virtual_time(self) -> float:
