@@ -304,10 +304,15 @@ class LikelihoodEngine:
         hits are re-fetched (and recomputed if evicted since planning) and
         every computed partial is put back, in level order — so CLV-cache
         traffic, and with it op totals under eviction, cannot depend on how
-        the kernel cuts the pattern axis.
+        the kernel cuts the pattern axis.  The P-matrices of the computed
+        ops' child edges (tips too: tip tables are built from P) are built
+        first, in one batch (:meth:`KernelBackend.build_pmatrices`).
         """
         cache = self.clv_cache
         sigs = plan.signatures
+        self.kernel.build_pmatrices(
+            [ch.length for op in plan.ops if op.kind == "inner" for ch in op.node.children]
+        )
         down = DownPartials()
         down.signatures = sigs
         executed = 0

@@ -30,8 +30,11 @@ def _spectral_products(
     u: np.ndarray, e: np.ndarray, u_inv: np.ndarray, pairs: np.ndarray
 ) -> np.ndarray:
     """``ij,kj,jl->kil``: ``U diag(e_k) U⁻¹`` for every row of ``e``,
-    shape ``(k, 4, 4)``; ``pairs`` is :meth:`GTRModel._decompose`'s
-    ``(4, 16)`` table ``pairs[j, 4i + l] = U[i, j] · U⁻¹[j, l]``.
+    shape ``(k, 4, 4)`` — or ``(n, k, 4, 4)`` for a stack ``(n, k, 4)``
+    of such rows, where each (4, 4) product, or each row of the k ≥ 5
+    product, is computed as it would be alone; ``pairs`` is
+    :meth:`GTRModel._decompose`'s ``(4, 16)`` table
+    ``pairs[j, 4i + l] = U[i, j] · U⁻¹[j, l]``.
 
     The one contraction whose association order depends on a shape.
     The path-optimised three-operand ``einsum`` this replaces bit for bit
@@ -40,12 +43,12 @@ def _spectral_products(
     (the CAT searches' categories, the simulator's rate grid) contracted
     ``e`` against the ``U``/``U⁻¹`` pair products.  The two orders differ
     by rounding (~1e-16), and every pinned result holds one of them, so
-    the switch stays where it was: keyed by the number of multipliers.
+    the switch stays where it was: keyed by the number of multipliers,
+    never by the stack's row count.
     """
-    k = e.shape[0]
-    if k <= 4:
-        return (u[None] * e[:, None, :]) @ u_inv
-    return (e @ pairs).reshape(k, 4, 4)
+    if e.shape[-2] <= 4:
+        return (u * e[..., None, :]) @ u_inv
+    return (e.reshape(-1, 4) @ pairs).reshape(*e.shape[:-1], 4, 4)
 
 
 @dataclass(frozen=True)
@@ -136,15 +139,25 @@ class GTRModel:
 
         Returns an array of shape ``(k, 4, 4)`` where ``k = len(rates)``
         (``rates`` may be a scalar, giving ``k == 1``).  Rows sum to one.
+        The one-length slice of :meth:`transition_matrix_stack`.
         """
-        if t < 0:
-            raise ValueError(f"branch length must be non-negative, got {t}")
+        return self.transition_matrix_stack((t,), rates)[0]
+
+    def transition_matrix_stack(self, lengths, rates=1.0) -> np.ndarray:
+        """P(t * r) for every branch length of ``lengths``, shape
+        ``(n, k, 4, 4)``: slice ``i`` is, bit for bit, what a stack of
+        ``lengths[i]`` alone gives (see :func:`_spectral_products`)."""
+        t = np.asarray(lengths, dtype=np.float64)
+        if not np.isfinite(t).all():
+            raise ValueError(f"branch lengths must be finite, got {t[~np.isfinite(t)][0]}")
+        if (t < 0).any():
+            raise ValueError(f"branch length must be non-negative, got {t[t < 0][0]}")
         lam, u, u_inv, _, pairs = self._spectral
         r = np.atleast_1d(np.asarray(rates, dtype=np.float64))
         if np.any(r < 0):
             raise ValueError("rate multipliers must be non-negative")
-        # exp(lam * t * r): shape (k, 4)
-        e = np.exp(np.outer(r * t, lam))
+        # exp(lam * t * r): shape (n, k, 4)
+        e = np.exp((t[:, None] * r)[..., None] * lam)
         p = _spectral_products(u, e, u_inv, pairs)
         # Clamp tiny negative values from roundoff.
         np.maximum(p, 0.0, out=p)

@@ -378,7 +378,9 @@ class KernelBackend:
     """
 
     #: LRU capacity for transition matrices (and the tip tables derived
-    #: from them); entries are a few hundred bytes each.
+    #: from them); entries are a few hundred bytes each.  The P-matrix
+    #: LRU grows to four per taxon, so that the 2n − 3 lengths one
+    #: traversal builds at once (:meth:`build_pmatrices`) fit.
     pmat_entries = 512
     #: Pattern-block length of the fused per-node pipeline: the
     #: propagated child blocks (2 · B·k·4 doubles ≈ 1 MiB at B=4096, k=4
@@ -410,7 +412,7 @@ class KernelBackend:
         #: operand of the span primitives like any CLV.
         self._p2c = rate_model.pattern_to_cat
         self.tip_rows = state_likelihood_rows()
-        self._pmat_lru = ArrayLRU(self.pmat_entries)
+        self._pmat_lru = ArrayLRU(max(self.pmat_entries, 4 * n_taxa))
         self._tip_lru = ArrayLRU(self.pmat_entries)
         self._contrib_lru = ArrayLRU(2 * clv_entries(n_taxa))
         self._ins_memo: tuple | None = None
@@ -433,6 +435,25 @@ class KernelBackend:
                 key, self.model.transition_matrices(t, self.rate_model.rates)
             )
         return pmats
+
+    def build_pmatrices(self, lengths) -> None:
+        """Build the P-matrices of every length in ``lengths`` the LRU
+        lacks in one :meth:`GTRModel.transition_matrix_stack` call and
+        store the slices: a traversal's worth costs one NumPy dispatch
+        instead of one per edge, and every slice is the single build's
+        bits."""
+        lru = self._pmat_lru
+        missing = {}
+        for t in lengths:
+            key = length_bits(t)
+            if key not in missing and lru.get(key) is None:
+                missing[key] = t
+        if missing:
+            stack = self.model.transition_matrix_stack(
+                list(missing.values()), self.rate_model.rates
+            )
+            for key, pmats in zip(missing, stack):
+                lru.put(key, pmats)
 
     def _tip_table(self, t: float) -> np.ndarray:
         """The propagated CLV of each of the 16 IUPAC masks for ``t``

@@ -136,6 +136,9 @@ def try_spr(
         if score > best_score + _TIE_EPS:
             best_score = score
             best_edge = v
+    # Each map holds a partial per node (hundreds of MiB at 404 taxa):
+    # free the post-prune ones before the regraft's traversals.
+    del down_sub, down, up
 
     joint = work.regraft(pruned, best_edge, length=t_sub)
     # Optimise the three branches around the insertion point against
@@ -146,6 +149,7 @@ def try_spr(
     up_new = engine.compute_up_partials(work, down_new, edges)
     for edge_child in edges:
         optimize_edge(engine, work, edge_child, down=down_new, up=up_new)
+    del down_new, up_new
     return SPRTrial(work, engine.loglikelihood(work), whole)
 
 

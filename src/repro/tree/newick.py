@@ -7,6 +7,8 @@ values (as integers, RAxML-style).
 
 from __future__ import annotations
 
+import math
+
 from repro.tree.topology import DEFAULT_BRANCH_LENGTH, Node, Tree
 
 
@@ -46,6 +48,12 @@ def write_newick(
     return rec(tree.root) + ";"
 
 
+def _finite(length: float) -> float:
+    if not math.isfinite(length):
+        raise NewickError(f"non-finite branch length {length!r}")
+    return length
+
+
 class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
@@ -78,9 +86,10 @@ class _Parser:
             self.pos += 1
             token = self.parse_label()
             try:
-                return float(token)
+                length = float(token)
             except ValueError:
                 raise NewickError(f"bad branch length {token!r}") from None
+            return _finite(length)
         return None
 
     def parse_subtree(self) -> Node:
@@ -138,7 +147,7 @@ def parse_newick(text: str, taxa: tuple[str, ...] | None = None) -> Tree:
             raise NewickError("tree has fewer than 3 leaves")
         other = c2 if internal is c1 else c1
         root.children = []
-        other.length = other.length + internal.length
+        other.length = _finite(other.length + internal.length)
         internal.add_child(other)
         internal.parent = None
         root = internal

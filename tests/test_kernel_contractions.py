@@ -38,6 +38,7 @@ from repro.likelihood.kernels.base import (
     _to_eigenbasis,
 )
 from repro.seq.encoding import state_likelihood_rows
+from repro.tree.topology import MAX_BRANCH_LENGTH
 
 #: Γ's 4 and the single rate; the CAT searches' 5/8/25 categories; the
 #: simulator's 256-point rate grid.  4 -> 5 is where ``optimize=True``
@@ -254,6 +255,27 @@ class TestSpectralProducts:
             de = e * (r[:, None] * lam[None, :])
             want = np.einsum("ij,kj,jl->kil", u, de, u_inv, optimize=True)
             assert_same_bits(model.transition_matrix_derivatives(length, r), want)
+
+
+@pytest.mark.parametrize("k", (1, 4, 5, 8, 25))
+@pytest.mark.parametrize("n", (1, 2, 3, 17, 300))
+def test_stack_builder_is_the_per_length_builder(k, n):
+    """``transition_matrix_stack`` (the kernel's one P build per plan)
+    against one ``transition_matrices`` call per length: each slice the
+    single build's bits, on both sides of the k = 4 -> 5 switch, with
+    repeated lengths, 0 and ``MAX_BRANCH_LENGTH`` in the stack.  It
+    holds while BLAS rounds each stacked (4, 4) product, and each
+    ``(k, 4) @ (4, 16)`` row, exactly as it rounds alone."""
+    rng = np.random.default_rng(100 * k + n)
+    model = _random_model(rng)
+    r = 4.0 * rng.random(k)
+    pool = [0.0, MAX_BRANCH_LENGTH, *rng.exponential(0.1, 4), *10.0 ** rng.uniform(-8, 1, 4)]
+    lengths = rng.choice(pool, n)
+    lengths[: min(n, 2)] = (0.0, MAX_BRANCH_LENGTH)[: min(n, 2)]
+    stack = model.transition_matrix_stack(lengths, r)
+    assert stack.shape == (n, k, 4, 4)
+    for t, pmats in zip(lengths, stack):
+        assert_same_bits(pmats, model.transition_matrices(float(t), r))
 
 
 def test_the_two_spectral_orders_really_differ():

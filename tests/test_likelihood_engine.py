@@ -11,12 +11,18 @@ import inspect
 import numpy as np
 import pytest
 
+from repro.datasets import test_dataset as make_dataset
 from repro.likelihood.engine import LikelihoodEngine, OpCounter, RateModel
 from repro.likelihood.gtr import GTRModel
+from repro.likelihood.kernels import KernelBackend
 from repro.likelihood.kernels import base as kernel_base
 from repro.seq.alignment import Alignment
 from repro.seq.patterns import compress_alignment
+from repro.threads.pool import VirtualThreadPool
+from repro.threads.timing import LinearRegionTiming
 from repro.tree.newick import parse_newick
+from repro.tree.random_trees import yule_tree
+from repro.util.rng import RAxMLRandom
 from tests import oracle
 
 
@@ -411,3 +417,74 @@ class TestWeightsAndOps:
             LikelihoodEngine(pal, gtr_model, weights=np.ones(pal.n_patterns + 1))
         with pytest.raises(ValueError):
             LikelihoodEngine(pal, gtr_model, weights=-np.ones(pal.n_patterns))
+
+
+class PerLengthP(KernelBackend):
+    """The kernel without the batched build: every P-matrix is built on
+    first use, one length at a time."""
+
+    def build_pmatrices(self, lengths):
+        pass
+
+
+class TestOnePBuildPerPlan:
+    """A plan's missing P-matrices come from one ``transition_matrix_stack``
+    call (``KernelBackend.build_pmatrices``), which moves no bit: a
+    fresh-model traversal (one Brent evaluation of the model search)
+    makes one stack build and no single-length build, and its down
+    partials and charges are the per-length path's."""
+
+    @pytest.mark.parametrize("regime", ["gamma", "cat"])
+    def test_fresh_model_traversal(self, monkeypatch, regime):
+        pal, _ = make_dataset(n_taxa=150, n_sites=60, seed=220)
+        tree = yule_tree(pal.taxa, RAxMLRandom(4861))
+        rate_model = (
+            RateModel.cat(np.array([0.4, 1.0, 2.1]), np.arange(pal.n_patterns) % 3)
+            if regime == "cat" else RateModel.gamma(0.8, 4)
+        )
+        fresh = GTRModel(rates=(1.2, 2.5, 0.8, 1.1, 3.0, 1.0), freqs=(0.3, 0.2, 0.2, 0.3))
+        single, stack = GTRModel.transition_matrices, GTRModel.transition_matrix_stack
+        builds = {"single": 0, "stack": []}
+
+        def count_single(self, t, rates=1.0):
+            builds["single"] += 1
+            return single(self, t, rates)
+
+        def count_stack(self, lengths, rates=1.0):
+            builds["stack"].append(len(lengths))
+            return stack(self, lengths, rates)
+
+        monkeypatch.setattr(GTRModel, "transition_matrices", count_single)
+        monkeypatch.setattr(GTRModel, "transition_matrix_stack", count_stack)
+        runs = []
+        for kernel in (KernelBackend, PerLengthP):
+            pool = VirtualThreadPool(3, LinearRegionTiming(1.3e-7, 2.9e-6))
+            base = LikelihoodEngine(
+                pal, GTRModel.default(), rate_model, kernel_class=kernel, pool=pool
+            )
+            engine = base.with_model(fresh)
+            builds["single"], builds["stack"] = 0, []
+            down = engine.compute_down_partials(tree)
+            runs.append((dict(builds), down, engine.charges(), pool.clock.now))
+        (batched, down, charges, now), (per_length, down_ref, charges_ref, now_ref) = runs
+        n_lengths = len({kernel_base.length_bits(v.length) for v in tree.edges()})
+        assert batched == {"single": 0, "stack": [n_lengths]}
+        assert per_length["single"] == n_lengths
+        assert (charges, now) == (charges_ref, now_ref)
+        assert down.keys() == down_ref.keys()
+        for key, part in down.items():
+            ref = down_ref[key]
+            assert np.ascontiguousarray(part.clv).tobytes() == (
+                np.ascontiguousarray(ref.clv).tobytes()
+            )
+            assert part.logscale.tobytes() == ref.logscale.tobytes()
+
+    def test_the_lru_holds_a_traversal(self):
+        """2n − 3 lengths above the 512-entry floor all stay resident."""
+        pal, _ = make_dataset(n_taxa=300, n_sites=20, seed=221)
+        tree = yule_tree(pal.taxa, RAxMLRandom(4862))
+        engine = LikelihoodEngine(pal, GTRModel.default())
+        engine.compute_down_partials(tree)
+        lru = engine.kernel._pmat_lru
+        assert all(lru.get(kernel_base.length_bits(v.length)) is not None
+                   for v in tree.edges())

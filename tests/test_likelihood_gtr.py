@@ -100,6 +100,19 @@ class TestTransitionMatrices:
         with pytest.raises(ValueError):
             gtr_model.transition_matrices(-0.1)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_time_rejected(self, gtr_model, t):
+        """A NaN length used to give an all-NaN P (``inf``: ``inf``
+        entries), and with it a NaN likelihood instead of an error."""
+        with pytest.raises(ValueError, match="finite"):
+            gtr_model.transition_matrices(t)
+        with pytest.raises(ValueError, match="finite"):
+            gtr_model.transition_matrix_stack([0.1, t, 0.2], [1.0, 2.0])
+
+    def test_stack_negative_length_rejected(self, gtr_model):
+        with pytest.raises(ValueError, match="non-negative"):
+            gtr_model.transition_matrix_stack([0.1, -0.1])
+
     def test_derivative_matches_finite_difference(self, gtr_model):
         t, eps = 0.3, 1e-6
         d = gtr_model.transition_matrix_derivatives(t, [1.0, 2.5])

@@ -57,6 +57,18 @@ class TestParse:
         with pytest.raises(NewickError, match="length"):
             parse_newick("(A:x,B:0.1,C:0.1);")
 
+    @pytest.mark.parametrize("length", ["nan", "NaN", "inf", "-inf", "1e400"])
+    def test_non_finite_length_rejected(self, length):
+        """Such a tree used to parse, and ``-f e -t`` then reported a NaN
+        likelihood instead of failing."""
+        with pytest.raises(NewickError, match="non-finite"):
+            parse_newick(f"((a:{length},b:0.1):0.2,c:0.3,d:0.4);")
+
+    def test_non_finite_collapsed_root_edge_rejected(self):
+        # Collapsing a bifurcating root adds its two edges into one.
+        with pytest.raises(NewickError, match="non-finite"):
+            parse_newick("((a,b,c):1e308,d:1e308);")
+
     def test_empty_leaf_rejected(self):
         with pytest.raises(NewickError):
             parse_newick("(,B:0.1,C:0.1);")
