@@ -31,78 +31,35 @@ Subpackages
 
 __version__ = "1.0.0"
 
-from repro.datasets import (
-    BENCHMARK_DATASETS,
-    DatasetSpec,
-    simulate_alignment,
-    simulate_dataset,
-    test_dataset,
-)
-from repro.hybrid import (
-    HybridConfig,
-    HybridResult,
-    MultiSearchConfig,
-    MultiSearchResult,
-    WorkSchedule,
-    make_schedule,
-    run_hybrid_analysis,
-    run_multiple_ml_searches,
-    run_standard_bootstrap,
-)
-from repro.likelihood import GTRModel, LikelihoodEngine, RateModel
-from repro.perfmodel import (
-    MACHINES,
-    analysis_time,
-    finegrain_speedup,
-    machine_by_name,
-    profile_for,
-    serial_time,
-)
-from repro.search import (
-    ComprehensiveConfig,
-    ComprehensiveResult,
-    StageParams,
-    evaluate_tree,
-    run_comprehensive,
-)
-from repro.seq import Alignment, PatternAlignment, compress_alignment
-from repro.tree import Tree, parse_newick, robinson_foulds, write_newick
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "BENCHMARK_DATASETS",
-    "DatasetSpec",
-    "simulate_alignment",
-    "simulate_dataset",
-    "test_dataset",
-    "HybridConfig",
-    "HybridResult",
-    "MultiSearchConfig",
-    "MultiSearchResult",
-    "WorkSchedule",
-    "make_schedule",
-    "run_hybrid_analysis",
-    "run_multiple_ml_searches",
-    "run_standard_bootstrap",
-    "evaluate_tree",
-    "GTRModel",
-    "LikelihoodEngine",
-    "RateModel",
-    "MACHINES",
-    "analysis_time",
-    "finegrain_speedup",
-    "machine_by_name",
-    "profile_for",
-    "serial_time",
-    "ComprehensiveConfig",
-    "ComprehensiveResult",
-    "StageParams",
-    "run_comprehensive",
-    "Alignment",
-    "PatternAlignment",
-    "compress_alignment",
-    "Tree",
-    "parse_newick",
-    "robinson_foulds",
-    "write_newick",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.datasets.registry": ("BENCHMARK_DATASETS", "DatasetSpec"),
+    "repro.datasets.generator": (
+        "simulate_alignment", "simulate_dataset", "test_dataset",
+    ),
+    "repro.hybrid.driver": ("HybridConfig", "run_hybrid_analysis"),
+    "repro.hybrid.results": ("HybridResult",),
+    "repro.hybrid.analyses": (
+        "MultiSearchConfig", "MultiSearchResult", "run_multiple_ml_searches",
+        "run_standard_bootstrap",
+    ),
+    "repro.search.schedule": ("WorkSchedule", "make_schedule"),
+    "repro.search.evaluate": ("evaluate_tree",),
+    "repro.likelihood.gtr": ("GTRModel",),
+    "repro.likelihood.engine": ("LikelihoodEngine", "RateModel"),
+    "repro.perfmodel.machines": ("MACHINES", "machine_by_name"),
+    "repro.perfmodel.coarse": ("analysis_time", "serial_time"),
+    "repro.perfmodel.finegrain": ("finegrain_speedup",),
+    "repro.perfmodel.profiles": ("profile_for",),
+    "repro.search.searches": ("StageParams",),
+    "repro.search.comprehensive": (
+        "ComprehensiveConfig", "ComprehensiveResult", "run_comprehensive",
+    ),
+    "repro.seq.alignment": ("Alignment",),
+    "repro.seq.patterns": ("PatternAlignment", "compress_alignment"),
+    "repro.tree.topology": ("Tree",),
+    "repro.tree.newick": ("parse_newick", "write_newick"),
+    "repro.tree.distances": ("robinson_foulds",),
+})
+__all__.insert(0, "__version__")

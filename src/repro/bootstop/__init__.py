@@ -15,17 +15,11 @@ package implements that future-work item:
   "recommended bootstraps" column.
 """
 
-from repro.bootstop.table import BipartitionTable, merge_tables
-from repro.bootstop.consensus import majority_consensus
-from repro.bootstop.support import map_support
-from repro.bootstop.wc_test import wc_statistic, wc_converged, wc_recommended_bootstraps
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "BipartitionTable",
-    "merge_tables",
-    "majority_consensus",
-    "map_support",
-    "wc_statistic",
-    "wc_converged",
-    "wc_recommended_bootstraps",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".table": ("BipartitionTable", "merge_tables"),
+    ".consensus": ("majority_consensus",),
+    ".support": ("map_support",),
+    ".wc_test": ("wc_statistic", "wc_converged", "wc_recommended_bootstraps"),
+})

@@ -17,13 +17,9 @@ violation reported in ``BENCH_chaos.json`` can be replayed in isolation
 with :func:`repro.chaos.campaign.replay_scenario`.
 """
 
-from repro.chaos.campaign import replay_scenario, run_campaign, run_scenario
-from repro.chaos.plans import ScenarioSpec, generate_scenario
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ScenarioSpec",
-    "generate_scenario",
-    "run_campaign",
-    "run_scenario",
-    "replay_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".plans": ("ScenarioSpec", "generate_scenario"),
+    ".campaign": ("run_campaign", "run_scenario", "replay_scenario"),
+})

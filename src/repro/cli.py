@@ -17,12 +17,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.datasets.generator import SimulationParams, simulate_alignment
 from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
 from repro.perfmodel.machines import machine_by_name
 from repro.search.comprehensive import ComprehensiveConfig
 from repro.search.searches import StageParams
-from repro.seq.io_fasta import read_fasta
 from repro.seq.io_phylip import read_phylip
 from repro.seq.patterns import compress_alignment
 from repro.tree.newick import write_newick
@@ -194,6 +192,8 @@ def load_alignment(args) -> "PatternAlignment":
     """The input alignment, pattern-compressed; an input the simulator or
     the readers reject exits with one line naming it."""
     if args.simulate is not None:
+        from repro.datasets.generator import SimulationParams, simulate_alignment
+
         n_taxa, n_sites = args.simulate
         try:
             aln, _ = simulate_alignment(SimulationParams(
@@ -210,6 +210,8 @@ def load_alignment(args) -> "PatternAlignment":
     try:
         text = path.read_text(encoding="ascii")
         if text.lstrip().startswith(">"):
+            from repro.seq.io_fasta import read_fasta
+
             aln = read_fasta(path)
         else:
             aln = read_phylip(path)

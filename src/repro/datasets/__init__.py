@@ -8,26 +8,13 @@ GTR+Γ on Yule trees so that every code path — including full comprehensive
 analyses — can run on data with genuine phylogenetic signal.
 """
 
-from repro.datasets.registry import (
-    DatasetSpec,
-    BENCHMARK_DATASETS,
-    dataset_by_patterns,
-    dataset_by_name,
-)
-from repro.datasets.generator import (
-    SimulationParams,
-    simulate_alignment,
-    simulate_dataset,
-    test_dataset,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "DatasetSpec",
-    "BENCHMARK_DATASETS",
-    "dataset_by_patterns",
-    "dataset_by_name",
-    "SimulationParams",
-    "simulate_alignment",
-    "simulate_dataset",
-    "test_dataset",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".registry": (
+        "DatasetSpec", "BENCHMARK_DATASETS", "dataset_by_patterns", "dataset_by_name",
+    ),
+    ".generator": (
+        "SimulationParams", "simulate_alignment", "simulate_dataset", "test_dataset",
+    ),
+})

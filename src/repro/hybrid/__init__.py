@@ -13,39 +13,19 @@ four algorithmic deltas of the paper's Section 2:
 4. **reproducible seeding**: rank r uses ``seed + 10000·r`` (Section 2.4).
 """
 
-from repro.search.schedule import WorkSchedule, make_schedule, TABLE2_CONFIGS, TABLE2_EXPECTED
-from repro.hybrid.checkpoint import (
-    STAGE_ORDER,
-    CheckpointError,
-    CheckpointStore,
-    config_fingerprint,
-)
-from repro.hybrid.results import RankReport, HybridResult
-from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
-from repro.hybrid.analyses import (
-    MultiSearchConfig,
-    MultiSearchResult,
-    run_multiple_ml_searches,
-    run_standard_bootstrap,
-    searches_per_rank,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "WorkSchedule",
-    "make_schedule",
-    "TABLE2_CONFIGS",
-    "TABLE2_EXPECTED",
-    "RankReport",
-    "HybridResult",
-    "HybridConfig",
-    "run_hybrid_analysis",
-    "CheckpointStore",
-    "CheckpointError",
-    "config_fingerprint",
-    "STAGE_ORDER",
-    "MultiSearchConfig",
-    "MultiSearchResult",
-    "run_multiple_ml_searches",
-    "run_standard_bootstrap",
-    "searches_per_rank",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.search.schedule": (
+        "WorkSchedule", "make_schedule", "TABLE2_CONFIGS", "TABLE2_EXPECTED",
+    ),
+    ".results": ("RankReport", "HybridResult"),
+    ".driver": ("HybridConfig", "run_hybrid_analysis"),
+    ".checkpoint": (
+        "CheckpointStore", "CheckpointError", "config_fingerprint", "STAGE_ORDER",
+    ),
+    ".analyses": (
+        "MultiSearchConfig", "MultiSearchResult", "run_multiple_ml_searches",
+        "run_standard_bootstrap", "searches_per_rank",
+    ),
+})

@@ -19,6 +19,7 @@ raises :class:`CheckpointError` instead of silently mixing runs.
 
 from __future__ import annotations
 
+import encodings.ascii  # noqa: F401 - the files' codec, loaded before ranks fork
 import hashlib
 import json
 import os

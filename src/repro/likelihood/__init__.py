@@ -24,31 +24,15 @@ This package is the Python equivalent of RAxML's likelihood core:
   stepwise-addition starting trees.
 """
 
-from repro.likelihood.gtr import GTRModel
-from repro.likelihood.gamma import discrete_gamma_rates
-from repro.likelihood.cat import CATRates, estimate_cat_rates
-from repro.likelihood.engine import LikelihoodEngine, RateModel, OpCounter
-from repro.likelihood.plan import CLVCache, TraversalPlan, plan_traversal
-from repro.likelihood.brlen import optimize_branch_lengths, optimize_edge
-from repro.likelihood.model_opt import optimize_model, optimize_alpha, optimize_rates
-from repro.likelihood.parsimony import fitch_score, ParsimonyEngine
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "GTRModel",
-    "discrete_gamma_rates",
-    "CATRates",
-    "estimate_cat_rates",
-    "LikelihoodEngine",
-    "RateModel",
-    "OpCounter",
-    "CLVCache",
-    "TraversalPlan",
-    "plan_traversal",
-    "optimize_branch_lengths",
-    "optimize_edge",
-    "optimize_model",
-    "optimize_alpha",
-    "optimize_rates",
-    "fitch_score",
-    "ParsimonyEngine",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".gtr": ("GTRModel",),
+    ".gamma": ("discrete_gamma_rates",),
+    ".cat": ("CATRates", "estimate_cat_rates"),
+    ".engine": ("LikelihoodEngine", "RateModel", "OpCounter"),
+    ".plan": ("CLVCache", "TraversalPlan", "plan_traversal"),
+    ".brlen": ("optimize_branch_lengths", "optimize_edge"),
+    ".model_opt": ("optimize_model", "optimize_alpha", "optimize_rates"),
+    ".parsimony": ("fitch_score", "ParsimonyEngine"),
+})

@@ -51,7 +51,7 @@ from repro.likelihood.kernels.base import (
 from repro.likelihood.plan import CLVCache, plan_traversal
 from repro.likelihood.rates import RateModel, subset_rate_model
 from repro.obs.recorder import current as _obs_current
-from repro.seq.encoding import state_likelihood_rows
+from repro.seq.encoding import TIP_ROWS
 from repro.seq.patterns import PatternAlignment
 from repro.tree.topology import Node, Tree
 
@@ -112,40 +112,45 @@ class LikelihoodEngine:
         pool=None,
     ) -> None:
         self.pal = pal
-        self.model = model
-        self.rate_model = rate_model if rate_model is not None else RateModel.gamma()
-        if self.rate_model.kind == "cat":
-            p2c = self.rate_model.pattern_to_cat
-            if p2c.shape != (pal.n_patterns,):
-                raise ValueError(
-                    "pattern_to_cat length must equal the number of patterns"
-                )
-        w = pal.weights if weights is None else np.asarray(weights, dtype=np.float64)
-        if w.shape != (pal.n_patterns,):
-            raise ValueError("weights length must equal the number of patterns")
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
-        self.weights = np.asarray(w, dtype=np.float64)
+        self.weights = self._checked_weights(pal.weights if weights is None else weights)
         self.ops = ops if ops is not None else OpCounter()
         self.pool = pool
-        self.kernel = kernel_class(model, self.rate_model, self.ops, pal.n_patterns, pal.n_taxa)
         if isinstance(clv_cache, CLVCache):
             self.clv_cache: CLVCache | None = clv_cache
         else:
             self.clv_cache = CLVCache(clv_entries(pal.n_taxa)) if clv_cache else None
-        self._tip_rows = state_likelihood_rows()
         self._sig_memo: dict = {}  # subtree_signatures' store, bounded below
         # Tip partials are reused across traversals (a tip's down partial
         # depends only on its alignment row) and share one zero log-scaler.
         self._tip_parts: dict[int, Partial] = {}
         self._zero_logscale = np.zeros(pal.n_patterns)
         self._zero_logscale.setflags(write=False)
+        self._set_model(
+            model, rate_model if rate_model is not None else RateModel.gamma(),
+            kernel_class,
+        )
+
+    def _checked_weights(self, weights) -> np.ndarray:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (self.pal.n_patterns,):
+            raise ValueError("weights length must equal the number of patterns")
+        if np.any(w < 0):
+            raise ValueError("weights must be non-negative")
+        return w
+
+    def _set_model(self, model: GTRModel, rate_model: RateModel, kernel_class) -> None:
+        """The model-dependent state: a new kernel and the "+I" table."""
+        pal = self.pal
+        if rate_model.kind == "cat" and rate_model.pattern_to_cat.shape != (pal.n_patterns,):
+            raise ValueError("pattern_to_cat length must equal the number of patterns")
+        self.model, self.rate_model = model, rate_model
+        self.kernel = kernel_class(model, rate_model, self.ops, pal.n_patterns, pal.n_taxa)
         # "+I" support: the invariant-site likelihood of each pattern is
         # sum_s pi_s over the states every taxon is compatible with —
         # non-zero only for constant-compatible columns, tree-independent.
-        if self.rate_model.p_invariant > 0.0:
+        if rate_model.p_invariant > 0.0:
             const_mask = np.bitwise_and.reduce(pal.patterns, axis=0)
-            self._inv_lik = self._tip_rows[const_mask] @ self.model.pi
+            self._inv_lik = TIP_ROWS[const_mask] @ model.pi
         else:
             self._inv_lik = None
 
@@ -163,26 +168,23 @@ class LikelihoodEngine:
     def is_cat(self) -> bool:
         return self.rate_model.kind == "cat"
 
-    def _with(self, *, fresh_cache: bool, **changed) -> "LikelihoodEngine":
-        """A sibling engine differing in the ``changed`` constructor
-        arguments, over this engine's tip partials and its CLV cache or
-        (``fresh_cache``) an empty one of the same capacity."""
-        cache: bool | CLVCache = False
-        if self.clv_cache is not None:
-            cache = (
-                CLVCache(self.clv_cache.max_entries) if fresh_cache
-                else self.clv_cache
-            )
-        kwargs = dict(
-            model=self.model, rate_model=self.rate_model, weights=self.weights
+    def _with(
+        self, *, fresh_cache: bool, model=None, rate_model=None, weights=None
+    ) -> "LikelihoodEngine":
+        """A sibling engine with a new kernel, differing in the given
+        constructor arguments, over this engine's tip partials and its CLV
+        cache or (``fresh_cache``) an empty one of the same capacity."""
+        sibling = object.__new__(type(self))
+        sibling.__dict__.update(self.__dict__)
+        if weights is not None:
+            sibling.weights = self._checked_weights(weights)
+        if fresh_cache and self.clv_cache is not None:
+            sibling.clv_cache = CLVCache(self.clv_cache.max_entries)
+        sibling._set_model(
+            self.model if model is None else model,
+            self.rate_model if rate_model is None else rate_model,
+            type(self.kernel),
         )
-        kwargs.update(changed)
-        sibling = LikelihoodEngine(
-            self.pal, ops=self.ops, kernel_class=type(self.kernel), clv_cache=cache,
-            pool=self.pool, **kwargs,
-        )
-        sibling._tip_parts = self._tip_parts
-        sibling._sig_memo = self._sig_memo
         return sibling
 
     def with_model(self, model: GTRModel) -> "LikelihoodEngine":
@@ -222,7 +224,7 @@ class LikelihoodEngine:
         masks = self.pal.patterns[leaf_index]
         if patterns is not None:
             masks = masks[patterns]
-        return self._tip_rows[masks]
+        return TIP_ROWS[masks]
 
     def _as_full(self, clv: np.ndarray) -> np.ndarray:
         """Expand a tip CLV (m, 4) to the engine's full CLV shape.

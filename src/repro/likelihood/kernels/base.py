@@ -56,13 +56,14 @@ import math
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from repro.likelihood.gtr import GTRModel
 from repro.likelihood.rates import RateModel
-from repro.seq.encoding import state_likelihood_rows
+from repro.seq.encoding import TIP_ROWS
 
 #: Smallest site likelihood the engine takes a log of (guards log(0) for
 #: impossible patterns).
@@ -411,19 +412,24 @@ class KernelBackend:
         #: CAT's category of each pattern (``None`` under Γ): a pattern-axis
         #: operand of the span primitives like any CLV.
         self._p2c = rate_model.pattern_to_cat
-        self.tip_rows = state_likelihood_rows()
+        self.tip_rows = TIP_ROWS
         self._pmat_lru = ArrayLRU(max(self.pmat_entries, 4 * n_taxa))
         self._tip_lru = ArrayLRU(self.pmat_entries)
         self._contrib_lru = ArrayLRU(2 * clv_entries(n_taxa))
         self._ins_memo: tuple | None = None
         self._buffers: dict[tuple, np.ndarray] = {}
-        #: The sumtable's exponents ``rate_c · λ_j``, shape (k, 4): fixed
-        #: for the kernel's lifetime and handed out by every
-        #: :meth:`sumtable`, hence read-only.
-        self._exps = np.outer(rate_model.rates, model._spectral[0])
-        self._exps.setflags(write=False)
-        #: :func:`_site_sum`'s frequency column (``np.tile`` is 3 µs a call).
-        self._pi_column = np.tile(model.pi, self.n_categories).reshape(-1, 1)
+        #: :func:`_site_sum`'s frequency column, π once per category
+        #: (``np.concatenate``: ``np.tile`` costs more than twice as much).
+        self._pi_column = np.concatenate([model.pi] * self.n_categories).reshape(-1, 1)
+
+    @cached_property
+    def _exps(self) -> np.ndarray:
+        """The sumtable's exponents ``rate_c · λ_j``, shape (k, 4): fixed
+        for the kernel's lifetime and handed out by every :meth:`sumtable`,
+        hence read-only; built by the first one."""
+        exps = np.outer(self.rate_model.rates, self.model._spectral[0])
+        exps.setflags(write=False)
+        return exps
 
     def pmatrices(self, t: float) -> np.ndarray:
         """P(t·r_c) for all categories, shape (k, 4, 4), memoised by the

@@ -22,41 +22,16 @@ Besides messages they share one node-shared window of virtual clocks,
 one slot per rank, which the stall detector reads.
 """
 
-from repro.mpi.comm import DEAD_RANK, CommEvent, CommTiming, SimComm
-from repro.mpi.faults import (
-    CollectiveGlitch,
-    FaultPlan,
-    KillSpec,
-    RankKilledError,
-)
-from repro.mpi.launcher import run_spmd
-from repro.mpi.membership import (
-    AllRanksDeadError,
-    DistributedStateError,
-    MembershipView,
-    RankFailure,
-    RetryExhaustedError,
-    SPMDError,
-)
-from repro.mpi.policy import TimeoutPolicy
-from repro.util.rng import rank_seed
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "SimComm",
-    "CommTiming",
-    "CommEvent",
-    "SPMDError",
-    "RankFailure",
-    "DistributedStateError",
-    "RetryExhaustedError",
-    "AllRanksDeadError",
-    "DEAD_RANK",
-    "FaultPlan",
-    "KillSpec",
-    "CollectiveGlitch",
-    "RankKilledError",
-    "MembershipView",
-    "TimeoutPolicy",
-    "run_spmd",
-    "rank_seed",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".comm": ("SimComm", "CommTiming", "CommEvent", "DEAD_RANK"),
+    ".membership": (
+        "SPMDError", "RankFailure", "DistributedStateError", "RetryExhaustedError",
+        "AllRanksDeadError", "MembershipView",
+    ),
+    ".faults": ("FaultPlan", "KillSpec", "CollectiveGlitch", "RankKilledError"),
+    ".policy": ("TimeoutPolicy",),
+    ".launcher": ("run_spmd",),
+    "repro.util.rng": ("rank_seed",),
+})

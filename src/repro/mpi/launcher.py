@@ -10,10 +10,11 @@ rank's status as its body ends.
 Each rank of a multi-rank world is a forked child process, as each MPI
 rank is a process in the paper.  What the ranks share stays in the
 launcher: the world, the fault plane's statuses and the caller's
-``shared`` object.  A child reaches them through one pipe proxy
-(:class:`_Remote`), served by one hub thread per rank (:func:`_serve`):
-method calls travel, data attributes are read from the copy the child
-was forked with.  The one thing a rank writes without a call is its
+``shared`` object.  A child reaches them through a proxy
+(:class:`_Remote`) over its channel, two OS pipes (:func:`_pipe`),
+served by one hub thread per rank (:func:`_serve`): method calls
+travel, data attributes are read from the copy the child was forked
+with.  The one thing a rank writes without a call is its
 virtual clock, into the fault plane's shared clock window, where the
 stall detector reads it.
 
@@ -25,6 +26,11 @@ warning about ``fork()`` in a multi-threaded process names any world
 that breaks the rule.  (One exception to the join: when a child dies
 without reporting, a hub that is waiting inside the ``shared`` object
 for it stays until that object's own deadline.)
+
+**Import rule: every module a rank runs is imported in the launcher
+before the fork**, at module level or where the launcher picks a
+feature (an execution backend's ``make_shared``): a module a rank
+imports first is compiled again in every rank of every run.
 """
 
 from __future__ import annotations
@@ -55,6 +61,51 @@ from repro.mpi.membership import (
 from repro.mpi.policy import TimeoutPolicy
 from repro.obs.recorder import recording, set_current
 from repro.util.timing import VirtualClock
+
+
+class _Channel:
+    """One end of a duplex byte channel over two OS pipes, one each way.
+
+    A message is its length (8 bytes) and then its bytes;
+    :meth:`recv_bytes` raises :class:`EOFError` once the peer's end is
+    closed in every process.
+    """
+
+    __slots__ = ("rfd", "wfd")
+
+    def __init__(self, rfd: int, wfd: int) -> None:
+        self.rfd, self.wfd = rfd, wfd
+
+    def send_bytes(self, blob: bytes) -> None:
+        view = memoryview(len(blob).to_bytes(8, "little") + blob)
+        while view:
+            view = view[os.write(self.wfd, view):]
+
+    def recv_bytes(self) -> bytearray:
+        return self._read(int.from_bytes(self._read(8), "little"))
+
+    def _read(self, n: int) -> bytearray:
+        buf = bytearray(n)
+        view = memoryview(buf)
+        while view:
+            got = os.readv(self.rfd, [view])
+            if not got:
+                raise EOFError
+            view = view[got:]
+        return buf
+
+    def close(self) -> None:
+        fds, self.rfd, self.wfd = (self.rfd, self.wfd), -1, -1
+        for fd in fds:
+            if fd >= 0:
+                os.close(fd)
+
+
+def _pipe() -> tuple[_Channel, _Channel]:
+    """The launcher's and the rank's end of one channel."""
+    down_r, down_w = os.pipe()
+    up_r, up_w = os.pipe()
+    return _Channel(up_r, down_w), _Channel(down_r, up_w)
 
 
 def _raise_rank_errors(errors: list) -> None:
@@ -267,15 +318,11 @@ def _run_processes(world: _World, shared, clocks, body) -> list:
     rank's ``(result, error, death)``, ``None`` for a rank that died
     without reporting; ``clocks`` are moved to the ranks' final
     readings."""
-    # Imported here: it loads the socket stack, which one-rank runs never
-    # need.
-    from multiprocessing import Pipe
-
     faults, n = world.faults, world.size
     targets = {"world": world, "faults": faults, "shared": shared}
     reports: list = [None] * n
     died: set[int] = set()
-    pipes = [Pipe() for _ in range(n)]
+    pipes = [_pipe() for _ in range(n)]
     pids: list[int] = []
     hubs: list[threading.Thread] = []
     _flush_stdio()  # else the children inherit and repeat the buffers

@@ -14,52 +14,20 @@ recorder per rank (:func:`repro.runtime.backends.run_rank`; see
 (:meth:`repro.runtime.context.RankContext.end_stage`).
 """
 
-from repro.obs.metrics import Histogram, MetricsRegistry, aggregate
-from repro.obs.recorder import (
-    MAIN_TRACK,
-    InstantEvent,
-    Recorder,
-    SpanEvent,
-    current,
-    recording,
-    set_current,
-)
-from repro.obs.report import (
-    ALL_STAGES,
-    PAPER_STAGES,
-    fig34_decomposition,
-    format_stage_report,
-    run_report,
-    stage_decomposition,
-)
-from repro.obs.trace import (
-    TraceValidationError,
-    chrome_trace,
-    validate_chrome_trace,
-    validate_trace_file,
-    write_chrome_trace,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "MAIN_TRACK",
-    "ALL_STAGES",
-    "PAPER_STAGES",
-    "Histogram",
-    "InstantEvent",
-    "MetricsRegistry",
-    "Recorder",
-    "SpanEvent",
-    "TraceValidationError",
-    "aggregate",
-    "chrome_trace",
-    "current",
-    "fig34_decomposition",
-    "format_stage_report",
-    "recording",
-    "run_report",
-    "set_current",
-    "stage_decomposition",
-    "validate_chrome_trace",
-    "validate_trace_file",
-    "write_chrome_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".metrics": ("Histogram", "MetricsRegistry", "aggregate"),
+    ".recorder": (
+        "MAIN_TRACK", "InstantEvent", "Recorder", "SpanEvent", "current", "recording",
+        "set_current",
+    ),
+    ".report": (
+        "ALL_STAGES", "PAPER_STAGES", "fig34_decomposition", "format_stage_report",
+        "run_report", "stage_decomposition",
+    ),
+    ".trace": (
+        "TraceValidationError", "chrome_trace", "validate_chrome_trace",
+        "validate_trace_file", "write_chrome_trace",
+    ),
+})

@@ -17,55 +17,19 @@ whose mechanisms mirror the paper's explanations:
   Table 5 anchors by :mod:`repro.perfmodel.calibrate` and frozen here.
 """
 
-from repro.perfmodel.machines import MachineSpec, MACHINES, machine_by_name
-from repro.perfmodel.history import VersionRecord, RAXML_HISTORY
-from repro.perfmodel.finegrain import finegrain_speedup, region_pattern_units, MachineRegionTiming
-from repro.perfmodel.profiles import StageProfile, PROFILES, profile_for, default_profile
-from repro.perfmodel.coarse import StageTimes, analysis_time, serial_time
-from repro.perfmodel.metrics import speedup, parallel_efficiency, speed_per_core
-from repro.perfmodel.sweep import (
-    SweepPoint,
-    sweep_cores,
-    best_per_core_count,
-    thread_curves,
-)
-from repro.perfmodel.memory import (
-    MemoryEstimate,
-    process_memory,
-    max_processes_per_node,
-    min_threads_per_process,
-    feasible_node_layouts,
-)
-from repro.perfmodel.advisor import LayoutRecommendation, recommend_layout
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "MachineSpec",
-    "MACHINES",
-    "machine_by_name",
-    "VersionRecord",
-    "RAXML_HISTORY",
-    "finegrain_speedup",
-    "region_pattern_units",
-    "MachineRegionTiming",
-    "StageProfile",
-    "PROFILES",
-    "profile_for",
-    "default_profile",
-    "StageTimes",
-    "analysis_time",
-    "serial_time",
-    "speedup",
-    "parallel_efficiency",
-    "speed_per_core",
-    "SweepPoint",
-    "sweep_cores",
-    "best_per_core_count",
-    "thread_curves",
-    "MemoryEstimate",
-    "process_memory",
-    "max_processes_per_node",
-    "min_threads_per_process",
-    "feasible_node_layouts",
-    "LayoutRecommendation",
-    "recommend_layout",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".machines": ("MachineSpec", "MACHINES", "machine_by_name"),
+    ".history": ("VersionRecord", "RAXML_HISTORY"),
+    ".finegrain": ("finegrain_speedup", "region_pattern_units", "MachineRegionTiming"),
+    ".profiles": ("StageProfile", "PROFILES", "profile_for", "default_profile"),
+    ".coarse": ("StageTimes", "analysis_time", "serial_time"),
+    ".metrics": ("speedup", "parallel_efficiency", "speed_per_core"),
+    ".sweep": ("SweepPoint", "sweep_cores", "best_per_core_count", "thread_curves"),
+    ".memory": (
+        "MemoryEstimate", "process_memory", "max_processes_per_node",
+        "min_threads_per_process", "feasible_node_layouts",
+    ),
+    ".advisor": ("LayoutRecommendation", "recommend_layout"),
+})

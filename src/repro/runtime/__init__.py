@@ -18,33 +18,14 @@ logical rank's seed streams, virtual thread pool, accounting, fault plan
 and checkpointer, shared by live execution and dead-rank replay.
 """
 
-from repro.runtime.context import RankContext
-from repro.runtime.pipeline import Stage, StagePipeline, comprehensive_pipeline
-from repro.runtime.middleware import CheckpointMiddleware, RecoveryMiddleware
-from repro.runtime.backends import (
-    BACKENDS,
-    ExecutionBackend,
-    StaticBackend,
-    WorkStealBackend,
-    available_schedules,
-    backend_for,
-    register_backend,
-    run_rank,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "RankContext",
-    "Stage",
-    "StagePipeline",
-    "comprehensive_pipeline",
-    "CheckpointMiddleware",
-    "RecoveryMiddleware",
-    "ExecutionBackend",
-    "StaticBackend",
-    "WorkStealBackend",
-    "BACKENDS",
-    "available_schedules",
-    "backend_for",
-    "register_backend",
-    "run_rank",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".context": ("RankContext",),
+    ".pipeline": ("Stage", "StagePipeline", "comprehensive_pipeline"),
+    ".middleware": ("CheckpointMiddleware", "RecoveryMiddleware"),
+    ".backends": (
+        "ExecutionBackend", "StaticBackend", "WorkStealBackend", "BACKENDS",
+        "available_schedules", "backend_for", "register_backend", "run_rank",
+    ),
+})

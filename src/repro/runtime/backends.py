@@ -14,6 +14,7 @@ bit-identical results.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 from dataclasses import replace
 from functools import partial
@@ -24,9 +25,6 @@ from repro.mpi.membership import RankFailure
 from repro.obs.recorder import Recorder, current as _obs_current, recording
 from repro.search.schedule import make_schedule
 from repro.tree.newick import write_newick
-from repro.sched.placement import initial_assignment
-from repro.sched.queue import StealBoard
-from repro.sched.stealing import run_rank_pool
 from repro.sched.tasks import build_dag, execute_task
 from repro.runtime.context import RankContext
 from repro.runtime.middleware import (
@@ -51,7 +49,9 @@ class ExecutionBackend(Protocol):
     @staticmethod
     def make_shared(config):
         """Shared cross-rank state created once per run (e.g. a steal
-        board), passed to every rank's :meth:`run`.  None if unneeded."""
+        board), passed to every rank's :meth:`run`.  None if unneeded.
+        Runs in the launcher before the ranks fork, so it also imports
+        the modules only this backend's ranks run."""
 
     def run(self, comm, pal, config, board) -> dict:
         """Execute the pipeline for ``comm.rank``; returns the rank report."""
@@ -286,6 +286,12 @@ class WorkStealBackend:
 
     @staticmethod
     def make_shared(config):
+        # Imported here, not inside a rank: a module a rank imports first
+        # is compiled again by every rank.
+        for module in ("checkpoint", "placement", "stealing"):
+            importlib.import_module(f"repro.sched.{module}")
+        from repro.sched.queue import StealBoard
+
         return StealBoard(
             config.n_processes,
             steal_seed=config.comprehensive.seed_p,
@@ -293,7 +299,10 @@ class WorkStealBackend:
             timeout=config.timeout_policy.world_seconds,
         )
 
-    def run(self, comm, pal, config, board: StealBoard) -> dict:
+    def run(self, comm, pal, config, board) -> dict:
+        from repro.sched.placement import initial_assignment
+        from repro.sched.stealing import run_rank_pool
+
         cfg = config.comprehensive
         rank = comm.rank
         n_procs = config.n_processes

@@ -24,7 +24,6 @@ from repro.hybrid.checkpoint import (
 from repro.mpi.comm import CommAccount
 from repro.mpi.membership import DistributedStateError
 from repro.obs.recorder import current as _obs_current
-from repro.sched.checkpoint import open_journal
 
 
 class CheckpointMiddleware:
@@ -214,6 +213,8 @@ def open_journal_store(comm, pal, config):
     every rank's journalled task results."""
     if config.checkpoint_dir is None:
         return None, {}
+    from repro.sched.checkpoint import open_journal
+
     journal, restored = open_journal(
         config.checkpoint_dir, comm.rank, config.n_processes,
         config_fingerprint(pal, config), pal.taxa, resume=config.resume,

@@ -23,14 +23,10 @@ Modules:
   ``--resume`` for work-steal runs.
 """
 
-from repro.sched.tasks import Task, build_dag, rng_stream_fingerprint
-from repro.sched.queue import StealBoard
-from repro.sched.stealing import run_rank_pool
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Task",
-    "build_dag",
-    "rng_stream_fingerprint",
-    "StealBoard",
-    "run_rank_pool",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".tasks": ("Task", "build_dag", "rng_stream_fingerprint"),
+    ".queue": ("StealBoard",),
+    ".stealing": ("run_rank_pool",),
+})

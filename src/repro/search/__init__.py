@@ -13,46 +13,20 @@ the paper parallelises:
    best slow tree.
 """
 
-from repro.search.starting_tree import parsimony_starting_tree, random_starting_tree
-from repro.search.spr import SPRParams, spr_round
-from repro.search.hillclimb import hill_climb, SearchResult
-from repro.search.searches import (
-    StageParams,
-    bootstrap_replicate_search,
-    fast_search,
-    slow_search,
-    thorough_search,
-)
-from repro.search.comprehensive import (
-    ComprehensiveConfig,
-    ComprehensiveResult,
-    run_comprehensive,
-    fast_count,
-    slow_count,
-)
-from repro.search.nni import NNIParams, nni_round, nni_hill_climb
-from repro.search.evaluate import EvaluationResult, evaluate_tree
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "parsimony_starting_tree",
-    "random_starting_tree",
-    "SPRParams",
-    "spr_round",
-    "hill_climb",
-    "SearchResult",
-    "StageParams",
-    "bootstrap_replicate_search",
-    "fast_search",
-    "slow_search",
-    "thorough_search",
-    "ComprehensiveConfig",
-    "ComprehensiveResult",
-    "run_comprehensive",
-    "fast_count",
-    "slow_count",
-    "NNIParams",
-    "nni_round",
-    "nni_hill_climb",
-    "EvaluationResult",
-    "evaluate_tree",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".starting_tree": ("parsimony_starting_tree", "random_starting_tree"),
+    ".spr": ("SPRParams", "spr_round"),
+    ".hillclimb": ("hill_climb", "SearchResult"),
+    ".searches": (
+        "StageParams", "bootstrap_replicate_search", "fast_search", "slow_search",
+        "thorough_search",
+    ),
+    ".comprehensive": (
+        "ComprehensiveConfig", "ComprehensiveResult", "run_comprehensive", "fast_count",
+        "slow_count",
+    ),
+    ".nni": ("NNIParams", "nni_round", "nni_hill_climb"),
+    ".evaluate": ("EvaluationResult", "evaluate_tree"),
+})

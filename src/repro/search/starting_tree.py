@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.likelihood.parsimony import ParsimonyEngine
 from repro.seq.patterns import PatternAlignment
-from repro.tree.random_trees import random_topology
 from repro.tree.topology import Node, Tree
 from repro.util.rng import RAxMLRandom
 
@@ -21,6 +20,8 @@ def random_starting_tree(
     pal: PatternAlignment, rng: RAxMLRandom, branch_length: float = 0.1
 ) -> Tree:
     """A uniformly random starting topology (no parsimony guidance)."""
+    from repro.tree.random_trees import random_topology
+
     return random_topology(pal.taxa, rng, branch_length=branch_length)
 
 

@@ -6,36 +6,16 @@ sequence alignment (paper Section 3).  This subpackage owns everything about
 alignments and their pattern-compressed representation.
 """
 
-from repro.seq.encoding import (
-    DNA_STATES,
-    GAP_CODE,
-    UNDETERMINED,
-    encode_sequence,
-    decode_sequence,
-    state_likelihood_rows,
-)
-from repro.seq.alignment import Alignment
-from repro.seq.patterns import PatternAlignment, compress_alignment
-from repro.seq.bootstrap import bootstrap_weights, bootstrap_pattern_weights
-from repro.seq.io_fasta import read_fasta, write_fasta, parse_fasta
-from repro.seq.io_phylip import read_phylip, write_phylip, parse_phylip
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "DNA_STATES",
-    "GAP_CODE",
-    "UNDETERMINED",
-    "encode_sequence",
-    "decode_sequence",
-    "state_likelihood_rows",
-    "Alignment",
-    "PatternAlignment",
-    "compress_alignment",
-    "bootstrap_weights",
-    "bootstrap_pattern_weights",
-    "read_fasta",
-    "write_fasta",
-    "parse_fasta",
-    "read_phylip",
-    "write_phylip",
-    "parse_phylip",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".encoding": (
+        "DNA_STATES", "GAP_CODE", "UNDETERMINED", "encode_sequence", "decode_sequence",
+        "state_likelihood_rows",
+    ),
+    ".alignment": ("Alignment",),
+    ".patterns": ("PatternAlignment", "compress_alignment"),
+    ".bootstrap": ("bootstrap_weights", "bootstrap_pattern_weights"),
+    ".io_fasta": ("read_fasta", "write_fasta", "parse_fasta"),
+    ".io_phylip": ("read_phylip", "write_phylip", "parse_phylip"),
+})

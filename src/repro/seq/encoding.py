@@ -95,12 +95,14 @@ def decode_sequence(codes: np.ndarray) -> str:
         raise ValueError(f"invalid state mask {exc.args[0]!r}") from exc
 
 
-# Tip likelihood rows: row[mask] is the 0/1 vector of compatible states.
-_TIP_ROWS = np.zeros((16, 4), dtype=np.float64)
+#: Tip likelihood rows (read-only): row[mask] is the 0/1 vector of
+#: compatible states.
+TIP_ROWS = np.zeros((16, 4), dtype=np.float64)
 for mask in range(1, 16):
     for bit, col in ((_A, 0), (_C, 1), (_G, 2), (_T, 3)):
         if mask & bit:
-            _TIP_ROWS[mask, col] = 1.0
+            TIP_ROWS[mask, col] = 1.0
+TIP_ROWS.setflags(write=False)
 
 
 def state_likelihood_rows() -> np.ndarray:
@@ -109,4 +111,4 @@ def state_likelihood_rows() -> np.ndarray:
     Row ``m`` has a 1.0 in every state compatible with mask ``m``.  Row 0 is
     all-zero and must never be indexed (encode rejects invalid characters).
     """
-    return _TIP_ROWS.copy()
+    return TIP_ROWS.copy()

@@ -16,24 +16,13 @@ test suites prove (``tests/test_kernel_sweeps.py``) so that no run has to
 pay for it T times.
 """
 
-from repro.threads.partition import (
-    contiguous_chunks,
-    cyclic_assignment,
-    chunk_sizes,
-    weighted_chunks,
-    imbalance,
-)
-from repro.threads.timing import RegionTiming, ZeroTiming, LinearRegionTiming
-from repro.threads.pool import VirtualThreadPool
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "contiguous_chunks",
-    "cyclic_assignment",
-    "chunk_sizes",
-    "weighted_chunks",
-    "imbalance",
-    "RegionTiming",
-    "ZeroTiming",
-    "LinearRegionTiming",
-    "VirtualThreadPool",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".partition": (
+        "contiguous_chunks", "cyclic_assignment", "chunk_sizes", "weighted_chunks",
+        "imbalance",
+    ),
+    ".timing": ("RegionTiming", "ZeroTiming", "LinearRegionTiming"),
+    ".pool": ("VirtualThreadPool",),
+})

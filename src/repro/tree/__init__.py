@@ -7,26 +7,12 @@ has exactly two children, which represents an unrooted, fully resolved
 parent).
 """
 
-from repro.tree.topology import Node, Tree
-from repro.tree.newick import parse_newick, write_newick
-from repro.tree.bipartitions import (
-    Bipartition,
-    tree_bipartitions,
-    bipartition_of_edge,
-)
-from repro.tree.distances import robinson_foulds, branch_score_distance
-from repro.tree.random_trees import random_topology, yule_tree
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Node",
-    "Tree",
-    "parse_newick",
-    "write_newick",
-    "Bipartition",
-    "tree_bipartitions",
-    "bipartition_of_edge",
-    "robinson_foulds",
-    "branch_score_distance",
-    "random_topology",
-    "yule_tree",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".topology": ("Node", "Tree"),
+    ".newick": ("parse_newick", "write_newick"),
+    ".bipartitions": ("Bipartition", "tree_bipartitions", "bipartition_of_edge"),
+    ".distances": ("robinson_foulds", "branch_score_distance"),
+    ".random_trees": ("random_topology", "yule_tree"),
+})

@@ -5,19 +5,11 @@ allowed to import :mod:`repro.util`, and :mod:`repro.util` imports nothing
 from the rest of the package.
 """
 
-from repro.util.rng import RAxMLRandom, rank_seed, spawn_stream
-from repro.util.timing import VirtualClock, StageTimer, WallTimer
-from repro.util.tables import format_table
-from repro.util.validation import check_positive, check_probability_vector
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "RAxMLRandom",
-    "rank_seed",
-    "spawn_stream",
-    "VirtualClock",
-    "StageTimer",
-    "WallTimer",
-    "format_table",
-    "check_positive",
-    "check_probability_vector",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".rng": ("RAxMLRandom", "rank_seed", "spawn_stream"),
+    ".timing": ("VirtualClock", "StageTimer", "WallTimer"),
+    ".tables": ("format_table",),
+    ".validation": ("check_positive", "check_probability_vector"),
+})

@@ -64,17 +64,145 @@ sys.exit(f"scipy modules loaded: {{loaded}}" if loaded else 0)
 """
 
 
+#: Modules no ``-f a`` run executes, none of which ``import repro.cli``
+#: may load (the analysis path's imports).
+_NOT_ON_THE_ANALYSIS_PATH = (
+    "repro.perfmodel.sweep", "repro.perfmodel.advisor", "repro.perfmodel.memory",
+    "repro.datasets.generator", "repro.hybrid.analyses", "repro.chaos",
+    "repro.sched.queue", "repro.sched.stealing", "repro.search.nni",
+    "repro.seq.io_fasta", "multiprocessing",
+)
+
+_CLI_IMPORTS = """
+import sys
+sys.path.insert(0, {src!r})
+import repro.cli
+
+loaded = [m for m in {modules!r} if m in sys.modules]
+if loaded:
+    sys.exit(f"import repro.cli loaded {{loaded}}")
+repro.cli.main(["--simulate", "6", "60", "-f", "a", "-N", "2", "-np", "2",
+                "-T", "2", "--quick", "-n", "a", "-w", {out!r}])
+if "multiprocessing" in sys.modules:
+    sys.exit("a -np 2 run loaded multiprocessing")
+"""
+
+#: Run ``HybridConfig`` keyword sets in order in one one-rank world each,
+#: after ``import repro.cli``, and fail naming every module a rank body
+#: imported first.
+_RANK_IMPORTS = """
+import sys
+sys.path.insert(0, {src!r})
+import repro.cli
+from repro.datasets import test_dataset
+from repro.hybrid.driver import HybridConfig, run_hybrid_analysis
+from repro.mpi import launcher
+from repro.search.comprehensive import ComprehensiveConfig
+from repro.search.searches import StageParams
+
+first = []
+rank_body = launcher._rank_body
+
+
+def probed(fn, shared):
+    body = rank_body(fn, shared)
+
+    def run(comm, view):
+        before = set(sys.modules)
+        try:
+            return body(comm, view)
+        finally:
+            first.extend(sorted(set(sys.modules) - before))
+
+    return run
+
+
+launcher._rank_body = probed
+pal, _ = test_dataset(n_taxa=6, n_sites=60, seed=301)
+quick = ComprehensiveConfig(n_bootstraps=4, stage_params=StageParams(
+    bootstrap_rounds=1, fast_rounds=1, slow_max_rounds=1, thorough_max_rounds=1,
+    brlen_passes=1))
+for kwargs in {runs!r}:
+    run_hybrid_analysis(pal, HybridConfig(
+        n_processes=1, n_threads=2, comprehensive=quick, **kwargs))
+sys.exit(f"first imported inside a rank: {{first}}" if first else 0)
+"""
+
+#: Every package's ``__all__`` resolves and is listed by ``dir()``; an
+#: unknown name raises ``AttributeError``.
+_PACKAGE_EXPORTS = """
+import importlib, pkgutil, sys
+sys.path.insert(0, {src!r})
+import repro
+
+packages = ["repro"] + [
+    info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.ispkg
+]
+wrong = []
+for name in packages:
+    package = importlib.import_module(name)
+    listed = dir(package)
+    for export in package.__all__:
+        getattr(package, export)
+        if export not in listed:
+            wrong.append(f"dir({{name}}) lacks {{export}}")
+    try:
+        package.no_such_name
+    except AttributeError:
+        pass
+    else:
+        wrong.append(f"{{name}}.no_such_name resolved")
+print(len(packages))
+sys.exit("; ".join(wrong) if wrong else 0)
+"""
+
+
+def _fresh(script: str, **fields) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter (in-suite, ``sys.modules``
+    already holds everything); fails on a non-zero exit."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script.format(src=src, **fields)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc
+
+
 class TestImportCost:
     def test_analysis_runs_without_scipy(self, tmp_path):
         """SciPy is about half of the CLI's interpreter start; nothing an
         analysis runs needs it (only the offline perfmodel calibration)."""
-        src = str(Path(repro.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", _NO_SCIPY_RUN.format(src=src, out=str(tmp_path))],
-            capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
+        proc = _fresh(_NO_SCIPY_RUN, out=str(tmp_path))
         assert "evaluated fixed topology" in proc.stdout
+
+    def test_cli_loads_only_the_analysis_path(self, tmp_path):
+        """The command line's start compiles no module a ``-f a`` run
+        does not execute, and a multi-rank run needs no multiprocessing."""
+        _fresh(_CLI_IMPORTS, modules=_NOT_ON_THE_ANALYSIS_PATH, out=str(tmp_path))
+
+    @pytest.mark.parametrize("runs", [
+        pytest.param([{"collect_trace": True, "checkpoint_dir": "{ck}"},
+                      {"collect_trace": True, "checkpoint_dir": "{ck}",
+                       "resume": True}], id="static-resume"),
+        pytest.param([{"schedule": "work-steal", "checkpoint_dir": "{ck}"}],
+                     id="work-steal"),
+        pytest.param([{"bootstopping": True}], id="bootstopping"),
+    ])
+    def test_no_module_is_first_imported_in_a_rank(self, runs, tmp_path):
+        """Every module a rank runs is imported before the fork: one
+        first imported inside a rank is compiled again by every rank."""
+        runs = [
+            {k: v.format(ck=str(tmp_path)) if isinstance(v, str) else v
+             for k, v in kwargs.items()}
+            for kwargs in runs
+        ]
+        _fresh(_RANK_IMPORTS, runs=runs)
+
+    def test_package_exports_resolve(self):
+        proc = _fresh(_PACKAGE_EXPORTS)
+        assert int(proc.stdout) >= 16
 
 
 class TestLoadAlignment:

@@ -416,6 +416,57 @@ def test_no_hub_thread_outlives_its_world(forks):
     assert not [t for t in threading.enumerate() if t.name.startswith("simmpi-")]
 
 
+# -- the channel: two OS pipes per rank ------------------------------------------
+
+
+def test_a_large_message_crosses_a_fork_intact():
+    """A message far larger than a pipe's buffer arrives whole: the
+    writer blocks while the reader drains, each way."""
+    payload = os.urandom(1 << 20)
+    ours, theirs = launcher._pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            ours.close()
+            theirs.send_bytes(bytes(theirs.recv_bytes())[::-1])
+            code = 0
+        finally:
+            os._exit(code)
+    theirs.close()
+    try:
+        ours.send_bytes(payload)
+        assert ours.recv_bytes() == payload[::-1]
+    finally:
+        ours.close()
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+
+def test_recv_from_a_closed_peer_raises_eof():
+    ours, theirs = launcher._pipe()
+    theirs.send_bytes(b"last words")
+    theirs.close()
+    assert ours.recv_bytes() == b"last words"
+    with pytest.raises(EOFError):
+        ours.recv_bytes()
+    ours.close()
+
+
+def test_closing_twice_is_harmless():
+    """A second ``close`` is a no-op, even once the descriptor numbers
+    have been handed out again."""
+    ours, theirs = launcher._pipe()
+    ours.close()
+    theirs.close()
+    again = launcher._pipe()
+    ours.close()
+    theirs.close()
+    again[0].send_bytes(b"still open")
+    assert again[1].recv_bytes() == b"still open"
+    for end in again:
+        end.close()
+
+
 _ORPHAN_RUN = """
 import os, sys, time
 sys.path.insert(0, {src!r})
