@@ -71,7 +71,7 @@ class HybridConfig:
     #: Validated and fingerprinted, reaches nothing; goes with ROADMAP 1(e).
     kernel: str = "reference"
     #: Enable signature-keyed CLV caching in every rank's engines (the
-    #: traversal planner then recomputes only move-invalidated partials).
+    #: engine's plan executor then recomputes only move-invalidated partials).
     clv_cache: bool = False
     #: Record a span/event timeline per rank (``--trace``); excluded from
     #: the checkpoint fingerprint, so resumed runs may toggle it freely.

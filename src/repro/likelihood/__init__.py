@@ -7,8 +7,8 @@ This package is the Python equivalent of RAxML's likelihood core:
 * :mod:`repro.likelihood.gamma` — discrete-Γ rate heterogeneity (GTRGAMMA);
 * :mod:`repro.likelihood.cat` — per-site rate categories (GTRCAT);
 * :mod:`repro.likelihood.plan` — traversal planning: subtree signatures,
-  CLV caching, and minimal recompute descriptors (RAxML's traversal
-  descriptors);
+  dependency levels (RAxML's traversal descriptors) and the CLV cache the
+  engine's executor consults;
 * :mod:`repro.likelihood.kernels` — the pattern-axis kernel (level
   contractions, tip tables, the fused block pipeline) charging the
   shared op counter;

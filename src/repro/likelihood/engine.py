@@ -3,15 +3,15 @@
 The engine is the execution layer of a three-layer likelihood core that
 mirrors the structure of RAxML's:
 
-* the **traversal planner** (:mod:`repro.likelihood.plan`) diffs tree
-  state against a CLV cache and emits an ordered list of CLV operations
-  — the analogue of RAxML's traversal descriptor;
+* the **traversal planner** (:mod:`repro.likelihood.plan`) groups a
+  tree's nodes into dependency levels and signs each subtree — the
+  analogue of RAxML's traversal descriptor;
 * the **kernel** (:class:`~repro.likelihood.kernels.base.KernelBackend`)
   executes every pattern-axis computation, each as one sweep over the
   whole axis, and charges the :class:`OpCounter`;
-* this module walks plans level by level, resolves CLV-cache hits, hands
-  the rest to the kernel, and reduces per-pattern results to weighted
-  log-likelihoods.
+* this module walks plans level by level, fetches each inner node the
+  CLV cache holds, hands the rest to the kernel, and reduces per-pattern
+  results to weighted log-likelihoods.
 
 Threaded execution is not a separate class, nor a separate code path:
 the pool's workers are virtual, so a
@@ -48,7 +48,7 @@ from repro.likelihood.kernels.base import (
     Partial,
     clv_entries,
 )
-from repro.likelihood.plan import CLVCache, plan_traversal
+from repro.likelihood.plan import CLVCache, TraversalPlan, plan_traversal
 from repro.likelihood.rates import RateModel, subset_rate_model
 from repro.obs.recorder import current as _obs_current
 from repro.seq.encoding import TIP_ROWS
@@ -273,9 +273,9 @@ class LikelihoodEngine:
         """CLV of the subtree below every node, keyed by ``id(node)``; the
         map's ``signatures`` are the plan's, which the up sweep reuses.
 
-        Plans the traversal first: with the CLV cache enabled, inner nodes
-        whose subtree signature is cached are fetched instead of recomputed
-        — after a local move only the root path costs kernel work.
+        With the CLV cache enabled, inner nodes whose subtree signature is
+        cached are fetched instead of recomputed — after a local move only
+        the root path costs kernel work.
 
         ``subtree`` restricts the computation to the nodes under (and
         including) one node — used by lazy SPR, where the pruned subtree's
@@ -283,64 +283,61 @@ class LikelihoodEngine:
         """
         if len(self._sig_memo) > 8 * clv_entries(self.pal.n_taxa):
             self._sig_memo.clear()
-        plan = plan_traversal(tree, self.clv_cache, subtree, self._sig_memo)
+        plan = plan_traversal(tree, subtree, self._sig_memo)
+        down, hits, executed = self._execute_plan(plan)
         rec = _obs_current()
         if rec is not None:
             rec.count("clv.plan_traversals")
-            rec.count("clv.plan_tips", plan.n_tip)
-            rec.count("clv.cache_hits", plan.n_cached)
-            rec.count("clv.cache_misses", plan.n_inner)
-        down, executed = self._execute_plan(plan)
+            rec.count("clv.plan_tips", len(plan.levels[0]))
+            rec.count("clv.cache_hits", hits)
+            rec.count("clv.cache_misses", executed)
+            rec.count("clv.inner_executed", executed)
         # One simulated region per executed inner-node CLV update (at least
         # one: even an all-cached traversal synchronises the workers once).
-        if rec is not None:
-            rec.count("clv.inner_executed", executed)
         self._charge_regions(max(executed, 1))
         return down
 
-    def _execute_plan(self, plan) -> tuple[DownPartials, int]:
-        """Level-wise plan execution.
+    def _execute_plan(self, plan: TraversalPlan) -> tuple[DownPartials, int, int]:
+        """Level-wise plan execution: the partials, the cache hits and the
+        inner nodes computed.
 
-        Each dependency level resolves cache hits first, then hands every
-        remaining op to the kernel in one ``level_partials`` batch.  Planned
-        hits are re-fetched (and recomputed if evicted since planning) and
-        every computed partial is put back, in level order — so CLV-cache
+        Each inner node is decided once: a :meth:`CLVCache.probe` hit is
+        fetched, any other node joins its level's ``level_partials`` batch,
+        and the batch's partials are put back in level order — so CLV-cache
         traffic, and with it op totals under eviction, cannot depend on how
-        the kernel cuts the pattern axis.  The P-matrices of the computed
-        ops' child edges (tips too: tip tables are built from P) are built
-        first, in one batch (:meth:`KernelBackend.build_pmatrices`).
+        the kernel cuts the pattern axis.  The P-matrices of every inner
+        node's child edges (tips too: tip tables are built from P) are built
+        first, in one uncharged batch (:meth:`KernelBackend.build_pmatrices`).
         """
         cache = self.clv_cache
         sigs = plan.signatures
+        tips, *inner = plan.levels
         self.kernel.build_pmatrices(
-            [ch.length for op in plan.ops if op.kind == "inner" for ch in op.node.children]
+            [ch.length for level in inner for node in level for ch in node.children]
         )
-        down = DownPartials()
+        down = DownPartials((id(leaf), self._tip_partial(leaf.leaf_index)) for leaf in tips)
         down.signatures = sigs
-        executed = 0
-        for level in plan.levels():
+        hits = executed = 0
+        for level in inner:
             pending = []
-            for op in level:
-                if op.kind == "tip":
-                    down[id(op.node)] = self._tip_partial(op.node.leaf_index)
-                    continue
-                if op.kind == "cached":
-                    part = cache.get(op.signature, planned=True)
-                    if part is not None:
-                        down[id(op.node)] = part
-                        continue
-                pending.append(op)
+            for node in level:
+                sig = sigs[id(node)]
+                if cache is not None and cache.probe(sig):
+                    down[id(node)] = cache.get(sig)
+                    hits += 1
+                else:
+                    pending.append(node)
             if not pending:
                 continue
             parts = self.kernel.level_partials(
-                [self._child_specs(op.node, sigs, down) for op in pending]
+                [self._child_specs(node, sigs, down) for node in pending]
             )
-            for op, part in zip(pending, parts):
-                executed += 1
+            for node, part in zip(pending, parts):
                 if cache is not None:
-                    cache.put(op.signature, part)
-                down[id(op.node)] = part
-        return down, executed
+                    cache.put(sigs[id(node)], part)
+                down[id(node)] = part
+            executed += len(pending)
+        return down, hits, executed
 
     # -- up partials (preorder levels) ------------------------------------------
 

@@ -1,12 +1,12 @@
-"""Traversal planning: which CLVs must be recomputed, in which order.
+"""Traversal planning: the structure of a likelihood evaluation.
 
 RAxML separates *what* to recompute from *how*: a traversal descriptor
 lists the CLV operations a likelihood evaluation needs, and the worker
 threads execute each operation over their pattern slice.  This module is
-that first half.  :func:`plan_traversal` walks a tree in postorder and
-emits a :class:`TraversalPlan` — an ordered list of :class:`CLVOp`
-entries (tip gather, inner propagation, or cache fetch) ending at the
-virtual root.
+that first half.  :func:`plan_traversal` returns a :class:`TraversalPlan`
+— every node of the (sub)tree grouped into dependency levels, with its
+subtree signature — and the engine's executor decides, node by node,
+whether a :class:`CLVCache` serves it or the kernel computes it.
 
 Dirty-node tracking is structural rather than imperative.  Every node
 gets a 64-bit *subtree signature* hashed from its leaf set, topology,
@@ -18,9 +18,9 @@ from a :class:`CLVCache` keyed by signature.  Because signatures are
 content hashes, caching survives ``tree.copy()`` (the search code clones
 trees constantly) and is immune to node-identity reuse.
 
-The planner never prunes the walk below a cached node: the plan covers
-*every* node so the executed partial map is complete — search code looks
-up arbitrary nodes' partials — but ops below a cache hit are themselves
+The plan never prunes the walk below a cached node: it covers *every*
+node so the executed partial map is complete — search code looks up
+arbitrary nodes' partials — but nodes below a cache hit are themselves
 (almost always) cache hits and cost no kernel work.
 """
 
@@ -97,68 +97,21 @@ def subtree_signatures(nodes: Iterator[Node], memo: dict | None = None) -> dict[
 
 
 @dataclass(frozen=True)
-class CLVOp:
-    """One traversal-descriptor entry.
+class TraversalPlan:
+    """The structure of one (sub)tree evaluation.
 
-    ``kind`` is ``"tip"`` (gather a leaf CLV), ``"inner"`` (propagate and
-    combine child CLVs — the only kind that costs kernel work), or
-    ``"cached"`` (the planner found the node's signature in the cache).
+    ``levels`` groups the nodes by height: level 0 holds the tips, and
+    every inner node sits one level above its highest child, so each
+    level can be executed as one batch once the levels below it are (the
+    kernel stacks a level's propagations into one contraction).  Within
+    a level the nodes keep their postorder.  No level is empty, and a
+    lone leaf gives ``[[leaf]]``.  ``signatures`` maps ``id(node)`` to
+    the node's subtree signature.
     """
 
-    node: Node
-    signature: int
-    kind: str
-
-
-@dataclass
-class TraversalPlan:
-    """An ordered CLV recipe for one (sub)tree evaluation."""
-
-    ops: list[CLVOp]
     root: Node
+    levels: list[list[Node]]
     signatures: dict[int, int] = field(repr=False)
-    n_tip: int = 0
-    n_inner: int = 0
-    n_cached: int = 0
-    _levels: list[list[CLVOp]] | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def n_internal(self) -> int:
-        """Internal nodes covered, computed or cached."""
-        return self.n_inner + self.n_cached
-
-    def levels(self) -> list[list[CLVOp]]:
-        """Dependency levels of the plan: a topological schedule by depth.
-
-        Level ``d`` holds every op whose children all sit in levels
-        ``< d`` — level 0 is exactly the tip ops, and an op's children
-        always appear in strictly earlier levels, so each level can be
-        executed as one batch (the level-batched kernel stacks a level's
-        propagations into a single ``(nodes, patterns, rates, states)``
-        contraction).  ``cached`` ops keep their structural depth: an
-        executor that must recompute one (evicted since planning) still
-        finds its children ready.  No level is ever empty — a node at
-        depth ``d`` has a child at depth ``d - 1``, and the plan covers
-        every node of its (sub)tree — including the single-op plan of a
-        lone leaf, which yields ``[[tip]]``.
-        """
-        if self._levels is None:
-            depth: dict[int, int] = {}
-            levels: list[list[CLVOp]] = []
-            for op in self.ops:
-                node = op.node
-                if node.is_leaf:
-                    d = 0
-                else:
-                    d = 1 + max(depth[id(ch)] for ch in node.children)
-                depth[id(node)] = d
-                while len(levels) <= d:
-                    levels.append([])
-                levels[d].append(op)
-            self._levels = levels
-        return self._levels
 
 
 class CLVCache:
@@ -186,29 +139,18 @@ class CLVCache:
         return len(self._store)
 
     def probe(self, signature: int) -> bool:
-        """Planner-side membership test; counts the hit/miss."""
+        """Membership test; counts the hit or miss."""
         if signature in self._store:
             self.hits += 1
             return True
         self.misses += 1
         return False
 
-    def get(self, signature: int, planned: bool = False) -> Partial | None:
-        """Executor-side fetch (refreshes LRU order).
-
-        May return ``None`` even after a successful probe: entries planned
-        as hits can be evicted by inserts earlier in the same execution.
-        The executor falls back to recomputing; it passes ``planned=True``
-        so that the already-counted probe hit is reclassified as a miss —
-        ``stats()`` then reflects what the execution actually got, and
-        ``hits + misses`` stays equal to the number of planner probes.
-        """
+    def get(self, signature: int) -> Partial | None:
+        """The cached partial, refreshed in LRU order, or ``None``."""
         part = self._store.get(signature)
         if part is not None:
             self._store.move_to_end(signature)
-        elif planned:
-            self.hits -= 1
-            self.misses += 1
         return part
 
     def put(self, signature: int, partial: Partial) -> None:
@@ -220,9 +162,6 @@ class CLVCache:
             self._store.popitem(last=False)
             self.evictions += 1
 
-    def clear(self) -> None:
-        self._store.clear()
-
     def stats(self) -> dict[str, int]:
         return {
             "entries": len(self._store),
@@ -233,42 +172,22 @@ class CLVCache:
 
 
 def plan_traversal(
-    tree: Tree,
-    cache: CLVCache | None = None,
-    subtree: Node | None = None,
-    memo: dict | None = None,
+    tree: Tree, subtree: Node | None = None, memo: dict | None = None
 ) -> TraversalPlan:
-    """Diff tree state against the cache and emit the minimal CLV recipe.
+    """The levels and signatures of ``tree``, or of the nodes under (and
+    including) ``subtree``; ``memo`` is :func:`subtree_signatures`' store.
 
-    Without a cache every inner node becomes an ``"inner"`` op — the
-    from-scratch traversal.  With a cache, inner nodes whose subtree
-    signature is cached become ``"cached"`` ops; after a local move
-    (SPR/NNI/branch change) only the root path misses, so the executed
-    kernel work shrinks from O(n) CLV updates to O(depth).  ``memo`` is
-    :func:`subtree_signatures`' store.
+    The plan covers every node, whatever a cache holds: the executor
+    decides which inner nodes it fetches and which it computes.
     """
     root = tree.root if subtree is None else subtree
-    nodes = tree.postorder() if subtree is None else subtree_postorder(subtree)
-    order = list(nodes)
-    sigs = subtree_signatures(iter(order), memo)
-    ops: list[CLVOp] = []
-    n_tip = n_inner = n_cached = 0
+    order = list(tree.postorder() if subtree is None else subtree_postorder(subtree))
+    height: dict[int, int] = {}
+    levels: list[list[Node]] = []
     for node in order:
-        sig = sigs[id(node)]
-        if node.is_leaf:
-            ops.append(CLVOp(node, sig, "tip"))
-            n_tip += 1
-        elif cache is not None and cache.probe(sig):
-            ops.append(CLVOp(node, sig, "cached"))
-            n_cached += 1
-        else:
-            ops.append(CLVOp(node, sig, "inner"))
-            n_inner += 1
-    return TraversalPlan(
-        ops=ops,
-        root=root,
-        signatures=sigs,
-        n_tip=n_tip,
-        n_inner=n_inner,
-        n_cached=n_cached,
-    )
+        h = 0 if node.is_leaf else 1 + max(height[id(ch)] for ch in node.children)
+        height[id(node)] = h
+        if h == len(levels):
+            levels.append([])
+        levels[h].append(node)
+    return TraversalPlan(root, levels, subtree_signatures(iter(order), memo))

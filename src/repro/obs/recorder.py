@@ -13,9 +13,11 @@ Chrome-trace exporter maps rank → process and track → thread, so a whole
 run renders as per-rank timelines with per-thread lanes.
 
 Instrumented call sites obtain the active recorder with
-:func:`current` — a thread-local, which matches the runtime exactly
-because every simulated rank runs on its own Python thread (and its
-virtual threads are simulated *inside* that thread).  With no recorder
+:func:`current` — a thread-local.  A rank's body runs on one Python
+thread (the main thread of its forked process in a multi-rank world, the
+caller's in a one-rank world), and its virtual threads are simulated
+*inside* that thread; the launcher's hub threads, which serve the ranks'
+calls, never see a rank's recorder.  With no recorder
 installed, :func:`current` returns ``None`` and every instrumentation
 point reduces to one attribute read and a falsy check; tracing off is
 therefore free to within noise (the <5% microbench budget).
@@ -265,13 +267,14 @@ class Recorder:
         return [e.to_dict() for e in sorted(self.events, key=start)]
 
 
-# -- the active recorder (one per rank thread) -----------------------------
+# -- the active recorder (one per thread running a rank body) --------------
 
 _tls = threading.local()
 
 
 def current() -> Recorder | None:
-    """The recorder active on this (rank) thread, or ``None``."""
+    """The recorder active on this thread (the one running a rank's body,
+    in the rank's process), or ``None``."""
     return getattr(_tls, "recorder", None)
 
 

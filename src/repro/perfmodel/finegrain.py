@@ -42,6 +42,19 @@ def pattern_cost(machine: MachineSpec, chunk: float, n_threads: int) -> float:
     return 1.0 + (machine.cache_factor - 1.0) * miss * bw
 
 
+def _region_units(
+    machine: MachineSpec, chunk: int, n_threads: int, n_categories: int
+) -> float:
+    """``region(T)`` of a region whose largest chunk is ``chunk`` patterns."""
+    compute = chunk * n_categories * pattern_cost(machine, chunk, n_threads)
+    sync = (
+        machine.sync_pattern_units * n_threads**machine.sync_exponent
+        if n_threads > 1
+        else 0.0
+    )
+    return compute + sync
+
+
 def region_pattern_units(
     machine: MachineSpec,
     n_patterns: int,
@@ -53,14 +66,9 @@ def region_pattern_units(
         raise ValueError("n_patterns must be >= 0")
     if n_threads < 1:
         raise ValueError("n_threads must be >= 1")
-    chunk = math.ceil(n_patterns / n_threads)
-    compute = chunk * n_categories * pattern_cost(machine, chunk, n_threads)
-    sync = (
-        machine.sync_pattern_units * n_threads**machine.sync_exponent
-        if n_threads > 1
-        else 0.0
+    return _region_units(
+        machine, math.ceil(n_patterns / n_threads), n_threads, n_categories
     )
-    return compute + sync
 
 
 def finegrain_speedup(machine: MachineSpec, n_patterns: int, n_threads: int) -> float:
@@ -92,15 +100,10 @@ class MachineRegionTiming:
     seconds_per_pattern_unit: float = 1e-7
 
     def region_seconds(self, chunk_patterns: Sequence[int], n_categories: int) -> float:
-        t = len(chunk_patterns)
-        if t == 0:
+        if not chunk_patterns:
             return 0.0
-        biggest = max(chunk_patterns)
-        compute = biggest * n_categories * pattern_cost(self.machine, biggest, t)
-        sync = (
-            self.machine.sync_pattern_units * t**self.machine.sync_exponent
-            if t > 1
-            else 0.0
+        units = _region_units(
+            self.machine, max(chunk_patterns), len(chunk_patterns), n_categories
         )
-        return (compute + sync) * self.seconds_per_pattern_unit / self.machine.core_speed
+        return units * self.seconds_per_pattern_unit / self.machine.core_speed
 

@@ -41,9 +41,9 @@ def hill_climb(
     improving; when a round yields nothing, widen the radius; stop when
     the maximum radius also yields nothing (or ``max_rounds`` is hit).
     Branch lengths are smoothed before the first round and after every
-    accepted round.  The engine's traversal planner decides per move how
+    accepted round.  The engine's plan executor decides per move how
     much CLV work each of these steps actually costs (see
-    :mod:`repro.likelihood.plan`); results are independent of that choice.
+    :mod:`repro.likelihood.engine`); results are independent of that choice.
     """
     if initial_radius < 1 or max_radius < initial_radius or radius_step < 1:
         raise ValueError("invalid radius schedule")

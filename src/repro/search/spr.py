@@ -107,7 +107,7 @@ def try_spr(
     origin = siblings[0]
 
     # Post-prune partials.  With the engine's CLV cache enabled the
-    # traversal planner serves every subtree signature untouched by the
+    # plan executor serves every subtree signature untouched by the
     # prune from cache, so only the path from the pruning point to the
     # root costs kernel work; without a cache this is a full traversal.
     # Up partials are computed only on the candidates' root paths.

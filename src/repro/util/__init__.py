@@ -9,7 +9,7 @@ from repro.util.lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".rng": ("RAxMLRandom", "rank_seed", "spawn_stream"),
-    ".timing": ("VirtualClock", "StageTimer", "WallTimer"),
+    ".timing": ("VirtualClock",),
     ".tables": ("format_table",),
     ".validation": ("check_positive", "check_probability_vector"),
 })

@@ -3,7 +3,7 @@
 Five concerns:
 
 * the plan's *level decomposition* is a valid topological schedule
-  (children strictly before parents, union of levels == plan ops);
+  (children strictly before parents, every node exactly once);
 * the kernel against ``tests/oracle.py``, which shares no step with it:
   log-likelihood, both branch derivatives and the lazy-SPR insertion
   score under Γ, Γ+I and CAT, in the per-level flow and in the fused
@@ -12,7 +12,8 @@ Five concerns:
   virtual-threaded and CLV-cached; the fused block regime against the
   per-level flow, on the engine and on a whole analysis; op totals and
   CLV-cache traffic under eviction whatever cuts the pattern axis;
-* the degenerate-input hardening of :class:`CLVCache` and the planner;
+* the degenerate-input hardening of :class:`CLVCache` and the planner,
+  and the executor under a cache that evicts mid-traversal;
 * the entry bound of both CLV stores, ``clv_entries(n_taxa)``: the
   contribution LRU's size moves no bit and no op, and on a 150-taxon
   tree the cache's keeps every hit of an SPR round.
@@ -80,53 +81,30 @@ def _force_fused(monkeypatch, block: int) -> None:
 
 
 class TestLevelSchedule:
-    """plan.levels() must be a valid topological batching of plan.ops."""
-
-    def _check_schedule(self, plan) -> None:
-        levels = plan.levels()
-        # Union of levels is exactly the plan's op list (same objects).
-        flat = [op for level in levels for op in level]
-        assert len(flat) == len(plan.ops)
-        assert {id(op) for op in flat} == {id(op) for op in plan.ops}
-        assert all(level for level in levels), "no level may be empty"
-        # Level 0 is exactly the tips; children sit strictly below parents.
-        level_of = {
-            id(op.node): d for d, level in enumerate(levels) for op in level
-        }
-        for d, level in enumerate(levels):
-            for op in level:
-                if op.node.is_leaf:
-                    assert d == 0
-                else:
-                    assert d > 0
-                    for child in op.node.children:
-                        assert level_of[id(child)] < d
+    """plan.levels must be a valid topological batching of the tree."""
 
     @given(seed=st.integers(1, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
     def test_levels_are_topological(self, seed):
         tree = yule_tree(_PAL.taxa, RAxMLRandom(seed))
-        self._check_schedule(plan_traversal(tree))
-
-    def test_cached_ops_keep_structural_depth(self):
-        tree = yule_tree(_PAL.taxa, RAxMLRandom(5))
-        cache = CLVCache(clv_entries(_PAL.n_taxa))
-        engine = LikelihoodEngine(_PAL, _MODEL, clv_cache=cache)
-        engine.loglikelihood(tree)  # warm the cache
-        plan = plan_traversal(tree, cache)
-        assert plan.n_cached > 0
-        self._check_schedule(plan)
+        levels = plan_traversal(tree).levels
+        # Every node exactly once, no level empty.
+        flat = [node for level in levels for node in level]
+        assert sorted(map(id, flat)) == sorted(map(id, tree.postorder()))
+        assert all(levels), "no level may be empty"
+        # Level 0 is exactly the tips; children sit strictly below parents.
+        level_of = {id(node): d for d, level in enumerate(levels) for node in level}
+        for d, level in enumerate(levels):
+            for node in level:
+                assert node.is_leaf == (d == 0)
+                for child in node.children:
+                    assert level_of[id(child)] < d
 
     def test_single_leaf_subtree_plan(self):
         tree = yule_tree(_PAL.taxa, RAxMLRandom(5))
         leaf = next(n for n in tree.postorder() if n.is_leaf)
         plan = plan_traversal(tree, subtree=leaf)
-        assert [[op.kind for op in lvl] for lvl in plan.levels()] == [["tip"]]
-
-    def test_levels_cached_on_plan(self):
-        tree = yule_tree(_PAL.taxa, RAxMLRandom(5))
-        plan = plan_traversal(tree)
-        assert plan.levels() is plan.levels()
+        assert plan.levels == [[leaf]] and plan.root is leaf
 
 
 #: Five taxa: a quartet for the insertion score (E pruned), and the same
@@ -410,16 +388,26 @@ class TestCLVCacheHardening:
         assert disabled.loglikelihood(tree) == plain
         assert disabled.clv_cache.stats()["entries"] == 0
 
-    def test_planned_get_reclassifies_probe_hit(self):
-        """A planner probe-hit that is gone by execution time must end up
-        counted as one miss, not one hit plus one miss."""
-        cache = CLVCache(max_entries=4)
-        cache.put(1, object())
-        assert cache.probe(1)  # planner counts a hit
-        del cache._store[1]  # evicted between planning and execution
-        assert cache.get(1, planned=True) is None
-        stats = cache.stats()
-        assert (stats["hits"], stats["misses"]) == (0, 1)
+    def test_eviction_mid_traversal_matches_uncached(self):
+        """Partials cached when a traversal starts but evicted by its own
+        earlier puts are computed again: the down partials are the
+        uncached engine's bit for bit, and each inner node is probed once."""
+        tree = yule_tree(_PAL.taxa, RAxMLRandom(9))
+        n_inner = sum(1 for n in tree.postorder() if not n.is_leaf)
+        cache = CLVCache(max_entries=n_inner - 2)
+        engine = LikelihoodEngine(_PAL, _MODEL, clv_cache=cache)
+        want = LikelihoodEngine(_PAL, _MODEL).compute_down_partials(tree)
+        engine.compute_down_partials(tree)
+        held, before = len(cache), cache.stats()
+        got = engine.compute_down_partials(tree)
+        after = cache.stats()
+        hits = after["hits"] - before["hits"]
+        assert 0 < hits < held  # some entry held at the start was evicted
+        assert hits + after["misses"] - before["misses"] == n_inner
+        assert got.keys() == want.keys()
+        for key, part in want.items():
+            assert got[key].clv.tobytes() == part.clv.tobytes()
+            assert got[key].logscale.tobytes() == part.logscale.tobytes()
 
     def test_stats_probes_balance(self):
         cache = CLVCache(max_entries=2)

@@ -234,9 +234,14 @@ class TestStageReport:
         assert PAPER_STAGES == STAGE_ORDER[1:]
 
     def test_fig34_takes_last_process_to_finish(self):
-        assert fig34_decomposition(self.PER_RANK) == {
+        fig34 = fig34_decomposition(self.PER_RANK)
+        assert fig34 == {
             "bootstrap": 4.0, "fast": 4.0, "slow": 1.0, "thorough": 5.0,
         }
+        # The maxima come from different ranks, so the bars sum past
+        # every single rank's total.
+        assert sum(fig34.values()) == 14.0
+        assert max(sum(r.values()) for r in self.PER_RANK) == 12.0
 
     def test_stage_decomposition_hand_computed(self):
         rows = {r["stage"]: r for r in stage_decomposition(self.PER_RANK)}

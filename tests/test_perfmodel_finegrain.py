@@ -1,6 +1,8 @@
 """Tests for the fine-grained timing model (repro.perfmodel.finegrain,
 repro.perfmodel.machines)."""
 
+import math
+
 import pytest
 
 from repro.perfmodel.finegrain import (
@@ -11,6 +13,7 @@ from repro.perfmodel.finegrain import (
     serial_pattern_cost,
 )
 from repro.perfmodel.machines import MACHINES, MachineSpec, machine_by_name
+from repro.threads.partition import chunk_sizes
 
 
 class TestMachines:
@@ -151,3 +154,36 @@ class TestMachineRegionTiming:
         t4 = timing.region_seconds([25, 25, 25, 25], 1)
         assert t1 > 0
         assert t4 < t1  # four threads split the work
+
+
+#: Pattern counts of the region-price grid: every small count, and the
+#: wide benchmark shape, the paper's data sets and their neighbours.
+_GRID_PATTERNS = [*range(60), 87, 230, 4_610, 19_436, 19_441]
+_GRID_CATEGORIES = (1, 4, 5, 8, 25)
+
+
+class TestOneRegionPrice:
+    """``region_pattern_units`` and ``MachineRegionTiming.region_seconds``
+    price a region through one helper; both must equal the written-out
+    ``region(T) = max_chunk · c(chunk, T) + sync · T^e`` bit for bit, on
+    every machine and T up to its cores (20,800 cases in all)."""
+
+    @staticmethod
+    def _formula(machine, chunk, t, k):
+        compute = chunk * k * pattern_cost(machine, chunk, t)
+        sync = machine.sync_pattern_units * t**machine.sync_exponent if t > 1 else 0.0
+        return compute + sync
+
+    @pytest.mark.parametrize("name", sorted(MACHINES))
+    def test_grid_bit_equal(self, name):
+        machine = MACHINES[name]
+        timing = MachineRegionTiming(machine)
+        for t in range(1, machine.cores_per_node + 1):
+            for n in _GRID_PATTERNS:
+                chunks = chunk_sizes(n, t)
+                for k in _GRID_CATEGORIES:
+                    units = self._formula(machine, math.ceil(n / t), t, k)
+                    assert region_pattern_units(machine, n, t, k) == units, (t, n, k)
+                    assert timing.region_seconds(chunks, k) == (
+                        units * timing.seconds_per_pattern_unit / machine.core_speed
+                    ), (t, n, k)

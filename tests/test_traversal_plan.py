@@ -1,7 +1,8 @@
 """Tests for the traversal-plan likelihood core.
 
-Covers the three layers of the refactor: the planner (signatures, dirty
-tracking, CLV cache), the kernel (span-tiling bit-identity through the
+Covers the three layers of the likelihood core: the planner (signatures,
+dirty tracking, dependency levels), the executor's one CLV-cache decision
+per inner node, the kernel (span-tiling bit-identity through the
 ``_sweep`` hook, the two names the benchmark harness passes), and the
 engine (serial == threaded bit-identity, op-count parity, degenerate
 chunks).
@@ -31,6 +32,7 @@ from repro.likelihood.plan import (
     plan_traversal,
     subtree_signatures,
 )
+from repro.obs.recorder import Recorder, recording
 from repro.threads.pool import VirtualThreadPool
 from repro.threads.timing import LinearRegionTiming
 from repro.tree.random_trees import yule_tree
@@ -114,42 +116,78 @@ class TestSignatures:
 
 class TestPlanner:
     def test_plan_covers_all_nodes_postorder(self):
+        """Every node once, tips at level 0, postorder within a level."""
         tree = yule_tree(_PAL.taxa, RAxMLRandom(3))
         plan = plan_traversal(tree)
         nodes = list(tree.postorder())
-        assert [op.node for op in plan.ops] == nodes
-        assert plan.n_tip == sum(1 for n in nodes if n.is_leaf)
-        assert plan.n_inner == sum(1 for n in nodes if not n.is_leaf)
-        assert plan.n_cached == 0
-        assert plan.root is tree.root
+        rank = {id(n): i for i, n in enumerate(nodes)}
+        flat = [n for level in plan.levels for n in level]
+        assert sorted(rank[id(n)] for n in flat) == list(range(len(nodes)))
+        assert plan.levels[0] == [n for n in nodes if n.is_leaf]
+        for level in plan.levels:
+            assert [rank[id(n)] for n in level] == sorted(rank[id(n)] for n in level)
+        assert plan.levels[-1] == [tree.root] and plan.root is tree.root
+        assert set(plan.signatures) == set(rank)
 
-    def test_warm_cache_plans_all_cached(self):
-        tree = yule_tree(_PAL.taxa, RAxMLRandom(3))
-        engine = LikelihoodEngine(
-            _PAL, _MODEL, RateModel.gamma(0.8, 4), clv_cache=True
-        )
-        engine.loglikelihood(tree)
-        plan = plan_traversal(tree, engine.clv_cache)
-        assert plan.n_inner == 0
-        assert plan.n_cached == plan.n_internal
 
-    def test_move_invalidates_only_root_path(self):
-        tree = yule_tree(_PAL.taxa, RAxMLRandom(3))
-        engine = LikelihoodEngine(
-            _PAL, _MODEL, RateModel.gamma(0.8, 4), clv_cache=True
-        )
+def _engine_counts(engine, tree) -> tuple[int, dict[str, float]]:
+    """CLV updates of one ``loglikelihood`` call and its recorder counters."""
+    rec = Recorder()
+    before = engine.ops.clv_updates
+    with recording(rec):
         engine.loglikelihood(tree)
+    return engine.ops.clv_updates - before, rec.metrics.counters
+
+
+class TestExecutor:
+    """The executor decides each inner node once: a cache hit is fetched,
+    anything else is computed and put back."""
+
+    @staticmethod
+    def _warm():
+        tree = yule_tree(_PAL.taxa, RAxMLRandom(3))
+        engine = LikelihoodEngine(_PAL, _MODEL, RateModel.gamma(0.8, 4), clv_cache=True)
+        engine.loglikelihood(tree)
+        return engine, tree
+
+    def test_warm_traversal_computes_nothing(self):
+        engine, tree = self._warm()
+        n_inner = sum(1 for n in tree.postorder() if not n.is_leaf)
+        updates, counters = _engine_counts(engine, tree)
+        assert updates == 0
+        assert counters["clv.cache_hits"] == n_inner
+        assert counters["clv.cache_misses"] == counters["clv.inner_executed"] == 0
+
+    def test_move_computes_only_root_path(self):
+        engine, tree = self._warm()
         work = tree.copy()
         edge = work.internal_edges()[0]
         edge.length *= 2.0
-        plan = plan_traversal(work, engine.clv_cache)
-        depth = 0
-        node = edge.parent
+        path, node = [], edge.parent
         while node is not None:
-            depth += 1
-            node = node.parent
-        assert plan.n_inner == depth  # only the dirtied root path recomputes
-        assert plan.n_cached == plan.n_internal - depth
+            path, node = path + [node], node.parent
+        depth = len(path)
+        n_inner = sum(1 for n in work.postorder() if not n.is_leaf)
+        updates, counters = _engine_counts(engine, work)
+        # Only the dirtied root path recomputes: one propagation per child.
+        assert updates == sum(len(n.children) for n in path)
+        assert counters["clv.inner_executed"] == counters["clv.cache_misses"] == depth
+        assert counters["clv.cache_hits"] == n_inner - depth
+
+    def test_stats_equal_recorder_counters(self):
+        tree = yule_tree(_PAL.taxa, RAxMLRandom(3))
+        cache = CLVCache(max_entries=5)  # one short of the 6 inner nodes
+        engine = LikelihoodEngine(_PAL, _MODEL, RateModel.gamma(0.8, 4), clv_cache=cache)
+        rec = Recorder()
+        with recording(rec):
+            for _ in range(3):
+                engine.loglikelihood(tree)
+                tree.internal_edges()[1].length *= 1.3
+        counters = rec.metrics.counters
+        stats = cache.stats()
+        assert stats["evictions"] > 0
+        assert stats["hits"] == counters["clv.cache_hits"] > 0
+        assert stats["misses"] == counters["clv.cache_misses"]
 
 
 class TestCLVCache:
