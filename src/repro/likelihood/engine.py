@@ -29,6 +29,9 @@ Other structural features retained from the original engine:
   evaluated under every category, GTRGAMMA) and ``cat`` (each pattern is
   assigned to exactly one rate category, GTRCAT);
 * per-pattern log-scalers avoid underflow on large trees;
+* on large alignments a down partial is computed once per distinct
+  sub-column of its clade (site repeats, :class:`SiteClasses`) and
+  expanded over the pattern axis;
 * "down" partials (postorder, subtree below each node) and "up" partials
   (preorder, rest-of-tree seen from above; only on the root paths of the
   edges a caller reads, charged as the full sweep) support O(1)-per-edge
@@ -36,6 +39,8 @@ Other structural features retained from the original engine:
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import numpy as np
 
@@ -69,6 +74,93 @@ class DownPartials(dict):
     signatures: dict[int, int]
 
 
+def _fold(
+    a: np.ndarray, na: int, b: np.ndarray, nb: int, m: int
+) -> tuple[np.ndarray, int]:
+    """The classes of the label pairs ``(a[p], b[p])`` over the ``m``
+    patterns ``p``, where labels lie below ``na`` and ``nb``: each
+    pattern's class, numbered densely, and the class count.  Up to 4m
+    pairs are told apart by a table indexed by ``a·nb + b``; past that,
+    by ``np.unique``."""
+    key = a.astype(np.intp) * nb + b
+    if na * nb > 4 * m:
+        classes, index = np.unique(key, return_inverse=True)
+        return index.reshape(-1), len(classes)
+    used = np.zeros(na * nb, dtype=bool)
+    used[key] = True
+    label = np.cumsum(used) - 1
+    return label[key], int(label[-1]) + 1
+
+
+class SiteClasses:
+    """Site repeats (Kobert, Stamatakis & Flouri, Syst. Biol. 2017): the
+    patterns whose sub-columns agree on a clade's taxa — and, under CAT,
+    whose categories agree — have equal down partials at the clade's
+    root, so each such class needs computing once.
+
+    A clade's entry is ``(index, reps)``: the class of every pattern and
+    one row of each class, both as the smallest unsigned ints that hold
+    them.  Entries are keyed by leaf set (a bitmask of ``leaf_index``), so
+    they outlive tree copies, moves and branch-length changes, and are
+    built from the children's entries, a tip's labels being its masks.  A
+    clade with more than m/2 classes is stored as ``None``: the class
+    count never falls towards the root, so its ancestors are ``None``
+    unhashed.  At most ``capacity`` clades are kept, least recently used
+    first out.
+    """
+
+    def __init__(self, patterns: np.ndarray, p2c: np.ndarray | None, capacity: int) -> None:
+        self.patterns = patterns
+        self.p2c = p2c
+        self.capacity = capacity
+        self._n_cats = 0 if p2c is None else int(p2c.max()) + 1
+        self._rows = np.arange(patterns.shape[1])
+        self._store: OrderedDict[int, tuple[np.ndarray, np.ndarray] | None] = OrderedDict()
+
+    def serves(self, p2c: np.ndarray | None) -> bool:
+        """Whether this table's classes hold under categories ``p2c``."""
+        if p2c is None or self.p2c is None:
+            return p2c is self.p2c
+        return p2c is self.p2c or np.array_equal(p2c, self.p2c)
+
+    def of(
+        self, node: Node, leafsets: dict[int, int]
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The entry of ``node``'s clade, built on a miss; ``leafsets``
+        holds every node's leaf set, by ``id``."""
+        key = leafsets[id(node)]
+        if key in self._store:
+            self._store.move_to_end(key)
+            return self._store[key]
+        entry = self._build(node, leafsets)
+        self._store[key] = entry
+        if len(self._store) > self.capacity:
+            self._store.popitem(last=False)
+        return entry
+
+    def _build(self, node: Node, leafsets: dict[int, int]):
+        labels = []
+        if self.p2c is not None and all(ch.is_leaf for ch in node.children):
+            labels.append((self.p2c, self._n_cats))  # else a child holds them
+        for ch in node.children:
+            if ch.is_leaf:
+                labels.append((self.patterns[ch.leaf_index], 16))
+                continue
+            entry = self.of(ch, leafsets)
+            if entry is None:
+                return None
+            labels.append((entry[0], len(entry[1])))
+        m = len(self._rows)
+        index, n = labels[0]
+        for b, nb in labels[1:]:
+            index, n = _fold(index, n, b, nb, m)
+            if n > m // 2:
+                return None
+        reps = np.empty(n, dtype=np.min_scalar_type(m - 1))
+        reps[index] = self._rows  # any row of a class represents it
+        return index.astype(np.min_scalar_type(n - 1)), reps
+
+
 class LikelihoodEngine:
     """Phylogenetic likelihood computations for one pattern alignment.
 
@@ -98,6 +190,11 @@ class LikelihoodEngine:
         each kernel sweep charges one region of simulated parallel time,
         priced from the workers' pattern counts; what the kernels execute
         does not depend on it.
+
+    At the kernel's ``fuse_min_patterns`` patterns and above, down
+    partials are computed on one row per site-repeat class
+    (:class:`SiteClasses`, one table shared by the sibling engines of
+    :meth:`with_model` and :meth:`with_weights`).
     """
 
     def __init__(
@@ -121,10 +218,10 @@ class LikelihoodEngine:
             self.clv_cache = CLVCache(clv_entries(pal.n_taxa)) if clv_cache else None
         self._sig_memo: dict = {}  # subtree_signatures' store, bounded below
         # Tip partials are reused across traversals (a tip's down partial
-        # depends only on its alignment row) and share one zero log-scaler.
+        # depends only on its alignment row) and share the kernel's zero
+        # log-scaler.
         self._tip_parts: dict[int, Partial] = {}
-        self._zero_logscale = np.zeros(pal.n_patterns)
-        self._zero_logscale.setflags(write=False)
+        self._classes: SiteClasses | None = None
         self._set_model(
             model, rate_model if rate_model is not None else RateModel.gamma(),
             kernel_class,
@@ -145,6 +242,11 @@ class LikelihoodEngine:
             raise ValueError("pattern_to_cat length must equal the number of patterns")
         self.model, self.rate_model = model, rate_model
         self.kernel = kernel_class(model, rate_model, self.ops, pal.n_patterns, pal.n_taxa)
+        p2c = rate_model.pattern_to_cat
+        if pal.n_patterns < kernel_class.fuse_min_patterns:
+            self._classes = None
+        elif self._classes is None or not self._classes.serves(p2c):
+            self._classes = SiteClasses(pal.patterns, p2c, clv_entries(pal.n_taxa))
         # "+I" support: the invariant-site likelihood of each pattern is
         # sum_s pi_s over the states every taxon is compatible with —
         # non-zero only for constant-compatible columns, tree-independent.
@@ -243,7 +345,7 @@ class LikelihoodEngine:
         if part is None:
             clv = self.tip_clv(leaf_index)
             clv.setflags(write=False)
-            part = Partial(clv, self._zero_logscale)
+            part = Partial(clv, self.kernel.zero_logscale)
             self._tip_parts[leaf_index] = part
         return part
 
@@ -302,12 +404,15 @@ class LikelihoodEngine:
         inner nodes computed.
 
         Each inner node is decided once: a :meth:`CLVCache.probe` hit is
-        fetched, any other node joins its level's ``level_partials`` batch,
-        and the batch's partials are put back in level order — so CLV-cache
-        traffic, and with it op totals under eviction, cannot depend on how
-        the kernel cuts the pattern axis.  The P-matrices of every inner
-        node's child edges (tips too: tip tables are built from P) are built
-        first, in one uncharged batch (:meth:`KernelBackend.build_pmatrices`).
+        fetched; a node whose clade has 2 to m/2 site-repeat classes
+        (:class:`SiteClasses`, large alignments only) is computed on one
+        row per class (:meth:`KernelBackend.repeat_partial`); the rest of
+        the level is one ``level_partials`` batch.  Computed partials are
+        put back in level order — so CLV-cache traffic, and with it op
+        totals under eviction, cannot depend on how the kernel cuts the
+        pattern axis.  The P-matrices of every inner node's child edges
+        (tips too: tip tables are built from P) are built first, in one
+        uncharged batch (:meth:`KernelBackend.build_pmatrices`).
         """
         cache = self.clv_cache
         sigs = plan.signatures
@@ -317,6 +422,15 @@ class LikelihoodEngine:
         )
         down = DownPartials((id(leaf), self._tip_partial(leaf.leaf_index)) for leaf in tips)
         down.signatures = sigs
+        leafsets = None
+        if self._classes is not None:
+            leafsets = {id(leaf): 1 << leaf.leaf_index for leaf in tips}
+            for level in inner:
+                for node in level:
+                    bits = 0
+                    for ch in node.children:
+                        bits |= leafsets[id(ch)]
+                    leafsets[id(node)] = bits
         hits = executed = 0
         for level in inner:
             pending = []
@@ -329,8 +443,10 @@ class LikelihoodEngine:
                     pending.append(node)
             if not pending:
                 continue
-            parts = self.kernel.level_partials(
-                [self._child_specs(node, sigs, down) for node in pending]
+            specs = [self._child_specs(node, sigs, down) for node in pending]
+            parts = (
+                self.kernel.level_partials(specs) if leafsets is None
+                else self._repeat_level(pending, specs, leafsets)
             )
             for node, part in zip(pending, parts):
                 if cache is not None:
@@ -338,6 +454,22 @@ class LikelihoodEngine:
                 down[id(node)] = part
             executed += len(pending)
         return down, hits, executed
+
+    def _repeat_level(
+        self, nodes: list[Node], specs: list, leafsets: dict[int, int]
+    ) -> list[Partial]:
+        """The down partials of one level's computed nodes, in order: on
+        one row per site-repeat class where the clade has 2 to m/2 of
+        them, the rest as one level batch."""
+        classes = [self._classes.of(node, leafsets) for node in nodes]
+        # One class is one row, which takes BLAS's matrix-vector routines.
+        classes = [c if c is not None and len(c[1]) > 1 else None for c in classes]
+        rest = [s for s, c in zip(specs, classes) if c is None]
+        batch = iter(self.kernel.level_partials(rest) if rest else ())
+        return [
+            next(batch) if c is None else self.kernel.repeat_partial(*s, *c)
+            for s, c in zip(specs, classes)
+        ]
 
     # -- up partials (preorder levels) ------------------------------------------
 

@@ -367,7 +367,10 @@ class KernelBackend:
       propagations, product and scaling run block by block over the
       pattern axis, so every intermediate stays L2-resident;
     * lazy-SPR insertion scoring transports the pruned subtree once per
-      SPR step (:meth:`_insertion_transport`).
+      SPR step (:meth:`_insertion_transport`);
+    * :meth:`repeat_partial` computes a down node on one row per class
+      of patterns with equal operands, which the engine picks (site
+      repeats), and expands it over the axis.
 
     Op accounting is *charge-neutral*: a contribution served from the LRU
     still charges a CLV update — reuse is a wall-clock optimisation, not
@@ -598,20 +601,20 @@ class KernelBackend:
         update per spec *regardless of cache hits*.
         """
         out = [
-            self._contrib_lru.get(_contrib_key(spec), lambda: self._contrib(*spec[1:]))
+            self._contrib_lru.get(
+                _contrib_key(spec), lambda: self._contrib(spec[1], spec[2], self._p2c)
+            )
             for spec in specs
         ]
         self.ops.charge_clv(self.n_patterns, self.n_categories, n=len(specs))
         return out
 
-    def _contrib(self, t: float, payload: np.ndarray) -> np.ndarray:
+    def _contrib(
+        self, t: float, payload: np.ndarray, p2c: np.ndarray | None
+    ) -> np.ndarray:
         if payload.ndim == 1:
-            return self._sweep(
-                self._tip_rows_span, payload, self._p2c, table=self._tip_table(t)
-            )
-        return self._sweep(
-            self._propagate_span, payload, self._p2c, pmats=self.pmatrices(t)
-        )
+            return self._sweep(self._tip_rows_span, payload, p2c, table=self._tip_table(t))
+        return self._sweep(self._propagate_span, payload, p2c, pmats=self.pmatrices(t))
 
     def combine(
         self, contribs: list[np.ndarray], logscales: list[np.ndarray]
@@ -664,6 +667,43 @@ class KernelBackend:
             self.combine(cs, [ls for ls in lss if ls is not None])
             for cs, (_, lss) in zip(contribs, nodes)
         ]
+
+    def repeat_partial(
+        self,
+        specs: list[LevelSpec],
+        logscales: list[np.ndarray | None],
+        index: np.ndarray,
+        reps: np.ndarray,
+    ) -> Partial:
+        """One node's down partial under site repeats: the node as
+        :meth:`level_partials` takes it, computed on the rows ``reps`` (one
+        per class of patterns whose operands agree) and expanded to every
+        pattern by ``index`` (each pattern's class) — one ``np.take`` per
+        array, none for a log-scaler of exact zeros, which becomes
+        :attr:`zero_logscale`.  The same spans, through :meth:`_sweep`,
+        and the same :func:`_product_rescale` run on the gathered rows, so
+        every pattern gets its class representative's bits, which are its
+        own; ``reps`` must hold two rows or more (one row takes BLAS's
+        matrix-vector routines).  Charged as the full node."""
+        p2c = None if self._p2c is None else self._p2c.take(reps)
+        part = self.combine(
+            [self._contrib(t, payload.take(reps, axis=0), p2c) for _, t, payload in specs],
+            [ls.take(reps) for ls in logscales if ls is not None],
+        )
+        m = self.n_patterns
+        self.ops.charge_clv(m, self.n_categories, n=len(specs))
+        clv = np.take(part.clv, index, axis=0, out=np.empty((m, *part.clv.shape[1:])), mode="clip")
+        if not part.logscale.any():
+            return Partial(clv, self.zero_logscale)
+        return Partial(clv, np.take(part.logscale, index, out=np.empty(m), mode="clip"))
+
+    @cached_property
+    def zero_logscale(self) -> np.ndarray:
+        """The log-scaler of exact zeros (read-only) that tips and
+        unscaled repeat partials share."""
+        zeros = np.zeros(self.n_patterns)
+        zeros.setflags(write=False)
+        return zeros
 
     def up_level_partials(
         self,

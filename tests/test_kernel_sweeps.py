@@ -56,16 +56,18 @@ class Tiled:
     """Mix-in for a :class:`KernelBackend`: every sweep runs tile by tile
     through the ``_sweep`` hook and is stitched back together, as a
     master thread combines its workers' slices.  Subclasses say where
-    the cuts are (:meth:`_tiles`)."""
+    the cuts are (:meth:`_tiles`) on an axis of ``n`` rows: the pattern
+    axis, or the class rows of a site-repeat node."""
 
     sweeps = 0  # sweeps made / span calls they took, per instance
     spans = 0
 
-    def _tiles(self) -> list[slice]:
+    def _tiles(self, n: int) -> list[slice]:
         raise NotImplementedError
 
     def _sweep(self, span, *operands, **fixed):
-        tiles = [sl for sl in self._tiles() if sl.stop > sl.start]
+        n = len(next(a for a in operands if a is not None))
+        tiles = [sl for sl in self._tiles(n) if sl.stop > sl.start]
         self.sweeps += 1
         self.spans += len(tiles)
         return _concatenate([
@@ -79,8 +81,8 @@ class ThreadTiled(Tiled):
 
     n_threads = 1
 
-    def _tiles(self) -> list[slice]:
-        return contiguous_chunks(self.n_patterns, self.n_threads)
+    def _tiles(self, n: int) -> list[slice]:
+        return contiguous_chunks(n, self.n_threads)
 
 
 def thread_tiled(base: str, n_threads: int) -> type[KernelBackend]:

@@ -46,13 +46,15 @@ _MODEL = GTRModel(rates=(1.2, 2.5, 0.8, 1.1, 3.0, 1.0), freqs=(0.3, 0.2, 0.2, 0.
 
 class TinyBlocked(Tiled, KernelBackend):
     """A kernel subclass that cuts the pattern axis into 7-pattern tiles
-    through the ``KernelBackend._sweep`` hook."""
+    through the ``KernelBackend._sweep`` hook; a one-row last tile joins
+    the tile before it, as in the fused pipeline (one row takes BLAS's
+    matrix-vector routines)."""
 
     block_size = 7
 
-    def _tiles(self) -> list[slice]:
-        m, b = self.n_patterns, self.block_size
-        return [slice(lo, min(lo + b, m)) for lo in range(0, m, b)]
+    def _tiles(self, n: int) -> list[slice]:
+        cuts = [0, *range(self.block_size, n - 1, self.block_size), n]
+        return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _random_moves(tree, rng: RAxMLRandom, n_moves: int) -> None:
