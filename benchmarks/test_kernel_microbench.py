@@ -128,7 +128,6 @@ def _contractions(m: int):
     u, u_inv = MODEL._spectral[1:3]
     return [
         ("kab,mkb->mka", (pm, clv), kb._propagate_inner),
-        ("kab,mb->mka", (pm, tip), kb._propagate_tip),
         ("pab,pb->pa", (per_pattern, tip), kb._propagate_cat),
         ("mka,mka->m", (clv, other), kb._site_dot),
         ("pa,pa->p", (tip, tip2), kb._site_dot),
@@ -202,14 +201,13 @@ def _divide_by_max(parts, clv_out, logmx_out, acc):
 
 def _rewrites(m: int):
     """``{row: (old, new)}`` at ``m`` patterns, Γ with k = 4: the two Γ
-    sums as the reductions they were and the products they are, the two
-    transposed 4-column operands as strided views and as contiguous
-    copies — ``U⁻¹ᵀ`` is already contiguous as ``GTRModel`` holds it, so
-    its "old" is a C-ordered ``U⁻¹`` — and a two-child product step
+    sums as the reductions they were and the products they are, the
+    transposed ``U⁻¹`` operand as a strided view and as a contiguous copy
+    — ``U⁻¹ᵀ`` is already contiguous as ``GTRModel`` holds it, so its
+    "old" is a C-ordered ``U⁻¹`` — and a two-child product step
     scaled by divide-by-max and by threshold (nothing underflows)."""
     rng = np.random.default_rng(m)
     coef, clv = rng.standard_normal((m, 4, 4)), rng.random((m, 4, 4))
-    tip, pm = rng.random((m, 4)), rng.random((4, 4, 4))
     exps = np.outer(RateModel.gamma(0.8, 4).rates, MODEL._spectral[0])
     u_inv = MODEL._spectral[2]
     u_inv_c = np.ascontiguousarray(u_inv)
@@ -224,10 +222,6 @@ def _rewrites(m: int):
         "gamma_site_sum": (
             lambda: np.einsum("mka,a->m", clv, MODEL.pi),
             lambda: kb._site_sum(clv, pi_column),
-        ),
-        "tip_pmats_T": (
-            lambda: tip @ pm.reshape(16, 4).T,
-            lambda: kb._propagate_tip(pm, tip),
         ),
         "u_inv_T": (
             lambda: kb._to_eigenbasis(clv, u_inv_c.T),

@@ -1,7 +1,9 @@
 """Rank-world microbenchmark: consecutive in-process multi-rank analyses.
 
-Recorded to ``output/BENCH_runtime.json``.  One fresh interpreter runs
-the wall-clock benchmark's multi-rank shape (6 taxa x 300 sites, N = 8,
+Recorded to ``output/BENCH_runtime.json`` by a full run and to the
+untracked ``output/BENCH_runtime.smoke.json`` by a smoke run, so a
+smoke run on any host never rewrites the tracked record.  One fresh
+interpreter runs the wall-clock benchmark's multi-rank shape (6 taxa x 300 sites, N = 8,
 4 ranks x 2 threads, work-steal, batched kernel, BLAS pinned to one
 thread) :data:`REPS` times in a row, ``gc.collect()`` between, and
 records per repetition wall, user and system seconds of the process
@@ -174,7 +176,7 @@ def test_runtime_microbench(benchmark, emit):
     from repro.util.tables import format_table
 
     full = os.environ.get("REPRO_BENCH_FULL") == "1"
-    out_path = OUTPUT_DIR / "BENCH_runtime.json"
+    out_path = OUTPUT_DIR / ("BENCH_runtime.json" if full else "BENCH_runtime.smoke.json")
     try:
         doc = json.loads(out_path.read_text(encoding="ascii"))
     except (OSError, ValueError):
@@ -187,10 +189,9 @@ def test_runtime_microbench(benchmark, emit):
         in_fresh_interpreter, args=(REPS if full else SMOKE_REPS,),
         rounds=1, iterations=1,
     )
-    # Smoke mode refreshes only its own section: the full record is taken
-    # on a quiet host and must survive intervening smoke runs.
     doc["change" if full else "smoke"] = {**record, "summary": summary(record)}
     if full:
+        doc.pop("smoke", None)  # smoke records live in their own file
         control = in_fresh_interpreter(REPS, one_cpu=True)
         doc["change_one_cpu"] = {**control, "summary": summary(control)}
     OUTPUT_DIR.mkdir(exist_ok=True)

@@ -217,10 +217,6 @@ class LikelihoodEngine:
         else:
             self.clv_cache = CLVCache(clv_entries(pal.n_taxa)) if clv_cache else None
         self._sig_memo: dict = {}  # subtree_signatures' store, bounded below
-        # Tip partials are reused across traversals (a tip's down partial
-        # depends only on its alignment row) and share the kernel's zero
-        # log-scaler.
-        self._tip_parts: dict[int, Partial] = {}
         self._classes: SiteClasses | None = None
         self._set_model(
             model, rate_model if rate_model is not None else RateModel.gamma(),
@@ -236,12 +232,25 @@ class LikelihoodEngine:
         return w
 
     def _set_model(self, model: GTRModel, rate_model: RateModel, kernel_class) -> None:
-        """The model-dependent state: a new kernel and the "+I" table."""
+        """The model-dependent state: a new kernel, the tip partials if
+        their shape changed, and the "+I" table."""
         pal = self.pal
         if rate_model.kind == "cat" and rate_model.pattern_to_cat.shape != (pal.n_patterns,):
             raise ValueError("pattern_to_cat length must equal the number of patterns")
         self.model, self.rate_model = model, rate_model
+        old = self.__dict__.get("kernel")
         self.kernel = kernel_class(model, rate_model, self.ops, pal.n_patterns, pal.n_taxa)
+        # Tip partials are reused across traversals and siblings: a tip's
+        # down partial depends only on its alignment row and the kernel's
+        # shape.  A sibling of another shape views the same rows in a dict
+        # of its own.
+        if old is None:
+            self._tip_parts: dict[int, Partial] = {}
+        elif old.clv_shape != self.kernel.clv_shape:
+            self._tip_parts = {
+                i: self._tip_view(part.clv[:, 0] if part.clv.ndim == 3 else part.clv)
+                for i, part in self._tip_parts.items()
+            }
         p2c = rate_model.pattern_to_cat
         if pal.n_patterns < kernel_class.fuse_min_patterns:
             self._classes = None
@@ -274,8 +283,9 @@ class LikelihoodEngine:
         self, *, fresh_cache: bool, model=None, rate_model=None, weights=None
     ) -> "LikelihoodEngine":
         """A sibling engine with a new kernel, differing in the given
-        constructor arguments, over this engine's tip partials and its CLV
-        cache or (``fresh_cache``) an empty one of the same capacity."""
+        constructor arguments, over this engine's tip partials (while
+        their shape holds) and its CLV cache or (``fresh_cache``) an empty
+        one of the same capacity."""
         sibling = object.__new__(type(self))
         sibling.__dict__.update(self.__dict__)
         if weights is not None:
@@ -328,26 +338,19 @@ class LikelihoodEngine:
             masks = masks[patterns]
         return TIP_ROWS[masks]
 
-    def _as_full(self, clv: np.ndarray) -> np.ndarray:
-        """Expand a tip CLV (m, 4) to the engine's full CLV shape.
-
-        In gamma mode internal CLVs are (m, k, 4); a tip's CLV is
-        category-independent and is broadcast.  In cat mode both shapes are
-        already (m, 4).
-        """
-        if not self.is_cat and clv.ndim == 2:
-            m = clv.shape[0]
-            return np.broadcast_to(clv[:, None, :], (m, self.n_categories, 4))
-        return clv
-
     def _tip_partial(self, leaf_index: int) -> Partial:
         part = self._tip_parts.get(leaf_index)
         if part is None:
-            clv = self.tip_clv(leaf_index)
-            clv.setflags(write=False)
-            part = Partial(clv, self.kernel.zero_logscale)
-            self._tip_parts[leaf_index] = part
+            part = self._tip_parts[leaf_index] = self._tip_view(self.tip_clv(leaf_index))
         return part
+
+    def _tip_view(self, rows: np.ndarray) -> Partial:
+        """A tip's down partial in the kernel's shape: its (m, 4) 0/1 rows
+        broadcast over the rate categories (a read-only view), zero
+        log-scaler."""
+        if not self.is_cat:
+            rows = rows[:, None, :]
+        return Partial(np.broadcast_to(rows, self.kernel.clv_shape), self.kernel.zero_logscale)
 
     def _child_specs(
         self, node: Node, sigs: dict[int, int], down: dict[int, Partial]
@@ -485,8 +488,9 @@ class LikelihoodEngine:
         Internal nodes are grouped by depth (parents strictly before
         children, so each node's own up partial exists when its level
         runs) and each level is one ``up_level_partials`` kernel batch:
-        per node, the parent-side partial to transport across the node's
-        own edge plus the child specs of :meth:`_child_specs`.
+        per node, the child specs of :meth:`_child_specs` plus, below the
+        root, the parent-side partial to transport across the node's own
+        edge.
 
         ``needed`` (nodes) restricts the sweep to their root paths: only
         their ancestors are expanded, each whole, so what it returns is
@@ -509,12 +513,13 @@ class LikelihoodEngine:
                 if expand is not None and id(node) not in expand:
                     n_skipped += len(node.children) + (node is not tree.root)
                     continue
-                above = None
+                specs, logscales = self._child_specs(node, sigs, down)
                 if node is not tree.root:
-                    raw = up[id(node)]
-                    above = (node.length, raw.clv, raw.logscale)
+                    above = up[id(node)]
+                    specs.append((None, node.length, above.clv))
+                    logscales.append(above.logscale)
                 run.append(node)
-                node_specs.append((above, *self._child_specs(node, sigs, down)))
+                node_specs.append((specs, logscales, len(node.children)))
             for node, parts in zip(run, self.kernel.up_level_partials(node_specs)):
                 for child, part in zip(node.children, parts):
                     up[id(child)] = part
@@ -538,7 +543,7 @@ class LikelihoodEngine:
 
     def _combine_root(self, root_partial: Partial) -> np.ndarray:
         """Per-pattern log-likelihood from the root CLV."""
-        site = self.kernel.root_site(self._as_full(root_partial.clv))
+        site = self.kernel.root_site(root_partial.clv)
         return self._site_logl(site, root_partial.logscale)
 
     def site_loglikelihoods(self, tree: Tree) -> np.ndarray:
@@ -569,9 +574,7 @@ class LikelihoodEngine:
         rest-of-tree partial at its parent (see
         :meth:`compute_up_partials`).
         """
-        site = self.kernel.edge_site(
-            self._as_full(up_v.clv), self.kernel.pmatrices(t), self._as_full(down_v.clv)
-        )
+        site = self.kernel.edge_site(up_v.clv, self.kernel.pmatrices(t), down_v.clv)
         self._charge_regions(1)
         logl = self._site_logl(site, down_v.logscale + up_v.logscale)
         return float(self.weights @ logl)
@@ -594,11 +597,8 @@ class LikelihoodEngine:
         """
         half = max(t_edge * 0.5, 1e-9)
         site = self.kernel.insertion_site(
-            self._as_full(down_v.clv),
-            self._as_full(up_v.clv),
-            self._as_full(down_s.clv),
-            self.kernel.pmatrices(half),
-            self.kernel.pmatrices(t_sub),
+            down_v.clv, up_v.clv, down_s.clv,
+            self.kernel.pmatrices(half), self.kernel.pmatrices(t_sub),
         )
         self._charge_regions(1)
         logl = self._site_logl(
@@ -620,9 +620,7 @@ class LikelihoodEngine:
         This is RAxML's "sumtable": Newton iterations on ``t`` then cost
         O(m·k·4) per step with no further matrix exponentials.
         """
-        coef, exps = self.kernel.sumtable(
-            self._as_full(up_v.clv), self._as_full(down_v.clv)
-        )
+        coef, exps = self.kernel.sumtable(up_v.clv, down_v.clv)
         self._charge_regions(1)
         logscale = down_v.logscale + up_v.logscale
         return coef, exps, logscale

@@ -1,10 +1,11 @@
 """The likelihood kernel of the engine.
 
 :class:`KernelBackend` owns every pattern-axis computation the engine
-issues: CLV propagation (tip tables and generic), the product and
-scaling that turn a level's contributions into partials, per-edge site
+issues: every down and up partial, through one node routine (inputs
+propagated across their branches, multiplied and scaled), per-edge site
 likelihoods, lazy-SPR insertion scores, the Newton sumtable, and the
-derivative evaluations.  The engine decides *what* to compute (traversal
+derivative evaluations.  Every partial has one shape, the kernel's
+``clv_shape``; a tip's is a broadcast view over the rate categories.  The engine decides *what* to compute (traversal
 plans, CLV-cache lookups, reductions); the kernel decides *how* each
 pattern slice is computed.  There is one kernel, as RAxML has one set of
 likelihood functions; its answers are held to the independent pure-Python
@@ -56,7 +57,7 @@ import math
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -75,13 +76,12 @@ SCALE_MIN = 2.0**-256
 _pack_f64 = struct.Struct("<d").pack
 _unpack_u64 = struct.Struct("<Q").unpack
 
-#: One child edge of a traversal level: ``(subtree signature, branch
-#: length, payload)`` where the payload is a leaf's pattern-mask row
-#: (1-D) or the child's down CLV.
-LevelSpec = tuple[int, float, np.ndarray]
-#: One fused-pipeline input: ``("tip", the (16, k·4) view of the tip
-#: table, masks)`` or ``("edge", P-matrices, CLV)``.
-FusedInput = tuple[str, np.ndarray, np.ndarray | None]
+#: One input of a node: ``(subtree signature, branch length, payload)``
+#: where the payload is a leaf's pattern-mask row (1-D) or a partial's
+#: CLV to transport across the branch.  The signature keys the
+#: contribution LRU; ``None`` (an up node's parent-side partial, a site-
+#: repeat node's gathered rows) bypasses it.
+LevelSpec = tuple[int | None, float, np.ndarray]
 
 
 def length_bits(t: float) -> int:
@@ -89,13 +89,6 @@ def length_bits(t: float) -> int:
     differ in the last ulp produce different CLVs, so this is the key of
     both the planner's subtree signatures and the kernels' memos."""
     return _unpack_u64(_pack_f64(t))[0]
-
-
-def _contrib_key(spec: LevelSpec) -> tuple[int, int]:
-    """Contribution-LRU key of a child edge: the planner's subtree
-    signature plus the branch-length bits, so cache granularity matches
-    plans."""
-    return spec[0], length_bits(spec[1])
 
 
 # -- contractions ---------------------------------------------------------------
@@ -113,8 +106,8 @@ def _contrib_key(spec: LevelSpec) -> tuple[int, int]:
 def _propagate_inner(
     pmats: np.ndarray, clv: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """``kab,mkb->mka``: per-category ``P_k`` applied to an inner CLV
-    ``(m, k, 4)`` — one ``(m, 4) @ (4, 4)`` product per category, each
+    """``kab,mkb->mka``: per-category ``P_k`` applied to a CLV ``(m, k,
+    4)`` — an inner node's, or a tip's stride-0 broadcast — one ``(m, 4) @ (4, 4)`` product per category, each
     written straight into its column of the pattern-major result (a
     category-major result handed on as a view makes every later product
     a strided read, 3-5x a contiguous one).  The transposed matrices are
@@ -130,16 +123,6 @@ def _propagate_inner(
         pt = np.ascontiguousarray(pt)
     np.matmul(clv.transpose(1, 0, 2), pt, out=out.transpose(1, 0, 2))
     return out
-
-
-def _propagate_tip(pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
-    """``kab,mb->mka``: every category's ``P_k`` applied to a tip CLV
-    ``(m, 4)`` — one ``(m, 4) @ (4, 4k)`` product, copied as above."""
-    k = pmats.shape[0]
-    pt = pmats.reshape(4 * k, 4).T
-    if clv.shape[0] > 1:
-        pt = np.ascontiguousarray(pt)
-    return (clv @ pt).reshape(-1, k, 4)
 
 
 def _propagate_cat(pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
@@ -228,24 +211,41 @@ def _product_rescale(
     for extra in parts[2:]:
         np.multiply(clv_out, extra, out=clv_out)
     scale_out.fill(0.0)
-    flat = clv_out.reshape(len(clv_out), -1)
-    if flat.min() >= SCALE_MIN:
+    if clv_out.min() >= SCALE_MIN:
         return
+    flat = clv_out.reshape(len(clv_out), -1)
     low = _row_max(flat) < SCALE_MIN
     flat[low] *= 1.0 / SCALE_MIN
     scale_out[low] = math.log(SCALE_MIN)
 
 
-def _sum_logscales(logscales: list[np.ndarray], scale: np.ndarray) -> np.ndarray:
-    """``logscales`` summed in list order, then ``scale`` — which must be
-    the caller's to give away."""
-    if not logscales:
+def _sum_logscales(
+    logscales: list[np.ndarray | None], scale: np.ndarray, skip: int | None = None
+) -> np.ndarray:
+    """``logscales`` but index ``skip`` summed in list order, then ``scale``
+    — which must be the caller's to give away; ``None`` stands for exact
+    zeros and is left out."""
+    total = None
+    for j, ls in enumerate(logscales):
+        if ls is None or j == skip:
+            continue
+        if total is None:
+            total = ls.copy()
+        else:
+            total += ls
+    if total is None:
         return scale
-    total = logscales[0].copy()
-    for extra in logscales[1:]:
-        total += extra
     total += scale
     return total
+
+
+@lru_cache(maxsize=64)
+def _spans(m: int, block: int) -> tuple[tuple[int, int], ...]:
+    """``(lo, hi)`` blocks of ``block`` rows over ``m`` rows.  A one-row
+    last block would take BLAS's matrix-vector routines, which round
+    differently: it joins the block before it."""
+    cuts = [0, *range(block, m - 1, block), m]
+    return tuple(zip(cuts, cuts[1:]))
 
 
 def clv_entries(n_taxa: int) -> int:
@@ -340,7 +340,7 @@ class OpCounter:
 class Partial:
     """A CLV plus its per-pattern log-scaler."""
 
-    clv: np.ndarray  # gamma: (m, k, 4) (tips: (m, 4)); cat: (m, 4)
+    clv: np.ndarray  # KernelBackend.clv_shape: gamma (m, k, 4), cat (m, 4)
     logscale: np.ndarray  # (m,)
 
 
@@ -349,28 +349,30 @@ class KernelBackend:
 
     The engine drives it through memoised transition matrices
     (:meth:`pmatrices`), whole traversal levels (:meth:`level_partials`
-    down, :meth:`up_level_partials` up), and the per-edge kernels
-    (:meth:`edge_site`, :meth:`insertion_site`, :meth:`sumtable`,
-    :meth:`derivatives`).  A level's child contributions are one
-    ``propagate`` per edge, multiplied and scaled per node
-    (:meth:`combine`); what the kernel adds to that math is reuse and
-    blocking, neither of which moves a bit:
+    down, :meth:`up_level_partials` up, :meth:`repeat_partial` for a
+    site-repeat node), and the per-edge kernels (:meth:`edge_site`,
+    :meth:`insertion_site`, :meth:`sumtable`, :meth:`derivatives`).
 
-    * :meth:`level_contribs` serves repeated subtrees from a
-      **contribution LRU** keyed by ``(subtree signature, branch-length
-      bits)`` — across the repeated up-partial sweeps of an SPR round most
-      child edges are unchanged, so their propagated contributions are
-      the same float64 arrays — and gathers tips from tip tables memoised
-      by the bits of the branch length;
-    * at :attr:`fuse_min_patterns` Γ patterns and above, the levels run a
-      **fused block pipeline** (:meth:`_fused_node`): each node's child
-      propagations, product and scaling run block by block over the
-      pattern axis, so every intermediate stays L2-resident;
+    Every down and up partial comes from one routine, :meth:`_node`
+    (RAxML's ``newview``): a node's inputs — its child edges, plus the
+    parent-side partial for an up node — each propagated across its
+    branch, multiplied in input order and scaled.  A down node has one
+    output over all inputs, an up node one per child over every input
+    but that child.  What the kernel adds to that math is reuse and
+    blocking, neither of which moves a bit; the regime, fixed per kernel,
+    only decides how an input's rows are read (:meth:`_rows`):
+
+    * below :attr:`fuse_min_patterns` patterns, and under CAT, whole-axis
+      contributions from a **contribution LRU** keyed by ``(subtree
+      signature, branch-length bits)`` — across the repeated up-partial
+      sweeps of an SPR round most child edges are unchanged, so their
+      propagated contributions are the same float64 arrays — with tips
+      gathered from tip tables memoised by the bits of the branch length;
+    * from :attr:`fuse_min_patterns` Γ patterns on, **blocks** of
+      :attr:`fuse_block` patterns computed into scratch, so every
+      intermediate of a node stays L2-resident;
     * lazy-SPR insertion scoring transports the pruned subtree once per
-      SPR step (:meth:`_insertion_transport`);
-    * :meth:`repeat_partial` computes a down node on one row per class
-      of patterns with equal operands, which the engine picks (site
-      repeats), and expands it over the axis.
+      SPR step (:meth:`_insertion_transport`).
 
     Op accounting is *charge-neutral*: a contribution served from the LRU
     still charges a CLV update — reuse is a wall-clock optimisation, not
@@ -386,14 +388,14 @@ class KernelBackend:
     #: LRU grows to four per taxon, so that the 2n − 3 lengths one
     #: traversal builds at once (:meth:`build_pmatrices`) fit.
     pmat_entries = 512
-    #: Pattern-block length of the fused per-node pipeline: the
+    #: Pattern-block length of :meth:`_node` in the fused regime: the
     #: propagated child blocks (2 · B·k·4 doubles ≈ 1 MiB at B=4096, k=4
     #: for two children), multiplied straight into the output's rows,
     #: stay cache-resident across the whole propagate→product→scale
     #: chain.  Profiled best at 4096 on the 19.4k-pattern up-sweep (~10%
     #: over 2048; 8192+ spills out of L2).
     fuse_block = 4096
-    #: Run the fused pipeline only above this many patterns (Γ mode);
+    #: Read node inputs in blocks from this many patterns on (Γ mode);
     #: smaller alignments fit in cache anyway, and there the contribution
     #: LRU saves more than the blocks would.
     fuse_min_patterns = 4096
@@ -420,7 +422,15 @@ class KernelBackend:
         self._tip_lru = ArrayLRU(self.pmat_entries)
         self._contrib_lru = ArrayLRU(2 * clv_entries(n_taxa))
         self._ins_memo: tuple | None = None
-        self._buffers: dict[tuple, np.ndarray] = {}
+        #: The shape of every partial: a tip's is a broadcast view of it.
+        self.clv_shape = (
+            (n_patterns, 4) if self.is_cat else (n_patterns, self.n_categories, 4)
+        )
+        #: The regime of :meth:`_node`: blocks from ``fuse_min_patterns``
+        #: Γ rows on, into per-input scratch (``_blocks``), else whole
+        #: rows through the contribution LRU.
+        self._fused = not self.is_cat and n_patterns >= self.fuse_min_patterns
+        self._blocks: list[np.ndarray] = []
         #: :func:`_site_sum`'s frequency column, π once per category
         #: (``np.concatenate``: ``np.tile`` costs more than twice as much).
         self._pi_column = np.concatenate([model.pi] * self.n_categories).reshape(-1, 1)
@@ -480,17 +490,6 @@ class KernelBackend:
 
         return self._tip_lru.get(length_bits(t), build)
 
-    def _buffer(self, shape: tuple[int, ...], tag: str = "") -> np.ndarray:
-        """A reusable scratch array; never escapes a public call.
-        ``tag`` distinguishes buffers that must coexist within one call
-        despite sharing a shape (the fused pipeline's per-child blocks)."""
-        key = (tag, *shape)
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = np.empty(shape)
-            self._buffers[key] = buf
-        return buf
-
     # -- the pattern-axis sweep ------------------------------------------------
 
     def _sweep(self, span: Callable, *operands, **fixed):
@@ -514,8 +513,6 @@ class KernelBackend:
         """Apply per-category transition matrices to one span of a CLV."""
         if self.is_cat:
             return _propagate_cat(pmats[p2c], clv)
-        if clv.ndim == 2:  # tip: broadcast over categories
-            return _propagate_tip(pmats, clv)
         return _propagate_inner(pmats, clv)
 
     def _tip_rows_span(
@@ -590,58 +587,7 @@ class KernelBackend:
         self.ops.charge_clv(self.n_patterns, self.n_categories)
         return self._sweep(self._propagate_span, clv, self._p2c, pmats=pmats)
 
-    # -- traversal levels ------------------------------------------------------
-
-    def level_contribs(self, specs: list[LevelSpec]) -> list[np.ndarray]:
-        """Propagated child contributions for one traversal level, one
-        per child edge spec.
-
-        Repeats are served from the contribution LRU; the rest are
-        propagations, tips as rows of :meth:`_tip_table`.  Charges one CLV
-        update per spec *regardless of cache hits*.
-        """
-        out = [
-            self._contrib_lru.get(
-                _contrib_key(spec), lambda: self._contrib(spec[1], spec[2], self._p2c)
-            )
-            for spec in specs
-        ]
-        self.ops.charge_clv(self.n_patterns, self.n_categories, n=len(specs))
-        return out
-
-    def _contrib(
-        self, t: float, payload: np.ndarray, p2c: np.ndarray | None
-    ) -> np.ndarray:
-        if payload.ndim == 1:
-            return self._sweep(self._tip_rows_span, payload, p2c, table=self._tip_table(t))
-        return self._sweep(self._propagate_span, payload, p2c, pmats=self.pmatrices(t))
-
-    def combine(
-        self, contribs: list[np.ndarray], logscales: list[np.ndarray]
-    ) -> Partial:
-        """Product of contributions in list order under threshold
-        scaling (:func:`_product_rescale`), its scalings added onto the
-        sum of ``logscales`` (tip children contribute exact zeros and
-        are omitted)."""
-        clv = np.empty(contribs[0].shape)
-        scale = np.empty(len(clv))
-        _product_rescale(contribs, clv, scale)
-        return Partial(clv, _sum_logscales(logscales, scale))
-
-    def _contribs_by_node(
-        self, spec_lists: list[list[LevelSpec]]
-    ) -> list[list[np.ndarray]]:
-        """One :meth:`level_contribs` batch for a whole level, regrouped
-        per node."""
-        flat = iter(self.level_contribs([s for specs in spec_lists for s in specs]))
-        return [[next(flat) for _ in specs] for specs in spec_lists]
-
-    @property
-    def _fused(self) -> bool:
-        """Large Γ alignments run the fused block pipeline; small ones
-        (and CAT mode) the per-level flow over :meth:`level_contribs` and
-        :meth:`combine`."""
-        return not self.is_cat and self.n_patterns >= self.fuse_min_patterns
+    # -- the node routine ------------------------------------------------------
 
     def level_partials(
         self, nodes: list[tuple[list[LevelSpec], list[np.ndarray | None]]]
@@ -650,23 +596,30 @@ class KernelBackend:
 
         Each entry is one node's child edge specs and the children's down
         log-scalers (``None`` for leaves), both in child order.  Charges
-        one CLV update per child edge.  In the fused regime each node runs
-        :meth:`_fused_node`, which neither reads nor fills the
-        contribution LRU: materialising its propagations would re-spend
-        the memory traffic the fusion exists to avoid.
+        one CLV update per child edge; each node is one :meth:`_node`.
         """
-        if self._fused:
-            parts = [self._fused_node(specs, lss)[0] for specs, lss in nodes]
-            self.ops.charge_clv(
-                self.n_patterns, self.n_categories,
-                n=sum(len(specs) for specs, _ in nodes),
-            )
-            return parts
-        contribs = self._contribs_by_node([specs for specs, _ in nodes])
-        return [
-            self.combine(cs, [ls for ls in lss if ls is not None])
-            for cs, (_, lss) in zip(contribs, nodes)
-        ]
+        self.ops.charge_clv(
+            self.n_patterns, self.n_categories, n=sum(len(specs) for specs, _ in nodes)
+        )
+        return [self._node(specs, lss, self._p2c)[0] for specs, lss in nodes]
+
+    def up_level_partials(
+        self, nodes: list[tuple[list[LevelSpec], list[np.ndarray | None], int]]
+    ) -> list[list[Partial]]:
+        """Up partials for every internal node of one preorder level.
+
+        Each entry is one node's inputs and their log-scalers, as
+        :meth:`level_partials` takes them, plus its child count ``c``: the
+        first ``c`` inputs are the child edges; below the root the last is
+        the parent-side partial to transport across the node's own edge,
+        ``(None, t, clv)``.  Returns one partial per child per node — the
+        rest of the tree at the node, seen from that child: the other
+        inputs' product in input order.  Charges one CLV update per input.
+        """
+        self.ops.charge_clv(
+            self.n_patterns, self.n_categories, n=sum(len(specs) for specs, _, _ in nodes)
+        )
+        return [self._node(specs, lss, self._p2c, c) for specs, lss, c in nodes]
 
     def repeat_partial(
         self,
@@ -676,23 +629,22 @@ class KernelBackend:
         reps: np.ndarray,
     ) -> Partial:
         """One node's down partial under site repeats: the node as
-        :meth:`level_partials` takes it, computed on the rows ``reps`` (one
-        per class of patterns whose operands agree) and expanded to every
-        pattern by ``index`` (each pattern's class) — one ``np.take`` per
-        array, none for a log-scaler of exact zeros, which becomes
-        :attr:`zero_logscale`.  The same spans, through :meth:`_sweep`,
-        and the same :func:`_product_rescale` run on the gathered rows, so
-        every pattern gets its class representative's bits, which are its
-        own; ``reps`` must hold two rows or more (one row takes BLAS's
-        matrix-vector routines).  Charged as the full node."""
-        p2c = None if self._p2c is None else self._p2c.take(reps)
-        part = self.combine(
-            [self._contrib(t, payload.take(reps, axis=0), p2c) for _, t, payload in specs],
-            [ls.take(reps) for ls in logscales if ls is not None],
-        )
+        :meth:`level_partials` takes it, computed by :meth:`_node` on the
+        rows ``reps`` (one per class of patterns whose operands agree) and
+        expanded to every pattern by ``index`` (each pattern's class) — one
+        ``np.take`` per array, none for a log-scaler of exact zeros, which
+        becomes :attr:`zero_logscale`.  Every pattern gets its class
+        representative's bits, which are its own; ``reps`` must hold two
+        rows or more (one row takes BLAS's matrix-vector routines).
+        Charged as the full node."""
+        part = self._node(
+            [(None, t, payload.take(reps, axis=0)) for _, t, payload in specs],
+            [None if ls is None else ls.take(reps) for ls in logscales],
+            None if self._p2c is None else self._p2c.take(reps),
+        )[0]
         m = self.n_patterns
         self.ops.charge_clv(m, self.n_categories, n=len(specs))
-        clv = np.take(part.clv, index, axis=0, out=np.empty((m, *part.clv.shape[1:])), mode="clip")
+        clv = np.take(part.clv, index, axis=0, out=np.empty(self.clv_shape), mode="clip")
         if not part.logscale.any():
             return Partial(clv, self.zero_logscale)
         return Partial(clv, np.take(part.logscale, index, out=np.empty(m), mode="clip"))
@@ -705,136 +657,90 @@ class KernelBackend:
         zeros.setflags(write=False)
         return zeros
 
-    def up_level_partials(
+    def _node(
         self,
-        nodes: list[
-            tuple[
-                tuple[float, np.ndarray, np.ndarray] | None,
-                list[LevelSpec],
-                list[np.ndarray | None],
-            ]
-        ],
-    ) -> list[list[Partial]]:
-        """Up partials for every internal node of one preorder level.
-
-        Each entry is the parent-side partial to transport across the
-        node's own edge (``(t, clv, logscale)``, ``None`` at the root)
-        plus what :meth:`level_partials` takes.  Returns one partial per
-        child per node — the rest of the tree at the node, seen from that
-        child: the siblings' contributions in child order, the
-        transported partial last.  Charges one CLV update per child edge
-        plus one per transported partial.  In the fused regime a node
-        transports the parent-side partial and every child's down CLV
-        once per pattern block and forms *all* children's products from
-        those resident blocks.
-        """
-        if self._fused:
-            out = [
-                self._fused_node(specs, lss, above, leave_one_out=True)
-                for above, specs, lss in nodes
-            ]
-            self.ops.charge_clv(
-                self.n_patterns, self.n_categories,
-                n=sum(len(specs) + (above is not None) for above, specs, _ in nodes),
-            )
-            return out
-        moved = [
-            None if above is None
-            else self.propagate(self.pmatrices(above[0]), above[1])
-            for above, _, _ in nodes
-        ]
-        contribs = self._contribs_by_node([specs for _, specs, _ in nodes])
-        out = []
-        for (above, specs, lss), mv, cs in zip(nodes, moved, contribs):
-            if above is not None:
-                cs, lss = cs + [mv], lss + [above[2]]
-            out.append([
-                self.combine(
-                    [c for j, c in enumerate(cs) if j != i],
-                    [ls for j, ls in enumerate(lss) if j != i and ls is not None],
-                )
-                for i in range(len(specs))
-            ])
-        return out
-
-    def _fused_node(
-        self,
-        specs: list[LevelSpec],
+        inputs: list[LevelSpec],
         logscales: list[np.ndarray | None],
-        above: tuple[float, np.ndarray, np.ndarray] | None = None,
-        leave_one_out: bool = False,
+        p2c: np.ndarray | None,
+        children: int = 0,
     ) -> list[Partial]:
-        """One node's partials via the fused block pipeline (Γ).
+        """One node's partials from its inputs (RAxML's ``newview``).
 
-        The inputs are the child edges plus, last, the parent-side
-        partial to transport (``above``).  A down partial is one output
-        over all inputs; an up node (``leave_one_out``) has one output
-        per child, over every input but that child.
-
-        Bit-identity with the per-level flow: an edge block is
-        ``_propagate_inner`` on a pattern slice, a tip block one gather
-        from the tip table, and product and scaling are ``combine``'s own
-        :func:`_product_rescale` on a block, which decides each pattern's
-        scaling from that pattern alone.  Blocking the pattern axis is
-        invisible to all three.
+        ``inputs`` are multiplied in list order, ``logscales`` are theirs
+        (``None``: exact zeros) and ``p2c`` their patterns' CAT
+        categories.  A down node (``children`` 0) has one output over all
+        inputs; an up node one per child ``i < children``, over every
+        input but ``i``.  The rows come from :meth:`_rows` — all of them,
+        or ``fuse_block``-row blocks (:func:`_spans`) in the fused regime
+        from ``fuse_min_patterns`` rows on — and each output's product and
+        scaling is :func:`_product_rescale` on them, which decides each
+        pattern from that pattern alone: blocking moves no bit.
         """
-        m, k = self.n_patterns, self.n_categories
-        inputs = [self._fused_input(spec) for spec in specs]
-        if above is not None:
-            t_up, aclv, als = above
-            inputs.append(("edge", self.pmatrices(t_up), aclv))
-            logscales = logscales + [als]
-        everything = range(len(inputs))
-        if leave_one_out:
-            picks = [[j for j in everything if j != i] for i in range(len(specs))]
-        else:
-            picks = [list(everything)]
-        clvs = [np.empty((m, k, 4)) for _ in picks]
-        scales = [np.empty(m) for _ in picks]
-        # A one-pattern last block would take BLAS's matrix-vector
-        # routines, which round differently: it joins the block before it.
-        cuts = [*range(0, m - 1, self.fuse_block), m]
-        for lo, hi in zip(cuts, cuts[1:]):
-            blks = self._input_blocks(inputs, lo, hi)
-            for pick, clv, scale in zip(picks, clvs, scales):
-                _product_rescale([blks[j] for j in pick], clv[lo:hi], scale[lo:hi])
+        m = len(inputs[0][2])
+        # The threshold holds for the rows the node is computed on: a site-
+        # repeat node's class rows fit in cache where the axis does not.
+        blocks = self._fused and m >= self.fuse_min_patterns
+        skips = range(children) if children else (None,)
+        outs = [(np.empty((m, *self.clv_shape[1:])), np.empty(m)) for _ in skips]
+        for lo, hi in _spans(m, self.fuse_block if blocks else m):
+            rows = self._rows(inputs, p2c, lo, hi, blocks)
+            for i, (clv, scale) in zip(skips, outs):
+                parts = rows if i is None else rows[:i] + rows[i + 1 :]
+                _product_rescale(parts, clv[lo:hi], scale[lo:hi])
         return [
-            Partial(
-                clv,
-                _sum_logscales(
-                    [logscales[j] for j in pick if logscales[j] is not None], scale
-                ),
-            )
-            for pick, clv, scale in zip(picks, clvs, scales)
+            Partial(clv, _sum_logscales(logscales, scale, i))
+            for i, (clv, scale) in zip(skips, outs)
         ]
 
-    def _fused_input(self, spec: LevelSpec) -> FusedInput:
-        _, t, payload = spec
-        if payload.ndim == 1:
-            return "tip", self._tip_table(t).reshape(16, -1), payload
-        return "edge", self.pmatrices(t), payload
-
-    def _input_blocks(
-        self, inputs: list[FusedInput], lo: int, hi: int
+    def _rows(
+        self, inputs: list[LevelSpec], p2c: np.ndarray | None, lo: int, hi: int,
+        blocks: bool,
     ) -> list[np.ndarray]:
-        """Patterns ``lo:hi`` of every fused-pipeline input, in input
-        order, each ``(n, k, 4)``: tip gathers and edge propagations into
-        scratch."""
-        k = self.n_categories
+        """Rows ``lo:hi`` of every :meth:`_node` input, propagated, in
+        input order.
+
+        Without ``blocks`` the rows are all of them: each input's whole
+        contribution, served from the contribution LRU when it has a
+        signature.  With them, each input's block is computed into its
+        own scratch — a tip as one ``take`` from its tip table, an edge as
+        :func:`_propagate_inner` on the slice — and the LRU is neither
+        read nor filled: materialising whole contributions would re-spend
+        the memory traffic the blocks exist to avoid.
+        """
+        if not blocks:
+            lru = self._contrib_lru
+            return [
+                self._contrib(t, payload, p2c) if sig is None
+                else lru.get((sig, length_bits(t)), lambda: self._contrib(t, payload, p2c))
+                for sig, t, payload in inputs
+            ]
         n = hi - lo
-        blks: list[np.ndarray] = []
-        for i, (kind, table, payload) in enumerate(inputs):
-            buf = self._buffer((n, k, 4), f"fuse-edge{i}")
-            if kind == "tip":
+        while len(self._blocks) < len(inputs):  # a block has fuse_block + 1 rows at most
+            self._blocks.append(
+                np.empty((min(self.fuse_block + 1, self.n_patterns), self.n_categories, 4))
+            )
+        out = []
+        for (_, t, payload), buf in zip(inputs, self._blocks):
+            buf = buf[:n]
+            if payload.ndim == 1:
                 # Masks are 4-bit (``PatternAlignment`` checks); "clip" lets
                 # take write straight into ``out``, which "raise" buffers.
                 np.take(
-                    table, payload[lo:hi], axis=0, out=buf.reshape(n, k * 4), mode="clip"
+                    self._tip_table(t).reshape(16, -1), payload[lo:hi], axis=0,
+                    out=buf.reshape(n, -1), mode="clip",
                 )
             else:
-                _propagate_inner(table, payload[lo:hi], out=buf)
-            blks.append(buf)
-        return blks
+                _propagate_inner(self.pmatrices(t), payload[lo:hi], out=buf)
+            out.append(buf)
+        return out
+
+    def _contrib(
+        self, t: float, payload: np.ndarray, p2c: np.ndarray | None
+    ) -> np.ndarray:
+        """A whole-axis contribution: tips as rows of :meth:`_tip_table`."""
+        if payload.ndim == 1:
+            return self._sweep(self._tip_rows_span, payload, p2c, table=self._tip_table(t))
+        return self._sweep(self._propagate_span, payload, p2c, pmats=self.pmatrices(t))
 
     # -- per-edge kernels -----------------------------------------------------
 

@@ -6,11 +6,11 @@ Five concerns:
   (children strictly before parents, every node exactly once);
 * the kernel against ``tests/oracle.py``, which shares no step with it:
   log-likelihood, both branch derivatives and the lazy-SPR insertion
-  score under Γ, Γ+I and CAT, in the per-level flow and in the fused
+  score under Γ, Γ+I and CAT, in the whole-axis regime and in the fused
   block regime, to ``rel <= 1e-9``;
 * the kernel's executions against each other, bit for bit: serial,
   virtual-threaded and CLV-cached; the fused block regime against the
-  per-level flow, on the engine and on a whole analysis; op totals and
+  whole-axis regime, on the engine and on a whole analysis; op totals and
   CLV-cache traffic under eviction whatever cuts the pattern axis;
 * the degenerate-input hardening of :class:`CLVCache` and the planner,
   and the executor under a cache that evicts mid-traversal;
@@ -123,7 +123,7 @@ _FIVE_TAXA = "((A:0.12,B:0.3):0.08,(C:0.25,E:0.2):0.1,D:0.4);"
 ])
 class TestKernelAgainstTheOracle:
     """The one kernel against ``tests/oracle.py``, to ``rel <= 1e-9``:
-    in its per-level flow, and with the fused block pipeline forced onto
+    in its whole-axis regime, and with the fused block pipeline forced onto
     these few patterns (3-pattern blocks, a ragged last one).  CAT runs
     the flow only."""
 
@@ -176,7 +176,7 @@ class TestKernelAgainstTheOracle:
 
 class TestBatchedParity:
     """The kernel's executions against each other, bit for bit: serial,
-    threaded and cached; fused blocks against the per-level flow."""
+    threaded and cached; fused blocks against the whole-axis regime."""
 
     def _trace(self, engine, tree):
         """A full workout: likelihood, both partial sweeps, edge math,
@@ -240,7 +240,7 @@ class TestBatchedParity:
     def test_contribution_lru_size_moves_no_bit(self, rm_name):
         """Contribution hits are charge-neutral: a two-entry LRU gives the
         default kernel's lnl, derivatives, insertion scores and op totals
-        in the per-level flow."""
+        in the whole-axis regime."""
         rm = _rate_models(_PAL.n_patterns)[rm_name]
         tree = yule_tree(_PAL.taxa, RAxMLRandom(41))
         leaf = next(n for n in tree.postorder() if n.is_leaf)
@@ -290,7 +290,7 @@ class TestBatchedParity:
     def test_fused_block_regime_bit_identical(self, rm_name, monkeypatch):
         """Force the fused block pipeline onto the small alignment (odd
         block length, so partial blocks are exercised too) and hold it to
-        the per-level flow."""
+        the whole-axis regime."""
         rm = _rate_models(_PAL.n_patterns)[rm_name]
         tree = yule_tree(_PAL.taxa, RAxMLRandom(37))
         flow = self._trace(LikelihoodEngine(_PAL, _MODEL, rm), tree)
@@ -325,7 +325,7 @@ class TestBatchedParity:
     def test_fused_one_pattern_tail_joins_the_block_before_it(self, monkeypatch):
         """``n_patterns % fuse_block == 1``: a one-pattern last block would
         take BLAS's matrix-vector routines, which round differently from
-        the matrix-matrix ones the per-level flow's whole-axis product
+        the matrix-matrix ones the whole-axis regime's product
         gets."""
         rm = RateModel.gamma(0.8, 4)
         for seed in (1, 2, 3):

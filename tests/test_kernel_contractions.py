@@ -31,7 +31,6 @@ from repro.likelihood.kernels.base import (
     _newton_rows,
     _propagate_cat,
     _propagate_inner,
-    _propagate_tip,
     _site_dot,
     _site_sum,
     _sum_states,
@@ -99,8 +98,8 @@ class TestPropagate:
     @examples
     @given(seeds, patterns, offsets)
     def test_inner_on_a_broadcast_tip(self, k, seed, m, off):
-        """``LikelihoodEngine._as_full`` hands a tip to the edge kernels
-        as a stride-0 broadcast over categories."""
+        """A tip's down partial is a stride-0 broadcast over categories
+        (``LikelihoodEngine._tip_partial``), which the edge kernels get."""
         rng = np.random.default_rng(seed)
         m = _rows(m, k)
         masks = rng.integers(1, 16, size=m + 8)[off : off + m]
@@ -109,15 +108,6 @@ class TestPropagate:
         pm = _pmats(rng, k)
         want = np.einsum("kab,mkb->mka", pm, clv, optimize=True)
         assert_same_bits(_propagate_inner(pm, clv), want)
-
-    @examples
-    @given(seeds, patterns, offsets, exponents)
-    def test_tip(self, k, seed, m, off, exp):
-        rng = np.random.default_rng(seed)
-        m = _rows(m, k)
-        pm, clv = _pmats(rng, k), _shard(rng, m, off, (4,), exp)
-        want = np.einsum("kab,mb->mka", pm, clv, optimize=True)
-        assert_same_bits(_propagate_tip(pm, clv), want)
 
     @examples
     @given(seeds, patterns, offsets, exponents)
@@ -132,7 +122,7 @@ class TestPropagate:
     @given(seeds, patterns, offsets, exponents, st.integers(2, 5))
     def test_stacked(self, k, seed, m, off, exp, q):
         """``qkab,qmkb->qmka``, one contraction for ``q`` edges of a
-        level, is gone from ``KernelBackend.level_contribs``: the per-edge
+        level, is gone from the kernel's levels: the per-edge
         loop that replaced it gives each edge the same bits."""
         rng = np.random.default_rng(seed)
         m = _rows(m, k * q)

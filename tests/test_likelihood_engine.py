@@ -419,6 +419,61 @@ class TestWeightsAndOps:
             LikelihoodEngine(pal, gtr_model, weights=-np.ones(pal.n_patterns))
 
 
+class TestTipShape:
+    """Every partial of a down map has the kernel's shape: a tip is one
+    read-only broadcast view of its 0/1 rows over the rate categories,
+    shared by the sibling engines of that shape."""
+
+    @staticmethod
+    def _down(pal, tree, model, rate_model):
+        engine = LikelihoodEngine(pal, model, rate_model)
+        return engine, engine.compute_down_partials(tree)
+
+    @pytest.mark.parametrize("kind", ["gamma", "single", "cat"])
+    def test_every_down_partial_has_the_kernel_shape(self, quartet, gtr_model, kind):
+        pal, tree = quartet
+        m = pal.n_patterns
+        rate_model = {
+            "gamma": RateModel.gamma(0.8, 4), "single": RateModel.single(),
+            "cat": RateModel.cat(np.array([0.5, 1.7]), np.arange(m) % 2),
+        }[kind]
+        engine, down = self._down(pal, tree, gtr_model, rate_model)
+        shape = (m, 4) if kind == "cat" else (m, engine.n_categories, 4)
+        assert engine.kernel.clv_shape == shape
+        assert {part.clv.shape for part in down.values()} == {shape}
+        for leaf in tree.leaves():
+            tip = down[id(leaf)].clv
+            assert not tip.flags.writeable
+            with pytest.raises(ValueError):
+                tip[0, ...] = 0.0
+            rows, cols = engine.tip_clv(leaf.leaf_index), tip.reshape(m, -1, 4)
+            assert all(np.array_equal(cols[:, c], rows) for c in range(cols.shape[1]))
+
+    def test_a_sibling_of_another_shape_gets_its_own_tips(self, quartet, gtr_model):
+        pal, tree = quartet
+        gamma, down = self._down(pal, tree, gtr_model, RateModel.gamma(0.8, 4))
+        m, leaf = pal.n_patterns, tree.leaves()[0]
+        cat = gamma.with_rate_model(RateModel.cat(np.ones(2), np.arange(m) % 2))
+        cat_down = cat.compute_down_partials(tree)
+        assert cat._tip_parts is not gamma._tip_parts
+        assert cat_down[id(leaf)].clv.shape == (m, 4)
+        # ... over the same rows: no tip is gathered twice.
+        assert np.shares_memory(cat_down[id(leaf)].clv, down[id(leaf)].clv)
+        assert gamma.compute_down_partials(tree)[id(leaf)].clv.shape == (m, 4, 4)
+        assert down[id(leaf)] is gamma._tip_parts[leaf.leaf_index]
+        # Same shape, same dict: the sibling refills nothing.
+        same = gamma.with_rate_model(RateModel.gamma(1.3, 4))
+        assert same._tip_parts is gamma._tip_parts
+
+    def test_weight_siblings_share_the_tip_dict(self, quartet, gtr_model):
+        pal, tree = quartet
+        engine, down = self._down(pal, tree, gtr_model, RateModel.gamma(0.8, 4))
+        sibling = engine.with_weights(pal.weights * 2.0)
+        assert sibling._tip_parts is engine._tip_parts
+        leaf = tree.leaves()[0]
+        assert sibling.compute_down_partials(tree)[id(leaf)] is down[id(leaf)]
+
+
 class PerLengthP(KernelBackend):
     """The kernel without the batched build: every P-matrix is built on
     first use, one length at a time."""

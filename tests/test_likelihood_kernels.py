@@ -21,14 +21,20 @@ def engine(small_pal, gtr_model):
 
 def _tip_contrib(engine, t: float, masks: np.ndarray) -> np.ndarray:
     """A tip's contribution across a branch of length ``t`` as a level
-    computes it: a gather from the 16-mask table."""
-    return engine.kernel.level_contribs([(0, t, masks)])[0]
+    computes it: a gather from the 16-mask table (a one-child node's
+    partial is its one contribution, unscaled on these shallow rows)."""
+    return engine.kernel.level_partials([([(0, t, masks)], [None])])[0].clv
+
+
+def _tip_view(engine, leaf_index: int) -> np.ndarray:
+    """The tip partial the engine hands its kernel: the kernel's shape."""
+    return engine._tip_partial(leaf_index).clv
 
 
 class TestTipKernel:
     def test_matches_generic_propagate_gamma(self, engine, small_pal):
         fast = _tip_contrib(engine, 0.27, small_pal.patterns[0])
-        generic = engine.kernel.propagate(engine.kernel.pmatrices(0.27), engine.tip_clv(0))
+        generic = engine.kernel.propagate(engine.kernel.pmatrices(0.27), _tip_view(engine, 0))
         assert np.allclose(fast, generic, atol=1e-14)
 
     def test_matches_generic_propagate_cat(self, small_pal, gtr_model):
@@ -37,7 +43,7 @@ class TestTipKernel:
             small_pal, gtr_model, RateModel.cat(np.array([0.4, 1.0, 2.1]), p2c)
         )
         fast = _tip_contrib(engine, 0.15, small_pal.patterns[2])
-        generic = engine.kernel.propagate(engine.kernel.pmatrices(0.15), engine.tip_clv(2))
+        generic = engine.kernel.propagate(engine.kernel.pmatrices(0.15), _tip_view(engine, 2))
         assert np.allclose(fast, generic, atol=1e-14)
 
     def test_ambiguous_tips_handled(self, gtr_model):

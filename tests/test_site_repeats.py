@@ -127,6 +127,35 @@ class TestBitIdentity:
             assert got[key].tobytes() == want[key].tobytes(), key
         assert squeezed.ops.snapshot() == plain.ops.snapshot()
 
+    @pytest.mark.parametrize("rm_name", ["gamma", "cat"])
+    def test_class_rows_below_the_threshold_are_read_whole(
+        self, rm_name, repeat_calls, monkeypatch
+    ):
+        """The real threshold's shape: the axis reaches
+        ``fuse_min_patterns`` and a repeat node's class rows (at most m/2)
+        do not, so under Γ the level nodes read blocks and the repeat
+        nodes whole rows — to the uncompressed bits."""
+        pal = _PALS[12]
+        m = pal.n_patterns
+        kernel = type("AtTheAxis", (KernelBackend,), {"fuse_min_patterns": m, "fuse_block": 64})
+        rm = rate_models(m)[rm_name]
+        tree = yule_tree(pal.taxa, RAxMLRandom(12))
+        want = _everything(LikelihoodEngine(pal, MODEL, rm), tree)
+        reads = []
+        rows = KernelBackend._rows
+
+        def noting(self, inputs, p2c, lo, hi, blocks):
+            reads.append((len(inputs[0][2]), blocks))
+            return rows(self, inputs, p2c, lo, hi, blocks)
+
+        monkeypatch.setattr(KernelBackend, "_rows", noting)
+        got = _everything(LikelihoodEngine(pal, MODEL, rm, kernel_class=kernel), tree)
+        assert repeat_calls
+        assert {blocks for n, blocks in reads if n < m} == {False}
+        assert {blocks for n, blocks in reads if n == m} == {rm_name == "gamma"}
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), key
+
     def test_scaled_rows_and_child_logscales(self):
         """Children near underflow: the node's product scales some rows,
         and the children's non-zero log-scalers are gathered and
