@@ -30,8 +30,8 @@ Other structural features retained from the original engine:
   assigned to exactly one rate category, GTRCAT);
 * per-pattern log-scalers avoid underflow on large trees;
 * on large alignments a down partial is computed once per distinct
-  sub-column of its clade (site repeats, :class:`SiteClasses`) and
-  expanded over the pattern axis;
+  sub-column of its clade (site repeats, :class:`SiteClasses`) and kept
+  compact, one row per class, in down maps and the CLV cache;
 * "down" partials (postorder, subtree below each node) and "up" partials
   (preorder, rest-of-tree seen from above; only on the root paths of the
   edges a caller reads, charged as the full sweep) support O(1)-per-edge
@@ -192,9 +192,10 @@ class LikelihoodEngine:
         does not depend on it.
 
     At the kernel's ``fuse_min_patterns`` patterns and above, down
-    partials are computed on one row per site-repeat class
+    partials are computed and kept on one row per site-repeat class
     (:class:`SiteClasses`, one table shared by the sibling engines of
-    :meth:`with_model` and :meth:`with_weights`).
+    :meth:`with_model` and :meth:`with_weights`): compact partials, which
+    every kernel call takes as :attr:`Partial.operand`.
     """
 
     def __init__(
@@ -357,15 +358,17 @@ class LikelihoodEngine:
     ) -> tuple[list[LevelSpec], list[np.ndarray | None]]:
         """What the kernel needs of ``node``'s children, in child order:
         the edge specs (a leaf's payload is its pattern-mask row, an inner
-        child's its down CLV) and the down log-scalers (``None`` for
-        leaves, whose scalers are exact zeros)."""
+        child's its down partial's :attr:`~Partial.operand`) and the down
+        log-scalers (``None`` for leaves, whose scalers are exact zeros)."""
         specs, logscales = [], []
         for child in node.children:
             if child.is_leaf:
                 payload, ls = self.pal.patterns[child.leaf_index], None
             else:
                 part = down[id(child)]
-                payload, ls = part.clv, part.logscale
+                # ``operand`` spelled out: it runs per child of every node.
+                payload = part.clv if part.index is None else part.operand
+                ls = part.logscale
             specs.append((sigs[id(child)], child.length, payload))
             logscales.append(ls)
         return specs, logscales
@@ -408,9 +411,9 @@ class LikelihoodEngine:
 
         Each inner node is decided once: a :meth:`CLVCache.probe` hit is
         fetched; a node whose clade has 2 to m/2 site-repeat classes
-        (:class:`SiteClasses`, large alignments only) is computed on one
-        row per class (:meth:`KernelBackend.repeat_partial`); the rest of
-        the level is one ``level_partials`` batch.  Computed partials are
+        (:class:`SiteClasses`, large alignments only) is computed and kept
+        compact (:meth:`KernelBackend.repeat_partial`); the rest of the
+        level is one ``level_partials`` batch.  Computed partials are
         put back in level order — so CLV-cache traffic, and with it op
         totals under eviction, cannot depend on how the kernel cuts the
         pattern axis.  The P-matrices of every inner node's child edges
@@ -574,7 +577,7 @@ class LikelihoodEngine:
         rest-of-tree partial at its parent (see
         :meth:`compute_up_partials`).
         """
-        site = self.kernel.edge_site(up_v.clv, self.kernel.pmatrices(t), down_v.clv)
+        site = self.kernel.edge_site(up_v.clv, self.kernel.pmatrices(t), down_v.operand)
         self._charge_regions(1)
         logl = self._site_logl(site, down_v.logscale + up_v.logscale)
         return float(self.weights @ logl)
@@ -597,7 +600,7 @@ class LikelihoodEngine:
         """
         half = max(t_edge * 0.5, 1e-9)
         site = self.kernel.insertion_site(
-            down_v.clv, up_v.clv, down_s.clv,
+            down_v.operand, up_v.clv, down_s.operand,
             self.kernel.pmatrices(half), self.kernel.pmatrices(t_sub),
         )
         self._charge_regions(1)
@@ -620,7 +623,7 @@ class LikelihoodEngine:
         This is RAxML's "sumtable": Newton iterations on ``t`` then cost
         O(m·k·4) per step with no further matrix exponentials.
         """
-        coef, exps = self.kernel.sumtable(up_v.clv, down_v.clv)
+        coef, exps = self.kernel.sumtable(up_v.clv, down_v.operand)
         self._charge_regions(1)
         logscale = down_v.logscale + up_v.logscale
         return coef, exps, logscale

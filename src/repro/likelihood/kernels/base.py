@@ -4,8 +4,10 @@
 issues: every down and up partial, through one node routine (inputs
 propagated across their branches, multiplied and scaled), per-edge site
 likelihoods, lazy-SPR insertion scores, the Newton sumtable, and the
-derivative evaluations.  Every partial has one shape, the kernel's
-``clv_shape``; a tip's is a broadcast view over the rate categories.  The engine decides *what* to compute (traversal
+derivative evaluations.  Every partial has the kernel's ``clv_shape``
+over m patterns (a tip's is a broadcast view) or, compact, over one row
+per site-repeat class, gathered by its index as tip rows are from a tip
+table.  The engine decides *what* to compute (traversal
 plans, CLV-cache lookups, reductions); the kernel decides *how* each
 pattern slice is computed.  There is one kernel, as RAxML has one set of
 likelihood functions; its answers are held to the independent pure-Python
@@ -78,10 +80,10 @@ _unpack_u64 = struct.Struct("<Q").unpack
 
 #: One input of a node: ``(subtree signature, branch length, payload)``
 #: where the payload is a leaf's pattern-mask row (1-D) or a partial's
-#: CLV to transport across the branch.  The signature keys the
-#: contribution LRU; ``None`` (an up node's parent-side partial, a site-
-#: repeat node's gathered rows) bypasses it.
-LevelSpec = tuple[int | None, float, np.ndarray]
+#: :attr:`Partial.operand` to transport across the branch.  The
+#: signature keys the contribution LRU; ``None`` (an up node's parent-side
+#: partial, a site-repeat node's gathered rows) bypasses it.
+LevelSpec = tuple[int | None, float, "np.ndarray | tuple[np.ndarray, np.ndarray]"]
 
 
 def length_bits(t: float) -> int:
@@ -336,12 +338,20 @@ class OpCounter:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class Partial:
-    """A CLV plus its per-pattern log-scaler."""
+    """A CLV plus its per-pattern log-scaler; a *compact* (site-repeat)
+    partial holds one CLV row per class and each pattern's class row in
+    ``index`` (read through :meth:`KernelBackend._gathered`)."""
 
-    clv: np.ndarray  # KernelBackend.clv_shape: gamma (m, k, 4), cat (m, 4)
+    clv: np.ndarray  # KernelBackend.clv_shape: gamma (m, k, 4), cat (m, 4); compact: u rows
     logscale: np.ndarray  # (m,)
+    index: np.ndarray | None = None  # compact: each pattern's row of clv
+
+    @property
+    def operand(self) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        """What a kernel reads: the CLV, or a compact ``(clv, index)``."""
+        return self.clv if self.index is None else (self.clv, self.index)
 
 
 class KernelBackend:
@@ -360,7 +370,7 @@ class KernelBackend:
     output over all inputs, an up node one per child over every input
     but that child.  What the kernel adds to that math is reuse and
     blocking, neither of which moves a bit; the regime, fixed per kernel,
-    only decides how an input's rows are read (:meth:`_rows`):
+    only decides how an input's rows are read (:meth:`_rows`, :meth:`_block`):
 
     * below :attr:`fuse_min_patterns` patterns, and under CAT, whole-axis
       contributions from a **contribution LRU** keyed by ``(subtree
@@ -371,6 +381,9 @@ class KernelBackend:
     * from :attr:`fuse_min_patterns` Γ patterns on, **blocks** of
       :attr:`fuse_block` patterns computed into scratch, so every
       intermediate of a node stays L2-resident;
+    * a **compact** site-repeat partial (:attr:`Partial.index` set) is
+      read through :meth:`_gathered`: its u class rows move across the
+      branch once, then each pattern (or block) gathers its class's row;
     * lazy-SPR insertion scoring transports the pruned subtree once per
       SPR step (:meth:`_insertion_transport`).
 
@@ -422,7 +435,7 @@ class KernelBackend:
         self._tip_lru = ArrayLRU(self.pmat_entries)
         self._contrib_lru = ArrayLRU(2 * clv_entries(n_taxa))
         self._ins_memo: tuple | None = None
-        #: The shape of every partial: a tip's is a broadcast view of it.
+        #: Every partial's shape (a tip's is a broadcast view); compact: u rows.
         self.clv_shape = (
             (n_patterns, 4) if self.is_cat else (n_patterns, self.n_categories, 4)
         )
@@ -532,10 +545,11 @@ class KernelBackend:
         dclv: np.ndarray,
         p2c: np.ndarray | None,
         pmats: np.ndarray,
+        moved: bool = False,
     ) -> np.ndarray:
-        moved = self._propagate_span(dclv, p2c, pmats)
+        dclv = dclv if moved else self._propagate_span(dclv, p2c, pmats)
         pi = self.model.pi
-        site = _site_dot(uclv * pi, moved)
+        site = _site_dot(uclv * pi, dclv)
         return site if self.is_cat else site / self.n_categories
 
     def _insertion_span(
@@ -545,10 +559,12 @@ class KernelBackend:
         moved_sub: np.ndarray,
         p2c: np.ndarray | None,
         pmats: np.ndarray,
+        moved: bool = False,
     ) -> np.ndarray:
         """Both halves of the split edge propagated to the insertion node
-        and multiplied, in this order, with the transported subtree."""
-        acc = self._propagate_span(dclv, p2c, pmats)
+        and multiplied, in this order, with the transported subtree (a
+        ``moved`` ``dclv``, the caller's temporary, takes the product)."""
+        acc = dclv if moved else self._propagate_span(dclv, p2c, pmats)
         np.multiply(acc, self._propagate_span(uclv, p2c, pmats), out=acc)
         np.multiply(acc, moved_sub, out=acc)
         return self._root_site_span(acc)
@@ -598,10 +614,9 @@ class KernelBackend:
         log-scalers (``None`` for leaves), both in child order.  Charges
         one CLV update per child edge; each node is one :meth:`_node`.
         """
-        self.ops.charge_clv(
-            self.n_patterns, self.n_categories, n=sum(len(specs) for specs, _ in nodes)
-        )
-        return [self._node(specs, lss, self._p2c)[0] for specs, lss in nodes]
+        m = self.n_patterns
+        self.ops.charge_clv(m, self.n_categories, n=sum(len(specs) for specs, _ in nodes))
+        return [self._node(m, specs, lss, self._p2c)[0] for specs, lss in nodes]
 
     def up_level_partials(
         self, nodes: list[tuple[list[LevelSpec], list[np.ndarray | None], int]]
@@ -616,10 +631,9 @@ class KernelBackend:
         rest of the tree at the node, seen from that child: the other
         inputs' product in input order.  Charges one CLV update per input.
         """
-        self.ops.charge_clv(
-            self.n_patterns, self.n_categories, n=sum(len(specs) for specs, _, _ in nodes)
-        )
-        return [self._node(specs, lss, self._p2c, c) for specs, lss, c in nodes]
+        m = self.n_patterns
+        self.ops.charge_clv(m, self.n_categories, n=sum(len(specs) for specs, _, _ in nodes))
+        return [self._node(m, specs, lss, self._p2c, c) for specs, lss, c in nodes]
 
     def repeat_partial(
         self,
@@ -628,26 +642,27 @@ class KernelBackend:
         index: np.ndarray,
         reps: np.ndarray,
     ) -> Partial:
-        """One node's down partial under site repeats: the node as
+        """One node's down partial under site repeats, compact: the node as
         :meth:`level_partials` takes it, computed by :meth:`_node` on the
-        rows ``reps`` (one per class of patterns whose operands agree) and
-        expanded to every pattern by ``index`` (each pattern's class) — one
-        ``np.take`` per array, none for a log-scaler of exact zeros, which
-        becomes :attr:`zero_logscale`.  Every pattern gets its class
-        representative's bits, which are its own; ``reps`` must hold two
-        rows or more (one row takes BLAS's matrix-vector routines).
-        Charged as the full node."""
+        rows ``reps`` (one per class of patterns whose operands agree; a
+        compact child's through its index) and kept as those rows with
+        ``index`` (each pattern's class).  The log-scaler is expanded by
+        one ``np.take``, none for exact zeros (:attr:`zero_logscale`).
+        Every pattern reads its class representative's bits, which are its
+        own; ``reps`` must hold two rows or more (one row takes BLAS's
+        matrix-vector routines).  Charged as the full node."""
         part = self._node(
-            [(None, t, payload.take(reps, axis=0)) for _, t, payload in specs],
+            len(reps),
+            [(None, t, p[0].take(p[1].take(reps), axis=0) if isinstance(p, tuple)
+              else p.take(reps, axis=0)) for _, t, p in specs],
             [None if ls is None else ls.take(reps) for ls in logscales],
             None if self._p2c is None else self._p2c.take(reps),
         )[0]
         m = self.n_patterns
         self.ops.charge_clv(m, self.n_categories, n=len(specs))
-        clv = np.take(part.clv, index, axis=0, out=np.empty(self.clv_shape), mode="clip")
         if not part.logscale.any():
-            return Partial(clv, self.zero_logscale)
-        return Partial(clv, np.take(part.logscale, index, out=np.empty(m), mode="clip"))
+            return Partial(part.clv, self.zero_logscale, index)
+        return Partial(part.clv, np.take(part.logscale, index, out=np.empty(m), mode="clip"), index)
 
     @cached_property
     def zero_logscale(self) -> np.ndarray:
@@ -659,31 +674,35 @@ class KernelBackend:
 
     def _node(
         self,
+        m: int,
         inputs: list[LevelSpec],
         logscales: list[np.ndarray | None],
         p2c: np.ndarray | None,
         children: int = 0,
     ) -> list[Partial]:
-        """One node's partials from its inputs (RAxML's ``newview``).
+        """One node's ``m`` rows of partials from its inputs (``newview``).
 
         ``inputs`` are multiplied in list order, ``logscales`` are theirs
         (``None``: exact zeros) and ``p2c`` their patterns' CAT
         categories.  A down node (``children`` 0) has one output over all
         inputs; an up node one per child ``i < children``, over every
-        input but ``i``.  The rows come from :meth:`_rows` — all of them,
-        or ``fuse_block``-row blocks (:func:`_spans`) in the fused regime
-        from ``fuse_min_patterns`` rows on — and each output's product and
-        scaling is :func:`_product_rescale` on them, which decides each
-        pattern from that pattern alone: blocking moves no bit.
+        input but ``i``.  The rows are all of them (:meth:`_rows`) or, in
+        the fused regime from ``fuse_min_patterns`` rows on, blocks
+        (:meth:`_block`); each output is :func:`_product_rescale` on them,
+        which decides each pattern from its own operands: blocking moves
+        no bit.
         """
-        m = len(inputs[0][2])
-        # The threshold holds for the rows the node is computed on: a site-
-        # repeat node's class rows fit in cache where the axis does not.
-        blocks = self._fused and m >= self.fuse_min_patterns
         skips = range(children) if children else (None,)
         outs = [(np.empty((m, *self.clv_shape[1:])), np.empty(m)) for _ in skips]
-        for lo, hi in _spans(m, self.fuse_block if blocks else m):
-            rows = self._rows(inputs, p2c, lo, hi, blocks)
+        # The threshold holds for the rows the node is computed on: a site-
+        # repeat node's class rows fit in cache where the axis does not.
+        if self._fused and m >= self.fuse_min_patterns:
+            sources = self._sources(inputs)
+            spans = _spans(m, self.fuse_block)
+            reads = ((lo, hi, self._block(sources, lo, hi)) for lo, hi in spans)
+        else:
+            reads = ((0, m, self._rows(inputs, p2c)),)
+        for lo, hi, rows in reads:
             for i, (clv, scale) in zip(skips, outs):
                 parts = rows if i is None else rows[:i] + rows[i + 1 :]
                 _product_rescale(parts, clv[lo:hi], scale[lo:hi])
@@ -692,55 +711,82 @@ class KernelBackend:
             for i, (clv, scale) in zip(skips, outs)
         ]
 
-    def _rows(
-        self, inputs: list[LevelSpec], p2c: np.ndarray | None, lo: int, hi: int,
-        blocks: bool,
-    ) -> list[np.ndarray]:
-        """Rows ``lo:hi`` of every :meth:`_node` input, propagated, in
-        input order.
+    def _rows(self, inputs: list[LevelSpec], p2c: np.ndarray | None) -> list[np.ndarray]:
+        """Every :meth:`_node` input's whole contribution, in input order,
+        served from the contribution LRU when it has a signature."""
+        lru = self._contrib_lru
+        return [
+            self._contrib(t, payload, p2c) if sig is None
+            else lru.get((sig, length_bits(t)), lambda: self._contrib(t, payload, p2c))
+            for sig, t, payload in inputs
+        ]
 
-        Without ``blocks`` the rows are all of them: each input's whole
-        contribution, served from the contribution LRU when it has a
-        signature.  With them, each input's block is computed into its
-        own scratch — a tip as one ``take`` from its tip table, an edge as
-        :func:`_propagate_inner` on the slice — and the LRU is neither
-        read nor filled: materialising whole contributions would re-spend
-        the memory traffic the blocks exist to avoid.
-        """
-        if not blocks:
-            lru = self._contrib_lru
-            return [
-                self._contrib(t, payload, p2c) if sig is None
-                else lru.get((sig, length_bits(t)), lambda: self._contrib(t, payload, p2c))
-                for sig, t, payload in inputs
-            ]
+    def _contrib(self, t: float, payload, p2c: np.ndarray | None) -> np.ndarray:
+        """A whole-axis contribution: tips as rows of :meth:`_tip_table`,
+        compact partials through :meth:`_gathered`."""
+        if isinstance(payload, tuple):
+            return self._gathered(payload, self.pmatrices(t))
+        if payload.ndim == 1:
+            return self._sweep(self._tip_rows_span, payload, p2c, table=self._tip_table(t))
+        return self._sweep(self._propagate_span, payload, p2c, pmats=self.pmatrices(t))
+
+    def _sources(self, inputs: list[LevelSpec]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """What :meth:`_block` reads each input from, once per node:
+        ``(table, index)`` to gather for a tip (tip table, masks) and a
+        compact partial (moved class rows, index), ``(P, clv)`` else."""
+        out = []
+        for _, t, payload in inputs:
+            if isinstance(payload, tuple):
+                rows, index = payload
+                moved = self._class_moved(rows, index, self.pmatrices(t))
+                out.append((moved.reshape(len(rows), -1), index))
+            elif payload.ndim == 1:
+                out.append((self._tip_table(t).reshape(16, -1), payload))
+            else:
+                out.append((self.pmatrices(t), payload))
+        return out
+
+    def _block(
+        self, sources: list[tuple[np.ndarray, np.ndarray]], lo: int, hi: int
+    ) -> list[np.ndarray]:
+        """Rows ``lo:hi`` of every input, each gathered or propagated into
+        its own scratch.  The contribution LRU is neither read nor filled:
+        materialising whole contributions would re-spend the memory
+        traffic the blocks exist to avoid."""
         n = hi - lo
-        while len(self._blocks) < len(inputs):  # a block has fuse_block + 1 rows at most
+        while len(self._blocks) < len(sources):  # a block has fuse_block + 1 rows at most
             self._blocks.append(
                 np.empty((min(self.fuse_block + 1, self.n_patterns), self.n_categories, 4))
             )
         out = []
-        for (_, t, payload), buf in zip(inputs, self._blocks):
+        for (table, payload), buf in zip(sources, self._blocks):
             buf = buf[:n]
             if payload.ndim == 1:
-                # Masks are 4-bit (``PatternAlignment`` checks); "clip" lets
-                # take write straight into ``out``, which "raise" buffers.
-                np.take(
-                    self._tip_table(t).reshape(16, -1), payload[lo:hi], axis=0,
-                    out=buf.reshape(n, -1), mode="clip",
-                )
+                # Masks are 4-bit (``PatternAlignment`` checks), indexes in
+                # range; "clip" lets take write into ``out``, "raise" buffers.
+                np.take(table, payload[lo:hi], axis=0, out=buf.reshape(n, -1), mode="clip")
             else:
-                _propagate_inner(self.pmatrices(t), payload[lo:hi], out=buf)
+                _propagate_inner(table, payload[lo:hi], out=buf)
             out.append(buf)
         return out
 
-    def _contrib(
-        self, t: float, payload: np.ndarray, p2c: np.ndarray | None
-    ) -> np.ndarray:
-        """A whole-axis contribution: tips as rows of :meth:`_tip_table`."""
-        if payload.ndim == 1:
-            return self._sweep(self._tip_rows_span, payload, p2c, table=self._tip_table(t))
-        return self._sweep(self._propagate_span, payload, p2c, pmats=self.pmatrices(t))
+    def _class_moved(self, rows: np.ndarray, index: np.ndarray, pmats: np.ndarray) -> np.ndarray:
+        """A compact partial's class rows moved across a branch; under CAT
+        each row by its class's category (one category per class)."""
+        cats = None
+        if self.is_cat:
+            cats = np.empty(len(rows), self._p2c.dtype)
+            cats[index] = self._p2c
+        return self._sweep(self._propagate_span, rows, cats, pmats=pmats)
+
+    def _gathered(self, operand: tuple, pmats: np.ndarray | None) -> np.ndarray:
+        """A compact partial ``(class rows, index)`` at every pattern, fresh:
+        the class rows moved across the branch of ``pmats`` (``None``: as
+        they are), then gathered by ``index`` like a tip's table rows."""
+        rows, index = operand
+        if pmats is not None:
+            rows = self._class_moved(rows, index, pmats)
+        return rows.take(index, axis=0, mode="clip")
 
     # -- per-edge kernels -----------------------------------------------------
 
@@ -749,23 +795,26 @@ class KernelBackend:
         engine charges the enclosing reduction, as RAxML's evaluate job)."""
         return self._sweep(self._root_site_span, clv)
 
-    def edge_site(
-        self, uclv: np.ndarray, pmats: np.ndarray, dclv: np.ndarray
-    ) -> np.ndarray:
-        """Per-pattern site likelihoods across one edge."""
+    def edge_site(self, uclv: np.ndarray, pmats: np.ndarray, dclv) -> np.ndarray:
+        """Per-pattern site likelihoods across one edge; ``dclv`` is a
+        down partial's :attr:`Partial.operand`."""
         self.ops.charge_edge(self.n_patterns, self.n_categories)
-        return self._sweep(self._edge_site_span, uclv, dclv, self._p2c, pmats=pmats)
+        moved = isinstance(dclv, tuple)
+        if moved:
+            dclv = self._gathered(dclv, pmats)
+        return self._sweep(self._edge_site_span, uclv, dclv, self._p2c, pmats=pmats, moved=moved)
 
     def insertion_site(
         self,
-        dclv: np.ndarray,
+        dclv,
         uclv: np.ndarray,
-        sclv: np.ndarray,
+        sclv,
         pmats_half: np.ndarray,
         pmats_sub: np.ndarray,
     ) -> np.ndarray:
         """Lazy-SPR per-pattern site likelihoods: both edge halves and the
-        pruned subtree propagated to the virtual insertion node.
+        pruned subtree propagated to the virtual insertion node; ``dclv``
+        and ``sclv`` are down partials' :attr:`Partial.operand`.
 
         Charged as two CLV updates plus one edge evaluation (the subtree
         transport rides inside the edge job), matching RAxML's lazy-SPR
@@ -774,13 +823,14 @@ class KernelBackend:
         moved_sub = self._insertion_transport(sclv, pmats_sub)
         self.ops.charge_clv(self.n_patterns, self.n_categories, n=2)
         self.ops.charge_edge(self.n_patterns, self.n_categories)
+        moved = isinstance(dclv, tuple)
+        if moved:
+            dclv = self._gathered(dclv, pmats_half)
         return self._sweep(
-            self._insertion_span, dclv, uclv, moved_sub, self._p2c, pmats=pmats_half
+            self._insertion_span, dclv, uclv, moved_sub, self._p2c, pmats=pmats_half, moved=moved
         )
 
-    def _insertion_transport(
-        self, sclv: np.ndarray, pmats_sub: np.ndarray
-    ) -> np.ndarray:
+    def _insertion_transport(self, sclv, pmats_sub: np.ndarray) -> np.ndarray:
         """The pruned subtree's CLV moved across its attachment branch
         (uncharged: it rides inside :meth:`insertion_site`'s edge job).
         ``P(t_sub)·sclv`` is identical for every candidate edge of one SPR
@@ -790,27 +840,32 @@ class KernelBackend:
         # strong references to both operands, so neither address can be
         # recycled by a different array while the memo is alive (the
         # engine re-broadcasts the same subtree CLV per candidate, which
-        # changes the view object but not the underlying buffer).
+        # changes the view object but not the underlying buffer); a
+        # compact subtree's by its class rows.
+        rows = sclv[0] if isinstance(sclv, tuple) else sclv
         key = (
-            sclv.__array_interface__["data"][0],
-            sclv.shape,
+            rows.__array_interface__["data"][0],
+            rows.shape,
             pmats_sub.__array_interface__["data"][0],
         )
         memo = self._ins_memo
         if memo is not None and memo[0] == key:
             return memo[2]
-        moved = self._sweep(self._propagate_span, sclv, self._p2c, pmats=pmats_sub)
+        moved = self._gathered(sclv, pmats_sub) if rows is not sclv else self._sweep(
+            self._propagate_span, sclv, self._p2c, pmats=pmats_sub
+        )
         self._ins_memo = (key, (sclv, pmats_sub), moved)
         return moved
 
-    def sumtable(
-        self, uclv: np.ndarray, dclv: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenbasis coefficient table for one edge (RAxML's sumtable).
+    def sumtable(self, uclv: np.ndarray, dclv) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenbasis coefficient table for one edge (RAxML's sumtable);
+        ``dclv`` is a down partial's :attr:`Partial.operand`.
 
         Returns ``(coef, exps)``; see
         :meth:`repro.likelihood.engine.LikelihoodEngine.edge_coefficients`.
         """
+        if isinstance(dclv, tuple):
+            dclv = self._gathered(dclv, None)
         coef, exps = self._sweep(self._sumtable_span, uclv, dclv, self._p2c)
         self.ops.charge_sumtable(self.n_patterns, self.n_categories)
         return coef, self._exps if exps is None else exps

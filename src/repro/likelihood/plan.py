@@ -120,8 +120,9 @@ class CLVCache:
     Invalidation is implicit: an edit changes the signatures on the path
     to the root, so stale entries are simply never looked up again and
     age out of the LRU.  ``max_entries`` bounds memory (the engine's is
-    ``clv_entries(n_taxa)``): each entry holds one full-pattern CLV +
-    log-scaler.  ``max_entries=0`` disables the cache — every probe
+    ``clv_entries(n_taxa)``): each entry holds one down partial — a
+    full-pattern CLV, or a compact site-repeat partial's class rows — and
+    its full-length log-scaler.  ``max_entries=0`` disables the cache — every probe
     misses and puts are dropped — so a zero budget degrades to
     from-scratch traversals instead of erroring.
     """

@@ -272,13 +272,14 @@ def search_unit(
     ended on (re-optimised by the thorough search, ``setup``'s otherwise).
     """
     model, search_rm, gamma_rm, _init_tree = setup
-    engine = engine_factory(
-        pal, model, gamma_rm if kind == "thorough" else search_rm, None, ops
-    )
     # Looked up on the module at call time, so whatever is installed
-    # there (a tracing wrapper) is what runs.
+    # there (a tracing wrapper) is what runs.  The engine is handed over,
+    # not bound here: the thorough search replaces it after model
+    # optimisation, and a name here would keep it and its CLV cache alive
+    # through the hill climb.
     out = getattr(searches, f"{kind}_search")(
-        engine, start_tree, spawn_stream(p_rng, STAGE_LABEL[kind] + index),
+        engine_factory(pal, model, gamma_rm if kind == "thorough" else search_rm, None, ops),
+        start_tree, spawn_stream(p_rng, STAGE_LABEL[kind] + index),
         config.stage_params,
     )
     if kind == "thorough":

@@ -43,6 +43,12 @@ def pytest_sessionfinish(session, exitstatus):
             fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
+def full_clv(part):
+    """A partial's CLV at every pattern: a compact site-repeat partial's
+    class rows gathered by its index, any other partial's CLV."""
+    return part.clv if part.index is None else part.clv[part.index]
+
+
 def assert_bit_identical(a, b, *, timings=False, ignore=(), context=""):
     """``a`` and ``b`` are bit-identical :class:`HybridResult`s, by the
     one definition (:meth:`HybridResult.identity`).  ``timings`` adds

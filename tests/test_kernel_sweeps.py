@@ -22,7 +22,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tests.conftest import assert_bit_identical
+from tests.conftest import assert_bit_identical, full_clv
 from repro.datasets import test_dataset as _make_dataset
 from repro.hybrid import HybridConfig, run_hybrid_analysis
 from repro.likelihood.engine import LikelihoodEngine, RateModel
@@ -105,7 +105,8 @@ def _everything(engine: LikelihoodEngine, tree) -> dict[str, np.ndarray]:
     """Every kind of result the engine gets from its kernel: site
     log-likelihoods, all down and up partials, and per internal edge the
     Newton triples (separate and fused entry points), the edge likelihood
-    and an insertion score with its raw site vector."""
+    and insertion scores of a leaf (with its raw site vector) and of a
+    clade."""
     nodes = list(tree.postorder())
     down = engine.compute_down_partials(tree)
     up = engine.compute_up_partials(tree, down)
@@ -117,10 +118,12 @@ def _everything(engine: LikelihoodEngine, tree) -> dict[str, np.ndarray]:
         for side, parts in (("down", down), ("up", up)):
             part = parts.get(id(node))
             if part is not None:
-                out[f"{side}{i}.clv"] = part.clv
+                out[f"{side}{i}.clv"] = full_clv(part)
                 out[f"{side}{i}.logscale"] = part.logscale
     leaf = next(n for n in nodes if n.is_leaf)
+    clade = next(n for n in nodes if not n.is_leaf)  # a small one, first in postorder
     sub = engine.compute_down_partials(tree, subtree=leaf)[id(leaf)]
+    sub_clade = engine.compute_down_partials(tree, subtree=clade)[id(clade)]
     for i, edge in enumerate(tree.internal_edges()):
         d, u = down[id(edge)], up[id(edge)]
         coef, exps, logscale = engine.edge_coefficients(d, u)
@@ -129,8 +132,11 @@ def _everything(engine: LikelihoodEngine, tree) -> dict[str, np.ndarray]:
         out[f"fused{i}.coef"], out[f"fused{i}"] = fused[0], fused[3]
         out[f"edge{i}"] = engine.edge_loglikelihood(edge, 0.17, d, u)
         out[f"insert{i}"] = engine.insertion_loglikelihood(d, u, sub, edge.length, 0.1)
+        out[f"insert_clade{i}"] = engine.insertion_loglikelihood(
+            d, u, sub_clade, edge.length, 0.1
+        )
         out[f"insert_site{i}"] = engine.kernel.insertion_site(
-            d.clv, u.clv, sub.clv,
+            d.operand, u.clv, sub.operand,
             engine.kernel.pmatrices(0.05), engine.kernel.pmatrices(0.1),
         )
     return {key: np.ascontiguousarray(value, dtype=np.float64) for key, value in out.items()}

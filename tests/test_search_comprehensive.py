@@ -1,17 +1,25 @@
 """Tests for the serial comprehensive analysis (repro.search.comprehensive)."""
 
+import weakref
+
 import pytest
 
+from repro.likelihood.engine import OpCounter
+from repro.search import searches
 from repro.search.comprehensive import (
     ComprehensiveConfig,
+    default_engine_factory,
     fast_count,
+    prepare_model_and_rates,
     run_comprehensive,
+    search_unit,
     select_best,
     select_fast_starts,
     slow_count,
 )
 from repro.search.hillclimb import SearchResult
 from repro.tree.newick import write_newick
+from repro.util.rng import RAxMLRandom
 
 
 class TestCounts:
@@ -157,3 +165,35 @@ class TestRunComprehensive:
         assert [write_newick(t) for t in a.bootstrap_trees] != [
             write_newick(t) for t in b.bootstrap_trees
         ]
+
+
+class TestThoroughEngine:
+    def test_the_starting_engine_is_gone_before_the_hill_climb(
+        self, tiny_pal, quick_config, monkeypatch
+    ):
+        """Model optimisation replaces the thorough search's starting
+        engine; nothing keeps the old one (and its CLV cache) alive
+        through the hill climb."""
+        p_rng, ops = RAxMLRandom(12345), OpCounter()
+        setup = prepare_model_and_rates(tiny_pal, quick_config, p_rng, default_engine_factory, ops)
+        built = []
+
+        def factory(*args):
+            engine = default_engine_factory(*args)
+            built.append(weakref.ref(engine))
+            return engine
+
+        alive = []
+        climb = searches.hill_climb
+
+        def noting(engine, *args, **kwargs):
+            alive.append([ref() is not None for ref in built])
+            return climb(engine, *args, **kwargs)
+
+        monkeypatch.setattr(searches, "hill_climb", noting)
+        result, _model = search_unit(
+            "thorough", 0, setup[3], setup, tiny_pal, p_rng, factory, ops, quick_config
+        )
+        assert alive == [[False]]
+        assert result.lnl < 0
+

@@ -1,6 +1,7 @@
 """Site repeats: a down partial computed once per distinct sub-column of
-its clade and expanded over the pattern axis must be the uncompressed
-partial, bit for bit.
+its clade and kept compact — one row per class plus each pattern's
+class — must read, in every consumer, as the uncompressed partial, bit
+for bit.
 
 Below a clade's root, a pattern's CLV depends only on the clade's tip
 states (and, under CAT, on the pattern's category), so patterns that
@@ -12,9 +13,9 @@ kernel subclasses here lower that threshold to one pattern, as the fused
 pipeline's tests do, and are held to the default kernel — which on
 these small alignments compresses nothing — on every down and up
 partial, log-likelihood, Newton triple and insertion score, and on
-whole analyses.  The class table (``SiteClasses``) is held to a
-brute-force grouping of the sub-columns, to its sharing and rebuild
-rules and to its bound.
+whole analyses; the real threshold's cache holds class rows.  The
+class table (``SiteClasses``) is held to a brute-force grouping of the
+sub-columns, to its sharing and rebuild rules and to its bound.
 """
 
 import numpy as np
@@ -29,13 +30,14 @@ from repro.likelihood.gtr import GTRModel
 from repro.likelihood.kernels.base import SCALE_MIN, KernelBackend
 from repro.likelihood.plan import subtree_postorder
 from repro.search.comprehensive import ComprehensiveConfig
+from repro.search.hillclimb import hill_climb
 from repro.search.searches import StageParams
 from repro.seq.alignment import Alignment
 from repro.seq.patterns import compress_alignment
 from repro.tree.newick import parse_newick
 from repro.tree.random_trees import yule_tree
 from repro.util.rng import RAxMLRandom
-from tests.conftest import assert_bit_identical
+from tests.conftest import assert_bit_identical, full_clv
 from tests.test_kernel_sweeps import _everything, rate_models
 from tests.test_traversal_plan import TinyBlocked
 
@@ -84,6 +86,41 @@ def repeat_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def compact_reads(monkeypatch):
+    """The consumers that were handed a compact down partial: the level
+    batches (down and up), a repeat node, the whole-axis and the block
+    readers, and the per-edge kernels with the insertion's transport."""
+    seen = set()
+
+    def note(name, *operands):
+        return {name} if any(isinstance(x, tuple) for x in operands) else set()
+
+    def specs(nodes):
+        return [payload for node in nodes for _, _, payload in node[0]]
+
+    tests = {
+        "level_partials": lambda nodes: note("level", *specs(nodes)),
+        "up_level_partials": lambda nodes: note("up", *specs(nodes)),
+        "repeat_partial": lambda sp, *_: note("repeat", *(p for _, _, p in sp)),
+        "_contrib": lambda t, payload, p2c: note("whole", payload),
+        "_sources": lambda inputs: note("blocks", *(p for _, _, p in inputs)),
+        "edge_site": lambda uclv, pmats, dclv: note("edge_site", dclv),
+        "insertion_site": lambda dclv, *_: note("insertion", dclv),
+        "_insertion_transport": lambda sclv, pmats: note("transport", sclv),
+        "sumtable": lambda uclv, dclv: note("sumtable", dclv),
+    }
+    for name, test in tests.items():
+        inner = getattr(KernelBackend, name)
+
+        def noting(self, *args, _inner=inner, _test=test):
+            seen.update(_test(*args))
+            return _inner(self, *args)
+
+        monkeypatch.setattr(KernelBackend, name, noting)
+    return seen
+
+
 def _brute_force_classes(pal, leaves: list[int], p2c) -> list[tuple]:
     """Each pattern's sub-column over ``leaves`` (and category)."""
     cols = pal.patterns[sorted(leaves)].T
@@ -110,7 +147,12 @@ class TestBitIdentity:
     @pytest.mark.parametrize("kernel", [Repeats, TinyRepeats])
     @pytest.mark.parametrize("n_taxa", sorted(_PALS))
     @pytest.mark.parametrize("rm_name", ["gamma", "gamma+I", "cat"])
-    def test_everything_equals_the_uncompressed(self, rm_name, n_taxa, kernel, repeat_calls):
+    def test_everything_equals_the_uncompressed(
+        self, rm_name, n_taxa, kernel, repeat_calls, compact_reads
+    ):
+        """Every consumer of a down partial is fed compact ones — in the
+        block regime under Γ, the whole-axis one under CAT — and gives
+        the uncompressed engine's bits."""
         pal = _PALS[n_taxa]
         rm = rate_models(pal.n_patterns)[rm_name]
         tree = yule_tree(pal.taxa, RAxMLRandom(n_taxa))
@@ -118,10 +160,19 @@ class TestBitIdentity:
         squeezed = LikelihoodEngine(pal, MODEL, rm, kernel_class=kernel)
         assert plain._classes is None and squeezed._classes is not None
         want = _everything(plain, tree)
-        assert not repeat_calls
+        assert not repeat_calls and not compact_reads
         got = _everything(squeezed, tree)
         assert repeat_calls and min(repeat_calls) >= 2
         assert max(repeat_calls) <= pal.n_patterns // 2
+        expected = {
+            "level", "up", "repeat", "blocks" if rm_name != "cat" else "whole",
+            "edge_site", "insertion", "transport", "sumtable",
+        }
+        if rm_name == "cat" and n_taxa < 40:
+            # Three categories: past a cherry the classes outgrow m/2, so
+            # no repeat node has an inner child here.
+            expected.discard("repeat")
+        assert compact_reads == expected
         assert got.keys() == want.keys()
         for key in want:
             assert got[key].tobytes() == want[key].tobytes(), key
@@ -141,14 +192,23 @@ class TestBitIdentity:
         rm = rate_models(m)[rm_name]
         tree = yule_tree(pal.taxa, RAxMLRandom(12))
         want = _everything(LikelihoodEngine(pal, MODEL, rm), tree)
-        reads = []
-        rows = KernelBackend._rows
+        reads = []  # (a node's row count, whether it read blocks)
+        rows, sources = KernelBackend._rows, KernelBackend._sources
 
-        def noting(self, inputs, p2c, lo, hi, blocks):
-            reads.append((len(inputs[0][2]), blocks))
-            return rows(self, inputs, p2c, lo, hi, blocks)
+        def length(inputs):
+            payload = inputs[0][2]  # a compact partial's rows: its index's
+            return len(payload[1] if isinstance(payload, tuple) else payload)
 
-        monkeypatch.setattr(KernelBackend, "_rows", noting)
+        def whole(self, inputs, p2c):
+            reads.append((length(inputs), False))
+            return rows(self, inputs, p2c)
+
+        def blocked(self, inputs):
+            reads.append((length(inputs), True))
+            return sources(self, inputs)
+
+        monkeypatch.setattr(KernelBackend, "_rows", whole)
+        monkeypatch.setattr(KernelBackend, "_sources", blocked)
         got = _everything(LikelihoodEngine(pal, MODEL, rm, kernel_class=kernel), tree)
         assert repeat_calls
         assert {blocks for n, blocks in reads if n < m} == {False}
@@ -175,7 +235,8 @@ class TestBitIdentity:
         want = kernel.level_partials([(specs, [logscale, logscale, None])])[0]
         got = kernel.repeat_partial(specs, [logscale, logscale, None], index, reps)
         assert (want.logscale < 2 * np.log(SCALE_MIN)).any()
-        assert got.clv.tobytes() == want.clv.tobytes()
+        assert got.clv.shape == (len(reps), 4, 4) and got.index is index
+        assert full_clv(got).tobytes() == want.clv.tobytes()
         assert got.logscale.tobytes() == want.logscale.tobytes()
 
     def test_a_single_class_clade_runs_in_the_level_batch(self, repeat_calls):
@@ -225,6 +286,49 @@ class TestBitIdentity:
         assert_bit_identical(plain, squeezed, timings=True)
         if n_processes == 1:  # a one-rank world runs in this process
             assert repeat_calls
+
+
+class TestCompactPartials:
+    @pytest.mark.parametrize("rm_name", ["gamma", "cat"])
+    def test_one_row_per_class(self, rm_name):
+        """A repeat node's partial keeps its clade's class rows and index;
+        the log-scaler and every other partial cover all m patterns."""
+        pal = _PALS[12]
+        m = pal.n_patterns
+        engine = LikelihoodEngine(pal, MODEL, rate_models(m)[rm_name], kernel_class=Repeats)
+        tree = yule_tree(pal.taxa, RAxMLRandom(12))
+        down, leafsets = engine.compute_down_partials(tree), _leafsets(tree)
+        rows = engine.kernel.clv_shape[1:]
+        compact = 0
+        for node in tree.postorder():
+            part = down[id(node)]
+            assert part.logscale.shape == (m,)
+            if part.index is None:
+                assert part.clv.shape == (m, *rows)
+                continue
+            index, reps = engine._classes.of(node, leafsets)
+            assert part.index is index and part.clv.shape == (len(reps), *rows)
+            assert part.operand[0] is part.clv and part.operand[1] is index
+            compact += 1
+        assert compact >= 3
+
+    def test_the_clv_cache_holds_class_rows(self):
+        """On ``wide_1x1``'s input (8 taxa, 40,000 sites, 4,610 patterns:
+        the real threshold), the CLVs a hill climb leaves in the cache
+        take less than half the bytes they would over every pattern."""
+        aln, _ = simulate_alignment(SimulationParams(n_taxa=8, n_sites=40_000, seed=4242))
+        pal = compress_alignment(aln)
+        assert pal.n_patterns >= KernelBackend.fuse_min_patterns
+        engine = LikelihoodEngine(pal, MODEL, RateModel.gamma(0.8, 4), clv_cache=True)
+        hill_climb(
+            engine, yule_tree(pal.taxa, RAxMLRandom(7)), max_rounds=3, brlen_passes=1,
+            rng=RAxMLRandom(3),
+        )
+        parts = list(engine.clv_cache._store.values())
+        held = sum(part.clv.nbytes for part in parts)
+        expanded = sum(pal.n_patterns * part.clv[0].nbytes for part in parts)
+        assert len(parts) == engine.clv_cache.max_entries
+        assert held < expanded / 2
 
 
 class TestClassTable:
