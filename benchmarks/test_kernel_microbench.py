@@ -58,7 +58,6 @@ from repro.likelihood.gtr import GTRModel, _spectral_products
 from repro.likelihood.kernels import base as kb
 from repro.likelihood.plan import CLVCache
 from repro.search.spr import SPRParams, spr_round
-from repro.seq.encoding import state_likelihood_rows
 from repro.seq.patterns import compress_alignment
 from repro.threads.pool import VirtualThreadPool
 from repro.tree.random_trees import yule_tree
@@ -133,7 +132,6 @@ def _contractions(m: int):
         ("pa,pa->p", (tip, tip2), kb._site_dot),
         ("mka,aj->mkj", (clv, u), kb._to_eigenbasis),
         ("mkb,jb->mkj", (clv, u_inv), lambda x, ui: kb._to_eigenbasis(x, ui.T)),
-        ("kab,sb->ksa", (pm, state_likelihood_rows()), kb._mask_table),
     ]
 
 

@@ -29,6 +29,9 @@ Other structural features retained from the original engine:
   evaluated under every category, GTRGAMMA) and ``cat`` (each pattern is
   assigned to exactly one rate category, GTRCAT);
 * per-pattern log-scalers avoid underflow on large trees;
+* a tip's down partial is compact (:class:`TipPartials`): its 16 mask
+  rows, or under CAT one row per (mask, category) class, and each
+  pattern's class;
 * on large alignments a down partial is computed once per distinct
   sub-column of its clade (site repeats, :class:`SiteClasses`) and kept
   compact, one row per class, in down maps and the CLV cache;
@@ -92,6 +95,52 @@ def _fold(
     return label[key], int(label[-1]) + 1
 
 
+def _entry(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A class table's ``(index, reps)`` from each pattern's class (of
+    ``n``): the index and one row of each class, both as the smallest
+    unsigned ints that hold them."""
+    m = len(index)
+    reps = np.empty(n, dtype=np.min_scalar_type(m - 1))
+    reps[index] = np.arange(m)  # any row of a class represents it
+    return index.astype(np.min_scalar_type(n - 1)), reps
+
+
+class TipPartials(dict):
+    """Every tip's down partial by leaf index, built on first use and
+    compact: class rows plus each pattern's class, read like a site-repeat
+    partial (RAxML's tip cases look each pattern's state up in a 16-row
+    table).  Under Γ the rows are the 16 mask rows of ``TIP_ROWS``,
+    broadcast read-only over the k categories, and the index is the
+    taxon's masks; under CAT a class is a (mask, category) pair, numbered
+    densely, so each class row moves by one category.  They depend on the
+    alignment, the kernel's row shape and the CAT categories only:
+    sibling engines share them while :meth:`serves` holds."""
+
+    def __init__(self, patterns: np.ndarray, p2c: np.ndarray | None, shape: tuple) -> None:
+        super().__init__()
+        self.patterns, self.p2c, self.shape = patterns, p2c, shape
+        self.zeros = np.zeros(patterns.shape[1])
+        self.zeros.setflags(write=False)
+
+    def serves(self, p2c: np.ndarray | None, shape: tuple) -> bool:
+        """Whether these partials hold for rows of ``shape`` under
+        categories ``p2c``."""
+        if shape != self.shape or (p2c is None) != (self.p2c is None):
+            return False
+        return p2c is self.p2c or np.array_equal(p2c, self.p2c)
+
+    def __missing__(self, leaf_index: int) -> Partial:
+        masks = self.patterns[leaf_index]
+        if self.p2c is None:
+            rows, index = np.broadcast_to(TIP_ROWS[:, None], (16, *self.shape)), masks
+        else:
+            index, reps = _entry(*_fold(masks, 16, self.p2c, int(self.p2c.max()) + 1, len(masks)))
+            rows = TIP_ROWS[masks[reps]]
+            rows.setflags(write=False)
+        part = self[leaf_index] = Partial(rows, self.zeros, index)
+        return part
+
+
 class SiteClasses:
     """Site repeats (Kobert, Stamatakis & Flouri, Syst. Biol. 2017): the
     patterns whose sub-columns agree on a clade's taxa — and, under CAT,
@@ -102,26 +151,18 @@ class SiteClasses:
     one row of each class, both as the smallest unsigned ints that hold
     them.  Entries are keyed by leaf set (a bitmask of ``leaf_index``), so
     they outlive tree copies, moves and branch-length changes, and are
-    built from the children's entries, a tip's labels being its masks.  A
+    built from the children's entries, a tip's being its partial's
+    classes (:class:`TipPartials`: masks, and under CAT categories).  A
     clade with more than m/2 classes is stored as ``None``: the class
     count never falls towards the root, so its ancestors are ``None``
     unhashed.  At most ``capacity`` clades are kept, least recently used
     first out.
     """
 
-    def __init__(self, patterns: np.ndarray, p2c: np.ndarray | None, capacity: int) -> None:
-        self.patterns = patterns
-        self.p2c = p2c
+    def __init__(self, tips: TipPartials, capacity: int) -> None:
+        self.tips = tips
         self.capacity = capacity
-        self._n_cats = 0 if p2c is None else int(p2c.max()) + 1
-        self._rows = np.arange(patterns.shape[1])
         self._store: OrderedDict[int, tuple[np.ndarray, np.ndarray] | None] = OrderedDict()
-
-    def serves(self, p2c: np.ndarray | None) -> bool:
-        """Whether this table's classes hold under categories ``p2c``."""
-        if p2c is None or self.p2c is None:
-            return p2c is self.p2c
-        return p2c is self.p2c or np.array_equal(p2c, self.p2c)
 
     def of(
         self, node: Node, leafsets: dict[int, int]
@@ -140,25 +181,22 @@ class SiteClasses:
 
     def _build(self, node: Node, leafsets: dict[int, int]):
         labels = []
-        if self.p2c is not None and all(ch.is_leaf for ch in node.children):
-            labels.append((self.p2c, self._n_cats))  # else a child holds them
         for ch in node.children:
             if ch.is_leaf:
-                labels.append((self.patterns[ch.leaf_index], 16))
+                tip = self.tips[ch.leaf_index]
+                labels.append((tip.index, len(tip.clv)))
                 continue
             entry = self.of(ch, leafsets)
             if entry is None:
                 return None
             labels.append((entry[0], len(entry[1])))
-        m = len(self._rows)
         index, n = labels[0]
+        m = len(index)
         for b, nb in labels[1:]:
             index, n = _fold(index, n, b, nb, m)
             if n > m // 2:
                 return None
-        reps = np.empty(n, dtype=np.min_scalar_type(m - 1))
-        reps[index] = self._rows  # any row of a class represents it
-        return index.astype(np.min_scalar_type(n - 1)), reps
+        return _entry(index, n)
 
 
 class LikelihoodEngine:
@@ -191,11 +229,12 @@ class LikelihoodEngine:
         priced from the workers' pattern counts; what the kernels execute
         does not depend on it.
 
-    At the kernel's ``fuse_min_patterns`` patterns and above, down
-    partials are computed and kept on one row per site-repeat class
-    (:class:`SiteClasses`, one table shared by the sibling engines of
-    :meth:`with_model` and :meth:`with_weights`): compact partials, which
-    every kernel call takes as :attr:`Partial.operand`.
+    Tip partials are compact (:class:`TipPartials`), and at the kernel's
+    ``fuse_min_patterns`` patterns and above so are the down partials of
+    clades with few site-repeat classes (:class:`SiteClasses`): one row
+    per class, which every kernel call takes as :attr:`Partial.operand`.
+    The sibling engines of :meth:`with_model` and :meth:`with_weights`
+    share both tables.
     """
 
     def __init__(
@@ -218,7 +257,6 @@ class LikelihoodEngine:
         else:
             self.clv_cache = CLVCache(clv_entries(pal.n_taxa)) if clv_cache else None
         self._sig_memo: dict = {}  # subtree_signatures' store, bounded below
-        self._classes: SiteClasses | None = None
         self._set_model(
             model, rate_model if rate_model is not None else RateModel.gamma(),
             kernel_class,
@@ -233,30 +271,22 @@ class LikelihoodEngine:
         return w
 
     def _set_model(self, model: GTRModel, rate_model: RateModel, kernel_class) -> None:
-        """The model-dependent state: a new kernel, the tip partials if
-        their shape changed, and the "+I" table."""
+        """The model-dependent state: a new kernel, the tip partials and
+        site classes if the categories or the row shape changed, and the
+        "+I" table."""
         pal = self.pal
         if rate_model.kind == "cat" and rate_model.pattern_to_cat.shape != (pal.n_patterns,):
             raise ValueError("pattern_to_cat length must equal the number of patterns")
         self.model, self.rate_model = model, rate_model
-        old = self.__dict__.get("kernel")
         self.kernel = kernel_class(model, rate_model, self.ops, pal.n_patterns, pal.n_taxa)
-        # Tip partials are reused across traversals and siblings: a tip's
-        # down partial depends only on its alignment row and the kernel's
-        # shape.  A sibling of another shape views the same rows in a dict
-        # of its own.
-        if old is None:
-            self._tip_parts: dict[int, Partial] = {}
-        elif old.clv_shape != self.kernel.clv_shape:
-            self._tip_parts = {
-                i: self._tip_view(part.clv[:, 0] if part.clv.ndim == 3 else part.clv)
-                for i, part in self._tip_parts.items()
-            }
-        p2c = rate_model.pattern_to_cat
-        if pal.n_patterns < kernel_class.fuse_min_patterns:
-            self._classes = None
-        elif self._classes is None or not self._classes.serves(p2c):
-            self._classes = SiteClasses(pal.patterns, p2c, clv_entries(pal.n_taxa))
+        p2c, shape = rate_model.pattern_to_cat, self.kernel.clv_shape[1:]
+        tips = self.__dict__.get("_tips")
+        if tips is None or not tips.serves(p2c, shape):
+            self._tips = TipPartials(pal.patterns, p2c, shape)
+            self._classes = (
+                None if pal.n_patterns < kernel_class.fuse_min_patterns
+                else SiteClasses(self._tips, clv_entries(pal.n_taxa))
+            )
         # "+I" support: the invariant-site likelihood of each pattern is
         # sum_s pi_s over the states every taxon is compatible with —
         # non-zero only for constant-compatible columns, tree-independent.
@@ -276,16 +306,12 @@ class LikelihoodEngine:
     def n_categories(self) -> int:
         return self.rate_model.n_categories
 
-    @property
-    def is_cat(self) -> bool:
-        return self.rate_model.kind == "cat"
-
     def _with(
         self, *, fresh_cache: bool, model=None, rate_model=None, weights=None
     ) -> "LikelihoodEngine":
         """A sibling engine with a new kernel, differing in the given
-        constructor arguments, over this engine's tip partials (while
-        their shape holds) and its CLV cache or (``fresh_cache``) an empty
+        constructor arguments, over this engine's tip partials and site
+        classes (while they serve) and its CLV cache or (``fresh_cache``) an empty
         one of the same capacity."""
         sibling = object.__new__(type(self))
         sibling.__dict__.update(self.__dict__)
@@ -332,45 +358,20 @@ class LikelihoodEngine:
 
     # -- CLV primitives ----------------------------------------------------
 
-    def tip_clv(self, leaf_index: int, patterns: slice | None = None) -> np.ndarray:
-        """The (unscaled) tip CLV for one taxon: (m, 4) 0/1 indicators."""
-        masks = self.pal.patterns[leaf_index]
-        if patterns is not None:
-            masks = masks[patterns]
-        return TIP_ROWS[masks]
-
-    def _tip_partial(self, leaf_index: int) -> Partial:
-        part = self._tip_parts.get(leaf_index)
-        if part is None:
-            part = self._tip_parts[leaf_index] = self._tip_view(self.tip_clv(leaf_index))
-        return part
-
-    def _tip_view(self, rows: np.ndarray) -> Partial:
-        """A tip's down partial in the kernel's shape: its (m, 4) 0/1 rows
-        broadcast over the rate categories (a read-only view), zero
-        log-scaler."""
-        if not self.is_cat:
-            rows = rows[:, None, :]
-        return Partial(np.broadcast_to(rows, self.kernel.clv_shape), self.kernel.zero_logscale)
-
     def _child_specs(
         self, node: Node, sigs: dict[int, int], down: dict[int, Partial]
     ) -> tuple[list[LevelSpec], list[np.ndarray | None]]:
         """What the kernel needs of ``node``'s children, in child order:
-        the edge specs (a leaf's payload is its pattern-mask row, an inner
-        child's its down partial's :attr:`~Partial.operand`) and the down
-        log-scalers (``None`` for leaves, whose scalers are exact zeros)."""
+        the edge specs (each payload a down partial's
+        :attr:`~Partial.operand`) and the down log-scalers (``None`` for
+        leaves, whose scalers are exact zeros)."""
         specs, logscales = [], []
         for child in node.children:
-            if child.is_leaf:
-                payload, ls = self.pal.patterns[child.leaf_index], None
-            else:
-                part = down[id(child)]
-                # ``operand`` spelled out: it runs per child of every node.
-                payload = part.clv if part.index is None else part.operand
-                ls = part.logscale
+            part = down[id(child)]
+            # ``operand`` spelled out: it runs per child of every node.
+            payload = part.clv if part.index is None else (part.clv, part.index)
             specs.append((sigs[id(child)], child.length, payload))
-            logscales.append(ls)
+            logscales.append(None if child.is_leaf else part.logscale)
         return specs, logscales
 
     # -- down partials (postorder levels, plan-driven) -------------------------
@@ -417,8 +418,7 @@ class LikelihoodEngine:
         put back in level order — so CLV-cache traffic, and with it op
         totals under eviction, cannot depend on how the kernel cuts the
         pattern axis.  The P-matrices of every inner node's child edges
-        (tips too: tip tables are built from P) are built first, in one
-        uncharged batch (:meth:`KernelBackend.build_pmatrices`).
+        are built first, in one uncharged batch (:meth:`KernelBackend.build_pmatrices`).
         """
         cache = self.clv_cache
         sigs = plan.signatures
@@ -426,7 +426,7 @@ class LikelihoodEngine:
         self.kernel.build_pmatrices(
             [ch.length for level in inner for node in level for ch in node.children]
         )
-        down = DownPartials((id(leaf), self._tip_partial(leaf.leaf_index)) for leaf in tips)
+        down = DownPartials((id(leaf), self._tips[leaf.leaf_index]) for leaf in tips)
         down.signatures = sigs
         leafsets = None
         if self._classes is not None:

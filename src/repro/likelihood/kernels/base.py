@@ -5,9 +5,11 @@ issues: every down and up partial, through one node routine (inputs
 propagated across their branches, multiplied and scaled), per-edge site
 likelihoods, lazy-SPR insertion scores, the Newton sumtable, and the
 derivative evaluations.  Every partial has the kernel's ``clv_shape``
-over m patterns (a tip's is a broadcast view) or, compact, over one row
-per site-repeat class, gathered by its index as tip rows are from a tip
-table.  The engine decides *what* to compute (traversal
+over m patterns or, compact, over one row per class with each pattern's
+class in its index: a tip (its 16 mask rows, as RAxML's tip cases look
+each pattern's state up in a 16-row table) and a site-repeat node.  A
+compact partial's rows are moved across a branch once and gathered by
+its index.  The engine decides *what* to compute (traversal
 plans, CLV-cache lookups, reductions); the kernel decides *how* each
 pattern slice is computed.  There is one kernel, as RAxML has one set of
 likelihood functions; its answers are held to the independent pure-Python
@@ -66,7 +68,6 @@ import numpy as np
 
 from repro.likelihood.gtr import GTRModel
 from repro.likelihood.rates import RateModel
-from repro.seq.encoding import TIP_ROWS
 
 #: Smallest site likelihood the engine takes a log of (guards log(0) for
 #: impossible patterns).
@@ -79,8 +80,8 @@ _pack_f64 = struct.Struct("<d").pack
 _unpack_u64 = struct.Struct("<Q").unpack
 
 #: One input of a node: ``(subtree signature, branch length, payload)``
-#: where the payload is a leaf's pattern-mask row (1-D) or a partial's
-#: :attr:`Partial.operand` to transport across the branch.  The
+#: where the payload is a partial's :attr:`Partial.operand` — a CLV, or a
+#: compact ``(class rows, index)`` — to transport across the branch.  The
 #: signature keys the contribution LRU; ``None`` (an up node's parent-side
 #: partial, a site-repeat node's gathered rows) bypasses it.
 LevelSpec = tuple[int | None, float, "np.ndarray | tuple[np.ndarray, np.ndarray]"]
@@ -109,7 +110,8 @@ def _propagate_inner(
     pmats: np.ndarray, clv: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """``kab,mkb->mka``: per-category ``P_k`` applied to a CLV ``(m, k,
-    4)`` — an inner node's, or a tip's stride-0 broadcast — one ``(m, 4) @ (4, 4)`` product per category, each
+    4)`` — an inner node's, or a tip's 16 mask rows broadcast over the
+    categories — one ``(m, 4) @ (4, 4)`` product per category, each
     written straight into its column of the pattern-major result (a
     category-major result handed on as a view makes every later product
     a strided read, 3-5x a contiguous one).  The transposed matrices are
@@ -132,12 +134,6 @@ def _propagate_cat(pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
     per-pattern contraction with no BLAS form, so plain ``einsum`` — which
     is all the path-optimised call ever ran for it."""
     return np.einsum("pab,pb->pa", pmats, clv)
-
-
-def _mask_table(pmats: np.ndarray, tip_rows: np.ndarray) -> np.ndarray:
-    """``kab,sb->ksa``: the propagated CLV of each of the 16 IUPAC mask
-    rows under every category, shape ``(k, 16, 4)``."""
-    return tip_rows @ pmats.transpose(0, 2, 1)
 
 
 def _site_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,7 +254,7 @@ def clv_entries(n_taxa: int) -> int:
 
 
 class ArrayLRU:
-    """A bounded LRU of read-only arrays (P-matrices, tip tables, child
+    """A bounded LRU of read-only arrays (P-matrices, child
     contributions); entries are frozen on insert because every hit hands
     out the same array."""
 
@@ -340,9 +336,10 @@ class OpCounter:
 
 @dataclass(slots=True)
 class Partial:
-    """A CLV plus its per-pattern log-scaler; a *compact* (site-repeat)
-    partial holds one CLV row per class and each pattern's class row in
-    ``index`` (read through :meth:`KernelBackend._gathered`)."""
+    """A CLV plus its per-pattern log-scaler; a *compact* partial — a
+    tip's, a site-repeat node's — holds one CLV row per class and each
+    pattern's class row in ``index`` (read through
+    :meth:`KernelBackend._gathered`)."""
 
     clv: np.ndarray  # KernelBackend.clv_shape: gamma (m, k, 4), cat (m, 4); compact: u rows
     logscale: np.ndarray  # (m,)
@@ -376,14 +373,14 @@ class KernelBackend:
       contributions from a **contribution LRU** keyed by ``(subtree
       signature, branch-length bits)`` — across the repeated up-partial
       sweeps of an SPR round most child edges are unchanged, so their
-      propagated contributions are the same float64 arrays — with tips
-      gathered from tip tables memoised by the bits of the branch length;
+      propagated contributions are the same float64 arrays;
     * from :attr:`fuse_min_patterns` Γ patterns on, **blocks** of
       :attr:`fuse_block` patterns computed into scratch, so every
       intermediate of a node stays L2-resident;
-    * a **compact** site-repeat partial (:attr:`Partial.index` set) is
-      read through :meth:`_gathered`: its u class rows move across the
-      branch once, then each pattern (or block) gathers its class's row;
+    * a **compact** partial (:attr:`Partial.index` set: a tip, a
+      site-repeat node) is read through :meth:`_gathered`: its u class
+      rows move across the branch once, then each pattern (or block)
+      gathers its class's row;
     * lazy-SPR insertion scoring transports the pruned subtree once per
       SPR step (:meth:`_insertion_transport`).
 
@@ -396,10 +393,10 @@ class KernelBackend:
     ``LikelihoodEngine(kernel_class=...)`` takes one.
     """
 
-    #: LRU capacity for transition matrices (and the tip tables derived
-    #: from them); entries are a few hundred bytes each.  The P-matrix
-    #: LRU grows to four per taxon, so that the 2n − 3 lengths one
-    #: traversal builds at once (:meth:`build_pmatrices`) fit.
+    #: LRU capacity for transition matrices; entries are a few hundred
+    #: bytes each.  The P-matrix LRU grows to four per taxon, so that the
+    #: 2n − 3 lengths one traversal builds at once (:meth:`build_pmatrices`)
+    #: fit.
     pmat_entries = 512
     #: Pattern-block length of :meth:`_node` in the fused regime: the
     #: propagated child blocks (2 · B·k·4 doubles ≈ 1 MiB at B=4096, k=4
@@ -430,12 +427,10 @@ class KernelBackend:
         #: CAT's category of each pattern (``None`` under Γ): a pattern-axis
         #: operand of the span primitives like any CLV.
         self._p2c = rate_model.pattern_to_cat
-        self.tip_rows = TIP_ROWS
         self._pmat_lru = ArrayLRU(max(self.pmat_entries, 4 * n_taxa))
-        self._tip_lru = ArrayLRU(self.pmat_entries)
         self._contrib_lru = ArrayLRU(2 * clv_entries(n_taxa))
         self._ins_memo: tuple | None = None
-        #: Every partial's shape (a tip's is a broadcast view); compact: u rows.
+        #: Every partial's shape; a compact one's: u rows.
         self.clv_shape = (
             (n_patterns, 4) if self.is_cat else (n_patterns, self.n_categories, 4)
         )
@@ -487,22 +482,6 @@ class KernelBackend:
             for key, pmats in zip(missing, stack):
                 lru.put(key, pmats)
 
-    def _tip_table(self, t: float) -> np.ndarray:
-        """The propagated CLV of each of the 16 IUPAC masks for ``t``
-        (RAxML's tip-case kernels: O(16·k) arithmetic instead of O(m·k)).
-
-        Stored ``(16, k, 4)`` in Γ mode so the per-pattern gather
-        ``table[masks]`` is one contiguous fancy index; CAT mode keeps the
-        ``(k, 16, 4)`` layout of :func:`_mask_table`.
-        """
-        def build() -> np.ndarray:
-            raw = _mask_table(self.pmatrices(t), self.tip_rows)
-            if self.is_cat:
-                return raw
-            return np.ascontiguousarray(raw.transpose(1, 0, 2))
-
-        return self._tip_lru.get(length_bits(t), build)
-
     # -- the pattern-axis sweep ------------------------------------------------
 
     def _sweep(self, span: Callable, *operands, **fixed):
@@ -527,12 +506,6 @@ class KernelBackend:
         if self.is_cat:
             return _propagate_cat(pmats[p2c], clv)
         return _propagate_inner(pmats, clv)
-
-    def _tip_rows_span(
-        self, masks: np.ndarray, p2c: np.ndarray | None, table: np.ndarray
-    ) -> np.ndarray:
-        """One span of tip contributions: rows of :meth:`_tip_table`."""
-        return table[p2c, masks] if self.is_cat else table[masks]
 
     def _root_site_span(self, clv: np.ndarray) -> np.ndarray:
         if self.is_cat:
@@ -666,8 +639,8 @@ class KernelBackend:
 
     @cached_property
     def zero_logscale(self) -> np.ndarray:
-        """The log-scaler of exact zeros (read-only) that tips and
-        unscaled repeat partials share."""
+        """The log-scaler of exact zeros (read-only) that unscaled repeat
+        partials share."""
         zeros = np.zeros(self.n_patterns)
         zeros.setflags(write=False)
         return zeros
@@ -722,26 +695,22 @@ class KernelBackend:
         ]
 
     def _contrib(self, t: float, payload, p2c: np.ndarray | None) -> np.ndarray:
-        """A whole-axis contribution: tips as rows of :meth:`_tip_table`,
-        compact partials through :meth:`_gathered`."""
+        """A whole-axis contribution; a compact partial's through
+        :meth:`_gathered`."""
         if isinstance(payload, tuple):
             return self._gathered(payload, self.pmatrices(t))
-        if payload.ndim == 1:
-            return self._sweep(self._tip_rows_span, payload, p2c, table=self._tip_table(t))
         return self._sweep(self._propagate_span, payload, p2c, pmats=self.pmatrices(t))
 
     def _sources(self, inputs: list[LevelSpec]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """What :meth:`_block` reads each input from, once per node:
-        ``(table, index)`` to gather for a tip (tip table, masks) and a
-        compact partial (moved class rows, index), ``(P, clv)`` else."""
+        """What :meth:`_block` reads each input from, once per node: a
+        compact partial's ``(moved class rows, index)`` to gather, a
+        CLV's ``(P, clv)`` to propagate."""
         out = []
         for _, t, payload in inputs:
             if isinstance(payload, tuple):
                 rows, index = payload
                 moved = self._class_moved(rows, index, self.pmatrices(t))
                 out.append((moved.reshape(len(rows), -1), index))
-            elif payload.ndim == 1:
-                out.append((self._tip_table(t).reshape(16, -1), payload))
             else:
                 out.append((self.pmatrices(t), payload))
         return out
@@ -762,8 +731,8 @@ class KernelBackend:
         for (table, payload), buf in zip(sources, self._blocks):
             buf = buf[:n]
             if payload.ndim == 1:
-                # Masks are 4-bit (``PatternAlignment`` checks), indexes in
-                # range; "clip" lets take write into ``out``, "raise" buffers.
+                # Indexes are in range; "clip" lets take write into
+                # ``out``, "raise" buffers.
                 np.take(table, payload[lo:hi], axis=0, out=buf.reshape(n, -1), mode="clip")
             else:
                 _propagate_inner(table, payload[lo:hi], out=buf)
@@ -782,7 +751,7 @@ class KernelBackend:
     def _gathered(self, operand: tuple, pmats: np.ndarray | None) -> np.ndarray:
         """A compact partial ``(class rows, index)`` at every pattern, fresh:
         the class rows moved across the branch of ``pmats`` (``None``: as
-        they are), then gathered by ``index`` like a tip's table rows."""
+        they are), then gathered by ``index``."""
         rows, index = operand
         if pmats is not None:
             rows = self._class_moved(rows, index, pmats)
@@ -837,21 +806,22 @@ class KernelBackend:
         step, so it is computed once per ``(sclv, pmats_sub)`` pair and
         reused while the engine scans candidates."""
         # Identity is judged by data pointer + shape; the memo holds
-        # strong references to both operands, so neither address can be
-        # recycled by a different array while the memo is alive (the
-        # engine re-broadcasts the same subtree CLV per candidate, which
-        # changes the view object but not the underlying buffer); a
-        # compact subtree's by its class rows.
-        rows = sclv[0] if isinstance(sclv, tuple) else sclv
+        # strong references to the operands, so no address can be
+        # recycled by a different array while the memo is alive.  A
+        # compact subtree's is its class rows' and its index's: every Γ
+        # tip views the same 16 rows.
+        compact = isinstance(sclv, tuple)
+        rows, index = sclv if compact else (sclv, None)
         key = (
             rows.__array_interface__["data"][0],
             rows.shape,
+            None if index is None else index.__array_interface__["data"][0],
             pmats_sub.__array_interface__["data"][0],
         )
         memo = self._ins_memo
         if memo is not None and memo[0] == key:
             return memo[2]
-        moved = self._gathered(sclv, pmats_sub) if rows is not sclv else self._sweep(
+        moved = self._gathered(sclv, pmats_sub) if compact else self._sweep(
             self._propagate_span, sclv, self._p2c, pmats=pmats_sub
         )
         self._ins_memo = (key, (sclv, pmats_sub), moved)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.likelihood.engine import LikelihoodEngine, RateModel
+from repro.likelihood.engine import LikelihoodEngine, RateModel, TipPartials
 from repro.likelihood.gtr import GTRModel
 from repro.tree.newick import NewickError, parse_newick, write_newick
 
@@ -74,20 +74,15 @@ class TestEngineWithers:
         engine.edge_loglikelihood(e, e.length, down[id(e)], up[id(e)])
         assert engine.ops.edge_evals == before + 1
 
-    def test_tip_clv_slicing(self, engine, tiny_pal):
-        full = engine.tip_clv(0)
-        part = engine.tip_clv(0, patterns=slice(2, 5))
-        assert np.array_equal(part, full[2:5])
-
     def test_siblings_share_tip_partials(self, engine, tiny_pal, tiny_tree, monkeypatch):
-        """Tip partials depend on the alignment alone: a sibling engine
-        gathers none of them again, for the bits and ops of a fresh one."""
+        """Tip partials depend on the alignment (and CAT's categories)
+        alone: a sibling engine builds none of them again, for the bits
+        and ops of a fresh one."""
         engine.loglikelihood(tiny_tree)
-        gathers = []
-        real = LikelihoodEngine.tip_clv
+        built = []
+        real = TipPartials.__missing__
         monkeypatch.setattr(
-            LikelihoodEngine, "tip_clv",
-            lambda self, *a, **k: gathers.append(a) or real(self, *a, **k),
+            TipPartials, "__missing__", lambda self, i: built.append(i) or real(self, i)
         )
         sibling = engine.with_model(GTRModel.jc69()).with_weights(engine.weights * 2)
         fresh = LikelihoodEngine(
@@ -95,8 +90,8 @@ class TestEngineWithers:
         )
         before = engine.ops.snapshot()
         assert sibling.loglikelihood(tiny_tree) == fresh.loglikelihood(tiny_tree)
-        assert sibling._tip_parts is engine._tip_parts
-        assert len(gathers) == tiny_pal.n_taxa  # the fresh engine's only
+        assert sibling._tips is engine._tips
+        assert sorted(built) == list(range(tiny_pal.n_taxa))  # the fresh engine's only
         after = engine.ops.snapshot()
         assert {k: after[k] - before[k] for k in after} == fresh.ops.snapshot()
 

@@ -341,7 +341,7 @@ class TestBatchedParity:
             for flow, fused in zip(*sweeps):
                 assert flow.keys() == fused.keys()
                 for key in flow:
-                    assert flow[key].clv.tobytes() == full_clv(fused[key]).tobytes()
+                    assert full_clv(flow[key]).tobytes() == full_clv(fused[key]).tobytes()
                     assert flow[key].logscale.tobytes() == fused[key].logscale.tobytes()
 
     def test_more_threads_than_patterns(self):

@@ -25,9 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.likelihood.engine import TipPartials
 from repro.likelihood.gtr import GTRModel, _spectral_products
 from repro.likelihood.kernels.base import (
-    _mask_table,
+    KernelBackend,
+    OpCounter,
     _newton_rows,
     _propagate_cat,
     _propagate_inner,
@@ -36,6 +38,7 @@ from repro.likelihood.kernels.base import (
     _sum_states,
     _to_eigenbasis,
 )
+from repro.likelihood.rates import RateModel
 from repro.seq.encoding import state_likelihood_rows
 from repro.tree.topology import MAX_BRANCH_LENGTH
 
@@ -98,8 +101,8 @@ class TestPropagate:
     @examples
     @given(seeds, patterns, offsets)
     def test_inner_on_a_broadcast_tip(self, k, seed, m, off):
-        """A tip's down partial is a stride-0 broadcast over categories
-        (``LikelihoodEngine._tip_partial``), which the edge kernels get."""
+        """A tip's mask rows broadcast over categories with a stride of 0,
+        as ``TipPartials`` holds them and the kernel moves them."""
         rng = np.random.default_rng(seed)
         m = _rows(m, k)
         masks = rng.integers(1, 16, size=m + 8)[off : off + m]
@@ -134,11 +137,15 @@ class TestPropagate:
             assert_same_bits(_propagate_inner(pstack[j], shard[j]), want[j])
 
     def test_mask_table(self, k):
+        """The 16 mask rows broadcast over the categories and moved by
+        ``_propagate_inner`` — a Γ tip's rows crossing a branch — give
+        the ``(k, 16, 4)`` mask table of the tip-case kernels."""
         rows = state_likelihood_rows()
+        tip = np.broadcast_to(rows[:, None], (16, k, 4))
         for seed in range(20):
             pm = _pmats(np.random.default_rng(seed), k)
             want = np.einsum("kab,sb->ksa", pm, rows, optimize=True)
-            assert_same_bits(_mask_table(pm, rows), want)
+            assert_same_bits(_propagate_inner(pm, tip).transpose(1, 0, 2), want)
 
 
 @per_k
@@ -340,8 +347,8 @@ class TestTilingInvariantForms:
 class TestFusedBlocks:
     """The pattern-major block forms of the kernel's fused pipeline
     against the category-major ``(k, n, 4)`` blocks it used to build: a
-    tip block as one ``np.take`` on the ``(16, k·4)`` view of the Γ tip
-    table, an edge block as ``_propagate_inner``'s ``matmul`` written
+    tip block as one ``np.take`` on the ``(16, k·4)`` view of the tip's
+    moved mask rows (any compact partial's block alike), an edge block as ``_propagate_inner``'s ``matmul`` written
     through ``out=buf.transpose(1, 0, 2)`` on a ``[lo:hi]`` slice.  Block
     widths 2, 7 and 4,096, the wider two with a ragged last block — never
     a one-pattern block (BLAS matrix-vector routines, EXPERIMENTS.md)."""
@@ -359,8 +366,9 @@ class TestFusedBlocks:
     def test_tip_block_is_one_take_on_the_flat_table(self, k, width, m):
         rng = np.random.default_rng(width * 31 + k)
         pm = _pmats(rng, k)
-        by_cat = _mask_table(pm, state_likelihood_rows())  # (k, 16, 4)
-        by_mask = np.ascontiguousarray(by_cat.transpose(1, 0, 2))  # (16, k, 4)
+        tip = np.broadcast_to(state_likelihood_rows()[:, None], (16, k, 4))
+        by_mask = _propagate_inner(pm, tip)  # (16, k, 4)
+        by_cat = by_mask.transpose(1, 0, 2)  # (k, 16, 4)
         masks = rng.integers(1, 16, size=m)
         for lo, hi in self._blocks(m, width):
             n = hi - lo
@@ -399,3 +407,48 @@ class TestFusedBlocks:
             )
             assert_same_bits(got, want.transpose(1, 0, 2))
             assert_same_bits(got, whole[lo:hi])
+
+
+class TestTipRows:
+    """A tip's rows moved across a branch by the kernel (``TipPartials``
+    through ``KernelBackend._class_moved``), gathered at every pattern,
+    against the tip table the kernel gathered from before tips were
+    compact partials, ``TIP_ROWS @ pmats.transpose(0, 2, 1)`` — copied
+    here — over all 16 codes: under Γ bit for bit; under CAT, whose moves
+    are ``pab,pb->pa`` einsums, bit for bit for the codes of at most two
+    states, and to rounding for the 3- and 4-state codes, whose sums the
+    einsum takes in another order."""
+
+    @staticmethod
+    def _parent_table(pmats: np.ndarray) -> np.ndarray:
+        return state_likelihood_rows() @ pmats.transpose(0, 2, 1)  # (k, 16, 4)
+
+    @staticmethod
+    def _moved(rate_model, masks: np.ndarray, model: GTRModel, t: float):
+        m = len(masks)
+        kernel = KernelBackend(model, rate_model, OpCounter(), m, 1)
+        tip = TipPartials(masks[None], rate_model.pattern_to_cat, kernel.clv_shape[1:])[0]
+        pmats = kernel.pmatrices(t)
+        return kernel._class_moved(tip.clv, tip.index, pmats)[tip.index], pmats
+
+    @pytest.mark.parametrize("k", (1, 2, 4, 8))
+    def test_gamma_every_code(self, k):
+        masks = np.arange(16, dtype=np.uint8)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            rm = RateModel.gamma(0.2 + 2.0 * rng.random(), k)
+            got, pmats = self._moved(rm, masks, _random_model(rng), rng.exponential(0.3))
+            assert_same_bits(got, self._parent_table(pmats).transpose(1, 0, 2))
+
+    @pytest.mark.parametrize("k", (1, 3, 8, 25))
+    def test_cat_codes_of_up_to_two_states(self, k):
+        masks = np.repeat(np.arange(16, dtype=np.uint8), k)
+        p2c = np.tile(np.arange(k), 16)
+        few = np.array([bin(c).count("1") <= 2 for c in range(16)])[masks]
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            rm = RateModel.cat(0.1 + 3.0 * rng.random(k), p2c)
+            got, pmats = self._moved(rm, masks, _random_model(rng), rng.exponential(0.3))
+            want = self._parent_table(pmats)[p2c, masks]
+            assert_same_bits(got[few], want[few])
+            np.testing.assert_allclose(got, want, rtol=4e-16, atol=0.0)

@@ -57,10 +57,19 @@ class Tiled:
     through the ``_sweep`` hook and is stitched back together, as a
     master thread combines its workers' slices.  Subclasses say where
     the cuts are (:meth:`_tiles`) on an axis of ``n`` rows: the pattern
-    axis, or the class rows of a site-repeat node."""
+    axis, or a compact partial's class rows (a tip's, a site-repeat
+    node's)."""
 
     sweeps = 0  # sweeps made / span calls they took, per instance
     spans = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.widths = Counter()  # the sweeps by their row count
+
+    def spans_per_width(self, cut) -> int:
+        """The span calls the sweeps take if ``cut(n)`` tiles ``n`` rows."""
+        return sum(count * cut(n) for n, count in self.widths.items())
 
     def _tiles(self, n: int) -> list[slice]:
         raise NotImplementedError
@@ -70,6 +79,7 @@ class Tiled:
         tiles = [sl for sl in self._tiles(n) if sl.stop > sl.start]
         self.sweeps += 1
         self.spans += len(tiles)
+        self.widths[n] += 1
         return _concatenate([
             span(*(None if a is None else a[sl] for a in operands), **fixed)
             for sl in tiles
@@ -154,10 +164,10 @@ def _whole_and_tiled(rm_name: str, base: str, n_threads: int):
     want, got = _everything(whole, tree), _everything(tiled, tree)
     assert got.keys() == want.keys()
     assert tiled.ops.snapshot() == whole.ops.snapshot()
-    # The axis really was cut, and a surplus worker's empty slice never
-    # reached a span primitive.
-    assert tiled.kernel.sweeps > 0
-    assert tiled.kernel.spans == tiled.kernel.sweeps * min(n_threads, _PAL.n_patterns)
+    # The axis (or a tip's class rows) really was cut, and a surplus
+    # worker's empty slice never reached a span primitive.
+    assert tiled.kernel.sweeps > 0 and _PAL.n_patterns in tiled.kernel.widths
+    assert tiled.kernel.spans == tiled.kernel.spans_per_width(lambda n: min(n_threads, n))
     return want, got
 
 
@@ -199,7 +209,8 @@ class TestThreadSizedTilings:
             np.testing.assert_allclose(got[key], want[key], rtol=1e-11, atol=0.0, err_msg=key)
 
     def test_the_whole_axis_kernels_make_one_span_call_per_sweep(self):
-        """What the tiled kernels are compared with: no cut anywhere."""
+        """What the tiled kernels are compared with: no cut anywhere —
+        every sweep covers the pattern axis, or a Γ tip's 16 mask rows."""
         calls = []
 
         class Watching(KernelBackend):
@@ -212,7 +223,7 @@ class TestThreadSizedTilings:
             _PAL, _MODEL, kernel_class=Watching, pool=VirtualThreadPool(4)
         )
         _everything(engine, tree)
-        assert calls and set(calls) == {_PAL.n_patterns}
+        assert calls and set(calls) == {_PAL.n_patterns, 16}
 
 
 # -- call counts do not depend on the thread count --------------------------------
@@ -271,16 +282,17 @@ def test_call_counts_do_not_depend_on_the_thread_count(monkeypatch):
     assert threaded.total_seconds != serial.total_seconds
 
 
-#: The span-primitive and ``np.einsum`` calls of :func:`_counted_analysis`
-#: before every down and up partial went through one node routine.  At 60
-#: sites the analysis is dispatch-bound, so below the fused regime the
-#: routine may not add a NumPy call: a count that grows fails here.
-#: ``_edge_site_span`` is not reached (the searches score edges through
-#: the sumtable).
+#: The span-primitive and ``np.einsum`` calls of :func:`_counted_analysis`.
+#: At 60 sites the analysis is dispatch-bound, so below the fused regime a
+#: change may not add a NumPy call unnoticed: a count that grows fails
+#: here.  A tip is a compact partial, so each tip contribution the
+#: contribution LRU does not hold is one move of the tip's class rows
+#: (``_propagate_span``; under CAT an ``einsum``).  ``_edge_site_span``
+#: is not reached (the searches score edges through the sumtable).
 PINNED_CALLS = {
-    "_propagate_span": 2080, "_tip_rows_span": 1759, "_root_site_span": 714,
+    "_propagate_span": 3839, "_root_site_span": 714,
     "_edge_site_span": 0, "_insertion_span": 380, "_sumtable_span": 333,
-    "_derivatives_span": 1582, "einsum": 926,
+    "_derivatives_span": 1582, "einsum": 1102,
 }
 
 

@@ -17,6 +17,7 @@ from repro.likelihood.gtr import GTRModel
 from repro.likelihood.kernels import KernelBackend
 from repro.likelihood.kernels import base as kernel_base
 from repro.seq.alignment import Alignment
+from repro.seq.encoding import TIP_ROWS
 from repro.seq.patterns import compress_alignment
 from repro.threads.pool import VirtualThreadPool
 from repro.threads.timing import LinearRegionTiming
@@ -24,6 +25,7 @@ from repro.tree.newick import parse_newick
 from repro.tree.random_trees import yule_tree
 from repro.util.rng import RAxMLRandom
 from tests import oracle
+from tests.conftest import full_clv
 
 
 QUARTET = "((A:0.12,B:0.3):0.08,C:0.25,D:0.4);"
@@ -420,58 +422,108 @@ class TestWeightsAndOps:
 
 
 class TestTipShape:
-    """Every partial of a down map has the kernel's shape: a tip is one
-    read-only broadcast view of its 0/1 rows over the rate categories,
-    shared by the sibling engines of that shape."""
+    """A tip's down partial is compact: the 16 mask rows (Γ: read-only,
+    broadcast over the rate categories) or one row per (mask, category)
+    class (CAT), plus each pattern's class in ``index``; no down map
+    holds an m-row array for a leaf.  Siblings share the tip partials
+    while their categories and row shape hold."""
 
     @staticmethod
-    def _down(pal, tree, model, rate_model):
+    def _down(pal, model, rate_model):
         engine = LikelihoodEngine(pal, model, rate_model)
-        return engine, engine.compute_down_partials(tree)
+        tree = yule_tree(pal.taxa, RAxMLRandom(5))
+        return engine, tree, engine.compute_down_partials(tree)
 
     @pytest.mark.parametrize("kind", ["gamma", "single", "cat"])
-    def test_every_down_partial_has_the_kernel_shape(self, quartet, gtr_model, kind):
-        pal, tree = quartet
-        m = pal.n_patterns
+    def test_every_down_partial_has_the_kernel_shape(self, small_pal, gtr_model, kind):
+        pal, m = small_pal, small_pal.n_patterns
+        p2c = np.arange(m) % 2
         rate_model = {
             "gamma": RateModel.gamma(0.8, 4), "single": RateModel.single(),
-            "cat": RateModel.cat(np.array([0.5, 1.7]), np.arange(m) % 2),
+            "cat": RateModel.cat(np.array([0.5, 1.7]), p2c),
         }[kind]
-        engine, down = self._down(pal, tree, gtr_model, rate_model)
-        shape = (m, 4) if kind == "cat" else (m, engine.n_categories, 4)
-        assert engine.kernel.clv_shape == shape
-        assert {part.clv.shape for part in down.values()} == {shape}
-        for leaf in tree.leaves():
-            tip = down[id(leaf)].clv
-            assert not tip.flags.writeable
+        engine, tree, down = self._down(pal, gtr_model, rate_model)
+        rows = (4,) if kind == "cat" else (engine.n_categories, 4)
+        assert engine.kernel.clv_shape == (m, *rows)
+        for node in tree.postorder():
+            part = down[id(node)]
+            assert part.clv.shape[1:] == rows and part.logscale.shape == (m,)
+            if not node.is_leaf:
+                assert part.index is None and len(part.clv) == m
+                continue
+            masks = pal.patterns[node.leaf_index]
+            assert part is engine._tips[node.leaf_index]
+            assert not part.logscale.any() and part.index.shape == (m,)
+            assert part.index.itemsize == 1 and len(part.clv) < m
+            assert not part.clv.flags.writeable
             with pytest.raises(ValueError):
-                tip[0, ...] = 0.0
-            rows, cols = engine.tip_clv(leaf.leaf_index), tip.reshape(m, -1, 4)
-            assert all(np.array_equal(cols[:, c], rows) for c in range(cols.shape[1]))
+                part.clv[0, ...] = 0.0
+            if kind == "cat":
+                assert len(part.clv) <= 16 * engine.n_categories
+                for c in range(len(part.clv)):  # one mask, one category per class
+                    assert len(set(masks[part.index == c])) == 1
+                    assert len(set(p2c[part.index == c])) == 1
+            else:
+                assert len(part.clv) == 16 and np.shares_memory(part.index, pal.patterns)
+                assert np.array_equal(part.index, masks)
+            cols = full_clv(part).reshape(m, -1, 4)
+            assert all(np.array_equal(cols[:, c], TIP_ROWS[masks]) for c in range(cols.shape[1]))
 
-    def test_a_sibling_of_another_shape_gets_its_own_tips(self, quartet, gtr_model):
-        pal, tree = quartet
-        gamma, down = self._down(pal, tree, gtr_model, RateModel.gamma(0.8, 4))
-        m, leaf = pal.n_patterns, tree.leaves()[0]
-        cat = gamma.with_rate_model(RateModel.cat(np.ones(2), np.arange(m) % 2))
-        cat_down = cat.compute_down_partials(tree)
-        assert cat._tip_parts is not gamma._tip_parts
-        assert cat_down[id(leaf)].clv.shape == (m, 4)
-        # ... over the same rows: no tip is gathered twice.
-        assert np.shares_memory(cat_down[id(leaf)].clv, down[id(leaf)].clv)
-        assert gamma.compute_down_partials(tree)[id(leaf)].clv.shape == (m, 4, 4)
-        assert down[id(leaf)] is gamma._tip_parts[leaf.leaf_index]
-        # Same shape, same dict: the sibling refills nothing.
-        same = gamma.with_rate_model(RateModel.gamma(1.3, 4))
-        assert same._tip_parts is gamma._tip_parts
-
-    def test_weight_siblings_share_the_tip_dict(self, quartet, gtr_model):
-        pal, tree = quartet
-        engine, down = self._down(pal, tree, gtr_model, RateModel.gamma(0.8, 4))
-        sibling = engine.with_weights(pal.weights * 2.0)
-        assert sibling._tip_parts is engine._tip_parts
+    def test_a_sibling_of_another_shape_gets_its_own_tips(self, small_pal, gtr_model):
+        pal, m = small_pal, small_pal.n_patterns
+        gamma, tree, down = self._down(pal, gtr_model, RateModel.gamma(0.8, 4))
         leaf = tree.leaves()[0]
-        assert sibling.compute_down_partials(tree)[id(leaf)] is down[id(leaf)]
+        cat = gamma.with_rate_model(RateModel.cat(np.ones(2), np.arange(m) % 2))
+        assert cat._tips is not gamma._tips
+        tip = cat.compute_down_partials(tree)[id(leaf)]
+        assert tip is cat._tips[leaf.leaf_index] and tip.clv.shape[1:] == (4,)
+        # The same categories share the CAT tips; other categories rebuild them.
+        same = cat.with_rate_model(RateModel.cat(np.array([0.5, 2.0]), np.arange(m) % 2))
+        assert same._tips is cat._tips
+        other = cat.with_rate_model(RateModel.cat(np.ones(2), (np.arange(m) + 1) % 2))
+        assert other._tips is not cat._tips
+        assert other.compute_down_partials(tree)[id(leaf)] is not tip
+        # Γ keeps its own, and another category count its own again.
+        assert gamma.compute_down_partials(tree)[id(leaf)] is down[id(leaf)]
+        assert down[id(leaf)] is gamma._tips[leaf.leaf_index]
+        assert gamma.with_rate_model(RateModel.gamma(1.3, 4))._tips is gamma._tips
+        assert gamma.with_rate_model(RateModel.gamma(1.3, 2))._tips is not gamma._tips
+
+    def test_weight_siblings_share_the_tip_dict(self, small_pal, gtr_model):
+        engine, tree, down = self._down(small_pal, gtr_model, RateModel.gamma(0.8, 4))
+        leaf = tree.leaves()[0]
+        for sibling in (engine.with_weights(small_pal.weights * 2.0),
+                        engine.with_model(GTRModel.jc69())):
+            assert sibling._tips is engine._tips
+            assert sibling.compute_down_partials(tree)[id(leaf)] is down[id(leaf)]
+
+
+class TestInsertionMemo:
+    """The pruned subtree's transport is memoised per SPR step; every Γ
+    tip views the same 16 mask rows, so the memo tells two tips apart by
+    their index."""
+
+    def test_two_leaves_pruned_in_turn_at_one_length(self, small_pal, gtr_model):
+        tree = yule_tree(small_pal.taxa, RAxMLRandom(8))
+        engine = LikelihoodEngine(small_pal, gtr_model, RateModel.gamma(0.8, 4))
+        down = engine.compute_down_partials(tree)
+        up = engine.compute_up_partials(tree, down)
+        edges = tree.internal_edges()
+        got = [
+            engine.insertion_loglikelihood(down[id(e)], up[id(e)], down[id(leaf)], e.length, 0.1)
+            for leaf in tree.leaves()[:3] for e in edges
+        ]
+        fresh = []
+        for leaf in tree.leaves()[:3]:
+            alone = LikelihoodEngine(small_pal, gtr_model, RateModel.gamma(0.8, 4))
+            d = alone.compute_down_partials(tree)
+            u = alone.compute_up_partials(tree, d)
+            fresh += [
+                alone.insertion_loglikelihood(d[id(e)], u[id(e)], d[id(leaf)], e.length, 0.1)
+                for e in edges
+            ]
+        assert got == fresh
+        assert len(set(got)) > len(edges)
 
 
 class PerLengthP(KernelBackend):

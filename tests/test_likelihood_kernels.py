@@ -1,7 +1,9 @@
 """Tests for the specialised likelihood kernels.
 
-The tip-case kernel (16-entry gather tables) and the rate-model subset
-helper must be exactly equivalent to their generic counterparts.
+A tip's compact partial (its 16 mask rows, or CAT's (mask, category)
+class rows, moved across the branch once and gathered by each pattern's
+class) and the rate-model subset helper must be equivalent to their
+generic counterparts.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from repro.likelihood.gtr import GTRModel
 from repro.seq.patterns import PatternAlignment
 from repro.tree.random_trees import yule_tree
 from repro.util.rng import RAxMLRandom
+from tests.conftest import full_clv
 
 
 @pytest.fixture()
@@ -19,21 +22,22 @@ def engine(small_pal, gtr_model):
     return LikelihoodEngine(small_pal, gtr_model, RateModel.gamma(0.8, 4))
 
 
-def _tip_contrib(engine, t: float, masks: np.ndarray) -> np.ndarray:
+def _tip_contrib(engine, t: float, leaf_index: int) -> np.ndarray:
     """A tip's contribution across a branch of length ``t`` as a level
-    computes it: a gather from the 16-mask table (a one-child node's
+    computes it: its class rows moved, then gathered (a one-child node's
     partial is its one contribution, unscaled on these shallow rows)."""
-    return engine.kernel.level_partials([([(0, t, masks)], [None])])[0].clv
+    tip = engine._tips[leaf_index]
+    return engine.kernel.level_partials([([(0, t, tip.operand)], [None])])[0].clv
 
 
 def _tip_view(engine, leaf_index: int) -> np.ndarray:
-    """The tip partial the engine hands its kernel: the kernel's shape."""
-    return engine._tip_partial(leaf_index).clv
+    """A tip's partial at every pattern, in the kernel's shape."""
+    return full_clv(engine._tips[leaf_index])
 
 
 class TestTipKernel:
     def test_matches_generic_propagate_gamma(self, engine, small_pal):
-        fast = _tip_contrib(engine, 0.27, small_pal.patterns[0])
+        fast = _tip_contrib(engine, 0.27, 0)
         generic = engine.kernel.propagate(engine.kernel.pmatrices(0.27), _tip_view(engine, 0))
         assert np.allclose(fast, generic, atol=1e-14)
 
@@ -42,12 +46,12 @@ class TestTipKernel:
         engine = LikelihoodEngine(
             small_pal, gtr_model, RateModel.cat(np.array([0.4, 1.0, 2.1]), p2c)
         )
-        fast = _tip_contrib(engine, 0.15, small_pal.patterns[2])
+        fast = _tip_contrib(engine, 0.15, 2)
         generic = engine.kernel.propagate(engine.kernel.pmatrices(0.15), _tip_view(engine, 2))
         assert np.allclose(fast, generic, atol=1e-14)
 
     def test_ambiguous_tips_handled(self, gtr_model):
-        """N/gap/partial-ambiguity masks go through the same table."""
+        """N/gap/partial-ambiguity masks go through the same rows."""
         from repro.seq.alignment import Alignment
         from repro.seq.patterns import compress_alignment
         from repro.tree.newick import parse_newick

@@ -33,6 +33,7 @@ from repro.search.comprehensive import ComprehensiveConfig
 from repro.search.hillclimb import hill_climb
 from repro.search.searches import StageParams
 from repro.seq.alignment import Alignment
+from repro.seq.encoding import TIP_ROWS
 from repro.seq.patterns import compress_alignment
 from repro.tree.newick import parse_newick
 from repro.tree.random_trees import yule_tree
@@ -88,13 +89,16 @@ def repeat_calls(monkeypatch):
 
 @pytest.fixture()
 def compact_reads(monkeypatch):
-    """The consumers that were handed a compact down partial: the level
-    batches (down and up), a repeat node, the whole-axis and the block
-    readers, and the per-edge kernels with the insertion's transport."""
+    """The consumers that were handed a compact site-repeat partial: the
+    level batches (down and up), a repeat node, the whole-axis and the
+    block readers, and the per-edge kernels with the insertion's
+    transport.  Tips are compact everywhere; their class rows are
+    read-only, a repeat node's are the kernel's fresh output."""
     seen = set()
 
     def note(name, *operands):
-        return {name} if any(isinstance(x, tuple) for x in operands) else set()
+        repeat = any(isinstance(x, tuple) and x[0].flags.writeable for x in operands)
+        return {name} if repeat else set()
 
     def specs(nodes):
         return [payload for node in nodes for _, _, payload in node[0]]
@@ -231,7 +235,8 @@ class TestBitIdentity:
         base[::2] *= 1e-40  # classes whose product falls below SCALE_MIN
         clv = base[index]
         logscale = np.where(index % 3 == 0, np.log(SCALE_MIN), 0.0)
-        specs = [(1, 0.2, clv), (2, 0.3, clv), (3, 0.1, pal.patterns[0][index])]
+        tip = (np.broadcast_to(TIP_ROWS[:, None], (16, 4, 4)), pal.patterns[0][index])
+        specs = [(1, 0.2, clv), (2, 0.3, clv), (3, 0.1, tip)]
         want = kernel.level_partials([(specs, [logscale, logscale, None])])[0]
         got = kernel.repeat_partial(specs, [logscale, logscale, None], index, reps)
         assert (want.logscale < 2 * np.log(SCALE_MIN)).any()
@@ -291,8 +296,9 @@ class TestBitIdentity:
 class TestCompactPartials:
     @pytest.mark.parametrize("rm_name", ["gamma", "cat"])
     def test_one_row_per_class(self, rm_name):
-        """A repeat node's partial keeps its clade's class rows and index;
-        the log-scaler and every other partial cover all m patterns."""
+        """A repeat node's partial keeps its clade's class rows and index,
+        a tip its own; the log-scaler and every other partial cover all m
+        patterns."""
         pal = _PALS[12]
         m = pal.n_patterns
         engine = LikelihoodEngine(pal, MODEL, rate_models(m)[rm_name], kernel_class=Repeats)
@@ -303,6 +309,9 @@ class TestCompactPartials:
         for node in tree.postorder():
             part = down[id(node)]
             assert part.logscale.shape == (m,)
+            if node.is_leaf:
+                assert part is engine._tips[node.leaf_index]
+                continue
             if part.index is None:
                 assert part.clv.shape == (m, *rows)
                 continue

@@ -275,8 +275,11 @@ class TestKernelBackends:
         assert type(tiny.kernel) is TinyBlocked
         assert type(tiny.with_weights(tiny.weights).kernel) is TinyBlocked
         assert tiny.loglikelihood(tree) == ref.loglikelihood(tree)
-        blocks = -(-_PAL.n_patterns // TinyBlocked.block_size)
-        assert tiny.kernel.spans == tiny.kernel.sweeps * blocks > 0
+        # Every sweep, over the pattern axis or a tip's 16 mask rows, cut
+        # into 7-row blocks.
+        assert set(tiny.kernel.widths) == {_PAL.n_patterns, 16}
+        blocks = tiny.kernel.spans_per_width(lambda n: -(-n // TinyBlocked.block_size))
+        assert tiny.kernel.spans == blocks > tiny.kernel.sweeps
 
     @pytest.mark.parametrize("rm_name", ["gamma", "gamma+I", "cat"])
     def test_blocked_bit_identical(self, rm_name):
@@ -465,8 +468,11 @@ class TestDegenerateChunks:
         one_each, surplus = pool(m), pool(m + 5)
         assert exercise(one_each) == serial  # lnl and derivatives: bitwise
         assert exercise(surplus) == serial
-        # Every kernel call swept all m patterns, none an empty slice ...
-        assert span_sizes and set(span_sizes) == {m}
+        # Every kernel call swept all m patterns or a tip's class rows,
+        # none an empty slice ...
+        tips = LikelihoodEngine(pal, _MODEL, rm)._tips
+        rows = {len(tips[i].clv) for i in range(pal.n_taxa)}
+        assert m in span_sizes and set(span_sizes) == {m} | rows
         # ... while the m + 5 lanes were charged: same regions, same
         # one-pattern bottleneck chunk, a dearer barrier.
         assert surplus.regions_executed == one_each.regions_executed > 0
