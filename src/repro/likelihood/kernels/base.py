@@ -38,6 +38,19 @@ nothing.  A pattern's largest entry so stays near or above 2⁻²⁵⁶ in
 every partial, and the three partials an insertion multiplies stay near
 or above 2⁻⁷⁶⁸: normal doubles, far above ``_TINY`` ≈ 2⁻⁹⁹⁷.
 
+Scratch.  As RAxML allocates its likelihood vectors and Newton
+``sumBuffer`` once, each kernel owns scratch slots, grown on demand
+(:meth:`KernelBackend._slot`), that its transients are written into with
+``out=``: fused blocks, the per-edge kernels' gathered and propagated
+operands, ``uclv·π`` and its eigenbasis rows, CAT's per-pattern ``P``
+and Newton exponentials.  The rule: scratch holds only what a call
+consumes before it returns; every array returned or stored is fresh
+(partials, contribution-LRU entries, the insertion memo, ``coef``, site
+arrays).  Scratch reaches a span primitive as a positional operand of
+``_sweep``, so a tiling kernel slices it like any pattern-axis operand.
+Per-kernel constants broadcast over the patterns (π at ``clv_shape``,
+CAT's per-pattern exponents) are built once, read-only.
+
 Accounting.  Kernels, not the engine, charge the shared
 :class:`OpCounter` — exactly once per *logical* invocation with the full
 pattern count, so op totals are identical for serial, threaded, and
@@ -129,11 +142,11 @@ def _propagate_inner(
     return out
 
 
-def _propagate_cat(pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
+def _propagate_cat(pmats: np.ndarray, clv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``pab,pb->pa``: one gathered ``P`` per pattern (CAT).  A single
     per-pattern contraction with no BLAS form, so plain ``einsum`` — which
     is all the path-optimised call ever ran for it."""
-    return np.einsum("pab,pb->pa", pmats, clv)
+    return np.einsum("pab,pb->pa", pmats, clv, out=out)
 
 
 def _site_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,12 +156,13 @@ def _site_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a.reshape(m, 1, -1), b.reshape(m, -1, 1)).reshape(m)
 
 
-def _to_eigenbasis(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _to_eigenbasis(x: np.ndarray, basis: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``mka,aj->mkj`` with ``basis = U``, ``mkb,jb->mkj`` with ``basis =
     U⁻¹ᵀ`` (contiguous: ``GTRModel`` holds ``U⁻¹`` in Fortran order): the
     state axis of a CLV times a 4x4 matrix, as one ``(m·k, 4) @ (4, 4)``
-    product."""
-    return (x.reshape(-1, 4) @ basis).reshape(x.shape)
+    product, into ``out`` (contiguous) when given."""
+    flat = None if out is None else out.reshape(-1, 4)
+    return np.matmul(x.reshape(-1, 4), basis, out=flat).reshape(x.shape)
 
 
 def _sum_states(x: np.ndarray) -> np.ndarray:
@@ -178,6 +192,12 @@ def _site_sum(clv: np.ndarray, pi_column: np.ndarray) -> np.ndarray:
     categories (``(4k, 1)``), one product per pattern like :func:`_site_dot`
     (97 -> 39 µs at 4,610 patterns against the plain ``einsum``)."""
     return np.matmul(clv.reshape(len(clv), 1, -1), pi_column).reshape(-1)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: a per-kernel constant every caller shares."""
+    a.setflags(write=False)
+    return a
 
 
 def _row_max(flat: np.ndarray) -> np.ndarray:
@@ -435,10 +455,10 @@ class KernelBackend:
             (n_patterns, 4) if self.is_cat else (n_patterns, self.n_categories, 4)
         )
         #: The regime of :meth:`_node`: blocks from ``fuse_min_patterns``
-        #: Γ rows on, into per-input scratch (``_blocks``), else whole
-        #: rows through the contribution LRU.
+        #: Γ rows on, into one scratch slot per input, else whole rows
+        #: through the contribution LRU.
         self._fused = not self.is_cat and n_patterns >= self.fuse_min_patterns
-        self._blocks: list[np.ndarray] = []
+        self._slots: dict[int, np.ndarray] = {}
         #: :func:`_site_sum`'s frequency column, π once per category
         #: (``np.concatenate``: ``np.tile`` costs more than twice as much).
         self._pi_column = np.concatenate([model.pi] * self.n_categories).reshape(-1, 1)
@@ -448,9 +468,32 @@ class KernelBackend:
         """The sumtable's exponents ``rate_c · λ_j``, shape (k, 4): fixed
         for the kernel's lifetime and handed out by every :meth:`sumtable`,
         hence read-only; built by the first one."""
-        exps = np.outer(self.rate_model.rates, self.model._spectral[0])
-        exps.setflags(write=False)
-        return exps
+        return _frozen(np.outer(self.rate_model.rates, self.model._spectral[0]))
+
+    @cached_property
+    def _pattern_exps(self) -> np.ndarray:
+        """CAT's exponent row of every pattern, ``_exps[p2c]``: what every
+        CAT :meth:`sumtable` returns."""
+        return _frozen(self._exps[self._p2c])
+
+    @cached_property
+    def _pi_full(self) -> np.ndarray:
+        """π at every entry of ``clv_shape``: ``uclv·π`` as a same-shape
+        product, the broadcast's bits at a third of its cost."""
+        return _frozen(np.ascontiguousarray(np.broadcast_to(self.model.pi, self.clv_shape)))
+
+    def _slot(self, i: int, shape: tuple[int, ...]) -> np.ndarray:
+        """Scratch slot ``i`` (a call's i-th transient; a fused node's input
+        i) as a contiguous array of ``shape``, valid until its next use."""
+        size = math.prod(shape)
+        buf = self._slots.get(i)
+        if buf is None or len(buf) < size:
+            buf = self._slots[i] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+    def _pgather(self, n: int) -> np.ndarray | None:
+        """CAT's slot for ``n`` patterns' gathered ``P`` (Γ: ``None``)."""
+        return self._slot(2, (n, 4, 4)) if self.is_cat else None
 
     def pmatrices(self, t: float) -> np.ndarray:
         """P(t·r_c) for all categories, shape (k, 4, 4), memoised by the
@@ -499,70 +542,66 @@ class KernelBackend:
 
     # -- span primitives -------------------------------------------------------
 
-    def _propagate_span(
-        self, clv: np.ndarray, p2c: np.ndarray | None, pmats: np.ndarray
-    ) -> np.ndarray:
-        """Apply per-category transition matrices to one span of a CLV."""
+    def _propagate_span(self, clv, p2c, pgather, out, pmats: np.ndarray) -> np.ndarray:
+        """Apply per-category transition matrices to one span of a CLV,
+        into ``out`` (``None``: fresh); CAT first gathers each pattern's
+        ``P`` into ``pgather`` ("clip": see :meth:`_block`)."""
         if self.is_cat:
-            return _propagate_cat(pmats[p2c], clv)
-        return _propagate_inner(pmats, clv)
+            pmats = np.take(pmats, p2c, axis=0, out=pgather, mode="clip")
+            return _propagate_cat(pmats, clv, out)
+        return _propagate_inner(pmats, clv, out)
+
+    def _moved(self, clv: np.ndarray, p2c: np.ndarray | None, pmats: np.ndarray) -> np.ndarray:
+        """``clv`` moved across the branch of ``pmats`` by one sweep, fresh."""
+        pgather = self._pgather(len(clv))
+        return self._sweep(self._propagate_span, clv, p2c, pgather, None, pmats=pmats)
 
     def _root_site_span(self, clv: np.ndarray) -> np.ndarray:
         if self.is_cat:
             return clv @ self.model.pi
         return _site_sum(clv, self._pi_column) / self.n_categories
 
-    def _edge_site_span(
-        self,
-        uclv: np.ndarray,
-        dclv: np.ndarray,
-        p2c: np.ndarray | None,
-        pmats: np.ndarray,
-        moved: bool = False,
-    ) -> np.ndarray:
-        dclv = dclv if moved else self._propagate_span(dclv, p2c, pmats)
-        pi = self.model.pi
-        site = _site_dot(uclv * pi, dclv)
+    def _edge_site_span(self, acc, dclv, uclv, pi, upi, p2c, pgather, pmats) -> np.ndarray:
+        """``dclv`` propagated into ``acc`` (``None``: ``acc`` holds it
+        moved already) against ``uclv·π``, written into ``upi``."""
+        if dclv is not None:
+            self._propagate_span(dclv, p2c, pgather, acc, pmats)
+        site = _site_dot(np.multiply(uclv, pi, out=upi), acc)
         return site if self.is_cat else site / self.n_categories
 
-    def _insertion_span(
-        self,
-        dclv: np.ndarray,
-        uclv: np.ndarray,
-        moved_sub: np.ndarray,
-        p2c: np.ndarray | None,
-        pmats: np.ndarray,
-        moved: bool = False,
-    ) -> np.ndarray:
+    def _insertion_span(self, acc, dclv, uclv, moved_sub, p2c, pgather, moved_u, pmats):
         """Both halves of the split edge propagated to the insertion node
-        and multiplied, in this order, with the transported subtree (a
-        ``moved`` ``dclv``, the caller's temporary, takes the product)."""
-        acc = dclv if moved else self._propagate_span(dclv, p2c, pmats)
-        np.multiply(acc, self._propagate_span(uclv, p2c, pmats), out=acc)
+        — ``dclv`` into ``acc`` (``None``: ``acc`` holds it moved
+        already), ``uclv`` into ``moved_u`` — and multiplied, in this
+        order, with the transported subtree, in ``acc``."""
+        if dclv is not None:
+            self._propagate_span(dclv, p2c, pgather, acc, pmats)
+        np.multiply(acc, self._propagate_span(uclv, p2c, pgather, moved_u, pmats), out=acc)
         np.multiply(acc, moved_sub, out=acc)
         return self._root_site_span(acc)
 
-    def _sumtable_span(
-        self, uclv: np.ndarray, dclv: np.ndarray, p2c: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """One span of RAxML's sumtable; returns ``(coef, exps_or_None)``
-        (the exponent table is pattern-dependent only in CAT mode)."""
+    def _sumtable_span(self, uclv, dclv, pi, upi, x) -> np.ndarray:
+        """One span of RAxML's sumtable, ``coef`` (fresh, computed in place);
+        ``uclv·π`` and its eigenbasis rows go to the scratch ``upi``, ``x``."""
         u, u_inv = self.model._spectral[1:3]
-        x = _to_eigenbasis(uclv * self.model.pi, u)
-        y = _to_eigenbasis(dclv, u_inv.T)
-        if self.is_cat:
-            return x * y, self._exps[p2c]
-        return x * y / self.n_categories, None
+        x = _to_eigenbasis(np.multiply(uclv, pi, out=upi), u, x)
+        coef = _to_eigenbasis(dclv, u_inv.T)
+        np.multiply(x, coef, out=coef)
+        if not self.is_cat:
+            coef /= self.n_categories
+        return coef
 
     def _derivatives_span(
-        self, coef: np.ndarray, exps: np.ndarray, t: float
+        self, coef: np.ndarray, exps: np.ndarray, term: np.ndarray | None = None, t: float = 0.0
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-pattern (site, d1, d2) at ``t`` for one span of the
-        sumtable; ``exps`` is per pattern under CAT and the one ``(k, 4)``
-        table under Γ.  CAT's in-place products evaluate ``(term·exps)·exps``."""
+        """Per-pattern (site, d1, d2) at ``t`` for one span of the sumtable;
+        ``exps`` is the one ``(k, 4)`` table under Γ and per pattern under
+        CAT, which evaluates ``coef·exp(exps·t)``, then ``(term·exps)·exps``,
+        in its scratch ``term``."""
         if not self.is_cat:
             return tuple(_newton_rows(coef, exps, t))
-        term = coef * np.exp(exps * t)
+        np.exp(np.multiply(exps, t, out=term), out=term)
+        np.multiply(coef, term, out=term)
         site = _sum_states(term)
         np.multiply(term, exps, out=term)
         d1 = _sum_states(term)
@@ -574,7 +613,7 @@ class KernelBackend:
     def propagate(self, pmats: np.ndarray, clv: np.ndarray) -> np.ndarray:
         """Parent-side contribution of a child CLV across its edge."""
         self.ops.charge_clv(self.n_patterns, self.n_categories)
-        return self._sweep(self._propagate_span, clv, self._p2c, pmats=pmats)
+        return self._moved(clv, self._p2c, pmats)
 
     # -- the node routine ------------------------------------------------------
 
@@ -641,9 +680,7 @@ class KernelBackend:
     def zero_logscale(self) -> np.ndarray:
         """The log-scaler of exact zeros (read-only) that unscaled repeat
         partials share."""
-        zeros = np.zeros(self.n_patterns)
-        zeros.setflags(write=False)
-        return zeros
+        return _frozen(np.zeros(self.n_patterns))
 
     def _node(
         self,
@@ -699,7 +736,7 @@ class KernelBackend:
         :meth:`_gathered`."""
         if isinstance(payload, tuple):
             return self._gathered(payload, self.pmatrices(t))
-        return self._sweep(self._propagate_span, payload, p2c, pmats=self.pmatrices(t))
+        return self._moved(payload, p2c, self.pmatrices(t))
 
     def _sources(self, inputs: list[LevelSpec]) -> list[tuple[np.ndarray, np.ndarray]]:
         """What :meth:`_block` reads each input from, once per node: a
@@ -719,17 +756,13 @@ class KernelBackend:
         self, sources: list[tuple[np.ndarray, np.ndarray]], lo: int, hi: int
     ) -> list[np.ndarray]:
         """Rows ``lo:hi`` of every input, each gathered or propagated into
-        its own scratch.  The contribution LRU is neither read nor filled:
-        materialising whole contributions would re-spend the memory
+        its own scratch slot.  The contribution LRU is neither read nor
+        filled: materialising whole contributions would re-spend the memory
         traffic the blocks exist to avoid."""
         n = hi - lo
-        while len(self._blocks) < len(sources):  # a block has fuse_block + 1 rows at most
-            self._blocks.append(
-                np.empty((min(self.fuse_block + 1, self.n_patterns), self.n_categories, 4))
-            )
         out = []
-        for (table, payload), buf in zip(sources, self._blocks):
-            buf = buf[:n]
+        for j, (table, payload) in enumerate(sources):
+            buf = self._slot(j, (n, self.n_categories, 4))
             if payload.ndim == 1:
                 # Indexes are in range; "clip" lets take write into
                 # ``out``, "raise" buffers.
@@ -746,18 +779,26 @@ class KernelBackend:
         if self.is_cat:
             cats = np.empty(len(rows), self._p2c.dtype)
             cats[index] = self._p2c
-        return self._sweep(self._propagate_span, rows, cats, pmats=pmats)
+        return self._moved(rows, cats, pmats)
 
-    def _gathered(self, operand: tuple, pmats: np.ndarray | None) -> np.ndarray:
-        """A compact partial ``(class rows, index)`` at every pattern, fresh:
-        the class rows moved across the branch of ``pmats`` (``None``: as
-        they are), then gathered by ``index``."""
+    def _gathered(self, operand: tuple, pmats: np.ndarray | None, out=None) -> np.ndarray:
+        """A compact partial ``(class rows, index)`` at every pattern, into
+        ``out`` (``None``: fresh): the class rows moved across the branch
+        of ``pmats`` (``None``: as they are), then gathered by ``index``."""
         rows, index = operand
         if pmats is not None:
             rows = self._class_moved(rows, index, pmats)
-        return rows.take(index, axis=0, mode="clip")
+        return rows.take(index, axis=0, out=out, mode="clip")
 
     # -- per-edge kernels -----------------------------------------------------
+
+    def _moved_into_scratch(self, dclv, pmats: np.ndarray) -> tuple:
+        """``(acc, dclv)``: the scratch a per-edge span moves the operand
+        ``dclv`` into, and ``dclv`` — ``None`` if compact, gathered already."""
+        acc = self._slot(0, self.clv_shape)
+        if isinstance(dclv, tuple):
+            return self._gathered(dclv, pmats, acc), None
+        return acc, dclv
 
     def root_site(self, clv: np.ndarray) -> np.ndarray:
         """Per-pattern site likelihoods of a root CLV (uncharged: the
@@ -768,10 +809,11 @@ class KernelBackend:
         """Per-pattern site likelihoods across one edge; ``dclv`` is a
         down partial's :attr:`Partial.operand`."""
         self.ops.charge_edge(self.n_patterns, self.n_categories)
-        moved = isinstance(dclv, tuple)
-        if moved:
-            dclv = self._gathered(dclv, pmats)
-        return self._sweep(self._edge_site_span, uclv, dclv, self._p2c, pmats=pmats, moved=moved)
+        acc, dclv = self._moved_into_scratch(dclv, pmats)
+        return self._sweep(
+            self._edge_site_span, acc, dclv, uclv, self._pi_full, self._slot(1, acc.shape),
+            self._p2c, self._pgather(len(acc)), pmats=pmats,
+        )
 
     def insertion_site(
         self,
@@ -792,11 +834,10 @@ class KernelBackend:
         moved_sub = self._insertion_transport(sclv, pmats_sub)
         self.ops.charge_clv(self.n_patterns, self.n_categories, n=2)
         self.ops.charge_edge(self.n_patterns, self.n_categories)
-        moved = isinstance(dclv, tuple)
-        if moved:
-            dclv = self._gathered(dclv, pmats_half)
+        acc, dclv = self._moved_into_scratch(dclv, pmats_half)
         return self._sweep(
-            self._insertion_span, dclv, uclv, moved_sub, self._p2c, pmats=pmats_half, moved=moved
+            self._insertion_span, acc, dclv, uclv, moved_sub, self._p2c,
+            self._pgather(len(acc)), self._slot(1, acc.shape), pmats=pmats_half,
         )
 
     def _insertion_transport(self, sclv, pmats_sub: np.ndarray) -> np.ndarray:
@@ -821,9 +862,8 @@ class KernelBackend:
         memo = self._ins_memo
         if memo is not None and memo[0] == key:
             return memo[2]
-        moved = self._gathered(sclv, pmats_sub) if compact else self._sweep(
-            self._propagate_span, sclv, self._p2c, pmats=pmats_sub
-        )
+        moved = (self._gathered(sclv, pmats_sub) if compact
+                 else self._moved(sclv, self._p2c, pmats_sub))
         self._ins_memo = (key, (sclv, pmats_sub), moved)
         return moved
 
@@ -834,17 +874,22 @@ class KernelBackend:
         Returns ``(coef, exps)``; see
         :meth:`repro.likelihood.engine.LikelihoodEngine.edge_coefficients`.
         """
+        shape = self.clv_shape
         if isinstance(dclv, tuple):
-            dclv = self._gathered(dclv, None)
-        coef, exps = self._sweep(self._sumtable_span, uclv, dclv, self._p2c)
+            dclv = self._gathered(dclv, None, self._slot(0, shape))
+        coef = self._sweep(
+            self._sumtable_span, uclv, dclv, self._pi_full,
+            self._slot(1, shape), self._slot(2, shape),
+        )
         self.ops.charge_sumtable(self.n_patterns, self.n_categories)
-        return coef, self._exps if exps is None else exps
+        return coef, self._pattern_exps if self.is_cat else self._exps
 
     def derivatives(
         self, coef: np.ndarray, exps: np.ndarray, t: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-pattern (site, dsite/dt, d²site/dt²) of the edge function."""
+        """Per-pattern (site, dsite/dt, d²site/dt²) of the edge function;
+        ``exps`` is what :meth:`sumtable` returned."""
         self.ops.charge_deriv(self.n_patterns, self.n_categories)
         if self.is_cat:  # one exponent row per pattern: an operand of the sweep
-            return self._sweep(self._derivatives_span, coef, exps, t=t)
+            return self._sweep(self._derivatives_span, coef, exps, self._slot(0, exps.shape), t=t)
         return self._sweep(self._derivatives_span, coef, exps=exps, t=t)

@@ -20,12 +20,15 @@ Two are new products with no call to equal (``_newton_rows``,
 on purpose); they are held to their own whole-axis bits on any tiling.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.likelihood.engine import TipPartials
+from repro.datasets.generator import SimulationParams, simulate_alignment
+from repro.likelihood.engine import LikelihoodEngine, TipPartials
 from repro.likelihood.gtr import GTRModel, _spectral_products
 from repro.likelihood.kernels.base import (
     KernelBackend,
@@ -40,7 +43,9 @@ from repro.likelihood.kernels.base import (
 )
 from repro.likelihood.rates import RateModel
 from repro.seq.encoding import state_likelihood_rows
+from repro.seq.patterns import compress_alignment
 from repro.tree.topology import MAX_BRANCH_LENGTH
+from tests.conftest import full_clv
 
 #: Γ's 4 and the single rate; the CAT searches' 5/8/25 categories; the
 #: simulator's 256-point rate grid.  4 -> 5 is where ``optimize=True``
@@ -452,3 +457,204 @@ class TestTipRows:
             want = self._parent_table(pmats)[p2c, masks]
             assert_same_bits(got[few], want[few])
             np.testing.assert_allclose(got, want, rtol=4e-16, atol=0.0)
+
+
+# -- scratch and per-kernel operands --------------------------------------------
+#
+# The per-edge kernels write their transients into the kernel's scratch
+# slots and broadcast per-kernel constants once (``kernels/base.py``,
+# "Scratch").  Held here on the benchmark's wide input — 8 taxa x 40,000
+# sites, seed 4242: 4,610 patterns, where every Γ down partial is compact
+# (site repeats) — under Γ and CAT: what they allocate, what they hand
+# out, and their bits against the expressions they replaced.
+
+_WIDE_MODEL = GTRModel(rates=(1.2, 2.5, 0.8, 1.1, 3.0, 1.0), freqs=(0.3, 0.2, 0.2, 0.3))
+
+
+@pytest.fixture(scope="module", params=["gamma", "cat"])
+def wide(request):
+    """``(kernel, edges)`` on the wide input: per non-root node its down
+    operand and up CLV; an inner node's down partial also at every
+    pattern, so both operand forms are read."""
+    aln, tree = simulate_alignment(SimulationParams(n_taxa=8, n_sites=40_000, seed=4242))
+    pal = compress_alignment(aln)
+    m = pal.n_patterns
+    assert m == 4610
+    rm = (RateModel.gamma(0.8, 4) if request.param == "gamma"
+          else RateModel.cat(np.array([0.4, 1.0, 2.1, 3.3]), np.arange(m) % 4))
+    engine = LikelihoodEngine(pal, _WIDE_MODEL, rm)
+    down = engine.compute_down_partials(tree)
+    up = engine.compute_up_partials(tree, down)
+    edges = []
+    for node in tree.postorder():
+        if node is not tree.root:
+            part = down[id(node)]
+            edges.append((part.operand, up[id(node)].clv))
+            if not node.is_leaf:
+                edges.append((full_clv(part), up[id(node)].clv))
+    return engine.kernel, edges
+
+
+def _clv_bytes(kernel: KernelBackend) -> int:
+    return 8 * int(np.prod(kernel.clv_shape))
+
+
+def _peak_rise(call):
+    """``(result, bytes)``: what ``call()`` returns and how far it raised
+    the traced peak above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _edge_calls(kernel: KernelBackend, edges):
+    """One call of each per-edge kernel per edge, as ``(name, call)``; the
+    insertion scores prune one leaf at one length, as an SPR step scans
+    its candidates (the transport memo holds)."""
+    sub = next(d for d, _ in edges if isinstance(d, tuple))
+    half, t_sub = kernel.pmatrices(0.05), kernel.pmatrices(0.1)
+    calls = []
+    for d, u in edges:
+        calls.append(("sumtable", lambda d=d, u=u: _newton(kernel, u, d)))
+        calls.append(("insertion_site",
+                      lambda d=d, u=u: (kernel.insertion_site(d, u, sub, half, t_sub),)))
+        calls.append(("edge_site", lambda d=d, u=u: (kernel.edge_site(u, half, d),)))
+    return calls
+
+
+def _newton(kernel: KernelBackend, uclv, dclv):
+    """A sumtable and two Newton evaluations on it; ``exps`` is the
+    kernel's constant, not a result."""
+    coef, exps = kernel.sumtable(uclv, dclv)
+    return (coef, *kernel.derivatives(coef, exps, 0.07), *kernel.derivatives(coef, exps, 0.3))
+
+
+class TestScratch:
+    """Scratch holds only what a call consumes before it returns."""
+
+    def test_a_warm_kernel_allocates_what_it_returns(self, wide):
+        """Each call raises the traced peak by the bytes it returns plus
+        less than one CLV: no pattern-sized temporary is allocated."""
+        kernel, edges = wide
+        calls = _edge_calls(kernel, edges)
+        for _, call in calls:  # warm: slots grown, constants and memo built
+            call()
+        for name, call in calls:
+            result, rise = _peak_rise(call)
+            returned = sum(a.nbytes for a in result)
+            assert rise < returned + _clv_bytes(kernel), (name, rise, returned)
+
+    def test_nothing_returned_is_scratch(self, wide):
+        kernel, edges = wide
+        results = [a for _, call in _edge_calls(kernel, edges) for a in call()]
+        results.append(kernel.sumtable(edges[0][1], edges[0][0])[1])
+        assert kernel._slots
+        for a in results:
+            for buf in kernel._slots.values():
+                assert not np.shares_memory(a, buf)
+
+    def test_a_first_result_survives_later_calls(self, wide):
+        kernel, edges = wide
+        first = {name: [a.copy() for a in call()] for name, call in _edge_calls(kernel, edges)[:3]}
+        held = {name: call() for name, call in _edge_calls(kernel, edges)[:3]}
+        for _, call in _edge_calls(kernel, edges)[3:]:
+            call()
+        for name, arrays in held.items():
+            for got, want in zip(arrays, first[name]):
+                assert_same_bits(got, want)
+
+
+def _parent_propagate(kernel: KernelBackend, pmats, clv, p2c):
+    """The propagation the per-edge kernels used to allocate."""
+    if kernel.is_cat:
+        return np.einsum("pab,pb->pa", pmats[p2c], clv)
+    return _propagate_inner(pmats, clv)
+
+
+def _parent_gathered(kernel: KernelBackend, operand, pmats):
+    rows, index = operand
+    if pmats is not None:
+        cats = None
+        if kernel.is_cat:
+            cats = np.empty(len(rows), kernel._p2c.dtype)
+            cats[index] = kernel._p2c
+        rows = _parent_propagate(kernel, pmats, rows, cats)
+    return rows.take(index, axis=0, mode="clip")
+
+
+class TestCachedOperands:
+    """The per-kernel operands and the per-edge kernels, bit for bit
+    against the expressions they replaced (copied here)."""
+
+    @pytest.mark.parametrize("rate", ["k1", "k2", "k4", "k8", "cat"])
+    @examples
+    @given(seeds, patterns, exponents)
+    def test_full_shape_pi_is_the_broadcast_product(self, rate, seed, m, exp):
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng)
+        rm = (RateModel.cat(0.1 + 3.0 * rng.random(5), rng.integers(0, 5, m)) if rate == "cat"
+              else RateModel.gamma(0.2 + 2.0 * rng.random(), int(rate[1:])))
+        kernel = KernelBackend(model, rm, OpCounter(), m, 4)
+        uclv = _shard(rng, m, 3, kernel.clv_shape[1:], exp)
+        assert not kernel._pi_full.flags.writeable
+        assert_same_bits(uclv * kernel._pi_full, uclv * model.pi)
+
+    def test_the_exponent_table_is_built_once(self, wide):
+        """Every sumtable hands out the kernel's one read-only table:
+        under CAT ``_exps[p2c]``, which it used to gather per call."""
+        kernel, edges = wide
+        table = kernel._pattern_exps if kernel.is_cat else kernel._exps
+        assert not table.flags.writeable
+        for d, u in edges[:3]:
+            assert kernel.sumtable(u, d)[1] is table
+        if kernel.is_cat:
+            assert_same_bits(table, kernel._exps[kernel._p2c])
+
+    def test_sumtable_and_derivatives(self, wide):
+        kernel, edges = wide
+        u, u_inv = kernel.model._spectral[1:3]
+        for d, uclv in edges:
+            coef, exps = kernel.sumtable(uclv, d)
+            dclv = _parent_gathered(kernel, d, None) if isinstance(d, tuple) else d
+            x = _to_eigenbasis(uclv * kernel.model.pi, u)
+            y = _to_eigenbasis(dclv, u_inv.T)
+            want = x * y if kernel.is_cat else x * y / kernel.n_categories
+            assert_same_bits(coef, want)
+            want_exps = kernel._exps[kernel._p2c] if kernel.is_cat else kernel._exps
+            assert_same_bits(exps, want_exps)
+            for t in (0.0, 1e-6, 0.07, 2.5):
+                got = kernel.derivatives(coef, exps, t)
+                if kernel.is_cat:
+                    term = coef * np.exp(want_exps * t)
+                    want = [_sum_states(term)]
+                    for _ in range(2):
+                        np.multiply(term, want_exps, out=term)
+                        want.append(_sum_states(term))
+                else:
+                    want = _newton_rows(coef, want_exps, t)
+                for g, w in zip(got, want):
+                    assert_same_bits(g, w)
+
+    def test_insertion_and_edge_sites(self, wide):
+        kernel, edges = wide
+        p2c, pi = kernel._p2c, kernel.model.pi
+        half, t_sub = kernel.pmatrices(0.05), kernel.pmatrices(0.1)
+        for sub, _ in edges[:3]:
+            moved_sub = (_parent_gathered(kernel, sub, t_sub) if isinstance(sub, tuple)
+                         else _parent_propagate(kernel, t_sub, sub, p2c))
+            for d, uclv in edges:
+                acc = (_parent_gathered(kernel, d, half) if isinstance(d, tuple)
+                       else _parent_propagate(kernel, half, d, p2c))
+                site = _site_dot(uclv * pi, acc)
+                want = site if kernel.is_cat else site / kernel.n_categories
+                assert_same_bits(kernel.edge_site(uclv, half, d), want)
+                np.multiply(acc, _parent_propagate(kernel, half, uclv, p2c), out=acc)
+                np.multiply(acc, moved_sub, out=acc)
+                want = (acc @ pi if kernel.is_cat
+                        else _site_sum(acc, kernel._pi_column) / kernel.n_categories)
+                assert_same_bits(kernel.insertion_site(d, uclv, sub, half, t_sub), want)

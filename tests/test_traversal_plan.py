@@ -442,9 +442,9 @@ class TestDegenerateChunks:
         span_sizes = []
         propagate_span = KernelBackend._propagate_span
 
-        def watched(self, clv, p2c, pmats):
+        def watched(self, clv, *operands, **fixed):
             span_sizes.append(len(clv))
-            return propagate_span(self, clv, p2c, pmats)
+            return propagate_span(self, clv, *operands, **fixed)
 
         monkeypatch.setattr(KernelBackend, "_propagate_span", watched)
 
